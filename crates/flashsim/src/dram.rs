@@ -13,7 +13,8 @@ use std::time::Duration;
 use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
-use crate::types::{visible_at, Key, StoreError, StoreStats, Value, VersionedValue};
+use crate::chain::Chain;
+use crate::types::{Key, StoreError, StoreStats, Value, VersionedValue};
 
 /// Tuning for a [`DramStore`].
 #[derive(Debug, Clone)]
@@ -35,8 +36,8 @@ impl Default for DramConfig {
 
 #[derive(Debug, Default)]
 struct DramInner {
-    /// Per-key version chains, youngest first.
-    map: FastMap<Key, Vec<(Version, Value)>>,
+    /// Per-key version chains, each version mapped to its value.
+    map: FastMap<Key, Chain<Value>>,
     watermark: Timestamp,
     stats: StoreStats,
     /// Durable write-floor record (battery-protected register).
@@ -74,17 +75,12 @@ impl DramStore {
     pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
         {
             let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            if let Some(&(head, _)) = chain.first() {
-                if version <= head {
-                    return Err(StoreError::StaleWrite(head));
+            if let Some(head) = inner.map.get(&key).and_then(Chain::latest) {
+                if version <= head.version {
+                    return Err(StoreError::StaleWrite(head.version));
                 }
             }
-            chain.insert(0, (version, value));
-            let watermark = inner.watermark;
-            let pruned = prune(inner.map.get_mut(&key).unwrap(), watermark);
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
+            inner.apply(key, value, version);
         }
         self.handle.sleep(self.cfg.write_latency).await;
         Ok(())
@@ -92,21 +88,7 @@ impl DramStore {
 
     /// Applies a possibly out-of-order replicated write (idempotent).
     pub async fn apply_unordered(&self, key: Key, value: Value, version: Version) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            if !chain.iter().any(|&(v, _)| v == version) {
-                let pos = chain
-                    .iter()
-                    .position(|&(v, _)| v < version)
-                    .unwrap_or(chain.len());
-                chain.insert(pos, (version, value));
-            }
-            let watermark = inner.watermark;
-            let pruned = prune(inner.map.get_mut(&key).unwrap(), watermark);
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
-        }
+        self.inner.borrow_mut().apply(key, value, version);
         self.handle.sleep(self.cfg.write_latency).await;
     }
 
@@ -116,18 +98,7 @@ impl DramStore {
         {
             let mut inner = self.inner.borrow_mut();
             for (key, value, version) in items {
-                let chain = inner.map.entry(key.clone()).or_default();
-                if !chain.iter().any(|&(v, _)| v == version) {
-                    let pos = chain
-                        .iter()
-                        .position(|&(v, _)| v < version)
-                        .unwrap_or(chain.len());
-                    chain.insert(pos, (version, value));
-                }
-                let watermark = inner.watermark;
-                let pruned = prune(inner.map.get_mut(&key).unwrap(), watermark);
-                inner.stats.versions_pruned += pruned;
-                inner.stats.puts += 1;
+                inner.apply(key, value, version);
             }
         }
         self.handle.sleep(self.cfg.write_latency).await;
@@ -142,10 +113,10 @@ impl DramStore {
         let out = {
             let mut inner = self.inner.borrow_mut();
             let chain = inner.map.get(key).ok_or(StoreError::NotFound)?;
-            let (version, value) = visible_at(chain, at).ok_or(StoreError::NotFound)?;
+            let e = chain.visible_at(at).ok_or(StoreError::NotFound)?;
             let out = VersionedValue {
-                version: *version,
-                value: value.clone(),
+                version: e.version,
+                value: e.loc.clone(),
             };
             inner.stats.gets += 1;
             out
@@ -178,12 +149,8 @@ impl DramStore {
 
     /// All versions of `key`, youngest first.
     pub fn versions(&self, key: &Key) -> Vec<Version> {
-        self.inner
-            .borrow()
-            .map
-            .get(key)
-            .map(|c| c.iter().map(|&(v, _)| v).collect())
-            .unwrap_or_default()
+        let inner = self.inner.borrow();
+        inner.map.get(key).map(Chain::versions).unwrap_or_default()
     }
 
     /// Number of distinct keys.
@@ -229,22 +196,19 @@ impl DramStore {
     /// Zero-time bulk load.
     pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let mut inner = self.inner.borrow_mut();
-        let chain = inner.map.entry(key).or_default();
-        let pos = chain
-            .iter()
-            .position(|&(v, _)| v < version)
-            .unwrap_or(chain.len());
-        chain.insert(pos, (version, value));
+        inner.map.entry(key).or_default().insert(version, value);
     }
 }
 
-fn prune(chain: &mut Vec<(Version, Value)>, watermark: Timestamp) -> u64 {
-    let Some(keep) = chain.iter().position(|&(v, _)| v.ts <= watermark) else {
-        return 0;
-    };
-    let n = chain.len() - (keep + 1);
-    chain.truncate(keep + 1);
-    n as u64
+impl DramInner {
+    /// Maps `version` of `key` (a version already present is kept as is)
+    /// and drops the key's history below the watermark.
+    fn apply(&mut self, key: Key, value: Value, version: Version) {
+        let chain = self.map.entry(key).or_default();
+        chain.insert(version, value);
+        self.stats.versions_pruned += chain.prune(self.watermark).count() as u64;
+        self.stats.puts += 1;
+    }
 }
 
 #[cfg(test)]

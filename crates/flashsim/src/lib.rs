@@ -9,14 +9,22 @@
 //!   read/program/erase timings;
 //! - [`pftl`] — a generic page-mapped log-structured FTL (the "standard
 //!   FTL" baseline);
-//! - [`mftl`] — **the paper's contribution**: a unified multi-version FTL
-//!   that maps keys directly to physical tuple locations, packs small
-//!   tuples into pages with a bounded delay, and garbage-collects flash and
-//!   versions in one pass;
-//! - [`vftl`] — the split baseline: a multi-version KV layer stacked on the
-//!   generic FTL (two mapping steps, two GCs, double over-provisioning);
+//! - [`chain`] — the youngest-first per-key version chain (sorted insert,
+//!   snapshot visibility, watermark pruning) every multi-version store uses;
+//! - [`packed`] — the multi-version KV layer both flash stores share: chains
+//!   of tuple locations, the bounded-delay packer that fills pages with
+//!   small tuples, snapshot reads, power-fail fencing, mount rebuild, and a
+//!   GC pass that collects versions and space together — all over a
+//!   [`packed::Space`], the trait holding what differs between the two;
+//! - [`mftl`] — **the paper's contribution**: the packed store over raw
+//!   flash (`UnifiedStore`), keys mapped directly to physical tuple
+//!   locations, one mapping level, one GC;
+//! - [`vftl`] — the split baseline: the packed store over the generic FTL's
+//!   LBA space (`SplitStore`) — two mapping steps, two GCs, double
+//!   over-provisioning;
 //! - [`sftl`] — a single-version baseline (no snapshot reads);
-//! - [`dram`] — a battery-backed-DRAM/NVM-speed multi-version store;
+//! - [`dram`] — a battery-backed-DRAM/NVM-speed multi-version store (chains
+//!   of values);
 //! - [`dftl`] — the §3.1 future-work extension: demand-paged mapping for
 //!   servers whose DRAM cannot hold the whole table;
 //! - [`oob`] — per-page out-of-band metadata (key, version, epoch, floor,
@@ -32,11 +40,13 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod chain;
 pub mod dftl;
 pub mod dram;
 pub mod mftl;
 pub mod nand;
 pub mod oob;
+pub mod packed;
 pub mod pftl;
 pub mod sftl;
 pub mod types;

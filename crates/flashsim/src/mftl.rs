@@ -7,29 +7,30 @@
 //!
 //! - the mapping table keeps a per-key chain of versions sorted by
 //!   descending version stamp (Figure 3);
-//! - writes are packed into pages by a **packing logic** that waits up to a
-//!   bounded window (1 ms in §5) to fill a 4 KB page with 512 B tuples —
-//!   fresh puts and GC-relocated tuples share the same packer;
+//! - writes are packed into pages by the shared packing logic of
+//!   [`crate::packed`];
 //! - old versions are *free*: flash's remap-on-write leaves them in place;
 //! - one unified garbage collector relocates live tuples and discards
 //!   versions that fell below the watermark (§3.1) in the same pass.
+//!
+//! This module is the [`Space`] that makes a [`PackedStore`] unified: packed
+//! pages go straight to physical flash pages ([`PhysLoc`]), each packing
+//! stream appends to its own open erase block, live data is accounted and
+//! collected per erase block, and a mount reads the raw device's OOB scan.
 
-use perfkit::FastMap;
 use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Duration;
 
-use simkit::sync::{mpsc, oneshot, Semaphore};
 use simkit::SimHandle;
-use timesync::{Timestamp, Version};
+use timesync::Timestamp;
 
 use crate::backend::MountReport;
 use crate::nand::{NandConfig, NandDevice, PhysLoc};
 use crate::oob::PageOob;
-use crate::types::{Key, StoreError, StoreStats, TupleRecord, Value, VersionedValue};
+use crate::packed::{stream_count, PackedStore, Space};
+use crate::types::{StoreError, TupleRecord};
 
-/// One flash page's payload: the packed tuples.
-pub type Page = Rc<Vec<TupleRecord>>;
+pub use crate::packed::Page;
 
 /// Tuning for a [`UnifiedStore`].
 #[derive(Debug, Clone)]
@@ -57,879 +58,171 @@ impl Default for MftlConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// Still in the packer (or an in-flight flush): generation + slot.
-    Buffered { gen: u64, idx: usize },
-    /// Persisted at a physical page, at tuple index `slot`.
-    Flash { loc: PhysLoc, slot: u16 },
+/// The unified multi-version FTL store. Cloning shares the store.
+pub type UnifiedStore = PackedStore<RawFlash>;
+
+impl PackedStore<RawFlash> {
+    /// Creates an MFTL store over a fresh device and spawns its GC task.
+    pub fn new(handle: SimHandle, nand: NandConfig, cfg: MftlConfig) -> UnifiedStore {
+        let dev = NandDevice::new(handle.clone(), nand);
+        let blocks = dev.config().blocks as usize;
+        let points = stream_count(dev.config());
+        let (op_overhead, packing_window) = (cfg.op_overhead, cfg.packing_window);
+        let space = RawFlash {
+            handle: handle.clone(),
+            dev,
+            cfg,
+            st: RefCell::new(RawState {
+                append: vec![None; points],
+                load_append: vec![None; points],
+                next_load_append: 0,
+                live: vec![0; blocks],
+                written: vec![0; blocks],
+                floor: Timestamp::ZERO,
+            }),
+        };
+        PackedStore::over(handle, space, op_overhead, packing_window)
+    }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MapEntry {
-    version: Version,
-    loc: Loc,
-}
+/// An open erase block's append point: `(block, next page)`.
+type AppendPoint = Option<(u32, u32)>;
 
-#[derive(Debug, Clone)]
-enum Origin {
-    /// A fresh put / replicated write.
-    Fresh,
-    /// GC relocation of a tuple previously at this location.
-    Reloc { old: PhysLoc, old_slot: u16 },
-}
-
-#[derive(Debug)]
-struct Pending {
-    rec: TupleRecord,
-    origin: Origin,
-}
-
-struct Batch {
-    gen: u64,
-    /// Which packing stream (append channel) this page belongs to.
-    stream: usize,
-    /// Mount epoch the batch was packed under; a flush completing after a
-    /// power failure (stale epoch) must not touch the rebuilt mapping table.
-    epoch: u64,
-    pendings: Vec<Pending>,
-    waiters: Vec<oneshot::Sender<Result<(), StoreError>>>,
-    page: Page,
-}
-
-/// One packing stream: an open page buffer bound to its own append point.
-/// Real SSDs program pages on many channels in parallel; modeling one
-/// stream per channel reproduces the paper's put-latency behavior (partial
-/// pages usually wait out the packing window; GC traffic fills them early).
-#[derive(Debug)]
-struct Stream {
-    open: Vec<Pending>,
-    open_bytes: usize,
-    gen: u64,
-    waiters: Vec<oneshot::Sender<Result<(), StoreError>>>,
-    append: Option<(u32, u32)>,
-}
-
-struct MftlInner {
-    map: FastMap<Key, Vec<MapEntry>>,
-    streams: Vec<Stream>,
-    next_stream: usize,
-    next_gen: u64,
-    /// Pages taken from the packer whose program is still in flight,
-    /// readable by generation.
-    flushing: FastMap<u64, Page>,
+struct RawState {
+    /// One append point per packing stream.
+    append: Vec<AppendPoint>,
     /// Append points used only by the zero-time bulk loader (striped across
     /// channels like the runtime packing streams).
-    load_append: Vec<Option<(u32, u32)>>,
+    load_append: Vec<AppendPoint>,
     next_load_append: usize,
+    /// Mapped tuples per block.
     live: Vec<u32>,
     /// Tuples ever written to each block since its last erase (live +
     /// garbage); the GC victim picker maximizes `written - live`.
     written: Vec<u32>,
-    watermark: Timestamp,
-    stats: StoreStats,
-    gc_nudge: mpsc::Sender<()>,
-    /// Packer state for zero-time bulk loading.
-    load_buf: Vec<TupleRecord>,
-    load_bytes: usize,
-    /// Mount epoch: bumped by power-fail and mount so surviving background
-    /// tasks (GC, in-flight flushes — spawned off-node, they outlive the
-    /// server process) cannot corrupt freshly-mounted state.
-    epoch: u64,
     /// Durable write-floor record stamped into each programmed page's OOB;
     /// recovered at mount as the max over intact pages.
     floor: Timestamp,
 }
 
-/// The unified multi-version FTL store. Cloning shares the store.
-#[derive(Clone)]
-pub struct UnifiedStore {
+/// The unified design's [`Space`]: the raw NAND device itself.
+pub struct RawFlash {
     handle: SimHandle,
     dev: NandDevice<Page>,
-    cfg: Rc<MftlConfig>,
-    inner: Rc<RefCell<MftlInner>>,
-    gc_lock: Semaphore,
+    cfg: MftlConfig,
+    st: RefCell<RawState>,
 }
 
-impl std::fmt::Debug for UnifiedStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("UnifiedStore")
-            .field("keys", &inner.map.len())
-            .field("free_blocks", &self.dev.free_blocks())
-            .finish()
-    }
-}
-
-impl UnifiedStore {
-    /// Creates an MFTL store over a fresh device and spawns its GC task.
-    pub fn new(handle: SimHandle, nand: NandConfig, cfg: MftlConfig) -> UnifiedStore {
-        let dev = NandDevice::new(handle.clone(), nand);
-        let blocks = dev.config().blocks as usize;
-        let n_streams = (dev.config().channels as usize).min((blocks / 8).max(1));
-        let streams = (0..n_streams)
-            .map(|i| Stream {
-                open: Vec::new(),
-                open_bytes: 0,
-                gen: i as u64,
-                waiters: Vec::new(),
-                append: None,
-            })
-            .collect::<Vec<_>>();
-        let (tx, rx) = mpsc::channel();
-        let store = UnifiedStore {
-            handle: handle.clone(),
-            dev,
-            cfg: Rc::new(cfg),
-            inner: Rc::new(RefCell::new(MftlInner {
-                map: FastMap::default(),
-                next_gen: n_streams as u64,
-                next_stream: 0,
-                streams,
-                flushing: FastMap::default(),
-                load_append: vec![None; n_streams],
-                next_load_append: 0,
-                live: vec![0; blocks],
-                written: vec![0; blocks],
-                watermark: Timestamp::ZERO,
-                stats: StoreStats::default(),
-                gc_nudge: tx,
-                load_buf: Vec::new(),
-                load_bytes: 0,
-                epoch: 0,
-                floor: Timestamp::ZERO,
-            })),
-            gc_lock: Semaphore::new(1),
-        };
-        let gc = store.clone();
-        handle.spawn(async move {
-            while rx.recv().await.is_some() {
-                while gc.dev.free_blocks() <= gc.cfg.gc_low_water {
-                    if !gc.collect_once().await {
-                        break;
-                    }
-                }
-            }
-        });
-        store
-    }
-
-    /// The underlying device.
-    pub fn device(&self) -> &NandDevice<Page> {
-        &self.dev
-    }
-
-    /// Store-level counters (device counters live on [`UnifiedStore::device`]).
-    pub fn stats(&self) -> StoreStats {
-        let mut s = self.inner.borrow().stats;
-        let d = self.dev.stats();
-        s.pages_written = d.page_writes;
-        s.pages_read = d.page_reads;
-        s
-    }
-
-    /// Attaches a trace sink to the device (flash-op and GC events stamped
-    /// with `node`).
-    pub fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
-        self.dev.attach_tracer(tracer, node);
-    }
-
-    /// Injects media faults into the underlying device (fault campaigns).
-    pub fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
-        self.dev.inject_media_faults(cfg);
-    }
-
-    /// Writes a new version of `key`. Completes when the tuple is persisted
-    /// (packed page programmed to flash).
-    ///
-    /// # Errors
-    ///
-    /// - [`StoreError::StaleWrite`] if `version` is not newer than the key's
-    ///   latest version (at-most-once, §3.3).
-    /// - [`StoreError::CapacityExhausted`] if the device is full of live data.
-    pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
-        self.handle.sleep(self.cfg.op_overhead).await;
-        {
-            let inner = self.inner.borrow();
-            if let Some(head) = inner.map.get(&key).and_then(|c| c.first()) {
-                if version <= head.version {
-                    return Err(StoreError::StaleWrite(head.version));
-                }
+impl RawFlash {
+    /// Advances `point` by one page, opening a fresh block (if more than
+    /// `reserve` are free) when its block is full.
+    fn append(&self, point: &mut AppendPoint, reserve: usize) -> Option<PhysLoc> {
+        if let Some((block, page)) = *point {
+            if page < self.dev.config().pages_per_block {
+                *point = Some((block, page + 1));
+                return Some(PhysLoc { block, page });
             }
         }
-        self.insert_and_wait(key, value, version, true).await
-    }
-
-    /// Applies a replicated write that may arrive out of order (backup path
-    /// of SEMEL's inconsistent replication, §3.2). Duplicate versions are
-    /// acknowledged without rewriting (idempotence).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::CapacityExhausted`] if the device is full of live data.
-    pub async fn apply_unordered(
-        &self,
-        key: Key,
-        value: Value,
-        version: Version,
-    ) -> Result<(), StoreError> {
-        {
-            let inner = self.inner.borrow();
-            if let Some(chain) = inner.map.get(&key) {
-                if chain.iter().any(|e| e.version == version) {
-                    return Ok(());
-                }
-            }
-        }
-        self.insert_and_wait(key, value, version, false).await
-    }
-
-    /// Applies a batch of unordered writes with **atomic visibility**: every
-    /// entry is installed in the mapping table before the method first
-    /// yields, so no reader can observe a prefix of a committed
-    /// transaction's writes. Completes when all tuples are persisted.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::CapacityExhausted`] if the device fills.
-    pub async fn apply_batch_unordered(
-        &self,
-        items: Vec<(Key, Value, Version)>,
-    ) -> Result<(), StoreError> {
-        let mut waiters = Vec::new();
-        let mut batches = Vec::new();
-        for (key, value, version) in items {
-            {
-                let inner = self.inner.borrow();
-                if let Some(chain) = inner.map.get(&key) {
-                    if chain.iter().any(|e| e.version == version) {
-                        continue; // duplicate
-                    }
-                }
-            }
-            let rec = TupleRecord {
-                key: key.clone(),
-                version,
-                value,
-            };
-            let (gen, idx, rx, to_flush) = self.enqueue(rec, Origin::Fresh);
-            let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            let pos = chain
-                .iter()
-                .position(|e| e.version < version)
-                .unwrap_or(chain.len());
-            chain.insert(
-                pos,
-                MapEntry {
-                    version,
-                    loc: Loc::Buffered { gen, idx },
-                },
-            );
-            let watermark = inner.watermark;
-            let (pruned_flash, pruned) = prune_chain(inner.map.get_mut(&key).unwrap(), watermark);
-            for loc in pruned_flash {
-                inner.live[loc.block as usize] -= 1;
-            }
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
-            drop(inner);
-            waiters.push(rx);
-            if let Some(b) = to_flush {
-                batches.push(b);
-            }
-        }
-        for b in batches {
-            let me = self.clone();
-            self.handle.spawn(async move { me.flush(b).await });
-        }
-        for rx in waiters {
-            rx.await.unwrap_or(Err(StoreError::CapacityExhausted))?;
-        }
-        Ok(())
-    }
-
-    async fn insert_and_wait(
-        &self,
-        key: Key,
-        value: Value,
-        version: Version,
-        expect_head: bool,
-    ) -> Result<(), StoreError> {
-        let rec = TupleRecord {
-            key: key.clone(),
-            version,
-            value,
-        };
-        let rx = {
-            let (gen, idx, rx, to_flush) = self.enqueue(rec, Origin::Fresh);
-            let mut inner = self.inner.borrow_mut();
-            let chain = inner.map.entry(key.clone()).or_default();
-            let entry = MapEntry {
-                version,
-                loc: Loc::Buffered { gen, idx },
-            };
-            if expect_head {
-                chain.insert(0, entry);
-            } else {
-                let pos = chain
-                    .iter()
-                    .position(|e| e.version < version)
-                    .unwrap_or(chain.len());
-                chain.insert(pos, entry);
-            }
-            let watermark = inner.watermark;
-            let (pruned_flash, pruned) = prune_chain(inner.map.get_mut(&key).unwrap(), watermark);
-            for loc in pruned_flash {
-                inner.live[loc.block as usize] -= 1;
-            }
-            inner.stats.versions_pruned += pruned;
-            inner.stats.puts += 1;
-            drop(inner);
-            if let Some(batch) = to_flush {
-                let me = self.clone();
-                self.handle.spawn(async move { me.flush(batch).await });
-            }
-            rx
-        };
-        rx.await.unwrap_or(Err(StoreError::CapacityExhausted))
-    }
-
-    /// Adds a tuple to the packer. Returns `(gen, idx, waiter, batch)` where
-    /// `batch` is a full page that must be flushed by the caller.
-    fn enqueue(
-        &self,
-        rec: TupleRecord,
-        origin: Origin,
-    ) -> (
-        u64,
-        usize,
-        oneshot::Receiver<Result<(), StoreError>>,
-        Option<Batch>,
-    ) {
-        let page_size = self.dev.config().page_size;
-        let mut inner = self.inner.borrow_mut();
-        let len = rec.rec_len();
-        // Round-robin over the per-channel packing streams.
-        let s = inner.next_stream;
-        inner.next_stream = (s + 1) % inner.streams.len();
-        let mut to_flush = None;
-        if !inner.streams[s].open.is_empty() && inner.streams[s].open_bytes + len > page_size {
-            to_flush = Some(take_open(&mut inner, s));
-        }
-        let gen = inner.streams[s].gen;
-        let idx = inner.streams[s].open.len();
-        let first = idx == 0;
-        inner.streams[s].open.push(Pending { rec, origin });
-        inner.streams[s].open_bytes += len;
-        let (tx, rx) = oneshot::channel();
-        inner.streams[s].waiters.push(tx);
-        let full = inner.streams[s].open_bytes + crate::types::TUPLE_HEADER + 16 > page_size;
-        if full && to_flush.is_none() {
-            to_flush = Some(take_open(&mut inner, s));
-        } else if full {
-            // Rare: the tuple that forced the previous flush itself fills the
-            // fresh page. Flush both: spawn the second here.
-            let second = take_open(&mut inner, s);
-            let me = self.clone();
-            self.handle.spawn(async move { me.flush(second).await });
-        } else if first {
-            // First tuple of a fresh page: arm the packing-window timer.
-            let me = self.clone();
-            let deadline = self.handle.now() + self.cfg.packing_window;
-            self.handle.spawn(async move {
-                me.handle.sleep_until(deadline).await;
-                let batch = {
-                    let mut inner = me.inner.borrow_mut();
-                    if inner.streams[s].gen == gen && !inner.streams[s].open.is_empty() {
-                        Some(take_open(&mut inner, s))
-                    } else {
-                        None
-                    }
-                };
-                if let Some(b) = batch {
-                    me.flush(b).await;
-                }
-            });
-        }
-        (gen, idx, rx, to_flush)
-    }
-
-    /// Allocates the next append slot on stream `s`'s append point; GC
-    /// flushes may use the reserve.
-    fn alloc_slot(&self, s: usize, for_gc: bool) -> Option<PhysLoc> {
-        let mut inner = self.inner.borrow_mut();
-        let pages_per_block = self.dev.config().pages_per_block;
-        if let Some((b, p)) = inner.streams[s].append {
-            if p < pages_per_block {
-                inner.streams[s].append = Some((b, p + 1));
-                return Some(PhysLoc { block: b, page: p });
-            }
-        }
-        let reserve = if for_gc { 0 } else { self.cfg.gc_reserve };
         if self.dev.free_blocks() <= reserve {
             return None;
         }
-        let b = self.dev.alloc_block()?;
-        inner.streams[s].append = Some((b, 1));
-        Some(PhysLoc { block: b, page: 0 })
+        let block = self.dev.alloc_block()?;
+        *point = Some((block, 1));
+        Some(PhysLoc { block, page: 0 })
     }
 
-    async fn flush(&self, batch: Batch) {
-        let has_reloc = batch
-            .pendings
-            .iter()
-            .any(|p| matches!(p.origin, Origin::Reloc { .. }));
-        let loc = loop {
-            if let Some(l) = self.alloc_slot(batch.stream, has_reloc) {
-                break l;
-            }
-            // A batch carrying GC relocations must NEVER wait on the GC
-            // lock: the collector may be blocked awaiting this very batch.
-            // Fail fast; the collection aborts safely (old locations stay
-            // valid) and retries when space frees up.
-            if has_reloc {
-                self.fail_batch(batch);
-                return;
-            }
-            if !self.collect_once().await {
-                self.fail_batch(batch);
-                return;
-            }
-        };
-        let oob = {
-            let inner = self.inner.borrow();
-            PageOob::new(
-                batch.page.first().map(|r| r.key.trace_id()).unwrap_or(0),
-                batch.page.iter().map(|r| r.version.ts.0).max().unwrap_or(0),
-                inner.epoch,
-                inner.floor.0,
-            )
-        };
+    fn oob(&self, page: &[TupleRecord], epoch: u64) -> PageOob {
+        PageOob::new(
+            page.first().map(|r| r.key.trace_id()).unwrap_or(0),
+            page.iter().map(|r| r.version.ts.0).max().unwrap_or(0),
+            epoch,
+            self.st.borrow().floor.0,
+        )
+    }
+}
+
+impl Space for RawFlash {
+    type Addr = PhysLoc;
+    type Victim = u32;
+
+    fn device(&self) -> &NandDevice<Page> {
+        &self.dev
+    }
+
+    fn alloc(&self, stream: usize, for_gc: bool) -> Option<PhysLoc> {
+        let reserve = if for_gc { 0 } else { self.cfg.gc_reserve };
+        self.append(&mut self.st.borrow_mut().append[stream], reserve)
+    }
+
+    fn release(&self, _addr: PhysLoc) {
+        unreachable!("raw flash programs cannot fail")
+    }
+
+    async fn program(&self, loc: PhysLoc, page: Page, epoch: u64) -> Result<(), StoreError> {
+        let oob = self.oob(&page, epoch);
         self.dev
-            .program_with_oob(loc, batch.page.clone(), oob)
+            .program_with_oob(loc, page, oob)
             .await
             .expect("MFTL program invariant");
-        // A power failure while the program was in flight tore the page and
-        // reset the store; the rebuilt mapping table must not see this batch.
-        if self.inner.borrow().epoch != batch.epoch {
-            for w in batch.waiters {
-                let _ = w.send(Err(StoreError::CapacityExhausted));
-            }
-            return;
-        }
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.written[loc.block as usize] += batch.page.len() as u32;
-            for (slot, p) in batch.pendings.iter().enumerate() {
-                let Some(chain) = inner.map.get_mut(&p.rec.key) else {
-                    continue;
-                };
-                let Some(e) = chain.iter_mut().find(|e| e.version == p.rec.version) else {
-                    continue; // pruned or deleted while buffered
-                };
-                match p.origin {
-                    Origin::Fresh => {
-                        if e.loc
-                            == (Loc::Buffered {
-                                gen: batch.gen,
-                                idx: slot,
-                            })
-                        {
-                            e.loc = Loc::Flash {
-                                loc,
-                                slot: slot as u16,
-                            };
-                            inner.live[loc.block as usize] += 1;
-                        }
-                    }
-                    Origin::Reloc { old, old_slot } => {
-                        if e.loc
-                            == (Loc::Flash {
-                                loc: old,
-                                slot: old_slot,
-                            })
-                        {
-                            e.loc = Loc::Flash {
-                                loc,
-                                slot: slot as u16,
-                            };
-                            inner.live[old.block as usize] -= 1;
-                            inner.live[loc.block as usize] += 1;
-                            inner.stats.gc_relocated += 1;
-                        }
-                    }
-                }
-            }
-            inner.flushing.remove(&batch.gen);
-        }
-        for w in batch.waiters {
-            let _ = w.send(Ok(()));
-        }
-        if self.dev.free_blocks() <= self.cfg.gc_low_water {
-            let _ = self.inner.borrow().gc_nudge.send(());
-        }
+        Ok(())
     }
 
-    fn fail_batch(&self, batch: Batch) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            for (slot, p) in batch.pendings.iter().enumerate() {
-                if matches!(p.origin, Origin::Fresh) {
-                    if let Some(chain) = inner.map.get_mut(&p.rec.key) {
-                        chain.retain(|e| {
-                            !(e.version == p.rec.version
-                                && e.loc
-                                    == Loc::Buffered {
-                                        gen: batch.gen,
-                                        idx: slot,
-                                    })
-                        });
-                    }
-                }
-                // Relocations keep their old (still valid) location.
-            }
-            inner.flushing.remove(&batch.gen);
-        }
-        for w in batch.waiters {
-            let _ = w.send(Err(StoreError::CapacityExhausted));
-        }
-    }
-
-    /// Reads the youngest version of `key` with timestamp `<= at` —
-    /// MILANA's snapshot read primitive.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key has no visible version at `at`.
-    pub async fn get_at(&self, key: &Key, at: Timestamp) -> Result<VersionedValue, StoreError> {
-        self.get_where(key, |e| e.version.ts <= at).await
-    }
-
-    /// Reads the latest version of `key` regardless of timestamp.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if the key does not exist.
-    pub async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
-        self.get_where(key, |_| true).await
-    }
-
-    async fn get_where(
-        &self,
-        key: &Key,
-        pred: impl Fn(&MapEntry) -> bool,
-    ) -> Result<VersionedValue, StoreError> {
-        self.handle.sleep(self.cfg.op_overhead).await;
-        for _ in 0..8 {
-            let target = {
-                let mut inner = self.inner.borrow_mut();
-                let Some(chain) = inner.map.get(key) else {
-                    return Err(StoreError::NotFound);
-                };
-                let Some(e) = chain.iter().find(|e| pred(e)) else {
-                    return Err(StoreError::NotFound);
-                };
-                let e = *e;
-                match e.loc {
-                    Loc::Buffered { gen, idx } => {
-                        // DRAM hit: serve from a packer stream or an
-                        // in-flight page.
-                        let rec = match inner.streams.iter().find(|st| st.gen == gen) {
-                            Some(st) => st.open.get(idx).map(|p| p.rec.clone()),
-                            None => inner.flushing.get(&gen).and_then(|pg| pg.get(idx).cloned()),
-                        };
-                        match rec {
-                            Some(rec) => {
-                                debug_assert_eq!(rec.key, *key);
-                                inner.stats.gets += 1;
-                                return Ok(VersionedValue {
-                                    version: e.version,
-                                    value: rec.value,
-                                });
-                            }
-                            None => continue, // committed between checks; retry
-                        }
-                    }
-                    Loc::Flash { loc, slot } => Some((e.version, loc, slot)),
-                }
-            };
-            let Some((version, loc, slot)) = target else {
-                continue;
-            };
-            match self.dev.read(loc).await {
-                Ok(page) => match page.get(slot as usize) {
-                    Some(rec) if rec.key == *key && rec.version == version => {
-                        self.inner.borrow_mut().stats.gets += 1;
-                        return Ok(VersionedValue {
-                            version,
-                            value: rec.value.clone(),
-                        });
-                    }
-                    _ => continue, // relocated under us; retry with fresh map
-                },
-                Err(_) => continue, // erased under us; retry
-            }
-        }
-        unreachable!("key {key} kept moving during read; GC livelock")
-    }
-
-    /// Removes all versions of `key` (§3 API). Metadata-only in this model.
-    pub fn delete(&self, key: &Key) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(chain) = inner.map.remove(key) {
-            for e in chain {
-                if let Loc::Flash { loc, .. } = e.loc {
-                    inner.live[loc.block as usize] -= 1;
-                }
-            }
-        }
-    }
-
-    /// Raises the GC watermark: versions superseded at or below `ts` become
-    /// collectible (§3.1). Watermarks never move backwards.
-    pub fn set_watermark(&self, ts: Timestamp) {
-        let mut inner = self.inner.borrow_mut();
-        if ts > inner.watermark {
-            inner.watermark = ts;
-        }
-    }
-
-    /// Current watermark.
-    pub fn watermark(&self) -> Timestamp {
-        self.inner.borrow().watermark
-    }
-
-    /// All versions currently mapped for `key`, youngest first (test /
-    /// recovery instrumentation).
-    pub fn versions(&self, key: &Key) -> Vec<Version> {
-        self.inner
-            .borrow()
-            .map
-            .get(key)
-            .map(|c| c.iter().map(|e| e.version).collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.inner.borrow().map.len()
-    }
-
-    /// All distinct keys, sorted by byte order (deterministic iteration
-    /// for bulk copy / migration sweeps).
-    pub fn keys(&self) -> Vec<Key> {
-        let mut ks: Vec<Key> = self.inner.borrow().map.keys().cloned().collect();
-        ks.sort();
-        ks
-    }
-
-    /// Zero-time bulk load for experiment setup. Call
-    /// [`UnifiedStore::finish_load`] after the last record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device fills during the load.
-    pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
-        let rec = TupleRecord {
-            key,
-            version,
-            value,
-        };
-        let page_size = self.dev.config().page_size;
-        let mut inner = self.inner.borrow_mut();
-        if !inner.load_buf.is_empty() && inner.load_bytes + rec.rec_len() > page_size {
-            drop(inner);
-            self.install_load_page();
-            inner = self.inner.borrow_mut();
-        }
-        inner.load_bytes += rec.rec_len();
-        inner.load_buf.push(rec);
-    }
-
-    /// Flushes the bulk-load packer.
-    pub fn finish_load(&self) {
-        if !self.inner.borrow().load_buf.is_empty() {
-            self.install_load_page();
-        }
-    }
-
-    fn install_load_page(&self) {
-        let recs = {
-            let mut inner = self.inner.borrow_mut();
-            inner.load_bytes = 0;
-            std::mem::take(&mut inner.load_buf)
-        };
+    fn install(&self, page: Page, epoch: u64) -> PhysLoc {
         let loc = {
-            let mut inner = self.inner.borrow_mut();
-            let pages_per_block = self.dev.config().pages_per_block;
-            let point = inner.next_load_append;
-            inner.next_load_append = (point + 1) % inner.load_append.len();
-            match inner.load_append[point] {
-                Some((b, p)) if p < pages_per_block => {
-                    inner.load_append[point] = Some((b, p + 1));
-                    PhysLoc { block: b, page: p }
-                }
-                _ => {
-                    let b = self
-                        .dev
-                        .alloc_block()
-                        .expect("device full during bulk load");
-                    inner.load_append[point] = Some((b, 1));
-                    PhysLoc { block: b, page: 0 }
-                }
-            }
+            let st = &mut *self.st.borrow_mut();
+            let point = st.next_load_append;
+            st.next_load_append = (point + 1) % st.load_append.len();
+            self.append(&mut st.load_append[point], 0)
+                .expect("device full during bulk load")
         };
-        let oob = {
-            let inner = self.inner.borrow();
-            PageOob::new(
-                recs.first().map(|r| r.key.trace_id()).unwrap_or(0),
-                recs.iter().map(|r| r.version.ts.0).max().unwrap_or(0),
-                inner.epoch,
-                inner.floor.0,
-            )
-        };
+        let oob = self.oob(&page, epoch);
         self.dev
-            .install_with_oob(loc, Rc::new(recs.clone()), oob)
+            .install_with_oob(loc, page, oob)
             .expect("bulk load program order");
-        let mut inner = self.inner.borrow_mut();
-        inner.written[loc.block as usize] += recs.len() as u32;
-        for (slot, rec) in recs.into_iter().enumerate() {
-            let entry = MapEntry {
-                version: rec.version,
-                loc: Loc::Flash {
-                    loc,
-                    slot: slot as u16,
-                },
-            };
-            let chain = inner.map.entry(rec.key).or_default();
-            let pos = chain
-                .iter()
-                .position(|e| e.version < entry.version)
-                .unwrap_or(chain.len());
-            chain.insert(pos, entry);
-            inner.live[loc.block as usize] += 1;
-        }
+        loc
     }
 
-    /// Records the replica's durable write floor: every page programmed from
-    /// now on carries `ts` in its OOB floor field, so a future
-    /// [`UnifiedStore::mount`] recovers at least this floor. Floors never
-    /// move backwards.
-    pub fn note_floor(&self, ts: Timestamp) {
-        let mut inner = self.inner.borrow_mut();
-        if ts > inner.floor {
-            inner.floor = ts;
-        }
+    async fn read(&self, loc: PhysLoc) -> Option<Page> {
+        self.dev.read(loc).await.ok()
     }
 
-    /// Injects a power failure: tears in-flight page programs on the device
-    /// and drops all RAM state (mapping table, packer queues, accounting) —
-    /// the store is unusable until [`UnifiedStore::mount`]. Returns the
-    /// number of torn pages.
-    pub fn power_fail(&self) -> u64 {
-        let torn = self.dev.power_fail();
-        let mut inner = self.inner.borrow_mut();
-        inner.epoch += 1;
-        reset_volatile(&mut inner);
-        torn
+    fn note_programmed(&self, loc: PhysLoc, tuples: u32) {
+        self.st.borrow_mut().written[loc.block as usize] += tuples;
     }
 
-    /// Deterministic mount scan (§4.5 recovery): rebuilds the mapping table
-    /// and version chains from every intact page's OOB + payload, discarding
-    /// torn pages (their programs were never acknowledged, so no acked write
-    /// is lost). Charges `pages / mount_scan_rate` of device time and
-    /// returns what it found, including the recovered durable floor.
-    pub async fn mount(&self) -> MountReport {
-        let _gc = self.gc_lock.acquire().await;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.epoch += 1;
-            reset_volatile(&mut inner);
-        }
-        let scan = self.dev.mount_scan().await;
-        let mut inner = self.inner.borrow_mut();
-        let mut torn = 0u64;
-        let mut floor = Timestamp::ZERO;
-        for sp in &scan {
-            let block = sp.loc.block as usize;
-            let page = self.dev.peek(sp.loc);
-            let intact = sp.oob.map(|o| !o.is_torn()).unwrap_or(false);
-            // The controller knows the page was programmed (write pointer),
-            // so even discarded pages count toward `written`: GC can later
-            // reclaim them as garbage.
-            inner.written[block] += page.as_ref().map(|p| p.len() as u32).unwrap_or(1).max(1);
-            if !intact {
-                torn += 1;
-                continue;
-            }
-            let oob = sp.oob.expect("intact page has OOB");
-            floor = floor.max(Timestamp(oob.floor));
-            let Some(page) = page else { continue };
-            for (slot, rec) in page.iter().enumerate() {
-                let chain = inner.map.entry(rec.key.clone()).or_default();
-                // A GC relocation interrupted before its erase leaves two
-                // identical copies; keep the first in scan order.
-                if chain.iter().any(|e| e.version == rec.version) {
-                    continue;
-                }
-                let pos = chain
-                    .iter()
-                    .position(|e| e.version < rec.version)
-                    .unwrap_or(chain.len());
-                chain.insert(
-                    pos,
-                    MapEntry {
-                        version: rec.version,
-                        loc: Loc::Flash {
-                            loc: sp.loc,
-                            slot: slot as u16,
-                        },
-                    },
-                );
-                inner.live[block] += 1;
-            }
-        }
-        inner.floor = floor;
-        MountReport {
-            pages_scanned: scan.len() as u64,
-            torn_pages: torn,
-            keys: inner.map.len() as u64,
-            floor,
-        }
+    fn live_inc(&self, loc: PhysLoc) {
+        self.st.borrow_mut().live[loc.block as usize] += 1;
     }
 
-    /// One unified GC pass: pick the emptiest full block, prune dead
-    /// versions, relocate live tuples through the packer, erase.
-    async fn collect_once(&self) -> bool {
-        let _gc = self.gc_lock.acquire().await;
-        let epoch = self.inner.borrow().epoch;
-        let pages_per_block = self.dev.config().pages_per_block;
-        let victim = {
-            let inner = self.inner.borrow();
-            let mut append_blocks: Vec<u32> = inner
-                .streams
-                .iter()
-                .filter_map(|st| st.append.map(|(b, _)| b))
-                .collect();
-            append_blocks.extend(inner.load_append.iter().filter_map(|a| a.map(|(b, _)| b)));
-            (0..inner.live.len() as u32)
-                .filter(|&b| !append_blocks.contains(&b))
-                .filter(|&b| inner.written[b as usize] > inner.live[b as usize])
-                .max_by_key(|&b| inner.written[b as usize] - inner.live[b as usize])
-        };
-        // No block holds any garbage tuples: collecting would free nothing.
-        let Some(victim) = victim else { return false };
-        let mut waiters = Vec::new();
-        let mut flush_batches = Vec::new();
-        // Read every victim page concurrently (the device parallelism GC
-        // relies on in practice); then scan tuples.
+    fn live_dec(&self, loc: PhysLoc) {
+        self.st.borrow_mut().live[loc.block as usize] -= 1;
+    }
+
+    fn low_on_space(&self) -> bool {
+        self.dev.free_blocks() <= self.cfg.gc_low_water
+    }
+
+    /// The emptiest full block: open append blocks are never victims.
+    fn pick_victim(&self) -> Option<u32> {
+        let st = self.st.borrow();
+        let open: Vec<u32> = st
+            .append
+            .iter()
+            .chain(&st.load_append)
+            .filter_map(|a| a.map(|(b, _)| b))
+            .collect();
+        (0..st.live.len() as u32)
+            .filter(|b| !open.contains(b))
+            .filter(|&b| st.written[b as usize] > st.live[b as usize])
+            .max_by_key(|&b| st.written[b as usize] - st.live[b as usize])
+    }
+
+    /// Reads every programmed page of the block concurrently (the device
+    /// parallelism GC relies on in practice).
+    async fn read_victim(&self, block: u32) -> Option<Vec<(PhysLoc, Page)>> {
         let mut read_jobs = Vec::new();
-        for page_no in 0..pages_per_block {
-            let loc = PhysLoc {
-                block: victim,
-                page: page_no,
-            };
+        for page in 0..self.dev.config().pages_per_block {
+            let loc = PhysLoc { block, page };
             if self.dev.peek(loc).is_none() {
                 continue;
             }
@@ -942,175 +235,76 @@ impl UnifiedStore {
         let mut pages = Vec::new();
         for j in read_jobs {
             let (loc, page) = j.await;
-            if let Some(p) = page {
-                pages.push((loc, p));
-            }
+            pages.extend(page.map(|p| (loc, p)));
         }
-        for (loc, page) in pages {
-            for (slot, rec) in page.iter().enumerate() {
-                let live = {
-                    let mut inner = self.inner.borrow_mut();
-                    let watermark = inner.watermark;
-                    // Prune this chain first so cold garbage dies here.
-                    if let Some(chain) = inner.map.get_mut(&rec.key) {
-                        let (pruned_flash, pruned) = prune_chain(chain, watermark);
-                        for l in pruned_flash {
-                            inner.live[l.block as usize] -= 1;
-                        }
-                        inner.stats.versions_pruned += pruned;
-                    }
-                    inner.map.get(&rec.key).is_some_and(|chain| {
-                        chain.iter().any(|e| {
-                            e.version == rec.version
-                                && e.loc
-                                    == Loc::Flash {
-                                        loc,
-                                        slot: slot as u16,
-                                    }
-                        })
-                    })
-                };
-                if live {
-                    let (_gen, _idx, rx, to_flush) = self.enqueue(
-                        rec.clone(),
-                        Origin::Reloc {
-                            old: loc,
-                            old_slot: slot as u16,
-                        },
-                    );
-                    waiters.push(rx);
-                    if let Some(b) = to_flush {
-                        flush_batches.push(b);
-                    }
-                }
-            }
+        Some(pages)
+    }
+
+    async fn reclaim(&self, block: u32) -> u64 {
+        self.dev.erase(block).await.expect("GC erase");
+        let mut st = self.st.borrow_mut();
+        debug_assert_eq!(st.live[block as usize], 0, "live data erased");
+        st.live[block as usize] = 0;
+        std::mem::take(&mut st.written[block as usize]) as u64
+    }
+
+    fn note_floor(&self, ts: Timestamp) {
+        let mut st = self.st.borrow_mut();
+        if ts > st.floor {
+            st.floor = ts;
         }
-        // Force out partial pages holding relocation tails so the erase
-        // below cannot outrun persistence.
-        {
-            let mut inner = self.inner.borrow_mut();
-            for s in 0..inner.streams.len() {
-                let has_reloc = inner.streams[s]
-                    .open
-                    .iter()
-                    .any(|p| matches!(p.origin, Origin::Reloc { .. }));
-                if has_reloc {
-                    let b = take_open(&mut inner, s);
-                    flush_batches.push(b);
-                }
-            }
-        }
-        for b in flush_batches {
-            // Boxed to break the flush -> collect_once -> flush async cycle.
-            Box::pin(self.flush(b)).await;
-        }
-        let relocated = waiters.len() as u64;
-        for rx in waiters {
-            match rx.await {
-                Ok(Ok(())) => {}
-                _ => return false, // relocation failed; keep victim intact
-            }
-        }
-        // A power failure reset the store while this pass ran: abort without
-        // erasing. The victim's tuples (and any relocated copies) are both
-        // on flash; the next mount deduplicates them.
-        if self.inner.borrow().epoch != epoch {
-            return false;
-        }
-        self.dev.erase(victim).await.expect("GC erase");
-        let reclaimed = {
-            let mut inner = self.inner.borrow_mut();
-            debug_assert_eq!(inner.live[victim as usize], 0, "live data erased");
-            inner.live[victim as usize] = 0;
-            let written = inner.written[victim as usize] as u64;
-            inner.written[victim as usize] = 0;
-            inner.stats.gc_collections += 1;
-            written.saturating_sub(relocated)
+    }
+
+    fn power_fail(&self) -> u64 {
+        self.dev.power_fail()
+    }
+
+    fn reset(&self) {
+        let mut st = self.st.borrow_mut();
+        st.append.fill(None);
+        st.load_append.fill(None);
+        st.next_load_append = 0;
+        st.live.fill(0);
+        st.written.fill(0);
+        st.floor = Timestamp::ZERO;
+    }
+
+    /// Charges `pages / mount_scan_rate` of device time for the OOB scan.
+    async fn mount_scan(&self) -> (MountReport, Vec<(PhysLoc, Page)>) {
+        let scan = self.dev.mount_scan().await;
+        let mut st = self.st.borrow_mut();
+        let mut report = MountReport {
+            pages_scanned: scan.len() as u64,
+            ..MountReport::default()
         };
-        self.dev.trace_gc(reclaimed);
-        true
-    }
-}
-
-fn take_open(inner: &mut MftlInner, s: usize) -> Batch {
-    let gen = inner.streams[s].gen;
-    inner.streams[s].gen = inner.next_gen;
-    inner.next_gen += 1;
-    let pendings = std::mem::take(&mut inner.streams[s].open);
-    let waiters = std::mem::take(&mut inner.streams[s].waiters);
-    inner.streams[s].open_bytes = 0;
-    let page: Page = Rc::new(pendings.iter().map(|p| p.rec.clone()).collect());
-    inner.flushing.insert(gen, page.clone());
-    Batch {
-        gen,
-        stream: s,
-        epoch: inner.epoch,
-        pendings,
-        waiters,
-        page,
-    }
-}
-
-/// Drops all RAM-resident state (mapping table, packer streams, in-flight
-/// pages, accounting) the way a power failure would. Generations stay
-/// monotone across resets so stale flushes can never alias fresh ones.
-fn reset_volatile(inner: &mut MftlInner) {
-    inner.map.clear();
-    let n = inner.streams.len();
-    for st in &mut inner.streams {
-        st.open.clear();
-        st.open_bytes = 0;
-        st.waiters.clear();
-        st.append = None;
-        st.gen = inner.next_gen;
-        inner.next_gen += 1;
-    }
-    inner.next_stream = 0;
-    inner.flushing.clear();
-    inner.load_append = vec![None; n];
-    inner.next_load_append = 0;
-    for b in &mut inner.live {
-        *b = 0;
-    }
-    for b in &mut inner.written {
-        *b = 0;
-    }
-    inner.watermark = Timestamp::ZERO;
-    inner.load_buf.clear();
-    inner.load_bytes = 0;
-    inner.floor = Timestamp::ZERO;
-}
-
-/// Removes dead versions: everything strictly older than the youngest entry
-/// with `ts <= watermark`. Returns flash locations freed and count pruned.
-fn prune_chain(chain: &mut Vec<MapEntry>, watermark: Timestamp) -> (Vec<PhysLoc>, u64) {
-    let Some(keep) = chain.iter().position(|e| e.version.ts <= watermark) else {
-        return (Vec::new(), 0);
-    };
-    let mut freed = Vec::new();
-    let mut pruned = 0;
-    for e in chain.drain(keep + 1..) {
-        if let Loc::Flash { loc, .. } = e.loc {
-            freed.push(loc);
+        let mut intact = Vec::new();
+        for sp in &scan {
+            let page = self.dev.peek(sp.loc);
+            // The controller knows the page was programmed (write pointer),
+            // so even discarded pages count toward `written`: GC can later
+            // reclaim them as garbage.
+            st.written[sp.loc.block as usize] += page.as_ref().map_or(1, |p| p.len() as u32).max(1);
+            let Some(oob) = sp.oob.filter(|o| !o.is_torn()) else {
+                report.torn_pages += 1;
+                continue;
+            };
+            report.floor = report.floor.max(Timestamp(oob.floor));
+            intact.extend(page.map(|p| (sp.loc, p)));
         }
-        pruned += 1;
-    }
-    (freed, pruned)
-}
-
-impl TupleRecord {
-    fn rec_len(&self) -> usize {
-        self.accounted_len()
+        st.floor = report.floor;
+        (report, intact)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! MFTL-specific behaviour; what both spaces share is tested once, over
+    //! both, in [`crate::packed`].
+
     use super::*;
-    use crate::types::value;
-    use simkit::time::SimTime;
+    use crate::types::{value, Key, Value};
     use simkit::Sim;
-    use timesync::ClientId;
+    use timesync::{ClientId, Version};
 
     fn v(ts: u64) -> Version {
         Version::new(Timestamp(ts), ClientId(0))
@@ -1139,79 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn put_get_round_trip() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 16);
-        sim.block_on(async move {
-            s.put(Key::from(1u64), val(100), v(10)).await.unwrap();
-            let got = s.get_at(&Key::from(1u64), Timestamp(10)).await.unwrap();
-            assert_eq!(got.version, v(10));
-            assert_eq!(got.value, val(100));
-        });
-    }
-
-    #[test]
-    fn mount_recovers_chains_and_floor_after_power_fail() {
-        let mut sim = Sim::new(13);
-        let h = sim.handle();
-        let s = store(&sim, 16);
-        sim.block_on(async move {
-            let k = Key::from(1u64);
-            for ts in [10u64, 20, 30] {
-                s.put(k.clone(), val(100), v(ts)).await.unwrap();
-            }
-            for i in 2..6u64 {
-                s.put(Key::from(i), val(100), v(i + 50)).await.unwrap();
-            }
-            // The floor promise rides in the OOB of every later program.
-            s.note_floor(Timestamp(25));
-            s.put(Key::from(6u64), val(100), v(60)).await.unwrap();
-            // Let the packing windows flush everything durably.
-            h.sleep(Duration::from_millis(5)).await;
-            // A write still buffered at the failure is lost — never acked.
-            let s2 = s.clone();
-            h.spawn(async move {
-                let _ = s2.put(Key::from(9u64), val(100), v(900)).await;
-            });
-            h.sleep(Duration::from_micros(2)).await;
-            s.power_fail();
-            assert!(s.keys().is_empty());
-            let report = s.mount().await;
-            assert_eq!(report.floor, Timestamp(25));
-            assert_eq!(report.keys, 6);
-            // Full version chain survives: snapshot reads still work.
-            assert_eq!(s.versions(&k), vec![v(30), v(20), v(10)]);
-            assert_eq!(s.get_at(&k, Timestamp(25)).await.unwrap().version, v(20));
-            assert!(s.get_latest(&Key::from(9u64)).await.is_err());
-            // The store keeps working after recovery.
-            s.put(Key::from(7u64), val(100), v(700)).await.unwrap();
-            assert_eq!(
-                s.get_latest(&Key::from(7u64)).await.unwrap().version,
-                v(700)
-            );
-        });
-    }
-
-    #[test]
-    fn snapshot_reads_see_old_versions() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 16);
-        sim.block_on(async move {
-            let k = Key::from(1u64);
-            s.put(k.clone(), val(1), v(10)).await.unwrap();
-            s.put(k.clone(), val(2), v(20)).await.unwrap();
-            s.put(k.clone(), val(3), v(30)).await.unwrap();
-            assert_eq!(s.get_at(&k, Timestamp(10)).await.unwrap().version, v(10));
-            assert_eq!(s.get_at(&k, Timestamp(25)).await.unwrap().version, v(20));
-            assert_eq!(s.get_at(&k, Timestamp(99)).await.unwrap().version, v(30));
-            assert_eq!(
-                s.get_at(&k, Timestamp(5)).await.unwrap_err(),
-                StoreError::NotFound
-            );
-        });
-    }
-
-    #[test]
     fn stale_writes_rejected_with_latest() {
         let mut sim = Sim::new(1);
         let s = store(&sim, 16);
@@ -1236,21 +357,6 @@ mod tests {
             s.put(k.clone(), val(2), vc(10, 2)).await.unwrap(); // later client wins
             let err = s.put(k.clone(), val(3), vc(10, 0)).await.unwrap_err();
             assert_eq!(err, StoreError::StaleWrite(vc(10, 2)));
-        });
-    }
-
-    #[test]
-    fn apply_unordered_accepts_any_order_and_dups() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 16);
-        sim.block_on(async move {
-            let k = Key::from(1u64);
-            s.apply_unordered(k.clone(), val(3), v(30)).await.unwrap();
-            s.apply_unordered(k.clone(), val(1), v(10)).await.unwrap();
-            s.apply_unordered(k.clone(), val(2), v(20)).await.unwrap();
-            s.apply_unordered(k.clone(), val(2), v(20)).await.unwrap(); // dup
-            assert_eq!(s.versions(&k), vec![v(30), v(20), v(10)]);
-            assert_eq!(s.get_at(&k, Timestamp(20)).await.unwrap().version, v(20));
         });
     }
 
@@ -1346,39 +452,6 @@ mod tests {
                 let got = s.get_latest(&Key::from(i)).await.unwrap();
                 assert_eq!(got.version, v(39 * 100 + i + 1));
             }
-        });
-    }
-
-    #[test]
-    fn capacity_exhausted_when_everything_live() {
-        let mut sim = Sim::new(1);
-        let s = store(&sim, 4); // 4*4*8 = 128 tuple slots, no watermark
-        sim.block_on(async move {
-            let mut err = None;
-            for i in 0..200u64 {
-                if let Err(e) = s.put(Key::from(i), val(472), v(i + 1)).await {
-                    err = Some(e);
-                    break;
-                }
-            }
-            assert_eq!(err, Some(StoreError::CapacityExhausted));
-        });
-    }
-
-    #[test]
-    fn bulk_load_is_instant_and_readable() {
-        let mut sim = Sim::new(1);
-        let h = sim.handle();
-        let s = store(&sim, 64);
-        for i in 0..1000u64 {
-            s.bulk_load(Key::from(i), val(472), v(1));
-        }
-        s.finish_load();
-        assert_eq!(h.now(), SimTime::ZERO);
-        assert_eq!(s.key_count(), 1000);
-        sim.block_on(async move {
-            let got = s.get_at(&Key::from(999u64), Timestamp(1)).await.unwrap();
-            assert_eq!(got.version, v(1));
         });
     }
 

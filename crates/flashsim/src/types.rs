@@ -3,7 +3,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use timesync::{Timestamp, Version};
+use timesync::Version;
 
 /// A storage key. Keys are arbitrary byte strings (the paper evaluates with
 /// 16-byte keys); cloning is cheap (reference-counted).
@@ -169,16 +169,9 @@ impl TupleRecord {
     }
 }
 
-/// A timestamp visibility query: the youngest version with `ts <= at` wins.
-/// Shared helper for multi-version chains sorted in descending version order.
-pub(crate) fn visible_at<T>(chain: &[(Version, T)], at: Timestamp) -> Option<&(Version, T)> {
-    chain.iter().find(|(v, _)| v.ts <= at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timesync::ClientId;
 
     #[test]
     fn key_from_u64_is_16_bytes() {
@@ -192,15 +185,5 @@ mod tests {
         assert_eq!(Key::from(7u64), Key::from(7u64));
         assert_ne!(Key::from(7u64), Key::from(8u64));
         assert_eq!(Key::from("abc"), Key::new(&b"abc"[..]));
-    }
-
-    #[test]
-    fn visible_at_picks_youngest_not_newer() {
-        let v = |ts| Version::new(Timestamp(ts), ClientId(0));
-        let chain = vec![(v(30), "c"), (v(20), "b"), (v(10), "a")];
-        assert_eq!(visible_at(&chain, Timestamp(25)).unwrap().1, "b");
-        assert_eq!(visible_at(&chain, Timestamp(30)).unwrap().1, "c");
-        assert_eq!(visible_at(&chain, Timestamp(9)), None);
-        assert_eq!(visible_at(&chain, Timestamp(u64::MAX)).unwrap().1, "c");
     }
 }

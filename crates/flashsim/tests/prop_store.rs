@@ -1,6 +1,7 @@
 //! Property-based tests: every multi-version backend must behave like a
 //! simple in-memory model of version chains under arbitrary operation
-//! streams — including GC churn, watermark pruning, and packing.
+//! streams — including GC churn, watermark pruning, packing, out-of-order
+//! replicated applies, and power failures followed by a mount.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +21,12 @@ enum Op {
     Watermark(u8),
     /// Delete a key outright.
     Delete(u8),
+    /// Replicated apply of key: an odd selector re-applies a version the
+    /// key already has (a duplicate); an even one applies a fresh version
+    /// stamped that many half-steps back in history (older than the head).
+    ApplyUnordered(u8, u8),
+    /// Power failure, then mount.
+    PowerFailMount,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -28,6 +35,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (any::<u8>(), any::<u8>()).prop_map(|(k, d)| Op::GetAt(k, d)),
         1 => any::<u8>().prop_map(Op::Watermark),
         1 => any::<u8>().prop_map(Op::Delete),
+        3 => (any::<u8>(), any::<u8>()).prop_map(|(k, sel)| Op::ApplyUnordered(k, sel)),
+        1 => Just(Op::PowerFailMount),
     ]
 }
 
@@ -37,16 +46,47 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 struct Model {
     chains: BTreeMap<u64, Vec<(Version, u8)>>, // youngest first
     watermark: Timestamp,
+    /// Every write ever acknowledged, pruned and deleted ones included:
+    /// what a mount may legitimately find on the medium.
+    history: BTreeMap<(u64, Version), u8>,
 }
 
 impl Model {
+    /// Maps an acknowledged write; a version already present is a no-op.
     fn put(&mut self, key: u64, version: Version, tag: u8) {
         let chain = self.chains.entry(key).or_default();
         let pos = chain
             .iter()
-            .position(|&(v, _)| v < version)
+            .position(|&(v, _)| v <= version)
             .unwrap_or(chain.len());
+        if chain.get(pos).is_some_and(|&(v, _)| v == version) {
+            return;
+        }
         chain.insert(pos, (version, tag));
+        self.history.insert((key, version), tag);
+    }
+
+    /// After a mount the store holds whatever survived on the medium. Flash
+    /// keeps pruned and deleted versions until GC erases them, so they may
+    /// come back; the contract is that nothing acknowledged and still
+    /// mapped is lost and nothing is invented. Checks both, then adopts the
+    /// store's chain as the model's.
+    fn adopt_mounted(&mut self, key: u64, mounted: &[Version]) {
+        for &(version, _) in self.chains.get(&key).into_iter().flatten() {
+            assert!(
+                mounted.contains(&version),
+                "key {key}: mount lost mapped version {version}"
+            );
+        }
+        let chain: Vec<(Version, u8)> = mounted
+            .iter()
+            .map(|&version| match self.history.get(&(key, version)) {
+                Some(&tag) => (version, tag),
+                None => panic!("key {key}: mount invented version {version}"),
+            })
+            .collect();
+        assert!(chain.windows(2).all(|w| w[0].0 > w[1].0), "key {key}");
+        self.chains.insert(key, chain);
     }
 
     fn prune(&mut self, key: u64) {
@@ -144,6 +184,36 @@ fn check_backend(kind: BackendKind, ops: Vec<Op>, seed: u64) {
                     let key = (k % 16) as u64;
                     store2.delete(&Key::from(key));
                     model.delete(key);
+                }
+                Op::ApplyUnordered(k, sel) => {
+                    let key = (k % 16) as u64;
+                    let chain = model.chains.get(&key).map_or(&[][..], |c| &c[..]);
+                    let (version, tag) = if sel % 2 == 1 && !chain.is_empty() {
+                        chain[(sel / 2) as usize % chain.len()]
+                    } else {
+                        // A second client, so a back-dated stamp never
+                        // collides with a different payload's version.
+                        let ts = clock.saturating_sub(sel as u64 * 500);
+                        (Version::new(Timestamp(ts), ClientId(2)), (ts % 251) as u8)
+                    };
+                    match store2
+                        .apply_unordered(Key::from(key), value(vec![tag; 24]), version)
+                        .await
+                    {
+                        Ok(()) => {
+                            model.put(key, version, tag);
+                            model.prune(key);
+                        }
+                        Err(StoreError::CapacityExhausted) => {}
+                        Err(e) => panic!("unexpected apply error: {e}"),
+                    }
+                }
+                Op::PowerFailMount => {
+                    store2.power_fail();
+                    store2.mount().await;
+                    for key in 0..16u64 {
+                        model.adopt_mounted(key, &store2.versions(&Key::from(key)));
+                    }
                 }
             }
         }
