@@ -21,8 +21,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -155,33 +154,30 @@ pub(crate) enum TimerFire {
     Deliver { to: Addr, packet: Packet },
 }
 
-pub(crate) struct TimerEntry {
-    at: SimTime,
-    seq: u64,
-    fire: TimerFire,
-}
+/// Position of one entry in the event queue. `seq` comes from a single
+/// counter, so same-instant entries fire in the order they were scheduled.
+type TimerKey = (SimTime, u64);
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// Counters for [`Sleep`] timers (packet deliveries share the event queue
+/// but are counted by [`NetStats`](crate::net::NetStats)). Deterministic
+/// for a given seed; `armed == fired + cancelled + pending` always holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimerStats {
+    /// Sleeps that entered the event queue (at most once per [`Sleep`]).
+    pub armed: u64,
+    /// Timers that reached their deadline and woke their task.
+    pub fired: u64,
+    /// Timers removed because their [`Sleep`] was dropped first.
+    pub cancelled: u64,
+    /// Timers in the event queue now.
+    pub pending: u64,
 }
 
 pub(crate) struct Inner {
     now: SimTime,
     seq: u64,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
+    timers: BTreeMap<TimerKey, TimerFire>,
+    timer_stats: TimerStats,
     tasks: TaskSlab,
     rng: StdRng,
     pub(crate) net: NetState,
@@ -196,10 +192,11 @@ impl Inner {
         self.now
     }
 
-    pub(crate) fn schedule(&mut self, at: SimTime, fire: TimerFire) {
-        let seq = self.seq;
+    pub(crate) fn schedule(&mut self, at: SimTime, fire: TimerFire) -> TimerKey {
+        let key = (at, self.seq);
         self.seq += 1;
-        self.timers.push(Reverse(TimerEntry { at, seq, fire }));
+        self.timers.insert(key, fire);
+        key
     }
 
     pub(crate) fn rng(&mut self) -> &mut StdRng {
@@ -227,7 +224,8 @@ impl Sim {
         let inner = Inner {
             now: SimTime::ZERO,
             seq: 0,
-            timers: BinaryHeap::new(),
+            timers: BTreeMap::new(),
+            timer_stats: TimerStats::default(),
             tasks: TaskSlab::default(),
             rng: StdRng::seed_from_u64(seed),
             net: NetState::new(),
@@ -260,17 +258,7 @@ impl Sim {
     {
         let jh = self.handle.spawn(fut);
         loop {
-            loop {
-                let next = self.handle.ready.lock().unwrap().pop_front();
-                match next {
-                    Some(tid) => self.poll_task(tid),
-                    None => break,
-                }
-                if jh.is_finished() {
-                    return jh.try_take().expect("join handle lost its value");
-                }
-            }
-            if jh.is_finished() {
+            if self.drain_ready(|| jh.is_finished()) {
                 return jh.try_take().expect("join handle lost its value");
             }
             if !self.advance(None) {
@@ -285,7 +273,7 @@ impl Sim {
     /// Runs until there is no runnable task and no pending timer.
     pub fn run(&mut self) {
         loop {
-            self.drain_ready();
+            self.drain_ready(|| false);
             if !self.advance(None) {
                 break;
             }
@@ -296,7 +284,7 @@ impl Sim {
     /// idle, whichever comes first). Leaves later timers pending.
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
-            self.drain_ready();
+            self.drain_ready(|| false);
             match self.advance(Some(deadline)) {
                 true => continue,
                 false => break,
@@ -308,14 +296,17 @@ impl Sim {
         }
     }
 
-    fn drain_ready(&mut self) {
-        loop {
+    /// Polls runnable tasks in FIFO order until `done()` holds (checked
+    /// before each poll; returns true) or none is left (returns false).
+    fn drain_ready(&mut self, done: impl Fn() -> bool) -> bool {
+        while !done() {
             let next = self.handle.ready.lock().unwrap().pop_front();
             match next {
                 Some(tid) => self.poll_task(tid),
-                None => break,
+                None => return false,
             }
         }
+        true
     }
 
     /// Fires the next timer, advancing the clock. Returns false if there was
@@ -323,20 +314,22 @@ impl Sim {
     fn advance(&mut self, deadline: Option<SimTime>) -> bool {
         let fire = {
             let mut inner = self.handle.inner.borrow_mut();
-            match inner.timers.peek() {
-                None => return false,
-                Some(Reverse(entry)) => {
-                    if let Some(d) = deadline {
-                        if entry.at > d {
-                            return false;
-                        }
-                    }
-                    let Reverse(entry) = inner.timers.pop().unwrap();
-                    debug_assert!(entry.at >= inner.now, "timer in the past");
-                    inner.now = entry.at;
-                    entry.fire
-                }
+            let inner = &mut *inner;
+            let Some(entry) = inner.timers.first_entry() else {
+                return false;
+            };
+            let at = entry.key().0;
+            if deadline.is_some_and(|d| at > d) {
+                return false;
             }
+            debug_assert!(at >= inner.now, "timer in the past");
+            inner.now = at;
+            let fire = entry.remove();
+            if matches!(fire, TimerFire::Wake(_)) {
+                inner.timer_stats.fired += 1;
+                inner.timer_stats.pending -= 1;
+            }
+            fire
         };
         match fire {
             TimerFire::Wake(waker) => waker.wake(),
@@ -365,6 +358,7 @@ impl Sim {
                 let killed = task.node.is_some_and(|n| inner.net.is_dead(n));
                 if killed {
                     inner.tasks.complete(tid);
+                    // Outside the scheduler borrow: `Sleep::drop` takes it.
                     drop(inner);
                     drop(task);
                 } else {
@@ -404,6 +398,11 @@ impl SimHandle {
     /// report sim-events/sec with a byte-stable numerator.
     pub fn polls(&self) -> u64 {
         self.inner.borrow().polls
+    }
+
+    /// Snapshot of the [`Sleep`] timer counters.
+    pub fn timer_stats(&self) -> TimerStats {
+        self.inner.borrow().timer_stats
     }
 
     /// Spawns a task not owned by any simulated node.
@@ -470,6 +469,7 @@ impl SimHandle {
         Sleep {
             handle: self.clone(),
             deadline,
+            armed: None,
         }
     }
 
@@ -528,10 +528,6 @@ impl SimHandle {
     pub fn fork_rng(&self) -> StdRng {
         let seed = self.rand_u64();
         StdRng::seed_from_u64(seed)
-    }
-
-    pub(crate) fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        self.inner.borrow_mut().schedule(at, TimerFire::Wake(waker));
     }
 }
 
@@ -602,21 +598,56 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 }
 
 /// Future returned by [`SimHandle::sleep`] / [`SimHandle::sleep_until`].
+///
+/// Holds at most one event-queue entry: the first pending poll arms it,
+/// later polls only retarget its waker, and dropping the `Sleep` removes it.
 #[derive(Debug)]
 pub struct Sleep {
     handle: SimHandle,
     deadline: SimTime,
+    armed: Option<TimerKey>,
 }
 
 impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.handle.now() >= self.deadline {
-            Poll::Ready(())
-        } else {
-            self.handle.schedule_wake(self.deadline, cx.waker().clone());
-            Poll::Pending
+        let this = self.get_mut();
+        let mut inner = this.handle.inner.borrow_mut();
+        if inner.now >= this.deadline {
+            return Poll::Ready(());
+        }
+        match this.armed {
+            None => {
+                let wake = TimerFire::Wake(cx.waker().clone());
+                this.armed = Some(inner.schedule(this.deadline, wake));
+                inner.timer_stats.armed += 1;
+                inner.timer_stats.pending += 1;
+            }
+            // Still queued: the deadline has not passed, and otherwise only
+            // `Drop` removes the entry.
+            Some(key) => match inner.timers.get_mut(&key) {
+                Some(TimerFire::Wake(waker)) if !waker.will_wake(cx.waker()) => {
+                    *waker = cx.waker().clone();
+                }
+                _ => {}
+            },
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    // Borrows the scheduler state, so task futures must never be dropped
+    // under that borrow (see `Sim::poll_task` and `SimHandle::kill_node`).
+    fn drop(&mut self) {
+        if let Some(key) = self.armed {
+            let mut inner = self.handle.inner.borrow_mut();
+            // `None` when the timer already fired.
+            if inner.timers.remove(&key).is_some() {
+                inner.timer_stats.cancelled += 1;
+                inner.timer_stats.pending -= 1;
+            }
         }
     }
 }
@@ -718,7 +749,11 @@ mod tests {
             .await
         });
         assert_eq!(out, Err(Elapsed));
-        // The losing sleep timer still exists but time never ran to it.
+        // The losing inner sleep was dropped with the timeout and took its
+        // timer with it.
+        let stats = h.timer_stats();
+        assert_eq!((stats.armed, stats.fired, stats.cancelled), (2, 1, 1));
+        assert_eq!(stats.pending, 0);
     }
 
     #[test]
@@ -734,6 +769,82 @@ mod tests {
             .await
         });
         assert_eq!(out, Ok(5));
+        // The 10 ms guard was disarmed when the timeout returned.
+        let stats = h.timer_stats();
+        assert_eq!((stats.armed, stats.fired, stats.cancelled), (2, 1, 1));
+        assert_eq!(stats.pending, 0);
+    }
+
+    #[test]
+    fn repolled_timeout_arms_one_timer() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        let (tx, rx) = crate::sync::mpsc::channel::<u32>();
+        h.spawn(async move {
+            for i in 0..100 {
+                tx.send(i).unwrap();
+                hh.yield_now().await;
+            }
+        });
+        let hh = h.clone();
+        let got = sim.block_on(async move {
+            hh.timeout(Duration::from_secs(1), async {
+                let mut got = 0;
+                while rx.recv().await.is_some() {
+                    got += 1;
+                }
+                got
+            })
+            .await
+        });
+        assert_eq!(got, Ok(100));
+        // A hundred wake-ups re-polled the guard sleep; it armed once.
+        let stats = h.timer_stats();
+        assert_eq!((stats.armed, stats.cancelled, stats.pending), (1, 1, 0));
+    }
+
+    #[test]
+    fn dropped_sleep_never_polls_its_task() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        h.spawn(async move {
+            let fast = hh.sleep(Duration::from_millis(1));
+            hh.timeout(Duration::from_millis(10), fast).await.unwrap();
+            hh.sleep(Duration::from_millis(100)).await;
+        });
+        sim.run_until(SimTime::from_millis(5));
+        let polls = h.polls();
+        assert_eq!(h.timer_stats().pending, 1); // the 100 ms sleep
+        sim.run_until(SimTime::from_millis(50)); // across the old 10 ms deadline
+        assert_eq!(h.polls(), polls);
+    }
+
+    struct CountWake(std::sync::atomic::AtomicU32);
+
+    impl Wake for CountWake {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn repolled_sleep_wakes_the_latest_waker_once() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (a, b) = (Arc::new(CountWake(0.into())), Arc::new(CountWake(0.into())));
+        let (wa, wb) = (Waker::from(a.clone()), Waker::from(b.clone()));
+        let (mut cx_a, mut cx_b) = (Context::from_waker(&wa), Context::from_waker(&wb));
+        let mut sleep = std::pin::pin!(h.sleep(Duration::from_millis(10)));
+        assert!(sleep.as_mut().poll(&mut cx_a).is_pending());
+        assert!(sleep.as_mut().poll(&mut cx_b).is_pending());
+        assert_eq!(h.timer_stats().armed, 1);
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(a.0.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(b.0.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert!(sleep.as_mut().poll(&mut cx_b).is_ready());
+        assert_eq!(h.timer_stats().fired, 1);
     }
 
     #[test]

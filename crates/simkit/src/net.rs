@@ -388,7 +388,7 @@ impl SimHandle {
                 w.wake();
             }
         }
-        drop(tasks); // dropped outside the scheduler borrow
+        drop(tasks); // outside the scheduler borrow: `Sleep::drop` takes it
     }
 
     /// Marks a previously killed node alive again. Its addresses must be

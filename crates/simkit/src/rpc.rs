@@ -591,6 +591,87 @@ mod tests {
     }
 
     #[test]
+    fn answered_calls_leave_no_timers_behind() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        sim.block_on(async move {
+            hh.set_latency(crate::net::LatencyConfig {
+                one_way: Duration::from_micros(25),
+                jitter_std: Duration::ZERO,
+                ..crate::net::LatencyConfig::default()
+            });
+            // Echo with a 50 us service time: 100 us per call, so the run
+            // is four 50 ms timeouts long and every early guard timer would
+            // have come due (and re-armed) had it been left behind.
+            let mb = hh.bind(Addr::new(NodeId(2), 0));
+            let h2 = hh.clone();
+            hh.spawn_on(NodeId(2), async move {
+                while let Some((Ping(v), _from, resp)) = recv_request::<Ping>(&h2, &mb).await {
+                    h2.sleep(Duration::from_micros(50)).await;
+                    resp.reply(Pong(v + 1));
+                }
+            });
+            let client = RpcClient::new(&hh, NodeId(1), 0);
+            let timeout = Duration::from_millis(50);
+            let mut polls_at = Vec::new();
+            for i in 0..2000u32 {
+                if i % 100 == 0 {
+                    assert_eq!(hh.timer_stats().pending, 0, "before call {i}");
+                    polls_at.push(hh.polls());
+                }
+                let r = client
+                    .call::<Ping, Pong>(Addr::new(NodeId(2), 0), Ping(i), timeout)
+                    .await;
+                assert_eq!(r, Ok(Pong(i + 1)));
+            }
+            polls_at.push(hh.polls());
+            assert!(hh.now() >= SimTime::from_millis(200));
+            // Polls per hundred calls do not depend on how long the run is.
+            assert_eq!(polls_at[20] - polls_at[19], polls_at[2] - polls_at[1]);
+            let stats = hh.timer_stats();
+            assert_eq!(
+                (stats.armed, stats.fired, stats.cancelled),
+                (4000, 2000, 2000)
+            );
+        });
+    }
+
+    #[test]
+    fn kill_node_drops_parked_tasks_and_their_timers() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        sim.block_on(async move {
+            let victim = NodeId(1);
+            let client = RpcClient::new(&hh, victim, 0);
+            let (_tx, rx) = oneshot::channel::<()>();
+            let (h1, h2) = (hh.clone(), hh.clone());
+            hh.spawn_on(victim, async move { h1.sleep(TIMEOUT).await });
+            hh.spawn_on(victim, async move {
+                let _ = h2.timeout(TIMEOUT, rx).await;
+            });
+            // In flight forever: nothing is bound at the callee.
+            hh.spawn_on(victim, async move {
+                let _ = client
+                    .call::<Ping, Pong>(Addr::new(NodeId(2), 0), Ping(1), TIMEOUT)
+                    .await;
+            });
+            hh.sleep(Duration::from_millis(1)).await;
+            assert_eq!(hh.timer_stats().pending, 3);
+            hh.kill_node(victim);
+            let stats = hh.timer_stats();
+            assert_eq!((stats.cancelled, stats.pending), (3, 0));
+            // Let the wake-ups of the kill itself (closed mailbox, dropped
+            // reply route) drain; then nothing fires at the old deadlines.
+            hh.sleep(Duration::from_millis(1)).await;
+            let polls = hh.polls();
+            hh.sleep(TIMEOUT * 2).await;
+            assert_eq!(hh.polls(), polls + 1);
+        });
+    }
+
+    #[test]
     fn cast_is_fire_and_forget() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
