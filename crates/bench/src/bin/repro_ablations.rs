@@ -6,6 +6,7 @@ use bench::common::Scale;
 use obskit::Json;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running ablations at {scale:?} scale ...\n");
     let replication = bench::ablations::run_replication(scale);

@@ -5,6 +5,7 @@ use bench::common::Scale;
 use obskit::Json;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running all reproductions at {scale:?} scale ...\n");
     let t1 = bench::table1::Table1Config::for_scale(scale);

@@ -2,7 +2,7 @@
 //! experiment design and acceptance checks.
 //!
 //! ```text
-//! repro_batch [--seed S] [--json PATH] [--threads N]
+//! repro_batch [--seed S] [--json PATH] [--threads N] [--trace PATH]
 //! ```
 //!
 //! Exits non-zero on a failed check. With `--json PATH` the sweep is
@@ -16,27 +16,7 @@ use bench::{artifact, batch};
 
 fn main() {
     let scale = Scale::from_env();
-    let mut seed = 1u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed")
-            }
-            "--json" | "--threads" => {
-                it.next();
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let seed = bench::common::Args::parse(&["--seed"], &[]).last_or("--seed", 1u64);
 
     let cfg = batch::BatchSweepConfig::for_scale(scale);
     eprintln!(
@@ -47,6 +27,7 @@ fn main() {
     let points = batch::run(&cfg, seed);
     batch::print(&points);
     artifact::maybe_write("batch", scale, batch::to_json(&points, seed));
+    bench::common::maybe_dump_trace();
     if !batch::ok(&points) {
         std::process::exit(1);
     }

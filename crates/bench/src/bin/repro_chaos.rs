@@ -36,59 +36,37 @@ struct Args {
 }
 
 fn parse_args(scale: Scale) -> Args {
-    let (mut n_seeds, mut faults) = match scale {
+    let (n_seeds, faults) = match scale {
         Scale::Quick => (3u64, 50usize),
         Scale::Full => (8, 200),
     };
-    let mut explicit_seeds = Vec::new();
-    let mut shards = 2u32;
+    let args = bench::common::Args::parse(
+        &["--seed", "--seeds", "--faults", "--shards", "--inject"],
+        &[],
+    );
     let mut inject = false;
     let mut overload = false;
-    let mut trace = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut take =
-            |name: &str| -> String { it.next().unwrap_or_else(|| panic!("{name} needs a value")) };
-        match arg.as_str() {
-            "--seed" => explicit_seeds.push(take("--seed").parse().expect("--seed")),
-            "--seeds" => n_seeds = take("--seeds").parse().expect("--seeds"),
-            "--faults" => faults = take("--faults").parse().expect("--faults"),
-            "--shards" => shards = take("--shards").parse().expect("--shards"),
-            "--inject" => match take("--inject").as_str() {
-                "validation-skip" => inject = true,
-                "overload" => overload = true,
-                what => panic!("unknown --inject {what}"),
-            },
-            "--json" => {
-                take("--json");
-            }
-            "--threads" => {
-                take("--threads");
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            "--trace" => trace = Some(take("--trace").into()),
-            other => {
-                if let Some(rest) = other.strip_prefix("--trace=") {
-                    trace = Some(rest.into());
-                } else if !other.starts_with("--json=") {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
+    for what in args.values("--inject") {
+        match what {
+            "validation-skip" => inject = true,
+            "overload" => overload = true,
+            what => {
+                eprintln!("unknown --inject {what}");
+                std::process::exit(2);
             }
         }
     }
-    let seeds = if explicit_seeds.is_empty() {
-        (0..n_seeds).collect()
-    } else {
-        explicit_seeds
-    };
+    let mut seeds: Vec<u64> = args.parsed("--seed");
+    if seeds.is_empty() {
+        seeds = (0..args.last_or("--seeds", n_seeds)).collect();
+    }
     Args {
         seeds,
-        faults,
-        shards,
+        faults: args.last_or("--faults", faults),
+        shards: args.last_or("--shards", 2u32),
         inject,
         overload,
-        trace,
+        trace: bench::common::trace_path_from_args(),
     }
 }
 

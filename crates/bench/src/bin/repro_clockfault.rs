@@ -4,6 +4,7 @@
 //!
 //! ```text
 //! repro_clockfault [--seed S] [--inject uncertainty-skip] [--json PATH] [--threads N]
+//!                  [--trace PATH]
 //! ```
 //!
 //! - `--seed S` fixes the simulation seed (default 1). The same seed and
@@ -25,28 +26,14 @@ use bench::common::Scale;
 fn main() {
     let scale = Scale::from_env();
     let mut cfg = ClockFaultConfig::for_scale(scale);
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut take =
-            |name: &str| -> String { it.next().unwrap_or_else(|| panic!("{name} needs a value")) };
-        match arg.as_str() {
-            "--seed" => cfg.seed = take("--seed").parse().expect("--seed"),
-            "--inject" => match take("--inject").as_str() {
-                "uncertainty-skip" => cfg.inject_uncertainty_skip = true,
-                what => panic!("unknown --inject {what}"),
-            },
-            "--json" => {
-                take("--json");
-            }
-            "--threads" => {
-                take("--threads");
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            other => {
-                if !other.starts_with("--json=") {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
+    let args = bench::common::Args::parse(&["--seed", "--inject"], &[]);
+    cfg.seed = args.last_or("--seed", cfg.seed);
+    for what in args.values("--inject") {
+        match what {
+            "uncertainty-skip" => cfg.inject_uncertainty_skip = true,
+            what => {
+                eprintln!("unknown --inject {what}");
+                std::process::exit(2);
             }
         }
     }
@@ -72,6 +59,7 @@ fn main() {
         scale,
         clockfault::to_json(&cfg, &sweep, &degradation, &campaign),
     );
+    bench::common::maybe_dump_trace();
     if cfg.inject_uncertainty_skip {
         // Mirror repro_chaos: a caught fraud exits 1 (CI inverts this
         // check), while a blind checker exits 0 and CI flags the miss.

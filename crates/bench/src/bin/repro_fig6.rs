@@ -4,6 +4,7 @@ use bench::common::Scale;
 use bench::fig6;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running Figure 6 at {scale:?} scale ...");
     let cfg = fig6::Fig6Config::for_scale(scale);

@@ -4,6 +4,7 @@ use bench::common::Scale;
 use bench::fig7;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running Figure 7 at {scale:?} scale ...");
     let cfg = fig7::Fig7Config::for_scale(scale);

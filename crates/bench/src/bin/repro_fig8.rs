@@ -4,6 +4,7 @@ use bench::common::Scale;
 use bench::fig8;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running Figure 8 at {scale:?} scale ...");
     let cfg = fig8::Fig8Config::for_scale(scale);

@@ -4,6 +4,7 @@ use bench::common::Scale;
 use bench::fig9;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running Figure 9 at {scale:?} scale ...");
     let cfg = fig9::Fig9Config::for_scale(scale);

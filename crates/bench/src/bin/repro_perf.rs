@@ -3,7 +3,7 @@
 //! wall-clocks. See [`bench::perf`] for what each number means.
 //!
 //! ```text
-//! repro_perf [--seed S] [--json PATH] [--threads N] [--deterministic-only]
+//! repro_perf [--seed S] [--json PATH] [--threads N] [--trace PATH] [--deterministic-only]
 //! ```
 //!
 //! - `--seed S` fixes the microbench seed (default 42).
@@ -24,28 +24,9 @@ use bench::{artifact, perf};
 static ALLOC: perfkit::alloc::CountingAllocator = perfkit::alloc::CountingAllocator;
 
 fn main() {
-    let mut seed = 42u64;
-    let mut deterministic_only = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes a u64");
-            }
-            "--deterministic-only" => deterministic_only = true,
-            "--json" | "--threads" => {
-                it.next();
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = bench::common::Args::parse(&["--seed"], &["--deterministic-only"]);
+    let seed = args.last_or("--seed", 42u64);
+    let deterministic_only = args.has("--deterministic-only");
 
     let scale = Scale::from_env();
     let report = perf::run(scale, seed);
@@ -87,4 +68,5 @@ fn main() {
     }
 
     artifact::maybe_write("perf", scale, perf::to_json(&report, !deterministic_only));
+    bench::common::maybe_dump_trace();
 }

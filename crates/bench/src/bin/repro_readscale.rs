@@ -3,7 +3,7 @@
 //! acceptance checks.
 //!
 //! ```text
-//! repro_readscale [--seed S] [--json PATH] [--threads N]
+//! repro_readscale [--seed S] [--json PATH] [--threads N] [--trace PATH]
 //! ```
 //!
 //! Exits non-zero on a failed check. With `--json PATH` the sweep is
@@ -15,33 +15,14 @@ use bench::{artifact, readscale};
 
 fn main() {
     let scale = Scale::from_env();
-    let mut seed = 1u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed")
-            }
-            "--json" | "--threads" => {
-                it.next();
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let seed = bench::common::Args::parse(&["--seed"], &[]).last_or("--seed", 1u64);
 
     let cfg = readscale::ReadScaleConfig::for_scale(scale);
     eprintln!("read scaling: seed {seed}, routes + backup-reads chaos campaign ...");
     let out = readscale::run(&cfg, seed);
     readscale::print(&out);
     artifact::maybe_write("readscale", scale, readscale::to_json(&out));
+    bench::common::maybe_dump_trace();
     if !readscale::ok(&out) {
         std::process::exit(1);
     }

@@ -2,7 +2,7 @@
 //! experiment design and acceptance checks.
 //!
 //! ```text
-//! repro_rebalance [--seed S] [--json PATH] [--threads N]
+//! repro_rebalance [--seed S] [--json PATH] [--threads N] [--trace PATH]
 //! ```
 //!
 //! Exits non-zero on a failed check. With `--json PATH` the run is
@@ -14,27 +14,7 @@ use bench::{artifact, rebalance};
 
 fn main() {
     let scale = Scale::from_env();
-    let mut seed = 1u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed")
-            }
-            "--json" | "--threads" => {
-                it.next();
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let seed = bench::common::Args::parse(&["--seed"], &[]).last_or("--seed", 1u64);
 
     eprintln!(
         "rebalance: seed {seed}, 4 clients, zipf s={}.{:02} hot {}% ...",
@@ -50,6 +30,7 @@ fn main() {
         scale,
         rebalance::to_json(&run, &campaign, seed),
     );
+    bench::common::maybe_dump_trace();
     if !rebalance::ok(&run, &campaign) {
         std::process::exit(1);
     }

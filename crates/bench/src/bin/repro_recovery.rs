@@ -3,6 +3,7 @@
 //!
 //! ```text
 //! repro_recovery [--seed S] [--inject durability-skip] [--json PATH] [--threads N]
+//!                [--trace PATH]
 //! ```
 //!
 //! - `--seed S` fixes the simulation seed (default 1). The same seed and
@@ -22,28 +23,14 @@ use bench::recovery::{self, RecoveryConfig};
 fn main() {
     let scale = Scale::from_env();
     let mut cfg = RecoveryConfig::for_scale(scale);
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut take =
-            |name: &str| -> String { it.next().unwrap_or_else(|| panic!("{name} needs a value")) };
-        match arg.as_str() {
-            "--seed" => cfg.seed = take("--seed").parse().expect("--seed"),
-            "--inject" => match take("--inject").as_str() {
-                "durability-skip" => cfg.inject_durability_skip = true,
-                what => panic!("unknown --inject {what}"),
-            },
-            "--json" => {
-                take("--json");
-            }
-            "--threads" => {
-                take("--threads");
-            }
-            other if other.starts_with("--json=") || other.starts_with("--threads=") => {}
-            other => {
-                if !other.starts_with("--json=") {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
+    let args = bench::common::Args::parse(&["--seed", "--inject"], &[]);
+    cfg.seed = args.last_or("--seed", cfg.seed);
+    for what in args.values("--inject") {
+        match what {
+            "durability-skip" => cfg.inject_durability_skip = true,
+            what => {
+                eprintln!("unknown --inject {what}");
+                std::process::exit(2);
             }
         }
     }
@@ -68,6 +55,7 @@ fn main() {
         scale,
         recovery::to_json(&cfg, &trials, &campaign),
     );
+    bench::common::maybe_dump_trace();
     if cfg.inject_durability_skip {
         // Mirror repro_chaos: a caught fraud exits 1 (CI inverts this
         // check), while a blind checker exits 0 and CI flags the miss.

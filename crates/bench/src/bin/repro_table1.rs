@@ -4,6 +4,7 @@ use bench::common::Scale;
 use bench::table1;
 
 fn main() {
+    bench::common::Args::parse(&[], &[]);
     let scale = Scale::from_env();
     eprintln!("running Table 1 at {scale:?} scale (REPRO_SCALE=full for more) ...");
     let cfg = table1::Table1Config::for_scale(scale);

@@ -6,12 +6,11 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::Duration;
 
-use milana::cluster::{MilanaCluster, MilanaClusterConfig};
+use milana::cluster::MilanaCluster;
 use obskit::{Obs, TxnStats};
 use retwis::driver::{run_instance, TxnSystem, WorkloadConfig};
 use simkit::rng::Zipf;
-use simkit::time::SimTime;
-use simkit::{Sim, SimHandle};
+use simkit::Sim;
 
 /// Experiment scale, settable via the `REPRO_SCALE` environment variable:
 /// `quick` (CI-sized), `full` (paper-shaped; slower). Defaults to `quick`.
@@ -55,6 +54,95 @@ impl Scale {
             Scale::Quick => 20_000,
             Scale::Full => 200_000,
         }
+    }
+}
+
+/// Flags every `repro_*` binary takes, as `--flag <value>` or
+/// `--flag=<value>`. Each is read where it is used
+/// ([`crate::artifact::json_path_from_args`], `perfkit::threads`,
+/// [`trace_path_from_args`]); [`Args`] only checks that they are well formed.
+const SHARED_FLAGS: [&str; 3] = ["--json", "--threads", "--trace"];
+
+/// A binary's own command-line flags, in order, after the whole command
+/// line was checked.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Args(Vec<(String, String)>);
+
+impl Args {
+    /// Checks the process arguments: every argument must be one of the
+    /// shared flags, one of the caller's `valued` flags (both spellings),
+    /// or one of its `switches`. Anything else — or a flag missing its
+    /// value — is reported and exits with code 2 before any work starts: a
+    /// mistyped `--jsno out.json` must not run for minutes, exit 0 and
+    /// write nothing.
+    pub fn parse(valued: &[&str], switches: &[&str]) -> Args {
+        Args::check(std::env::args().skip(1), valued, switches).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    fn check(
+        args: impl IntoIterator<Item = String>,
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Result<Args, String> {
+        let mut own = Vec::new();
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            if switches.contains(&arg.as_str()) {
+                own.push((arg, String::new()));
+                continue;
+            }
+            let (flag, value) = match arg.split_once('=') {
+                Some((flag, value)) => (flag.to_string(), value.to_string()),
+                None => match it.next() {
+                    Some(value) => (arg, value),
+                    None => (arg, String::new()),
+                },
+            };
+            let shared = SHARED_FLAGS.contains(&flag.as_str());
+            if !shared && !valued.contains(&flag.as_str()) {
+                return Err(format!("unknown argument {flag}"));
+            }
+            if value.is_empty() {
+                return Err(format!("{flag} needs a value"));
+            }
+            if !shared {
+                own.push((flag, value));
+            }
+        }
+        Ok(Args(own))
+    }
+
+    /// True when the switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| f == flag)
+    }
+
+    /// Every value given for `flag`, in order.
+    pub fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        self.0
+            .iter()
+            .filter(move |(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Every value given for `flag`, parsed; a malformed one exits 2.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Vec<T> {
+        self.values(flag)
+            .map(|v| {
+                v.parse().unwrap_or_else(|_| {
+                    eprintln!("{flag}: invalid value {v}");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    }
+
+    /// The last value given for `flag`, parsed, or `default`.
+    pub fn last_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        self.parsed(flag).pop().unwrap_or(default)
     }
 }
 
@@ -138,49 +226,20 @@ pub struct RunOutcome {
     pub local_validated: u64,
 }
 
-/// Drives `instances_per_client` Retwis instances on every cluster client
-/// for `warmup + measure` virtual time; only the measurement window counts.
-pub fn run_retwis_on_milana(
+/// One closed-loop phase: `instances_per_client` Retwis instances on every
+/// client until `dur` of virtual time has passed, counted into `stats`.
+fn run_phase<S: TxnSystem>(
     sim: &mut Sim,
-    cluster: &MilanaCluster,
-    wl: WorkloadConfig,
+    clients: &[S],
+    (wl, zipf): (&Rc<WorkloadConfig>, &Rc<Zipf>),
     instances_per_client: u32,
-    warmup: Duration,
-    measure: Duration,
-) -> RunOutcome {
+    dur: Duration,
+    stats: &TxnStats,
+) {
     let h = sim.handle();
-    let zipf = Rc::new(Zipf::new(wl.keyspace as usize, wl.zipf_alpha));
-    let wl = Rc::new(wl);
-    // Warm-up phase uses a throwaway stats sink.
-    let sink = TxnStats::new();
-    let warm_until = h.now() + warmup;
+    let until = h.now() + dur;
     let mut joins = Vec::new();
-    for c in &cluster.clients {
-        for _ in 0..instances_per_client {
-            joins.push(h.spawn(run_instance(
-                h.clone(),
-                c.clone(),
-                wl.clone(),
-                zipf.clone(),
-                sink.clone(),
-                warm_until,
-            )));
-        }
-    }
-    sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-    });
-    let stats = TxnStats::new();
-    let lv_before: u64 = cluster
-        .clients
-        .iter()
-        .map(|c| c.stats().local_validations)
-        .sum();
-    let until = h.now() + measure;
-    let mut joins = Vec::new();
-    for c in &cluster.clients {
+    for c in clients {
         for _ in 0..instances_per_client {
             joins.push(h.spawn(run_instance(
                 h.clone(),
@@ -197,21 +256,75 @@ pub fn run_retwis_on_milana(
             j.await;
         }
     });
-    let lv_after: u64 = cluster
-        .clients
-        .iter()
-        .map(|c| c.stats().local_validations)
-        .sum();
+}
+
+/// Drives Retwis instances over any [`TxnSystem`] clients for
+/// `warmup + measure` virtual time; only the measurement window counts.
+/// `window_open` runs between the two phases.
+fn run_retwis_windowed<S: TxnSystem>(
+    sim: &mut Sim,
+    clients: &[S],
+    wl: WorkloadConfig,
+    instances_per_client: u32,
+    (warmup, measure): (Duration, Duration),
+    window_open: impl FnOnce(),
+) -> TxnStats {
+    let zipf = Rc::new(Zipf::new(wl.keyspace as usize, wl.zipf_alpha));
+    let wl = Rc::new(wl);
+    // Warm-up phase uses a throwaway stats sink.
+    let sink = TxnStats::new();
+    run_phase(
+        sim,
+        clients,
+        (&wl, &zipf),
+        instances_per_client,
+        warmup,
+        &sink,
+    );
+    window_open();
+    let stats = TxnStats::new();
+    run_phase(
+        sim,
+        clients,
+        (&wl, &zipf),
+        instances_per_client,
+        measure,
+        &stats,
+    );
+    stats
+}
+
+/// Drives `instances_per_client` Retwis instances on every cluster client
+/// for `warmup + measure` virtual time; only the measurement window counts.
+pub fn run_retwis_on_milana(
+    sim: &mut Sim,
+    cluster: &MilanaCluster,
+    wl: WorkloadConfig,
+    instances_per_client: u32,
+    warmup: Duration,
+    measure: Duration,
+) -> RunOutcome {
+    let local_validations = || -> u64 {
+        cluster
+            .clients
+            .iter()
+            .map(|c| c.stats().local_validations)
+            .sum()
+    };
+    let mut lv_before = 0;
+    let stats = run_retwis_windowed(
+        sim,
+        &cluster.clients,
+        wl,
+        instances_per_client,
+        (warmup, measure),
+        || lv_before = local_validations(),
+    );
     RunOutcome {
         stats,
         elapsed: measure,
-        local_validated: lv_after - lv_before,
+        local_validated: local_validations() - lv_before,
     }
-}
-
-/// Builds a standard MILANA cluster for the figure experiments.
-pub fn build_cluster(handle: &SimHandle, cfg: MilanaClusterConfig) -> MilanaCluster {
-    MilanaCluster::build(handle, cfg)
 }
 
 /// Drives Retwis instances over any [`TxnSystem`] clients (used by the
@@ -224,53 +337,66 @@ pub fn run_retwis_generic<S: TxnSystem>(
     warmup: Duration,
     measure: Duration,
 ) -> (TxnStats, Duration) {
-    let h = sim.handle();
-    let zipf = Rc::new(Zipf::new(wl.keyspace as usize, wl.zipf_alpha));
-    let wl = Rc::new(wl);
-    let sink = TxnStats::new();
-    let warm_until = h.now() + warmup;
-    let mut joins = Vec::new();
-    for c in clients {
-        for _ in 0..instances_per_client {
-            joins.push(h.spawn(run_instance(
-                h.clone(),
-                c.clone(),
-                wl.clone(),
-                zipf.clone(),
-                sink.clone(),
-                warm_until,
-            )));
-        }
-    }
-    sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-    });
-    let stats = TxnStats::new();
-    let until = h.now() + measure;
-    let mut joins = Vec::new();
-    for c in clients {
-        for _ in 0..instances_per_client {
-            joins.push(h.spawn(run_instance(
-                h.clone(),
-                c.clone(),
-                wl.clone(),
-                zipf.clone(),
-                stats.clone(),
-                until,
-            )));
-        }
-    }
-    sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-    });
+    let stats = run_retwis_windowed(
+        sim,
+        clients,
+        wl,
+        instances_per_client,
+        (warmup, measure),
+        || (),
+    );
     (stats, measure)
 }
 
-/// Virtual-time helper: `now + d` as a [`SimTime`].
-pub fn deadline(h: &SimHandle, d: Duration) -> SimTime {
-    h.now() + d
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(args: &[&str], valued: &[&str], switches: &[&str]) -> Result<Args, String> {
+        Args::check(args.iter().map(|s| s.to_string()), valued, switches)
+    }
+
+    #[test]
+    fn shared_flags_pass_in_both_spellings_and_are_not_returned() {
+        let args = check(
+            &["--json", "a.json", "--threads=4", "--trace", "t.jsonl"],
+            &[],
+            &[],
+        );
+        assert_eq!(args, Ok(Args(Vec::new())));
+    }
+
+    #[test]
+    fn own_flags_come_back_in_order() {
+        let args = check(
+            &["--seed", "3", "--only", "--seed=5", "--json=x"],
+            &["--seed"],
+            &["--only"],
+        )
+        .unwrap();
+        assert_eq!(args.parsed::<u64>("--seed"), vec![3, 5]);
+        assert_eq!(args.last_or("--seed", 1u64), 5);
+        assert_eq!(args.last_or("--faults", 7usize), 7);
+        assert!(args.has("--only"));
+    }
+
+    #[test]
+    fn unknown_flags_and_missing_values_are_errors() {
+        assert_eq!(
+            check(&["--jsno", "out.json"], &[], &[]),
+            Err("unknown argument --jsno".into())
+        );
+        assert_eq!(
+            check(&["stray"], &["--seed"], &[]),
+            Err("unknown argument stray".into())
+        );
+        assert_eq!(
+            check(&["--seed"], &["--seed"], &[]),
+            Err("--seed needs a value".into())
+        );
+        assert_eq!(
+            check(&["--json="], &[], &[]),
+            Err("--json needs a value".into())
+        );
+    }
 }

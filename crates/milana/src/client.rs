@@ -15,11 +15,11 @@ use batchkit::{BatchConfig, Batcher};
 use flashsim::{Key, Value};
 use loadkit::{RetryConfig, RetryPolicy};
 use obskit::{Obs, TraceEvent};
-use rand::{rngs::StdRng, SeedableRng};
 use readkit::{ReadRoute, ReplicaView, VersionCache};
+use semel::client::ClientCore;
 use semel::shard::{ShardId, ShardMap};
 use simkit::net::{Addr, NodeId};
-use simkit::rpc::{RpcClient, RpcError};
+use simkit::rpc::RpcError;
 use simkit::{SimHandle, SimTime};
 use timesync::{ClientId, ClockSpec, SyncedClock, Timestamp, Version};
 
@@ -38,13 +38,6 @@ pub enum ValidationMode {
     /// transactions still run 2PC. The paper's MILANA default.
     #[default]
     Local,
-    /// Validation is delegated to a Centiman-style sharded validator tier
-    /// ([`crate::centiman`]). A [`TxnClient`] carrying this mode behaves
-    /// like [`ValidationMode::Remote`] (the validator tier lives in the
-    /// comparison harness, not behind the MILANA wire protocol); the
-    /// variant exists so cluster and bench configs can name all three
-    /// designs in one vocabulary.
-    Centiman,
 }
 
 impl ValidationMode {
@@ -194,14 +187,12 @@ impl TxnOpts {
     }
 }
 
-/// A MILANA client. Cloning shares the client.
+/// A MILANA client: the SEMEL [`ClientCore`] (identity, clock, shard map,
+/// RPC endpoint, retry discipline) plus the transaction state. Cloning
+/// shares the client.
 #[derive(Clone)]
 pub struct TxnClient {
-    handle: SimHandle,
-    id: ClientId,
-    clock: Rc<SyncedClock>,
-    map: Rc<RefCell<ShardMap>>,
-    rpc: RpcClient,
+    core: Rc<ClientCore>,
     cfg: Rc<TxnClientConfig>,
     seq: Rc<Cell<u64>>,
     last_decided: Rc<Cell<Timestamp>>,
@@ -227,10 +218,6 @@ pub struct TxnClient {
     /// read replies, feeding the read-route policy.
     view: Rc<RefCell<ReplicaView<Addr>>>,
     stats: Rc<RefCell<TxnClientStats>>,
-    /// Retry budget, backoff jitter, and per-shard circuit breakers.
-    policy: Rc<RetryPolicy>,
-    /// The client's node (coordinator-plane batchers are spawned on it).
-    node: NodeId,
     /// Per-shard coordinator planes: Prepares and Outcomes bound for the
     /// same shard primary coalesce into one envelope per flush window.
     planes: Rc<RefCell<FastMap<ShardId, Batcher<TxnRequest, TxnResponse>>>>,
@@ -243,7 +230,9 @@ pub struct TxnClient {
 
 impl std::fmt::Debug for TxnClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TxnClient").field("id", &self.id).finish()
+        f.debug_struct("TxnClient")
+            .field("id", &self.core.id)
+            .finish()
     }
 }
 
@@ -353,14 +342,52 @@ impl TxnClientBuilder {
 
     /// Creates the client and starts its watermark task.
     pub fn build(self) -> TxnClient {
-        TxnClient::build_inner(
-            &self.handle,
-            self.node,
-            self.id,
-            self.clock,
-            self.map,
-            self.cfg,
-        )
+        let TxnClientBuilder {
+            handle,
+            node,
+            id,
+            map,
+            clock,
+            cfg,
+        } = self;
+        let clock_seed = handle.rand_u64();
+        // Derive the jitter seed from the clock seed rather than drawing
+        // again: the draw sequence other components see stays unchanged.
+        let core = ClientCore::new(
+            &handle,
+            Addr::new(node, TXN_CLIENT_RPC_PORT),
+            id,
+            map,
+            (&clock, clock_seed),
+            (cfg.retry.clone(), clock_seed ^ 0x9E37_79B9_7F4A_7C15),
+            &cfg.obs,
+        );
+        let client = TxnClient {
+            core,
+            seq: Rc::new(Cell::new(0)),
+            last_decided: Rc::new(Cell::new(Timestamp::ZERO)),
+            active: Rc::new(RefCell::new(BTreeMap::new())),
+            inflight_commits: Rc::new(RefCell::new(std::collections::BTreeSet::new())),
+            value_cache: Rc::new(RefCell::new(VersionCache::new(cfg.cache_entries))),
+            wm_floor: Rc::new(Cell::new(Timestamp::ZERO)),
+            view: Rc::new(RefCell::new(ReplicaView::new())),
+            stats: Rc::new(RefCell::new(TxnClientStats::default())),
+            planes: Rc::new(RefCell::new(FastMap::default())),
+            wm_sent: Rc::new(RefCell::new(FastMap::default())),
+            last_flush: Rc::new(Cell::new(SimTime::ZERO)),
+            cfg: Rc::new(cfg),
+        };
+        let me = client.clone();
+        let interval = client.cfg.watermark_interval;
+        client.core.every(interval, move || {
+            // Steady state: coordinator-plane envelopes piggyback the
+            // watermark (primaries relay it to their backups), so the
+            // standalone tick only covers idle periods.
+            if me.last_flush.get() + interval <= me.core.handle.now() {
+                me.broadcast_watermark();
+            }
+        });
+        client
     }
 }
 
@@ -383,63 +410,6 @@ impl TxnClient {
         }
     }
 
-    fn build_inner(
-        handle: &SimHandle,
-        node: NodeId,
-        id: ClientId,
-        clock: ClockSpec,
-        map: Rc<RefCell<ShardMap>>,
-        cfg: TxnClientConfig,
-    ) -> TxnClient {
-        let clock_seed = handle.rand_u64();
-        // Derive the jitter seed from the clock seed rather than drawing
-        // again: the draw sequence other components see stays unchanged.
-        let policy = Rc::new(RetryPolicy::observed(
-            cfg.retry.clone(),
-            StdRng::seed_from_u64(clock_seed ^ 0x9E37_79B9_7F4A_7C15),
-            &cfg.obs,
-            id.0 as u64,
-        ));
-        let cache_entries = cfg.cache_entries;
-        let client = TxnClient {
-            handle: handle.clone(),
-            id,
-            clock: Rc::new(SyncedClock::from_spec(&clock, clock_seed)),
-            map,
-            rpc: RpcClient::new(handle, node, TXN_CLIENT_RPC_PORT),
-            cfg: Rc::new(cfg),
-            seq: Rc::new(Cell::new(0)),
-            last_decided: Rc::new(Cell::new(Timestamp::ZERO)),
-            active: Rc::new(RefCell::new(BTreeMap::new())),
-            inflight_commits: Rc::new(RefCell::new(std::collections::BTreeSet::new())),
-            value_cache: Rc::new(RefCell::new(VersionCache::new(cache_entries))),
-            wm_floor: Rc::new(Cell::new(Timestamp::ZERO)),
-            view: Rc::new(RefCell::new(ReplicaView::new())),
-            stats: Rc::new(RefCell::new(TxnClientStats::default())),
-            policy,
-            node,
-            planes: Rc::new(RefCell::new(FastMap::default())),
-            wm_sent: Rc::new(RefCell::new(FastMap::default())),
-            last_flush: Rc::new(Cell::new(SimTime::ZERO)),
-        };
-        client
-            .clock
-            .attach_tracer(&client.cfg.obs.tracer, id.0 as u64);
-        let me = client.clone();
-        handle.spawn_on(node, async move {
-            loop {
-                me.handle.sleep(me.cfg.watermark_interval).await;
-                // Steady state: coordinator-plane envelopes piggyback the
-                // watermark (primaries relay it to their backups), so the
-                // standalone tick only covers idle periods.
-                if me.last_flush.get() + me.cfg.watermark_interval <= me.handle.now() {
-                    me.broadcast_watermark();
-                }
-            }
-        });
-        client
-    }
-
     /// The coordinator plane for `shard`: a batcher coalescing this
     /// client's Prepares/Outcomes bound for that shard's primary into one
     /// envelope per flush window. Created lazily; the primary address is
@@ -454,16 +424,16 @@ impl TxnClient {
             .cfg
             .obs
             .registry
-            .counter(&format!("milana.client{}.coord_envelopes", self.id.0));
+            .counter(&format!("milana.client{}.coord_envelopes", self.id().0));
         let items = self
             .cfg
             .obs
             .registry
-            .counter(&format!("milana.client{}.coord_items", self.id.0));
+            .counter(&format!("milana.client{}.coord_items", self.id().0));
         let batcher = Batcher::new(
-            &self.handle,
-            self.node,
-            &format!("milana.coord.c{}.s{}", self.id.0, shard.0),
+            &self.core.handle,
+            self.core.node,
+            &format!("milana.coord.c{}.s{}", self.id().0, shard.0),
             self.cfg.batch,
             self.cfg.obs.clone(),
             move |batch: Vec<TxnRequest>| {
@@ -487,21 +457,25 @@ impl TxnClient {
                     };
                     let mut wire = Vec::with_capacity(n + 2);
                     if piggyback {
-                        wire.push(TxnRequest::Watermark { client: me.id, ts });
+                        wire.push(TxnRequest::Watermark {
+                            client: me.id(),
+                            ts,
+                        });
                     }
                     // The write floor rides every envelope: it moves with
                     // the clock, so deduplication would never skip it.
                     wire.push(TxnRequest::FloorReport {
-                        client: me.id,
+                        client: me.id(),
                         ts: me.floor_report(),
                     });
                     let strip = wire.len();
                     wire.extend(batch);
-                    me.last_flush.set(me.handle.now());
+                    me.last_flush.set(me.core.handle.now());
                     envelopes.inc();
                     items.add(n as u64);
-                    let primary = me.map.borrow().group(shard).primary;
+                    let primary = me.core.map.borrow().group(shard).primary;
                     match me
+                        .core
                         .rpc
                         .call_batch::<TxnRequest, TxnResponse>(primary, wire, me.cfg.rpc_timeout)
                         .await
@@ -537,13 +511,13 @@ impl TxnClient {
     pub fn broadcast_watermark(&self) {
         let ts = self.watermark_report();
         let floor = self.floor_report();
-        let map = self.map.borrow();
+        let map = self.core.map.borrow();
         for (_, group) in map.iter() {
             for addr in group.all() {
-                self.rpc.cast(
+                self.core.rpc.cast(
                     addr,
                     TxnRequest::Watermark {
-                        client: self.id,
+                        client: self.id(),
                         ts,
                     },
                 );
@@ -551,10 +525,10 @@ impl TxnClient {
             // The write floor goes to the primary only: backups must learn
             // it through the primary's in-order `AppliedFloor` stream, or
             // it would not be a completeness claim.
-            self.rpc.cast(
+            self.core.rpc.cast(
                 group.primary,
                 TxnRequest::FloorReport {
-                    client: self.id,
+                    client: self.id(),
                     ts: floor,
                 },
             );
@@ -563,17 +537,17 @@ impl TxnClient {
 
     /// This client's id.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.core.id
     }
 
     /// Reads the client's local (skewed, monotonic) clock.
     pub fn now(&self) -> Timestamp {
-        self.clock.now(self.handle.now())
+        self.core.now()
     }
 
     /// The client's clock (skew instrumentation).
     pub fn clock(&self) -> &SyncedClock {
-        &self.clock
+        &self.core.clock
     }
 
     /// Counters so far.
@@ -602,7 +576,7 @@ impl TxnClient {
         let ts_begin = Timestamp(self.now().0.saturating_sub(lag.as_nanos() as u64));
         self.register_active(ts_begin);
         self.trace(TraceEvent::TxnBegin {
-            client: self.id.0 as u64,
+            client: self.id().0 as u64,
             ts_begin: ts_begin.0,
         });
         Txn {
@@ -659,9 +633,10 @@ impl TxnClient {
         let Some(master) = self.cfg.master else {
             return;
         };
-        if let Ok(new_map) = semel::master::fetch_map(&self.rpc, master, self.cfg.rpc_timeout).await
+        if let Ok(new_map) =
+            semel::master::fetch_map(&self.core.rpc, master, self.cfg.rpc_timeout).await
         {
-            let mut map = self.map.borrow_mut();
+            let mut map = self.core.map.borrow_mut();
             if new_map.epoch() > map.epoch() {
                 *map = new_map;
             }
@@ -669,31 +644,46 @@ impl TxnClient {
     }
 
     fn trace(&self, ev: TraceEvent) {
-        self.cfg.obs.tracer.record(self.handle.now().as_nanos(), ev);
+        self.cfg.obs.tracer.record(self.core.sim_ns(), ev);
+    }
+
+    /// Books one aborted transaction: the counter and the classed event.
+    fn note_abort(&self, reason: obskit::AbortClass) {
+        self.stats.borrow_mut().aborts += 1;
+        self.trace(TraceEvent::Abort {
+            client: self.id().0 as u64,
+            reason,
+        });
+    }
+
+    /// Books one committed transaction. A local (read-only) commit takes
+    /// effect at `ts`, its `ts_begin`, and reports no commit stamp.
+    fn note_commit(&self, ts: Timestamp, local: bool) -> CommitInfo {
+        self.stats.borrow_mut().commits += 1;
+        self.trace(TraceEvent::Commit {
+            client: self.id().0 as u64,
+            ts_commit: ts.0,
+            local,
+        });
+        CommitInfo {
+            ts_commit: (!local).then_some(ts),
+            local,
+        }
+    }
+
+    fn trace_read(&self, key: &Key, version: Version, prepared: bool) {
+        self.trace(TraceEvent::TxnRead {
+            client: self.id().0 as u64,
+            key: key.trace_id(),
+            prepared,
+            ver_ts: version.ts.0,
+            ver_client: version.client.0 as u64,
+        });
     }
 
     /// The client's retry policy (overload instrumentation).
     pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    fn sim_ns(&self) -> u64 {
-        self.handle.now().as_nanos()
-    }
-
-    /// Waits (within the retry budget) for `shard`'s circuit breaker to
-    /// allow an attempt. Returns false when the budget runs out first.
-    async fn wait_for_breaker(&self, shard: ShardId) -> bool {
-        loop {
-            if self.policy.shard_allows(shard.0 as u64, self.sim_ns()) {
-                return true;
-            }
-            let cooldown = self.policy.config().breaker_cooldown;
-            match self.policy.try_retry(self.sim_ns(), Some(cooldown)) {
-                Some(delay) => self.handle.sleep(delay).await,
-                None => return false,
-            }
-        }
+        &self.core.policy
     }
 
     /// Records a GC watermark piggybacked on a replica reply. The floor is
@@ -836,39 +826,30 @@ impl Txn {
                 if self.use_client_cache {
                     self.requires_remote = true;
                 }
-                self.c.trace(TraceEvent::TxnRead {
-                    client: self.c.id.0 as u64,
-                    key: key.trace_id(),
-                    prepared: false,
-                    ver_ts: e.version.ts.0,
-                    ver_client: e.version.client.0 as u64,
-                });
+                self.c.trace_read(key, e.version, false);
                 self.cache.insert(key.clone(), e.value.clone());
                 self.cache_hits += 1;
                 self.c.stats.borrow_mut().cached_reads += 1;
                 return Ok(e.value);
             }
         }
-        self.c.policy.on_attempt();
+        let core = Rc::clone(&self.c.core);
+        core.policy.on_attempt();
         for attempt in 0..=self.c.cfg.read_retries {
+            let may_retry = attempt < self.c.cfg.read_retries;
             // Re-resolve the primary each attempt: the shard map may have
             // been updated by a failover while we were retrying.
-            let (shard, primary, backups) = {
-                let map = self.c.map.borrow();
-                let shard = map.shard_for(key);
-                let group = map.group(shard);
-                (shard, group.primary, group.backups.clone())
-            };
+            let (shard, (primary, backups)) = core.route(key, |g| (g.primary, g.backups.clone()));
             // A tripped breaker means the shard is actively shedding; wait
             // out the cooldown (within budget) instead of piling on.
-            if !self.c.wait_for_breaker(shard).await {
+            if !core.wait_for_breaker(shard).await {
                 return Err(TxnError::Aborted(AbortReason::Overloaded));
             }
             // Read routing: on the first attempt, try a backup whose
             // applied watermark covers the snapshot. Any miss (TooStale,
             // timeout, migration fence) falls through to the primary.
             if attempt == 0 {
-                let now_ns = self.c.sim_ns();
+                let now_ns = core.sim_ns();
                 let stale_after = 2 * self.c.cfg.watermark_interval.as_nanos() as u64;
                 let picked = self.c.view.borrow().pick(
                     self.c.cfg.read_route,
@@ -876,7 +857,7 @@ impl Txn {
                     self.ts_begin,
                     stale_after,
                     now_ns,
-                    |n| self.c.handle.rand_range(0, n),
+                    |n| core.handle.rand_range(0, n),
                 );
                 if let Some(replica) = picked {
                     if let Some(done) = self.read_from_replica(shard, replica, key).await {
@@ -884,18 +865,14 @@ impl Txn {
                     }
                 }
             }
-            let r = self
-                .c
+            let req = TxnRequest::Get {
+                key: key.clone(),
+                at: self.ts_begin,
+                client: core.id,
+            };
+            let r = core
                 .rpc
-                .call::<TxnRequest, TxnResponse>(
-                    primary,
-                    TxnRequest::Get {
-                        key: key.clone(),
-                        at: self.ts_begin,
-                        client: self.c.id,
-                    },
-                    self.c.cfg.rpc_timeout,
-                )
+                .call::<TxnRequest, TxnResponse>(primary, req, self.c.cfg.rpc_timeout)
                 .await;
             match r {
                 Ok(TxnResponse::Value {
@@ -903,7 +880,7 @@ impl Txn {
                     value,
                     prepared,
                 }) => {
-                    self.c.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     return Ok(self.note_value(key, version, value, prepared));
                 }
                 Ok(TxnResponse::NotFound) => return Err(TxnError::KeyNotFound(key.clone())),
@@ -921,38 +898,30 @@ impl Txn {
                     return Err(TxnError::Aborted(AbortReason::ClockSuspect));
                 }
                 Ok(TxnResponse::Shed(shed)) => {
-                    self.c.policy.record_shed(shard.0 as u64, self.c.sim_ns());
-                    if attempt < self.c.cfg.read_retries {
-                        if let Some(delay) =
-                            self.c.policy.try_retry(self.c.sim_ns(), shed.retry_after())
-                        {
-                            self.c.handle.sleep(delay).await;
-                            continue;
-                        }
+                    if core.on_shed(shard, &shed, may_retry).await {
+                        continue;
                     }
                     return Err(TxnError::Aborted(AbortReason::Overloaded));
                 }
                 // The key was cut over to another shard: refetch the map
                 // immediately (no point retrying the old owner) and re-route.
                 Ok(TxnResponse::Moved { .. }) => {
-                    if attempt < self.c.cfg.read_retries {
+                    if may_retry {
                         self.c.refresh_map().await;
-                        if let Some(delay) = self.c.policy.try_retry(self.c.sim_ns(), None) {
-                            self.c.handle.sleep(delay).await;
+                        if core.backoff(None).await {
                             continue;
                         }
                     }
                     return Err(TxnError::Timeout);
                 }
                 Ok(TxnResponse::NotReady) | Err(RpcError::Timeout) => {
-                    if attempt < self.c.cfg.read_retries {
+                    if may_retry {
                         // Every few failures, ask the master whether the
                         // shard map changed underneath us (failover).
                         if attempt % 3 == 2 {
                             self.c.refresh_map().await;
                         }
-                        if let Some(delay) = self.c.policy.try_retry(self.c.sim_ns(), None) {
-                            self.c.handle.sleep(delay).await;
+                        if core.backoff(None).await {
                             continue;
                         }
                     }
@@ -971,13 +940,7 @@ impl Txn {
     fn note_value(&mut self, key: &Key, version: Version, value: Value, prepared: bool) -> Value {
         self.read_set.push((key.clone(), version));
         self.prepared_seen |= prepared;
-        self.c.trace(TraceEvent::TxnRead {
-            client: self.c.id.0 as u64,
-            key: key.trace_id(),
-            prepared,
-            ver_ts: version.ts.0,
-            ver_client: version.client.0 as u64,
-        });
+        self.c.trace_read(key, version, prepared);
         self.cache.insert(key.clone(), value.clone());
         if !prepared {
             // The server confirmed `version` newest at ts_begin: that is
@@ -1003,18 +966,19 @@ impl Txn {
     ) -> Option<Result<Value, TxnError>> {
         let r = self
             .c
+            .core
             .rpc
             .call::<TxnRequest, TxnResponse>(
                 replica,
                 TxnRequest::ReadAt {
                     key: key.clone(),
                     at: self.ts_begin,
-                    client: self.c.id,
+                    client: self.c.id(),
                 },
                 self.c.cfg.rpc_timeout,
             )
             .await;
-        let now_ns = self.c.sim_ns();
+        let now_ns = self.c.core.sim_ns();
         match r {
             Ok(TxnResponse::FromReplica {
                 reply,
@@ -1032,12 +996,12 @@ impl Txn {
                         value,
                         prepared,
                     } => {
-                        self.c.policy.record_ok(shard.0 as u64);
+                        self.c.core.policy.record_ok(shard.0 as u64);
                         self.c.stats.borrow_mut().replica_reads += 1;
                         Some(Ok(self.note_value(key, version, value, prepared)))
                     }
                     TxnResponse::NotFound => {
-                        self.c.policy.record_ok(shard.0 as u64);
+                        self.c.core.policy.record_ok(shard.0 as u64);
                         self.c.stats.borrow_mut().replica_reads += 1;
                         Some(Err(TxnError::KeyNotFound(key.clone())))
                     }
@@ -1064,7 +1028,7 @@ impl Txn {
                 value,
                 prepared,
             }) => {
-                self.c.policy.record_ok(shard.0 as u64);
+                self.c.core.policy.record_ok(shard.0 as u64);
                 Some(Ok(self.note_value(key, version, value, prepared)))
             }
             Ok(TxnResponse::NotFound) => Some(Err(TxnError::KeyNotFound(key.clone()))),
@@ -1104,44 +1068,32 @@ impl Txn {
         if let Some(v) = self.cache.get(key) {
             return Ok(v.clone());
         }
-        self.c.policy.on_attempt();
+        let core = Rc::clone(&self.c.core);
+        core.policy.on_attempt();
         for attempt in 0..=self.c.cfg.read_retries {
+            let may_retry = attempt < self.c.cfg.read_retries;
             // Pick a random replica of the owning shard each attempt.
-            let (shard, replica) = {
-                let map = self.c.map.borrow();
-                let shard = map.shard_for(key);
-                let group = map.group(shard);
-                let all = group.all();
-                let i = self.c.handle.rand_range(0, all.len() as u64) as usize;
-                (shard, all[i])
-            };
-            if !self.c.wait_for_breaker(shard).await {
+            let (shard, replica) = core.route(key, |g| {
+                let all = g.all();
+                all[core.handle.rand_range(0, all.len() as u64) as usize]
+            });
+            if !core.wait_for_breaker(shard).await {
                 return Err(TxnError::Aborted(AbortReason::Overloaded));
             }
-            let r = self
-                .c
+            let req = TxnRequest::GetAny {
+                key: key.clone(),
+                at: self.ts_begin,
+            };
+            let r = core
                 .rpc
-                .call::<TxnRequest, TxnResponse>(
-                    replica,
-                    TxnRequest::GetAny {
-                        key: key.clone(),
-                        at: self.ts_begin,
-                    },
-                    self.c.cfg.rpc_timeout,
-                )
+                .call::<TxnRequest, TxnResponse>(replica, req, self.c.cfg.rpc_timeout)
                 .await;
             match r {
                 Ok(TxnResponse::Value { version, value, .. }) => {
-                    self.c.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     self.read_set.push((key.clone(), version));
                     self.requires_remote = true; // no LV info from replicas
-                    self.c.trace(TraceEvent::TxnRead {
-                        client: self.c.id.0 as u64,
-                        key: key.trace_id(),
-                        prepared: false,
-                        ver_ts: version.ts.0,
-                        ver_client: version.client.0 as u64,
-                    });
+                    self.c.trace_read(key, version, false);
                     self.cache.insert(key.clone(), value.clone());
                     return Ok(value);
                 }
@@ -1151,33 +1103,23 @@ impl Txn {
                     return Err(TxnError::Aborted(AbortReason::SnapshotUnavailable));
                 }
                 Ok(TxnResponse::Shed(shed)) => {
-                    self.c.policy.record_shed(shard.0 as u64, self.c.sim_ns());
-                    if attempt < self.c.cfg.read_retries {
-                        if let Some(delay) =
-                            self.c.policy.try_retry(self.c.sim_ns(), shed.retry_after())
-                        {
-                            self.c.handle.sleep(delay).await;
-                            continue;
-                        }
+                    if core.on_shed(shard, &shed, may_retry).await {
+                        continue;
                     }
                     return Err(TxnError::Aborted(AbortReason::Overloaded));
                 }
                 Ok(TxnResponse::Moved { .. }) => {
-                    if attempt < self.c.cfg.read_retries {
+                    if may_retry {
                         self.c.refresh_map().await;
-                        if let Some(delay) = self.c.policy.try_retry(self.c.sim_ns(), None) {
-                            self.c.handle.sleep(delay).await;
+                        if core.backoff(None).await {
                             continue;
                         }
                     }
                     return Err(TxnError::Timeout);
                 }
                 Ok(TxnResponse::NotReady) | Err(RpcError::Timeout) => {
-                    if attempt < self.c.cfg.read_retries {
-                        if let Some(delay) = self.c.policy.try_retry(self.c.sim_ns(), None) {
-                            self.c.handle.sleep(delay).await;
-                            continue;
-                        }
+                    if may_retry && core.backoff(None).await {
+                        continue;
                     }
                     return Err(TxnError::Timeout);
                 }
@@ -1204,11 +1146,7 @@ impl Txn {
         self.finished = true;
         self.c.deregister_active(self.ts_begin);
         self.c.note_decided(self.ts_begin);
-        self.c.stats.borrow_mut().aborts += 1;
-        self.c.trace(TraceEvent::Abort {
-            client: self.c.id.0 as u64,
-            reason: obskit::AbortClass::UserRequested,
-        });
+        self.c.note_abort(obskit::AbortClass::UserRequested);
     }
 
     /// Commits (§4.1 `commitTransaction`).
@@ -1233,11 +1171,7 @@ impl Txn {
         self.c.deregister_active(self.ts_begin);
         if self.snapshot_lost {
             self.c.note_decided(self.ts_begin);
-            self.c.stats.borrow_mut().aborts += 1;
-            self.c.trace(TraceEvent::Abort {
-                client: self.c.id.0 as u64,
-                reason: obskit::AbortClass::SnapshotUnavailable,
-            });
+            self.c.note_abort(obskit::AbortClass::SnapshotUnavailable);
             return Err(TxnError::Aborted(AbortReason::SnapshotUnavailable));
         }
         if self.writes.is_empty() && self.c.cfg.validation.is_local() && !self.requires_remote {
@@ -1246,37 +1180,21 @@ impl Txn {
             self.c.note_decided(self.ts_begin);
             let ok = !self.prepared_seen;
             self.c.trace(TraceEvent::ValidateLocal {
-                client: self.c.id.0 as u64,
+                client: self.c.id().0 as u64,
                 ok,
             });
-            let mut stats = self.c.stats.borrow_mut();
-            stats.local_validations += 1;
+            self.c.stats.borrow_mut().local_validations += 1;
             return if self.prepared_seen {
-                stats.aborts += 1;
-                drop(stats);
-                self.c.trace(TraceEvent::Abort {
-                    client: self.c.id.0 as u64,
-                    reason: obskit::AbortClass::PreparedRead,
-                });
+                self.c.note_abort(obskit::AbortClass::PreparedRead);
                 Err(TxnError::Aborted(AbortReason::PreparedRead))
             } else {
-                stats.commits += 1;
-                drop(stats);
-                self.c.trace(TraceEvent::Commit {
-                    client: self.c.id.0 as u64,
-                    ts_commit: self.ts_begin.0,
-                    local: true,
-                });
-                Ok(CommitInfo {
-                    ts_commit: None,
-                    local: true,
-                })
+                Ok(self.c.note_commit(self.ts_begin, true))
             };
         }
         let ts_commit = self.c.now();
         self.c.inflight_commits.borrow_mut().insert(ts_commit);
         let txid = TxnId {
-            client: self.c.id,
+            client: self.c.id(),
             seq: self.c.seq.replace(self.c.seq.get() + 1),
         };
         // Group read and write sets by shard, remembering which map epoch
@@ -1285,7 +1203,7 @@ impl Txn {
         type ShardSets = FastMap<ShardId, (Vec<(Key, Version)>, Vec<(Key, Value)>)>;
         let mut by_shard: ShardSets = FastMap::default();
         let epoch = {
-            let map = self.c.map.borrow();
+            let map = self.c.core.map.borrow();
             for (key, version) in &self.read_set {
                 let s = map.shard_for(key);
                 by_shard
@@ -1308,14 +1226,14 @@ impl Txn {
         participants.sort();
         let participants: Rc<[ShardId]> = participants.into();
         self.c.trace(TraceEvent::ValidateRemote {
-            client: self.c.id.0 as u64,
+            client: self.c.id().0 as u64,
             participants: participants.len() as u64,
         });
         // Declare the write set before the prepare fan-out so a history
         // checker can recover it even when the outcome ends up unknown.
         for (key, _) in &self.writes {
             self.c.trace(TraceEvent::TxnWrite {
-                client: self.c.id.0 as u64,
+                client: self.c.id().0 as u64,
                 key: key.trace_id(),
             });
         }
@@ -1350,7 +1268,7 @@ impl Txn {
         for (v, &shard) in votes.into_iter().zip(&shards_sorted) {
             match v.await {
                 Some(TxnResponse::Vote { ok }) => {
-                    self.c.policy.record_ok(shard.0 as u64);
+                    self.c.core.policy.record_ok(shard.0 as u64);
                     all_ok &= ok;
                     any_vote_no |= !ok;
                 }
@@ -1359,7 +1277,7 @@ impl Txn {
                 // moved one of our keys), so refetch it before the caller's
                 // next attempt.
                 Some(TxnResponse::StaleEpoch { .. }) => {
-                    self.c.policy.record_ok(shard.0 as u64);
+                    self.c.core.policy.record_ok(shard.0 as u64);
                     all_ok = false;
                     any_stale = true;
                 }
@@ -1368,7 +1286,7 @@ impl Txn {
                 // outside the uncertainty window (or we are fenced).
                 // Nothing was validated or installed.
                 Some(TxnResponse::ClockSuspect) => {
-                    self.c.policy.record_ok(shard.0 as u64);
+                    self.c.core.policy.record_ok(shard.0 as u64);
                     all_ok = false;
                     any_clock = true;
                 }
@@ -1376,7 +1294,10 @@ impl Txn {
                 // refused before validating or installing anything, so the
                 // coordinator may abort safely — no outcome uncertainty.
                 Some(TxnResponse::Shed(_)) => {
-                    self.c.policy.record_shed(shard.0 as u64, self.c.sim_ns());
+                    self.c
+                        .core
+                        .policy
+                        .record_shed(shard.0 as u64, self.c.core.sim_ns());
                     all_ok = false;
                     any_shed = true;
                 }
@@ -1397,7 +1318,7 @@ impl Txn {
             // cooperative termination. Leave the outcome to CTP (§4.5).
             self.c.stats.borrow_mut().unknown += 1;
             self.c.trace(TraceEvent::Abort {
-                client: self.c.id.0 as u64,
+                client: self.c.id().0 as u64,
                 reason: obskit::AbortClass::UnknownOutcome,
             });
             return Err(TxnError::Timeout);
@@ -1413,7 +1334,7 @@ impl Txn {
             plane.submit_nowait(TxnRequest::Outcome { txid, commit });
             plane.flush_now();
         }
-        self.c.handle.yield_now().await;
+        self.c.core.handle.yield_now().await;
         if any_stale {
             // Install the post-rebalance map now so the application-level
             // retry routes (and re-reads) under the new epoch.
@@ -1426,7 +1347,7 @@ impl Txn {
             for (key, value) in &self.writes {
                 vc.insert(
                     key.clone(),
-                    Version::new(ts_commit, self.c.id),
+                    Version::new(ts_commit, self.c.id()),
                     value.clone(),
                     ts_commit,
                 );
@@ -1439,22 +1360,9 @@ impl Txn {
                 vc.remove(key);
             }
         }
-        let mut stats = self.c.stats.borrow_mut();
         if commit {
-            stats.commits += 1;
-            drop(stats);
-            self.c.trace(TraceEvent::Commit {
-                client: self.c.id.0 as u64,
-                ts_commit: ts_commit.0,
-                local: false,
-            });
-            Ok(CommitInfo {
-                ts_commit: Some(ts_commit),
-                local: false,
-            })
+            Ok(self.c.note_commit(ts_commit, false))
         } else {
-            stats.aborts += 1;
-            drop(stats);
             // Any real validation rejection takes precedence as the reason;
             // then a clock-health refusal (the timestamp itself was
             // rejected), then epoch fencing (retry after the map refresh
@@ -1470,10 +1378,7 @@ impl Txn {
             } else {
                 AbortReason::Validation
             };
-            self.c.trace(TraceEvent::Abort {
-                client: self.c.id.0 as u64,
-                reason: reason.class(),
-            });
+            self.c.note_abort(reason.class());
             Err(TxnError::Aborted(reason))
         }
     }

@@ -7,12 +7,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use flashsim::{value, Backend, BackendKind, Key, NandConfig};
+use flashsim::{BackendKind, NandConfig};
+use semel::cluster::{client_node, layout, new_backend, preload};
 use semel::shard::{ReplicaGroup, ShardId, ShardMap};
 use simkit::net::{Addr, NodeId};
 use simkit::rpc::RpcClient;
 use simkit::SimHandle;
-use timesync::{ClientId, ClockSpec, Timestamp, Version};
+use timesync::{ClientId, ClockSpec};
 
 use crate::client::{TxnClient, TxnClientConfig};
 use crate::msg::{PromoteError, TxnRequest, TxnResponse};
@@ -130,18 +131,70 @@ pub struct MilanaCluster {
 }
 
 /// Service port for MILANA shard servers.
-pub const SERVER_PORT: u16 = 0;
-
-fn server_node(cfg: &MilanaClusterConfig, s: u32, r: u32) -> NodeId {
-    NodeId(s * cfg.replicas + r)
-}
-
-fn client_node(i: u32) -> NodeId {
-    NodeId(10_000 + i)
-}
+pub const SERVER_PORT: u16 = semel::cluster::SERVER_PORT;
 
 /// The master/harness node.
 pub const MASTER_NODE: NodeId = NodeId(20_000);
+
+/// The master's service address (when `auto_failover` runs one).
+const MASTER_ADDR: Addr = Addr {
+    node: MASTER_NODE,
+    port: 4,
+};
+
+/// The config of a replica of `shard` at `addr` as a warm backup that
+/// trusts no floor stream yet; callers adjust it for any other role.
+fn replica_cfg(config: &MilanaClusterConfig, shard: ShardId, addr: Addr) -> TxnServerConfig {
+    let mut tuning = config.tuning.clone();
+    if config.auto_failover {
+        tuning.master = Some(MASTER_ADDR);
+    }
+    TxnServerConfig {
+        shard,
+        addr,
+        backups: Vec::new(),
+        is_primary: false,
+        clients: (0..config.clients).map(ClientId).collect(),
+        primary_node: None,
+        cold_start: false,
+        tuning,
+    }
+}
+
+/// Boots a fresh replica group for `shard` — empty backends and tables,
+/// `group.primary` serving as primary, the backups trusting its floor
+/// stream from birth — and returns its slot row.
+fn spawn_group(
+    handle: &SimHandle,
+    config: &MilanaClusterConfig,
+    map: &Rc<RefCell<ShardMap>>,
+    shard: ShardId,
+    group: &ReplicaGroup,
+) -> Vec<ReplicaSlot> {
+    group
+        .all()
+        .into_iter()
+        .map(|addr| {
+            let backend = new_backend(
+                config.backend,
+                handle,
+                &config.nand,
+                &config.tuning.obs,
+                addr.node,
+            );
+            let table = Rc::new(RefCell::new(TxnTable::new()));
+            let mut cfg = replica_cfg(config, shard, addr);
+            if addr == group.primary {
+                cfg.backups = group.backups.clone();
+                cfg.is_primary = true;
+            } else {
+                cfg.primary_node = Some(group.primary.node);
+            }
+            let server = TxnServer::spawn(handle, backend, table, map.clone(), cfg);
+            ReplicaSlot { server, addr }
+        })
+        .collect()
+}
 
 impl MilanaCluster {
     /// Boots the deployment; zero virtual time elapses.
@@ -150,81 +203,26 @@ impl MilanaCluster {
     ///
     /// Panics if `replicas` is even or zero.
     pub fn build(handle: &SimHandle, config: MilanaClusterConfig) -> MilanaCluster {
-        assert!(
-            config.replicas % 2 == 1 && config.replicas >= 1,
-            "replicas must be odd (2f+1)"
-        );
+        let groups = layout(config.shards, config.replicas);
         handle.set_latency(config.net.clone());
-        let client_ids: Vec<ClientId> = (0..config.clients).map(ClientId).collect();
-        let groups: Vec<ReplicaGroup> = (0..config.shards)
-            .map(|s| ReplicaGroup {
-                primary: Addr::new(server_node(&config, s, 0), SERVER_PORT),
-                backups: (1..config.replicas)
-                    .map(|r| Addr::new(server_node(&config, s, r), SERVER_PORT))
-                    .collect(),
-            })
-            .collect();
         let map = Rc::new(RefCell::new(ShardMap::new(groups.clone())));
 
-        let mut replicas = Vec::new();
-        for (s, group) in groups.iter().enumerate() {
-            let mut slots = Vec::new();
-            for (r, &addr) in group.all().iter().enumerate() {
-                let backend = Backend::new(config.backend, handle, config.nand.clone());
-                backend.attach_tracer(&config.tuning.obs.tracer, addr.node.0 as u64);
-                let table = Rc::new(RefCell::new(TxnTable::new()));
-                let mut tuning = config.tuning.clone();
-                if config.auto_failover {
-                    tuning.master = Some(Addr::new(MASTER_NODE, 4));
-                }
-                let server = TxnServer::spawn(
-                    handle,
-                    backend,
-                    table,
-                    map.clone(),
-                    TxnServerConfig {
-                        shard: ShardId(s as u32),
-                        addr,
-                        backups: if r == 0 {
-                            group.backups.clone()
-                        } else {
-                            Vec::new()
-                        },
-                        is_primary: r == 0,
-                        clients: client_ids.clone(),
-                        primary_node: (r != 0).then_some(group.primary.node),
-                        cold_start: false,
-                        tuning,
-                    },
-                );
-                slots.push(ReplicaSlot { server, addr });
-            }
-            replicas.push(slots);
-        }
+        let replicas: Vec<Vec<ReplicaSlot>> = groups
+            .iter()
+            .enumerate()
+            .map(|(s, group)| spawn_group(handle, &config, &map, ShardId(s as u32), group))
+            .collect();
 
-        if config.preload_keys > 0 {
-            let v0 = Version::new(Timestamp(1), ClientId(u32::MAX));
-            let payload = value(vec![0u8; config.value_size]);
-            let m = map.borrow();
-            for i in 0..config.preload_keys {
-                let key = Key::from(i);
-                let shard = m.shard_for(&key);
-                for slot in &replicas[shard.0 as usize] {
-                    slot.server
-                        .backend()
-                        .bulk_load(key.clone(), payload.clone(), v0);
-                }
-            }
-            for shard in &replicas {
-                for slot in shard {
-                    slot.server.backend().finish_load();
-                }
-            }
-        }
+        preload(
+            &map.borrow(),
+            config.preload_keys,
+            config.value_size,
+            &replicas,
+            |slot| slot.server.backend(),
+        );
 
         // Auto mode: spawn the master with a promoter that drives MILANA's
         // recovery RPC, and give every client a private map + master addr.
-        let master_addr = Addr::new(MASTER_NODE, 4);
         let master = if config.auto_failover {
             let promote_rpc = RpcClient::new(handle, MASTER_NODE, 5);
             let tuning = config.tuning.clone();
@@ -257,7 +255,7 @@ impl MilanaCluster {
             Some(semel::master::Master::spawn(
                 handle,
                 semel::master::MasterConfig {
-                    addr: master_addr,
+                    addr: MASTER_ADDR,
                     // Share the cluster's obs bundle so the master's
                     // `map_fetches` / `master_failovers` counters land in
                     // the same registry the harness and benches read.
@@ -283,7 +281,7 @@ impl MilanaCluster {
                 // servers trace into.
                 client_cfg.obs = config.tuning.obs.clone();
                 if config.auto_failover {
-                    client_cfg.master = Some(master_addr);
+                    client_cfg.master = Some(MASTER_ADDR);
                 }
                 TxnClient::builder(handle, client_node(i), ClientId(i), client_map)
                     .clock(config.clock.clone())
@@ -338,38 +336,7 @@ impl MilanaCluster {
             primary: addrs[0],
             backups: addrs[1..].to_vec(),
         };
-        let client_ids: Vec<ClientId> = (0..self.config.clients).map(ClientId).collect();
-        let mut slots = Vec::new();
-        for (r, &addr) in addrs.iter().enumerate() {
-            let backend = Backend::new(self.config.backend, &self.handle, self.config.nand.clone());
-            backend.attach_tracer(&self.config.tuning.obs.tracer, addr.node.0 as u64);
-            let table = Rc::new(RefCell::new(TxnTable::new()));
-            let mut tuning = self.config.tuning.clone();
-            if self.config.auto_failover {
-                tuning.master = Some(Addr::new(MASTER_NODE, 4));
-            }
-            let server = TxnServer::spawn(
-                &self.handle,
-                backend,
-                table,
-                self.map.clone(),
-                TxnServerConfig {
-                    shard,
-                    addr,
-                    backups: if r == 0 {
-                        group.backups.clone()
-                    } else {
-                        Vec::new()
-                    },
-                    is_primary: r == 0,
-                    clients: client_ids.clone(),
-                    primary_node: (r != 0).then(|| addrs[0].node),
-                    cold_start: false,
-                    tuning,
-                },
-            );
-            slots.push(ReplicaSlot { server, addr });
-        }
+        let slots = spawn_group(&self.handle, &self.config, &self.map, shard, &group);
         self.replicas.push(slots);
         group
     }
@@ -455,25 +422,16 @@ impl MilanaCluster {
     ///
     /// Panics if the replica's node is still alive.
     pub fn restart_replica_warm(&mut self, shard: ShardId, replica_idx: usize) {
-        let slot_addr = self.replicas[shard.0 as usize][replica_idx].addr;
-        assert!(
-            self.handle.is_dead(slot_addr.node),
-            "restart_replica_warm on a live node"
-        );
         assert!(
             !self.is_power_failed(shard, replica_idx),
             "replica lost power: it has no DRAM left to warm-restart from \
              (use restart_replica_cold)"
         );
-        self.handle.revive_node(slot_addr.node);
-        let old = &self.replicas[shard.0 as usize][replica_idx].server;
-        let backend = old.backend().clone();
-        let table = old.table().clone();
-        let server = self.respawn(shard, slot_addr, backend, table, false);
-        self.replicas[shard.0 as usize][replica_idx] = ReplicaSlot {
-            server,
-            addr: slot_addr,
-        };
+        let table = self.replicas[shard.0 as usize][replica_idx]
+            .server
+            .table()
+            .clone();
+        self.restart(shard, replica_idx, table, false);
     }
 
     /// Power-fails a replica: kills its node *and* tears the storage
@@ -517,58 +475,35 @@ impl MilanaCluster {
     ///
     /// Panics if the replica's node is still alive.
     pub fn restart_replica_cold(&mut self, shard: ShardId, replica_idx: usize) {
-        let slot_addr = self.replicas[shard.0 as usize][replica_idx].addr;
-        assert!(
-            self.handle.is_dead(slot_addr.node),
-            "restart_replica_cold on a live node"
-        );
-        self.handle.revive_node(slot_addr.node);
         self.power_failed
             .borrow_mut()
             .remove(&(shard.0, replica_idx));
-        let old = &self.replicas[shard.0 as usize][replica_idx].server;
-        let backend = old.backend().clone();
         let table = Rc::new(RefCell::new(TxnTable::new()));
-        let server = self.respawn(shard, slot_addr, backend, table, true);
-        self.replicas[shard.0 as usize][replica_idx] = ReplicaSlot {
-            server,
-            addr: slot_addr,
-        };
+        self.restart(shard, replica_idx, table, true);
     }
 
-    fn respawn(
-        &self,
+    /// Revives the replica's (dead) node and respawns it as a backup on
+    /// its surviving storage backend and the given table.
+    fn restart(
+        &mut self,
         shard: ShardId,
-        addr: Addr,
-        backend: Backend,
+        replica_idx: usize,
         table: Rc<RefCell<TxnTable>>,
         cold_start: bool,
-    ) -> TxnServer {
-        let client_ids: Vec<ClientId> = (0..self.config.clients).map(ClientId).collect();
-        let mut tuning = self.config.tuning.clone();
-        if self.config.auto_failover {
-            tuning.master = Some(Addr::new(MASTER_NODE, 4));
-        }
-        TxnServer::spawn(
-            &self.handle,
-            backend,
-            table,
-            self.map.clone(),
-            TxnServerConfig {
-                shard,
-                addr,
-                backups: Vec::new(),
-                is_primary: false,
-                clients: client_ids,
-                // A restarted replica missed an unknown stretch of the
-                // floor stream: its applied watermark (persisted in the
-                // table on a warm restart, zero on a cold one) stays
-                // frozen until a promotion's `InstallLog` or a cold
-                // catch-up splice re-syncs it.
-                primary_node: None,
-                cold_start,
-                tuning,
-            },
-        )
+    ) {
+        let slot = &mut self.replicas[shard.0 as usize][replica_idx];
+        assert!(
+            self.handle.is_dead(slot.addr.node),
+            "restart of a replica whose node is still alive"
+        );
+        self.handle.revive_node(slot.addr.node);
+        let backend = slot.server.backend().clone();
+        // A restarted replica missed an unknown stretch of the floor
+        // stream: its applied watermark (persisted in the table on a warm
+        // restart, zero on a cold one) stays frozen until a promotion's
+        // `InstallLog` or a cold catch-up splice re-syncs it.
+        let mut cfg = replica_cfg(&self.config, shard, slot.addr);
+        cfg.cold_start = cold_start;
+        slot.server = TxnServer::spawn(&self.handle, backend, table, self.map.clone(), cfg);
     }
 }

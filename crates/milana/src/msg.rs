@@ -55,6 +55,17 @@ pub struct TxnRecord {
     pub status: TxnStatus,
 }
 
+impl TxnRecord {
+    /// The writes as storage records stamped with the commit version.
+    pub fn stamped_writes(&self) -> Vec<(Key, Value, Version)> {
+        let version = Version::new(self.ts_commit, self.txid.client);
+        self.writes
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone(), version))
+            .collect()
+    }
+}
+
 /// Answer to a transaction status query (recovery and CTP, §4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnQueryStatus {

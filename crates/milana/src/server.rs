@@ -20,10 +20,10 @@ use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Backend, Key, StoreError, Value};
-use semel::replicate::replicate_traced;
+use semel::replica::ReplicaCore;
 use semel::shard::{ShardId, ShardMap};
 use simkit::net::Addr;
-use simkit::rpc::{recv_incoming, Batch, BatchReply, Incoming, Responder, RpcClient};
+use simkit::rpc::{Incoming, Responder};
 use simkit::time::SimTime;
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, Version, WatermarkTracker};
@@ -202,14 +202,14 @@ struct MigrationState {
     fenced: bool,
 }
 
+#[derive(Default)]
 struct ServerState {
     is_primary: bool,
     backups: Vec<Addr>,
     /// False while recovering (requests answered `NotReady`).
     serving: bool,
-    watermarks: WatermarkTracker,
     /// Write-floor promises (readkit): per-client "no future prepare at or
-    /// below" reports. Unlike the GC `watermarks`, active snapshots do not
+    /// below" reports. Unlike the core's GC watermarks, active snapshots do not
     /// hold these back, so the min tracks wall time closely — it is the
     /// `AppliedFloor` a primary streams to its backups, certifying them to
     /// serve snapshot reads.
@@ -260,6 +260,19 @@ struct ServerState {
     floor_runs: std::collections::BTreeMap<simkit::net::NodeId, (u64, u64)>,
 }
 
+impl ServerState {
+    /// The write floor as it goes on the wire: an empty tracker reports
+    /// MAX, which is sent as ZERO (a no-op floor) so `seq` stays contiguous.
+    fn sendable_floor(&self) -> Timestamp {
+        let floor = self.floors.watermark();
+        if floor == Timestamp::MAX {
+            Timestamp::ZERO
+        } else {
+            floor
+        }
+    }
+}
+
 /// Counters for observability and the experiment harnesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnServerStats {
@@ -289,20 +302,17 @@ pub struct TxnServerStats {
     pub clock_fences: u64,
 }
 
-/// One MILANA shard replica. Cloning shares the server.
+/// One MILANA shard replica: the SEMEL [`ReplicaCore`] (storage, internal
+/// RPC endpoint, admission, replication, GC watermarks) extended with the
+/// transaction table, 2PC, leases, recovery and migration. Cloning shares
+/// the server.
 #[derive(Clone)]
 pub struct TxnServer {
-    handle: SimHandle,
-    backend: Backend,
+    core: Rc<ReplicaCore>,
     table: Rc<RefCell<TxnTable>>,
     state: Rc<RefCell<ServerState>>,
     stats: Rc<RefCell<TxnServerStats>>,
-    rpc: RpcClient,
     map: Rc<RefCell<ShardMap>>,
-    /// Sequence stamp for `ReplicaAck` trace events.
-    repl_seq: Rc<std::cell::Cell<u64>>,
-    /// Overload gate for client-facing work (gets and prepares).
-    admission: Rc<loadkit::Admission>,
     /// Latched by the first `MigrationCutover` this replica processes, so
     /// engine retries cannot re-emit ownership trace events.
     cutover_seen: Rc<std::cell::Cell<bool>>,
@@ -350,40 +360,29 @@ impl TxnServer {
             // A cold start answers `NotReady` until the mount scan and
             // anti-entropy catch-up complete.
             serving: !cfg.cold_start,
-            watermarks: WatermarkTracker::new(cfg.clients.iter().copied()),
             floors: WatermarkTracker::new(cfg.clients.iter().copied()),
-            lease_until: SimTime::ZERO,
-            max_granted: SimTime::ZERO,
-            known_primary: None,
-            pending_outcomes: perfkit::FastMap::default(),
-            replicating: perfkit::FastSet::default(),
-            wm_relay: std::collections::BTreeMap::new(),
-            migration: None,
-            floor_seq: 0,
             floor_primary: cfg.primary_node,
             floor_expected: Some(0),
-            floor_runs: std::collections::BTreeMap::new(),
+            ..ServerState::default()
         };
-        let admission = Rc::new(loadkit::Admission::observed(
-            cfg.tuning.admission.clone(),
-            &cfg.tuning.obs,
-            cfg.addr.node.0 as u64,
-        ));
-        let state = Rc::new(RefCell::new(state));
-        let rpc = RpcClient::new(handle, cfg.addr.node, cfg.addr.port + 1);
-        let cfg = Rc::new(cfg);
-        let repl_seq = Rc::new(std::cell::Cell::new(0));
-        let repl_batch = Self::spawn_repl_batcher(handle, &rpc, &state, &cfg, &repl_seq);
-        let server = TxnServer {
-            handle: handle.clone(),
+        let core = ReplicaCore::new(
+            handle,
             backend,
+            cfg.addr,
+            &cfg.tuning.admission,
+            &cfg.tuning.obs,
+            &cfg.clients,
+            cfg.tuning.history_window,
+        );
+        let state = Rc::new(RefCell::new(state));
+        let cfg = Rc::new(cfg);
+        let repl_batch = Self::replication_plane(&core, &state, &cfg);
+        let server = TxnServer {
+            core,
             table,
             state,
             stats: Rc::new(RefCell::new(TxnServerStats::default())),
-            rpc,
             map,
-            repl_seq,
-            admission,
             cutover_seen: Rc::new(std::cell::Cell::new(false)),
             clock_health: cfg
                 .tuning
@@ -396,158 +395,109 @@ impl TxnServer {
         };
         // A restarted replica must not reuse stale volatile key metadata.
         server.table.borrow_mut().rebuild_key_meta();
-        server.spawn_loop();
+        let me = server.clone();
+        server.core.serve(move |incoming, from, resp| {
+            let me = me.clone();
+            async move {
+                match incoming {
+                    Incoming::One(req) => me.handle_request(req, from, resp).await,
+                    Incoming::Batch(items) => me.handle_batch(items, from, resp).await,
+                }
+            }
+        });
         if server.state.borrow().is_primary {
             server.spawn_primary_tasks();
         }
         if server.cfg.cold_start {
             let me = server.clone();
             let node = server.cfg.addr.node;
-            server.handle.spawn_on(node, async move {
+            server.core.handle.spawn_on(node, async move {
                 me.cold_start().await;
             });
         }
         server
     }
 
-    /// Builds the group-commit batcher. A flush drains pending watermark
-    /// relays, prepends them to the drained records, and replicates the
-    /// whole envelope to the *current* backup set; every drained record
-    /// succeeds (true) only when `f` backups acknowledged the whole batch.
-    fn spawn_repl_batcher(
-        handle: &SimHandle,
-        rpc: &RpcClient,
+    /// Builds the group-commit replication plane. A flush drains pending
+    /// watermark relays, prepends them to the drained records, appends the
+    /// applied floor and replicates the whole envelope to the *current*
+    /// backup set (read at flush time so promotion keeps working); every
+    /// drained record succeeds only when `f` backups acknowledged the
+    /// whole batch.
+    fn replication_plane(
+        core: &Rc<ReplicaCore>,
         state: &Rc<RefCell<ServerState>>,
-        cfg: &Rc<TxnServerConfig>,
-        repl_seq: &Rc<std::cell::Cell<u64>>,
+        cfg: &TxnServerConfig,
     ) -> Batcher<TxnRequest, bool> {
-        let reg = &cfg.tuning.obs.registry;
-        let envelopes = reg.counter(&format!("milana.node{}.repl_envelopes", cfg.addr.node.0));
-        let records = reg.counter(&format!("milana.node{}.repl_records", cfg.addr.node.0));
-        let h = handle.clone();
-        let rpc = rpc.clone();
-        let state2 = Rc::clone(state);
-        let cfg2 = Rc::clone(cfg);
-        let repl_seq = Rc::clone(repl_seq);
-        Batcher::new(
-            handle,
-            cfg.addr.node,
-            &format!("milana.repl.node{}", cfg.addr.node.0),
+        let state = Rc::clone(state);
+        core.replication_plane(
+            "milana",
             cfg.tuning.batch,
-            cfg.tuning.obs.clone(),
+            cfg.tuning.repl_timeout,
             move |items: Vec<TxnRequest>| {
-                let h = h.clone();
-                let rpc = rpc.clone();
-                let cfg = Rc::clone(&cfg2);
-                let n = items.len();
-                let (backups, need, wire) = {
-                    let mut st = state2.borrow_mut();
-                    let mut wire: Vec<TxnRequest> = std::mem::take(&mut st.wm_relay)
-                        .into_iter()
-                        .map(|(client, ts)| TxnRequest::Watermark { client, ts })
-                        .collect();
-                    wire.extend(items);
-                    // Append the applied floor: every record with a commit
-                    // stamp below `ts` is in this envelope or an earlier
-                    // one, so a backup that saw the whole stream
-                    // (contiguous seq) owns complete chains below `ts`.
-                    // Appended last so same-envelope outcomes are applied
-                    // by the time the floor covering them is processed; an
-                    // empty tracker reports MAX, which is sent as ZERO (a
-                    // no-op floor) to keep `seq` contiguous.
-                    let floor = st.floors.watermark();
-                    let floor = if floor == Timestamp::MAX {
-                        Timestamp::ZERO
-                    } else {
-                        floor
-                    };
-                    let seq = st.floor_seq;
-                    st.floor_seq += 1;
-                    wire.push(TxnRequest::AppliedFloor { seq, ts: floor });
-                    (st.backups.clone(), st.backups.len() / 2, wire)
-                };
-                if !backups.is_empty() {
-                    envelopes.add(backups.len() as u64);
-                    records.add(n as u64);
-                }
-                let seq = repl_seq.replace(repl_seq.get() + 1);
-                async move {
-                    let ok = replicate_traced::<Batch<TxnRequest>, BatchReply<TxnResponse>>(
-                        &h,
-                        &rpc,
-                        &backups,
-                        Batch { items: wire },
-                        need,
-                        cfg.tuning.repl_timeout,
-                        |r| r.items.iter().all(|i| matches!(i, TxnResponse::Ack)),
-                        &cfg.tuning.obs.tracer,
-                        seq,
-                    )
-                    .await;
-                    vec![ok; n]
-                }
+                let mut st = state.borrow_mut();
+                let mut wire: Vec<TxnRequest> = std::mem::take(&mut st.wm_relay)
+                    .into_iter()
+                    .map(|(client, ts)| TxnRequest::Watermark { client, ts })
+                    .collect();
+                wire.extend(items);
+                // Append the applied floor: every record with a commit
+                // stamp below `ts` is in this envelope or an earlier one,
+                // so a backup that saw the whole stream (contiguous seq)
+                // owns complete chains below `ts`. Appended last so
+                // same-envelope outcomes are applied by the time the floor
+                // covering them is processed; an empty tracker reports MAX,
+                // which is sent as ZERO (a no-op floor) to keep `seq`
+                // contiguous.
+                let floor = st.sendable_floor();
+                let seq = st.floor_seq;
+                st.floor_seq += 1;
+                wire.push(TxnRequest::AppliedFloor { seq, ts: floor });
+                (st.backups.clone(), wire)
             },
+            |r: &TxnResponse| matches!(r, TxnResponse::Ack),
         )
-    }
-
-    fn spawn_loop(&self) {
-        let mailbox = self.handle.bind(self.cfg.addr);
-        let me = self.clone();
-        let h = self.handle.clone();
-        let node = self.cfg.addr.node;
-        self.handle.spawn_on(node, async move {
-            while let Some((incoming, from, resp)) = recv_incoming::<TxnRequest>(&h, &mailbox).await
-            {
-                let me2 = me.clone();
-                h.spawn_on(node, async move {
-                    match incoming {
-                        Incoming::One(req) => me2.handle_request(req, from, resp).await,
-                        Incoming::Batch(items) => me2.handle_batch(items, from, resp).await,
-                    }
-                });
-            }
-        });
     }
 
     fn spawn_primary_tasks(&self) {
         if let Some(master) = self.cfg.tuning.master {
             let me = self.clone();
-            self.handle.spawn_on(self.cfg.addr.node, async move {
+            self.core.handle.spawn_on(self.cfg.addr.node, async move {
                 loop {
                     let _ = semel::master::send_heartbeat(
-                        &me.rpc,
+                        &me.core.rpc,
                         master,
                         me.cfg.shard,
                         me.cfg.addr,
                         me.cfg.tuning.repl_timeout,
                     )
                     .await;
-                    me.handle.sleep(me.cfg.tuning.heartbeat_every).await;
+                    me.core.handle.sleep(me.cfg.tuning.heartbeat_every).await;
                 }
             });
         }
         if let Some(lease) = self.cfg.tuning.lease.clone() {
             let me = self.clone();
-            self.handle.spawn_on(self.cfg.addr.node, async move {
+            self.core.handle.spawn_on(self.cfg.addr.node, async move {
                 loop {
                     me.renew_lease(&lease).await;
-                    me.handle.sleep(lease.renew_every).await;
+                    me.core.handle.sleep(lease.renew_every).await;
                 }
             });
         }
         let me = self.clone();
         let scan = self.cfg.tuning.ctp_scan_every;
-        self.handle.spawn_on(self.cfg.addr.node, async move {
+        self.core.handle.spawn_on(self.cfg.addr.node, async move {
             loop {
-                me.handle.sleep(scan).await;
+                me.core.handle.sleep(scan).await;
                 me.ctp_scan().await;
             }
         });
         if let Some(every) = self.cfg.tuning.gossip_every {
             let me = self.clone();
-            self.handle.spawn_on(self.cfg.addr.node, async move {
+            self.core.handle.spawn_on(self.cfg.addr.node, async move {
                 loop {
-                    me.handle.sleep(every).await;
+                    me.core.handle.sleep(every).await;
                     let idle = {
                         let st = me.state.borrow();
                         st.is_primary && st.serving && !st.backups.is_empty()
@@ -562,29 +512,21 @@ impl TxnServer {
     }
 
     fn trace(&self, ev: obskit::TraceEvent) {
-        self.cfg
-            .tuning
-            .obs
-            .tracer
-            .record(self.handle.now().as_nanos(), ev);
+        self.core.trace(ev);
     }
 
     async fn renew_lease(&self, lease: &LeaseConfig) {
-        let until = self.handle.now() + lease.duration;
+        let until = self.core.handle.now() + lease.duration;
         let backups = self.state.borrow().backups.clone();
-        let need = backups.len() / 2;
-        let ok = replicate_traced::<TxnRequest, TxnResponse>(
-            &self.handle,
-            &self.rpc,
-            &backups,
-            TxnRequest::LeaseGrant { until },
-            need,
-            self.cfg.tuning.repl_timeout,
-            |r| matches!(r, TxnResponse::LeaseGranted { .. }),
-            &self.cfg.tuning.obs.tracer,
-            self.repl_seq.replace(self.repl_seq.get() + 1),
-        )
-        .await;
+        let ok = self
+            .core
+            .replicate(
+                backups,
+                TxnRequest::LeaseGrant { until },
+                self.cfg.tuning.repl_timeout,
+                |r: &TxnResponse| matches!(r, TxnResponse::LeaseGranted { .. }),
+            )
+            .await;
         if ok {
             let mut st = self.state.borrow_mut();
             if until > st.lease_until {
@@ -595,7 +537,7 @@ impl TxnServer {
 
     /// The storage backend (persistent handle).
     pub fn backend(&self) -> &Backend {
-        &self.backend
+        &self.core.backend
     }
 
     /// The transaction table (persistent handle).
@@ -625,7 +567,7 @@ impl TxnServer {
     }
 
     fn latest_committed(&self, key: &Key) -> Option<Version> {
-        self.backend.versions(key).first().copied()
+        self.core.backend.versions(key).first().copied()
     }
 
     /// True while this replica is still a member of its shard's replica
@@ -658,36 +600,18 @@ impl TxnServer {
         }
     }
 
-    /// Overload gate for client-facing work. Refuses (and replies `Shed`)
-    /// when the request's deadline already expired or the cost-weighted
-    /// admission queue is full; otherwise returns a permit that must be
-    /// held for the duration of the handler, plus the responder back.
-    fn admit(&self, cost: u64, resp: Responder) -> Result<(loadkit::Permit, Responder), ()> {
-        let now = self.handle.now();
-        if resp.deadline().expired(now) {
-            let shed = self.admission.shed_deadline(now.as_nanos());
-            resp.reply(TxnResponse::Shed(shed));
-            return Err(());
-        }
-        match self.admission.try_admit(now.as_nanos(), cost) {
-            Ok(permit) => Ok((permit, resp)),
-            Err(shed) => {
-                resp.reply(TxnResponse::Shed(shed));
-                Err(())
-            }
-        }
-    }
-
     async fn handle_request(&self, req: TxnRequest, from: Addr, resp: Responder) {
         match req {
             TxnRequest::Get { key, at, client } => {
-                let Ok((_permit, resp)) = self.admit(COST_GET, resp) else {
+                let Some((_permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed)
+                else {
                     return;
                 };
                 self.handle_get(key, at, client, resp).await
             }
             TxnRequest::GetAny { key, at } => {
-                let Ok((_permit, resp)) = self.admit(COST_GET, resp) else {
+                let Some((_permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed)
+                else {
                     return;
                 };
                 // Any live replica may serve this (backups too): the reply
@@ -707,20 +631,12 @@ impl TxnServer {
                         return;
                     }
                 }
-                let r = match self.backend.get_at(&key, at).await {
-                    Ok(vv) => TxnResponse::Value {
-                        version: vv.version,
-                        value: vv.value,
-                        prepared: true, // poison local validation by design
-                    },
-                    Err(StoreError::NotFound) => TxnResponse::NotFound,
-                    Err(StoreError::SnapshotUnavailable(v)) => TxnResponse::SnapshotUnavailable(v),
-                    Err(_) => TxnResponse::Capacity,
-                };
-                resp.reply(r);
+                // `prepared: true` poisons local validation by design.
+                resp.reply(self.read_reply(&key, at, true).await);
             }
             TxnRequest::ReadAt { key, at, client } => {
-                let Ok((_permit, resp)) = self.admit(COST_GET, resp) else {
+                let Some((_permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed)
+                else {
                     return;
                 };
                 self.handle_read_at(key, at, client, resp).await
@@ -742,7 +658,8 @@ impl TxnServer {
             } => {
                 // A shed prepare is a definite no-vote: nothing validated,
                 // nothing installed — the coordinator can abort safely.
-                let Ok((_permit, resp)) = self.admit(COST_PREPARE, resp) else {
+                let Some((_permit, resp)) = self.core.admit(COST_PREPARE, resp, TxnResponse::Shed)
+                else {
                     return;
                 };
                 // `None` = duplicate of an in-flight prepare: stay silent
@@ -799,19 +716,7 @@ impl TxnServer {
                 // already applied locally.
                 for r in records {
                     if r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid) {
-                        let items = r
-                            .writes
-                            .iter()
-                            .map(|(k, v)| {
-                                (
-                                    k.clone(),
-                                    v.clone(),
-                                    Version::new(r.ts_commit, r.txid.client),
-                                )
-                            })
-                            .collect();
-                        let _ = self.backend.apply_batch_unordered(items).await;
-                        self.table.borrow_mut().mark_applied(r.txid);
+                        self.apply_committed(&r).await;
                     }
                 }
                 {
@@ -896,7 +801,7 @@ impl TxnServer {
                 resp.reply(TxnResponse::Ack);
             }
             TxnRequest::MigrateRecords { records } => {
-                let _ = self.backend.apply_batch_unordered(records).await;
+                let _ = self.core.backend.apply_batch_unordered(records).await;
                 resp.reply(TxnResponse::Ack);
             }
             TxnRequest::MigrationFence => {
@@ -978,9 +883,9 @@ impl TxnServer {
                 let map = self.map.borrow().clone();
                 let evicted = !self.in_group(&map);
                 let mut dropped = 0u64;
-                for key in self.backend.keys() {
+                for key in self.core.backend.keys() {
                     if evicted || map.shard_for(&key) != self.cfg.shard {
-                        self.backend.delete(&key);
+                        self.core.backend.delete(&key);
                         dropped += 1;
                     }
                 }
@@ -1025,15 +930,7 @@ impl TxnServer {
                 // envelope strictly below it.
                 let (floor_seq, floor) = {
                     let st = self.state.borrow();
-                    let f = st.floors.watermark();
-                    (
-                        st.floor_seq,
-                        if f == Timestamp::MAX {
-                            Timestamp::ZERO
-                        } else {
-                            f
-                        },
-                    )
+                    (st.floor_seq, st.sendable_floor())
                 };
                 resp.reply(TxnResponse::CatchUpRecords {
                     records,
@@ -1050,30 +947,23 @@ impl TxnServer {
     /// next replication flush — the piggyback that replaces the standalone
     /// per-replica watermark tick in the steady state.
     fn merge_watermark(&self, client: ClientId, ts: Timestamp) {
-        let (mut wm, primary) = {
+        let primary = {
             let mut st = self.state.borrow_mut();
-            st.watermarks.update(client, ts);
             if st.is_primary && !st.backups.is_empty() {
                 st.wm_relay.insert(client, ts);
             }
-            (st.watermarks.watermark(), st.is_primary)
+            st.is_primary
         };
-        // The tunable GC window (§3.1): retain at least `history_window`
-        // of versions for analytics readers.
-        if let Some(window) = self.cfg.tuning.history_window {
-            let floor = Timestamp::from_sim(self.handle.now()).before(window);
-            wm = wm.min(floor);
-        }
-        if !primary {
-            // A backup prunes only below its *applied* watermark: a
-            // version above it may still be the newest one a covered
-            // snapshot elsewhere can read, and the chain completeness the
-            // floor promised must survive GC.
-            wm = wm.min(self.table.borrow().applied_watermark());
-        }
-        if wm > Timestamp::ZERO && wm < Timestamp::MAX {
-            self.backend.set_watermark(wm);
-        }
+        // A backup prunes only below its *applied* watermark: a version
+        // above it may still be the newest one a covered snapshot elsewhere
+        // can read, and the chain completeness the floor promised must
+        // survive GC.
+        let cap = if primary {
+            Timestamp::MAX
+        } else {
+            self.table.borrow().applied_watermark()
+        };
+        self.core.merge_watermark(client, ts, cap);
     }
 
     /// Merges one client write-floor promise (readkit). On a primary the
@@ -1094,7 +984,7 @@ impl TxnServer {
             self.table.borrow_mut().advance_applied_watermark(floor);
             // Stamp the floor into every subsequent flash page program so a
             // cold restart can recover the promise from the mount scan.
-            self.backend.note_floor(floor);
+            self.core.backend.note_floor(floor);
         }
     }
 
@@ -1132,7 +1022,7 @@ impl TxnServer {
                     // Make the promise durable: a cold restart rehydrates
                     // its floor tracker from the mount scan's recovered
                     // floor (the max over intact page OOB stamps).
-                    self.backend.note_floor(ts);
+                    self.core.backend.note_floor(ts);
                 }
             }
             // An older (duplicate) floor teaches nothing new; ignore.
@@ -1151,7 +1041,7 @@ impl TxnServer {
                     drop(st);
                     if ts < Timestamp::MAX {
                         self.table.borrow_mut().advance_applied_watermark(ts);
-                        self.backend.note_floor(ts);
+                        self.core.backend.note_floor(ts);
                     }
                 } else {
                     st.floor_expected = None;
@@ -1187,7 +1077,7 @@ impl TxnServer {
             }
         }
         let wm = self.table.borrow().applied_watermark();
-        let depth = self.admission.in_flight();
+        let depth = self.core.admission.in_flight();
         if at > wm {
             self.stats.borrow_mut().too_stale += 1;
             resp.reply(TxnResponse::TooStale { watermark: wm });
@@ -1201,16 +1091,7 @@ impl TxnServer {
         // primary. Recording `at` in ts_latestRead is harmless: `at ≤ wm`
         // is below every future commit stamp.
         let prepared = self.table.borrow_mut().note_read(&key, at);
-        let inner = match self.backend.get_at(&key, at).await {
-            Ok(vv) => TxnResponse::Value {
-                version: vv.version,
-                value: vv.value,
-                prepared,
-            },
-            Err(StoreError::NotFound) => TxnResponse::NotFound,
-            Err(StoreError::SnapshotUnavailable(v)) => TxnResponse::SnapshotUnavailable(v),
-            Err(_) => TxnResponse::Capacity,
-        };
+        let inner = self.read_reply(&key, at, prepared).await;
         if matches!(inner, TxnResponse::Value { .. } | TxnResponse::NotFound) {
             // Only data replies claim watermark coverage; the checker's
             // stale_backup_read invariant audits exactly this claim.
@@ -1238,12 +1119,12 @@ impl TxnServer {
     /// them only amplifies recovery. Items run concurrently; replies keep
     /// item order.
     async fn handle_batch(&self, items: Vec<TxnRequest>, from: Addr, resp: Responder) {
-        let now = self.handle.now();
+        let now = self.core.handle.now();
         let deadline_shed = (items
             .iter()
             .any(|i| matches!(i, TxnRequest::Prepare { .. }))
             && resp.deadline().expired(now))
-        .then(|| self.admission.shed_deadline(now.as_nanos()));
+        .then(|| self.core.admission.shed_deadline(now.as_nanos()));
         let mut joins = Vec::with_capacity(items.len());
         for item in items {
             let me = self.clone();
@@ -1253,13 +1134,14 @@ impl TxnServer {
                 TxnRequest::Prepare { .. } => match &deadline_shed {
                     Some(s) => Err(*s),
                     None => self
+                        .core
                         .admission
                         .try_admit(now.as_nanos(), COST_PREPARE)
                         .map(Some),
                 },
                 _ => Ok(None),
             };
-            joins.push(self.handle.spawn_on(self.cfg.addr.node, async move {
+            joins.push(self.core.handle.spawn_on(self.cfg.addr.node, async move {
                 match item {
                     TxnRequest::Prepare {
                         txid,
@@ -1289,7 +1171,7 @@ impl TxnServer {
                     // task is queued ahead of any later-arriving read.
                     TxnRequest::Outcome { txid, commit } => {
                         let me2 = me.clone();
-                        me.handle.spawn_on(me.cfg.addr.node, async move {
+                        me.core.handle.spawn_on(me.cfg.addr.node, async move {
                             me2.apply_outcome(txid, commit).await;
                         });
                         TxnResponse::Ack
@@ -1318,7 +1200,7 @@ impl TxnServer {
                     }
                     TxnRequest::ReplOutcome { txid, commit } => {
                         let me2 = me.clone();
-                        me.handle.spawn_on(me.cfg.addr.node, async move {
+                        me.core.handle.spawn_on(me.cfg.addr.node, async move {
                             me2.backup_apply_outcome(txid, commit).await;
                         });
                         TxnResponse::Ack
@@ -1326,7 +1208,7 @@ impl TxnServer {
                     // Bulk-copy envelopes from the rebalance engine ride
                     // the batch plane; stamps make application order-free.
                     TxnRequest::MigrateRecords { records } => {
-                        let _ = me.backend.apply_batch_unordered(records).await;
+                        let _ = me.core.backend.apply_batch_unordered(records).await;
                         TxnResponse::Ack
                     }
                     other => panic!("unbatchable milana request in batch envelope: {other:?}"),
@@ -1383,53 +1265,77 @@ impl TxnServer {
         // prepare path guarantees nothing commits above the ceiling, so
         // every admitted read's promise stays enforceable. Breaches feed
         // the same per-client fence state as suspect prepares.
-        if let Some(health) = &self.clock_health {
-            let arrival_ns = self.handle.now().as_nanos();
-            let verdict = health
-                .borrow_mut()
-                .observe_read(client, at.as_nanos(), arrival_ns);
-            self.stats.borrow_mut().clock_fences = health.borrow().fence_count();
-            let refused = match verdict {
-                clockkit::ClockVerdict::Ok => None,
-                clockkit::ClockVerdict::Suspect {
-                    residual_ns,
-                    epsilon_ns,
-                } => Some((residual_ns, epsilon_ns, false)),
-                clockkit::ClockVerdict::Fenced => Some((
-                    at.as_nanos() as i64 - arrival_ns as i64,
-                    health.borrow().epsilon_ns(client),
-                    true,
-                )),
-            };
-            if let Some((residual_ns, epsilon_ns, fenced)) = refused {
-                self.trace(obskit::TraceEvent::ClockFence {
-                    client: client.0 as u64,
-                    residual_ns,
-                    epsilon_ns,
-                    fenced,
-                });
-                if !self.cfg.tuning.skip_uncertainty.get() {
-                    self.stats.borrow_mut().clock_suspects += 1;
-                    resp.reply(TxnResponse::ClockSuspect);
-                    return;
-                }
-            }
+        if self.clock_suspect(client, at, clockkit::ClockHealth::observe_read) {
+            resp.reply(TxnResponse::ClockSuspect);
+            return;
         }
         let prepared = self.table.borrow_mut().note_read(&key, at);
-        let r = match self.backend.get_at(&key, at).await {
-            Ok(vv) => {
-                self.stats.borrow_mut().gets += 1;
-                TxnResponse::Value {
-                    version: vv.version,
-                    value: vv.value,
-                    prepared,
-                }
-            }
+        let r = self.read_reply(&key, at, prepared).await;
+        if matches!(r, TxnResponse::Value { .. }) {
+            self.stats.borrow_mut().gets += 1;
+        }
+        resp.reply(r);
+    }
+
+    /// Snapshot-reads `key` at `at` from local storage, as a wire reply
+    /// carrying the given prepared flag.
+    async fn read_reply(&self, key: &Key, at: Timestamp, prepared: bool) -> TxnResponse {
+        match self.core.backend.get_at(key, at).await {
+            Ok(vv) => TxnResponse::Value {
+                version: vv.version,
+                value: vv.value,
+                prepared,
+            },
             Err(StoreError::NotFound) => TxnResponse::NotFound,
             Err(StoreError::SnapshotUnavailable(v)) => TxnResponse::SnapshotUnavailable(v),
             Err(_) => TxnResponse::Capacity,
+        }
+    }
+
+    /// Clock-health fence (clockkit): judges a client-minted `stamp` against
+    /// this server's own arrival clock through `observe` (the prepare or
+    /// the read rule) and returns true when the request must be refused
+    /// with [`TxnResponse::ClockSuspect`]. A residual outside the client's
+    /// uncertainty window ε, or a client fenced as a persistent outlier, is
+    /// traced either way; the `skip_uncertainty` fraud hook keeps the
+    /// estimates updating but lets the request through, so the history
+    /// checker's clock-bound invariant can prove it notices. Always false
+    /// when tracking is off.
+    fn clock_suspect(
+        &self,
+        client: ClientId,
+        stamp: Timestamp,
+        observe: impl FnOnce(&mut clockkit::ClockHealth, ClientId, u64, u64) -> clockkit::ClockVerdict,
+    ) -> bool {
+        let Some(health) = &self.clock_health else {
+            return false;
         };
-        resp.reply(r);
+        let arrival_ns = self.core.handle.now().as_nanos();
+        let verdict = observe(&mut health.borrow_mut(), client, stamp.0, arrival_ns);
+        self.stats.borrow_mut().clock_fences = health.borrow().fence_count();
+        let (residual_ns, epsilon_ns, fenced) = match verdict {
+            clockkit::ClockVerdict::Ok => return false,
+            clockkit::ClockVerdict::Suspect {
+                residual_ns,
+                epsilon_ns,
+            } => (residual_ns, epsilon_ns, false),
+            clockkit::ClockVerdict::Fenced => (
+                stamp.0 as i64 - arrival_ns as i64,
+                health.borrow().epsilon_ns(client),
+                true,
+            ),
+        };
+        self.trace(obskit::TraceEvent::ClockFence {
+            client: client.0 as u64,
+            residual_ns,
+            epsilon_ns,
+            fenced,
+        });
+        if self.cfg.tuning.skip_uncertainty.get() {
+            return false;
+        }
+        self.stats.borrow_mut().clock_suspects += 1;
+        true
     }
 
     /// Validates and durably prepares one transaction, returning the vote.
@@ -1502,52 +1408,13 @@ impl TxnServer {
         {
             let floor = self.state.borrow().floors.watermark();
             if floor < Timestamp::MAX && ts_commit <= floor {
-                self.stats.borrow_mut().prepares_aborted += 1;
-                self.trace(obskit::TraceEvent::PrepareVote {
-                    shard: self.cfg.shard.0 as u64,
-                    ok: false,
-                });
-                return Some(TxnResponse::Vote { ok: false });
+                return self.vote(false);
             }
         }
-        // Clock-health fence (clockkit): judge the client-minted `ts_commit`
-        // against this server's own arrival clock before spending
-        // validation work on it. A residual outside the client's
-        // uncertainty window ε is a definite no-vote (nothing validated or
-        // installed); a persistently suspect client is fenced until its
-        // residuals return to the window. The `skip_uncertainty` fraud hook
-        // keeps the estimates updating but lets suspect prepares through,
-        // so the history checker's clock-bound invariant can prove it
-        // notices.
-        if let Some(health) = &self.clock_health {
-            let arrival_ns = self.handle.now().as_nanos();
-            let raw_residual = ts_commit.0 as i64 - arrival_ns as i64;
-            let verdict = health
-                .borrow_mut()
-                .observe(txid.client, ts_commit.0, arrival_ns);
-            self.stats.borrow_mut().clock_fences = health.borrow().fence_count();
-            let refused = match verdict {
-                clockkit::ClockVerdict::Ok => None,
-                clockkit::ClockVerdict::Suspect {
-                    residual_ns,
-                    epsilon_ns,
-                } => Some((residual_ns, epsilon_ns, false)),
-                clockkit::ClockVerdict::Fenced => {
-                    Some((raw_residual, health.borrow().epsilon_ns(txid.client), true))
-                }
-            };
-            if let Some((residual_ns, epsilon_ns, fenced)) = refused {
-                self.trace(obskit::TraceEvent::ClockFence {
-                    client: txid.client.0 as u64,
-                    residual_ns,
-                    epsilon_ns,
-                    fenced,
-                });
-                if !self.cfg.tuning.skip_uncertainty.get() {
-                    self.stats.borrow_mut().clock_suspects += 1;
-                    return Some(TxnResponse::ClockSuspect);
-                }
-            }
+        // Clock-health fence: judged before spending validation work; a
+        // refusal is a definite no-vote (nothing validated or installed).
+        if self.clock_suspect(txid.client, ts_commit, clockkit::ClockHealth::observe) {
+            return Some(TxnResponse::ClockSuspect);
         }
         // The chaos harness can disable read validation to seed a known
         // serializability bug (lost updates slip through); write-conflict
@@ -1568,12 +1435,7 @@ impl TxnServer {
                 })
         };
         if !verdict.is_success() {
-            self.stats.borrow_mut().prepares_aborted += 1;
-            self.trace(obskit::TraceEvent::PrepareVote {
-                shard: self.cfg.shard.0 as u64,
-                ok: false,
-            });
-            return Some(TxnResponse::Vote { ok: false });
+            return self.vote(false);
         }
         let record = TxnRecord {
             txid,
@@ -1597,19 +1459,26 @@ impl TxnServer {
         if !ok {
             // Could not make the prepare durable: release and vote abort.
             self.table.borrow_mut().decide(txid, false);
-            self.stats.borrow_mut().prepares_aborted += 1;
-            self.trace(obskit::TraceEvent::PrepareVote {
-                shard: self.cfg.shard.0 as u64,
-                ok: false,
-            });
-            return Some(TxnResponse::Vote { ok: false });
+            return self.vote(false);
         }
-        self.stats.borrow_mut().prepares_ok += 1;
+        self.vote(true)
+    }
+
+    /// Counts, traces and returns this primary's vote on a prepare.
+    fn vote(&self, ok: bool) -> Option<TxnResponse> {
+        {
+            let mut stats = self.stats.borrow_mut();
+            if ok {
+                stats.prepares_ok += 1;
+            } else {
+                stats.prepares_aborted += 1;
+            }
+        }
         self.trace(obskit::TraceEvent::PrepareVote {
             shard: self.cfg.shard.0 as u64,
-            ok: true,
+            ok,
         });
-        Some(TxnResponse::Vote { ok: true })
+        Some(TxnResponse::Vote { ok })
     }
 
     /// Applies a coordinator decision on the primary: finalize the table
@@ -1640,17 +1509,6 @@ impl TxnServer {
         };
         let Some(record) = record else { return };
         if commit {
-            let items: Vec<(Key, Value, Version)> = record
-                .writes
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        v.clone(),
-                        Version::new(record.ts_commit, txid.client),
-                    )
-                })
-                .collect();
             // Dual-apply during a migration: committed writes on moving
             // keys are forwarded to every destination replica as
             // version-stamped records. Casts may be lost under faults —
@@ -1661,14 +1519,11 @@ impl TxnServer {
                 st.migration.as_ref().map(|m| m.dest.clone())
             };
             if let Some(dest) = dual {
-                let moving: Vec<(Key, Value, Version)> = {
+                let mut moving = record.stamped_writes();
+                {
                     let map = self.map.borrow();
-                    items
-                        .iter()
-                        .filter(|(k, _, _)| map.key_is_moving(k))
-                        .cloned()
-                        .collect()
-                };
+                    moving.retain(|(k, _, _)| map.key_is_moving(k));
+                }
                 if !moving.is_empty() {
                     self.cfg
                         .tuning
@@ -1677,7 +1532,7 @@ impl TxnServer {
                         .counter("migration_dual_applies")
                         .add(moving.len() as u64);
                     for &d in &dest {
-                        self.rpc.cast(
+                        self.core.rpc.cast(
                             d,
                             TxnRequest::MigrateRecords {
                                 records: moving.clone(),
@@ -1686,8 +1541,7 @@ impl TxnServer {
                     }
                 }
             }
-            let _ = self.backend.apply_batch_unordered(items).await;
-            self.table.borrow_mut().mark_applied(txid);
+            self.apply_committed(&record).await;
             self.stats.borrow_mut().commits += 1;
         } else {
             self.stats.borrow_mut().aborts += 1;
@@ -1717,22 +1571,20 @@ impl TxnServer {
                 }
             }
         };
-        let Some(record) = record else { return };
-        if commit {
-            let items: Vec<(Key, Value, Version)> = record
-                .writes
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        v.clone(),
-                        Version::new(record.ts_commit, txid.client),
-                    )
-                })
-                .collect();
-            let _ = self.backend.apply_batch_unordered(items).await;
-            self.table.borrow_mut().mark_applied(txid);
+        if let (Some(record), true) = (record, commit) {
+            self.apply_committed(&record).await;
         }
+    }
+
+    /// Applies a committed record's writes to local storage (idempotent:
+    /// the backend rejects duplicate versions) and marks it applied.
+    async fn apply_committed(&self, r: &TxnRecord) {
+        let _ = self
+            .core
+            .backend
+            .apply_batch_unordered(r.stamped_writes())
+            .await;
+        self.table.borrow_mut().mark_applied(r.txid);
     }
 
     /// Cooperative Termination Protocol (§4.5): resolve prepared
@@ -1746,7 +1598,8 @@ impl TxnServer {
                 return;
             }
         }
-        let threshold = Timestamp::from_sim(self.handle.now()).before(self.cfg.tuning.ctp_after);
+        let threshold =
+            Timestamp::from_sim(self.core.handle.now()).before(self.cfg.tuning.ctp_after);
         let stuck = self.table.borrow().stuck_prepared(threshold);
         for record in stuck {
             if record.participants.first() != Some(&self.cfg.shard) {
@@ -1764,7 +1617,7 @@ impl TxnServer {
                     continue;
                 }
                 let primary = map.group(shard).primary;
-                self.rpc.cast(
+                self.core.rpc.cast(
                     primary,
                     TxnRequest::Outcome {
                         txid: record.txid,
@@ -1788,6 +1641,7 @@ impl TxnServer {
             }
             let primary = self.map.borrow().group(shard).primary;
             let status = self
+                .core
                 .rpc
                 .call::<TxnRequest, TxnResponse>(
                     primary,
@@ -1821,6 +1675,7 @@ impl TxnServer {
         //    table already holds everything replicated to us).
         for &b in &backups {
             if let Ok(TxnResponse::Log { records }) = self
+                .core
                 .rpc
                 .call::<TxnRequest, TxnResponse>(
                     b,
@@ -1871,37 +1726,21 @@ impl TxnServer {
                 .collect()
         };
         for r in committed {
-            let items: Vec<(Key, Value, Version)> = r
-                .writes
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        v.clone(),
-                        Version::new(r.ts_commit, r.txid.client),
-                    )
-                })
-                .collect();
-            let _ = self.backend.apply_batch_unordered(items).await;
-            self.table.borrow_mut().mark_applied(r.txid);
+            self.apply_committed(&r).await;
         }
         // 4. Rebuild volatile key metadata from the merged table.
         self.table.borrow_mut().rebuild_key_meta();
         // 5. Push the merged table to the backups.
         let records = self.table.borrow().all_records();
-        let need = backups.len() / 2;
-        let _ = replicate_traced::<TxnRequest, TxnResponse>(
-            &self.handle,
-            &self.rpc,
-            &backups,
-            TxnRequest::InstallLog { records },
-            need,
-            self.cfg.tuning.repl_timeout * 4,
-            |r| matches!(r, TxnResponse::Ack),
-            &self.cfg.tuning.obs.tracer,
-            self.repl_seq.replace(self.repl_seq.get() + 1),
-        )
-        .await;
+        let _ = self
+            .core
+            .replicate(
+                backups.clone(),
+                TxnRequest::InstallLog { records },
+                self.cfg.tuning.repl_timeout * 4,
+                |r: &TxnResponse| matches!(r, TxnResponse::Ack),
+            )
+            .await;
         // 6. Wait out the old primary's read lease: ts_latestRead is gone,
         //    and serving reads before the old lease expires could break
         //    serializability for already-committed read-only transactions.
@@ -1909,6 +1748,7 @@ impl TxnServer {
             let mut max_granted = self.state.borrow().max_granted;
             for &b in &backups {
                 if let Ok(TxnResponse::LeaseInfo { max_granted: g }) = self
+                    .core
                     .rpc
                     .call::<TxnRequest, TxnResponse>(
                         b,
@@ -1921,8 +1761,8 @@ impl TxnServer {
                 }
             }
             let wait_until = max_granted + Duration::from_micros(1);
-            if wait_until > self.handle.now() {
-                self.handle.sleep_until(wait_until).await;
+            if wait_until > self.core.handle.now() {
+                self.core.handle.sleep_until(wait_until).await;
             }
         }
         // 7. Open for business.
@@ -1941,23 +1781,11 @@ impl TxnServer {
     /// coverage after the catch-up splice.
     async fn cold_start(&self) {
         let reg = &self.cfg.tuning.obs.registry;
-        let node = self.cfg.addr.node.0 as u64;
-        let shard = self.cfg.shard.0 as u64;
-        self.trace(obskit::TraceEvent::RecoveryStep {
-            node,
-            shard,
-            phase: obskit::RecoveryPhase::MountStart,
-            detail: 0,
-        });
+        self.recovery_step(obskit::RecoveryPhase::MountStart, 0);
         reg.counter("mount_scans").inc();
-        let report = self.backend.mount().await;
+        let report = self.core.backend.mount().await;
         reg.counter("torn_pages").add(report.torn_pages);
-        self.trace(obskit::TraceEvent::RecoveryStep {
-            node,
-            shard,
-            phase: obskit::RecoveryPhase::MountDone,
-            detail: report.torn_pages,
-        });
+        self.recovery_step(obskit::RecoveryPhase::MountDone, report.torn_pages);
         // The durable floor was only stamped once every client had
         // promised no future prepare at or below it; client clocks are
         // monotone, so the promise holds across the power failure. Without
@@ -1997,12 +1825,7 @@ impl TxnServer {
                 st.serving
             };
             if serving {
-                self.trace(obskit::TraceEvent::RecoveryStep {
-                    node,
-                    shard,
-                    phase: obskit::RecoveryPhase::Serving,
-                    detail: report.floor.as_nanos(),
-                });
+                self.recovery_step(obskit::RecoveryPhase::Serving, report.floor.as_nanos());
             }
             return;
         }
@@ -2016,17 +1839,17 @@ impl TxnServer {
                 return;
             }
             st.serving = true;
-            st.floors.watermark()
+            st.sendable_floor()
         };
+        self.recovery_step(obskit::RecoveryPhase::Serving, floor.as_nanos());
+    }
+
+    fn recovery_step(&self, phase: obskit::RecoveryPhase, detail: u64) {
         self.trace(obskit::TraceEvent::RecoveryStep {
-            node,
-            shard,
-            phase: obskit::RecoveryPhase::Serving,
-            detail: if floor == Timestamp::MAX {
-                0
-            } else {
-                floor.as_nanos()
-            },
+            node: self.cfg.addr.node.0 as u64,
+            shard: self.cfg.shard.0 as u64,
+            phase,
+            detail,
         });
     }
 
@@ -2043,8 +1866,6 @@ impl TxnServer {
     /// outcomes that floor claims to cover.
     async fn catch_up(&self) {
         let keys_ctr = self.cfg.tuning.obs.registry.counter("catchup_keys");
-        let node = self.cfg.addr.node.0 as u64;
-        let shard = self.cfg.shard.0 as u64;
         let limit = self.cfg.tuning.catchup_batch.max(1) as u64;
         let mut cursor: Option<TxnId> = None;
         let mut fetched = 0u64;
@@ -2058,15 +1879,16 @@ impl TxnServer {
                 .group_opt(self.cfg.shard)
                 .map(|g| g.primary);
             let primary = match primary {
-                Some(p) if p != self.cfg.addr && !self.handle.is_dead(p.node) => p,
+                Some(p) if p != self.cfg.addr && !self.core.handle.is_dead(p.node) => p,
                 // No reachable primary right now (mid-failover); wait for
                 // the map to settle and retry.
                 _ => {
-                    self.handle.sleep(self.cfg.tuning.repl_timeout).await;
+                    self.core.handle.sleep(self.cfg.tuning.repl_timeout).await;
                     continue;
                 }
             };
             match self
+                .core
                 .rpc
                 .call::<TxnRequest, TxnResponse>(
                     primary,
@@ -2086,12 +1908,7 @@ impl TxnServer {
                         fetched += applied;
                         keys_ctr.add(applied);
                     }
-                    self.trace(obskit::TraceEvent::RecoveryStep {
-                        node,
-                        shard,
-                        phase: obskit::RecoveryPhase::CatchUp,
-                        detail: fetched,
-                    });
+                    self.recovery_step(obskit::RecoveryPhase::CatchUp, fetched);
                     match next {
                         Some(c) => cursor = Some(c),
                         None => {
@@ -2129,7 +1946,7 @@ impl TxnServer {
                                 }
                             }
                             if floor > Timestamp::ZERO {
-                                self.backend.note_floor(floor);
+                                self.core.backend.note_floor(floor);
                             }
                             return;
                         }
@@ -2138,7 +1955,7 @@ impl TxnServer {
                 // Primary mid-promotion (NotReady), deposed, or
                 // unreachable: re-resolve from the shared map and retry.
                 Ok(_) | Err(_) => {
-                    self.handle.sleep(self.cfg.tuning.repl_timeout).await;
+                    self.core.handle.sleep(self.cfg.tuning.repl_timeout).await;
                 }
             }
         }
@@ -2153,19 +1970,11 @@ impl TxnServer {
             return 0;
         }
         let apply = r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid);
-        let txid = r.txid;
-        let items: Vec<(Key, Value, Version)> = r
-            .writes
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone(), Version::new(r.ts_commit, txid.client)))
-            .collect();
-        self.table.borrow_mut().install(r);
+        self.table.borrow_mut().install(r.clone());
         if !apply {
             return 0;
         }
-        let n = items.len() as u64;
-        let _ = self.backend.apply_batch_unordered(items).await;
-        self.table.borrow_mut().mark_applied(txid);
-        n
+        self.apply_committed(&r).await;
+        r.writes.len() as u64
     }
 }

@@ -7,16 +7,134 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use flashsim::{Key, Value, VersionedValue};
-use loadkit::{RetryConfig, RetryPolicy};
+use loadkit::{RetryConfig, RetryPolicy, Shed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simkit::net::NodeId;
+use simkit::net::{Addr, NodeId};
 use simkit::rpc::{RpcClient, RpcError};
 use simkit::SimHandle;
 use timesync::{ClientId, ClockSpec, SyncedClock, Timestamp, Version};
 
 use crate::msg::{SemelError, SemelRequest, SemelResponse};
-use crate::shard::{ShardId, ShardMap};
+use crate::shard::{ReplicaGroup, ShardId, ShardMap};
+
+/// What a client *is* under both protocols: identity, the precision clock,
+/// the shard map, the RPC endpoint and the retry discipline.
+/// [`SemelClient`] and `milana::TxnClient` each hold one `Rc<ClientCore>`;
+/// their retry loops keep only their own reply handling.
+///
+/// The two RNG seeds come from the caller because how they are drawn is
+/// behaviour (runs are pinned per seed): [`SemelClient`] draws both from
+/// the simulation RNG, `TxnClient` draws one and derives the other.
+pub struct ClientCore {
+    /// The simulation handle.
+    pub handle: SimHandle,
+    /// The client's node.
+    pub node: NodeId,
+    /// This client's id.
+    pub id: ClientId,
+    /// The client's clock (for instrumentation; read it with
+    /// [`ClientCore::now`]).
+    pub clock: SyncedClock,
+    /// The shard map this client routes by.
+    pub map: Rc<RefCell<ShardMap>>,
+    /// The RPC endpoint.
+    pub rpc: RpcClient,
+    /// The retry policy: budget, backoff jitter, per-shard breakers.
+    pub policy: RetryPolicy,
+}
+
+impl ClientCore {
+    /// Builds the retry policy, the clock and the RPC endpoint bound at
+    /// `reply` (in that order), each spec paired with its RNG seed.
+    pub fn new(
+        handle: &SimHandle,
+        reply: Addr,
+        id: ClientId,
+        map: Rc<RefCell<ShardMap>>,
+        clock: (&ClockSpec, u64),
+        retry: (RetryConfig, u64),
+        obs: &obskit::Obs,
+    ) -> Rc<ClientCore> {
+        let policy =
+            RetryPolicy::observed(retry.0, StdRng::seed_from_u64(retry.1), obs, id.0 as u64);
+        let clock = SyncedClock::from_spec(clock.0, clock.1);
+        let rpc = RpcClient::new(handle, reply.node, reply.port);
+        clock.attach_tracer(&obs.tracer, id.0 as u64);
+        Rc::new(ClientCore {
+            handle: handle.clone(),
+            node: reply.node,
+            id,
+            clock,
+            map,
+            rpc,
+            policy,
+        })
+    }
+
+    /// Reads the client's (skewed, monotonic) clock: `t_current`.
+    pub fn now(&self) -> Timestamp {
+        self.clock.now(self.handle.now())
+    }
+
+    /// True virtual time in nanoseconds, the retry policy's time base.
+    pub fn sim_ns(&self) -> u64 {
+        self.handle.now().as_nanos()
+    }
+
+    /// Resolves `key`'s shard and lets `pick` choose from its replica
+    /// group under one map borrow. Called once per attempt, so a failover
+    /// or cutover between attempts lands on the new owner.
+    pub fn route<R>(&self, key: &Key, pick: impl FnOnce(&ReplicaGroup) -> R) -> (ShardId, R) {
+        let map = self.map.borrow();
+        let shard = map.shard_for(key);
+        (shard, pick(map.group(shard)))
+    }
+
+    /// Pays for one retry from the budget and sleeps the jittered backoff
+    /// (at least `hint`). Returns `false` when the budget is exhausted and
+    /// the caller must give up.
+    pub async fn backoff(&self, hint: Option<Duration>) -> bool {
+        match self.policy.try_retry(self.sim_ns(), hint) {
+            Some(delay) => {
+                self.handle.sleep(delay).await;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Books a `Shed` reply against `shard`'s breaker, then — if the caller
+    /// `may_retry` at all — backs off as the server hinted.
+    pub async fn on_shed(&self, shard: ShardId, shed: &Shed, may_retry: bool) -> bool {
+        self.policy.record_shed(shard.0 as u64, self.sim_ns());
+        may_retry && self.backoff(shed.retry_after()).await
+    }
+
+    /// Breaker check for `shard`: when the circuit is open, burn a retry
+    /// token waiting out the cooldown instead of touching the network.
+    /// Returns `false` when the budget runs out first.
+    pub async fn wait_for_breaker(&self, shard: ShardId) -> bool {
+        while !self.policy.shard_allows(shard.0 as u64, self.sim_ns()) {
+            let cooldown = self.policy.config().breaker_cooldown;
+            if !self.backoff(Some(cooldown)).await {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Spawns the periodic task (watermark broadcast) on the client's node.
+    pub fn every(&self, period: Duration, tick: impl Fn() + 'static) {
+        let h = self.handle.clone();
+        self.handle.spawn_on(self.node, async move {
+            loop {
+                h.sleep(period).await;
+                tick();
+            }
+        });
+    }
+}
 
 /// Client tuning.
 #[derive(Debug, Clone)]
@@ -49,19 +167,16 @@ impl Default for ClientConfig {
 /// A SEMEL client (an application server). Cloning shares the client.
 #[derive(Clone)]
 pub struct SemelClient {
-    handle: SimHandle,
-    id: ClientId,
-    clock: Rc<SyncedClock>,
-    map: Rc<RefCell<ShardMap>>,
-    rpc: RpcClient,
+    core: Rc<ClientCore>,
     cfg: Rc<ClientConfig>,
-    policy: Rc<RetryPolicy>,
     last_acked: Rc<Cell<Timestamp>>,
 }
 
 impl std::fmt::Debug for SemelClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SemelClient").field("id", &self.id).finish()
+        f.debug_struct("SemelClient")
+            .field("id", &self.core.id)
+            .finish()
     }
 }
 
@@ -129,14 +244,35 @@ impl SemelClientBuilder {
 
     /// Creates the client and starts its watermark broadcast task.
     pub fn build(self) -> SemelClient {
-        SemelClient::build_inner(
-            &self.handle,
-            self.node,
-            self.id,
-            self.clock,
-            self.map,
-            self.cfg,
-        )
+        let SemelClientBuilder {
+            handle,
+            node,
+            id,
+            map,
+            clock,
+            cfg,
+        } = self;
+        let clock_seed = handle.rand_u64();
+        let policy_seed = handle.rand_u64();
+        let core = ClientCore::new(
+            &handle,
+            Addr::new(node, CLIENT_RPC_PORT),
+            id,
+            map,
+            (&clock, clock_seed),
+            (cfg.retry.clone(), policy_seed),
+            &cfg.obs,
+        );
+        let client = SemelClient {
+            core,
+            cfg: Rc::new(cfg),
+            last_acked: Rc::new(Cell::new(Timestamp::ZERO)),
+        };
+        let me = client.clone();
+        client.core.every(client.cfg.watermark_interval, move || {
+            me.broadcast_watermark()
+        });
+        client
     }
 }
 
@@ -159,59 +295,17 @@ impl SemelClient {
         }
     }
 
-    fn build_inner(
-        handle: &SimHandle,
-        node: NodeId,
-        id: ClientId,
-        clock: ClockSpec,
-        map: Rc<RefCell<ShardMap>>,
-        cfg: ClientConfig,
-    ) -> SemelClient {
-        let clock_seed = handle.rand_u64();
-        let policy = Rc::new(RetryPolicy::observed(
-            cfg.retry.clone(),
-            StdRng::seed_from_u64(handle.rand_u64()),
-            &cfg.obs,
-            id.0 as u64,
-        ));
-        let client = SemelClient {
-            handle: handle.clone(),
-            id,
-            clock: Rc::new(SyncedClock::from_spec(&clock, clock_seed)),
-            map,
-            rpc: RpcClient::new(handle, node, CLIENT_RPC_PORT),
-            cfg: Rc::new(cfg),
-            policy,
-            last_acked: Rc::new(Cell::new(Timestamp::ZERO)),
-        };
-        client
-            .clock
-            .attach_tracer(&client.cfg.obs.tracer, id.0 as u64);
-        client.spawn_watermark_task(node);
-        client
-    }
-
-    fn spawn_watermark_task(&self, node: NodeId) {
-        let me = self.clone();
-        self.handle.spawn_on(node, async move {
-            loop {
-                me.handle.sleep(me.cfg.watermark_interval).await;
-                me.broadcast_watermark();
-            }
-        });
-    }
-
     /// Sends the current watermark report to every replica of every shard.
     /// Normally driven by the background task; exposed for tests.
     pub fn broadcast_watermark(&self) {
         let ts = self.last_acked.get();
-        let map = self.map.borrow();
+        let map = self.core.map.borrow();
         for (_, group) in map.iter() {
             for addr in group.all() {
-                self.rpc.cast(
+                self.core.rpc.cast(
                     addr,
                     SemelRequest::Watermark {
-                        client: self.id,
+                        client: self.core.id,
                         ts,
                     },
                 );
@@ -221,17 +315,17 @@ impl SemelClient {
 
     /// This client's id.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.core.id
     }
 
     /// Reads the client's (skewed, monotonic) clock: `t_current`.
     pub fn now(&self) -> Timestamp {
-        self.clock.now(self.handle.now())
+        self.core.now()
     }
 
     /// The client's clock (for instrumentation).
     pub fn clock(&self) -> &SyncedClock {
-        &self.clock
+        &self.core.clock
     }
 
     /// Timestamp of the client's last acknowledged operation (what the
@@ -248,27 +342,7 @@ impl SemelClient {
 
     /// The client's retry policy (budget / breaker instrumentation).
     pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    fn sim_ns(&self) -> u64 {
-        self.handle.now().as_nanos()
-    }
-
-    /// Breaker check for `shard`: when the circuit is open, burn a retry
-    /// token waiting out the cooldown instead of touching the network.
-    /// Returns `false` when the caller must give up ([`SemelError::Overloaded`]).
-    async fn wait_for_breaker(&self, shard: ShardId) -> bool {
-        loop {
-            if self.policy.shard_allows(shard.0 as u64, self.sim_ns()) {
-                return true;
-            }
-            let cooldown = self.policy.config().breaker_cooldown;
-            match self.policy.try_retry(self.sim_ns(), Some(cooldown)) {
-                Some(delay) => self.handle.sleep(delay).await,
-                None => return false,
-            }
-        }
+        &self.core.policy
     }
 
     /// Creates a new version of `key` stamped with the client's current
@@ -282,7 +356,7 @@ impl SemelClient {
     pub async fn put(&self, key: Key, value: Value) -> Result<Version, SemelError> {
         let mut last_rejection = None;
         for _ in 0..=self.cfg.put_retries {
-            let version = Version::new(self.now(), self.id);
+            let version = Version::new(self.now(), self.core.id);
             match self
                 .put_versioned(key.clone(), value.clone(), version)
                 .await
@@ -295,7 +369,7 @@ impl SemelClient {
         // `0..=put_retries` runs at least once, so a rejection was recorded;
         // fall back to the attempted version rather than panicking on a
         // protocol path.
-        let v = last_rejection.unwrap_or_else(|| Version::new(self.now(), self.id));
+        let v = last_rejection.unwrap_or_else(|| Version::new(self.now(), self.core.id));
         Err(SemelError::Rejected(v))
     }
 
@@ -312,19 +386,16 @@ impl SemelClient {
         value: Value,
         version: Version,
     ) -> Result<(), SemelError> {
-        self.policy.on_attempt();
+        let core = &self.core;
+        core.policy.on_attempt();
         // Retransmission on timeout is idempotent (the server deduplicates
         // by version); every retry is paid for from the retry budget. The
         // route is re-resolved each attempt so a rebalance cutover (the
         // server answers `Moved`) lands on the new owner after the shared
         // map flips.
         loop {
-            let (shard, primary) = {
-                let map = self.map.borrow();
-                let shard = map.shard_for(&key);
-                (shard, map.group(shard).primary)
-            };
-            if !self.wait_for_breaker(shard).await {
+            let (shard, primary) = core.route(&key, |g| g.primary);
+            if !core.wait_for_breaker(shard).await {
                 return Err(SemelError::Overloaded);
             }
             let req = SemelRequest::Put {
@@ -332,43 +403,35 @@ impl SemelClient {
                 value: value.clone(),
                 version,
             };
-            match self
+            match core
                 .rpc
                 .call::<SemelRequest, SemelResponse>(primary, req, self.cfg.rpc_timeout)
                 .await
             {
                 Ok(SemelResponse::PutOk) => {
-                    self.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     self.record_ack(version.ts);
                     return Ok(());
                 }
                 Ok(SemelResponse::Rejected(v)) => {
-                    self.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     return Err(SemelError::Rejected(v));
                 }
                 Ok(SemelResponse::NoMajority) => return Err(SemelError::NoMajority),
                 Ok(SemelResponse::Capacity) => return Err(SemelError::Capacity),
                 Ok(SemelResponse::Shed(shed)) => {
-                    self.policy.record_shed(shard.0 as u64, self.sim_ns());
-                    match self.policy.try_retry(self.sim_ns(), shed.retry_after()) {
-                        Some(delay) => self.handle.sleep(delay).await,
-                        None => return Err(SemelError::Overloaded),
+                    if !core.on_shed(shard, &shed, true).await {
+                        return Err(SemelError::Overloaded);
                     }
                 }
-                Ok(SemelResponse::Moved { .. }) => {
-                    // The key cut over to another shard; re-route from the
-                    // (shared, already flipped) map on the next attempt.
-                    match self.policy.try_retry(self.sim_ns(), None) {
-                        Some(delay) => self.handle.sleep(delay).await,
-                        None => return Err(SemelError::Timeout),
+                // `Moved`: the key cut over to another shard; re-route from
+                // the (shared, already flipped) map on the next attempt.
+                Ok(SemelResponse::Moved { .. }) | Err(RpcError::Timeout) => {
+                    if !core.backoff(None).await {
+                        return Err(SemelError::Timeout);
                     }
                 }
-                Ok(_) => return Err(SemelError::Timeout),
-                Err(RpcError::Timeout) => match self.policy.try_retry(self.sim_ns(), None) {
-                    Some(delay) => self.handle.sleep(delay).await,
-                    None => return Err(SemelError::Timeout),
-                },
-                Err(RpcError::Closed) => return Err(SemelError::Timeout),
+                Ok(_) | Err(RpcError::Closed) => return Err(SemelError::Timeout),
             }
         }
     }
@@ -391,61 +454,47 @@ impl SemelClient {
     /// [`SemelError::NotFound`], [`SemelError::SnapshotUnavailable`] on
     /// single-version backends, and transport errors.
     pub async fn get_at(&self, key: Key, at: Timestamp) -> Result<VersionedValue, SemelError> {
-        self.policy.on_attempt();
+        let core = &self.core;
+        core.policy.on_attempt();
         loop {
-            let (shard, primary) = {
-                let map = self.map.borrow();
-                let shard = map.shard_for(&key);
-                (shard, map.group(shard).primary)
-            };
-            if !self.wait_for_breaker(shard).await {
+            let (shard, primary) = core.route(&key, |g| g.primary);
+            if !core.wait_for_breaker(shard).await {
                 return Err(SemelError::Overloaded);
             }
-            match self
+            let req = SemelRequest::Get {
+                key: key.clone(),
+                at,
+            };
+            match core
                 .rpc
-                .call::<SemelRequest, SemelResponse>(
-                    primary,
-                    SemelRequest::Get {
-                        key: key.clone(),
-                        at,
-                    },
-                    self.cfg.rpc_timeout,
-                )
+                .call::<SemelRequest, SemelResponse>(primary, req, self.cfg.rpc_timeout)
                 .await
             {
                 Ok(SemelResponse::Value { version, value, .. }) => {
-                    self.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     self.record_ack(at);
                     return Ok(VersionedValue { version, value });
                 }
                 Ok(SemelResponse::NotFound) => {
-                    self.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     return Err(SemelError::NotFound);
                 }
                 Ok(SemelResponse::SnapshotUnavailable(v)) => {
-                    self.policy.record_ok(shard.0 as u64);
+                    core.policy.record_ok(shard.0 as u64);
                     return Err(SemelError::SnapshotUnavailable(v));
                 }
                 Ok(SemelResponse::Shed(shed)) => {
-                    self.policy.record_shed(shard.0 as u64, self.sim_ns());
-                    match self.policy.try_retry(self.sim_ns(), shed.retry_after()) {
-                        Some(delay) => self.handle.sleep(delay).await,
-                        None => return Err(SemelError::Overloaded),
+                    if !core.on_shed(shard, &shed, true).await {
+                        return Err(SemelError::Overloaded);
                     }
                 }
-                Ok(SemelResponse::Moved { .. }) => {
-                    // Rebalance cutover: re-route from the shared map.
-                    match self.policy.try_retry(self.sim_ns(), None) {
-                        Some(delay) => self.handle.sleep(delay).await,
-                        None => return Err(SemelError::Timeout),
+                // `Moved` is a rebalance cutover: re-route from the shared map.
+                Ok(SemelResponse::Moved { .. }) | Err(RpcError::Timeout) => {
+                    if !core.backoff(None).await {
+                        return Err(SemelError::Timeout);
                     }
                 }
-                Ok(_) => return Err(SemelError::Timeout),
-                Err(RpcError::Timeout) => match self.policy.try_retry(self.sim_ns(), None) {
-                    Some(delay) => self.handle.sleep(delay).await,
-                    None => return Err(SemelError::Timeout),
-                },
-                Err(RpcError::Closed) => return Err(SemelError::Timeout),
+                Ok(_) | Err(RpcError::Closed) => return Err(SemelError::Timeout),
             }
         }
     }
@@ -456,11 +505,9 @@ impl SemelClient {
     ///
     /// Transport and replication errors.
     pub async fn delete(&self, key: Key) -> Result<(), SemelError> {
-        let primary = {
-            let map = self.map.borrow();
-            map.group(map.shard_for(&key)).primary
-        };
+        let (_, primary) = self.core.route(&key, |g| g.primary);
         match self
+            .core
             .rpc
             .call::<SemelRequest, SemelResponse>(
                 primary,

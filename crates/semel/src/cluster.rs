@@ -86,14 +86,76 @@ pub struct SemelCluster {
 /// Service port for shard servers (one shard per node in this harness).
 pub const SERVER_PORT: u16 = 0;
 
-/// Node id of shard `s`, replica `r`.
-pub fn server_node(cfg: &ClusterConfig, s: u32, r: u32) -> NodeId {
-    NodeId(s * cfg.replicas + r)
+/// Node id of shard `s`, replica `r`, in a deployment with `replicas`
+/// replicas per shard.
+pub fn server_node(replicas: u32, s: u32, r: u32) -> NodeId {
+    NodeId(s * replicas + r)
 }
 
 /// Node id of client `i`.
 pub fn client_node(i: u32) -> NodeId {
     NodeId(10_000 + i)
+}
+
+/// The initial replica groups of a `shards` × `replicas` deployment
+/// (replica 0 of each shard is its primary).
+///
+/// # Panics
+///
+/// Panics if `replicas` is even (no majority) or zero.
+pub fn layout(shards: u32, replicas: u32) -> Vec<ReplicaGroup> {
+    assert!(
+        replicas % 2 == 1 && replicas >= 1,
+        "replicas must be odd (2f+1)"
+    );
+    (0..shards)
+        .map(|s| ReplicaGroup {
+            primary: Addr::new(server_node(replicas, s, 0), SERVER_PORT),
+            backups: (1..replicas)
+                .map(|r| Addr::new(server_node(replicas, s, r), SERVER_PORT))
+                .collect(),
+        })
+        .collect()
+}
+
+/// Creates the storage backend of the replica on `node`, traced under that
+/// node's id.
+pub fn new_backend(
+    kind: BackendKind,
+    handle: &SimHandle,
+    nand: &NandConfig,
+    obs: &obskit::Obs,
+    node: NodeId,
+) -> Backend {
+    let backend = Backend::new(kind, handle, nand.clone());
+    backend.attach_tracer(&obs.tracer, node.0 as u64);
+    backend
+}
+
+/// Preloads keys `0..keys` with `value_size`-byte values: identical data
+/// on every replica of the owning shard. `replicas[shard]` lists that
+/// shard's replicas; `backend` projects one to its store.
+pub fn preload<'a, R>(
+    map: &ShardMap,
+    keys: u64,
+    value_size: usize,
+    replicas: &'a [Vec<R>],
+    backend: impl Fn(&'a R) -> &'a Backend,
+) {
+    if keys == 0 {
+        return;
+    }
+    let v0 = Version::new(Timestamp(1), ClientId(u32::MAX));
+    let payload = value(vec![0u8; value_size]);
+    for i in 0..keys {
+        let key = Key::from(i);
+        for replica in &replicas[map.shard_for(&key).0 as usize] {
+            backend(replica).bulk_load(key.clone(), payload.clone(), v0);
+        }
+    }
+    for replica in replicas.iter().flatten() {
+        backend(replica).finish_load();
+    }
 }
 
 impl SemelCluster {
@@ -104,28 +166,17 @@ impl SemelCluster {
     ///
     /// Panics if `replicas` is even (no majority) or zero.
     pub fn build(handle: &SimHandle, config: ClusterConfig) -> SemelCluster {
-        assert!(
-            config.replicas % 2 == 1 && config.replicas >= 1,
-            "replicas must be odd (2f+1)"
-        );
+        let groups = layout(config.shards, config.replicas);
         handle.set_latency(config.net.clone());
         let client_ids: Vec<ClientId> = (0..config.clients).map(ClientId).collect();
-        let groups: Vec<ReplicaGroup> = (0..config.shards)
-            .map(|s| ReplicaGroup {
-                primary: Addr::new(server_node(&config, s, 0), SERVER_PORT),
-                backups: (1..config.replicas)
-                    .map(|r| Addr::new(server_node(&config, s, r), SERVER_PORT))
-                    .collect(),
-            })
-            .collect();
         let map = Rc::new(RefCell::new(ShardMap::new(groups.clone())));
 
         let mut servers = Vec::new();
         for (s, group) in groups.iter().enumerate() {
             let mut replicas = Vec::new();
             for (r, &addr) in group.all().iter().enumerate() {
-                let backend = Backend::new(config.backend, handle, config.nand.clone());
-                backend.attach_tracer(&config.obs.tracer, addr.node.0 as u64);
+                let backend =
+                    new_backend(config.backend, handle, &config.nand, &config.obs, addr.node);
                 let server = ShardServer::spawn(
                     handle,
                     backend,
@@ -156,26 +207,13 @@ impl SemelCluster {
             servers.push(replicas);
         }
 
-        // Preload: identical data on every replica of the owning shard.
-        if config.preload_keys > 0 {
-            let v0 = Version::new(Timestamp(1), ClientId(u32::MAX));
-            let payload = value(vec![0u8; config.value_size]);
-            let m = map.borrow();
-            for i in 0..config.preload_keys {
-                let key = Key::from(i);
-                let shard = m.shard_for(&key);
-                for replica in &servers[shard.0 as usize] {
-                    replica
-                        .backend()
-                        .bulk_load(key.clone(), payload.clone(), v0);
-                }
-            }
-            for shard in &servers {
-                for replica in shard {
-                    replica.backend().finish_load();
-                }
-            }
-        }
+        preload(
+            &map.borrow(),
+            config.preload_keys,
+            config.value_size,
+            &servers,
+            ShardServer::backend,
+        );
 
         let clients = (0..config.clients)
             .map(|i| {

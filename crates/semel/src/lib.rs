@@ -17,11 +17,14 @@
 //!   how much history garbage collection must retain (§3.1).
 //!
 //! The crate provides the wire protocol ([`msg`]), consistent-hash sharding
-//! ([`shard`]), quorum replication ([`replicate`]), the shard server
-//! ([`server`]), the client library ([`client`]), the global master with
-//! heartbeat failure detection and automatic failover ([`master`]), and a
-//! cluster harness ([`cluster`]). The transactional layer MILANA builds on
-//! these pieces in the `milana` crate.
+//! ([`shard`]), quorum replication ([`replicate`]), the replica core
+//! ([`replica`]) and the shard server on top of it ([`server`]), the client
+//! core and client library ([`client`]), the global master with heartbeat
+//! failure detection and automatic failover ([`master`]), and a cluster
+//! harness ([`cluster`]). The transactional layer MILANA is built *on* these
+//! pieces in the `milana` crate: its server contains
+//! [`replica::ReplicaCore`], its client [`client::ClientCore`], and its
+//! cluster boots through [`cluster`].
 
 #![warn(missing_docs)]
 
@@ -29,6 +32,7 @@ pub mod client;
 pub mod cluster;
 pub mod master;
 pub mod msg;
+pub mod replica;
 pub mod replicate;
 pub mod server;
 pub mod shard;
@@ -37,6 +41,7 @@ pub mod spec;
 pub use client::{ClientConfig, SemelClient, SemelClientBuilder};
 pub use cluster::{ClusterConfig, SemelCluster};
 pub use msg::{SemelError, SemelRequest, SemelResponse};
+pub use replica::ReplicaCore;
 pub use server::{ServerConfig, ShardServer};
 pub use shard::{ReplicaGroup, ShardId, ShardMap};
 pub use spec::{ClusterSpec, RebalanceSpec};

@@ -1,5 +1,5 @@
 //! Quorum replication helper: fire a request at every backup, succeed once
-//! `need` of them acknowledge.
+//! half of them acknowledge.
 //!
 //! This is the heart of SEMEL's *lightweight inconsistent replication*
 //! (§3.2): records carry their own version stamps, so backups may receive
@@ -13,50 +13,20 @@ use std::time::Duration;
 use simkit::net::Addr;
 use simkit::rpc::RpcClient;
 use simkit::sync::mpsc;
-use simkit::SimHandle;
 
-/// Sends `req` to every address in `targets` and waits until `need` replies
-/// satisfy `accept`. Returns true on quorum, false if too many targets fail
-/// (timeout or rejected reply) for a quorum to remain possible.
+/// Sends `req` to every address in `targets` and waits until
+/// `targets.len() / 2` replies satisfy `accept` — `f` of the `2f` backups.
+/// Returns true on quorum, false if too many targets fail (timeout or
+/// rejected reply) for a quorum to remain possible; an unreplicated shard
+/// (no targets) succeeds immediately.
 ///
-/// `need == 0` returns true immediately (an unreplicated shard).
-pub async fn replicate<Req, Resp>(
-    handle: &SimHandle,
-    rpc: &RpcClient,
-    targets: &[Addr],
-    req: Req,
-    need: usize,
-    timeout: Duration,
-    accept: impl Fn(&Resp) -> bool + Clone + 'static,
-) -> bool
-where
-    Req: Clone + 'static,
-    Resp: Clone + 'static,
-{
-    replicate_traced(
-        handle,
-        rpc,
-        targets,
-        req,
-        need,
-        timeout,
-        accept,
-        &obskit::Tracer::disabled(),
-        0,
-    )
-    .await
-}
-
-/// [`replicate`] with observability: each accepting backup is recorded as a
+/// Each accepting backup is recorded as a
 /// [`obskit::TraceEvent::ReplicaAck`] carrying the caller-supplied
 /// replication sequence number.
-#[allow(clippy::too_many_arguments)] // the traced superset of replicate()
 pub async fn replicate_traced<Req, Resp>(
-    handle: &SimHandle,
     rpc: &RpcClient,
     targets: &[Addr],
     req: Req,
-    need: usize,
     timeout: Duration,
     accept: impl Fn(&Resp) -> bool + Clone + 'static,
     tracer: &obskit::Tracer,
@@ -66,11 +36,10 @@ where
     Req: Clone + 'static,
     Resp: Clone + 'static,
 {
+    let handle = rpc.handle();
+    let need = targets.len() / 2;
     if need == 0 {
         return true;
-    }
-    if targets.len() < need {
-        return false;
     }
     let (tx, rx) = mpsc::channel();
     for &t in targets {
@@ -121,7 +90,7 @@ mod tests {
     use super::*;
     use simkit::net::NodeId;
     use simkit::rpc::recv_request;
-    use simkit::Sim;
+    use simkit::{Sim, SimHandle};
 
     #[derive(Debug, Clone)]
     struct Rec(#[allow(dead_code)] u32);
@@ -150,7 +119,16 @@ mod tests {
         let ok = sim.block_on(async move {
             let backups: Vec<Addr> = (1..=4).map(|n| spawn_backup(&hh, NodeId(n))).collect();
             let rpc = RpcClient::new(&hh, NodeId(0), 1);
-            replicate::<Rec, Ack>(&hh, &rpc, &backups, Rec(7), 2, T, |_| true).await
+            replicate_traced::<Rec, Ack>(
+                &rpc,
+                &backups,
+                Rec(7),
+                T,
+                |_| true,
+                &obskit::Tracer::disabled(),
+                0,
+            )
+            .await
         });
         assert!(ok);
     }
@@ -165,7 +143,16 @@ mod tests {
             hh.kill_node(NodeId(1));
             hh.kill_node(NodeId(2));
             let rpc = RpcClient::new(&hh, NodeId(0), 1);
-            replicate::<Rec, Ack>(&hh, &rpc, &backups, Rec(7), 2, T, |_| true).await
+            replicate_traced::<Rec, Ack>(
+                &rpc,
+                &backups,
+                Rec(7),
+                T,
+                |_| true,
+                &obskit::Tracer::disabled(),
+                0,
+            )
+            .await
         });
         assert!(ok);
     }
@@ -181,7 +168,16 @@ mod tests {
                 hh.kill_node(NodeId(n));
             }
             let rpc = RpcClient::new(&hh, NodeId(0), 1);
-            replicate::<Rec, Ack>(&hh, &rpc, &backups, Rec(7), 2, T, |_| true).await
+            replicate_traced::<Rec, Ack>(
+                &rpc,
+                &backups,
+                Rec(7),
+                T,
+                |_| true,
+                &obskit::Tracer::disabled(),
+                0,
+            )
+            .await
         });
         assert!(!ok);
     }
@@ -193,7 +189,16 @@ mod tests {
         let hh = h.clone();
         let ok = sim.block_on(async move {
             let rpc = RpcClient::new(&hh, NodeId(0), 1);
-            replicate::<Rec, Ack>(&hh, &rpc, &[], Rec(0), 0, T, |_| true).await
+            replicate_traced::<Rec, Ack>(
+                &rpc,
+                &[],
+                Rec(0),
+                T,
+                |_| true,
+                &obskit::Tracer::disabled(),
+                0,
+            )
+            .await
         });
         assert!(ok);
     }
@@ -206,7 +211,16 @@ mod tests {
         let ok = sim.block_on(async move {
             let backups: Vec<Addr> = (1..=2).map(|n| spawn_backup(&hh, NodeId(n))).collect();
             let rpc = RpcClient::new(&hh, NodeId(0), 1);
-            replicate::<Rec, Ack>(&hh, &rpc, &backups, Rec(7), 1, T, |_| false).await
+            replicate_traced::<Rec, Ack>(
+                &rpc,
+                &backups,
+                Rec(7),
+                T,
+                |_| false,
+                &obskit::Tracer::disabled(),
+                0,
+            )
+            .await
         });
         assert!(!ok);
     }

@@ -14,14 +14,14 @@ use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Backend, StoreError};
-use loadkit::{Admission, AdmissionConfig};
+use loadkit::AdmissionConfig;
 use simkit::net::Addr;
-use simkit::rpc::{recv_incoming, Batch, BatchReply, Incoming, Responder, RpcClient};
+use simkit::rpc::{Incoming, Responder};
 use simkit::SimHandle;
-use timesync::{ClientId, Timestamp, WatermarkTracker};
+use timesync::{ClientId, Timestamp};
 
 use crate::msg::{ReplicaRecord, SemelRequest, SemelResponse};
-use crate::replicate::replicate_traced;
+use crate::replica::ReplicaCore;
 use crate::shard::ShardId;
 
 /// How a primary streams records to its backups.
@@ -87,31 +87,18 @@ pub const COST_GET: u64 = 1;
 /// fan-out holds capacity longer than a read).
 pub const COST_PUT: u64 = 2;
 
-impl ServerConfig {
-    /// Majority parameter: acks needed from backups (`f` of `2f`).
-    pub fn need_acks(&self) -> usize {
-        self.backups.len() / 2
-    }
-}
-
-/// One running shard replica. Cloning shares the server state.
+/// One running shard replica: the [`ReplicaCore`] plus the ordered-mode
+/// ablation state. Cloning shares the server state.
 #[derive(Clone)]
 pub struct ShardServer {
-    handle: SimHandle,
-    backend: Backend,
+    core: Rc<ReplicaCore>,
     cfg: Rc<ServerConfig>,
-    admission: Admission,
-    rpc: RpcClient,
-    watermarks: Rc<std::cell::RefCell<WatermarkTracker>>,
     /// High-water mark of GC floors this replica has acted on. Explicitly
     /// monotone: late or regressing reports (clock steps, respawns reusing
     /// the backend) can never pull it back.
     applied_wm: Rc<std::cell::Cell<Timestamp>>,
     /// Primary: next sequence number to assign (ordered mode).
     next_seq: Rc<std::cell::Cell<u64>>,
-    /// Primary: sequence stamp for [`obskit::TraceEvent::ReplicaAck`]
-    /// events (counts replication rounds in both modes).
-    trace_seq: Rc<std::cell::Cell<u64>>,
     /// Backup: in-order application state (ordered mode).
     ordered: Rc<std::cell::RefCell<OrderedBackup>>,
     /// Primary, inconsistent mode: the group-commit batcher. Each flushed
@@ -141,117 +128,59 @@ impl ShardServer {
     /// Spawns the server loop on `cfg.addr.node` and returns a handle to it.
     /// The `backend` outlives node failures, modeling durable storage.
     pub fn spawn(handle: &SimHandle, backend: Backend, cfg: ServerConfig) -> ShardServer {
-        let admission =
-            Admission::observed(cfg.admission.clone(), &cfg.obs, cfg.addr.node.0 as u64);
-        let rpc = RpcClient::new(&handle.clone(), cfg.addr.node, cfg.addr.port + 1);
+        let core = ReplicaCore::new(
+            handle,
+            backend,
+            cfg.addr,
+            &cfg.admission,
+            &cfg.obs,
+            &cfg.clients,
+            cfg.history_window,
+        );
         let cfg = Rc::new(cfg);
-        let trace_seq = Rc::new(std::cell::Cell::new(0));
         let repl_batch = (cfg.is_primary
             && cfg.replication == ReplicationMode::Inconsistent
             && !cfg.backups.is_empty())
-        .then(|| Self::spawn_repl_batcher(handle, &rpc, &cfg, &trace_seq));
-        let server = ShardServer {
-            handle: handle.clone(),
-            backend,
-            admission,
-            rpc,
-            watermarks: Rc::new(std::cell::RefCell::new(WatermarkTracker::new(
-                cfg.clients.iter().copied(),
-            ))),
-            applied_wm: Rc::new(std::cell::Cell::new(Timestamp::ZERO)),
-            cfg,
-            next_seq: Rc::new(std::cell::Cell::new(0)),
-            trace_seq,
-            ordered: Rc::new(std::cell::RefCell::new(OrderedBackup::default())),
-            repl_batch,
-        };
-        server.spawn_loop();
-        server
-    }
-
-    /// Builds the primary's group-commit batcher: a flush turns the drained
-    /// records into one `Batch<Record>` envelope per backup and succeeds
-    /// (for every item at once) when `f` backups acknowledge the whole
-    /// batch — so no record is ever acked with less than `f` coverage.
-    fn spawn_repl_batcher(
-        handle: &SimHandle,
-        rpc: &RpcClient,
-        cfg: &Rc<ServerConfig>,
-        trace_seq: &Rc<std::cell::Cell<u64>>,
-    ) -> Batcher<ReplicaRecord, bool> {
-        let envelopes = cfg
-            .obs
-            .registry
-            .counter(&format!("semel.node{}.repl_envelopes", cfg.addr.node.0));
-        let records = cfg
-            .obs
-            .registry
-            .counter(&format!("semel.node{}.repl_records", cfg.addr.node.0));
-        let h = handle.clone();
-        let rpc = rpc.clone();
-        let cfg2 = Rc::clone(cfg);
-        let trace_seq = Rc::clone(trace_seq);
-        Batcher::new(
-            handle,
-            cfg.addr.node,
-            &format!("semel.repl.node{}", cfg.addr.node.0),
-            cfg.batch,
-            cfg.obs.clone(),
-            move |recs: Vec<ReplicaRecord>| {
-                let h = h.clone();
-                let rpc = rpc.clone();
-                let cfg = Rc::clone(&cfg2);
-                let n = recs.len();
-                envelopes.add(cfg.backups.len() as u64);
-                records.add(n as u64);
-                let seq = trace_seq.replace(trace_seq.get() + 1);
-                async move {
-                    let items: Vec<SemelRequest> = recs
+        .then(|| {
+            let backups = cfg.backups.clone();
+            core.replication_plane(
+                "semel",
+                cfg.batch,
+                cfg.repl_timeout,
+                move |recs: Vec<ReplicaRecord>| {
+                    let wire = recs
                         .into_iter()
                         .map(|rec| SemelRequest::Record { seq: None, rec })
                         .collect();
-                    let ok = replicate_traced::<Batch<SemelRequest>, BatchReply<SemelResponse>>(
-                        &h,
-                        &rpc,
-                        &cfg.backups,
-                        Batch { items },
-                        cfg.need_acks(),
-                        cfg.repl_timeout,
-                        |r| r.items.iter().all(|i| matches!(i, SemelResponse::RecordOk)),
-                        &cfg.obs.tracer,
-                        seq,
-                    )
-                    .await;
-                    vec![ok; n]
+                    (backups.clone(), wire)
+                },
+                |r: &SemelResponse| matches!(r, SemelResponse::RecordOk),
+            )
+        });
+        let server = ShardServer {
+            core,
+            applied_wm: Rc::new(std::cell::Cell::new(Timestamp::ZERO)),
+            cfg,
+            next_seq: Rc::new(std::cell::Cell::new(0)),
+            ordered: Rc::new(std::cell::RefCell::new(OrderedBackup::default())),
+            repl_batch,
+        };
+        let me = server.clone();
+        server.core.serve(move |incoming, _from, resp| {
+            let me = me.clone();
+            async move {
+                match incoming {
+                    Incoming::One(req) => me.handle_request(req, resp).await,
+                    Incoming::Batch(items) => me.handle_batch(items, resp).await,
                 }
-            },
-        )
-    }
-
-    fn spawn_loop(&self) {
-        let mailbox = self.handle.bind(self.cfg.addr);
-        let me = self.clone();
-        let h = self.handle.clone();
-        self.handle.spawn_on(self.cfg.addr.node, async move {
-            while let Some((incoming, _from, resp)) =
-                recv_incoming::<SemelRequest>(&h, &mailbox).await
-            {
-                let me2 = me.clone();
-                // Handle each envelope in its own task so slow device ops
-                // do not serialize the shard.
-                h.spawn_on(me.cfg.addr.node, async move {
-                    match incoming {
-                        Incoming::One(req) => me2.handle_request(req, resp).await,
-                        Incoming::Batch(items) => me2.handle_batch(items, resp).await,
-                    }
-                });
             }
         });
+        server
     }
 
     /// The storage backend (exposed for preloading and test inspection).
     pub fn backend(&self) -> &Backend {
-        &self.backend
+        &self.core.backend
     }
 
     /// This replica's configuration.
@@ -259,40 +188,20 @@ impl ShardServer {
         &self.cfg
     }
 
-    /// Overload gate for client-facing work: refuse already-expired
-    /// requests, then claim admission capacity for `cost`. On refusal the
-    /// responder is consumed replying with the [`SemelResponse::Shed`].
-    fn admit(&self, cost: u64, resp: Responder) -> Result<(loadkit::Permit, Responder), ()> {
-        let now = self.handle.now();
-        if resp.deadline().expired(now) {
-            let shed = self.admission.shed_deadline(now.as_nanos());
-            resp.reply(SemelResponse::Shed(shed));
-            return Err(());
-        }
-        match self.admission.try_admit(now.as_nanos(), cost) {
-            Ok(permit) => Ok((permit, resp)),
-            Err(shed) => {
-                resp.reply(SemelResponse::Shed(shed));
-                Err(())
-            }
-        }
-    }
-
     async fn handle_request(&self, req: SemelRequest, resp: Responder) {
-        let (_permit, resp) = match &req {
-            SemelRequest::Get { .. } => match self.admit(COST_GET, resp) {
-                Ok((p, r)) => (Some(p), r),
-                Err(()) => return,
-            },
-            SemelRequest::Put { .. } | SemelRequest::Delete { .. } => {
-                match self.admit(COST_PUT, resp) {
-                    Ok((p, r)) => (Some(p), r),
-                    Err(()) => return,
-                }
-            }
+        let cost = match &req {
+            SemelRequest::Get { .. } => Some(COST_GET),
+            SemelRequest::Put { .. } | SemelRequest::Delete { .. } => Some(COST_PUT),
             // Replication and watermark control traffic must always land:
             // shedding it amplifies recovery work instead of reducing load.
-            SemelRequest::Record { .. } | SemelRequest::Watermark { .. } => (None, resp),
+            SemelRequest::Record { .. } | SemelRequest::Watermark { .. } => None,
+        };
+        let (_permit, resp) = match cost {
+            Some(cost) => match self.core.admit(cost, resp, SemelResponse::Shed) {
+                Some((permit, resp)) => (Some(permit), resp),
+                None => return,
+            },
+            None => (None, resp),
         };
         // Cutover fence: keys the shared map no longer assigns here are
         // answered with a forwarding stub, never served from local state.
@@ -316,7 +225,7 @@ impl ShardServer {
         }
         match req {
             SemelRequest::Get { key, at } => {
-                let r = match self.backend.get_at(&key, at).await {
+                let r = match self.core.backend.get_at(&key, at).await {
                     Ok(vv) => SemelResponse::Value {
                         version: vv.version,
                         value: vv.value,
@@ -339,7 +248,7 @@ impl ShardServer {
                 resp.reply(r);
             }
             SemelRequest::Delete { key } => {
-                self.backend.delete(&key);
+                self.core.backend.delete(&key);
                 let rec = ReplicaRecord::Delete { key };
                 let ok = self.replicate_record(rec).await;
                 resp.reply(if ok {
@@ -382,23 +291,13 @@ impl ShardServer {
         resp.reply_batch(out);
     }
 
-    /// Merges one client's watermark report and advances the backend's GC
-    /// floor (bounded below by the configured history window).
+    /// Merges one client's watermark report (the core advances the
+    /// backend's GC floor) and remembers the highest floor applied.
     fn merge_watermark(&self, client: ClientId, ts: Timestamp) {
-        let mut wm = {
-            let mut w = self.watermarks.borrow_mut();
-            w.update(client, ts);
-            w.watermark()
-        };
-        if let Some(window) = self.cfg.history_window {
-            let floor = Timestamp::from_sim(self.handle.now()).before(window);
-            wm = wm.min(floor);
-        }
-        if wm > Timestamp::ZERO && wm < Timestamp::MAX {
+        if let Some(wm) = self.core.merge_watermark(client, ts, Timestamp::MAX) {
             if wm > self.applied_wm.get() {
                 self.applied_wm.set(wm);
             }
-            self.backend.set_watermark(wm);
         }
     }
 
@@ -417,21 +316,18 @@ impl ShardServer {
         if let Some(batcher) = &self.repl_batch {
             return batcher.submit(rec).await.unwrap_or(false);
         }
-        replicate_traced::<SemelRequest, SemelResponse>(
-            &self.handle,
-            &self.rpc,
-            &self.cfg.backups,
-            SemelRequest::Record {
-                seq: self.assign_seq(),
-                rec,
-            },
-            self.cfg.need_acks(),
-            self.cfg.repl_timeout,
-            |r| matches!(r, SemelResponse::RecordOk),
-            &self.cfg.obs.tracer,
-            self.trace_seq.replace(self.trace_seq.get() + 1),
-        )
-        .await
+        let req = SemelRequest::Record {
+            seq: self.assign_seq(),
+            rec,
+        };
+        self.core
+            .replicate(
+                self.cfg.backups.clone(),
+                req,
+                self.cfg.repl_timeout,
+                |r: &SemelResponse| matches!(r, SemelResponse::RecordOk),
+            )
+            .await
     }
 
     fn assign_seq(&self) -> Option<u64> {
@@ -451,12 +347,12 @@ impl ShardServer {
                 key,
                 value,
                 version,
-            } => match self.backend.apply_unordered(key, value, version).await {
+            } => match self.core.backend.apply_unordered(key, value, version).await {
                 Ok(()) => SemelResponse::RecordOk,
                 Err(_) => SemelResponse::Capacity,
             },
             ReplicaRecord::Delete { key } => {
-                self.backend.delete(&key);
+                self.core.backend.delete(&key);
                 SemelResponse::RecordOk
             }
         }
@@ -503,7 +399,12 @@ impl ShardServer {
         value: flashsim::Value,
         version: timesync::Version,
     ) -> SemelResponse {
-        match self.backend.put(key.clone(), value.clone(), version).await {
+        match self
+            .core
+            .backend
+            .put(key.clone(), value.clone(), version)
+            .await
+        {
             Ok(()) => {}
             Err(StoreError::StaleWrite(current)) if current == version => {
                 // Retransmission of a completed write: re-replicate (the

@@ -169,6 +169,11 @@ impl RpcClient {
         self.reply_addr
     }
 
+    /// The simulation this client runs in.
+    pub fn handle(&self) -> &SimHandle {
+        &self.handle
+    }
+
     /// Issues a request and waits for its typed reply.
     ///
     /// # Errors
