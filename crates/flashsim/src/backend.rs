@@ -340,8 +340,20 @@ impl Backend {
         }
     }
 
+    /// The youngest version of `key`: what validation compares a read or a
+    /// write against. Metadata only, no I/O and no allocation.
+    pub fn latest_version(&self, key: &Key) -> Option<Version> {
+        match self {
+            Backend::Dram(s) => s.latest_version(key),
+            Backend::Sftl(s) => s.latest_version(key),
+            Backend::Vftl(s) => s.latest_version(key),
+            Backend::Mftl(s) => s.latest_version(key),
+        }
+    }
+
     /// All versions of `key` currently visible, youngest first (SFTL reports
-    /// at most one).
+    /// at most one). For tests, migration and recovery; the hot path wants
+    /// [`Backend::latest_version`].
     pub fn versions(&self, key: &Key) -> Vec<Version> {
         match self {
             Backend::Dram(s) => s.versions(key),
@@ -407,7 +419,11 @@ mod tests {
             sim.block_on(async move {
                 let k = Key::from(1u64);
                 b.put(k.clone(), value(&b"a"[..]), v(10)).await.unwrap();
+                assert_eq!(b.latest_version(&k), Some(v(10)), "{kind}");
                 b.put(k.clone(), value(&b"b"[..]), v(20)).await.unwrap();
+                assert_eq!(b.latest_version(&k), Some(v(20)), "{kind}");
+                assert_eq!(b.latest_version(&k), b.versions(&k).first().copied());
+                assert_eq!(b.latest_version(&Key::from(2u64)), None, "{kind}");
                 let old = b.get_at(&k, Timestamp(15)).await;
                 if kind.is_multi_version() {
                     assert_eq!(old.unwrap().version, v(10), "{kind}");

@@ -153,6 +153,12 @@ impl DramStore {
         inner.map.get(key).map(Chain::versions).unwrap_or_default()
     }
 
+    /// The youngest version of `key`.
+    pub fn latest_version(&self, key: &Key) -> Option<Version> {
+        let inner = self.inner.borrow();
+        inner.map.get(key)?.latest().map(|e| e.version)
+    }
+
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
         self.inner.borrow().map.len()

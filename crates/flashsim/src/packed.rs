@@ -655,6 +655,12 @@ impl<S: Space> PackedStore<S> {
         inner.map.get(key).map(Chain::versions).unwrap_or_default()
     }
 
+    /// The youngest version mapped for `key` (metadata only, no I/O).
+    pub fn latest_version(&self, key: &Key) -> Option<Version> {
+        let inner = self.sh.inner.borrow();
+        inner.map.get(key)?.latest().map(|e| e.version)
+    }
+
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
         self.sh.inner.borrow().map.len()

@@ -7,7 +7,7 @@
 //! fail with [`StoreError::SnapshotUnavailable`], which is what forces tardy
 //! read-only transactions to abort on this backend.
 
-use perfkit::FastMap;
+use perfkit::{FastMap, FastSet};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -341,8 +341,7 @@ impl SingleVersionStore {
         for lba in stale {
             self.ftl.trim(lba);
         }
-        let used: std::collections::HashSet<u32> =
-            inner.map.values().map(|&(lba, _)| lba).collect();
+        let used: FastSet<u32> = inner.map.values().map(|&(lba, _)| lba).collect();
         inner.next_lba = used.iter().max().map_or(0, |&m| m + 1);
         inner.free_lbas = (0..inner.next_lba)
             .rev()

@@ -567,7 +567,7 @@ impl TxnServer {
     }
 
     fn latest_committed(&self, key: &Key) -> Option<Version> {
-        self.core.backend.versions(key).first().copied()
+        self.core.backend.latest_version(key)
     }
 
     /// True while this replica is still a member of its shard's replica

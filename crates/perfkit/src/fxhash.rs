@@ -1,4 +1,4 @@
-//! A deterministic FxHash-style hasher.
+//! A deterministic FxHash-style hasher with a finaliser.
 //!
 //! The classic Firefox/rustc word-at-a-time hash: fold each word into the
 //! state with a rotate, an xor, and a multiply by a fixed odd constant.
@@ -6,6 +6,28 @@
 //! simulator-internal (`Key` digests, `TxnId`s, node ids), so speed and
 //! determinism win. Hand-written because the build environment is offline
 //! (no `rustc-hash` crate); the algorithm is the well-known public one.
+//!
+//! # Why `finish` mixes
+//!
+//! `std`'s `HashMap` (hashbrown) reads two bit ranges of a hash: the low
+//! `log2(buckets)` bits choose where probing starts, and the top seven are
+//! the tag compared before `Eq` is called. A multiply by an odd constant
+//! only carries entropy *upward*, and the fold is little-endian, so an
+//! input whose varying bytes sit high in a word — anything big-endian —
+//! leaves the folded state's low bits constant. `flashsim::Key::from(u64)`
+//! is exactly that shape (eight big-endian id bytes, eight zeros): without
+//! a finaliser, 240 000 such keys start probing from 32 slots at every
+//! table size and a lookup walks a collision chain of thousands, one
+//! `memcmp` per tag match. `finish` therefore runs the state through
+//! murmur3's `fmix64`, a fixed bijection after which every output bit
+//! depends on every state bit. It is still seedless: same input, same
+//! hash, in every process.
+//!
+//! Hash quality is tested on the shapes the workspace really hashes, at
+//! the table sizes it really builds — the tests below, and
+//! `crates/flashsim/tests/key_hash.rs` on `Key` itself — by bucket load
+//! and `Eq` count, not by timing. A new key type on a hot `FastMap` gets a
+//! row there.
 
 use std::hash::Hasher;
 
@@ -78,20 +100,91 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The folded state through murmur3's `fmix64`, so every output bit
+    /// depends on every state bit (see the module docs for why).
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let mut h = self.hash;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     fn hash_of(bytes: &[u8]) -> u64 {
         let mut h = FxHasher::default();
         h.write(bytes);
         h.finish()
+    }
+
+    /// Hashes `n` inputs the way a `FastMap` holding them would and checks
+    /// the two bit ranges hashbrown consumes: `hash & mask` picks the probe
+    /// start (so the fullest bucket of a table sized for `n` must stay
+    /// small) and `hash >> 57` is the tag compared before any `Eq` call (so
+    /// all 128 values must be in use).
+    fn assert_spreads<T: Hash>(shape: &str, n: u64, make: impl Fn(u64) -> T) {
+        let mask = ((n * 8 / 7).next_power_of_two() - 1) as usize;
+        let mut load = vec![0u32; mask + 1];
+        let mut tags = [false; 128];
+        for i in 0..n {
+            let mut h = FxHasher::default();
+            make(i).hash(&mut h);
+            let hash = h.finish();
+            load[hash as usize & mask] += 1;
+            tags[(hash >> 57) as usize] = true;
+        }
+        let fullest = load.iter().max().expect("mask + 1 >= 1 buckets");
+        let distinct = load.iter().filter(|&&c| c > 0).count();
+        assert!(
+            *fullest <= 16,
+            "{shape}, n = {n}: fullest of {} buckets holds {fullest} ({distinct} in use)",
+            mask + 1
+        );
+        let used = tags.iter().filter(|&&t| t).count();
+        assert_eq!(used, 128, "{shape}, n = {n}: {used} of 128 tags in use");
+    }
+
+    /// The table sizes of the benchmark: `read_hot`'s and `retwis_mix`'s
+    /// per-replica share, and `retwis_mix`'s whole keyspace.
+    const SIZES: [u64; 3] = [2_700, 80_000, 240_000];
+
+    #[test]
+    fn key_shaped_bytes_spread() {
+        // `flashsim::Key::from(u64)`: big-endian id, eight zero bytes, hashed
+        // as `[u8]` (length prefix, then the bytes) — which is also how an
+        // array hashes.
+        for n in SIZES {
+            assert_spreads("be-id key", n, |i| {
+                let mut key = [0u8; 16];
+                key[..8].copy_from_slice(&i.to_be_bytes());
+                key
+            });
+        }
+    }
+
+    #[test]
+    fn txn_id_and_addr_shaped_tuples_spread() {
+        for n in SIZES {
+            // `TxnId { client: ClientId(u32), seq: u64 }`, 16 clients.
+            assert_spreads("(u32, u64)", n, |i| ((i % 16) as u32, i / 16));
+            // `Addr { node: NodeId(u32), port: u16 }`, 4 ports a node.
+            assert_spreads("(u32, u16)", n, |i| ((i / 4) as u32, (i % 4) as u16));
+        }
+    }
+
+    #[test]
+    fn small_integer_ids_spread() {
+        for n in SIZES {
+            assert_spreads("u64", n, |i| i);
+            assert_spreads("u32", n, |i| i as u32);
+        }
     }
 
     #[test]

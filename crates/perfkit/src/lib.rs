@@ -11,6 +11,11 @@
 //!   makes map iteration order reproducible across runs (no code may
 //!   *depend* on that order, but reproducibility turns any accidental
 //!   dependence into a deterministic bug instead of a flaky one).
+//!   `finish` ends with an avalanche step, because hashbrown indexes by
+//!   a hash's low bits and tags by its top seven and the fold alone
+//!   leaves big-endian keys with constant low bits ([`fxhash`] has the
+//!   details). Rule: hash quality is tested on the workspace's real key
+//!   shapes at its real table sizes, not on a small generic sample.
 //! - [`pool`]: a worker-pool runner for embarrassingly parallel
 //!   deterministic simulations (one sim per thread, ordered merge), with
 //!   the `--threads`/`PERF_THREADS` knob shared by every `repro_*`

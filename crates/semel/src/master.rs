@@ -16,7 +16,7 @@
 //! ensemble would appear to its users) and is not itself replicated.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -102,9 +102,9 @@ pub struct MasterStats {
 
 struct MasterState {
     map: ShardMap,
-    last_beat: HashMap<ShardId, SimTime>,
+    last_beat: BTreeMap<ShardId, SimTime>,
     /// Shards currently mid-failover (suppresses double triggers).
-    failing_over: HashMap<ShardId, bool>,
+    failing_over: BTreeMap<ShardId, bool>,
     stats: MasterStats,
 }
 
@@ -138,14 +138,14 @@ impl Master {
         let last_beat = initial_map
             .iter()
             .map(|(s, _)| (s, now))
-            .collect::<HashMap<_, _>>();
+            .collect::<BTreeMap<_, _>>();
         let master = Master {
             handle: handle.clone(),
             cfg: Rc::new(cfg),
             state: Rc::new(RefCell::new(MasterState {
                 map: initial_map,
                 last_beat,
-                failing_over: HashMap::new(),
+                failing_over: BTreeMap::new(),
                 stats: MasterStats::default(),
             })),
             promoter,

@@ -365,13 +365,15 @@ impl SimHandle {
         let (tasks, boxes) = {
             let mut inner = self.inner.borrow_mut();
             inner.net.dead.insert(node);
-            let doomed: Vec<Addr> = inner
+            let mut doomed: Vec<Addr> = inner
                 .net
                 .mailboxes
                 .keys()
                 .filter(|a| a.node == node)
                 .copied()
                 .collect();
+            // The wakes below enqueue receivers: address order, not map order.
+            doomed.sort_unstable();
             let mut boxes = Vec::new();
             for a in doomed {
                 if let Some(mb) = inner.net.mailboxes.remove(&a) {
@@ -551,6 +553,32 @@ mod tests {
             hh.sleep(Duration::from_millis(1)).await;
         });
         assert!(h.is_dead(NodeId(3)));
+    }
+
+    #[test]
+    fn kill_node_wakes_foreign_receivers_in_address_order() {
+        // Receivers that are not tasks of the dead node survive the kill and
+        // are woken by it; the order they run in must not be the mailbox
+        // map's iteration order.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        let order = sim.block_on(async move {
+            let woken = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            for port in [5u16, 0, 7, 2, 6, 1, 4, 3] {
+                let mb = hh.bind(a(9, port));
+                let woken = woken.clone();
+                hh.spawn(async move {
+                    assert!(mb.recv().await.is_none(), "closed by the kill");
+                    woken.borrow_mut().push(port);
+                });
+            }
+            hh.sleep(Duration::from_millis(1)).await; // park every receiver
+            hh.kill_node(NodeId(9));
+            hh.sleep(Duration::from_millis(1)).await;
+            woken.take()
+        });
+        assert_eq!(order, (0..8).collect::<Vec<u16>>());
     }
 
     #[test]
