@@ -14,19 +14,40 @@ use std::time::Duration;
 
 use flashsim::dftl::{DemandMappedStore, DftlConfig};
 use flashsim::mftl::{MftlConfig, UnifiedStore};
-use flashsim::{value, BackendKind, Key, NandConfig};
-use milana::cluster::MilanaClusterConfig;
-use obskit::Json;
+use flashsim::{value, BackendKind, Key, NandConfig, Value};
+use obskit::{Histogram, Json};
 use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
 use semel::cluster::{ClusterConfig, SemelCluster};
 use semel::server::ReplicationMode;
-use simkit::metrics::Histogram;
 use simkit::rng::Zipf;
-use simkit::Sim;
-use timesync::{ClientId, ClockSpec, Discipline, Timestamp, Version};
+use simkit::{Sim, SimHandle};
+use timesync::{ClientId, Discipline, Timestamp, Version};
 
-use crate::common::{run_retwis_on_milana, Scale};
+use crate::common::{clock_spectrum, run_retwis_on_milana, trail_watermark, Args, Scale};
+use crate::{testbed, Outcome};
+
+/// `repro ablations`: all five, a blank line between their tables.
+pub fn repro(_: &Args, scale: Scale) -> Outcome {
+    eprintln!("running ablations at {scale:?} scale ...\n");
+    let replication = run_replication(scale);
+    println!();
+    let clocks = run_clocks(scale);
+    println!();
+    let dftl = run_dftl(scale);
+    println!();
+    let packing = run_packing(scale);
+    println!();
+    let open_loop = run_open_loop(scale);
+    Outcome::pass(
+        Json::obj()
+            .field("replication", replication)
+            .field("clocks", clocks)
+            .field("dftl", dftl)
+            .field("packing", packing)
+            .field("open_loop", open_loop),
+    )
+}
 
 // ---------------------------------------------------------------------------
 // Ablation 1: inconsistent vs ordered replication
@@ -180,12 +201,7 @@ pub fn run_clocks(scale: Scale) -> Json {
     println!();
     let keyspace = 5_000u64;
     let mut items = Vec::new();
-    for (discipline, name) in [
-        (Discipline::Perfect, "Perfect"),
-        (Discipline::PtpHardware, "PTP-HW"),
-        (Discipline::PtpSoftware, "PTP-SW"),
-        (Discipline::Ntp, "NTP"),
-    ] {
+    for (discipline, name) in clock_spectrum() {
         for &alpha in &alphas {
             items.push((discipline.clone(), name, alpha));
         }
@@ -193,47 +209,12 @@ pub fn run_clocks(scale: Scale) -> Json {
     // Every (discipline, α) cell is an independent sim: fan the grid out
     // on the worker pool and print the table rows afterwards in order.
     let cells = perfkit::pool::run_ordered_auto(items, |(discipline, name, alpha)| {
-        let mut sim = Sim::new(1_700 + (alpha * 100.0) as u64);
-        let h = sim.handle();
-        let cluster = milana::cluster::MilanaCluster::build(
-            &h,
-            MilanaClusterConfig {
-                shards: 1,
-                replicas: 3,
-                clients: 5,
-                backend: BackendKind::Mftl,
-                nand: NandConfig {
-                    channels: 8,
-                    ..NandConfig::default()
-                }
-                .sized_for(keyspace, 512, 0.08),
-                clock: ClockSpec::from(discipline.clone()),
-                preload_keys: keyspace,
-                net: simkit::net::LatencyConfig {
-                    one_way: Duration::from_micros(150),
-                    jitter_std: Duration::from_micros(30),
-                    ..simkit::net::LatencyConfig::default()
-                },
-                tuning: milana::server::ServerTuning {
-                    obs: crate::common::run_obs(),
-                    ..Default::default()
-                },
-                ..MilanaClusterConfig::default()
-            },
-        );
         let outcome = run_retwis_on_milana(
-            &mut sim,
-            &cluster,
-            WorkloadConfig {
-                mix: Mix::retwis(),
-                keyspace,
-                zipf_alpha: alpha,
-                value_size: 472,
-                max_retries: 1000,
-            },
+            1_700 + (alpha * 100.0) as u64,
+            testbed::paper(BackendKind::Mftl, discipline.into(), 5, keyspace),
+            testbed::retwis(keyspace, alpha),
             4,
-            Duration::from_millis(200),
-            scale.measure() / 2,
+            (Duration::from_millis(200), scale.measure() / 2),
         );
         let rate = outcome.stats.abort_rate();
         let row = Json::obj()
@@ -264,6 +245,38 @@ pub fn run_clocks(scale: Scale) -> Json {
     Json::obj().field("rows", Json::Arr(rows))
 }
 
+/// Prints each cell's table line, in sweep order; returns the JSON rows.
+fn print_lines(cells: Vec<(String, Json)>) -> Vec<Json> {
+    cells
+        .into_iter()
+        .map(|(line, row)| {
+            println!("{line}");
+            row
+        })
+        .collect()
+}
+
+/// An MFTL store on a `channels`-wide device, preloaded with `keys`
+/// 472-byte values at 8 % utilisation; returns it with the payload.
+fn loaded_mftl(h: &SimHandle, channels: u32, keys: u64, cfg: MftlConfig) -> (UnifiedStore, Value) {
+    let nand = NandConfig {
+        channels,
+        ..NandConfig::default()
+    }
+    .sized_for(keys, 512, 0.08);
+    let store = UnifiedStore::new(h.clone(), nand, cfg);
+    let payload = value(vec![0u8; 472]);
+    for i in 0..keys {
+        store.bulk_load(
+            Key::from(i),
+            payload.clone(),
+            Version::new(Timestamp(1), ClientId(0)),
+        );
+    }
+    store.finish_load();
+    (store, payload)
+}
+
 // ---------------------------------------------------------------------------
 // Ablation 3: DFTL-style demand-paged mapping
 // ---------------------------------------------------------------------------
@@ -285,24 +298,7 @@ pub fn run_dftl(scale: Scale) -> Json {
     let cells = perfkit::pool::run_ordered_auto(vec![1.0f64, 0.5, 0.25, 0.05], |fraction| {
         let mut sim = Sim::new(1_800);
         let h = sim.handle();
-        let inner = UnifiedStore::new(
-            h.clone(),
-            NandConfig {
-                channels: 16,
-                ..NandConfig::default()
-            }
-            .sized_for(keys, 512, 0.08),
-            MftlConfig::default(),
-        );
-        let payload = value(vec![0u8; 472]);
-        for i in 0..keys {
-            inner.bulk_load(
-                Key::from(i),
-                payload.clone(),
-                Version::new(Timestamp(1), ClientId(0)),
-            );
-        }
-        inner.finish_load();
+        let (inner, payload) = loaded_mftl(&h, 16, keys, MftlConfig::default());
         let store = DemandMappedStore::new(
             h.clone(),
             inner,
@@ -361,29 +357,23 @@ pub fn run_dftl(scale: Scale) -> Json {
             misses: total.misses - warm_stats.misses,
             translation_writes: total.translation_writes - warm_stats.translation_writes,
         };
-        let hist = hist.borrow();
+        let get_mean_us = hist.borrow().mean() / 1e3;
+        let writes_per_s = st.translation_writes as f64 / measure.as_secs_f64();
         let line = format!(
             "{:>12.0} {:>10.1} {:>12.1} {:>14.1}",
             fraction * 100.0,
             st.hit_rate() * 100.0,
-            hist.mean() / 1e3,
-            st.translation_writes as f64 / measure.as_secs_f64(),
+            get_mean_us,
+            writes_per_s,
         );
         let row = Json::obj()
             .field("resident_fraction", Json::F64(fraction))
             .field("hit_rate", Json::F64(st.hit_rate()))
-            .field("get_mean_us", Json::F64(hist.mean() / 1e3))
-            .field(
-                "translation_writes_per_s",
-                Json::F64(st.translation_writes as f64 / measure.as_secs_f64()),
-            );
+            .field("get_mean_us", Json::F64(get_mean_us))
+            .field("translation_writes_per_s", Json::F64(writes_per_s));
         (line, row)
     });
-    let mut rows = Vec::new();
-    for (line, row) in cells {
-        println!("{line}");
-        rows.push(row);
-    }
+    let rows = print_lines(cells);
     println!("(the paper's all-mapping-in-DRAM assumption is the 100% row)");
     Json::obj().field("rows", Json::Arr(rows))
 }
@@ -410,40 +400,13 @@ pub fn run_packing(scale: Scale) -> Json {
     let cells = perfkit::pool::run_ordered_auto(vec![0u64, 250, 500, 1_000, 2_000], |window_us| {
         let mut sim = Sim::new(1_900 + window_us);
         let h = sim.handle();
-        let store = UnifiedStore::new(
-            h.clone(),
-            NandConfig {
-                channels: 32,
-                queue_depth: 128,
-                ..NandConfig::default()
-            }
-            .sized_for(keys, 512, 0.08),
-            MftlConfig {
-                packing_window: Duration::from_micros(window_us),
-                ..MftlConfig::default()
-            },
-        );
-        let payload = value(vec![0u8; 472]);
-        for i in 0..keys {
-            store.bulk_load(
-                Key::from(i),
-                payload.clone(),
-                Version::new(Timestamp(1), ClientId(0)),
-            );
-        }
-        store.finish_load();
-        {
-            let store = store.clone();
-            let hh = h.clone();
-            h.spawn(async move {
-                loop {
-                    hh.sleep(Duration::from_millis(10)).await;
-                    store.set_watermark(
-                        Timestamp::from_sim(hh.now()).before(Duration::from_millis(50)),
-                    );
-                }
-            });
-        }
+        let mftl = MftlConfig {
+            packing_window: Duration::from_micros(window_us),
+            ..MftlConfig::default()
+        };
+        let (store, payload) = loaded_mftl(&h, 32, keys, mftl);
+        let gc_store = store.clone();
+        trail_watermark(&h, move |wm| gc_store.set_watermark(wm));
         let get_hist = Rc::new(RefCell::new(Histogram::new()));
         let put_hist = Rc::new(RefCell::new(Histogram::new()));
         let pages_before = store.device().stats().page_writes;
@@ -501,30 +464,24 @@ pub fn run_packing(scale: Scale) -> Json {
         } else {
             puts.count() as f64 / pages as f64
         };
+        let kiops = (gets.count() + puts.count()) as f64 / measure.as_secs_f64() / 1e3;
         let line = format!(
             "{:>10} {:>10.0} {:>12.1} {:>12.1} {:>14.2}",
             window_us,
-            (gets.count() + puts.count()) as f64 / measure.as_secs_f64() / 1e3,
+            kiops,
             gets.mean() / 1e3,
             puts.mean() / 1e3,
             tuples_per_page,
         );
         let row = Json::obj()
             .field("window_us", Json::U64(window_us))
-            .field(
-                "kiops",
-                Json::F64((gets.count() + puts.count()) as f64 / measure.as_secs_f64() / 1e3),
-            )
+            .field("kiops", Json::F64(kiops))
             .field("get_mean_us", Json::F64(gets.mean() / 1e3))
             .field("put_mean_us", Json::F64(puts.mean() / 1e3))
             .field("tuples_per_page", Json::F64(tuples_per_page));
         (line, row)
     });
-    let mut rows = Vec::new();
-    for (line, row) in cells {
-        println!("{line}");
-        rows.push(row);
-    }
+    let rows = print_lines(cells);
     println!(
         "(window 0 flushes every tuple as its own page — lowest put latency, worst \
          space efficiency and most GC; larger windows trade put latency for fuller pages)"
@@ -559,102 +516,62 @@ pub fn run_open_loop(scale: Scale) -> Json {
     // Every (rate, LV) pair is an independent sim: compute on the worker
     // pool, print the table rows afterwards in sweep order.
     let cells = perfkit::pool::run_ordered_auto(items, |(rate, lv)| {
-        {
-            let mut sim = Sim::new(2_000 + rate as u64);
-            let h = sim.handle();
-            let cluster = milana::cluster::MilanaCluster::build(
-                &h,
-                MilanaClusterConfig {
-                    shards: 3,
-                    replicas: 3,
-                    clients: 8,
-                    backend: BackendKind::Mftl,
-                    nand: NandConfig {
-                        channels: 8,
-                        ..NandConfig::default()
-                    }
-                    .sized_for(keyspace / 3, 512, 0.08),
-                    clock: ClockSpec::ptp_software(),
-                    preload_keys: keyspace,
-                    client_cfg: milana::client::TxnClientConfig {
-                        validation: if lv {
-                            milana::client::ValidationMode::Local
-                        } else {
-                            milana::client::ValidationMode::Remote
-                        },
-                        ..milana::client::TxnClientConfig::default()
-                    },
-                    net: simkit::net::LatencyConfig {
-                        one_way: Duration::from_micros(150),
-                        jitter_std: Duration::from_micros(30),
-                        ..simkit::net::LatencyConfig::default()
-                    },
-                    tuning: milana::server::ServerTuning {
-                        obs: crate::common::run_obs(),
-                        ..Default::default()
-                    },
-                    ..MilanaClusterConfig::default()
-                },
-            );
-            let wl = Rc::new(WorkloadConfig {
-                mix: Mix::retwis_read_heavy(),
-                keyspace,
-                zipf_alpha: 0.5,
-                value_size: 472,
-                max_retries: 64,
-            });
-            let zipf = Rc::new(Zipf::new(keyspace as usize, wl.zipf_alpha));
-            let stats = obskit::TxnStats::new();
-            let measure = scale.measure() / 2;
-            let until = h.now() + measure;
-            // Split the offered rate over the client machines.
-            let per_client = rate / cluster.clients.len() as f64;
-            let mut joins = Vec::new();
-            for c in &cluster.clients {
-                joins.push(h.spawn(retwis::driver::run_open_loop(
-                    h.clone(),
-                    c.clone(),
-                    wl.clone(),
-                    zipf.clone(),
-                    stats.clone(),
-                    per_client,
-                    256,
-                    until,
-                )));
-            }
-            sim.block_on(async move {
-                for j in joins {
-                    j.await;
-                }
-            });
-            let lat = stats.latency.snapshot();
-            let line = format!(
-                "{:>10.0} {:>4} {:>12.1} {:>12.1} {:>12.1} {:>10}",
-                rate,
-                if lv { "on" } else { "off" },
-                stats.commits.get() as f64 / measure.as_secs_f64() / 1e3,
-                lat.mean() / 1e3,
-                lat.quantile(0.99) as f64 / 1e3,
-                stats.timeouts.get(),
-            );
-            let row = Json::obj()
-                .field("offered_rate", Json::F64(rate))
-                .field("lv", Json::Bool(lv))
-                .field(
-                    "throughput",
-                    Json::F64(stats.commits.get() as f64 / measure.as_secs_f64()),
-                )
-                .field("shed", Json::U64(stats.timeouts.get()))
-                .field("abort_reasons", stats.abort_reasons.to_json())
-                .field("latency_ns", lat.summary_json());
-            (line, row)
+        let mut sim = Sim::new(2_000 + rate as u64);
+        let h = sim.handle();
+        let cluster = milana::cluster::MilanaCluster::build(
+            &h,
+            testbed::three_shards(BackendKind::Mftl, 8, keyspace, lv),
+        );
+        let wl = Rc::new(WorkloadConfig {
+            mix: Mix::retwis_read_heavy(),
+            max_retries: 64,
+            ..testbed::retwis(keyspace, 0.5)
+        });
+        let zipf = Rc::new(Zipf::new(keyspace as usize, wl.zipf_alpha));
+        let stats = obskit::TxnStats::new();
+        let measure = scale.measure() / 2;
+        let until = h.now() + measure;
+        // Split the offered rate over the client machines.
+        let per_client = rate / cluster.clients.len() as f64;
+        let mut joins = Vec::new();
+        for c in &cluster.clients {
+            joins.push(h.spawn(retwis::driver::run_open_loop(
+                h.clone(),
+                c.clone(),
+                wl.clone(),
+                zipf.clone(),
+                stats.clone(),
+                per_client,
+                256,
+                until,
+            )));
         }
+        sim.block_on(async move {
+            for j in joins {
+                j.await;
+            }
+        });
+        let lat = stats.latency.snapshot();
+        let throughput = stats.commits.get() as f64 / measure.as_secs_f64();
+        let line = format!(
+            "{:>10.0} {:>4} {:>12.1} {:>12.1} {:>12.1} {:>10}",
+            rate,
+            if lv { "on" } else { "off" },
+            throughput / 1e3,
+            lat.mean() / 1e3,
+            lat.quantile(0.99) as f64 / 1e3,
+            stats.timeouts.get(),
+        );
+        let row = Json::obj()
+            .field("offered_rate", Json::F64(rate))
+            .field("lv", Json::Bool(lv))
+            .field("throughput", Json::F64(throughput))
+            .field("shed", Json::U64(stats.timeouts.get()))
+            .field("abort_reasons", stats.abort_reasons.to_json())
+            .field("latency_ns", lat.summary_json());
+        (line, row)
     });
-    let mut rows = Vec::new();
-    for (line, row) in cells {
-        println!("{line}");
-        rows.push(row);
-    }
+    let rows = print_lines(cells);
     println!(
         "(LV's saved round trips matter more as load rises: without LV the \
          validation traffic saturates the primaries sooner, inflating tails)"

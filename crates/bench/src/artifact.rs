@@ -1,8 +1,8 @@
-//! Artifact export for the `repro_*` binaries.
+//! Artifact export for `repro`.
 //!
-//! Every reproduction binary accepts `--json <path>` (or `--json=<path>`)
-//! and, when given, writes its measured points as a deterministic JSON
-//! document next to the human-readable table it prints. Same seed, same
+//! Every experiment accepts `--json <path>` (or `--json=<path>`) and, when
+//! given, writes its measured points as a deterministic JSON document next
+//! to the human-readable table it prints. Same seed, same
 //! scale → byte-identical file (see [`obskit::Json`] for the stability
 //! rules), so CI and downstream plotting can diff artifacts across runs.
 //!
@@ -20,7 +20,7 @@
 //! By convention artifacts land in `artifacts/` at the workspace root
 //! (gitignored); the path is the caller's choice.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use obskit::Json;
 
@@ -29,24 +29,6 @@ use crate::common::Scale;
 /// Current artifact schema version. Bump when an experiment's payload
 /// shape changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Parses `--json <path>` / `--json=<path>` from the process arguments.
-pub fn json_path_from_args() -> Option<PathBuf> {
-    parse_json_flag(std::env::args().skip(1))
-}
-
-fn parse_json_flag(args: impl IntoIterator<Item = String>) -> Option<PathBuf> {
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(rest) = arg.strip_prefix("--json=") {
-            return Some(PathBuf::from(rest));
-        }
-    }
-    None
-}
 
 /// Wraps an experiment payload in the standard envelope.
 pub fn envelope(experiment: &str, scale: Scale, payload: Json) -> Json {
@@ -63,24 +45,12 @@ pub fn envelope(experiment: &str, scale: Scale, payload: Json) -> Json {
         .field("data", payload)
 }
 
-/// Writes `doc` to `path` in the pretty byte-stable format.
-///
-/// # Errors
-///
-/// Propagates the filesystem error.
-pub fn write(path: &Path, doc: &Json) -> std::io::Result<()> {
-    std::fs::write(path, doc.to_pretty_string())
-}
-
-/// Writes the enveloped artifact if the process was invoked with
-/// `--json <path>`; a failed write aborts the binary so CI never mistakes
-/// a missing artifact for success.
-pub fn maybe_write(experiment: &str, scale: Scale, payload: Json) {
-    let Some(path) = json_path_from_args() else {
-        return;
-    };
+/// Writes the enveloped artifact to `path` in the pretty byte-stable
+/// format; a failed write aborts the binary so CI never mistakes a missing
+/// artifact for success.
+pub fn write(path: &Path, experiment: &str, scale: Scale, payload: Json) {
     let doc = envelope(experiment, scale, payload);
-    match write(&path, &doc) {
+    match std::fs::write(path, doc.to_pretty_string()) {
         Ok(()) => eprintln!("wrote {experiment} artifact to {}", path.display()),
         Err(e) => {
             eprintln!("failed to write artifact {}: {e}", path.display());
@@ -92,30 +62,6 @@ pub fn maybe_write(experiment: &str, scale: Scale, payload: Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parses_separate_flag_and_value() {
-        let p = parse_json_flag(strings(&["--json", "out.json"]));
-        assert_eq!(p, Some(PathBuf::from("out.json")));
-    }
-
-    #[test]
-    fn parses_equals_form() {
-        let p = parse_json_flag(strings(&["--json=artifacts/fig7.json"]));
-        assert_eq!(p, Some(PathBuf::from("artifacts/fig7.json")));
-    }
-
-    #[test]
-    fn ignores_unrelated_args_and_missing_value() {
-        assert_eq!(parse_json_flag(strings(&["--quick", "-v"])), None);
-        assert_eq!(parse_json_flag(strings(&["--json"])), None);
-        let p = parse_json_flag(strings(&["-v", "--json", "x.json", "tail"]));
-        assert_eq!(p, Some(PathBuf::from("x.json")));
-    }
 
     #[test]
     fn envelope_has_fixed_field_order() {

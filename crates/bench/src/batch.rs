@@ -1,4 +1,4 @@
-//! Group-commit & RPC-coalescing sweep (library core of `repro_batch`).
+//! Group-commit & RPC-coalescing sweep (`repro batch`).
 //!
 //! Drives the same open-loop read-modify-write load against a MILANA
 //! cluster at several `batch_max` settings (same seed, same arrival
@@ -20,21 +20,21 @@ use std::time::Duration;
 use batchkit::BatchConfig;
 use flashsim::{value, Key};
 use milana::client::TxnOpts;
-use milana::cluster::MilanaCluster;
+use milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use obskit::{Json, Obs};
-use semel::ClusterSpec;
 use simkit::Sim;
 
-use crate::common::Scale;
+use crate::common::{Args, Scale};
+use crate::Outcome;
 
 const SHARDS: u32 = 2;
 const REPLICAS: u32 = 3;
 const CLIENTS: u32 = 4;
 /// Flush window shared by the coordinator and replication planes.
-pub const DEADLINE: Duration = Duration::from_micros(100);
+const DEADLINE: Duration = Duration::from_micros(100);
 /// Open-loop interarrival per client (10k txns/s/client): dense enough
 /// that flush windows see more than one item.
-pub const INTERARRIVAL: Duration = Duration::from_micros(100);
+const INTERARRIVAL: Duration = Duration::from_micros(100);
 /// Allowance for timer/RPC scheduling on top of the two flush windows.
 const SLACK_US: u64 = 300;
 
@@ -105,14 +105,21 @@ fn run_point(batch_max: usize, cfg: &BatchSweepConfig, seed: u64) -> BatchPoint 
     let obs = Obs::new();
     let keyspace = cfg.keyspace;
     let (warmup, measure) = (cfg.warmup, cfg.measure);
-    let spec = ClusterSpec::new(SHARDS, REPLICAS, CLIENTS)
-        .preloaded(keyspace)
-        .batching(BatchConfig {
-            batch_max,
-            batch_deadline: DEADLINE,
-        })
-        .observed(obs.clone());
-    let cluster = MilanaCluster::build(&h, spec.into());
+    let batch = BatchConfig {
+        batch_max,
+        batch_deadline: DEADLINE,
+    };
+    let mut cluster_cfg = MilanaClusterConfig {
+        shards: SHARDS,
+        replicas: REPLICAS,
+        clients: CLIENTS,
+        preload_keys: keyspace,
+        ..MilanaClusterConfig::default()
+    };
+    cluster_cfg.tuning.batch = batch;
+    cluster_cfg.tuning.obs = obs.clone();
+    cluster_cfg.client_cfg.batch = batch;
+    let cluster = MilanaCluster::build(&h, cluster_cfg);
     let clients = cluster.clients.clone();
     let hh = h.clone();
     // (commit latencies, aborts, offered) inside the measurement window.
@@ -196,6 +203,22 @@ fn run_point(batch_max: usize, cfg: &BatchSweepConfig, seed: u64) -> BatchPoint 
 
 fn env_per_commit(p: &BatchPoint) -> f64 {
     p.repl_envelopes as f64 / p.total_commits.max(1) as f64
+}
+
+/// `repro batch`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
+    let seed = args.last_or("--seed", 1u64);
+    eprintln!(
+        "batch sweep: seed {seed}, 4 clients x {}/s, deadline {} us ...",
+        Duration::from_secs(1).as_nanos() / INTERARRIVAL.as_nanos(),
+        DEADLINE.as_micros()
+    );
+    let points = run(&BatchSweepConfig::for_scale(scale), seed);
+    print(&points);
+    Outcome {
+        data: to_json(&points, seed),
+        ok: ok(&points),
+    }
 }
 
 /// Runs the full sweep, one point per `batch_max`, all from `seed`, on

@@ -1,14 +1,10 @@
-//! Randomized fault campaigns with serializability checking.
+//! Randomized fault campaigns with serializability checking
+//! (`repro chaos`).
 //!
 //! Runs N seeds × M faults of a contended counter workload under the
 //! faultkit nemesis, audits conservation, and checks the recorded trace
 //! for serializability, snapshot-read, and replication violations. The
 //! same seed always reproduces the same campaign byte for byte.
-//!
-//! ```text
-//! repro_chaos [--seed S]... [--seeds N] [--faults M] [--shards K] [--threads N]
-//!             [--inject validation-skip|overload] [--json PATH] [--trace PATH]
-//! ```
 //!
 //! - `--seed S` runs exactly seed S (repeatable); otherwise seeds `0..N`
 //!   from `--seeds` (default 3, `REPRO_SCALE=full` → 8).
@@ -17,68 +13,37 @@
 //!   every primary — a seeded bug the checker must catch (exit stays 1).
 //! - `--inject overload` schedules only overload bursts, exercising the
 //!   admission/retry plane (the run must still be clean).
-//! - `--json PATH` writes the byte-stable campaign artifact.
 //! - `--trace PATH` writes the full obskit trace (JSONL) of the first
 //!   offending seed, or of the last seed when all are clean.
 //!
-//! Exits non-zero when any seed has a violation or a failed audit.
+//! Fails when any seed has a violation or a failed audit.
 
-use bench::common::Scale;
-use faultkit::{run_seed_with_trace, CampaignConfig, CampaignReport};
+use faultkit::{run_seed_with_trace, CampaignConfig, CampaignReport, PlanKind};
 
-struct Args {
-    seeds: Vec<u64>,
-    faults: usize,
-    shards: u32,
-    inject: bool,
-    overload: bool,
-    trace: Option<std::path::PathBuf>,
-}
+use crate::common::{Args, Scale};
+use crate::Outcome;
 
-fn parse_args(scale: Scale) -> Args {
+/// `repro chaos`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
     let (n_seeds, faults) = match scale {
         Scale::Quick => (3u64, 50usize),
         Scale::Full => (8, 200),
     };
-    let args = bench::common::Args::parse(
-        &["--seed", "--seeds", "--faults", "--shards", "--inject"],
-        &[],
-    );
-    let mut inject = false;
-    let mut overload = false;
-    for what in args.values("--inject") {
-        match what {
-            "validation-skip" => inject = true,
-            "overload" => overload = true,
-            what => {
-                eprintln!("unknown --inject {what}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let injected = args.injected(&["validation-skip", "overload"]);
     let mut seeds: Vec<u64> = args.parsed("--seed");
     if seeds.is_empty() {
         seeds = (0..args.last_or("--seeds", n_seeds)).collect();
     }
-    Args {
+    let cfg = CampaignConfig {
         seeds,
         faults: args.last_or("--faults", faults),
         shards: args.last_or("--shards", 2u32),
-        inject,
-        overload,
-        trace: bench::common::trace_path_from_args(),
-    }
-}
-
-fn main() {
-    let scale = Scale::from_env();
-    let args = parse_args(scale);
-    let cfg = CampaignConfig {
-        seeds: args.seeds.clone(),
-        faults: args.faults,
-        shards: args.shards,
-        skip_validation: args.inject,
-        overload_only: args.overload,
+        skip_validation: injected.contains(&"validation-skip"),
+        plan: if injected.contains(&"overload") {
+            PlanKind::Overload
+        } else {
+            PlanKind::Mixed
+        },
         ..CampaignConfig::default()
     };
     eprintln!(
@@ -86,12 +51,12 @@ fn main() {
         cfg.seeds.len(),
         cfg.faults,
         cfg.shards,
-        if args.inject {
+        if cfg.skip_validation {
             " [validation-skip injected]"
         } else {
             ""
         },
-        if args.overload {
+        if cfg.plan == PlanKind::Overload {
             " [overload bursts only]"
         } else {
             ""
@@ -150,21 +115,15 @@ fn main() {
             }
         }
     }
-    if report.violation_count() == 0 && report.offending_seeds().is_empty() {
+    let clean = report.offending_seeds().is_empty();
+    if report.violation_count() == 0 && clean {
         println!("all {} seed(s) clean", report.outcomes.len());
     }
-
-    bench::artifact::maybe_write("chaos", scale, report.to_json());
-    if let Some(path) = &args.trace {
-        match std::fs::write(path, offender_trace.unwrap_or(last_trace)) {
-            Ok(()) => eprintln!("wrote trace to {}", path.display()),
-            Err(e) => {
-                eprintln!("failed to write trace {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+    if args.trace.is_some() {
+        crate::common::pick_trace(offender_trace.unwrap_or(last_trace));
     }
-    if !report.offending_seeds().is_empty() {
-        std::process::exit(1);
+    Outcome {
+        data: report.to_json(),
+        ok: clean,
     }
 }

@@ -1,4 +1,4 @@
-//! Clock-fault robustness reproduction (library core of `repro_clockfault`):
+//! Clock-fault robustness reproduction (`repro clockfault`):
 //! abort rate across the clock-precision spectrum with health tracking on,
 //! a fence-and-recover degradation run, and a clock-fault campaign.
 //!
@@ -24,18 +24,17 @@
 
 use std::time::Duration;
 
-use faultkit::{run_campaign, CampaignConfig, CampaignReport};
-use flashsim::{BackendKind, NandConfig};
+use faultkit::{run_campaign, CampaignConfig, CampaignReport, PlanKind};
+use flashsim::BackendKind;
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use obskit::Json;
-use retwis::driver::WorkloadConfig;
-use retwis::mix::Mix;
 use simkit::Sim;
-use timesync::{ClockSpec, Discipline};
+use timesync::ClockSpec;
 
-use crate::common::{run_retwis_on_milana, Scale};
+use crate::common::{clock_spectrum, run_retwis, run_retwis_on_milana, Args, Scale};
+use crate::{testbed, Outcome};
 
-/// Knobs for one `repro_clockfault` run.
+/// Knobs for one `repro clockfault` run.
 pub struct ClockFaultConfig {
     /// Simulation seed (all three legs derive from it).
     pub seed: u64,
@@ -72,9 +71,36 @@ impl ClockFaultConfig {
     pub fn campaign_health() -> clockkit::ClockHealthConfig {
         clockkit::ClockHealthConfig {
             max_future_ns: 1_000_000,
-            ..clockkit::ClockHealthConfig::default()
         }
     }
+}
+
+/// `repro clockfault`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
+    let mut cfg = ClockFaultConfig::for_scale(scale);
+    cfg.seed = args.last_or("--seed", cfg.seed);
+    cfg.inject_uncertainty_skip = !args.injected(&["uncertainty-skip"]).is_empty();
+    eprintln!(
+        "clockfault: 4 disciplines x {} sub-seed(s), {} campaign fault(s), seed {}{} ...",
+        cfg.sub_seeds,
+        cfg.campaign_faults,
+        cfg.seed,
+        if cfg.inject_uncertainty_skip {
+            " [uncertainty-skip injected]"
+        } else {
+            ""
+        }
+    );
+    let sweep = run_sweep(&cfg);
+    let degradation = run_degradation(&cfg);
+    let campaign = run_fault_campaign(&cfg);
+    print(&cfg, &sweep, &degradation, &campaign);
+    Outcome::of_fraud_run(
+        to_json(&cfg, &sweep, &degradation, &campaign),
+        ok(&cfg, &sweep, &degradation, &campaign),
+        cfg.inject_uncertainty_skip,
+        "clock-bound checker missed the injected fraud",
+    )
 }
 
 /// One point of the skew sweep: a discipline's average abort behaviour.
@@ -141,42 +167,13 @@ impl Degradation {
     }
 }
 
-fn cluster_config(clients: u32, clock: ClockSpec) -> MilanaClusterConfig {
-    let keyspace = 5_000u64;
-    MilanaClusterConfig {
-        shards: 1,
-        replicas: 3,
-        clients,
-        backend: BackendKind::Mftl,
-        nand: NandConfig {
-            channels: 8,
-            ..NandConfig::default()
-        }
-        .sized_for(keyspace, 512, 0.08),
-        clock,
-        preload_keys: keyspace,
-        net: simkit::net::LatencyConfig {
-            one_way: Duration::from_micros(150),
-            jitter_std: Duration::from_micros(30),
-            ..simkit::net::LatencyConfig::default()
-        },
-        tuning: milana::server::ServerTuning {
-            obs: crate::common::run_obs(),
-            clock_health: Some(clockkit::ClockHealthConfig::default()),
-            ..Default::default()
-        },
-        ..MilanaClusterConfig::default()
-    }
-}
+const KEYSPACE: u64 = 5_000;
 
-fn workload(zipf_alpha: f64) -> WorkloadConfig {
-    WorkloadConfig {
-        mix: Mix::retwis(),
-        keyspace: 5_000,
-        zipf_alpha,
-        value_size: 472,
-        max_retries: 1000,
-    }
+/// The paper testbed with server-side clock-health tracking on.
+fn cluster_config(clients: u32, clock: ClockSpec) -> MilanaClusterConfig {
+    let mut cfg = testbed::paper(BackendKind::Mftl, clock, clients, KEYSPACE);
+    cfg.tuning.clock_health = Some(clockkit::ClockHealthConfig::default());
+    cfg
 }
 
 fn suspects_and_fences(cluster: &MilanaCluster) -> (u64, u64) {
@@ -194,12 +191,7 @@ fn suspects_and_fences(cluster: &MilanaCluster) -> (u64, u64) {
 /// `sub_seeds` paired runs each.
 pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
     let mut items = Vec::new();
-    for (discipline, name) in [
-        (Discipline::Perfect, "Perfect"),
-        (Discipline::PtpHardware, "PTP-HW"),
-        (Discipline::PtpSoftware, "PTP-SW"),
-        (Discipline::Ntp, "NTP"),
-    ] {
+    for (discipline, name) in clock_spectrum() {
         for sub in 0..cfg.sub_seeds {
             items.push((discipline.clone(), name, sub));
         }
@@ -210,19 +202,14 @@ pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
     let runs = perfkit::pool::run_ordered_auto(items, |(discipline, name, sub)| {
         // The same sim seed across disciplines pairs the comparison:
         // identical arrivals and key choices, only the clocks differ.
-        let mut sim = Sim::new(cfg.seed * 1_000 + sub);
-        let h = sim.handle();
-        let cluster =
-            MilanaCluster::build(&h, cluster_config(5, ClockSpec::from(discipline.clone())));
         // Moderate contention: saturated hot keys abort on conflicts
         // regardless of clocks, which would bury the skew signal.
         let outcome = run_retwis_on_milana(
-            &mut sim,
-            &cluster,
-            workload(0.7),
+            cfg.seed * 1_000 + sub,
+            cluster_config(5, ClockSpec::from(discipline.clone())),
+            testbed::retwis(KEYSPACE, 0.7),
             2,
-            Duration::from_millis(200),
-            cfg.measure,
+            (Duration::from_millis(200), cfg.measure),
         );
         let skew_ns = discipline.expected_skew().as_nanos() as u64;
         (
@@ -230,7 +217,7 @@ pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
             skew_ns,
             outcome.stats.abort_rate(),
             outcome.stats.commits.get(),
-            suspects_and_fences(&cluster).0,
+            suspects_and_fences(&outcome.cluster).0,
         )
     });
     let mut points: Vec<SweepPoint> = Vec::new();
@@ -281,15 +268,15 @@ fn degradation_run(cfg: &ClockFaultConfig, break_client: bool) -> (f64, u64, u64
         clock.inject_step(15_000_000);
         clock.inject_drift(2_000_000, h.now());
     }
-    let outcome = run_retwis_on_milana(
+    let stats = run_retwis(
         &mut sim,
-        &cluster,
-        workload(0.9),
+        &cluster.clients,
+        testbed::retwis(KEYSPACE, 0.9),
         4,
-        Duration::from_millis(300),
-        cfg.measure,
+        (Duration::from_millis(300), cfg.measure),
+        || (),
     );
-    let goodput = outcome.stats.commits.get() as f64 / cfg.measure.as_secs_f64();
+    let goodput = stats.commits.get() as f64 / cfg.measure.as_secs_f64();
     let (suspects, fences) = suspects_and_fences(&cluster);
     (goodput, suspects, fences)
 }
@@ -325,7 +312,7 @@ pub fn run_fault_campaign(cfg: &ClockFaultConfig) -> CampaignReport {
     run_campaign(&CampaignConfig {
         seeds: vec![cfg.seed],
         faults: cfg.campaign_faults,
-        clockfault: true,
+        plan: PlanKind::ClockFault,
         clock_health: Some(health),
         clock_epsilon_ns: Some(eps),
         skip_uncertainty: cfg.inject_uncertainty_skip,

@@ -1,16 +1,19 @@
-//! Shared plumbing for the experiment reproductions: scale factors,
-//! formatted table output, and MILANA/Retwis run helpers.
+//! Shared plumbing for the experiment reproductions: the scale knob, the
+//! one command-line parser, the run's trace, and MILANA/Retwis run helpers.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::time::Duration;
 
-use milana::cluster::MilanaCluster;
+use milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use obskit::{Obs, TxnStats};
 use retwis::driver::{run_instance, TxnSystem, WorkloadConfig};
 use simkit::rng::Zipf;
-use simkit::Sim;
+use simkit::{Sim, SimHandle};
+use timesync::{Discipline, Timestamp};
+
+use crate::Experiment;
 
 /// Experiment scale, settable via the `REPRO_SCALE` environment variable:
 /// `quick` (CI-sized), `full` (paper-shaped; slower). Defaults to `quick`.
@@ -23,11 +26,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `REPRO_SCALE` from the environment.
+    /// Reads `REPRO_SCALE` from the environment. Any value other than
+    /// `quick` or `full` is reported and exits with code 2: a mistyped
+    /// `REPRO_SCALE=Full` must not silently run the quick scale.
     pub fn from_env() -> Scale {
-        match std::env::var("REPRO_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+        Scale::parse(std::env::var("REPRO_SCALE").ok().as_deref()).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "REPRO_SCALE: invalid value {other} (expected quick or full)"
+            )),
         }
     }
 
@@ -38,91 +53,102 @@ impl Scale {
             Scale::Full => Duration::from_secs(10),
         }
     }
-
-    /// Warm-up window of virtual time before measurement.
-    pub fn warmup(&self) -> Duration {
-        match self {
-            Scale::Quick => Duration::from_millis(300),
-            Scale::Full => Duration::from_secs(2),
-        }
-    }
-
-    /// Transactional keyspace size (the paper preloads 2 M keys; we scale
-    /// down and note it in EXPERIMENTS.md).
-    pub fn keyspace(&self) -> u64 {
-        match self {
-            Scale::Quick => 20_000,
-            Scale::Full => 200_000,
-        }
-    }
 }
 
-/// Flags every `repro_*` binary takes, as `--flag <value>` or
-/// `--flag=<value>`. Each is read where it is used
-/// ([`crate::artifact::json_path_from_args`], `perfkit::threads`,
-/// [`trace_path_from_args`]); [`Args`] only checks that they are well formed.
-const SHARED_FLAGS: [&str; 3] = ["--json", "--threads", "--trace"];
+/// Flags every experiment takes, spelled like [`Experiment::flags`].
+const SHARED_FLAGS: [&str; 3] = ["--json <path>", "--threads <n>", "--trace <path>"];
 
-/// A binary's own command-line flags, in order, after the whole command
-/// line was checked.
+/// The parsed command line of `repro <experiment> [flags]`; every flag is
+/// `--flag <value>` or `--flag=<value>`.
 #[derive(Debug, PartialEq, Eq)]
-pub struct Args(Vec<(String, String)>);
+pub struct Args {
+    /// `--json <path>`: where to write the artifact.
+    pub json: Option<PathBuf>,
+    /// `--trace <path>`: where to write the run's obskit trace (JSONL).
+    pub trace: Option<PathBuf>,
+    /// `--threads <n>`: worker threads for the sweep (default 1).
+    pub threads: usize,
+    /// The experiment's own flags, in order.
+    own: Vec<(String, String)>,
+}
 
 impl Args {
-    /// Checks the process arguments: every argument must be one of the
-    /// shared flags, one of the caller's `valued` flags (both spellings),
-    /// or one of its `switches`. Anything else — or a flag missing its
-    /// value — is reported and exits with code 2 before any work starts: a
-    /// mistyped `--jsno out.json` must not run for minutes, exit 0 and
-    /// write nothing.
-    pub fn parse(valued: &[&str], switches: &[&str]) -> Args {
-        Args::check(std::env::args().skip(1), valued, switches).unwrap_or_else(|msg| {
+    /// Parses the process arguments against `table`: the first names an
+    /// experiment (`None` for `--list`), every other one must be a shared
+    /// flag or one of that experiment's own. Anything else — or a flag
+    /// missing its value, or a malformed one — is reported and exits with
+    /// code 2 before any work starts: a mistyped `--jsno out.json` must
+    /// not run for minutes, exit 0 and write nothing.
+    pub fn parse(table: &[Experiment]) -> (Option<&Experiment>, Args) {
+        Args::check(std::env::args().skip(1), table).unwrap_or_else(|msg| {
             eprintln!("{msg}");
             std::process::exit(2);
         })
     }
 
-    fn check(
+    /// [`Args::parse`] over any argument list, the error as a value.
+    pub(crate) fn check(
         args: impl IntoIterator<Item = String>,
-        valued: &[&str],
-        switches: &[&str],
-    ) -> Result<Args, String> {
-        let mut own = Vec::new();
+        table: &[Experiment],
+    ) -> Result<(Option<&Experiment>, Args), String> {
+        let mut parsed = Args {
+            json: None,
+            trace: None,
+            threads: 1,
+            own: Vec::new(),
+        };
         let mut it = args.into_iter();
+        let exp = match it.next().as_deref() {
+            Some("--list") => return Ok((None, parsed)),
+            Some(name) => table
+                .iter()
+                .find(|e| e.name == name)
+                .ok_or_else(|| format!("unknown experiment {name} (repro --list names them)"))?,
+            None => return Err("usage: repro <experiment> [flags] | repro --list".into()),
+        };
         while let Some(arg) = it.next() {
-            if switches.contains(&arg.as_str()) {
-                own.push((arg, String::new()));
+            let (flag, value) = match arg.split_once('=') {
+                Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+                None => (arg, None),
+            };
+            let spec = SHARED_FLAGS
+                .iter()
+                .chain(exp.flags)
+                .find(|spec| spec.split(' ').next() == Some(&flag))
+                .ok_or_else(|| format!("unknown argument {flag}"))?;
+            if !spec.contains(' ') {
+                if value.is_some() {
+                    return Err(format!("{flag} takes no value"));
+                }
+                parsed.own.push((flag, String::new()));
                 continue;
             }
-            let (flag, value) = match arg.split_once('=') {
-                Some((flag, value)) => (flag.to_string(), value.to_string()),
-                None => match it.next() {
-                    Some(value) => (arg, value),
-                    None => (arg, String::new()),
-                },
-            };
-            let shared = SHARED_FLAGS.contains(&flag.as_str());
-            if !shared && !valued.contains(&flag.as_str()) {
-                return Err(format!("unknown argument {flag}"));
-            }
-            if value.is_empty() {
-                return Err(format!("{flag} needs a value"));
-            }
-            if !shared {
-                own.push((flag, value));
+            let value = value
+                .or_else(|| it.next())
+                .filter(|v| !v.is_empty())
+                .ok_or_else(|| format!("{flag} needs a value"))?;
+            match flag.as_str() {
+                "--json" => parsed.json = Some(value.into()),
+                "--trace" => parsed.trace = Some(value.into()),
+                "--threads" => {
+                    parsed.threads = value
+                        .parse()
+                        .map_err(|_| format!("--threads: invalid value {value}"))?;
+                }
+                _ => parsed.own.push((flag, value)),
             }
         }
-        Ok(Args(own))
+        Ok((Some(exp), parsed))
     }
 
     /// True when the switch `flag` was given.
     pub fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|(f, _)| f == flag)
+        self.own.iter().any(|(f, _)| f == flag)
     }
 
     /// Every value given for `flag`, in order.
     pub fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
-        self.0
+        self.own
             .iter()
             .filter(move |(f, _)| f == flag)
             .map(|(_, v)| v.as_str())
@@ -144,61 +170,59 @@ impl Args {
     pub fn last_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         self.parsed(flag).pop().unwrap_or(default)
     }
+
+    /// Every `--inject` value given; one not in `known` exits 2.
+    pub fn injected(&self, known: &[&str]) -> Vec<&str> {
+        let given: Vec<&str> = self.values("--inject").collect();
+        if let Some(what) = given.iter().find(|what| !known.contains(what)) {
+            eprintln!("unknown --inject {what}");
+            std::process::exit(2);
+        }
+        given
+    }
 }
 
 thread_local! {
     static TRACE_OBS: RefCell<Option<Obs>> = const { RefCell::new(None) };
+    static TRACE_PICK: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
-/// Parses `--trace <path>` / `--trace=<path>` from the process arguments.
-pub fn trace_path_from_args() -> Option<PathBuf> {
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        if arg == "--trace" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(rest) = arg.strip_prefix("--trace=") {
-            return Some(PathBuf::from(rest));
-        }
-    }
-    None
+/// Turns tracing on for the run: [`run_obs`] on this thread now carries a
+/// bounded tracer (most recent 1 M events; older ones counted as dropped).
+/// `repro`'s `main` calls it for `--trace`, before the experiment runs and
+/// with the worker pool pinned to this thread.
+pub fn start_trace() {
+    TRACE_OBS.set(Some(Obs::with_trace(1 << 20)));
 }
 
-/// The process-wide observability bundle the experiment modules attach to
-/// every cluster they build. With `--trace <path>` on the command line it
-/// carries a bounded tracer (most recent 1 M events; older ones counted as
-/// dropped) that [`maybe_dump_trace`] writes out as JSONL. Without the
-/// flag tracing is disabled and recording costs nothing.
+/// The observability bundle the experiment modules attach to every cluster
+/// they build on this thread. Tracing is disabled — recording costs nothing
+/// — unless [`start_trace`] ran first.
 pub fn run_obs() -> Obs {
-    TRACE_OBS.with(|slot| {
-        slot.borrow_mut()
-            .get_or_insert_with(|| {
-                if trace_path_from_args().is_some() {
-                    Obs::with_trace(1 << 20)
-                } else {
-                    Obs::new()
-                }
-            })
-            .clone()
-    })
+    TRACE_OBS.with(|slot| slot.borrow_mut().get_or_insert_with(Obs::new).clone())
 }
 
-/// Writes the recorded trace to the `--trace <path>` file as JSONL; no-op
-/// without the flag. Call once at the end of every `repro_*` main. A
-/// failed write aborts the binary so CI never mistakes a missing trace
-/// for success.
-pub fn maybe_dump_trace() {
-    let Some(path) = trace_path_from_args() else {
-        return;
-    };
-    let obs = run_obs();
-    match std::fs::write(&path, obs.tracer.dump_jsonl()) {
-        Ok(()) => eprintln!(
-            "wrote trace ({} events, {} dropped) to {}",
-            obs.tracer.len(),
-            obs.tracer.dropped(),
-            path.display()
-        ),
+/// Makes `jsonl` the trace [`dump_trace`] writes, for an experiment whose
+/// clusters trace into their own sinks (`repro chaos`: one per seed).
+pub fn pick_trace(jsonl: String) {
+    TRACE_PICK.set(Some(jsonl));
+}
+
+/// Writes the run's trace to `path` as JSONL: the one [`pick_trace`] chose,
+/// else whatever [`run_obs`] recorded. A failed write aborts the binary so
+/// CI never mistakes a missing trace for success.
+pub fn dump_trace(path: &Path) {
+    let trace = TRACE_PICK.take().unwrap_or_else(|| {
+        let tracer = run_obs().tracer;
+        eprintln!(
+            "trace: {} events, {} dropped",
+            tracer.len(),
+            tracer.dropped()
+        );
+        tracer.dump_jsonl()
+    });
+    match std::fs::write(path, trace) {
+        Ok(()) => eprintln!("wrote trace to {}", path.display()),
         Err(e) => {
             eprintln!("failed to write trace {}: {e}", path.display());
             std::process::exit(1);
@@ -206,13 +230,27 @@ pub fn maybe_dump_trace() {
     }
 }
 
-/// Prints a row of fixed-width columns.
-pub fn print_row(cols: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cols.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$}  ", w = w));
-    }
-    println!("{}", line.trim_end());
+/// Watermark maintenance for a bare store (the SEMEL client would drive
+/// this): every 10 ms, `set` the watermark 50 ms behind true time so
+/// superseded versions become collectible.
+pub fn trail_watermark(h: &SimHandle, set: impl Fn(Timestamp) + 'static) {
+    let hh = h.clone();
+    h.spawn(async move {
+        loop {
+            hh.sleep(Duration::from_millis(10)).await;
+            set(Timestamp::from_sim(hh.now()).before(Duration::from_millis(50)));
+        }
+    });
+}
+
+/// The clock-precision spectrum, best to worst, with table labels.
+pub fn clock_spectrum() -> [(Discipline, &'static str); 4] {
+    [
+        (Discipline::Perfect, "Perfect"),
+        (Discipline::PtpHardware, "PTP-HW"),
+        (Discipline::PtpSoftware, "PTP-SW"),
+        (Discipline::Ntp, "NTP"),
+    ]
 }
 
 /// Outcome of one Retwis-over-MILANA run.
@@ -220,10 +258,10 @@ pub fn print_row(cols: &[String], widths: &[usize]) {
 pub struct RunOutcome {
     /// Aggregated workload counters (measurement window only).
     pub stats: TxnStats,
-    /// Virtual measurement duration.
-    pub elapsed: Duration,
-    /// Fraction of read-only commits decided locally (MILANA clients).
+    /// Read-only commits decided locally in the window.
     pub local_validated: u64,
+    /// The cluster, for its servers' and clients' counters.
+    pub cluster: MilanaCluster,
 }
 
 /// One closed-loop phase: `instances_per_client` Retwis instances on every
@@ -258,10 +296,10 @@ fn run_phase<S: TxnSystem>(
     });
 }
 
-/// Drives Retwis instances over any [`TxnSystem`] clients for
-/// `warmup + measure` virtual time; only the measurement window counts.
-/// `window_open` runs between the two phases.
-fn run_retwis_windowed<S: TxnSystem>(
+/// Drives Retwis instances over any [`TxnSystem`] clients (MILANA's, or the
+/// Centiman comparison's) for `warmup + measure` virtual time; only the
+/// measurement window counts. `window_open` runs between the two phases.
+pub fn run_retwis<S: TxnSystem>(
     sim: &mut Sim,
     clients: &[S],
     wl: WorkloadConfig,
@@ -294,16 +332,19 @@ fn run_retwis_windowed<S: TxnSystem>(
     stats
 }
 
-/// Drives `instances_per_client` Retwis instances on every cluster client
-/// for `warmup + measure` virtual time; only the measurement window counts.
+/// One Retwis-over-MILANA run: boots `cluster_cfg` in a fresh simulation
+/// seeded `seed` and drives `instances_per_client` Retwis instances on
+/// every client for `warmup + measure` virtual time; only the measurement
+/// window counts.
 pub fn run_retwis_on_milana(
-    sim: &mut Sim,
-    cluster: &MilanaCluster,
+    seed: u64,
+    cluster_cfg: MilanaClusterConfig,
     wl: WorkloadConfig,
     instances_per_client: u32,
-    warmup: Duration,
-    measure: Duration,
+    (warmup, measure): (Duration, Duration),
 ) -> RunOutcome {
+    let mut sim = Sim::new(seed);
+    let cluster = MilanaCluster::build(&sim.handle(), cluster_cfg);
     let local_validations = || -> u64 {
         cluster
             .clients
@@ -312,91 +353,127 @@ pub fn run_retwis_on_milana(
             .sum()
     };
     let mut lv_before = 0;
-    let stats = run_retwis_windowed(
-        sim,
+    let stats = run_retwis(
+        &mut sim,
         &cluster.clients,
         wl,
         instances_per_client,
         (warmup, measure),
         || lv_before = local_validations(),
     );
+    let local_validated = local_validations() - lv_before;
     RunOutcome {
         stats,
-        elapsed: measure,
-        local_validated: local_validations() - lv_before,
+        local_validated,
+        cluster,
     }
-}
-
-/// Drives Retwis instances over any [`TxnSystem`] clients (used by the
-/// Centiman comparison, where clients are not MILANA's).
-pub fn run_retwis_generic<S: TxnSystem>(
-    sim: &mut Sim,
-    clients: &[S],
-    wl: WorkloadConfig,
-    instances_per_client: u32,
-    warmup: Duration,
-    measure: Duration,
-) -> (TxnStats, Duration) {
-    let stats = run_retwis_windowed(
-        sim,
-        clients,
-        wl,
-        instances_per_client,
-        (warmup, measure),
-        || (),
-    );
-    (stats, measure)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check(args: &[&str], valued: &[&str], switches: &[&str]) -> Result<Args, String> {
-        Args::check(args.iter().map(|s| s.to_string()), valued, switches)
+    fn table() -> Vec<Experiment> {
+        let row = |name, flags| Experiment {
+            name,
+            about: "",
+            flags,
+            in_all: false,
+            run: |_, _| unreachable!("the parser runs nothing"),
+        };
+        vec![
+            row("fig7", &[]),
+            row("perf", &["--seed <S>", "--deterministic-only"]),
+        ]
+    }
+
+    fn check(args: &[&str]) -> Result<Args, String> {
+        Args::check(args.iter().map(|s| s.to_string()), &table()).map(|(_, args)| args)
     }
 
     #[test]
     fn shared_flags_pass_in_both_spellings_and_are_not_returned() {
-        let args = check(
-            &["--json", "a.json", "--threads=4", "--trace", "t.jsonl"],
-            &[],
-            &[],
-        );
-        assert_eq!(args, Ok(Args(Vec::new())));
+        let args = check(&[
+            "fig7",
+            "--json",
+            "a.json",
+            "--threads=4",
+            "--trace",
+            "t.jsonl",
+        ])
+        .unwrap();
+        let expected = Args {
+            json: Some("a.json".into()),
+            trace: Some("t.jsonl".into()),
+            threads: 4,
+            own: Vec::new(),
+        };
+        assert_eq!(args, expected);
+        assert_eq!(check(&["fig7"]).unwrap().threads, 1);
     }
 
     #[test]
     fn own_flags_come_back_in_order() {
-        let args = check(
-            &["--seed", "3", "--only", "--seed=5", "--json=x"],
-            &["--seed"],
-            &["--only"],
-        )
+        let args = check(&[
+            "perf",
+            "--seed",
+            "3",
+            "--deterministic-only",
+            "--seed=5",
+            "--json=x",
+        ])
         .unwrap();
         assert_eq!(args.parsed::<u64>("--seed"), vec![3, 5]);
         assert_eq!(args.last_or("--seed", 1u64), 5);
         assert_eq!(args.last_or("--faults", 7usize), 7);
-        assert!(args.has("--only"));
+        assert!(args.has("--deterministic-only"));
+        assert_eq!(args.json, Some("x".into()));
     }
 
     #[test]
     fn unknown_flags_and_missing_values_are_errors() {
-        assert_eq!(
-            check(&["--jsno", "out.json"], &[], &[]),
-            Err("unknown argument --jsno".into())
-        );
-        assert_eq!(
-            check(&["stray"], &["--seed"], &[]),
-            Err("unknown argument stray".into())
-        );
-        assert_eq!(
-            check(&["--seed"], &["--seed"], &[]),
-            Err("--seed needs a value".into())
-        );
-        assert_eq!(
-            check(&["--json="], &[], &[]),
-            Err("--json needs a value".into())
-        );
+        for (args, msg) in [
+            (
+                &["fig7", "--jsno", "out.json"][..],
+                "unknown argument --jsno",
+            ),
+            (&["perf", "stray"], "unknown argument stray"),
+            (&["perf", "--seed"], "--seed needs a value"),
+            (&["fig7", "--json="], "--json needs a value"),
+            (
+                &["perf", "--deterministic-only=1"],
+                "--deterministic-only takes no value",
+            ),
+            // One experiment's own flag is unknown to another.
+            (&["fig7", "--seed", "1"], "unknown argument --seed"),
+            (
+                &["fig7", "--threads", "abc"],
+                "--threads: invalid value abc",
+            ),
+            (
+                &["fig8"],
+                "unknown experiment fig8 (repro --list names them)",
+            ),
+            (&[], "usage: repro <experiment> [flags] | repro --list"),
+        ] {
+            assert_eq!(check(args), Err(msg.to_string()), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn list_names_no_experiment() {
+        let table = table();
+        let (exp, _) = Args::check(["--list".to_string()], &table).unwrap();
+        assert!(exp.is_none());
+    }
+
+    #[test]
+    fn scale_is_quick_full_or_an_error() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for typo in ["Full", "ful", ""] {
+            assert!(Scale::parse(Some(typo)).is_err(), "{typo:?}");
+        }
     }
 }

@@ -12,15 +12,13 @@
 
 use std::time::Duration;
 
-use flashsim::{BackendKind, NandConfig};
+use flashsim::BackendKind;
 use milana::cluster::MilanaClusterConfig;
 use obskit::Json;
-use retwis::driver::WorkloadConfig;
-use retwis::mix::Mix;
-use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{run_retwis_on_milana, Scale};
+use crate::common::{run_retwis_on_milana, Args, Scale};
+use crate::{testbed, Outcome};
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -75,79 +73,47 @@ impl Fig6Config {
     }
 }
 
+/// One seed of one point; returns its workload counters.
 fn run_point(
     kind: BackendKind,
     alpha: f64,
     clients: u32,
     cfg: &Fig6Config,
     seed: u64,
-) -> Fig6Point {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    // SFTL stores one tuple per logical page; multi-version backends pack
-    // eight 512 B tuples per 4 KB page and need version headroom.
-    let nand = match kind {
-        BackendKind::Sftl => NandConfig {
-            channels: 8,
-            queue_depth: 128,
-            ..NandConfig::default()
-        }
-        .sized_for(cfg.keyspace, 4096, 0.5),
-        _ => NandConfig {
-            channels: 8,
-            queue_depth: 128,
-            ..NandConfig::default()
-        }
-        .sized_for(cfg.keyspace, 512, 0.08),
+) -> obskit::TxnStats {
+    let mut cluster_cfg = MilanaClusterConfig {
+        replicas: 1, // single machine: storage layer without replication
+        // Single-machine deployment: loopback-ish latencies.
+        net: simkit::net::LatencyConfig {
+            one_way: Duration::from_micros(5),
+            jitter_std: Duration::from_micros(1),
+            ..simkit::net::LatencyConfig::default()
+        },
+        // No clock skew on one VM.
+        ..testbed::paper(kind, ClockSpec::perfect(), clients, cfg.keyspace)
     };
-    let cluster = milana::cluster::MilanaCluster::build(
-        &h,
-        MilanaClusterConfig {
-            shards: 1,
-            replicas: 1, // single machine: storage layer without replication
-            clients,
-            backend: kind,
-            nand,
-            clock: ClockSpec::perfect(), // no clock skew on one VM
-            preload_keys: cfg.keyspace,
-            value_size: 472,
-            // Single-machine deployment: loopback-ish latencies.
-            net: simkit::net::LatencyConfig {
-                one_way: Duration::from_micros(5),
-                jitter_std: Duration::from_micros(1),
-                ..simkit::net::LatencyConfig::default()
-            },
-            tuning: milana::server::ServerTuning {
-                obs: crate::common::run_obs(),
-                ..Default::default()
-            },
-            ..MilanaClusterConfig::default()
-        },
-    );
-    let outcome = run_retwis_on_milana(
-        &mut sim,
-        &cluster,
-        WorkloadConfig {
-            mix: Mix::retwis(),
-            keyspace: cfg.keyspace,
-            zipf_alpha: alpha,
-            value_size: 472,
-            max_retries: 1000,
-        },
-        1, // one outstanding transaction per client (paper)
-        cfg.warmup,
-        cfg.measure,
-    );
-    Fig6Point {
-        ftl: match kind {
-            BackendKind::Sftl => "SFTL",
-            _ => "MFTL",
-        },
-        alpha,
-        clients,
-        abort_rate: outcome.stats.abort_rate(),
-        stats: outcome.stats.freeze(),
+    if kind == BackendKind::Sftl {
+        // SFTL stores one tuple per logical page; multi-version backends
+        // pack eight 512 B tuples per 4 KB page and need version headroom.
+        cluster_cfg.nand = cluster_cfg.nand.sized_for(cfg.keyspace, 4096, 0.5);
     }
+    run_retwis_on_milana(
+        seed,
+        cluster_cfg,
+        testbed::retwis(cfg.keyspace, alpha),
+        1, // one outstanding transaction per client (paper)
+        (cfg.warmup, cfg.measure),
+    )
+    .stats
+}
+
+/// `repro fig6`.
+pub fn repro(_: &Args, scale: Scale) -> Outcome {
+    eprintln!("running Figure 6 at {scale:?} scale ...");
+    let cfg = Fig6Config::for_scale(scale);
+    let points = run(&cfg);
+    print(&cfg, &points);
+    Outcome::pass(to_json(&cfg, &points))
 }
 
 /// Runs the full sweep, averaging each point over three seeds (the no-wait
@@ -170,17 +136,12 @@ pub fn run(cfg: &Fig6Config) -> Vec<Fig6Point> {
         const SEEDS: u64 = 3;
         for r in 0..SEEDS {
             let seed = 600 + (alpha * 100.0) as u64 + clients as u64 + r * 7919;
-            let p = run_point(kind, alpha, clients, cfg, seed);
-            acc += p.abort_rate;
-            // Re-inflate is unnecessary: fold the frozen per-seed stats
-            // into a live accumulator, then freeze once for the point.
-            merged.merge_frozen(&p.stats);
+            let stats = run_point(kind, alpha, clients, cfg, seed);
+            acc += stats.abort_rate();
+            merged.merge_from(&stats);
         }
         Fig6Point {
-            ftl: match kind {
-                BackendKind::Sftl => "SFTL",
-                _ => "MFTL",
-            },
+            ftl: testbed::backend_name(kind),
             alpha,
             clients,
             abort_rate: acc / SEEDS as f64,

@@ -13,15 +13,13 @@
 
 use std::time::Duration;
 
-use flashsim::{BackendKind, NandConfig};
-use milana::cluster::MilanaClusterConfig;
+use flashsim::BackendKind;
 use obskit::Json;
-use retwis::driver::WorkloadConfig;
-use retwis::mix::Mix;
-use simkit::Sim;
-use timesync::{ClockSpec, Discipline};
+use timesync::Discipline;
 
-use crate::common::{run_retwis_on_milana, Scale};
+use crate::common::{run_retwis_on_milana, Args, Scale};
+use crate::testbed::{self, backend_name};
+use crate::Outcome;
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -61,35 +59,25 @@ pub struct Fig7Config {
 impl Fig7Config {
     /// Derives from the global scale knob.
     pub fn for_scale(scale: Scale) -> Fig7Config {
+        let quick = Fig7Config {
+            alphas: vec![0.5, 0.7, 0.9],
+            backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
+            client_vms: 5,
+            instances_per_vm: 4,
+            keyspace: 5_000,
+            warmup: Duration::from_millis(200),
+            measure: Duration::from_millis(1000),
+        };
         match scale {
-            Scale::Quick => Fig7Config {
-                alphas: vec![0.5, 0.7, 0.9],
-                backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
-                client_vms: 5,
-                instances_per_vm: 4,
-                keyspace: 5_000,
-                warmup: Duration::from_millis(200),
-                measure: Duration::from_millis(1000),
-            },
+            Scale::Quick => quick,
             Scale::Full => Fig7Config {
                 alphas: vec![0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-                backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
-                client_vms: 5,
-                instances_per_vm: 4,
                 keyspace: 20_000,
                 warmup: Duration::from_millis(500),
                 measure: Duration::from_secs(5),
+                ..quick
             },
         }
-    }
-}
-
-fn backend_name(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Dram => "DRAM",
-        BackendKind::Sftl => "SFTL",
-        BackendKind::Vftl => "VFTL",
-        BackendKind::Mftl => "MFTL",
     }
 }
 
@@ -101,51 +89,12 @@ fn run_point(
     cfg: &Fig7Config,
     seed: u64,
 ) -> Fig7Point {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    let nand = NandConfig {
-        channels: 8,
-        queue_depth: 128,
-        ..NandConfig::default()
-    }
-    .sized_for(cfg.keyspace, 512, 0.08);
-    let cluster = milana::cluster::MilanaCluster::build(
-        &h,
-        MilanaClusterConfig {
-            shards: 1,
-            replicas: 3, // 1 primary + 2 backups (paper)
-            clients: cfg.client_vms,
-            backend: kind,
-            nand,
-            clock: ClockSpec::from(discipline),
-            preload_keys: cfg.keyspace,
-            value_size: 472,
-            // ExoGENI-style VM networking (~300 us RTT).
-            net: simkit::net::LatencyConfig {
-                one_way: Duration::from_micros(150),
-                jitter_std: Duration::from_micros(30),
-                ..simkit::net::LatencyConfig::default()
-            },
-            tuning: milana::server::ServerTuning {
-                obs: crate::common::run_obs(),
-                ..Default::default()
-            },
-            ..MilanaClusterConfig::default()
-        },
-    );
     let outcome = run_retwis_on_milana(
-        &mut sim,
-        &cluster,
-        WorkloadConfig {
-            mix: Mix::retwis(),
-            keyspace: cfg.keyspace,
-            zipf_alpha: alpha,
-            value_size: 472,
-            max_retries: 1000,
-        },
+        seed,
+        testbed::paper(kind, discipline.into(), cfg.client_vms, cfg.keyspace),
+        testbed::retwis(cfg.keyspace, alpha),
         cfg.instances_per_vm,
-        cfg.warmup,
-        cfg.measure,
+        (cfg.warmup, cfg.measure),
     );
     Fig7Point {
         sync,
@@ -154,6 +103,15 @@ fn run_point(
         abort_rate: outcome.stats.abort_rate(),
         stats: outcome.stats.freeze(),
     }
+}
+
+/// `repro fig7`.
+pub fn repro(_: &Args, scale: Scale) -> Outcome {
+    eprintln!("running Figure 7 at {scale:?} scale ...");
+    let cfg = Fig7Config::for_scale(scale);
+    let points = run(&cfg);
+    print(&cfg, &points);
+    Outcome::pass(to_json(&cfg, &points))
 }
 
 /// Runs the full sweep on the `perfkit` worker pool (one sim per point,

@@ -8,16 +8,14 @@
 
 use std::time::Duration;
 
-use flashsim::{BackendKind, NandConfig};
-use milana::client::{TxnClientConfig, ValidationMode};
-use milana::cluster::MilanaClusterConfig;
+use flashsim::BackendKind;
 use obskit::Json;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
-use simkit::Sim;
-use timesync::ClockSpec;
 
-use crate::common::{run_retwis_on_milana, Scale};
+use crate::common::{run_retwis_on_milana, Args, Scale};
+use crate::testbed::{self, backend_name};
+use crate::Outcome;
 
 /// One point on a latency/throughput curve.
 #[derive(Debug, Clone)]
@@ -57,99 +55,55 @@ pub struct Fig8Config {
 impl Fig8Config {
     /// Derives from the global scale knob.
     pub fn for_scale(scale: Scale) -> Fig8Config {
+        let quick = Fig8Config {
+            client_counts: vec![4, 8, 16, 32],
+            backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
+            alpha: 0.5,
+            keyspace: 12_000,
+            warmup: Duration::from_millis(200),
+            measure: Duration::from_millis(800),
+        };
         match scale {
-            Scale::Quick => Fig8Config {
-                client_counts: vec![4, 8, 16, 32],
-                backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
-                alpha: 0.5,
-                keyspace: 12_000,
-                warmup: Duration::from_millis(200),
-                measure: Duration::from_millis(800),
-            },
+            Scale::Quick => quick,
             Scale::Full => Fig8Config {
                 client_counts: vec![4, 8, 16, 24, 32, 48, 64],
-                backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
-                alpha: 0.5,
                 keyspace: 60_000,
                 warmup: Duration::from_millis(500),
                 measure: Duration::from_secs(3),
+                ..quick
             },
         }
     }
 }
 
-fn backend_name(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Dram => "DRAM",
-        BackendKind::Sftl => "SFTL",
-        BackendKind::Vftl => "VFTL",
-        BackendKind::Mftl => "MFTL",
-    }
-}
-
 fn run_point(kind: BackendKind, lv: bool, clients: u32, cfg: &Fig8Config, seed: u64) -> Fig8Point {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    let nand = NandConfig {
-        channels: 8,
-        queue_depth: 128,
-        ..NandConfig::default()
-    }
-    .sized_for(cfg.keyspace / 3, 512, 0.08); // keys split over 3 shards
-    let cluster = milana::cluster::MilanaCluster::build(
-        &h,
-        MilanaClusterConfig {
-            shards: 3,
-            replicas: 3,
-            clients,
-            backend: kind,
-            nand,
-            clock: ClockSpec::ptp_software(),
-            preload_keys: cfg.keyspace,
-            value_size: 472,
-            client_cfg: TxnClientConfig {
-                validation: if lv {
-                    ValidationMode::Local
-                } else {
-                    ValidationMode::Remote
-                },
-                ..TxnClientConfig::default()
-            },
-            // ExoGENI-style VM networking (~300 us RTT).
-            net: simkit::net::LatencyConfig {
-                one_way: Duration::from_micros(150),
-                jitter_std: Duration::from_micros(30),
-                ..simkit::net::LatencyConfig::default()
-            },
-            tuning: milana::server::ServerTuning {
-                obs: crate::common::run_obs(),
-                ..Default::default()
-            },
-            ..MilanaClusterConfig::default()
-        },
-    );
     let outcome = run_retwis_on_milana(
-        &mut sim,
-        &cluster,
+        seed,
+        testbed::three_shards(kind, clients, cfg.keyspace, lv),
         WorkloadConfig {
             mix: Mix::retwis_read_heavy(), // 75% read-only (paper)
-            keyspace: cfg.keyspace,
-            zipf_alpha: cfg.alpha,
-            value_size: 472,
-            max_retries: 1000,
+            ..testbed::retwis(cfg.keyspace, cfg.alpha)
         },
         1,
-        cfg.warmup,
-        cfg.measure,
+        (cfg.warmup, cfg.measure),
     );
     Fig8Point {
         backend: backend_name(kind),
         lv,
         clients,
-        throughput: outcome.stats.throughput(outcome.elapsed),
+        throughput: outcome.stats.throughput(cfg.measure),
         latency_us: outcome.stats.latency.snapshot().mean() / 1e3,
         stats: outcome.stats.freeze(),
     }
+}
+
+/// `repro fig8`.
+pub fn repro(_: &Args, scale: Scale) -> Outcome {
+    eprintln!("running Figure 8 at {scale:?} scale ...");
+    let cfg = Fig8Config::for_scale(scale);
+    let points = run(&cfg);
+    print(&cfg, &points);
+    Outcome::pass(to_json(&cfg, &points))
 }
 
 /// Runs the full sweep on the `perfkit` worker pool (one sim per point,

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use flashsim::{BackendKind, NandConfig};
+use flashsim::BackendKind;
 use milana::centiman::{CentimanClient, CentimanConfig, Validator};
 use milana::cluster::MilanaClusterConfig;
 use obskit::Json;
@@ -21,9 +21,10 @@ use retwis::mix::Mix;
 use semel::cluster::{ClusterConfig, SemelCluster};
 use simkit::net::{Addr, NodeId};
 use simkit::Sim;
-use timesync::{ClientId, ClockSpec};
+use timesync::ClientId;
 
-use crate::common::{run_retwis_generic, run_retwis_on_milana, Scale};
+use crate::common::{run_retwis, run_retwis_on_milana, Args, Scale};
+use crate::{testbed, Outcome};
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -65,86 +66,55 @@ pub struct Fig9Config {
 impl Fig9Config {
     /// Derives from the global scale knob.
     pub fn for_scale(scale: Scale) -> Fig9Config {
+        let quick = Fig9Config {
+            alphas: vec![0.4, 0.6, 0.8],
+            client_vms: 5,
+            instances_per_vm: 6,
+            keyspace: 12_000,
+            report_every: 200,
+            warmup: Duration::from_millis(200),
+            measure: Duration::from_millis(800),
+        };
         match scale {
-            Scale::Quick => Fig9Config {
-                alphas: vec![0.4, 0.6, 0.8],
-                client_vms: 5,
-                instances_per_vm: 6,
-                keyspace: 12_000,
-                report_every: 200,
-                warmup: Duration::from_millis(200),
-                measure: Duration::from_millis(800),
-            },
+            Scale::Quick => quick,
             Scale::Full => Fig9Config {
                 alphas: vec![0.4, 0.5, 0.6, 0.7, 0.8],
-                client_vms: 5,
-                instances_per_vm: 6,
                 keyspace: 60_000,
                 report_every: 1000,
                 warmup: Duration::from_millis(500),
                 measure: Duration::from_secs(3),
+                ..quick
             },
         }
     }
 
-    fn nand(&self) -> NandConfig {
-        NandConfig {
-            channels: 8,
-            queue_depth: 128,
-            ..NandConfig::default()
+    /// The 75 % read-only Retwis mix at contention `alpha`.
+    fn workload(&self, alpha: f64) -> WorkloadConfig {
+        WorkloadConfig {
+            mix: Mix::retwis_read_heavy(),
+            ..testbed::retwis(self.keyspace, alpha)
         }
-        .sized_for(self.keyspace / 3, 512, 0.08)
     }
 }
 
 fn run_milana_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    let cluster = milana::cluster::MilanaCluster::build(
-        &h,
-        MilanaClusterConfig {
-            shards: 3,
-            replicas: 1, // no replication, matching Centiman's validators
-            clients: cfg.client_vms,
-            backend: BackendKind::Mftl,
-            nand: cfg.nand(),
-            clock: ClockSpec::ptp_software(),
-            preload_keys: cfg.keyspace,
-            value_size: 472,
-            // ExoGENI-style VM networking (~300 us RTT).
-            net: simkit::net::LatencyConfig {
-                one_way: Duration::from_micros(150),
-                jitter_std: Duration::from_micros(30),
-                ..simkit::net::LatencyConfig::default()
-            },
-            tuning: milana::server::ServerTuning {
-                obs: crate::common::run_obs(),
-                ..Default::default()
-            },
-            ..MilanaClusterConfig::default()
-        },
-    );
+    let cluster_cfg = MilanaClusterConfig {
+        replicas: 1, // no replication, matching Centiman's validators
+        ..testbed::three_shards(BackendKind::Mftl, cfg.client_vms, cfg.keyspace, true)
+    };
     let outcome = run_retwis_on_milana(
-        &mut sim,
-        &cluster,
-        WorkloadConfig {
-            mix: Mix::retwis_read_heavy(),
-            keyspace: cfg.keyspace,
-            zipf_alpha: alpha,
-            value_size: 472,
-            max_retries: 1000,
-        },
+        seed,
+        cluster_cfg,
+        cfg.workload(alpha),
         cfg.instances_per_vm,
-        cfg.warmup,
-        cfg.measure,
+        (cfg.warmup, cfg.measure),
     );
-    let ro_commits = outcome.local_validated.max(1);
     Fig9Point {
         system: "MILANA",
         alpha,
-        throughput: outcome.stats.throughput(outcome.elapsed),
+        throughput: outcome.stats.throughput(cfg.measure),
         // MILANA validates every read-only transaction locally by design.
-        local_fraction: if ro_commits > 0 { 1.0 } else { 0.0 },
+        local_fraction: 1.0,
         abort_rate: outcome.stats.abort_rate(),
         stats: outcome.stats.freeze(),
     }
@@ -153,29 +123,20 @@ fn run_milana_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
 fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
-    let clients_total = cfg.client_vms;
     let storage = SemelCluster::build(
         &h,
         ClusterConfig {
             shards: 3,
             replicas: 1,
-            clients: clients_total,
-            backend: BackendKind::Mftl,
-            nand: cfg.nand(),
-            clock: ClockSpec::ptp_software(),
+            clients: cfg.client_vms,
+            nand: testbed::nand(cfg.keyspace / 3),
             preload_keys: cfg.keyspace,
-            value_size: 472,
-            // ExoGENI-style VM networking (~300 us RTT).
-            net: simkit::net::LatencyConfig {
-                one_way: Duration::from_micros(150),
-                jitter_std: Duration::from_micros(30),
-                ..simkit::net::LatencyConfig::default()
-            },
+            net: testbed::net(),
             obs: crate::common::run_obs(),
             ..ClusterConfig::default()
         },
     );
-    let client_ids: Vec<ClientId> = (0..clients_total).map(ClientId).collect();
+    let client_ids: Vec<ClientId> = (0..cfg.client_vms).map(ClientId).collect();
     // One validator per shard, colocated with its storage server (paper:
     // "these validators run on the storage VMs").
     let validators: Vec<Addr> = (0..3u32)
@@ -191,7 +152,7 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
             addr
         })
         .collect();
-    let cents: Vec<CentimanClient> = (0..clients_total)
+    let cents: Vec<CentimanClient> = (0..cfg.client_vms)
         .map(|i| {
             CentimanClient::new(
                 &h,
@@ -207,19 +168,13 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
             )
         })
         .collect();
-    let (stats, elapsed) = run_retwis_generic(
+    let stats = run_retwis(
         &mut sim,
         &cents,
-        WorkloadConfig {
-            mix: Mix::retwis_read_heavy(),
-            keyspace: cfg.keyspace,
-            zipf_alpha: alpha,
-            value_size: 472,
-            max_retries: 1000,
-        },
+        cfg.workload(alpha),
         cfg.instances_per_vm,
-        cfg.warmup,
-        cfg.measure,
+        (cfg.warmup, cfg.measure),
+        || (),
     );
     let (mut local, mut remote) = (0u64, 0u64);
     for c in &cents {
@@ -230,7 +185,7 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
     Fig9Point {
         system: "Centiman",
         alpha,
-        throughput: stats.throughput(elapsed),
+        throughput: stats.throughput(cfg.measure),
         local_fraction: if local + remote == 0 {
             0.0
         } else {
@@ -239,6 +194,15 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
         abort_rate: stats.abort_rate(),
         stats: stats.freeze(),
     }
+}
+
+/// `repro fig9`.
+pub fn repro(_: &Args, scale: Scale) -> Outcome {
+    eprintln!("running Figure 9 at {scale:?} scale ...");
+    let cfg = Fig9Config::for_scale(scale);
+    let points = run(&cfg);
+    print(&cfg, &points);
+    Outcome::pass(to_json(&cfg, &points))
 }
 
 /// Runs the full comparison on the `perfkit` worker pool. Each (system,

@@ -13,12 +13,16 @@
 //!   byte-stability contract and omitted entirely in deterministic-only
 //!   mode so two runs of the same build can be `cmp`'d.
 //!
-//! With the `count-allocs` feature (and `repro_perf`'s counting global
+//! With the `count-allocs` feature (and `repro`'s counting global
 //! allocator) each bench also reports the allocation count and bytes it
 //! drove through the allocator — deterministic for a single-threaded
 //! bench, so allocation regressions diff like event counts. The suite
-//! timings honor the `--threads`/`PERF_THREADS` knob; allocation counts
-//! are only byte-stable at `--threads 1`.
+//! timings honor `--threads`; allocation counts are only byte-stable at
+//! `--threads 1`.
+//!
+//! `repro perf` takes `--seed S` (default 42) and `--deterministic-only`,
+//! which omits every timing field so two runs of the same build produce
+//! byte-identical documents (the CI perf-smoke check `cmp`s exactly this).
 
 use std::time::{Duration, Instant};
 
@@ -30,7 +34,8 @@ use perfkit::FastMap;
 use simkit::Sim;
 use timesync::{ClientId, Timestamp, Version};
 
-use crate::common::Scale;
+use crate::common::{Args, Scale};
+use crate::Outcome;
 
 /// One microbench result. Deterministic counters and timing fields live
 /// in separate JSON sub-objects (see the module docs).
@@ -87,7 +92,7 @@ pub struct SuiteResult {
     pub wall: Duration,
 }
 
-/// Everything `repro_perf` measures.
+/// Everything `repro perf` measures.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// Seed the microbenches derive from.
@@ -324,36 +329,82 @@ pub fn bench_ftl_read(scale: Scale, seed: u64) -> BenchResult {
     }
 }
 
-/// End-to-end wall-clock for the group-commit sweep (honors `--threads`).
-pub fn suite_batch(scale: Scale, seed: u64) -> SuiteResult {
-    let cfg = crate::batch::BatchSweepConfig::for_scale(scale);
+/// Times one end-to-end suite (honors `--threads`); `run` returns its
+/// per-point commit counts.
+fn suite(name: &'static str, run: impl FnOnce() -> Vec<u64>) -> SuiteResult {
     let before = alloc_counts();
     let start = Instant::now();
-    let points = crate::batch::run(&cfg, seed);
+    let commits = run();
     let wall = start.elapsed();
     SuiteResult {
-        name: "batch",
-        points: points.len() as u64,
-        commits: points.iter().map(|p| p.commits).sum(),
+        name,
+        points: commits.len() as u64,
+        commits: commits.iter().sum(),
         allocs: alloc_delta(before),
         wall,
     }
 }
 
-/// End-to-end wall-clock for the read-scaling suite (honors `--threads`).
+/// End-to-end wall-clock for the group-commit sweep.
+pub fn suite_batch(scale: Scale, seed: u64) -> SuiteResult {
+    let cfg = crate::batch::BatchSweepConfig::for_scale(scale);
+    suite("batch", || {
+        let points = crate::batch::run(&cfg, seed);
+        points.iter().map(|p| p.commits).collect()
+    })
+}
+
+/// End-to-end wall-clock for the read-scaling suite.
 pub fn suite_readscale(scale: Scale, seed: u64) -> SuiteResult {
     let cfg = crate::readscale::ReadScaleConfig::for_scale(scale);
-    let before = alloc_counts();
-    let start = Instant::now();
-    let outcome = crate::readscale::run(&cfg, seed);
-    let wall = start.elapsed();
-    SuiteResult {
-        name: "readscale",
-        points: outcome.points.len() as u64,
-        commits: outcome.points.iter().map(|p| p.commits).sum(),
-        allocs: alloc_delta(before),
-        wall,
+    suite("readscale", || {
+        let outcome = crate::readscale::run(&cfg, seed);
+        outcome.points.iter().map(|p| p.commits).collect()
+    })
+}
+
+/// `repro perf`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
+    let seed = args.last_or("--seed", 42u64);
+    let deterministic_only = args.has("--deterministic-only");
+    let report = run(scale, seed);
+
+    println!("perf baselines (seed {seed}, threads {}):", report.threads);
+    for b in &report.benches {
+        print!(
+            "  {:<12} {:>9} iters  checksum {:016x}",
+            b.name, b.iters, b.checksum
+        );
+        if deterministic_only {
+            println!();
+        } else if b.sim_polls > 0 {
+            println!(
+                "  {:>7.1} ms  {:>8.0} ns/op  {:>11.0} sim-events/s",
+                b.wall.as_secs_f64() * 1e3,
+                b.ns_per_iter(),
+                b.events_per_sec()
+            );
+        } else {
+            println!(
+                "  {:>7.1} ms  {:>8.0} ns/op  {:>11.0} ops/s",
+                b.wall.as_secs_f64() * 1e3,
+                b.ns_per_iter(),
+                b.iters_per_sec()
+            );
+        }
     }
+    for s in &report.suites {
+        print!(
+            "  suite {:<12} {:>3} points  {:>9} commits",
+            s.name, s.points, s.commits
+        );
+        if deterministic_only {
+            println!();
+        } else {
+            println!("  {:>7.2} s", s.wall.as_secs_f64());
+        }
+    }
+    Outcome::pass(to_json(&report, !deterministic_only))
 }
 
 /// Runs every microbench and suite timer.

@@ -19,15 +19,14 @@ use std::time::Duration;
 
 use faultkit::{run_campaign, CampaignConfig, CampaignReport};
 use milana::client::TxnClientConfig;
-use milana::cluster::{MilanaCluster, MilanaClusterConfig};
+use milana::cluster::MilanaClusterConfig;
 use obskit::Json;
 use readkit::ReadRoute;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::{GetCount, Mix, TxnType};
-use simkit::Sim;
-use timesync::ClockSpec;
 
-use crate::common::{run_obs, run_retwis_on_milana, Scale};
+use crate::common::{run_obs, run_retwis_on_milana, Args, Scale};
+use crate::{testbed, Outcome};
 
 const SHARDS: u32 = 2;
 const REPLICAS: u32 = 3;
@@ -94,28 +93,25 @@ pub struct ReadScaleConfig {
 impl ReadScaleConfig {
     /// Derives from the global scale knob.
     pub fn for_scale(scale: Scale) -> ReadScaleConfig {
+        let quick = ReadScaleConfig {
+            routes: vec![
+                ("primary-only", ReadRoute::PrimaryOnly),
+                ("freshest", ReadRoute::Freshest),
+                ("p2c", ReadRoute::PowerOfTwo),
+            ],
+            keyspace: 4_000,
+            warmup: Duration::from_millis(100),
+            measure: Duration::from_millis(400),
+            campaign_seeds: vec![11],
+        };
         match scale {
-            Scale::Quick => ReadScaleConfig {
-                routes: vec![
-                    ("primary-only", ReadRoute::PrimaryOnly),
-                    ("freshest", ReadRoute::Freshest),
-                    ("p2c", ReadRoute::PowerOfTwo),
-                ],
-                keyspace: 4_000,
-                warmup: Duration::from_millis(100),
-                measure: Duration::from_millis(400),
-                campaign_seeds: vec![11],
-            },
+            Scale::Quick => quick,
             Scale::Full => ReadScaleConfig {
-                routes: vec![
-                    ("primary-only", ReadRoute::PrimaryOnly),
-                    ("freshest", ReadRoute::Freshest),
-                    ("p2c", ReadRoute::PowerOfTwo),
-                ],
                 keyspace: 16_000,
                 warmup: Duration::from_millis(200),
                 measure: Duration::from_secs(2),
                 campaign_seeds: vec![11, 12, 13],
+                ..quick
             },
         }
     }
@@ -153,64 +149,54 @@ fn mix_85() -> Mix {
 }
 
 fn run_point(route: (&'static str, ReadRoute), cfg: &ReadScaleConfig, seed: u64) -> ReadScalePoint {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
     let routed = route.1 != ReadRoute::PrimaryOnly;
-    let cluster = MilanaCluster::build(
-        &h,
-        MilanaClusterConfig {
-            shards: SHARDS,
-            replicas: REPLICAS,
-            clients: CLIENTS,
-            clock: ClockSpec::ptp_software(),
-            preload_keys: cfg.keyspace,
-            value_size: 128,
-            client_cfg: TxnClientConfig {
-                read_route: route.1,
-                // Fast idle-tick floor reports: a read-only-heavy load
-                // flushes few coordinator envelopes, so the tick carries
-                // the write floor instead.
-                watermark_interval: Duration::from_millis(1),
-                snapshot_lag: if routed { SNAPSHOT_LAG } else { Duration::ZERO },
-                ..TxnClientConfig::default()
-            },
-            tuning: milana::server::ServerTuning {
-                obs: run_obs(),
-                gossip_every: routed.then(|| Duration::from_millis(1)),
-                ..Default::default()
-            },
-            ..MilanaClusterConfig::default()
+    let cluster_cfg = MilanaClusterConfig {
+        shards: SHARDS,
+        replicas: REPLICAS,
+        clients: CLIENTS,
+        preload_keys: cfg.keyspace,
+        value_size: 128,
+        client_cfg: TxnClientConfig {
+            read_route: route.1,
+            // Fast idle-tick floor reports: a read-only-heavy load
+            // flushes few coordinator envelopes, so the tick carries
+            // the write floor instead.
+            watermark_interval: Duration::from_millis(1),
+            snapshot_lag: if routed { SNAPSHOT_LAG } else { Duration::ZERO },
+            ..TxnClientConfig::default()
         },
-    );
+        tuning: milana::server::ServerTuning {
+            obs: run_obs(),
+            gossip_every: routed.then(|| Duration::from_millis(1)),
+            ..Default::default()
+        },
+        ..MilanaClusterConfig::default()
+    };
     let outcome = run_retwis_on_milana(
-        &mut sim,
-        &cluster,
+        seed,
+        cluster_cfg,
         WorkloadConfig {
             mix: mix_85(),
-            keyspace: cfg.keyspace,
-            zipf_alpha: ALPHA,
             value_size: 128,
-            max_retries: 1000,
+            ..testbed::retwis(cfg.keyspace, ALPHA)
         },
         INSTANCES_PER_CLIENT,
-        cfg.warmup,
-        cfg.measure,
+        (cfg.warmup, cfg.measure),
     );
+    let cluster = &outcome.cluster;
     let mut primary_reads = 0;
     let mut replica_reads = 0;
     let mut too_stale = 0;
-    for group in &cluster.replicas {
-        for r in group {
-            let s = r.server.stats();
-            primary_reads += s.gets;
-            replica_reads += s.replica_reads;
-            too_stale += s.too_stale;
-        }
+    for r in cluster.replicas.iter().flatten() {
+        let s = r.server.stats();
+        primary_reads += s.gets;
+        replica_reads += s.replica_reads;
+        too_stale += s.too_stale;
     }
     let cached_reads = cluster.clients.iter().map(|c| c.stats().cached_reads).sum();
     ReadScalePoint {
         route: route.0,
-        throughput: outcome.stats.throughput(outcome.elapsed),
+        throughput: outcome.stats.throughput(cfg.measure),
         latency_us: outcome.stats.latency.snapshot().mean() / 1e3,
         primary_reads,
         replica_reads,
@@ -229,6 +215,18 @@ pub struct ReadScaleOutcome {
     pub points: Vec<ReadScalePoint>,
     /// Chaos campaign with backup reads enabled.
     pub campaign: CampaignReport,
+}
+
+/// `repro readscale`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
+    let seed = args.last_or("--seed", 1u64);
+    eprintln!("read scaling: seed {seed}, routes + backup-reads chaos campaign ...");
+    let out = run(&ReadScaleConfig::for_scale(scale), seed);
+    print(&out);
+    Outcome {
+        data: to_json(&out),
+        ok: ok(&out),
+    }
 }
 
 /// Runs the route sweep (on the `perfkit` worker pool, one sim per

@@ -1,4 +1,4 @@
-//! Elastic-resharding reproduction (library core of `repro_rebalance`):
+//! Elastic-resharding reproduction (`repro rebalance`):
 //! a mid-run hot-shard split recovers the throughput a Zipf skew took
 //! away.
 //!
@@ -32,20 +32,21 @@ use milana::cluster::{MilanaCluster, MilanaClusterConfig, MASTER_NODE};
 use obskit::{Json, Obs};
 use rand::Rng;
 use semel::shard::ShardId;
-use shardkit::{RebalanceEngine, RebalancePlan, RebalanceSpec};
+use shardkit::{RebalanceEngine, RebalancePlan};
 use simkit::rng::Zipf;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::Scale;
+use crate::common::{Args, Scale};
+use crate::Outcome;
 
 const SHARDS: u32 = 2;
 const REPLICAS: u32 = 3;
 const CLIENTS: u32 = 4;
 /// Share of skewed traffic aimed at the hot shard's keys.
-pub const HOT_PCT: u64 = 90;
+const HOT_PCT: u64 = 90;
 /// Zipf exponent (x100) over the hot shard's key ranks.
-pub const ZIPF_S_X100: u64 = 80;
+const ZIPF_S_X100: u64 = 80;
 /// Read-only fraction of the mix (x100); the rest are read-modify-writes.
 const READ_ONLY_PCT: u64 = 75;
 
@@ -98,6 +99,24 @@ fn nand() -> NandConfig {
     }
 }
 
+/// `repro rebalance`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
+    let seed = args.last_or("--seed", 1u64);
+    eprintln!(
+        "rebalance: seed {seed}, 4 clients, zipf s={}.{:02} hot {}% ...",
+        ZIPF_S_X100 / 100,
+        ZIPF_S_X100 % 100,
+        HOT_PCT
+    );
+    let run = run_once(scale, seed);
+    let campaign = run_fault_campaign(scale, seed);
+    print(&run, &campaign);
+    Outcome {
+        data: to_json(&run, &campaign, seed),
+        ok: ok(&run, &campaign),
+    }
+}
+
 /// Runs the three-window skew/split experiment once.
 #[allow(clippy::too_many_lines)]
 pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
@@ -132,7 +151,6 @@ pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
         ..MilanaClusterConfig::default()
     };
     cfg.tuning.obs = obs.clone();
-    cfg.client_cfg.obs = obs.clone();
     let mut cluster = MilanaCluster::build(&h, cfg);
 
     // Rank the hot shard's keys once, against the pre-split map: the skewed
@@ -156,12 +174,8 @@ pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
     let aborts2 = aborts.clone();
     let skewed2 = skewed.clone();
     let stop2 = stop.clone();
-    let out = Rc::new(Cell::new(None::<(u64, u64, u32, u64)>));
-    let out2 = out.clone();
-    let counts = Rc::new(Cell::new((0u64, 0u64, 0u64, 0u64, 0u64, 0u64)));
-    let counts2 = counts.clone();
 
-    sim.block_on(async move {
+    let (pre, skew, post, report) = sim.block_on(async move {
         for c in &cluster.clients {
             let c = c.clone();
             let hh2 = hh.clone();
@@ -206,25 +220,24 @@ pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
             });
         }
 
-        let window = |label: &'static str| {
+        // (commits, aborts) over one measurement window.
+        let window = || {
             let hh = hh.clone();
             let commits = commits2.clone();
             let aborts = aborts2.clone();
             async move {
                 let (c0, a0) = (commits.get(), aborts.get());
                 hh.sleep(w.measure).await;
-                let got = (commits.get() - c0, aborts.get() - a0);
-                let _ = label;
-                got
+                (commits.get() - c0, aborts.get() - a0)
             }
         };
 
         hh.sleep(w.warmup).await;
-        let (pre_c, pre_a) = window("pre").await;
+        let pre = window().await;
 
         skewed2.set(true);
         hh.sleep(w.settle).await;
-        let (skew_c, skew_a) = window("skew").await;
+        let skew = window().await;
 
         // Split the hot shard live, with the skewed load still running.
         let engine = RebalanceEngine::new(
@@ -232,7 +245,6 @@ pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
             MASTER_NODE,
             cluster.map.clone(),
             cluster.master.clone(),
-            RebalanceSpec::default(),
             cluster.config.tuning.obs.clone(),
         );
         let from = ShardId(0);
@@ -245,35 +257,26 @@ pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
         let report = engine
             .run(RebalancePlan::Split { from }, dest, sources)
             .await;
-        out2.set(Some((
-            report.records_copied,
-            report.bytes_copied,
-            report.catchup_rounds,
-            report.final_epoch,
-        )));
 
         hh.sleep(w.settle).await;
-        let (post_c, post_a) = window("post").await;
+        let post = window().await;
 
         stop2.set(true);
         hh.sleep(Duration::from_millis(20)).await;
-        counts2.set((pre_c, pre_a, skew_c, skew_a, post_c, post_a));
+        (pre, skew, post, report)
     });
 
-    let (pre_c, pre_a, skew_c, skew_a, post_c, post_a) = counts.get();
-    let (records_copied, bytes_copied, catchup_rounds, final_epoch) =
-        out.get().expect("split completed");
     RebalanceRun {
-        pre_commits: pre_c,
-        skew_commits: skew_c,
-        post_commits: post_c,
-        pre_aborts: pre_a,
-        skew_aborts: skew_a,
-        post_aborts: post_a,
-        records_copied,
-        bytes_copied,
-        catchup_rounds,
-        final_epoch,
+        pre_commits: pre.0,
+        skew_commits: skew.0,
+        post_commits: post.0,
+        pre_aborts: pre.1,
+        skew_aborts: skew.1,
+        post_aborts: post.1,
+        records_copied: report.records_copied,
+        bytes_copied: report.bytes_copied,
+        catchup_rounds: report.catchup_rounds,
+        final_epoch: report.final_epoch,
         map_installs: obs.registry.counter("map_installs").get(),
         records_moved: obs.registry.counter("migration_records_moved").get(),
         stale_epoch_prepares: obs.registry.counter("stale_epoch_prepares").get(),
@@ -343,6 +346,11 @@ pub fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
 /// Deterministic JSON payload for the artifact.
 pub fn to_json(run: &RebalanceRun, campaign: &RebalanceCampaignReport, seed: u64) -> Json {
     let pct = recovery_pct(run);
+    let window = |commits, aborts| {
+        Json::obj()
+            .field("commits", Json::U64(commits))
+            .field("aborts", Json::U64(aborts))
+    };
     Json::obj()
         .field("seed", Json::U64(seed))
         .field("shards", Json::U64(u64::from(SHARDS)))
@@ -354,24 +362,9 @@ pub fn to_json(run: &RebalanceRun, campaign: &RebalanceCampaignReport, seed: u64
         .field(
             "windows",
             Json::obj()
-                .field(
-                    "pre",
-                    Json::obj()
-                        .field("commits", Json::U64(run.pre_commits))
-                        .field("aborts", Json::U64(run.pre_aborts)),
-                )
-                .field(
-                    "skew",
-                    Json::obj()
-                        .field("commits", Json::U64(run.skew_commits))
-                        .field("aborts", Json::U64(run.skew_aborts)),
-                )
-                .field(
-                    "post",
-                    Json::obj()
-                        .field("commits", Json::U64(run.post_commits))
-                        .field("aborts", Json::U64(run.post_aborts)),
-                ),
+                .field("pre", window(run.pre_commits, run.pre_aborts))
+                .field("skew", window(run.skew_commits, run.skew_aborts))
+                .field("post", window(run.post_commits, run.post_aborts)),
         )
         .field(
             "migration",

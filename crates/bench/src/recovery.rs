@@ -1,4 +1,4 @@
-//! Cold-restart recovery reproduction (library core of `repro_recovery`):
+//! Cold-restart recovery reproduction (`repro recovery`):
 //! mount-scan time and MTTR vs. store size, plus a power-fail fault
 //! campaign.
 //!
@@ -19,13 +19,14 @@
 //! sweep's audit reports lost writes and the campaign's checker flags the
 //! fraud — proving the durability checks actually bite.
 
-use faultkit::{run_campaign, CampaignConfig, CampaignReport};
+use faultkit::{run_campaign, CampaignConfig, CampaignReport, PlanKind};
 use obskit::Json;
 use recoverkit::{run_recovery_sweep, RecoverySpec, RecoveryTrial};
 
-use crate::common::Scale;
+use crate::common::{Args, Scale};
+use crate::Outcome;
 
-/// Knobs for one `repro_recovery` run.
+/// Knobs for one `repro recovery` run.
 pub struct RecoveryConfig {
     /// Simulation seed (sweep and campaign both derive from it).
     pub seed: u64,
@@ -57,6 +58,33 @@ impl RecoveryConfig {
     }
 }
 
+/// `repro recovery`.
+pub fn repro(args: &Args, scale: Scale) -> Outcome {
+    let mut cfg = RecoveryConfig::for_scale(scale);
+    cfg.seed = args.last_or("--seed", cfg.seed);
+    cfg.inject_durability_skip = !args.injected(&["durability-skip"]).is_empty();
+    eprintln!(
+        "recovery: {} store size(s), {} campaign fault(s), seed {}{} ...",
+        cfg.store_sizes.len(),
+        cfg.campaign_faults,
+        cfg.seed,
+        if cfg.inject_durability_skip {
+            " [durability-skip injected]"
+        } else {
+            ""
+        }
+    );
+    let trials = run(&cfg);
+    let campaign = run_powerfail_campaign(&cfg);
+    print(&cfg, &trials, &campaign);
+    Outcome::of_fraud_run(
+        to_json(&cfg, &trials, &campaign),
+        ok(&cfg, &trials, &campaign),
+        cfg.inject_durability_skip,
+        "durability checks missed the injected fraud",
+    )
+}
+
 /// Runs the MTTR sweep: one cold-restart trial per store size.
 pub fn run(cfg: &RecoveryConfig) -> Vec<RecoveryTrial> {
     let spec = RecoverySpec {
@@ -72,7 +100,7 @@ pub fn run_powerfail_campaign(cfg: &RecoveryConfig) -> CampaignReport {
     run_campaign(&CampaignConfig {
         seeds: vec![cfg.seed],
         faults: cfg.campaign_faults,
-        powerfail: true,
+        plan: PlanKind::PowerFail,
         backup_reads: true,
         skip_durability: cfg.inject_durability_skip,
         ..CampaignConfig::default()

@@ -20,12 +20,12 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use flashsim::{value, Backend, BackendKind, Key, NandConfig, StoreError};
-use obskit::Json;
-use simkit::metrics::Histogram;
+use obskit::{Histogram, Json};
 use simkit::Sim;
 use timesync::{ClientId, Discipline, SyncedClock, Timestamp, Version};
 
-use crate::common::Scale;
+use crate::common::{trail_watermark, Args, Scale};
+use crate::Outcome;
 
 /// One measured cell of Table 1.
 #[derive(Debug, Clone)]
@@ -71,22 +71,21 @@ pub struct Table1Config {
 impl Table1Config {
     /// Derives a config from the global scale knob.
     pub fn for_scale(scale: Scale) -> Table1Config {
+        let quick = Table1Config {
+            keys: 20_000,
+            workers: 64,
+            channels: 32,
+            utilization: 0.08,
+            warmup: Duration::from_millis(400),
+            measure: Duration::from_millis(1000),
+        };
         match scale {
-            Scale::Quick => Table1Config {
-                keys: 20_000,
-                workers: 64,
-                channels: 32,
-                utilization: 0.08,
-                warmup: Duration::from_millis(400),
-                measure: Duration::from_millis(1000),
-            },
+            Scale::Quick => quick,
             Scale::Full => Table1Config {
                 keys: 200_000,
-                workers: 64,
-                channels: 32,
-                utilization: 0.08,
                 warmup: Duration::from_millis(800),
                 measure: Duration::from_secs(3),
+                ..quick
             },
         }
     }
@@ -106,7 +105,6 @@ pub fn run_cell(
     let h = sim.handle();
     let nand = NandConfig {
         channels: cfg.channels,
-        queue_depth: 128,
         ..NandConfig::default()
     }
     .sized_for(cfg.keys, 512, cfg.utilization);
@@ -123,19 +121,8 @@ pub fn run_cell(
     }
     store.finish_load();
 
-    // Watermark maintenance: trail true time by 100 ms so superseded
-    // versions become collectible (the SEMEL client would drive this).
-    {
-        let store = store.clone();
-        let hh = h.clone();
-        h.spawn(async move {
-            loop {
-                hh.sleep(Duration::from_millis(10)).await;
-                let wm = Timestamp::from_sim(hh.now()).before(Duration::from_millis(50));
-                store.set_watermark(wm);
-            }
-        });
-    }
+    let gc_store = store.clone();
+    trail_watermark(&h, move |wm| gc_store.set_watermark(wm));
 
     let measuring = Rc::new(Cell::new(false));
     let get_hist = Rc::new(RefCell::new(Histogram::new()));
@@ -231,6 +218,14 @@ pub fn run_cell(
         },
     };
     (row, note)
+}
+
+/// `repro table1`.
+pub fn repro(_: &Args, scale: Scale) -> Outcome {
+    eprintln!("running Table 1 at {scale:?} scale (REPRO_SCALE=full for more) ...");
+    let rows = run(&Table1Config::for_scale(scale));
+    print(&rows);
+    Outcome::pass(to_json(&rows))
 }
 
 /// Runs the full table on the `perfkit` worker pool (one sim per cell,

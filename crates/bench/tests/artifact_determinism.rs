@@ -10,7 +10,7 @@ use std::time::Duration;
 use bench::artifact;
 use bench::common::Scale;
 use bench::fig7::{self, Fig7Config};
-use faultkit::{run_campaign, CampaignConfig};
+use faultkit::{run_campaign, CampaignConfig, PlanKind};
 use flashsim::BackendKind;
 
 fn tiny_cfg() -> Fig7Config {
@@ -71,7 +71,7 @@ fn overload_campaign_artifacts_are_byte_identical_and_report_sheds() {
         seeds: vec![5],
         faults: 10,
         shards: 1,
-        overload_only: true,
+        plan: PlanKind::Overload,
         ..CampaignConfig::default()
     };
     let render = || {

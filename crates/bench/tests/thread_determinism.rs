@@ -1,32 +1,31 @@
-//! Serial-vs-parallel determinism: the `--threads`/`PERF_THREADS` knob
-//! must never leak into an artifact. One suite per pooled family — group
-//! commit, resharding campaigns, read scaling, and chaos campaigns —
-//! each rendered at 1 worker and at 4 workers, asserting byte-identical
-//! JSON.
+//! Serial-vs-parallel determinism: the `--threads` knob must never leak
+//! into an artifact. One suite per pooled family — group commit,
+//! resharding campaigns, read scaling, and chaos campaigns — each rendered
+//! at 1 worker and at 4 workers, asserting byte-identical JSON.
 //!
-//! The in-process checks flip `PERF_THREADS` around small library runs
-//! (a mutex serializes them — the knob is process-global env state). The
-//! chaos check additionally spawns the real `repro_chaos` binary with
-//! `--threads`, covering the CLI surface end to end: flag parsing, pool
-//! scheduling, ordered merge, and serialization.
+//! The in-process checks flip `perfkit::pool::set_threads` around small
+//! library runs (a mutex serializes them — the worker count is one cell
+//! per process). The chaos check additionally spawns the real `repro`
+//! binary with `--threads`, covering the CLI surface end to end: flag
+//! parsing, pool scheduling, ordered merge, and serialization.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Serializes tests that mutate the process-global `PERF_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes tests that set the process-wide worker count.
+static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
-    std::env::set_var("PERF_THREADS", threads);
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    perfkit::pool::set_threads(threads);
     let out = f();
-    std::env::remove_var("PERF_THREADS");
+    perfkit::pool::set_threads(1);
     out
 }
 
 fn assert_thread_invariant(name: &str, render: impl Fn() -> String) {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let serial = with_threads("1", &render);
-    let parallel = with_threads("4", &render);
+    let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let serial = with_threads(1, &render);
+    let parallel = with_threads(4, &render);
     assert!(!serial.is_empty(), "{name} rendered an empty artifact");
     assert_eq!(
         serial, parallel,
@@ -96,17 +95,16 @@ fn chaos_binary_threads_flag_is_artifact_invariant() {
             "thread-determinism-{}-chaos-t{threads}.json",
             std::process::id()
         ));
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro_chaos"))
-            .args(["--seeds", "2", "--faults", "20", "--threads", threads])
-            .arg("--json")
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["chaos", "--seeds", "2", "--faults", "20"])
+            .args(["--threads", threads, "--json"])
             .arg(&path)
             .env("REPRO_SCALE", "quick")
-            .env_remove("PERF_THREADS")
             .output()
-            .expect("spawn repro_chaos");
+            .expect("spawn repro chaos");
         assert!(
             out.status.success(),
-            "repro_chaos --threads {threads} failed:\n{}",
+            "repro chaos --threads {threads} failed:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         let bytes = std::fs::read(&path).expect("artifact written");
@@ -117,6 +115,6 @@ fn chaos_binary_threads_flag_is_artifact_invariant() {
     let parallel = run("4");
     assert_eq!(
         serial, parallel,
-        "repro_chaos: --threads 1 and --threads 4 artifacts must be byte-identical"
+        "repro chaos: --threads 1 and --threads 4 artifacts must be byte-identical"
     );
 }

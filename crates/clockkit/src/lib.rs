@@ -17,10 +17,10 @@
 //! - a single excursion is a **suspect** — the server no-votes that prepare
 //!   ([`ClockVerdict::Suspect`], surfaced as `AbortReason::ClockSuspect`)
 //!   but keeps serving the client;
-//! - `fence_after` *consecutive* suspects **fence** the client
+//! - `FENCE_AFTER` (four) *consecutive* suspects **fence** the client
 //!   ([`ClockVerdict::Fenced`]): every subsequent prepare is refused until
-//!   the residuals sit inside the window again for `unfence_after`
-//!   consecutive observations. Estimates keep updating while fenced, so a
+//!   the residuals sit inside the window again for `UNFENCE_AFTER`
+//!   (sixteen) consecutive observations. Estimates keep updating while fenced, so a
 //!   repaired clock re-admits itself without operator action.
 //!
 //! The tracker is deliberately dependency-light (integer arithmetic only,
@@ -33,24 +33,26 @@ use std::collections::BTreeMap;
 
 pub use timesync::ClientId;
 
+/// Lower bound on ε (ns): the window never shrinks below this, so
+/// near-perfect clocks are not fenced over scheduling noise. Sized, like
+/// the constants below, for PTP-software deployments (~53 µs skew).
+const EPSILON_FLOOR_NS: u64 = 100_000;
+/// ε = max(floor, `SUSPECT_MULTIPLIER` × mean-abs-deviation).
+const SUSPECT_MULTIPLIER: i64 = 6;
+/// Observations before verdicts are issued; during warmup every prepare
+/// passes while the estimates converge.
+const WARMUP_SAMPLES: u64 = 8;
+/// EWMA weight is `1 / 2^ALPHA_SHIFT` (1/16): small enough that a runaway
+/// clock outruns its own baseline instead of dragging it along.
+const ALPHA_SHIFT: u32 = 4;
+/// Consecutive suspect verdicts that fence the client.
+const FENCE_AFTER: u32 = 4;
+/// Consecutive in-window observations that unfence a fenced client.
+const UNFENCE_AFTER: u32 = 16;
+
 /// Tuning for [`ClockHealth`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockHealthConfig {
-    /// Lower bound on ε (ns): the window never shrinks below this, so
-    /// near-perfect clocks are not fenced over scheduling noise.
-    pub epsilon_floor_ns: u64,
-    /// ε = max(floor, `suspect_multiplier` × mean-abs-deviation).
-    pub suspect_multiplier: u32,
-    /// Observations before verdicts are issued; during warmup every
-    /// prepare passes while the estimates converge.
-    pub warmup_samples: u32,
-    /// EWMA weight is `1 / 2^alpha_shift` (4 → 1/16): small enough that a
-    /// runaway clock outruns its own baseline instead of dragging it along.
-    pub alpha_shift: u32,
-    /// Consecutive suspect verdicts that fence the client.
-    pub fence_after: u32,
-    /// Consecutive in-window observations that unfence a fenced client.
-    pub unfence_after: u32,
     /// Absolute envelope: a prepare's `ts_commit` more than this far from
     /// the server's arrival clock — ahead *or* behind — is suspect
     /// regardless of the client's history. (Reads are judged against the
@@ -59,17 +61,9 @@ pub struct ClockHealthConfig {
 }
 
 impl Default for ClockHealthConfig {
-    /// Defaults sized for PTP-software deployments (~53 µs skew): 100 µs
-    /// floor, 6× deviation multiplier, fence after 4 consecutive suspects,
-    /// unfence after 16 clean observations, 10 ms absolute future cap.
+    /// A 10 ms absolute future cap.
     fn default() -> ClockHealthConfig {
         ClockHealthConfig {
-            epsilon_floor_ns: 100_000,
-            suspect_multiplier: 6,
-            warmup_samples: 8,
-            alpha_shift: 4,
-            fence_after: 4,
-            unfence_after: 16,
             max_future_ns: 10_000_000,
         }
     }
@@ -81,7 +75,7 @@ impl ClockHealthConfig {
     /// flags it. Conservatively `max_future_ns` (the loosest fence) plus
     /// the floor.
     pub fn promised_epsilon_ns(&self) -> u64 {
-        self.max_future_ns + self.epsilon_floor_ns
+        self.max_future_ns + EPSILON_FLOOR_NS
     }
 }
 
@@ -116,6 +110,11 @@ struct Track {
     consecutive_suspect: u32,
     consecutive_clean: u32,
     fenced: bool,
+}
+
+/// The uncertainty bound ε of one client's track.
+fn epsilon_of(t: &Track) -> u64 {
+    (EPSILON_FLOOR_NS as i64).max(t.mad_ns.saturating_mul(SUSPECT_MULTIPLIER)) as u64
 }
 
 /// Per-client clock-health estimates for one server.
@@ -154,9 +153,7 @@ impl ClockHealth {
         let t = self.tracks.entry(client.0).or_default();
 
         let dev = residual - t.mean_ns;
-        let epsilon = (self.cfg.epsilon_floor_ns as i64)
-            .max(t.mad_ns.saturating_mul(self.cfg.suspect_multiplier as i64))
-            as u64;
+        let epsilon = epsilon_of(t);
         // Two checks: the relative one (EWMA window, tracks the client's
         // own noise) and an absolute envelope of ±`max_future_ns` around
         // the server's clock. The envelope's past side matters as much as
@@ -170,7 +167,7 @@ impl ClockHealth {
         // (and does, comfortably) cover.
         let in_window =
             dev.unsigned_abs() <= epsilon && residual.unsigned_abs() <= self.cfg.max_future_ns;
-        let warming = t.samples < self.cfg.warmup_samples as u64;
+        let warming = t.samples < WARMUP_SAMPLES;
 
         // EWMA update; suspect observations are *not* folded into the
         // baseline (a runaway clock must not drag its own window along),
@@ -182,10 +179,9 @@ impl ClockHealth {
         // every step stays inside ε — and then commit timestamps that far
         // from true time while rated healthy.
         if warming || in_window || t.fenced {
-            let shift = self.cfg.alpha_shift;
             let bound = self.cfg.max_future_ns as i64;
-            t.mean_ns = (t.mean_ns + (dev >> shift)).clamp(-bound, bound);
-            t.mad_ns += (dev.abs() - t.mad_ns) >> shift;
+            t.mean_ns = (t.mean_ns + (dev >> ALPHA_SHIFT)).clamp(-bound, bound);
+            t.mad_ns += (dev.abs() - t.mad_ns) >> ALPHA_SHIFT;
         }
         t.samples += 1;
 
@@ -195,7 +191,7 @@ impl ClockHealth {
         if t.fenced {
             if in_window {
                 t.consecutive_clean += 1;
-                if t.consecutive_clean >= self.cfg.unfence_after {
+                if t.consecutive_clean >= UNFENCE_AFTER {
                     t.fenced = false;
                     t.consecutive_clean = 0;
                     t.consecutive_suspect = 0;
@@ -213,7 +209,7 @@ impl ClockHealth {
         }
         t.consecutive_suspect += 1;
         self.suspects += 1;
-        if t.consecutive_suspect >= self.cfg.fence_after {
+        if t.consecutive_suspect >= FENCE_AFTER {
             t.fenced = true;
             t.consecutive_clean = 0;
             self.fences += 1;
@@ -261,7 +257,7 @@ impl ClockHealth {
         }
         t.consecutive_suspect += 1;
         self.suspects += 1;
-        if t.consecutive_suspect >= self.cfg.fence_after {
+        if t.consecutive_suspect >= FENCE_AFTER {
             t.fenced = true;
             t.consecutive_clean = 0;
             self.fences += 1;
@@ -281,12 +277,9 @@ impl ClockHealth {
     /// The current uncertainty bound ε for `client` (the floor if the
     /// client has never been observed).
     pub fn epsilon_ns(&self, client: ClientId) -> u64 {
-        match self.tracks.get(&client.0) {
-            Some(t) => (self.cfg.epsilon_floor_ns as i64)
-                .max(t.mad_ns.saturating_mul(self.cfg.suspect_multiplier as i64))
-                as u64,
-            None => self.cfg.epsilon_floor_ns,
-        }
+        self.tracks
+            .get(&client.0)
+            .map_or(EPSILON_FLOOR_NS, epsilon_of)
     }
 
     /// Total suspect verdicts issued (excluding fenced refusals).
@@ -429,12 +422,12 @@ mod tests {
     fn epsilon_has_a_floor_and_tracks_deviation() {
         let mut h = ClockHealth::new(cfg());
         let c = ClientId(5);
-        assert_eq!(h.epsilon_ns(c), cfg().epsilon_floor_ns);
+        assert_eq!(h.epsilon_ns(c), EPSILON_FLOOR_NS);
         // Perfectly steady residuals: ε stays at the floor.
         for _ in 0..100 {
             let _ = h.observe(c, 999_900_000, 1_000_000_000);
         }
-        assert_eq!(h.epsilon_ns(c), cfg().epsilon_floor_ns);
+        assert_eq!(h.epsilon_ns(c), EPSILON_FLOOR_NS);
         // Noisy NTP-scale residuals widen ε above the floor.
         let mut h = ClockHealth::new(cfg());
         let c = ClientId(6);
@@ -442,7 +435,7 @@ mod tests {
             let noise = jitter(i) * 40; // ±1.2ms swings
             let _ = h.observe(c, (1_000_000_000 + noise) as u64, 1_000_000_000);
         }
-        assert!(h.epsilon_ns(c) > cfg().epsilon_floor_ns);
+        assert!(h.epsilon_ns(c) > EPSILON_FLOOR_NS);
     }
 
     #[test]
@@ -479,7 +472,7 @@ mod tests {
                 (1_000_000_000 - 25_000_000 + jitter(i)) as u64,
                 1_000_000_000,
             );
-            if i >= cfg().warmup_samples as u64 {
+            if i >= WARMUP_SAMPLES {
                 ever_ok_after_warmup |= v.is_ok();
             }
         }
@@ -498,7 +491,7 @@ mod tests {
         assert_eq!(h.suspect_count(), 0);
         // A far-future ts_begin trips the ceiling immediately (no warmup)
         // and fences after `fence_after` consecutive breaches.
-        for _ in 0..cfg().fence_after {
+        for _ in 0..FENCE_AFTER {
             assert!(!h.observe_read(c, 1_050_000_000, 1_000_000_000).is_ok());
         }
         assert!(h.is_fenced(c));

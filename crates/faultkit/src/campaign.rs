@@ -8,22 +8,21 @@
 //! increment survives, no phantom increments) and run the
 //! [`Checker`](crate::history::Checker) over the recorded trace.
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::time::Duration;
 
-use flashsim::{value, Key, NandConfig, Value};
+use flashsim::Key;
 use milana::client::TxnOpts;
-use milana::cluster::{MilanaCluster, MilanaClusterConfig};
-use obskit::{Json, Obs};
+use obskit::Json;
 use rand::Rng;
-use simkit::Sim;
-use timesync::ClockSpec;
 
-use crate::history::{Checker, History};
+use crate::counter::{report_json, violations_json, CounterRun, Worker};
 use crate::nemesis::run_nemesis;
-use crate::plan::{FaultPlan, PlanShape};
+use crate::plan::{PlanKind, PlanShape};
+
+/// Admission capacity (cost units) per server. Sized so the steady counter
+/// workload never sheds but nemesis overload bursts do.
+const ADMISSION_CAPACITY: u64 = 32;
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -49,26 +48,14 @@ pub struct CampaignConfig {
     /// Seeded-bug mode: primaries vote yes without validating, so the
     /// checker has a real serializability bug to catch.
     pub skip_validation: bool,
-    /// Targeted overload mode: the plan contains only
-    /// [`crate::plan::Fault::Overload`] bursts, exercising the admission
-    /// and retry plane specifically.
-    pub overload_only: bool,
-    /// Durability campaign: the plan interleaves power failures (cold
-    /// restarts with torn flash state) with warm crashes and partitions
-    /// ([`crate::plan::FaultPlan::random_powerfail`]), exercising mount
-    /// scans, anti-entropy catch-up, and the `lost_acked_write` checker.
-    pub powerfail: bool,
+    /// Which fault classes the seeded plan draws from.
+    pub plan: PlanKind,
     /// Seeded-bug mode: cold-restarting replicas adopt the mounted floor
     /// as their applied watermark and serve immediately, skipping
     /// anti-entropy catch-up — acked writes that were still in volatile
     /// flash queues at the power failure silently vanish, and the checker
     /// must catch it (`lost_acked_write` / `stale_backup_read`).
     pub skip_durability: bool,
-    /// Clock-fault campaign: the plan contains only client clock faults —
-    /// steps, persistent drifts, holdover jumps
-    /// ([`crate::plan::FaultPlan::random_clockfault`]) — so every abort is
-    /// attributable to time.
-    pub clockfault: bool,
     /// Server-side clock-health tracking: primaries estimate each client's
     /// timestamp-vs-arrival residual, refuse prepares outside the
     /// uncertainty window, and fence persistent outliers. `None` leaves
@@ -82,9 +69,6 @@ pub struct CampaignConfig {
     /// Promised clock uncertainty handed to the checker
     /// ([`Checker::with_epsilon`]); `None` skips the clock-bound check.
     pub clock_epsilon_ns: Option<u64>,
-    /// Admission capacity (cost units) per server. Sized so the steady
-    /// counter workload never sheds but nemesis overload bursts do.
-    pub admission_capacity: u64,
     /// Backup snapshot reads: clients route reads power-of-two across
     /// backups and primaries gossip watermark floors, so the campaign
     /// exercises the `stale_backup_read` invariant under faults. Off by
@@ -103,14 +87,11 @@ impl Default for CampaignConfig {
             keys: 8,
             trace_capacity: 0,
             skip_validation: false,
-            overload_only: false,
-            powerfail: false,
+            plan: PlanKind::Mixed,
             skip_durability: false,
-            clockfault: false,
             clock_health: None,
             skip_uncertainty: false,
             clock_epsilon_ns: None,
-            admission_capacity: 32,
             backup_reads: false,
         }
     }
@@ -217,15 +198,6 @@ impl CampaignReport {
                         .field("ok", Json::U64(ok)),
                 );
             }
-            let violations: Vec<Json> = o
-                .violations
-                .iter()
-                .map(|v| {
-                    Json::obj()
-                        .field("class", Json::str(v.class))
-                        .field("description", Json::str(&v.description))
-                })
-                .collect();
             seeds.push(
                 Json::obj()
                     .field("seed", Json::U64(o.seed))
@@ -247,23 +219,26 @@ impl CampaignReport {
                     .field("clock_fences", Json::U64(o.clock_fences))
                     .field("trace_dropped", Json::U64(o.trace_dropped))
                     .field("conservation_ok", Json::Bool(o.conservation_ok))
-                    .field("violations", Json::arr(violations)),
+                    .field("violations", violations_json(&o.violations)),
             );
         }
-        Json::obj()
-            .field("seeds", Json::arr(seeds))
-            .field("violations_total", Json::U64(self.violation_count() as u64))
+        report_json(seeds, self.violation_count())
     }
 }
 
-fn enc(n: u64) -> Value {
-    value(Vec::from(n.to_be_bytes()))
-}
-
-fn dec(v: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&v[..8]);
-    u64::from_be_bytes(b)
+/// One read-only sum over every counter, after `dwell` in the snapshot.
+async fn scan(w: &Worker, dwell: Option<Duration>) {
+    let mut t = w.c.begin_with(TxnOpts::default());
+    if let Some(dwell) = dwell {
+        w.h.sleep(dwell).await;
+    }
+    for k in 0..w.keys {
+        if t.get(&Key::from(k)).await.is_err() {
+            w.h.sleep(Duration::from_millis(2)).await;
+            return;
+        }
+    }
+    let _ = t.commit().await;
 }
 
 /// Runs one seed to completion and returns its outcome.
@@ -272,207 +247,68 @@ pub fn run_seed(cfg: &CampaignConfig, seed: u64) -> SeedOutcome {
 }
 
 /// Like [`run_seed`], but also returns the seed's full trace as JSONL
-/// (for `repro_chaos --trace`).
+/// (for `repro chaos --trace`).
 pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, String) {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
     let capacity = if cfg.trace_capacity == 0 {
         cfg.faults.saturating_mul(8192).max(1 << 18)
     } else {
         cfg.trace_capacity
     };
-    let obs = Obs::with_trace(capacity);
-    let mut cluster_cfg = MilanaClusterConfig {
+    let shape = PlanShape {
         shards: cfg.shards,
         replicas: cfg.replicas,
         clients: cfg.clients,
-        nand: NandConfig {
-            blocks: 512,
-            pages_per_block: 8,
-            ..NandConfig::default()
-        },
-        clock: ClockSpec::ptp_software(),
-        preload_keys: 0,
-        ..MilanaClusterConfig::default()
     };
-    cluster_cfg.tuning.obs = obs.clone();
-    cluster_cfg.tuning.skip_validation.set(cfg.skip_validation);
-    cluster_cfg.tuning.skip_durability.set(cfg.skip_durability);
-    cluster_cfg.tuning.clock_health = cfg.clock_health.clone();
-    cluster_cfg
-        .tuning
-        .skip_uncertainty
-        .set(cfg.skip_uncertainty);
-    cluster_cfg.tuning.admission.capacity = cfg.admission_capacity;
-    cluster_cfg.client_cfg.obs = obs.clone();
-    if cfg.backup_reads {
-        cluster_cfg.client_cfg.read_route = readkit::ReadRoute::PowerOfTwo;
-        // Fast floor propagation: idle-tick reports every 2ms (a client
-        // dwelling in a scan still pushes its write floor forward) and
-        // backup gossip so floors advance between replication flushes.
-        cluster_cfg.client_cfg.watermark_interval = Duration::from_millis(2);
-        cluster_cfg.tuning.gossip_every = Some(Duration::from_millis(5));
-    }
-    let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cluster_cfg)));
-
-    // Seed the counters.
-    let keys = cfg.keys;
-    {
-        let clients = cluster.borrow().clients.clone();
-        let hh = h.clone();
-        sim.block_on(async move {
-            let mut t = clients[0].begin_with(TxnOpts::default());
-            for k in 0..keys {
-                t.put(Key::from(k), enc(0));
-            }
-            t.commit().await.expect("seeding commit");
-            hh.sleep(Duration::from_millis(5)).await;
-        });
-    }
+    let mut run = CounterRun::boot(seed, shape, cfg.keys, capacity, |cluster_cfg| {
+        let tuning = &mut cluster_cfg.tuning;
+        tuning.skip_validation.set(cfg.skip_validation);
+        tuning.skip_durability.set(cfg.skip_durability);
+        tuning.clock_health = cfg.clock_health.clone();
+        tuning.skip_uncertainty.set(cfg.skip_uncertainty);
+        tuning.admission.capacity = ADMISSION_CAPACITY;
+        if cfg.backup_reads {
+            cluster_cfg.client_cfg.read_route = readkit::ReadRoute::PowerOfTwo;
+            // Fast floor propagation: idle-tick reports every 2ms (a client
+            // dwelling in a scan still pushes its write floor forward) and
+            // backup gossip so floors advance between replication flushes.
+            cluster_cfg.client_cfg.watermark_interval = Duration::from_millis(2);
+            tuning.gossip_every = Some(Duration::from_millis(5));
+        }
+    });
 
     // Continuous contended workload: read-modify-write increments with an
     // occasional read-only sum, one transaction at a time per client.
-    let acked = Rc::new(Cell::new(0u64));
-    let stop = Rc::new(Cell::new(false));
     // Backup-reads mode: scans dwell like analytics readers, long enough
     // for the gossiped floor to pass their `ts_begin` — the window in
     // which backups may (and must, correctly) serve their reads.
     let scan_dwell = cfg.backup_reads.then(|| Duration::from_millis(5));
-    for c in &cluster.borrow().clients {
-        let c = c.clone();
-        let acked = acked.clone();
-        let stop = stop.clone();
-        let hh = h.clone();
-        h.spawn(async move {
-            let mut rng = hh.fork_rng();
-            while !stop.get() {
-                let read_only = rng.gen::<f64>() < 0.2;
-                let mut t = c.begin_with(TxnOpts::default());
-                if read_only {
-                    if let Some(dwell) = scan_dwell {
-                        hh.sleep(dwell).await;
-                    }
-                    let mut ok = true;
-                    for k in 0..keys {
-                        if t.get(&Key::from(k)).await.is_err() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        let _ = t.commit().await;
-                    } else {
-                        hh.sleep(Duration::from_millis(2)).await;
-                    }
-                    continue;
-                }
-                let k = Key::from(rng.gen_range(0..keys));
-                let n = match t.get(&k).await {
-                    Ok(v) if v.len() >= 8 => dec(&v),
-                    _ => {
-                        // Primary mid-failover; back off briefly.
-                        hh.sleep(Duration::from_millis(2)).await;
-                        continue;
-                    }
-                };
-                t.put(k.clone(), enc(n + 1));
-                if t.commit().await.is_ok() {
-                    acked.set(acked.get() + 1);
+    for w in run.workers() {
+        run.h.spawn(async move {
+            let mut rng = w.h.fork_rng();
+            while !w.stopped() {
+                if rng.gen::<f64>() < 0.2 {
+                    scan(&w, scan_dwell).await;
+                } else {
+                    w.increment(&mut rng).await;
                 }
             }
         });
     }
 
     // The nemesis walks the plan, then force-heals.
-    let shape = PlanShape {
-        shards: cfg.shards,
-        replicas: cfg.replicas,
-        clients: cfg.clients,
-    };
-    let plan = if cfg.overload_only {
-        FaultPlan::random_overload(seed, cfg.faults, shape)
-    } else if cfg.clockfault {
-        FaultPlan::random_clockfault(seed, cfg.faults, shape)
-    } else if cfg.powerfail {
-        FaultPlan::random_powerfail(seed, cfg.faults, shape)
-    } else {
-        FaultPlan::random(seed, cfg.faults, shape)
-    };
+    let plan = cfg.plan.generate(seed, cfg.faults, shape);
     let report = {
-        let hh = h.clone();
-        let cluster = cluster.clone();
-        let plan = plan.clone();
-        sim.block_on(async move { run_nemesis(&hh, &cluster, &plan).await })
+        let (hh, cluster) = (run.h.clone(), run.cluster.clone());
+        run.sim
+            .block_on(async move { run_nemesis(&hh, &cluster, &plan).await })
     };
 
-    // Settle, stop the workload, drain in-flight transactions.
-    {
-        let hh = h.clone();
-        let stop = stop.clone();
-        sim.block_on(async move {
-            hh.sleep(Duration::from_millis(80)).await;
-            stop.set(true);
-            hh.sleep(Duration::from_millis(60)).await;
-        });
-    }
-
-    // Audit: one transaction reading every counter, retried until it
-    // commits (the finale guarantees a serving primary per shard).
-    let clients = cluster.borrow().clients.clone();
-    let hh = h.clone();
-    let audit_total = sim.block_on(async move {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            if attempts > 500 {
-                return None;
-            }
-            let mut t = clients[0].begin_with(TxnOpts::default());
-            let mut sum = 0u64;
-            let mut bad = false;
-            for k in 0..keys {
-                match t.get(&Key::from(k)).await {
-                    Ok(v) if v.len() >= 8 => sum += dec(&v),
-                    _ => {
-                        bad = true;
-                        break;
-                    }
-                }
-            }
-            if bad {
-                hh.sleep(Duration::from_millis(2)).await;
-                continue;
-            }
-            match t.commit().await {
-                Ok(_) => return Some(sum),
-                // A `PreparedRead` abort only clears once CTP resolves the
-                // stuck prepare (up to `ctp_after` + a scan period away), so
-                // back off instead of burning attempts in a tight loop.
-                Err(_) => {
-                    hh.sleep(Duration::from_millis(2)).await;
-                    continue;
-                }
-            }
-        }
-    });
-
-    let cluster = cluster.borrow();
-    let unknowns: u64 = cluster.clients.iter().map(|c| c.stats().unknown).sum();
-    let acked = acked.get();
-    // Conservation: every acknowledged increment survived, and nothing
-    // appeared out of thin air (unknown-outcome attempts may legitimately
-    // commit via CTP; in-flight transactions at stop add at most one per
-    // client). With validation or durability disabled the workload
-    // genuinely loses updates, so conservation is only meaningful in
-    // correct mode (the seeded bugs are the *checker's* to catch).
-    let conservation_ok = match audit_total {
-        None => false,
-        Some(total) => {
-            cfg.skip_validation
-                || cfg.skip_durability
-                || (total >= acked && total <= acked + unknowns + cluster.clients.len() as u64)
-        }
-    };
+    let audit = run.audit(Duration::from_millis(80));
+    // With validation or durability disabled the workload genuinely loses
+    // updates, so conservation is only meaningful in correct mode (the
+    // seeded bugs are the *checker's* to catch).
+    let conservation_ok =
+        audit.total.is_some() && (cfg.skip_validation || cfg.skip_durability || audit.conserved);
 
     let mut fault_counts: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for f in &report.applied {
@@ -482,9 +318,12 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
             e.1 += 1;
         }
     }
-    let net = h.net_stats();
+    let net = run.h.net_stats();
+    let (obs, cluster) = (&run.obs, run.cluster.borrow());
 
     let mut server_sheds = 0;
+    let mut clock_suspects = 0u64;
+    let mut clock_fences = 0u64;
     for slot in cluster.replicas.iter().flatten() {
         let node = slot.addr.node.0;
         server_sheds += obs
@@ -495,48 +334,26 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
                 .registry
                 .counter(&format!("loadkit.node{node}.sheds_deadline"))
                 .get();
+        let s = slot.server.stats();
+        clock_suspects += s.clock_suspects;
+        clock_fences = clock_fences.max(s.clock_fences);
     }
     let mut client_retries = 0;
+    let mut replica_reads = 0;
     for c in &cluster.clients {
         client_retries += obs
             .registry
             .counter(&format!("loadkit.client{}.retries", c.id().0))
             .get();
+        replica_reads += c.stats().replica_reads;
     }
 
-    let history = History::from_events(obs.tracer.events(), obs.tracer.dropped());
-    let mut checker = Checker::new(&history);
-    if let Some(eps) = cfg.clock_epsilon_ns {
-        checker = checker.with_epsilon(eps);
-    }
-    let violations = checker
-        .check()
-        .into_iter()
-        .map(|v| ViolationSummary {
-            class: v.class.as_str(),
-            description: v.description,
-            trace_slice: history.trace_slice(&v.txns),
-        })
-        .collect();
-
-    let replica_reads: u64 = cluster
-        .clients
-        .iter()
-        .map(|c| c.stats().replica_reads)
-        .sum();
-    let mut clock_suspects = 0u64;
-    let mut clock_fences = 0u64;
-    for slot in cluster.replicas.iter().flatten() {
-        let s = slot.server.stats();
-        clock_suspects += s.clock_suspects;
-        clock_fences = clock_fences.max(s.clock_fences);
-    }
-
+    let (history, violations) = run.check(cfg.clock_epsilon_ns);
     let outcome = SeedOutcome {
         seed,
-        acked,
-        audit_total: audit_total.unwrap_or(0),
-        unknowns,
+        acked: audit.acked,
+        audit_total: audit.total.unwrap_or(0),
+        unknowns: audit.unknowns,
         committed: history.committed() as u64,
         aborted: history.aborted() as u64,
         unknown: history.unknown() as u64,
@@ -627,7 +444,7 @@ mod tests {
             // seeded-fraud twin of this test).
             keys: 16,
             backup_reads: true,
-            powerfail: true,
+            plan: PlanKind::PowerFail,
             ..CampaignConfig::default()
         };
         let a = run_campaign(&cfg);
@@ -660,7 +477,7 @@ mod tests {
             faults: 8,
             keys: 16,
             backup_reads: true,
-            powerfail: true,
+            plan: PlanKind::PowerFail,
             skip_durability: true,
             ..CampaignConfig::default()
         };
@@ -687,13 +504,12 @@ mod tests {
     fn clockfault_cfg() -> CampaignConfig {
         let health = clockkit::ClockHealthConfig {
             max_future_ns: 1_000_000,
-            ..clockkit::ClockHealthConfig::default()
         };
         let eps = health.promised_epsilon_ns();
         CampaignConfig {
             seeds: vec![17],
             faults: 10,
-            clockfault: true,
+            plan: PlanKind::ClockFault,
             clock_health: Some(health),
             clock_epsilon_ns: Some(eps),
             ..CampaignConfig::default()

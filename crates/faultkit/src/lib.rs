@@ -1,7 +1,7 @@
 //! Deterministic fault-injection campaigns and a serializability history
 //! checker for the MILANA stack.
 //!
-//! The crate has four layers:
+//! The crate has five layers:
 //!
 //! - [`plan`]: a seeded, declarative schedule of faults ([`FaultPlan`]) —
 //!   crashes, partitions, network degradation (drop / duplicate / delay
@@ -18,10 +18,13 @@
 //!   replication invariant.
 //! - [`campaign`]: runs N seeds × M faults of a counter workload under the
 //!   nemesis, audits conservation invariants, runs the checker, and emits
-//!   byte-stable JSON summaries (the `repro_chaos` binary's engine).
+//!   byte-stable JSON summaries (the engine of `repro chaos`).
 //! - [`rebalance`]: phase-targeted campaigns against live shard migration
 //!   (crash/partition in every `shardkit` phase), audited for conservation
 //!   and single-owner-per-epoch via the history checker.
+//!
+//! Both campaign families drive the same counter workload and audit (the
+//! private `counter` module).
 //!
 //! Everything is deterministic: the same seed replays the same fault
 //! schedule, the same message drops, and the same checker verdicts.
@@ -29,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+mod counter;
 pub mod history;
 pub mod nemesis;
 pub mod plan;
@@ -39,7 +43,7 @@ pub use campaign::{
 };
 pub use history::{Checker, History, OwnershipEvent, Violation, ViolationClass};
 pub use nemesis::{run_nemesis, NemesisReport};
-pub use plan::{Fault, FaultPlan, PlanShape, TimedFault};
+pub use plan::{Fault, FaultPlan, PlanKind, PlanShape, TimedFault};
 pub use rebalance::{
     run_rebalance_campaign, run_rebalance_seed, RebalanceCampaignConfig, RebalanceCampaignReport,
     RebalanceSeedOutcome,

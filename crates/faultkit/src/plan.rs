@@ -167,6 +167,39 @@ pub struct PlanShape {
     pub clients: u32,
 }
 
+/// Which fault classes a campaign's seeded plan draws from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanKind {
+    /// [`FaultPlan::random`]: crashes, partitions, network degradation,
+    /// clock steps, overload bursts and media faults.
+    #[default]
+    Mixed,
+    /// [`FaultPlan::random_overload`]: only overload bursts, exercising
+    /// the admission and retry plane specifically.
+    Overload,
+    /// [`FaultPlan::random_clockfault`]: only client clock faults, so
+    /// every abort is attributable to time.
+    ClockFault,
+    /// [`FaultPlan::random_powerfail`]: power failures (cold restarts with
+    /// torn flash state) interleaved with warm crashes and partitions,
+    /// exercising mount scans, anti-entropy catch-up and the
+    /// `lost_acked_write` checker.
+    PowerFail,
+}
+
+impl PlanKind {
+    /// The plan of this kind for `(seed, n, shape)`.
+    pub fn generate(self, seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
+        let generate = match self {
+            PlanKind::Mixed => FaultPlan::random,
+            PlanKind::Overload => FaultPlan::random_overload,
+            PlanKind::ClockFault => FaultPlan::random_clockfault,
+            PlanKind::PowerFail => FaultPlan::random_powerfail,
+        };
+        generate(seed, n, shape)
+    }
+}
+
 /// An ordered fault schedule.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -238,7 +271,7 @@ impl FaultPlan {
     }
 
     /// Generates a schedule of `n` pure [`Fault::Overload`] bursts from
-    /// `seed` — the targeted campaign `repro_chaos --inject overload` runs.
+    /// `seed` — the targeted campaign `repro chaos --inject overload` runs.
     pub fn random_overload(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0f_f1_0a_d5_0f_f1_0a_d5);
         let faults = (0..n)

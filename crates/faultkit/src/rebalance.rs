@@ -13,22 +13,18 @@
 //! no two nodes ever owned the moving keys at once
 //! ([`ViolationClass::DualOwnership`](crate::history::ViolationClass)).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use flashsim::{value, Key, NandConfig, Value};
-use milana::client::TxnOpts;
-use milana::cluster::{MilanaCluster, MilanaClusterConfig, MASTER_NODE};
-use obskit::{Json, MigrationPhase, Obs};
-use rand::Rng;
+use milana::cluster::MASTER_NODE;
+use obskit::{Json, MigrationPhase};
 use semel::shard::ShardId;
 use shardkit::{RebalanceEngine, RebalancePlan};
-use simkit::Sim;
-use timesync::ClockSpec;
 
 use crate::campaign::ViolationSummary;
-use crate::history::{Checker, History};
+use crate::counter::{report_json, violations_json, CounterRun};
+use crate::plan::PlanShape;
 
 /// Parameters for a migration fault campaign.
 #[derive(Debug, Clone)]
@@ -125,15 +121,6 @@ impl RebalanceCampaignReport {
     pub fn to_json(&self) -> Json {
         let mut seeds = Vec::new();
         for o in &self.outcomes {
-            let violations: Vec<Json> = o
-                .violations
-                .iter()
-                .map(|v| {
-                    Json::obj()
-                        .field("class", Json::str(v.class))
-                        .field("description", Json::str(&v.description))
-                })
-                .collect();
             seeds.push(
                 Json::obj()
                     .field("seed", Json::U64(o.seed))
@@ -148,92 +135,34 @@ impl RebalanceCampaignReport {
                     .field("faults_injected", Json::U64(o.faults_injected))
                     .field("ownership_events", Json::U64(o.ownership_events))
                     .field("conservation_ok", Json::Bool(o.conservation_ok))
-                    .field("violations", Json::arr(violations)),
+                    .field("violations", violations_json(&o.violations)),
             );
         }
-        Json::obj()
-            .field("seeds", Json::arr(seeds))
-            .field("violations_total", Json::U64(self.violation_count() as u64))
+        report_json(seeds, self.violation_count())
     }
-}
-
-fn enc(n: u64) -> Value {
-    value(Vec::from(n.to_be_bytes()))
-}
-
-fn dec(v: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&v[..8]);
-    u64::from_be_bytes(b)
 }
 
 /// Runs one migration seed to completion and returns its outcome.
 pub fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> RebalanceSeedOutcome {
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
     let capacity = if cfg.trace_capacity == 0 {
         1 << 19
     } else {
         cfg.trace_capacity
     };
-    let obs = Obs::with_trace(capacity);
-    let mut cluster_cfg = MilanaClusterConfig {
+    let shape = PlanShape {
         shards: 2,
         replicas: cfg.replicas,
         clients: cfg.clients,
-        nand: NandConfig {
-            blocks: 512,
-            pages_per_block: 8,
-            ..NandConfig::default()
-        },
-        clock: ClockSpec::ptp_software(),
-        preload_keys: 0,
-        ..MilanaClusterConfig::default()
     };
-    cluster_cfg.tuning.obs = obs.clone();
-    cluster_cfg.client_cfg.obs = obs.clone();
-    let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cluster_cfg)));
+    let mut run = CounterRun::boot(seed, shape, cfg.keys, capacity, |_| ());
+    let (h, cluster, obs) = (run.h.clone(), run.cluster.clone(), run.obs.clone());
 
-    // Seed the counters.
-    let keys = cfg.keys;
-    {
-        let clients = cluster.borrow().clients.clone();
-        let hh = h.clone();
-        sim.block_on(async move {
-            let mut t = clients[0].begin_with(TxnOpts::default());
-            for k in 0..keys {
-                t.put(Key::from(k), enc(0));
-            }
-            t.commit().await.expect("seeding commit");
-            hh.sleep(Duration::from_millis(5)).await;
-        });
-    }
-
-    // Continuous contended increments; StaleEpoch / fence aborts are just
-    // unacked attempts the workload retries like any other conflict.
-    let acked = Rc::new(Cell::new(0u64));
-    let stop = Rc::new(Cell::new(false));
-    for c in &cluster.borrow().clients {
-        let c = c.clone();
-        let acked = acked.clone();
-        let stop = stop.clone();
-        let hh = h.clone();
+    // Continuous contended increments.
+    for w in run.workers() {
         h.spawn(async move {
-            let mut rng = hh.fork_rng();
-            while !stop.get() {
-                let k = Key::from(rng.gen_range(0..keys));
-                let mut t = c.begin_with(TxnOpts::default());
-                let n = match t.get(&k).await {
-                    Ok(v) if v.len() >= 8 => dec(&v),
-                    _ => {
-                        hh.sleep(Duration::from_millis(2)).await;
-                        continue;
-                    }
-                };
-                t.put(k.clone(), enc(n + 1));
-                if t.commit().await.is_ok() {
-                    acked.set(acked.get() + 1);
-                }
+            let mut rng = w.h.fork_rng();
+            while !w.stopped() {
+                w.increment(&mut rng).await;
             }
         });
     }
@@ -251,7 +180,6 @@ pub fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> Rebalance
         MASTER_NODE,
         cluster.borrow().map.clone(),
         cluster.borrow().master.clone(),
-        shardkit::RebalanceSpec::default(),
         obs.clone(),
     );
 
@@ -322,7 +250,7 @@ pub fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> Rebalance
     // Run the split under fire.
     let report = {
         let hh = h.clone();
-        sim.block_on(async move {
+        run.sim.block_on(async move {
             hh.sleep(Duration::from_millis(20)).await;
             engine
                 .run(RebalancePlan::Split { from }, dest, sources)
@@ -330,81 +258,15 @@ pub fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> Rebalance
         })
     };
 
-    // Settle, stop the workload, drain in-flight transactions.
-    {
-        let hh = h.clone();
-        let stop = stop.clone();
-        sim.block_on(async move {
-            hh.sleep(Duration::from_millis(40)).await;
-            stop.set(true);
-            hh.sleep(Duration::from_millis(60)).await;
-        });
-    }
-
-    // Audit: one transaction reading every counter, retried until it
-    // commits.
-    let clients = cluster.borrow().clients.clone();
-    let hh = h.clone();
-    let audit_total = sim.block_on(async move {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            if attempts > 500 {
-                return None;
-            }
-            let mut t = clients[0].begin_with(TxnOpts::default());
-            let mut sum = 0u64;
-            let mut bad = false;
-            for k in 0..keys {
-                match t.get(&Key::from(k)).await {
-                    Ok(v) if v.len() >= 8 => sum += dec(&v),
-                    _ => {
-                        bad = true;
-                        break;
-                    }
-                }
-            }
-            if bad {
-                hh.sleep(Duration::from_millis(2)).await;
-                continue;
-            }
-            match t.commit().await {
-                Ok(_) => return Some(sum),
-                Err(_) => {
-                    hh.sleep(Duration::from_millis(2)).await;
-                    continue;
-                }
-            }
-        }
-    });
-
-    let cluster = cluster.borrow();
-    let unknowns: u64 = cluster.clients.iter().map(|c| c.stats().unknown).sum();
-    let acked = acked.get();
-    // Every acknowledged increment must survive the migration; CTP may
-    // commit a few unknown-outcome attempts on top, and each client can
-    // have at most one transaction in flight at stop.
-    let conservation_ok = match audit_total {
-        None => false,
-        Some(total) => total >= acked && total <= acked + unknowns + cluster.clients.len() as u64,
-    };
-
-    let history = History::from_events(obs.tracer.events(), obs.tracer.dropped());
-    let violations: Vec<ViolationSummary> = Checker::new(&history)
-        .check()
-        .into_iter()
-        .map(|v| ViolationSummary {
-            class: v.class.as_str(),
-            description: v.description,
-            trace_slice: history.trace_slice(&v.txns),
-        })
-        .collect();
+    // Every acknowledged increment must survive the migration.
+    let audit = run.audit(Duration::from_millis(40));
+    let (history, violations) = run.check(None);
 
     RebalanceSeedOutcome {
         seed,
-        acked,
-        audit_total: audit_total.unwrap_or(0),
-        unknowns,
+        acked: audit.acked,
+        audit_total: audit.total.unwrap_or(0),
+        unknowns: audit.unknowns,
         records_copied: report.records_copied,
         bytes_copied: report.bytes_copied,
         catchup_rounds: report.catchup_rounds,
@@ -412,7 +274,7 @@ pub fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> Rebalance
         stale_epoch_prepares: obs.registry.counter("stale_epoch_prepares").get(),
         faults_injected: injected.get(),
         ownership_events: history.ownership.len() as u64,
-        conservation_ok,
+        conservation_ok: audit.conserved,
         violations,
     }
 }

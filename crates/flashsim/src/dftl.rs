@@ -14,7 +14,7 @@
 //!   charges a translation-page **write** amortized over the batch of
 //!   dirty entries that share a translation page.
 //!
-//! The `repro_ablation_dftl` binary sweeps the DRAM fraction to show what
+//! `repro ablations` sweeps the DRAM fraction to show what
 //! the paper's all-in-DRAM assumption is worth.
 
 use std::cell::RefCell;

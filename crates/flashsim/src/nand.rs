@@ -27,6 +27,9 @@ use simkit::sync::Semaphore;
 use simkit::time::SimTime;
 use simkit::SimHandle;
 
+/// Block erase latency (§5).
+const ERASE_LATENCY: Duration = Duration::from_millis(1);
+
 /// Geometry and timing of a simulated SSD.
 #[derive(Debug, Clone)]
 pub struct NandConfig {
@@ -44,8 +47,6 @@ pub struct NandConfig {
     pub read_latency: Duration,
     /// Page program latency.
     pub write_latency: Duration,
-    /// Block erase latency.
-    pub erase_latency: Duration,
     /// Pages scanned per second by a mount-time recovery scan
     /// ([`NandDevice::mount_scan`]). Sequential OOB reads pipeline across
     /// all channels, so this is much faster than random page reads.
@@ -65,7 +66,6 @@ impl Default for NandConfig {
             queue_depth: 128,
             read_latency: Duration::from_micros(50),
             write_latency: Duration::from_micros(100),
-            erase_latency: Duration::from_millis(1),
             mount_scan_rate: 100_000,
         }
     }
@@ -75,11 +75,6 @@ impl NandConfig {
     /// Total pages on the device.
     pub fn total_pages(&self) -> u64 {
         self.blocks as u64 * self.pages_per_block as u64
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_pages() * self.page_size as u64
     }
 
     /// Sizes the device to hold `tuples` records of `tuple_size` bytes at
@@ -555,7 +550,7 @@ impl<P: Clone + 'static> NandDevice<P> {
             inner.stats.block_erases += 1;
         }
         self.trace_op(obskit::FlashOpKind::Erase);
-        self.timed(block, self.cfg.erase_latency).await;
+        self.timed(block, ERASE_LATENCY).await;
         Ok(())
     }
 
@@ -611,12 +606,6 @@ impl<P: Clone + 'static> NandDevice<P> {
         blk.oob[loc.page as usize] = oob;
         blk.next_page += 1;
         Ok(())
-    }
-
-    /// Zero-time OOB read for recovery logic and tests.
-    pub fn peek_oob(&self, loc: PhysLoc) -> Option<PageOob> {
-        self.check_range(loc).ok()?;
-        self.inner.borrow().blocks[loc.block as usize].oob[loc.page as usize]
     }
 }
 

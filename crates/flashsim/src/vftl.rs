@@ -35,6 +35,10 @@ use crate::types::StoreError;
 /// One logical segment's payload: packed tuples (a 4 KB page worth).
 pub type Segment = Page;
 
+/// Fraction of *logical* space the KV layer reserves for its own GC — the
+/// "10 % at a second level" of §5.1.
+const TOP_OVERPROVISION: f64 = 0.10;
+
 /// Tuning for a [`SplitStore`].
 #[derive(Debug, Clone)]
 pub struct VftlConfig {
@@ -43,9 +47,6 @@ pub struct VftlConfig {
     pub op_overhead: Duration,
     /// Packing delay bound (same knob as MFTL's; 1 ms in the paper).
     pub packing_window: Duration,
-    /// Fraction of *logical* space the KV layer reserves for its own GC —
-    /// the "10 % at a second level" of §5.1.
-    pub top_overprovision: f64,
     /// KV-layer GC starts when free segments drop to this level.
     pub gc_low_water: usize,
     /// Segments reserved for KV-layer GC relocation.
@@ -57,7 +58,6 @@ impl Default for VftlConfig {
         VftlConfig {
             op_overhead: Duration::from_micros(8),
             packing_window: Duration::from_millis(1),
-            top_overprovision: 0.10,
             gc_low_water: 8,
             gc_reserve: 4,
         }
@@ -118,7 +118,7 @@ impl OverFtl {
     /// Segments the KV layer may use: the FTL's logical pages minus the
     /// second-level over-provisioning.
     fn usable(&self) -> u32 {
-        ((self.ftl.logical_pages() as f64) * (1.0 - self.cfg.top_overprovision)).floor() as u32
+        ((self.ftl.logical_pages() as f64) * (1.0 - TOP_OVERPROVISION)).floor() as u32
     }
 }
 

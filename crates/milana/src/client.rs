@@ -27,7 +27,7 @@ use crate::msg::{AbortReason, TxnError, TxnId, TxnRequest, TxnResponse};
 
 /// Where transaction validation runs — the one knob that used to be
 /// scattered across `local_validation` booleans and per-harness validator
-/// flags. Shared by the client builder, cluster configs, and bench configs.
+/// flags. Shared by the client, cluster configs, and bench configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValidationMode {
     /// Every transaction — read-only included — validates remotely through
@@ -47,6 +47,9 @@ impl ValidationMode {
     }
 }
 
+/// Retries for reads that hit a recovering/leaseless primary.
+const READ_RETRIES: u32 = 8;
+
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct TxnClientConfig {
@@ -55,8 +58,6 @@ pub struct TxnClientConfig {
     /// Master address for shard-map refresh after repeated failures.
     /// `None` means the client's map is externally maintained.
     pub master: Option<simkit::net::Addr>,
-    /// Retries for reads that hit a recovering/leaseless primary.
-    pub read_retries: u32,
     /// Where validation runs (§4.3). [`ValidationMode::Remote`] forces
     /// read-only transactions through 2PC, the "w/o LV" configuration of
     /// Figure 8.
@@ -97,7 +98,6 @@ impl Default for TxnClientConfig {
         TxnClientConfig {
             rpc_timeout: Duration::from_millis(50),
             master: None,
-            read_retries: 8,
             validation: ValidationMode::Local,
             watermark_interval: Duration::from_millis(100),
             obs: Obs::new(),
@@ -239,126 +239,26 @@ impl std::fmt::Debug for TxnClient {
 /// Reply port used by MILANA clients on their node.
 pub const TXN_CLIENT_RPC_PORT: u16 = 40;
 
-/// The MILANA client under its public name. [`TxnClient`] remains as the
-/// historical spelling; both are the same type.
-pub type MilanaClient = TxnClient;
-
-/// Builder for [`TxnClient`]: the four identity parameters are mandatory,
-/// every knob defaults (perfect clock, [`TxnClientConfig`] defaults) and
-/// can be overridden individually. Terminal call is
-/// [`TxnClientBuilder::build`].
-#[derive(Clone)]
-pub struct TxnClientBuilder {
-    handle: SimHandle,
-    node: NodeId,
-    id: ClientId,
-    map: Rc<RefCell<ShardMap>>,
-    clock: ClockSpec,
-    cfg: TxnClientConfig,
-}
-
-impl TxnClientBuilder {
-    /// Clock model: discipline plus fault knobs, in one spec (default:
-    /// [`ClockSpec::perfect`]). Accepts a bare [`timesync::Discipline`] via `Into`.
-    pub fn clock(mut self, clock: impl Into<ClockSpec>) -> Self {
-        self.clock = clock.into();
-        self
-    }
-
-    /// Replaces the whole config in one call (escape hatch for callers
-    /// that already hold a [`TxnClientConfig`]).
-    pub fn config(mut self, cfg: TxnClientConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Per-RPC timeout.
-    pub fn rpc_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.rpc_timeout = timeout;
-        self
-    }
-
-    /// Master address for shard-map refresh after repeated failures.
-    pub fn master(mut self, master: simkit::net::Addr) -> Self {
-        self.cfg.master = Some(master);
-        self
-    }
-
-    /// Retries for reads that hit a recovering/leaseless primary.
-    pub fn read_retries(mut self, retries: u32) -> Self {
-        self.cfg.read_retries = retries;
-        self
-    }
-
-    /// Where validation runs (§4.3) — see [`ValidationMode`].
-    pub fn validation(mut self, mode: ValidationMode) -> Self {
-        self.cfg.validation = mode;
-        self
-    }
-
-    /// Watermark broadcast period (§4.4).
-    pub fn watermark_interval(mut self, interval: Duration) -> Self {
-        self.cfg.watermark_interval = interval;
-        self
-    }
-
-    /// Observability sinks.
-    pub fn obs(mut self, obs: Obs) -> Self {
-        self.cfg.obs = obs;
-        self
-    }
-
-    /// Retry discipline: jittered backoff, budget, circuit breaker.
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Coordinator-plane flush window (see [`TxnClientConfig::batch`]).
-    pub fn batch(mut self, batch: BatchConfig) -> Self {
-        self.cfg.batch = batch;
-        self
-    }
-
-    /// Replica routing for snapshot reads (see
-    /// [`TxnClientConfig::read_route`]).
-    pub fn read_route(mut self, route: ReadRoute) -> Self {
-        self.cfg.read_route = route;
-        self
-    }
-
-    /// Client-wide version-cache capacity; 0 disables the cache.
-    pub fn cache_entries(mut self, entries: usize) -> Self {
-        self.cfg.cache_entries = entries;
-        self
-    }
-
-    /// Bounded-staleness snapshots: open transactions this far behind the
-    /// clock so their reads are backup-eligible immediately.
-    pub fn snapshot_lag(mut self, lag: Duration) -> Self {
-        self.cfg.snapshot_lag = lag;
-        self
-    }
-
-    /// Creates the client and starts its watermark task.
-    pub fn build(self) -> TxnClient {
-        let TxnClientBuilder {
-            handle,
-            node,
-            id,
-            map,
-            clock,
-            cfg,
-        } = self;
+impl TxnClient {
+    /// Creates the client and starts its watermark task. Draws one value
+    /// from the simulation RNG (the clock seed).
+    pub fn new(
+        handle: &SimHandle,
+        node: NodeId,
+        id: ClientId,
+        map: Rc<RefCell<ShardMap>>,
+        clock: &ClockSpec,
+        cfg: TxnClientConfig,
+    ) -> TxnClient {
         let clock_seed = handle.rand_u64();
         // Derive the jitter seed from the clock seed rather than drawing
         // again: the draw sequence other components see stays unchanged.
         let core = ClientCore::new(
-            &handle,
+            handle,
             Addr::new(node, TXN_CLIENT_RPC_PORT),
             id,
             map,
-            (&clock, clock_seed),
+            (clock, clock_seed),
             (cfg.retry.clone(), clock_seed ^ 0x9E37_79B9_7F4A_7C15),
             &cfg.obs,
         );
@@ -388,26 +288,6 @@ impl TxnClientBuilder {
             }
         });
         client
-    }
-}
-
-impl TxnClient {
-    /// Starts a [`TxnClientBuilder`] from the mandatory identity
-    /// parameters; every knob is defaulted and individually overridable.
-    pub fn builder(
-        handle: &SimHandle,
-        node: NodeId,
-        id: ClientId,
-        map: Rc<RefCell<ShardMap>>,
-    ) -> TxnClientBuilder {
-        TxnClientBuilder {
-            handle: handle.clone(),
-            node,
-            id,
-            map,
-            clock: ClockSpec::perfect(),
-            cfg: TxnClientConfig::default(),
-        }
     }
 
     /// The coordinator plane for `shard`: a batcher coalescing this
@@ -696,17 +576,6 @@ impl TxnClient {
         }
     }
 
-    /// Highest replica GC watermark this client has observed.
-    pub fn watermark_floor(&self) -> Timestamp {
-        self.wm_floor.get()
-    }
-
-    /// Client-wide version-cache occupancy and lifetime hit/miss counts.
-    pub fn cache_counters(&self) -> (usize, u64, u64) {
-        let vc = self.value_cache.borrow();
-        (vc.len(), vc.hits(), vc.misses())
-    }
-
     fn register_active(&self, ts: Timestamp) {
         *self.active.borrow_mut().entry(ts).or_insert(0) += 1;
     }
@@ -779,11 +648,6 @@ impl Txn {
         self.ts_begin
     }
 
-    /// True once no writes have been buffered so far.
-    pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
-    }
-
     /// Reads `key` from the transaction's snapshot. Own writes win, then
     /// cached reads, then the shard primary at `ts_begin`.
     ///
@@ -835,8 +699,8 @@ impl Txn {
         }
         let core = Rc::clone(&self.c.core);
         core.policy.on_attempt();
-        for attempt in 0..=self.c.cfg.read_retries {
-            let may_retry = attempt < self.c.cfg.read_retries;
+        for attempt in 0..=READ_RETRIES {
+            let may_retry = attempt < READ_RETRIES;
             // Re-resolve the primary each attempt: the shard map may have
             // been updated by a failover while we were retrying.
             let (shard, (primary, backups)) = core.route(key, |g| (g.primary, g.backups.clone()));
@@ -1070,8 +934,8 @@ impl Txn {
         }
         let core = Rc::clone(&self.c.core);
         core.policy.on_attempt();
-        for attempt in 0..=self.c.cfg.read_retries {
-            let may_retry = attempt < self.c.cfg.read_retries;
+        for attempt in 0..=READ_RETRIES {
+            let may_retry = attempt < READ_RETRIES;
             // Pick a random replica of the owning shard each attempt.
             let (shard, replica) = core.route(key, |g| {
                 let all = g.all();

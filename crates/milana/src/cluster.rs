@@ -52,32 +52,6 @@ pub struct MilanaClusterConfig {
     pub auto_failover: bool,
 }
 
-impl From<semel::ClusterSpec> for MilanaClusterConfig {
-    fn from(spec: semel::ClusterSpec) -> MilanaClusterConfig {
-        let mut cfg = MilanaClusterConfig {
-            shards: spec.shards,
-            replicas: spec.replicas,
-            clients: spec.clients,
-            backend: spec.backend,
-            nand: spec.nand,
-            clock: spec.clock,
-            preload_keys: spec.preload_keys,
-            value_size: spec.value_size,
-            net: spec.net,
-            ..MilanaClusterConfig::default()
-        };
-        cfg.tuning.admission = spec.admission;
-        cfg.tuning.batch = spec.batch;
-        cfg.tuning.obs = spec.obs;
-        cfg.tuning.gossip_every = spec.watermark_gossip;
-        cfg.client_cfg.batch = spec.batch;
-        cfg.client_cfg.obs = cfg.tuning.obs.clone();
-        cfg.client_cfg.read_route = spec.read_route;
-        cfg.client_cfg.cache_entries = spec.cache_entries;
-        cfg
-    }
-}
-
 impl Default for MilanaClusterConfig {
     fn default() -> MilanaClusterConfig {
         MilanaClusterConfig {
@@ -260,7 +234,6 @@ impl MilanaCluster {
                     // `map_fetches` / `master_failovers` counters land in
                     // the same registry the harness and benches read.
                     obs: config.tuning.obs.clone(),
-                    ..semel::master::MasterConfig::default()
                 },
                 map.borrow().clone(),
                 promoter,
@@ -283,10 +256,14 @@ impl MilanaCluster {
                 if config.auto_failover {
                     client_cfg.master = Some(MASTER_ADDR);
                 }
-                TxnClient::builder(handle, client_node(i), ClientId(i), client_map)
-                    .clock(config.clock.clone())
-                    .config(client_cfg)
-                    .build()
+                TxnClient::new(
+                    handle,
+                    client_node(i),
+                    ClientId(i),
+                    client_map,
+                    &config.clock,
+                    client_cfg,
+                )
             })
             .collect();
 

@@ -31,25 +31,14 @@ use timesync::{ClientId, Timestamp, Version, WatermarkTracker};
 use crate::msg::{TxnId, TxnQueryStatus, TxnRecord, TxnRequest, TxnResponse, TxnStatus};
 use crate::table::TxnTable;
 
-/// Lease parameters (§4.5). The lease duration must comfortably exceed the
-/// worst-case client clock skew, since lease expiry (true time) is compared
-/// against client-domain read timestamps.
-#[derive(Debug, Clone)]
-pub struct LeaseConfig {
-    /// How far each grant extends the primary's read lease.
-    pub duration: Duration,
-    /// Renewal period (should be well under `duration`).
-    pub renew_every: Duration,
-}
-
-impl Default for LeaseConfig {
-    fn default() -> LeaseConfig {
-        LeaseConfig {
-            duration: Duration::from_millis(100),
-            renew_every: Duration::from_millis(30),
-        }
-    }
-}
+/// How far each grant extends the primary's read lease (§4.5). Must
+/// comfortably exceed the worst-case client clock skew, since lease expiry
+/// (true time) is compared against client-domain read timestamps.
+const LEASE_DURATION: Duration = Duration::from_millis(100);
+/// Lease renewal period (well under [`LEASE_DURATION`]).
+const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
+/// Heartbeat period when a master is configured.
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
 
 /// Server timing knobs.
 #[derive(Debug, Clone)]
@@ -60,12 +49,6 @@ pub struct ServerTuning {
     /// failures and drive automatic failover. `None` disables heartbeats
     /// (harness-driven failover only).
     pub master: Option<Addr>,
-    /// Heartbeat period when a master is configured.
-    pub heartbeat_every: Duration,
-    /// Read-lease configuration; `None` disables leases (faster, but a
-    /// failover may then violate external consistency for reads — see
-    /// §4.5's `ts_latestRead` discussion).
-    pub lease: Option<LeaseConfig>,
     /// Keep at least this much version history regardless of watermark
     /// progress (§3.1: "keep all versions that are less than 5 seconds
     /// old", for read-only analytics). `None` prunes purely by watermark.
@@ -128,9 +111,7 @@ impl Default for ServerTuning {
         ServerTuning {
             repl_timeout: Duration::from_millis(25),
             master: None,
-            heartbeat_every: Duration::from_millis(40),
             history_window: None,
-            lease: Some(LeaseConfig::default()),
             ctp_after: Duration::from_millis(500),
             ctp_scan_every: Duration::from_millis(200),
             obs: obskit::Obs::new(),
@@ -472,19 +453,17 @@ impl TxnServer {
                         me.cfg.tuning.repl_timeout,
                     )
                     .await;
-                    me.core.handle.sleep(me.cfg.tuning.heartbeat_every).await;
+                    me.core.handle.sleep(HEARTBEAT_EVERY).await;
                 }
             });
         }
-        if let Some(lease) = self.cfg.tuning.lease.clone() {
-            let me = self.clone();
-            self.core.handle.spawn_on(self.cfg.addr.node, async move {
-                loop {
-                    me.renew_lease(&lease).await;
-                    me.core.handle.sleep(lease.renew_every).await;
-                }
-            });
-        }
+        let me = self.clone();
+        self.core.handle.spawn_on(self.cfg.addr.node, async move {
+            loop {
+                me.renew_lease().await;
+                me.core.handle.sleep(LEASE_RENEW_EVERY).await;
+            }
+        });
         let me = self.clone();
         let scan = self.cfg.tuning.ctp_scan_every;
         self.core.handle.spawn_on(self.cfg.addr.node, async move {
@@ -515,8 +494,8 @@ impl TxnServer {
         self.core.trace(ev);
     }
 
-    async fn renew_lease(&self, lease: &LeaseConfig) {
-        let until = self.core.handle.now() + lease.duration;
+    async fn renew_lease(&self) {
+        let until = self.core.handle.now() + LEASE_DURATION;
         let backups = self.state.borrow().backups.clone();
         let ok = self
             .core
@@ -591,13 +570,7 @@ impl TxnServer {
     }
 
     fn lease_valid_for(&self, at: Timestamp) -> bool {
-        match &self.cfg.tuning.lease {
-            None => true,
-            Some(_) => {
-                let until = self.state.borrow().lease_until;
-                at < Timestamp::from_sim(until)
-            }
-        }
+        at < Timestamp::from_sim(self.state.borrow().lease_until)
     }
 
     async fn handle_request(&self, req: TxnRequest, from: Addr, resp: Responder) {
@@ -1744,26 +1717,24 @@ impl TxnServer {
         // 6. Wait out the old primary's read lease: ts_latestRead is gone,
         //    and serving reads before the old lease expires could break
         //    serializability for already-committed read-only transactions.
-        if self.cfg.tuning.lease.is_some() {
-            let mut max_granted = self.state.borrow().max_granted;
-            for &b in &backups {
-                if let Ok(TxnResponse::LeaseInfo { max_granted: g }) = self
-                    .core
-                    .rpc
-                    .call::<TxnRequest, TxnResponse>(
-                        b,
-                        TxnRequest::LeaseQuery,
-                        self.cfg.tuning.repl_timeout,
-                    )
-                    .await
-                {
-                    max_granted = max_granted.max(g);
-                }
+        let mut max_granted = self.state.borrow().max_granted;
+        for &b in &backups {
+            if let Ok(TxnResponse::LeaseInfo { max_granted: g }) = self
+                .core
+                .rpc
+                .call::<TxnRequest, TxnResponse>(
+                    b,
+                    TxnRequest::LeaseQuery,
+                    self.cfg.tuning.repl_timeout,
+                )
+                .await
+            {
+                max_granted = max_granted.max(g);
             }
-            let wait_until = max_granted + Duration::from_micros(1);
-            if wait_until > self.core.handle.now() {
-                self.core.handle.sleep_until(wait_until).await;
-            }
+        }
+        let wait_until = max_granted + Duration::from_micros(1);
+        if wait_until > self.core.handle.now() {
+            self.core.handle.sleep_until(wait_until).await;
         }
         // 7. Open for business.
         self.state.borrow_mut().serving = true;

@@ -1,7 +1,5 @@
 //! A log-linear histogram (HDR-style, ~1.5 % relative error on
-//! percentiles), absorbed from `simkit::metrics` (which re-exports it).
-
-use std::time::Duration;
+//! percentiles).
 
 use crate::json::Json;
 
@@ -87,11 +85,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Records a [`Duration`] in nanoseconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_nanos() as u64);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -152,18 +145,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-    }
-
-    /// One-line summary: `count / mean / p50 / p99 / max` in microseconds.
-    pub fn summary_us(&self) -> String {
-        format!(
-            "n={} mean={:.1}us p50={:.1}us p99={:.1}us max={:.1}us",
-            self.count,
-            self.mean() / 1e3,
-            self.quantile(0.5) as f64 / 1e3,
-            self.quantile(0.99) as f64 / 1e3,
-            self.max as f64 / 1e3,
-        )
     }
 
     /// Deterministic JSON summary: count, mean, min/max, and the standard

@@ -2,7 +2,7 @@
 //!
 //! Wraps the system allocator and counts allocations and requested bytes.
 //! For a deterministic single-threaded workload the counts are themselves
-//! deterministic, so `repro_perf` can report allocations-per-suite as a
+//! deterministic, so `repro perf` can report allocations-per-suite as a
 //! byte-stable counter — a regression signal wall-clock timing can't give
 //! on a noisy runner.
 //!

@@ -18,11 +18,11 @@
 //!   shapes at its real table sizes, not on a small generic sample.
 //! - [`pool`]: a worker-pool runner for embarrassingly parallel
 //!   deterministic simulations (one sim per thread, ordered merge), with
-//!   the `--threads`/`PERF_THREADS` knob shared by every `repro_*`
-//!   binary. `--threads 1` reproduces the serial behavior exactly, and
-//!   because each simulation is self-contained and seeded, the merged
-//!   results — and therefore every `--json` artifact — are byte-identical
-//!   at any thread count.
+//!   the worker count `repro --threads` sets once per process
+//!   (`pool::set_threads`). One worker reproduces the serial behavior
+//!   exactly, and because each simulation is self-contained and seeded,
+//!   the merged results — and therefore every `--json` artifact — are
+//!   byte-identical at any thread count.
 //! - [`alloc`] (feature `count-allocs`): a counting global allocator so
 //!   perf baselines can record allocations-per-suite as a deterministic
 //!   counter alongside wall-clock timings.

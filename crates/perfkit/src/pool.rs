@@ -1,6 +1,6 @@
 //! Worker-pool runner for parallel deterministic simulations.
 //!
-//! Every `repro_*` suite is a sweep of *independent* deterministic
+//! Every `repro` suite is a sweep of *independent* deterministic
 //! simulations: each point constructs its own `Sim` from its own seed and
 //! never shares state with its neighbors. That makes the sweep
 //! embarrassingly parallel — as long as each simulation runs entirely on
@@ -12,11 +12,10 @@
 //! results land in the input order. `threads <= 1` short-circuits to a
 //! plain serial `map`, reproducing today's behavior exactly.
 //!
-//! The thread count comes from [`threads()`]: `--threads N` (or
-//! `--threads=N`) on the command line, else the `PERF_THREADS`
-//! environment variable, else `1`. A `--trace` flag forces `1`: trace
-//! rings are thread-local, so a trace capture must stay on the main
-//! thread.
+//! The thread count is a process-wide cell: [`set_threads`] writes it
+//! (`repro`'s `main`, once, from `--threads`) and [`threads()`] reads it,
+//! `1` until someone sets it. A `--trace` run must set `1`: trace rings
+//! are thread-local, so a trace capture has to stay on the main thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,33 +24,18 @@ use std::sync::Mutex;
 /// thread never notices, but the 2 MiB std default can.
 const STACK_SIZE: usize = 16 * 1024 * 1024;
 
-/// Resolves the configured worker count for this process: `--threads`
-/// beats `PERF_THREADS` beats the serial default of `1`, and `--trace`
-/// (thread-local trace rings) forces `1`.
-pub fn threads() -> usize {
-    resolve_threads(std::env::args().skip(1), std::env::var("PERF_THREADS").ok())
+// A bare number that publishes no other data: `Relaxed` everywhere.
+static THREADS: AtomicUsize = AtomicUsize::new(1);
+
+/// Sets the worker count [`run_ordered_auto`] uses from now on (`0` is
+/// taken as `1`, the serial default).
+pub fn set_threads(n: usize) {
+    THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-fn resolve_threads(args: impl IntoIterator<Item = String>, env: Option<String>) -> usize {
-    let mut from_flag = None;
-    let mut tracing = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            from_flag = it.next().and_then(|v| v.parse().ok());
-        } else if let Some(rest) = arg.strip_prefix("--threads=") {
-            from_flag = rest.parse().ok();
-        } else if arg == "--trace" || arg.starts_with("--trace=") {
-            tracing = true;
-        }
-    }
-    if tracing {
-        return 1;
-    }
-    from_flag
-        .or_else(|| env.and_then(|v| v.parse().ok()))
-        .unwrap_or(1)
-        .max(1)
+/// The configured worker count for this process.
+pub fn threads() -> usize {
+    THREADS.load(Ordering::Relaxed)
 }
 
 /// Runs `f` over `items` on `threads` workers and returns the results in
@@ -107,7 +91,7 @@ where
 }
 
 /// [`run_ordered`] with the process-configured thread count
-/// ([`threads()`]). The call every `repro_*` suite makes.
+/// ([`threads()`]). The call every `repro` suite makes.
 pub fn run_ordered_auto<T, R>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
 where
     T: Send,
@@ -120,26 +104,14 @@ where
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
-    fn thread_resolution_precedence() {
-        assert_eq!(resolve_threads(strings(&[]), None), 1);
-        assert_eq!(resolve_threads(strings(&[]), Some("3".into())), 3);
-        assert_eq!(
-            resolve_threads(strings(&["--threads", "4"]), Some("3".into())),
-            4
-        );
-        assert_eq!(resolve_threads(strings(&["--threads=2"]), None), 2);
-        assert_eq!(resolve_threads(strings(&["--threads", "0"]), None), 1);
-        assert_eq!(resolve_threads(strings(&["--threads", "junk"]), None), 1);
-        // --trace pins the run to the main thread regardless of knobs.
-        assert_eq!(
-            resolve_threads(strings(&["--threads", "4", "--trace", "t.jsonl"]), None),
-            1
-        );
+    fn threads_reads_what_set_threads_wrote() {
+        // The only test in this crate that touches the process-wide cell.
+        assert_eq!(threads(), 1, "serial until someone asks otherwise");
+        set_threads(4);
+        assert_eq!(threads(), 4);
+        set_threads(0);
+        assert_eq!(threads(), 1);
     }
 
     #[test]

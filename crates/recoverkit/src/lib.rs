@@ -17,7 +17,7 @@
 //! for each workload key must be readable from the recovered replica's
 //! backend. [`RecoverySpec::skip_durability`] re-uses milana's seeded
 //! fraud hook (adopt the mounted state, skip catch-up) so callers can
-//! prove the audit actually detects lost acked writes — `repro_recovery
+//! prove the audit actually detects lost acked writes — `repro recovery
 //! --inject durability-skip` fails if it does not.
 
 use std::cell::{Cell, RefCell};
@@ -182,7 +182,6 @@ fn cluster_config(spec: &RecoverySpec, obs: &Obs) -> MilanaClusterConfig {
     cfg.tuning.obs = obs.clone();
     cfg.tuning.catchup_batch = spec.catchup_batch;
     cfg.tuning.skip_durability.set(spec.skip_durability);
-    cfg.client_cfg.obs = obs.clone();
     cfg
 }
 
@@ -370,7 +369,7 @@ pub fn run_recovery_trial(spec: &RecoverySpec) -> RecoveryTrial {
 }
 
 /// Runs one trial per store size, reusing `spec` for everything else.
-/// This is the MTTR-vs-store-size sweep `repro_recovery` plots.
+/// This is the MTTR-vs-store-size sweep `repro recovery` plots.
 pub fn run_recovery_sweep(spec: &RecoverySpec, store_sizes: &[u64]) -> Vec<RecoveryTrial> {
     // Each trial is an independent sim, so the sweep fans out on the
     // `perfkit` worker pool; trials come back in store-size order.

@@ -72,7 +72,7 @@ fn trial_json_is_byte_stable() {
 fn mount_time_grows_with_store_size() {
     // The scan walks every programmed page, so a bigger preload means a
     // longer mount at a fixed scan rate — the MTTR-vs-size axis the
-    // repro_recovery sweep plots.
+    // `repro recovery` sweep plots.
     let base = RecoverySpec {
         mount_scan_rate: 20_000,
         warm_commits: 12,

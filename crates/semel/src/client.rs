@@ -136,13 +136,14 @@ impl ClientCore {
     }
 }
 
+/// How many fresh-timestamp retries a racing put gets before giving up.
+const PUT_RETRIES: u32 = 8;
+
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Per-RPC timeout.
     pub rpc_timeout: Duration,
-    /// How many fresh-timestamp retries a racing put gets before giving up.
-    pub put_retries: u32,
     /// How often the client broadcasts its watermark (§3.1).
     pub watermark_interval: Duration,
     /// Retry discipline: jittered backoff, retry budget, per-shard
@@ -156,7 +157,6 @@ impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
             rpc_timeout: Duration::from_millis(50),
-            put_retries: 8,
             watermark_interval: Duration::from_millis(100),
             retry: RetryConfig::default(),
             obs: obskit::Obs::new(),
@@ -183,83 +183,26 @@ impl std::fmt::Debug for SemelClient {
 /// Reply port used by SEMEL clients on their node.
 pub const CLIENT_RPC_PORT: u16 = 32;
 
-/// Builder for [`SemelClient`]: the four identity parameters are
-/// mandatory, every knob defaults (perfect clock, [`ClientConfig`]
-/// defaults) and can be overridden individually. Terminal call is
-/// [`SemelClientBuilder::build`].
-#[derive(Clone)]
-pub struct SemelClientBuilder {
-    handle: SimHandle,
-    node: NodeId,
-    id: ClientId,
-    map: Rc<RefCell<ShardMap>>,
-    clock: ClockSpec,
-    cfg: ClientConfig,
-}
-
-impl SemelClientBuilder {
-    /// Clock profile (default: [`ClockSpec::perfect`]). A bare
-    /// [`Discipline`] converts via `Into`.
-    pub fn clock(mut self, clock: impl Into<ClockSpec>) -> Self {
-        self.clock = clock.into();
-        self
-    }
-
-    /// Replaces the whole config in one call (escape hatch for callers
-    /// that already hold a [`ClientConfig`]).
-    pub fn config(mut self, cfg: ClientConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Per-RPC timeout.
-    pub fn rpc_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.rpc_timeout = timeout;
-        self
-    }
-
-    /// Fresh-timestamp retries for a racing put.
-    pub fn put_retries(mut self, retries: u32) -> Self {
-        self.cfg.put_retries = retries;
-        self
-    }
-
-    /// Watermark broadcast period (§3.1).
-    pub fn watermark_interval(mut self, interval: Duration) -> Self {
-        self.cfg.watermark_interval = interval;
-        self
-    }
-
-    /// Retry discipline: jittered backoff, budget, circuit breaker.
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Observability sinks.
-    pub fn obs(mut self, obs: obskit::Obs) -> Self {
-        self.cfg.obs = obs;
-        self
-    }
-
-    /// Creates the client and starts its watermark broadcast task.
-    pub fn build(self) -> SemelClient {
-        let SemelClientBuilder {
-            handle,
-            node,
-            id,
-            map,
-            clock,
-            cfg,
-        } = self;
+impl SemelClient {
+    /// Creates the client and starts its watermark broadcast task. Draws
+    /// two values from the simulation RNG: the clock seed, then the retry
+    /// policy's.
+    pub fn new(
+        handle: &SimHandle,
+        node: NodeId,
+        id: ClientId,
+        map: Rc<RefCell<ShardMap>>,
+        clock: &ClockSpec,
+        cfg: ClientConfig,
+    ) -> SemelClient {
         let clock_seed = handle.rand_u64();
         let policy_seed = handle.rand_u64();
         let core = ClientCore::new(
-            &handle,
+            handle,
             Addr::new(node, CLIENT_RPC_PORT),
             id,
             map,
-            (&clock, clock_seed),
+            (clock, clock_seed),
             (cfg.retry.clone(), policy_seed),
             &cfg.obs,
         );
@@ -273,26 +216,6 @@ impl SemelClientBuilder {
             me.broadcast_watermark()
         });
         client
-    }
-}
-
-impl SemelClient {
-    /// Starts a [`SemelClientBuilder`] from the mandatory identity
-    /// parameters; every knob is defaulted and individually overridable.
-    pub fn builder(
-        handle: &SimHandle,
-        node: NodeId,
-        id: ClientId,
-        map: Rc<RefCell<ShardMap>>,
-    ) -> SemelClientBuilder {
-        SemelClientBuilder {
-            handle: handle.clone(),
-            node,
-            id,
-            map,
-            clock: ClockSpec::perfect(),
-            cfg: ClientConfig::default(),
-        }
     }
 
     /// Sends the current watermark report to every replica of every shard.
@@ -355,7 +278,7 @@ impl SemelClient {
     /// capacity errors.
     pub async fn put(&self, key: Key, value: Value) -> Result<Version, SemelError> {
         let mut last_rejection = None;
-        for _ in 0..=self.cfg.put_retries {
+        for _ in 0..=PUT_RETRIES {
             let version = Version::new(self.now(), self.core.id);
             match self
                 .put_versioned(key.clone(), value.clone(), version)
@@ -366,7 +289,7 @@ impl SemelClient {
                 Err(e) => return Err(e),
             }
         }
-        // `0..=put_retries` runs at least once, so a rejection was recorded;
+        // `0..=PUT_RETRIES` runs at least once, so a rejection was recorded;
         // fall back to the attempted version rather than panicking on a
         // protocol path.
         let v = last_rejection.unwrap_or_else(|| Version::new(self.now(), self.core.id));

@@ -219,10 +219,14 @@ impl SemelCluster {
             .map(|i| {
                 let mut client_cfg = config.client_cfg.clone();
                 client_cfg.obs = config.obs.clone();
-                SemelClient::builder(handle, client_node(i), ClientId(i), map.clone())
-                    .clock(config.clock.clone())
-                    .config(client_cfg)
-                    .build()
+                SemelClient::new(
+                    handle,
+                    client_node(i),
+                    ClientId(i),
+                    map.clone(),
+                    &config.clock,
+                    client_cfg,
+                )
             })
             .collect();
 
@@ -264,6 +268,12 @@ mod tests {
             preload_keys: 100,
             ..ClusterConfig::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "replicas must be odd")]
+    fn even_replica_count_is_rejected() {
+        let _ = layout(1, 2);
     }
 
     #[test]

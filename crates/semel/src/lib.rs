@@ -36,12 +36,10 @@ pub mod replica;
 pub mod replicate;
 pub mod server;
 pub mod shard;
-pub mod spec;
 
-pub use client::{ClientConfig, SemelClient, SemelClientBuilder};
+pub use client::{ClientConfig, SemelClient};
 pub use cluster::{ClusterConfig, SemelCluster};
 pub use msg::{SemelError, SemelRequest, SemelResponse};
 pub use replica::ReplicaCore;
 pub use server::{ServerConfig, ShardServer};
 pub use shard::{ReplicaGroup, ShardId, ShardMap};
-pub use spec::{ClusterSpec, RebalanceSpec};

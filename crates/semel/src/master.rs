@@ -64,15 +64,16 @@ pub enum MasterResponse {
 /// RPC and waits for `PromoteOk`).
 pub type Promoter = Rc<dyn Fn(ShardId, Addr, Vec<Addr>) -> Pin<Box<dyn Future<Output = bool>>>>;
 
+/// A primary missing heartbeats for this long is declared dead.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(150);
+/// Liveness scan period.
+const CHECK_EVERY: Duration = Duration::from_millis(50);
+
 /// Master tuning.
 #[derive(Debug, Clone)]
 pub struct MasterConfig {
     /// The master's service address.
     pub addr: Addr,
-    /// A primary missing heartbeats for this long is declared dead.
-    pub heartbeat_timeout: Duration,
-    /// Liveness scan period.
-    pub check_every: Duration,
     /// Observability sinks: `map_fetches` / `master_failovers` /
     /// `map_installs` counters and failover/install trace events.
     pub obs: obskit::Obs,
@@ -82,8 +83,6 @@ impl Default for MasterConfig {
     fn default() -> MasterConfig {
         MasterConfig {
             addr: Addr::new(simkit::net::NodeId(20_000), 0),
-            heartbeat_timeout: Duration::from_millis(150),
-            check_every: Duration::from_millis(50),
             obs: obskit::Obs::new(),
         }
     }
@@ -236,7 +235,7 @@ impl Master {
         let me = self.clone();
         self.handle.spawn_on(self.cfg.addr.node, async move {
             loop {
-                me.handle.sleep(me.cfg.check_every).await;
+                me.handle.sleep(CHECK_EVERY).await;
                 me.scan().await;
             }
         });
@@ -254,7 +253,7 @@ impl Master {
                         && st
                             .last_beat
                             .get(s)
-                            .is_none_or(|&t| now.saturating_since(t) > self.cfg.heartbeat_timeout)
+                            .is_none_or(|&t| now.saturating_since(t) > HEARTBEAT_TIMEOUT)
                 })
                 .collect()
         };

@@ -236,11 +236,6 @@ impl ShardMap {
         self.migrating.as_ref().map(|m| (m.from, m.to))
     }
 
-    /// The destination replica group of the pending migration.
-    pub fn migration_dest_group(&self) -> Option<&ReplicaGroup> {
-        self.migrating.as_ref().map(|m| &m.dest_group)
-    }
-
     /// Begins splitting `from`: keys of `from` whose hash has a fresh bit
     /// set (roughly half the shard's key mass) are earmarked for a
     /// brand-new shard served by `dest`, and the epoch is bumped so

@@ -11,11 +11,11 @@
 //! 2. **Copy** — the engine streams every version-stamped record of the
 //!    moving key set to all destination replicas through [`batchkit`]
 //!    envelopes. Stamps carry the order, so envelopes are idempotent and
-//!    freely retransmitted; pacing (`rebalance.copy_interval`) keeps the
+//!    freely retransmitted; pacing (`COPY_INTERVAL`) keeps the
 //!    bulk plane from starving foreground traffic.
 //! 3. **CatchUp** — incremental sweeps re-copy versions written since the
-//!    previous sweep until a sweep moves at most
-//!    `rebalance.catchup_threshold` records (or the round cap hits).
+//!    previous sweep until a sweep moves at most `CATCHUP_THRESHOLD`
+//!    records (or the round cap hits).
 //! 4. **Cutover** — the source is fenced (new prepares on moving keys vote
 //!    `StaleEpoch`), the engine polls until no prepared-but-undecided
 //!    moving transaction remains *and* every decided one is applied, runs
@@ -44,11 +44,31 @@ use milana::{TxnRequest, TxnResponse};
 use obskit::{MigrationPhase, Obs, TraceEvent};
 use semel::master::Master;
 use semel::shard::{ReplicaGroup, ShardId, ShardMap};
-pub use semel::spec::RebalanceSpec;
 use simkit::net::{Addr, NodeId};
 use simkit::rpc::RpcClient;
 use simkit::SimHandle;
 use timesync::{Timestamp, Version};
+
+/// Records per bulk-copy envelope streamed to the destination replicas.
+const COPY_BATCH: usize = 64;
+/// Pause between copy envelopes, pacing the bulk plane so it does not
+/// starve foreground traffic.
+const COPY_INTERVAL: Duration = Duration::from_micros(500);
+/// Catch-up sweeps repeat until one moves at most this many records (then
+/// cutover begins).
+const CATCHUP_THRESHOLD: u64 = 16;
+/// Hard cap on catch-up sweeps before cutover is forced regardless of the
+/// threshold.
+const MAX_CATCHUP_ROUNDS: u32 = 8;
+/// Per-envelope timeout on the copy plane.
+const RPC_TIMEOUT: Duration = Duration::from_millis(50);
+/// How long the source keeps answering moved-key requests with forwarding
+/// stubs after cutover: one lease term, so every client lease observes the
+/// flip.
+const FORWARD_TERM: Duration = Duration::from_millis(100);
+/// Poll period while waiting for in-flight prepares on moving keys to
+/// drain at cutover, and between retries of an unanswered control message.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
 
 /// One resharding action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +126,6 @@ pub struct RebalanceEngine {
     /// the same step so their epochs stay in lock step.
     map: Rc<RefCell<ShardMap>>,
     master: Option<Master>,
-    spec: RebalanceSpec,
     obs: Obs,
     hook: RefCell<Option<PhaseHook>>,
     planes: RefCell<FastMap<Addr, Batcher<TxnRequest, TxnResponse>>>,
@@ -135,7 +154,6 @@ impl RebalanceEngine {
         node: NodeId,
         map: Rc<RefCell<ShardMap>>,
         master: Option<Master>,
-        spec: RebalanceSpec,
         obs: Obs,
     ) -> RebalanceEngine {
         RebalanceEngine {
@@ -143,7 +161,6 @@ impl RebalanceEngine {
             rpc: RpcClient::new(handle, node, ENGINE_PORT),
             map,
             master,
-            spec,
             obs,
             hook: RefCell::new(None),
             planes: RefCell::new(FastMap::default()),
@@ -230,14 +247,14 @@ impl RebalanceEngine {
         // Phase 3: CatchUp — incremental sweeps until the delta is small.
         self.phase(MigrationPhase::CatchUp);
         self.step(plan_id, MigrationPhase::CatchUp, from, to, epoch);
-        for _ in 0..self.spec.max_catchup_rounds {
+        for _ in 0..MAX_CATCHUP_ROUNDS {
             cursor = next_cursor;
             next_cursor = Timestamp::from_sim(self.handle.now()).before(margin);
             let moved = self
                 .sweep(from, &dest, &sources, cursor, plan_id, &mut report)
                 .await;
             report.catchup_rounds += 1;
-            if moved as usize <= self.spec.catchup_threshold {
+            if moved <= CATCHUP_THRESHOLD {
                 break;
             }
         }
@@ -248,7 +265,7 @@ impl RebalanceEngine {
         loop {
             match self.call_source(from, TxnRequest::MigrationDrain).await {
                 Some(TxnResponse::Drained { pending: 0 }) => break,
-                _ => self.handle.sleep(self.spec.drain_poll).await,
+                _ => self.handle.sleep(DRAIN_POLL).await,
             }
         }
         // Full sweep: after fence+drain the moving set is final, so one
@@ -274,7 +291,7 @@ impl RebalanceEngine {
 
         // Phase 5: Done — forwarding term, then GC at the source replicas.
         self.phase(MigrationPhase::Done);
-        self.handle.sleep(self.spec.forward_term).await;
+        self.handle.sleep(FORWARD_TERM).await;
         for &(addr, _) in &sources {
             self.acked(addr, TxnRequest::MigrationGc).await;
         }
@@ -312,8 +329,8 @@ impl RebalanceEngine {
 
     /// One copy sweep: reads every moving `(key, value, version)` triple
     /// with `version.ts >= cursor` from the source primary's storage and
-    /// ships it to every destination replica, `copy_batch` records per
-    /// envelope, pacing envelopes by `copy_interval`. Returns the number
+    /// ships it to every destination replica, `COPY_BATCH` records per
+    /// envelope, pacing envelopes by `COPY_INTERVAL`. Returns the number
     /// of records shipped.
     async fn sweep(
         &self,
@@ -346,10 +363,10 @@ impl RebalanceEngine {
                 }
                 chunk.push((key.clone(), vv.value, v));
                 moved += 1;
-                if chunk.len() >= self.spec.copy_batch.max(1) {
+                if chunk.len() >= COPY_BATCH {
                     self.ship(dest, std::mem::take(&mut chunk), plan_id, report)
                         .await;
-                    self.handle.sleep(self.spec.copy_interval).await;
+                    self.handle.sleep(COPY_INTERVAL).await;
                 }
             }
         }
@@ -380,7 +397,7 @@ impl RebalanceEngine {
                 };
                 match self.plane(addr).submit(req).await {
                     Some(TxnResponse::Ack) => break,
-                    _ => self.handle.sleep(self.spec.drain_poll).await,
+                    _ => self.handle.sleep(DRAIN_POLL).await,
                 }
             }
         }
@@ -408,10 +425,9 @@ impl RebalanceEngine {
             return b.clone();
         }
         let rpc = self.rpc.clone();
-        let timeout = self.spec.rpc_timeout;
         let cfg = BatchConfig {
             batch_max: 4,
-            batch_deadline: self.spec.copy_interval,
+            batch_deadline: COPY_INTERVAL,
         };
         let batcher = Batcher::new(
             &self.handle,
@@ -422,7 +438,7 @@ impl RebalanceEngine {
             move |items: Vec<TxnRequest>| {
                 let rpc = rpc.clone();
                 async move {
-                    rpc.call_batch::<TxnRequest, TxnResponse>(addr, items, timeout)
+                    rpc.call_batch::<TxnRequest, TxnResponse>(addr, items, RPC_TIMEOUT)
                         .await
                         .unwrap_or_default()
                 }
@@ -453,11 +469,11 @@ impl RebalanceEngine {
             let primary = self.map.borrow().group(from).primary;
             match self
                 .rpc
-                .call::<TxnRequest, TxnResponse>(primary, req.clone(), self.spec.rpc_timeout)
+                .call::<TxnRequest, TxnResponse>(primary, req.clone(), RPC_TIMEOUT)
                 .await
             {
                 Ok(TxnResponse::Ack) => return,
-                _ => self.handle.sleep(self.spec.drain_poll).await,
+                _ => self.handle.sleep(DRAIN_POLL).await,
             }
         }
     }
@@ -467,11 +483,11 @@ impl RebalanceEngine {
         loop {
             match self
                 .rpc
-                .call::<TxnRequest, TxnResponse>(addr, req.clone(), self.spec.rpc_timeout)
+                .call::<TxnRequest, TxnResponse>(addr, req.clone(), RPC_TIMEOUT)
                 .await
             {
                 Ok(TxnResponse::Ack) => return,
-                _ => self.handle.sleep(self.spec.drain_poll).await,
+                _ => self.handle.sleep(DRAIN_POLL).await,
             }
         }
     }
@@ -480,7 +496,7 @@ impl RebalanceEngine {
     async fn call_source(&self, from: ShardId, req: TxnRequest) -> Option<TxnResponse> {
         let primary = self.map.borrow().group(from).primary;
         self.rpc
-            .call::<TxnRequest, TxnResponse>(primary, req, self.spec.rpc_timeout)
+            .call::<TxnRequest, TxnResponse>(primary, req, RPC_TIMEOUT)
             .await
             .ok()
     }

@@ -7,7 +7,7 @@ use semel::shard::ShardId;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::{RebalanceEngine, RebalancePlan, RebalanceSpec, SourceReplica};
+use crate::{RebalanceEngine, RebalancePlan, SourceReplica};
 
 fn nand() -> NandConfig {
     NandConfig {
@@ -39,7 +39,6 @@ fn engine_for(cluster: &MilanaCluster, h: &simkit::SimHandle) -> RebalanceEngine
         MASTER_NODE,
         cluster.map.clone(),
         cluster.master.clone(),
-        RebalanceSpec::default(),
         cluster.config.tuning.obs.clone(),
     )
 }

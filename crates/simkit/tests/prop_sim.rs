@@ -5,8 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
+use obskit::Histogram;
 use proptest::prelude::*;
-use simkit::metrics::Histogram;
 use simkit::sync::Semaphore;
 use simkit::Sim;
 

@@ -315,11 +315,6 @@ impl SyncedClock {
     pub fn drift_ns_per_s(&self) -> i64 {
         self.state.borrow().drift_ns_per_s
     }
-
-    /// Whether the clock is in holdover (sync source lost).
-    pub fn is_holdover(&self) -> bool {
-        self.state.borrow().holdover
-    }
 }
 
 /// Mean absolute pairwise offset difference across `clocks`, in nanoseconds.

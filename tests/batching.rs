@@ -10,11 +10,30 @@ use std::time::Duration;
 use milana_repro::batchkit::BatchConfig;
 use milana_repro::flashsim::{value, Key};
 use milana_repro::milana::client::TxnOpts;
-use milana_repro::milana::cluster::MilanaCluster;
+use milana_repro::milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use milana_repro::obskit::Obs;
 use milana_repro::semel::shard::ShardId;
-use milana_repro::semel::{ClusterSpec, SemelCluster, SemelError};
+use milana_repro::semel::{ClusterConfig, SemelCluster, SemelError};
 use milana_repro::simkit::Sim;
+
+/// A 3-replica, 2-client MILANA cluster flushing both planes (coordinator
+/// and replication) by `batch`.
+fn milana_cfg(
+    shards: u32,
+    preload_keys: u64,
+    batch: BatchConfig,
+    obs: &Obs,
+) -> MilanaClusterConfig {
+    let mut cfg = MilanaClusterConfig {
+        shards,
+        preload_keys,
+        ..MilanaClusterConfig::default()
+    };
+    cfg.tuning.batch = batch;
+    cfg.tuning.obs = obs.clone();
+    cfg.client_cfg.batch = batch;
+    cfg
+}
 
 /// Batch envelopes that only partially reach the backup set must never
 /// acknowledge an under-replicated write (SEMEL §3.2 with group commit:
@@ -29,11 +48,15 @@ use milana_repro::simkit::Sim;
 fn partial_batch_delivery_never_acks_under_replicated_writes() {
     let mut sim = Sim::new(9101);
     let h = sim.handle();
-    let spec = ClusterSpec::new(1, 3, 1).batching(BatchConfig {
-        batch_max: 8,
-        batch_deadline: Duration::from_micros(100),
-    });
-    let cluster = SemelCluster::build(&h, spec.into());
+    let cfg = ClusterConfig {
+        clients: 1,
+        batch: BatchConfig {
+            batch_max: 8,
+            batch_deadline: Duration::from_micros(100),
+        },
+        ..ClusterConfig::default()
+    };
+    let cluster = SemelCluster::build(&h, cfg);
     let hh = h.clone();
     sim.block_on(async move {
         let shard = ShardId(0);
@@ -102,10 +125,7 @@ fn flush_deadline_bounds_commit_latency() {
         let mut sim = Sim::new(9102);
         let h = sim.handle();
         let obs = Obs::new();
-        let spec = ClusterSpec::new(1, 3, 2)
-            .batching(batch)
-            .observed(obs.clone());
-        let cluster = MilanaCluster::build(&h, spec.into());
+        let cluster = MilanaCluster::build(&h, milana_cfg(1, 0, batch, &obs));
         let hh = h.clone();
         let lat: Vec<u64> = sim.block_on(async move {
             let lat = Rc::new(RefCell::new(Vec::new()));
@@ -174,11 +194,7 @@ fn registry_snapshot_is_byte_identical_per_seed() {
         let mut sim = Sim::new(seed);
         let h = sim.handle();
         let obs = Obs::new();
-        let spec = ClusterSpec::new(2, 3, 2)
-            .preloaded(128)
-            .batching(BatchConfig::default())
-            .observed(obs.clone());
-        let cluster = MilanaCluster::build(&h, spec.into());
+        let cluster = MilanaCluster::build(&h, milana_cfg(2, 128, BatchConfig::default(), &obs));
         let hh = h.clone();
         sim.block_on(async move {
             let mut joins = Vec::new();
@@ -224,10 +240,12 @@ fn batch_max_one_reproduces_unbatched_rpc_counts() {
         let mut sim = Sim::new(9104);
         let h = sim.handle();
         let obs = Obs::new();
-        let spec = ClusterSpec::new(1, 3, 2)
-            .batching(batch)
-            .observed(obs.clone());
-        let cluster = SemelCluster::build(&h, spec.into());
+        let cfg = ClusterConfig {
+            batch,
+            obs: obs.clone(),
+            ..ClusterConfig::default()
+        };
+        let cluster = SemelCluster::build(&h, cfg);
         let hh = h.clone();
         let puts = sim.block_on(async move {
             let mut joins = Vec::new();

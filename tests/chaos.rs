@@ -48,7 +48,6 @@ fn survives_repeated_failover_cycles() {
         ..MilanaClusterConfig::default()
     };
     cluster_cfg.tuning.obs = obs.clone();
-    cluster_cfg.client_cfg.obs = obs.clone();
     let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cluster_cfg)));
     let keys = 8u64;
     let acked = Rc::new(Cell::new(0u64));

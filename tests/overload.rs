@@ -69,7 +69,6 @@ fn soak_with_capacity(seed: u64, rate: f64, capacity: u64) -> SoakOutcome {
     };
     cfg.tuning.obs = obs.clone();
     cfg.tuning.admission.capacity = capacity;
-    cfg.client_cfg.obs = obs.clone();
     // `SAT_RATE`/`CAPACITY` were calibrated against the unbatched RPC
     // plane; group commit trades latency for envelope efficiency and gets
     // its own overload coverage in `tests/batching.rs`. Pin batch_max=1 so

@@ -22,7 +22,7 @@ use milana_repro::milana::cluster::{MilanaCluster, MilanaClusterConfig, MASTER_N
 use milana_repro::obskit::Obs;
 use milana_repro::readkit::ReadRoute;
 use milana_repro::semel::shard::ShardId;
-use milana_repro::shardkit::{RebalanceEngine, RebalancePlan, RebalanceSpec, SourceReplica};
+use milana_repro::shardkit::{RebalanceEngine, RebalancePlan, SourceReplica};
 use milana_repro::simkit::Sim;
 use milana_repro::timesync::{ClockSpec, Timestamp};
 
@@ -67,7 +67,6 @@ fn applied_watermarks_survive_failover_and_clock_steps() {
     let obs = Obs::with_trace(1 << 18);
     let mut cluster_cfg = backup_read_cfg(1);
     cluster_cfg.tuning.obs = obs.clone();
-    cluster_cfg.client_cfg.obs = obs.clone();
     let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cluster_cfg)));
     let keys = 8u64;
     let acked = Rc::new(Cell::new(0u64));
@@ -234,7 +233,6 @@ fn backup_reads_during_migration_never_tear_snapshots() {
     let obs = Obs::with_trace(1 << 18);
     let mut cluster_cfg = backup_read_cfg(2);
     cluster_cfg.tuning.obs = obs.clone();
-    cluster_cfg.client_cfg.obs = obs.clone();
     let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cluster_cfg)));
     let pairs = 6u64;
     let stop = Rc::new(Cell::new(false));
@@ -321,7 +319,6 @@ fn backup_reads_during_migration_never_tear_snapshots() {
                     MASTER_NODE,
                     cl.map.clone(),
                     cl.master.clone(),
-                    RebalanceSpec::default(),
                     cl.config.tuning.obs.clone(),
                 );
                 let new_shard = ShardId(cl.map.borrow().len() as u32);

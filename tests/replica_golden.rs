@@ -23,7 +23,7 @@ use milana_repro::obskit::Obs;
 use milana_repro::readkit::ReadRoute;
 use milana_repro::semel::server::ReplicationMode;
 use milana_repro::semel::shard::ShardId;
-use milana_repro::semel::{ClusterConfig, ClusterSpec, SemelCluster};
+use milana_repro::semel::{ClusterConfig, SemelCluster};
 use milana_repro::simkit::{Sim, SimHandle};
 use milana_repro::timesync::{ClientId, Timestamp, Version};
 
@@ -132,12 +132,14 @@ fn semel_run(replication: ReplicationMode) -> Golden {
     let mut sim = Sim::new(0x5e3e1);
     let h = sim.handle();
     let obs = Obs::with_trace(1 << 16);
-    let mut cfg: ClusterConfig = ClusterSpec::new(2, 3, 2)
-        .preloaded(64)
-        .nand(nand())
-        .observed(obs.clone())
-        .into();
-    cfg.replication = replication;
+    let mut cfg = ClusterConfig {
+        shards: 2,
+        preload_keys: 64,
+        nand: nand(),
+        obs: obs.clone(),
+        replication,
+        ..ClusterConfig::default()
+    };
     cfg.net.jitter_std = Duration::from_micros(20);
     let cluster = SemelCluster::build(&h, cfg);
     let hh = h.clone();
@@ -206,13 +208,17 @@ fn semel_run(replication: ReplicationMode) -> Golden {
 }
 
 fn milana_cfg(obs: &Obs) -> MilanaClusterConfig {
-    ClusterSpec::new(2, 3, 3)
-        .preloaded(200)
-        .nand(nand())
-        .observed(obs.clone())
-        .read_routed(ReadRoute::Freshest)
-        .gossiped_watermarks(Duration::from_millis(2))
-        .into()
+    let mut cfg = MilanaClusterConfig {
+        shards: 2,
+        clients: 3,
+        preload_keys: 200,
+        nand: nand(),
+        ..MilanaClusterConfig::default()
+    };
+    cfg.tuning.obs = obs.clone();
+    cfg.tuning.gossip_every = Some(Duration::from_millis(2));
+    cfg.client_cfg.read_route = ReadRoute::Freshest;
+    cfg
 }
 
 /// `rounds` transactions per client, all clients concurrently, on a hot
