@@ -21,7 +21,9 @@
 //!   contract as an RPC timeout, so callers already handle it).
 //! - The deadline timer is spawned with `spawn_on(node, ..)` so it dies
 //!   with the owning node: a killed primary cannot leak a flush into its
-//!   next incarnation.
+//!   next incarnation. When it fires it runs the flush it triggers itself
+//!   (one task per deadline-flushed batch); a size or manual flush has no
+//!   task of its own to run in, so it spawns one.
 //! - Per-batch observability: a `batchkit.<name>.batch_size` histogram
 //!   plus `flush_size` / `flush_deadline` / `flush_manual` counters, and a
 //!   [`TraceEvent::BatchFlush`] event when tracing is on.
@@ -235,17 +237,28 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
                 me.shared.handle.sleep(me.shared.cfg.batch_deadline).await;
                 let live = me.shared.pending.borrow().epoch == epoch;
                 if live {
-                    me.flush(FlushReason::Deadline);
+                    if let Some(flushing) = me.drain(FlushReason::Deadline) {
+                        flushing.await;
+                    }
                 }
             });
         }
     }
 
     fn flush(&self, reason: FlushReason) {
+        if let Some(flushing) = self.drain(reason) {
+            self.shared.handle.spawn_on(self.shared.node, flushing);
+        }
+    }
+
+    /// Takes the pending batch (counted and traced here, at the flush
+    /// instant) and returns the future that runs the flush callback and
+    /// resolves the waiters. `None` when nothing is pending.
+    fn drain(&self, reason: FlushReason) -> Option<impl Future<Output = ()>> {
         let batch = {
             let mut p = self.shared.pending.borrow_mut();
             if p.items.is_empty() {
-                return;
+                return None;
             }
             p.epoch += 1;
             std::mem::take(&mut p.items)
@@ -266,7 +279,7 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
             },
         );
         let flush = Rc::clone(&s.flush);
-        s.handle.spawn_on(s.node, async move {
+        Some(async move {
             let (items, waiters): (Vec<T>, Vec<Option<oneshot::Sender<R>>>) =
                 batch.into_iter().unzip();
             let results = flush(items).await;
@@ -277,7 +290,7 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
                     let _ = tx.send(r);
                 }
             }
-        });
+        })
     }
 }
 
@@ -338,6 +351,8 @@ mod tests {
             snap.contains("\"batchkit.test.flush_deadline\":1"),
             "{snap}"
         );
+        // `block_on`'s task and the deadline timer's, which ran the flush.
+        assert_eq!(sim.handle().spawns(), 2);
     }
 
     #[test]
@@ -381,6 +396,8 @@ mod tests {
             !snap.contains("flush_deadline\":1"),
             "stale timer flushed an empty epoch: {snap}"
         );
+        // `block_on`, the timer the first item armed, the size flush's own.
+        assert_eq!(sim.handle().spawns(), 3);
     }
 
     #[test]
@@ -438,5 +455,7 @@ mod tests {
         assert_eq!(got, Some(10));
         let snap = obs.registry.snapshot().to_string();
         assert!(snap.contains("\"batchkit.test.flush_manual\":1"), "{snap}");
+        // `block_on`, the armed timer, the manual flush's own.
+        assert_eq!(sim.handle().spawns(), 3);
     }
 }

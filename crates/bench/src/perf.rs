@@ -49,6 +49,8 @@ pub struct BenchResult {
     pub checksum: u64,
     /// Simulator task polls driven, 0 for pure-CPU benches (deterministic).
     pub sim_polls: u64,
+    /// Simulator tasks spawned, 0 for pure-CPU benches (deterministic).
+    pub sim_spawns: u64,
     /// Allocations and bytes during the bench (deterministic at
     /// `--threads 1`); present only with `count-allocs`.
     pub allocs: Option<(u64, u64)>,
@@ -220,6 +222,7 @@ pub fn bench_validate(scale: Scale, seed: u64) -> BenchResult {
         iters,
         checksum,
         sim_polls: 0,
+        sim_spawns: 0,
         allocs: alloc_delta(before),
         wall,
     }
@@ -274,6 +277,7 @@ pub fn bench_batch_flush(scale: Scale, seed: u64) -> BenchResult {
         iters: items,
         checksum,
         sim_polls: h.polls(),
+        sim_spawns: h.spawns(),
         allocs: alloc_delta(before),
         wall,
     }
@@ -324,6 +328,7 @@ pub fn bench_ftl_read(scale: Scale, seed: u64) -> BenchResult {
         iters: reads,
         checksum,
         sim_polls: h.polls(),
+        sim_spawns: h.spawns(),
         allocs: alloc_delta(before),
         wall,
     }
@@ -442,7 +447,8 @@ pub fn to_json(report: &PerfReport, timing: bool) -> Json {
             Json::obj()
                 .field("iters", Json::U64(b.iters))
                 .field("checksum", Json::U64(b.checksum))
-                .field("sim_polls", Json::U64(b.sim_polls)),
+                .field("sim_polls", Json::U64(b.sim_polls))
+                .field("sim_spawns", Json::U64(b.sim_spawns)),
         );
         let obj = Json::obj()
             .field("name", Json::str(b.name))

@@ -791,7 +791,7 @@ impl Txn {
                     }
                     return Err(TxnError::Timeout);
                 }
-                Ok(_) | Err(RpcError::Closed) => return Err(TxnError::Timeout),
+                Ok(_) => return Err(TxnError::Timeout),
             }
         }
         Err(TxnError::Timeout)
@@ -987,7 +987,7 @@ impl Txn {
                     }
                     return Err(TxnError::Timeout);
                 }
-                Ok(_) | Err(RpcError::Closed) => return Err(TxnError::Timeout),
+                Ok(_) => return Err(TxnError::Timeout),
             }
         }
         Err(TxnError::Timeout)

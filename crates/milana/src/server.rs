@@ -15,7 +15,10 @@
 //! shields with leases.
 
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
@@ -39,6 +42,18 @@ const LEASE_DURATION: Duration = Duration::from_millis(100);
 const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 /// Heartbeat period when a master is configured.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
+
+/// A batched item that may wait, polled in place by
+/// [`TxnServer::handle_batch`].
+type BatchItemFuture<'a> = Pin<Box<dyn Future<Output = TxnResponse> + 'a>>;
+
+/// What [`TxnServer::start_batch_item`] made of one batched item.
+enum BatchItem<'a> {
+    /// It never waits and is already answered.
+    Answered(TxnResponse),
+    /// It may wait: its future, not yet polled.
+    Waiting(BatchItemFuture<'a>),
+}
 
 /// Server timing knobs.
 #[derive(Debug, Clone)]
@@ -1089,8 +1104,16 @@ impl TxnServer {
     /// items that do not fit — its permit lives exactly as long as the
     /// item's processing, like the unbatched path. Control items (outcomes,
     /// watermarks, replication records) bypass admission entirely: refusing
-    /// them only amplifies recovery. Items run concurrently; replies keep
-    /// item order.
+    /// them only amplifies recovery.
+    ///
+    /// No item gets a task. Every prepare is admitted first, in item order,
+    /// so one that votes on its first poll does not free capacity for a
+    /// later one in the same envelope. Then one pass in item order answers
+    /// the items that never wait on the spot and first-polls the ones that
+    /// may (prepares, replicated prepares, bulk-copy records) in place,
+    /// under this envelope task's waker; later polls re-poll whichever are
+    /// still pending. Items therefore overlap exactly as if each had a task
+    /// of its own; replies keep item order.
     async fn handle_batch(&self, items: Vec<TxnRequest>, from: Addr, resp: Responder) {
         let now = self.core.handle.now();
         let deadline_shed = (items
@@ -1098,101 +1121,145 @@ impl TxnServer {
             .any(|i| matches!(i, TxnRequest::Prepare { .. }))
             && resp.deadline().expired(now))
         .then(|| self.core.admission.shed_deadline(now.as_nanos()));
-        let mut joins = Vec::with_capacity(items.len());
-        for item in items {
-            let me = self.clone();
-            // Admit in the dispatch loop (deterministic item order), move
-            // the permit into the item's task so it releases on completion.
-            let admit: Result<Option<loadkit::Permit>, loadkit::Shed> = match &item {
-                TxnRequest::Prepare { .. } => match &deadline_shed {
-                    Some(s) => Err(*s),
-                    None => self
-                        .core
-                        .admission
-                        .try_admit(now.as_nanos(), COST_PREPARE)
-                        .map(Some),
-                },
-                _ => Ok(None),
-            };
-            joins.push(self.core.handle.spawn_on(self.cfg.addr.node, async move {
-                match item {
-                    TxnRequest::Prepare {
-                        txid,
-                        ts_commit,
-                        reads,
-                        writes,
-                        participants,
-                        epoch,
-                    } => match admit {
-                        Err(s) => TxnResponse::Shed(s),
-                        // A silent duplicate-in-flight prepare has no
-                        // responder to drop here; NotReady classifies the
-                        // item as unreachable at the coordinator, exactly
-                        // like the single-RPC path's silence-then-timeout.
-                        Ok(_permit) => me
-                            .do_prepare(txid, ts_commit, reads, writes, participants, epoch)
-                            .await
-                            .unwrap_or(TxnResponse::NotReady),
-                    },
-                    // Outcome delivery is fire-and-forget on the wire (the
-                    // decision is already safe at the coordinator; CTP and
-                    // recovery cover a lost apply), so ack immediately and
-                    // run the apply in its own task: a decision's flash
-                    // write must not hold every vote in this envelope
-                    // hostage. Visibility order is preserved — the apply
-                    // installs its versions before first yielding, and its
-                    // task is queued ahead of any later-arriving read.
-                    TxnRequest::Outcome { txid, commit } => {
-                        let me2 = me.clone();
-                        me.core.handle.spawn_on(me.cfg.addr.node, async move {
-                            me2.apply_outcome(txid, commit).await;
-                        });
-                        TxnResponse::Ack
-                    }
-                    TxnRequest::Watermark { client, ts } => {
-                        me.merge_watermark(client, ts);
-                        TxnResponse::Ack
-                    }
-                    TxnRequest::FloorReport { client, ts } => {
-                        me.merge_floor(client, ts);
-                        TxnResponse::Ack
-                    }
-                    // Floor acceptance is synchronous, so by the time this
-                    // envelope is acked the watermark is already raised;
-                    // same-envelope outcomes run as detached tasks, but
-                    // until they decide, their records stay Prepared and
-                    // poison reads via the piggybacked flag.
-                    TxnRequest::AppliedFloor { seq, ts } => {
-                        me.accept_floor(seq, ts, from);
-                        TxnResponse::Ack
-                    }
-                    TxnRequest::FloorSync => TxnResponse::Ack,
-                    TxnRequest::ReplPrepare(record) => {
-                        me.backup_install_prepare(record).await;
-                        TxnResponse::Ack
-                    }
-                    TxnRequest::ReplOutcome { txid, commit } => {
-                        let me2 = me.clone();
-                        me.core.handle.spawn_on(me.cfg.addr.node, async move {
-                            me2.backup_apply_outcome(txid, commit).await;
-                        });
-                        TxnResponse::Ack
-                    }
-                    // Bulk-copy envelopes from the rebalance engine ride
-                    // the batch plane; stamps make application order-free.
-                    TxnRequest::MigrateRecords { records } => {
-                        let _ = me.core.backend.apply_batch_unordered(records).await;
-                        TxnResponse::Ack
-                    }
-                    other => panic!("unbatchable milana request in batch envelope: {other:?}"),
+        let mut admits = items
+            .iter()
+            .filter(|item| matches!(item, TxnRequest::Prepare { .. }))
+            .map(|_| match deadline_shed {
+                Some(shed) => Err(shed),
+                None => self.core.admission.try_admit(now.as_nanos(), COST_PREPARE),
+            })
+            .collect::<Vec<_>>()
+            .into_iter();
+        let mut replies: Vec<Option<TxnResponse>> = Vec::with_capacity(items.len());
+        let mut waiting: Vec<(usize, BatchItemFuture<'_>)> = Vec::new();
+        let mut unstarted = items.into_iter();
+        std::future::poll_fn(|cx| {
+            waiting.retain_mut(|(i, item)| match item.as_mut().poll(cx) {
+                Poll::Ready(r) => {
+                    replies[*i] = Some(r);
+                    false
                 }
-            }));
-        }
-        let mut out = Vec::with_capacity(joins.len());
-        for j in joins {
-            out.push(j.await);
-        }
+                Poll::Pending => true,
+            });
+            // First poll only (`waiting` was empty above): start every item.
+            for item in unstarted.by_ref() {
+                let reply = match self.start_batch_item(item, &mut admits, from) {
+                    BatchItem::Answered(reply) => Some(reply),
+                    BatchItem::Waiting(mut item) => match item.as_mut().poll(cx) {
+                        Poll::Ready(reply) => Some(reply),
+                        Poll::Pending => {
+                            waiting.push((replies.len(), item));
+                            None
+                        }
+                    },
+                };
+                replies.push(reply);
+            }
+            if waiting.is_empty() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
+        let out: Vec<TxnResponse> = replies
+            .into_iter()
+            .map(|r| r.expect("every batched item was answered"))
+            .collect();
         resp.reply_batch(out);
+    }
+
+    /// Answers one batched item that never waits, or builds the future of
+    /// one that may for [`TxnServer::handle_batch`] to poll in place.
+    /// `admits` holds the admission results of the envelope's prepares not
+    /// yet started, in item order.
+    fn start_batch_item(
+        &self,
+        item: TxnRequest,
+        admits: &mut impl Iterator<Item = Result<loadkit::Permit, loadkit::Shed>>,
+        from: Addr,
+    ) -> BatchItem<'_> {
+        BatchItem::Answered(match item {
+            TxnRequest::Prepare {
+                txid,
+                ts_commit,
+                reads,
+                writes,
+                participants,
+                epoch,
+            } => match admits
+                .next()
+                .expect("every prepare is admitted before the pass")
+            {
+                Err(s) => TxnResponse::Shed(s),
+                // A silent duplicate-in-flight prepare has no responder to
+                // drop here; NotReady classifies the item as unreachable at
+                // the coordinator, exactly like the single-RPC path's
+                // silence-then-timeout.
+                Ok(permit) => {
+                    return BatchItem::Waiting(Box::pin(async move {
+                        let _permit = permit;
+                        self.do_prepare(txid, ts_commit, reads, writes, participants, epoch)
+                            .await
+                            .unwrap_or(TxnResponse::NotReady)
+                    }))
+                }
+            },
+            // Outcome delivery is fire-and-forget on the wire (the decision
+            // is already safe at the coordinator; CTP and recovery cover a
+            // lost apply), so ack immediately and run the apply in its own
+            // task: a decision's flash write must not hold every vote in
+            // this envelope hostage. Visibility order is preserved — the
+            // apply installs its versions before first yielding, and its
+            // task is queued ahead of any later-arriving read.
+            TxnRequest::Outcome { txid, commit } => {
+                let me = self.clone();
+                self.core.handle.spawn_on(self.cfg.addr.node, async move {
+                    me.apply_outcome(txid, commit).await;
+                });
+                TxnResponse::Ack
+            }
+            TxnRequest::Watermark { client, ts } => {
+                self.merge_watermark(client, ts);
+                TxnResponse::Ack
+            }
+            TxnRequest::FloorReport { client, ts } => {
+                self.merge_floor(client, ts);
+                TxnResponse::Ack
+            }
+            // Floor acceptance is synchronous, so by the time this envelope
+            // is acked the watermark is already raised; same-envelope
+            // outcomes run as detached tasks, but until they decide, their
+            // records stay Prepared and poison reads via the piggybacked
+            // flag.
+            TxnRequest::AppliedFloor { seq, ts } => {
+                self.accept_floor(seq, ts, from);
+                TxnResponse::Ack
+            }
+            TxnRequest::FloorSync => TxnResponse::Ack,
+            TxnRequest::ReplPrepare(record) => {
+                return BatchItem::Waiting(Box::pin(async move {
+                    self.backup_install_prepare(record).await;
+                    TxnResponse::Ack
+                }))
+            }
+            TxnRequest::ReplOutcome { txid, commit } => {
+                let me = self.clone();
+                self.core.handle.spawn_on(self.cfg.addr.node, async move {
+                    me.backup_apply_outcome(txid, commit).await;
+                });
+                TxnResponse::Ack
+            }
+            // Bulk-copy envelopes from the rebalance engine ride the batch
+            // plane; stamps make application order-free.
+            TxnRequest::MigrateRecords { records } => {
+                return BatchItem::Waiting(Box::pin(async move {
+                    let _ = self.core.backend.apply_batch_unordered(records).await;
+                    TxnResponse::Ack
+                }))
+            }
+            other => panic!("unbatchable milana request in batch envelope: {other:?}"),
+        })
     }
 
     /// Backup side of a replicated prepare record: install it and settle

@@ -5,11 +5,11 @@ use std::time::Duration;
 use flashsim::{value, BackendKind, Key, NandConfig};
 use semel::shard::ShardId;
 use simkit::Sim;
-use timesync::ClockSpec;
+use timesync::{ClientId, ClockSpec, Timestamp};
 
 use crate::client::{TxnOpts, ValidationMode};
 use crate::cluster::{MilanaCluster, MilanaClusterConfig};
-use crate::msg::{AbortReason, TxnError};
+use crate::msg::{AbortReason, TxnError, TxnId, TxnRequest, TxnResponse};
 
 fn nand() -> NandConfig {
     NandConfig {
@@ -941,5 +941,155 @@ fn backup_reads_serve_covered_snapshots() {
             .map(|s| s.server.stats().replica_reads)
             .sum();
         assert!(served > 0, "server-side replica_reads stayed zero");
+    });
+}
+
+/// One primary with no backups and no clients, so the only traffic is the
+/// raw envelopes a test sends from the harness endpoint.
+fn lone_primary(h: &simkit::SimHandle, admission_capacity: u64) -> MilanaCluster {
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.replicas = 1;
+    cfg.clients = 0;
+    cfg.tuning.admission.capacity = admission_capacity;
+    MilanaCluster::build(h, cfg)
+}
+
+const ENVELOPE_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// A blind single-key write by transaction `seq` of a client of its own.
+fn prepare(seq: u64, key: u64) -> TxnRequest {
+    TxnRequest::Prepare {
+        txid: TxnId {
+            client: ClientId(9),
+            seq,
+        },
+        ts_commit: Timestamp(1_000_000 + seq),
+        reads: Vec::new().into(),
+        writes: vec![(k(key), value(&b"w"[..]))].into(),
+        participants: vec![ShardId(0)].into(),
+        epoch: 0,
+    }
+}
+
+#[test]
+fn batched_control_items_spawn_only_the_outcome_apply() {
+    let mut sim = Sim::new(71);
+    let h = sim.handle();
+    let hh = h.clone();
+    let cluster = lone_primary(&h, 256);
+    sim.block_on(async move {
+        let primary = cluster.replicas[0][0].addr;
+        let client = ClientId(9);
+        let items = vec![
+            TxnRequest::Outcome {
+                txid: TxnId { client, seq: 1 },
+                commit: false,
+            },
+            TxnRequest::Watermark {
+                client,
+                ts: Timestamp(1_000),
+            },
+            TxnRequest::AppliedFloor {
+                seq: 0,
+                ts: Timestamp::ZERO,
+            },
+        ];
+        let spawns = hh.spawns();
+        let replies = cluster
+            .master_rpc
+            .call_batch::<TxnRequest, TxnResponse>(primary, items, ENVELOPE_TIMEOUT)
+            .await
+            .unwrap();
+        assert!(
+            replies.iter().all(|r| matches!(r, TxnResponse::Ack)),
+            "{replies:?}"
+        );
+        // The envelope's task and the outcome's detached apply; the items
+        // themselves were answered in the envelope's first poll.
+        assert_eq!(hh.spawns() - spawns, 2);
+    });
+}
+
+#[test]
+fn batched_prepares_are_all_admitted_before_the_first_one_runs() {
+    let mut sim = Sim::new(72);
+    let h = sim.handle();
+    // Room for exactly one prepare in flight.
+    let cluster = lone_primary(&h, crate::server::COST_PREPARE);
+    sim.block_on(async move {
+        let primary = cluster.replicas[0][0].addr;
+        let rpc = &cluster.master_rpc;
+        let first = rpc
+            .call::<TxnRequest, TxnResponse>(primary, prepare(1, 1), ENVELOPE_TIMEOUT)
+            .await
+            .unwrap();
+        assert!(matches!(first, TxnResponse::Vote { ok: true }), "{first:?}");
+        // The retransmitted prepare is answered from the table on its first
+        // poll and drops its permit there — but the second prepare was
+        // refused before that, when the whole envelope was admitted.
+        let items = vec![
+            prepare(1, 1),
+            TxnRequest::Watermark {
+                client: ClientId(9),
+                ts: Timestamp(1_000),
+            },
+            prepare(2, 2),
+        ];
+        let replies = rpc
+            .call_batch::<TxnRequest, TxnResponse>(primary, items, ENVELOPE_TIMEOUT)
+            .await
+            .unwrap();
+        assert!(
+            matches!(
+                replies[..],
+                [
+                    TxnResponse::Vote { ok: true },
+                    TxnResponse::Ack,
+                    TxnResponse::Shed(_)
+                ]
+            ),
+            "{replies:?}"
+        );
+    });
+}
+
+#[test]
+fn batched_items_that_wait_overlap_and_reply_in_item_order() {
+    let mut sim = Sim::new(73);
+    let h = sim.handle();
+    let hh = h.clone();
+    let cluster = lone_primary(&h, 256);
+    sim.block_on(async move {
+        let primary = cluster.replicas[0][0].addr;
+        // Both prepares wait for the same group-commit flush; the second
+        // conflicts with the first (same key, prepared) and votes no at once.
+        let items = vec![
+            prepare(1, 7),
+            prepare(2, 7),
+            TxnRequest::FloorSync,
+            prepare(3, 8),
+        ];
+        let spawns = hh.spawns();
+        let replies = cluster
+            .master_rpc
+            .call_batch::<TxnRequest, TxnResponse>(primary, items, ENVELOPE_TIMEOUT)
+            .await
+            .unwrap();
+        assert!(
+            matches!(
+                replies[..],
+                [
+                    TxnResponse::Vote { ok: true },
+                    TxnResponse::Vote { ok: false },
+                    TxnResponse::Ack,
+                    TxnResponse::Vote { ok: true }
+                ]
+            ),
+            "{replies:?}"
+        );
+        // The envelope's task and the replication batcher's deadline timer,
+        // which both waiting prepares rode.
+        assert_eq!(hh.spawns() - spawns, 2);
     });
 }

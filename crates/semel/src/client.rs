@@ -354,7 +354,7 @@ impl SemelClient {
                         return Err(SemelError::Timeout);
                     }
                 }
-                Ok(_) | Err(RpcError::Closed) => return Err(SemelError::Timeout),
+                Ok(_) => return Err(SemelError::Timeout),
             }
         }
     }
@@ -417,7 +417,7 @@ impl SemelClient {
                         return Err(SemelError::Timeout);
                     }
                 }
-                Ok(_) | Err(RpcError::Closed) => return Err(SemelError::Timeout),
+                Ok(_) => return Err(SemelError::Timeout),
             }
         }
     }

@@ -6,7 +6,7 @@
 //! migration in MILANA. The core owns the storage backend, the internal RPC
 //! endpoint, the admission gate, the GC watermark tracker and the
 //! replication trace counter, and provides the four planes both servers
-//! run: the mailbox loop ([`ReplicaCore::serve`]), the overload gate
+//! run: the service endpoint ([`ReplicaCore::serve`]), the overload gate
 //! ([`ReplicaCore::admit`]), quorum replication ([`ReplicaCore::replicate`],
 //! batched through [`ReplicaCore::replication_plane`]) and watermark-driven
 //! garbage collection ([`ReplicaCore::merge_watermark`]).
@@ -18,8 +18,8 @@
 //! Three things here are behaviour, not style, because every run is pinned
 //! bit for bit per seed (`tests/replica_golden.rs`, the benchmark's
 //! `sim_digest`s): a replica is built **admission → RPC endpoint →
-//! replication plane → mailbox bind → loop task** (the order fixes task ids,
-//! registry contents and poll counts); a replication round takes its trace
+//! replication plane → service endpoint bind** (the order fixes registry
+//! contents and poll counts); a replication round takes its trace
 //! sequence number when it is *called*, not when it is first polled; and
 //! the metric prefix (`semel.` / `milana.`) is the caller's argument.
 
@@ -32,7 +32,7 @@ use batchkit::{BatchConfig, Batcher};
 use flashsim::Backend;
 use loadkit::{Admission, AdmissionConfig, Permit, Shed};
 use simkit::net::Addr;
-use simkit::rpc::{recv_incoming, Batch, BatchReply, Incoming, Responder, RpcClient};
+use simkit::rpc::{serve_incoming, Batch, BatchReply, Incoming, Responder, RpcClient};
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, WatermarkTracker};
 
@@ -44,7 +44,7 @@ pub struct ReplicaCore {
     pub handle: SimHandle,
     /// The storage backend (persistent handle).
     pub backend: Backend,
-    /// This replica's service address (its mailbox).
+    /// This replica's service address.
     pub addr: Addr,
     /// Internal endpoint (replication, recovery, migration) on `port + 1`.
     pub rpc: RpcClient,
@@ -95,22 +95,19 @@ impl ReplicaCore {
         self.obs.tracer.record(self.handle.now().as_nanos(), ev);
     }
 
-    /// Binds the service mailbox and spawns the request loop. Each envelope
-    /// is handled in its own task so slow device operations do not
-    /// serialize the shard.
+    /// Binds the service address. Each envelope is handled in its own
+    /// task, spawned at the delivery instant, so slow device operations do
+    /// not serialize the shard.
     pub fn serve<Req, F, Fut>(&self, handler: F)
     where
         Req: Clone + 'static,
         F: Fn(Incoming<Req>, Addr, Responder) -> Fut + 'static,
         Fut: Future<Output = ()> + 'static,
     {
-        let mailbox = self.handle.bind(self.addr);
         let h = self.handle.clone();
         let node = self.addr.node;
-        self.handle.spawn_on(node, async move {
-            while let Some((incoming, from, resp)) = recv_incoming::<Req>(&h, &mailbox).await {
-                h.spawn_on(node, handler(incoming, from, resp));
-            }
+        serve_incoming::<Req>(&self.handle, self.addr, move |incoming, from, resp| {
+            h.spawn_on(node, handler(incoming, from, resp));
         });
     }
 
@@ -228,5 +225,52 @@ impl ReplicaCore {
             self.backend.set_watermark(wm);
             wm
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flashsim::{BackendKind, NandConfig};
+    use simkit::net::NodeId;
+    use simkit::Sim;
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Ping(u32);
+    #[derive(Debug, Clone, PartialEq)]
+    struct Pong(u32);
+
+    #[test]
+    fn a_round_trip_costs_the_caller_and_the_handler_nothing_else() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let addr = Addr::new(NodeId(2), 0);
+        let core = ReplicaCore::new(
+            &h,
+            Backend::new(BackendKind::Dram, &h, NandConfig::default()),
+            addr,
+            &AdmissionConfig::default(),
+            &obskit::Obs::new(),
+            &[],
+            None,
+        );
+        core.serve::<Ping, _, _>(|incoming, _from, resp| async move {
+            match incoming {
+                Incoming::One(Ping(v)) => resp.reply(Pong(v + 1)),
+                Incoming::Batch(_) => panic!("expected a plain request"),
+            }
+        });
+        let client = RpcClient::new(&h, NodeId(1), 0);
+        assert_eq!((h.polls(), h.spawns()), (0, 0), "serving costs no task");
+        let out = sim.block_on(async move {
+            client
+                .call::<Ping, Pong>(addr, Ping(41), Duration::from_millis(1))
+                .await
+        });
+        assert_eq!(out, Ok(Pong(42)));
+        // The caller sends and parks, the handler task runs, the reply sink
+        // wakes the caller: no serve loop and no reply demux in between.
+        assert_eq!(h.polls(), 3);
+        assert_eq!(h.spawns(), 2); // `block_on`'s task and the handler's
     }
 }

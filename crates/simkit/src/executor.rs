@@ -61,6 +61,37 @@ struct Task {
     node: Option<NodeId>,
 }
 
+/// What a spawn boxes: the caller's future and the join state its output
+/// goes to, side by side — `size_of::<F>()` plus one pointer.
+struct TaskFuture<F: Future> {
+    fut: F,
+    state: Rc<RefCell<JoinState<F::Output>>>,
+}
+
+impl<F: Future> Future for TaskFuture<F> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned. It is only ever reached
+        // through this projection, never moved out of the pinned
+        // `TaskFuture` (which has no `Drop` impl and is not `repr(packed)`),
+        // and `TaskFuture` is `Unpin` only when `F` is. `state` is an `Rc`
+        // and is not pinned.
+        let this = unsafe { self.get_unchecked_mut() };
+        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        let Poll::Ready(out) = fut.poll(cx) else {
+            return Poll::Pending;
+        };
+        let mut s = this.state.borrow_mut();
+        s.value = Some(out);
+        s.finished = true;
+        if let Some(w) = s.waker.take() {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
+}
+
 enum SlotState {
     Vacant,
     Idle(Task),
@@ -185,6 +216,8 @@ pub(crate) struct Inner {
     /// workload, so perf baselines can report sim-events/sec with a
     /// byte-stable numerator.
     polls: u64,
+    /// Tasks spawned so far; deterministic like `polls`.
+    spawns: u64,
 }
 
 impl Inner {
@@ -230,6 +263,7 @@ impl Sim {
             rng: StdRng::seed_from_u64(seed),
             net: NetState::new(),
             polls: 0,
+            spawns: 0,
         };
         Sim {
             handle: SimHandle {
@@ -400,6 +434,13 @@ impl SimHandle {
         self.inner.borrow().polls
     }
 
+    /// Tasks spawned so far (every [`SimHandle::spawn`] and
+    /// [`SimHandle::spawn_on`], [`Sim::block_on`]'s own included).
+    /// Deterministic for a given seed and workload, like [`SimHandle::polls`].
+    pub fn spawns(&self) -> u64 {
+        self.inner.borrow().spawns
+    }
+
     /// Snapshot of the [`Sleep`] timer counters.
     pub fn timer_stats(&self) -> TimerStats {
         self.inner.borrow().timer_stats
@@ -433,18 +474,13 @@ impl SimHandle {
             waker: None,
             finished: false,
         }));
-        let state2 = state.clone();
-        let wrapped = Box::pin(async move {
-            let out = fut.await;
-            let mut s = state2.borrow_mut();
-            s.value = Some(out);
-            s.finished = true;
-            if let Some(w) = s.waker.take() {
-                w.wake();
-            }
+        let wrapped = Box::pin(TaskFuture {
+            fut,
+            state: state.clone(),
         });
         let tid = {
             let mut inner = self.inner.borrow_mut();
+            inner.spawns += 1;
             if let Some(n) = node {
                 assert!(
                     !inner.net.is_dead(n),
@@ -723,6 +759,36 @@ mod tests {
             log.borrow().clone(),
             vec!["a0", "b0", "a1", "b1", "a2", "b2"]
         );
+    }
+
+    fn boxed_task_size<F: Future>(_: &F) -> usize {
+        std::mem::size_of::<TaskFuture<F>>()
+    }
+
+    #[test]
+    fn a_task_boxes_its_future_once_plus_a_pointer() {
+        let big = [7u8; 1000];
+        let h = Sim::new(1).handle();
+        let fut = async move {
+            h.yield_now().await;
+            big.iter().map(|&b| u32::from(b)).sum::<u32>()
+        };
+        let size = std::mem::size_of_val(&fut);
+        assert!(size >= 1000);
+        assert!(boxed_task_size(&fut) <= size + 16, "{size}");
+    }
+
+    #[test]
+    fn spawns_are_counted() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        assert_eq!(h.spawns(), 0);
+        sim.block_on(async move {
+            hh.spawn(async {}).await;
+            hh.spawn_on(NodeId(3), async {}).await;
+        });
+        assert_eq!(h.spawns(), 3); // `block_on`'s own task included
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Simulated message network.
 //!
 //! Nodes are identified by [`NodeId`]; a node can bind any number of
-//! [`Addr`]s (node + port) to receive packets. Delivery is asynchronous with
-//! a configurable latency distribution, and the network supports fault
-//! injection: killing nodes (which also aborts their tasks) and partitioning
-//! node pairs.
+//! [`Addr`]s (node + port) to receive packets. An address is bound either as
+//! a *queue* ([`SimHandle::bind`]: packets wait in a [`Mailbox`] for a task
+//! to `recv` them) or as a *sink* ([`SimHandle::bind_sink`]: a closure runs
+//! at the delivery instant, with no task and no poll in between). Delivery
+//! is asynchronous with a configurable latency distribution, and the network
+//! supports fault injection: killing nodes (which also aborts their tasks)
+//! and partitioning node pairs.
 //!
 //! Payloads are type-erased `Box<dyn Any>`; the RPC layer in [`crate::rpc`]
 //! restores typing at the endpoints.
@@ -156,8 +159,15 @@ struct MailboxInner {
     closed: bool,
 }
 
+/// What a bound [`Addr`] delivers into.
+#[derive(Clone)]
+enum Endpoint {
+    Queue(Rc<RefCell<MailboxInner>>),
+    Sink(Rc<RefCell<dyn FnMut(Packet)>>),
+}
+
 pub(crate) struct NetState {
-    mailboxes: FastMap<Addr, Rc<RefCell<MailboxInner>>>,
+    endpoints: FastMap<Addr, Endpoint>,
     dead: FastSet<NodeId>,
     blocked: FastSet<(NodeId, NodeId)>,
     latency: LatencyConfig,
@@ -176,7 +186,7 @@ fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 impl NetState {
     pub(crate) fn new() -> NetState {
         NetState {
-            mailboxes: FastMap::default(),
+            endpoints: FastMap::default(),
             dead: FastSet::default(),
             blocked: FastSet::default(),
             latency: LatencyConfig::default(),
@@ -257,17 +267,37 @@ impl SimHandle {
     ///
     /// Panics if the address is already bound or its node is dead.
     pub fn bind(&self, addr: Addr) -> Mailbox {
+        let mb = Rc::new(RefCell::new(MailboxInner::default()));
+        self.bind_endpoint(addr, Endpoint::Queue(mb.clone()));
+        Mailbox { addr, inner: mb }
+    }
+
+    /// Binds `addr` to a sink: `sink` is called with each packet at its
+    /// delivery instant, in delivery order, instead of the packet waiting
+    /// in a [`Mailbox`] for a task to be polled. The call happens outside
+    /// the scheduler borrow, so the sink may `send`, `spawn_on`, wake
+    /// tasks, or drop timers. [`SimHandle::kill_node`] and
+    /// [`SimHandle::unbind`] drop the closure (and whatever it captured),
+    /// also outside that borrow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is already bound or its node is dead.
+    pub fn bind_sink(&self, addr: Addr, sink: impl FnMut(Packet) + 'static) {
+        self.bind_endpoint(addr, Endpoint::Sink(Rc::new(RefCell::new(sink))));
+    }
+
+    fn bind_endpoint(&self, addr: Addr, endpoint: Endpoint) {
         let mut inner = self.inner.borrow_mut();
         assert!(!inner.net.is_dead(addr.node), "bind on dead node {addr}");
-        let mb = Rc::new(RefCell::new(MailboxInner::default()));
-        let prev = inner.net.mailboxes.insert(addr, mb.clone());
+        let prev = inner.net.endpoints.insert(addr, endpoint);
         assert!(prev.is_none(), "address {addr} already bound");
-        Mailbox { addr, inner: mb }
     }
 
     /// Removes the binding for `addr`, if any. Queued packets are discarded.
     pub fn unbind(&self, addr: Addr) {
-        self.inner.borrow_mut().net.mailboxes.remove(&addr);
+        let removed = self.inner.borrow_mut().net.endpoints.remove(&addr);
+        drop(removed); // outside the scheduler borrow: a sink may own a `Sleep`
     }
 
     /// Sends `msg` from `from` to `to` with simulated latency. Messages to or
@@ -335,16 +365,16 @@ impl SimHandle {
     }
 
     pub(crate) fn deliver_now(&self, to: Addr, packet: Packet) {
-        let mb = {
+        let endpoint = {
             let mut inner = self.inner.borrow_mut();
             if inner.net.is_dead(to.node) {
                 inner.net.stats.dropped += 1;
                 return;
             }
-            match inner.net.mailboxes.get(&to).cloned() {
-                Some(mb) => {
+            match inner.net.endpoints.get(&to).cloned() {
+                Some(endpoint) => {
                     inner.net.stats.delivered += 1;
-                    mb
+                    endpoint
                 }
                 None => {
                     inner.net.stats.dropped += 1;
@@ -352,45 +382,58 @@ impl SimHandle {
                 }
             }
         };
-        let mut mb = mb.borrow_mut();
-        mb.queue.push_back(packet);
-        if let Some(w) = mb.waker.take() {
-            w.wake();
+        match endpoint {
+            Endpoint::Queue(mb) => {
+                let mut mb = mb.borrow_mut();
+                mb.queue.push_back(packet);
+                if let Some(w) = mb.waker.take() {
+                    w.wake();
+                }
+            }
+            // Deliveries come one per `Sim::advance`, never from inside a
+            // sink, so this borrow cannot be re-entered.
+            Endpoint::Sink(sink) => (sink.borrow_mut())(packet),
         }
     }
 
     /// Kills a node: aborts all its tasks, closes and unbinds its mailboxes,
-    /// and drops all future traffic to/from it until [`SimHandle::revive_node`].
+    /// drops its sinks, and drops all future traffic to/from it until
+    /// [`SimHandle::revive_node`].
     pub fn kill_node(&self, node: NodeId) {
-        let (tasks, boxes) = {
+        let (tasks, endpoints) = {
             let mut inner = self.inner.borrow_mut();
             inner.net.dead.insert(node);
             let mut doomed: Vec<Addr> = inner
                 .net
-                .mailboxes
+                .endpoints
                 .keys()
                 .filter(|a| a.node == node)
                 .copied()
                 .collect();
             // The wakes below enqueue receivers: address order, not map order.
             doomed.sort_unstable();
-            let mut boxes = Vec::new();
-            for a in doomed {
-                if let Some(mb) = inner.net.mailboxes.remove(&a) {
-                    boxes.push(mb);
-                }
-            }
-            (inner.tasks_remove_node(node), boxes)
+            let endpoints: Vec<Endpoint> = doomed
+                .iter()
+                .filter_map(|a| inner.net.endpoints.remove(a))
+                .collect();
+            (inner.tasks_remove_node(node), endpoints)
         };
-        for mb in boxes {
-            let mut mb = mb.borrow_mut();
-            mb.closed = true;
-            mb.queue.clear();
-            if let Some(w) = mb.waker.take() {
-                w.wake();
+        // Everything below runs outside the scheduler borrow: a task future
+        // or a sink closure may own a `Sleep`, whose drop takes it.
+        for endpoint in endpoints {
+            match endpoint {
+                Endpoint::Queue(mb) => {
+                    let mut mb = mb.borrow_mut();
+                    mb.closed = true;
+                    mb.queue.clear();
+                    if let Some(w) = mb.waker.take() {
+                        w.wake();
+                    }
+                }
+                Endpoint::Sink(sink) => drop(sink),
             }
         }
-        drop(tasks); // outside the scheduler borrow: `Sleep::drop` takes it
+        drop(tasks);
     }
 
     /// Marks a previously killed node alive again. Its addresses must be
@@ -595,6 +638,143 @@ mod tests {
             let pkt = mb.recv().await.unwrap();
             assert_eq!(*pkt.payload.downcast::<u32>().unwrap(), 3);
         });
+    }
+
+    fn no_jitter() -> LatencyConfig {
+        LatencyConfig {
+            jitter_std: Duration::ZERO,
+            ..LatencyConfig::default()
+        }
+    }
+
+    #[test]
+    fn sink_sees_packets_in_send_order_at_their_delivery_instants() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        h.set_latency(no_jitter());
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let (seen2, h2) = (seen.clone(), h.clone());
+        h.bind_sink(a(2, 0), move |pkt| {
+            let v = *pkt.payload.downcast::<u32>().unwrap();
+            seen2.borrow_mut().push((h2.now(), pkt.from, v));
+        });
+        let hh = h.clone();
+        sim.block_on(async move {
+            for v in 0..3u32 {
+                hh.send(a(1, 0), a(2, 0), v);
+                hh.send(a(1, 1), a(2, 0), v + 10);
+                hh.sleep(Duration::from_micros(100)).await;
+            }
+        });
+        let at = |us| crate::time::SimTime::from_micros(us);
+        assert_eq!(
+            seen.take(),
+            vec![
+                (at(25), a(1, 0), 0),
+                (at(25), a(1, 1), 10),
+                (at(125), a(1, 0), 1),
+                (at(125), a(1, 1), 11),
+                (at(225), a(1, 0), 2),
+                (at(225), a(1, 1), 12),
+            ]
+        );
+        // Three wake-ups of the sender and its first poll: the sink cost none.
+        assert_eq!(h.polls(), 4);
+        assert_eq!(h.net_stats().delivered, 6);
+    }
+
+    #[test]
+    fn sink_may_send_and_spawn_reentrantly() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        let got = sim.block_on(async move {
+            let back = hh.bind(a(1, 0));
+            let spawned = Rc::new(std::cell::Cell::new(0u32));
+            let (h2, spawned2) = (hh.clone(), spawned.clone());
+            hh.bind_sink(a(2, 0), move |pkt| {
+                let v = *pkt.payload.downcast::<u32>().unwrap();
+                h2.send(a(2, 0), pkt.from, v + 1);
+                let spawned = spawned2.clone();
+                h2.spawn_on(NodeId(2), async move { spawned.set(spawned.get() + v) });
+            });
+            hh.send(a(1, 0), a(2, 0), 41u32);
+            let pkt = back.recv().await.unwrap();
+            (*pkt.payload.downcast::<u32>().unwrap(), spawned.get())
+        });
+        assert_eq!(got, (42, 41));
+    }
+
+    /// Sets its flag when dropped.
+    struct DropFlag(Rc<std::cell::Cell<bool>>);
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    /// An armed timer for a sink to own: dropping it takes the scheduler
+    /// borrow, so whoever drops the sink must do so outside its own.
+    fn armed_sleep(h: &SimHandle) -> Pin<Box<crate::executor::Sleep>> {
+        let mut sleep = Box::pin(h.sleep(Duration::from_millis(10)));
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(sleep.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(h.timer_stats().pending, 1);
+        sleep
+    }
+
+    #[test]
+    fn kill_node_drops_and_unbinds_sinks_and_revive_rebinds() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let hh = h.clone();
+        sim.block_on(async move {
+            let sleep = armed_sleep(&hh);
+            let dropped = Rc::new(std::cell::Cell::new(false));
+            let flag = DropFlag(dropped.clone());
+            let hits = Rc::new(std::cell::Cell::new(0u32));
+            let hits2 = hits.clone();
+            hh.bind_sink(a(7, 0), move |_pkt| {
+                let _owned = (&sleep, &flag);
+                hits2.set(hits2.get() + 1);
+            });
+            hh.send(a(1, 0), a(7, 0), ());
+            hh.sleep(Duration::from_millis(1)).await;
+            assert_eq!(hits.get(), 1);
+
+            hh.kill_node(NodeId(7));
+            assert!(dropped.get(), "the kill drops the sink");
+            let stats = hh.timer_stats();
+            assert_eq!((stats.cancelled, stats.pending), (1, 0));
+            hh.send(a(1, 0), a(7, 0), ());
+            hh.sleep(Duration::from_millis(1)).await;
+            assert_eq!(hits.get(), 1, "traffic to the dead node is dropped");
+
+            hh.revive_node(NodeId(7));
+            hh.send(a(1, 0), a(7, 0), ());
+            hh.sleep(Duration::from_millis(1)).await;
+            assert_eq!(hh.net_stats().dropped, 2, "revived but unbound");
+            let hits2 = hits.clone();
+            hh.bind_sink(a(7, 0), move |_pkt| hits2.set(hits2.get() + 10));
+            hh.send(a(1, 0), a(7, 0), ());
+            hh.sleep(Duration::from_millis(1)).await;
+            assert_eq!(hits.get(), 11);
+        });
+    }
+
+    #[test]
+    fn unbind_drops_a_sink_and_frees_the_address() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        let sleep = armed_sleep(&h);
+        h.bind_sink(a(1, 0), move |_pkt| {
+            let _owned = &sleep;
+        });
+        h.unbind(a(1, 0));
+        let stats = h.timer_stats();
+        assert_eq!((stats.cancelled, stats.pending), (1, 0));
+        let _mb = h.bind(a(1, 0));
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Typed request/response messaging over the simulated network.
 //!
-//! An [`RpcClient`] issues calls and demultiplexes replies by request id; a
-//! server binds a [`Mailbox`] and uses [`recv_request`] to receive typed
-//! requests together with a [`Responder`] for the (optional) reply.
+//! An [`RpcClient`] issues calls; its reply port is a sink
+//! ([`SimHandle::bind_sink`]) that hands each reply to the waiting call by
+//! request id at the delivery instant. A server either binds a [`Mailbox`]
+//! and loops on [`recv_request`], or registers a callback with
+//! [`serve_incoming`], to receive typed requests together with a
+//! [`Responder`] for the (optional) reply. Neither side runs a task that
+//! only forwards.
 //!
 //! Calls to dead or partitioned nodes never complete, so every call carries
 //! a timeout — exactly the failure surface distributed protocols must handle.
@@ -14,7 +18,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crate::executor::SimHandle;
-use crate::net::{Addr, Mailbox, NodeId};
+use crate::net::{Addr, Mailbox, NodeId, Packet};
 use crate::sync::oneshot;
 use crate::time::SimTime;
 
@@ -90,7 +94,7 @@ fn unwrap_body<T: Any + Clone>(body: Rc<T>) -> T {
 
 /// Wire wrapper for a coalesced batch of same-type requests sharing one
 /// envelope (and one [`Deadline`]). Servers that understand batches receive
-/// it through [`recv_incoming`] as [`Incoming::Batch`] and answer every item
+/// it through [`serve_incoming`] as [`Incoming::Batch`] and answer every item
 /// in order with [`Responder::reply_batch`].
 #[derive(Debug, Clone)]
 pub struct Batch<Req> {
@@ -106,26 +110,29 @@ pub struct BatchReply<Resp> {
 }
 
 /// Errors surfaced by [`RpcClient::call`].
+///
+/// Silence is the only failure: a pending call's reply sender sits in the
+/// client's own routing table until the reply sink takes it out to send, or
+/// the timed-out call removes it — nothing can drop it unsent, so there is
+/// no "endpoint closed" case. A caller whose node is killed is dropped with
+/// its task; one living elsewhere times out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcError {
     /// No reply within the timeout (dead peer, partition, or lost message).
     Timeout,
-    /// The local node died while the call was in flight.
-    Closed,
 }
 
 impl std::fmt::Display for RpcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RpcError::Timeout => write!(f, "rpc timed out"),
-            RpcError::Closed => write!(f, "rpc endpoint closed"),
         }
     }
 }
 
 impl std::error::Error for RpcError {}
 
-/// Reply-routing table shared between a client and its demux task.
+/// Reply-routing table shared between a client and its reply sink.
 type PendingReplies = Rc<RefCell<FastMap<u64, oneshot::Sender<Rc<dyn Any>>>>>;
 
 /// Client half of the RPC layer; lives on one node and may call any address.
@@ -140,25 +147,25 @@ pub struct RpcClient {
 }
 
 impl RpcClient {
-    /// Creates a client on `node`, binding `reply_port` for replies and
-    /// spawning its demultiplexer task there.
+    /// Creates a client on `node`, binding `reply_port` as the sink that
+    /// routes each reply to its pending call.
     pub fn new(handle: &SimHandle, node: NodeId, reply_port: u16) -> RpcClient {
-        let mailbox = handle.bind(Addr::new(node, reply_port));
+        let reply_addr = Addr::new(node, reply_port);
         let pending: PendingReplies = Rc::new(RefCell::new(FastMap::default()));
-        let pending2 = pending.clone();
-        handle.spawn_on(node, async move {
-            while let Some(pkt) = mailbox.recv().await {
-                let Ok(reply) = pkt.payload.downcast::<Reply>() else {
-                    continue; // stray packet on the reply port
-                };
-                if let Some(tx) = pending2.borrow_mut().remove(&reply.id) {
-                    let _ = tx.send(reply.body);
-                }
+        let route = pending.clone();
+        handle.bind_sink(reply_addr, move |pkt| {
+            let Ok(reply) = pkt.payload.downcast::<Reply>() else {
+                return; // stray packet on the reply port
+            };
+            // A late or duplicated reply finds no entry and is discarded.
+            let tx = route.borrow_mut().remove(&reply.id);
+            if let Some(tx) = tx {
+                let _ = tx.send(reply.body);
             }
         });
         RpcClient {
             handle: handle.clone(),
-            reply_addr: Addr::new(node, reply_port),
+            reply_addr,
             pending,
             next_id: Rc::new(Cell::new(0)),
         }
@@ -230,14 +237,11 @@ impl RpcClient {
             },
         );
         match self.handle.timeout(wait, rx).await {
-            Ok(Ok(body)) => Ok(unwrap_body(
-                body.downcast::<Resp>()
+            Ok(body) => Ok(unwrap_body(
+                body.expect("a pending reply sender is never dropped unsent")
+                    .downcast::<Resp>()
                     .expect("rpc reply type mismatch: protocol bug"),
             )),
-            Ok(Err(_)) => {
-                // Demux task died (our node was killed).
-                Err(RpcError::Closed)
-            }
             Err(_) => {
                 self.pending.borrow_mut().remove(&id);
                 Err(RpcError::Timeout)
@@ -351,6 +355,28 @@ impl Responder {
     }
 }
 
+/// Opens one packet from an RPC port: the still-erased request body, the
+/// sender, and the [`Responder`] that answers from `my_addr`.
+fn open_request(handle: &SimHandle, my_addr: Addr, pkt: Packet) -> (Rc<dyn Any>, Addr, Responder) {
+    let Request {
+        id,
+        reply_to,
+        deadline,
+        body,
+    } = *pkt
+        .payload
+        .downcast::<Request>()
+        .expect("non-rpc packet on rpc port");
+    let resp = Responder {
+        handle: handle.clone(),
+        my_addr,
+        reply_to,
+        deadline,
+        id,
+    };
+    (body, pkt.from, resp)
+}
+
 /// Receives the next typed request on `mailbox`.
 ///
 /// Returns `None` when the mailbox closes (node killed). Packets whose body
@@ -360,31 +386,11 @@ pub async fn recv_request<Req: Any + Clone>(
     mailbox: &Mailbox,
 ) -> Option<(Req, Addr, Responder)> {
     let pkt = mailbox.recv().await?;
-    let from = pkt.from;
-    let req = *pkt
-        .payload
-        .downcast::<Request>()
-        .expect("non-rpc packet on rpc port");
-    let Request {
-        id,
-        reply_to,
-        deadline,
-        body,
-    } = req;
+    let (body, from, resp) = open_request(handle, mailbox.addr(), pkt);
     let body = body
         .downcast::<Req>()
         .expect("rpc request type mismatch: protocol bug");
-    Some((
-        unwrap_body(body),
-        from,
-        Responder {
-            handle: handle.clone(),
-            my_addr: mailbox.addr(),
-            reply_to,
-            deadline,
-            id,
-        },
-    ))
+    Some((unwrap_body(body), from, resp))
 }
 
 /// A request as seen by a batch-aware server: either a plain request or a
@@ -398,48 +404,39 @@ pub enum Incoming<Req> {
     Batch(Vec<Req>),
 }
 
-/// Receives the next request on `mailbox`, accepting both plain `Req`
-/// bodies and [`Batch<Req>`] envelopes.
+/// Binds `addr` as a sink that calls `on_request` with each request at its
+/// delivery instant, accepting both plain `Req` bodies and [`Batch<Req>`]
+/// envelopes. No task sits between the network and the callback: a server
+/// that handles each request in its own task spawns it from `on_request`,
+/// one that answers without waiting replies there and then.
 ///
-/// Returns `None` when the mailbox closes (node killed). Packets whose body
-/// is neither panic — mixing request types on one port is a wiring bug.
-pub async fn recv_incoming<Req: Any + Clone>(
+/// [`SimHandle::kill_node`] drops `on_request` and unbinds `addr`. Packets
+/// whose body is neither a `Req` nor a `Batch<Req>` panic — mixing request
+/// types on one port is a wiring bug.
+///
+/// # Panics
+///
+/// Panics if the address is already bound or its node is dead.
+pub fn serve_incoming<Req: Any + Clone>(
     handle: &SimHandle,
-    mailbox: &Mailbox,
-) -> Option<(Incoming<Req>, Addr, Responder)> {
-    let pkt = mailbox.recv().await?;
-    let from = pkt.from;
-    let req = *pkt
-        .payload
-        .downcast::<Request>()
-        .expect("non-rpc packet on rpc port");
-    let Request {
-        id,
-        reply_to,
-        deadline,
-        body,
-    } = req;
-    let incoming = match body.downcast::<Req>() {
-        Ok(one) => Incoming::One(unwrap_body(one)),
-        Err(body) => Incoming::Batch(
-            unwrap_body(
-                body.downcast::<Batch<Req>>()
-                    .expect("rpc request type mismatch: protocol bug"),
-            )
-            .items,
-        ),
-    };
-    Some((
-        incoming,
-        from,
-        Responder {
-            handle: handle.clone(),
-            my_addr: mailbox.addr(),
-            reply_to,
-            deadline,
-            id,
-        },
-    ))
+    addr: Addr,
+    mut on_request: impl FnMut(Incoming<Req>, Addr, Responder) + 'static,
+) {
+    let h = handle.clone();
+    handle.bind_sink(addr, move |pkt| {
+        let (body, from, resp) = open_request(&h, addr, pkt);
+        let incoming = match body.downcast::<Req>() {
+            Ok(one) => Incoming::One(unwrap_body(one)),
+            Err(body) => Incoming::Batch(
+                unwrap_body(
+                    body.downcast::<Batch<Req>>()
+                        .expect("rpc request type mismatch: protocol bug"),
+                )
+                .items,
+            ),
+        };
+        on_request(incoming, from, resp);
+    });
 }
 
 #[cfg(test)]
@@ -505,23 +502,18 @@ mod tests {
         }
     }
 
-    /// Batch-aware echo: answers plain Pings and Batch<Ping> envelopes.
-    fn spawn_batch_echo(h: &SimHandle, node: NodeId) -> Addr {
-        let mb = h.bind(Addr::new(node, 0));
-        let h2 = h.clone();
-        let addr = mb.addr();
-        h.spawn_on(node, async move {
-            while let Some((incoming, _from, resp)) = recv_incoming::<Ping>(&h2, &mb).await {
-                match incoming {
-                    Incoming::One(Ping(v)) => resp.reply(Pong(v + 1)),
-                    Incoming::Batch(items) => resp.reply_batch(
-                        items
-                            .into_iter()
-                            .map(|Ping(v)| Pong(v + 1))
-                            .collect::<Vec<_>>(),
-                    ),
-                }
-            }
+    /// Batch-aware echo: answers plain Pings and Batch<Ping> envelopes,
+    /// at the delivery instant and without a task.
+    fn serve_batch_echo(h: &SimHandle, node: NodeId) -> Addr {
+        let addr = Addr::new(node, 0);
+        serve_incoming::<Ping>(h, addr, |incoming, _from, resp| match incoming {
+            Incoming::One(Ping(v)) => resp.reply(Pong(v + 1)),
+            Incoming::Batch(items) => resp.reply_batch(
+                items
+                    .into_iter()
+                    .map(|Ping(v)| Pong(v + 1))
+                    .collect::<Vec<_>>(),
+            ),
         });
         addr
     }
@@ -532,7 +524,7 @@ mod tests {
         let h = sim.handle();
         let hh = h.clone();
         let out = sim.block_on(async move {
-            let server = spawn_batch_echo(&hh, NodeId(2));
+            let server = serve_batch_echo(&hh, NodeId(2));
             let client = RpcClient::new(&hh, NodeId(1), 0);
             client
                 .call_batch::<Ping, Pong>(server, vec![Ping(1), Ping(2), Ping(3)], TIMEOUT)
@@ -547,7 +539,7 @@ mod tests {
         let h = sim.handle();
         let hh = h.clone();
         let out = sim.block_on(async move {
-            let server = spawn_batch_echo(&hh, NodeId(2));
+            let server = serve_batch_echo(&hh, NodeId(2));
             let client = RpcClient::new(&hh, NodeId(1), 0);
             client.call::<Ping, Pong>(server, Ping(7), TIMEOUT).await
         });
@@ -560,25 +552,21 @@ mod tests {
         let h = sim.handle();
         let hh = h.clone();
         let got = sim.block_on(async move {
-            let mb = hh.bind(Addr::new(NodeId(2), 0));
-            let h2 = hh.clone();
-            let jh = hh.spawn_on(NodeId(2), async move {
-                let (incoming, _, resp) = recv_incoming::<Ping>(&h2, &mb)
-                    .await
-                    .expect("mailbox closed");
+            let (tx, rx) = crate::sync::mpsc::channel();
+            serve_incoming::<Ping>(&hh, Addr::new(NodeId(2), 0), move |incoming, _, resp| {
                 match incoming {
                     Incoming::Batch(items) => {
                         assert!(!resp.expects_reply());
-                        items.len()
+                        tx.send(items.len()).unwrap();
                     }
                     Incoming::One(_) => panic!("expected batch"),
                 }
             });
             let client = RpcClient::new(&hh, NodeId(1), 0);
             client.cast_batch(Addr::new(NodeId(2), 0), vec![Ping(1), Ping(2)]);
-            jh.await
+            rx.recv().await
         });
-        assert_eq!(got, 2);
+        assert_eq!(got, Some(2));
     }
 
     #[test]
@@ -667,8 +655,8 @@ mod tests {
             hh.kill_node(victim);
             let stats = hh.timer_stats();
             assert_eq!((stats.cancelled, stats.pending), (3, 0));
-            // Let the wake-ups of the kill itself (closed mailbox, dropped
-            // reply route) drain; then nothing fires at the old deadlines.
+            // Let the wake-up of the kill itself (the dropped reply route)
+            // drain; then nothing fires at the old deadlines.
             hh.sleep(Duration::from_millis(1)).await;
             let polls = hh.polls();
             hh.sleep(TIMEOUT * 2).await;
@@ -696,8 +684,8 @@ mod tests {
     #[test]
     fn duplicated_requests_and_replies_round_trip() {
         // With 100% duplication every request and reply is delivered twice;
-        // the server simply answers twice and the demux drops the second
-        // reply (its pending entry is gone). Calls still succeed.
+        // the server simply answers twice and the reply sink drops the
+        // second reply (its pending entry is gone). Calls still succeed.
         let mut sim = Sim::new(21);
         let h = sim.handle();
         let hh = h.clone();
@@ -815,7 +803,7 @@ mod tests {
                 .call::<Ping, Pong>(Addr::new(NodeId(2), 0), Ping(1), Duration::from_millis(1))
                 .await;
             assert_eq!(r, Err(RpcError::Timeout));
-            // Wait for the late reply to arrive and be dropped by the demux.
+            // Wait for the late reply to arrive and be dropped by the sink.
             hh.sleep(Duration::from_millis(20)).await;
             // A fresh call still works (ids do not collide).
             let r2 = client
