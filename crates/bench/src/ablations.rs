@@ -221,11 +221,8 @@ pub fn run_clocks(scale: Scale) -> Json {
             .field("clock", Json::str(name))
             .field("alpha", Json::F64(alpha))
             .field("abort_rate", Json::F64(rate))
-            .field("abort_reasons", outcome.stats.abort_reasons.to_json())
-            .field(
-                "latency_ns",
-                outcome.stats.latency.snapshot().summary_json(),
-            );
+            .field("abort_reasons", outcome.stats.abort_reasons_json())
+            .field("latency_ns", outcome.stats.latency.summary_json());
         (name, rate, row)
     });
     let mut rows = Vec::new();
@@ -304,7 +301,6 @@ pub fn run_dftl(scale: Scale) -> Json {
             inner,
             DftlConfig {
                 cached_entries: ((keys as f64 * fraction) as usize).max(1),
-                ..DftlConfig::default()
             },
         );
         // Zipfian reads with 10% zipfian writes: a hot working set that a

@@ -7,8 +7,9 @@
 //!
 //! Exits 2 on a malformed command line or `REPRO_SCALE` before any work
 //! starts, 1 when an acceptance check failed (or an artifact could not be
-//! written), 0 otherwise. Build with `--features count-allocs` for
-//! `repro perf`'s allocation counts.
+//! written), 0 otherwise. Built with `--features count-allocs`, it also
+//! prints to stderr the allocations and bytes the experiment drove through
+//! the global allocator (byte-stable per seed at `--threads 1`).
 
 use bench::common::{Args, Scale};
 
@@ -35,6 +36,11 @@ fn main() {
     }
 
     let outcome = (exp.run)(&args, scale);
+    #[cfg(feature = "count-allocs")]
+    {
+        let counts = perfkit::alloc::AllocCounts::now();
+        eprintln!("allocations {}  bytes {}", counts.allocations, counts.bytes);
+    }
     if let Some(path) = &args.json {
         bench::artifact::write(path, exp.name, scale, outcome.data);
     }

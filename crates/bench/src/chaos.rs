@@ -19,6 +19,7 @@
 //! Fails when any seed has a violation or a failed audit.
 
 use faultkit::{run_seed_with_trace, CampaignConfig, CampaignReport, PlanKind};
+use milana::Fraud;
 
 use crate::common::{Args, Scale};
 use crate::Outcome;
@@ -29,7 +30,6 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
         Scale::Quick => (3u64, 50usize),
         Scale::Full => (8, 200),
     };
-    let injected = args.injected(&["validation-skip", "overload"]);
     let mut seeds: Vec<u64> = args.parsed("--seed");
     if seeds.is_empty() {
         seeds = (0..args.last_or("--seeds", n_seeds)).collect();
@@ -38,8 +38,8 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
         seeds,
         faults: args.last_or("--faults", faults),
         shards: args.last_or("--shards", 2u32),
-        skip_validation: injected.contains(&"validation-skip"),
-        plan: if injected.contains(&"overload") {
+        fraud: args.fraud(&["validation-skip", "overload"]),
+        plan: if args.values("--inject").any(|what| what == "overload") {
             PlanKind::Overload
         } else {
             PlanKind::Mixed
@@ -51,7 +51,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
         cfg.seeds.len(),
         cfg.faults,
         cfg.shards,
-        if cfg.skip_validation {
+        if cfg.fraud == Fraud::SkipValidation {
             " [validation-skip injected]"
         } else {
             ""

@@ -27,6 +27,7 @@ use std::time::Duration;
 use faultkit::{run_campaign, CampaignConfig, CampaignReport, PlanKind};
 use flashsim::BackendKind;
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
+use milana::Fraud;
 use obskit::Json;
 use simkit::Sim;
 use timesync::ClockSpec;
@@ -44,9 +45,10 @@ pub struct ClockFaultConfig {
     pub campaign_faults: usize,
     /// Virtual measurement window per run.
     pub measure: Duration,
-    /// Seeded fraud: servers track clock health but ignore the verdicts.
-    /// The campaign's checker must then flag a `clock_bound_breach`.
-    pub inject_uncertainty_skip: bool,
+    /// Seeded fraud ([`Fraud::SkipUncertainty`]: servers track clock health
+    /// but ignore the verdicts). The campaign's checker must then flag a
+    /// `clock_bound_breach`.
+    pub fraud: Fraud,
 }
 
 impl ClockFaultConfig {
@@ -61,7 +63,7 @@ impl ClockFaultConfig {
             sub_seeds: 3,
             campaign_faults: faults,
             measure: scale.measure() / 2,
-            inject_uncertainty_skip: false,
+            fraud: Fraud::None,
         }
     }
 
@@ -73,19 +75,24 @@ impl ClockFaultConfig {
             max_future_ns: 1_000_000,
         }
     }
+
+    /// True when the run carries the seeded fraud.
+    fn injected(&self) -> bool {
+        self.fraud != Fraud::None
+    }
 }
 
 /// `repro clockfault`.
 pub fn repro(args: &Args, scale: Scale) -> Outcome {
     let mut cfg = ClockFaultConfig::for_scale(scale);
     cfg.seed = args.last_or("--seed", cfg.seed);
-    cfg.inject_uncertainty_skip = !args.injected(&["uncertainty-skip"]).is_empty();
+    cfg.fraud = args.fraud(&["uncertainty-skip"]);
     eprintln!(
         "clockfault: 4 disciplines x {} sub-seed(s), {} campaign fault(s), seed {}{} ...",
         cfg.sub_seeds,
         cfg.campaign_faults,
         cfg.seed,
-        if cfg.inject_uncertainty_skip {
+        if cfg.injected() {
             " [uncertainty-skip injected]"
         } else {
             ""
@@ -98,7 +105,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
     Outcome::of_fraud_run(
         to_json(&cfg, &sweep, &degradation, &campaign),
         ok(&cfg, &sweep, &degradation, &campaign),
-        cfg.inject_uncertainty_skip,
+        cfg.injected(),
         "clock-bound checker missed the injected fraud",
     )
 }
@@ -216,7 +223,7 @@ pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
             name,
             skew_ns,
             outcome.stats.abort_rate(),
-            outcome.stats.commits.get(),
+            outcome.stats.commits,
             suspects_and_fences(&outcome.cluster).0,
         )
     });
@@ -276,7 +283,7 @@ fn degradation_run(cfg: &ClockFaultConfig, break_client: bool) -> (f64, u64, u64
         (Duration::from_millis(300), cfg.measure),
         || (),
     );
-    let goodput = stats.commits.get() as f64 / cfg.measure.as_secs_f64();
+    let goodput = stats.throughput(cfg.measure);
     let (suspects, fences) = suspects_and_fences(&cluster);
     (goodput, suspects, fences)
 }
@@ -315,7 +322,7 @@ pub fn run_fault_campaign(cfg: &ClockFaultConfig) -> CampaignReport {
         plan: PlanKind::ClockFault,
         clock_health: Some(health),
         clock_epsilon_ns: Some(eps),
-        skip_uncertainty: cfg.inject_uncertainty_skip,
+        fraud: cfg.fraud,
         ..CampaignConfig::default()
     })
 }
@@ -369,7 +376,7 @@ pub fn print(
         "clock-fault campaign: {} fault(s), {} violation(s) ({})",
         cfg.campaign_faults,
         campaign.violation_count(),
-        match (cfg.inject_uncertainty_skip, clean) {
+        match (cfg.injected(), clean) {
             (false, true) => "ok",
             (false, false) => "FAILED",
             (true, true) => "FRAUD MISSED",
@@ -392,10 +399,7 @@ pub fn to_json(
 ) -> Json {
     Json::obj()
         .field("seed", Json::U64(cfg.seed))
-        .field(
-            "inject_uncertainty_skip",
-            Json::Bool(cfg.inject_uncertainty_skip),
-        )
+        .field("inject_uncertainty_skip", Json::Bool(cfg.injected()))
         .field("sweep", Json::arr(sweep.iter().map(SweepPoint::to_json)))
         .field("degradation", degradation.to_json())
         .field("campaign", campaign.to_json())
@@ -420,7 +424,7 @@ pub fn ok(
     degradation: &Degradation,
     campaign: &CampaignReport,
 ) -> bool {
-    if cfg.inject_uncertainty_skip {
+    if cfg.injected() {
         fraud_caught(campaign)
     } else {
         sweep_ordered(sweep) && degradation.ok() && campaign.offending_seeds().is_empty()

@@ -7,7 +7,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
-use obskit::{Obs, TxnStats};
+use milana::Fraud;
+use obskit::{FrozenTxnStats, Obs, TxnStats};
 use retwis::driver::{run_instance, TxnSystem, WorkloadConfig};
 use simkit::rng::Zipf;
 use simkit::{Sim, SimHandle};
@@ -111,17 +112,12 @@ impl Args {
                 Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
                 None => (arg, None),
             };
-            let spec = SHARED_FLAGS
+            if !SHARED_FLAGS
                 .iter()
                 .chain(exp.flags)
-                .find(|spec| spec.split(' ').next() == Some(&flag))
-                .ok_or_else(|| format!("unknown argument {flag}"))?;
-            if !spec.contains(' ') {
-                if value.is_some() {
-                    return Err(format!("{flag} takes no value"));
-                }
-                parsed.own.push((flag, String::new()));
-                continue;
+                .any(|spec| spec.split(' ').next() == Some(&flag))
+            {
+                return Err(format!("unknown argument {flag}"));
             }
             let value = value
                 .or_else(|| it.next())
@@ -139,11 +135,6 @@ impl Args {
             }
         }
         Ok((Some(exp), parsed))
-    }
-
-    /// True when the switch `flag` was given.
-    pub fn has(&self, flag: &str) -> bool {
-        self.own.iter().any(|(f, _)| f == flag)
     }
 
     /// Every value given for `flag`, in order.
@@ -171,14 +162,23 @@ impl Args {
         self.parsed(flag).pop().unwrap_or(default)
     }
 
-    /// Every `--inject` value given; one not in `known` exits 2.
-    pub fn injected(&self, known: &[&str]) -> Vec<&str> {
-        let given: Vec<&str> = self.values("--inject").collect();
-        if let Some(what) = given.iter().find(|what| !known.contains(what)) {
-            eprintln!("unknown --inject {what}");
-            std::process::exit(2);
+    /// The server fraud `--inject` names, `Fraud::None` without one (chaos's
+    /// `overload` is a plan, not a fraud); a value not in `known` exits 2.
+    pub fn fraud(&self, known: &[&str]) -> Fraud {
+        let mut fraud = Fraud::None;
+        for what in self.values("--inject") {
+            if !known.contains(&what) {
+                eprintln!("unknown --inject {what}");
+                std::process::exit(2);
+            }
+            fraud = match what {
+                "validation-skip" => Fraud::SkipValidation,
+                "durability-skip" => Fraud::SkipDurability,
+                "uncertainty-skip" => Fraud::SkipUncertainty,
+                _ => fraud,
+            };
         }
-        given
+        fraud
     }
 }
 
@@ -257,7 +257,7 @@ pub fn clock_spectrum() -> [(Discipline, &'static str); 4] {
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Aggregated workload counters (measurement window only).
-    pub stats: TxnStats,
+    pub stats: FrozenTxnStats,
     /// Read-only commits decided locally in the window.
     pub local_validated: u64,
     /// The cluster, for its servers' and clients' counters.
@@ -306,7 +306,7 @@ pub fn run_retwis<S: TxnSystem>(
     instances_per_client: u32,
     (warmup, measure): (Duration, Duration),
     window_open: impl FnOnce(),
-) -> TxnStats {
+) -> FrozenTxnStats {
     let zipf = Rc::new(Zipf::new(wl.keyspace as usize, wl.zipf_alpha));
     let wl = Rc::new(wl);
     // Warm-up phase uses a throwaway stats sink.
@@ -329,7 +329,7 @@ pub fn run_retwis<S: TxnSystem>(
         measure,
         &stats,
     );
-    stats
+    stats.freeze()
 }
 
 /// One Retwis-over-MILANA run: boots `cluster_cfg` in a fresh simulation
@@ -381,10 +381,7 @@ mod tests {
             in_all: false,
             run: |_, _| unreachable!("the parser runs nothing"),
         };
-        vec![
-            row("fig7", &[]),
-            row("perf", &["--seed <S>", "--deterministic-only"]),
-        ]
+        vec![row("fig7", &[]), row("batch", &["--seed <S>"])]
     }
 
     fn check(args: &[&str]) -> Result<Args, String> {
@@ -414,19 +411,10 @@ mod tests {
 
     #[test]
     fn own_flags_come_back_in_order() {
-        let args = check(&[
-            "perf",
-            "--seed",
-            "3",
-            "--deterministic-only",
-            "--seed=5",
-            "--json=x",
-        ])
-        .unwrap();
+        let args = check(&["batch", "--seed", "3", "--seed=5", "--json=x"]).unwrap();
         assert_eq!(args.parsed::<u64>("--seed"), vec![3, 5]);
         assert_eq!(args.last_or("--seed", 1u64), 5);
         assert_eq!(args.last_or("--faults", 7usize), 7);
-        assert!(args.has("--deterministic-only"));
         assert_eq!(args.json, Some("x".into()));
     }
 
@@ -437,12 +425,13 @@ mod tests {
                 &["fig7", "--jsno", "out.json"][..],
                 "unknown argument --jsno",
             ),
-            (&["perf", "stray"], "unknown argument stray"),
-            (&["perf", "--seed"], "--seed needs a value"),
+            (&["batch", "stray"], "unknown argument stray"),
+            (&["batch", "--seed"], "--seed needs a value"),
             (&["fig7", "--json="], "--json needs a value"),
+            // Every flag takes a value: there is no switch to spell.
             (
-                &["perf", "--deterministic-only=1"],
-                "--deterministic-only takes no value",
+                &["batch", "--deterministic-only"],
+                "unknown argument --deterministic-only",
             ),
             // One experiment's own flag is unknown to another.
             (&["fig7", "--seed", "1"], "unknown argument --seed"),

@@ -80,7 +80,7 @@ fn run_point(
     clients: u32,
     cfg: &Fig6Config,
     seed: u64,
-) -> obskit::TxnStats {
+) -> obskit::FrozenTxnStats {
     let mut cluster_cfg = MilanaClusterConfig {
         replicas: 1, // single machine: storage layer without replication
         // Single-machine deployment: loopback-ish latencies.
@@ -132,7 +132,7 @@ pub fn run(cfg: &Fig6Config) -> Vec<Fig6Point> {
     }
     perfkit::pool::run_ordered_auto(items, |(kind, alpha, clients)| {
         let mut acc = 0.0;
-        let merged = obskit::TxnStats::new();
+        let mut merged = obskit::TxnStats::new().freeze();
         const SEEDS: u64 = 3;
         for r in 0..SEEDS {
             let seed = 600 + (alpha * 100.0) as u64 + clients as u64 + r * 7919;
@@ -145,7 +145,7 @@ pub fn run(cfg: &Fig6Config) -> Vec<Fig6Point> {
             alpha,
             clients,
             abort_rate: acc / SEEDS as f64,
-            stats: merged.freeze(),
+            stats: merged,
         }
     })
 }

@@ -101,7 +101,7 @@ fn run_point(
         backend: backend_name(kind),
         alpha,
         abort_rate: outcome.stats.abort_rate(),
-        stats: outcome.stats.freeze(),
+        stats: outcome.stats,
     }
 }
 
@@ -146,16 +146,16 @@ pub fn to_json(cfg: &Fig7Config, points: &[Fig7Point]) -> Json {
     });
     let mut by_clock = Json::obj();
     for sync in ["PTP", "NTP"] {
-        let merged = obskit::TxnStats::new();
+        let mut merged = obskit::TxnStats::new().freeze();
         for p in points.iter().filter(|p| p.sync == sync) {
-            merged.merge_frozen(&p.stats);
+            merged.merge_from(&p.stats);
         }
         by_clock = by_clock.field(
             sync,
             Json::obj()
                 .field("abort_rate", Json::F64(merged.abort_rate()))
-                .field("abort_reasons", merged.abort_reasons.to_json())
-                .field("latency_ns", merged.latency.snapshot().summary_json()),
+                .field("abort_reasons", merged.abort_reasons_json())
+                .field("latency_ns", merged.latency.summary_json()),
         );
     }
     Json::obj()

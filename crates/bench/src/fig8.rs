@@ -92,8 +92,8 @@ fn run_point(kind: BackendKind, lv: bool, clients: u32, cfg: &Fig8Config, seed: 
         lv,
         clients,
         throughput: outcome.stats.throughput(cfg.measure),
-        latency_us: outcome.stats.latency.snapshot().mean() / 1e3,
-        stats: outcome.stats.freeze(),
+        latency_us: outcome.stats.latency.mean() / 1e3,
+        stats: outcome.stats,
     }
 }
 

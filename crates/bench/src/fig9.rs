@@ -116,7 +116,7 @@ fn run_milana_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
         // MILANA validates every read-only transaction locally by design.
         local_fraction: 1.0,
         abort_rate: outcome.stats.abort_rate(),
-        stats: outcome.stats.freeze(),
+        stats: outcome.stats,
     }
 }
 
@@ -192,7 +192,7 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
             local as f64 / (local + remote) as f64
         },
         abort_rate: stats.abort_rate(),
-        stats: stats.freeze(),
+        stats,
     }
 }
 

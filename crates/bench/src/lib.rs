@@ -17,7 +17,6 @@
 //! | Cold-restart recovery (mount scan + MTTR) | [`recovery`] | `repro recovery` |
 //! | Clock-fault robustness (skew, fencing, ε bound) | [`clockfault`] | `repro clockfault` |
 //! | Randomized fault campaigns | [`chaos`] | `repro chaos` |
-//! | Host-time perf baselines | [`perf`] | `repro perf` |
 //!
 //! `repro all` runs the first eleven in that order; `repro --list` prints
 //! the table. Set `REPRO_SCALE=full` for larger, slower, closer-to-paper
@@ -42,7 +41,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod perf;
 pub mod readscale;
 pub mod rebalance;
 pub mod recovery;
@@ -89,8 +87,7 @@ pub struct Experiment {
     /// One line for `repro --list`.
     pub about: &'static str,
     /// The flags this experiment takes besides the shared `--json`,
-    /// `--threads` and `--trace`: `"--seed <S>"` takes a value,
-    /// `"--deterministic-only"` is a switch.
+    /// `--threads` and `--trace`, each spelled with its value: `"--seed <S>"`.
     pub flags: &'static [&'static str],
     /// Whether `repro all` runs it.
     pub in_all: bool,
@@ -101,7 +98,7 @@ pub struct Experiment {
 const SEED: &[&str] = &["--seed <S>"];
 
 #[rustfmt::skip] // one row, two lines
-static TABLE: [Experiment; 14] = [
+static TABLE: [Experiment; 13] = [
     Experiment { name: "table1", flags: &[], in_all: true, run: table1::repro,
         about: "Table 1: single-SSD VFTL vs MFTL" },
     Experiment { name: "fig6", flags: &[], in_all: true, run: fig6::repro,
@@ -130,9 +127,6 @@ static TABLE: [Experiment; 14] = [
         flags: &["--seed <S>", "--seeds <N>", "--faults <M>", "--shards <K>",
             "--inject <validation-skip|overload>"],
         about: "randomized fault campaigns with serializability checking" },
-    Experiment { name: "perf", flags: &["--seed <S>", "--deterministic-only"],
-        in_all: false, run: perf::repro,
-        about: "host-time microbenches and suite wall-clocks" },
     Experiment { name: "all", flags: &[], in_all: false, run: all,
         about: "the eleven experiments above chaos, at the seeds they default to" },
 ];

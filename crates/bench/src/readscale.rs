@@ -197,14 +197,14 @@ fn run_point(route: (&'static str, ReadRoute), cfg: &ReadScaleConfig, seed: u64)
     ReadScalePoint {
         route: route.0,
         throughput: outcome.stats.throughput(cfg.measure),
-        latency_us: outcome.stats.latency.snapshot().mean() / 1e3,
+        latency_us: outcome.stats.latency.mean() / 1e3,
         primary_reads,
         replica_reads,
         too_stale,
         cached_reads,
         local_validated: outcome.local_validated,
-        commits: outcome.stats.commits.get(),
-        aborts: outcome.stats.aborts.get(),
+        commits: outcome.stats.commits,
+        aborts: outcome.stats.aborts,
     }
 }
 

@@ -20,6 +20,7 @@
 //! fraud — proving the durability checks actually bite.
 
 use faultkit::{run_campaign, CampaignConfig, CampaignReport, PlanKind};
+use milana::Fraud;
 use obskit::Json;
 use recoverkit::{run_recovery_sweep, RecoverySpec, RecoveryTrial};
 
@@ -36,9 +37,10 @@ pub struct RecoveryConfig {
     pub spec: RecoverySpec,
     /// Faults in the power-fail campaign leg.
     pub campaign_faults: usize,
-    /// Seeded fraud: skip anti-entropy catch-up on cold restart. The run
-    /// must then detect lost acked writes in both legs.
-    pub inject_durability_skip: bool,
+    /// Seeded fraud ([`Fraud::SkipDurability`]: skip anti-entropy catch-up
+    /// on cold restart). The run must then detect lost acked writes in
+    /// both legs.
+    pub fraud: Fraud,
 }
 
 impl RecoveryConfig {
@@ -53,8 +55,13 @@ impl RecoveryConfig {
             store_sizes,
             spec: RecoverySpec::default(),
             campaign_faults: faults,
-            inject_durability_skip: false,
+            fraud: Fraud::None,
         }
+    }
+
+    /// True when the run carries the seeded fraud.
+    fn injected(&self) -> bool {
+        self.fraud != Fraud::None
     }
 }
 
@@ -62,13 +69,13 @@ impl RecoveryConfig {
 pub fn repro(args: &Args, scale: Scale) -> Outcome {
     let mut cfg = RecoveryConfig::for_scale(scale);
     cfg.seed = args.last_or("--seed", cfg.seed);
-    cfg.inject_durability_skip = !args.injected(&["durability-skip"]).is_empty();
+    cfg.fraud = args.fraud(&["durability-skip"]);
     eprintln!(
         "recovery: {} store size(s), {} campaign fault(s), seed {}{} ...",
         cfg.store_sizes.len(),
         cfg.campaign_faults,
         cfg.seed,
-        if cfg.inject_durability_skip {
+        if cfg.injected() {
             " [durability-skip injected]"
         } else {
             ""
@@ -80,7 +87,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
     Outcome::of_fraud_run(
         to_json(&cfg, &trials, &campaign),
         ok(&cfg, &trials, &campaign),
-        cfg.inject_durability_skip,
+        cfg.injected(),
         "durability checks missed the injected fraud",
     )
 }
@@ -89,7 +96,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
 pub fn run(cfg: &RecoveryConfig) -> Vec<RecoveryTrial> {
     let spec = RecoverySpec {
         seed: cfg.seed,
-        skip_durability: cfg.inject_durability_skip,
+        fraud: cfg.fraud,
         ..cfg.spec.clone()
     };
     run_recovery_sweep(&spec, &cfg.store_sizes)
@@ -102,7 +109,7 @@ pub fn run_powerfail_campaign(cfg: &RecoveryConfig) -> CampaignReport {
         faults: cfg.campaign_faults,
         plan: PlanKind::PowerFail,
         backup_reads: true,
-        skip_durability: cfg.inject_durability_skip,
+        fraud: cfg.fraud,
         ..CampaignConfig::default()
     })
 }
@@ -131,7 +138,7 @@ pub fn print(cfg: &RecoveryConfig, trials: &[RecoveryTrial], campaign: &Campaign
         "durability audit: {} trial(s), {} lost acked write(s) ({})",
         trials.len(),
         lost,
-        match (cfg.inject_durability_skip, lost) {
+        match (cfg.injected(), lost) {
             (false, 0) => "ok",
             (false, _) => "FAILED",
             (true, 0) => "FRAUD MISSED",
@@ -142,10 +149,7 @@ pub fn print(cfg: &RecoveryConfig, trials: &[RecoveryTrial], campaign: &Campaign
         "power-fail campaign: {} fault(s), {} violation(s) ({})",
         cfg.campaign_faults,
         campaign.violation_count(),
-        match (
-            cfg.inject_durability_skip,
-            campaign.offending_seeds().is_empty()
-        ) {
+        match (cfg.injected(), campaign.offending_seeds().is_empty()) {
             (false, true) => "ok",
             (false, false) => "FAILED",
             (true, true) => "FRAUD MISSED",
@@ -159,10 +163,7 @@ pub fn to_json(cfg: &RecoveryConfig, trials: &[RecoveryTrial], campaign: &Campai
     let sweep = Json::arr(trials.iter().map(RecoveryTrial::to_json));
     Json::obj()
         .field("seed", Json::U64(cfg.seed))
-        .field(
-            "inject_durability_skip",
-            Json::Bool(cfg.inject_durability_skip),
-        )
+        .field("inject_durability_skip", Json::Bool(cfg.injected()))
         .field("trials", sweep)
         .field("campaign", campaign.to_json())
         .field(
@@ -184,7 +185,7 @@ pub fn to_json(cfg: &RecoveryConfig, trials: &[RecoveryTrial], campaign: &Campai
 pub fn ok(cfg: &RecoveryConfig, trials: &[RecoveryTrial], campaign: &CampaignReport) -> bool {
     let sweep_clean = trials.iter().all(RecoveryTrial::clean);
     let campaign_clean = campaign.offending_seeds().is_empty();
-    if cfg.inject_durability_skip {
+    if cfg.injected() {
         !sweep_clean && !campaign_clean
     } else {
         sweep_clean && campaign_clean

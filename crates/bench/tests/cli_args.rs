@@ -3,21 +3,31 @@
 //! out.json` used to run to completion, exit 0 and write nothing), the
 //! shared flags are accepted by every experiment, and a value that does
 //! not parse — `--threads abc`, `REPRO_SCALE=Full` — is an error, not a
-//! silent default.
+//! silent default. The same table keeps the documents honest: the commands,
+//! repo paths and item paths they show must still exist.
 
 use std::process::Command;
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
-/// The experiment names `repro --list` prints (first word of each line).
-fn listed() -> Vec<String> {
+/// `repro --list`, one `(name, flags and value specs)` per row.
+fn listed_rows() -> Vec<(String, Vec<String>)> {
     let out = Command::new(REPRO).arg("--list").output().expect("spawn");
     assert!(out.status.success());
     String::from_utf8(out.stdout)
         .expect("utf-8")
         .lines()
-        .map(|line| line.split(' ').next().expect("name").to_string())
+        .map(|line| {
+            let mut words = line.split_whitespace().map(str::to_string);
+            let name = words.next().expect("name");
+            (name, words.skip_while(|w| !w.starts_with("--")).collect())
+        })
         .collect()
+}
+
+/// The experiment names `repro --list` prints.
+fn listed() -> Vec<String> {
+    listed_rows().into_iter().map(|(name, _)| name).collect()
 }
 
 /// Runs `repro` with `args`; returns its exit code and stderr. Every case
@@ -72,6 +82,13 @@ fn own_flags_are_per_binary() {
     let (code, err) = rejected(&["batch", "--seed", "x"]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("--seed: invalid value x"), "{err}");
+    // No experiment takes a switch: the one there was went with PR 23.
+    let (code, err) = rejected(&["batch", "--deterministic-only"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(
+        err.contains("unknown argument --deterministic-only"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -96,39 +113,242 @@ fn malformed_threads_and_scale_exit_2_instead_of_running_a_default() {
 
 #[test]
 fn unknown_experiment_exits_2() {
-    let (code, err) = rejected(&["fig10"]);
-    assert_eq!(code, Some(2), "{err}");
-    assert!(err.contains("unknown experiment fig10"), "{err}");
+    for name in ["fig10", "perf"] {
+        let (code, err) = rejected(&[name, "--seed", "42"]);
+        assert_eq!(code, Some(2), "{err}");
+        assert!(err.contains(&format!("unknown experiment {name}")), "{err}");
+    }
     let (code, _) = rejected(&[]);
     assert_eq!(code, Some(2));
 }
 
-/// Every `` `repro <word>` `` the two documents mention is an experiment
-/// `repro --list` names, and DESIGN.md's index misses none of them.
-#[test]
-fn list_names_every_experiment_the_docs_index() {
-    let listed = listed();
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let mut in_design = Vec::new();
-    for doc in ["DESIGN.md", "EXPERIMENTS.md"] {
-        let text = std::fs::read_to_string(format!("{root}/{doc}")).expect(doc);
-        for rest in text.split("`repro ").skip(1) {
-            let word: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric())
-                .collect();
-            if word.is_empty() {
-                continue; // `repro --list`, `repro <experiment>`
+/// The repo root, for the documents and the tree they are checked against.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// The documents whose code spans must resolve.
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "benchmark/README.md",
+];
+
+/// EXPERIMENTS.md sections that record what a past PR measured, with the
+/// commands and files of its day (the `perf` experiment, its snapshot file,
+/// the criterion shim): history, not instructions, so nothing in them is
+/// checked.
+const HISTORY: [&str; 4] = [
+    "### Timer pass",
+    "### Hash pass",
+    "### Collapse pass",
+    "### Message-plane pass",
+];
+
+/// `(document, path)` pairs a document may name although the tree has no
+/// such file. Both are in `benchmark/README.md`, which only a benchmark PR
+/// may edit: its default output directory (gitignored), and the snapshot
+/// file of the `perf` experiment PR 23 deleted (the same sentence still says
+/// `repro_perf`).
+const NOT_IN_TREE: [(&str, &str); 2] = [
+    ("benchmark/README.md", "benchmark/out"),
+    ("benchmark/README.md", "BENCH_perf.json"),
+];
+
+/// Every piece of code `doc` shows outside the [`HISTORY`] sections: each
+/// line of a fenced block, and each inline span with its whitespace (spans
+/// wrap across lines) collapsed.
+fn code_pieces(doc: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(format!("{ROOT}/{doc}")).expect(doc);
+    let (mut pieces, mut prose) = (Vec::new(), String::new());
+    let (mut fenced, mut history) = (false, false);
+    for line in text.lines() {
+        if line.starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            if !history {
+                pieces.push(line.to_string());
             }
-            assert!(listed.contains(&word), "{doc} names `repro {word}`");
-            if doc == "DESIGN.md" {
-                in_design.push(word);
+        } else {
+            if line.starts_with('#') {
+                history = HISTORY.iter().any(|h| line.starts_with(h));
+            }
+            if !history {
+                prose.push_str(line);
+                prose.push('\n');
             }
         }
     }
-    for name in &listed {
+    // Odd-numbered segments between backticks are the inline spans.
+    for span in prose.split('`').skip(1).step_by(2) {
+        pieces.push(span.split_whitespace().collect::<Vec<_>>().join(" "));
+    }
+    pieces
+}
+
+/// Every path under the repo root, relative to it (build output excluded).
+fn tree() -> Vec<String> {
+    fn walk(dir: &std::path::Path, root: &std::path::Path, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
+            let path = entry.path();
+            let name = entry.file_name();
+            if name == "target" || name == ".git" {
+                continue;
+            }
+            out.push(
+                path.strip_prefix(root)
+                    .expect("under root")
+                    .display()
+                    .to_string(),
+            );
+            if path.is_dir() {
+                walk(&path, root, out);
+            }
+        }
+    }
+    let root = std::path::Path::new(ROOT).canonicalize().expect("root");
+    let mut out = Vec::new();
+    walk(&root, &root, &mut out);
+    out
+}
+
+/// Every `repro <experiment> [flags]` command the documents show — inline
+/// or in a fenced block, run as `repro`, `./target/release/repro` or `cargo
+/// run … --bin repro --` — names an experiment `repro --list` prints and
+/// only flags (and `--inject` values) that experiment takes; and DESIGN.md's
+/// index misses no experiment.
+#[test]
+fn list_names_every_experiment_the_docs_index() {
+    let rows = listed_rows();
+    let trim = |word: &str| -> String {
+        word.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '-' && c != '<')
+            .to_string()
+    };
+    let mut in_design = Vec::new();
+    for doc in DOCS {
+        for piece in code_pieces(doc) {
+            let words: Vec<&str> = piece.split(' ').collect();
+            for (i, word) in words.iter().enumerate() {
+                let program = word.trim_start_matches(|c: char| !c.is_ascii_alphanumeric());
+                if program != "repro" && !program.ends_with("/repro") {
+                    continue;
+                }
+                // The command ends where a comment, pipe or redirect starts.
+                let mut rest = words[i + 1..]
+                    .iter()
+                    .take_while(|w| !["#", "|", "&&", ";", ">"].contains(w))
+                    .map(|w| trim(w))
+                    .peekable();
+                if rest.next_if(|w| w == "--features").is_some() {
+                    rest.next();
+                }
+                rest.next_if(|w| w == "--");
+                let Some(name) = rest
+                    .next()
+                    .filter(|w| !w.is_empty() && w.chars().all(|c| c.is_ascii_alphanumeric()))
+                else {
+                    continue; // `repro --list`, `repro <experiment>`, the bare word
+                };
+                let Some((_, flags)) = rows.iter().find(|(n, _)| *n == name) else {
+                    panic!("{doc} shows `repro {name}`: no such experiment ({piece})");
+                };
+                if doc == "DESIGN.md" {
+                    in_design.push(name.clone());
+                }
+                while let Some(flag) = rest.next() {
+                    if !flag.starts_with("--") {
+                        continue;
+                    }
+                    let (flag, value) = match flag.split_once('=') {
+                        Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+                        None => (flag, None),
+                    };
+                    let own = flags.iter().position(|f| *f == flag);
+                    assert!(
+                        own.is_some() || ["--json", "--threads", "--trace"].contains(&&*flag),
+                        "{doc} shows `repro {name} {flag}`: no such flag ({piece})"
+                    );
+                    if flag == "--inject" {
+                        let value = value.or_else(|| rest.next()).unwrap_or_default();
+                        let spec = &flags[own.expect("checked") + 1];
+                        assert!(
+                            spec.trim_matches(['<', '>']).split('|').any(|v| v == value),
+                            "{doc} shows `repro {name} --inject {value}`: not in {spec}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    for (name, _) in &rows {
         assert!(in_design.contains(name), "DESIGN.md never names {name}");
     }
+}
+
+/// Every repo path and every `path::to::item` the documents put in a code
+/// span of its own exists: a path resolves against the repo root, `crates/`
+/// or the document's own directory (a bare file name: anywhere in the
+/// tree); each segment of an item path is a crate or an identifier some
+/// non-comment source line still uses.
+#[test]
+fn docs_name_only_paths_and_items_the_tree_has() {
+    let tree = tree();
+    let mut idents = std::collections::HashSet::new();
+    for file in tree.iter().filter(|f| f.ends_with(".rs")) {
+        let text = std::fs::read_to_string(format!("{ROOT}/{file}")).expect("source");
+        for line in text.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            let words = line.split(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+            idents.extend(words.map(str::to_string));
+        }
+    }
+    let is_ident = |s: &str| {
+        !s.is_empty()
+            && !s.starts_with(|c: char| c.is_ascii_digit())
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        for piece in code_pieces(doc).iter().filter(|p| !p.contains(' ')) {
+            let item = piece.trim_end_matches("()");
+            if item.contains("::") && item.split("::").all(is_ident) {
+                for segment in item.split("::") {
+                    if !idents.contains(segment) && !tree.contains(&format!("crates/{segment}")) {
+                        missing.push(format!("{doc}: `{piece}` ({segment} is gone)"));
+                    }
+                }
+                continue;
+            }
+            let first = piece.split('/').next().expect("split yields one");
+            let is_file = [
+                ".rs", ".md", ".json", ".sh", ".toml", ".yml", ".txt", ".lock",
+            ]
+            .iter()
+            .any(|ext| piece.ends_with(ext));
+            let in_a_dir = piece.contains('/')
+                && (tree.iter().any(|t| t == first) || tree.contains(&format!("crates/{first}")));
+            let plain = piece
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || "/._-".contains(c));
+            if !plain || piece.starts_with(['/', '-', '.']) || !(is_file || in_a_dir) {
+                continue; // a glob, a placeholder, a flag, a ratio: not a repo path
+            }
+            let path = piece.trim_end_matches('/');
+            let here = std::path::Path::new(doc).parent().expect("relative");
+            let found = tree.iter().any(|t| {
+                t == path
+                    || *t == format!("crates/{path}")
+                    || *t == here.join(path).display().to_string()
+                    || (!path.contains('/') && t.ends_with(&format!("/{path}")))
+            });
+            if !found && !NOT_IN_TREE.contains(&(doc, path)) {
+                missing.push(format!("{doc}: `{piece}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "stale references:\n{}",
+        missing.join("\n")
+    );
 }
 
 /// A failed acceptance check exits 1 through the one `if !outcome.ok` in

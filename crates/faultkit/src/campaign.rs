@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use flashsim::Key;
 use milana::client::TxnOpts;
+use milana::Fraud;
 use obskit::Json;
 use rand::Rng;
 
@@ -45,27 +46,16 @@ pub struct CampaignConfig {
     /// which disables every provenance-based check (see
     /// [`crate::history`]). Auto-sizing keeps ~2.5x headroom over that.
     pub trace_capacity: usize,
-    /// Seeded-bug mode: primaries vote yes without validating, so the
-    /// checker has a real serializability bug to catch.
-    pub skip_validation: bool,
+    /// Seeded-bug mode: every replica misbehaves this way, so the checker
+    /// has a real bug to catch (see [`Fraud`]).
+    pub fraud: Fraud,
     /// Which fault classes the seeded plan draws from.
     pub plan: PlanKind,
-    /// Seeded-bug mode: cold-restarting replicas adopt the mounted floor
-    /// as their applied watermark and serve immediately, skipping
-    /// anti-entropy catch-up — acked writes that were still in volatile
-    /// flash queues at the power failure silently vanish, and the checker
-    /// must catch it (`lost_acked_write` / `stale_backup_read`).
-    pub skip_durability: bool,
     /// Server-side clock-health tracking: primaries estimate each client's
     /// timestamp-vs-arrival residual, refuse prepares outside the
     /// uncertainty window, and fence persistent outliers. `None` leaves
     /// the fence off (the historical behavior).
     pub clock_health: Option<clockkit::ClockHealthConfig>,
-    /// Seeded-bug mode: primaries track clock health but **ignore the
-    /// verdict** — suspect prepares sail through validation with their
-    /// bogus timestamps, and the checker must flag the resulting
-    /// `clock_bound_breach`.
-    pub skip_uncertainty: bool,
     /// Promised clock uncertainty handed to the checker
     /// ([`Checker::with_epsilon`]); `None` skips the clock-bound check.
     pub clock_epsilon_ns: Option<u64>,
@@ -86,11 +76,9 @@ impl Default for CampaignConfig {
             clients: 4,
             keys: 8,
             trace_capacity: 0,
-            skip_validation: false,
+            fraud: Fraud::None,
             plan: PlanKind::Mixed,
-            skip_durability: false,
             clock_health: None,
-            skip_uncertainty: false,
             clock_epsilon_ns: None,
             backup_reads: false,
         }
@@ -261,10 +249,8 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
     };
     let mut run = CounterRun::boot(seed, shape, cfg.keys, capacity, |cluster_cfg| {
         let tuning = &mut cluster_cfg.tuning;
-        tuning.skip_validation.set(cfg.skip_validation);
-        tuning.skip_durability.set(cfg.skip_durability);
+        tuning.fraud.set(cfg.fraud);
         tuning.clock_health = cfg.clock_health.clone();
-        tuning.skip_uncertainty.set(cfg.skip_uncertainty);
         tuning.admission.capacity = ADMISSION_CAPACITY;
         if cfg.backup_reads {
             cluster_cfg.client_cfg.read_route = readkit::ReadRoute::PowerOfTwo;
@@ -307,8 +293,8 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
     // With validation or durability disabled the workload genuinely loses
     // updates, so conservation is only meaningful in correct mode (the
     // seeded bugs are the *checker's* to catch).
-    let conservation_ok =
-        audit.total.is_some() && (cfg.skip_validation || cfg.skip_durability || audit.conserved);
+    let loses_updates = matches!(cfg.fraud, Fraud::SkipValidation | Fraud::SkipDurability);
+    let conservation_ok = audit.total.is_some() && (loses_updates || audit.conserved);
 
     let mut fault_counts: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for f in &report.applied {
@@ -478,7 +464,7 @@ mod tests {
             keys: 16,
             backup_reads: true,
             plan: PlanKind::PowerFail,
-            skip_durability: true,
+            fraud: Fraud::SkipDurability,
             ..CampaignConfig::default()
         };
         let report = run_campaign(&cfg);
@@ -544,7 +530,7 @@ mod tests {
         // true time inverts against real-time order by more than 2ε, and
         // the checker must flag the breach.
         let cfg = CampaignConfig {
-            skip_uncertainty: true,
+            fraud: Fraud::SkipUncertainty,
             ..clockfault_cfg()
         };
         let report = run_campaign(&cfg);
@@ -572,7 +558,7 @@ mod tests {
             faults: 0,
             clients: 4,
             keys: 1,
-            skip_validation: true,
+            fraud: Fraud::SkipValidation,
             ..CampaignConfig::default()
         };
         let report = run_campaign(&cfg);

@@ -9,7 +9,7 @@
 use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
-use crate::dram::{DramConfig, DramStore};
+use crate::dram::DramStore;
 use crate::mftl::{MftlConfig, UnifiedStore};
 use crate::nand::NandConfig;
 use crate::pftl::PageFtlConfig;
@@ -84,16 +84,13 @@ impl Backend {
     pub fn new(kind: BackendKind, handle: &SimHandle, nand: NandConfig) -> Backend {
         let blocks = nand.blocks as usize;
         match kind {
-            BackendKind::Dram => {
-                Backend::Dram(DramStore::new(handle.clone(), DramConfig::default()))
-            }
+            BackendKind::Dram => Backend::Dram(DramStore::new(handle.clone())),
             BackendKind::Sftl => Backend::Sftl(SingleVersionStore::new(
                 handle.clone(),
                 nand,
                 PageFtlConfig {
                     gc_low_water: (blocks / 16).max(3),
                     gc_reserve: (blocks / 64).max(1),
-                    ..PageFtlConfig::default()
                 },
             )),
             BackendKind::Vftl => {

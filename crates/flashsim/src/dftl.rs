@@ -29,23 +29,15 @@ use timesync::{Timestamp, Version};
 use crate::mftl::UnifiedStore;
 use crate::types::{Key, StoreError, Value, VersionedValue};
 
+/// Translations per flash translation page (amortizes dirty evictions):
+/// 4 KB page / 16 B per (key-hash, location) entry.
+pub const ENTRIES_PER_TRANSLATION_PAGE: usize = 256;
+
 /// Tuning for the demand-paged mapping front.
 #[derive(Debug, Clone)]
 pub struct DftlConfig {
     /// Key translations resident in DRAM.
     pub cached_entries: usize,
-    /// Translations per flash translation page (amortizes dirty evictions).
-    pub entries_per_translation_page: usize,
-}
-
-impl Default for DftlConfig {
-    fn default() -> DftlConfig {
-        DftlConfig {
-            cached_entries: 4096,
-            // 4 KB page / 16 B per (key-hash, location) entry.
-            entries_per_translation_page: 256,
-        }
-    }
 }
 
 /// Mapping-cache counters.
@@ -166,7 +158,7 @@ impl DemandMappedStore {
                 if let Some((_, dirty)) = st.resident.remove(&victim) {
                     if dirty {
                         st.pending_dirty += 1;
-                        if st.pending_dirty >= self.cfg.entries_per_translation_page {
+                        if st.pending_dirty >= ENTRIES_PER_TRANSLATION_PAGE {
                             st.pending_dirty = 0;
                             st.stats.translation_writes += 1;
                             flush = true;
@@ -247,7 +239,8 @@ mod tests {
         let inner = UnifiedStore::new(
             h.clone(),
             NandConfig {
-                blocks: 64,
+                // Room for a page per put of the longest test.
+                blocks: 128,
                 pages_per_block: 8,
                 channels: 4,
                 ..NandConfig::default()
@@ -266,7 +259,6 @@ mod tests {
             inner,
             DftlConfig {
                 cached_entries: cached,
-                entries_per_translation_page: 4,
             },
         )
     }
@@ -344,9 +336,10 @@ mod tests {
         sim.block_on({
             let s = s.clone();
             async move {
-                // Write 16 distinct keys through a 4-entry cache: 12 dirty
-                // evictions / 4 per translation page = 3 flushes.
-                for i in 0..16u64 {
+                // Write 772 distinct keys through a 4-entry cache: 768 dirty
+                // evictions / 256 per translation page = 3 flushes.
+                assert_eq!(ENTRIES_PER_TRANSLATION_PAGE, 256);
+                for i in 0..772u64 {
                     s.put(Key::from(i), value(vec![2; 16]), v(100 + i))
                         .await
                         .unwrap();

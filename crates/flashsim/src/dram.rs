@@ -16,23 +16,10 @@ use timesync::{Timestamp, Version};
 use crate::chain::Chain;
 use crate::types::{Key, StoreError, StoreStats, Value, VersionedValue};
 
-/// Tuning for a [`DramStore`].
-#[derive(Debug, Clone)]
-pub struct DramConfig {
-    /// Per-read latency (≤100 ns for NVM per §1).
-    pub read_latency: Duration,
-    /// Per-write latency.
-    pub write_latency: Duration,
-}
-
-impl Default for DramConfig {
-    fn default() -> DramConfig {
-        DramConfig {
-            read_latency: Duration::from_nanos(100),
-            write_latency: Duration::from_nanos(150),
-        }
-    }
-}
+/// Per-read latency (≤100 ns for NVM per §1).
+pub const READ_LATENCY: Duration = Duration::from_nanos(100);
+/// Per-write latency.
+pub const WRITE_LATENCY: Duration = Duration::from_nanos(150);
 
 #[derive(Debug, Default)]
 struct DramInner {
@@ -48,16 +35,14 @@ struct DramInner {
 #[derive(Debug, Clone)]
 pub struct DramStore {
     handle: SimHandle,
-    cfg: Rc<DramConfig>,
     inner: Rc<RefCell<DramInner>>,
 }
 
 impl DramStore {
     /// Creates an empty store.
-    pub fn new(handle: SimHandle, cfg: DramConfig) -> DramStore {
+    pub fn new(handle: SimHandle) -> DramStore {
         DramStore {
             handle,
-            cfg: Rc::new(cfg),
             inner: Rc::new(RefCell::new(DramInner::default())),
         }
     }
@@ -82,14 +67,14 @@ impl DramStore {
             }
             inner.apply(key, value, version);
         }
-        self.handle.sleep(self.cfg.write_latency).await;
+        self.handle.sleep(WRITE_LATENCY).await;
         Ok(())
     }
 
     /// Applies a possibly out-of-order replicated write (idempotent).
     pub async fn apply_unordered(&self, key: Key, value: Value, version: Version) {
         self.inner.borrow_mut().apply(key, value, version);
-        self.handle.sleep(self.cfg.write_latency).await;
+        self.handle.sleep(WRITE_LATENCY).await;
     }
 
     /// Applies a batch of unordered writes atomically (all visible at once),
@@ -101,7 +86,7 @@ impl DramStore {
                 inner.apply(key, value, version);
             }
         }
-        self.handle.sleep(self.cfg.write_latency).await;
+        self.handle.sleep(WRITE_LATENCY).await;
     }
 
     /// Snapshot read at `at`.
@@ -121,7 +106,7 @@ impl DramStore {
             inner.stats.gets += 1;
             out
         };
-        self.handle.sleep(self.cfg.read_latency).await;
+        self.handle.sleep(READ_LATENCY).await;
         Ok(out)
     }
 
@@ -231,7 +216,7 @@ mod tests {
     #[test]
     fn multi_version_reads() {
         let mut sim = Sim::new(1);
-        let s = DramStore::new(sim.handle(), DramConfig::default());
+        let s = DramStore::new(sim.handle());
         sim.block_on(async move {
             let k = Key::from(1u64);
             s.put(k.clone(), value(&b"a"[..]), v(10)).await.unwrap();
@@ -245,7 +230,7 @@ mod tests {
     fn writes_are_fast() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let s = DramStore::new(h.clone(), DramConfig::default());
+        let s = DramStore::new(h.clone());
         let hh = h.clone();
         sim.block_on(async move {
             let t0 = hh.now();
@@ -253,13 +238,18 @@ mod tests {
                 .await
                 .unwrap();
             assert_eq!(hh.now() - t0, Duration::from_nanos(150));
+            assert_eq!(WRITE_LATENCY, Duration::from_nanos(150));
+            let t1 = hh.now();
+            s.get_latest(&Key::from(1u64)).await.unwrap();
+            assert_eq!(hh.now() - t1, Duration::from_nanos(100));
+            assert_eq!(READ_LATENCY, Duration::from_nanos(100));
         });
     }
 
     #[test]
     fn watermark_prunes() {
         let mut sim = Sim::new(1);
-        let s = DramStore::new(sim.handle(), DramConfig::default());
+        let s = DramStore::new(sim.handle());
         sim.block_on(async move {
             let k = Key::from(1u64);
             for ts in [10, 20, 30] {
@@ -274,7 +264,7 @@ mod tests {
     #[test]
     fn stale_write_rejected() {
         let mut sim = Sim::new(1);
-        let s = DramStore::new(sim.handle(), DramConfig::default());
+        let s = DramStore::new(sim.handle());
         sim.block_on(async move {
             let k = Key::from(1u64);
             s.put(k.clone(), value(&b"a"[..]), v(20)).await.unwrap();

@@ -22,11 +22,12 @@ use crate::oob::PageOob;
 use crate::types::StoreError;
 use timesync::Timestamp;
 
+/// Fraction of physical capacity hidden from the logical space.
+pub const OVERPROVISION: f64 = 0.10;
+
 /// Tuning for a [`PageFtl`].
 #[derive(Debug, Clone)]
 pub struct PageFtlConfig {
-    /// Fraction of physical capacity hidden from the logical space.
-    pub overprovision: f64,
     /// Background GC starts when free blocks drop to this level.
     pub gc_low_water: usize,
     /// Blocks reserved exclusively for GC relocation (never user writes).
@@ -36,7 +37,6 @@ pub struct PageFtlConfig {
 impl Default for PageFtlConfig {
     fn default() -> PageFtlConfig {
         PageFtlConfig {
-            overprovision: 0.10,
             gc_low_water: 3,
             gc_reserve: 1,
         }
@@ -113,7 +113,7 @@ impl<P: Clone + 'static> PageFtl<P> {
     /// Creates an FTL over an existing device.
     pub fn over(handle: SimHandle, dev: NandDevice<P>, cfg: PageFtlConfig) -> PageFtl<P> {
         let total = dev.config().total_pages();
-        let logical_pages = ((total as f64) * (1.0 - cfg.overprovision)).floor() as u32;
+        let logical_pages = ((total as f64) * (1.0 - OVERPROVISION)).floor() as u32;
         let blocks = dev.config().blocks as usize;
         // One append point per channel where the device is big enough.
         let points = (dev.config().channels as usize).min((blocks / 8).max(1));
@@ -572,23 +572,20 @@ mod tests {
         let mut sim = Sim::new(1);
         let h = sim.handle();
         sim.block_on(async move {
-            let ftl: PageFtl<u32> = PageFtl::new(
-                h,
-                cfg(4), // 16 phys pages
-                PageFtlConfig {
-                    overprovision: 0.0,
-                    ..PageFtlConfig::default()
-                },
-            );
+            // 16 phys pages, a tenth of them hidden.
+            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(4), PageFtlConfig::default());
+            assert_eq!(OVERPROVISION, 0.10);
+            assert_eq!(ftl.logical_pages(), 14);
             // Fill every logical page with live data.
             let mut failed = None;
-            for lba in 0..16u32 {
+            for lba in 0..ftl.logical_pages() {
                 if let Err(e) = ftl.write(lba, lba).await {
                     failed = Some(e);
                     break;
                 }
             }
-            // With zero OP and all data live, late writes cannot proceed.
+            // The spare tenth is less than the block GC keeps for itself:
+            // with all data live, late writes cannot proceed.
             assert_eq!(failed, Some(StoreError::CapacityExhausted));
         });
     }

@@ -78,7 +78,6 @@ impl PackedStore<OverFtl> {
             PageFtlConfig {
                 gc_low_water: (blocks / 16).max(3),
                 gc_reserve: (blocks / 64).max(1),
-                ..PageFtlConfig::default()
             },
         );
         let (op_overhead, packing_window) = (cfg.op_overhead, cfg.packing_window);

@@ -157,51 +157,6 @@ impl Admission {
         })
     }
 
-    /// Tries to admit a coalesced batch as one unit, charging the sum of
-    /// the per-item `costs` (each clamped to ≥ 1, like [`Admission::try_admit`])
-    /// against the single envelope. The batch is admitted or refused
-    /// atomically: partial admission would let a shed envelope do part of
-    /// its work, which the per-item reply contract does not allow.
-    ///
-    /// An empty batch admits at cost 0 (the permit is a no-op).
-    pub fn try_admit_batch(&self, now_ns: u64, costs: &[u64]) -> Result<Permit, Shed> {
-        if costs.is_empty() {
-            return Ok(Permit {
-                state: self.state.clone(),
-                cost: 0,
-            });
-        }
-        let total: u64 = costs.iter().map(|c| (*c).max(1)).sum();
-        let mut s = self.state.borrow_mut();
-        if s.in_flight + total > s.capacity {
-            s.sheds_overload.inc();
-            let shed = Shed::Overloaded {
-                retry_after: s.retry_after,
-            };
-            s.tracer.record(
-                now_ns,
-                TraceEvent::Shed {
-                    node: s.node,
-                    reason: ShedReason::Overloaded,
-                },
-            );
-            s.trace_depth(now_ns);
-            return Err(shed);
-        }
-        s.in_flight += total;
-        s.admitted.add(costs.len() as u64);
-        s.depth.set(s.in_flight as i64);
-        if s.in_flight > s.high_water {
-            s.high_water = s.in_flight;
-            s.trace_depth(now_ns);
-        }
-        drop(s);
-        Ok(Permit {
-            state: self.state.clone(),
-            cost: total,
-        })
-    }
-
     /// Records a deadline-expired refusal (the deadline check itself lives
     /// at the server, which owns the request envelope).
     pub fn shed_deadline(&self, now_ns: u64) -> Shed {
@@ -300,32 +255,6 @@ mod tests {
         let _p = a.try_admit(0, 0).unwrap();
         assert_eq!(a.in_flight(), 1);
         assert!(a.try_admit(0, 0).is_err());
-    }
-
-    #[test]
-    fn batch_admission_is_all_or_nothing() {
-        let a = gate(8);
-        // 3 + 1 + 4 = 8 fits exactly; zero cost clamps to 1.
-        let p = a.try_admit_batch(0, &[3, 0, 4]).unwrap();
-        assert_eq!(a.in_flight(), 8);
-        // Even a single extra item is refused while the batch is in flight.
-        assert!(a.try_admit_batch(0, &[1]).is_err());
-        drop(p);
-        assert_eq!(a.in_flight(), 0);
-        // A batch whose sum exceeds capacity is refused whole: nothing leaks.
-        assert!(a.try_admit_batch(0, &[4, 5]).is_err());
-        assert_eq!(a.in_flight(), 0);
-        assert_eq!(a.sheds(), 2);
-    }
-
-    #[test]
-    fn empty_batch_admits_for_free() {
-        let a = gate(1);
-        let _full = a.try_admit(0, 1).unwrap();
-        let p = a.try_admit_batch(0, &[]).unwrap();
-        assert_eq!(a.in_flight(), 1);
-        drop(p);
-        assert_eq!(a.in_flight(), 1);
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub mod retry;
 pub mod shed;
 
 pub use admission::{Admission, AdmissionConfig, Permit};
-pub use retry::{BreakerState, RetryConfig, RetryPolicy};
+pub use retry::{BreakerState, RetryPolicy};
 pub use shed::Shed;

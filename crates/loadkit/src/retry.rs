@@ -11,12 +11,13 @@
 //!    arriving in waves. All draws come from an explicitly seeded RNG, so
 //!    runs are deterministic per seed.
 //! 2. **Retry budget** — a token bucket: every *first* attempt deposits
-//!    `budget_ratio` tokens, every retry spends one. Retry traffic is
-//!    asymptotically capped at `budget_ratio` of first-attempt traffic
-//!    (plus a small startup burst), no matter how many attempts fail.
-//! 3. **Circuit breaker** — per shard: `breaker_threshold` consecutive
+//!    [`BUDGET_RATIO`] tokens, every retry spends one. Retry traffic is
+//!    asymptotically capped at that ratio of first-attempt traffic (plus
+//!    the [`BUDGET_BURST`] startup allowance), no matter how many attempts
+//!    fail.
+//! 3. **Circuit breaker** — per shard: [`BREAKER_THRESHOLD`] consecutive
 //!    sheds trip it open and requests fail fast without touching the
-//!    network; after `breaker_cooldown` one probe is let through
+//!    network; after [`BREAKER_COOLDOWN`] one probe is let through
 //!    (half-open) and its outcome closes or re-opens the circuit.
 
 use perfkit::FastMap;
@@ -27,35 +28,19 @@ use obskit::{Counter, Obs, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Tuning for one client's retry discipline.
-#[derive(Debug, Clone)]
-pub struct RetryConfig {
-    /// Minimum backoff (the jitter draw's lower bound).
-    pub backoff_base: Duration,
-    /// Maximum backoff (the jitter draw's cap).
-    pub backoff_cap: Duration,
-    /// Retry tokens deposited per first attempt; retries spend one each.
-    pub budget_ratio: f64,
-    /// Token-bucket ceiling (also the startup allowance).
-    pub budget_burst: f64,
-    /// Consecutive sheds from one shard that trip its breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before half-opening.
-    pub breaker_cooldown: Duration,
-}
-
-impl Default for RetryConfig {
-    fn default() -> RetryConfig {
-        RetryConfig {
-            backoff_base: Duration::from_micros(500),
-            backoff_cap: Duration::from_millis(25),
-            budget_ratio: 0.2,
-            budget_burst: 10.0,
-            breaker_threshold: 8,
-            breaker_cooldown: Duration::from_millis(20),
-        }
-    }
-}
+/// Minimum backoff (the jitter draw's lower bound).
+pub const BACKOFF_BASE: Duration = Duration::from_micros(500);
+/// Maximum backoff (the jitter draw's cap).
+pub const BACKOFF_CAP: Duration = Duration::from_millis(25);
+/// Retry tokens deposited per first attempt; retries spend one each.
+pub const BUDGET_RATIO: f64 = 0.2;
+/// Token-bucket ceiling (also the startup allowance).
+pub const BUDGET_BURST: f64 = 10.0;
+/// Consecutive sheds from one shard that trip its breaker.
+pub const BREAKER_THRESHOLD: u32 = 8;
+/// How long a tripped breaker stays open before half-opening.
+pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(20);
+const COOLDOWN_NS: u64 = BREAKER_COOLDOWN.as_nanos() as u64;
 
 /// Observable state of one shard's circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +64,6 @@ enum Breaker {
 /// client owns exactly one policy so the budget actually binds.
 #[derive(Debug)]
 pub struct RetryPolicy {
-    cfg: RetryConfig,
     rng: RefCell<StdRng>,
     /// Previous jitter draw, nanoseconds (decorrelated-jitter state).
     prev_ns: Cell<u64>,
@@ -94,16 +78,16 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// A policy with detached (unregistered) metrics and no tracing.
-    pub fn new(cfg: RetryConfig, rng: StdRng) -> RetryPolicy {
-        RetryPolicy::build(cfg, rng, &Obs::default(), u64::MAX, false)
+    pub fn new(rng: StdRng) -> RetryPolicy {
+        RetryPolicy::build(rng, &Obs::default(), u64::MAX, false)
     }
 
     /// A policy reporting into `obs` under `loadkit.client<client>.*`.
-    pub fn observed(cfg: RetryConfig, rng: StdRng, obs: &Obs, client: u64) -> RetryPolicy {
-        RetryPolicy::build(cfg, rng, obs, client, true)
+    pub fn observed(rng: StdRng, obs: &Obs, client: u64) -> RetryPolicy {
+        RetryPolicy::build(rng, obs, client, true)
     }
 
-    fn build(cfg: RetryConfig, rng: StdRng, obs: &Obs, client: u64, register: bool) -> RetryPolicy {
+    fn build(rng: StdRng, obs: &Obs, client: u64, register: bool) -> RetryPolicy {
         let (retries, budget_exhausted, breaker_trips) = if register {
             let p = format!("loadkit.client{client}");
             (
@@ -118,11 +102,9 @@ impl RetryPolicy {
                 Counter::detached(),
             )
         };
-        let burst = cfg.budget_burst.max(0.0);
         RetryPolicy {
-            prev_ns: Cell::new(cfg.backoff_base.as_nanos() as u64),
-            tokens: Cell::new(burst),
-            cfg,
+            prev_ns: Cell::new(BACKOFF_BASE.as_nanos() as u64),
+            tokens: Cell::new(BUDGET_BURST),
             rng: RefCell::new(rng),
             breakers: RefCell::new(FastMap::default()),
             client,
@@ -133,15 +115,10 @@ impl RetryPolicy {
         }
     }
 
-    /// The configuration this policy runs under.
-    pub fn config(&self) -> &RetryConfig {
-        &self.cfg
-    }
-
-    /// Records one first attempt, depositing `budget_ratio` retry tokens
-    /// (capped at `budget_burst`).
+    /// Records one first attempt, depositing [`BUDGET_RATIO`] retry tokens
+    /// (capped at [`BUDGET_BURST`]).
     pub fn on_attempt(&self) {
-        let t = (self.tokens.get() + self.cfg.budget_ratio).min(self.cfg.budget_burst);
+        let t = (self.tokens.get() + BUDGET_RATIO).min(BUDGET_BURST);
         self.tokens.set(t);
     }
 
@@ -164,14 +141,10 @@ impl RetryPolicy {
         }
         self.tokens.set(t - 1.0);
         self.retries.inc();
-        let base = self.cfg.backoff_base.as_nanos() as u64;
-        let cap = self.cfg.backoff_cap.as_nanos() as u64;
-        let hi = self
-            .prev_ns
-            .get()
-            .saturating_mul(3)
-            .clamp(base, cap.max(base));
-        let jitter = self.rng.borrow_mut().gen_range(base..=hi.max(base));
+        let base = BACKOFF_BASE.as_nanos() as u64;
+        let cap = BACKOFF_CAP.as_nanos() as u64;
+        let hi = self.prev_ns.get().saturating_mul(3).clamp(base, cap);
+        let jitter = self.rng.borrow_mut().gen_range(base..=hi);
         self.prev_ns.set(jitter);
         let delay = Duration::from_nanos(jitter).max(hint.unwrap_or(Duration::ZERO));
         Some(delay)
@@ -203,8 +176,7 @@ impl RetryPolicy {
             Breaker::HalfOpen { since_ns } => {
                 // A probe whose outcome was never recorded (e.g. it timed
                 // out) must not wedge the breaker: re-probe each cooldown.
-                let cooldown = self.cfg.breaker_cooldown.as_nanos() as u64;
-                if now_ns >= since_ns.saturating_add(cooldown) {
+                if now_ns >= since_ns.saturating_add(COOLDOWN_NS) {
                     *b = Breaker::HalfOpen { since_ns: now_ns };
                     true
                 } else {
@@ -215,10 +187,9 @@ impl RetryPolicy {
     }
 
     /// Records a shed from `shard`, tripping its breaker after
-    /// `breaker_threshold` consecutive sheds (a half-open probe's shed
+    /// [`BREAKER_THRESHOLD`] consecutive sheds (a half-open probe's shed
     /// re-opens immediately).
     pub fn record_shed(&self, shard: u64, now_ns: u64) {
-        let cooldown = self.cfg.breaker_cooldown;
         let mut breakers = self.breakers.borrow_mut();
         let b = breakers
             .entry(shard)
@@ -226,9 +197,9 @@ impl RetryPolicy {
         match *b {
             Breaker::Closed { consecutive } => {
                 let consecutive = consecutive + 1;
-                if consecutive >= self.cfg.breaker_threshold {
+                if consecutive >= BREAKER_THRESHOLD {
                     *b = Breaker::Open {
-                        until_ns: now_ns.saturating_add(cooldown.as_nanos() as u64),
+                        until_ns: now_ns.saturating_add(COOLDOWN_NS),
                     };
                     self.breaker_trips.inc();
                 } else {
@@ -237,7 +208,7 @@ impl RetryPolicy {
             }
             Breaker::HalfOpen { .. } => {
                 *b = Breaker::Open {
-                    until_ns: now_ns.saturating_add(cooldown.as_nanos() as u64),
+                    until_ns: now_ns.saturating_add(COOLDOWN_NS),
                 };
                 self.breaker_trips.inc();
             }
@@ -273,14 +244,33 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn policy(cfg: RetryConfig) -> RetryPolicy {
-        RetryPolicy::new(cfg, StdRng::seed_from_u64(42))
+    fn policy() -> RetryPolicy {
+        RetryPolicy::new(StdRng::seed_from_u64(42))
+    }
+
+    /// Sheds from `shard` at `now_ns` until its breaker trips.
+    fn trip(p: &RetryPolicy, shard: u64, now_ns: u64) {
+        for _ in 0..BREAKER_THRESHOLD {
+            p.record_shed(shard, now_ns);
+        }
+    }
+
+    /// The constants are the defaults `RetryConfig` had while it was a
+    /// struct nobody set: moving one moves every artifact.
+    #[test]
+    fn constants_are_the_old_defaults() {
+        assert_eq!(BACKOFF_BASE, Duration::from_micros(500));
+        assert_eq!(BACKOFF_CAP, Duration::from_millis(25));
+        assert_eq!(BUDGET_RATIO, 0.2);
+        assert_eq!(BUDGET_BURST, 10.0);
+        assert_eq!(BREAKER_THRESHOLD, 8);
+        assert_eq!(BREAKER_COOLDOWN, Duration::from_millis(20));
     }
 
     #[test]
     fn same_seed_same_backoff_sequence() {
-        let a = policy(RetryConfig::default());
-        let b = policy(RetryConfig::default());
+        let a = policy();
+        let b = policy();
         for _ in 0..8 {
             a.on_attempt();
             b.on_attempt();
@@ -290,45 +280,44 @@ mod tests {
 
     #[test]
     fn backoff_stays_within_base_and_cap() {
-        let cfg = RetryConfig {
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(10),
-            budget_burst: 1000.0,
-            ..RetryConfig::default()
-        };
-        let p = policy(cfg.clone());
+        let p = policy();
+        let mut longest = Duration::ZERO;
         for _ in 0..200 {
-            p.on_attempt();
+            // Five first attempts pay for one retry.
+            for _ in 0..5 {
+                p.on_attempt();
+            }
             let d = p.try_retry(0, None).unwrap();
-            assert!(d >= cfg.backoff_base, "{d:?}");
-            assert!(d <= cfg.backoff_cap, "{d:?}");
+            assert!(d >= BACKOFF_BASE, "{d:?}");
+            assert!(d <= BACKOFF_CAP, "{d:?}");
+            longest = longest.max(d);
         }
+        assert!(
+            longest > BACKOFF_CAP / 2,
+            "the draws never grew: {longest:?}"
+        );
     }
 
     #[test]
     fn server_hint_floors_the_delay() {
-        let p = policy(RetryConfig {
-            backoff_cap: Duration::from_millis(2),
-            ..RetryConfig::default()
-        });
+        let p = policy();
         p.on_attempt();
-        let hint = Duration::from_millis(50);
+        let hint = 2 * BACKOFF_CAP;
         assert_eq!(p.try_retry(0, Some(hint)).unwrap(), hint);
     }
 
     #[test]
     fn budget_caps_retries_at_ratio_of_attempts() {
-        let p = policy(RetryConfig {
-            budget_ratio: 0.5,
-            budget_burst: 2.0,
-            ..RetryConfig::default()
-        });
-        // Startup burst: 2 tokens.
-        assert!(p.try_retry(0, None).is_some());
-        assert!(p.try_retry(0, None).is_some());
+        let p = policy();
+        // Startup burst: ten tokens.
+        for _ in 0..10 {
+            assert!(p.try_retry(0, None).is_some());
+        }
         assert!(p.try_retry(0, None).is_none());
-        // Two first attempts deposit 0.5 each -> one more retry allowed.
-        p.on_attempt();
+        // Five first attempts deposit 0.2 each -> one more retry allowed.
+        for _ in 0..4 {
+            p.on_attempt();
+        }
         assert!(p.try_retry(0, None).is_none());
         p.on_attempt();
         assert!(p.try_retry(0, None).is_some());
@@ -337,77 +326,59 @@ mod tests {
 
     #[test]
     fn deposits_cap_at_burst() {
-        let p = policy(RetryConfig {
-            budget_ratio: 1.0,
-            budget_burst: 3.0,
-            ..RetryConfig::default()
-        });
+        let p = policy();
+        assert!(p.try_retry(0, None).is_some());
         for _ in 0..100 {
             p.on_attempt();
         }
-        assert_eq!(p.budget_tokens(), 3.0);
+        assert_eq!(p.budget_tokens(), BUDGET_BURST);
     }
 
     #[test]
     fn breaker_trips_half_opens_and_recovers() {
-        let cfg = RetryConfig {
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(10),
-            ..RetryConfig::default()
-        };
-        let p = policy(cfg);
-        let cd = Duration::from_millis(10).as_nanos() as u64;
+        let p = policy();
         assert!(p.shard_allows(0, 0));
-        p.record_shed(0, 0);
-        p.record_shed(0, 0);
+        for _ in 1..BREAKER_THRESHOLD {
+            p.record_shed(0, 0);
+        }
         assert!(p.shard_allows(0, 0), "below threshold stays closed");
         p.record_shed(0, 0);
         assert_eq!(p.breaker_state(0, 0), BreakerState::Open);
-        assert!(!p.shard_allows(0, cd - 1));
+        assert!(!p.shard_allows(0, COOLDOWN_NS - 1));
         // Cooldown elapsed: exactly one probe allowed.
-        assert!(p.shard_allows(0, cd));
-        assert!(!p.shard_allows(0, cd + 1));
+        assert!(p.shard_allows(0, COOLDOWN_NS));
+        assert!(!p.shard_allows(0, COOLDOWN_NS + 1));
         // Probe succeeded -> closed again.
         p.record_ok(0);
-        assert_eq!(p.breaker_state(0, cd + 2), BreakerState::Closed);
-        assert!(p.shard_allows(0, cd + 2));
+        assert_eq!(p.breaker_state(0, COOLDOWN_NS + 2), BreakerState::Closed);
+        assert!(p.shard_allows(0, COOLDOWN_NS + 2));
     }
 
     #[test]
     fn half_open_probe_shed_reopens() {
-        let p = policy(RetryConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_millis(1),
-            ..RetryConfig::default()
-        });
-        p.record_shed(5, 0);
-        let cd = 1_000_000u64;
-        assert!(p.shard_allows(5, cd));
-        p.record_shed(5, cd);
-        assert_eq!(p.breaker_state(5, cd), BreakerState::Open);
+        let p = policy();
+        trip(&p, 5, 0);
+        assert!(p.shard_allows(5, COOLDOWN_NS));
+        p.record_shed(5, COOLDOWN_NS);
+        assert_eq!(p.breaker_state(5, COOLDOWN_NS), BreakerState::Open);
     }
 
     #[test]
     fn lost_probe_does_not_wedge_the_breaker() {
-        let p = policy(RetryConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_millis(1),
-            ..RetryConfig::default()
-        });
-        p.record_shed(5, 0);
-        let cd = 1_000_000u64;
-        assert!(p.shard_allows(5, cd)); // probe sent, outcome lost
-        assert!(!p.shard_allows(5, cd + 1));
-        assert!(p.shard_allows(5, 2 * cd), "re-probes after a cooldown");
+        let p = policy();
+        trip(&p, 5, 0);
+        assert!(p.shard_allows(5, COOLDOWN_NS)); // probe sent, outcome lost
+        assert!(!p.shard_allows(5, COOLDOWN_NS + 1));
+        assert!(
+            p.shard_allows(5, 2 * COOLDOWN_NS),
+            "re-probes after a cooldown"
+        );
     }
 
     #[test]
     fn breakers_are_per_shard() {
-        let p = policy(RetryConfig {
-            breaker_threshold: 1,
-            ..RetryConfig::default()
-        });
-        p.record_shed(0, 0);
+        let p = policy();
+        trip(&p, 0, 0);
         assert!(!p.shard_allows(0, 0));
         assert!(p.shard_allows(1, 0));
     }
@@ -415,21 +386,14 @@ mod tests {
     #[test]
     fn observed_policy_reports_metrics_and_traces() {
         let obs = Obs::with_trace(16);
-        let p = RetryPolicy::observed(
-            RetryConfig {
-                budget_burst: 1.0,
-                breaker_threshold: 1,
-                ..RetryConfig::default()
-            },
-            StdRng::seed_from_u64(1),
-            &obs,
-            3,
-        );
-        assert!(p.try_retry(0, None).is_some());
+        let p = RetryPolicy::observed(StdRng::seed_from_u64(1), &obs, 3);
+        for _ in 0..10 {
+            assert!(p.try_retry(0, None).is_some());
+        }
         assert!(p.try_retry(5, None).is_none());
-        p.record_shed(2, 5);
+        trip(&p, 2, 5);
         let snap = obs.registry.snapshot().to_string();
-        assert!(snap.contains(r#""loadkit.client3.retries":1"#), "{snap}");
+        assert!(snap.contains(r#""loadkit.client3.retries":10"#), "{snap}");
         assert!(
             snap.contains(r#""loadkit.client3.budget_exhausted":1"#),
             "{snap}"

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Key, Value};
-use loadkit::{RetryConfig, RetryPolicy};
+use loadkit::RetryPolicy;
 use obskit::{Obs, TraceEvent};
 use readkit::{ReadRoute, ReplicaView, VersionCache};
 use semel::client::ClientCore;
@@ -67,9 +67,6 @@ pub struct TxnClientConfig {
     /// Observability: metric registry plus (optionally enabled) structured
     /// trace sink. Defaults to metrics-only.
     pub obs: Obs,
-    /// Client-side overload behavior: backoff jitter, the retry budget,
-    /// and the per-shard circuit breaker.
-    pub retry: RetryConfig,
     /// Coordinator-plane coalescing: Prepares/Outcomes bound for the same
     /// shard primary ride one envelope per flush window, with the client's
     /// watermark piggybacked on envelopes instead of its own RPC tick.
@@ -79,9 +76,6 @@ pub struct TxnClientConfig {
     /// read to a backup whose applied watermark covers `ts_begin`, falling
     /// back to the primary on `TooStale`. Default: primary-only.
     pub read_route: ReadRoute,
-    /// Capacity (entries) of the client-wide version cache feeding
-    /// cached transactions ([`TxnOpts::cached`]); 0 disables it.
-    pub cache_entries: usize,
     /// Bounded-staleness snapshots (readkit): [`TxnOpts::snapshot`]
     /// opens its snapshot this far behind the client clock. The applied
     /// floor trails real time by roughly a commit round-trip, so a small
@@ -101,10 +95,8 @@ impl Default for TxnClientConfig {
             validation: ValidationMode::Local,
             watermark_interval: Duration::from_millis(100),
             obs: Obs::new(),
-            retry: RetryConfig::default(),
             batch: BatchConfig::default(),
             read_route: ReadRoute::PrimaryOnly,
-            cache_entries: 4096,
             snapshot_lag: Duration::ZERO,
         }
     }
@@ -239,6 +231,10 @@ impl std::fmt::Debug for TxnClient {
 /// Reply port used by MILANA clients on their node.
 pub const TXN_CLIENT_RPC_PORT: u16 = 40;
 
+/// Capacity (entries) of the client-wide version cache feeding cached
+/// transactions ([`TxnOpts::cached`]).
+pub const CACHE_ENTRIES: usize = 4096;
+
 impl TxnClient {
     /// Creates the client and starts its watermark task. Draws one value
     /// from the simulation RNG (the clock seed).
@@ -259,7 +255,7 @@ impl TxnClient {
             id,
             map,
             (clock, clock_seed),
-            (cfg.retry.clone(), clock_seed ^ 0x9E37_79B9_7F4A_7C15),
+            clock_seed ^ 0x9E37_79B9_7F4A_7C15,
             &cfg.obs,
         );
         let client = TxnClient {
@@ -268,7 +264,7 @@ impl TxnClient {
             last_decided: Rc::new(Cell::new(Timestamp::ZERO)),
             active: Rc::new(RefCell::new(BTreeMap::new())),
             inflight_commits: Rc::new(RefCell::new(std::collections::BTreeSet::new())),
-            value_cache: Rc::new(RefCell::new(VersionCache::new(cfg.cache_entries))),
+            value_cache: Rc::new(RefCell::new(VersionCache::new(CACHE_ENTRIES))),
             wm_floor: Rc::new(Cell::new(Timestamp::ZERO)),
             view: Rc::new(RefCell::new(ReplicaView::new())),
             stats: Rc::new(RefCell::new(TxnClientStats::default())),

@@ -59,7 +59,7 @@ mod tests;
 pub use client::{CommitInfo, Txn, TxnClient, TxnClientConfig, TxnMode, TxnOpts, ValidationMode};
 pub use cluster::{MilanaCluster, MilanaClusterConfig};
 pub use msg::{AbortReason, PromoteError, TxnError, TxnId, TxnRequest, TxnResponse};
-pub use server::{ServerTuning, TxnServer, TxnServerConfig};
+pub use server::{Fraud, ServerTuning, TxnServer, TxnServerConfig};
 
 /// One-stop imports for driving a MILANA cluster: the client handle and
 /// its begin/validation options, the cluster harness, the error type, and

@@ -76,12 +76,10 @@ pub struct ServerTuning {
     pub obs: obskit::Obs,
     /// CTP scan period.
     pub ctp_scan_every: Duration,
-    /// Fault-injection hook: when set, primaries vote yes on every prepare
-    /// without running Algorithm-1 validation. Exists solely so chaos
-    /// harnesses can seed a serializability bug and prove the history
-    /// checker catches it. Shared (`Rc`) so one toggle reaches every
-    /// replica built from this tuning.
-    pub skip_validation: std::rc::Rc<std::cell::Cell<bool>>,
+    /// Fault-injection hook: the seeded misbehaviour, if any, of every
+    /// replica built from this tuning (shared, so one `set` reaches them
+    /// all).
+    pub fraud: std::rc::Rc<std::cell::Cell<Fraud>>,
     /// Admission-control limits for client-facing work (gets and prepares).
     /// Internal traffic — replication, outcomes, leases, recovery — is
     /// never shed: dropping it amplifies the very overload being shed.
@@ -99,13 +97,6 @@ pub struct ServerTuning {
     /// Records per anti-entropy catch-up page a cold-restarting replica
     /// pulls from its primary ([`TxnRequest::CatchUpFetch`]).
     pub catchup_batch: usize,
-    /// Fault-injection hook: when set, a cold restart trusts its mounted
-    /// flash state as-is — no anti-entropy catch-up, and the stale durable
-    /// floor is adopted as the applied watermark. Exists solely so chaos
-    /// harnesses can seed a durability bug (`--inject durability-skip`)
-    /// and prove the `lost_acked_write` / `stale_backup_read` checkers
-    /// catch it. Shared (`Rc`) so one toggle reaches every replica.
-    pub skip_durability: std::rc::Rc<std::cell::Cell<bool>>,
     /// Clock-health tracking: when set, primaries estimate each client's
     /// timestamp-vs-arrival residual, refuse prepares whose `ts_commit`
     /// leaves the client's uncertainty window ε (a definite
@@ -113,12 +104,29 @@ pub struct ServerTuning {
     /// persistent outliers so one runaway clock cannot inflate everyone's
     /// abort rate. `None` (the default) disables tracking entirely.
     pub clock_health: Option<clockkit::ClockHealthConfig>,
-    /// Fault-injection hook: when set, primaries keep *estimating* clock
-    /// health but stop *enforcing* it — suspect prepares sail through.
-    /// Exists solely so chaos harnesses can seed the `uncertainty-skip`
-    /// fraud and prove the `clock_bound_breach` checker catches it. Shared
-    /// (`Rc`) so one toggle reaches every replica built from this tuning.
-    pub skip_uncertainty: std::rc::Rc<std::cell::Cell<bool>>,
+}
+
+/// A seeded server misbehaviour. Exists solely so the fault campaigns can
+/// prove a checker live: each fraud breaks one guarantee, and the matching
+/// faultkit invariant must trip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Fraud {
+    /// Every replica follows the protocol.
+    #[default]
+    None,
+    /// Primaries vote yes on every prepare without running Algorithm-1
+    /// read validation (`--inject validation-skip`): lost updates slip
+    /// through and the checker must find the `serializability_cycle`.
+    SkipValidation,
+    /// A cold restart trusts its mounted flash state as-is — no
+    /// anti-entropy catch-up, and the stale durable floor is adopted as the
+    /// applied watermark (`--inject durability-skip`): the
+    /// `lost_acked_write` / `stale_backup_read` checkers must catch it.
+    SkipDurability,
+    /// Primaries keep *estimating* clock health but stop *enforcing* it —
+    /// suspect prepares sail through (`--inject uncertainty-skip`): the
+    /// checker must flag the `clock_bound_breach`.
+    SkipUncertainty,
 }
 
 impl Default for ServerTuning {
@@ -130,14 +138,12 @@ impl Default for ServerTuning {
             ctp_after: Duration::from_millis(500),
             ctp_scan_every: Duration::from_millis(200),
             obs: obskit::Obs::new(),
-            skip_validation: std::rc::Rc::new(std::cell::Cell::new(false)),
+            fraud: std::rc::Rc::default(),
             admission: loadkit::AdmissionConfig::default(),
             batch: BatchConfig::default(),
             gossip_every: None,
             catchup_batch: 64,
-            skip_durability: std::rc::Rc::new(std::cell::Cell::new(false)),
             clock_health: None,
-            skip_uncertainty: std::rc::Rc::new(std::cell::Cell::new(false)),
         }
     }
 }
@@ -1024,7 +1030,7 @@ impl TxnServer {
             // it never recovered: exactly the bug the `lost_acked_write`
             // checker exists to catch.
             _ => {
-                if self.cfg.tuning.skip_durability.get() {
+                if self.cfg.tuning.fraud.get() == Fraud::SkipDurability {
                     st.floor_expected = Some(seq + 1);
                     drop(st);
                     if ts < Timestamp::MAX {
@@ -1337,7 +1343,7 @@ impl TxnServer {
     /// the read rule) and returns true when the request must be refused
     /// with [`TxnResponse::ClockSuspect`]. A residual outside the client's
     /// uncertainty window ε, or a client fenced as a persistent outlier, is
-    /// traced either way; the `skip_uncertainty` fraud hook keeps the
+    /// traced either way; the [`Fraud::SkipUncertainty`] hook keeps the
     /// estimates updating but lets the request through, so the history
     /// checker's clock-bound invariant can prove it notices. Always false
     /// when tracking is off.
@@ -1371,7 +1377,7 @@ impl TxnServer {
             epsilon_ns,
             fenced,
         });
-        if self.cfg.tuning.skip_uncertainty.get() {
+        if self.cfg.tuning.fraud.get() == Fraud::SkipUncertainty {
             return false;
         }
         self.stats.borrow_mut().clock_suspects += 1;
@@ -1459,11 +1465,12 @@ impl TxnServer {
         // The chaos harness can disable read validation to seed a known
         // serializability bug (lost updates slip through); write-conflict
         // checks stay on so the table's exclusivity invariants hold.
-        let checked_reads: &[(Key, Version)] = if self.cfg.tuning.skip_validation.get() {
-            &[]
-        } else {
-            &reads
-        };
+        let checked_reads: &[(Key, Version)] =
+            if self.cfg.tuning.fraud.get() == Fraud::SkipValidation {
+                &[]
+            } else {
+                &reads
+            };
         let verdict = {
             let mut write_keys = self.scratch_write_keys.borrow_mut();
             write_keys.clear();
@@ -1834,7 +1841,7 @@ impl TxnServer {
         if report.floor > Timestamp::ZERO {
             self.state.borrow_mut().floors.rehydrate(report.floor);
         }
-        if self.cfg.tuning.skip_durability.get() {
+        if self.cfg.tuning.fraud.get() == Fraud::SkipDurability {
             // Fault-injection hook (`--inject durability-skip`): trust the
             // mounted state as-is — no anti-entropy, the stale durable
             // floor is adopted as the applied watermark, and the replica

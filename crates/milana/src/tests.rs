@@ -580,6 +580,7 @@ fn long_running_reader_survives_watermark_churn() {
 fn cached_transactions_skip_the_server_on_warm_keys() {
     // §4.3 future work: a transaction marked read-write in advance may read
     // from the client cache, but must then validate remotely.
+    assert_eq!(crate::client::CACHE_ENTRIES, 4096, "the old default");
     let mut sim = Sim::new(37);
     let h = sim.handle();
     let hh = h.clone();

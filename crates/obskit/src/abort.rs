@@ -127,14 +127,9 @@ impl AbortBreakdown {
 
     /// Adds another breakdown's counts into this one.
     pub fn merge_from(&self, other: &AbortBreakdown) {
-        self.merge_counts(&other.counts.borrow());
-    }
-
-    /// Adds a plain count array (a [`AbortBreakdown::snapshot`]) into
-    /// this one — the re-inflation half of the worker-thread handoff.
-    pub fn merge_counts(&self, other: &[u64; AbortClass::ALL.len()]) {
+        let theirs = other.snapshot();
         let mut mine = self.counts.borrow_mut();
-        for (a, b) in mine.iter_mut().zip(other) {
+        for (a, b) in mine.iter_mut().zip(theirs) {
             *a += b;
         }
     }

@@ -77,11 +77,6 @@ impl HistogramHandle {
         self.0.borrow_mut().record(v);
     }
 
-    /// Merges another histogram's samples into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        self.0.borrow_mut().merge(other);
-    }
-
     /// A point-in-time copy of the samples.
     pub fn snapshot(&self) -> Histogram {
         self.0.borrow().clone()

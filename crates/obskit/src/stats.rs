@@ -65,7 +65,7 @@ impl TxnStats {
 
     /// A bundle whose counters and latency histogram are registered under
     /// `prefix` (e.g. `"retwis"` yields `retwis.commits`, ...). The abort
-    /// breakdown and time series are exported via [`TxnStats::to_json`].
+    /// breakdown and time series are exported via [`FrozenTxnStats::to_json`].
     pub fn registered(registry: &Registry, prefix: &str) -> TxnStats {
         TxnStats {
             commits: registry.counter(&format!("{prefix}.commits")),
@@ -118,70 +118,9 @@ impl TxnStats {
         self.sheds.inc();
     }
 
-    /// Abort rate: aborted attempts over all attempts (the paper's
-    /// Figure 6 / 7 metric).
-    pub fn abort_rate(&self) -> f64 {
-        let attempts = self.commits.get() + self.aborts.get();
-        if attempts == 0 {
-            0.0
-        } else {
-            self.aborts.get() as f64 / attempts as f64
-        }
-    }
-
-    /// Committed transactions per virtual second over `elapsed`.
-    pub fn throughput(&self, elapsed: Duration) -> f64 {
-        self.commits.get() as f64 / elapsed.as_secs_f64()
-    }
-
-    /// Adds another bundle's counts and samples into this one (used to
-    /// aggregate across independent runs, e.g. per clock model).
-    pub fn merge_from(&self, other: &TxnStats) {
-        self.commits.add(other.commits.get());
-        self.aborts.add(other.aborts.get());
-        self.timeouts.add(other.timeouts.get());
-        self.abandoned.add(other.abandoned.get());
-        self.arrivals.add(other.arrivals.get());
-        self.sheds.add(other.sheds.get());
-        self.latency.merge_from(&other.latency.snapshot());
-        self.abort_reasons.merge_from(&other.abort_reasons);
-        // Window counts merge positionally (both series share the default
-        // window width).
-    }
-
-    /// Folds a frozen snapshot back into this live bundle — the same
-    /// aggregation as [`TxnStats::merge_from`] (the commit series is
-    /// deliberately left alone there too), for accumulating results that
-    /// crossed a worker-thread boundary.
-    pub fn merge_frozen(&self, other: &FrozenTxnStats) {
-        self.commits.add(other.commits);
-        self.aborts.add(other.aborts);
-        self.timeouts.add(other.timeouts);
-        self.abandoned.add(other.abandoned);
-        self.arrivals.add(other.arrivals);
-        self.sheds.add(other.sheds);
-        self.latency.merge_from(&other.latency);
-        self.abort_reasons.merge_counts(&other.abort_counts);
-    }
-
-    /// Deterministic JSON summary of the whole bundle.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("commits", Json::U64(self.commits.get()))
-            .field("aborts", Json::U64(self.aborts.get()))
-            .field("timeouts", Json::U64(self.timeouts.get()))
-            .field("abandoned", Json::U64(self.abandoned.get()))
-            .field("arrivals", Json::U64(self.arrivals.get()))
-            .field("sheds", Json::U64(self.sheds.get()))
-            .field("abort_rate", Json::F64(self.abort_rate()))
-            .field("abort_reasons", self.abort_reasons.to_json())
-            .field("latency_ns", self.latency.snapshot().summary_json())
-            .field("commit_series", self.commit_series.to_json())
-    }
-
-    /// A plain (`Send`) copy of the whole bundle, for handing results out
-    /// of a worker thread. Every derived value and JSON surface of
-    /// [`FrozenTxnStats`] is byte-identical to the live bundle's.
+    /// A plain (`Send`) copy of the whole bundle: what a finished run hands
+    /// out (also across a worker-thread boundary), and where every derived
+    /// value and JSON surface lives.
     pub fn freeze(&self) -> FrozenTxnStats {
         FrozenTxnStats {
             commits: self.commits.get(),
@@ -201,8 +140,8 @@ impl TxnStats {
 /// A [`TxnStats`] snapshot with no shared interior — plain counters, an
 /// owned [`Histogram`], owned abort and series counts — so a worker
 /// thread can return it across the pool boundary (`TxnStats` is
-/// `Rc`-backed and `!Send`). Mirrors the live bundle's derived metrics
-/// and JSON byte for byte.
+/// `Rc`-backed and `!Send`). The live bundle only records; rates, merging
+/// and JSON are here.
 #[derive(Debug, Clone)]
 pub struct FrozenTxnStats {
     /// Transactions that eventually committed.
@@ -225,7 +164,8 @@ pub struct FrozenTxnStats {
 }
 
 impl FrozenTxnStats {
-    /// Abort rate: aborted attempts over all attempts.
+    /// Abort rate: aborted attempts over all attempts (the paper's
+    /// Figure 6 / 7 metric).
     pub fn abort_rate(&self) -> f64 {
         let attempts = self.commits + self.aborts;
         if attempts == 0 {
@@ -249,9 +189,9 @@ impl FrozenTxnStats {
         self.abort_counts[idx]
     }
 
-    /// Adds another snapshot's counts and samples into this one (the
-    /// ordered-merge step after a parallel sweep; same aggregation as
-    /// [`TxnStats::merge_from`]).
+    /// Adds another snapshot's counts and samples into this one (used to
+    /// aggregate across independent runs, e.g. per clock model; series
+    /// windows merge positionally).
     pub fn merge_from(&mut self, other: &FrozenTxnStats) {
         self.commits += other.commits;
         self.aborts += other.aborts;
@@ -292,8 +232,7 @@ impl FrozenTxnStats {
             )
     }
 
-    /// Deterministic JSON summary — byte-identical to
-    /// [`TxnStats::to_json`] for the same recorded values.
+    /// Deterministic JSON summary of the whole bundle.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("commits", Json::U64(self.commits))
@@ -340,7 +279,7 @@ mod tests {
         assert_eq!(s.abort_reasons.get(AbortClass::UnknownOutcome), 1);
         assert_eq!(s.abort_reasons.get(AbortClass::Abandoned), 1);
         assert_eq!(s.commit_series.total(), 2);
-        let rate = s.abort_rate();
+        let rate = s.freeze().abort_rate();
         assert!((rate - 1.0 / 3.0).abs() < 1e-9, "{rate}");
     }
 
@@ -360,11 +299,12 @@ mod tests {
         a.record_commit(0, 100);
         b.record_commit(0, 300);
         b.record_abort(AbortClass::PreparedRead);
-        a.merge_from(&b);
-        assert_eq!(a.commits.get(), 2);
-        assert_eq!(a.aborts.get(), 1);
-        assert_eq!(a.latency.count(), 2);
-        assert_eq!(a.abort_reasons.get(AbortClass::PreparedRead), 1);
+        let mut merged = a.freeze();
+        merged.merge_from(&b.freeze());
+        assert_eq!(merged.commits, 2);
+        assert_eq!(merged.aborts, 1);
+        assert_eq!(merged.latency.count(), 2);
+        assert_eq!(merged.abort_count(AbortClass::PreparedRead), 1);
     }
 
     #[test]
@@ -378,7 +318,8 @@ mod tests {
         s.record_arrival();
         s.record_shed();
         let f = s.freeze();
-        assert_eq!(f.to_json().to_string(), s.to_json().to_string());
+        assert_eq!((f.commits, f.aborts, f.timeouts, f.abandoned), (2, 2, 1, 0));
+        assert_eq!((f.arrivals, f.sheds), (1, 1));
         assert_eq!(
             f.abort_reasons_json().to_string(),
             s.abort_reasons.to_json().to_string()
@@ -387,10 +328,23 @@ mod tests {
             f.commit_series_json().to_string(),
             s.commit_series.to_json().to_string()
         );
-        assert_eq!(f.abort_rate(), s.abort_rate());
+        assert_eq!(f.abort_rate(), 0.5);
         assert_eq!(
             f.abort_count(AbortClass::Validation),
             s.abort_reasons.get(AbortClass::Validation)
+        );
+        let doc = f.to_json().to_string();
+        assert!(
+            doc.starts_with(
+                r#"{"commits":2,"aborts":2,"timeouts":1,"abandoned":0,"arrivals":1,"sheds":1,"abort_rate":0.5,"abort_reasons":{"#
+            ),
+            "{doc}"
+        );
+        let latency = s.latency.snapshot().summary_json();
+        assert!(doc.contains(&format!(r#""latency_ns":{latency}"#)), "{doc}");
+        assert!(
+            doc.ends_with(r#""commit_series":{"window_ns":100000000,"counts":[1,0,0,1]}}"#),
+            "{doc}"
         );
     }
 
@@ -403,21 +357,17 @@ mod tests {
         b.record_abort(AbortClass::PreparedRead);
         b.record_timeout();
         let mut fa = a.freeze();
-        let fb = b.freeze();
-        a.merge_from(&b);
-        fa.merge_from(&fb);
-        // The live merge drops series counts (documented); the frozen
-        // merge keeps them positionally, so compare everything else.
-        assert_eq!(fa.commits, a.commits.get());
-        assert_eq!(fa.aborts, a.aborts.get());
-        assert_eq!(fa.timeouts, a.timeouts.get());
+        fa.merge_from(&b.freeze());
+        // One live bundle that recorded both runs is what the merge of
+        // their snapshots must equal, on every surface.
+        let both = TxnStats::new();
+        both.record_commit(0, 100);
+        both.record_commit(250_000_000, 300);
+        both.record_abort(AbortClass::PreparedRead);
+        both.record_timeout();
         assert_eq!(
-            fa.abort_reasons_json().to_string(),
-            a.abort_reasons.to_json().to_string()
-        );
-        assert_eq!(
-            fa.latency.summary_json().to_string(),
-            a.latency.snapshot().summary_json().to_string()
+            fa.to_json().to_string(),
+            both.freeze().to_json().to_string()
         );
     }
 

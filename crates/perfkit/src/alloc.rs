@@ -2,9 +2,9 @@
 //!
 //! Wraps the system allocator and counts allocations and requested bytes.
 //! For a deterministic single-threaded workload the counts are themselves
-//! deterministic, so `repro perf` can report allocations-per-suite as a
-//! byte-stable counter — a regression signal wall-clock timing can't give
-//! on a noisy runner.
+//! deterministic, so `repro <experiment>` built with the feature reports
+//! them as a byte-stable counter — a regression signal wall-clock timing
+//! can't give on a noisy runner.
 //!
 //! Register it in a binary with:
 //!
@@ -57,14 +57,6 @@ impl AllocCounts {
         AllocCounts {
             allocations: ALLOCATIONS.load(Ordering::Relaxed),
             bytes: BYTES.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counter deltas since an earlier snapshot.
-    pub fn since(&self, earlier: &AllocCounts) -> AllocCounts {
-        AllocCounts {
-            allocations: self.allocations.saturating_sub(earlier.allocations),
-            bytes: self.bytes.saturating_sub(earlier.bytes),
         }
     }
 }

@@ -24,8 +24,8 @@
 //!   the merged results — and therefore every `--json` artifact — are
 //!   byte-identical at any thread count.
 //! - [`alloc`] (feature `count-allocs`): a counting global allocator so
-//!   perf baselines can record allocations-per-suite as a deterministic
-//!   counter alongside wall-clock timings.
+//!   `repro <experiment>` can report the allocations a run made as a
+//!   deterministic counter.
 
 pub mod fxhash;
 pub mod pool;
@@ -53,11 +53,6 @@ pub fn fast_map_with_capacity<K, V>(cap: usize) -> FastMap<K, V> {
     FastMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// A [`FastSet`] with space for `cap` entries.
-pub fn fast_set_with_capacity<T>(cap: usize) -> FastSet<T> {
-    FastSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +65,7 @@ mod tests {
         assert_eq!(m.get(&1), Some(&"a"));
         assert_eq!(m.remove(&2), Some("b"));
         assert!(!m.contains_key(&2));
-        let mut s: FastSet<u64> = fast_set_with_capacity(4);
+        let mut s: FastSet<u64> = FastSet::default();
         assert!(s.insert(7));
         assert!(!s.insert(7));
     }

@@ -15,10 +15,10 @@
 //!
 //! Every trial ends with a durability audit: the last value acknowledged
 //! for each workload key must be readable from the recovered replica's
-//! backend. [`RecoverySpec::skip_durability`] re-uses milana's seeded
-//! fraud hook (adopt the mounted state, skip catch-up) so callers can
-//! prove the audit actually detects lost acked writes — `repro recovery
-//! --inject durability-skip` fails if it does not.
+//! backend. [`RecoverySpec::fraud`] passes milana's seeded fraud hook
+//! through ([`Fraud::SkipDurability`]: adopt the mounted state, skip
+//! catch-up) so callers can prove the audit actually detects lost acked
+//! writes — `repro recovery --inject durability-skip` fails if it does not.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -28,6 +28,7 @@ use std::time::Duration;
 use flashsim::{value, BackendKind, Key, NandConfig, Value};
 use milana::client::TxnOpts;
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
+use milana::Fraud;
 use obskit::{Json, Obs, RecoveryPhase, TraceEvent};
 use semel::shard::ShardId;
 use simkit::Sim;
@@ -65,10 +66,10 @@ pub struct RecoverySpec {
     pub catchup_batch: usize,
     /// Pages/second the mount scan reads OOB metadata at.
     pub mount_scan_rate: u64,
-    /// Fraud hook: the cold restart adopts the mounted state as-is and
-    /// skips catch-up. The trial's durability audit must then report
-    /// `lost_writes > 0`.
-    pub skip_durability: bool,
+    /// Fraud hook: under [`Fraud::SkipDurability`] the cold restart adopts
+    /// the mounted state as-is and skips catch-up. The trial's durability
+    /// audit must then report `lost_writes > 0`.
+    pub fraud: Fraud,
 }
 
 impl Default for RecoverySpec {
@@ -85,7 +86,7 @@ impl Default for RecoverySpec {
             outage_commits: 64,
             catchup_batch: 64,
             mount_scan_rate: 100_000,
-            skip_durability: false,
+            fraud: Fraud::None,
         }
     }
 }
@@ -114,7 +115,7 @@ pub struct RecoveryTrial {
     pub catchup_keys: u64,
     /// Acked writes whose last value is missing from the recovered
     /// replica's backend. Zero on every honest run; the durability fraud
-    /// (`skip_durability`) must make this positive.
+    /// ([`Fraud::SkipDurability`]) must make this positive.
     pub lost_writes: u64,
 }
 
@@ -181,7 +182,7 @@ fn cluster_config(spec: &RecoverySpec, obs: &Obs) -> MilanaClusterConfig {
     };
     cfg.tuning.obs = obs.clone();
     cfg.tuning.catchup_batch = spec.catchup_batch;
-    cfg.tuning.skip_durability.set(spec.skip_durability);
+    cfg.tuning.fraud.set(spec.fraud);
     cfg
 }
 

@@ -49,7 +49,7 @@ fn durability_skip_is_observed_as_lost_writes() {
     // commit acked during the outage is missing from the recovered
     // replica, and the trial's audit must say so.
     let spec = RecoverySpec {
-        skip_durability: true,
+        fraud: milana::Fraud::SkipDurability,
         ..small_spec()
     };
     let t = run_recovery_trial(&spec);

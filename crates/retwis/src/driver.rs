@@ -416,11 +416,8 @@ mod tests {
         assert!(stats.commits.get() > 50, "commits {}", stats.commits.get());
         assert_eq!(stats.abandoned.get(), 0);
         assert!(stats.latency.snapshot().mean() > 0.0);
-        assert!(
-            stats.abort_rate() < 0.5,
-            "abort rate {}",
-            stats.abort_rate()
-        );
+        let abort_rate = stats.freeze().abort_rate();
+        assert!(abort_rate < 0.5, "abort rate {abort_rate}");
         // Every abort is classified in the shared taxonomy.
         assert_eq!(
             stats.abort_reasons.total(),

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use flashsim::{Key, Value, VersionedValue};
-use loadkit::{RetryConfig, RetryPolicy, Shed};
+use loadkit::{RetryPolicy, Shed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simkit::net::{Addr, NodeId};
@@ -45,19 +45,19 @@ pub struct ClientCore {
 }
 
 impl ClientCore {
-    /// Builds the retry policy, the clock and the RPC endpoint bound at
-    /// `reply` (in that order), each spec paired with its RNG seed.
+    /// Builds the retry policy (seeded `retry_seed`), the clock (its spec
+    /// paired with its RNG seed) and the RPC endpoint bound at `reply`, in
+    /// that order.
     pub fn new(
         handle: &SimHandle,
         reply: Addr,
         id: ClientId,
         map: Rc<RefCell<ShardMap>>,
         clock: (&ClockSpec, u64),
-        retry: (RetryConfig, u64),
+        retry_seed: u64,
         obs: &obskit::Obs,
     ) -> Rc<ClientCore> {
-        let policy =
-            RetryPolicy::observed(retry.0, StdRng::seed_from_u64(retry.1), obs, id.0 as u64);
+        let policy = RetryPolicy::observed(StdRng::seed_from_u64(retry_seed), obs, id.0 as u64);
         let clock = SyncedClock::from_spec(clock.0, clock.1);
         let rpc = RpcClient::new(handle, reply.node, reply.port);
         clock.attach_tracer(&obs.tracer, id.0 as u64);
@@ -116,8 +116,7 @@ impl ClientCore {
     /// Returns `false` when the budget runs out first.
     pub async fn wait_for_breaker(&self, shard: ShardId) -> bool {
         while !self.policy.shard_allows(shard.0 as u64, self.sim_ns()) {
-            let cooldown = self.policy.config().breaker_cooldown;
-            if !self.backoff(Some(cooldown)).await {
+            if !self.backoff(Some(loadkit::retry::BREAKER_COOLDOWN)).await {
                 return false;
             }
         }
@@ -146,9 +145,6 @@ pub struct ClientConfig {
     pub rpc_timeout: Duration,
     /// How often the client broadcasts its watermark (§3.1).
     pub watermark_interval: Duration,
-    /// Retry discipline: jittered backoff, retry budget, per-shard
-    /// circuit breaker.
-    pub retry: RetryConfig,
     /// Observability sinks (clock-sync trace events).
     pub obs: obskit::Obs,
 }
@@ -158,7 +154,6 @@ impl Default for ClientConfig {
         ClientConfig {
             rpc_timeout: Duration::from_millis(50),
             watermark_interval: Duration::from_millis(100),
-            retry: RetryConfig::default(),
             obs: obskit::Obs::new(),
         }
     }
@@ -203,7 +198,7 @@ impl SemelClient {
             id,
             map,
             (clock, clock_seed),
-            (cfg.retry.clone(), policy_seed),
+            policy_seed,
             &cfg.obs,
         );
         let client = SemelClient {

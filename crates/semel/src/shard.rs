@@ -320,14 +320,6 @@ impl ShardMap {
         }
         self.epoch += 1;
     }
-
-    /// Abandons the pending migration (fault recovery before cutover),
-    /// bumping the epoch so clients that saw the marker refetch.
-    pub fn abort_migration(&mut self) {
-        if self.migrating.take().is_some() {
-            self.epoch += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -489,18 +481,6 @@ mod tests {
         assert!(m.promote(ShardId(1), backup));
         m.cutover();
         assert_eq!(m.group(ShardId(1)).primary, backup);
-    }
-
-    #[test]
-    fn abort_migration_restores_a_clean_map() {
-        let mut m = map(2);
-        let e0 = m.epoch();
-        m.begin_split(ShardId(0), group(9));
-        m.abort_migration();
-        assert_eq!(m.migrating(), None);
-        assert_eq!(m.len(), 2);
-        assert!(m.epoch() > e0);
-        assert!(!m.key_is_moving(&Key::from(1u64)));
     }
 
     #[test]

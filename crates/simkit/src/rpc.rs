@@ -59,12 +59,6 @@ impl Deadline {
             Some(self.0.saturating_since(now))
         }
     }
-
-    /// The tighter of this deadline and `now + budget` — how a hop derives
-    /// the deadline for its own downstream calls.
-    pub fn tighten(self, now: SimTime, budget: Duration) -> Deadline {
-        Deadline(self.0.min(now.saturating_add(budget)))
-    }
 }
 
 /// Wire format for a request. Bodies are `Rc`-shared so the network layer
@@ -277,11 +271,6 @@ impl RpcClient {
             "batch reply arity mismatch: protocol bug"
         );
         Ok(reply.items)
-    }
-
-    /// Sends a fire-and-forget [`Batch`] envelope; no replies are expected.
-    pub fn cast_batch<Req: Any + Clone>(&self, to: Addr, items: Vec<Req>) {
-        self.cast(to, Batch { items });
     }
 
     /// Sends a fire-and-forget request; no reply is expected or routed.
@@ -547,29 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn cast_batch_is_fire_and_forget() {
-        let mut sim = Sim::new(6);
-        let h = sim.handle();
-        let hh = h.clone();
-        let got = sim.block_on(async move {
-            let (tx, rx) = crate::sync::mpsc::channel();
-            serve_incoming::<Ping>(&hh, Addr::new(NodeId(2), 0), move |incoming, _, resp| {
-                match incoming {
-                    Incoming::Batch(items) => {
-                        assert!(!resp.expects_reply());
-                        tx.send(items.len()).unwrap();
-                    }
-                    Incoming::One(_) => panic!("expected batch"),
-                }
-            });
-            let client = RpcClient::new(&hh, NodeId(1), 0);
-            client.cast_batch(Addr::new(NodeId(2), 0), vec![Ping(1), Ping(2)]);
-            rx.recv().await
-        });
-        assert_eq!(got, Some(2));
-    }
-
-    #[test]
     fn call_to_dead_node_times_out() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
@@ -766,21 +732,6 @@ mod tests {
             assert_eq!(resp.deadline(), Deadline::NONE);
             assert!(!resp.deadline().expired(SimTime::MAX));
         });
-    }
-
-    #[test]
-    fn tighten_takes_the_smaller_budget() {
-        let now = SimTime::from_millis(10);
-        let wide = Deadline::after(now, Duration::from_secs(5));
-        let tight = wide.tighten(now, Duration::from_millis(3));
-        assert_eq!(tight.at(), SimTime::from_millis(13));
-        // Tightening with a larger budget keeps the original expiry.
-        let same = wide.tighten(now, Duration::from_secs(50));
-        assert_eq!(same, wide);
-        assert_eq!(
-            Deadline::NONE.tighten(now, Duration::from_millis(1)).at(),
-            SimTime::from_millis(11)
-        );
     }
 
     #[test]

@@ -81,9 +81,6 @@ struct ClockState {
     offset_ns: i64,
     next_sync: SimTime,
     last_issued: Timestamp,
-    /// Active discipline; starts as the constructed one and changes only
-    /// through [`SyncedClock::downgrade`].
-    discipline: Discipline,
     /// Persistent oscillator drift (ns of error accrued per second of true
     /// time). `0` for an honest clock.
     drift_ns_per_s: i64,
@@ -158,7 +155,6 @@ impl SyncedClock {
                 offset_ns,
                 next_sync: SimTime::ZERO + discipline.sync_interval(),
                 last_issued: Timestamp::ZERO,
-                discipline: discipline.clone(),
                 drift_ns_per_s: 0,
                 drift_anchor_ns: 0,
                 holdover: false,
@@ -200,7 +196,7 @@ impl SyncedClock {
     pub fn now(&self, true_now: SimTime) -> Timestamp {
         let mut st = self.state.borrow_mut();
         if !st.holdover && true_now >= st.next_sync {
-            let std = st.discipline.offset_std_ns();
+            let std = self.discipline.offset_std_ns();
             if std > 0.0 {
                 st.offset_ns = normal(&mut *self.rng.borrow_mut(), 0.0, std) as i64;
             } else if st.drift_ns_per_s != 0 {
@@ -211,7 +207,7 @@ impl SyncedClock {
             // The sync exchange corrects accrued drift; the (faulty) rate
             // itself survives, so error re-grows until the next boundary.
             st.drift_anchor_ns = true_now.as_nanos();
-            let interval = st.discipline.sync_interval();
+            let interval = self.discipline.sync_interval();
             while st.next_sync <= true_now {
                 st.next_sync += interval;
             }
@@ -293,21 +289,6 @@ impl SyncedClock {
         }
         st.holdover = false;
         st.next_sync = now;
-    }
-
-    /// Fault injection: swaps the active discipline mid-run (e.g. the PTP
-    /// daemon dies and NTP takes over). Takes effect at the next read, which
-    /// immediately resamples from the new discipline's offset distribution.
-    pub fn downgrade(&self, to: Discipline) {
-        let mut st = self.state.borrow_mut();
-        st.discipline = to;
-        st.next_sync = SimTime::ZERO;
-    }
-
-    /// The discipline currently in effect — differs from
-    /// [`SyncedClock::discipline`] after a [`SyncedClock::downgrade`].
-    pub fn active_discipline(&self) -> Discipline {
-        self.state.borrow().discipline.clone()
     }
 
     /// The active oscillator drift rate (ns of error per second), `0` unless
@@ -474,28 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn downgrade_switches_offset_distribution() {
-        let c = SyncedClock::new(Discipline::PtpHardware, 11);
-        let _ = c.now(SimTime::from_millis(1));
-        assert!(c.offset_ns().abs() < 2_000, "hw-grade offset");
-        c.downgrade(Discipline::Ntp);
-        assert_eq!(c.active_discipline(), Discipline::Ntp);
-        assert_eq!(*c.discipline(), Discipline::PtpHardware);
-        // Next read resamples from the NTP distribution (σ ≈ 1.3ms); over a
-        // few seeds at least one draw must be far outside hw range.
-        let t = c.now(SimTime::from_millis(2));
-        assert!(t > Timestamp::ZERO);
-        let mut saw_large = c.offset_ns().abs() > 100_000;
-        for seed in 0..10 {
-            let c = SyncedClock::new(Discipline::PtpHardware, seed);
-            c.downgrade(Discipline::Ntp);
-            let _ = c.now(SimTime::from_millis(1));
-            saw_large |= c.offset_ns().abs() > 100_000;
-        }
-        assert!(saw_large, "downgraded clocks should draw NTP-scale offsets");
-    }
-
-    #[test]
     fn monotonic_under_combined_faults() {
         for seed in 0..10 {
             let c = SyncedClock::new(Discipline::PtpSoftware, seed);
@@ -505,7 +464,6 @@ mod tests {
                     3_000 => c.inject_drift(-2_000_000, SimTime::from_millis(ms)),
                     6_000 => c.inject_step(-10_000_000),
                     9_000 => c.enter_holdover(),
-                    12_000 => c.downgrade(Discipline::Ntp),
                     15_000 => c.exit_holdover(SimTime::from_millis(ms)),
                     _ => {}
                 }

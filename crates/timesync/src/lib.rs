@@ -15,7 +15,7 @@
 //!   clock selection carried through cluster configs;
 //! - [`SyncedClock`] — a per-client clock that maps *true* simulation time to
 //!   that client's skewed-but-monotonic local time, with fault hooks for
-//!   steps, persistent drift, holdover, and discipline downgrade;
+//!   steps, persistent drift and holdover;
 //! - [`WatermarkTracker`] — the watermark lower bound on client clocks used
 //!   for garbage collection (§3.1, §4.4).
 

@@ -127,7 +127,6 @@ fn main() {
             store,
             DftlConfig {
                 cached_entries: 8,
-                ..DftlConfig::default()
             },
         );
         // Touch 8 hot keys twice: second round is all hits.

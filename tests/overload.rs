@@ -14,6 +14,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use milana_repro::flashsim::NandConfig;
+use milana_repro::loadkit::retry::{BUDGET_BURST, BUDGET_RATIO};
 use milana_repro::milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use milana_repro::obskit::{Obs, TxnStats};
 use milana_repro::retwis::driver::{run_open_loop, WorkloadConfig};
@@ -30,9 +31,6 @@ const SAT_RATE: f64 = 8_000.0;
 const CAPACITY: u64 = 16;
 /// Virtual-time measurement window.
 const WINDOW: Duration = Duration::from_millis(600);
-/// Retry-budget parameters mirrored from `loadkit::RetryConfig::default`.
-const BUDGET_RATIO: f64 = 0.2;
-const BUDGET_BURST: f64 = 10.0;
 
 struct SoakOutcome {
     stats: TxnStats,
