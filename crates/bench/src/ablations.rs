@@ -12,8 +12,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use flashsim::dftl::{DemandMappedStore, DftlConfig};
-use flashsim::mftl::{MftlConfig, UnifiedStore};
+use flashsim::dftl::DemandMappedStore;
+use flashsim::mftl::{UnifiedStore, PACKING_WINDOW};
 use flashsim::{value, BackendKind, Key, NandConfig, Value};
 use obskit::{Histogram, Json};
 use retwis::driver::WorkloadConfig;
@@ -253,15 +253,21 @@ fn print_lines(cells: Vec<(String, Json)>) -> Vec<Json> {
         .collect()
 }
 
-/// An MFTL store on a `channels`-wide device, preloaded with `keys`
-/// 472-byte values at 8 % utilisation; returns it with the payload.
-fn loaded_mftl(h: &SimHandle, channels: u32, keys: u64, cfg: MftlConfig) -> (UnifiedStore, Value) {
+/// An MFTL store on a `channels`-wide device with the given packing window,
+/// preloaded with `keys` 472-byte values at 8 % utilisation; returns it with
+/// the payload.
+fn loaded_mftl(
+    h: &SimHandle,
+    channels: u32,
+    keys: u64,
+    packing_window: Duration,
+) -> (UnifiedStore, Value) {
     let nand = NandConfig {
         channels,
         ..NandConfig::default()
     }
     .sized_for(keys, 512, 0.08);
-    let store = UnifiedStore::new(h.clone(), nand, cfg);
+    let store = UnifiedStore::new(h.clone(), nand, packing_window);
     let payload = value(vec![0u8; 472]);
     for i in 0..keys {
         store.bulk_load(
@@ -295,14 +301,9 @@ pub fn run_dftl(scale: Scale) -> Json {
     let cells = perfkit::pool::run_ordered_auto(vec![1.0f64, 0.5, 0.25, 0.05], |fraction| {
         let mut sim = Sim::new(1_800);
         let h = sim.handle();
-        let (inner, payload) = loaded_mftl(&h, 16, keys, MftlConfig::default());
-        let store = DemandMappedStore::new(
-            h.clone(),
-            inner,
-            DftlConfig {
-                cached_entries: ((keys as f64 * fraction) as usize).max(1),
-            },
-        );
+        let (inner, payload) = loaded_mftl(&h, 16, keys, PACKING_WINDOW);
+        let cached_entries = ((keys as f64 * fraction) as usize).max(1);
+        let store = DemandMappedStore::new(h.clone(), inner, cached_entries);
         // Zipfian reads with 10% zipfian writes: a hot working set that a
         // partial mapping can mostly hold.
         let zipf = Rc::new(Zipf::new(keys as usize, 0.9));
@@ -396,11 +397,7 @@ pub fn run_packing(scale: Scale) -> Json {
     let cells = perfkit::pool::run_ordered_auto(vec![0u64, 250, 500, 1_000, 2_000], |window_us| {
         let mut sim = Sim::new(1_900 + window_us);
         let h = sim.handle();
-        let mftl = MftlConfig {
-            packing_window: Duration::from_micros(window_us),
-            ..MftlConfig::default()
-        };
-        let (store, payload) = loaded_mftl(&h, 32, keys, mftl);
+        let (store, payload) = loaded_mftl(&h, 32, keys, Duration::from_micros(window_us));
         let gc_store = store.clone();
         trail_watermark(&h, move |wm| gc_store.set_watermark(wm));
         let get_hist = Rc::new(RefCell::new(Histogram::new()));

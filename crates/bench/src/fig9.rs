@@ -163,7 +163,6 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
                 CentimanConfig {
                     report_every: cfg.report_every,
                     obs: crate::common::run_obs(),
-                    ..CentimanConfig::default()
                 },
             )
         })

@@ -10,12 +10,11 @@ use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
 use crate::dram::DramStore;
-use crate::mftl::{MftlConfig, UnifiedStore};
+use crate::mftl::{UnifiedStore, PACKING_WINDOW};
 use crate::nand::NandConfig;
-use crate::pftl::PageFtlConfig;
 use crate::sftl::SingleVersionStore;
 use crate::types::{Key, StoreError, StoreStats, Value, VersionedValue};
-use crate::vftl::{SplitStore, VftlConfig};
+use crate::vftl::SplitStore;
 
 /// What a mount-time recovery scan reconstructed from the durable medium
 /// (see [`Backend::mount`]).
@@ -78,42 +77,15 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Builds a backend of the given kind over a fresh simulated device.
-    /// Garbage-collection trigger levels scale with device size so large
-    /// devices start collecting before free space becomes critical.
+    /// Builds a backend of the given kind over a fresh simulated device;
+    /// each flash store derives its GC levels from the device's size.
     pub fn new(kind: BackendKind, handle: &SimHandle, nand: NandConfig) -> Backend {
-        let blocks = nand.blocks as usize;
+        let handle = handle.clone();
         match kind {
-            BackendKind::Dram => Backend::Dram(DramStore::new(handle.clone())),
-            BackendKind::Sftl => Backend::Sftl(SingleVersionStore::new(
-                handle.clone(),
-                nand,
-                PageFtlConfig {
-                    gc_low_water: (blocks / 16).max(3),
-                    gc_reserve: (blocks / 64).max(1),
-                },
-            )),
-            BackendKind::Vftl => {
-                let segments = (nand.total_pages() as f64 * 0.81) as usize; // after both OPs
-                Backend::Vftl(SplitStore::new(
-                    handle.clone(),
-                    nand,
-                    VftlConfig {
-                        gc_low_water: (segments / 16).max(8),
-                        gc_reserve: (segments / 64).max(4),
-                        ..VftlConfig::default()
-                    },
-                ))
-            }
-            BackendKind::Mftl => Backend::Mftl(UnifiedStore::new(
-                handle.clone(),
-                nand,
-                MftlConfig {
-                    gc_low_water: (blocks / 16).max(4),
-                    gc_reserve: (blocks / 64).max(2),
-                    ..MftlConfig::default()
-                },
-            )),
+            BackendKind::Dram => Backend::Dram(DramStore::new(handle)),
+            BackendKind::Sftl => Backend::Sftl(SingleVersionStore::new(handle, nand)),
+            BackendKind::Vftl => Backend::Vftl(SplitStore::new(handle, nand)),
+            BackendKind::Mftl => Backend::Mftl(UnifiedStore::new(handle, nand, PACKING_WINDOW)),
         }
     }
 
@@ -364,6 +336,7 @@ impl Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nand::NandStats;
     use crate::types::value;
     use simkit::Sim;
     use timesync::ClientId;
@@ -399,6 +372,76 @@ mod tests {
                 assert_eq!(got.version, v(10), "{kind}");
                 assert_eq!(&got.value[..], b"hello", "{kind}");
             });
+        }
+    }
+
+    /// Bulk-loads `cold` keys, then overwrites `hot` keys concurrently for
+    /// `rounds` rounds with the watermark a round behind — enough churn that
+    /// the GC levels decide when collection starts. Returns the device's
+    /// counters.
+    fn churn(mut sim: Sim, b: Backend, cold: u64, hot: u64, rounds: u64) -> NandStats {
+        let payload = value(vec![7u8; 472]);
+        for i in 0..cold {
+            b.bulk_load(Key::from(hot + i), payload.clone(), v(1));
+        }
+        b.finish_load();
+        let h = sim.handle();
+        let store = b.clone();
+        sim.block_on(async move {
+            for round in 1..=rounds {
+                let mut joins = Vec::new();
+                for i in 0..hot {
+                    let (s, p) = (store.clone(), payload.clone());
+                    let ts = round * 1_000 + i;
+                    joins.push(h.spawn(async move { s.put(Key::from(i), p, v(ts)).await }));
+                }
+                for j in joins {
+                    j.await.unwrap();
+                }
+                store.set_watermark(Timestamp((round - 1) * 1_000 + hot));
+            }
+        });
+        match &b {
+            Backend::Mftl(s) => s.device().stats(),
+            Backend::Vftl(s) => s.device().stats(),
+            _ => unreachable!("churn runs on the packed stores"),
+        }
+    }
+
+    #[test]
+    fn stores_built_directly_collect_like_backend_built_ones() {
+        // The packing ablation's device (GC levels 30/7) and store_golden's
+        // (207 VFTL segments, levels 12/4): both above the stores' floors.
+        let raw = NandConfig {
+            channels: 32,
+            ..NandConfig::default()
+        }
+        .sized_for(10_000, 512, 0.08);
+        assert_eq!(raw.blocks, 489);
+        let split = NandConfig {
+            blocks: 32,
+            pages_per_block: 8,
+            channels: 4,
+            queue_depth: 16,
+            ..NandConfig::default()
+        };
+        for (kind, nand, cold, hot, rounds) in [
+            (BackendKind::Mftl, raw, 96_000, 64, 160),
+            (BackendKind::Vftl, split, 0, 24, 100),
+        ] {
+            let sim = Sim::new(11);
+            let h = sim.handle();
+            let direct = match kind {
+                BackendKind::Mftl => {
+                    Backend::Mftl(UnifiedStore::new(h, nand.clone(), PACKING_WINDOW))
+                }
+                _ => Backend::Vftl(SplitStore::new(h, nand.clone())),
+            };
+            let direct = churn(sim, direct, cold, hot, rounds);
+            let sim = Sim::new(11);
+            let built = Backend::new(kind, &sim.handle(), nand);
+            assert_eq!(direct, churn(sim, built, cold, hot, rounds), "{kind}");
+            assert!(direct.block_erases > 0, "{kind}: GC never ran: {direct:?}");
         }
     }
 

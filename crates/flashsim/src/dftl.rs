@@ -33,13 +33,6 @@ use crate::types::{Key, StoreError, Value, VersionedValue};
 /// 4 KB page / 16 B per (key-hash, location) entry.
 pub const ENTRIES_PER_TRANSLATION_PAGE: usize = 256;
 
-/// Tuning for the demand-paged mapping front.
-#[derive(Debug, Clone)]
-pub struct DftlConfig {
-    /// Key translations resident in DRAM.
-    pub cached_entries: usize,
-}
-
 /// Mapping-cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DftlStats {
@@ -80,7 +73,8 @@ struct DftlState {
 pub struct DemandMappedStore {
     handle: SimHandle,
     inner: UnifiedStore,
-    cfg: Rc<DftlConfig>,
+    /// Key translations resident in DRAM.
+    cached_entries: usize,
     state: Rc<RefCell<DftlState>>,
 }
 
@@ -88,23 +82,24 @@ impl std::fmt::Debug for DemandMappedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DemandMappedStore")
             .field("resident", &self.state.borrow().resident.len())
-            .field("capacity", &self.cfg.cached_entries)
+            .field("capacity", &self.cached_entries)
             .finish()
     }
 }
 
 impl DemandMappedStore {
-    /// Wraps `inner` with a demand-paged mapping of the given capacity.
+    /// Wraps `inner` with a demand-paged mapping that keeps
+    /// `cached_entries` key translations resident.
     ///
     /// # Panics
     ///
     /// Panics if `cached_entries` is zero.
-    pub fn new(handle: SimHandle, inner: UnifiedStore, cfg: DftlConfig) -> DemandMappedStore {
-        assert!(cfg.cached_entries > 0, "need at least one resident entry");
+    pub fn new(handle: SimHandle, inner: UnifiedStore, cached_entries: usize) -> DemandMappedStore {
+        assert!(cached_entries > 0, "need at least one resident entry");
         DemandMappedStore {
             handle,
             inner,
-            cfg: Rc::new(cfg),
+            cached_entries,
             state: Rc::new(RefCell::new(DftlState {
                 resident: FastMap::default(),
                 order: BTreeMap::new(),
@@ -151,7 +146,7 @@ impl DemandMappedStore {
             };
             // Evict beyond capacity (oldest first).
             let mut flush = false;
-            while st.resident.len() > self.cfg.cached_entries {
+            while st.resident.len() > self.cached_entries {
                 let (&old, victim) = st.order.iter().next().expect("order non-empty");
                 let victim = victim.clone();
                 st.order.remove(&old);
@@ -223,7 +218,7 @@ impl DemandMappedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mftl::MftlConfig;
+    use crate::mftl::PACKING_WINDOW;
     use crate::nand::NandConfig;
     use crate::types::value;
     use simkit::Sim;
@@ -245,22 +240,13 @@ mod tests {
                 channels: 4,
                 ..NandConfig::default()
             },
-            MftlConfig {
-                op_overhead: Duration::ZERO,
-                ..MftlConfig::default()
-            },
+            PACKING_WINDOW,
         );
         for i in 0..64u64 {
             inner.bulk_load(Key::from(i), value(vec![1; 16]), v(1));
         }
         inner.finish_load();
-        DemandMappedStore::new(
-            h,
-            inner,
-            DftlConfig {
-                cached_entries: cached,
-            },
-        )
+        DemandMappedStore::new(h, inner, cached)
     }
 
     #[test]

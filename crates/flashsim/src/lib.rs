@@ -36,6 +36,13 @@
 //! stamps, reads are snapshot reads ("youngest version ≤ t"), stale primary
 //! writes are rejected for at-most-once, replicated writes may arrive in any
 //! order, and a watermark bounds version history for GC.
+//!
+//! A store is built from its device alone: the per-operation overheads are
+//! constants ([`mftl::OP_OVERHEAD`], [`vftl::OP_OVERHEAD`]), and each store
+//! derives its garbage-collection levels from its own geometry through
+//! `GcLevels::scaled`. The only store knobs left are MFTL's packing window
+//! (the one the paper calls tunable; default [`mftl::PACKING_WINDOW`]) and
+//! the number of translations a [`dftl::DemandMappedStore`] keeps resident.
 
 #![warn(missing_docs)]
 
@@ -56,3 +63,26 @@ pub use backend::{Backend, BackendKind, MountReport};
 pub use nand::{NandConfig, NandDevice, PhysLoc};
 pub use oob::{PageOob, ScannedPage};
 pub use types::{value, Key, StoreError, StoreStats, TupleRecord, Value, VersionedValue};
+
+/// A store's garbage-collection trigger levels, in its own allocation units
+/// (erase blocks, or VFTL segments).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GcLevels {
+    /// Background GC starts when free units drop to this level.
+    pub low_water: usize,
+    /// Units user writes never take: GC's own relocation headroom.
+    pub reserve: usize,
+}
+
+impl GcLevels {
+    /// The levels for a store of `units` allocation units: `units / 16` low
+    /// water and `units / 64` reserve, so large devices start collecting
+    /// before free space becomes critical, never below the store's floors
+    /// — (3, 1) page-FTL blocks, (4, 2) MFTL blocks, (8, 4) VFTL segments.
+    pub(crate) fn scaled(units: usize, min_low_water: usize, min_reserve: usize) -> GcLevels {
+        GcLevels {
+            low_water: (units / 16).max(min_low_water),
+            reserve: (units / 64).max(min_reserve),
+        }
+    }
+}

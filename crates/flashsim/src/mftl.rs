@@ -29,49 +29,32 @@ use crate::nand::{NandConfig, NandDevice, PhysLoc};
 use crate::oob::PageOob;
 use crate::packed::{stream_count, PackedStore, Space};
 use crate::types::{StoreError, TupleRecord};
+use crate::GcLevels;
 
 pub use crate::packed::Page;
 
-/// Tuning for a [`UnifiedStore`].
-#[derive(Debug, Clone)]
-pub struct MftlConfig {
-    /// Per-operation software overhead: one unified mapping-table access
-    /// (§3.1 — SDF collapses the two-step translation into one).
-    pub op_overhead: Duration,
-    /// Maximum time a tuple waits in the packer before a partial page is
-    /// flushed (the paper's 1 ms packing delay).
-    pub packing_window: Duration,
-    /// Background GC starts when free blocks drop to this level.
-    pub gc_low_water: usize,
-    /// Blocks reserved for GC's own relocation writes.
-    pub gc_reserve: usize,
-}
+/// Per-operation software overhead: one unified mapping-table access (§3.1
+/// — SDF collapses the two-step translation into one).
+pub const OP_OVERHEAD: Duration = Duration::from_micros(1);
 
-impl Default for MftlConfig {
-    fn default() -> MftlConfig {
-        MftlConfig {
-            op_overhead: Duration::from_micros(1),
-            packing_window: Duration::from_millis(1),
-            gc_low_water: 4,
-            gc_reserve: 2,
-        }
-    }
-}
+/// The paper's packing delay: the longest a tuple waits in the packer before
+/// a partial page is flushed (§5; the one store knob it calls tunable).
+pub const PACKING_WINDOW: Duration = Duration::from_millis(1);
 
 /// The unified multi-version FTL store. Cloning shares the store.
 pub type UnifiedStore = PackedStore<RawFlash>;
 
 impl PackedStore<RawFlash> {
     /// Creates an MFTL store over a fresh device and spawns its GC task.
-    pub fn new(handle: SimHandle, nand: NandConfig, cfg: MftlConfig) -> UnifiedStore {
+    /// `packing_window` is normally [`PACKING_WINDOW`].
+    pub fn new(handle: SimHandle, nand: NandConfig, packing_window: Duration) -> UnifiedStore {
         let dev = NandDevice::new(handle.clone(), nand);
         let blocks = dev.config().blocks as usize;
         let points = stream_count(dev.config());
-        let (op_overhead, packing_window) = (cfg.op_overhead, cfg.packing_window);
         let space = RawFlash {
             handle: handle.clone(),
             dev,
-            cfg,
+            gc: GcLevels::scaled(blocks, 4, 2),
             st: RefCell::new(RawState {
                 append: vec![None; points],
                 load_append: vec![None; points],
@@ -81,7 +64,7 @@ impl PackedStore<RawFlash> {
                 floor: Timestamp::ZERO,
             }),
         };
-        PackedStore::over(handle, space, op_overhead, packing_window)
+        PackedStore::over(handle, space, OP_OVERHEAD, packing_window)
     }
 }
 
@@ -109,7 +92,7 @@ struct RawState {
 pub struct RawFlash {
     handle: SimHandle,
     dev: NandDevice<Page>,
-    cfg: MftlConfig,
+    gc: GcLevels,
     st: RefCell<RawState>,
 }
 
@@ -150,7 +133,7 @@ impl Space for RawFlash {
     }
 
     fn alloc(&self, stream: usize, for_gc: bool) -> Option<PhysLoc> {
-        let reserve = if for_gc { 0 } else { self.cfg.gc_reserve };
+        let reserve = if for_gc { 0 } else { self.gc.reserve };
         self.append(&mut self.st.borrow_mut().append[stream], reserve)
     }
 
@@ -199,7 +182,7 @@ impl Space for RawFlash {
     }
 
     fn low_on_space(&self) -> bool {
-        self.dev.free_blocks() <= self.cfg.gc_low_water
+        self.dev.free_blocks() <= self.gc.low_water
     }
 
     /// The emptiest full block: open append blocks are never victims.
@@ -329,7 +312,7 @@ mod tests {
     }
 
     fn store(sim: &Sim, blocks: u32) -> UnifiedStore {
-        UnifiedStore::new(sim.handle(), nand(blocks), MftlConfig::default())
+        UnifiedStore::new(sim.handle(), nand(blocks), PACKING_WINDOW)
     }
 
     #[test]
@@ -489,7 +472,7 @@ mod tests {
             let got = s.get_at(&k, Timestamp(10)).await.unwrap();
             assert_eq!(got.version, v(10));
             // DRAM hit: only the mapping-table overhead, no flash read.
-            assert_eq!(hh.now() - t0, MftlConfig::default().op_overhead);
+            assert_eq!(hh.now() - t0, OP_OVERHEAD);
             put.await.unwrap();
         });
     }

@@ -913,9 +913,9 @@ mod tests {
     //! Behaviour the two spaces share, checked once over both.
 
     use super::*;
-    use crate::mftl::{MftlConfig, UnifiedStore};
+    use crate::mftl::{UnifiedStore, PACKING_WINDOW};
     use crate::types::value;
-    use crate::vftl::{SplitStore, VftlConfig};
+    use crate::vftl::SplitStore;
     use simkit::time::SimTime;
     use simkit::Sim;
     use timesync::ClientId;
@@ -944,10 +944,10 @@ mod tests {
     macro_rules! on_both_spaces {
         ($check:ident, $raw_blocks:expr, $split_blocks:expr) => {{
             let sim = Sim::new(13);
-            let store = UnifiedStore::new(sim.handle(), nand($raw_blocks), MftlConfig::default());
+            let store = UnifiedStore::new(sim.handle(), nand($raw_blocks), PACKING_WINDOW);
             $check(sim, store);
             let sim = Sim::new(13);
-            let store = SplitStore::new(sim.handle(), nand($split_blocks), VftlConfig::default());
+            let store = SplitStore::new(sim.handle(), nand($split_blocks));
             $check(sim, store);
         }};
     }

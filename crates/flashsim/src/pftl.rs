@@ -3,7 +3,7 @@
 //! This is the "standard FTL" of §2.2/Figure 2: it exposes a logical block
 //! address (LBA) space, maps each LBA to a physical page, writes updates
 //! out-of-place in log order, and garbage-collects erase blocks greedily.
-//! 10 % of physical capacity is reserved as over-provisioning by default.
+//! 10 % of physical capacity is reserved as over-provisioning.
 //!
 //! The split multi-version store ([`crate::vftl`]) stacks its own KV layer on
 //! top of this FTL — the configuration the paper calls **VFTL** — and the
@@ -20,28 +20,11 @@ use crate::backend::MountReport;
 use crate::nand::{NandConfig, NandDevice, PhysLoc};
 use crate::oob::PageOob;
 use crate::types::StoreError;
+use crate::GcLevels;
 use timesync::Timestamp;
 
 /// Fraction of physical capacity hidden from the logical space.
 pub const OVERPROVISION: f64 = 0.10;
-
-/// Tuning for a [`PageFtl`].
-#[derive(Debug, Clone)]
-pub struct PageFtlConfig {
-    /// Background GC starts when free blocks drop to this level.
-    pub gc_low_water: usize,
-    /// Blocks reserved exclusively for GC relocation (never user writes).
-    pub gc_reserve: usize,
-}
-
-impl Default for PageFtlConfig {
-    fn default() -> PageFtlConfig {
-        PageFtlConfig {
-            gc_low_water: 3,
-            gc_reserve: 1,
-        }
-    }
-}
 
 /// Counters describing FTL-level activity (on top of raw device counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,7 +66,7 @@ struct PftlInner {
 pub struct PageFtl<P> {
     handle: SimHandle,
     dev: NandDevice<P>,
-    cfg: Rc<PageFtlConfig>,
+    gc: GcLevels,
     logical_pages: u32,
     inner: Rc<RefCell<PftlInner>>,
     gc_lock: simkit::sync::Semaphore,
@@ -94,7 +77,7 @@ impl<P> Clone for PageFtl<P> {
         PageFtl {
             handle: self.handle.clone(),
             dev: self.dev.clone(),
-            cfg: self.cfg.clone(),
+            gc: self.gc,
             logical_pages: self.logical_pages,
             inner: self.inner.clone(),
             gc_lock: self.gc_lock.clone(),
@@ -105,13 +88,13 @@ impl<P> Clone for PageFtl<P> {
 impl<P: Clone + 'static> PageFtl<P> {
     /// Creates an FTL over a fresh device and spawns its background GC task
     /// (owned by no node; it dies with the simulation).
-    pub fn new(handle: SimHandle, nand: NandConfig, cfg: PageFtlConfig) -> PageFtl<P> {
+    pub fn new(handle: SimHandle, nand: NandConfig) -> PageFtl<P> {
         let dev = NandDevice::new(handle.clone(), nand);
-        Self::over(handle, dev, cfg)
+        Self::over(handle, dev)
     }
 
     /// Creates an FTL over an existing device.
-    pub fn over(handle: SimHandle, dev: NandDevice<P>, cfg: PageFtlConfig) -> PageFtl<P> {
+    pub fn over(handle: SimHandle, dev: NandDevice<P>) -> PageFtl<P> {
         let total = dev.config().total_pages();
         let logical_pages = ((total as f64) * (1.0 - OVERPROVISION)).floor() as u32;
         let blocks = dev.config().blocks as usize;
@@ -121,7 +104,7 @@ impl<P: Clone + 'static> PageFtl<P> {
         let ftl = PageFtl {
             handle: handle.clone(),
             dev,
-            cfg: Rc::new(cfg),
+            gc: GcLevels::scaled(blocks, 3, 1),
             logical_pages,
             inner: Rc::new(RefCell::new(PftlInner {
                 map: FastMap::default(),
@@ -137,11 +120,11 @@ impl<P: Clone + 'static> PageFtl<P> {
             })),
             gc_lock: simkit::sync::Semaphore::new(1),
         };
-        let gc = ftl.clone();
+        let me = ftl.clone();
         handle.spawn(async move {
             while rx.recv().await.is_some() {
-                while gc.dev.free_blocks() <= gc.cfg.gc_low_water {
-                    if !gc.collect_once().await {
+                while me.dev.free_blocks() <= me.gc.low_water {
+                    if !me.collect_once().await {
                         break;
                     }
                 }
@@ -178,7 +161,7 @@ impl<P: Clone + 'static> PageFtl<P> {
                 return Some(PhysLoc { block: b, page: p });
             }
         }
-        let reserve = if for_gc { 0 } else { self.cfg.gc_reserve };
+        let reserve = if for_gc { 0 } else { self.gc.reserve };
         if self.dev.free_blocks() <= reserve {
             return None;
         }
@@ -188,7 +171,7 @@ impl<P: Clone + 'static> PageFtl<P> {
     }
 
     fn nudge_gc(&self) {
-        if self.dev.free_blocks() <= self.cfg.gc_low_water {
+        if self.dev.free_blocks() <= self.gc.low_water {
             let inner = self.inner.borrow();
             let _ = inner.gc_nudge.send(());
         }
@@ -517,7 +500,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let h = sim.handle();
         sim.block_on(async move {
-            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8), PageFtlConfig::default());
+            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8));
             ftl.write(3, 30).await.unwrap();
             ftl.write(5, 50).await.unwrap();
             assert_eq!(ftl.read(3).await.unwrap(), 30);
@@ -530,7 +513,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let h = sim.handle();
         sim.block_on(async move {
-            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8), PageFtlConfig::default());
+            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8));
             for i in 0..10 {
                 ftl.write(1, i).await.unwrap();
             }
@@ -543,7 +526,7 @@ mod tests {
         let mut sim = Sim::new(1);
         let h = sim.handle();
         sim.block_on(async move {
-            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8), PageFtlConfig::default());
+            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8));
             assert_eq!(ftl.read(0).await.unwrap_err(), StoreError::NotFound);
             ftl.write(0, 1).await.unwrap();
             ftl.trim(0);
@@ -557,7 +540,7 @@ mod tests {
         let h = sim.handle();
         sim.block_on(async move {
             // 8 blocks * 4 pages = 32 phys pages, ~28 logical.
-            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8), PageFtlConfig::default());
+            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(8));
             // Hammer one LBA far beyond raw capacity; GC must keep up.
             for i in 0..200 {
                 ftl.write(0, i).await.unwrap();
@@ -573,7 +556,7 @@ mod tests {
         let h = sim.handle();
         sim.block_on(async move {
             // 16 phys pages, a tenth of them hidden.
-            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(4), PageFtlConfig::default());
+            let ftl: PageFtl<u32> = PageFtl::new(h, cfg(4));
             assert_eq!(OVERPROVISION, 0.10);
             assert_eq!(ftl.logical_pages(), 14);
             // Fill every logical page with live data.
@@ -595,8 +578,7 @@ mod tests {
         let mut sim = Sim::new(5);
         let h = sim.handle();
         sim.block_on(async move {
-            let ftl: PageFtl<(u32, u32)> =
-                PageFtl::new(h.clone(), cfg(16), PageFtlConfig::default());
+            let ftl: PageFtl<(u32, u32)> = PageFtl::new(h.clone(), cfg(16));
             let lbas = 40u32; // of ~57 logical
             let mut latest = vec![None; lbas as usize];
             let mut x = 1u64;
@@ -619,7 +601,7 @@ mod tests {
         let mut sim = Sim::new(3);
         let h = sim.handle();
         sim.block_on(async move {
-            let ftl: PageFtl<u32> = PageFtl::new(h.clone(), cfg(8), PageFtlConfig::default());
+            let ftl: PageFtl<u32> = PageFtl::new(h.clone(), cfg(8));
             for lba in 0..6 {
                 ftl.write(lba, lba + 100).await.unwrap();
             }
@@ -648,7 +630,7 @@ mod tests {
     fn install_bulk_loads_without_time() {
         let mut sim = Sim::new(1);
         let h = sim.handle();
-        let ftl: PageFtl<u32> = PageFtl::new(h.clone(), cfg(8), PageFtlConfig::default());
+        let ftl: PageFtl<u32> = PageFtl::new(h.clone(), cfg(8));
         for lba in 0..20 {
             ftl.install(lba, lba * 10);
         }

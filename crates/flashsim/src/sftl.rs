@@ -15,7 +15,7 @@ use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
 use crate::nand::NandConfig;
-use crate::pftl::{PageFtl, PageFtlConfig};
+use crate::pftl::PageFtl;
 use crate::types::{Key, StoreError, StoreStats, TupleRecord, Value, VersionedValue};
 
 type Page = Rc<TupleRecord>;
@@ -39,8 +39,8 @@ pub struct SingleVersionStore {
 
 impl SingleVersionStore {
     /// Creates an SFTL store over a fresh device.
-    pub fn new(handle: SimHandle, nand: NandConfig, cfg: PageFtlConfig) -> SingleVersionStore {
-        let ftl = PageFtl::new(handle, nand, cfg);
+    pub fn new(handle: SimHandle, nand: NandConfig) -> SingleVersionStore {
+        let ftl = PageFtl::new(handle, nand);
         SingleVersionStore {
             ftl,
             inner: Rc::new(RefCell::new(SftlInner {
@@ -371,7 +371,6 @@ mod tests {
                 pages_per_block: 4,
                 ..NandConfig::default()
             },
-            PageFtlConfig::default(),
         )
     }
 
@@ -505,7 +504,6 @@ mod tests {
                 pages_per_block: 4,
                 ..NandConfig::default()
             },
-            PageFtlConfig::default(),
         );
         sim.block_on(async move {
             // 8 phys pages, 7 logical. Distinct keys exceed logical space.

@@ -27,10 +27,12 @@ use simkit::SimHandle;
 use timesync::Timestamp;
 
 use crate::backend::MountReport;
+use crate::mftl::PACKING_WINDOW;
 use crate::nand::{NandConfig, NandDevice};
 use crate::packed::{PackedStore, Page, Space};
-use crate::pftl::{PageFtl, PageFtlConfig};
+use crate::pftl::PageFtl;
 use crate::types::StoreError;
+use crate::GcLevels;
 
 /// One logical segment's payload: packed tuples (a 4 KB page worth).
 pub type Segment = Page;
@@ -39,55 +41,25 @@ pub type Segment = Page;
 /// "10 % at a second level" of §5.1.
 const TOP_OVERPROVISION: f64 = 0.10;
 
-/// Tuning for a [`SplitStore`].
-#[derive(Debug, Clone)]
-pub struct VftlConfig {
-    /// Per-operation software overhead: two mapping steps through a block
-    /// interface (key → LBA in the KV layer, LBA → physical in the FTL).
-    pub op_overhead: Duration,
-    /// Packing delay bound (same knob as MFTL's; 1 ms in the paper).
-    pub packing_window: Duration,
-    /// KV-layer GC starts when free segments drop to this level.
-    pub gc_low_water: usize,
-    /// Segments reserved for KV-layer GC relocation.
-    pub gc_reserve: usize,
-}
-
-impl Default for VftlConfig {
-    fn default() -> VftlConfig {
-        VftlConfig {
-            op_overhead: Duration::from_micros(8),
-            packing_window: Duration::from_millis(1),
-            gc_low_water: 8,
-            gc_reserve: 4,
-        }
-    }
-}
+/// Per-operation software overhead: two mapping steps through a block
+/// interface (key → LBA in the KV layer, LBA → physical in the FTL).
+pub const OP_OVERHEAD: Duration = Duration::from_micros(8);
 
 /// The split (VFTL) multi-version store. Cloning shares the store.
 pub type SplitStore = PackedStore<OverFtl>;
 
 impl PackedStore<OverFtl> {
     /// Creates a VFTL store: a KV layer over a fresh generic FTL, with GC
-    /// tasks at both levels.
-    pub fn new(handle: SimHandle, nand: NandConfig, cfg: VftlConfig) -> SplitStore {
-        let blocks = nand.blocks as usize;
-        let ftl = PageFtl::new(
-            handle.clone(),
-            nand,
-            PageFtlConfig {
-                gc_low_water: (blocks / 16).max(3),
-                gc_reserve: (blocks / 64).max(1),
-            },
-        );
-        let (op_overhead, packing_window) = (cfg.op_overhead, cfg.packing_window);
+    /// tasks at both levels. It packs with MFTL's [`PACKING_WINDOW`].
+    pub fn new(handle: SimHandle, nand: NandConfig) -> SplitStore {
+        let segments = (nand.total_pages() as f64 * 0.81) as usize; // after both OPs
         let space = OverFtl {
-            ftl,
-            cfg,
+            ftl: PageFtl::new(handle.clone(), nand),
+            gc: GcLevels::scaled(segments, 8, 4),
             st: RefCell::new(SegState::default()),
         };
         space.st.borrow_mut().free_lbas = (0..space.usable()).rev().collect();
-        PackedStore::over(handle, space, op_overhead, packing_window)
+        PackedStore::over(handle, space, OP_OVERHEAD, PACKING_WINDOW)
     }
 
     /// The FTL underneath (for stats: its GC traffic is the split's cost).
@@ -109,7 +81,7 @@ struct SegState {
 /// The split design's [`Space`]: the LBA space of a generic page-mapped FTL.
 pub struct OverFtl {
     ftl: PageFtl<Segment>,
-    cfg: VftlConfig,
+    gc: GcLevels,
     st: RefCell<SegState>,
 }
 
@@ -132,7 +104,7 @@ impl Space for OverFtl {
     /// Any free segment will do: the FTL underneath stripes the streams.
     fn alloc(&self, _stream: usize, for_gc: bool) -> Option<u32> {
         let mut st = self.st.borrow_mut();
-        let reserve = if for_gc { 0 } else { self.cfg.gc_reserve };
+        let reserve = if for_gc { 0 } else { self.gc.reserve };
         if st.free_lbas.len() <= reserve {
             return None;
         }
@@ -178,7 +150,7 @@ impl Space for OverFtl {
     }
 
     fn low_on_space(&self) -> bool {
-        self.st.borrow().free_lbas.len() <= self.cfg.gc_low_water
+        self.st.borrow().free_lbas.len() <= self.gc.low_water
     }
 
     /// The segment with the most dead tuples.
@@ -277,7 +249,7 @@ mod tests {
     }
 
     fn store(sim: &Sim, blocks: u32) -> SplitStore {
-        SplitStore::new(sim.handle(), nand(blocks), VftlConfig::default())
+        SplitStore::new(sim.handle(), nand(blocks))
     }
 
     #[test]

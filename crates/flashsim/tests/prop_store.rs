@@ -280,7 +280,7 @@ proptest! {
         let store = flashsim::mftl::UnifiedStore::new(
             h.clone(),
             nand,
-            flashsim::mftl::MftlConfig::default(),
+            flashsim::mftl::PACKING_WINDOW,
         );
         let dev = store.device().clone();
         let store2 = store.clone();

@@ -9,12 +9,18 @@
 //! constants recorded before the two stores were merged onto
 //! `flashsim::packed`: any change to what the stores do, or to when they
 //! spawn, sleep or wake, moves at least one of them.
+//!
+//! The VFTL constants were re-recorded in PR 25, when every store began
+//! deriving its GC levels from its own device: this 207-segment store now
+//! starts collecting at 12 free segments (the level `Backend::new` always
+//! gave it), not the old default 8. Nothing else moved; the MFTL device is
+//! small enough that its levels stayed at their floors.
 
 use std::time::Duration;
 
-use flashsim::mftl::{MftlConfig, Page, UnifiedStore};
+use flashsim::mftl::{self, Page, UnifiedStore};
 use flashsim::pftl::PageFtlStats;
-use flashsim::vftl::{SplitStore, VftlConfig};
+use flashsim::vftl::{self, SplitStore};
 use flashsim::{
     value, Backend, Key, MountReport, NandConfig, NandDevice, StoreError, StoreStats, Value,
 };
@@ -274,10 +280,13 @@ fn run(mut sim: Sim, store: Backend, dev: NandDevice<Page>, slow: Duration) -> G
 #[test]
 fn mftl_matches_recorded_constants() {
     let sim = Sim::new(SEED);
-    let cfg = MftlConfig::default();
-    let slow = cfg.op_overhead;
-    let s = UnifiedStore::new(sim.handle(), nand(), cfg);
-    let got = run(sim, Backend::Mftl(s.clone()), s.device().clone(), slow);
+    let s = UnifiedStore::new(sim.handle(), nand(), mftl::PACKING_WINDOW);
+    let got = run(
+        sim,
+        Backend::Mftl(s.clone()),
+        s.device().clone(),
+        mftl::OP_OVERHEAD,
+    );
     let want = Golden {
         stats: StoreStats {
             gets: 1452,
@@ -310,46 +319,44 @@ fn mftl_matches_recorded_constants() {
 #[test]
 fn vftl_matches_recorded_constants() {
     let sim = Sim::new(SEED);
-    let cfg = VftlConfig::default();
-    let slow = cfg.op_overhead;
-    let s = SplitStore::new(sim.handle(), nand(), cfg);
+    let s = SplitStore::new(sim.handle(), nand());
     let mut got = run(
         sim,
         Backend::Vftl(s.clone()),
         s.ftl().device().clone(),
-        slow,
+        vftl::OP_OVERHEAD,
     );
     got.ftl = Some(s.ftl().stats());
     let want = Golden {
         stats: StoreStats {
             gets: 1452,
             puts: 4951,
-            pages_written: 2596,
-            pages_read: 3774,
-            gc_collections: 790,
-            gc_relocated: 240,
-            versions_pruned: 4838,
+            pages_written: 2467,
+            pages_read: 3681,
+            gc_collections: 813,
+            gc_relocated: 260,
+            versions_pruned: 4832,
         },
-        page_reads: 3774,
-        page_writes: 2596,
-        block_erases: 299,
+        page_reads: 3681,
+        page_writes: 2467,
+        block_erases: 284,
         torn_pages: 4,
         ftl: Some(PageFtlStats {
-            lba_writes: 978,
-            lba_reads: 2132,
-            gc_relocated: 1606,
-            gc_erases: 299,
+            lba_writes: 990,
+            lba_reads: 2161,
+            gc_relocated: 1462,
+            gc_erases: 283,
         }),
         torn_by_power_fail: 4,
         mount: MountReport {
-            pages_scanned: 220,
+            pages_scanned: 223,
             torn_pages: 4,
             keys: 131,
             floor: Timestamp(88_000),
         },
-        outcomes: 1746488318343264397,
-        now_ns: 555_514_000,
-        polls: 28739,
+        outcomes: 11855014154984933607,
+        now_ns: 535_104_000,
+        polls: 28246,
     };
     assert_eq!(got, want);
 }

@@ -21,7 +21,6 @@
 use perfkit::FastMap;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::time::Duration;
 
 use flashsim::{Key, Value};
 use semel::client::SemelClient;
@@ -32,6 +31,7 @@ use simkit::rpc::{recv_request, RpcClient};
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, Version, WatermarkTracker};
 
+use crate::client::RPC_TIMEOUT;
 use crate::msg::{AbortReason, TxnError, TxnId};
 
 /// Requests understood by a Centiman validator.
@@ -199,8 +199,6 @@ impl Validator {
 /// Client tuning for the Centiman baseline.
 #[derive(Debug, Clone)]
 pub struct CentimanConfig {
-    /// Per-RPC timeout.
-    pub rpc_timeout: Duration,
     /// Disseminate progress after this many decided transactions (the
     /// paper's experiment uses 1,000).
     pub report_every: u64,
@@ -211,7 +209,6 @@ pub struct CentimanConfig {
 impl Default for CentimanConfig {
     fn default() -> CentimanConfig {
         CentimanConfig {
-            rpc_timeout: Duration::from_millis(50),
             report_every: 1000,
             obs: obskit::Obs::new(),
         }
@@ -336,7 +333,7 @@ impl CentimanClient {
                         client: self.storage.id(),
                         ts,
                     },
-                    self.cfg.rpc_timeout,
+                    RPC_TIMEOUT,
                 )
                 .await;
             if let Ok(ValidatorResponse::Ack { watermark }) = r {
@@ -485,7 +482,6 @@ impl CentTxn {
             let (reads, writes) = by_shard.remove(&s).expect("shard present");
             let rpc = self.c.rpc.clone();
             let to = self.c.validators[s];
-            let timeout = self.c.cfg.rpc_timeout;
             votes.push(self.c.handle.spawn(async move {
                 rpc.call::<ValidatorRequest, ValidatorResponse>(
                     to,
@@ -496,7 +492,7 @@ impl CentTxn {
                         reads,
                         writes,
                     },
-                    timeout,
+                    RPC_TIMEOUT,
                 )
                 .await
             }));
@@ -556,6 +552,7 @@ mod tests {
     use flashsim::value;
     use semel::cluster::{ClusterConfig, SemelCluster};
     use simkit::Sim;
+    use std::time::Duration;
 
     /// Boots SEMEL storage (1 replica per shard, as §5.3 specifies), one
     /// validator per shard, and Centiman clients.

@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Key, Value};
-use loadkit::RetryPolicy;
 use obskit::{Obs, TraceEvent};
 use readkit::{ReadRoute, ReplicaView, VersionCache};
 use semel::client::ClientCore;
@@ -50,11 +49,12 @@ impl ValidationMode {
 /// Retries for reads that hit a recovering/leaseless primary.
 const READ_RETRIES: u32 = 8;
 
+/// Per-RPC timeout of a transaction client (MILANA's and Centiman's).
+pub const RPC_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct TxnClientConfig {
-    /// Per-RPC timeout.
-    pub rpc_timeout: Duration,
     /// Master address for shard-map refresh after repeated failures.
     /// `None` means the client's map is externally maintained.
     pub master: Option<simkit::net::Addr>,
@@ -81,8 +81,8 @@ pub struct TxnClientConfig {
     /// floor trails real time by roughly a commit round-trip, so a small
     /// lag makes a read-only transaction backup-eligible from its *first*
     /// read instead of only after the floor catches up mid-transaction.
-    /// Zero (the default) reads at `now`. Plain [`TxnClient::begin`]
-    /// ignores the knob — lagging a writer only widens its validation
+    /// Zero (the default) reads at `now`. Read-write transactions ignore
+    /// the knob — lagging a writer only widens its validation
     /// window. Serializability is unaffected either way.
     pub snapshot_lag: Duration,
 }
@@ -90,7 +90,6 @@ pub struct TxnClientConfig {
 impl Default for TxnClientConfig {
     fn default() -> TxnClientConfig {
         TxnClientConfig {
-            rpc_timeout: Duration::from_millis(50),
             master: None,
             validation: ValidationMode::Local,
             watermark_interval: Duration::from_millis(100),
@@ -126,23 +125,20 @@ pub enum TxnMode {
     /// might write: lagging a writer only widens its validation window.
     #[default]
     ReadWrite,
-    /// **Bounded-staleness snapshot** (§4.6): `ts_begin` opens behind the
-    /// clock (the configured or per-transaction lag), so the snapshot is
+    /// **Bounded-staleness snapshot** (§4.6): `ts_begin` opens
+    /// [`TxnClientConfig::snapshot_lag`] behind the clock, so the snapshot is
     /// already below the replicated write floor by the first read and
     /// backup replicas can serve it immediately. Meant for transactions
     /// known to be read-only up front.
     Snapshot,
 }
 
-/// Typed options for [`TxnClient::begin_with`] — mode, snapshot lag, and
-/// cache participation as fields instead of three near-identical methods.
+/// Typed options for [`TxnClient::begin_with`] — mode and cache
+/// participation as fields instead of three near-identical methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TxnOpts {
     /// Snapshot placement (see [`TxnMode`]).
     pub mode: TxnMode,
-    /// Snapshot lag override for [`TxnMode::Snapshot`]; `None` uses
-    /// [`TxnClientConfig::snapshot_lag`]. Ignored in read-write mode.
-    pub snapshot_lag: Option<Duration>,
     /// §4.3 cached mode: serve reads speculatively from the client-wide
     /// value cache. A transaction that took a speculative hit loses the
     /// prepared-flag information that powers local validation, so it
@@ -153,19 +149,10 @@ pub struct TxnOpts {
 }
 
 impl TxnOpts {
-    /// Bounded-staleness snapshot at the configured lag.
+    /// Bounded-staleness snapshot at [`TxnClientConfig::snapshot_lag`].
     pub fn snapshot() -> TxnOpts {
         TxnOpts {
             mode: TxnMode::Snapshot,
-            ..TxnOpts::default()
-        }
-    }
-
-    /// Snapshot opened exactly `lag` behind the clock.
-    pub fn snapshot_lagged(lag: Duration) -> TxnOpts {
-        TxnOpts {
-            mode: TxnMode::Snapshot,
-            snapshot_lag: Some(lag),
             ..TxnOpts::default()
         }
     }
@@ -353,7 +340,7 @@ impl TxnClient {
                     match me
                         .core
                         .rpc
-                        .call_batch::<TxnRequest, TxnResponse>(primary, wire, me.cfg.rpc_timeout)
+                        .call_batch::<TxnRequest, TxnResponse>(primary, wire, RPC_TIMEOUT)
                         .await
                     {
                         Ok(mut resps) => {
@@ -443,7 +430,7 @@ impl TxnClient {
     pub fn begin_with(&self, opts: TxnOpts) -> Txn {
         let lag = match opts.mode {
             TxnMode::ReadWrite => Duration::ZERO,
-            TxnMode::Snapshot => opts.snapshot_lag.unwrap_or(self.cfg.snapshot_lag),
+            TxnMode::Snapshot => self.cfg.snapshot_lag,
         };
         self.begin_inner(opts.cached, lag)
     }
@@ -509,9 +496,7 @@ impl TxnClient {
         let Some(master) = self.cfg.master else {
             return;
         };
-        if let Ok(new_map) =
-            semel::master::fetch_map(&self.core.rpc, master, self.cfg.rpc_timeout).await
-        {
+        if let Ok(new_map) = semel::master::fetch_map(&self.core.rpc, master, RPC_TIMEOUT).await {
             let mut map = self.core.map.borrow_mut();
             if new_map.epoch() > map.epoch() {
                 *map = new_map;
@@ -555,11 +540,6 @@ impl TxnClient {
             ver_ts: version.ts.0,
             ver_client: version.client.0 as u64,
         });
-    }
-
-    /// The client's retry policy (overload instrumentation).
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.core.policy
     }
 
     /// Records a GC watermark piggybacked on a replica reply. The floor is
@@ -732,7 +712,7 @@ impl Txn {
             };
             let r = core
                 .rpc
-                .call::<TxnRequest, TxnResponse>(primary, req, self.c.cfg.rpc_timeout)
+                .call::<TxnRequest, TxnResponse>(primary, req, RPC_TIMEOUT)
                 .await;
             match r {
                 Ok(TxnResponse::Value {
@@ -835,7 +815,7 @@ impl Txn {
                     at: self.ts_begin,
                     client: self.c.id(),
                 },
-                self.c.cfg.rpc_timeout,
+                RPC_TIMEOUT,
             )
             .await;
         let now_ns = self.c.core.sim_ns();
@@ -946,7 +926,7 @@ impl Txn {
             };
             let r = core
                 .rpc
-                .call::<TxnRequest, TxnResponse>(replica, req, self.c.cfg.rpc_timeout)
+                .call::<TxnRequest, TxnResponse>(replica, req, RPC_TIMEOUT)
                 .await;
             match r {
                 Ok(TxnResponse::Value { version, value, .. }) => {

@@ -17,7 +17,7 @@ use timesync::{ClientId, ClockSpec};
 
 use crate::client::{TxnClient, TxnClientConfig};
 use crate::msg::{PromoteError, TxnRequest, TxnResponse};
-use crate::server::{ServerTuning, TxnServer, TxnServerConfig};
+use crate::server::{ServerTuning, TxnServer, TxnServerConfig, REPL_TIMEOUT};
 use crate::table::TxnTable;
 
 /// Deployment shape and substrate parameters.
@@ -199,18 +199,16 @@ impl MilanaCluster {
         // recovery RPC, and give every client a private map + master addr.
         let master = if config.auto_failover {
             let promote_rpc = RpcClient::new(handle, MASTER_NODE, 5);
-            let tuning = config.tuning.clone();
             let shared_map = map.clone();
             let promoter: semel::master::Promoter = Rc::new(move |shard, new_primary, peers| {
                 let rpc = promote_rpc.clone();
-                let tuning = tuning.clone();
                 let shared_map = shared_map.clone();
                 Box::pin(async move {
                     let ok = matches!(
                         rpc.call::<TxnRequest, TxnResponse>(
                             new_primary,
                             TxnRequest::Promote { backups: peers },
-                            tuning.repl_timeout * 80,
+                            REPL_TIMEOUT * 80,
                         )
                         .await,
                         Ok(TxnResponse::PromoteOk)

@@ -55,11 +55,13 @@ enum BatchItem<'a> {
     Waiting(BatchItemFuture<'a>),
 }
 
+/// Budget for each replication RPC to a backup; heartbeats, lease
+/// renewal, outcome queries, recovery and catch-up reuse it (some scaled).
+pub const REPL_TIMEOUT: Duration = Duration::from_millis(25);
+
 /// Server timing knobs.
 #[derive(Debug, Clone)]
 pub struct ServerTuning {
-    /// Budget for each replication RPC to a backup.
-    pub repl_timeout: Duration,
     /// Master address; primaries heartbeat it so the master can detect
     /// failures and drive automatic failover. `None` disables heartbeats
     /// (harness-driven failover only).
@@ -132,7 +134,6 @@ pub enum Fraud {
 impl Default for ServerTuning {
     fn default() -> ServerTuning {
         ServerTuning {
-            repl_timeout: Duration::from_millis(25),
             master: None,
             history_window: None,
             ctp_after: Duration::from_millis(500),
@@ -435,7 +436,7 @@ impl TxnServer {
         core.replication_plane(
             "milana",
             cfg.tuning.batch,
-            cfg.tuning.repl_timeout,
+            REPL_TIMEOUT,
             move |items: Vec<TxnRequest>| {
                 let mut st = state.borrow_mut();
                 let mut wire: Vec<TxnRequest> = std::mem::take(&mut st.wm_relay)
@@ -471,7 +472,7 @@ impl TxnServer {
                         master,
                         me.cfg.shard,
                         me.cfg.addr,
-                        me.cfg.tuning.repl_timeout,
+                        REPL_TIMEOUT,
                     )
                     .await;
                     me.core.handle.sleep(HEARTBEAT_EVERY).await;
@@ -523,7 +524,7 @@ impl TxnServer {
             .replicate(
                 backups,
                 TxnRequest::LeaseGrant { until },
-                self.cfg.tuning.repl_timeout,
+                REPL_TIMEOUT,
                 |r: &TxnResponse| matches!(r, TxnResponse::LeaseGranted { .. }),
             )
             .await;
@@ -1693,7 +1694,7 @@ impl TxnServer {
                 .call::<TxnRequest, TxnResponse>(
                     primary,
                     TxnRequest::QueryTxn { txid: record.txid },
-                    self.cfg.tuning.repl_timeout,
+                    REPL_TIMEOUT,
                 )
                 .await;
             match status {
@@ -1724,11 +1725,7 @@ impl TxnServer {
             if let Ok(TxnResponse::Log { records }) = self
                 .core
                 .rpc
-                .call::<TxnRequest, TxnResponse>(
-                    b,
-                    TxnRequest::RequestLog,
-                    self.cfg.tuning.repl_timeout,
-                )
+                .call::<TxnRequest, TxnResponse>(b, TxnRequest::RequestLog, REPL_TIMEOUT)
                 .await
             {
                 let mut table = self.table.borrow_mut();
@@ -1784,7 +1781,7 @@ impl TxnServer {
             .replicate(
                 backups.clone(),
                 TxnRequest::InstallLog { records },
-                self.cfg.tuning.repl_timeout * 4,
+                REPL_TIMEOUT * 4,
                 |r: &TxnResponse| matches!(r, TxnResponse::Ack),
             )
             .await;
@@ -1796,11 +1793,7 @@ impl TxnServer {
             if let Ok(TxnResponse::LeaseInfo { max_granted: g }) = self
                 .core
                 .rpc
-                .call::<TxnRequest, TxnResponse>(
-                    b,
-                    TxnRequest::LeaseQuery,
-                    self.cfg.tuning.repl_timeout,
-                )
+                .call::<TxnRequest, TxnResponse>(b, TxnRequest::LeaseQuery, REPL_TIMEOUT)
                 .await
             {
                 max_granted = max_granted.max(g);
@@ -1928,7 +1921,7 @@ impl TxnServer {
                 // No reachable primary right now (mid-failover); wait for
                 // the map to settle and retry.
                 _ => {
-                    self.core.handle.sleep(self.cfg.tuning.repl_timeout).await;
+                    self.core.handle.sleep(REPL_TIMEOUT).await;
                     continue;
                 }
             };
@@ -1938,7 +1931,7 @@ impl TxnServer {
                 .call::<TxnRequest, TxnResponse>(
                     primary,
                     TxnRequest::CatchUpFetch { cursor, limit },
-                    self.cfg.tuning.repl_timeout * 4,
+                    REPL_TIMEOUT * 4,
                 )
                 .await
             {
@@ -2000,7 +1993,7 @@ impl TxnServer {
                 // Primary mid-promotion (NotReady), deposed, or
                 // unreachable: re-resolve from the shared map and retry.
                 Ok(_) | Err(_) => {
-                    self.core.handle.sleep(self.cfg.tuning.repl_timeout).await;
+                    self.core.handle.sleep(REPL_TIMEOUT).await;
                 }
             }
         }

@@ -258,11 +258,6 @@ impl SemelClient {
         }
     }
 
-    /// The client's retry policy (budget / breaker instrumentation).
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.core.policy
-    }
-
     /// Creates a new version of `key` stamped with the client's current
     /// time; retries with a *fresh* timestamp if a concurrent writer with a
     /// later stamp wins the race (§3.3's "lagging clock" retry).

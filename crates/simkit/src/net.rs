@@ -222,11 +222,6 @@ impl Mailbox {
         Recv { mailbox: self }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Packet> {
-        self.inner.borrow_mut().queue.pop_front()
-    }
-
     /// Number of queued packets.
     pub fn len(&self) -> usize {
         self.inner.borrow().queue.len()

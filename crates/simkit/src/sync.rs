@@ -195,11 +195,6 @@ pub mod mpsc {
             RecvFut { rx: self }
         }
 
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Option<T> {
-            self.inner.borrow_mut().queue.pop_front()
-        }
-
         /// Queued item count.
         pub fn len(&self) -> usize {
             self.inner.borrow().queue.len()

@@ -8,8 +8,8 @@
 
 use std::time::Duration;
 
-use flashsim::dftl::{DemandMappedStore, DftlConfig};
-use flashsim::mftl::{MftlConfig, UnifiedStore};
+use flashsim::dftl::DemandMappedStore;
+use flashsim::mftl::{UnifiedStore, PACKING_WINDOW};
 use flashsim::nand::{NandConfig, NandDevice, PhysLoc};
 use flashsim::{value, Key};
 use simkit::Sim;
@@ -65,7 +65,7 @@ fn main() {
                 channels: 4,
                 ..NandConfig::default()
             },
-            MftlConfig::default(),
+            PACKING_WINDOW,
         );
         let k = Key::from(42u64);
         for ts in [100u64, 200, 300] {
@@ -122,13 +122,7 @@ fn main() {
         // Layer 3: when the mapping table outgrows DRAM (§3.1 future work),
         // page it on demand — hits are free, misses cost a flash read.
         // ------------------------------------------------------------------
-        let paged = DemandMappedStore::new(
-            hh.clone(),
-            store,
-            DftlConfig {
-                cached_entries: 8,
-            },
-        );
+        let paged = DemandMappedStore::new(hh.clone(), store, 8);
         // Touch 8 hot keys twice: second round is all hits.
         for _ in 0..2 {
             for i in 0..8u64 {

@@ -66,7 +66,7 @@ fn duplicate_prepare_mid_replication_gets_no_early_vote() {
     };
 
     // Stall replication: the primary cannot reach its backups, so the
-    // original prepare sits in its replication await for `repl_timeout`.
+    // original prepare sits in its replication await for `REPL_TIMEOUT`.
     h.partition(&[primary.node], &backups);
 
     let (first, duplicate) = {

@@ -220,6 +220,9 @@ fn milana_cfg(obs: &Obs) -> MilanaClusterConfig {
     cfg.tuning.obs = obs.clone();
     cfg.tuning.gossip_every = Some(Duration::from_millis(2));
     cfg.client_cfg.read_route = ReadRoute::Freshest;
+    // `TxnOpts::snapshot` opens this far back; read-write transactions
+    // ignore it.
+    cfg.client_cfg.snapshot_lag = Duration::from_millis(3);
     cfg
 }
 
@@ -237,7 +240,7 @@ async fn txn_rounds(h: &SimHandle, clients: &[TxnClient], rounds: u64, fold: &mu
                 let b = Key::from((i * 11 + ci as u64) % 16);
                 if i % 3 == 2 {
                     let opts = if i % 2 == 0 {
-                        TxnOpts::snapshot_lagged(Duration::from_millis(3))
+                        TxnOpts::snapshot()
                     } else {
                         TxnOpts::default()
                     };
