@@ -14,17 +14,19 @@ use std::time::Duration;
 
 use flashsim::dftl::DemandMappedStore;
 use flashsim::mftl::{UnifiedStore, PACKING_WINDOW};
-use flashsim::{value, BackendKind, Key, NandConfig, Value};
+use flashsim::{value, Backend, BackendKind, Key};
 use obskit::{Histogram, Json};
+use rand::Rng;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
 use semel::cluster::{ClusterConfig, SemelCluster};
 use semel::server::ReplicationMode;
 use simkit::rng::Zipf;
-use simkit::{Sim, SimHandle};
-use timesync::{ClientId, Discipline, Timestamp, Version};
+use simkit::Sim;
+use timesync::{ClientId, Discipline, Version};
 
-use crate::common::{clock_spectrum, run_retwis_on_milana, trail_watermark, Args, Scale};
+use crate::common::{clock_spectrum, run_retwis_on_milana, sweep, Args, Scale};
+use crate::table1::{self, Table1Config};
 use crate::{testbed, Outcome};
 
 /// `repro ablations`: all five, a blank line between their tables.
@@ -200,46 +202,46 @@ pub fn run_clocks(scale: Scale) -> Json {
     }
     println!();
     let keyspace = 5_000u64;
-    let mut items = Vec::new();
+    let mut grid = Vec::new();
     for (discipline, name) in clock_spectrum() {
         for &alpha in &alphas {
-            items.push((discipline.clone(), name, alpha));
+            grid.push((discipline.clone(), name, alpha));
         }
     }
     // Every (discipline, α) cell is an independent sim: fan the grid out
     // on the worker pool and print the table rows afterwards in order.
-    let cells = perfkit::pool::run_ordered_auto(items, |(discipline, name, alpha)| {
+    let points = sweep(grid, |(discipline, _, alpha)| {
         let outcome = run_retwis_on_milana(
             1_700 + (alpha * 100.0) as u64,
-            testbed::paper(BackendKind::Mftl, discipline.into(), 5, keyspace),
-            testbed::retwis(keyspace, alpha),
+            testbed::paper(BackendKind::Mftl, discipline.clone().into(), 5, keyspace),
+            testbed::retwis(keyspace, *alpha),
             4,
             (Duration::from_millis(200), scale.measure() / 2),
         );
-        let rate = outcome.stats.abort_rate();
-        let row = Json::obj()
-            .field("clock", Json::str(name))
-            .field("alpha", Json::F64(alpha))
-            .field("abort_rate", Json::F64(rate))
-            .field("abort_reasons", outcome.stats.abort_reasons_json())
-            .field("latency_ns", outcome.stats.latency.summary_json());
-        (name, rate, row)
+        (outcome.stats, 0.0)
     });
-    let mut rows = Vec::new();
-    for chunk in cells.chunks(alphas.len()) {
-        print!("{:>12}", chunk[0].0);
-        for (_, rate, _) in chunk {
-            print!(" {:>7.2}", rate * 100.0);
+    for row in points.chunks(alphas.len()) {
+        print!("{:>12}", row[0].at.1);
+        for p in row {
+            print!(" {:>7.2}", p.stats.abort_rate() * 100.0);
         }
         println!();
-        rows.extend(chunk.iter().map(|(_, _, row)| row.clone()));
     }
     println!(
         "(the knee: once skew drops below the request latency — PTP-SW and better — \
          further precision stops mattering, exactly §3.3's argument; NTP sits far \
          above the knee)"
     );
-    Json::obj().field("rows", Json::Arr(rows))
+    let rows = points.iter().map(|p| {
+        let (_, name, alpha) = p.at;
+        p.to_json(
+            Json::obj()
+                .field("clock", Json::str(name))
+                .field("alpha", Json::F64(alpha))
+                .field("abort_rate", Json::F64(p.stats.abort_rate())),
+        )
+    });
+    Json::obj().field("rows", Json::arr(rows))
 }
 
 /// Prints each cell's table line, in sweep order; returns the JSON rows.
@@ -251,33 +253,6 @@ fn print_lines(cells: Vec<(String, Json)>) -> Vec<Json> {
             row
         })
         .collect()
-}
-
-/// An MFTL store on a `channels`-wide device with the given packing window,
-/// preloaded with `keys` 472-byte values at 8 % utilisation; returns it with
-/// the payload.
-fn loaded_mftl(
-    h: &SimHandle,
-    channels: u32,
-    keys: u64,
-    packing_window: Duration,
-) -> (UnifiedStore, Value) {
-    let nand = NandConfig {
-        channels,
-        ..NandConfig::default()
-    }
-    .sized_for(keys, 512, 0.08);
-    let store = UnifiedStore::new(h.clone(), nand, packing_window);
-    let payload = value(vec![0u8; 472]);
-    for i in 0..keys {
-        store.bulk_load(
-            Key::from(i),
-            payload.clone(),
-            Version::new(Timestamp(1), ClientId(0)),
-        );
-    }
-    store.finish_load();
-    (store, payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +276,8 @@ pub fn run_dftl(scale: Scale) -> Json {
     let cells = perfkit::pool::run_ordered_auto(vec![1.0f64, 0.5, 0.25, 0.05], |fraction| {
         let mut sim = Sim::new(1_800);
         let h = sim.handle();
-        let (inner, payload) = loaded_mftl(&h, 16, keys, PACKING_WINDOW);
+        let inner = UnifiedStore::new(h.clone(), table1::device(16, keys, 0.08), PACKING_WINDOW);
+        let payload = table1::preload(&Backend::Mftl(inner.clone()), keys);
         let cached_entries = ((keys as f64 * fraction) as usize).max(1);
         let store = DemandMappedStore::new(h.clone(), inner, cached_entries);
         // Zipfian reads with 10% zipfian writes: a hot working set that a
@@ -392,72 +368,36 @@ pub fn run_packing(scale: Scale) -> Json {
         Scale::Quick => 10_000,
         Scale::Full => 50_000,
     };
+    // Table 1's closed loop on its quick-scale device, at a 25 % put mix
+    // and without a warm-up.
+    let cfg = Table1Config {
+        keys,
+        workers: 64,
+        channels: 32,
+        utilization: 0.08,
+        warmup: Duration::ZERO,
+        measure: scale.measure() / 3,
+    };
     // One independent sim per packing window: compute on the worker pool,
     // print the table rows afterwards in sweep order.
     let cells = perfkit::pool::run_ordered_auto(vec![0u64, 250, 500, 1_000, 2_000], |window_us| {
         let mut sim = Sim::new(1_900 + window_us);
-        let h = sim.handle();
-        let (store, payload) = loaded_mftl(&h, 32, keys, Duration::from_micros(window_us));
-        let gc_store = store.clone();
-        trail_watermark(&h, move |wm| gc_store.set_watermark(wm));
-        let get_hist = Rc::new(RefCell::new(Histogram::new()));
-        let put_hist = Rc::new(RefCell::new(Histogram::new()));
-        let pages_before = store.device().stats().page_writes;
-        let measure = scale.measure() / 3;
-        let until = h.now() + measure;
-        let mut joins = Vec::new();
-        for w in 0..64u32 {
-            let store = store.clone();
-            let payload = payload.clone();
-            let get_hist = get_hist.clone();
-            let put_hist = put_hist.clone();
-            let hh = h.clone();
-            joins.push(h.spawn(async move {
-                let mut rng = hh.fork_rng();
-                let clock = timesync::SyncedClock::new(Discipline::Perfect, w as u64);
-                let client = ClientId(w + 1);
-                while hh.now() < until {
-                    let key = Key::from(rand::Rng::gen_range(&mut rng, 0..keys));
-                    let t0 = hh.now();
-                    if rand::Rng::gen_range(&mut rng, 0..4) == 0 {
-                        let ok = loop {
-                            let version = Version::new(clock.now(hh.now()), client);
-                            match store.put(key.clone(), payload.clone(), version).await {
-                                Ok(()) => break true,
-                                Err(flashsim::StoreError::StaleWrite(_)) => continue,
-                                Err(_) => break false,
-                            }
-                        };
-                        if ok {
-                            put_hist
-                                .borrow_mut()
-                                .record((hh.now() - t0).as_nanos() as u64);
-                        }
-                    } else {
-                        let at = clock.now(hh.now());
-                        if store.get_at(&key, at).await.is_ok() {
-                            get_hist
-                                .borrow_mut()
-                                .record((hh.now() - t0).as_nanos() as u64);
-                        }
-                    }
-                }
-            }));
-        }
-        sim.block_on(async move {
-            for j in joins {
-                j.await;
-            }
-        });
-        let gets = get_hist.borrow();
-        let puts = put_hist.borrow();
-        let pages = store.device().stats().page_writes - pages_before;
-        let tuples_per_page = if pages == 0 {
+        let nand = table1::device(cfg.channels, cfg.keys, cfg.utilization);
+        let store = UnifiedStore::new(sim.handle(), nand, Duration::from_micros(window_us));
+        let run = table1::closed_loop(
+            &mut sim,
+            Backend::Mftl(store),
+            &cfg,
+            |rng| rng.gen_range(0..4) != 0,
+            false,
+        );
+        let (gets, puts) = (&run.gets, &run.puts);
+        let tuples_per_page = if run.pages_written == 0 {
             0.0
         } else {
-            puts.count() as f64 / pages as f64
+            puts.count() as f64 / run.pages_written as f64
         };
-        let kiops = (gets.count() + puts.count()) as f64 / measure.as_secs_f64() / 1e3;
+        let kiops = (gets.count() + puts.count()) as f64 / cfg.measure.as_secs_f64() / 1e3;
         let line = format!(
             "{:>10} {:>10.0} {:>12.1} {:>12.1} {:>14.2}",
             window_us,

@@ -32,7 +32,7 @@ use obskit::Json;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{clock_spectrum, run_retwis, run_retwis_on_milana, Args, Scale};
+use crate::common::{clock_spectrum, run_retwis, run_retwis_on_milana, verdict, Args, Scale};
 use crate::{testbed, Outcome};
 
 /// Knobs for one `repro clockfault` run.
@@ -75,11 +75,6 @@ impl ClockFaultConfig {
             max_future_ns: 1_000_000,
         }
     }
-
-    /// True when the run carries the seeded fraud.
-    fn injected(&self) -> bool {
-        self.fraud != Fraud::None
-    }
 }
 
 /// `repro clockfault`.
@@ -92,7 +87,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
         cfg.sub_seeds,
         cfg.campaign_faults,
         cfg.seed,
-        if cfg.injected() {
+        if cfg.fraud != Fraud::None {
             " [uncertainty-skip injected]"
         } else {
             ""
@@ -105,7 +100,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
     Outcome::of_fraud_run(
         to_json(&cfg, &sweep, &degradation, &campaign),
         ok(&cfg, &sweep, &degradation, &campaign),
-        cfg.injected(),
+        cfg.fraud,
         "clock-bound checker missed the injected fraud",
     )
 }
@@ -376,16 +371,9 @@ pub fn print(
         "clock-fault campaign: {} fault(s), {} violation(s) ({})",
         cfg.campaign_faults,
         campaign.violation_count(),
-        match (cfg.injected(), clean) {
-            (false, true) => "ok",
-            (false, false) => "FAILED",
-            (true, true) => "FRAUD MISSED",
-            (true, false) =>
-                if fraud_caught(campaign) {
-                    "fraud caught"
-                } else {
-                    "FRAUD MISCLASSIFIED"
-                },
+        match verdict(cfg.fraud, clean) {
+            "fraud caught" if !fraud_caught(campaign) => "FRAUD MISCLASSIFIED",
+            v => v,
         }
     );
 }
@@ -399,7 +387,10 @@ pub fn to_json(
 ) -> Json {
     Json::obj()
         .field("seed", Json::U64(cfg.seed))
-        .field("inject_uncertainty_skip", Json::Bool(cfg.injected()))
+        .field(
+            "inject_uncertainty_skip",
+            Json::Bool(cfg.fraud != Fraud::None),
+        )
         .field("sweep", Json::arr(sweep.iter().map(SweepPoint::to_json)))
         .field("degradation", degradation.to_json())
         .field("campaign", campaign.to_json())
@@ -424,7 +415,7 @@ pub fn ok(
     degradation: &Degradation,
     campaign: &CampaignReport,
 ) -> bool {
-    if cfg.injected() {
+    if cfg.fraud != Fraud::None {
         fraud_caught(campaign)
     } else {
         sweep_ordered(sweep) && degradation.ok() && campaign.offending_seeds().is_empty()

@@ -1,5 +1,6 @@
 //! Shared plumbing for the experiment reproductions: the scale knob, the
-//! one command-line parser, the run's trace, and MILANA/Retwis run helpers.
+//! one command-line parser, the run's trace, the fraud-run verdict, and
+//! MILANA/Retwis run helpers with the one sweep point the figures share.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -8,7 +9,7 @@ use std::time::Duration;
 
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use milana::Fraud;
-use obskit::{FrozenTxnStats, Obs, TxnStats};
+use obskit::{FrozenTxnStats, Json, Obs, TxnStats};
 use retwis::driver::{run_instance, TxnSystem, WorkloadConfig};
 use simkit::rng::Zipf;
 use simkit::{Sim, SimHandle};
@@ -251,6 +252,55 @@ pub fn clock_spectrum() -> [(Discipline, &'static str); 4] {
         (Discipline::PtpSoftware, "PTP-SW"),
         (Discipline::Ntp, "NTP"),
     ]
+}
+
+/// The word a check prints next to its count: an honest run must come out
+/// `clean`, a run with a seeded `fraud` must not.
+pub fn verdict(fraud: Fraud, clean: bool) -> &'static str {
+    match (fraud != Fraud::None, clean) {
+        (false, true) => "ok",
+        (false, false) => "FAILED",
+        (true, true) => "FRAUD MISSED",
+        (true, false) => "fraud caught",
+    }
+}
+
+/// One measured point of a Retwis sweep (Figures 6-9, the clock-spectrum
+/// ablation): where it sits in the sweep and its measurement-window
+/// counters, from which its rates and means are computed.
+#[derive(Debug, Clone)]
+pub struct Point<K> {
+    /// The sweep coordinates: backend, α, clients, ...
+    pub at: K,
+    /// Workload counters, merged over the point's seeds.
+    pub stats: FrozenTxnStats,
+    /// The one number a sweep measures that `stats` cannot compute:
+    /// Figure 6's mean of per-seed abort rates, Figure 9's fraction of
+    /// read-only transactions validated locally. Zero in other sweeps.
+    pub extra: f64,
+}
+
+impl<K> Point<K> {
+    /// The point's artifact object: `fields` (its coordinates and rates,
+    /// in order), then its abort-reason breakdown and latency percentiles.
+    pub fn to_json(&self, fields: Json) -> Json {
+        fields
+            .field("abort_reasons", self.stats.abort_reasons_json())
+            .field("latency_ns", self.stats.latency.summary_json())
+    }
+}
+
+/// Measures every point of `grid` on the `perfkit` worker pool (each an
+/// independent simulation) and returns them in grid order; `measure`
+/// returns a point's counters and its [`Point::extra`].
+pub fn sweep<K: Send>(
+    grid: Vec<K>,
+    measure: impl Fn(&K) -> (FrozenTxnStats, f64) + Sync,
+) -> Vec<Point<K>> {
+    perfkit::pool::run_ordered_auto(grid, |at| {
+        let (stats, extra) = measure(&at);
+        Point { at, stats, extra }
+    })
 }
 
 /// Outcome of one Retwis-over-MILANA run.

@@ -17,24 +17,9 @@ use milana::cluster::MilanaClusterConfig;
 use obskit::Json;
 use timesync::ClockSpec;
 
-use crate::common::{run_retwis_on_milana, Args, Scale};
-use crate::{testbed, Outcome};
-
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Fig6Point {
-    /// Storage backend ("SFTL"/"MFTL").
-    pub ftl: &'static str,
-    /// Contention parameter.
-    pub alpha: f64,
-    /// Number of clients.
-    pub clients: u32,
-    /// Abort rate (aborted attempts / all attempts).
-    pub abort_rate: f64,
-    /// Workload counters, merged across the averaged seeds (frozen so
-    /// points can be returned from worker threads).
-    pub stats: obskit::FrozenTxnStats,
-}
+use crate::common::{run_retwis_on_milana, sweep, Args, Point, Scale};
+use crate::testbed::{self, backend_name};
+use crate::Outcome;
 
 /// Parameters for the sweep.
 #[derive(Debug, Clone)]
@@ -116,21 +101,24 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
     Outcome::pass(to_json(&cfg, &points))
 }
 
+/// A Figure 6 point: `(backend, α, clients)`.
+pub type At = (BackendKind, f64, u32);
+
 /// Runs the full sweep, averaging each point over three seeds (the no-wait
 /// retry policy makes single runs noisy on the single-version backend).
-/// Points run on the `perfkit` worker pool (one sim per thread); the
-/// three averaged seeds stay inside one worker so each point is a single
-/// unit of deterministic work, and results merge back in sweep order.
-pub fn run(cfg: &Fig6Config) -> Vec<Fig6Point> {
-    let mut items = Vec::new();
+/// A point's stats merge the three runs and its `extra` is the mean of
+/// their abort rates. The three seeds stay inside one worker so each point
+/// is a single unit of deterministic work.
+pub fn run(cfg: &Fig6Config) -> Vec<Point<At>> {
+    let mut grid = Vec::new();
     for kind in [BackendKind::Sftl, BackendKind::Mftl] {
         for &alpha in &cfg.alphas {
             for &clients in &cfg.client_counts {
-                items.push((kind, alpha, clients));
+                grid.push((kind, alpha, clients));
             }
         }
     }
-    perfkit::pool::run_ordered_auto(items, |(kind, alpha, clients)| {
+    sweep(grid, |&(kind, alpha, clients)| {
         let mut acc = 0.0;
         let mut merged = obskit::TxnStats::new().freeze();
         const SEEDS: u64 = 3;
@@ -140,19 +128,13 @@ pub fn run(cfg: &Fig6Config) -> Vec<Fig6Point> {
             acc += stats.abort_rate();
             merged.merge_from(&stats);
         }
-        Fig6Point {
-            ftl: testbed::backend_name(kind),
-            alpha,
-            clients,
-            abort_rate: acc / SEEDS as f64,
-            stats: merged,
-        }
+        (merged, acc / SEEDS as f64)
     })
 }
 
 /// Deterministic JSON payload: one object per (FTL, α, clients) point
 /// with its abort-reason breakdown and latency percentiles.
-pub fn to_json(cfg: &Fig6Config, points: &[Fig6Point]) -> Json {
+pub fn to_json(cfg: &Fig6Config, points: &[Point<At>]) -> Json {
     Json::obj()
         .field(
             "client_counts",
@@ -165,37 +147,33 @@ pub fn to_json(cfg: &Fig6Config, points: &[Fig6Point]) -> Json {
         .field(
             "points",
             Json::arr(points.iter().map(|p| {
-                Json::obj()
-                    .field("ftl", Json::str(p.ftl))
-                    .field("alpha", Json::F64(p.alpha))
-                    .field("clients", Json::U64(p.clients as u64))
-                    .field("abort_rate", Json::F64(p.abort_rate))
-                    .field("abort_reasons", p.stats.abort_reasons_json())
-                    .field("latency_ns", p.stats.latency.summary_json())
+                let (kind, alpha, clients) = p.at;
+                p.to_json(
+                    Json::obj()
+                        .field("ftl", Json::str(backend_name(kind)))
+                        .field("alpha", Json::F64(alpha))
+                        .field("clients", Json::U64(clients as u64))
+                        .field("abort_rate", Json::F64(p.extra)),
+                )
             })),
         )
 }
 
-/// Prints the sweep as series over client counts.
-pub fn print(cfg: &Fig6Config, points: &[Fig6Point]) {
+/// Prints the sweep as series over client counts: one row per (FTL, α).
+pub fn print(cfg: &Fig6Config, points: &[Point<At>]) {
     println!("Figure 6: abort rate (%) vs clients — SFTL vs MFTL, zero skew");
     print!("{:>14}", "series\\clients");
     for c in &cfg.client_counts {
         print!(" {c:>7}");
     }
     println!();
-    for ftl in ["SFTL", "MFTL"] {
-        for &alpha in &cfg.alphas {
-            print!("{:>10} a={alpha:<3}", ftl);
-            for &clients in &cfg.client_counts {
-                let p = points
-                    .iter()
-                    .find(|p| p.ftl == ftl && p.alpha == alpha && p.clients == clients)
-                    .expect("point");
-                print!(" {:>7.2}", p.abort_rate * 100.0);
-            }
-            println!();
+    for row in points.chunks(cfg.client_counts.len()) {
+        let (kind, alpha, _) = row[0].at;
+        print!("{:>10} a={alpha:<3}", backend_name(kind));
+        for p in row {
+            print!(" {:>7.2}", p.extra * 100.0);
         }
+        println!();
     }
     println!("(paper: MFTL aborts well below SFTL at every client count; gap widens with α)");
 }

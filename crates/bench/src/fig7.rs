@@ -17,25 +17,9 @@ use flashsim::BackendKind;
 use obskit::Json;
 use timesync::Discipline;
 
-use crate::common::{run_retwis_on_milana, Args, Scale};
+use crate::common::{run_retwis_on_milana, sweep, Args, Point, Scale};
 use crate::testbed::{self, backend_name};
 use crate::Outcome;
-
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Fig7Point {
-    /// Clock discipline ("PTP"/"NTP").
-    pub sync: &'static str,
-    /// Storage backend name.
-    pub backend: &'static str,
-    /// Contention parameter.
-    pub alpha: f64,
-    /// Abort rate.
-    pub abort_rate: f64,
-    /// Full workload counters for the run (abort reasons, latency),
-    /// frozen so points can cross the worker-pool boundary.
-    pub stats: obskit::FrozenTxnStats,
-}
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -81,30 +65,6 @@ impl Fig7Config {
     }
 }
 
-fn run_point(
-    discipline: Discipline,
-    sync: &'static str,
-    kind: BackendKind,
-    alpha: f64,
-    cfg: &Fig7Config,
-    seed: u64,
-) -> Fig7Point {
-    let outcome = run_retwis_on_milana(
-        seed,
-        testbed::paper(kind, discipline.into(), cfg.client_vms, cfg.keyspace),
-        testbed::retwis(cfg.keyspace, alpha),
-        cfg.instances_per_vm,
-        (cfg.warmup, cfg.measure),
-    );
-    Fig7Point {
-        sync,
-        backend: backend_name(kind),
-        alpha,
-        abort_rate: outcome.stats.abort_rate(),
-        stats: outcome.stats,
-    }
-}
-
 /// `repro fig7`.
 pub fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Figure 7 at {scale:?} scale ...");
@@ -114,40 +74,55 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
     Outcome::pass(to_json(&cfg, &points))
 }
 
+/// A Figure 7 point: `(clock discipline, its label, backend, α)`.
+pub type At = (Discipline, &'static str, BackendKind, f64);
+
 /// Runs the full sweep on the `perfkit` worker pool (one sim per point,
 /// merged back in sweep order).
-pub fn run(cfg: &Fig7Config) -> Vec<Fig7Point> {
-    let mut items = Vec::new();
+pub fn run(cfg: &Fig7Config) -> Vec<Point<At>> {
+    let mut grid = Vec::new();
     for (discipline, sync) in [(Discipline::PtpSoftware, "PTP"), (Discipline::Ntp, "NTP")] {
         for &kind in &cfg.backends {
             for &alpha in &cfg.alphas {
-                items.push((discipline.clone(), sync, kind, alpha));
+                grid.push((discipline.clone(), sync, kind, alpha));
             }
         }
     }
-    perfkit::pool::run_ordered_auto(items, |(discipline, sync, kind, alpha)| {
-        let seed = 700 + (alpha * 100.0) as u64;
-        run_point(discipline, sync, kind, alpha, cfg, seed)
+    sweep(grid, |(discipline, _, kind, alpha)| {
+        let outcome = run_retwis_on_milana(
+            700 + (alpha * 100.0) as u64,
+            testbed::paper(
+                *kind,
+                discipline.clone().into(),
+                cfg.client_vms,
+                cfg.keyspace,
+            ),
+            testbed::retwis(cfg.keyspace, *alpha),
+            cfg.instances_per_vm,
+            (cfg.warmup, cfg.measure),
+        );
+        (outcome.stats, 0.0)
     })
 }
 
 /// Deterministic JSON payload: every point with its abort-reason
 /// breakdown and latency percentiles, plus a per-clock-model rollup
 /// (the artifact the paper's PTP-vs-NTP headline is checked against).
-pub fn to_json(cfg: &Fig7Config, points: &[Fig7Point]) -> Json {
+pub fn to_json(cfg: &Fig7Config, points: &[Point<At>]) -> Json {
     let point_docs = points.iter().map(|p| {
-        Json::obj()
-            .field("sync", Json::str(p.sync))
-            .field("backend", Json::str(p.backend))
-            .field("alpha", Json::F64(p.alpha))
-            .field("abort_rate", Json::F64(p.abort_rate))
-            .field("abort_reasons", p.stats.abort_reasons_json())
-            .field("latency_ns", p.stats.latency.summary_json())
+        let (_, sync, kind, alpha) = p.at;
+        p.to_json(
+            Json::obj()
+                .field("sync", Json::str(sync))
+                .field("backend", Json::str(backend_name(kind)))
+                .field("alpha", Json::F64(alpha))
+                .field("abort_rate", Json::F64(p.stats.abort_rate())),
+        )
     });
     let mut by_clock = Json::obj();
     for sync in ["PTP", "NTP"] {
         let mut merged = obskit::TxnStats::new().freeze();
-        for p in points.iter().filter(|p| p.sync == sync) {
+        for p in points.iter().filter(|p| p.at.1 == sync) {
             merged.merge_from(&p.stats);
         }
         by_clock = by_clock.field(
@@ -171,43 +146,38 @@ pub fn to_json(cfg: &Fig7Config, points: &[Fig7Point]) -> Json {
         .field("by_clock", by_clock)
 }
 
-/// Prints series of abort rates over α, plus the PTP-vs-NTP reduction.
-pub fn print(cfg: &Fig7Config, points: &[Fig7Point]) {
+/// Prints series of abort rates over α (one row per clock and backend),
+/// plus the PTP-vs-NTP reduction.
+pub fn print(cfg: &Fig7Config, points: &[Point<At>]) {
     println!("Figure 7: abort rate (%) vs contention α — PTP vs NTP by backend");
     print!("{:>12}", "series\\alpha");
     for a in &cfg.alphas {
         print!(" {a:>7}");
     }
     println!();
-    for sync in ["PTP", "NTP"] {
-        for &kind in &cfg.backends {
-            let name = backend_name(kind);
-            print!("{:>8}/{:<4}", sync, name);
-            for &alpha in &cfg.alphas {
-                let p = points
-                    .iter()
-                    .find(|p| p.sync == sync && p.backend == name && p.alpha == alpha)
-                    .expect("point");
-                print!(" {:>7.2}", p.abort_rate * 100.0);
-            }
-            println!();
+    for row in points.chunks(cfg.alphas.len()) {
+        let (_, sync, kind, _) = row[0].at;
+        print!("{:>8}/{:<4}", sync, backend_name(kind));
+        for p in row {
+            print!(" {:>7.2}", p.stats.abort_rate() * 100.0);
         }
+        println!();
     }
     // Headline: abort-rate reduction of PTP vs NTP at the highest contention.
     let max_alpha = *cfg.alphas.last().expect("non-empty alphas");
     for &kind in &cfg.backends {
-        let name = backend_name(kind);
         let get = |sync: &str| {
             points
                 .iter()
-                .find(|p| p.sync == sync && p.backend == name && p.alpha == max_alpha)
-                .map(|p| p.abort_rate)
+                .find(|p| p.at.1 == sync && p.at.2 == kind && p.at.3 == max_alpha)
+                .map(|p| p.stats.abort_rate())
                 .unwrap_or(f64::NAN)
         };
         let (ptp, ntp) = (get("PTP"), get("NTP"));
         if ntp > 0.0 {
             println!(
-                "  {name}: PTP reduces aborts by {:.0}% at alpha={max_alpha} (paper headline: up to 43%)",
+                "  {}: PTP reduces aborts by {:.0}% at alpha={max_alpha} (paper headline: up to 43%)",
+                backend_name(kind),
                 (1.0 - ptp / ntp) * 100.0
             );
         }

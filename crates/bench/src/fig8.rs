@@ -13,27 +13,9 @@ use obskit::Json;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
 
-use crate::common::{run_retwis_on_milana, Args, Scale};
+use crate::common::{run_retwis_on_milana, sweep, Args, Point, Scale};
 use crate::testbed::{self, backend_name};
 use crate::Outcome;
-
-/// One point on a latency/throughput curve.
-#[derive(Debug, Clone)]
-pub struct Fig8Point {
-    /// Backend name.
-    pub backend: &'static str,
-    /// Local validation enabled?
-    pub lv: bool,
-    /// Driving clients.
-    pub clients: u32,
-    /// Committed transactions per virtual second.
-    pub throughput: f64,
-    /// Mean transaction latency (first begin to commit), µs.
-    pub latency_us: f64,
-    /// Full workload counters for the run, frozen so points can cross
-    /// the worker-pool boundary.
-    pub stats: obskit::FrozenTxnStats,
-}
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -76,27 +58,6 @@ impl Fig8Config {
     }
 }
 
-fn run_point(kind: BackendKind, lv: bool, clients: u32, cfg: &Fig8Config, seed: u64) -> Fig8Point {
-    let outcome = run_retwis_on_milana(
-        seed,
-        testbed::three_shards(kind, clients, cfg.keyspace, lv),
-        WorkloadConfig {
-            mix: Mix::retwis_read_heavy(), // 75% read-only (paper)
-            ..testbed::retwis(cfg.keyspace, cfg.alpha)
-        },
-        1,
-        (cfg.warmup, cfg.measure),
-    );
-    Fig8Point {
-        backend: backend_name(kind),
-        lv,
-        clients,
-        throughput: outcome.stats.throughput(cfg.measure),
-        latency_us: outcome.stats.latency.mean() / 1e3,
-        stats: outcome.stats,
-    }
-}
-
 /// `repro fig8`.
 pub fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Figure 8 at {scale:?} scale ...");
@@ -106,26 +67,38 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
     Outcome::pass(to_json(&cfg, &points))
 }
 
+/// A Figure 8 point: `(backend, local validation on, clients)`.
+pub type At = (BackendKind, bool, u32);
+
 /// Runs the full sweep on the `perfkit` worker pool (one sim per point,
 /// merged back in sweep order).
-pub fn run(cfg: &Fig8Config) -> Vec<Fig8Point> {
-    let mut items = Vec::new();
+pub fn run(cfg: &Fig8Config) -> Vec<Point<At>> {
+    let mut grid = Vec::new();
     for &kind in &cfg.backends {
         for lv in [true, false] {
             for &clients in &cfg.client_counts {
-                items.push((kind, lv, clients));
+                grid.push((kind, lv, clients));
             }
         }
     }
-    perfkit::pool::run_ordered_auto(items, |(kind, lv, clients)| {
-        let seed = 800 + clients as u64;
-        run_point(kind, lv, clients, cfg, seed)
+    sweep(grid, |&(kind, lv, clients)| {
+        let outcome = run_retwis_on_milana(
+            800 + clients as u64,
+            testbed::three_shards(kind, clients, cfg.keyspace, lv),
+            WorkloadConfig {
+                mix: Mix::retwis_read_heavy(), // 75% read-only (paper)
+                ..testbed::retwis(cfg.keyspace, cfg.alpha)
+            },
+            1,
+            (cfg.warmup, cfg.measure),
+        );
+        (outcome.stats, 0.0)
     })
 }
 
 /// Deterministic JSON payload: one object per curve point with full
 /// latency percentiles and the abort-reason breakdown.
-pub fn to_json(cfg: &Fig8Config, points: &[Fig8Point]) -> Json {
+pub fn to_json(cfg: &Fig8Config, points: &[Point<At>]) -> Json {
     Json::obj()
         .field(
             "client_counts",
@@ -135,50 +108,50 @@ pub fn to_json(cfg: &Fig8Config, points: &[Fig8Point]) -> Json {
         .field(
             "points",
             Json::arr(points.iter().map(|p| {
-                Json::obj()
-                    .field("backend", Json::str(p.backend))
-                    .field("lv", Json::Bool(p.lv))
-                    .field("clients", Json::U64(p.clients as u64))
-                    .field("throughput", Json::F64(p.throughput))
-                    .field("latency_us", Json::F64(p.latency_us))
-                    .field("abort_reasons", p.stats.abort_reasons_json())
-                    .field("latency_ns", p.stats.latency.summary_json())
+                let (kind, lv, clients) = p.at;
+                p.to_json(
+                    Json::obj()
+                        .field("backend", Json::str(backend_name(kind)))
+                        .field("lv", Json::Bool(lv))
+                        .field("clients", Json::U64(clients as u64))
+                        .field("throughput", Json::F64(p.stats.throughput(cfg.measure)))
+                        .field("latency_us", Json::F64(p.stats.latency.mean() / 1e3)),
+                )
             })),
         )
 }
 
 /// Prints every curve and the LV speedup headline.
-pub fn print(cfg: &Fig8Config, points: &[Fig8Point]) {
+pub fn print(cfg: &Fig8Config, points: &[Point<At>]) {
     println!("Figure 8: latency vs throughput — 75% read-only Retwis, 3 shards x 3 replicas");
     println!(
         "{:>10} {:>4} {:>8} {:>12} {:>12}",
         "backend", "LV", "clients", "ktxn/s", "lat us"
     );
     for p in points {
+        let (kind, lv, clients) = p.at;
         println!(
             "{:>10} {:>4} {:>8} {:>12.1} {:>12.1}",
-            p.backend,
-            if p.lv { "on" } else { "off" },
-            p.clients,
-            p.throughput / 1e3,
-            p.latency_us
+            backend_name(kind),
+            if lv { "on" } else { "off" },
+            clients,
+            p.stats.throughput(cfg.measure) / 1e3,
+            p.stats.latency.mean() / 1e3
         );
     }
     // Headlines at the largest client count.
     let max_clients = *cfg.client_counts.last().expect("non-empty");
     for &kind in &cfg.backends {
-        let name = backend_name(kind);
-        let find = |lv| {
-            points
-                .iter()
-                .find(|p| p.backend == name && p.lv == lv && p.clients == max_clients)
-        };
+        let find = |lv| points.iter().find(|p| p.at == (kind, lv, max_clients));
         if let (Some(with), Some(without)) = (find(true), find(false)) {
+            let throughput = |p: &Point<At>| p.stats.throughput(cfg.measure);
+            let latency = |p: &Point<At>| p.stats.latency.mean() / 1e3;
             println!(
-                "  {name}: LV gives +{:.0}% throughput, {:.0}% lower latency at {max_clients} clients \
+                "  {}: LV gives +{:.0}% throughput, {:.0}% lower latency at {max_clients} clients \
                  (paper: +55% / -35%)",
-                (with.throughput / without.throughput - 1.0) * 100.0,
-                (1.0 - with.latency_us / without.latency_us) * 100.0,
+                backend_name(kind),
+                (throughput(with) / throughput(without) - 1.0) * 100.0,
+                (1.0 - latency(with) / latency(without)) * 100.0,
             );
         }
     }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use flashsim::BackendKind;
 use milana::centiman::{CentimanClient, CentimanConfig, Validator};
 use milana::cluster::MilanaClusterConfig;
-use obskit::Json;
+use obskit::{FrozenTxnStats, Json};
 use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
 use semel::cluster::{ClusterConfig, SemelCluster};
@@ -23,26 +23,8 @@ use simkit::net::{Addr, NodeId};
 use simkit::Sim;
 use timesync::ClientId;
 
-use crate::common::{run_retwis, run_retwis_on_milana, Args, Scale};
+use crate::common::{run_retwis, run_retwis_on_milana, sweep, Args, Point, Scale};
 use crate::{testbed, Outcome};
-
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Fig9Point {
-    /// "MILANA" or "Centiman".
-    pub system: &'static str,
-    /// Contention parameter.
-    pub alpha: f64,
-    /// Committed transactions per virtual second.
-    pub throughput: f64,
-    /// Fraction of read-only transactions validated locally.
-    pub local_fraction: f64,
-    /// Abort rate.
-    pub abort_rate: f64,
-    /// Full workload counters for the run, frozen so points can cross
-    /// the worker-pool boundary.
-    pub stats: obskit::FrozenTxnStats,
-}
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -97,30 +79,9 @@ impl Fig9Config {
     }
 }
 
-fn run_milana_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
-    let cluster_cfg = MilanaClusterConfig {
-        replicas: 1, // no replication, matching Centiman's validators
-        ..testbed::three_shards(BackendKind::Mftl, cfg.client_vms, cfg.keyspace, true)
-    };
-    let outcome = run_retwis_on_milana(
-        seed,
-        cluster_cfg,
-        cfg.workload(alpha),
-        cfg.instances_per_vm,
-        (cfg.warmup, cfg.measure),
-    );
-    Fig9Point {
-        system: "MILANA",
-        alpha,
-        throughput: outcome.stats.throughput(cfg.measure),
-        // MILANA validates every read-only transaction locally by design.
-        local_fraction: 1.0,
-        abort_rate: outcome.stats.abort_rate(),
-        stats: outcome.stats,
-    }
-}
-
-fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
+/// One Centiman run on SEMEL storage: its counters and the fraction of
+/// read-only transactions it validated locally.
+fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> (FrozenTxnStats, f64) {
     let mut sim = Sim::new(seed);
     let h = sim.handle();
     let storage = SemelCluster::build(
@@ -181,18 +142,12 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> Fig9Point {
         local += s.local_validated;
         remote += s.remote_validated;
     }
-    Fig9Point {
-        system: "Centiman",
-        alpha,
-        throughput: stats.throughput(cfg.measure),
-        local_fraction: if local + remote == 0 {
-            0.0
-        } else {
-            local as f64 / (local + remote) as f64
-        },
-        abort_rate: stats.abort_rate(),
-        stats,
-    }
+    let local_fraction = if local + remote == 0 {
+        0.0
+    } else {
+        local as f64 / (local + remote) as f64
+    };
+    (stats, local_fraction)
 }
 
 /// `repro fig9`.
@@ -204,28 +159,44 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
     Outcome::pass(to_json(&cfg, &points))
 }
 
+/// A Figure 9 point: `(system, α)`, the system "MILANA" or "Centiman".
+pub type At = (&'static str, f64);
+
 /// Runs the full comparison on the `perfkit` worker pool. Each (system,
 /// α) pair is one unit of work so the two systems' sims stay fully
-/// independent; results merge back in sweep order.
-pub fn run(cfg: &Fig9Config) -> Vec<Fig9Point> {
-    let mut items = Vec::new();
+/// independent; results merge back in sweep order. A point's `extra` is
+/// its local-validation fraction.
+pub fn run(cfg: &Fig9Config) -> Vec<Point<At>> {
+    let mut grid = Vec::new();
     for &alpha in &cfg.alphas {
-        items.push(("MILANA", alpha));
-        items.push(("Centiman", alpha));
+        grid.push(("MILANA", alpha));
+        grid.push(("Centiman", alpha));
     }
-    perfkit::pool::run_ordered_auto(items, |(system, alpha)| {
+    sweep(grid, |&(system, alpha)| {
         let seed = 900 + (alpha * 100.0) as u64;
-        match system {
-            "MILANA" => run_milana_point(alpha, cfg, seed),
-            _ => run_centiman_point(alpha, cfg, seed),
+        if system == "Centiman" {
+            return run_centiman_point(alpha, cfg, seed);
         }
+        let cluster_cfg = MilanaClusterConfig {
+            replicas: 1, // no replication, matching Centiman's validators
+            ..testbed::three_shards(BackendKind::Mftl, cfg.client_vms, cfg.keyspace, true)
+        };
+        let outcome = run_retwis_on_milana(
+            seed,
+            cluster_cfg,
+            cfg.workload(alpha),
+            cfg.instances_per_vm,
+            (cfg.warmup, cfg.measure),
+        );
+        // MILANA validates every read-only transaction locally by design.
+        (outcome.stats, 1.0)
     })
 }
 
 /// Deterministic JSON payload: one object per (system, α) point with the
 /// shared abort-reason taxonomy, so MILANA and Centiman aborts compare
 /// class-for-class.
-pub fn to_json(cfg: &Fig9Config, points: &[Fig9Point]) -> Json {
+pub fn to_json(cfg: &Fig9Config, points: &[Point<At>]) -> Json {
     Json::obj()
         .field(
             "alphas",
@@ -235,45 +206,47 @@ pub fn to_json(cfg: &Fig9Config, points: &[Fig9Point]) -> Json {
         .field(
             "points",
             Json::arr(points.iter().map(|p| {
-                Json::obj()
-                    .field("system", Json::str(p.system))
-                    .field("alpha", Json::F64(p.alpha))
-                    .field("throughput", Json::F64(p.throughput))
-                    .field("local_fraction", Json::F64(p.local_fraction))
-                    .field("abort_rate", Json::F64(p.abort_rate))
-                    .field("abort_reasons", p.stats.abort_reasons_json())
-                    .field("latency_ns", p.stats.latency.summary_json())
+                let (system, alpha) = p.at;
+                p.to_json(
+                    Json::obj()
+                        .field("system", Json::str(system))
+                        .field("alpha", Json::F64(alpha))
+                        .field("throughput", Json::F64(p.stats.throughput(cfg.measure)))
+                        .field("local_fraction", Json::F64(p.extra))
+                        .field("abort_rate", Json::F64(p.stats.abort_rate())),
+                )
             })),
         )
 }
 
 /// Prints throughput and local-validation series.
-pub fn print(cfg: &Fig9Config, points: &[Fig9Point]) {
+pub fn print(cfg: &Fig9Config, points: &[Point<At>]) {
     println!("Figure 9: MILANA vs Centiman local validation — 3 MFTL shards, 75% read-only");
     println!(
         "{:>10} {:>6} {:>12} {:>10} {:>9}",
         "system", "alpha", "ktxn/s", "local %", "abort %"
     );
     for p in points {
+        let (system, alpha) = p.at;
         println!(
             "{:>10} {:>6} {:>12.1} {:>10.1} {:>9.2}",
-            p.system,
-            p.alpha,
-            p.throughput / 1e3,
-            p.local_fraction * 100.0,
-            p.abort_rate * 100.0
+            system,
+            alpha,
+            p.stats.throughput(cfg.measure) / 1e3,
+            p.extra * 100.0,
+            p.stats.abort_rate() * 100.0
         );
     }
     let lo = cfg.alphas.first().copied().unwrap_or(0.4);
     let hi = cfg.alphas.last().copied().unwrap_or(0.8);
     for a in [lo, hi] {
-        let find = |sys: &str| points.iter().find(|p| p.system == sys && p.alpha == a);
+        let find = |sys: &str| points.iter().find(|p| p.at == (sys, a));
         if let (Some(m), Some(c)) = (find("MILANA"), find("Centiman")) {
             println!(
                 "  alpha={a}: MILANA/Centiman throughput = {:.2} (paper: ~1.0 low contention, ~1.2 high); \
                  Centiman local = {:.0}% (paper: 89% at 0.4 -> 25% at 0.8)",
-                m.throughput / c.throughput,
-                c.local_fraction * 100.0
+                m.stats.throughput(cfg.measure) / c.stats.throughput(cfg.measure),
+                c.extra * 100.0
             );
         }
     }

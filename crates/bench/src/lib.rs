@@ -27,6 +27,7 @@
 //! measured points as a deterministic JSON artifact (see [`artifact`]):
 //! same seed, same scale → byte-identical file at any `--threads`.
 
+use milana::Fraud;
 use obskit::Json;
 
 use common::{Args, Scale};
@@ -63,11 +64,12 @@ impl Outcome {
     }
 
     /// The outcome of a run whose checks `passed` (or not) with a seeded
-    /// fraud `injected` (or not). Under a fraud, passing means the checkers
+    /// `fraud` (or `Fraud::None`). Under a fraud, passing means the checkers
     /// caught it, and the exit code inverts: a caught fraud exits 1 like any
     /// failed check (CI inverts it), while a blind checker — `missed` goes to
     /// stderr — exits 0 and CI flags the miss.
-    pub fn of_fraud_run(data: Json, passed: bool, injected: bool, missed: &str) -> Outcome {
+    pub fn of_fraud_run(data: Json, passed: bool, fraud: Fraud, missed: &str) -> Outcome {
+        let injected = fraud != Fraud::None;
         if injected && !passed {
             eprintln!("{missed}");
         }
@@ -159,67 +161,4 @@ fn run_all(table: &[Experiment], args: &Args, scale: Scale) -> Outcome {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_nests_every_row_under_its_name_and_fails_with_any_row() {
-        fn row(name: &'static str, in_all: bool, run: fn(&Args, Scale) -> Outcome) -> Experiment {
-            Experiment {
-                name,
-                about: "",
-                flags: &[],
-                in_all,
-                run,
-            }
-        }
-        let passes = |_: &Args, _: Scale| Outcome::pass(Json::U64(1));
-        let fails = |_: &Args, _: Scale| Outcome {
-            data: Json::U64(2),
-            ok: false,
-        };
-        let skipped = |_: &Args, _: Scale| unreachable!("not an `all` row");
-        let (_, args) = Args::check(["all".to_string()], experiments()).unwrap();
-
-        let table = [row("a", true, passes), row("b", false, skipped)];
-        let out = run_all(&table, &args, Scale::Quick);
-        assert!(out.ok);
-        assert_eq!(out.data.to_string(), r#"{"a":1}"#);
-
-        let table = [
-            row("a", true, passes),
-            row("b", true, fails),
-            row("c", true, passes),
-        ];
-        let out = run_all(&table, &args, Scale::Quick);
-        assert!(!out.ok, "a failed row must fail `repro all`");
-        assert_eq!(out.data.to_string(), r#"{"a":1,"b":2,"c":1}"#);
-    }
-
-    /// `repro all` runs a real row exactly as `repro <row>` does: same
-    /// arguments through, so the seed `all` pins is the row's default, and
-    /// the row's `data` lands under its name untouched. (The whole suite,
-    /// through the binary: `tests/cli_args.rs`, `--ignored`.)
-    #[test]
-    fn all_nests_a_real_experiments_data_verbatim() {
-        let table = experiments();
-        let row = table.iter().find(|e| e.name == "recovery").unwrap();
-        let (_, args) = Args::check(["all".to_string()], table).unwrap();
-        let alone = (row.run)(&args, Scale::Quick);
-        let nested = run_all(std::slice::from_ref(row), &args, Scale::Quick);
-        assert_eq!(nested.ok, alone.ok);
-        assert_eq!(
-            nested.data.to_string(),
-            Json::obj().field("recovery", alone.data).to_string()
-        );
-    }
-
-    #[test]
-    fn the_table_names_each_experiment_once_and_all_pins_eleven() {
-        let table = experiments();
-        for (i, e) in table.iter().enumerate() {
-            assert!(table[..i].iter().all(|other| other.name != e.name));
-        }
-        assert_eq!(table.iter().filter(|e| e.in_all).count(), 11);
-    }
-}
+mod tests;

@@ -19,8 +19,10 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-use flashsim::{value, Backend, BackendKind, Key, NandConfig, StoreError};
+use flashsim::{value, Backend, BackendKind, Key, NandConfig, StoreError, Value};
 use obskit::{Histogram, Json};
+use rand::rngs::StdRng;
+use rand::Rng;
 use simkit::Sim;
 use timesync::{ClientId, Discipline, SyncedClock, Timestamp, Version};
 
@@ -91,28 +93,21 @@ impl Table1Config {
     }
 }
 
-/// Runs one (FTL, get%) cell. The optional string is a stderr note about
-/// puts that hit capacity backpressure — returned instead of printed so
-/// parallel sweeps emit notes in deterministic (sweep) order.
-pub fn run_cell(
-    kind: BackendKind,
-    get_pct: u32,
-    cfg: &Table1Config,
-    seed: u64,
-) -> (Table1Row, Option<String>) {
-    assert!(matches!(kind, BackendKind::Vftl | BackendKind::Mftl));
-    let mut sim = Sim::new(seed);
-    let h = sim.handle();
-    let nand = NandConfig {
-        channels: cfg.channels,
+/// The device a store run uses: `channels` wide, sized so `keys`
+/// 512-byte tuples fill `utilization` of it.
+pub fn device(channels: u32, keys: u64, utilization: f64) -> NandConfig {
+    NandConfig {
+        channels,
         ..NandConfig::default()
     }
-    .sized_for(cfg.keys, 512, cfg.utilization);
-    let store = Backend::new(kind, &h, nand);
-    store.attach_tracer(&crate::common::run_obs().tracer, 0);
-    // 512-byte tuples: 16 B key + 472 B value + 24 B header.
+    .sized_for(keys, 512, utilization)
+}
+
+/// Bulk-loads keys `0..keys` into `store` at version 1 as 512-byte tuples
+/// (16 B key + 472 B value + 24 B header); returns the value payload.
+pub fn preload(store: &Backend, keys: u64) -> Value {
     let payload = value(vec![0u8; 472]);
-    for i in 0..cfg.keys {
+    for i in 0..keys {
         store.bulk_load(
             Key::from(i),
             payload.clone(),
@@ -120,14 +115,46 @@ pub fn run_cell(
         );
     }
     store.finish_load();
+    payload
+}
 
+/// What one closed-loop store run measured in its window.
+#[derive(Debug)]
+pub struct StoreRun {
+    /// Get latencies, ns.
+    pub gets: Histogram,
+    /// Latencies of the puts that succeeded, ns.
+    pub puts: Histogram,
+    /// Puts refused by capacity backpressure.
+    pub put_errors: u64,
+    /// Device pages programmed while the workers ran (GC included).
+    pub pages_written: u64,
+}
+
+/// Preloads `store` (built on [`device`]`(cfg.channels, cfg.keys,
+/// cfg.utilization)`) and drives it with `cfg.workers` closed-loop
+/// workers on uniform keys for `cfg.warmup + cfg.measure` of virtual
+/// time, trailing the GC watermark 50 ms behind. Each operation draws its
+/// key, then `is_get` picks get or put. Only the window after the warm-up
+/// counts (a zero warm-up counts from the first operation); a failed get
+/// counts only if `failed_gets`.
+pub fn closed_loop(
+    sim: &mut Sim,
+    store: Backend,
+    cfg: &Table1Config,
+    is_get: impl Fn(&mut StdRng) -> bool + Copy + 'static,
+    failed_gets: bool,
+) -> StoreRun {
+    let h = sim.handle();
+    let payload = preload(&store, cfg.keys);
     let gc_store = store.clone();
     trail_watermark(&h, move |wm| gc_store.set_watermark(wm));
 
-    let measuring = Rc::new(Cell::new(false));
+    let measuring = Rc::new(Cell::new(cfg.warmup.is_zero()));
     let get_hist = Rc::new(RefCell::new(Histogram::new()));
     let put_hist = Rc::new(RefCell::new(Histogram::new()));
     let put_errors = Rc::new(Cell::new(0u64));
+    let pages_before = store.stats().pages_written;
     let until = h.now() + cfg.warmup + cfg.measure;
     let mut joins = Vec::new();
     for w in 0..cfg.workers {
@@ -145,17 +172,14 @@ pub fn run_cell(
             // A strictly monotonic per-worker clock (the SEMEL client
             // library's behavior): retried writes get fresh, larger stamps.
             let clock = SyncedClock::new(Discipline::Perfect, w as u64);
-            loop {
-                if hh.now() >= until {
-                    break;
-                }
-                let key = Key::from(rand::Rng::gen_range(&mut rng, 0..keys));
-                let is_get = rand::Rng::gen_range(&mut rng, 0..100u32) < get_pct;
+            while hh.now() < until {
+                let key = Key::from(rng.gen_range(0..keys));
+                let get = is_get(&mut rng);
                 let t0 = hh.now();
-                if is_get {
+                if get {
                     let at = clock.now(hh.now());
-                    let _ = store.get_at(&key, at).await;
-                    if measuring.get() {
+                    let ok = store.get_at(&key, at).await.is_ok();
+                    if measuring.get() && (ok || failed_gets) {
                         get_hist
                             .borrow_mut()
                             .record((hh.now() - t0).as_nanos() as u64);
@@ -184,27 +208,58 @@ pub fn run_cell(
             }
         }));
     }
-    sim.run_until(h.now() + cfg.warmup);
-    measuring.set(true);
+    if !cfg.warmup.is_zero() {
+        sim.run_until(h.now() + cfg.warmup);
+        measuring.set(true);
+    }
     sim.block_on(async move {
         for j in joins {
             j.await;
         }
     });
-    let gets = get_hist.borrow();
-    let puts = put_hist.borrow();
+    StoreRun {
+        gets: get_hist.take(),
+        puts: put_hist.take(),
+        put_errors: put_errors.get(),
+        pages_written: store.stats().pages_written - pages_before,
+    }
+}
+
+/// Runs one (FTL, get%) cell. The optional string is a stderr note about
+/// puts that hit capacity backpressure — returned instead of printed so
+/// parallel sweeps emit notes in deterministic (sweep) order.
+pub fn run_cell(
+    kind: BackendKind,
+    get_pct: u32,
+    cfg: &Table1Config,
+    seed: u64,
+) -> (Table1Row, Option<String>) {
+    assert!(matches!(kind, BackendKind::Vftl | BackendKind::Mftl));
+    let mut sim = Sim::new(seed);
+    let store = Backend::new(
+        kind,
+        &sim.handle(),
+        device(cfg.channels, cfg.keys, cfg.utilization),
+    );
+    store.attach_tracer(&crate::common::run_obs().tracer, 0);
+    let run = closed_loop(
+        &mut sim,
+        store,
+        cfg,
+        move |rng| rng.gen_range(0..100u32) < get_pct,
+        true,
+    );
     let ftl = match kind {
         BackendKind::Vftl => "VFTL",
         _ => "MFTL",
     };
-    let note = (put_errors.get() > 0).then(|| {
+    let note = (run.put_errors > 0).then(|| {
         format!(
             "  note: {} {}% {} puts hit capacity backpressure (excluded from stats)",
-            put_errors.get(),
-            get_pct,
-            ftl
+            run.put_errors, get_pct, ftl
         )
     });
+    let (gets, puts) = (&run.gets, &run.puts);
     let total_ops = gets.count() + puts.count();
     let row = Table1Row {
         get_pct,

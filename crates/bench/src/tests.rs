@@ -1,4 +1,6 @@
-//! End-to-end cold-restart recovery tests on a simulated MILANA cluster.
+//! Crate-level tests: the experiment table and `repro all`, then the
+//! cold-restart recovery trial ([`crate::recovery`]) end to end on a
+//! simulated MILANA cluster.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -9,14 +11,81 @@ use flashsim::{value, Key};
 use milana::client::TxnOpts;
 use milana::cluster::MilanaCluster;
 use milana::msg::{TxnRequest, TxnResponse};
-use obskit::{Obs, RecoveryPhase, TraceEvent};
+use obskit::{Json, Obs, RecoveryPhase, TraceEvent};
 use rand::Rng;
 use semel::shard::ShardId;
 use simkit::Sim;
 use timesync::Timestamp;
 
-use crate::{cluster_config, commit_increments, dec, enc, run_recovery_trial, RecoverySpec};
+use crate::common::{Args, Scale};
+use crate::recovery::{
+    cluster_config, commit_increments, dec, enc, run_recovery_trial, RecoverySpec,
+};
+use crate::{experiments, run_all, Experiment, Outcome};
 
+#[test]
+fn all_nests_every_row_under_its_name_and_fails_with_any_row() {
+    fn row(name: &'static str, in_all: bool, run: fn(&Args, Scale) -> Outcome) -> Experiment {
+        Experiment {
+            name,
+            about: "",
+            flags: &[],
+            in_all,
+            run,
+        }
+    }
+    let passes = |_: &Args, _: Scale| Outcome::pass(Json::U64(1));
+    let fails = |_: &Args, _: Scale| Outcome {
+        data: Json::U64(2),
+        ok: false,
+    };
+    let skipped = |_: &Args, _: Scale| unreachable!("not an `all` row");
+    let (_, args) = Args::check(["all".to_string()], experiments()).unwrap();
+
+    let table = [row("a", true, passes), row("b", false, skipped)];
+    let out = run_all(&table, &args, Scale::Quick);
+    assert!(out.ok);
+    assert_eq!(out.data.to_string(), r#"{"a":1}"#);
+
+    let table = [
+        row("a", true, passes),
+        row("b", true, fails),
+        row("c", true, passes),
+    ];
+    let out = run_all(&table, &args, Scale::Quick);
+    assert!(!out.ok, "a failed row must fail `repro all`");
+    assert_eq!(out.data.to_string(), r#"{"a":1,"b":2,"c":1}"#);
+}
+
+/// `repro all` runs a real row exactly as `repro <row>` does: same
+/// arguments through, so the seed `all` pins is the row's default, and
+/// the row's `data` lands under its name untouched. (The whole suite,
+/// through the binary: `tests/cli_args.rs`, `--ignored`.)
+#[test]
+fn all_nests_a_real_experiments_data_verbatim() {
+    let table = experiments();
+    let row = table.iter().find(|e| e.name == "recovery").unwrap();
+    let (_, args) = Args::check(["all".to_string()], table).unwrap();
+    let alone = (row.run)(&args, Scale::Quick);
+    let nested = run_all(std::slice::from_ref(row), &args, Scale::Quick);
+    assert_eq!(nested.ok, alone.ok);
+    assert_eq!(
+        nested.data.to_string(),
+        Json::obj().field("recovery", alone.data).to_string()
+    );
+}
+
+#[test]
+fn the_table_names_each_experiment_once_and_all_pins_eleven() {
+    let table = experiments();
+    for (i, e) in table.iter().enumerate() {
+        assert!(table[..i].iter().all(|other| other.name != e.name));
+    }
+    assert_eq!(table.iter().filter(|e| e.in_all).count(), 11);
+}
+
+/// A trial sized for tests (`harness_golden.rs` pins the artifact bytes
+/// of this one).
 fn small_spec() -> RecoverySpec {
     RecoverySpec {
         store_keys: 400,
@@ -97,7 +166,7 @@ fn mount_time_grows_with_store_size() {
     );
 }
 
-/// Satellite: a cold-restarted backup must answer `NotReady` to readkit
+/// A cold-restarted backup must answer `NotReady` to readkit
 /// `ReadAt` for the whole mount + catch-up window — the durable floor it
 /// mounted is a promise about client clocks, not applied coverage, so a
 /// snapshot served off it could miss commits acked during the outage.
@@ -287,7 +356,7 @@ fn cold_backup_gates_read_at_until_floor_repromised() {
     });
 }
 
-/// Satellite: promoting a replica *while its cold-restart catch-up is
+/// Promoting a replica *while its cold-restart catch-up is
 /// still running* must apply every outcome exactly once. The promotion's
 /// log merge (from the surviving backup) supersedes the aborted
 /// anti-entropy sweep; records the sweep already installed are skipped via

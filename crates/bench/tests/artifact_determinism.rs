@@ -56,12 +56,8 @@ fn fig7_artifact_reports_reasons_and_percentiles_per_clock() {
     }
     // The tiny run still commits transactions under both disciplines.
     for p in &points {
-        assert!(
-            p.stats.commits > 0,
-            "{}/{} committed nothing",
-            p.sync,
-            p.backend
-        );
+        let (_, sync, backend, _) = p.at;
+        assert!(p.stats.commits > 0, "{sync}/{backend} committed nothing");
     }
 }
 

@@ -26,12 +26,12 @@ use flashsim::{Key, Value};
 use semel::client::SemelClient;
 use semel::msg::SemelError;
 use semel::shard::ShardMap;
+use semel::RPC_TIMEOUT;
 use simkit::net::{Addr, NodeId};
 use simkit::rpc::{recv_request, RpcClient};
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, Version, WatermarkTracker};
 
-use crate::client::RPC_TIMEOUT;
 use crate::msg::{AbortReason, TxnError, TxnId};
 
 /// Requests understood by a Centiman validator.

@@ -17,6 +17,7 @@ use obskit::{Obs, TraceEvent};
 use readkit::{ReadRoute, ReplicaView, VersionCache};
 use semel::client::ClientCore;
 use semel::shard::{ShardId, ShardMap};
+use semel::RPC_TIMEOUT;
 use simkit::net::{Addr, NodeId};
 use simkit::rpc::RpcError;
 use simkit::{SimHandle, SimTime};
@@ -48,9 +49,6 @@ impl ValidationMode {
 
 /// Retries for reads that hit a recovering/leaseless primary.
 const READ_RETRIES: u32 = 8;
-
-/// Per-RPC timeout of a transaction client (MILANA's and Centiman's).
-pub const RPC_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Client tuning.
 #[derive(Debug, Clone)]

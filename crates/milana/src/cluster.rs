@@ -10,6 +10,7 @@ use std::time::Duration;
 use flashsim::{BackendKind, NandConfig};
 use semel::cluster::{client_node, layout, new_backend, preload};
 use semel::shard::{ReplicaGroup, ShardId, ShardMap};
+use semel::REPL_TIMEOUT;
 use simkit::net::{Addr, NodeId};
 use simkit::rpc::RpcClient;
 use simkit::SimHandle;
@@ -17,7 +18,7 @@ use timesync::{ClientId, ClockSpec};
 
 use crate::client::{TxnClient, TxnClientConfig};
 use crate::msg::{PromoteError, TxnRequest, TxnResponse};
-use crate::server::{ServerTuning, TxnServer, TxnServerConfig, REPL_TIMEOUT};
+use crate::server::{ServerTuning, TxnServer, TxnServerConfig};
 use crate::table::TxnTable;
 
 /// Deployment shape and substrate parameters.

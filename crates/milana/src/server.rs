@@ -25,6 +25,7 @@ use batchkit::{BatchConfig, Batcher};
 use flashsim::{Backend, Key, StoreError, Value};
 use semel::replica::ReplicaCore;
 use semel::shard::{ShardId, ShardMap};
+use semel::REPL_TIMEOUT;
 use simkit::net::Addr;
 use simkit::rpc::{Incoming, Responder};
 use simkit::time::SimTime;
@@ -54,10 +55,6 @@ enum BatchItem<'a> {
     /// It may wait: its future, not yet polled.
     Waiting(BatchItemFuture<'a>),
 }
-
-/// Budget for each replication RPC to a backup; heartbeats, lease
-/// renewal, outcome queries, recovery and catch-up reuse it (some scaled).
-pub const REPL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Server timing knobs.
 #[derive(Debug, Clone)]

@@ -108,8 +108,8 @@ impl MigrationPhase {
     }
 }
 
-/// A cold-restart recovery phase (the recoverkit state machine, mirrored
-/// here so the trace schema stays dependency-free).
+/// A cold-restart recovery phase (the steps of a MILANA replica's cold
+/// restart, mirrored here so the trace schema stays dependency-free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhase {
     /// Power failed: volatile state lost, in-flight programs torn.

@@ -17,6 +17,7 @@ use timesync::{ClientId, ClockSpec, SyncedClock, Timestamp, Version};
 
 use crate::msg::{SemelError, SemelRequest, SemelResponse};
 use crate::shard::{ReplicaGroup, ShardId, ShardMap};
+use crate::RPC_TIMEOUT;
 
 /// What a client *is* under both protocols: identity, the precision clock,
 /// the shard map, the RPC endpoint and the retry discipline.
@@ -138,32 +139,13 @@ impl ClientCore {
 /// How many fresh-timestamp retries a racing put gets before giving up.
 const PUT_RETRIES: u32 = 8;
 
-/// Client tuning.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Per-RPC timeout.
-    pub rpc_timeout: Duration,
-    /// How often the client broadcasts its watermark (§3.1).
-    pub watermark_interval: Duration,
-    /// Observability sinks (clock-sync trace events).
-    pub obs: obskit::Obs,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            rpc_timeout: Duration::from_millis(50),
-            watermark_interval: Duration::from_millis(100),
-            obs: obskit::Obs::new(),
-        }
-    }
-}
+/// How often a client broadcasts its watermark (§3.1).
+const WATERMARK_INTERVAL: Duration = Duration::from_millis(100);
 
 /// A SEMEL client (an application server). Cloning shares the client.
 #[derive(Clone)]
 pub struct SemelClient {
     core: Rc<ClientCore>,
-    cfg: Rc<ClientConfig>,
     last_acked: Rc<Cell<Timestamp>>,
 }
 
@@ -179,16 +161,16 @@ impl std::fmt::Debug for SemelClient {
 pub const CLIENT_RPC_PORT: u16 = 32;
 
 impl SemelClient {
-    /// Creates the client and starts its watermark broadcast task. Draws
-    /// two values from the simulation RNG: the clock seed, then the retry
-    /// policy's.
+    /// Creates the client and starts its watermark broadcast task; `obs`
+    /// receives its clock-sync trace events. Draws two values from the
+    /// simulation RNG: the clock seed, then the retry policy's.
     pub fn new(
         handle: &SimHandle,
         node: NodeId,
         id: ClientId,
         map: Rc<RefCell<ShardMap>>,
         clock: &ClockSpec,
-        cfg: ClientConfig,
+        obs: &obskit::Obs,
     ) -> SemelClient {
         let clock_seed = handle.rand_u64();
         let policy_seed = handle.rand_u64();
@@ -199,17 +181,16 @@ impl SemelClient {
             map,
             (clock, clock_seed),
             policy_seed,
-            &cfg.obs,
+            obs,
         );
         let client = SemelClient {
             core,
-            cfg: Rc::new(cfg),
             last_acked: Rc::new(Cell::new(Timestamp::ZERO)),
         };
         let me = client.clone();
-        client.core.every(client.cfg.watermark_interval, move || {
-            me.broadcast_watermark()
-        });
+        client
+            .core
+            .every(WATERMARK_INTERVAL, move || me.broadcast_watermark());
         client
     }
 
@@ -318,7 +299,7 @@ impl SemelClient {
             };
             match core
                 .rpc
-                .call::<SemelRequest, SemelResponse>(primary, req, self.cfg.rpc_timeout)
+                .call::<SemelRequest, SemelResponse>(primary, req, RPC_TIMEOUT)
                 .await
             {
                 Ok(SemelResponse::PutOk) => {
@@ -380,7 +361,7 @@ impl SemelClient {
             };
             match core
                 .rpc
-                .call::<SemelRequest, SemelResponse>(primary, req, self.cfg.rpc_timeout)
+                .call::<SemelRequest, SemelResponse>(primary, req, RPC_TIMEOUT)
                 .await
             {
                 Ok(SemelResponse::Value { version, value, .. }) => {
@@ -422,11 +403,7 @@ impl SemelClient {
         match self
             .core
             .rpc
-            .call::<SemelRequest, SemelResponse>(
-                primary,
-                SemelRequest::Delete { key },
-                self.cfg.rpc_timeout,
-            )
+            .call::<SemelRequest, SemelResponse>(primary, SemelRequest::Delete { key }, RPC_TIMEOUT)
             .await
         {
             Ok(SemelResponse::Deleted) => Ok(()),

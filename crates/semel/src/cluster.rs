@@ -10,7 +10,7 @@ use simkit::net::{Addr, NodeId};
 use simkit::SimHandle;
 use timesync::{ClientId, ClockSpec, Timestamp, Version};
 
-use crate::client::{ClientConfig, SemelClient};
+use crate::client::SemelClient;
 use crate::server::{ServerConfig, ShardServer};
 use crate::shard::{ReplicaGroup, ShardId, ShardMap};
 
@@ -33,8 +33,6 @@ pub struct ClusterConfig {
     pub preload_keys: u64,
     /// Value size for preloaded keys (and a sensible default for writes).
     pub value_size: usize,
-    /// Client library tuning.
-    pub client_cfg: ClientConfig,
     /// Network latency model installed at build time.
     pub net: simkit::net::LatencyConfig,
     /// Replication ordering discipline (ablation knob).
@@ -59,7 +57,6 @@ impl Default for ClusterConfig {
             clock: ClockSpec::ptp_software(),
             preload_keys: 0,
             value_size: 472,
-            client_cfg: ClientConfig::default(),
             net: simkit::net::LatencyConfig::default(),
             replication: crate::server::ReplicationMode::default(),
             admission: loadkit::AdmissionConfig::default(),
@@ -189,13 +186,8 @@ impl SemelCluster {
                             Vec::new()
                         },
                         is_primary: r == 0,
-                        // Shorter than the client's RPC budget so a primary
-                        // can still report NoMajority before the client
-                        // gives up on it.
-                        repl_timeout: config.client_cfg.rpc_timeout / 2,
                         clients: client_ids.clone(),
                         replication: config.replication,
-                        history_window: None,
                         admission: config.admission.clone(),
                         batch: config.batch,
                         obs: config.obs.clone(),
@@ -217,15 +209,13 @@ impl SemelCluster {
 
         let clients = (0..config.clients)
             .map(|i| {
-                let mut client_cfg = config.client_cfg.clone();
-                client_cfg.obs = config.obs.clone();
                 SemelClient::new(
                     handle,
                     client_node(i),
                     ClientId(i),
                     map.clone(),
                     &config.clock,
-                    client_cfg,
+                    &config.obs,
                 )
             })
             .collect();
@@ -350,9 +340,7 @@ mod tests {
         let mut sim = Sim::new(15);
         let h = sim.handle();
         let hh = h.clone();
-        let mut cfg = cluster_cfg();
-        cfg.client_cfg.rpc_timeout = Duration::from_millis(5);
-        let cluster = SemelCluster::build(&h, cfg);
+        let cluster = SemelCluster::build(&h, cluster_cfg());
         sim.block_on(async move {
             let k = Key::from(3u64);
             let shard = cluster.map.borrow().shard_for(&k);

@@ -37,9 +37,22 @@ pub mod replicate;
 pub mod server;
 pub mod shard;
 
-pub use client::{ClientConfig, SemelClient};
+pub use client::SemelClient;
 pub use cluster::{ClusterConfig, SemelCluster};
 pub use msg::{SemelError, SemelRequest, SemelResponse};
 pub use replica::ReplicaCore;
 pub use server::{ServerConfig, ShardServer};
 pub use shard::{ReplicaGroup, ShardId, ShardMap};
+
+use std::time::Duration;
+
+/// Budget for one client RPC to a replica: SEMEL's client, MILANA's and
+/// Centiman's transaction clients, and the resharding copy plane.
+pub const RPC_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Budget for one replication RPC to a backup. Shorter than
+/// [`RPC_TIMEOUT`], so a primary that loses its backup majority answers
+/// `NoMajority` before the client gives up on it. MILANA's heartbeats,
+/// lease renewal, outcome queries, recovery and catch-up reuse it (some
+/// scaled).
+pub const REPL_TIMEOUT: Duration = Duration::from_millis(25);

@@ -10,7 +10,6 @@
 //!   version stamps, never from arrival order.
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Backend, StoreError};
@@ -23,6 +22,7 @@ use timesync::{ClientId, Timestamp};
 use crate::msg::{ReplicaRecord, SemelRequest, SemelResponse};
 use crate::replica::ReplicaCore;
 use crate::shard::ShardId;
+use crate::REPL_TIMEOUT;
 
 /// How a primary streams records to its backups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,17 +49,11 @@ pub struct ServerConfig {
     pub backups: Vec<Addr>,
     /// True for the designated primary.
     pub is_primary: bool,
-    /// Budget for each backup replication RPC.
-    pub repl_timeout: Duration,
     /// Clients whose watermark reports gate garbage collection.
     pub clients: Vec<ClientId>,
     /// Replication ordering discipline (ablation knob; SEMEL uses
     /// [`ReplicationMode::Inconsistent`]).
     pub replication: ReplicationMode,
-    /// Keep at least this much version history regardless of watermark
-    /// progress (§3.1's tunable GC window). `None` prunes purely by
-    /// watermark.
-    pub history_window: Option<std::time::Duration>,
     /// Overload control: bounded cost-aware admission for client-facing
     /// operations (replication and watermark traffic is exempt — refusing
     /// it would only amplify recovery work).
@@ -135,7 +129,7 @@ impl ShardServer {
             &cfg.admission,
             &cfg.obs,
             &cfg.clients,
-            cfg.history_window,
+            None,
         );
         let cfg = Rc::new(cfg);
         let repl_batch = (cfg.is_primary
@@ -146,7 +140,7 @@ impl ShardServer {
             core.replication_plane(
                 "semel",
                 cfg.batch,
-                cfg.repl_timeout,
+                REPL_TIMEOUT,
                 move |recs: Vec<ReplicaRecord>| {
                     let wire = recs
                         .into_iter()
@@ -324,7 +318,7 @@ impl ShardServer {
             .replicate(
                 self.cfg.backups.clone(),
                 req,
-                self.cfg.repl_timeout,
+                REPL_TIMEOUT,
                 |r: &SemelResponse| matches!(r, SemelResponse::RecordOk),
             )
             .await
@@ -445,10 +439,8 @@ mod tests {
                 addr: Addr::new(simkit::net::NodeId(0), 0),
                 backups: Vec::new(),
                 is_primary: true,
-                repl_timeout: Duration::from_millis(10),
                 clients,
                 replication: ReplicationMode::Inconsistent,
-                history_window: None,
                 admission: AdmissionConfig::default(),
                 batch: BatchConfig::default(),
                 obs: obskit::Obs::new(),

@@ -44,6 +44,7 @@ use milana::{TxnRequest, TxnResponse};
 use obskit::{MigrationPhase, Obs, TraceEvent};
 use semel::master::Master;
 use semel::shard::{ReplicaGroup, ShardId, ShardMap};
+use semel::RPC_TIMEOUT;
 use simkit::net::{Addr, NodeId};
 use simkit::rpc::RpcClient;
 use simkit::SimHandle;
@@ -60,8 +61,6 @@ const CATCHUP_THRESHOLD: u64 = 16;
 /// Hard cap on catch-up sweeps before cutover is forced regardless of the
 /// threshold.
 const MAX_CATCHUP_ROUNDS: u32 = 8;
-/// Per-envelope timeout on the copy plane.
-const RPC_TIMEOUT: Duration = Duration::from_millis(50);
 /// How long the source keeps answering moved-key requests with forwarding
 /// stubs after cutover: one lease term, so every client lease observes the
 /// flip.

@@ -2,9 +2,9 @@
 # Code lines per crate by the rule every PR since PR 13 reports: non-blank
 # lines that are not `//` comments, up to a file's first `#[cfg(test)]`,
 # over `crates/*/src`. A `#[cfg(test)]` on an out-of-line `mod x;` skips
-# only that item: three `lib.rs` files declare `mod tests;` above their
-# code, and until PR 23 everything below it went uncounted (recoverkit
-# read 11 lines). The second column also counts the out-of-line
+# only that item: a `lib.rs` may declare `mod tests;` above its code
+# (milana's does), and the code below it still counts. The second
+# column also counts the out-of-line
 # `src/tests.rs` test modules, which the rule's literal reading includes
 # (that is the total ISSUE 18 quotes: 21 136 at its parent, 19 668 without).
 # Run from the repo root; pass another root to count a second checkout.
