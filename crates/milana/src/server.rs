@@ -56,6 +56,20 @@ enum BatchItem<'a> {
     Waiting(BatchItemFuture<'a>),
 }
 
+/// True for a request [`TxnServer::start_batch_item`] always answers on the
+/// spot: watermark and floor reports, applied floors and floor syncs, and,
+/// inside a batch, the outcomes it acks before their apply task runs.
+fn answered_at_once(req: &TxnRequest, batched: bool) -> bool {
+    match req {
+        TxnRequest::Watermark { .. }
+        | TxnRequest::FloorReport { .. }
+        | TxnRequest::AppliedFloor { .. }
+        | TxnRequest::FloorSync => true,
+        TxnRequest::Outcome { .. } | TxnRequest::ReplOutcome { .. } => batched,
+        _ => false,
+    }
+}
+
 /// Server timing knobs.
 #[derive(Debug, Clone)]
 pub struct ServerTuning {
@@ -396,15 +410,9 @@ impl TxnServer {
         // A restarted replica must not reuse stale volatile key metadata.
         server.table.borrow_mut().rebuild_key_meta();
         let me = server.clone();
-        server.core.serve(move |incoming, from, resp| {
-            let me = me.clone();
-            async move {
-                match incoming {
-                    Incoming::One(req) => me.handle_request(req, from, resp).await,
-                    Incoming::Batch(items) => me.handle_batch(items, from, resp).await,
-                }
-            }
-        });
+        server
+            .core
+            .serve(move |incoming, from, resp| me.on_envelope(incoming, from, resp));
         if server.state.borrow().is_primary {
             server.spawn_primary_tasks();
         }
@@ -592,54 +600,87 @@ impl TxnServer {
         at < Timestamp::from_sim(self.state.borrow().lease_until)
     }
 
+    /// Takes one envelope at its delivery instant and decides what it
+    /// costs. A request [`answered_at_once`] is answered here, with no
+    /// task. A read is admitted here and, unless shed, gets a task of its
+    /// own whose future holds only what a read needs. Everything else gets
+    /// a task per envelope. A delivery lands on an empty ready queue and
+    /// the task spawned for it would have been polled next, so doing the
+    /// work in place produces the same effects in the same order.
+    fn on_envelope(&self, incoming: Incoming<TxnRequest>, from: Addr, resp: Responder) {
+        match incoming {
+            Incoming::One(req) if answered_at_once(&req, false) => {
+                resp.reply(self.answer_now(req, from));
+            }
+            Incoming::One(
+                req @ (TxnRequest::Get { .. }
+                | TxnRequest::GetAny { .. }
+                | TxnRequest::ReadAt { .. }),
+            ) => {
+                if let Some((permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed) {
+                    self.core.spawn(self.read_task(req, permit, resp));
+                }
+            }
+            Incoming::One(req) => {
+                let me = self.clone();
+                self.core
+                    .spawn(async move { me.handle_request(req, from, resp).await });
+            }
+            Incoming::Batch(items) if items.iter().all(|item| answered_at_once(item, true)) => {
+                let replies: Vec<TxnResponse> = items
+                    .into_iter()
+                    .map(|item| self.answer_now(item, from))
+                    .collect();
+                resp.reply_batch(replies);
+            }
+            Incoming::Batch(items) => {
+                let me = self.clone();
+                self.core
+                    .spawn(async move { me.handle_batch(items, from, resp).await });
+            }
+        }
+    }
+
+    /// Answers a request [`answered_at_once`] accepts.
+    fn answer_now(&self, req: TxnRequest, from: Addr) -> TxnResponse {
+        match self.start_batch_item(req, &mut std::iter::empty(), from) {
+            BatchItem::Answered(reply) => reply,
+            BatchItem::Waiting(_) => unreachable!("a request answered at once waited"),
+        }
+    }
+
+    /// The future of an admitted snapshot read (`Get`, `GetAny` or
+    /// `ReadAt`), which holds its permit until it has replied. It captures
+    /// what a read needs and no more, so its task box stays small.
+    pub(crate) fn read_task(
+        &self,
+        req: TxnRequest,
+        permit: loadkit::Permit,
+        resp: Responder,
+    ) -> impl Future<Output = ()> + 'static {
+        let me = self.clone();
+        async move {
+            match req {
+                TxnRequest::Get { key, at, client } => me.handle_get(key, at, client, resp).await,
+                TxnRequest::GetAny { key, at } => me.handle_get_any(key, at, resp).await,
+                TxnRequest::ReadAt { key, at, client } => {
+                    me.handle_read_at(key, at, client, resp).await
+                }
+                other => unreachable!("not a read: {other:?}"),
+            }
+            drop(permit);
+        }
+    }
+
     async fn handle_request(&self, req: TxnRequest, from: Addr, resp: Responder) {
         match req {
-            TxnRequest::Get { key, at, client } => {
-                let Some((_permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed)
-                else {
-                    return;
-                };
-                self.handle_get(key, at, client, resp).await
-            }
-            TxnRequest::GetAny { key, at } => {
-                let Some((_permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed)
-                else {
-                    return;
-                };
-                // Any live replica may serve this (backups too): the reply
-                // carries no local-validation information, so the caller
-                // must validate remotely (§4.6).
-                if !self.state.borrow().serving {
-                    resp.reply(TxnResponse::NotReady);
-                    return;
-                }
-                {
-                    // Replica reads also forward after a cutover: serving a
-                    // frozen (soon to be GC'd) copy would surface spurious
-                    // NotFound once GC runs.
-                    let map = self.map.borrow();
-                    if self.moved_away(&map, std::iter::once(&key)) {
-                        resp.reply(TxnResponse::Moved { epoch: map.epoch() });
-                        return;
-                    }
-                }
-                // `prepared: true` poisons local validation by design.
-                resp.reply(self.read_reply(&key, at, true).await);
-            }
-            TxnRequest::ReadAt { key, at, client } => {
-                let Some((_permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed)
-                else {
-                    return;
-                };
-                self.handle_read_at(key, at, client, resp).await
-            }
-            TxnRequest::AppliedFloor { seq, ts } => {
-                self.accept_floor(seq, ts, from);
-                resp.reply(TxnResponse::Ack);
-            }
-            TxnRequest::FloorSync => {
-                resp.reply(TxnResponse::Ack);
-            }
+            TxnRequest::Get { .. }
+            | TxnRequest::GetAny { .. }
+            | TxnRequest::ReadAt { .. }
+            | TxnRequest::Watermark { .. }
+            | TxnRequest::FloorReport { .. }
+            | TxnRequest::AppliedFloor { .. }
+            | TxnRequest::FloorSync => unreachable!("served by `on_envelope`: {req:?}"),
             TxnRequest::Prepare {
                 txid,
                 ts_commit,
@@ -665,14 +706,6 @@ impl TxnServer {
             }
             TxnRequest::Outcome { txid, commit } => {
                 self.apply_outcome(txid, commit).await;
-                resp.reply(TxnResponse::Ack);
-            }
-            TxnRequest::Watermark { client, ts } => {
-                self.merge_watermark(client, ts);
-                resp.reply(TxnResponse::Ack);
-            }
-            TxnRequest::FloorReport { client, ts } => {
-                self.merge_floor(client, ts);
                 resp.reply(TxnResponse::Ack);
             }
             TxnRequest::ReplPrepare(record) => {
@@ -1040,6 +1073,28 @@ impl TxnServer {
                 }
             }
         }
+    }
+
+    /// Serves a [`TxnRequest::GetAny`]. Any live replica may (backups too):
+    /// the reply carries no local-validation information, so the caller
+    /// must validate remotely (§4.6).
+    async fn handle_get_any(&self, key: Key, at: Timestamp, resp: Responder) {
+        if !self.state.borrow().serving {
+            resp.reply(TxnResponse::NotReady);
+            return;
+        }
+        {
+            // Replica reads also forward after a cutover: serving a frozen
+            // (soon to be GC'd) copy would surface spurious NotFound once
+            // GC runs.
+            let map = self.map.borrow();
+            if self.moved_away(&map, std::iter::once(&key)) {
+                resp.reply(TxnResponse::Moved { epoch: map.epoch() });
+                return;
+            }
+        }
+        // `prepared: true` poisons local validation by design.
+        resp.reply(self.read_reply(&key, at, true).await);
     }
 
     /// Serves a [`TxnRequest::ReadAt`] — a snapshot read addressed to this

@@ -1006,9 +1006,74 @@ fn batched_control_items_spawn_only_the_outcome_apply() {
             replies.iter().all(|r| matches!(r, TxnResponse::Ack)),
             "{replies:?}"
         );
-        // The envelope's task and the outcome's detached apply; the items
-        // themselves were answered in the envelope's first poll.
-        assert_eq!(hh.spawns() - spawns, 2);
+        // Only the outcome's detached apply: the envelope was answered at
+        // its delivery instant, with no task of its own.
+        assert_eq!(hh.spawns() - spawns, 1);
+    });
+}
+
+#[test]
+fn cast_watermark_and_floor_reports_cost_no_task() {
+    let mut sim = Sim::new(74);
+    let h = sim.handle();
+    let hh = h.clone();
+    let cluster = lone_primary(&h, 256);
+    sim.block_on(async move {
+        let primary = &cluster.replicas[0][0];
+        let client = ClientId(9);
+        let ts = Timestamp(1_000);
+        // Let the start-up traffic settle, then measure one quiet window
+        // without the casts and one with them.
+        hh.sleep(Duration::from_millis(1)).await;
+        let window = |casts: bool| {
+            let (hh, rpc, addr) = (hh.clone(), cluster.master_rpc.clone(), primary.addr);
+            async move {
+                let (polls, spawns) = (hh.polls(), hh.spawns());
+                if casts {
+                    rpc.cast(addr, TxnRequest::Watermark { client, ts });
+                    rpc.cast(addr, TxnRequest::FloorReport { client, ts });
+                }
+                hh.sleep(Duration::from_millis(1)).await;
+                (hh.polls() - polls, hh.spawns() - spawns)
+            }
+        };
+        let quiet = window(false).await;
+        let with_casts = window(true).await;
+        assert_eq!(with_casts, quiet);
+        assert_eq!(quiet, (1, 0), "the window's own wake-up only");
+        // Both were applied: the floor report raised the primary's
+        // applied watermark.
+        assert_eq!(primary.server.table().borrow().applied_watermark(), ts);
+    });
+}
+
+#[test]
+fn a_read_task_fits_the_allocators_thread_cache() {
+    let mut sim = Sim::new(75);
+    let h = sim.handle();
+    let hh = h.clone();
+    let cluster = lone_primary(&h, 256);
+    sim.block_on(async move {
+        let server = cluster.replicas[0][0].server.clone();
+        let mailbox = hh.bind(simkit::net::Addr::new(simkit::net::NodeId(99), 0));
+        cluster.master_rpc.cast(mailbox.addr(), ());
+        let (_, _, resp) = simkit::rpc::recv_request::<()>(&hh, &mailbox)
+            .await
+            .unwrap();
+        let read = TxnRequest::ReadAt {
+            key: k(1),
+            at: Timestamp(1),
+            client: ClientId(9),
+        };
+        let permit = loadkit::Admission::new(loadkit::AdmissionConfig::default())
+            .try_admit(0, crate::server::COST_GET)
+            .unwrap();
+        let fut = server.read_task(read, permit, resp);
+        // A task boxes its future plus one pointer (simkit's
+        // `a_task_boxes_its_future_once_plus_a_pointer`); glibc serves
+        // requests of up to 1 032 B from its per-thread cache.
+        let boxed = std::mem::size_of_val(&fut) + std::mem::size_of::<usize>();
+        assert!(boxed <= 1_032, "a read task boxes {boxed} B");
     });
 }
 

@@ -95,20 +95,23 @@ impl ReplicaCore {
         self.obs.tracer.record(self.handle.now().as_nanos(), ev);
     }
 
-    /// Binds the service address. Each envelope is handled in its own
-    /// task, spawned at the delivery instant, so slow device operations do
-    /// not serialize the shard.
-    pub fn serve<Req, F, Fut>(&self, handler: F)
-    where
-        Req: Clone + 'static,
-        F: Fn(Incoming<Req>, Addr, Responder) -> Fut + 'static,
-        Fut: Future<Output = ()> + 'static,
-    {
-        let h = self.handle.clone();
-        let node = self.addr.node;
-        serve_incoming::<Req>(&self.handle, self.addr, move |incoming, from, resp| {
-            h.spawn_on(node, handler(incoming, from, resp));
-        });
+    /// Binds the service address: `handler` sees each envelope at its
+    /// delivery instant, with nothing between it and the network. It
+    /// decides what the envelope costs — a request that never waits is
+    /// answered there and then, one that may is spawned with
+    /// [`ReplicaCore::spawn`] so slow device operations do not serialize
+    /// the shard.
+    pub fn serve<Req: Clone + 'static>(
+        &self,
+        handler: impl FnMut(Incoming<Req>, Addr, Responder) + 'static,
+    ) {
+        serve_incoming::<Req>(&self.handle, self.addr, handler);
+    }
+
+    /// Spawns `fut` as a task of this replica's node, so killing the node
+    /// aborts it.
+    pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
+        self.handle.spawn_on(self.addr.node, fut);
     }
 
     /// Overload gate for client-facing work: refuse already-expired
@@ -254,11 +257,14 @@ mod tests {
             &[],
             None,
         );
-        core.serve::<Ping, _, _>(|incoming, _from, resp| async move {
-            match incoming {
-                Incoming::One(Ping(v)) => resp.reply(Pong(v + 1)),
-                Incoming::Batch(_) => panic!("expected a plain request"),
-            }
+        let server = Rc::clone(&core);
+        core.serve::<Ping>(move |incoming, _from, resp| {
+            server.spawn(async move {
+                match incoming {
+                    Incoming::One(Ping(v)) => resp.reply(Pong(v + 1)),
+                    Incoming::Batch(_) => panic!("expected a plain request"),
+                }
+            })
         });
         let client = RpcClient::new(&h, NodeId(1), 0);
         assert_eq!((h.polls(), h.spawns()), (0, 0), "serving costs no task");

@@ -21,18 +21,18 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::net::{Addr, NetState, NodeId, Packet};
+use crate::queue::{EventKey, EventQueue};
 use crate::time::SimTime;
 
 /// Identifies a spawned task. Slot indices are reused; the generation
@@ -43,22 +43,78 @@ pub(crate) struct TaskId {
     gen: u32,
 }
 
-type ReadyQueue = Arc<Mutex<VecDeque<TaskId>>>;
+type ReadyQueue = Rc<RefCell<VecDeque<TaskId>>>;
 
+/// What a task's [`Waker`] points at. Each task gets one, at its first
+/// poll, and keeps it for life: a wake pushes the task's id onto the ready
+/// queue, and cloning or dropping the waker only counts references.
+///
+/// The waker is built over an `Rc`, which `Waker`'s `Send + Sync` would
+/// normally forbid. It is sound here because every waker stays on the
+/// thread of the simulation that made it: [`Sim`] and [`SimHandle`] are
+/// `!Send` through their `Rc`s, every future the executor polls is one of
+/// theirs, and no code in the workspace moves a `Waker` out of a
+/// simulation's own state to another thread.
 struct TaskWaker {
     id: TaskId,
     ready: ReadyQueue,
 }
 
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready.lock().unwrap().push_back(self.id);
+impl TaskWaker {
+    const VTABLE: RawWakerVTable = RawWakerVTable::new(
+        TaskWaker::clone_raw,
+        TaskWaker::wake_raw,
+        TaskWaker::wake_by_ref_raw,
+        TaskWaker::drop_raw,
+    );
+
+    fn waker(id: TaskId, ready: ReadyQueue) -> Waker {
+        let data = Rc::into_raw(Rc::new(TaskWaker { id, ready })).cast::<()>();
+        // SAFETY: `data` is an owned `Rc<TaskWaker>` reference, and every
+        // vtable entry treats it as one (see the type's docs for why an
+        // `Rc` may back a `Waker` here).
+        unsafe { Waker::from_raw(RawWaker::new(data, &Self::VTABLE)) }
+    }
+
+    fn wake_by_ref(&self) {
+        self.ready.borrow_mut().push_back(self.id);
+    }
+
+    // # Safety (all four vtable entries)
+    //
+    // `data` is the pointer of a live waker built by `TaskWaker::waker` or
+    // `clone_raw`, i.e. an `Rc<TaskWaker>` reference that waker owns, on
+    // the thread of the simulation that built it.
+
+    unsafe fn clone_raw(data: *const ()) -> RawWaker {
+        // SAFETY: `data` is the `Rc<TaskWaker>` of a live waker, so its
+        // count is at least one; the new `RawWaker` owns the increment.
+        unsafe { Rc::increment_strong_count(data.cast::<TaskWaker>()) };
+        RawWaker::new(data, &Self::VTABLE)
+    }
+
+    unsafe fn wake_raw(data: *const ()) {
+        // SAFETY: waking by value consumes the waker's own reference.
+        let this = unsafe { Rc::from_raw(data.cast::<TaskWaker>()) };
+        this.wake_by_ref();
+    }
+
+    unsafe fn wake_by_ref_raw(data: *const ()) {
+        // SAFETY: the waker that holds `data` is borrowed for this call.
+        unsafe { &*data.cast::<TaskWaker>() }.wake_by_ref();
+    }
+
+    unsafe fn drop_raw(data: *const ()) {
+        // SAFETY: dropping the waker releases its own reference.
+        unsafe { Rc::decrement_strong_count(data.cast::<TaskWaker>()) };
     }
 }
 
 struct Task {
     fut: Pin<Box<dyn Future<Output = ()>>>,
     node: Option<NodeId>,
+    /// Built at the first poll, then handed to every later one.
+    waker: Option<Waker>,
 }
 
 /// What a spawn boxes: the caller's future and the join state its output
@@ -72,12 +128,13 @@ impl<F: Future> Future for TaskFuture<F> {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: nothing below moves out of `this`; `fut` is re-pinned at
+        // once and `state` is an `Rc`, which is not pinned.
+        let this = unsafe { self.get_unchecked_mut() };
         // SAFETY: `fut` is structurally pinned. It is only ever reached
         // through this projection, never moved out of the pinned
         // `TaskFuture` (which has no `Drop` impl and is not `repr(packed)`),
-        // and `TaskFuture` is `Unpin` only when `F` is. `state` is an `Rc`
-        // and is not pinned.
-        let this = unsafe { self.get_unchecked_mut() };
+        // and `TaskFuture` is `Unpin` only when `F` is.
         let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
         let Poll::Ready(out) = fut.poll(cx) else {
             return Poll::Pending;
@@ -185,10 +242,6 @@ pub(crate) enum TimerFire {
     Deliver { to: Addr, packet: Packet },
 }
 
-/// Position of one entry in the event queue. `seq` comes from a single
-/// counter, so same-instant entries fire in the order they were scheduled.
-type TimerKey = (SimTime, u64);
-
 /// Counters for [`Sleep`] timers (packet deliveries share the event queue
 /// but are counted by [`NetStats`](crate::net::NetStats)). Deterministic
 /// for a given seed; `armed == fired + cancelled + pending` always holds.
@@ -206,11 +259,10 @@ pub struct TimerStats {
 
 pub(crate) struct Inner {
     now: SimTime,
-    seq: u64,
-    timers: BTreeMap<TimerKey, TimerFire>,
+    timers: EventQueue<TimerFire>,
     timer_stats: TimerStats,
     tasks: TaskSlab,
-    rng: StdRng,
+    pub(crate) rng: StdRng,
     pub(crate) net: NetState,
     /// Task polls executed so far. Deterministic for a given seed and
     /// workload, so perf baselines can report sim-events/sec with a
@@ -225,15 +277,8 @@ impl Inner {
         self.now
     }
 
-    pub(crate) fn schedule(&mut self, at: SimTime, fire: TimerFire) -> TimerKey {
-        let key = (at, self.seq);
-        self.seq += 1;
-        self.timers.insert(key, fire);
-        key
-    }
-
-    pub(crate) fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
+    pub(crate) fn schedule(&mut self, at: SimTime, fire: TimerFire) -> EventKey {
+        self.timers.push(at, fire)
     }
 
     /// Removes all idle tasks owned by `node` so the caller can drop their
@@ -256,8 +301,7 @@ impl Sim {
     pub fn new(seed: u64) -> Sim {
         let inner = Inner {
             now: SimTime::ZERO,
-            seq: 0,
-            timers: BTreeMap::new(),
+            timers: EventQueue::new(),
             timer_stats: TimerStats::default(),
             tasks: TaskSlab::default(),
             rng: StdRng::seed_from_u64(seed),
@@ -268,7 +312,7 @@ impl Sim {
         Sim {
             handle: SimHandle {
                 inner: Rc::new(RefCell::new(inner)),
-                ready: Arc::new(Mutex::new(VecDeque::new())),
+                ready: Rc::default(),
             },
         }
     }
@@ -334,7 +378,7 @@ impl Sim {
     /// before each poll; returns true) or none is left (returns false).
     fn drain_ready(&mut self, done: impl Fn() -> bool) -> bool {
         while !done() {
-            let next = self.handle.ready.lock().unwrap().pop_front();
+            let next = self.handle.ready.borrow_mut().pop_front();
             match next {
                 Some(tid) => self.poll_task(tid),
                 None => return false,
@@ -345,20 +389,22 @@ impl Sim {
 
     /// Fires the next timer, advancing the clock. Returns false if there was
     /// nothing to fire (or it lies past `deadline`).
+    ///
+    /// Called only once the ready queue is empty, so whatever the event sets
+    /// in motion — a sink answering a request in place included — runs
+    /// before any other task, exactly as a task spawned for it would.
     fn advance(&mut self, deadline: Option<SimTime>) -> bool {
+        debug_assert!(
+            self.handle.ready.borrow().is_empty(),
+            "an event fired with tasks still ready"
+        );
         let fire = {
             let mut inner = self.handle.inner.borrow_mut();
-            let inner = &mut *inner;
-            let Some(entry) = inner.timers.first_entry() else {
+            let Some((at, fire)) = inner.timers.pop(deadline) else {
                 return false;
             };
-            let at = entry.key().0;
-            if deadline.is_some_and(|d| at > d) {
-                return false;
-            }
             debug_assert!(at >= inner.now, "timer in the past");
             inner.now = at;
-            let fire = entry.remove();
             if matches!(fire, TimerFire::Wake(_)) {
                 inner.timer_stats.fired += 1;
                 inner.timer_stats.pending -= 1;
@@ -379,12 +425,10 @@ impl Sim {
             inner.tasks.take_for_poll(tid)
         };
         let Some(mut task) = task else { return };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id: tid,
-            ready: self.handle.ready.clone(),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        let poll = task.fut.as_mut().poll(&mut cx);
+        let waker = task
+            .waker
+            .get_or_insert_with(|| TaskWaker::waker(tid, self.handle.ready.clone()));
+        let poll = task.fut.as_mut().poll(&mut Context::from_waker(waker));
         let mut inner = self.handle.inner.borrow_mut();
         match poll {
             Poll::Ready(()) => inner.tasks.complete(tid),
@@ -487,9 +531,13 @@ impl SimHandle {
                     "spawn_on a dead node {n:?}; revive it first"
                 );
             }
-            inner.tasks.insert(Task { fut: wrapped, node })
+            inner.tasks.insert(Task {
+                fut: wrapped,
+                node,
+                waker: None,
+            })
         };
-        self.ready.lock().unwrap().push_back(tid);
+        self.ready.borrow_mut().push_back(tid);
         JoinHandle { state }
     }
 
@@ -537,7 +585,7 @@ impl SimHandle {
 
     /// Runs a closure against the simulation RNG.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        f(self.inner.borrow_mut().rng())
+        f(&mut self.inner.borrow_mut().rng)
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -641,7 +689,7 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 pub struct Sleep {
     handle: SimHandle,
     deadline: SimTime,
-    armed: Option<TimerKey>,
+    armed: Option<EventKey>,
 }
 
 impl Future for Sleep {
@@ -662,7 +710,7 @@ impl Future for Sleep {
             }
             // Still queued: the deadline has not passed, and otherwise only
             // `Drop` removes the entry.
-            Some(key) => match inner.timers.get_mut(&key) {
+            Some(key) => match inner.timers.get_mut(key) {
                 Some(TimerFire::Wake(waker)) if !waker.will_wake(cx.waker()) => {
                     *waker = cx.waker().clone();
                 }
@@ -680,7 +728,7 @@ impl Drop for Sleep {
         if let Some(key) = self.armed {
             let mut inner = self.handle.inner.borrow_mut();
             // `None` when the timer already fired.
-            if inner.timers.remove(&key).is_some() {
+            if inner.timers.remove(key).is_some() {
                 inner.timer_stats.cancelled += 1;
                 inner.timer_stats.pending -= 1;
             }
@@ -886,6 +934,9 @@ mod tests {
         sim.run_until(SimTime::from_millis(50)); // across the old 10 ms deadline
         assert_eq!(h.polls(), polls);
     }
+
+    use std::sync::Arc;
+    use std::task::Wake;
 
     struct CountWake(std::sync::atomic::AtomicU32);
 

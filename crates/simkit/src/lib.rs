@@ -35,9 +35,11 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod executor;
 pub mod net;
+mod queue;
 pub mod rng;
 pub mod rpc;
 pub mod sync;

@@ -302,38 +302,36 @@ impl SimHandle {
     /// (hence the `Clone` bound: duplication needs a second copy).
     pub fn send<M: Any + Clone>(&self, from: Addr, to: Addr, msg: M) {
         let mut inner = self.inner.borrow_mut();
-        inner.net.stats.sent += 1;
-        if inner.net.is_dead(from.node)
-            || inner.net.is_dead(to.node)
-            || inner.net.blocked.contains(&pair(from.node, to.node))
+        let inner = &mut *inner;
+        let (net, rng) = (&mut inner.net, &mut inner.rng);
+        net.stats.sent += 1;
+        if net.is_dead(from.node)
+            || net.is_dead(to.node)
+            || net.blocked.contains(&pair(from.node, to.node))
         {
-            inner.net.stats.dropped += 1;
+            net.stats.dropped += 1;
             return;
         }
         let local = from.node == to.node;
-        let cfg = inner.net.latency.clone();
-        let faults = if local {
-            None
-        } else {
-            inner.net.faults.clone()
-        };
         let mut duplicate = false;
         let mut spike = Duration::ZERO;
-        if let Some(f) = &faults {
-            if f.drop_prob > 0.0 && inner.rng().gen::<f64>() < f.drop_prob {
-                inner.net.stats.dropped += 1;
+        if let Some(f) = net.faults.as_ref().filter(|_| !local) {
+            if f.drop_prob > 0.0 && rng.gen::<f64>() < f.drop_prob {
+                net.stats.dropped += 1;
                 return;
             }
-            duplicate = f.dup_prob > 0.0 && inner.rng().gen::<f64>() < f.dup_prob;
-            if f.delay_spike_prob > 0.0 && inner.rng().gen::<f64>() < f.delay_spike_prob {
+            duplicate = f.dup_prob > 0.0 && rng.gen::<f64>() < f.dup_prob;
+            if f.delay_spike_prob > 0.0 && rng.gen::<f64>() < f.delay_spike_prob {
                 spike = f.delay_spike;
-                inner.net.stats.delay_spiked += 1;
+                net.stats.delay_spiked += 1;
             }
         }
-        if duplicate {
-            inner.net.stats.duplicated += 1;
-            let latency = cfg.sample(inner.rng(), local);
-            let at = inner.now() + latency;
+        // The duplicate's latency is drawn, and its delivery queued, first.
+        let dup_latency = duplicate.then(|| net.latency.sample(rng, local));
+        let latency = net.latency.sample(rng, local) + spike;
+        if let Some(dup_latency) = dup_latency {
+            net.stats.duplicated += 1;
+            let at = inner.now() + dup_latency;
             inner.schedule(
                 at,
                 TimerFire::Deliver {
@@ -345,7 +343,6 @@ impl SimHandle {
                 },
             );
         }
-        let latency = cfg.sample(inner.rng(), local) + spike;
         let at = inner.now() + latency;
         inner.schedule(
             at,

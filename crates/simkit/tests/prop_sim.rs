@@ -8,36 +8,72 @@ use std::time::Duration;
 use obskit::Histogram;
 use proptest::prelude::*;
 use simkit::sync::Semaphore;
-use simkit::Sim;
+use simkit::{Sim, SimHandle, SimTime};
+
+/// An instant from 0 to 2 s, past the event queue's ≈268 ms of far
+/// buckets; one in four lies on a 50 ms grid, so ties are common.
+fn instant() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => 0u64..2_000_000_000,
+        1 => (0u64..=40).prop_map(|i| i * 50_000_000),
+    ]
+}
+
+/// A `timeout` guard for a sleep, or none.
+fn guard() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![
+        1 => Just(None),
+        2 => instant().prop_map(Some),
+    ]
+}
+
+/// `armed == fired + cancelled + pending`.
+fn timers_balance(h: &SimHandle) -> bool {
+    let t = h.timer_stats();
+    t.armed == t.fired + t.cancelled + t.pending
+}
 
 proptest! {
-    /// Timers always fire in non-decreasing virtual time, regardless of the
-    /// order they were created in.
+    /// The event queue's exact order. Task `i` arms a sleep until its
+    /// deadline at its first poll (all at time 0, in spawn order), some
+    /// under a `timeout` guard that cancels the sleep when it fires first.
+    /// The sleeps that survive fire in (deadline, arming order), and the
+    /// timer counters balance mid-run and at the end.
     #[test]
     fn timers_fire_in_time_order(
-        delays in proptest::collection::vec(0u64..10_000, 1..100),
+        timers in proptest::collection::vec((instant(), guard()), 1..120),
+        midpoint in instant(),
     ) {
         let mut sim = Sim::new(7);
         let h = sim.handle();
-        let fired: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let mut joins = Vec::new();
-        for d in delays {
-            let hh = h.clone();
-            let fired = fired.clone();
-            joins.push(h.spawn(async move {
-                hh.sleep(Duration::from_micros(d)).await;
-                fired.borrow_mut().push(hh.now().as_nanos());
-            }));
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        for (i, &(deadline, guard)) in timers.iter().enumerate() {
+            let (hh, fired) = (h.clone(), fired.clone());
+            h.spawn(async move {
+                let sleep = hh.sleep_until(SimTime::from_nanos(deadline));
+                let survived = match guard {
+                    Some(g) => hh.timeout(Duration::from_nanos(g), sleep).await.is_ok(),
+                    None => {
+                        sleep.await;
+                        true
+                    }
+                };
+                if survived {
+                    fired.borrow_mut().push(i);
+                }
+            });
         }
-        sim.block_on(async move {
-            for j in joins {
-                j.await;
-            }
-        });
-        let f = fired.borrow();
-        for w in f.windows(2) {
-            prop_assert!(w[0] <= w[1], "out of order: {} then {}", w[0], w[1]);
-        }
+        sim.run_until(SimTime::from_nanos(midpoint));
+        prop_assert!(timers_balance(&h), "{:?}", h.timer_stats());
+        sim.run();
+        prop_assert!(timers_balance(&h), "{:?}", h.timer_stats());
+        prop_assert_eq!(h.timer_stats().pending, 0);
+        // A sleep tied with its guard was armed first, so it wins.
+        let mut want: Vec<usize> = (0..timers.len())
+            .filter(|&i| timers[i].1.is_none_or(|g| timers[i].0 <= g))
+            .collect();
+        want.sort_by_key(|&i| (timers[i].0, i));
+        prop_assert_eq!(fired.take(), want);
     }
 
     /// The same seed gives byte-identical random streams and scheduling;

@@ -13,8 +13,9 @@
 //! chains — is compared with constants recorded before the two servers and
 //! the two clients were rebuilt on one core: a task spawned, dropped or
 //! reordered, an RNG draw moved, or a metric renamed changes at least one.
-//! (`polls` alone has been re-recorded since, when timers stopped re-arming
-//! and when the relay tasks of the message plane were removed.)
+//! (`polls` alone has been re-recorded since: when timers stopped re-arming,
+//! when the relay tasks of the message plane were removed, and when MILANA
+//! replicas began answering control traffic at the delivery instant.)
 
 use std::time::Duration;
 
@@ -395,7 +396,7 @@ fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
         now_ns: 1_010_931_995,
-        polls: 20_626,
+        polls: 18_224,
         net: [7154, 6817, 335, 0, 0],
         timers: [8441, 5027, 3375, 39],
         registry: 0x5a261fe78b14bb67,
@@ -422,7 +423,7 @@ fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
         now_ns: 1_024_764_894,
-        polls: 13_233,
+        polls: 11_579,
         net: [4747, 4276, 470, 0, 0],
         timers: [5457, 3332, 2097, 28],
         registry: 0x4e82e800b88b820,
