@@ -13,12 +13,23 @@
 //! state: per-key `ts_latestRead` metadata, lease state, and in-flight
 //! tasks — exactly the state §4.5's recovery protocol reconstructs or
 //! shields with leases.
+//!
+//! ## Dispatch
+//!
+//! Every request, alone in its envelope or batched, goes through one match,
+//! `TxnServer::start`. An arm that never waits answers on the spot. The
+//! five that may wait — `Prepare`, `ReplPrepare`, `MigrateRecords`,
+//! `InstallLog` and `Promote` — and a batched read return their own boxed
+//! future. An envelope holding one of those gets a task, whose first poll
+//! starts every item in item order; any other envelope is answered at its
+//! delivery instant, with no task. A single read keeps a small task of its
+//! own (`TxnServer::read_task`).
 
 use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::Poll;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
@@ -44,30 +55,86 @@ const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 /// Heartbeat period when a master is configured.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
 
-/// A batched item that may wait, polled in place by
-/// [`TxnServer::handle_batch`].
-type BatchItemFuture<'a> = Pin<Box<dyn Future<Output = TxnResponse> + 'a>>;
+/// The future of a started request that may wait. It owns what it needs,
+/// a clone of the server included, so it can outlive the call that started
+/// it. `None` means *stay silent*.
+type Waiting = Pin<Box<dyn Future<Output = Option<TxnResponse>>>>;
 
-/// What [`TxnServer::start_batch_item`] made of one batched item.
-enum BatchItem<'a> {
+/// What [`TxnServer::start`] made of one request.
+enum Started {
     /// It never waits and is already answered.
     Answered(TxnResponse),
     /// It may wait: its future, not yet polled.
-    Waiting(BatchItemFuture<'a>),
+    Waiting(Waiting),
 }
 
-/// True for a request [`TxnServer::start_batch_item`] always answers on the
-/// spot: watermark and floor reports, applied floors and floor syncs, and,
-/// inside a batch, the outcomes it acks before their apply task runs.
-fn answered_at_once(req: &TxnRequest, batched: bool) -> bool {
+/// Admission cost of a client-facing request: a snapshot read or a
+/// prepare. Everything else is internal traffic — outcomes, replication,
+/// leases, recovery, migration — and is never shed: refusing it only
+/// amplifies the overload or prolongs the recovery.
+fn admission_cost(req: &TxnRequest) -> Option<u64> {
     match req {
-        TxnRequest::Watermark { .. }
-        | TxnRequest::FloorReport { .. }
-        | TxnRequest::AppliedFloor { .. }
-        | TxnRequest::FloorSync => true,
-        TxnRequest::Outcome { .. } | TxnRequest::ReplOutcome { .. } => batched,
-        _ => false,
+        TxnRequest::Get { .. } | TxnRequest::GetAny { .. } | TxnRequest::ReadAt { .. } => {
+            Some(COST_GET)
+        }
+        TxnRequest::Prepare { .. } => Some(COST_PREPARE),
+        _ => None,
     }
+}
+
+/// True for a request whose arm in `TxnServer::start` may wait: a read, a
+/// prepare, a replicated prepare, bulk-copy records, a log install or a
+/// promotion. An envelope holding one is started in a task of its own.
+fn may_wait(req: &TxnRequest) -> bool {
+    admission_cost(req).is_some()
+        || matches!(
+            req,
+            TxnRequest::ReplPrepare(_)
+                | TxnRequest::MigrateRecords { .. }
+                | TxnRequest::InstallLog { .. }
+                | TxnRequest::Promote { .. }
+        )
+}
+
+/// Answers an envelope once every item has its reply. Inside a batch an
+/// item that stays silent answers `NotReady`, which the coordinator
+/// classifies as unreachable, exactly like a single envelope's silence
+/// followed by its timeout.
+fn reply(resp: Responder, batched: bool, replies: Vec<Option<TxnResponse>>) {
+    if batched {
+        let replies = replies
+            .into_iter()
+            .map(|r| r.unwrap_or(TxnResponse::NotReady));
+        resp.reply_batch(replies.collect());
+    } else if let Some(r) = replies.into_iter().next().flatten() {
+        resp.reply(r);
+    }
+}
+
+/// Polls an envelope's pending items, every one on every poll, then answers
+/// the envelope.
+async fn finish(
+    mut waiting: Vec<(usize, Waiting)>,
+    mut replies: Vec<Option<TxnResponse>>,
+    batched: bool,
+    resp: Responder,
+) {
+    std::future::poll_fn(|cx| {
+        waiting.retain_mut(|(i, item)| match item.as_mut().poll(cx) {
+            Poll::Ready(r) => {
+                replies[*i] = r;
+                false
+            }
+            Poll::Pending => true,
+        });
+        if waiting.is_empty() {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+    .await;
+    reply(resp, batched, replies);
 }
 
 /// Server timing knobs.
@@ -601,17 +668,19 @@ impl TxnServer {
     }
 
     /// Takes one envelope at its delivery instant and decides what it
-    /// costs. A request [`answered_at_once`] is answered here, with no
-    /// task. A read is admitted here and, unless shed, gets a task of its
-    /// own whose future holds only what a read needs. Everything else gets
-    /// a task per envelope. A delivery lands on an empty ready queue and
-    /// the task spawned for it would have been polled next, so doing the
-    /// work in place produces the same effects in the same order.
+    /// costs. A single read is admitted here and, unless shed, gets a task
+    /// of its own whose future holds only what a read needs. Any other
+    /// envelope — a single request is a batch of one — is served by
+    /// [`TxnServer::start_all`]: right here, with no task, when none of its
+    /// items [`may_wait`], and otherwise in the first poll of a task of its
+    /// own. That keeps the order the items' effects always had: every item
+    /// is first-polled before any task an earlier item spawned runs, and
+    /// the envelope task is queued again only when an item wakes it. A
+    /// delivery lands on an empty ready queue, and the task spawned for it
+    /// would have been polled next, so answering in place produces the same
+    /// effects in the same order.
     fn on_envelope(&self, incoming: Incoming<TxnRequest>, from: Addr, resp: Responder) {
-        match incoming {
-            Incoming::One(req) if answered_at_once(&req, false) => {
-                resp.reply(self.answer_now(req, from));
-            }
+        let (items, batched) = match incoming {
             Incoming::One(
                 req @ (TxnRequest::Get { .. }
                 | TxnRequest::GetAny { .. }
@@ -620,67 +689,122 @@ impl TxnServer {
                 if let Some((permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed) {
                     self.core.spawn(self.read_task(req, permit, resp));
                 }
+                return;
             }
-            Incoming::One(req) => {
-                let me = self.clone();
-                self.core
-                    .spawn(async move { me.handle_request(req, from, resp).await });
-            }
-            Incoming::Batch(items) if items.iter().all(|item| answered_at_once(item, true)) => {
-                let replies: Vec<TxnResponse> = items
-                    .into_iter()
-                    .map(|item| self.answer_now(item, from))
-                    .collect();
-                resp.reply_batch(replies);
-            }
-            Incoming::Batch(items) => {
-                let me = self.clone();
-                self.core
-                    .spawn(async move { me.handle_batch(items, from, resp).await });
-            }
+            Incoming::One(req) => (vec![req], false),
+            Incoming::Batch(items) => (items, true),
+        };
+        if items.iter().any(may_wait) {
+            let me = self.clone();
+            self.core.spawn(async move {
+                let rest = {
+                    let waker = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+                    me.start_all(items, batched, from, resp, &mut Context::from_waker(&waker))
+                };
+                if let Some(rest) = rest {
+                    rest.await;
+                }
+            });
+        } else if let Some(rest) = self.start_all(
+            items,
+            batched,
+            from,
+            resp,
+            &mut Context::from_waker(Waker::noop()),
+        ) {
+            self.core.spawn(rest);
         }
     }
 
-    /// Answers a request [`answered_at_once`] accepts.
-    fn answer_now(&self, req: TxnRequest, from: Addr) -> TxnResponse {
-        match self.start_batch_item(req, &mut std::iter::empty(), from) {
-            BatchItem::Answered(reply) => reply,
-            BatchItem::Waiting(_) => unreachable!("a request answered at once waited"),
+    /// Starts an envelope's items in item order through
+    /// [`TxnServer::start`], its reads and prepares admitted first so one
+    /// answered on its first poll cannot free capacity for a later one, and
+    /// first-polls under `cx` each item that may wait. Answers the envelope
+    /// if nothing is left pending, and otherwise returns the future that
+    /// polls the rest and then answers it. That future's first poll re-polls
+    /// every pending item, so one first-polled under a no-op waker loses no
+    /// wake as long as the future is spawned before another event fires.
+    fn start_all(
+        &self,
+        items: Vec<TxnRequest>,
+        batched: bool,
+        from: Addr,
+        resp: Responder,
+        cx: &mut Context<'_>,
+    ) -> Option<impl Future<Output = ()> + 'static> {
+        let mut admits = self.admit(&items, &resp);
+        let mut replies = Vec::with_capacity(items.len());
+        let mut waiting = Vec::new();
+        for item in items {
+            let r = match self.start(item, &mut admits, from) {
+                Started::Answered(r) => Some(r),
+                Started::Waiting(mut item) => match item.as_mut().poll(cx) {
+                    Poll::Ready(r) => r,
+                    Poll::Pending => {
+                        waiting.push((replies.len(), item));
+                        None
+                    }
+                },
+            };
+            replies.push(r);
+        }
+        if waiting.is_empty() {
+            reply(resp, batched, replies);
+            None
+        } else {
+            Some(finish(waiting, replies, batched, resp))
         }
     }
 
-    /// The future of an admitted snapshot read (`Get`, `GetAny` or
-    /// `ReadAt`), which holds its permit until it has replied. It captures
-    /// what a read needs and no more, so its task box stays small.
-    pub(crate) fn read_task(
+    /// The admission results of an envelope's client-facing items, in item
+    /// order, under one deadline check for the whole envelope.
+    fn admit(
+        &self,
+        items: &[TxnRequest],
+        resp: &Responder,
+    ) -> std::vec::IntoIter<Result<loadkit::Permit, loadkit::Shed>> {
+        let now = self.core.handle.now();
+        let deadline_shed = (items.iter().any(|i| admission_cost(i).is_some())
+            && resp.deadline().expired(now))
+        .then(|| self.core.admission.shed_deadline(now.as_nanos()));
+        items
+            .iter()
+            .filter_map(admission_cost)
+            .map(|cost| match deadline_shed {
+                Some(shed) => Err(shed),
+                None => self.core.admission.try_admit(now.as_nanos(), cost),
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+    }
+
+    /// Boxes a waiting arm's future, handing it a clone of the server.
+    fn wait<F>(&self, arm: impl FnOnce(TxnServer) -> F) -> Started
+    where
+        F: Future<Output = Option<TxnResponse>> + 'static,
+    {
+        Started::Waiting(Box::pin(arm(self.clone())))
+    }
+
+    /// The one dispatch: starts `req` at its envelope's delivery instant. A
+    /// request that never waits is answered here. One that may — a read, a
+    /// prepare, a replicated prepare, bulk-copy records, a log install or a
+    /// promotion — comes back as its own future, not yet polled. `admits`
+    /// holds the admission results of the envelope's reads and prepares not
+    /// yet started, in item order.
+    fn start(
         &self,
         req: TxnRequest,
-        permit: loadkit::Permit,
-        resp: Responder,
-    ) -> impl Future<Output = ()> + 'static {
-        let me = self.clone();
-        async move {
-            match req {
-                TxnRequest::Get { key, at, client } => me.handle_get(key, at, client, resp).await,
-                TxnRequest::GetAny { key, at } => me.handle_get_any(key, at, resp).await,
-                TxnRequest::ReadAt { key, at, client } => {
-                    me.handle_read_at(key, at, client, resp).await
-                }
-                other => unreachable!("not a read: {other:?}"),
-            }
-            drop(permit);
-        }
-    }
-
-    async fn handle_request(&self, req: TxnRequest, from: Addr, resp: Responder) {
-        match req {
-            TxnRequest::Get { .. }
+        admits: &mut impl Iterator<Item = Result<loadkit::Permit, loadkit::Shed>>,
+        from: Addr,
+    ) -> Started {
+        Started::Answered(match req {
+            req @ (TxnRequest::Get { .. }
             | TxnRequest::GetAny { .. }
-            | TxnRequest::ReadAt { .. }
-            | TxnRequest::Watermark { .. }
-            | TxnRequest::FloorReport { .. }
-            | TxnRequest::AppliedFloor { .. }
-            | TxnRequest::FloorSync => unreachable!("served by `on_envelope`: {req:?}"),
+            | TxnRequest::ReadAt { .. }) => match admits.next().expect("reads are admitted") {
+                Err(s) => TxnResponse::Shed(s),
+                Ok(permit) => return Started::Waiting(Box::pin(self.read(req, permit, Some))),
+            },
             TxnRequest::Prepare {
                 txid,
                 ts_commit,
@@ -688,113 +812,103 @@ impl TxnServer {
                 writes,
                 participants,
                 epoch,
-            } => {
+            } => match admits.next().expect("prepares are admitted") {
                 // A shed prepare is a definite no-vote: nothing validated,
                 // nothing installed — the coordinator can abort safely.
-                let Some((_permit, resp)) = self.core.admit(COST_PREPARE, resp, TxnResponse::Shed)
-                else {
-                    return;
-                };
+                Err(s) => TxnResponse::Shed(s),
                 // `None` = duplicate of an in-flight prepare: stay silent
-                // (the original handler answers once replication settles).
-                if let Some(r) = self
-                    .do_prepare(txid, ts_commit, reads, writes, participants, epoch)
-                    .await
-                {
-                    resp.reply(r);
+                // (the original answers once replication settles).
+                Ok(permit) => {
+                    return self.wait(move |me| async move {
+                        let _permit = permit;
+                        me.do_prepare(txid, ts_commit, reads, writes, participants, epoch)
+                            .await
+                    })
                 }
-            }
+            },
+            // Outcome delivery is fire-and-forget on the wire (the decision
+            // is already safe at the coordinator; CTP and recovery cover a
+            // lost apply), so ack now and run the apply in its own task: a
+            // decision's flash write must not hold the votes of its envelope
+            // hostage. Visibility order is preserved — the apply installs
+            // its versions before first yielding, and its task is queued
+            // ahead of any later-arriving read.
             TxnRequest::Outcome { txid, commit } => {
-                self.apply_outcome(txid, commit).await;
-                resp.reply(TxnResponse::Ack);
+                let me = self.clone();
+                self.core
+                    .spawn(async move { me.apply_outcome(txid, commit).await });
+                TxnResponse::Ack
             }
+            TxnRequest::Watermark { client, ts } => {
+                self.merge_watermark(client, ts);
+                TxnResponse::Ack
+            }
+            TxnRequest::FloorReport { client, ts } => {
+                self.merge_floor(client, ts);
+                TxnResponse::Ack
+            }
+            // Floor acceptance is synchronous, so by the time this envelope
+            // is acked the watermark is already raised; same-envelope
+            // outcomes run as detached tasks, but until they decide, their
+            // records stay Prepared and poison reads via the piggybacked
+            // flag.
+            TxnRequest::AppliedFloor { seq, ts } => {
+                self.accept_floor(seq, ts, from);
+                TxnResponse::Ack
+            }
+            // An empty payload; its envelope carries the floor.
+            TxnRequest::FloorSync => TxnResponse::Ack,
             TxnRequest::ReplPrepare(record) => {
-                self.backup_install_prepare(record).await;
-                resp.reply(TxnResponse::Ack);
+                return self.wait(move |me| async move {
+                    me.backup_install_prepare(record).await;
+                    Some(TxnResponse::Ack)
+                })
             }
             TxnRequest::ReplOutcome { txid, commit } => {
-                self.backup_apply_outcome(txid, commit).await;
-                resp.reply(TxnResponse::Ack);
+                let me = self.clone();
+                self.core
+                    .spawn(async move { me.backup_apply_outcome(txid, commit).await });
+                TxnResponse::Ack
             }
             TxnRequest::QueryTxn { txid } => {
-                let status = match self.table.borrow().status(txid) {
+                TxnResponse::Status(match self.table.borrow().status(txid) {
                     Some(TxnStatus::Committed) => TxnQueryStatus::Committed,
                     Some(TxnStatus::Aborted) => TxnQueryStatus::Aborted,
                     Some(TxnStatus::Prepared) => TxnQueryStatus::Prepared,
                     None => TxnQueryStatus::Unknown,
-                };
-                resp.reply(TxnResponse::Status(status));
+                })
             }
-            TxnRequest::RequestLog => {
-                resp.reply(TxnResponse::Log {
-                    records: self.table.borrow().all_records(),
-                });
-            }
+            TxnRequest::RequestLog => TxnResponse::Log {
+                records: self.table.borrow().all_records(),
+            },
             TxnRequest::InstallLog { records } => {
-                {
-                    let mut table = self.table.borrow_mut();
-                    for r in records.clone() {
-                        table.install(r);
-                    }
-                }
-                // Catch up data for committed transactions we have not
-                // already applied locally.
-                for r in records {
-                    if r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid) {
-                        self.apply_committed(&r).await;
-                    }
-                }
-                {
-                    let mut st = self.state.borrow_mut();
-                    st.known_primary = Some(Addr {
-                        node: from.node,
-                        port: self.cfg.addr.port,
-                    });
-                    // The merged log plus the committed-delta apply above
-                    // make this replica complete up to the sender's merge
-                    // point, healing any gap in the old floor stream. The
-                    // new primary's stream starts at seq 0; adopt it.
-                    st.floor_primary = Some(from.node);
-                    st.floor_expected = Some(0);
-                    st.floor_runs.clear();
-                }
-                resp.reply(TxnResponse::Ack);
+                return self.wait(move |me| async move {
+                    me.install_log(records, from).await;
+                    Some(TxnResponse::Ack)
+                })
             }
             TxnRequest::LeaseGrant { until } => {
-                let grantor = {
-                    let mut st = self.state.borrow_mut();
-                    let requester = Addr {
-                        node: from.node,
-                        port: self.cfg.addr.port,
-                    };
-                    let accept = match st.known_primary {
-                        Some(p) => p == requester,
-                        None => true,
-                    };
-                    if accept {
-                        st.known_primary = Some(requester);
-                        if until > st.max_granted {
-                            st.max_granted = until;
-                        }
-                        true
-                    } else {
-                        false
-                    }
+                let mut st = self.state.borrow_mut();
+                let requester = Addr {
+                    node: from.node,
+                    port: self.cfg.addr.port,
                 };
-                if grantor {
-                    resp.reply(TxnResponse::LeaseGranted { until });
+                if st.known_primary.is_some_and(|p| p != requester) {
+                    TxnResponse::NotReady
                 } else {
-                    resp.reply(TxnResponse::NotReady);
+                    st.known_primary = Some(requester);
+                    st.max_granted = st.max_granted.max(until);
+                    TxnResponse::LeaseGranted { until }
                 }
             }
-            TxnRequest::LeaseQuery => {
-                resp.reply(TxnResponse::LeaseInfo {
-                    max_granted: self.state.borrow().max_granted,
-                });
-            }
+            TxnRequest::LeaseQuery => TxnResponse::LeaseInfo {
+                max_granted: self.state.borrow().max_granted,
+            },
             TxnRequest::Promote { backups } => {
-                self.recover_as_primary(backups).await;
-                resp.reply(TxnResponse::PromoteOk);
+                return self.wait(move |me| async move {
+                    me.recover_as_primary(backups).await;
+                    Some(TxnResponse::PromoteOk)
+                })
             }
             TxnRequest::MigrationStart {
                 from,
@@ -823,11 +937,15 @@ impl TxnServer {
                         });
                     }
                 }
-                resp.reply(TxnResponse::Ack);
+                TxnResponse::Ack
             }
+            // Bulk-copy records from the rebalance engine; stamps make
+            // application order-free.
             TxnRequest::MigrateRecords { records } => {
-                let _ = self.core.backend.apply_batch_unordered(records).await;
-                resp.reply(TxnResponse::Ack);
+                return self.wait(move |me| async move {
+                    let _ = me.core.backend.apply_batch_unordered(records).await;
+                    Some(TxnResponse::Ack)
+                })
             }
             TxnRequest::MigrationFence => {
                 let released = {
@@ -850,30 +968,23 @@ impl TxnServer {
                         owner: self.cfg.addr.node.0 as u64,
                     });
                 }
-                resp.reply(TxnResponse::Ack);
+                TxnResponse::Ack
             }
+            // A moving-key transaction stays pending until it is both
+            // decided *and* (for commits) applied to the backend:
+            // `apply_outcome` flips the table status before awaiting the
+            // backend apply, and the engine's final cutover sweep reads the
+            // backend — a decided-but-unapplied write reported as drained
+            // could be missed by that sweep and lost to GC if its
+            // fire-and-forget dual-apply cast was also dropped.
             TxnRequest::MigrationDrain => {
-                // A moving-key transaction stays pending until it is both
-                // decided *and* (for commits) applied to the backend:
-                // `apply_outcome` flips the table status before awaiting the
-                // backend apply, and the engine's final cutover sweep reads
-                // the backend — a decided-but-unapplied write reported as
-                // drained could be missed by that sweep and lost to GC if
-                // its fire-and-forget dual-apply cast was also dropped.
                 let map = self.map.borrow();
-                let table = self.table.borrow();
-                let pending = table
-                    .all_records()
-                    .iter()
-                    .filter(|r| {
-                        let undecided = r.status == TxnStatus::Prepared;
-                        let unapplied =
-                            r.status == TxnStatus::Committed && !table.is_applied(r.txid);
-                        (undecided || unapplied)
-                            && r.writes.iter().any(|(k, _)| map.key_is_moving(k))
-                    })
-                    .count() as u64;
-                resp.reply(TxnResponse::Drained { pending });
+                TxnResponse::Drained {
+                    pending: self
+                        .table
+                        .borrow()
+                        .unsettled_writing(|k| map.key_is_moving(k)),
+                }
             }
             TxnRequest::MigrationCutover { to, epoch } => {
                 // Source side: the map has flipped; moved keys now answer
@@ -898,7 +1009,7 @@ impl TxnServer {
                         owner: self.cfg.addr.node.0 as u64,
                     });
                 }
-                resp.reply(TxnResponse::Ack);
+                TxnResponse::Ack
             }
             TxnRequest::MigrationGc => {
                 // Forwarding term over: drop every key the flipped map no
@@ -920,51 +1031,114 @@ impl TxnServer {
                     .registry
                     .counter("migration_gc_records")
                     .add(dropped);
-                resp.reply(TxnResponse::Ack);
+                TxnResponse::Ack
             }
-            TxnRequest::CatchUpFetch { cursor, limit } => {
-                // Recovery-plane traffic: never admission-gated (shedding
-                // it only prolongs the outage it is healing). Only a
-                // serving primary answers; a mid-promotion primary replies
-                // NotReady and the cold replica retries.
-                let ready = {
-                    let st = self.state.borrow();
-                    st.is_primary && st.serving
-                };
-                if !ready {
-                    resp.reply(TxnResponse::NotReady);
-                    return;
-                }
-                let all = self.table.borrow().all_records();
-                let start = match cursor {
-                    Some(c) => all.partition_point(|r| r.txid <= c),
-                    None => 0,
-                };
-                let end = start
-                    .saturating_add(limit.clamp(1, 4096) as usize)
-                    .min(all.len());
-                let records: Vec<TxnRecord> = all[start..end].to_vec();
-                let next = if end < all.len() {
-                    records.last().map(|r| r.txid)
-                } else {
-                    None
-                };
-                // One borrow for (seq, floor) so the pair is consistent:
-                // `floor_seq` is where the splice resumes the live stream,
-                // and every outcome `floor` covers was flushed in an
-                // envelope strictly below it.
-                let (floor_seq, floor) = {
-                    let st = self.state.borrow();
-                    (st.floor_seq, st.sendable_floor())
-                };
-                resp.reply(TxnResponse::CatchUpRecords {
-                    records,
-                    next,
-                    floor_seq,
-                    floor,
-                });
+            TxnRequest::CatchUpFetch { cursor, limit } => self.catch_up_page(cursor, limit),
+        })
+    }
+
+    /// A backup's side of a promotion's [`TxnRequest::InstallLog`] from
+    /// `from`: merge the log, apply the committed writes not yet applied
+    /// here, and adopt the sender as lease grantee and floor stream.
+    async fn install_log(&self, records: Vec<TxnRecord>, from: Addr) {
+        {
+            let mut table = self.table.borrow_mut();
+            for r in records.clone() {
+                table.install(r);
             }
         }
+        // Catch up data for committed transactions we have not already
+        // applied locally.
+        for r in records {
+            if r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid) {
+                self.apply_committed(&r).await;
+            }
+        }
+        let mut st = self.state.borrow_mut();
+        st.known_primary = Some(Addr {
+            node: from.node,
+            port: self.cfg.addr.port,
+        });
+        // The merged log plus the committed-delta apply above make this
+        // replica complete up to the sender's merge point, healing any gap
+        // in the old floor stream. The new primary's stream starts at seq
+        // 0; adopt it.
+        st.floor_primary = Some(from.node);
+        st.floor_expected = Some(0);
+        st.floor_runs.clear();
+    }
+
+    /// One page of a cold-restarting replica's anti-entropy sweep
+    /// ([`TxnRequest::CatchUpFetch`]). Recovery-plane traffic: never
+    /// admission-gated (shedding it only prolongs the outage it is healing).
+    /// Only a serving primary answers; a mid-promotion primary replies
+    /// `NotReady` and the cold replica retries.
+    fn catch_up_page(&self, cursor: Option<TxnId>, limit: u64) -> TxnResponse {
+        {
+            let st = self.state.borrow();
+            if !st.is_primary || !st.serving {
+                return TxnResponse::NotReady;
+            }
+        }
+        let all = self.table.borrow().all_records();
+        let start = match cursor {
+            Some(c) => all.partition_point(|r| r.txid <= c),
+            None => 0,
+        };
+        let end = start
+            .saturating_add(limit.clamp(1, 4096) as usize)
+            .min(all.len());
+        let records: Vec<TxnRecord> = all[start..end].to_vec();
+        let next = if end < all.len() {
+            records.last().map(|r| r.txid)
+        } else {
+            None
+        };
+        // One borrow for (seq, floor) so the pair is consistent:
+        // `floor_seq` is where the splice resumes the live stream, and
+        // every outcome `floor` covers was flushed in an envelope strictly
+        // below it.
+        let st = self.state.borrow();
+        TxnResponse::CatchUpRecords {
+            records,
+            next,
+            floor_seq: st.floor_seq,
+            floor: st.sendable_floor(),
+        }
+    }
+
+    /// The future of an admitted snapshot read (`Get`, `GetAny` or
+    /// `ReadAt`): it hands the reply to `then` and holds its permit until
+    /// `then` returns. It captures what a read needs and no more, so the box
+    /// of its task stays small.
+    fn read<R>(
+        &self,
+        req: TxnRequest,
+        permit: loadkit::Permit,
+        then: impl FnOnce(TxnResponse) -> R + 'static,
+    ) -> impl Future<Output = R> + 'static {
+        let me = self.clone();
+        async move {
+            let r = match req {
+                TxnRequest::Get { key, at, client } => me.handle_get(key, at, client).await,
+                TxnRequest::GetAny { key, at } => me.handle_get_any(key, at).await,
+                TxnRequest::ReadAt { key, at, client } => me.handle_read_at(key, at, client).await,
+                other => unreachable!("not a read: {other:?}"),
+            };
+            let out = then(r);
+            drop(permit);
+            out
+        }
+    }
+
+    /// The task of a single-envelope read, which replies itself.
+    pub(crate) fn read_task(
+        &self,
+        req: TxnRequest,
+        permit: loadkit::Permit,
+        resp: Responder,
+    ) -> impl Future<Output = ()> + 'static {
+        self.read(req, permit, move |r| resp.reply(r))
     }
 
     /// Merges one client watermark report, advances the backend GC floor,
@@ -1078,10 +1252,9 @@ impl TxnServer {
     /// Serves a [`TxnRequest::GetAny`]. Any live replica may (backups too):
     /// the reply carries no local-validation information, so the caller
     /// must validate remotely (§4.6).
-    async fn handle_get_any(&self, key: Key, at: Timestamp, resp: Responder) {
+    async fn handle_get_any(&self, key: Key, at: Timestamp) -> TxnResponse {
         if !self.state.borrow().serving {
-            resp.reply(TxnResponse::NotReady);
-            return;
+            return TxnResponse::NotReady;
         }
         {
             // Replica reads also forward after a cutover: serving a frozen
@@ -1089,12 +1262,11 @@ impl TxnServer {
             // GC runs.
             let map = self.map.borrow();
             if self.moved_away(&map, std::iter::once(&key)) {
-                resp.reply(TxnResponse::Moved { epoch: map.epoch() });
-                return;
+                return TxnResponse::Moved { epoch: map.epoch() };
             }
         }
         // `prepared: true` poisons local validation by design.
-        resp.reply(self.read_reply(&key, at, true).await);
+        self.read_reply(&key, at, true).await
     }
 
     /// Serves a [`TxnRequest::ReadAt`] — a snapshot read addressed to this
@@ -1102,33 +1274,30 @@ impl TxnServer {
     /// client routed) serve it as a plain get; backups answer from their
     /// own chains when the applied watermark covers `at`, with the same
     /// epoch fencing and prepared-flag piggybacking as the primary path.
-    async fn handle_read_at(&self, key: Key, at: Timestamp, client: ClientId, resp: Responder) {
+    async fn handle_read_at(&self, key: Key, at: Timestamp, client: ClientId) -> TxnResponse {
         let primary = {
             let st = self.state.borrow();
             if !st.serving {
-                resp.reply(TxnResponse::NotReady);
-                return;
+                return TxnResponse::NotReady;
             }
             st.is_primary
         };
         if primary {
-            return self.handle_get(key, at, client, resp).await;
+            return self.handle_get(key, at, client).await;
         }
         {
             // Backups answer `Moved` exactly like primaries: serving a
             // frozen pre-cutover copy would miss post-migration commits.
             let map = self.map.borrow();
             if self.moved_away(&map, std::iter::once(&key)) {
-                resp.reply(TxnResponse::Moved { epoch: map.epoch() });
-                return;
+                return TxnResponse::Moved { epoch: map.epoch() };
             }
         }
         let wm = self.table.borrow().applied_watermark();
         let depth = self.core.admission.in_flight();
         if at > wm {
             self.stats.borrow_mut().too_stale += 1;
-            resp.reply(TxnResponse::TooStale { watermark: wm });
-            return;
+            return TxnResponse::TooStale { watermark: wm };
         }
         // The prepared flag has primary semantics here: `install` keeps
         // the key markers live on backups, and any commit below the floor
@@ -1149,176 +1318,11 @@ impl TxnServer {
                 ts_begin: at.as_nanos(),
             });
         }
-        resp.reply(TxnResponse::FromReplica {
+        TxnResponse::FromReplica {
             reply: Box::new(inner),
             watermark: wm,
             depth,
-        });
-    }
-
-    /// One coalesced envelope: client coordination traffic (prepares,
-    /// outcomes, watermarks) or a primary's replication batch. The
-    /// envelope's deadline is checked once; each costed item (prepares)
-    /// then admits individually, so an over-full envelope sheds only the
-    /// items that do not fit — its permit lives exactly as long as the
-    /// item's processing, like the unbatched path. Control items (outcomes,
-    /// watermarks, replication records) bypass admission entirely: refusing
-    /// them only amplifies recovery.
-    ///
-    /// No item gets a task. Every prepare is admitted first, in item order,
-    /// so one that votes on its first poll does not free capacity for a
-    /// later one in the same envelope. Then one pass in item order answers
-    /// the items that never wait on the spot and first-polls the ones that
-    /// may (prepares, replicated prepares, bulk-copy records) in place,
-    /// under this envelope task's waker; later polls re-poll whichever are
-    /// still pending. Items therefore overlap exactly as if each had a task
-    /// of its own; replies keep item order.
-    async fn handle_batch(&self, items: Vec<TxnRequest>, from: Addr, resp: Responder) {
-        let now = self.core.handle.now();
-        let deadline_shed = (items
-            .iter()
-            .any(|i| matches!(i, TxnRequest::Prepare { .. }))
-            && resp.deadline().expired(now))
-        .then(|| self.core.admission.shed_deadline(now.as_nanos()));
-        let mut admits = items
-            .iter()
-            .filter(|item| matches!(item, TxnRequest::Prepare { .. }))
-            .map(|_| match deadline_shed {
-                Some(shed) => Err(shed),
-                None => self.core.admission.try_admit(now.as_nanos(), COST_PREPARE),
-            })
-            .collect::<Vec<_>>()
-            .into_iter();
-        let mut replies: Vec<Option<TxnResponse>> = Vec::with_capacity(items.len());
-        let mut waiting: Vec<(usize, BatchItemFuture<'_>)> = Vec::new();
-        let mut unstarted = items.into_iter();
-        std::future::poll_fn(|cx| {
-            waiting.retain_mut(|(i, item)| match item.as_mut().poll(cx) {
-                Poll::Ready(r) => {
-                    replies[*i] = Some(r);
-                    false
-                }
-                Poll::Pending => true,
-            });
-            // First poll only (`waiting` was empty above): start every item.
-            for item in unstarted.by_ref() {
-                let reply = match self.start_batch_item(item, &mut admits, from) {
-                    BatchItem::Answered(reply) => Some(reply),
-                    BatchItem::Waiting(mut item) => match item.as_mut().poll(cx) {
-                        Poll::Ready(reply) => Some(reply),
-                        Poll::Pending => {
-                            waiting.push((replies.len(), item));
-                            None
-                        }
-                    },
-                };
-                replies.push(reply);
-            }
-            if waiting.is_empty() {
-                Poll::Ready(())
-            } else {
-                Poll::Pending
-            }
-        })
-        .await;
-        let out: Vec<TxnResponse> = replies
-            .into_iter()
-            .map(|r| r.expect("every batched item was answered"))
-            .collect();
-        resp.reply_batch(out);
-    }
-
-    /// Answers one batched item that never waits, or builds the future of
-    /// one that may for [`TxnServer::handle_batch`] to poll in place.
-    /// `admits` holds the admission results of the envelope's prepares not
-    /// yet started, in item order.
-    fn start_batch_item(
-        &self,
-        item: TxnRequest,
-        admits: &mut impl Iterator<Item = Result<loadkit::Permit, loadkit::Shed>>,
-        from: Addr,
-    ) -> BatchItem<'_> {
-        BatchItem::Answered(match item {
-            TxnRequest::Prepare {
-                txid,
-                ts_commit,
-                reads,
-                writes,
-                participants,
-                epoch,
-            } => match admits
-                .next()
-                .expect("every prepare is admitted before the pass")
-            {
-                Err(s) => TxnResponse::Shed(s),
-                // A silent duplicate-in-flight prepare has no responder to
-                // drop here; NotReady classifies the item as unreachable at
-                // the coordinator, exactly like the single-RPC path's
-                // silence-then-timeout.
-                Ok(permit) => {
-                    return BatchItem::Waiting(Box::pin(async move {
-                        let _permit = permit;
-                        self.do_prepare(txid, ts_commit, reads, writes, participants, epoch)
-                            .await
-                            .unwrap_or(TxnResponse::NotReady)
-                    }))
-                }
-            },
-            // Outcome delivery is fire-and-forget on the wire (the decision
-            // is already safe at the coordinator; CTP and recovery cover a
-            // lost apply), so ack immediately and run the apply in its own
-            // task: a decision's flash write must not hold every vote in
-            // this envelope hostage. Visibility order is preserved — the
-            // apply installs its versions before first yielding, and its
-            // task is queued ahead of any later-arriving read.
-            TxnRequest::Outcome { txid, commit } => {
-                let me = self.clone();
-                self.core.handle.spawn_on(self.cfg.addr.node, async move {
-                    me.apply_outcome(txid, commit).await;
-                });
-                TxnResponse::Ack
-            }
-            TxnRequest::Watermark { client, ts } => {
-                self.merge_watermark(client, ts);
-                TxnResponse::Ack
-            }
-            TxnRequest::FloorReport { client, ts } => {
-                self.merge_floor(client, ts);
-                TxnResponse::Ack
-            }
-            // Floor acceptance is synchronous, so by the time this envelope
-            // is acked the watermark is already raised; same-envelope
-            // outcomes run as detached tasks, but until they decide, their
-            // records stay Prepared and poison reads via the piggybacked
-            // flag.
-            TxnRequest::AppliedFloor { seq, ts } => {
-                self.accept_floor(seq, ts, from);
-                TxnResponse::Ack
-            }
-            TxnRequest::FloorSync => TxnResponse::Ack,
-            TxnRequest::ReplPrepare(record) => {
-                return BatchItem::Waiting(Box::pin(async move {
-                    self.backup_install_prepare(record).await;
-                    TxnResponse::Ack
-                }))
-            }
-            TxnRequest::ReplOutcome { txid, commit } => {
-                let me = self.clone();
-                self.core.handle.spawn_on(self.cfg.addr.node, async move {
-                    me.backup_apply_outcome(txid, commit).await;
-                });
-                TxnResponse::Ack
-            }
-            // Bulk-copy envelopes from the rebalance engine ride the batch
-            // plane; stamps make application order-free.
-            TxnRequest::MigrateRecords { records } => {
-                return BatchItem::Waiting(Box::pin(async move {
-                    let _ = self.core.backend.apply_batch_unordered(records).await;
-                    TxnResponse::Ack
-                }))
-            }
-            other => panic!("unbatchable milana request in batch envelope: {other:?}"),
-        })
+        }
     }
 
     /// Backup side of a replicated prepare record: install it and settle
@@ -1332,12 +1336,11 @@ impl TxnServer {
         }
     }
 
-    async fn handle_get(&self, key: Key, at: Timestamp, client: ClientId, resp: Responder) {
+    async fn handle_get(&self, key: Key, at: Timestamp, client: ClientId) -> TxnResponse {
         {
             let st = self.state.borrow();
             if !st.serving || !st.is_primary {
-                resp.reply(TxnResponse::NotReady);
-                return;
+                return TxnResponse::NotReady;
             }
         }
         {
@@ -1346,13 +1349,11 @@ impl TxnServer {
             // of serving a frozen (soon to be GC'd) copy.
             let map = self.map.borrow();
             if self.moved_away(&map, std::iter::once(&key)) {
-                resp.reply(TxnResponse::Moved { epoch: map.epoch() });
-                return;
+                return TxnResponse::Moved { epoch: map.epoch() };
             }
         }
         if !self.lease_valid_for(at) {
-            resp.reply(TxnResponse::NotReady);
-            return;
+            return TxnResponse::NotReady;
         }
         // Clock-health ceiling on the read path: noting a read at `at`
         // promises that no write below `at` commits on this key, and the
@@ -1365,15 +1366,14 @@ impl TxnServer {
         // every admitted read's promise stays enforceable. Breaches feed
         // the same per-client fence state as suspect prepares.
         if self.clock_suspect(client, at, clockkit::ClockHealth::observe_read) {
-            resp.reply(TxnResponse::ClockSuspect);
-            return;
+            return TxnResponse::ClockSuspect;
         }
         let prepared = self.table.borrow_mut().note_read(&key, at);
         let r = self.read_reply(&key, at, prepared).await;
         if matches!(r, TxnResponse::Value { .. }) {
             self.stats.borrow_mut().gets += 1;
         }
-        resp.reply(r);
+        r
     }
 
     /// Snapshot-reads `key` at `at` from local storage, as a wire reply

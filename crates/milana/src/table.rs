@@ -238,6 +238,21 @@ impl TxnTable {
         self.applied.contains(&txid)
     }
 
+    /// How many transactions writing a key `touches` accepts are not yet
+    /// settled here: still prepared, or committed but not yet applied to
+    /// this replica's backend. Counts in place, in no particular order.
+    pub fn unsettled_writing(&self, touches: impl Fn(&Key) -> bool) -> u64 {
+        self.records
+            .values()
+            .filter(|r| match r.status {
+                TxnStatus::Prepared => true,
+                TxnStatus::Committed => !self.applied.contains(&r.txid),
+                TxnStatus::Aborted => false,
+            })
+            .filter(|r| r.writes.iter().any(|(k, _)| touches(k)))
+            .count() as u64
+    }
+
     /// All records (for log transfer), in transaction-id order so message
     /// schedules stay deterministic.
     pub fn all_records(&self) -> Vec<TxnRecord> {
@@ -401,6 +416,21 @@ mod tests {
         // Duplicate decision is idempotent.
         let again = t.decide(txid(1), true).unwrap();
         assert_eq!(again.status, TxnStatus::Committed);
+    }
+
+    #[test]
+    fn unsettled_counts_prepared_and_unapplied_commits_on_matching_keys() {
+        let mut t = TxnTable::new();
+        for seq in 1..=5 {
+            t.prepare(record(seq, 15, &[seq]));
+        }
+        t.decide(txid(2), true); // committed, not yet applied
+        t.decide(txid(3), true);
+        t.mark_applied(txid(3)); // settled
+        t.decide(txid(4), false); // settled
+        assert_eq!(t.unsettled_writing(|key| *key != k(5)), 2);
+        assert_eq!(t.unsettled_writing(|_| true), 3);
+        assert_eq!(t.unsettled_writing(|_| false), 0);
     }
 
     #[test]

@@ -1044,6 +1044,22 @@ fn cast_watermark_and_floor_reports_cost_no_task() {
         // Both were applied: the floor report raised the primary's
         // applied watermark.
         assert_eq!(primary.server.table().borrow().applied_watermark(), ts);
+        // Lease and CTP control calls are answered at the sink too.
+        let txid = TxnId { client, seq: 1 };
+        let until = simkit::time::SimTime::from_millis(50);
+        for req in [
+            TxnRequest::LeaseGrant { until },
+            TxnRequest::LeaseQuery,
+            TxnRequest::QueryTxn { txid },
+        ] {
+            let spawns = hh.spawns();
+            cluster
+                .master_rpc
+                .call::<TxnRequest, TxnResponse>(primary.addr, req, ENVELOPE_TIMEOUT)
+                .await
+                .unwrap();
+            assert_eq!(hh.spawns() - spawns, 0);
+        }
     });
 }
 
@@ -1157,5 +1173,55 @@ fn batched_items_that_wait_overlap_and_reply_in_item_order() {
         // The envelope's task and the replication batcher's deadline timer,
         // which both waiting prepares rode.
         assert_eq!(hh.spawns() - spawns, 2);
+    });
+}
+
+#[test]
+fn a_request_gets_the_same_reply_alone_or_batched() {
+    let mut sim = Sim::new(76);
+    let h = sim.handle();
+    let cluster = lone_primary(&h, 256);
+    sim.block_on(async move {
+        let primary = cluster.replicas[0][0].addr;
+        let rpc = &cluster.master_rpc;
+        // One prepared transaction, so the log, the page and the status
+        // have something in them.
+        let vote = rpc
+            .call::<TxnRequest, TxnResponse>(primary, prepare(1, 1), ENVELOPE_TIMEOUT)
+            .await
+            .unwrap();
+        assert!(matches!(vote, TxnResponse::Vote { ok: true }), "{vote:?}");
+        let client = ClientId(9);
+        let txid = TxnId { client, seq: 1 };
+        let ts = Timestamp(1_000);
+        let requests = [
+            TxnRequest::QueryTxn { txid },
+            TxnRequest::LeaseQuery,
+            TxnRequest::LeaseGrant {
+                until: simkit::time::SimTime::from_millis(50),
+            },
+            TxnRequest::RequestLog,
+            TxnRequest::MigrationDrain,
+            TxnRequest::CatchUpFetch {
+                cursor: None,
+                limit: 8,
+            },
+            TxnRequest::Outcome { txid, commit: true },
+            TxnRequest::Watermark { client, ts },
+            TxnRequest::FloorReport { client, ts },
+            TxnRequest::AppliedFloor { seq: 0, ts },
+            TxnRequest::FloorSync,
+        ];
+        for req in requests {
+            let alone = rpc
+                .call::<TxnRequest, TxnResponse>(primary, req.clone(), ENVELOPE_TIMEOUT)
+                .await
+                .unwrap();
+            let batched = rpc
+                .call_batch::<TxnRequest, TxnResponse>(primary, vec![req.clone()], ENVELOPE_TIMEOUT)
+                .await
+                .unwrap();
+            assert_eq!(format!("{batched:?}"), format!("{:?}", [alone]), "{req:?}");
+        }
     });
 }

@@ -14,8 +14,9 @@
 //! the two clients were rebuilt on one core: a task spawned, dropped or
 //! reordered, an RNG draw moved, or a metric renamed changes at least one.
 //! (`polls` alone has been re-recorded since: when timers stopped re-arming,
-//! when the relay tasks of the message plane were removed, and when MILANA
-//! replicas began answering control traffic at the delivery instant.)
+//! when the relay tasks of the message plane were removed, when MILANA
+//! replicas began answering control traffic at the delivery instant, and
+//! when every MILANA envelope began starting its items there.)
 
 use std::time::Duration;
 
@@ -396,7 +397,7 @@ fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
         now_ns: 1_010_931_995,
-        polls: 18_224,
+        polls: 18_085,
         net: [7154, 6817, 335, 0, 0],
         timers: [8441, 5027, 3375, 39],
         registry: 0x5a261fe78b14bb67,
@@ -423,7 +424,7 @@ fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
         now_ns: 1_024_764_894,
-        polls: 11_579,
+        polls: 11_479,
         net: [4747, 4276, 470, 0, 0],
         timers: [5457, 3332, 2097, 28],
         registry: 0x4e82e800b88b820,
