@@ -29,7 +29,7 @@ use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
@@ -109,32 +109,6 @@ fn reply(resp: Responder, batched: bool, replies: Vec<Option<TxnResponse>>) {
     } else if let Some(r) = replies.into_iter().next().flatten() {
         resp.reply(r);
     }
-}
-
-/// Polls an envelope's pending items, every one on every poll, then answers
-/// the envelope.
-async fn finish(
-    mut waiting: Vec<(usize, Waiting)>,
-    mut replies: Vec<Option<TxnResponse>>,
-    batched: bool,
-    resp: Responder,
-) {
-    std::future::poll_fn(|cx| {
-        waiting.retain_mut(|(i, item)| match item.as_mut().poll(cx) {
-            Poll::Ready(r) => {
-                replies[*i] = r;
-                false
-            }
-            Poll::Pending => true,
-        });
-        if waiting.is_empty() {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
-    })
-    .await;
-    reply(resp, batched, replies);
 }
 
 /// Server timing knobs.
@@ -670,15 +644,12 @@ impl TxnServer {
     /// Takes one envelope at its delivery instant and decides what it
     /// costs. A single read is admitted here and, unless shed, gets a task
     /// of its own whose future holds only what a read needs. Any other
-    /// envelope — a single request is a batch of one — is served by
-    /// [`TxnServer::start_all`]: right here, with no task, when none of its
-    /// items [`may_wait`], and otherwise in the first poll of a task of its
-    /// own. That keeps the order the items' effects always had: every item
-    /// is first-polled before any task an earlier item spawned runs, and
-    /// the envelope task is queued again only when an item wakes it. A
-    /// delivery lands on an empty ready queue, and the task spawned for it
-    /// would have been polled next, so answering in place produces the same
-    /// effects in the same order.
+    /// envelope is a batch, a single request a batch of one. One holding an
+    /// item that [`may_wait`] is served by a task of its own
+    /// ([`TxnServer::serve`]); any other is answered right here, with no
+    /// task. A delivery lands on an empty ready queue, and the task spawned
+    /// for it would have been polled next, so answering in place produces
+    /// the same effects in the same order.
     fn on_envelope(&self, incoming: Incoming<TxnRequest>, from: Addr, resp: Responder) {
         let (items, batched) = match incoming {
             Incoming::One(
@@ -695,87 +666,92 @@ impl TxnServer {
             Incoming::Batch(items) => (items, true),
         };
         if items.iter().any(may_wait) {
-            let me = self.clone();
-            self.core.spawn(async move {
-                let rest = {
-                    let waker = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
-                    me.start_all(items, batched, from, resp, &mut Context::from_waker(&waker))
-                };
-                if let Some(rest) = rest {
-                    rest.await;
-                }
-            });
-        } else if let Some(rest) = self.start_all(
-            items,
-            batched,
-            from,
-            resp,
-            &mut Context::from_waker(Waker::noop()),
-        ) {
-            self.core.spawn(rest);
+            self.core.spawn(self.serve(items, batched, from, resp));
+        } else {
+            // Nothing client-facing, so nothing to admit.
+            let replies = items
+                .into_iter()
+                .map(|item| match self.start(item, None, from) {
+                    Started::Answered(r) => Some(r),
+                    Started::Waiting(_) => unreachable!("`may_wait` lists every arm that waits"),
+                })
+                .collect();
+            reply(resp, batched, replies);
         }
     }
 
-    /// Starts an envelope's items in item order through
-    /// [`TxnServer::start`], its reads and prepares admitted first so one
-    /// answered on its first poll cannot free capacity for a later one, and
-    /// first-polls under `cx` each item that may wait. Answers the envelope
-    /// if nothing is left pending, and otherwise returns the future that
-    /// polls the rest and then answers it. That future's first poll re-polls
-    /// every pending item, so one first-polled under a no-op waker loses no
-    /// wake as long as the future is spawned before another event fires.
-    fn start_all(
+    /// The task of an envelope holding an item that may wait. Its first
+    /// poll admits the envelope's reads and prepares — one deadline check
+    /// for the whole envelope, then `try_admit` each in item order, so one
+    /// answered on its first poll cannot free capacity for a later one —
+    /// and starts every item in item order through [`TxnServer::start`],
+    /// first-polling each that waits before the next starts. Later polls
+    /// poll only the items still pending. Once none is, it answers the
+    /// envelope.
+    fn serve(
         &self,
         items: Vec<TxnRequest>,
         batched: bool,
         from: Addr,
         resp: Responder,
-        cx: &mut Context<'_>,
-    ) -> Option<impl Future<Output = ()> + 'static> {
-        let mut admits = self.admit(&items, &resp);
-        let mut replies = Vec::with_capacity(items.len());
-        let mut waiting = Vec::new();
-        for item in items {
-            let r = match self.start(item, &mut admits, from) {
-                Started::Answered(r) => Some(r),
-                Started::Waiting(mut item) => match item.as_mut().poll(cx) {
-                    Poll::Ready(r) => r,
-                    Poll::Pending => {
-                        waiting.push((replies.len(), item));
-                        None
+    ) -> impl Future<Output = ()> + 'static {
+        let me = self.clone();
+        async move {
+            let now = me.core.handle.now();
+            let deadline_shed = (items.iter().any(|i| admission_cost(i).is_some())
+                && resp.deadline().expired(now))
+            .then(|| me.core.admission.shed_deadline(now.as_nanos()));
+            let mut admits = items
+                .iter()
+                .filter_map(admission_cost)
+                .map(|cost| match deadline_shed {
+                    Some(shed) => Err(shed),
+                    None => me.core.admission.try_admit(now.as_nanos(), cost),
+                })
+                .collect::<Vec<_>>()
+                .into_iter();
+            let mut replies = Vec::with_capacity(items.len());
+            let mut waiting: Vec<(usize, Waiting)> = Vec::new();
+            let mut unstarted = items.into_iter();
+            std::future::poll_fn(|cx| {
+                waiting.retain_mut(|(i, item)| match item.as_mut().poll(cx) {
+                    Poll::Ready(r) => {
+                        replies[*i] = r;
+                        false
                     }
-                },
-            };
-            replies.push(r);
-        }
-        if waiting.is_empty() {
-            reply(resp, batched, replies);
-            None
-        } else {
-            Some(finish(waiting, replies, batched, resp))
-        }
-    }
-
-    /// The admission results of an envelope's client-facing items, in item
-    /// order, under one deadline check for the whole envelope.
-    fn admit(
-        &self,
-        items: &[TxnRequest],
-        resp: &Responder,
-    ) -> std::vec::IntoIter<Result<loadkit::Permit, loadkit::Shed>> {
-        let now = self.core.handle.now();
-        let deadline_shed = (items.iter().any(|i| admission_cost(i).is_some())
-            && resp.deadline().expired(now))
-        .then(|| self.core.admission.shed_deadline(now.as_nanos()));
-        items
-            .iter()
-            .filter_map(admission_cost)
-            .map(|cost| match deadline_shed {
-                Some(shed) => Err(shed),
-                None => self.core.admission.try_admit(now.as_nanos(), cost),
+                    Poll::Pending => true,
+                });
+                // First poll only (`waiting` was empty above): start every item.
+                for item in unstarted.by_ref() {
+                    // Internal traffic is never admitted, so has no permit.
+                    let admitted = admission_cost(&item).and_then(|_| admits.next());
+                    let r = match admitted
+                        .transpose()
+                        .map(|permit| me.start(item, permit, from))
+                    {
+                        // A shed read or prepare: nothing read, validated or
+                        // installed — a definite no the client can act on.
+                        Err(shed) => Some(TxnResponse::Shed(shed)),
+                        Ok(Started::Answered(r)) => Some(r),
+                        Ok(Started::Waiting(mut item)) => match item.as_mut().poll(cx) {
+                            Poll::Ready(r) => r,
+                            Poll::Pending => {
+                                waiting.push((replies.len(), item));
+                                None
+                            }
+                        },
+                    };
+                    replies.push(r);
+                }
+                if waiting.is_empty() {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
             })
-            .collect::<Vec<_>>()
-            .into_iter()
+            .await;
+            reply(resp, batched, replies);
+        }
     }
 
     /// Boxes a waiting arm's future, handing it a clone of the server.
@@ -789,22 +765,17 @@ impl TxnServer {
     /// The one dispatch: starts `req` at its envelope's delivery instant. A
     /// request that never waits is answered here. One that may — a read, a
     /// prepare, a replicated prepare, bulk-copy records, a log install or a
-    /// promotion — comes back as its own future, not yet polled. `admits`
-    /// holds the admission results of the envelope's reads and prepares not
-    /// yet started, in item order.
-    fn start(
-        &self,
-        req: TxnRequest,
-        admits: &mut impl Iterator<Item = Result<loadkit::Permit, loadkit::Shed>>,
-        from: Addr,
-    ) -> Started {
+    /// promotion — comes back as its own future, not yet polled, which
+    /// holds `permit`, a read's or prepare's admission, until it is done.
+    fn start(&self, req: TxnRequest, permit: Option<loadkit::Permit>, from: Addr) -> Started {
         Started::Answered(match req {
             req @ (TxnRequest::Get { .. }
             | TxnRequest::GetAny { .. }
-            | TxnRequest::ReadAt { .. }) => match admits.next().expect("reads are admitted") {
-                Err(s) => TxnResponse::Shed(s),
-                Ok(permit) => return Started::Waiting(Box::pin(self.read(req, permit, Some))),
-            },
+            | TxnRequest::ReadAt { .. }) => {
+                return Started::Waiting(Box::pin(self.read(req, permit, Some)))
+            }
+            // `None` = duplicate of an in-flight prepare: stay silent (the
+            // original answers once replication settles).
             TxnRequest::Prepare {
                 txid,
                 ts_commit,
@@ -812,20 +783,13 @@ impl TxnServer {
                 writes,
                 participants,
                 epoch,
-            } => match admits.next().expect("prepares are admitted") {
-                // A shed prepare is a definite no-vote: nothing validated,
-                // nothing installed — the coordinator can abort safely.
-                Err(s) => TxnResponse::Shed(s),
-                // `None` = duplicate of an in-flight prepare: stay silent
-                // (the original answers once replication settles).
-                Ok(permit) => {
-                    return self.wait(move |me| async move {
-                        let _permit = permit;
-                        me.do_prepare(txid, ts_commit, reads, writes, participants, epoch)
-                            .await
-                    })
-                }
-            },
+            } => {
+                return self.wait(move |me| async move {
+                    let _permit = permit;
+                    me.do_prepare(txid, ts_commit, reads, writes, participants, epoch)
+                        .await
+                })
+            }
             // Outcome delivery is fire-and-forget on the wire (the decision
             // is already safe at the coordinator; CTP and recovery cover a
             // lost apply), so ack now and run the apply in its own task: a
@@ -1114,7 +1078,7 @@ impl TxnServer {
     fn read<R>(
         &self,
         req: TxnRequest,
-        permit: loadkit::Permit,
+        permit: Option<loadkit::Permit>,
         then: impl FnOnce(TxnResponse) -> R + 'static,
     ) -> impl Future<Output = R> + 'static {
         let me = self.clone();
@@ -1138,7 +1102,7 @@ impl TxnServer {
         permit: loadkit::Permit,
         resp: Responder,
     ) -> impl Future<Output = ()> + 'static {
-        self.read(req, permit, move |r| resp.reply(r))
+        self.read(req, Some(permit), move |r| resp.reply(r))
     }
 
     /// Merges one client watermark report, advances the backend GC floor,
