@@ -15,15 +15,19 @@
 //!
 //! ## Design notes
 //!
-//! - The flush callback receives the drained items and returns one result
-//!   per item, **in item order**. [`Batcher::submit`] resolves to that
-//!   item's result; arity mismatches resolve waiters to `None` (the same
+//! - The flush callback receives the drained items and a [`Complete`]
+//!   that takes one result per item, **in item order**, whenever the
+//!   callback's work is done — at once, or from a reply callback.
+//!   [`Batcher::submit`] resolves to that item's result; arity mismatches
+//!   (or a `Complete` dropped unused) resolve waiters to `None` (the same
 //!   contract as an RPC timeout, so callers already handle it).
-//! - The deadline timer is spawned with `spawn_on(node, ..)` so it dies
-//!   with the owning node: a killed primary cannot leak a flush into its
-//!   next incarnation. When it fires it runs the flush it triggers itself
-//!   (one task per deadline-flushed batch); a size or manual flush has no
-//!   task of its own to run in, so it spawns one.
+//! - The deadline is a `simkit` callback owned by the batcher's node
+//!   ([`SimHandle::call_at`]), so it dies with the node: a killed primary
+//!   cannot leak a flush into its next incarnation. When it fires it runs
+//!   the flush itself, with no task. A size or manual flush happens inside
+//!   a submitter's task, so it spawns one task for the flush, where the
+//!   callback would otherwise run ahead of tasks already ready; so does a
+//!   deadline that is already due when armed.
 //! - Per-batch observability: a `batchkit.<name>.batch_size` histogram
 //!   plus `flush_size` / `flush_deadline` / `flush_manual` counters, and a
 //!   [`TraceEvent::BatchFlush`] event when tracing is on.
@@ -37,13 +41,13 @@
 //!
 //! let mut sim = Sim::new(7);
 //! let h = sim.handle();
-//! let batcher: Batcher<u32, u32> = Batcher::new(
+//! let batcher: Batcher<u32, u32> = Batcher::callback(
 //!     &h,
 //!     NodeId(0),
 //!     "doubler",
 //!     BatchConfig { batch_max: 2, batch_deadline: Duration::from_micros(100) },
 //!     obskit::Obs::new(),
-//!     |items| async move { items.into_iter().map(|x| x * 2).collect() },
+//!     |items, done| done.complete(items.into_iter().map(|x| x * 2).collect()),
 //! );
 //! let b = batcher.clone();
 //! let got = sim.block_on(async move {
@@ -58,7 +62,6 @@
 
 use std::cell::RefCell;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -102,7 +105,34 @@ impl BatchConfig {
     }
 }
 
-type FlushFn<T, R> = Rc<dyn Fn(Vec<T>) -> Pin<Box<dyn Future<Output = Vec<R>>>>>;
+type FlushFn<T, R> = Rc<dyn Fn(Vec<T>, Complete<R>)>;
+
+/// The waiters of one flushed batch, handed to the flush callback.
+/// [`Complete::complete`] gives them their results; dropping it unused
+/// resolves every waiter to `None`.
+pub struct Complete<R> {
+    waiters: Vec<Option<oneshot::Sender<R>>>,
+}
+
+impl<R> Complete<R> {
+    /// Resolves the batch's waiters with `results`, one per item in item
+    /// order. A short vector resolves the tail's waiters to `None`.
+    pub fn complete(self, results: Vec<R>) {
+        for (r, tx) in results.into_iter().zip(self.waiters) {
+            if let Some(tx) = tx {
+                let _ = tx.send(r);
+            }
+        }
+    }
+}
+
+impl<R> std::fmt::Debug for Complete<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Complete")
+            .field("items", &self.waiters.len())
+            .finish()
+    }
+}
 
 struct Pending<T, R> {
     items: Vec<(T, Option<oneshot::Sender<R>>)>,
@@ -152,8 +182,47 @@ impl<T, R> std::fmt::Debug for Batcher<T, R> {
 
 impl<T: 'static, R: 'static> Batcher<T, R> {
     /// Creates a batcher owned by `node`. `name` scopes the metrics
-    /// (`batchkit.<name>.*`); `flush` maps a drained batch to one result
-    /// per item, in order (e.g. one coalesced RPC).
+    /// (`batchkit.<name>.*`); `flush` starts the work for a drained batch
+    /// (e.g. one coalesced RPC) and hands its [`Complete`] one result per
+    /// item, in order, when that work is done. It runs at a deadline event
+    /// or as the first poll of a flush task, never awaits, and must start
+    /// whatever it waits for last (see [`SimHandle::run_next`]).
+    pub fn callback(
+        handle: &SimHandle,
+        node: NodeId,
+        name: &str,
+        cfg: BatchConfig,
+        obs: Obs,
+        flush: impl Fn(Vec<T>, Complete<R>) + 'static,
+    ) -> Batcher<T, R> {
+        let cfg = BatchConfig {
+            batch_max: cfg.batch_max.max(1),
+            ..cfg
+        };
+        let reg = &obs.registry;
+        Batcher {
+            shared: Rc::new(Shared {
+                handle: handle.clone(),
+                node,
+                cfg,
+                flush: Rc::new(flush),
+                pending: RefCell::new(Pending {
+                    items: Vec::new(),
+                    epoch: 0,
+                }),
+                batch_size: reg.histogram(&format!("batchkit.{name}.batch_size")),
+                flush_size: reg.counter(&format!("batchkit.{name}.flush_size")),
+                flush_deadline: reg.counter(&format!("batchkit.{name}.flush_deadline")),
+                flush_manual: reg.counter(&format!("batchkit.{name}.flush_manual")),
+                obs,
+            }),
+        }
+    }
+
+    /// [`Batcher::callback`] over a flush that returns a future: each
+    /// flush awaits it in a task of its own, owned by `node`. For callers
+    /// outside this workspace that await inside a flush; every flush here
+    /// is a callback.
     pub fn new<F, Fut>(
         handle: &SimHandle,
         node: NodeId,
@@ -166,28 +235,11 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
         F: Fn(Vec<T>) -> Fut + 'static,
         Fut: Future<Output = Vec<R>> + 'static,
     {
-        let cfg = BatchConfig {
-            batch_max: cfg.batch_max.max(1),
-            ..cfg
-        };
-        let reg = &obs.registry;
-        Batcher {
-            shared: Rc::new(Shared {
-                handle: handle.clone(),
-                node,
-                cfg,
-                flush: Rc::new(move |items| Box::pin(flush(items))),
-                pending: RefCell::new(Pending {
-                    items: Vec::new(),
-                    epoch: 0,
-                }),
-                batch_size: reg.histogram(&format!("batchkit.{name}.batch_size")),
-                flush_size: reg.counter(&format!("batchkit.{name}.flush_size")),
-                flush_deadline: reg.counter(&format!("batchkit.{name}.flush_deadline")),
-                flush_manual: reg.counter(&format!("batchkit.{name}.flush_manual")),
-                obs,
-            }),
-        }
+        let h = handle.clone();
+        Batcher::callback(handle, node, name, cfg, obs, move |items, done| {
+            let results = flush(items);
+            h.spawn_on(node, async move { done.complete(results.await) });
+        })
     }
 
     /// The configured knobs (after clamping `batch_max >= 1`).
@@ -229,32 +281,47 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
             p.items.push((item, tx));
             (was_empty, p.epoch)
         };
-        if self.shared.pending.borrow().items.len() >= self.shared.cfg.batch_max {
+        let s = &self.shared;
+        if s.pending.borrow().items.len() >= s.cfg.batch_max {
             self.flush(FlushReason::Size);
         } else if arm_timer {
             let me = self.clone();
-            self.shared.handle.spawn_on(self.shared.node, async move {
-                me.shared.handle.sleep(me.shared.cfg.batch_deadline).await;
-                let live = me.shared.pending.borrow().epoch == epoch;
-                if live {
-                    if let Some(flushing) = me.drain(FlushReason::Deadline) {
-                        flushing.await;
-                    }
+            let fire = move || {
+                if me.shared.pending.borrow().epoch == epoch {
+                    me.run_flush(FlushReason::Deadline);
                 }
-            });
+            };
+            if s.cfg.batch_deadline.is_zero() {
+                s.handle.spawn_on(s.node, async move { fire() });
+            } else {
+                let at = s.handle.now() + s.cfg.batch_deadline;
+                s.handle.call_at(Some(s.node), at, fire);
+            }
         }
     }
 
+    /// A flush from inside a submitter's task: the flush gets a task of
+    /// its own, at the back of the ready queue.
     fn flush(&self, reason: FlushReason) {
-        if let Some(flushing) = self.drain(reason) {
-            self.shared.handle.spawn_on(self.shared.node, flushing);
+        if let Some((items, done)) = self.drain(reason) {
+            let flush = Rc::clone(&self.shared.flush);
+            self.shared
+                .handle
+                .spawn_on(self.shared.node, async move { flush(items, done) });
+        }
+    }
+
+    /// Drains the pending batch and runs the flush callback on it here.
+    fn run_flush(&self, reason: FlushReason) {
+        if let Some((items, done)) = self.drain(reason) {
+            (self.shared.flush)(items, done);
         }
     }
 
     /// Takes the pending batch (counted and traced here, at the flush
-    /// instant) and returns the future that runs the flush callback and
-    /// resolves the waiters. `None` when nothing is pending.
-    fn drain(&self, reason: FlushReason) -> Option<impl Future<Output = ()>> {
+    /// instant) and splits it into the items and their [`Complete`].
+    /// `None` when nothing is pending.
+    fn drain(&self, reason: FlushReason) -> Option<(Vec<T>, Complete<R>)> {
         let batch = {
             let mut p = self.shared.pending.borrow_mut();
             if p.items.is_empty() {
@@ -278,19 +345,8 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
                 reason,
             },
         );
-        let flush = Rc::clone(&s.flush);
-        Some(async move {
-            let (items, waiters): (Vec<T>, Vec<Option<oneshot::Sender<R>>>) =
-                batch.into_iter().unzip();
-            let results = flush(items).await;
-            // Zip results back to waiters; a short result vector leaves the
-            // tail's senders dropped, which resolves those waiters to None.
-            for (r, tx) in results.into_iter().zip(waiters) {
-                if let Some(tx) = tx {
-                    let _ = tx.send(r);
-                }
-            }
-        })
+        let (items, waiters) = batch.into_iter().unzip();
+        Some((items, Complete { waiters }))
     }
 }
 
@@ -301,14 +357,9 @@ mod tests {
 
     fn doubler(sim: &Sim, cfg: BatchConfig, obs: Obs) -> Batcher<u32, u32> {
         let h = sim.handle();
-        Batcher::new(
-            &h,
-            NodeId(0),
-            "test",
-            cfg,
-            obs,
-            |items: Vec<u32>| async move { items.into_iter().map(|x| x * 2).collect() },
-        )
+        Batcher::callback(&h, NodeId(0), "test", cfg, obs, |items: Vec<u32>, done| {
+            done.complete(items.into_iter().map(|x| x * 2).collect())
+        })
     }
 
     #[test]
@@ -351,8 +402,8 @@ mod tests {
             snap.contains("\"batchkit.test.flush_deadline\":1"),
             "{snap}"
         );
-        // `block_on`'s task and the deadline timer's, which ran the flush.
-        assert_eq!(sim.handle().spawns(), 2);
+        // `block_on`'s task alone: the deadline callback ran the flush.
+        assert_eq!(sim.handle().spawns(), 1);
     }
 
     #[test]
@@ -396,8 +447,11 @@ mod tests {
             !snap.contains("flush_deadline\":1"),
             "stale timer flushed an empty epoch: {snap}"
         );
-        // `block_on`, the timer the first item armed, the size flush's own.
-        assert_eq!(sim.handle().spawns(), 3);
+        // `block_on` and the size flush's own task; the first item armed a
+        // callback, which fired into an empty epoch and flushed nothing.
+        assert_eq!(sim.handle().spawns(), 2);
+        let t = sim.handle().timer_stats();
+        assert_eq!((t.armed, t.fired, t.cancelled, t.pending), (2, 2, 0, 0));
     }
 
     #[test]
@@ -408,13 +462,13 @@ mod tests {
             batch_max: 2,
             batch_deadline: Duration::from_micros(100),
         };
-        let b: Batcher<u32, u32> = Batcher::new(
+        let b: Batcher<u32, u32> = Batcher::callback(
             &h,
             NodeId(0),
             "short",
             cfg,
             Obs::new(),
-            |items: Vec<u32>| async move { items.into_iter().take(1).collect() },
+            |items: Vec<u32>, done| done.complete(items.into_iter().take(1).collect()),
         );
         let got = sim.block_on(async move {
             let a = b.submit(7);
@@ -455,7 +509,79 @@ mod tests {
         assert_eq!(got, Some(10));
         let snap = obs.registry.snapshot().to_string();
         assert!(snap.contains("\"batchkit.test.flush_manual\":1"), "{snap}");
-        // `block_on`, the armed timer, the manual flush's own.
-        assert_eq!(sim.handle().spawns(), 3);
+        // `block_on` and the manual flush's own task.
+        assert_eq!(sim.handle().spawns(), 2);
+    }
+
+    #[test]
+    fn a_due_deadline_flushes_at_its_task_s_place_in_the_ready_queue() {
+        let mut sim = Sim::new(8);
+        let h = sim.handle();
+        let cfg = BatchConfig {
+            batch_max: 4,
+            batch_deadline: Duration::ZERO,
+        };
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        let b: Batcher<u32, u32> = Batcher::callback(&h, NodeId(0), "due", cfg, Obs::new(), {
+            move |items, done| {
+                l.borrow_mut().push("flush");
+                done.complete(items);
+            }
+        });
+        let (l, hh) = (log.clone(), h.clone());
+        let got = sim.block_on(async move {
+            let r = b.submit(3);
+            // Spawned after the submit: the flush runs first, from the task
+            // the submit spawned, as it did when that task's zero sleep
+            // returned at once. A callback would fire only once this task
+            // had run too.
+            hh.spawn(async move { l.borrow_mut().push("later task") });
+            r.await
+        });
+        assert_eq!(got, Some(3));
+        assert_eq!(*log.borrow(), ["flush", "later task"]);
+        assert_eq!(h.timer_stats().armed, 0);
+    }
+
+    #[test]
+    fn killing_the_node_cancels_its_pending_deadline() {
+        let mut sim = Sim::new(9);
+        let obs = Obs::new();
+        let b = doubler(&sim, BatchConfig::default(), obs.clone());
+        let h = sim.handle();
+        b.submit_nowait(1);
+        assert_eq!(h.timer_stats().pending, 1);
+        h.kill_node(NodeId(0));
+        sim.run();
+        let t = h.timer_stats();
+        assert_eq!((t.armed, t.fired, t.cancelled), (1, 0, 1));
+        let snap = obs.registry.snapshot().to_string();
+        assert!(!snap.contains("flush_deadline\":1"), "{snap}");
+    }
+
+    #[test]
+    fn a_future_flush_awaits_in_a_task_of_its_own() {
+        let mut sim = Sim::new(10);
+        let h = sim.handle();
+        let hh = h.clone();
+        let b: Batcher<u32, u32> = Batcher::new(
+            &h,
+            NodeId(0),
+            "future",
+            BatchConfig::default(),
+            Obs::new(),
+            move |items: Vec<u32>| {
+                let hh = hh.clone();
+                async move {
+                    hh.sleep(Duration::from_micros(5)).await;
+                    items
+                }
+            },
+        );
+        let got = sim.block_on(async move { b.submit(11).await });
+        assert_eq!(got, Some(11));
+        // `block_on`'s task and the one that awaited the flush.
+        assert_eq!(h.spawns(), 2);
     }
 }

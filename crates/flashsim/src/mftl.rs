@@ -21,6 +21,7 @@
 use std::cell::RefCell;
 use std::time::Duration;
 
+use simkit::sync::join_all;
 use simkit::SimHandle;
 use timesync::Timestamp;
 
@@ -201,26 +202,21 @@ impl Space for RawFlash {
     }
 
     /// Reads every programmed page of the block concurrently (the device
-    /// parallelism GC relies on in practice).
+    /// parallelism GC relies on in practice), side by side in one task.
     async fn read_victim(&self, block: u32) -> Option<Vec<(PhysLoc, Page)>> {
-        let mut read_jobs = Vec::new();
-        for page in 0..self.dev.config().pages_per_block {
-            let loc = PhysLoc { block, page };
-            if self.dev.peek(loc).is_none() {
-                continue;
-            }
-            let dev = self.dev.clone();
-            read_jobs.push(
-                self.handle
-                    .spawn(async move { (loc, dev.read(loc).await.ok()) }),
-            );
+        let reads = (0..self.dev.config().pages_per_block)
+            .map(|page| PhysLoc { block, page })
+            .filter(|&loc| self.dev.peek(loc).is_some())
+            .map(|loc| {
+                let dev = self.dev.clone();
+                async move { dev.read(loc).await.ok().map(|p| (loc, p)) }
+            })
+            .collect::<Vec<_>>();
+        if reads.is_empty() {
+            return Some(Vec::new());
         }
-        let mut pages = Vec::new();
-        for j in read_jobs {
-            let (loc, page) = j.await;
-            pages.extend(page.map(|p| (loc, p)));
-        }
-        Some(pages)
+        let pages = self.handle.spawn(join_all(reads)).await;
+        Some(pages.into_iter().flatten().collect())
     }
 
     async fn reclaim(&self, block: u32) -> u64 {
@@ -359,6 +355,37 @@ mod tests {
                 "latency {lat:?}"
             );
         });
+    }
+
+    #[test]
+    fn a_zero_packing_window_closes_each_page_at_its_task_s_place() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let s = UnifiedStore::new(h.clone(), nand(16), Duration::ZERO);
+        let hh = h.clone();
+        let s2 = s.clone();
+        sim.block_on(async move {
+            // Three puts staged at one instant, round-robin over the two
+            // packing streams. Each page is closed by a task spawned when
+            // its first tuple arrived, before the next put's event: three
+            // pages. A callback at that instant would fire after the third
+            // put had joined the first page: two pages.
+            let joins: Vec<_> = (0..3u64)
+                .map(|i| {
+                    let s = s2.clone();
+                    hh.spawn(async move { s.put(Key::from(i), val(100), v(10)).await.unwrap() })
+                })
+                .collect();
+            for j in joins {
+                j.await;
+            }
+        });
+        assert_eq!(s.stats().pages_written, 3);
+        assert_eq!(
+            h.timer_stats().armed,
+            3 + 3,
+            "three op sleeps, three programs"
+        );
     }
 
     #[test]

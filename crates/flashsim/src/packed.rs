@@ -427,25 +427,34 @@ impl<S: Space> PackedStore<S> {
             let second = take_open(&mut inner, s);
             self.spawn_flush(second);
         } else if first {
-            // First tuple of a fresh page: arm the packing-window timer.
+            // First tuple of a fresh page: the packing window closes it. A
+            // window already over closes it in a task of its own, behind
+            // the tasks already ready, as an expired sleep would.
             let me = self.clone();
-            let deadline = self.sh.handle.now() + self.sh.packing_window;
-            self.sh.handle.spawn(async move {
-                me.sh.handle.sleep_until(deadline).await;
-                let batch = {
-                    let mut inner = me.sh.inner.borrow_mut();
-                    if inner.streams[s].gen == gen && !inner.streams[s].open.is_empty() {
-                        Some(take_open(&mut inner, s))
-                    } else {
-                        None
+            let h = &self.sh.handle;
+            if self.sh.packing_window.is_zero() {
+                h.spawn(async move {
+                    if let Some(b) = me.take_if_open(s, gen) {
+                        me.flush(b).await;
                     }
-                };
-                if let Some(b) = batch {
-                    me.flush(b).await;
-                }
-            });
+                });
+            } else {
+                h.call_at(None, h.now() + self.sh.packing_window, move || {
+                    if let Some(b) = me.take_if_open(s, gen) {
+                        me.spawn_flush(b);
+                    }
+                });
+            }
         }
         (gen, idx, rx, to_flush)
+    }
+
+    /// Takes stream `s`'s page if it is still generation `gen` and holds
+    /// tuples (no size flush, power failure or GC took it meanwhile).
+    fn take_if_open(&self, s: usize, gen: u64) -> Option<Batch<S::Addr>> {
+        let mut inner = self.sh.inner.borrow_mut();
+        (inner.streams[s].gen == gen && !inner.streams[s].open.is_empty())
+            .then(|| take_open(&mut inner, s))
     }
 
     async fn flush(&self, batch: Batch<S::Addr>) {

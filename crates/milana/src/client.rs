@@ -291,59 +291,56 @@ impl TxnClient {
             .obs
             .registry
             .counter(&format!("milana.client{}.coord_items", self.id().0));
-        let batcher = Batcher::new(
+        let batcher = Batcher::callback(
             &self.core.handle,
             self.core.node,
             &format!("milana.coord.c{}.s{}", self.id().0, shard.0),
             self.cfg.batch,
             self.cfg.obs.clone(),
-            move |batch: Vec<TxnRequest>| {
-                let me = me.clone();
-                let envelopes = envelopes.clone();
-                let items = items.clone();
-                async move {
-                    let n = batch.len();
-                    // Piggyback the watermark when it moved since the last
-                    // envelope to this shard; its Ack is stripped below so
-                    // the reply arity matches the submitted items.
-                    let ts = me.watermark_report();
-                    let piggyback = {
-                        let mut sent = me.wm_sent.borrow_mut();
-                        if sent.get(&shard) != Some(&ts) {
-                            sent.insert(shard, ts);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    let mut wire = Vec::with_capacity(n + 2);
-                    if piggyback {
-                        wire.push(TxnRequest::Watermark {
-                            client: me.id(),
-                            ts,
-                        });
+            move |batch: Vec<TxnRequest>, done| {
+                let n = batch.len();
+                // Piggyback the watermark when it moved since the last
+                // envelope to this shard; its Ack is stripped below so the
+                // reply arity matches the submitted items.
+                let ts = me.watermark_report();
+                let piggyback = {
+                    let mut sent = me.wm_sent.borrow_mut();
+                    if sent.get(&shard) != Some(&ts) {
+                        sent.insert(shard, ts);
+                        true
+                    } else {
+                        false
                     }
-                    // The write floor rides every envelope: it moves with
-                    // the clock, so deduplication would never skip it.
-                    wire.push(TxnRequest::FloorReport {
+                };
+                let mut wire = Vec::with_capacity(n + 2);
+                if piggyback {
+                    wire.push(TxnRequest::Watermark {
                         client: me.id(),
-                        ts: me.floor_report(),
+                        ts,
                     });
-                    let strip = wire.len();
-                    wire.extend(batch);
-                    me.last_flush.set(me.core.handle.now());
-                    envelopes.inc();
-                    items.add(n as u64);
-                    let primary = me.core.map.borrow().group(shard).primary;
-                    match me
-                        .core
-                        .rpc
-                        .call_batch::<TxnRequest, TxnResponse>(primary, wire, RPC_TIMEOUT)
-                        .await
-                    {
+                }
+                // The write floor rides every envelope: it moves with the
+                // clock, so deduplication would never skip it.
+                wire.push(TxnRequest::FloorReport {
+                    client: me.id(),
+                    ts: me.floor_report(),
+                });
+                let strip = wire.len();
+                wire.extend(batch);
+                me.last_flush.set(me.core.handle.now());
+                envelopes.inc();
+                items.add(n as u64);
+                let primary = me.core.map.borrow().group(shard).primary;
+                let after = me.clone();
+                me.core.rpc.call_batch_then(
+                    Some(me.core.node),
+                    primary,
+                    wire,
+                    RPC_TIMEOUT,
+                    move |reply: Result<Vec<TxnResponse>, _>| match reply {
                         Ok(mut resps) => {
                             resps.drain(..strip.min(resps.len()));
-                            resps
+                            done.complete(resps);
                         }
                         // Envelope lost or timed out: every waiter resolves
                         // to None, which the coordinator classifies exactly
@@ -352,12 +349,11 @@ impl TxnClient {
                             if piggyback {
                                 // The watermark never landed; let the next
                                 // envelope (or the idle tick) resend it.
-                                me.wm_sent.borrow_mut().remove(&shard);
+                                after.wm_sent.borrow_mut().remove(&shard);
                             }
-                            Vec::new()
                         }
-                    }
-                }
+                    },
+                );
             },
         );
         self.planes.borrow_mut().insert(shard, batcher.clone());

@@ -355,6 +355,9 @@ pub struct TxnServerStats {
     /// Clients this replica fenced as persistent clock outliers (fence
     /// transitions, not currently-fenced count).
     pub clock_fences: u64,
+    /// Committed records whose local storage write failed (a full device)
+    /// and that were marked applied anyway: their writes are missing here.
+    pub apply_failures: u64,
 }
 
 /// One MILANA shard replica: the SEMEL [`ReplicaCore`] (storage, internal
@@ -1641,13 +1644,17 @@ impl TxnServer {
     }
 
     /// Applies a committed record's writes to local storage (idempotent:
-    /// the backend rejects duplicate versions) and marks it applied.
+    /// the backend rejects duplicate versions) and marks it applied — also
+    /// when the write failed, which only `apply_failures` records.
     async fn apply_committed(&self, r: &TxnRecord) {
-        let _ = self
+        let applied = self
             .core
             .backend
             .apply_batch_unordered(r.stamped_writes())
             .await;
+        if applied.is_err() {
+            self.stats.borrow_mut().apply_failures += 1;
+        }
         self.table.borrow_mut().mark_applied(r.txid);
     }
 

@@ -1170,9 +1170,9 @@ fn batched_items_that_wait_overlap_and_reply_in_item_order() {
             ),
             "{replies:?}"
         );
-        // The envelope's task and the replication batcher's deadline timer,
-        // which both waiting prepares rode.
-        assert_eq!(hh.spawns() - spawns, 2);
+        // The envelope's task alone: both waiting prepares rode the
+        // replication batcher's deadline, a callback that flushed them.
+        assert_eq!(hh.spawns() - spawns, 1);
     });
 }
 
@@ -1223,5 +1223,48 @@ fn a_request_gets_the_same_reply_alone_or_batched() {
                 .unwrap();
             assert_eq!(format!("{batched:?}"), format!("{:?}", [alone]), "{req:?}");
         }
+    });
+}
+
+#[test]
+fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
+    let mut sim = Sim::new(75);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.nand = NandConfig {
+        blocks: 32,
+        pages_per_block: 8,
+        ..NandConfig::default()
+    };
+    let cluster = MilanaCluster::build(&h, cfg);
+    sim.block_on(async move {
+        // Fill one backup's device with live single-version tuples, which
+        // garbage collection cannot free.
+        let backup = &cluster.replicas[0][1].server;
+        let stamp = timesync::Version::new(Timestamp(1), ClientId(99));
+        let mut i = 1_000_000u64;
+        while backup
+            .backend()
+            .apply_batch_unordered(vec![(k(i), value(vec![7u8; 400]), stamp)])
+            .await
+            .is_ok()
+        {
+            i += 1;
+        }
+        let mut t = cluster.clients[0].begin_with(TxnOpts::default());
+        let _ = t.get(&k(1)).await.unwrap();
+        t.put(k(1), value(&b"lost on one backup"[..]));
+        t.commit().await.unwrap();
+        hh.sleep(Duration::from_millis(20)).await;
+        // The backup marked the commit applied, but its write failed; only
+        // the counter shows it.
+        assert_eq!(backup.stats().apply_failures, 1);
+        let primary = &cluster.replicas[0][0].server;
+        let newest = |s: &crate::server::TxnServer| s.backend().latest_version(&k(1));
+        assert_ne!(newest(backup), newest(primary), "the backup lost the write");
+        assert_eq!(primary.stats().apply_failures, 0);
+        assert_eq!(cluster.replicas[0][2].server.stats().apply_failures, 0);
     });
 }

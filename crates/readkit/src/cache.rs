@@ -12,8 +12,6 @@
 //! watermark floor can never be stale; hits above it are validated by OCC
 //! like any other read (the caller records the version in the read-set).
 
-use std::collections::BTreeMap;
-
 use perfkit::FastMap;
 use std::hash::Hash;
 
@@ -31,58 +29,124 @@ pub struct CacheEntry<V> {
     pub known_upper: Timestamp,
 }
 
+/// No node: the end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a cached key and entry while in use, linked into the
+/// recency list; `None` on the free list, so a freed slot keeps no value.
+#[derive(Debug)]
+struct Node<K, V> {
+    item: Option<(K, CacheEntry<V>)>,
+    prev: u32,
+    next: u32,
+}
+
 /// A bounded LRU of key → newest-known version.
 ///
 /// Capacity 0 disables the cache (lookups miss, inserts drop). Recency is
-/// a logical tick; eviction removes the least recently used entry via a
-/// `BTreeMap` index, keeping behavior deterministic under simulation.
+/// a doubly linked list threaded through a slab of nodes, least recent at
+/// the head: a touch, an insert and an eviction are O(1), and the order is
+/// deterministic under simulation.
 #[derive(Debug)]
-pub struct VersionCache<K: Hash + Eq + Ord + Clone, V> {
+pub struct VersionCache<K: Hash + Eq + Clone, V> {
     cap: usize,
-    tick: u64,
-    entries: FastMap<K, (CacheEntry<V>, u64)>,
-    lru: BTreeMap<u64, K>,
+    index: FastMap<K, u32>,
+    nodes: Vec<Node<K, V>>,
+    free: Vec<u32>,
+    /// Least recently used node, or `NIL`.
+    head: u32,
+    /// Most recently used node, or `NIL`.
+    tail: u32,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Hash + Eq + Ord + Clone, V> VersionCache<K, V> {
+impl<K: Hash + Eq + Clone, V> VersionCache<K, V> {
     /// A cache holding at most `cap` entries.
     pub fn new(cap: usize) -> VersionCache<K, V> {
         VersionCache {
             cap,
-            tick: 0,
-            entries: FastMap::default(),
-            lru: BTreeMap::new(),
+            index: FastMap::default(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn touch(&mut self, key: &K) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, t)) = self.entries.get_mut(key) {
-            self.lru.remove(t);
-            *t = tick;
-            self.lru.insert(tick, key.clone());
+    fn unlink(&mut self, n: u32) {
+        let Node { prev, next, .. } = self.nodes[n as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
         }
+        match next {
+            NIL => self.tail = prev,
+            x => self.nodes[x as usize].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, n: u32) {
+        let node = &mut self.nodes[n as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = n,
+            t => self.nodes[t as usize].next = n,
+        }
+        self.tail = n;
+    }
+
+    /// Makes node `n` the most recently used.
+    fn touch(&mut self, n: u32) {
+        if self.tail != n {
+            self.unlink(n);
+            self.push_back(n);
+        }
+    }
+
+    fn entry(&self, n: u32) -> &CacheEntry<V> {
+        &self.nodes[n as usize].item.as_ref().expect("linked node").1
+    }
+
+    fn entry_mut(&mut self, n: u32) -> &mut CacheEntry<V> {
+        &mut self.nodes[n as usize].item.as_mut().expect("linked node").1
+    }
+
+    /// Unlinks node `n` and frees it with its value.
+    fn release(&mut self, n: u32) -> K {
+        self.unlink(n);
+        self.free.push(n);
+        let (key, _) = self.nodes[n as usize].item.take().expect("linked node");
+        key
+    }
+
+    /// Counts a lookup of `key` that hits when `fits` accepts its entry.
+    fn lookup_where(
+        &mut self,
+        key: &K,
+        fits: impl FnOnce(&CacheEntry<V>) -> bool,
+    ) -> Option<&CacheEntry<V>> {
+        let Some(n) = self
+            .index
+            .get(key)
+            .copied()
+            .filter(|&n| fits(self.entry(n)))
+        else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.touch(n);
+        Some(self.entry(n))
     }
 
     /// Looks up `key` for a snapshot read at `at`; a hit requires
     /// `version.ts ≤ at ≤ known_upper`.
     pub fn lookup(&mut self, key: &K, at: Timestamp) -> Option<&CacheEntry<V>> {
-        let hit = match self.entries.get(key) {
-            Some((e, _)) => e.version.ts <= at && at <= e.known_upper,
-            None => false,
-        };
-        if !hit {
-            self.misses += 1;
-            return None;
-        }
-        self.hits += 1;
-        self.touch(key);
-        self.entries.get(key).map(|(e, _)| e)
+        self.lookup_where(key, |e| e.version.ts <= at && at <= e.known_upper)
     }
 
     /// Looks up the newest cached version of `key` with `version.ts ≤ at`,
@@ -91,17 +155,7 @@ impl<K: Hash + Eq + Ord + Clone, V> VersionCache<K, V> {
     /// caller must validate the returned version remotely (OCC) before
     /// trusting the read.
     pub fn lookup_latest(&mut self, key: &K, at: Timestamp) -> Option<&CacheEntry<V>> {
-        let hit = match self.entries.get(key) {
-            Some((e, _)) => e.version.ts <= at,
-            None => false,
-        };
-        if !hit {
-            self.misses += 1;
-            return None;
-        }
-        self.hits += 1;
-        self.touch(key);
-        self.entries.get(key).map(|(e, _)| e)
+        self.lookup_where(key, |e| e.version.ts <= at)
     }
 
     /// Records that a server confirmed `version` of `key` is the newest
@@ -111,7 +165,8 @@ impl<K: Hash + Eq + Ord + Clone, V> VersionCache<K, V> {
         if self.cap == 0 || known_upper < version.ts {
             return;
         }
-        if let Some((e, _)) = self.entries.get_mut(&key) {
+        if let Some(&n) = self.index.get(&key) {
+            let e = self.entry_mut(n);
             if version > e.version {
                 e.version = version;
                 e.value = value;
@@ -120,34 +175,43 @@ impl<K: Hash + Eq + Ord + Clone, V> VersionCache<K, V> {
                 e.known_upper = e.known_upper.max(known_upper);
             }
             // An older version teaches us nothing: keep the newer entry.
-            self.touch(&key);
+            self.touch(n);
             return;
         }
-        while self.entries.len() >= self.cap {
-            let Some((_, victim)) = self.lru.pop_first() else {
-                break;
-            };
-            self.entries.remove(&victim);
+        while self.index.len() >= self.cap && self.head != NIL {
+            let victim = self.release(self.head);
+            self.index.remove(&victim);
         }
-        self.tick += 1;
-        self.lru.insert(self.tick, key.clone());
-        self.entries.insert(
-            key,
-            (
-                CacheEntry {
-                    version,
-                    value,
-                    known_upper,
-                },
-                self.tick,
-            ),
-        );
+        let item = Some((
+            key.clone(),
+            CacheEntry {
+                version,
+                value,
+                known_upper,
+            },
+        ));
+        let n = match self.free.pop() {
+            Some(n) => {
+                self.nodes[n as usize].item = item;
+                n
+            }
+            None => {
+                self.nodes.push(Node {
+                    item,
+                    prev: NIL,
+                    next: NIL,
+                });
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.push_back(n);
+        self.index.insert(key, n);
     }
 
     /// Drops `key` (used when OCC validation proves the entry stale).
     pub fn remove(&mut self, key: &K) {
-        if let Some((_, t)) = self.entries.remove(key) {
-            self.lru.remove(&t);
+        if let Some(n) = self.index.remove(key) {
+            self.release(n);
         }
     }
 
@@ -155,25 +219,25 @@ impl<K: Hash + Eq + Ord + Clone, V> VersionCache<K, V> {
     /// watermark-driven GC invalidation hook. Entries at or above the
     /// floor stay: their versions are still readable on every replica.
     pub fn invalidate_below(&mut self, floor: Timestamp) {
-        let dead: Vec<K> = self
-            .entries
-            .iter()
-            .filter(|(_, (e, _))| e.known_upper < floor)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in dead {
-            self.remove(&k);
+        let mut n = self.head;
+        while n != NIL {
+            let next = self.nodes[n as usize].next;
+            if self.entry(n).known_upper < floor {
+                let key = self.release(n);
+                self.index.remove(&key);
+            }
+            n = next;
         }
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Lifetime hit count.
@@ -265,6 +329,151 @@ mod tests {
         c.insert(1, ver(10), "a", Timestamp(20));
         assert!(c.lookup(&1, Timestamp(15)).is_none());
         assert!(c.is_empty());
+    }
+
+    impl<K: Hash + Eq + Clone, V> VersionCache<K, V> {
+        /// Cached keys, least recently used first.
+        fn keys_by_recency(&self) -> Vec<K> {
+            let mut keys = Vec::new();
+            let mut n = self.head;
+            while n != NIL {
+                keys.push(self.nodes[n as usize].item.as_ref().unwrap().0.clone());
+                n = self.nodes[n as usize].next;
+            }
+            keys
+        }
+    }
+
+    /// The reference LRU: entries least recently used first, found by
+    /// linear search.
+    struct Model {
+        cap: usize,
+        lru: Vec<(u64, CacheEntry<u64>)>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn lookup(&mut self, key: u64, fits: impl Fn(&CacheEntry<u64>) -> bool) -> Option<u64> {
+            match self.lru.iter().position(|(k, e)| *k == key && fits(e)) {
+                Some(i) => {
+                    self.hits += 1;
+                    let item = self.lru.remove(i);
+                    let value = item.1.value;
+                    self.lru.push(item);
+                    Some(value)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: u64, version: Version, value: u64, upper: Timestamp) {
+            if self.cap == 0 || upper < version.ts {
+                return;
+            }
+            if let Some(i) = self.lru.iter().position(|(k, _)| *k == key) {
+                let (k, mut e) = self.lru.remove(i);
+                if version > e.version {
+                    e = CacheEntry {
+                        version,
+                        value,
+                        known_upper: upper,
+                    };
+                } else if version == e.version {
+                    e.known_upper = e.known_upper.max(upper);
+                }
+                self.lru.push((k, e));
+                return;
+            }
+            if self.lru.len() >= self.cap {
+                self.lru.remove(0);
+                self.evictions += 1;
+            }
+            let e = CacheEntry {
+                version,
+                value,
+                known_upper: upper,
+            };
+            self.lru.push((key, e));
+        }
+    }
+
+    #[test]
+    fn matches_a_reference_lru_under_random_operations() {
+        for seed in 0..8u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let cap = next(6) as usize;
+            let mut c: VersionCache<u64, u64> = VersionCache::new(cap);
+            let mut m = Model {
+                cap,
+                lru: Vec::new(),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            };
+            for _ in 0..5_000 {
+                let key = next(10);
+                let at = Timestamp(next(100));
+                match next(10) {
+                    0..=3 => {
+                        let ts = next(60);
+                        let version = ver(ts);
+                        let upper = Timestamp(ts + next(50));
+                        let value = next(1_000);
+                        c.insert(key, version, value, upper);
+                        m.insert(key, version, value, upper);
+                    }
+                    4..=5 => {
+                        let got = c.lookup(&key, at).map(|e| e.value);
+                        let want = m.lookup(key, |e| e.version.ts <= at && at <= e.known_upper);
+                        assert_eq!(got, want);
+                    }
+                    6..=7 => {
+                        let got = c.lookup_latest(&key, at).map(|e| e.value);
+                        let want = m.lookup(key, |e| e.version.ts <= at);
+                        assert_eq!(got, want);
+                    }
+                    8 => {
+                        c.remove(&key);
+                        m.lru.retain(|(k, _)| *k != key);
+                    }
+                    _ => {
+                        c.invalidate_below(at);
+                        m.lru.retain(|(_, e)| e.known_upper >= at);
+                    }
+                }
+                // Same survivors in the same recency order after every step,
+                // so the same evictions too.
+                let survivors: Vec<u64> = m.lru.iter().map(|(k, _)| *k).collect();
+                assert_eq!(c.keys_by_recency(), survivors, "seed {seed}");
+                for (k, e) in &m.lru {
+                    let got = &c.entry(c.index[k]);
+                    assert_eq!(
+                        (got.version, got.value, got.known_upper),
+                        (e.version, e.value, e.known_upper)
+                    );
+                }
+            }
+            assert_eq!((c.hits(), c.misses()), (m.hits, m.misses), "seed {seed}");
+            assert!(cap == 0 || m.evictions > 0, "seed {seed} never evicted");
+            assert!(
+                c.nodes.len() <= cap,
+                "seed {seed}: the slab outgrew the cache"
+            );
+            // Freed slots hold no value.
+            let freed = c.nodes.iter().filter(|n| n.item.is_none()).count();
+            assert_eq!(freed, c.free.len());
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use simkit::rpc::{serve_incoming, Batch, BatchReply, Incoming, Responder, RpcCli
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, WatermarkTracker};
 
-use crate::replicate::replicate_traced;
+use crate::replicate::{replicate_then, replicate_traced};
 
 /// The state and planes shared by a SEMEL and a MILANA shard replica.
 pub struct ReplicaCore {
@@ -146,14 +146,22 @@ impl ReplicaCore {
         targets: Vec<Addr>,
         req: Req,
         timeout: Duration,
-        accept: impl Fn(&Resp) -> bool + Clone + 'static,
+        accept: impl Fn(&Resp) -> bool + 'static,
     ) -> impl Future<Output = bool> {
-        let seq = self.trace_seq.replace(self.trace_seq.get() + 1);
-        let core = Rc::clone(self);
-        async move {
-            let tracer = &core.obs.tracer;
-            replicate_traced(&core.rpc, &targets, req, timeout, accept, tracer, seq).await
-        }
+        let seq = self.next_trace_seq();
+        replicate_traced(
+            &self.rpc,
+            targets,
+            req,
+            timeout,
+            accept,
+            &self.obs.tracer,
+            seq,
+        )
+    }
+
+    fn next_trace_seq(&self) -> u64 {
+        self.trace_seq.replace(self.trace_seq.get() + 1)
     }
 
     /// Builds the group-commit replication plane. A flush hands the drained
@@ -162,7 +170,8 @@ impl ReplicaCore {
     /// watermark relays and the applied floor there; SEMEL wraps records);
     /// one `Batch` envelope goes to every backup and every drained item
     /// succeeds at once when `f` backups acknowledged the whole envelope —
-    /// so no item is ever acked with less than `f` coverage.
+    /// so no item is ever acked with less than `f` coverage. The round is a
+    /// [`replicate_then`]: no task waits on it.
     ///
     /// Registers `{prefix}.node{n}.repl_envelopes` / `.repl_records` and
     /// the batcher `{prefix}.repl.node{n}`.
@@ -179,13 +188,13 @@ impl ReplicaCore {
         let envelopes = reg.counter(&format!("{prefix}.node{}.repl_envelopes", node.0));
         let records = reg.counter(&format!("{prefix}.node{}.repl_records", node.0));
         let core = Rc::clone(self);
-        Batcher::new(
+        Batcher::callback(
             &self.handle,
             node,
             &format!("{prefix}.repl.node{}", node.0),
             batch,
             self.obs.clone(),
-            move |items: Vec<Item>| {
+            move |items: Vec<Item>, done| {
                 let n = items.len();
                 let (targets, wire) = frame(items);
                 if !targets.is_empty() {
@@ -193,13 +202,16 @@ impl ReplicaCore {
                     records.add(n as u64);
                 }
                 let is_ack = is_ack.clone();
-                let round = core.replicate(
+                replicate_then(
+                    &core.rpc,
                     targets,
                     Batch { items: wire },
                     timeout,
                     move |r: &BatchReply<Resp>| r.items.iter().all(&is_ack),
+                    &core.obs.tracer,
+                    core.next_trace_seq(),
+                    move |ok| done.complete(vec![ok; n]),
                 );
-                async move { vec![round.await; n] }
             },
         )
     }

@@ -423,24 +423,27 @@ impl RebalanceEngine {
         if let Some(b) = self.planes.borrow().get(&addr) {
             return b.clone();
         }
-        let rpc = self.rpc.clone();
+        let (rpc, node) = (self.rpc.clone(), self.node);
         let cfg = BatchConfig {
             batch_max: 4,
             batch_deadline: COPY_INTERVAL,
         };
-        let batcher = Batcher::new(
+        let batcher = Batcher::callback(
             &self.handle,
             self.node,
             "migrate",
             cfg,
             self.obs.clone(),
-            move |items: Vec<TxnRequest>| {
-                let rpc = rpc.clone();
-                async move {
-                    rpc.call_batch::<TxnRequest, TxnResponse>(addr, items, RPC_TIMEOUT)
-                        .await
-                        .unwrap_or_default()
-                }
+            move |items: Vec<TxnRequest>, done| {
+                rpc.call_batch_then(
+                    Some(node),
+                    addr,
+                    items,
+                    RPC_TIMEOUT,
+                    move |reply: Result<Vec<TxnResponse>, _>| {
+                        done.complete(reply.unwrap_or_default());
+                    },
+                );
             },
         );
         self.planes.borrow_mut().insert(addr, batcher.clone());

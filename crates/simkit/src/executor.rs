@@ -239,19 +239,31 @@ impl TaskSlab {
 
 pub(crate) enum TimerFire {
     Wake(Waker),
-    Deliver { to: Addr, packet: Packet },
+    /// A [`SimHandle::call_at`] callback; `owner`'s death cancels it.
+    Call {
+        owner: Option<NodeId>,
+        f: Box<dyn FnOnce()>,
+    },
+    Deliver {
+        to: Addr,
+        packet: Packet,
+    },
 }
 
-/// Counters for [`Sleep`] timers (packet deliveries share the event queue
-/// but are counted by [`NetStats`](crate::net::NetStats)). Deterministic
-/// for a given seed; `armed == fired + cancelled + pending` always holds.
+/// Counters for [`Sleep`] timers and [`SimHandle::call_at`] callbacks
+/// (packet deliveries share the event queue but are counted by
+/// [`NetStats`](crate::net::NetStats)). Deterministic for a given seed;
+/// `armed == fired + cancelled + pending` always holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimerStats {
-    /// Sleeps that entered the event queue (at most once per [`Sleep`]).
+    /// Sleeps and callbacks that entered the event queue (at most once per
+    /// [`Sleep`]).
     pub armed: u64,
-    /// Timers that reached their deadline and woke their task.
+    /// Timers that reached their deadline and woke their task or ran their
+    /// callback.
     pub fired: u64,
-    /// Timers removed because their [`Sleep`] was dropped first.
+    /// Timers removed first: their [`Sleep`] was dropped, their callback
+    /// cancelled, or its owner killed.
     pub cancelled: u64,
     /// Timers in the event queue now.
     pub pending: u64,
@@ -270,6 +282,8 @@ pub(crate) struct Inner {
     polls: u64,
     /// Tasks spawned so far; deterministic like `polls`.
     spawns: u64,
+    /// True while [`Sim::poll_task`] is polling a task.
+    polling: bool,
 }
 
 impl Inner {
@@ -281,10 +295,15 @@ impl Inner {
         self.timers.push(at, fire)
     }
 
-    /// Removes all idle tasks owned by `node` so the caller can drop their
-    /// futures outside of the scheduler borrow.
-    pub(crate) fn tasks_remove_node(&mut self, node: NodeId) -> Vec<impl Sized> {
-        self.tasks.remove_node(node)
+    /// Removes all idle tasks and pending callbacks owned by `node` so the
+    /// caller can drop them outside of the scheduler borrow.
+    pub(crate) fn remove_node(&mut self, node: NodeId) -> (Vec<impl Sized>, Vec<impl Sized>) {
+        let calls = self.timers.remove_where(
+            |fire| matches!(fire, TimerFire::Call { owner: Some(n), .. } if *n == node),
+        );
+        self.timer_stats.cancelled += calls.len() as u64;
+        self.timer_stats.pending -= calls.len() as u64;
+        (self.tasks.remove_node(node), calls)
     }
 }
 
@@ -308,6 +327,7 @@ impl Sim {
             net: NetState::new(),
             polls: 0,
             spawns: 0,
+            polling: false,
         };
         Sim {
             handle: SimHandle {
@@ -405,7 +425,7 @@ impl Sim {
             };
             debug_assert!(at >= inner.now, "timer in the past");
             inner.now = at;
-            if matches!(fire, TimerFire::Wake(_)) {
+            if !matches!(fire, TimerFire::Deliver { .. }) {
                 inner.timer_stats.fired += 1;
                 inner.timer_stats.pending -= 1;
             }
@@ -413,6 +433,7 @@ impl Sim {
         };
         match fire {
             TimerFire::Wake(waker) => waker.wake(),
+            TimerFire::Call { f, .. } => f(),
             TimerFire::Deliver { to, packet } => self.handle.deliver_now(to, packet),
         }
         true
@@ -422,7 +443,9 @@ impl Sim {
         let task = {
             let mut inner = self.handle.inner.borrow_mut();
             inner.polls += 1;
-            inner.tasks.take_for_poll(tid)
+            let task = inner.tasks.take_for_poll(tid);
+            inner.polling = task.is_some();
+            task
         };
         let Some(mut task) = task else { return };
         let waker = task
@@ -430,6 +453,7 @@ impl Sim {
             .get_or_insert_with(|| TaskWaker::waker(tid, self.handle.ready.clone()));
         let poll = task.fut.as_mut().poll(&mut Context::from_waker(waker));
         let mut inner = self.handle.inner.borrow_mut();
+        inner.polling = false;
         match poll {
             Poll::Ready(()) => inner.tasks.complete(tid),
             Poll::Pending => {
@@ -557,6 +581,69 @@ impl SimHandle {
         }
     }
 
+    /// Runs `f` at virtual instant `at` without a task: the callback is an
+    /// entry in the event queue, fired in `(at, seq)` order with sleeps and
+    /// packet deliveries and counted in [`TimerStats`] like a [`Sleep`].
+    /// It runs at its event, with no task ready, so it stands in exactly
+    /// for a task that would sleep until `at` and then run `f` — provided
+    /// nothing would have armed another entry for the same instant between
+    /// the call and that task's first poll. An `at` already reached fires at the next event,
+    /// after every ready task: a deadline that is already due belongs in a
+    /// task. [`SimHandle::kill_node`] on `owner` cancels the callback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner` is dead, like [`SimHandle::spawn_on`].
+    pub fn call_at(
+        &self,
+        owner: Option<NodeId>,
+        at: SimTime,
+        f: impl FnOnce() + 'static,
+    ) -> TimerKey {
+        let mut inner = self.inner.borrow_mut();
+        if let Some(n) = owner {
+            assert!(
+                !inner.net.is_dead(n),
+                "call_at owned by a dead node {n:?}; revive it first"
+            );
+        }
+        inner.timer_stats.armed += 1;
+        inner.timer_stats.pending += 1;
+        let f = Box::new(f);
+        TimerKey(inner.schedule(at, TimerFire::Call { owner, f }))
+    }
+
+    /// Removes the callback `key` names, in O(1). Returns false if it
+    /// already fired or was cancelled.
+    pub fn cancel(&self, key: TimerKey) -> bool {
+        let removed = {
+            let mut inner = self.inner.borrow_mut();
+            let removed = inner.timers.remove(key.0);
+            if removed.is_some() {
+                inner.timer_stats.cancelled += 1;
+                inner.timer_stats.pending -= 1;
+            }
+            removed
+        };
+        // Outside the scheduler borrow: the closure may own a `Sleep`.
+        removed.is_some()
+    }
+
+    /// Runs `f` where a task spawned now would first be polled, spawning
+    /// one only when that place is not here and now. Inside a task's poll
+    /// it is the back of the ready queue, so `f` becomes a one-shot task
+    /// there, owned by `owner`. In a [`SimHandle::call_at`] callback or a
+    /// sink, which run at an event with no task ready, it is the instant
+    /// the callback returns, so `f` runs at once — the same only when the
+    /// call is the last thing the callback does.
+    pub fn run_next(&self, owner: Option<NodeId>, f: impl FnOnce() + 'static) {
+        if self.inner.borrow().polling {
+            self.spawn_inner(async move { f() }, owner);
+        } else {
+            f();
+        }
+    }
+
     /// Yields once, letting other runnable tasks make progress.
     pub fn yield_now(&self) -> YieldNow {
         YieldNow { polled: false }
@@ -622,6 +709,11 @@ impl std::fmt::Debug for SimHandle {
             .finish()
     }
 }
+
+/// Names a callback armed by [`SimHandle::call_at`], for
+/// [`SimHandle::cancel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerKey(EventKey);
 
 /// Error returned by [`SimHandle::timeout`] when the deadline fires first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -962,6 +1054,148 @@ mod tests {
         assert_eq!(b.0.load(std::sync::atomic::Ordering::Relaxed), 1);
         assert!(sleep.as_mut().poll(&mut cx_b).is_ready());
         assert_eq!(h.timer_stats().fired, 1);
+    }
+
+    fn checked(h: &SimHandle) -> TimerStats {
+        let t = h.timer_stats();
+        assert_eq!(t.armed, t.fired + t.cancelled + t.pending, "{t:?}");
+        t
+    }
+
+    #[test]
+    fn callbacks_fire_in_time_then_arming_order_with_sleeps_and_packets() {
+        use crate::net::{Addr, LatencyConfig};
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        h.set_latency(LatencyConfig {
+            one_way: Duration::from_micros(20),
+            jitter_std: Duration::ZERO,
+            ..LatencyConfig::default()
+        });
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let at = |us| SimTime::from_micros(us);
+        let l = log.clone();
+        h.bind_sink(Addr::new(NodeId(2), 0), move |_| {
+            l.borrow_mut().push("packet@20")
+        });
+        let l = log.clone();
+        h.call_at(None, at(20), move || {
+            l.borrow_mut().push("call@20 armed first")
+        });
+        h.send(Addr::new(NodeId(1), 0), Addr::new(NodeId(2), 0), ());
+        let (l, hh) = (log.clone(), h.clone());
+        h.spawn(async move {
+            hh.sleep_until(at(20)).await;
+            l.borrow_mut().push("sleep@20");
+        });
+        let l = log.clone();
+        h.call_at(None, at(10), move || l.borrow_mut().push("call@10"));
+        let l = log.clone();
+        h.call_at(None, at(20), move || {
+            l.borrow_mut().push("call@20 armed last")
+        });
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            [
+                "call@10",
+                "call@20 armed first",
+                "packet@20",
+                "call@20 armed last",
+                "sleep@20"
+            ]
+        );
+        let t = checked(&h);
+        assert_eq!((t.armed, t.fired, t.cancelled), (4, 4, 0));
+        assert_eq!(h.polls(), 2, "callbacks poll nothing");
+    }
+
+    #[test]
+    fn a_cancelled_callback_never_runs_and_is_counted() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let ran = Rc::new(RefCell::new(0));
+        let keys: Vec<TimerKey> = (0..10u64)
+            .map(|i| {
+                let r = ran.clone();
+                h.call_at(None, SimTime::from_millis(i), move || *r.borrow_mut() += 1)
+            })
+            .collect();
+        assert_eq!(checked(&h).pending, 10);
+        for k in keys.iter().step_by(2) {
+            assert!(h.cancel(*k));
+            assert!(!h.cancel(*k), "a second cancel finds nothing");
+        }
+        assert_eq!(checked(&h).pending, 5);
+        sim.run();
+        assert_eq!(*ran.borrow(), 5);
+        assert!(!h.cancel(keys[1]), "a fired callback cannot be cancelled");
+        let t = checked(&h);
+        assert_eq!((t.armed, t.fired, t.cancelled, t.pending), (10, 5, 5, 0));
+    }
+
+    #[test]
+    fn kill_node_cancels_only_the_callbacks_it_owns() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (owner, name) in [
+            (Some(NodeId(1)), "n1"),
+            (Some(NodeId(2)), "n2"),
+            (None, "none"),
+        ] {
+            let l = log.clone();
+            h.call_at(owner, SimTime::from_millis(5), move || {
+                l.borrow_mut().push(name)
+            });
+        }
+        h.kill_node(NodeId(1));
+        assert_eq!(checked(&h).cancelled, 1);
+        // Revived before the old deadline: the new incarnation arms its own,
+        // and the old incarnation's never runs.
+        h.revive_node(NodeId(1));
+        let l = log.clone();
+        h.call_at(Some(NodeId(1)), SimTime::from_millis(5), move || {
+            l.borrow_mut().push("n1 again")
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), ["n2", "none", "n1 again"]);
+        let t = checked(&h);
+        assert_eq!((t.armed, t.fired, t.cancelled, t.pending), (4, 3, 1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "dead node")]
+    fn call_at_on_a_dead_node_panics() {
+        let sim = Sim::new(1);
+        let h = sim.handle();
+        h.kill_node(NodeId(4));
+        h.call_at(Some(NodeId(4)), SimTime::from_millis(1), || {});
+    }
+
+    #[test]
+    fn run_next_spawns_inside_a_task_and_runs_at_once_at_an_event() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (l, hh) = (log.clone(), h.clone());
+        h.spawn(async move {
+            let l2 = l.clone();
+            hh.run_next(None, move || l2.borrow_mut().push("deferred"));
+            l.borrow_mut().push("rest of the poll");
+        });
+        let (l, hh) = (log.clone(), h.clone());
+        h.call_at(None, SimTime::from_millis(1), move || {
+            l.borrow_mut().push("event");
+            let l2 = l.clone();
+            hh.run_next(None, move || l2.borrow_mut().push("inline"));
+        });
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            ["rest of the poll", "deferred", "event", "inline"]
+        );
+        assert_eq!(h.spawns(), 2);
     }
 
     #[test]

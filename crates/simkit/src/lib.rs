@@ -4,8 +4,9 @@
 //! single-threaded async executor over **virtual time**, plus the pieces a
 //! simulated distributed system needs:
 //!
-//! - [`Sim`] / [`SimHandle`] — executor, virtual clock, task spawning with
-//!   per-node ownership (so killing a node aborts its tasks);
+//! - [`Sim`] / [`SimHandle`] — executor, virtual clock, task spawning and
+//!   task-free callbacks at virtual instants, both with per-node ownership
+//!   (so killing a node aborts its tasks and cancels its callbacks);
 //! - [`net`] — a message network with latency distributions, node kill /
 //!   revive, and partitions;
 //! - [`rpc`] — typed request/response with timeouts on top of [`net`];

@@ -388,11 +388,11 @@ impl SimHandle {
         }
     }
 
-    /// Kills a node: aborts all its tasks, closes and unbinds its mailboxes,
-    /// drops its sinks, and drops all future traffic to/from it until
-    /// [`SimHandle::revive_node`].
+    /// Kills a node: aborts all its tasks, cancels the callbacks it owns,
+    /// closes and unbinds its mailboxes, drops its sinks, and drops all
+    /// future traffic to/from it until [`SimHandle::revive_node`].
     pub fn kill_node(&self, node: NodeId) {
-        let (tasks, endpoints) = {
+        let (tasks, calls, endpoints) = {
             let mut inner = self.inner.borrow_mut();
             inner.net.dead.insert(node);
             let mut doomed: Vec<Addr> = inner
@@ -408,10 +408,11 @@ impl SimHandle {
                 .iter()
                 .filter_map(|a| inner.net.endpoints.remove(a))
                 .collect();
-            (inner.tasks_remove_node(node), endpoints)
+            let (tasks, calls) = inner.remove_node(node);
+            (tasks, calls, endpoints)
         };
-        // Everything below runs outside the scheduler borrow: a task future
-        // or a sink closure may own a `Sleep`, whose drop takes it.
+        // Everything below runs outside the scheduler borrow: a task future,
+        // a sink or a callback closure may own a `Sleep`, whose drop takes it.
         for endpoint in endpoints {
             match endpoint {
                 Endpoint::Queue(mb) => {
@@ -426,6 +427,7 @@ impl SimHandle {
             }
         }
         drop(tasks);
+        drop(calls);
     }
 
     /// Marks a previously killed node alive again. Its addresses must be

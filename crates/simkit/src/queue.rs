@@ -129,6 +129,19 @@ impl<T> EventQueue<T> {
         Some(fire)
     }
 
+    /// Takes every pending entry `pred` selects out of the queue, in slot
+    /// order. O(slots): for rare bulk removals, not per event.
+    pub(crate) fn remove_where(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
+        let mut removed = Vec::new();
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            if slot.fire.as_ref().is_some_and(&mut pred) {
+                removed.extend(slot.fire.take());
+                self.free.push(idx as u32);
+            }
+        }
+        removed
+    }
+
     /// Removes and returns the earliest pending entry, unless the queue is
     /// empty or that entry is due after `limit`.
     pub(crate) fn pop(&mut self, limit: Option<SimTime>) -> Option<(SimTime, T)> {

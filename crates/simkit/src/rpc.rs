@@ -2,7 +2,9 @@
 //!
 //! An [`RpcClient`] issues calls; its reply port is a sink
 //! ([`SimHandle::bind_sink`]) that hands each reply to the waiting call by
-//! request id at the delivery instant. A server either binds a [`Mailbox`]
+//! request id at the delivery instant — or, for
+//! [`RpcClient::call_then`], runs the call's continuation there, so no
+//! task waits on the call at all. A server either binds a [`Mailbox`]
 //! and loops on [`recv_request`], or registers a callback with
 //! [`serve_incoming`], to receive typed requests together with a
 //! [`Responder`] for the (optional) reply. Neither side runs a task that
@@ -17,7 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-use crate::executor::SimHandle;
+use crate::executor::{SimHandle, TimerKey};
 use crate::net::{Addr, Mailbox, NodeId, Packet};
 use crate::sync::oneshot;
 use crate::time::SimTime;
@@ -126,8 +128,47 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
+/// A [`RpcClient::call_then`] continuation over the still-erased reply.
+type Then = Box<dyn FnOnce(Result<Rc<dyn Any>, RpcError>)>;
+
+/// Who takes a pending call's reply body.
+enum Waiter {
+    /// A task awaiting [`RpcClient::call`].
+    Task(oneshot::Sender<Rc<dyn Any>>),
+    /// An [`RpcClient::call_then`] continuation and its guard callback.
+    Then { guard: TimerKey, then: Then },
+}
+
 /// Reply-routing table shared between a client and its reply sink.
-type PendingReplies = Rc<RefCell<FastMap<u64, oneshot::Sender<Rc<dyn Any>>>>>;
+type PendingReplies = Rc<RefCell<FastMap<u64, Waiter>>>;
+
+/// A [`RpcClient::call_then`] guard's hold on its pending entry: the
+/// guard takes the entry when it fires, and a guard dropped unfired — its
+/// owner killed — drops the entry with it.
+struct Entry {
+    route: PendingReplies,
+    id: u64,
+}
+
+impl Entry {
+    fn take(&self) -> Option<Waiter> {
+        self.route.borrow_mut().remove(&self.id)
+    }
+}
+
+impl Drop for Entry {
+    fn drop(&mut self) {
+        drop(self.take());
+    }
+}
+
+/// Opens a reply body as the `Resp` its caller expects.
+fn open_reply<Resp: Any + Clone>(body: Rc<dyn Any>) -> Resp {
+    unwrap_body(
+        body.downcast::<Resp>()
+            .expect("rpc reply type mismatch: protocol bug"),
+    )
+}
 
 /// Client half of the RPC layer; lives on one node and may call any address.
 ///
@@ -147,14 +188,22 @@ impl RpcClient {
         let reply_addr = Addr::new(node, reply_port);
         let pending: PendingReplies = Rc::new(RefCell::new(FastMap::default()));
         let route = pending.clone();
+        let h = handle.clone();
         handle.bind_sink(reply_addr, move |pkt| {
             let Ok(reply) = pkt.payload.downcast::<Reply>() else {
                 return; // stray packet on the reply port
             };
             // A late or duplicated reply finds no entry and is discarded.
-            let tx = route.borrow_mut().remove(&reply.id);
-            if let Some(tx) = tx {
-                let _ = tx.send(reply.body);
+            let waiter = route.borrow_mut().remove(&reply.id);
+            match waiter {
+                Some(Waiter::Task(tx)) => {
+                    let _ = tx.send(reply.body);
+                }
+                Some(Waiter::Then { guard, then }) => {
+                    h.cancel(guard);
+                    then(Ok(reply.body));
+                }
+                None => {}
             }
         });
         RpcClient {
@@ -216,10 +265,24 @@ impl RpcClient {
             return Err(RpcError::Timeout);
         };
         let wait = timeout.min(remaining);
+        let (tx, rx) = oneshot::channel();
+        let id = self.send_request(to, req, deadline);
+        self.pending.borrow_mut().insert(id, Waiter::Task(tx));
+        match self.handle.timeout(wait, rx).await {
+            Ok(body) => Ok(open_reply(
+                body.expect("a pending reply sender is never dropped unsent"),
+            )),
+            Err(_) => {
+                self.pending.borrow_mut().remove(&id);
+                Err(RpcError::Timeout)
+            }
+        }
+    }
+
+    /// Sends a request that expects a reply, under a fresh request id.
+    fn send_request<Req: Any + Clone>(&self, to: Addr, req: Req, deadline: Deadline) -> u64 {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
-        let (tx, rx) = oneshot::channel();
-        self.pending.borrow_mut().insert(id, tx);
         self.handle.send(
             self.reply_addr,
             to,
@@ -230,17 +293,44 @@ impl RpcClient {
                 body: Rc::new(req),
             },
         );
-        match self.handle.timeout(wait, rx).await {
-            Ok(body) => Ok(unwrap_body(
-                body.expect("a pending reply sender is never dropped unsent")
-                    .downcast::<Resp>()
-                    .expect("rpc reply type mismatch: protocol bug"),
-            )),
-            Err(_) => {
-                self.pending.borrow_mut().remove(&id);
-                Err(RpcError::Timeout)
+        id
+    }
+
+    /// Issues a request and runs `then` with its typed reply, without a
+    /// task: the reply sink runs it at the reply's delivery, or a
+    /// [`SimHandle::call_at`] guard owned by `owner` runs it with
+    /// [`RpcError::Timeout`] once `timeout` has passed. As in
+    /// [`RpcClient::call`], the request is sent before the guard is armed.
+    /// `then` runs exactly once — unless `owner` is killed first, which
+    /// cancels the guard and drops `then` unrun, as it dropped a killed
+    /// caller's task. A late or duplicated reply is discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer replies with a type other than `Resp`.
+    pub fn call_then<Req: Any + Clone, Resp: Any + Clone>(
+        &self,
+        owner: Option<NodeId>,
+        to: Addr,
+        req: Req,
+        timeout: Duration,
+        then: impl FnOnce(Result<Resp, RpcError>) + 'static,
+    ) {
+        let now = self.handle.now();
+        let id = self.send_request(to, req, Deadline::after(now, timeout));
+        let entry = Entry {
+            route: self.pending.clone(),
+            id,
+        };
+        let guard = self.handle.call_at(owner, now + timeout, move || {
+            if let Some(Waiter::Then { then, .. }) = entry.take() {
+                then(Err(RpcError::Timeout));
             }
-        }
+        });
+        let then = Box::new(move |r: Result<Rc<dyn Any>, RpcError>| then(r.map(open_reply)));
+        self.pending
+            .borrow_mut()
+            .insert(id, Waiter::Then { guard, then });
     }
 
     /// Coalesces `items` into one [`Batch`] envelope, sends it as a single
@@ -271,6 +361,34 @@ impl RpcClient {
             "batch reply arity mismatch: protocol bug"
         );
         Ok(reply.items)
+    }
+
+    /// [`RpcClient::call_batch`] as a [`RpcClient::call_then`]: `then`
+    /// gets the per-item replies, in item order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the peer answers with a reply count different from the
+    /// item count.
+    pub fn call_batch_then<Req: Any + Clone, Resp: Any + Clone>(
+        &self,
+        owner: Option<NodeId>,
+        to: Addr,
+        items: Vec<Req>,
+        timeout: Duration,
+        then: impl FnOnce(Result<Vec<Resp>, RpcError>) + 'static,
+    ) {
+        let n = items.len();
+        self.call_then(owner, to, Batch { items }, timeout, move |reply| {
+            then(reply.map(|reply: BatchReply<Resp>| {
+                assert_eq!(
+                    reply.items.len(),
+                    n,
+                    "batch reply arity mismatch: protocol bug"
+                );
+                reply.items
+            }))
+        });
     }
 
     /// Sends a fire-and-forget request; no reply is expected or routed.
@@ -732,6 +850,112 @@ mod tests {
             assert_eq!(resp.deadline(), Deadline::NONE);
             assert!(!resp.deadline().expired(SimTime::MAX));
         });
+    }
+
+    type Seen = Rc<RefCell<Vec<(Result<Pong, RpcError>, SimTime)>>>;
+
+    /// Runs one `call_then` from outside any task and records what its
+    /// continuation saw, and when.
+    fn call_then_once(
+        h: &SimHandle,
+        client: &RpcClient,
+        owner: Option<NodeId>,
+        to: Addr,
+        timeout: Duration,
+    ) -> Seen {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let (s, hh) = (seen.clone(), h.clone());
+        client.call_then(owner, to, Ping(1), timeout, move |r: Result<Pong, _>| {
+            s.borrow_mut().push((r, hh.now()));
+        });
+        seen
+    }
+
+    #[test]
+    fn call_then_runs_its_continuation_at_the_reply_without_a_task() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let server = serve_batch_echo(&h, NodeId(2));
+        let client = RpcClient::new(&h, NodeId(1), 0);
+        let seen = call_then_once(&h, &client, None, server, TIMEOUT);
+        sim.run();
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].0, Ok(Pong(2)));
+        assert!(seen[0].1 < SimTime::ZERO + TIMEOUT);
+        assert_eq!((h.spawns(), h.polls()), (0, 0));
+        // The reply cancelled the guard.
+        let t = h.timer_stats();
+        assert_eq!((t.armed, t.fired, t.cancelled, t.pending), (1, 0, 1, 0));
+    }
+
+    #[test]
+    fn call_then_times_out_once_and_drops_the_late_duplicated_reply() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        // Every packet twice, and a server that answers each copy after
+        // 10 ms: two late replies for one timed-out call.
+        h.set_net_faults(crate::net::NetFaultConfig {
+            dup_prob: 1.0,
+            ..crate::net::NetFaultConfig::default()
+        });
+        let mb = h.bind(Addr::new(NodeId(2), 0));
+        let h2 = h.clone();
+        h.spawn_on(NodeId(2), async move {
+            while let Some((Ping(v), _f, resp)) = recv_request::<Ping>(&h2, &mb).await {
+                h2.sleep(Duration::from_millis(10)).await;
+                resp.reply(Pong(v));
+            }
+        });
+        let client = RpcClient::new(&h, NodeId(1), 0);
+        let to = Addr::new(NodeId(2), 0);
+        let seen = call_then_once(&h, &client, None, to, Duration::from_millis(1));
+        sim.run();
+        assert_eq!(
+            *seen.borrow(),
+            [(Err(RpcError::Timeout), SimTime::from_millis(1))]
+        );
+        assert!(client.pending.borrow().is_empty());
+        let t = h.timer_stats();
+        assert_eq!(t.armed, t.fired + t.cancelled + t.pending);
+        // The duplicated replies reached the sink and were discarded.
+        assert!(h.net_stats().delivered >= 4);
+    }
+
+    #[test]
+    fn killing_the_owner_cancels_the_guard_and_the_continuation() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let client = RpcClient::new(&h, NodeId(1), 0);
+        // Nothing is bound at the callee: only the guard can answer.
+        let to = Addr::new(NodeId(2), 0);
+        let owned = call_then_once(&h, &client, Some(NodeId(1)), to, TIMEOUT);
+        let free = call_then_once(&h, &client, None, to, TIMEOUT);
+        h.kill_node(NodeId(1));
+        // The kill dropped the owned continuation unrun, with what it held.
+        assert_eq!(Rc::strong_count(&owned), 1);
+        sim.run();
+        assert!(owned.borrow().is_empty());
+        assert_eq!(free.borrow().len(), 1);
+        assert!(client.pending.borrow().is_empty());
+        let t = h.timer_stats();
+        assert_eq!((t.armed, t.fired, t.cancelled, t.pending), (2, 1, 1, 0));
+    }
+
+    #[test]
+    fn call_batch_then_hands_back_the_replies_in_item_order() {
+        let mut sim = Sim::new(5);
+        let h = sim.handle();
+        let server = serve_batch_echo(&h, NodeId(2));
+        let client = RpcClient::new(&h, NodeId(1), 0);
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let items = vec![Ping(1), Ping(2), Ping(3)];
+        client.call_batch_then(None, server, items, TIMEOUT, move |r| {
+            *g.borrow_mut() = Some(r);
+        });
+        sim.run();
+        assert_eq!(*got.borrow(), Some(Ok(vec![Pong(2), Pong(3), Pong(4)])));
     }
 
     #[test]

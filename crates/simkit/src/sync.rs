@@ -1,13 +1,15 @@
 //! Single-threaded async synchronization primitives for simulation tasks:
-//! [`oneshot`] channels, unbounded [`mpsc`] channels, and a fair
-//! [`Semaphore`] (used e.g. to model bounded device queue depth).
+//! [`oneshot`] channels, unbounded [`mpsc`] channels, a fair
+//! [`Semaphore`] (used e.g. to model bounded device queue depth), and
+//! [`join_all`], which runs futures side by side in one task.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 
 /// Error returned when the other half of a channel is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,10 +405,146 @@ impl Drop for Permit {
     }
 }
 
+/// Runs `futs` side by side in the task that polls the result, which
+/// resolves to their outputs in order. Each future is polled only when its
+/// own waker fired — all of them, in order, at the first poll — never
+/// because a sibling's did, and a wake during the poll is served in that
+/// same poll. So the futures see exactly the polls they would see as
+/// tasks spawned together, one after another, at this task's place in the
+/// ready queue.
+pub fn join_all<F: Future>(futs: Vec<F>) -> JoinAll<F> {
+    let woken = Arc::new(Mutex::new(Woken {
+        flags: vec![true; futs.len()],
+        parent: None,
+        polling: false,
+    }));
+    let children = futs
+        .into_iter()
+        .enumerate()
+        .map(|(idx, fut)| {
+            let waker = Waker::from(Arc::new(ChildWake {
+                idx,
+                woken: Arc::clone(&woken),
+            }));
+            Child::Pending(Box::pin(fut), waker)
+        })
+        .collect::<Vec<_>>();
+    JoinAll {
+        left: children.len(),
+        children,
+        woken,
+    }
+}
+
+/// Future returned by [`join_all`].
+pub struct JoinAll<F: Future> {
+    children: Vec<Child<F>>,
+    left: usize,
+    woken: Arc<Mutex<Woken>>,
+}
+
+// Nothing in a `JoinAll` is structurally pinned: each child future sits
+// in its own box, and outputs are only ever moved out.
+impl<F: Future> Unpin for JoinAll<F> {}
+
+enum Child<F: Future> {
+    Pending(Pin<Box<F>>, Waker),
+    Done(F::Output),
+}
+
+/// Which children were woken since they were last polled, and the task
+/// to wake for them.
+struct Woken {
+    flags: Vec<bool>,
+    parent: Option<Waker>,
+    /// Set while [`JoinAll::poll`] runs: a wake then needs no task wake.
+    polling: bool,
+}
+
+struct ChildWake {
+    idx: usize,
+    woken: Arc<Mutex<Woken>>,
+}
+
+impl Wake for ChildWake {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let parent = {
+            let mut w = self.woken.lock().expect("join_all state");
+            w.flags[self.idx] = true;
+            if w.polling {
+                None
+            } else {
+                w.parent.clone()
+            }
+        };
+        if let Some(p) = parent {
+            p.wake();
+        }
+    }
+}
+
+impl<F: Future> JoinAll<F> {
+    /// The lowest-indexed woken child, its flag cleared.
+    fn next_woken(&self) -> Option<usize> {
+        let mut w = self.woken.lock().expect("join_all state");
+        let idx = w.flags.iter().position(|&f| f)?;
+        w.flags[idx] = false;
+        Some(idx)
+    }
+}
+
+impl<F: Future> Future for JoinAll<F> {
+    type Output = Vec<F::Output>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<F::Output>> {
+        let this = self.get_mut();
+        {
+            let mut w = this.woken.lock().expect("join_all state");
+            if !w.parent.as_ref().is_some_and(|p| p.will_wake(cx.waker())) {
+                w.parent = Some(cx.waker().clone());
+            }
+            w.polling = true;
+        }
+        while let Some(idx) = this.next_woken() {
+            if let Child::Pending(fut, waker) = &mut this.children[idx] {
+                if let Poll::Ready(out) = fut.as_mut().poll(&mut Context::from_waker(waker)) {
+                    this.children[idx] = Child::Done(out);
+                    this.left -= 1;
+                }
+            }
+        }
+        this.woken.lock().expect("join_all state").polling = false;
+        if this.left > 0 {
+            return Poll::Pending;
+        }
+        let outs = std::mem::take(&mut this.children)
+            .into_iter()
+            .map(|c| match c {
+                Child::Done(out) => out,
+                Child::Pending(..) => unreachable!("every child finished"),
+            })
+            .collect();
+        Poll::Ready(outs)
+    }
+}
+
+impl<F: Future> std::fmt::Debug for JoinAll<F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JoinAll")
+            .field("children", &self.children.len())
+            .field("left", &self.left)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sim;
+    use crate::{Sim, SimTime};
     use std::time::Duration;
 
     #[test]
@@ -548,5 +686,55 @@ mod tests {
         });
         // All permits returned once the block's guards drop.
         assert_eq!(sem.available(), 1);
+    }
+
+    #[test]
+    fn join_all_polls_each_future_only_on_its_own_wake() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let polls = Rc::new(RefCell::new(vec![0u32; 3]));
+        let futs: Vec<_> = [3u64, 1, 2]
+            .into_iter()
+            .enumerate()
+            .map(|(i, ms)| {
+                let (h, polls) = (h.clone(), polls.clone());
+                let mut sleep = Box::pin(h.sleep(Duration::from_millis(ms)));
+                std::future::poll_fn(move |cx| {
+                    polls.borrow_mut()[i] += 1;
+                    sleep.as_mut().poll(cx).map(|()| (i, h.now()))
+                })
+            })
+            .collect();
+        let hh = h.clone();
+        let out = sim.block_on(async move { hh.spawn(join_all(futs)).await });
+        let ms = SimTime::from_millis;
+        assert_eq!(out, [(0, ms(3)), (1, ms(1)), (2, ms(2))]);
+        // A first poll each, then one poll at its own timer: never a poll
+        // for a sibling's wake.
+        assert_eq!(*polls.borrow(), [2, 2, 2]);
+    }
+
+    #[test]
+    fn join_all_serves_a_wake_from_a_sibling_in_the_same_poll() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let sem = Semaphore::new(1);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let futs: Vec<_> = (0..3)
+            .map(|i| {
+                let (h, sem, order) = (h.clone(), sem.clone(), order.clone());
+                async move {
+                    let _permit = sem.acquire().await;
+                    order.borrow_mut().push((i, h.now()));
+                    h.sleep(Duration::from_millis(1)).await;
+                }
+            })
+            .collect();
+        let hh = h.clone();
+        let spawns = h.spawns();
+        sim.block_on(async move { hh.spawn(join_all(futs)).await });
+        let ms = SimTime::from_millis;
+        assert_eq!(*order.borrow(), [(0, ms(0)), (1, ms(1)), (2, ms(2))]);
+        assert_eq!(h.spawns() - spawns, 2); // `block_on`'s and the join's
     }
 }

@@ -15,8 +15,10 @@
 //! reordered, an RNG draw moved, or a metric renamed changes at least one.
 //! (`polls` alone has been re-recorded since: when timers stopped re-arming,
 //! when the relay tasks of the message plane were removed, when MILANA
-//! replicas began answering control traffic at the delivery instant, and
-//! when every MILANA envelope began starting its items there.)
+//! replicas began answering control traffic at the delivery instant,
+//! when every MILANA envelope began starting its items there, and when
+//! batch deadlines, replication rounds and coordinator envelopes became
+//! callbacks instead of tasks.)
 
 use std::time::Duration;
 
@@ -363,7 +365,7 @@ fn semel_inconsistent_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Inconsistent);
     let want = Golden {
         now_ns: 470_278_049,
-        polls: 1_865,
+        polls: 1_167,
         net: [511, 494, 17, 0, 0],
         timers: [830, 601, 227, 2],
         registry: 0xc978d72f94f6d425,
@@ -380,7 +382,7 @@ fn semel_ordered_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Ordered);
     let want = Golden {
         now_ns: 466_252_516,
-        polls: 1_661,
+        polls: 1_240,
         net: [515, 498, 17, 0, 0],
         timers: [762, 531, 229, 2],
         registry: 0x16fb24d156593180,
@@ -397,7 +399,7 @@ fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
         now_ns: 1_010_931_995,
-        polls: 18_085,
+        polls: 6_339,
         net: [7154, 6817, 335, 0, 0],
         timers: [8441, 5027, 3375, 39],
         registry: 0x5a261fe78b14bb67,
@@ -424,7 +426,7 @@ fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
         now_ns: 1_024_764_894,
-        polls: 11_479,
+        polls: 3_236,
         net: [4747, 4276, 470, 0, 0],
         timers: [5457, 3332, 2097, 28],
         registry: 0x4e82e800b88b820,
