@@ -28,7 +28,7 @@ use semel::msg::SemelError;
 use semel::shard::ShardMap;
 use semel::RPC_TIMEOUT;
 use simkit::net::{Addr, NodeId};
-use simkit::rpc::{recv_request, RpcClient};
+use simkit::rpc::{serve_incoming, Incoming, RpcClient};
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, Version, WatermarkTracker};
 
@@ -117,16 +117,11 @@ impl Validator {
                 trace_shard: 0,
             })),
         };
-        let mailbox = handle.bind(addr);
-        let h = handle.clone();
+        // Every request is answered at its delivery instant, with no task.
         let me = v.clone();
-        handle.spawn_on(addr.node, async move {
-            while let Some((req, _from, resp)) =
-                recv_request::<ValidatorRequest>(&h, &mailbox).await
-            {
-                let reply = me.handle(req);
-                resp.reply(reply);
-            }
+        serve_incoming(handle, addr, move |incoming, _from, resp| match incoming {
+            Incoming::One(req) => resp.reply(me.handle(req)),
+            Incoming::Batch(_) => unreachable!("a validator is never sent a batch"),
         });
         v
     }

@@ -16,25 +16,24 @@
 //!
 //! ## Dispatch
 //!
-//! Every request, alone in its envelope or batched, goes through one match,
-//! `TxnServer::start`. An arm that never waits answers on the spot. The
+//! Every request, alone in its envelope or batched, goes through
+//! [`ReplicaCore::dispatch`] and one match, this server's
+//! [`Dispatch::start`]. An arm that never waits answers on the spot. The
 //! five that may wait — `Prepare`, `ReplPrepare`, `MigrateRecords`,
 //! `InstallLog` and `Promote` — and a batched read return their own boxed
 //! future. An envelope holding one of those gets a task, whose first poll
 //! starts every item in item order; any other envelope is answered at its
 //! delivery instant, with no task. A single read keeps a small task of its
-//! own (`TxnServer::read_task`).
+//! own (`TxnServer::read_task`), in front of the dispatch.
 
 use std::cell::RefCell;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::Poll;
 use std::time::Duration;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Backend, Key, StoreError, Value};
-use semel::replica::ReplicaCore;
+use semel::replica::{Dispatch, ReplicaCore, Started};
 use semel::shard::{ShardId, ShardMap};
 use semel::REPL_TIMEOUT;
 use simkit::net::Addr;
@@ -54,62 +53,6 @@ const LEASE_DURATION: Duration = Duration::from_millis(100);
 const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 /// Heartbeat period when a master is configured.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
-
-/// The future of a started request that may wait. It owns what it needs,
-/// a clone of the server included, so it can outlive the call that started
-/// it. `None` means *stay silent*.
-type Waiting = Pin<Box<dyn Future<Output = Option<TxnResponse>>>>;
-
-/// What [`TxnServer::start`] made of one request.
-enum Started {
-    /// It never waits and is already answered.
-    Answered(TxnResponse),
-    /// It may wait: its future, not yet polled.
-    Waiting(Waiting),
-}
-
-/// Admission cost of a client-facing request: a snapshot read or a
-/// prepare. Everything else is internal traffic — outcomes, replication,
-/// leases, recovery, migration — and is never shed: refusing it only
-/// amplifies the overload or prolongs the recovery.
-fn admission_cost(req: &TxnRequest) -> Option<u64> {
-    match req {
-        TxnRequest::Get { .. } | TxnRequest::GetAny { .. } | TxnRequest::ReadAt { .. } => {
-            Some(COST_GET)
-        }
-        TxnRequest::Prepare { .. } => Some(COST_PREPARE),
-        _ => None,
-    }
-}
-
-/// True for a request whose arm in `TxnServer::start` may wait: a read, a
-/// prepare, a replicated prepare, bulk-copy records, a log install or a
-/// promotion. An envelope holding one is started in a task of its own.
-fn may_wait(req: &TxnRequest) -> bool {
-    admission_cost(req).is_some()
-        || matches!(
-            req,
-            TxnRequest::ReplPrepare(_)
-                | TxnRequest::MigrateRecords { .. }
-                | TxnRequest::InstallLog { .. }
-                | TxnRequest::Promote { .. }
-        )
-}
-
-/// Answers an envelope once every item has its reply. Inside a batch an
-/// item that stays silent answers `NotReady`, which the coordinator
-/// classifies as unreachable, exactly like a single envelope's silence
-/// followed by its timeout.
-fn reply(resp: Responder, batched: bool, replies: Vec<Option<TxnResponse>>) {
-    if batched {
-        let replies = replies
-            .into_iter()
-            .map(|r| r.unwrap_or(TxnResponse::NotReady));
-        resp.reply_batch(replies.collect());
-    } else if let Some(r) = replies.into_iter().next().flatten() {
-        resp.reply(r);
-    }
-}
 
 /// Server timing knobs.
 #[derive(Debug, Clone)]
@@ -644,17 +587,12 @@ impl TxnServer {
         at < Timestamp::from_sim(self.state.borrow().lease_until)
     }
 
-    /// Takes one envelope at its delivery instant and decides what it
-    /// costs. A single read is admitted here and, unless shed, gets a task
-    /// of its own whose future holds only what a read needs. Any other
-    /// envelope is a batch, a single request a batch of one. One holding an
-    /// item that [`may_wait`] is served by a task of its own
-    /// ([`TxnServer::serve`]); any other is answered right here, with no
-    /// task. A delivery lands on an empty ready queue, and the task spawned
-    /// for it would have been polled next, so answering in place produces
-    /// the same effects in the same order.
+    /// Takes one envelope at its delivery instant. A single read is
+    /// admitted here and, unless shed, gets a task of its own whose future
+    /// holds only what a read needs; every other envelope goes through
+    /// [`ReplicaCore::dispatch`].
     fn on_envelope(&self, incoming: Incoming<TxnRequest>, from: Addr, resp: Responder) {
-        let (items, batched) = match incoming {
+        match incoming {
             Incoming::One(
                 req @ (TxnRequest::Get { .. }
                 | TxnRequest::GetAny { .. }
@@ -663,114 +601,59 @@ impl TxnServer {
                 if let Some((permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed) {
                     self.core.spawn(self.read_task(req, permit, resp));
                 }
-                return;
             }
-            Incoming::One(req) => (vec![req], false),
-            Incoming::Batch(items) => (items, true),
-        };
-        if items.iter().any(may_wait) {
-            self.core.spawn(self.serve(items, batched, from, resp));
-        } else {
-            // Nothing client-facing, so nothing to admit.
-            let replies = items
-                .into_iter()
-                .map(|item| match self.start(item, None, from) {
-                    Started::Answered(r) => Some(r),
-                    Started::Waiting(_) => unreachable!("`may_wait` lists every arm that waits"),
-                })
-                .collect();
-            reply(resp, batched, replies);
-        }
-    }
-
-    /// The task of an envelope holding an item that may wait. Its first
-    /// poll admits the envelope's reads and prepares — one deadline check
-    /// for the whole envelope, then `try_admit` each in item order, so one
-    /// answered on its first poll cannot free capacity for a later one —
-    /// and starts every item in item order through [`TxnServer::start`],
-    /// first-polling each that waits before the next starts. Later polls
-    /// poll only the items still pending. Once none is, it answers the
-    /// envelope.
-    fn serve(
-        &self,
-        items: Vec<TxnRequest>,
-        batched: bool,
-        from: Addr,
-        resp: Responder,
-    ) -> impl Future<Output = ()> + 'static {
-        let me = self.clone();
-        async move {
-            let now = me.core.handle.now();
-            let deadline_shed = (items.iter().any(|i| admission_cost(i).is_some())
-                && resp.deadline().expired(now))
-            .then(|| me.core.admission.shed_deadline(now.as_nanos()));
-            let mut admits = items
-                .iter()
-                .filter_map(admission_cost)
-                .map(|cost| match deadline_shed {
-                    Some(shed) => Err(shed),
-                    None => me.core.admission.try_admit(now.as_nanos(), cost),
-                })
-                .collect::<Vec<_>>()
-                .into_iter();
-            let mut replies = Vec::with_capacity(items.len());
-            let mut waiting: Vec<(usize, Waiting)> = Vec::new();
-            let mut unstarted = items.into_iter();
-            std::future::poll_fn(|cx| {
-                waiting.retain_mut(|(i, item)| match item.as_mut().poll(cx) {
-                    Poll::Ready(r) => {
-                        replies[*i] = r;
-                        false
-                    }
-                    Poll::Pending => true,
-                });
-                // First poll only (`waiting` was empty above): start every item.
-                for item in unstarted.by_ref() {
-                    // Internal traffic is never admitted, so has no permit.
-                    let admitted = admission_cost(&item).and_then(|_| admits.next());
-                    let r = match admitted
-                        .transpose()
-                        .map(|permit| me.start(item, permit, from))
-                    {
-                        // A shed read or prepare: nothing read, validated or
-                        // installed — a definite no the client can act on.
-                        Err(shed) => Some(TxnResponse::Shed(shed)),
-                        Ok(Started::Answered(r)) => Some(r),
-                        Ok(Started::Waiting(mut item)) => match item.as_mut().poll(cx) {
-                            Poll::Ready(r) => r,
-                            Poll::Pending => {
-                                waiting.push((replies.len(), item));
-                                None
-                            }
-                        },
-                    };
-                    replies.push(r);
-                }
-                if waiting.is_empty() {
-                    Poll::Ready(())
-                } else {
-                    Poll::Pending
-                }
-            })
-            .await;
-            reply(resp, batched, replies);
+            incoming => self.core.dispatch(self, incoming, from, resp),
         }
     }
 
     /// Boxes a waiting arm's future, handing it a clone of the server.
-    fn wait<F>(&self, arm: impl FnOnce(TxnServer) -> F) -> Started
+    fn wait<F>(&self, arm: impl FnOnce(TxnServer) -> F) -> Started<TxnResponse>
     where
         F: Future<Output = Option<TxnResponse>> + 'static,
     {
         Started::Waiting(Box::pin(arm(self.clone())))
     }
+}
 
-    /// The one dispatch: starts `req` at its envelope's delivery instant. A
-    /// request that never waits is answered here. One that may — a read, a
-    /// prepare, a replicated prepare, bulk-copy records, a log install or a
-    /// promotion — comes back as its own future, not yet polled, which
-    /// holds `permit`, a read's or prepare's admission, until it is done.
-    fn start(&self, req: TxnRequest, permit: Option<loadkit::Permit>, from: Addr) -> Started {
+impl Dispatch for TxnServer {
+    type Req = TxnRequest;
+    type Resp = TxnResponse;
+    const SHED: fn(loadkit::Shed) -> TxnResponse = TxnResponse::Shed;
+    /// The coordinator classifies `NotReady` as unreachable.
+    const SILENT: TxnResponse = TxnResponse::NotReady;
+
+    /// A snapshot read or a prepare.
+    fn admission_cost(req: &TxnRequest) -> Option<u64> {
+        match req {
+            TxnRequest::Get { .. } | TxnRequest::GetAny { .. } | TxnRequest::ReadAt { .. } => {
+                Some(COST_GET)
+            }
+            TxnRequest::Prepare { .. } => Some(COST_PREPARE),
+            _ => None,
+        }
+    }
+
+    /// A read, a prepare, a replicated prepare, bulk-copy records, a log
+    /// install or a promotion.
+    fn may_wait(req: &TxnRequest) -> bool {
+        Self::admission_cost(req).is_some()
+            || matches!(
+                req,
+                TxnRequest::ReplPrepare(_)
+                    | TxnRequest::MigrateRecords { .. }
+                    | TxnRequest::InstallLog { .. }
+                    | TxnRequest::Promote { .. }
+            )
+    }
+
+    /// The one match over `TxnRequest`. A read's or prepare's `permit` is
+    /// held by its future until it is done.
+    fn start(
+        &self,
+        req: TxnRequest,
+        permit: Option<loadkit::Permit>,
+        from: Addr,
+    ) -> Started<TxnResponse> {
         Started::Answered(match req {
             req @ (TxnRequest::Get { .. }
             | TxnRequest::GetAny { .. }
@@ -1003,7 +886,9 @@ impl TxnServer {
             TxnRequest::CatchUpFetch { cursor, limit } => self.catch_up_page(cursor, limit),
         })
     }
+}
 
+impl TxnServer {
     /// A backup's side of a promotion's [`TxnRequest::InstallLog`] from
     /// `from`: merge the log, apply the committed writes not yet applied
     /// here, and adopt the sender as lease grantee and floor stream.

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use simkit::net::Addr;
-use simkit::rpc::{recv_request, Responder};
+use simkit::rpc::{serve_incoming, Incoming};
 use simkit::time::SimTime;
 use simkit::SimHandle;
 use timesync::ClientId;
@@ -193,25 +193,27 @@ impl Master {
         (out, epoch)
     }
 
+    /// Serves the master's address at the sink: every request is answered
+    /// at its delivery instant, with no task.
     fn spawn_service(&self) {
-        let mailbox = self.handle.bind(self.cfg.addr);
         let me = self.clone();
-        let h = self.handle.clone();
-        let node = self.cfg.addr.node;
-        self.handle.spawn_on(node, async move {
-            while let Some((req, _from, resp)) = recv_request::<MasterRequest>(&h, &mailbox).await {
-                me.handle_request(req, resp);
-            }
-        });
+        serve_incoming(
+            &self.handle,
+            self.cfg.addr,
+            move |incoming, _from, resp| match incoming {
+                Incoming::One(req) => resp.reply(me.handle_request(req)),
+                Incoming::Batch(_) => unreachable!("the master is never sent a batch"),
+            },
+        );
     }
 
-    fn handle_request(&self, req: MasterRequest, resp: Responder) {
+    fn handle_request(&self, req: MasterRequest) -> MasterResponse {
         let mut st = self.state.borrow_mut();
         match req {
             MasterRequest::FetchMap => {
                 st.stats.fetches += 1;
                 self.cfg.obs.registry.counter("map_fetches").inc();
-                resp.reply(MasterResponse::MapIs(st.map.clone()));
+                MasterResponse::MapIs(st.map.clone())
             }
             MasterRequest::Heartbeat { shard, addr } => {
                 st.stats.heartbeats += 1;
@@ -224,9 +226,9 @@ impl Master {
                     let now = self.handle.now();
                     st.last_beat.insert(shard, now);
                 }
-                resp.reply(MasterResponse::Ack {
+                MasterResponse::Ack {
                     epoch: st.map.epoch(),
-                });
+                }
             }
         }
     }

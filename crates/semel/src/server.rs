@@ -8,19 +8,25 @@
 //!   its record — in any order relative to other records.
 //! - A **backup** just applies records; ordering is reconstructed from
 //!   version stamps, never from arrival order.
+//!
+//! Every request, alone or batched, goes through [`ReplicaCore::dispatch`]
+//! and this server's [`Dispatch::start`]: `Get`, `Put`, `Delete` and
+//! `Record` return their own future, so an envelope holding one gets a
+//! task that starts its items side by side in item order; a `Watermark` is
+//! answered at its delivery instant, with no task.
 
 use std::rc::Rc;
 
 use batchkit::{BatchConfig, Batcher};
 use flashsim::{Backend, StoreError};
-use loadkit::AdmissionConfig;
+use loadkit::{AdmissionConfig, Permit};
 use simkit::net::Addr;
-use simkit::rpc::{Incoming, Responder};
+use simkit::sync::oneshot;
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp};
 
 use crate::msg::{ReplicaRecord, SemelRequest, SemelResponse};
-use crate::replica::ReplicaCore;
+use crate::replica::{Dispatch, ReplicaCore, Started};
 use crate::shard::ShardId;
 use crate::REPL_TIMEOUT;
 
@@ -60,8 +66,8 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Group-commit replication: the primary coalesces up to `batch_max`
     /// records (or `batch_deadline` worth) into one backup envelope. Only
-    /// effective in [`ReplicationMode::Inconsistent`] — ordered mode's
-    /// gap-filling holds per-record responders and bypasses the batcher.
+    /// effective in [`ReplicationMode::Inconsistent`] — an ordered record
+    /// waits for its turn on the backup, so ordered mode sends each alone.
     /// `batch_max = 1` reproduces the unbatched per-record fan-out.
     pub batch: BatchConfig,
     /// Observability: metric registry plus (optionally enabled) structured
@@ -104,8 +110,8 @@ pub struct ShardServer {
 #[derive(Debug, Default)]
 struct OrderedBackup {
     next_apply: u64,
-    /// Records that arrived ahead of their turn, with their responders.
-    held: std::collections::BTreeMap<u64, (ReplicaRecord, Responder)>,
+    /// Records that arrived ahead of their turn: the signal that starts each.
+    held: std::collections::BTreeMap<u64, oneshot::Sender<()>>,
 }
 
 impl std::fmt::Debug for ShardServer {
@@ -119,7 +125,8 @@ impl std::fmt::Debug for ShardServer {
 }
 
 impl ShardServer {
-    /// Spawns the server loop on `cfg.addr.node` and returns a handle to it.
+    /// Serves `cfg.addr` on its node through the shared dispatch and returns
+    /// a handle to the server.
     /// The `backend` outlives node failures, modeling durable storage.
     pub fn spawn(handle: &SimHandle, backend: Backend, cfg: ServerConfig) -> ShardServer {
         let core = ReplicaCore::new(
@@ -159,18 +166,10 @@ impl ShardServer {
             ordered: Rc::new(std::cell::RefCell::new(OrderedBackup::default())),
             repl_batch,
         };
-        // One task per envelope: no benchmark workload runs SEMEL, so its
-        // requests are not sorted into ones that never wait.
         let me = server.clone();
-        server.core.serve(move |incoming, _from, resp| {
-            let server = me.clone();
-            me.core.spawn(async move {
-                match incoming {
-                    Incoming::One(req) => server.handle_request(req, resp).await,
-                    Incoming::Batch(items) => server.handle_batch(items, resp).await,
-                }
-            })
-        });
+        server
+            .core
+            .serve(move |incoming, from, resp| me.core.dispatch(&me, incoming, from, resp));
         server
     }
 
@@ -182,109 +181,6 @@ impl ShardServer {
     /// This replica's configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.cfg
-    }
-
-    async fn handle_request(&self, req: SemelRequest, resp: Responder) {
-        let cost = match &req {
-            SemelRequest::Get { .. } => Some(COST_GET),
-            SemelRequest::Put { .. } | SemelRequest::Delete { .. } => Some(COST_PUT),
-            // Replication and watermark control traffic must always land:
-            // shedding it amplifies recovery work instead of reducing load.
-            SemelRequest::Record { .. } | SemelRequest::Watermark { .. } => None,
-        };
-        let (_permit, resp) = match cost {
-            Some(cost) => match self.core.admit(cost, resp, SemelResponse::Shed) {
-                Some((permit, resp)) => (Some(permit), resp),
-                None => return,
-            },
-            None => (None, resp),
-        };
-        // Cutover fence: keys the shared map no longer assigns here are
-        // answered with a forwarding stub, never served from local state.
-        if let Some(map) = &self.cfg.map {
-            let moved_key = match &req {
-                SemelRequest::Get { key, .. }
-                | SemelRequest::Put { key, .. }
-                | SemelRequest::Delete { key } => Some(key),
-                _ => None,
-            };
-            if let Some(key) = moved_key {
-                let (owner, epoch) = {
-                    let m = map.borrow();
-                    (m.shard_for(key), m.epoch())
-                };
-                if owner != self.cfg.shard {
-                    resp.reply(SemelResponse::Moved { epoch });
-                    return;
-                }
-            }
-        }
-        match req {
-            SemelRequest::Get { key, at } => {
-                let r = match self.core.backend.get_at(&key, at).await {
-                    Ok(vv) => SemelResponse::Value {
-                        version: vv.version,
-                        value: vv.value,
-                        prepared: false,
-                    },
-                    Err(StoreError::NotFound) => SemelResponse::NotFound,
-                    Err(StoreError::SnapshotUnavailable(v)) => {
-                        SemelResponse::SnapshotUnavailable(v)
-                    }
-                    Err(_) => SemelResponse::Capacity,
-                };
-                resp.reply(r);
-            }
-            SemelRequest::Put {
-                key,
-                value,
-                version,
-            } => {
-                let r = self.handle_put(key, value, version).await;
-                resp.reply(r);
-            }
-            SemelRequest::Delete { key } => {
-                self.core.backend.delete(&key);
-                let rec = ReplicaRecord::Delete { key };
-                let ok = self.replicate_record(rec).await;
-                resp.reply(if ok {
-                    SemelResponse::Deleted
-                } else {
-                    SemelResponse::NoMajority
-                });
-            }
-            SemelRequest::Watermark { client, ts } => {
-                self.merge_watermark(client, ts);
-                resp.reply(SemelResponse::RecordOk);
-            }
-            SemelRequest::Record { seq, rec } => match seq {
-                None => {
-                    let r = self.apply_record(rec).await;
-                    resp.reply(r);
-                }
-                Some(seq) => self.handle_ordered_record(seq, rec, resp).await,
-            },
-        }
-    }
-
-    /// Backup path for a coalesced replication envelope: apply every item
-    /// in order and answer them all in one [`BatchReply`]. Only replication
-    /// records and watermark reports travel in batches; client-facing
-    /// operations arriving batched is a wiring bug.
-    async fn handle_batch(&self, items: Vec<SemelRequest>, resp: Responder) {
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            let r = match item {
-                SemelRequest::Record { seq: None, rec } => self.apply_record(rec).await,
-                SemelRequest::Watermark { client, ts } => {
-                    self.merge_watermark(client, ts);
-                    SemelResponse::RecordOk
-                }
-                other => panic!("unbatchable semel request in batch envelope: {other:?}"),
-            };
-            out.push(r);
-        }
-        resp.reply_batch(out);
     }
 
     /// Merges one client's watermark report (the core advances the
@@ -312,29 +208,18 @@ impl ShardServer {
         if let Some(batcher) = &self.repl_batch {
             return batcher.submit(rec).await.unwrap_or(false);
         }
-        let req = SemelRequest::Record {
-            seq: self.assign_seq(),
-            rec,
+        let seq = match self.cfg.replication {
+            ReplicationMode::Inconsistent => None,
+            ReplicationMode::Ordered => Some(self.next_seq.replace(self.next_seq.get() + 1)),
         };
         self.core
             .replicate(
                 self.cfg.backups.clone(),
-                req,
+                SemelRequest::Record { seq, rec },
                 REPL_TIMEOUT,
                 |r: &SemelResponse| matches!(r, SemelResponse::RecordOk),
             )
             .await
-    }
-
-    fn assign_seq(&self) -> Option<u64> {
-        match self.cfg.replication {
-            ReplicationMode::Inconsistent => None,
-            ReplicationMode::Ordered => {
-                let s = self.next_seq.get();
-                self.next_seq.set(s + 1);
-                Some(s)
-            }
-        }
     }
 
     async fn apply_record(&self, rec: ReplicaRecord) -> SemelResponse {
@@ -354,101 +239,406 @@ impl ShardServer {
         }
     }
 
-    /// Ordered-mode backup path: apply strictly by sequence number, holding
-    /// early arrivals (and their acknowledgements) until the gap fills.
-    async fn handle_ordered_record(&self, seq: u64, rec: ReplicaRecord, resp: Responder) {
-        {
+    /// Ordered-mode backup path: apply strictly by sequence number. A record
+    /// ahead of its turn waits for its predecessor's apply to hand the turn
+    /// on; one below `next_apply` is acked at once. A duplicate that
+    /// displaces a held record leaves that record's caller without a reply.
+    async fn ordered_record(self, seq: u64, rec: ReplicaRecord) -> Option<SemelResponse> {
+        let turn = {
             let mut ob = self.ordered.borrow_mut();
-            if seq > ob.next_apply {
-                ob.held.insert(seq, (rec, resp));
-                return;
-            }
             if seq < ob.next_apply {
-                // Duplicate of something already applied.
-                resp.reply(SemelResponse::RecordOk);
-                return;
+                return Some(SemelResponse::RecordOk);
             }
+            (seq > ob.next_apply).then(|| {
+                let (tx, rx) = oneshot::channel();
+                ob.held.insert(seq, tx);
+                rx
+            })
+        };
+        if let Some(turn) = turn {
+            turn.await.ok()?;
         }
-        // seq == next_apply: apply, then drain any ready successors.
         let r = self.apply_record(rec).await;
-        resp.reply(r);
-        loop {
-            let next = {
-                let mut ob = self.ordered.borrow_mut();
-                ob.next_apply += 1;
-                let n = ob.next_apply;
-                ob.held.remove(&n)
-            };
-            match next {
-                Some((rec, resp)) => {
-                    let r = self.apply_record(rec).await;
-                    resp.reply(r);
-                }
-                None => break,
-            }
+        let next = {
+            let mut ob = self.ordered.borrow_mut();
+            ob.next_apply += 1;
+            let n = ob.next_apply;
+            ob.held.remove(&n)
+        };
+        if let Some(next) = next {
+            let _ = next.send(());
+        }
+        Some(r)
+    }
+
+    /// Cutover fence: a `Get`, `Put` or `Delete` of a key the shared map no
+    /// longer assigns here is answered with a forwarding stub, never served
+    /// from local state.
+    fn moved(&self, req: &SemelRequest) -> Option<SemelResponse> {
+        let (SemelRequest::Get { key, .. }
+        | SemelRequest::Put { key, .. }
+        | SemelRequest::Delete { key }) = req
+        else {
+            return None;
+        };
+        let map = self.cfg.map.as_ref()?.borrow();
+        (map.shard_for(key) != self.cfg.shard).then(|| SemelResponse::Moved { epoch: map.epoch() })
+    }
+}
+
+impl Dispatch for ShardServer {
+    type Req = SemelRequest;
+    type Resp = SemelResponse;
+    const SHED: fn(loadkit::Shed) -> SemelResponse = SemelResponse::Shed;
+    /// Not an acknowledgement.
+    const SILENT: SemelResponse = SemelResponse::NoMajority;
+
+    fn admission_cost(req: &SemelRequest) -> Option<u64> {
+        match req {
+            SemelRequest::Get { .. } => Some(COST_GET),
+            SemelRequest::Put { .. } | SemelRequest::Delete { .. } => Some(COST_PUT),
+            // Replication and watermark control traffic must always land:
+            // shedding it amplifies recovery work instead of reducing load.
+            SemelRequest::Record { .. } | SemelRequest::Watermark { .. } => None,
         }
     }
 
-    async fn handle_put(
+    /// Everything but a watermark report.
+    fn may_wait(req: &SemelRequest) -> bool {
+        !matches!(req, SemelRequest::Watermark { .. })
+    }
+
+    fn start(
         &self,
-        key: flashsim::Key,
-        value: flashsim::Value,
-        version: timesync::Version,
-    ) -> SemelResponse {
-        match self
-            .core
-            .backend
-            .put(key.clone(), value.clone(), version)
-            .await
-        {
-            Ok(()) => {}
-            Err(StoreError::StaleWrite(current)) if current == version => {
-                // Retransmission of a completed write: re-replicate (the
-                // original majority may have been partial) and re-ack.
-            }
-            Err(StoreError::StaleWrite(current)) => {
-                return SemelResponse::Rejected(current);
-            }
-            Err(_) => return SemelResponse::Capacity,
+        req: SemelRequest,
+        permit: Option<Permit>,
+        _from: Addr,
+    ) -> Started<SemelResponse> {
+        if let Some(moved) = self.moved(&req) {
+            return Started::Answered(moved);
         }
-        let rec = ReplicaRecord::Write {
-            key,
-            value,
-            version,
-        };
-        let ok = self.replicate_record(rec).await;
-        if ok {
-            SemelResponse::PutOk
-        } else {
-            SemelResponse::NoMajority
-        }
+        let me = self.clone();
+        Started::Waiting(match req {
+            SemelRequest::Get { key, at } => Box::pin(async move {
+                let _permit = permit;
+                Some(match me.core.backend.get_at(&key, at).await {
+                    Ok(vv) => SemelResponse::Value {
+                        version: vv.version,
+                        value: vv.value,
+                        prepared: false,
+                    },
+                    Err(StoreError::NotFound) => SemelResponse::NotFound,
+                    Err(StoreError::SnapshotUnavailable(v)) => {
+                        SemelResponse::SnapshotUnavailable(v)
+                    }
+                    Err(_) => SemelResponse::Capacity,
+                })
+            }),
+            SemelRequest::Put {
+                key,
+                value,
+                version,
+            } => Box::pin(async move {
+                let _permit = permit;
+                match me
+                    .core
+                    .backend
+                    .put(key.clone(), value.clone(), version)
+                    .await
+                {
+                    Ok(()) => {}
+                    // Retransmission of a completed write: re-replicate (the
+                    // original majority may have been partial) and re-ack.
+                    Err(StoreError::StaleWrite(current)) if current == version => {}
+                    Err(StoreError::StaleWrite(current)) => {
+                        return Some(SemelResponse::Rejected(current))
+                    }
+                    Err(_) => return Some(SemelResponse::Capacity),
+                }
+                let rec = ReplicaRecord::Write {
+                    key,
+                    value,
+                    version,
+                };
+                let ok = me.replicate_record(rec).await;
+                Some(if ok {
+                    SemelResponse::PutOk
+                } else {
+                    SemelResponse::NoMajority
+                })
+            }),
+            SemelRequest::Delete { key } => Box::pin(async move {
+                let _permit = permit;
+                me.core.backend.delete(&key);
+                let ok = me.replicate_record(ReplicaRecord::Delete { key }).await;
+                Some(if ok {
+                    SemelResponse::Deleted
+                } else {
+                    SemelResponse::NoMajority
+                })
+            }),
+            SemelRequest::Watermark { client, ts } => {
+                self.merge_watermark(client, ts);
+                return Started::Answered(SemelResponse::RecordOk);
+            }
+            SemelRequest::Record { seq: None, rec } => {
+                Box::pin(async move { Some(me.apply_record(rec).await) })
+            }
+            SemelRequest::Record {
+                seq: Some(seq),
+                rec,
+            } => Box::pin(me.ordered_record(seq, rec)),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim::BackendKind;
+    use flashsim::{value, BackendKind, Key};
+    use simkit::net::NodeId;
+    use simkit::rpc::{RpcClient, RpcError};
     use simkit::Sim;
+    use std::time::Duration;
+    use timesync::Version;
+
+    const TIMEOUT: Duration = Duration::from_millis(50);
 
     fn test_server(handle: &SimHandle, clients: Vec<ClientId>) -> ShardServer {
+        spawn_with(handle, clients, ReplicationMode::Inconsistent, true)
+    }
+
+    fn spawn_with(
+        handle: &SimHandle,
+        clients: Vec<ClientId>,
+        replication: ReplicationMode,
+        is_primary: bool,
+    ) -> ShardServer {
         let backend = Backend::new(BackendKind::Mftl, handle, flashsim::NandConfig::default());
         ShardServer::spawn(
             handle,
             backend,
             ServerConfig {
                 shard: ShardId(0),
-                addr: Addr::new(simkit::net::NodeId(0), 0),
+                addr: Addr::new(NodeId(0), 0),
                 backups: Vec::new(),
-                is_primary: true,
+                is_primary,
                 clients,
-                replication: ReplicationMode::Inconsistent,
+                replication,
                 admission: AdmissionConfig::default(),
                 batch: BatchConfig::default(),
                 obs: obskit::Obs::new(),
                 map: None,
             },
         )
+    }
+
+    fn v(ts: u64) -> Version {
+        Version::new(Timestamp(ts), ClientId(1))
+    }
+
+    fn write(key: u64) -> ReplicaRecord {
+        ReplicaRecord::Write {
+            key: Key::from(key),
+            value: value(&b"r"[..]),
+            version: v(10),
+        }
+    }
+
+    /// An ordered-mode record `seq` writing `key`.
+    fn record(seq: u64, key: u64) -> SemelRequest {
+        SemelRequest::Record {
+            seq: Some(seq),
+            rec: write(key),
+        }
+    }
+
+    #[test]
+    fn a_semel_request_gets_the_same_reply_alone_or_batched() {
+        let requests = || {
+            vec![
+                SemelRequest::Get {
+                    key: Key::from(1),
+                    at: Timestamp(100),
+                },
+                SemelRequest::Put {
+                    key: Key::from(2),
+                    value: value(&b"p"[..]),
+                    version: v(10),
+                },
+                SemelRequest::Delete { key: Key::from(3) },
+                SemelRequest::Record {
+                    seq: None,
+                    rec: write(4),
+                },
+                SemelRequest::Watermark {
+                    client: ClientId(0),
+                    ts: Timestamp(50),
+                },
+            ]
+        };
+        // Each request alone in its envelope, or all five in one.
+        let run = |batched: bool| {
+            let mut sim = Sim::new(7);
+            let h = sim.handle();
+            let server = test_server(&h, vec![ClientId(0)]);
+            let rpc = RpcClient::new(&h, NodeId(1), 0);
+            let addr = server.config().addr;
+            sim.block_on(async move {
+                for key in [1, 3] {
+                    let backend = server.backend();
+                    backend
+                        .put(Key::from(key), value(&b"v"[..]), v(5))
+                        .await
+                        .unwrap();
+                }
+                let replies: Vec<SemelResponse> = if batched {
+                    rpc.call_batch(addr, requests(), TIMEOUT).await.unwrap()
+                } else {
+                    let mut replies = Vec::new();
+                    for req in requests() {
+                        replies.push(rpc.call(addr, req, TIMEOUT).await.unwrap());
+                    }
+                    replies
+                };
+                format!("{replies:?}")
+            })
+        };
+        let alone = run(false);
+        assert_eq!(run(true), alone);
+        assert!(alone.starts_with("[Value {"), "{alone}");
+        assert!(
+            alone.ends_with("PutOk, Deleted, RecordOk, RecordOk]"),
+            "{alone}"
+        );
+    }
+
+    #[test]
+    fn a_watermark_cast_costs_no_task() {
+        let mut sim = Sim::new(8);
+        let h = sim.handle();
+        let hh = h.clone();
+        let server = test_server(&h, vec![ClientId(0)]);
+        let rpc = RpcClient::new(&h, NodeId(1), 0);
+        let ts = Timestamp(30);
+        sim.block_on(async move {
+            let addr = server.config().addr;
+            let window = |cast: bool| {
+                let (hh, rpc) = (hh.clone(), &rpc);
+                async move {
+                    let (polls, spawns) = (hh.polls(), hh.spawns());
+                    if cast {
+                        rpc.cast(
+                            addr,
+                            SemelRequest::Watermark {
+                                client: ClientId(0),
+                                ts,
+                            },
+                        );
+                    }
+                    hh.sleep(Duration::from_millis(1)).await;
+                    (hh.polls() - polls, hh.spawns() - spawns)
+                }
+            };
+            let quiet = window(false).await;
+            assert_eq!(window(true).await, quiet);
+            assert_eq!(quiet, (1, 0), "the window's own wake-up only");
+            assert_eq!(server.applied_watermark(), ts);
+        });
+    }
+
+    #[test]
+    fn an_early_ordered_record_is_acked_only_after_its_predecessor_applies() {
+        let mut sim = Sim::new(9);
+        let h = sim.handle();
+        let hh = h.clone();
+        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered, false);
+        let rpc = Rc::new(RpcClient::new(&h, NodeId(1), 0));
+        sim.block_on(async move {
+            let addr = server.config().addr;
+            let early = {
+                let (rpc, server) = (Rc::clone(&rpc), server.clone());
+                hh.spawn(async move {
+                    let r = rpc
+                        .call::<_, SemelResponse>(addr, record(1, 1), TIMEOUT)
+                        .await;
+                    (r, server.backend().latest_version(&Key::from(0)))
+                })
+            };
+            hh.sleep(Duration::from_millis(5)).await;
+            assert_eq!(server.backend().latest_version(&Key::from(1)), None);
+            let r = rpc
+                .call::<_, SemelResponse>(addr, record(0, 0), TIMEOUT)
+                .await;
+            assert!(matches!(r, Ok(SemelResponse::RecordOk)), "{r:?}");
+            let (r, applied) = early.await;
+            assert!(matches!(r, Ok(SemelResponse::RecordOk)), "{r:?}");
+            assert_eq!(
+                applied,
+                Some(v(10)),
+                "record 0 applied before record 1's ack"
+            );
+            assert_eq!(server.backend().latest_version(&Key::from(1)), Some(v(10)));
+        });
+    }
+
+    #[test]
+    fn an_ordered_record_below_next_apply_is_acked_at_once() {
+        let mut sim = Sim::new(10);
+        let h = sim.handle();
+        let hh = h.clone();
+        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered, false);
+        let rpc = RpcClient::new(&h, NodeId(1), 0);
+        sim.block_on(async move {
+            let addr = server.config().addr;
+            let round_trip = |req| {
+                let (rpc, hh) = (&rpc, hh.clone());
+                async move {
+                    let t = hh.now();
+                    let r = rpc.call::<_, SemelResponse>(addr, req, TIMEOUT).await;
+                    assert!(matches!(r, Ok(SemelResponse::RecordOk)), "{r:?}");
+                    hh.now().saturating_since(t)
+                }
+            };
+            let applied = round_trip(record(0, 0)).await;
+            // A second record 0, writing another key: acked without an apply.
+            let duplicate = round_trip(record(0, 7)).await;
+            assert!(duplicate < applied, "{duplicate:?} vs {applied:?}");
+            assert_eq!(server.backend().latest_version(&Key::from(7)), None);
+        });
+    }
+
+    #[test]
+    fn a_displaced_held_duplicate_gets_no_reply() {
+        let mut sim = Sim::new(11);
+        let h = sim.handle();
+        let hh = h.clone();
+        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered, false);
+        let rpc = Rc::new(RpcClient::new(&h, NodeId(1), 0));
+        sim.block_on(async move {
+            let addr = server.config().addr;
+            let held = |key| {
+                let rpc = Rc::clone(&rpc);
+                hh.spawn(async move {
+                    rpc.call::<_, SemelResponse>(addr, record(1, key), TIMEOUT)
+                        .await
+                })
+            };
+            let displaced = held(1);
+            hh.sleep(Duration::from_millis(1)).await;
+            let duplicate = held(2);
+            hh.sleep(Duration::from_millis(1)).await;
+            let r = rpc
+                .call::<_, SemelResponse>(addr, record(0, 0), TIMEOUT)
+                .await;
+            assert!(matches!(r, Ok(SemelResponse::RecordOk)), "{r:?}");
+            let r = duplicate.await;
+            assert!(matches!(r, Ok(SemelResponse::RecordOk)), "{r:?}");
+            assert_eq!(displaced.await.unwrap_err(), RpcError::Timeout);
+            // Only the record that displaced it was applied.
+            assert_eq!(server.backend().latest_version(&Key::from(1)), None);
+            assert_eq!(server.backend().latest_version(&Key::from(2)), Some(v(10)));
+        });
     }
 
     #[test]

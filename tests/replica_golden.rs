@@ -18,7 +18,18 @@
 //! replicas began answering control traffic at the delivery instant,
 //! when every MILANA envelope began starting its items there, and when
 //! batch deadlines, replication rounds and coordinator envelopes became
-//! callbacks instead of tasks.)
+//! callbacks instead of tasks.) When SEMEL moved onto the shared dispatch
+//! and the master onto a sink:
+//! - `semel_ordered_replication_is_unchanged`: `polls` only (a watermark
+//!   report is answered at the sink, a held record waits in its own
+//!   envelope task); ordered records never travel in a batch.
+//! - `milana_auto_failover_is_unchanged`: `polls` only, from the master
+//!   answering at the delivery instant instead of in a mailbox loop.
+//! - `semel_inconsistent_replication_is_unchanged`: `now_ns`, `polls`,
+//!   `trace`, `outcomes` and `stores`, on purpose: a SEMEL backup starts a
+//!   batch's records side by side instead of one flash write after
+//!   another, so batched records are acked earlier. `net`, `timers` and
+//!   `registry` did not move.
 
 use std::time::Duration;
 
@@ -364,14 +375,14 @@ fn milana_auto_run() -> Golden {
 fn semel_inconsistent_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Inconsistent);
     let want = Golden {
-        now_ns: 470_278_049,
-        polls: 1_167,
+        now_ns: 469_178_049,
+        polls: 1_127,
         net: [511, 494, 17, 0, 0],
         timers: [830, 601, 227, 2],
         registry: 0xc978d72f94f6d425,
-        trace: 0xa6ffbf0a6110512,
-        outcomes: 0x24fda919672827cf,
-        stores: 0x4766bf3c01a61c88,
+        trace: 0x27c349a32e95fa71,
+        outcomes: 0xb4d413c5d0c5a69e,
+        stores: 0xef2cf4d1dc457c8,
         servers: vec![],
     };
     assert_eq!(got, want);
@@ -382,7 +393,7 @@ fn semel_ordered_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Ordered);
     let want = Golden {
         now_ns: 466_252_516,
-        polls: 1_240,
+        polls: 1_206,
         net: [515, 498, 17, 0, 0],
         timers: [762, 531, 229, 2],
         registry: 0x16fb24d156593180,
@@ -426,7 +437,7 @@ fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
         now_ns: 1_024_764_894,
-        polls: 3_236,
+        polls: 3_188,
         net: [4747, 4276, 470, 0, 0],
         timers: [5457, 3332, 2097, 28],
         registry: 0x4e82e800b88b820,
