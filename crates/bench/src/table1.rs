@@ -107,6 +107,7 @@ pub fn device(channels: u32, keys: u64, utilization: f64) -> NandConfig {
 /// (16 B key + 472 B value + 24 B header); returns the value payload.
 pub fn preload(store: &Backend, keys: u64) -> Value {
     let payload = value(vec![0u8; 472]);
+    store.reserve(keys as usize);
     for i in 0..keys {
         store.bulk_load(
             Key::from(i),

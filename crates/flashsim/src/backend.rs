@@ -240,6 +240,20 @@ impl Backend {
         }
     }
 
+    /// Sizes the mapping table for `keys` more keys. A bulk load that knows
+    /// how many keys it routes here calls this once, before its first
+    /// [`Backend::bulk_load`], so the table never grows one rehash at a
+    /// time. Mapping tables are only iterated through sorted key lists, so
+    /// their capacity cannot change what a run does.
+    pub fn reserve(&self, keys: usize) {
+        match self {
+            Backend::Dram(s) => s.reserve(keys),
+            Backend::Sftl(s) => s.reserve(keys),
+            Backend::Vftl(s) => s.reserve(keys),
+            Backend::Mftl(s) => s.reserve(keys),
+        }
+    }
+
     /// Zero-time bulk load for experiment setup; call
     /// [`Backend::finish_load`] when done.
     pub fn bulk_load(&self, key: Key, value: Value, version: Version) {

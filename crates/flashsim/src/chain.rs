@@ -5,6 +5,13 @@
 //! buffered-or-persisted tuple location for the flash stores — so the chain
 //! is generic over that payload. Ordering, duplicate suppression, snapshot
 //! visibility and watermark pruning live here, once.
+//!
+//! The chain lives in the mapping table (§1): its youngest entry is stored
+//! inline in the table's value, and only older versions spill into a heap
+//! vector. A key that never had two versions mapped at once — every
+//! preloaded key until its first write — costs no allocation, and the
+//! latest-version check, a recent snapshot read and the collector's lookup
+//! of the newest tuple never leave the table entry.
 
 use timesync::{Timestamp, Version};
 
@@ -19,11 +26,23 @@ pub struct Entry<L> {
 
 /// One key's versions in descending version order, no stamp twice.
 #[derive(Debug, Clone)]
-pub struct Chain<L>(Vec<Entry<L>>);
+pub struct Chain<L> {
+    /// The youngest version; `None` only for an empty chain.
+    head: Option<Entry<L>>,
+    /// The versions older than `head`, youngest first.
+    older: Vec<Entry<L>>,
+}
+
+/// A chain's entries, youngest first.
+pub type Iter<'a, L> =
+    std::iter::Chain<std::option::Iter<'a, Entry<L>>, std::slice::Iter<'a, Entry<L>>>;
 
 impl<L> Default for Chain<L> {
     fn default() -> Chain<L> {
-        Chain(Vec::new())
+        Chain {
+            head: None,
+            older: Vec::new(),
+        }
     }
 }
 
@@ -32,37 +51,51 @@ impl<L> Chain<L> {
     /// its first mapping (replicated writes and mount scans are idempotent);
     /// returns whether the entry was inserted.
     pub fn insert(&mut self, version: Version, loc: L) -> bool {
-        let pos = self
-            .0
-            .iter()
-            .position(|e| e.version <= version)
-            .unwrap_or(self.0.len());
-        if self.0.get(pos).is_some_and(|e| e.version == version) {
+        let entry = Entry { version, loc };
+        let Some(head) = &mut self.head else {
+            self.head = Some(entry);
+            return true;
+        };
+        if version > head.version {
+            let was = std::mem::replace(head, entry);
+            self.older.insert(0, was);
+            return true;
+        }
+        if version == head.version {
             return false;
         }
-        self.0.insert(pos, Entry { version, loc });
+        let pos = self
+            .older
+            .iter()
+            .position(|e| e.version <= version)
+            .unwrap_or(self.older.len());
+        if self.older.get(pos).is_some_and(|e| e.version == version) {
+            return false;
+        }
+        self.older.insert(pos, entry);
         true
     }
 
     /// The youngest version.
     pub fn latest(&self) -> Option<&Entry<L>> {
-        self.0.first()
+        self.head.as_ref()
     }
 
     /// The snapshot read rule: the youngest version with `ts <= at`.
     pub fn visible_at(&self, at: Timestamp) -> Option<&Entry<L>> {
-        self.0.iter().find(|e| e.version.ts <= at)
+        self.iter().find(|e| e.version.ts <= at)
     }
 
     /// The payload mapped for exactly `version`.
     pub fn get(&self, version: Version) -> Option<&L> {
-        self.0.iter().find(|e| e.version == version).map(|e| &e.loc)
+        self.iter().find(|e| e.version == version).map(|e| &e.loc)
     }
 
     /// Mutable access to the payload mapped for exactly `version`.
     pub fn get_mut(&mut self, version: Version) -> Option<&mut L> {
-        self.0
+        self.head
             .iter_mut()
+            .chain(&mut self.older)
             .find(|e| e.version == version)
             .map(|e| &mut e.loc)
     }
@@ -72,30 +105,40 @@ impl<L> Chain<L> {
     where
         L: PartialEq,
     {
-        self.0.retain(|e| !(e.version == version && e.loc == *loc));
+        let hit = |e: &Entry<L>| e.version == version && e.loc == *loc;
+        if self.head.as_ref().is_some_and(hit) {
+            self.head = (!self.older.is_empty()).then(|| self.older.remove(0));
+        } else {
+            self.older.retain(|e| !hit(e));
+        }
     }
 
     /// The entries, youngest first.
-    pub fn iter(&self) -> std::slice::Iter<'_, Entry<L>> {
-        self.0.iter()
+    pub fn iter(&self) -> Iter<'_, L> {
+        self.head.iter().chain(&self.older)
     }
 
     /// The mapped stamps, youngest first.
     pub fn versions(&self) -> Vec<Version> {
-        self.0.iter().map(|e| e.version).collect()
+        self.iter().map(|e| e.version).collect()
     }
 
     /// Drops dead history (§3.1): everything strictly older than the
     /// youngest version with `ts <= watermark`, which stays because
-    /// snapshot reads at the watermark still resolve to it. Yields the
-    /// dropped entries so the store can release what they occupied.
+    /// snapshot reads at the watermark still resolve to it. The youngest
+    /// version always stays, so only the older tail is ever drained.
+    /// Yields the dropped entries so the store can release what they
+    /// occupied.
     pub fn prune(&mut self, watermark: Timestamp) -> std::vec::Drain<'_, Entry<L>> {
-        let keep = self
-            .0
-            .iter()
-            .position(|e| e.version.ts <= watermark)
-            .map_or(self.0.len(), |youngest_visible| youngest_visible + 1);
-        self.0.drain(keep..)
+        let keep = match &self.head {
+            Some(head) if head.version.ts > watermark => self
+                .older
+                .iter()
+                .position(|e| e.version.ts <= watermark)
+                .map_or(self.older.len(), |youngest_visible| youngest_visible + 1),
+            _ => 0,
+        };
+        self.older.drain(keep..)
     }
 }
 
@@ -185,5 +228,89 @@ mod tests {
         *c.get_mut(v(20)).unwrap() = 7;
         assert_eq!(c.get(v(20)), Some(&7));
         assert_eq!(c.get(v(10)), None);
+    }
+
+    /// The chain against a plain sorted vector, op by op: random inserts
+    /// (duplicate stamps included), removes with a matching or a stale
+    /// payload, prunes, and `get_mut` writes, with every read compared
+    /// after each step. The stamps come from a small range so chains keep
+    /// growing past one entry and pruning back to one.
+    #[test]
+    fn matches_a_sorted_vec_model_through_one_to_many_and_back() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut grew, mut shrank) = (0, 0);
+        for _ in 0..200 {
+            let mut c: Chain<u32> = Chain::default();
+            let mut model: Vec<Entry<u32>> = Vec::new();
+            for step in 0..60u32 {
+                let version = Version::new(
+                    Timestamp(rng.gen_range(0..16)),
+                    ClientId(rng.gen_range(0..2)),
+                );
+                let before = model.len();
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let fresh = !model.iter().any(|e| e.version == version);
+                        if fresh {
+                            let pos = model
+                                .iter()
+                                .position(|e| e.version < version)
+                                .unwrap_or(model.len());
+                            model.insert(pos, Entry { version, loc: step });
+                        }
+                        assert_eq!(c.insert(version, step), fresh);
+                    }
+                    5 | 6 => {
+                        // Half the time a mapped entry with its own payload,
+                        // else a payload that no longer matches.
+                        let target = match model.get(rng.gen_range(0..model.len().max(1))) {
+                            Some(e) if rng.gen_bool(0.5) => *e,
+                            _ => Entry {
+                                version,
+                                loc: u32::MAX,
+                            },
+                        };
+                        model.retain(|e| *e != target);
+                        c.remove(target.version, &target.loc);
+                    }
+                    7 | 8 => {
+                        let wm = Timestamp(rng.gen_range(0..20));
+                        let keep = model
+                            .iter()
+                            .position(|e| e.version.ts <= wm)
+                            .map_or(model.len(), |i| i + 1);
+                        let dropped: Vec<Entry<u32>> = model.drain(keep..).collect();
+                        assert_eq!(c.prune(wm).collect::<Vec<_>>(), dropped);
+                    }
+                    _ => {
+                        let want = model
+                            .iter_mut()
+                            .find(|e| e.version == version)
+                            .map(|e| &mut e.loc);
+                        let got = c.get_mut(version);
+                        assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(got), Some(want)) = (got, want) {
+                            *got += 1000;
+                            *want += 1000;
+                        }
+                    }
+                }
+                grew += usize::from(before == 1 && model.len() > 1);
+                shrank += usize::from(before > 1 && model.len() == 1);
+                assert_eq!(c.iter().copied().collect::<Vec<_>>(), model);
+                assert_eq!(c.latest(), model.first());
+                for probe in 0..18 {
+                    let at = Timestamp(probe);
+                    assert_eq!(c.visible_at(at), model.iter().find(|e| e.version.ts <= at));
+                    let exact = Version::new(at, ClientId(probe as u32 % 2));
+                    let want = model.iter().find(|e| e.version == exact).map(|e| &e.loc);
+                    assert_eq!(c.get(exact), want);
+                }
+            }
+        }
+        assert!(grew > 100 && shrank > 100, "grew {grew} shrank {shrank}");
     }
 }

@@ -184,6 +184,11 @@ impl DramStore {
         }
     }
 
+    /// Sizes the mapping table for `keys` more keys.
+    pub(crate) fn reserve(&self, keys: usize) {
+        self.inner.borrow_mut().map.reserve(keys);
+    }
+
     /// Zero-time bulk load.
     pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let mut inner = self.inner.borrow_mut();

@@ -106,7 +106,8 @@ pub(crate) fn stream_count(nand: &NandConfig) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Loc<A> {
     /// Still in the packer (or an in-flight flush): generation + slot.
-    Buffered { gen: u64, idx: usize },
+    /// Slots are `u16` in both variants, so a location is 16 bytes.
+    Buffered { gen: u64, idx: u16 },
     /// Persisted in the unit at `addr`, at tuple index `slot`.
     Stored { addr: A, slot: u16 },
 }
@@ -400,7 +401,7 @@ impl<S: Space> PackedStore<S> {
         &self,
         rec: TupleRecord,
         origin: Origin<S::Addr>,
-    ) -> (u64, usize, Waiting, Option<Batch<S::Addr>>) {
+    ) -> (u64, u16, Waiting, Option<Batch<S::Addr>>) {
         let page_size = self.device().config().page_size;
         let mut inner = self.sh.inner.borrow_mut();
         let len = rec.accounted_len();
@@ -412,7 +413,7 @@ impl<S: Space> PackedStore<S> {
             to_flush = Some(take_open(&mut inner, s));
         }
         let gen = inner.streams[s].gen;
-        let idx = inner.streams[s].open.len();
+        let idx = inner.streams[s].open.len() as u16;
         let first = idx == 0;
         inner.streams[s].open.push(Pending { rec, origin });
         inner.streams[s].open_bytes += len;
@@ -512,7 +513,7 @@ impl<S: Space> PackedStore<S> {
                     Origin::Fresh => {
                         let buffered = Loc::Buffered {
                             gen: batch.gen,
-                            idx: slot,
+                            idx: slot as u16,
                         };
                         if *loc == buffered {
                             *loc = stored;
@@ -552,7 +553,7 @@ impl<S: Space> PackedStore<S> {
                     if let Some(chain) = inner.map.get_mut(&p.rec.key) {
                         let buffered = Loc::Buffered {
                             gen: batch.gen,
-                            idx: slot,
+                            idx: slot as u16,
                         };
                         chain.remove(p.rec.version, &buffered);
                     }
@@ -599,8 +600,11 @@ impl<S: Space> PackedStore<S> {
                         // DRAM hit: serve from a packer stream or an
                         // in-flight page.
                         let rec = match inner.streams.iter().find(|st| st.gen == gen) {
-                            Some(st) => st.open.get(idx).map(|p| p.rec.clone()),
-                            None => inner.flushing.get(&gen).and_then(|pg| pg.get(idx).cloned()),
+                            Some(st) => st.open.get(idx as usize).map(|p| p.rec.clone()),
+                            None => inner
+                                .flushing
+                                .get(&gen)
+                                .and_then(|pg| pg.get(idx as usize).cloned()),
                         };
                         let Some(rec) = rec else {
                             continue; // committed between checks; retry
@@ -683,6 +687,12 @@ impl<S: Space> PackedStore<S> {
         ks
     }
 
+    /// Sizes the mapping table for `keys` more keys, so a bulk load of that
+    /// many never grows it one rehash at a time.
+    pub(crate) fn reserve(&self, keys: usize) {
+        self.sh.inner.borrow_mut().map.reserve(keys);
+    }
+
     /// Zero-time bulk load for experiment setup. Call
     /// [`PackedStore::finish_load`] after the last record.
     ///
@@ -720,7 +730,12 @@ impl<S: Space> PackedStore<S> {
         let (page, epoch): (Page, u64) = {
             let mut inner = self.sh.inner.borrow_mut();
             inner.load_bytes = 0;
-            (Rc::new(std::mem::take(&mut inner.load_buf)), inner.epoch)
+            // The next page most likely holds as many tuples as this one.
+            let next = Vec::with_capacity(inner.load_buf.len());
+            (
+                Rc::new(std::mem::replace(&mut inner.load_buf, next)),
+                inner.epoch,
+            )
         };
         let addr = self.sh.space.install(page.clone(), epoch);
         self.sh.space.note_programmed(addr, page.len() as u32);

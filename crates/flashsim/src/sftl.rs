@@ -265,6 +265,11 @@ impl SingleVersionStore {
     /// API uniformity.
     pub fn set_watermark(&self, _ts: Timestamp) {}
 
+    /// Sizes the key map for `keys` more keys.
+    pub(crate) fn reserve(&self, keys: usize) {
+        self.inner.borrow_mut().map.reserve(keys);
+    }
+
     /// Zero-time bulk load for experiment setup.
     ///
     /// # Panics

@@ -895,15 +895,15 @@ impl TxnServer {
     async fn install_log(&self, records: Vec<TxnRecord>, from: Addr) {
         {
             let mut table = self.table.borrow_mut();
-            for r in records.clone() {
-                table.install(r);
+            for r in &records {
+                table.install(r.clone());
             }
         }
         // Catch up data for committed transactions we have not already
         // applied locally.
-        for r in records {
+        for r in &records {
             if r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid) {
-                self.apply_committed(&r).await;
+                self.apply_committed(r).await;
             }
         }
         let mut st = self.state.borrow_mut();
@@ -932,16 +932,11 @@ impl TxnServer {
                 return TxnResponse::NotReady;
             }
         }
-        let all = self.table.borrow().all_records();
-        let start = match cursor {
-            Some(c) => all.partition_point(|r| r.txid <= c),
-            None => 0,
-        };
-        let end = start
-            .saturating_add(limit.clamp(1, 4096) as usize)
-            .min(all.len());
-        let records: Vec<TxnRecord> = all[start..end].to_vec();
-        let next = if end < all.len() {
+        let (records, more) = self
+            .table
+            .borrow()
+            .page_after(cursor, limit.clamp(1, 4096) as usize);
+        let next = if more {
             records.last().map(|r| r.txid)
         } else {
             None
@@ -1643,13 +1638,10 @@ impl TxnServer {
             }
         }
         // 2. Resolve prepared transactions (Algorithm 2).
-        let prepared: Vec<TxnRecord> = self
+        let prepared = self
             .table
             .borrow()
-            .all_records()
-            .into_iter()
-            .filter(|r| r.status == TxnStatus::Prepared)
-            .collect();
+            .records_where(|r| r.status == TxnStatus::Prepared);
         for record in prepared {
             let commit = if *record.participants == [self.cfg.shard] {
                 // Single-shard: a prepared single-participant transaction
@@ -1669,13 +1661,9 @@ impl TxnServer {
         //    (idempotent). Records applied before the failover are skipped
         //    via the table's applied set, so this is proportional to the
         //    merge delta, not to the whole committed history.
-        let committed: Vec<TxnRecord> = {
+        let committed = {
             let table = self.table.borrow();
-            table
-                .all_records()
-                .into_iter()
-                .filter(|r| r.status == TxnStatus::Committed && !table.is_applied(r.txid))
-                .collect()
+            table.records_where(|r| r.status == TxnStatus::Committed && !table.is_applied(r.txid))
         };
         for r in committed {
             self.apply_committed(&r).await;

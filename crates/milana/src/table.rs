@@ -11,6 +11,8 @@
 //!
 //! None of this is persisted; §4.5 recovers it (or shields it with leases).
 
+use std::collections::BinaryHeap;
+
 use perfkit::{FastMap, FastSet};
 
 use flashsim::Key;
@@ -256,7 +258,13 @@ impl TxnTable {
     /// All records (for log transfer), in transaction-id order so message
     /// schedules stay deterministic.
     pub fn all_records(&self) -> Vec<TxnRecord> {
-        let mut v: Vec<TxnRecord> = self.records.values().cloned().collect();
+        self.records_where(|_| true)
+    }
+
+    /// The records `keep` accepts, in transaction-id order. Only those are
+    /// cloned.
+    pub(crate) fn records_where(&self, keep: impl Fn(&TxnRecord) -> bool) -> Vec<TxnRecord> {
+        let mut v: Vec<TxnRecord> = self.records.values().filter(|r| keep(r)).cloned().collect();
         v.sort_by_key(|r| r.txid);
         v
     }
@@ -264,14 +272,36 @@ impl TxnTable {
     /// Prepared transactions older than `than` (by commit stamp) — CTP
     /// candidates whose coordinator may have died (§4.5).
     pub fn stuck_prepared(&self, than: Timestamp) -> Vec<TxnRecord> {
-        let mut v: Vec<TxnRecord> = self
-            .records
-            .values()
-            .filter(|r| r.status == TxnStatus::Prepared && r.ts_commit < than)
-            .cloned()
+        self.records_where(|r| r.status == TxnStatus::Prepared && r.ts_commit < than)
+    }
+
+    /// One page of a catch-up sweep: the `limit` records with the smallest
+    /// ids above `after` (from the first id when `None`), in id order, and
+    /// whether any record lies beyond the page. One pass keeps the page's
+    /// ids in a heap of at most `limit`, and only the page is cloned, so a
+    /// page costs O(N) rather than a sorted copy of the whole table.
+    pub(crate) fn page_after(&self, after: Option<TxnId>, limit: usize) -> (Vec<TxnRecord>, bool) {
+        let mut page: BinaryHeap<TxnId> = BinaryHeap::with_capacity(limit.min(self.records.len()));
+        let mut above = 0;
+        for &txid in self.records.keys() {
+            if after.is_some_and(|c| txid <= c) {
+                continue;
+            }
+            above += 1;
+            if page.len() < limit {
+                page.push(txid);
+            } else if let Some(mut top) = page.peek_mut() {
+                if txid < *top {
+                    *top = txid;
+                }
+            }
+        }
+        let records = page
+            .into_sorted_vec()
+            .iter()
+            .map(|id| self.records[id].clone())
             .collect();
-        v.sort_by_key(|r| r.txid);
-        v
+        (records, above > limit)
     }
 
     /// Rebuilds key `prepared` markers from the (merged) records — the
@@ -503,5 +533,67 @@ mod tests {
         t.install(committed);
         t.install(record(1, 15, &[1])); // late Prepared replica record
         assert_eq!(t.status(txid(1)), Some(TxnStatus::Committed));
+    }
+
+    /// Every catch-up page equals the page the sweep used to cut: sort the
+    /// whole table, skip to the cursor, take `limit`. Cursors and limits are
+    /// random, ids arrive out of order, and records land on both sides of
+    /// the cursor between pages, as live commits do during a sweep.
+    #[test]
+    fn catch_up_pages_equal_the_sorted_slice() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn sliced(t: &TxnTable, after: Option<TxnId>, limit: usize) -> (Vec<TxnId>, bool) {
+            let all = t.all_records();
+            let start = after.map_or(0, |c| all.partition_point(|r| r.txid <= c));
+            let end = start.saturating_add(limit).min(all.len());
+            (
+                all[start..end].iter().map(|r| r.txid).collect(),
+                end < all.len(),
+            )
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut t = TxnTable::default();
+        let fresh = |t: &mut TxnTable, rng: &mut StdRng| {
+            let mut r = record(
+                rng.gen_range(0..400),
+                rng.gen_range(1..50),
+                &[rng.gen_range(0..9)],
+            );
+            r.txid.client = ClientId(rng.gen_range(0..4));
+            t.install(r);
+        };
+        let mut after = None;
+        let mut limit = 1;
+        for _ in 0..2_000 {
+            let (page, more) = t.page_after(after, limit);
+            let ids: Vec<TxnId> = page.iter().map(|r| r.txid).collect();
+            assert_eq!((ids, more), sliced(&t, after, limit));
+            for r in &page {
+                assert_eq!(r.ts_commit, t.record(r.txid).unwrap().ts_commit);
+            }
+            for _ in 0..rng.gen_range(0..4) {
+                fresh(&mut t, &mut rng);
+            }
+            limit = rng.gen_range(1..24);
+            after = match rng.gen_range(0..8) {
+                0 => None,
+                1 => Some(TxnId {
+                    client: ClientId(rng.gen_range(0..5)),
+                    seq: rng.gen_range(0..450),
+                }),
+                // A sweep's last page: exactly `limit` records, or one more,
+                // lie above the cursor.
+                2 => {
+                    let all = t.all_records();
+                    let beyond = limit + rng.gen_range(0..2usize);
+                    all.len().checked_sub(beyond + 1).map(|i| all[i].txid)
+                }
+                _ if more => page.last().map(|r| r.txid),
+                _ => None,
+            };
+        }
+        assert!(t.len() > 1_000, "table of {}", t.len());
     }
 }

@@ -131,7 +131,9 @@ pub fn new_backend(
 
 /// Preloads keys `0..keys` with `value_size`-byte values: identical data
 /// on every replica of the owning shard. `replicas[shard]` lists that
-/// shard's replicas; `backend` projects one to its store.
+/// shard's replicas; `backend` projects one to its store. Keys are routed
+/// first, so each replica's mapping table is sized once for the keys it
+/// receives; each store still loads its keys in ascending order.
 pub fn preload<'a, R>(
     map: &ShardMap,
     keys: u64,
@@ -144,14 +146,20 @@ pub fn preload<'a, R>(
     }
     let v0 = Version::new(Timestamp(1), ClientId(u32::MAX));
     let payload = value(vec![0u8; value_size]);
+    let mut owned: Vec<Vec<Key>> = vec![Vec::new(); replicas.len()];
     for i in 0..keys {
         let key = Key::from(i);
-        for replica in &replicas[map.shard_for(&key).0 as usize] {
-            backend(replica).bulk_load(key.clone(), payload.clone(), v0);
-        }
+        owned[map.shard_for(&key).0 as usize].push(key);
     }
-    for replica in replicas.iter().flatten() {
-        backend(replica).finish_load();
+    for (group, keys) in replicas.iter().zip(owned) {
+        for replica in group {
+            let store = backend(replica);
+            store.reserve(keys.len());
+            for key in &keys {
+                store.bulk_load(key.clone(), payload.clone(), v0);
+            }
+            store.finish_load();
+        }
     }
 }
 

@@ -36,8 +36,12 @@ pub fn exponential(rng: &mut impl Rng, mean: f64) -> f64 {
 /// on low ranks. This is the "contention parameter" knob used by the Retwis
 /// experiments (§5.2 of the paper).
 ///
-/// The full CDF is precomputed (`8 * n` bytes) so sampling is an `O(log n)`
-/// binary search — build one sampler per run, not per draw.
+/// The full CDF is precomputed (`8 * n` bytes) with a guide table beside it
+/// (`4 * n` bytes): entry `j` is the first rank whose CDF reaches `j / n`.
+/// A draw `u` starts at entry `floor(u * n)` and steps to the first rank
+/// whose CDF reaches `u` — the rank a binary search of the CDF returns —
+/// in about two steps on average, whatever `n` and `alpha`. Build one
+/// sampler per run, not per draw.
 ///
 /// # Examples
 ///
@@ -53,6 +57,7 @@ pub fn exponential(rng: &mut impl Rng, mean: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -60,7 +65,9 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `alpha` is negative or non-finite.
+    /// Panics if `n == 0` or `n` exceeds `u32::MAX`, if `alpha` is negative
+    /// or non-finite, or if the CDF does not strictly increase (a rank so
+    /// improbable its mass rounds away, at extreme `alpha`).
     pub fn new(n: usize, alpha: f64) -> Zipf {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(alpha >= 0.0 && alpha.is_finite(), "invalid Zipf alpha");
@@ -74,7 +81,22 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        // The guide walk returns the *first* rank reaching `u`; a binary
+        // search returns the same rank only when no two CDF points tie.
+        assert!(
+            cdf.windows(2).all(|w| w[0] < w[1]),
+            "Zipf CDF must strictly increase"
+        );
+        let mut guide = Vec::with_capacity(n);
+        let mut r = 0;
+        for j in 0..n {
+            let floor = j as f64 / n as f64;
+            while cdf[r] < floor {
+                r += 1;
+            }
+            guide.push(u32::try_from(r).expect("Zipf rank fits in u32"));
+        }
+        Zipf { cdf, guide }
     }
 
     /// Number of ranks.
@@ -90,13 +112,22 @@ impl Zipf {
     /// Draws a rank in `0..len()`.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank_of(u)
+    }
+
+    /// The first rank whose CDF reaches `u` (the last rank if none does).
+    fn rank_of(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        let j = ((u * n as f64) as usize).min(n - 1);
+        let mut r = self.guide[j] as usize;
+        // `u * n` may round up past a bucket edge: step down first.
+        while r > 0 && self.cdf[r - 1] >= u {
+            r -= 1;
         }
+        while r + 1 < n && self.cdf[r] < u {
+            r += 1;
+        }
+        r
     }
 }
 
@@ -176,6 +207,61 @@ mod tests {
         let z = Zipf::new(1, 0.8);
         let mut r = rng();
         assert_eq!(z.sample(&mut r), 0);
+    }
+
+    /// The guide-table walk against the binary search it replaced, on a
+    /// superset of the `(n, alpha)` pairs the workspace builds (every
+    /// keyspace and skew of the benchmark workloads, the figures, the
+    /// ablations and the Retwis defaults) plus the edges: one and two
+    /// ranks, and skews up to 2.5. Besides random draws, `u` lands exactly
+    /// on CDF points and one ulp either side of them, where a bucket edge
+    /// and a rounding step could disagree.
+    #[test]
+    fn zipf_guide_walk_matches_binary_search() {
+        let searched = |cdf: &[f64], u: f64| match cdf
+            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF is finite"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        };
+        let ns = [
+            1, 2, 400, 500, 683, 1_365, 2_048, 4_000, 5_000, 8_000, 10_000, 12_000, 16_000, 20_000,
+            30_000, 60_000, 240_000,
+        ];
+        let alphas = [0.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.2, 2.5];
+        let mut r = rng();
+        for &n in &ns {
+            for &alpha in &alphas {
+                let z = Zipf::new(n, alpha);
+                let mut probes: Vec<f64> = (0..2_000).map(|_| r.gen()).collect();
+                probes.extend([0.0, 1.0 - f64::EPSILON / 2.0]);
+                for &p in z.cdf.iter().step_by((n / 500).max(1)) {
+                    probes.extend([
+                        p,
+                        f64::from_bits(p.to_bits() - 1),
+                        f64::from_bits(p.to_bits() + 1),
+                    ]);
+                }
+                for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(
+                        z.rank_of(u),
+                        searched(&z.cdf, u),
+                        "n {n} alpha {alpha} u {u}"
+                    );
+                }
+            }
+        }
+        // The guide only shortens the walk: started from the first or the
+        // last rank, as a rounded `u * n` may overshoot, it ends at the
+        // same rank.
+        for start in [0, 499] {
+            let mut z = Zipf::new(500, 0.9);
+            z.guide.fill(start);
+            for _ in 0..2_000 {
+                let u: f64 = r.gen();
+                assert_eq!(z.rank_of(u), searched(&z.cdf, u), "start {start} u {u}");
+            }
+        }
     }
 
     #[test]
