@@ -83,7 +83,6 @@ fn run_repl_point(mode: ReplicationMode, jitter_us: u64, seed: u64, scale: Scale
             net: simkit::net::LatencyConfig {
                 one_way: Duration::from_micros(50),
                 jitter_std: Duration::from_micros(jitter_us),
-                ..simkit::net::LatencyConfig::default()
             },
             obs: crate::common::run_obs(),
             ..ClusterConfig::default()

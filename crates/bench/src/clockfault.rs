@@ -6,7 +6,7 @@
 //!
 //! 1. **Skew sweep** — abort rate vs clock discipline (Perfect → PTP-HW →
 //!    PTP-SW → NTP) with server-side clock-health tracking enabled,
-//!    averaged over `sub_seeds` paired runs per discipline. The curve must
+//!    averaged over [`SUB_SEEDS`] paired runs per discipline. The curve must
 //!    come out skew-ordered: worse sync, more aborts.
 //! 2. **Degradation run** — a clean run and a twin where one client's
 //!    clock breaks badly (holdover + step + drift, so resyncs never repair
@@ -35,12 +35,13 @@ use timesync::ClockSpec;
 use crate::common::{clock_spectrum, run_retwis, run_retwis_on_milana, verdict, Args, Scale};
 use crate::{testbed, Outcome};
 
+/// Paired runs averaged per sweep point.
+pub const SUB_SEEDS: u64 = 3;
+
 /// Knobs for one `repro clockfault` run.
 pub struct ClockFaultConfig {
     /// Simulation seed (all three legs derive from it).
     pub seed: u64,
-    /// Paired runs averaged per sweep point.
-    pub sub_seeds: u64,
     /// Faults in the clock-fault campaign leg.
     pub campaign_faults: usize,
     /// Virtual measurement window per run.
@@ -60,7 +61,6 @@ impl ClockFaultConfig {
         };
         ClockFaultConfig {
             seed: 1,
-            sub_seeds: 3,
             campaign_faults: faults,
             measure: scale.measure() / 2,
             fraud: Fraud::None,
@@ -84,7 +84,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
     cfg.fraud = args.fraud(&["uncertainty-skip"]);
     eprintln!(
         "clockfault: 4 disciplines x {} sub-seed(s), {} campaign fault(s), seed {}{} ...",
-        cfg.sub_seeds,
+        SUB_SEEDS,
         cfg.campaign_faults,
         cfg.seed,
         if cfg.fraud != Fraud::None {
@@ -190,11 +190,11 @@ fn suspects_and_fences(cluster: &MilanaCluster) -> (u64, u64) {
 }
 
 /// Runs the skew sweep: abort rate per discipline with health tracking on,
-/// `sub_seeds` paired runs each.
+/// [`SUB_SEEDS`] paired runs each.
 pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
     let mut items = Vec::new();
     for (discipline, name) in clock_spectrum() {
-        for sub in 0..cfg.sub_seeds {
+        for sub in 0..SUB_SEEDS {
             items.push((discipline.clone(), name, sub));
         }
     }
@@ -240,7 +240,7 @@ pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
         }
     }
     for p in &mut points {
-        p.abort_rate /= cfg.sub_seeds as f64;
+        p.abort_rate /= SUB_SEEDS as f64;
     }
     points
 }

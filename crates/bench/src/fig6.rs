@@ -72,7 +72,6 @@ fn run_point(
         net: simkit::net::LatencyConfig {
             one_way: Duration::from_micros(5),
             jitter_std: Duration::from_micros(1),
-            ..simkit::net::LatencyConfig::default()
         },
         // No clock skew on one VM.
         ..testbed::paper(kind, ClockSpec::perfect(), clients, cfg.keyspace)

@@ -74,12 +74,16 @@ impl ReadScalePoint {
     }
 }
 
+/// Routing policies compared, the primary-only baseline first.
+pub const ROUTES: [(&str, ReadRoute); 3] = [
+    ("primary-only", ReadRoute::PrimaryOnly),
+    ("freshest", ReadRoute::Freshest),
+    ("p2c", ReadRoute::PowerOfTwo),
+];
+
 /// Sweep parameters.
 #[derive(Debug, Clone)]
 pub struct ReadScaleConfig {
-    /// Routing policies compared (first must be the primary-only
-    /// baseline).
-    pub routes: Vec<(&'static str, ReadRoute)>,
     /// Keyspace size.
     pub keyspace: u64,
     /// Warm-up per run.
@@ -93,25 +97,18 @@ pub struct ReadScaleConfig {
 impl ReadScaleConfig {
     /// Derives from the global scale knob.
     pub fn for_scale(scale: Scale) -> ReadScaleConfig {
-        let quick = ReadScaleConfig {
-            routes: vec![
-                ("primary-only", ReadRoute::PrimaryOnly),
-                ("freshest", ReadRoute::Freshest),
-                ("p2c", ReadRoute::PowerOfTwo),
-            ],
-            keyspace: 4_000,
-            warmup: Duration::from_millis(100),
-            measure: Duration::from_millis(400),
-            campaign_seeds: vec![11],
-        };
         match scale {
-            Scale::Quick => quick,
+            Scale::Quick => ReadScaleConfig {
+                keyspace: 4_000,
+                warmup: Duration::from_millis(100),
+                measure: Duration::from_millis(400),
+                campaign_seeds: vec![11],
+            },
             Scale::Full => ReadScaleConfig {
                 keyspace: 16_000,
                 warmup: Duration::from_millis(200),
                 measure: Duration::from_secs(2),
                 campaign_seeds: vec![11, 12, 13],
-                ..quick
             },
         }
     }
@@ -232,7 +229,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
 /// Runs the route sweep (on the `perfkit` worker pool, one sim per
 /// route) and the backup-reads chaos campaign.
 pub fn run(cfg: &ReadScaleConfig, seed: u64) -> ReadScaleOutcome {
-    let points = perfkit::pool::run_ordered_auto(cfg.routes.clone(), |r| run_point(r, cfg, seed));
+    let points = perfkit::pool::run_ordered_auto(ROUTES.to_vec(), |r| run_point(r, cfg, seed));
     let campaign = run_campaign(&CampaignConfig {
         seeds: cfg.campaign_seeds.clone(),
         faults: 8,

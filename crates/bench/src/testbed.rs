@@ -32,7 +32,6 @@ pub fn net() -> LatencyConfig {
     LatencyConfig {
         one_way: Duration::from_micros(150),
         jitter_std: Duration::from_micros(30),
-        ..LatencyConfig::default()
     }
 }
 

@@ -68,7 +68,6 @@ fn readscale_artifact_is_thread_invariant() {
         warmup: Duration::from_millis(20),
         measure: Duration::from_millis(80),
         campaign_seeds: vec![11],
-        ..bench::readscale::ReadScaleConfig::for_scale(bench::common::Scale::Quick)
     };
     assert_thread_invariant("readscale", || {
         bench::readscale::to_json(&bench::readscale::run(&cfg, 3)).to_pretty_string()

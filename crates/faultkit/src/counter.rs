@@ -187,7 +187,7 @@ impl CounterRun {
                     return sum;
                 }
                 // A `PreparedRead` abort only clears once CTP resolves the
-                // stuck prepare (up to `ctp_after` + a scan period away), so
+                // stuck prepare (up to `CTP_AFTER` + a scan period away), so
                 // back off instead of burning attempts in a tight loop.
                 hh.sleep(Duration::from_millis(2)).await;
             }

@@ -27,6 +27,7 @@ use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
 use crate::mftl::UnifiedStore;
+use crate::nand::{PROGRAM_LATENCY, READ_LATENCY};
 use crate::types::{Key, StoreError, Value, VersionedValue};
 
 /// Translations per flash translation page (amortizes dirty evictions):
@@ -163,12 +164,11 @@ impl DemandMappedStore {
             }
             (miss, flush)
         };
-        let dev = self.inner.device().config();
         if miss {
-            self.handle.sleep(dev.read_latency).await;
+            self.handle.sleep(READ_LATENCY).await;
         }
         if flush {
-            self.handle.sleep(dev.write_latency).await;
+            self.handle.sleep(PROGRAM_LATENCY).await;
         }
     }
 

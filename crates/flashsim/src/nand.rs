@@ -6,9 +6,10 @@
 //!   once after its block is erased (*erase-before-write*);
 //! - **sequential programming** within a block (as real NAND requires, and as
 //!   log-structured FTLs naturally do);
-//! - **timing**: configurable page-read / page-program / block-erase
-//!   latencies (defaults: 50 µs / 100 µs / 1 ms, the §5 settings), dispatched
-//!   over parallel channels with a bounded hardware queue depth;
+//! - **timing**: the §5 page-read / page-program / block-erase latencies
+//!   ([`READ_LATENCY`], [`PROGRAM_LATENCY`], [`ERASE_LATENCY`]: 50 µs /
+//!   100 µs / 1 ms), dispatched over parallel channels with a bounded
+//!   hardware queue depth;
 //! - **endurance accounting**: per-block erase counts; the free-block
 //!   allocator hands out the least-worn block (wear leveling).
 //!
@@ -27,10 +28,14 @@ use simkit::sync::Semaphore;
 use simkit::time::SimTime;
 use simkit::SimHandle;
 
+/// Page read latency (§5).
+pub const READ_LATENCY: Duration = Duration::from_micros(50);
+/// Page program latency (§5).
+pub const PROGRAM_LATENCY: Duration = Duration::from_micros(100);
 /// Block erase latency (§5).
-const ERASE_LATENCY: Duration = Duration::from_millis(1);
+pub const ERASE_LATENCY: Duration = Duration::from_millis(1);
 
-/// Geometry and timing of a simulated SSD.
+/// Geometry of a simulated SSD; its timings are the §5 constants above.
 #[derive(Debug, Clone)]
 pub struct NandConfig {
     /// Bytes per flash page (accounting granularity).
@@ -43,10 +48,6 @@ pub struct NandConfig {
     pub channels: u32,
     /// Hardware queue depth (max outstanding ops device-wide).
     pub queue_depth: usize,
-    /// Page read latency.
-    pub read_latency: Duration,
-    /// Page program latency.
-    pub write_latency: Duration,
     /// Pages scanned per second by a mount-time recovery scan
     /// ([`NandDevice::mount_scan`]). Sequential OOB reads pipeline across
     /// all channels, so this is much faster than random page reads.
@@ -64,8 +65,6 @@ impl Default for NandConfig {
             blocks: 1024,
             channels: 32,
             queue_depth: 128,
-            read_latency: Duration::from_micros(50),
-            write_latency: Duration::from_micros(100),
             mount_scan_rate: 100_000,
         }
     }
@@ -431,8 +430,7 @@ impl<P: Clone + 'static> NandDevice<P> {
         }
         self.trace_op(obskit::FlashOpKind::Write);
         let recovery = self.media_recovery(|f| f.program_error_prob);
-        self.timed(loc.block, self.cfg.write_latency + recovery)
-            .await;
+        self.timed(loc.block, PROGRAM_LATENCY + recovery).await;
         self.inner.borrow_mut().in_flight.remove(&loc);
         Ok(())
     }
@@ -503,8 +501,7 @@ impl<P: Clone + 'static> NandDevice<P> {
         };
         self.trace_op(obskit::FlashOpKind::Read);
         let recovery = self.media_recovery(|f| f.read_error_prob);
-        self.timed(loc.block, self.cfg.read_latency + recovery)
-            .await;
+        self.timed(loc.block, READ_LATENCY + recovery).await;
         Ok(payload)
     }
 
@@ -716,6 +713,10 @@ mod tests {
 
     #[test]
     fn operations_take_configured_time() {
+        // The paper's device (§5): 50 µs read, 100 µs program, 1 ms erase.
+        assert_eq!(READ_LATENCY, Duration::from_micros(50));
+        assert_eq!(PROGRAM_LATENCY, Duration::from_micros(100));
+        assert_eq!(ERASE_LATENCY, Duration::from_millis(1));
         let mut sim = Sim::new(1);
         let h = sim.handle();
         let hh = h.clone();
@@ -724,10 +725,13 @@ mod tests {
             let b = dev.alloc_block().unwrap();
             let t0 = hh.now();
             dev.program(PhysLoc { block: b, page: 0 }, 1).await.unwrap();
-            assert_eq!(hh.now() - t0, Duration::from_micros(100));
+            assert_eq!(hh.now() - t0, PROGRAM_LATENCY);
             let t1 = hh.now();
             dev.read(PhysLoc { block: b, page: 0 }).await.unwrap();
-            assert_eq!(hh.now() - t1, Duration::from_micros(50));
+            assert_eq!(hh.now() - t1, READ_LATENCY);
+            let t2 = hh.now();
+            dev.erase(b).await.unwrap();
+            assert_eq!(hh.now() - t2, ERASE_LATENCY);
         });
     }
 

@@ -20,14 +20,15 @@ use obskit::{Counter, Gauge, Obs, ShedReason, TraceEvent, Tracer};
 
 use crate::shed::Shed;
 
+/// Backoff hint embedded in every `Shed::Overloaded` reply.
+pub const RETRY_AFTER: Duration = Duration::from_millis(2);
+
 /// Tuning for one server's admission gate.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// Maximum total in-flight admitted cost. Work pushing the sum past
     /// this is refused.
     pub capacity: u64,
-    /// Backoff hint embedded in `Shed::Overloaded` replies.
-    pub retry_after: Duration,
 }
 
 impl Default for AdmissionConfig {
@@ -36,7 +37,6 @@ impl Default for AdmissionConfig {
             // Generous: a 3-replica shard serving the paper's workloads
             // never sees this in-flight cost unless genuinely saturated.
             capacity: 256,
-            retry_after: Duration::from_millis(2),
         }
     }
 }
@@ -46,7 +46,6 @@ struct State {
     in_flight: u64,
     high_water: u64,
     capacity: u64,
-    retry_after: Duration,
     node: u64,
     admitted: Counter,
     sheds_overload: Counter,
@@ -107,7 +106,6 @@ impl Admission {
                 in_flight: 0,
                 high_water: 0,
                 capacity: cfg.capacity.max(1),
-                retry_after: cfg.retry_after,
                 node,
                 admitted,
                 sheds_overload,
@@ -131,7 +129,7 @@ impl Admission {
         if s.in_flight + cost > s.capacity {
             s.sheds_overload.inc();
             let shed = Shed::Overloaded {
-                retry_after: s.retry_after,
+                retry_after: RETRY_AFTER,
             };
             s.tracer.record(
                 now_ns,
@@ -209,10 +207,7 @@ mod tests {
     use super::*;
 
     fn gate(capacity: u64) -> Admission {
-        Admission::new(AdmissionConfig {
-            capacity,
-            ..AdmissionConfig::default()
-        })
+        Admission::new(AdmissionConfig { capacity })
     }
 
     #[test]
@@ -260,20 +255,14 @@ mod tests {
     #[test]
     fn observed_gate_reports_metrics_and_traces() {
         let obs = Obs::with_trace(64);
-        let a = Admission::observed(
-            AdmissionConfig {
-                capacity: 1,
-                retry_after: Duration::from_millis(3),
-            },
-            &obs,
-            7,
-        );
+        let a = Admission::observed(AdmissionConfig { capacity: 1 }, &obs, 7);
         let p = a.try_admit(10, 1).unwrap();
         let refused = a.try_admit(20, 1).unwrap_err();
+        assert_eq!(RETRY_AFTER, Duration::from_millis(2));
         assert_eq!(
             refused,
             Shed::Overloaded {
-                retry_after: Duration::from_millis(3)
+                retry_after: RETRY_AFTER
             }
         );
         assert_eq!(a.shed_deadline(30), Shed::DeadlineExceeded);

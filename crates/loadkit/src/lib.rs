@@ -11,7 +11,8 @@
 //! - [`admission`] — cost-aware bounded admission ([`admission::Admission`]):
 //!   each in-flight request holds a [`admission::Permit`] of its cost
 //!   (prepares weigh more than reads) and work beyond the configured
-//!   capacity is refused with `Shed::Overloaded { retry_after }`;
+//!   capacity is refused with `Shed::Overloaded { retry_after }`, the
+//!   hint always [`admission::RETRY_AFTER`];
 //! - [`retry`] — the client side ([`retry::RetryPolicy`]): exponential
 //!   backoff with decorrelated jitter drawn from a seeded RNG, a retry
 //!   *budget* capping retries at a fixed fraction of first-attempt

@@ -53,18 +53,12 @@ const READ_RETRIES: u32 = 8;
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct TxnClientConfig {
-    /// Master address for shard-map refresh after repeated failures.
-    /// `None` means the client's map is externally maintained.
-    pub master: Option<simkit::net::Addr>,
     /// Where validation runs (§4.3). [`ValidationMode::Remote`] forces
     /// read-only transactions through 2PC, the "w/o LV" configuration of
     /// Figure 8.
     pub validation: ValidationMode,
     /// Watermark broadcast period (§4.4).
     pub watermark_interval: Duration,
-    /// Observability: metric registry plus (optionally enabled) structured
-    /// trace sink. Defaults to metrics-only.
-    pub obs: Obs,
     /// Coordinator-plane coalescing: Prepares/Outcomes bound for the same
     /// shard primary ride one envelope per flush window, with the client's
     /// watermark piggybacked on envelopes instead of its own RPC tick.
@@ -88,10 +82,8 @@ pub struct TxnClientConfig {
 impl Default for TxnClientConfig {
     fn default() -> TxnClientConfig {
         TxnClientConfig {
-            master: None,
             validation: ValidationMode::Local,
             watermark_interval: Duration::from_millis(100),
-            obs: Obs::new(),
             batch: BatchConfig::default(),
             read_route: ReadRoute::PrimaryOnly,
             snapshot_lag: Duration::ZERO,
@@ -171,6 +163,11 @@ impl TxnOpts {
 pub struct TxnClient {
     core: Rc<ClientCore>,
     cfg: Rc<TxnClientConfig>,
+    /// Master address for shard-map refresh after repeated failures.
+    /// `None` means the client's map is externally maintained.
+    master: Option<Addr>,
+    /// Observability: the cluster's metric registry and trace sink.
+    obs: Obs,
     seq: Rc<Cell<u64>>,
     last_decided: Rc<Cell<Timestamp>>,
     /// Begin timestamps of transactions still in flight on this client.
@@ -222,15 +219,19 @@ pub const CACHE_ENTRIES: usize = 4096;
 
 impl TxnClient {
     /// Creates the client and starts its watermark task. Draws one value
-    /// from the simulation RNG (the clock seed).
+    /// from the simulation RNG (the clock seed). `map` pairs the shard map
+    /// the client routes by with the master that refreshes it (`None`:
+    /// the map is maintained externally).
     pub fn new(
         handle: &SimHandle,
         node: NodeId,
         id: ClientId,
-        map: Rc<RefCell<ShardMap>>,
+        map: (Rc<RefCell<ShardMap>>, Option<Addr>),
         clock: &ClockSpec,
         cfg: TxnClientConfig,
+        obs: &Obs,
     ) -> TxnClient {
+        let (map, master) = map;
         let clock_seed = handle.rand_u64();
         // Derive the jitter seed from the clock seed rather than drawing
         // again: the draw sequence other components see stays unchanged.
@@ -241,7 +242,7 @@ impl TxnClient {
             map,
             (clock, clock_seed),
             clock_seed ^ 0x9E37_79B9_7F4A_7C15,
-            &cfg.obs,
+            obs,
         );
         let client = TxnClient {
             core,
@@ -257,6 +258,8 @@ impl TxnClient {
             wm_sent: Rc::new(RefCell::new(FastMap::default())),
             last_flush: Rc::new(Cell::new(SimTime::ZERO)),
             cfg: Rc::new(cfg),
+            master,
+            obs: obs.clone(),
         };
         let me = client.clone();
         let interval = client.cfg.watermark_interval;
@@ -282,12 +285,10 @@ impl TxnClient {
         }
         let me = self.clone();
         let envelopes = self
-            .cfg
             .obs
             .registry
             .counter(&format!("milana.client{}.coord_envelopes", self.id().0));
         let items = self
-            .cfg
             .obs
             .registry
             .counter(&format!("milana.client{}.coord_items", self.id().0));
@@ -296,7 +297,7 @@ impl TxnClient {
             self.core.node,
             &format!("milana.coord.c{}.s{}", self.id().0, shard.0),
             self.cfg.batch,
-            self.cfg.obs.clone(),
+            self.obs.clone(),
             move |batch: Vec<TxnRequest>, done| {
                 let n = batch.len();
                 // Piggyback the watermark when it moved since the last
@@ -487,7 +488,7 @@ impl TxnClient {
     /// Fetches a fresh shard map from the master (if configured) and
     /// installs it when its epoch is newer than the local copy.
     pub async fn refresh_map(&self) {
-        let Some(master) = self.cfg.master else {
+        let Some(master) = self.master else {
             return;
         };
         if let Ok(new_map) = semel::master::fetch_map(&self.core.rpc, master, RPC_TIMEOUT).await {
@@ -499,7 +500,7 @@ impl TxnClient {
     }
 
     fn trace(&self, ev: TraceEvent) {
-        self.cfg.obs.tracer.record(self.core.sim_ns(), ev);
+        self.obs.tracer.record(self.core.sim_ns(), ev);
     }
 
     /// Books one aborted transaction: the counter and the classed event.

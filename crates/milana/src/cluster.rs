@@ -120,10 +120,6 @@ const MASTER_ADDR: Addr = Addr {
 /// The config of a replica of `shard` at `addr` as a warm backup that
 /// trusts no floor stream yet; callers adjust it for any other role.
 fn replica_cfg(config: &MilanaClusterConfig, shard: ShardId, addr: Addr) -> TxnServerConfig {
-    let mut tuning = config.tuning.clone();
-    if config.auto_failover {
-        tuning.master = Some(MASTER_ADDR);
-    }
     TxnServerConfig {
         shard,
         addr,
@@ -131,9 +127,15 @@ fn replica_cfg(config: &MilanaClusterConfig, shard: ShardId, addr: Addr) -> TxnS
         is_primary: false,
         clients: (0..config.clients).map(ClientId).collect(),
         primary_node: None,
+        master: master_addr(config),
         cold_start: false,
-        tuning,
+        tuning: config.tuning.clone(),
     }
+}
+
+/// The master's address when `auto_failover` runs one.
+fn master_addr(config: &MilanaClusterConfig) -> Option<Addr> {
+    config.auto_failover.then_some(MASTER_ADDR)
 }
 
 /// Boots a fresh replica group for `shard` — empty backends and tables,
@@ -248,20 +250,16 @@ impl MilanaCluster {
                 } else {
                     map.clone()
                 };
-                let mut client_cfg = config.client_cfg.clone();
                 // One obs bundle per cluster: clients share the sinks the
                 // servers trace into.
-                client_cfg.obs = config.tuning.obs.clone();
-                if config.auto_failover {
-                    client_cfg.master = Some(MASTER_ADDR);
-                }
                 TxnClient::new(
                     handle,
                     client_node(i),
                     ClientId(i),
-                    client_map,
+                    (client_map, master_addr(&config)),
                     &config.clock,
-                    client_cfg,
+                    config.client_cfg.clone(),
+                    &config.tuning.obs,
                 )
             })
             .collect();

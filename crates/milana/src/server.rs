@@ -53,26 +53,22 @@ const LEASE_DURATION: Duration = Duration::from_millis(100);
 const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 /// Heartbeat period when a master is configured.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
+/// A prepared transaction older than this triggers cooperative
+/// termination (its coordinator is presumed dead).
+pub const CTP_AFTER: Duration = Duration::from_millis(500);
+/// Period of the primary's scan for transactions older than [`CTP_AFTER`].
+pub const CTP_SCAN_EVERY: Duration = Duration::from_millis(200);
 
 /// Server timing knobs.
 #[derive(Debug, Clone)]
 pub struct ServerTuning {
-    /// Master address; primaries heartbeat it so the master can detect
-    /// failures and drive automatic failover. `None` disables heartbeats
-    /// (harness-driven failover only).
-    pub master: Option<Addr>,
     /// Keep at least this much version history regardless of watermark
     /// progress (§3.1: "keep all versions that are less than 5 seconds
     /// old", for read-only analytics). `None` prunes purely by watermark.
     pub history_window: Option<Duration>,
-    /// A prepared transaction older than this triggers cooperative
-    /// termination (its coordinator is presumed dead).
-    pub ctp_after: Duration,
     /// Observability: metric registry plus (optionally enabled) structured
     /// trace sink, shared by every replica built from this tuning.
     pub obs: obskit::Obs,
-    /// CTP scan period.
-    pub ctp_scan_every: Duration,
     /// Fault-injection hook: the seeded misbehaviour, if any, of every
     /// replica built from this tuning (shared, so one `set` reaches them
     /// all).
@@ -129,10 +125,7 @@ pub enum Fraud {
 impl Default for ServerTuning {
     fn default() -> ServerTuning {
         ServerTuning {
-            master: None,
             history_window: None,
-            ctp_after: Duration::from_millis(500),
-            ctp_scan_every: Duration::from_millis(200),
             obs: obskit::Obs::new(),
             fraud: std::rc::Rc::default(),
             admission: loadkit::AdmissionConfig::default(),
@@ -166,9 +159,14 @@ pub struct TxnServerConfig {
     /// The node whose `AppliedFloor` stream this backup trusts from birth
     /// (the shard primary at cluster build). `None` on a restarted or
     /// provisioned replica: it missed an unknown prefix of the stream, so
-    /// its applied watermark stays frozen until the next promotion's
-    /// `InstallLog` re-syncs it. Irrelevant on primaries.
+    /// its applied watermark stays frozen until it adopts a stream again —
+    /// from the next promotion's `InstallLog`, or, after a cold restart,
+    /// from its catch-up splice. Irrelevant on primaries.
     pub primary_node: Option<simkit::net::NodeId>,
+    /// Master address; primaries heartbeat it so the master can detect
+    /// failures and drive automatic failover. `None` disables heartbeats
+    /// (harness-driven failover only).
+    pub master: Option<Addr>,
     /// True when this replica is coming back from a *power failure*: its
     /// DRAM — transaction table included — is gone and only flash
     /// survived. The server boots not-serving, mounts the backend
@@ -280,9 +278,11 @@ pub struct TxnServerStats {
     pub prepares_ok: u64,
     /// Prepare requests rejected by validation.
     pub prepares_aborted: u64,
-    /// Commit outcomes applied.
+    /// Commit outcomes this replica applied *as primary*. A backup applies
+    /// replicated outcomes without counting them, so this stays 0 there.
     pub commits: u64,
-    /// Abort outcomes applied.
+    /// Abort outcomes this replica applied *as primary* (0 on a backup,
+    /// like `commits`).
     pub aborts: u64,
     /// Transactions resolved by cooperative termination.
     pub ctp_resolutions: u64,
@@ -455,7 +455,7 @@ impl TxnServer {
     }
 
     fn spawn_primary_tasks(&self) {
-        if let Some(master) = self.cfg.tuning.master {
+        if let Some(master) = self.cfg.master {
             let me = self.clone();
             self.core.handle.spawn_on(self.cfg.addr.node, async move {
                 loop {
@@ -479,10 +479,9 @@ impl TxnServer {
             }
         });
         let me = self.clone();
-        let scan = self.cfg.tuning.ctp_scan_every;
         self.core.handle.spawn_on(self.cfg.addr.node, async move {
             loop {
-                me.core.handle.sleep(scan).await;
+                me.core.handle.sleep(CTP_SCAN_EVERY).await;
                 me.ctp_scan().await;
             }
         });
@@ -1549,8 +1548,7 @@ impl TxnServer {
                 return;
             }
         }
-        let threshold =
-            Timestamp::from_sim(self.core.handle.now()).before(self.cfg.tuning.ctp_after);
+        let threshold = Timestamp::from_sim(self.core.handle.now()).before(CTP_AFTER);
         let stuck = self.table.borrow().stuck_prepared(threshold);
         for record in stuck {
             if record.participants.first() != Some(&self.cfg.shard) {

@@ -10,6 +10,7 @@ use timesync::{ClientId, ClockSpec, Timestamp};
 use crate::client::{TxnOpts, ValidationMode};
 use crate::cluster::{MilanaCluster, MilanaClusterConfig};
 use crate::msg::{AbortReason, TxnError, TxnId, TxnRequest, TxnResponse};
+use crate::server::{CTP_AFTER, CTP_SCAN_EVERY};
 
 fn nand() -> NandConfig {
     NandConfig {
@@ -357,8 +358,6 @@ fn ctp_resolves_transaction_after_client_crash() {
     let hh = h.clone();
     let mut cfg = base_cfg();
     cfg.shards = 2;
-    cfg.tuning.ctp_after = Duration::from_millis(20);
-    cfg.tuning.ctp_scan_every = Duration::from_millis(10);
     let cluster = MilanaCluster::build(&h, cfg);
     sim.block_on(async move {
         // A cross-shard transaction prepares at BOTH shards; the coordinator
@@ -406,9 +405,10 @@ fn ctp_resolves_transaction_after_client_crash() {
         blocked.put(key_a.clone(), value(&b"blocked"[..]));
         let err = blocked.commit().await.unwrap_err();
         assert_eq!(err, TxnError::Aborted(AbortReason::Validation));
-        // CTP: the designated coordinator sees all participants prepared and
-        // commits the transaction on both shards.
-        hh.sleep(Duration::from_millis(200)).await;
+        // CTP: once the prepare is `CTP_AFTER` old, the designated
+        // coordinator's next scan sees all participants prepared and commits
+        // the transaction on both shards.
+        hh.sleep(CTP_AFTER + 2 * CTP_SCAN_EVERY).await;
         let mut t = other.begin_with(TxnOpts::default());
         let va = t.get(&key_a).await.unwrap();
         let vb = t.get(&key_b).await.unwrap();

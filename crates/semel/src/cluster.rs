@@ -37,8 +37,6 @@ pub struct ClusterConfig {
     pub net: simkit::net::LatencyConfig,
     /// Replication ordering discipline (ablation knob).
     pub replication: crate::server::ReplicationMode,
-    /// Per-server admission control (overload protection).
-    pub admission: loadkit::AdmissionConfig,
     /// Group-commit replication knobs applied to every primary (see
     /// [`crate::server::ServerConfig::batch`]).
     pub batch: batchkit::BatchConfig,
@@ -59,7 +57,6 @@ impl Default for ClusterConfig {
             value_size: 472,
             net: simkit::net::LatencyConfig::default(),
             replication: crate::server::ReplicationMode::default(),
-            admission: loadkit::AdmissionConfig::default(),
             batch: batchkit::BatchConfig::default(),
             obs: obskit::Obs::new(),
         }
@@ -196,10 +193,9 @@ impl SemelCluster {
                         is_primary: r == 0,
                         clients: client_ids.clone(),
                         replication: config.replication,
-                        admission: config.admission.clone(),
                         batch: config.batch,
                         obs: config.obs.clone(),
-                        map: Some(map.clone()),
+                        map: map.clone(),
                     },
                 );
                 replicas.push(server);
@@ -441,7 +437,6 @@ mod ordered_mode_tests {
                 net: simkit::net::LatencyConfig {
                     one_way: Duration::from_micros(50),
                     jitter_std: Duration::from_micros(40), // heavy reordering
-                    ..simkit::net::LatencyConfig::default()
                 },
                 ..ClusterConfig::default()
             },

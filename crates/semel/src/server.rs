@@ -60,10 +60,6 @@ pub struct ServerConfig {
     /// Replication ordering discipline (ablation knob; SEMEL uses
     /// [`ReplicationMode::Inconsistent`]).
     pub replication: ReplicationMode,
-    /// Overload control: bounded cost-aware admission for client-facing
-    /// operations (replication and watermark traffic is exempt — refusing
-    /// it would only amplify recovery work).
-    pub admission: AdmissionConfig,
     /// Group-commit replication: the primary coalesces up to `batch_max`
     /// records (or `batch_deadline` worth) into one backup envelope. Only
     /// effective in [`ReplicationMode::Inconsistent`] — an ordered record
@@ -73,12 +69,11 @@ pub struct ServerConfig {
     /// Observability: metric registry plus (optionally enabled) structured
     /// trace sink.
     pub obs: obskit::Obs,
-    /// The cluster map, when shared with the server: client-facing
-    /// requests for keys the map no longer assigns to this shard are
-    /// fenced with [`SemelResponse::Moved`] instead of being served —
-    /// the source side of a rebalance cutover. `None` disables the check
-    /// (single-shard deployments and unit harnesses).
-    pub map: Option<Rc<std::cell::RefCell<crate::shard::ShardMap>>>,
+    /// The cluster map, shared with the server: client-facing requests for
+    /// keys the map no longer assigns to this shard are fenced with
+    /// [`SemelResponse::Moved`] instead of being served — the source side
+    /// of a rebalance cutover.
+    pub map: Rc<std::cell::RefCell<crate::shard::ShardMap>>,
 }
 
 /// Admission cost of a point read.
@@ -133,7 +128,10 @@ impl ShardServer {
             handle,
             backend,
             cfg.addr,
-            &cfg.admission,
+            // Overload control for client-facing operations (replication
+            // and watermark traffic is exempt — refusing it would only
+            // amplify recovery work).
+            &AdmissionConfig::default(),
             &cfg.obs,
             &cfg.clients,
             None,
@@ -281,7 +279,7 @@ impl ShardServer {
         else {
             return None;
         };
-        let map = self.cfg.map.as_ref()?.borrow();
+        let map = self.cfg.map.borrow();
         (map.shard_for(key) != self.cfg.shard).then(|| SemelResponse::Moved { epoch: map.epoch() })
     }
 }
@@ -415,20 +413,25 @@ mod tests {
         is_primary: bool,
     ) -> ShardServer {
         let backend = Backend::new(BackendKind::Mftl, handle, flashsim::NandConfig::default());
+        let addr = Addr::new(NodeId(0), 0);
+        // One shard: the map assigns every key here.
+        let map = crate::shard::ShardMap::new(vec![crate::shard::ReplicaGroup {
+            primary: addr,
+            backups: Vec::new(),
+        }]);
         ShardServer::spawn(
             handle,
             backend,
             ServerConfig {
                 shard: ShardId(0),
-                addr: Addr::new(NodeId(0), 0),
+                addr,
                 backups: Vec::new(),
                 is_primary,
                 clients,
                 replication,
-                admission: AdmissionConfig::default(),
                 batch: BatchConfig::default(),
                 obs: obskit::Obs::new(),
-                map: None,
+                map: Rc::new(std::cell::RefCell::new(map)),
             },
         )
     }

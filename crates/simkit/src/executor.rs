@@ -1070,7 +1070,6 @@ mod tests {
         h.set_latency(LatencyConfig {
             one_way: Duration::from_micros(20),
             jitter_std: Duration::ZERO,
-            ..LatencyConfig::default()
         });
         let log = Rc::new(RefCell::new(Vec::new()));
         let at = |us| SimTime::from_micros(us);

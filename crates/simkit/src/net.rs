@@ -68,31 +68,29 @@ pub struct Packet {
     pub payload: Box<dyn Any>,
 }
 
+/// Latency of a message a node sends to itself (loopback).
+pub const LOCAL_LATENCY: Duration = Duration::from_micros(2);
+/// Hard lower bound on any sampled node-to-node latency.
+pub const LATENCY_FLOOR: Duration = Duration::from_micros(1);
+
 /// One-way latency model for message delivery.
 ///
-/// Samples `max(floor, Normal(one_way, jitter_std))`; messages a node sends
-/// to itself use the (much smaller) `local` latency instead.
+/// Samples `max(LATENCY_FLOOR, Normal(one_way, jitter_std))`; messages a
+/// node sends to itself take [`LOCAL_LATENCY`] instead.
 #[derive(Debug, Clone)]
 pub struct LatencyConfig {
     /// Mean one-way latency between distinct nodes.
     pub one_way: Duration,
     /// Standard deviation of the one-way latency.
     pub jitter_std: Duration,
-    /// Loopback latency for same-node messages.
-    pub local: Duration,
-    /// Hard lower bound on any sampled latency.
-    pub floor: Duration,
 }
 
 impl Default for LatencyConfig {
-    /// Intra-data-center defaults: 25 µs one-way (≈50 µs RTT), 5 µs jitter,
-    /// 2 µs loopback.
+    /// Intra-data-center defaults: 25 µs one-way (≈50 µs RTT), 5 µs jitter.
     fn default() -> LatencyConfig {
         LatencyConfig {
             one_way: Duration::from_micros(25),
             jitter_std: Duration::from_micros(5),
-            local: Duration::from_micros(2),
-            floor: Duration::from_micros(1),
         }
     }
 }
@@ -100,12 +98,12 @@ impl Default for LatencyConfig {
 impl LatencyConfig {
     fn sample(&self, rng: &mut impl Rng, local: bool) -> Duration {
         if local {
-            return self.local;
+            return LOCAL_LATENCY;
         }
         let mean = self.one_way.as_nanos() as f64;
         let std = self.jitter_std.as_nanos() as f64;
         let z = crate::rng::standard_normal(rng);
-        let ns = (mean + std * z).max(self.floor.as_nanos() as f64);
+        let ns = (mean + std * z).max(LATENCY_FLOOR.as_nanos() as f64);
         Duration::from_nanos(ns as u64)
     }
 }
@@ -524,7 +522,7 @@ mod tests {
             mb.recv().await.unwrap();
             hh.now() - t0
         });
-        assert_eq!(lat, LatencyConfig::default().local);
+        assert_eq!(lat, LOCAL_LATENCY);
     }
 
     #[test]
@@ -844,7 +842,7 @@ mod tests {
             let t1 = hh.now();
             hh.send(a(1, 0), a(1, 1), 2u32);
             lo.recv().await.unwrap();
-            assert_eq!(hh.now() - t1, LatencyConfig::default().local);
+            assert_eq!(hh.now() - t1, LOCAL_LATENCY);
         });
         assert_eq!(h.net_stats().delay_spiked, 1);
         // clear_net_faults uninstalls.

@@ -676,7 +676,6 @@ mod tests {
             hh.set_latency(crate::net::LatencyConfig {
                 one_way: Duration::from_micros(25),
                 jitter_std: Duration::ZERO,
-                ..crate::net::LatencyConfig::default()
             });
             // Echo with a 50 us service time: 100 us per call, so the run
             // is four 50 ms timeouts long and every early guard timer would
