@@ -274,6 +274,30 @@ impl Backend {
         }
     }
 
+    /// Makes this freshly built backend a copy of `from`'s loaded image —
+    /// what [`Backend::bulk_load`] of the same records would have built,
+    /// after `from`'s [`Backend::finish_load`]. Flash pages are shared with
+    /// `from` (a programmed page never changes); this backend's counters,
+    /// tracer, media faults and GC task stay its own. Replicas of one shard
+    /// hold identical data (§1), so a preload loads one and copies it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kinds differ.
+    pub fn copy_loaded_from(&self, from: &Backend) {
+        match (self, from) {
+            (Backend::Dram(s), Backend::Dram(f)) => s.copy_loaded_from(f),
+            (Backend::Sftl(s), Backend::Sftl(f)) => s.copy_loaded_from(f),
+            (Backend::Vftl(s), Backend::Vftl(f)) => s.copy_loaded_from(f),
+            (Backend::Mftl(s), Backend::Mftl(f)) => s.copy_loaded_from(f),
+            _ => panic!(
+                "copy of a {} image into a {} backend",
+                from.kind(),
+                self.kind()
+            ),
+        }
+    }
+
     /// All distinct keys currently stored, sorted by byte order — the
     /// deterministic iteration order migration sweeps rely on.
     pub fn keys(&self) -> Vec<Key> {
@@ -456,6 +480,157 @@ mod tests {
             let built = Backend::new(kind, &sim.handle(), nand);
             assert_eq!(direct, churn(sim, built, cold, hot, rounds), "{kind}");
             assert!(direct.block_erases > 0, "{kind}: GC never ran: {direct:?}");
+        }
+    }
+
+    /// Enough keys that a load fills blocks past its open append points.
+    const COPY_KEYS: u64 = 80;
+    const COPY_ROUNDS: u64 = 30;
+
+    fn load(b: &Backend) {
+        for i in 0..COPY_KEYS {
+            b.bulk_load(Key::from(i), value(vec![i as u8; 472]), v(1));
+        }
+        b.finish_load();
+    }
+
+    /// Per-block `(pages programmed, erase count)` and the counters of a
+    /// flash backend's device; `None` for DRAM.
+    fn wear(b: &Backend) -> Option<(NandStats, Vec<(u32, u32)>)> {
+        fn of<P: Clone + 'static>(d: &crate::nand::NandDevice<P>) -> (NandStats, Vec<(u32, u32)>) {
+            let blocks = (0..d.config().blocks)
+                .map(|b| (d.pages_programmed(b), d.erase_count(b)))
+                .collect();
+            (d.stats(), blocks)
+        }
+        match b {
+            Backend::Dram(_) => None,
+            Backend::Sftl(s) => Some(of(s.device())),
+            Backend::Vftl(s) => Some(of(s.device())),
+            Backend::Mftl(s) => Some(of(s.device())),
+        }
+    }
+
+    /// Folds one operation's outcome into `fold`.
+    fn fold_in(fold: &mut u64, got: Result<Option<VersionedValue>, StoreError>) {
+        let x = match got {
+            Ok(Some(vv)) => vv.version.ts.0 * 1_000 + vv.value[0] as u64,
+            Ok(None) => 1,
+            Err(e) => e.to_string().len() as u64,
+        };
+        *fold = fold.wrapping_mul(1_000_003).wrapping_add(x);
+    }
+
+    /// Fails power under an in-flight put of `key`, then mounts.
+    async fn power_cycle(h: &simkit::SimHandle, store: &Backend, key: u64, ts: u64) -> MountReport {
+        let s = store.clone();
+        h.spawn(async move { s.put(Key::from(key), value(vec![9; 472]), v(ts)).await });
+        h.sleep(std::time::Duration::from_micros(50)).await;
+        store.power_fail();
+        store.mount().await
+    }
+
+    /// Overwrites every loaded key and writes one fresh key for 30 rounds,
+    /// with the watermark a round behind (past GC on every flash kind),
+    /// failing power under an in-flight put halfway (after GC has run) and
+    /// at the end; then reads snapshots. Returns the store's and the device's
+    /// counters, both mount reports and a fold of every outcome.
+    fn copy_script(
+        sim: &mut Sim,
+        b: &Backend,
+    ) -> (StoreStats, Option<NandStats>, Vec<MountReport>, u64) {
+        let h = sim.handle();
+        let store = b.clone();
+        let (reports, fold) = sim.block_on(async move {
+            let (mut reports, mut fold) = (Vec::new(), 0u64);
+            for round in 1..=COPY_ROUNDS {
+                let joins: Vec<_> = (0..=COPY_KEYS)
+                    .map(|i| {
+                        let s = store.clone();
+                        let p = value(vec![round as u8; 472]);
+                        h.spawn(async move { s.put(Key::from(i), p, v(round * 1_000 + i)).await })
+                    })
+                    .collect();
+                for j in joins {
+                    fold_in(&mut fold, j.await.map(|()| None));
+                }
+                store.set_watermark(Timestamp((round - 1) * 1_000 + COPY_KEYS));
+                if round == COPY_ROUNDS / 2 || round == COPY_ROUNDS {
+                    reports.push(power_cycle(&h, &store, 0, round * 1_000 + 999).await);
+                }
+            }
+            let last = COPY_ROUNDS * 1_000;
+            for i in 0..=COPY_KEYS {
+                for at in [1, last - 1_000 + 80, last + 80, u64::MAX] {
+                    fold_in(
+                        &mut fold,
+                        store.get_at(&Key::from(i), Timestamp(at)).await.map(Some),
+                    );
+                }
+            }
+            (reports, fold)
+        });
+        (b.stats(), wear(b).map(|(stats, _)| stats), reports, fold)
+    }
+
+    #[test]
+    fn a_copied_store_behaves_like_a_loaded_one() {
+        // Devices small enough that GC must erase loaded blocks; SFTL spends
+        // a page per key.
+        for (kind, blocks) in [
+            (BackendKind::Dram, 16),
+            (BackendKind::Sftl, 64),
+            (BackendKind::Vftl, 16),
+            (BackendKind::Mftl, 16),
+        ] {
+            let nand = NandConfig {
+                blocks,
+                pages_per_block: 4,
+                channels: 2,
+                queue_depth: 16,
+                ..NandConfig::default()
+            };
+            let mut twin = Sim::new(21);
+            let (a, b) = (
+                Backend::new(kind, &twin.handle(), nand.clone()),
+                Backend::new(kind, &twin.handle(), nand.clone()),
+            );
+            load(&a);
+            b.copy_loaded_from(&a);
+            let copied = copy_script(&mut twin, &b);
+
+            let mut sim = Sim::new(21);
+            let c = Backend::new(kind, &sim.handle(), nand.clone());
+            load(&c);
+            assert_eq!(copied, copy_script(&mut sim, &c), "{kind}");
+
+            // B's GC erased blocks that held pages it shared with A; A
+            // still reads its whole load.
+            if let (Some((_, a_blocks)), Some((stats, b_blocks))) = (wear(&a), wear(&b)) {
+                assert!(stats.block_erases > 0, "{kind}: GC never ran");
+                assert!(
+                    a_blocks
+                        .iter()
+                        .zip(&b_blocks)
+                        .any(|(a, b)| a.0 > 0 && b.1 > 0),
+                    "{kind}: no shared block was erased"
+                );
+                assert!(a_blocks.iter().all(|&(_, erased)| erased == 0), "{kind}");
+            }
+            let reads = twin.block_on(async move {
+                let mut reads = Vec::new();
+                for i in 0..COPY_KEYS {
+                    reads.push(a.get_latest(&Key::from(i)).await.unwrap());
+                }
+                reads
+            });
+            for (i, got) in (0..COPY_KEYS).zip(reads) {
+                assert_eq!(
+                    (got.version, &got.value[..]),
+                    (v(1), &[i as u8; 472][..]),
+                    "{kind}"
+                );
+            }
         }
     }
 

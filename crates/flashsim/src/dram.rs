@@ -189,6 +189,13 @@ impl DramStore {
         self.inner.borrow_mut().map.reserve(keys);
     }
 
+    /// Makes this fresh store a copy of `from`'s bulk-loaded map. Values are
+    /// shared, as a load shares one payload across its keys.
+    pub(crate) fn copy_loaded_from(&self, from: &DramStore) {
+        let src = from.inner.borrow();
+        self.inner.borrow_mut().map.clone_from(&src.map);
+    }
+
     /// Zero-time bulk load.
     pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let mut inner = self.inner.borrow_mut();

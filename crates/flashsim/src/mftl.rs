@@ -72,6 +72,7 @@ impl PackedStore<RawFlash> {
 /// An open erase block's append point: `(block, next page)`.
 type AppendPoint = Option<(u32, u32)>;
 
+#[derive(Clone)]
 struct RawState {
     /// One append point per packing stream.
     append: Vec<AppendPoint>,
@@ -246,6 +247,11 @@ impl Space for RawFlash {
         st.live.fill(0);
         st.written.fill(0);
         st.floor = Timestamp::ZERO;
+    }
+
+    fn copy_loaded_from(&self, from: &RawFlash) {
+        self.dev.copy_loaded_from(&from.dev);
+        self.st.borrow_mut().clone_from(&from.st.borrow());
     }
 
     /// Charges `pages / mount_scan_rate` of device time for the OOB scan.

@@ -187,12 +187,36 @@ impl MediaFaultConfig {
     }
 }
 
-#[derive(Debug)]
+/// One erase block: the pages programmed since its last erase, in program
+/// order (so the next page to program is `pages.len()`), each with its OOB.
+/// An erased block owns no page slots.
+#[derive(Debug, Clone)]
 struct BlockState<P> {
-    pages: Vec<Option<P>>,
-    oob: Vec<Option<PageOob>>,
-    next_page: u32,
+    pages: Vec<(P, Option<PageOob>)>,
     erase_count: u32,
+}
+
+impl<P> BlockState<P> {
+    fn next_page(&self) -> u32 {
+        self.pages.len() as u32
+    }
+
+    /// The payload programmed at `page`, if any.
+    fn page(&self, page: u32) -> Option<&P> {
+        self.pages.get(page as usize).map(|(p, _)| p)
+    }
+
+    /// Appends `payload` at `loc`, which must be the block's next page.
+    fn push(&mut self, loc: PhysLoc, payload: P, oob: Option<PageOob>) -> Result<(), NandError> {
+        if self.next_page() != loc.page {
+            return Err(NandError::ProgramOrder {
+                loc,
+                expected_page: self.next_page(),
+            });
+        }
+        self.pages.push((payload, oob));
+        Ok(())
+    }
 }
 
 #[derive(Debug)]
@@ -240,9 +264,7 @@ impl<P: Clone + 'static> NandDevice<P> {
     pub fn new(handle: SimHandle, cfg: NandConfig) -> NandDevice<P> {
         let blocks = (0..cfg.blocks)
             .map(|_| BlockState {
-                pages: (0..cfg.pages_per_block).map(|_| None).collect(),
-                oob: (0..cfg.pages_per_block).map(|_| None).collect(),
-                next_page: 0,
+                pages: Vec::new(),
                 erase_count: 0,
             })
             .collect();
@@ -290,7 +312,20 @@ impl<P: Clone + 'static> NandDevice<P> {
 
     /// Number of pages programmed in `block` since its last erase.
     pub fn pages_programmed(&self, block: u32) -> u32 {
-        self.inner.borrow().blocks[block as usize].next_page
+        self.inner.borrow().blocks[block as usize].next_page()
+    }
+
+    /// True while a program into `block` is still in flight. Its page is
+    /// already in the block, but no FTL has mapped it yet, so the block
+    /// must not be collected.
+    pub(crate) fn programming(&self, block: u32) -> bool {
+        let first = PhysLoc { block, page: 0 };
+        let inner = self.inner.borrow();
+        inner
+            .in_flight
+            .range(first..)
+            .next()
+            .is_some_and(|l| l.block == block)
     }
 
     /// Activity counters so far.
@@ -415,16 +450,7 @@ impl<P: Clone + 'static> NandDevice<P> {
         self.check_range(loc)?;
         {
             let mut inner = self.inner.borrow_mut();
-            let blk = &mut inner.blocks[loc.block as usize];
-            if blk.next_page != loc.page {
-                return Err(NandError::ProgramOrder {
-                    loc,
-                    expected_page: blk.next_page,
-                });
-            }
-            blk.pages[loc.page as usize] = Some(payload);
-            blk.oob[loc.page as usize] = oob;
-            blk.next_page += 1;
+            inner.blocks[loc.block as usize].push(loc, payload, oob)?;
             inner.stats.page_writes += 1;
             inner.in_flight.insert(loc);
         }
@@ -445,10 +471,11 @@ impl<P: Clone + 'static> NandDevice<P> {
         inner.in_flight.clear();
         let mut count = 0;
         for loc in torn {
-            let slot = &mut inner.blocks[loc.block as usize].oob[loc.page as usize];
+            let pages = &mut inner.blocks[loc.block as usize].pages;
             // Raw programs (no OOB) need no marking: mount already treats
-            // metadata-less pages as garbage.
-            if let Some(oob) = slot {
+            // metadata-less pages as garbage. Neither does a page whose
+            // block was erased under its program.
+            if let Some((_, Some(oob))) = pages.get_mut(loc.page as usize) {
                 oob.tear();
             }
             count += 1;
@@ -467,13 +494,13 @@ impl<P: Clone + 'static> NandDevice<P> {
         {
             let inner = self.inner.borrow();
             for (b, blk) in inner.blocks.iter().enumerate() {
-                for p in 0..blk.next_page {
+                for (p, &(_, oob)) in blk.pages.iter().enumerate() {
                     out.push(ScannedPage {
                         loc: PhysLoc {
                             block: b as u32,
-                            page: p,
+                            page: p as u32,
                         },
-                        oob: blk.oob[p as usize],
+                        oob,
                     });
                 }
             }
@@ -493,8 +520,9 @@ impl<P: Clone + 'static> NandDevice<P> {
         self.check_range(loc)?;
         let payload = {
             let mut inner = self.inner.borrow_mut();
-            let p = inner.blocks[loc.block as usize].pages[loc.page as usize]
-                .clone()
+            let p = inner.blocks[loc.block as usize]
+                .page(loc.page)
+                .cloned()
                 .ok_or(NandError::ReadUnwritten(loc))?;
             inner.stats.page_reads += 1;
             p
@@ -521,13 +549,7 @@ impl<P: Clone + 'static> NandDevice<P> {
                 return Err(NandError::EraseFreeBlock(block));
             }
             let blk = &mut inner.blocks[block as usize];
-            for p in &mut blk.pages {
-                *p = None;
-            }
-            for o in &mut blk.oob {
-                *o = None;
-            }
-            blk.next_page = 0;
+            blk.pages.clear();
             blk.erase_count += 1;
             let count = blk.erase_count;
             // Worn-block retirement: the erase completes, but the block is
@@ -555,7 +577,9 @@ impl<P: Clone + 'static> NandDevice<P> {
     /// stats).
     pub fn peek(&self, loc: PhysLoc) -> Option<P> {
         self.check_range(loc).ok()?;
-        self.inner.borrow().blocks[loc.block as usize].pages[loc.page as usize].clone()
+        self.inner.borrow().blocks[loc.block as usize]
+            .page(loc.page)
+            .cloned()
     }
 
     /// Zero-time program used for bulk-loading experiment datasets. Enforces
@@ -591,18 +615,26 @@ impl<P: Clone + 'static> NandDevice<P> {
         oob: Option<PageOob>,
     ) -> Result<(), NandError> {
         self.check_range(loc)?;
+        self.inner.borrow_mut().blocks[loc.block as usize].push(loc, payload, oob)
+    }
+
+    /// Makes this fresh device a copy of `from`'s bulk-loaded image: every
+    /// programmed page with its OOB, every block's erase count and the free
+    /// pool. Payloads are shared, not cloned deep: a programmed page is
+    /// never mutated (a power failure tears only the OOB, which each device
+    /// holds by value). Nothing of this device's own is copied over — its
+    /// counters, channels, media faults and tracer stay as built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometries differ or `from` has a program in flight.
+    pub(crate) fn copy_loaded_from(&self, from: &NandDevice<P>) {
+        let src = from.inner.borrow();
+        assert_eq!(self.cfg.blocks, from.cfg.blocks, "copy across geometries");
+        assert!(src.in_flight.is_empty(), "copy of a device mid-program");
         let mut inner = self.inner.borrow_mut();
-        let blk = &mut inner.blocks[loc.block as usize];
-        if blk.next_page != loc.page {
-            return Err(NandError::ProgramOrder {
-                loc,
-                expected_page: blk.next_page,
-            });
-        }
-        blk.pages[loc.page as usize] = Some(payload);
-        blk.oob[loc.page as usize] = oob;
-        blk.next_page += 1;
-        Ok(())
+        inner.blocks.clone_from(&src.blocks);
+        inner.free.clone_from(&src.free);
     }
 }
 
@@ -674,6 +706,12 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, NandError::ProgramOrder { .. }));
             dev.erase(b).await.unwrap();
+            // An erased block keeps no page of its old contents.
+            let p0 = PhysLoc { block: b, page: 0 };
+            assert_eq!(dev.read(p0).await, Err(NandError::ReadUnwritten(p0)));
+            assert_eq!(dev.pages_programmed(b), 0);
+            assert_eq!(dev.peek(p0), None);
+            assert!(dev.mount_scan().await.iter().all(|s| s.loc.block != b));
             // After erase, block is in the free pool again and writable.
             let b2 = dev.alloc_block().unwrap();
             dev.program(PhysLoc { block: b2, page: 0 }, 9)

@@ -91,6 +91,9 @@ pub trait Space: 'static {
     fn power_fail(&self) -> u64;
     /// Drops the space's volatile accounting, as a power failure would.
     fn reset(&self);
+    /// Makes this fresh space a copy of `from`'s bulk-loaded image: its
+    /// device's pages and its allocation and live-data accounting.
+    fn copy_loaded_from(&self, from: &Self);
     /// Scans the medium after a power failure: rebuilds allocation state
     /// and written-tuple accounting, and returns the report (the store
     /// fills in `keys`) with every intact unit in a deterministic order.
@@ -756,6 +759,23 @@ impl<S: Space> PackedStore<S> {
                 self.sh.space.live_inc(addr);
             }
         }
+    }
+
+    /// Makes this freshly built store a copy of `from`'s bulk-loaded image
+    /// (after its [`PackedStore::finish_load`]): the mapping table and the
+    /// space beneath it, pages shared. A load counts nothing and leaves the
+    /// packer, the watermark and the mount epoch as built, so both stores
+    /// already agree on those.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` still holds an unfinished load page.
+    pub(crate) fn copy_loaded_from(&self, from: &PackedStore<S>) {
+        let src = from.sh.inner.borrow();
+        assert!(src.load_buf.is_empty(), "copy before finish_load");
+        debug_assert_eq!(src.epoch, 0, "copy after a mount");
+        self.sh.inner.borrow_mut().map.clone_from(&src.map);
+        self.sh.space.copy_loaded_from(&from.sh.space);
     }
 
     /// Records the replica's durable write floor: every page programmed from

@@ -312,6 +312,24 @@ impl<P: Clone + 'static> PageFtl<P> {
         inner.live[loc.block as usize] += 1;
     }
 
+    /// Makes this fresh FTL a copy of `from`'s bulk-loaded image: the
+    /// device's pages, the LBA map both ways, append points, live counts,
+    /// the OOB sequence and the floor. Its counters, GC channel and mount
+    /// epoch stay its own (a load counts nothing and bumps no epoch).
+    pub(crate) fn copy_loaded_from(&self, from: &PageFtl<P>) {
+        self.dev.copy_loaded_from(&from.dev);
+        let src = from.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
+        debug_assert_eq!((inner.epoch, src.epoch), (0, 0), "copy after a mount");
+        inner.map.clone_from(&src.map);
+        inner.rmap.clone_from(&src.rmap);
+        inner.append.clone_from(&src.append);
+        inner.next_append = src.next_append;
+        inner.live.clone_from(&src.live);
+        inner.seq = src.seq;
+        inner.floor = src.floor;
+    }
+
     /// Records the durable write floor; subsequent page programs stamp it
     /// into their OOB. Floors never move backwards.
     pub fn note_floor(&self, ts: Timestamp) {
@@ -392,7 +410,7 @@ impl<P: Clone + 'static> PageFtl<P> {
                 .filter_map(|a| a.map(|(b, _)| b))
                 .collect();
             (0..inner.live.len() as u32)
-                .filter(|&b| !append_blocks.contains(&b))
+                .filter(|&b| !append_blocks.contains(&b) && !self.dev.programming(b))
                 .filter(|&b| self.dev.pages_programmed(b) > inner.live[b as usize])
                 .max_by_key(|&b| self.dev.pages_programmed(b) - inner.live[b as usize])
         };

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use simkit::SimHandle;
 use timesync::{Timestamp, Version};
 
-use crate::nand::NandConfig;
+use crate::nand::{NandConfig, NandDevice};
 use crate::pftl::PageFtl;
 use crate::types::{Key, StoreError, StoreStats, TupleRecord, Value, VersionedValue};
 
@@ -52,10 +52,15 @@ impl SingleVersionStore {
         }
     }
 
+    /// The device under the FTL.
+    pub(crate) fn device(&self) -> &NandDevice<Page> {
+        self.ftl.device()
+    }
+
     /// Store-level counters.
     pub fn stats(&self) -> StoreStats {
         let mut s = self.inner.borrow().stats;
-        let d = self.ftl.device().stats();
+        let d = self.device().stats();
         s.pages_written = d.page_writes;
         s.pages_read = d.page_reads;
         s.gc_collections = d.block_erases;
@@ -65,12 +70,12 @@ impl SingleVersionStore {
     /// Attaches a trace sink to the underlying device (flash-op and GC
     /// events stamped with `node`).
     pub fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
-        self.ftl.device().attach_tracer(tracer, node);
+        self.device().attach_tracer(tracer, node);
     }
 
     /// Injects media faults into the underlying device (fault campaigns).
     pub fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
-        self.ftl.device().inject_media_faults(cfg);
+        self.device().inject_media_faults(cfg);
     }
 
     fn lba_for(&self, key: &Key) -> Result<(u32, bool), StoreError> {
@@ -284,6 +289,17 @@ impl SingleVersionStore {
         });
         self.ftl.install(lba, rec);
         self.inner.borrow_mut().map.insert(key, (lba, version));
+    }
+
+    /// Makes this fresh store a copy of `from`'s bulk-loaded image: the key
+    /// map, the LBA allocator and the FTL underneath. Counters stay zero.
+    pub(crate) fn copy_loaded_from(&self, from: &SingleVersionStore) {
+        self.ftl.copy_loaded_from(&from.ftl);
+        let src = from.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
+        inner.map.clone_from(&src.map);
+        inner.next_lba = src.next_lba;
+        inner.free_lbas.clone_from(&src.free_lbas);
     }
 
     /// Number of keys.

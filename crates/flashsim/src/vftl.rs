@@ -68,7 +68,7 @@ impl PackedStore<OverFtl> {
     }
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct SegState {
     free_lbas: Vec<u32>,
     /// Mapped tuples per written segment. Deterministically ordered so GC
@@ -197,6 +197,11 @@ impl Space for OverFtl {
 
     fn reset(&self) {
         *self.st.borrow_mut() = SegState::default();
+    }
+
+    fn copy_loaded_from(&self, from: &OverFtl) {
+        self.ftl.copy_loaded_from(&from.ftl);
+        self.st.borrow_mut().clone_from(&from.st.borrow());
     }
 
     /// Two-level mount: the bottom FTL rebuilds its LBA map from OOB, then

@@ -127,10 +127,12 @@ pub fn new_backend(
 }
 
 /// Preloads keys `0..keys` with `value_size`-byte values: identical data
-/// on every replica of the owning shard. `replicas[shard]` lists that
-/// shard's replicas; `backend` projects one to its store. Keys are routed
-/// first, so each replica's mapping table is sized once for the keys it
-/// receives; each store still loads its keys in ascending order.
+/// on every replica of the owning shard (§1). `replicas[shard]` lists that
+/// shard's replicas; `backend` projects one to its store. Every key is
+/// routed once, so each shard's first replica sizes its mapping table once
+/// for the keys it receives and loads them in ascending order; the shard's
+/// other replicas then start from a copy of that loaded image
+/// ([`Backend::copy_loaded_from`]), sharing its flash pages.
 pub fn preload<'a, R>(
     map: &ShardMap,
     keys: u64,
@@ -143,19 +145,29 @@ pub fn preload<'a, R>(
     }
     let v0 = Version::new(Timestamp(1), ClientId(u32::MAX));
     let payload = value(vec![0u8; value_size]);
-    let mut owned: Vec<Vec<Key>> = vec![Vec::new(); replicas.len()];
-    for i in 0..keys {
-        let key = Key::from(i);
-        owned[map.shard_for(&key).0 as usize].push(key);
+    let routed: Vec<(Key, usize)> = (0..keys)
+        .map(|i| {
+            let key = Key::from(i);
+            let shard = map.shard_for(&key).0 as usize;
+            (key, shard)
+        })
+        .collect();
+    let mut owned = vec![0; replicas.len()];
+    for &(_, shard) in &routed {
+        owned[shard] += 1;
     }
-    for (group, keys) in replicas.iter().zip(owned) {
-        for replica in group {
-            let store = backend(replica);
-            store.reserve(keys.len());
-            for key in &keys {
-                store.bulk_load(key.clone(), payload.clone(), v0);
-            }
-            store.finish_load();
+    let first = |shard: usize| backend(&replicas[shard][0]);
+    for (shard, &n) in owned.iter().enumerate() {
+        first(shard).reserve(n);
+    }
+    for (key, shard) in routed {
+        first(shard).bulk_load(key, payload.clone(), v0);
+    }
+    for (shard, group) in replicas.iter().enumerate() {
+        let loaded = first(shard);
+        loaded.finish_load();
+        for replica in &group[1..] {
+            backend(replica).copy_loaded_from(loaded);
         }
     }
 }

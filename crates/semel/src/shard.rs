@@ -5,8 +5,6 @@
 //! techniques (e.g., consistent hashing)"; we implement a classic hash ring
 //! with virtual nodes so shard assignment is stable under membership change.
 
-use std::collections::BTreeMap;
-
 use flashsim::Key;
 use simkit::net::Addr;
 
@@ -113,7 +111,8 @@ pub struct Migrating {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    ring: BTreeMap<u64, ShardId>,
+    /// Virtual nodes sorted by ring point, one entry per point.
+    ring: Vec<(u64, ShardId)>,
     groups: Vec<ReplicaGroup>,
     epoch: u64,
     /// Post-ring split rules from completed splits, applied in order.
@@ -132,13 +131,18 @@ impl ShardMap {
     /// Panics if `groups` is empty.
     pub fn new(groups: Vec<ReplicaGroup>) -> ShardMap {
         assert!(!groups.is_empty(), "ShardMap needs at least one shard");
-        let mut ring = BTreeMap::new();
-        for (i, _) in groups.iter().enumerate() {
-            for v in 0..VNODES {
+        let mut ring = Vec::with_capacity(groups.len() * VNODES as usize);
+        for i in (0..groups.len()).rev() {
+            for v in (0..VNODES).rev() {
                 let point = fnv1a(format!("shard-{i}-vnode-{v}").as_bytes());
-                ring.insert(point, ShardId(i as u32));
+                ring.push((point, ShardId(i as u32)));
             }
         }
+        // Built last vnode first, so the stable sort puts the vnode named
+        // last first among equal points and the dedup keeps it: a point
+        // shared by two vnodes belongs to the later one.
+        ring.sort_by_key(|&(point, _)| point);
+        ring.dedup_by_key(|&mut (point, _)| point);
         ShardMap {
             ring,
             groups,
@@ -152,12 +156,9 @@ impl ShardMap {
     /// split rules from completed shard splits, in install order.
     pub fn shard_for(&self, key: &Key) -> ShardId {
         let point = fnv1a(key.as_bytes());
-        let mut shard = *self
-            .ring
-            .range(point..)
-            .next()
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| self.ring.iter().next().map(|(_, s)| s).expect("ring"));
+        let next = self.ring.partition_point(|&(p, _)| p < point);
+        // Past the last point the ring wraps to the first.
+        let mut shard = self.ring.get(next).unwrap_or(&self.ring[0]).1;
         for rule in &self.splits {
             if shard == rule.from && rule.applies(point) {
                 shard = rule.to;
@@ -348,6 +349,13 @@ mod tests {
             let k = Key::from(i);
             assert_eq!(m.shard_for(&k), m.shard_for(&k));
         }
+        // A hash past the last ring point wraps to the first vnode.
+        let (last, _) = *m.ring.last().unwrap();
+        let past = (0u64..)
+            .map(Key::from)
+            .find(|k| fnv1a(k.as_bytes()) > last)
+            .unwrap();
+        assert_eq!(m.shard_for(&past), m.ring[0].1);
     }
 
     #[test]
