@@ -415,8 +415,9 @@ pub fn run_packing(scale: Scale) -> Json {
     });
     let rows = print_lines(cells);
     println!(
-        "(window 0 flushes every tuple as its own page — lowest put latency, worst \
-         space efficiency and most GC; larger windows trade put latency for fuller pages)"
+        "(window 0 flushes every tuple as its own page — worst space efficiency and most \
+         GC, whose erases puts then wait behind; a window that outlasts the gaps between \
+         puts fills whole pages, and a partial page waits it out)"
     );
     Json::obj().field("rows", Json::Arr(rows))
 }

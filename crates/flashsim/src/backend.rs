@@ -464,7 +464,7 @@ mod tests {
             ..NandConfig::default()
         };
         for (kind, nand, cold, hot, rounds) in [
-            (BackendKind::Mftl, raw, 96_000, 64, 160),
+            (BackendKind::Mftl, raw, 96_000, 64, 480),
             (BackendKind::Vftl, split, 0, 24, 100),
         ] {
             let sim = Sim::new(11);

@@ -15,7 +15,9 @@
 //!
 //! This module is the [`Space`] that makes a [`PackedStore`] unified: packed
 //! pages go straight to physical flash pages ([`PhysLoc`]), each packing
-//! stream appends to its own open erase block, live data is accounted and
+//! stream appends to its own open erase block (the packer fills one page at
+//! a time and hands successive pages to successive streams, so their
+//! programs overlap on distinct channels), live data is accounted and
 //! collected per erase block, and a mount reads the raw device's OOB scan.
 
 use std::cell::RefCell;
@@ -187,7 +189,9 @@ impl Space for RawFlash {
         self.dev.free_blocks() <= self.gc.low_water
     }
 
-    /// The emptiest full block: open append blocks are never victims.
+    /// The emptiest full block. Open append blocks are never victims, nor
+    /// is a block whose last page is still programming: its tuples are not
+    /// mapped yet, so a relocation pass would miss them.
     fn pick_victim(&self) -> Option<u32> {
         let st = self.st.borrow();
         let open: Vec<u32> = st
@@ -197,7 +201,7 @@ impl Space for RawFlash {
             .filter_map(|a| a.map(|(b, _)| b))
             .collect();
         (0..st.live.len() as u32)
-            .filter(|b| !open.contains(b))
+            .filter(|&b| !open.contains(&b) && !self.dev.programming(b))
             .filter(|&b| st.written[b as usize] > st.live[b as usize])
             .max_by_key(|&b| st.written[b as usize] - st.live[b as usize])
     }
@@ -289,6 +293,7 @@ mod tests {
     use super::*;
     use crate::types::{value, Key, Value};
     use simkit::Sim;
+    use std::rc::Rc;
     use timesync::{ClientId, Version};
 
     fn v(ts: u64) -> Version {
@@ -371,11 +376,11 @@ mod tests {
         let hh = h.clone();
         let s2 = s.clone();
         sim.block_on(async move {
-            // Three puts staged at one instant, round-robin over the two
-            // packing streams. Each page is closed by a task spawned when
-            // its first tuple arrived, before the next put's event: three
-            // pages. A callback at that instant would fire after the third
-            // put had joined the first page: two pages.
+            // Three puts staged at one instant. Each page is closed by a
+            // task spawned when its first tuple arrived, before the next
+            // put's event: three pages. A callback at that instant would
+            // fire after all three puts had joined the one open page: one
+            // page.
             let joins: Vec<_> = (0..3u64)
                 .map(|i| {
                     let s = s2.clone();
@@ -401,8 +406,9 @@ mod tests {
         let s = store(&sim, 16);
         let hh = h.clone();
         sim.block_on(async move {
-            // The test device has 2 packing streams (one per channel); 16
-            // tuples of 512 accounted bytes fill one 4 KB page per stream.
+            // 16 tuples of 512 accounted bytes fill two 4 KB pages, which
+            // go to the test device's 2 packing streams (one per channel)
+            // and program side by side.
             let t0 = hh.now();
             let mut joins = Vec::new();
             for i in 0..16u64 {
@@ -485,6 +491,35 @@ mod tests {
             // Key can be written again afterwards.
             s.put(k.clone(), val(8), v(30)).await.unwrap();
             assert_eq!(s.get_latest(&k).await.unwrap().version, v(30));
+        });
+    }
+
+    #[test]
+    fn a_block_whose_last_program_is_in_flight_is_never_a_victim() {
+        // A stream's append point moves to a fresh block while the old
+        // block's last page may still wait for its channel. That page's
+        // tuples are not mapped yet, so GC must not erase the block.
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let s = store(&sim, 16);
+        sim.block_on(async move {
+            let raw = s.space();
+            let ppb = raw.dev.config().pages_per_block;
+            let page: Page = Rc::new(Vec::new());
+            for _ in 1..ppb {
+                let loc = raw.alloc(0, false).unwrap();
+                raw.program(loc, page.clone(), 0).await.unwrap();
+            }
+            let last = raw.alloc(0, false).unwrap();
+            let s2 = s.clone();
+            h.spawn(async move { s2.space().program(last, page, 0).await.unwrap() });
+            h.sleep(Duration::from_micros(1)).await;
+            assert!(raw.dev.programming(last.block));
+            let next = raw.alloc(0, false).unwrap();
+            assert_ne!(next.block, last.block, "the append point moved on");
+            // Every tuple written to the old block is garbage.
+            raw.note_programmed(last, 8 * ppb);
+            assert_eq!(raw.pick_victim(), None);
         });
     }
 

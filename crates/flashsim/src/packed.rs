@@ -3,10 +3,11 @@
 //! MFTL and VFTL are the *same* multi-version KV layer (§3.1, §5.1): a
 //! per-key chain of versions ([`crate::chain`]), a **packing logic** that
 //! waits up to a bounded window (1 ms in §5) to fill a 4 KB page with 512 B
-//! tuples — fresh puts and GC-relocated tuples share the same packer — and
-//! one garbage-collection pass that prunes versions below the watermark and
-//! relocates the live tuples of a victim in the same sweep. They differ only
-//! in what a packed page is written *to*: MFTL maps keys straight to
+//! tuples — fresh puts and GC-relocated tuples share the same packer, which
+//! keeps one page open and rotates the pages it closes over the channels —
+//! and one garbage-collection pass that prunes versions below the watermark
+//! and relocates the live tuples of a victim in the same sweep. They differ
+//! only in what a packed page is written *to*: MFTL maps keys straight to
 //! physical flash pages, VFTL to logical block addresses of a generic FTL
 //! that maps and collects a second time underneath. [`PackedStore`] is the
 //! shared layer; a [`Space`] is that difference.
@@ -144,21 +145,26 @@ struct Batch<A> {
     page: Page,
 }
 
-/// One packing stream: an open page buffer bound to its own append point.
-/// Real SSDs program pages on many channels in parallel; modeling one
-/// stream per channel reproduces the paper's put-latency behavior (partial
-/// pages usually wait out the packing window; GC traffic fills them early).
+/// The packer's one open page. Every tuple joins it, fresh puts, replicated
+/// applies and GC relocations alike, until the page leaves the packer: it
+/// is full, its window expired, GC forced it out, or an overflowing tuple
+/// pushed it out. Each page that leaves goes to the next packing stream
+/// (append channel), so pages fill before the next one opens and successive
+/// pages still program on distinct channels in parallel.
 #[derive(Debug)]
-struct Stream<A> {
-    open: Vec<Pending<A>>,
-    open_bytes: usize,
+struct OpenPage<A> {
+    pendings: Vec<Pending<A>>,
+    bytes: usize,
     gen: u64,
     waiters: Vec<Waiter>,
 }
 
 struct Inner<A> {
     map: FastMap<Key, Chain<Loc<A>>>,
-    streams: Vec<Stream<A>>,
+    open: OpenPage<A>,
+    /// Packing streams: one append point (and channel) each.
+    streams: usize,
+    /// The stream the open page goes to; advances as each page leaves.
     next_stream: usize,
     next_gen: u64,
     /// Pages taken from the packer whose program is still in flight,
@@ -218,15 +224,7 @@ impl<S: Space> PackedStore<S> {
         op_overhead: Duration,
         packing_window: Duration,
     ) -> PackedStore<S> {
-        let n_streams = stream_count(space.device().config());
-        let streams = (0..n_streams)
-            .map(|i| Stream {
-                open: Vec::new(),
-                open_bytes: 0,
-                gen: i as u64,
-                waiters: Vec::new(),
-            })
-            .collect();
+        let streams = stream_count(space.device().config());
         let (tx, rx) = mpsc::channel();
         let store = PackedStore {
             sh: Rc::new(Shared {
@@ -236,9 +234,15 @@ impl<S: Space> PackedStore<S> {
                 packing_window,
                 inner: RefCell::new(Inner {
                     map: FastMap::default(),
+                    open: OpenPage {
+                        pendings: Vec::new(),
+                        bytes: 0,
+                        gen: 0,
+                        waiters: Vec::new(),
+                    },
                     streams,
                     next_stream: 0,
-                    next_gen: n_streams as u64,
+                    next_gen: 1,
                     flushing: FastMap::default(),
                     watermark: Timestamp::ZERO,
                     stats: StoreStats::default(),
@@ -398,8 +402,8 @@ impl<S: Space> PackedStore<S> {
         self.sh.handle.spawn(async move { me.flush(batch).await });
     }
 
-    /// Adds a tuple to the packer. Returns `(gen, idx, waiter, batch)` where
-    /// `batch` is a full page that must be flushed by the caller.
+    /// Adds a tuple to the open page. Returns `(gen, idx, waiter, batch)`
+    /// where `batch` is a full page that must be flushed by the caller.
     fn enqueue(
         &self,
         rec: TupleRecord,
@@ -408,27 +412,24 @@ impl<S: Space> PackedStore<S> {
         let page_size = self.device().config().page_size;
         let mut inner = self.sh.inner.borrow_mut();
         let len = rec.accounted_len();
-        // Round-robin over the per-channel packing streams.
-        let s = inner.next_stream;
-        inner.next_stream = (s + 1) % inner.streams.len();
         let mut to_flush = None;
-        if !inner.streams[s].open.is_empty() && inner.streams[s].open_bytes + len > page_size {
-            to_flush = Some(take_open(&mut inner, s));
+        if !inner.open.pendings.is_empty() && inner.open.bytes + len > page_size {
+            to_flush = Some(take_open(&mut inner));
         }
-        let gen = inner.streams[s].gen;
-        let idx = inner.streams[s].open.len() as u16;
+        let gen = inner.open.gen;
+        let idx = inner.open.pendings.len() as u16;
         let first = idx == 0;
-        inner.streams[s].open.push(Pending { rec, origin });
-        inner.streams[s].open_bytes += len;
+        inner.open.pendings.push(Pending { rec, origin });
+        inner.open.bytes += len;
         let (tx, rx) = oneshot::channel();
-        inner.streams[s].waiters.push(tx);
-        let full = inner.streams[s].open_bytes + crate::types::TUPLE_HEADER + 16 > page_size;
+        inner.open.waiters.push(tx);
+        let full = inner.open.bytes + crate::types::TUPLE_HEADER + 16 > page_size;
         if full && to_flush.is_none() {
-            to_flush = Some(take_open(&mut inner, s));
+            to_flush = Some(take_open(&mut inner));
         } else if full {
             // Rare: the tuple that forced the previous flush itself fills the
             // fresh page. Flush both: spawn the second here.
-            let second = take_open(&mut inner, s);
+            let second = take_open(&mut inner);
             self.spawn_flush(second);
         } else if first {
             // First tuple of a fresh page: the packing window closes it. A
@@ -438,13 +439,13 @@ impl<S: Space> PackedStore<S> {
             let h = &self.sh.handle;
             if self.sh.packing_window.is_zero() {
                 h.spawn(async move {
-                    if let Some(b) = me.take_if_open(s, gen) {
+                    if let Some(b) = me.take_if_open(gen) {
                         me.flush(b).await;
                     }
                 });
             } else {
                 h.call_at(None, h.now() + self.sh.packing_window, move || {
-                    if let Some(b) = me.take_if_open(s, gen) {
+                    if let Some(b) = me.take_if_open(gen) {
                         me.spawn_flush(b);
                     }
                 });
@@ -453,12 +454,11 @@ impl<S: Space> PackedStore<S> {
         (gen, idx, rx, to_flush)
     }
 
-    /// Takes stream `s`'s page if it is still generation `gen` and holds
-    /// tuples (no size flush, power failure or GC took it meanwhile).
-    fn take_if_open(&self, s: usize, gen: u64) -> Option<Batch<S::Addr>> {
+    /// Takes the open page if it is still generation `gen` (no size flush,
+    /// power failure or GC took it meanwhile).
+    fn take_if_open(&self, gen: u64) -> Option<Batch<S::Addr>> {
         let mut inner = self.sh.inner.borrow_mut();
-        (inner.streams[s].gen == gen && !inner.streams[s].open.is_empty())
-            .then(|| take_open(&mut inner, s))
+        (inner.open.gen == gen).then(|| take_open(&mut inner))
     }
 
     async fn flush(&self, batch: Batch<S::Addr>) {
@@ -600,14 +600,15 @@ impl<S: Space> PackedStore<S> {
                 let version = e.version;
                 match e.loc {
                     Loc::Buffered { gen, idx } => {
-                        // DRAM hit: serve from a packer stream or an
-                        // in-flight page.
-                        let rec = match inner.streams.iter().find(|st| st.gen == gen) {
-                            Some(st) => st.open.get(idx as usize).map(|p| p.rec.clone()),
-                            None => inner
+                        // DRAM hit: serve from the open page or an
+                        // in-flight one.
+                        let rec = if inner.open.gen == gen {
+                            inner.open.pendings.get(idx as usize).map(|p| p.rec.clone())
+                        } else {
+                            inner
                                 .flushing
                                 .get(&gen)
-                                .and_then(|pg| pg.get(idx as usize).cloned()),
+                                .and_then(|pg| pg.get(idx as usize).cloned())
                         };
                         let Some(rec) = rec else {
                             continue; // committed between checks; retry
@@ -815,7 +816,7 @@ impl<S: Space> PackedStore<S> {
     }
 
     /// Starts a new mount epoch and drops all RAM-resident state (mapping
-    /// table, packer streams, in-flight pages, accounting) the way a power
+    /// table, open page, in-flight pages, accounting) the way a power
     /// failure would. Dropped waiters resolve their callers to an error;
     /// generations stay monotone across resets so stale flushes can never
     /// alias fresh ones.
@@ -823,13 +824,11 @@ impl<S: Space> PackedStore<S> {
         let inner = &mut *self.sh.inner.borrow_mut();
         inner.epoch += 1;
         inner.map.clear();
-        for st in &mut inner.streams {
-            st.open.clear();
-            st.open_bytes = 0;
-            st.waiters.clear();
-            st.gen = inner.next_gen;
-            inner.next_gen += 1;
-        }
+        inner.open.pendings.clear();
+        inner.open.bytes = 0;
+        inner.open.waiters.clear();
+        inner.open.gen = inner.next_gen;
+        inner.next_gen += 1;
         inner.next_stream = 0;
         inner.flushing.clear();
         inner.watermark = Timestamp::ZERO;
@@ -879,19 +878,17 @@ impl<S: Space> PackedStore<S> {
                 }
             }
         }
-        // Force out partial pages holding relocation tails so the reclaim
+        // Force out a partial page holding relocation tails so the reclaim
         // below cannot outrun persistence.
         {
             let mut inner = sh.inner.borrow_mut();
-            for s in 0..inner.streams.len() {
-                let has_reloc = inner.streams[s]
-                    .open
-                    .iter()
-                    .any(|p| matches!(p.origin, Origin::Reloc { .. }));
-                if has_reloc {
-                    let b = take_open(&mut inner, s);
-                    flush_batches.push(b);
-                }
+            let has_reloc = inner
+                .open
+                .pendings
+                .iter()
+                .any(|p| matches!(p.origin, Origin::Reloc { .. }));
+            if has_reloc {
+                flush_batches.push(take_open(&mut inner));
             }
         }
         for b in flush_batches {
@@ -933,18 +930,22 @@ fn release_dead<S: Space>(space: &S, chain: &mut Chain<Loc<S::Addr>>, watermark:
     pruned
 }
 
-fn take_open<A>(inner: &mut Inner<A>, s: usize) -> Batch<A> {
-    let gen = inner.streams[s].gen;
-    inner.streams[s].gen = inner.next_gen;
+/// Takes the open page out of the packer for the next stream in turn, and
+/// opens a fresh one.
+fn take_open<A>(inner: &mut Inner<A>) -> Batch<A> {
+    let gen = inner.open.gen;
+    inner.open.gen = inner.next_gen;
     inner.next_gen += 1;
-    let pendings = std::mem::take(&mut inner.streams[s].open);
-    let waiters = std::mem::take(&mut inner.streams[s].waiters);
-    inner.streams[s].open_bytes = 0;
+    let stream = inner.next_stream;
+    inner.next_stream = (stream + 1) % inner.streams;
+    let pendings = std::mem::take(&mut inner.open.pendings);
+    let waiters = std::mem::take(&mut inner.open.waiters);
+    inner.open.bytes = 0;
     let page: Page = Rc::new(pendings.iter().map(|p| p.rec.clone()).collect());
     inner.flushing.insert(gen, page.clone());
     Batch {
         gen,
-        stream: s,
+        stream,
         epoch: inner.epoch,
         pendings,
         waiters,
@@ -1042,6 +1043,69 @@ mod tests {
                 assert_eq!(s.get_at(&k, Timestamp(20)).await.unwrap().version, v(20));
                 assert_eq!(s.stats().puts, 3, "the duplicate was not rewritten");
             });
+        }
+        on_both_spaces!(check, 16, 32);
+    }
+
+    /// Stages `n` puts of 512 accounted bytes (8 fill a page) at one
+    /// instant and waits for all of them.
+    async fn puts_at_one_instant<S: Space>(s: &PackedStore<S>, h: &SimHandle, n: u64) {
+        let joins: Vec<_> = (0..n)
+            .map(|i| {
+                let s = s.clone();
+                h.spawn(async move { s.put(Key::from(i), val(472), v(10)).await.unwrap() })
+            })
+            .collect();
+        for j in joins {
+            j.await;
+        }
+    }
+
+    #[test]
+    fn a_window_of_tuples_programs_one_page_per_page_worth() {
+        fn check<S: Space>(mut sim: Sim, s: PackedStore<S>) {
+            let h = sim.handle();
+            let store = s.clone();
+            sim.block_on(async move { puts_at_one_instant(&store, &h, 20).await });
+            // 8 + 8 full pages, then 4 tuples the window flushes: 3 pages.
+            assert_eq!(s.stats().pages_written, 3);
+        }
+        on_both_spaces!(check, 16, 32);
+    }
+
+    #[test]
+    fn a_page_flushed_by_its_window_advances_the_channel_cursor() {
+        fn check<S: Space>(mut sim: Sim, s: PackedStore<S>) {
+            sim.block_on(async move {
+                let cursor = || s.sh.inner.borrow().next_stream;
+                assert_eq!(cursor(), 0);
+                s.put(Key::from(1u64), val(100), v(10)).await.unwrap();
+                assert_eq!(s.stats().pages_written, 1);
+                assert_eq!(cursor(), 1);
+                s.put(Key::from(2u64), val(100), v(20)).await.unwrap();
+                assert_eq!(cursor(), 0, "two streams: the cursor wraps");
+            });
+        }
+        on_both_spaces!(check, 16, 32);
+    }
+
+    #[test]
+    fn successive_pages_land_on_distinct_channels() {
+        fn check<S: Space>(mut sim: Sim, s: PackedStore<S>) {
+            let store = s.clone();
+            sim.block_on(async move {
+                // Four lone tuples, each page flushed by its window.
+                for i in 0..4u64 {
+                    store.put(Key::from(i), val(100), v(10 + i)).await.unwrap();
+                }
+            });
+            let dev = s.device();
+            let channels = dev.config().channels;
+            let mut per_channel = vec![0; channels as usize];
+            for b in 0..dev.config().blocks {
+                per_channel[(b % channels) as usize] += dev.pages_programmed(b);
+            }
+            assert_eq!(per_channel, [2, 2]);
         }
         on_both_spaces!(check, 16, 32);
     }

@@ -53,6 +53,10 @@ const LEASE_DURATION: Duration = Duration::from_millis(100);
 const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 /// Heartbeat period when a master is configured.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
+/// Most `AppliedFloor`s a backup parks behind a missing one. Reordered
+/// envelopes leave a few; a hole that outlives this many later floors is
+/// taken as a lost envelope, and the watermark freezes.
+const FLOOR_AHEAD_MAX: usize = 64;
 /// A prepared transaction older than this triggers cooperative
 /// termination (its coordinator is presumed dead).
 pub const CTP_AFTER: Duration = Duration::from_millis(500);
@@ -246,6 +250,10 @@ struct ServerState {
     /// an outcome a later floor claims to cover), so the watermark stays
     /// frozen until an `InstallLog` re-baselines it.
     floor_expected: Option<u64>,
+    /// Backup: floors that arrived ahead of `floor_expected` (their
+    /// envelopes overtook an earlier one), by `seq`. The missing floor's
+    /// arrival drains them in order; at most [`FLOOR_AHEAD_MAX`] wait.
+    floor_ahead: std::collections::BTreeMap<u64, Timestamp>,
     /// Backup, while no floor stream is trusted (`floor_primary` is
     /// `None`, i.e. mid cold-restart catch-up): the latest *contiguous*
     /// run `(start, next)` of floor seqs observed per sender, covering
@@ -916,6 +924,7 @@ impl TxnServer {
         // 0; adopt it.
         st.floor_primary = Some(from.node);
         st.floor_expected = Some(0);
+        st.floor_ahead.clear();
         st.floor_runs.clear();
     }
 
@@ -1058,20 +1067,27 @@ impl TxnServer {
         if st.floor_primary != Some(from.node) {
             return;
         }
+        let skip_durability = self.cfg.tuning.fraud.get() == Fraud::SkipDurability;
         match st.floor_expected {
             Some(e) if seq == e => {
-                st.floor_expected = Some(seq + 1);
-                drop(st);
-                if ts < Timestamp::MAX {
-                    self.table.borrow_mut().advance_applied_watermark(ts);
-                    // Make the promise durable: a cold restart rehydrates
-                    // its floor tracker from the mount scan's recovered
-                    // floor (the max over intact page OOB stamps).
-                    self.core.backend.note_floor(ts);
+                // This floor and the parked ones it makes contiguous.
+                let mut next = seq + 1;
+                let mut floor = ts;
+                while let Some(parked) = st.floor_ahead.remove(&next) {
+                    floor = floor.max(parked);
+                    next += 1;
                 }
+                st.floor_expected = Some(next);
+                drop(st);
+                self.advance_floor(floor);
             }
             // An older (duplicate) floor teaches nothing new; ignore.
             Some(e) if seq < e => {}
+            // Ahead of a missing floor: wait for it, the envelope may only
+            // have been overtaken.
+            Some(_) if !skip_durability && st.floor_ahead.len() < FLOOR_AHEAD_MAX => {
+                st.floor_ahead.insert(seq, ts);
+            }
             // Gap: an envelope this floor covers never arrived. Keep
             // applying data, but freeze the watermark until an
             // `InstallLog` re-baselines the stream — unless the
@@ -1081,17 +1097,26 @@ impl TxnServer {
             // it never recovered: exactly the bug the `lost_acked_write`
             // checker exists to catch.
             _ => {
-                if self.cfg.tuning.fraud.get() == Fraud::SkipDurability {
+                if skip_durability {
                     st.floor_expected = Some(seq + 1);
                     drop(st);
-                    if ts < Timestamp::MAX {
-                        self.table.borrow_mut().advance_applied_watermark(ts);
-                        self.core.backend.note_floor(ts);
-                    }
+                    self.advance_floor(ts);
                 } else {
                     st.floor_expected = None;
+                    st.floor_ahead.clear();
                 }
             }
+        }
+    }
+
+    /// Advances a backup's applied watermark to an accepted floor and makes
+    /// the promise durable: a cold restart rehydrates its floor tracker
+    /// from the mount scan's recovered floor (the max over intact page OOB
+    /// stamps).
+    fn advance_floor(&self, ts: Timestamp) {
+        if ts < Timestamp::MAX {
+            self.table.borrow_mut().advance_applied_watermark(ts);
+            self.core.backend.note_floor(ts);
         }
     }
 
@@ -1390,7 +1415,9 @@ impl TxnServer {
             participants,
             status: TxnStatus::Prepared,
         };
-        self.table.borrow_mut().prepare(record.clone());
+        self.table
+            .borrow_mut()
+            .prepare_validated(record.clone(), checked_reads);
         self.state.borrow_mut().replicating.insert(txid);
         // Replicate the prepare record through the group-commit batcher;
         // any f of 2f backups suffice, in any order relative to other
@@ -1872,6 +1899,7 @@ impl TxnServer {
                                     st.floor_expected = Some(resume);
                                 }
                                 st.floor_primary = Some(primary.node);
+                                st.floor_ahead.clear();
                                 st.floor_runs.clear();
                                 if floor > Timestamp::ZERO {
                                     st.floors.rehydrate(floor);

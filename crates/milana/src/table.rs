@@ -130,6 +130,24 @@ impl TxnTable {
         Verdict::Success
     }
 
+    /// Prepares `record` after it was validated on `reads`: leaves a read
+    /// mark at its `ts_commit` on every key of `reads`, then
+    /// [`TxnTable::prepare`]s it. Algorithm 1 alone lets a writer stamped
+    /// below a validated read still prepare: it would serialize before a
+    /// read that did not see its write (a write skew). The mark makes that
+    /// writer fail with [`Verdict::WriteAfterRead`], MVTO's read-timestamp
+    /// rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transaction is already in the table.
+    pub fn prepare_validated(&mut self, record: TxnRecord, reads: &[(Key, Version)]) {
+        for (key, _) in reads {
+            self.note_read(key, record.ts_commit);
+        }
+        self.prepare(record);
+    }
+
     /// Installs a prepared record and marks its write keys held.
     ///
     /// # Panics
@@ -418,6 +436,23 @@ mod tests {
         // A later write is fine.
         let verdict = t.validate(&[], &[k(3)], Timestamp(26), lc10);
         assert_eq!(verdict, Verdict::Success);
+    }
+
+    #[test]
+    fn a_validated_read_blocks_a_writer_stamped_below_it() {
+        let mut t = TxnTable::new();
+        // T1 reads key 7 at its committed version and prepares at ts 20.
+        let reads = [(k(7), v(10))];
+        assert!(t
+            .validate(&reads, &[k(8)], Timestamp(20), lc10)
+            .is_success());
+        t.prepare_validated(record(1, 20, &[8]), &reads);
+        t.decide(txid(1), true);
+        // T2 writes key 7 at ts 15 < 20: it would serialize before T1's
+        // read, which did not see it.
+        let verdict = t.validate(&[], &[k(7)], Timestamp(15), lc10);
+        assert_eq!(verdict, Verdict::WriteAfterRead(k(7)));
+        assert!(t.validate(&[], &[k(7)], Timestamp(21), lc10).is_success());
     }
 
     #[test]

@@ -1227,6 +1227,35 @@ fn a_request_gets_the_same_reply_alone_or_batched() {
 }
 
 #[test]
+fn a_backup_advances_its_watermark_over_two_swapped_floors() {
+    let mut sim = Sim::new(77);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.clients = 0;
+    cfg.tuning.gossip_every = None;
+    let cluster = MilanaCluster::build(&h, cfg);
+    sim.block_on(async move {
+        // With no clients and no gossip the primary streams no floors; send
+        // its stream's first two by hand, from its node, second one first.
+        let primary = cluster.replicas[0][0].addr;
+        let backup = &cluster.replicas[0][1];
+        let from_primary = simkit::rpc::RpcClient::new(&hh, primary.node, 77);
+        for (seq, ts) in [(1, Timestamp(200)), (0, Timestamp(100))] {
+            from_primary.cast(backup.addr, TxnRequest::AppliedFloor { seq, ts });
+            hh.sleep(Duration::from_millis(1)).await;
+        }
+        let wm = backup.server.table().borrow().applied_watermark();
+        assert_eq!(
+            wm,
+            Timestamp(200),
+            "the overtaken floor drained the parked one"
+        );
+    });
+}
+
+#[test]
 fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
     let mut sim = Sim::new(75);
     let h = sim.handle();

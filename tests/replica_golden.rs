@@ -30,6 +30,18 @@
 //!   batch's records side by side instead of one flash write after
 //!   another, so batched records are acked earlier. `net`, `timers` and
 //!   `registry` did not move.
+//!
+//! When the flash packer began filling one page before opening the next
+//! (pages rotate over the channels, tuples no longer do), every constant
+//! of all four scripts was re-recorded except `now_ns` and `net` of
+//! `semel_ordered_replication_is_unchanged`: fuller pages take fewer
+//! programs, GC passes and windows, so flash latency, timers, polls, the
+//! trace and the stored chains moved, and with them every message timing
+//! of the other three. The two MILANA scripts also carry the same
+//! change's read marks (a primary marks each validated read at
+//! `ts_commit`, so a writer stamped below it aborts) and its parked
+//! applied floors (a backup no longer freezes its watermark on a
+//! reordered floor): their per-server vote, commit and table counts moved.
 
 use std::time::Duration;
 
@@ -375,14 +387,14 @@ fn milana_auto_run() -> Golden {
 fn semel_inconsistent_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Inconsistent);
     let want = Golden {
-        now_ns: 469_178_049,
-        polls: 1_127,
-        net: [511, 494, 17, 0, 0],
-        timers: [830, 601, 227, 2],
-        registry: 0xc978d72f94f6d425,
-        trace: 0x27c349a32e95fa71,
-        outcomes: 0xb4d413c5d0c5a69e,
-        stores: 0xef2cf4d1dc457c8,
+        now_ns: 468_979_397,
+        polls: 1_105,
+        net: [503, 486, 17, 0, 0],
+        timers: [806, 581, 223, 2],
+        registry: 0x64a3102546a65d00,
+        trace: 0xe746776ccbb0ddf7,
+        outcomes: 0x9662e9fb411fa33b,
+        stores: 0x1e0442dd469446d5,
         servers: vec![],
     };
     assert_eq!(got, want);
@@ -393,11 +405,11 @@ fn semel_ordered_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Ordered);
     let want = Golden {
         now_ns: 466_252_516,
-        polls: 1_206,
+        polls: 1_202,
         net: [515, 498, 17, 0, 0],
-        timers: [762, 531, 229, 2],
+        timers: [758, 527, 229, 2],
         registry: 0x16fb24d156593180,
-        trace: 0x4fef377c1665c966,
+        trace: 0x6d5fc8f009285785,
         outcomes: 0xf5dfc89f841dd09f,
         stores: 0xe1afc3430a32cbf5,
         servers: vec![],
@@ -409,20 +421,20 @@ fn semel_ordered_replication_is_unchanged() {
 fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
-        now_ns: 1_010_931_995,
-        polls: 6_339,
-        net: [7154, 6817, 335, 0, 0],
-        timers: [8441, 5027, 3375, 39],
-        registry: 0x5a261fe78b14bb67,
-        trace: 0xacd0c3a3d9d76754,
-        outcomes: 0xf1b334c25c54aab1,
-        stores: 0x79137f73e297c640,
+        now_ns: 1_254_501_827,
+        polls: 5_992,
+        net: [7954, 7470, 484, 0, 0],
+        timers: [8692, 4989, 3685, 18],
+        registry: 0xe29cb88df785694b,
+        trace: 0x3bb1c57a771e24f7,
+        outcomes: 0x21156ef1651dd91b,
+        stores: 0x71d267850e47683f,
         servers: vec![
-            [132, 87, 3, 82, 1, 0, 0, 0, 0, 0, 90],
-            [0, 0, 0, 0, 0, 0, 4, 14, 0, 0, 87],
-            [0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 90],
-            [0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 94],
-            [63, 39, 0, 34, 0, 0, 10, 7, 0, 0, 104],
+            [132, 84, 6, 80, 0, 0, 0, 0, 0, 0, 90],
+            [0, 0, 0, 0, 0, 0, 5, 18, 0, 0, 84],
+            [0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 89],
+            [0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 93],
+            [62, 37, 2, 32, 0, 0, 11, 10, 0, 0, 106],
             [0, 0, 0, 0, 0, 0, 8, 16, 0, 0, 104],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -436,21 +448,21 @@ fn milana_harness_failover_is_unchanged() {
 fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
-        now_ns: 1_024_764_894,
-        polls: 3_188,
-        net: [4747, 4276, 470, 0, 0],
-        timers: [5457, 3332, 2097, 28],
-        registry: 0x4e82e800b88b820,
-        trace: 0x99e4037aecf58375,
-        outcomes: 0x13c10c2255abfb4,
-        stores: 0x964063530a7fb916,
+        now_ns: 973_650_938,
+        polls: 2_871,
+        net: [4464, 4022, 442, 0, 0],
+        timers: [4928, 2931, 1970, 27],
+        registry: 0x771f03c7c756d469,
+        trace: 0x2d48e7b9d6676c73,
+        outcomes: 0xa09efb1848ab16c3,
+        stores: 0x3887a92f36df4ff3,
         servers: vec![
-            [26, 18, 3, 17, 1, 0, 0, 0, 0, 0, 21],
-            [32, 0, 0, 0, 0, 0, 2, 3, 0, 0, 18],
-            [0, 0, 0, 0, 0, 0, 5, 3, 0, 0, 18],
-            [76, 44, 12, 38, 1, 0, 0, 0, 0, 0, 55],
-            [0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 44],
-            [0, 0, 0, 0, 0, 0, 8, 9, 0, 0, 44],
+            [26, 21, 0, 20, 1, 0, 0, 0, 0, 0, 21],
+            [32, 0, 0, 0, 0, 0, 2, 3, 0, 0, 21],
+            [0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 21],
+            [76, 43, 13, 37, 0, 0, 0, 0, 0, 0, 56],
+            [0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 43],
+            [0, 0, 0, 0, 0, 0, 8, 9, 0, 0, 43],
         ],
     };
     assert_eq!(got, want);
