@@ -121,8 +121,10 @@ pub enum TxnRequest {
     /// stream has told you everything with a commit stamp below `ts`". A
     /// backup that has seen *every* envelope (contiguous `seq`) may raise
     /// its applied watermark to `ts`; on a gap it keeps applying data but
-    /// freezes the watermark — a lost envelope may hold an outcome the
-    /// floor claims to cover. `InstallLog` restarts the stream at seq 0.
+    /// holds the watermark — a lost envelope may hold an outcome the floor
+    /// claims to cover — and pulls the gap with a catch-up sweep once it
+    /// outlives the backup's window. `InstallLog` restarts the stream at
+    /// seq 0.
     AppliedFloor {
         /// Position of this envelope in the primary's flush stream.
         seq: u64,
@@ -262,8 +264,8 @@ pub enum TxnRequest {
     /// Rebalance engine → source primary: forwarding term is over; delete
     /// moved keys from local storage.
     MigrationGc,
-    /// Cold-restarting replica → its shard's current primary: anti-entropy
-    /// catch-up fetch. A cursored sweep of the primary's transaction table
+    /// Cold-restarting replica, or a backup that lost part of its floor
+    /// stream → its shard's current primary: anti-entropy catch-up fetch. A cursored sweep of the primary's transaction table
     /// in [`TxnId`] order; `cursor` is exclusive (`None` starts at the
     /// beginning). Recovery-plane traffic: never batched into a
     /// group-commit envelope and never shed by admission control.

@@ -55,7 +55,7 @@ const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
 /// Most `AppliedFloor`s a backup parks behind a missing one. Reordered
 /// envelopes leave a few; a hole that outlives this many later floors is
-/// taken as a lost envelope, and the watermark freezes.
+/// taken as a lost envelope, which the backup pulls with the catch-up sweep.
 const FLOOR_AHEAD_MAX: usize = 64;
 /// A prepared transaction older than this triggers cooperative
 /// termination (its coordinator is presumed dead).
@@ -91,8 +91,9 @@ pub struct ServerTuning {
     /// `FloorSync` envelope on this period. `None` disables the task
     /// (floors then ride only on organic replication traffic).
     pub gossip_every: Option<Duration>,
-    /// Records per anti-entropy catch-up page a cold-restarting replica
-    /// pulls from its primary ([`TxnRequest::CatchUpFetch`]).
+    /// Records per anti-entropy catch-up page a cold-restarting replica,
+    /// or a backup that lost part of its floor stream, pulls from its
+    /// primary ([`TxnRequest::CatchUpFetch`]).
     pub catchup_batch: usize,
     /// Clock-health tracking: when set, primaries estimate each client's
     /// timestamp-vs-arrival residual, refuse prepares whose `ts_commit`
@@ -163,9 +164,9 @@ pub struct TxnServerConfig {
     /// The node whose `AppliedFloor` stream this backup trusts from birth
     /// (the shard primary at cluster build). `None` on a restarted or
     /// provisioned replica: it missed an unknown prefix of the stream, so
-    /// its applied watermark stays frozen until it adopts a stream again —
-    /// from the next promotion's `InstallLog`, or, after a cold restart,
-    /// from its catch-up splice. Irrelevant on primaries.
+    /// its floor window starts untrusted, and only the next promotion's
+    /// `InstallLog` or, after a cold restart, the catch-up splice trusts
+    /// it. Irrelevant on primaries.
     pub primary_node: Option<simkit::net::NodeId>,
     /// Master address; primaries heartbeat it so the master can detect
     /// failures and drive automatic failover. `None` disables heartbeats
@@ -241,27 +242,71 @@ struct ServerState {
     /// replication envelope. Reset to 0 by a promotion, whose `InstallLog`
     /// re-baselines every backup.
     floor_seq: u64,
-    /// Backup: the node whose floor stream we accept (initial primary or
-    /// the latest `InstallLog` sender). Floors from anyone else — e.g. a
-    /// deposed primary still flushing — are ignored.
-    floor_primary: Option<simkit::net::NodeId>,
-    /// Backup: the next floor `seq` that may advance the applied
-    /// watermark. `None` = the stream has a gap (a lost envelope may hold
-    /// an outcome a later floor claims to cover), so the watermark stays
-    /// frozen until an `InstallLog` re-baselines it.
-    floor_expected: Option<u64>,
-    /// Backup: floors that arrived ahead of `floor_expected` (their
-    /// envelopes overtook an earlier one), by `seq`. The missing floor's
-    /// arrival drains them in order; at most [`FLOOR_AHEAD_MAX`] wait.
-    floor_ahead: std::collections::BTreeMap<u64, Timestamp>,
-    /// Backup, while no floor stream is trusted (`floor_primary` is
-    /// `None`, i.e. mid cold-restart catch-up): the latest *contiguous*
-    /// run `(start, next)` of floor seqs observed per sender, covering
-    /// `start..next`. The anti-entropy splice consults this: envelopes
-    /// that arrived mid-sweep had their data installed by the live
-    /// replication path, so the stream may resume after them instead of
-    /// freezing on a phantom gap. Cleared once a stream is trusted.
-    floor_runs: std::collections::BTreeMap<simkit::net::NodeId, (u64, u64)>,
+    /// Backup: the primary's `AppliedFloor` stream, the one input that
+    /// moves the applied watermark.
+    floor: SeqWindow,
+}
+
+/// A backup's window on its primary's `AppliedFloor` stream (DESIGN §14).
+/// A floor advances the applied watermark only once every earlier `seq`
+/// from the same sender has, so the watermark claims complete chains. One
+/// window serves the live floors, a promotion's `InstallLog` and the
+/// catch-up splice; a hole is either filled, or pulled by the catch-up
+/// sweep once it outlives [`FLOOR_AHEAD_MAX`] later floors.
+#[derive(Default)]
+struct SeqWindow {
+    /// The node whose stream advances the watermark. `None` while the
+    /// stream does not back the local chains: after a restart, mid
+    /// catch-up sweep, after a lost envelope or a failed store write.
+    /// Floors from another node (a deposed primary still flushing) are
+    /// ignored while a stream is trusted.
+    trusted: Option<simkit::net::NodeId>,
+    /// The next `seq` that may advance the watermark.
+    next: u64,
+    /// Floors that arrived ahead of `next` (their envelopes overtook an
+    /// earlier one, or no stream is trusted), by sender and `seq`, so two
+    /// streams never mix. At most [`FLOOR_AHEAD_MAX`] wait.
+    ahead: std::collections::BTreeMap<(simkit::net::NodeId, u64), Timestamp>,
+}
+
+impl SeqWindow {
+    /// Takes floor `seq` from `from` and returns the floor to advance the
+    /// watermark to, if it made the stream contiguous further. An overflow
+    /// of a trusted window distrusts it: the hole is a lost envelope.
+    fn offer(&mut self, from: simkit::net::NodeId, seq: u64, ts: Timestamp) -> Option<Timestamp> {
+        if self.trusted.is_some_and(|t| t != from || seq < self.next) {
+            return None;
+        }
+        self.ahead.insert((from, seq), ts);
+        let floor = self.drain();
+        if self.ahead.len() > FLOOR_AHEAD_MAX {
+            self.ahead.pop_first();
+            self.trusted = None;
+        }
+        floor
+    }
+
+    /// Trusts `from`'s stream from seq `next`: drops every other parked
+    /// floor and drains the rest.
+    fn rebase(&mut self, from: simkit::net::NodeId, next: u64) -> Option<Timestamp> {
+        self.ahead
+            .retain(|&(node, seq), _| node == from && seq >= next);
+        self.trusted = Some(from);
+        self.next = next;
+        self.drain()
+    }
+
+    /// Removes the trusted stream's parked floors contiguous from `next`
+    /// and returns the greatest.
+    fn drain(&mut self) -> Option<Timestamp> {
+        let from = self.trusted?;
+        let mut floor = None;
+        while let Some(ts) = self.ahead.remove(&(from, self.next)) {
+            floor = floor.max(Some(ts));
+            self.next += 1;
+        }
+        floor
+    }
 }
 
 impl ServerState {
@@ -306,8 +351,9 @@ pub struct TxnServerStats {
     /// Clients this replica fenced as persistent clock outliers (fence
     /// transitions, not currently-fenced count).
     pub clock_fences: u64,
-    /// Committed records whose local storage write failed (a full device)
-    /// and that were marked applied anyway: their writes are missing here.
+    /// Committed record applies whose local storage write failed (a full
+    /// device). The record stays unapplied, and a backup stops advancing
+    /// its applied watermark until a catch-up sweep stores it.
     pub apply_failures: u64,
 }
 
@@ -370,8 +416,10 @@ impl TxnServer {
             // anti-entropy catch-up complete.
             serving: !cfg.cold_start,
             floors: WatermarkTracker::new(cfg.clients.iter().copied()),
-            floor_primary: cfg.primary_node,
-            floor_expected: Some(0),
+            floor: SeqWindow {
+                trusted: cfg.primary_node,
+                ..SeqWindow::default()
+            },
             ..ServerState::default()
         };
         let core = ReplicaCore::new(
@@ -908,9 +956,10 @@ impl TxnServer {
         }
         // Catch up data for committed transactions we have not already
         // applied locally.
+        let mut complete = true;
         for r in &records {
             if r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid) {
-                self.apply_committed(r).await;
+                complete &= self.apply_committed(r).await.is_ok();
             }
         }
         let mut st = self.state.borrow_mut();
@@ -921,14 +970,13 @@ impl TxnServer {
         // The merged log plus the committed-delta apply above make this
         // replica complete up to the sender's merge point, healing any gap
         // in the old floor stream. The new primary's stream starts at seq
-        // 0; adopt it.
-        st.floor_primary = Some(from.node);
-        st.floor_expected = Some(0);
-        st.floor_ahead.clear();
-        st.floor_runs.clear();
+        // 0; adopt it, unless a store write failed.
+        let floor = complete.then(|| st.floor.rebase(from.node, 0)).flatten();
+        drop(st);
+        self.advance_floor(floor);
     }
 
-    /// One page of a cold-restarting replica's anti-entropy sweep
+    /// One page of a replica's anti-entropy sweep
     /// ([`TxnRequest::CatchUpFetch`]). Recovery-plane traffic: never
     /// admission-gated (shedding it only prolongs the outage it is healing).
     /// Only a serving primary answers; a mid-promotion primary replies
@@ -1034,90 +1082,62 @@ impl TxnServer {
             st.floors.update(client, ts);
             (st.floors.watermark(), st.is_primary)
         };
-        if primary && floor < Timestamp::MAX {
-            self.table.borrow_mut().advance_applied_watermark(floor);
-            // Stamp the floor into every subsequent flash page program so a
-            // cold restart can recover the promise from the mount scan.
-            self.core.backend.note_floor(floor);
+        if primary {
+            self.advance_floor(Some(floor));
         }
     }
 
-    /// Backup side of an [`TxnRequest::AppliedFloor`] record: advance the
-    /// applied watermark iff the floor extends the contiguous stream from
-    /// the trusted primary (see the `floor_*` state field docs).
+    /// Backup side of an [`TxnRequest::AppliedFloor`] record: the floor
+    /// goes through the window, which advances the applied watermark once
+    /// the stream from the trusted primary is contiguous (see
+    /// [`SeqWindow`]). A hole the window can no longer hold is pulled.
     fn accept_floor(&self, seq: u64, ts: Timestamp, from: Addr) {
         let mut st = self.state.borrow_mut();
         if st.is_primary {
             return;
         }
-        if st.floor_primary.is_none() {
-            // Mid cold-restart catch-up: no stream is trusted yet, but the
-            // envelope's data was installed by the live replication path.
-            // Remember the contiguous run so the splice can resume after
-            // it (see `ServerState::floor_runs`) instead of mistaking
-            // these envelopes for a gap.
-            let run = st.floor_runs.entry(from.node).or_insert((seq, seq));
-            if seq == run.1 {
-                run.1 = seq + 1;
-            } else if seq > run.1 {
-                *run = (seq, seq + 1);
-            }
-            return;
+        let w = &mut st.floor;
+        if self.cfg.tuning.fraud.get() == Fraud::SkipDurability
+            && w.trusted == Some(from.node)
+            && seq > w.next
+        {
+            // Fault-injection hook: pretend the hole never happened and
+            // splice blindly into the live stream. The watermark then
+            // advances over commits this replica never recovered: exactly
+            // the bug the `lost_acked_write` checker exists to catch.
+            w.rebase(from.node, seq);
         }
-        if st.floor_primary != Some(from.node) {
-            return;
-        }
-        let skip_durability = self.cfg.tuning.fraud.get() == Fraud::SkipDurability;
-        match st.floor_expected {
-            Some(e) if seq == e => {
-                // This floor and the parked ones it makes contiguous.
-                let mut next = seq + 1;
-                let mut floor = ts;
-                while let Some(parked) = st.floor_ahead.remove(&next) {
-                    floor = floor.max(parked);
-                    next += 1;
-                }
-                st.floor_expected = Some(next);
-                drop(st);
-                self.advance_floor(floor);
-            }
-            // An older (duplicate) floor teaches nothing new; ignore.
-            Some(e) if seq < e => {}
-            // Ahead of a missing floor: wait for it, the envelope may only
-            // have been overtaken.
-            Some(_) if !skip_durability && st.floor_ahead.len() < FLOOR_AHEAD_MAX => {
-                st.floor_ahead.insert(seq, ts);
-            }
-            // Gap: an envelope this floor covers never arrived. Keep
-            // applying data, but freeze the watermark until an
-            // `InstallLog` re-baselines the stream — unless the
-            // durability-skip fraud hook is on, in which case the replica
-            // pretends the gap never happened and splices blindly into
-            // the live stream. Its watermark then advances over commits
-            // it never recovered: exactly the bug the `lost_acked_write`
-            // checker exists to catch.
-            _ => {
-                if skip_durability {
-                    st.floor_expected = Some(seq + 1);
-                    drop(st);
-                    self.advance_floor(ts);
-                } else {
-                    st.floor_expected = None;
-                    st.floor_ahead.clear();
-                }
-            }
+        let trusted = w.trusted.is_some();
+        let floor = w.offer(from.node, seq, ts);
+        let lost = trusted && w.trusted.is_none();
+        drop(st);
+        self.advance_floor(floor);
+        if lost {
+            self.pull();
         }
     }
 
-    /// Advances a backup's applied watermark to an accepted floor and makes
-    /// the promise durable: a cold restart rehydrates its floor tracker
-    /// from the mount scan's recovered floor (the max over intact page OOB
-    /// stamps).
-    fn advance_floor(&self, ts: Timestamp) {
-        if ts < Timestamp::MAX {
+    /// Advances the applied watermark to an accepted floor (a backup's from
+    /// its window, a primary's from its own tracker) and makes the promise
+    /// durable: the floor is stamped into every later flash page program,
+    /// and a cold restart rehydrates its floor tracker from the mount
+    /// scan's recovered floor (the max over intact page OOB stamps). An
+    /// empty tracker's MAX advances nothing.
+    fn advance_floor(&self, floor: Option<Timestamp>) {
+        if let Some(ts) = floor.filter(|&ts| ts < Timestamp::MAX) {
             self.table.borrow_mut().advance_applied_watermark(ts);
             self.core.backend.note_floor(ts);
         }
+    }
+
+    /// Backup: the floor stream no longer backs the local chains (a hole
+    /// outlived the window, or a store write failed). Pull what is missing
+    /// with the cold-restart sweep, whose splice trusts the stream again.
+    fn pull(&self) {
+        let me = self.clone();
+        self.core
+            .handle
+            .spawn_on(self.cfg.addr.node, async move { me.catch_up().await });
     }
 
     /// Serves a [`TxnRequest::GetAny`]. Any live replica may (backups too):
@@ -1514,7 +1534,7 @@ impl TxnServer {
                     }
                 }
             }
-            self.apply_committed(&record).await;
+            let _ = self.apply_committed(&record).await;
             self.stats.borrow_mut().commits += 1;
         } else {
             self.stats.borrow_mut().aborts += 1;
@@ -1545,23 +1565,32 @@ impl TxnServer {
             }
         };
         if let (Some(record), true) = (record, commit) {
-            self.apply_committed(&record).await;
+            let _ = self.apply_committed(&record).await;
         }
     }
 
     /// Applies a committed record's writes to local storage (idempotent:
-    /// the backend rejects duplicate versions) and marks it applied — also
-    /// when the write failed, which only `apply_failures` records.
-    async fn apply_committed(&self, r: &TxnRecord) {
+    /// the backend rejects duplicate versions) and marks it applied. A
+    /// failed write leaves it unapplied and counts in `apply_failures`; on a
+    /// backup it also distrusts the floor stream, and the catch-up sweep
+    /// that pulls retries the record.
+    async fn apply_committed(&self, r: &TxnRecord) -> Result<(), StoreError> {
         let applied = self
             .core
             .backend
             .apply_batch_unordered(r.stamped_writes())
             .await;
-        if applied.is_err() {
+        if applied.is_ok() {
+            self.table.borrow_mut().mark_applied(r.txid);
+        } else {
             self.stats.borrow_mut().apply_failures += 1;
+            let mut st = self.state.borrow_mut();
+            if !st.is_primary && st.floor.trusted.take().is_some() {
+                drop(st);
+                self.pull();
+            }
         }
-        self.table.borrow_mut().mark_applied(r.txid);
+        applied
     }
 
     /// Cooperative Termination Protocol (§4.5): resolve prepared
@@ -1691,7 +1720,7 @@ impl TxnServer {
             table.records_where(|r| r.status == TxnStatus::Committed && !table.is_applied(r.txid))
         };
         for r in committed {
-            self.apply_committed(&r).await;
+            let _ = self.apply_committed(&r).await;
         }
         // 4. Rebuild volatile key metadata from the merged table.
         self.table.borrow_mut().rebuild_key_meta();
@@ -1752,9 +1781,7 @@ impl TxnServer {
         // fence against an empty tracker and could accept a straggler
         // prepare below an `AppliedFloor` other backups already served
         // reads against.
-        if report.floor > Timestamp::ZERO {
-            self.state.borrow_mut().floors.rehydrate(report.floor);
-        }
+        self.state.borrow_mut().floors.rehydrate(report.floor);
         if self.cfg.tuning.fraud.get() == Fraud::SkipDurability {
             // Fault-injection hook (`--inject durability-skip`): trust the
             // mounted state as-is — no anti-entropy, the stale durable
@@ -1763,18 +1790,15 @@ impl TxnServer {
             // `accept_floor`) as if the gap never happened. Commits acked
             // while this replica was down are silently missing; the
             // campaign checkers must catch the fraud.
-            if report.floor > Timestamp::ZERO {
-                self.table
-                    .borrow_mut()
-                    .advance_applied_watermark(report.floor);
-            }
+            self.advance_floor(Some(report.floor));
             let primary = self
                 .map
                 .borrow()
                 .group_opt(self.cfg.shard)
                 .map(|g| g.primary);
             if let Some(p) = primary {
-                self.state.borrow_mut().floor_primary = Some(p.node);
+                let floor = self.state.borrow_mut().floor.rebase(p.node, 0);
+                self.advance_floor(floor);
             }
             let serving = {
                 let mut st = self.state.borrow_mut();
@@ -1814,18 +1838,23 @@ impl TxnServer {
 
     /// Anti-entropy catch-up: a cursored sweep of the current primary's
     /// transaction table, installing every record and applying committed
-    /// writes the mounted storage is missing (idempotent — the backend
-    /// rejects duplicate versions). Commits decided *during* the sweep
-    /// arrive through the live replication stream, which this replica has
-    /// been receiving since its node revived; the final page's `floor_seq`
-    /// splices the floor stream so the applied watermark resumes with the
-    /// next contiguous envelope. Deliberately conservative: the fetched
-    /// floor itself never advances the applied watermark, because
-    /// envelopes below the splice point may still be in flight with
-    /// outcomes that floor claims to cover.
+    /// writes this replica is missing (idempotent — the backend rejects
+    /// duplicate versions). It runs after a cold restart, and whenever a
+    /// backup's floor stream stops backing its chains (a lost envelope or a
+    /// failed store write, see [`TxnServer::pull`]). Commits decided
+    /// *during* the sweep arrive through the live replication stream, whose
+    /// floors wait in the untrusted window; the final page's `floor_seq`
+    /// splices the stream there: the window is rebased at that seq and
+    /// drains the floors that arrived since. The fetched floor itself never
+    /// advances the applied watermark, because envelopes below the splice
+    /// point may still be in flight with outcomes that floor claims to
+    /// cover. A sweep in which a store write failed leaves the stream
+    /// untrusted, so the watermark stops instead of claiming chains it
+    /// cannot back.
     async fn catch_up(&self) {
         let keys_ctr = self.cfg.tuning.obs.registry.counter("catchup_keys");
         let limit = self.cfg.tuning.catchup_batch.max(1) as u64;
+        let failures = self.stats.borrow().apply_failures;
         let mut cursor: Option<TxnId> = None;
         let mut fetched = 0u64;
         loop {
@@ -1836,88 +1865,57 @@ impl TxnServer {
                 .map
                 .borrow()
                 .group_opt(self.cfg.shard)
-                .map(|g| g.primary);
-            let primary = match primary {
-                Some(p) if p != self.cfg.addr && !self.core.handle.is_dead(p.node) => p,
-                // No reachable primary right now (mid-failover); wait for
-                // the map to settle and retry.
-                _ => {
-                    self.core.handle.sleep(REPL_TIMEOUT).await;
-                    continue;
+                .map(|g| g.primary)
+                .filter(|p| *p != self.cfg.addr && !self.core.handle.is_dead(p.node));
+            let page = match primary {
+                Some(p) => {
+                    let fetch = TxnRequest::CatchUpFetch { cursor, limit };
+                    let rpc = &self.core.rpc;
+                    rpc.call::<TxnRequest, TxnResponse>(p, fetch, REPL_TIMEOUT * 4)
+                        .await
                 }
+                None => Err(simkit::rpc::RpcError::Timeout),
             };
-            match self
-                .core
-                .rpc
-                .call::<TxnRequest, TxnResponse>(
-                    primary,
-                    TxnRequest::CatchUpFetch { cursor, limit },
-                    REPL_TIMEOUT * 4,
-                )
-                .await
-            {
+            let (
+                Some(primary),
                 Ok(TxnResponse::CatchUpRecords {
                     records,
                     next,
                     floor_seq,
                     floor,
-                }) => {
-                    for r in records {
-                        let applied = self.catchup_install(r).await;
-                        fetched += applied;
-                        keys_ctr.add(applied);
-                    }
-                    self.recovery_step(obskit::RecoveryPhase::CatchUp, fetched);
-                    match next {
-                        Some(c) => cursor = Some(c),
-                        None => {
-                            {
-                                let mut st = self.state.borrow_mut();
-                                if st.is_primary {
-                                    return;
-                                }
-                                // Splice into the live floor stream. Keep a
-                                // further-along position if this stream's
-                                // envelopes already advanced it (an
-                                // `InstallLog` may have re-baselined us
-                                // mid-sweep).
-                                let same = st.floor_primary == Some(primary.node);
-                                if !(same && st.floor_expected.is_some_and(|e| e >= floor_seq)) {
-                                    // Resume after floors that streamed in
-                                    // mid-sweep (their data arrived live;
-                                    // only the floor metadata was dropped
-                                    // while no stream was trusted) — but
-                                    // only when the run reaches back to the
-                                    // sampled position; a disjoint run
-                                    // means envelopes were really lost.
-                                    let resume = match st.floor_runs.get(&primary.node) {
-                                        Some(&(start, next)) if start <= floor_seq => {
-                                            next.max(floor_seq)
-                                        }
-                                        _ => floor_seq,
-                                    };
-                                    st.floor_expected = Some(resume);
-                                }
-                                st.floor_primary = Some(primary.node);
-                                st.floor_ahead.clear();
-                                st.floor_runs.clear();
-                                if floor > Timestamp::ZERO {
-                                    st.floors.rehydrate(floor);
-                                }
-                            }
-                            if floor > Timestamp::ZERO {
-                                self.core.backend.note_floor(floor);
-                            }
-                            return;
-                        }
-                    }
-                }
-                // Primary mid-promotion (NotReady), deposed, or
-                // unreachable: re-resolve from the shared map and retry.
-                Ok(_) | Err(_) => {
-                    self.core.handle.sleep(REPL_TIMEOUT).await;
-                }
+                }),
+            ) = (primary, page)
+            else {
+                // No reachable primary right now (mid-failover), or it is
+                // mid-promotion (NotReady), deposed or unreachable: wait
+                // for the map to settle, re-resolve and retry.
+                self.core.handle.sleep(REPL_TIMEOUT).await;
+                continue;
+            };
+            for r in records {
+                let applied = self.catchup_install(r).await;
+                fetched += applied;
+                keys_ctr.add(applied);
             }
+            self.recovery_step(obskit::RecoveryPhase::CatchUp, fetched);
+            if next.is_some() {
+                cursor = next;
+                continue;
+            }
+            let healed = self.stats.borrow().apply_failures == failures;
+            let mut st = self.state.borrow_mut();
+            if st.is_primary {
+                return;
+            }
+            st.floors.rehydrate(floor);
+            self.core.backend.note_floor(floor);
+            // An `InstallLog` may have trusted a stream mid-sweep; keep it.
+            if healed && st.floor.trusted.is_none() {
+                let drained = st.floor.rebase(primary.node, floor_seq);
+                drop(st);
+                self.advance_floor(drained);
+            }
+            return;
         }
     }
 
@@ -1934,7 +1932,7 @@ impl TxnServer {
         if !apply {
             return 0;
         }
-        self.apply_committed(&r).await;
-        r.writes.len() as u64
+        let applied = self.apply_committed(&r).await;
+        applied.map_or(0, |()| r.writes.len() as u64)
     }
 }

@@ -9,7 +9,7 @@ use timesync::{ClientId, ClockSpec, Timestamp};
 
 use crate::client::{TxnOpts, ValidationMode};
 use crate::cluster::{MilanaCluster, MilanaClusterConfig};
-use crate::msg::{AbortReason, TxnError, TxnId, TxnRequest, TxnResponse};
+use crate::msg::{AbortReason, TxnError, TxnId, TxnRecord, TxnRequest, TxnResponse, TxnStatus};
 use crate::server::{CTP_AFTER, CTP_SCAN_EVERY};
 
 fn nand() -> NandConfig {
@@ -1226,16 +1226,23 @@ fn a_request_gets_the_same_reply_alone_or_batched() {
     });
 }
 
+/// A 1-shard cluster with no clients and no gossip: the primary flushes
+/// nothing on its own, so its floor stream stays at seq 0 and only the
+/// floors a test casts reach the backups.
+fn quiet_shard(h: &simkit::SimHandle) -> MilanaCluster {
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.clients = 0;
+    cfg.tuning.gossip_every = None;
+    MilanaCluster::build(h, cfg)
+}
+
 #[test]
 fn a_backup_advances_its_watermark_over_two_swapped_floors() {
     let mut sim = Sim::new(77);
     let h = sim.handle();
     let hh = h.clone();
-    let mut cfg = base_cfg();
-    cfg.shards = 1;
-    cfg.clients = 0;
-    cfg.tuning.gossip_every = None;
-    let cluster = MilanaCluster::build(&h, cfg);
+    let cluster = quiet_shard(&h);
     sim.block_on(async move {
         // With no clients and no gossip the primary streams no floors; send
         // its stream's first two by hand, from its node, second one first.
@@ -1256,6 +1263,84 @@ fn a_backup_advances_its_watermark_over_two_swapped_floors() {
 }
 
 #[test]
+fn a_cold_restarted_backup_splices_over_floors_swapped_mid_sweep() {
+    let mut sim = Sim::new(78);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cluster = quiet_shard(&h);
+    cluster.power_fail_replica(ShardId(0), 1);
+    cluster.restart_replica_cold(ShardId(0), 1);
+    sim.block_on(async move {
+        // While the backup sweeps, the primary's first two floors arrive
+        // swapped. The sweep's `floor_seq` is 0, so the splice must take
+        // both.
+        let primary = cluster.replicas[0][0].addr;
+        let backup = &cluster.replicas[0][1];
+        let from_primary = simkit::rpc::RpcClient::new(&hh, primary.node, 77);
+        for (seq, ts) in [(1, Timestamp(200)), (0, Timestamp(100))] {
+            from_primary.cast(backup.addr, TxnRequest::AppliedFloor { seq, ts });
+            hh.sleep(Duration::from_micros(100)).await;
+        }
+        assert!(!backup.server.is_serving(), "the floors arrived mid-sweep");
+        hh.sleep(Duration::from_millis(50)).await;
+        assert!(backup.server.is_serving());
+        let wm = backup.server.table().borrow().applied_watermark();
+        assert_eq!(wm, Timestamp(200), "the splice drained both floors");
+    });
+}
+
+#[test]
+fn a_backup_pulls_past_a_lost_floor_with_no_install_log() {
+    let mut sim = Sim::new(79);
+    let h = sim.handle();
+    let hh = h.clone();
+    let cluster = quiet_shard(&h);
+    sim.block_on(async move {
+        let primary = &cluster.replicas[0][0];
+        let backup = &cluster.replicas[0][1];
+        // The lost envelope held a commit: the primary has it, the backup
+        // never saw it.
+        let record = TxnRecord {
+            txid: TxnId {
+                client: ClientId(9),
+                seq: 1,
+            },
+            ts_commit: Timestamp(50),
+            writes: vec![(k(5), value(&b"pulled"[..]))].into(),
+            participants: vec![ShardId(0)].into(),
+            status: TxnStatus::Committed,
+        };
+        primary.server.table().borrow_mut().install(record.clone());
+        let stored = primary.server.backend();
+        stored
+            .apply_batch_unordered(record.stamped_writes())
+            .await
+            .unwrap();
+        // One floor more than the window holds, behind a seq 0 never sent.
+        let from_primary = simkit::rpc::RpcClient::new(&hh, primary.addr.node, 77);
+        for seq in 1..=65 {
+            let ts = Timestamp(100 * seq);
+            from_primary.cast(backup.addr, TxnRequest::AppliedFloor { seq, ts });
+        }
+        hh.sleep(Duration::from_millis(50)).await;
+        // The primary has flushed nothing, so the splice resumed the window
+        // at its seq 0; the primary's next flush carries that floor.
+        let (rpc, ts) = (&cluster.master_rpc, Timestamp(1_000));
+        let client = ClientId(9);
+        rpc.cast(primary.addr, TxnRequest::FloorReport { client, ts });
+        let vote = rpc
+            .call::<TxnRequest, TxnResponse>(primary.addr, prepare(2, 6), ENVELOPE_TIMEOUT)
+            .await
+            .unwrap();
+        assert!(matches!(vote, TxnResponse::Vote { ok: true }), "{vote:?}");
+        hh.sleep(Duration::from_millis(5)).await;
+        assert_eq!(backup.server.table().borrow().applied_watermark(), ts);
+        let newest = |s: &crate::server::TxnServer| s.backend().latest_version(&k(5));
+        assert_eq!(newest(&backup.server), newest(&primary.server), "pulled");
+    });
+}
+
+#[test]
 fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
     let mut sim = Sim::new(75);
     let h = sim.handle();
@@ -1267,33 +1352,71 @@ fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
         pages_per_block: 8,
         ..NandConfig::default()
     };
+    cfg.client_cfg.watermark_interval = Duration::from_millis(2);
     let cluster = MilanaCluster::build(&h, cfg);
     sim.block_on(async move {
-        // Fill one backup's device with live single-version tuples, which
-        // garbage collection cannot free.
-        let backup = &cluster.replicas[0][1].server;
-        let stamp = timesync::Version::new(Timestamp(1), ClientId(99));
-        let mut i = 1_000_000u64;
-        while backup
-            .backend()
-            .apply_batch_unordered(vec![(k(i), value(vec![7u8; 400]), stamp)])
-            .await
-            .is_ok()
-        {
-            i += 1;
+        // Keep one backup's device full: one live single-version tuple per
+        // page, which garbage collection can neither prune nor compact.
+        // Whatever it still reclaims is taken again within 100 µs.
+        async fn fill(store: &flashsim::Backend, next: &mut u64) {
+            let stamp = timesync::Version::new(Timestamp(1), ClientId(99));
+            while store
+                .apply_batch_unordered(vec![(k(*next), value(vec![7u8; 3_000]), stamp)])
+                .await
+                .is_ok()
+            {
+                *next += 1;
+            }
         }
-        let mut t = cluster.clients[0].begin_with(TxnOpts::default());
-        let _ = t.get(&k(1)).await.unwrap();
-        t.put(k(1), value(&b"lost on one backup"[..]));
-        t.commit().await.unwrap();
+        let backup = cluster.replicas[0][1].server.clone();
+        let store = backup.backend().clone();
+        let mut next = 1_000_000u64;
+        fill(&store, &mut next).await;
+        let hh2 = hh.clone();
+        hh.spawn(async move {
+            loop {
+                hh2.sleep(Duration::from_micros(100)).await;
+                fill(&store, &mut next).await;
+            }
+        });
         hh.sleep(Duration::from_millis(20)).await;
-        // The backup marked the commit applied, but its write failed; only
-        // the counter shows it.
-        assert_eq!(backup.stats().apply_failures, 1);
+        let c = &cluster.clients[0];
+        let commit = |key: u64| async move {
+            let mut t = c.begin_with(TxnOpts::default());
+            t.put(k(key), value(&b"lost on one backup"[..]));
+            t.commit().await.unwrap().ts_commit.unwrap()
+        };
+        let ts = commit(5_000).await;
+        hh.sleep(Duration::from_millis(20)).await;
+        // The live apply failed, and so did the catch-up sweep's retry:
+        // the record stays unapplied, and the watermark never covered it.
+        assert_eq!(backup.stats().apply_failures, 2);
+        let record = backup.table().borrow().records_where(|r| r.ts_commit == ts);
+        assert_eq!(record[0].status, TxnStatus::Committed);
+        assert!(!backup.table().borrow().is_applied(record[0].txid));
+        let wm = |s: &crate::server::TxnServer| s.table().borrow().applied_watermark();
+        let stopped = wm(&backup);
+        assert!(stopped < ts, "{stopped:?} covers the lost write at {ts:?}");
+        // Later commits fail here too; the other backup's watermark moves
+        // past them, this one's stays where it stopped, and no sweep loops.
+        for key in 5_001..5_005 {
+            commit(key).await;
+        }
+        hh.sleep(Duration::from_millis(100)).await;
+        let other = &cluster.replicas[0][2].server;
+        assert!(wm(other) > ts, "{:?}", wm(other));
+        assert_eq!(wm(&backup), stopped);
+        let failures = backup.stats().apply_failures;
+        hh.sleep(Duration::from_millis(200)).await;
+        assert_eq!(backup.stats().apply_failures, failures);
         let primary = &cluster.replicas[0][0].server;
-        let newest = |s: &crate::server::TxnServer| s.backend().latest_version(&k(1));
-        assert_ne!(newest(backup), newest(primary), "the backup lost the write");
+        let newest = |s: &crate::server::TxnServer| s.backend().latest_version(&k(5_000));
+        assert_ne!(
+            newest(&backup),
+            newest(primary),
+            "the backup lost the write"
+        );
         assert_eq!(primary.stats().apply_failures, 0);
-        assert_eq!(cluster.replicas[0][2].server.stats().apply_failures, 0);
+        assert_eq!(other.stats().apply_failures, 0);
     });
 }
