@@ -242,16 +242,6 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
         })
     }
 
-    /// The configured knobs (after clamping `batch_max >= 1`).
-    pub fn config(&self) -> BatchConfig {
-        self.shared.cfg
-    }
-
-    /// Number of items currently waiting for a flush.
-    pub fn pending(&self) -> usize {
-        self.shared.pending.borrow().items.len()
-    }
-
     /// Enqueues `item` and resolves to its per-item result once the batch
     /// it lands in has flushed. `None` means the flush produced no result
     /// for this item (callback arity mismatch, or the batcher's node died)

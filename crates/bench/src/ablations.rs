@@ -30,7 +30,7 @@ use crate::table1::{self, Table1Config};
 use crate::{testbed, Outcome};
 
 /// `repro ablations`: all five, a blank line between their tables.
-pub fn repro(_: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running ablations at {scale:?} scale ...\n");
     let replication = run_replication(scale);
     println!();
@@ -57,15 +57,15 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
 
 /// One measured point of the replication ablation.
 #[derive(Debug, Clone)]
-pub struct ReplPoint {
+pub(crate) struct ReplPoint {
     /// Replication discipline.
-    pub mode: &'static str,
+    pub(crate) mode: &'static str,
     /// One-way network jitter (std), µs.
-    pub jitter_us: u64,
+    pub(crate) jitter_us: u64,
     /// Mean SEMEL put latency, µs.
-    pub mean_us: f64,
+    pub(crate) mean_us: f64,
     /// 99th-percentile put latency, µs.
-    pub p99_us: f64,
+    pub(crate) p99_us: f64,
 }
 
 fn run_repl_point(mode: ReplicationMode, jitter_us: u64, seed: u64, scale: Scale) -> ReplPoint {
@@ -132,7 +132,7 @@ fn run_repl_point(mode: ReplicationMode, jitter_us: u64, seed: u64, scale: Scale
 
 /// Runs and prints the replication-ordering ablation; returns its JSON
 /// payload.
-pub fn run_replication(scale: Scale) -> Json {
+pub(crate) fn run_replication(scale: Scale) -> Json {
     println!("Ablation: inconsistent (SEMEL §3.2) vs ordered replication — put latency");
     println!(
         "{:>14} {:>10} {:>12} {:>12}",
@@ -189,7 +189,7 @@ pub fn run_replication(scale: Scale) -> Json {
 /// Runs and prints the clock-spectrum ablation (extends Figure 7);
 /// returns its JSON payload with the full abort-reason breakdown per
 /// discipline.
-pub fn run_clocks(scale: Scale) -> Json {
+pub(crate) fn run_clocks(scale: Scale) -> Json {
     println!("Ablation: clock-discipline spectrum — MILANA abort rate (%), MFTL backend");
     let alphas: Vec<f64> = match scale {
         Scale::Quick => vec![0.5, 0.7, 0.9],
@@ -260,7 +260,7 @@ fn print_lines(cells: Vec<(String, Json)>) -> Vec<Json> {
 
 /// Runs and prints the mapping-residency ablation; returns its JSON
 /// payload.
-pub fn run_dftl(scale: Scale) -> Json {
+pub(crate) fn run_dftl(scale: Scale) -> Json {
     println!("Ablation: mapping-table residency (§3.1 future work, DFTL-style paging)");
     println!(
         "{:>12} {:>10} {:>12} {:>14}",
@@ -357,7 +357,7 @@ pub fn run_dftl(scale: Scale) -> Json {
 /// Runs and prints the packing-window ablation: the paper's 1 ms packer
 /// delay is "tunable" (§5); this sweep shows the latency/efficiency
 /// trade-off it controls. Returns its JSON payload.
-pub fn run_packing(scale: Scale) -> Json {
+pub(crate) fn run_packing(scale: Scale) -> Json {
     println!("Ablation: packing window sweep — MFTL, 75% get / 25% put");
     println!(
         "{:>10} {:>10} {:>12} {:>12} {:>14}",
@@ -430,7 +430,7 @@ pub fn run_packing(scale: Scale) -> Json {
 /// closed-loop Figure 8, this exposes queueing delay as offered load
 /// approaches saturation, with and without local validation. Returns its
 /// JSON payload.
-pub fn run_open_loop(scale: Scale) -> Json {
+pub(crate) fn run_open_loop(scale: Scale) -> Json {
     println!("Ablation: open-loop latency vs offered load — MFTL, 75% read-only");
     println!(
         "{:>10} {:>4} {:>12} {:>12} {:>12} {:>10}",

@@ -28,7 +28,7 @@ use crate::common::Scale;
 
 /// Current artifact schema version. Bump when an experiment's payload
 /// shape changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Wraps an experiment payload in the standard envelope.
 pub fn envelope(experiment: &str, scale: Scale, payload: Json) -> Json {

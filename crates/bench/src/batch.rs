@@ -41,27 +41,27 @@ const SLACK_US: u64 = 300;
 /// One measured `batch_max` setting.
 pub struct BatchPoint {
     /// Coalescing limit under test.
-    pub batch_max: usize,
+    pub(crate) batch_max: usize,
     /// Open-loop arrivals inside the measurement window.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Commits inside the window.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Aborts inside the window.
-    pub aborts: u64,
+    pub(crate) aborts: u64,
     /// All commits (including warm-up / drain), for per-commit rates.
-    pub total_commits: u64,
+    pub(crate) total_commits: u64,
     /// Replication envelopes sent by all replicas.
-    pub repl_envelopes: u64,
+    pub(crate) repl_envelopes: u64,
     /// Replication records carried by those envelopes.
-    pub repl_records: u64,
+    pub(crate) repl_records: u64,
     /// Coordinator envelopes sent by all clients.
-    pub coord_envelopes: u64,
+    pub(crate) coord_envelopes: u64,
     /// Coordinator requests carried by those envelopes.
-    pub coord_items: u64,
+    pub(crate) coord_items: u64,
     /// Median commit latency, µs.
-    pub p50_us: u64,
+    pub(crate) p50_us: u64,
     /// Tail commit latency, µs.
-    pub p99_us: u64,
+    pub(crate) p99_us: u64,
 }
 
 fn pct(sorted: &[u64], p: f64) -> u64 {
@@ -85,7 +85,7 @@ pub struct BatchSweepConfig {
 
 impl BatchSweepConfig {
     /// Derives from the global scale knob.
-    pub fn for_scale(scale: Scale) -> BatchSweepConfig {
+    pub(crate) fn for_scale(scale: Scale) -> BatchSweepConfig {
         let (keyspace, warmup, measure) = match scale {
             Scale::Quick => (4_000, Duration::from_millis(50), Duration::from_millis(250)),
             Scale::Full => (20_000, Duration::from_millis(200), Duration::from_secs(2)),
@@ -206,7 +206,7 @@ fn env_per_commit(p: &BatchPoint) -> f64 {
 }
 
 /// `repro batch`.
-pub fn repro(args: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let seed = args.last_or("--seed", 1u64);
     eprintln!(
         "batch sweep: seed {seed}, 4 clients x {}/s, deadline {} us ...",
@@ -229,21 +229,21 @@ pub fn run(cfg: &BatchSweepConfig, seed: u64) -> Vec<BatchPoint> {
 }
 
 /// Acceptance verdicts; see the module docs.
-pub struct BatchChecks {
+pub(crate) struct BatchChecks {
     /// Envelope-per-commit reduction, baseline / batch 16.
-    pub reduction: f64,
+    pub(crate) reduction: f64,
     /// p99 bound: baseline p99 + two flush windows + slack.
-    pub bound_us: u64,
+    pub(crate) bound_us: u64,
     /// `batch_max = 16` p99, for reporting.
-    pub best_p99_us: u64,
+    pub(crate) best_p99_us: u64,
     /// Reduction at least 2x.
-    pub reduction_ok: bool,
+    pub(crate) reduction_ok: bool,
     /// p99 within the bound.
-    pub latency_ok: bool,
+    pub(crate) latency_ok: bool,
 }
 
 /// Evaluates the acceptance checks over a finished sweep.
-pub fn checks(points: &[BatchPoint]) -> BatchChecks {
+pub(crate) fn checks(points: &[BatchPoint]) -> BatchChecks {
     let base = points.iter().find(|p| p.batch_max == 1).expect("baseline");
     let best = points.iter().find(|p| p.batch_max == 16).expect("batch 16");
     let reduction = env_per_commit(base) / env_per_commit(best);
@@ -258,7 +258,7 @@ pub fn checks(points: &[BatchPoint]) -> BatchChecks {
 }
 
 /// Prints the sweep table and the acceptance verdicts.
-pub fn print(points: &[BatchPoint]) {
+pub(crate) fn print(points: &[BatchPoint]) {
     println!(
         "{:>9} {:>8} {:>8} {:>7} {:>9} {:>9} {:>10} {:>9} {:>8} {:>8}",
         "batch_max",
@@ -349,7 +349,7 @@ pub fn to_json(points: &[BatchPoint], seed: u64) -> Json {
 }
 
 /// True when every acceptance check passed.
-pub fn ok(points: &[BatchPoint]) -> bool {
+pub(crate) fn ok(points: &[BatchPoint]) -> bool {
     let c = checks(points);
     c.reduction_ok && c.latency_ok
 }

@@ -25,7 +25,7 @@ use crate::common::{Args, Scale};
 use crate::Outcome;
 
 /// `repro chaos`.
-pub fn repro(args: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let (n_seeds, faults) = match scale {
         Scale::Quick => (3u64, 50usize),
         Scale::Full => (8, 200),

@@ -36,7 +36,7 @@ use crate::common::{clock_spectrum, run_retwis, run_retwis_on_milana, verdict, A
 use crate::{testbed, Outcome};
 
 /// Paired runs averaged per sweep point.
-pub const SUB_SEEDS: u64 = 3;
+pub(crate) const SUB_SEEDS: u64 = 3;
 
 /// Knobs for one `repro clockfault` run.
 pub struct ClockFaultConfig {
@@ -54,7 +54,7 @@ pub struct ClockFaultConfig {
 
 impl ClockFaultConfig {
     /// Defaults for the given scale.
-    pub fn for_scale(scale: Scale) -> ClockFaultConfig {
+    pub(crate) fn for_scale(scale: Scale) -> ClockFaultConfig {
         let faults = match scale {
             Scale::Quick => 12,
             Scale::Full => 32,
@@ -70,7 +70,7 @@ impl ClockFaultConfig {
     /// The campaign's clock-health tuning: a 1 ms future ceiling, tight
     /// enough that the multi-millisecond steps and jumps the plan injects
     /// are decidedly outside the promised window.
-    pub fn campaign_health() -> clockkit::ClockHealthConfig {
+    pub(crate) fn campaign_health() -> clockkit::ClockHealthConfig {
         clockkit::ClockHealthConfig {
             max_future_ns: 1_000_000,
         }
@@ -78,7 +78,7 @@ impl ClockFaultConfig {
 }
 
 /// `repro clockfault`.
-pub fn repro(args: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let mut cfg = ClockFaultConfig::for_scale(scale);
     cfg.seed = args.last_or("--seed", cfg.seed);
     cfg.fraud = args.fraud(&["uncertainty-skip"]);
@@ -107,23 +107,23 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
 
 /// One point of the skew sweep: a discipline's average abort behaviour.
 #[derive(Debug, Clone)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Discipline label.
-    pub clock: &'static str,
+    pub(crate) clock: &'static str,
     /// Expected mean pairwise skew under this discipline (ns).
-    pub skew_ns: u64,
+    pub(crate) skew_ns: u64,
     /// Abort rate averaged over the sub-seeds.
-    pub abort_rate: f64,
+    pub(crate) abort_rate: f64,
     /// Commits summed over the sub-seeds.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Clock-suspect refusals summed over the sub-seeds (honest clocks
     /// should rarely trip the fence).
-    pub suspects: u64,
+    pub(crate) suspects: u64,
 }
 
 impl SweepPoint {
     /// Deterministic JSON for the artifact.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj()
             .field("clock", Json::str(self.clock))
             .field("skew_ns", Json::U64(self.skew_ns))
@@ -135,24 +135,24 @@ impl SweepPoint {
 
 /// Outcome of the fence-and-recover degradation leg.
 #[derive(Debug, Clone)]
-pub struct Degradation {
+pub(crate) struct Degradation {
     /// Goodput of the clean twin (commits/s of virtual time).
-    pub clean_goodput: f64,
+    pub(crate) clean_goodput: f64,
     /// Goodput with one broken-clock client, post-fence.
-    pub degraded_goodput: f64,
+    pub(crate) degraded_goodput: f64,
     /// `degraded_goodput / clean_goodput`.
-    pub recovery_ratio: f64,
+    pub(crate) recovery_ratio: f64,
     /// Clients fenced in the degraded run (must be ≥ 1).
-    pub fences: u64,
+    pub(crate) fences: u64,
     /// Clock-suspect refusals in the degraded run.
-    pub suspects: u64,
+    pub(crate) suspects: u64,
     /// Clients fenced in the clean run (must be 0).
-    pub clean_fences: u64,
+    pub(crate) clean_fences: u64,
 }
 
 impl Degradation {
     /// Deterministic JSON for the artifact.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj()
             .field("clean_goodput", Json::F64(self.clean_goodput))
             .field("degraded_goodput", Json::F64(self.degraded_goodput))
@@ -164,7 +164,7 @@ impl Degradation {
 
     /// The fence did its job: the broken client was cut off and the rest
     /// of the cluster kept ≥ 80 % of clean goodput.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.fences >= 1 && self.clean_fences == 0 && self.recovery_ratio >= 0.80
     }
 }
@@ -191,7 +191,7 @@ fn suspects_and_fences(cluster: &MilanaCluster) -> (u64, u64) {
 
 /// Runs the skew sweep: abort rate per discipline with health tracking on,
 /// [`SUB_SEEDS`] paired runs each.
-pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
+pub(crate) fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
     let mut items = Vec::new();
     for (discipline, name) in clock_spectrum() {
         for sub in 0..SUB_SEEDS {
@@ -247,7 +247,7 @@ pub fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
 
 /// The sweep curve is skew-ordered: abort rate never decreases as sync
 /// quality degrades, and NTP is strictly worse than Perfect.
-pub fn sweep_ordered(points: &[SweepPoint]) -> bool {
+pub(crate) fn sweep_ordered(points: &[SweepPoint]) -> bool {
     points
         .windows(2)
         .all(|w| w[0].abort_rate <= w[1].abort_rate)
@@ -286,7 +286,7 @@ fn degradation_run(cfg: &ClockFaultConfig, break_client: bool) -> (f64, u64, u64
 /// Runs the degradation leg: a clean run and a broken-clock twin on the
 /// same seed. The broken client must be fenced during warmup and the
 /// measured goodput must recover to ≥ 80 % of clean.
-pub fn run_degradation(cfg: &ClockFaultConfig) -> Degradation {
+pub(crate) fn run_degradation(cfg: &ClockFaultConfig) -> Degradation {
     // The clean and broken twins are independent sims; run both sides on
     // the worker pool.
     let runs = perfkit::pool::run_ordered_auto(vec![false, true], |b| degradation_run(cfg, b));
@@ -308,7 +308,7 @@ pub fn run_degradation(cfg: &ClockFaultConfig) -> Degradation {
 
 /// Runs the clock-fault campaign leg: nemesis-driven steps, drift, and
 /// holdover jumps with the checker holding commits to the promised ε.
-pub fn run_fault_campaign(cfg: &ClockFaultConfig) -> CampaignReport {
+pub(crate) fn run_fault_campaign(cfg: &ClockFaultConfig) -> CampaignReport {
     let health = ClockFaultConfig::campaign_health();
     let eps = health.promised_epsilon_ns();
     run_campaign(&CampaignConfig {
@@ -324,7 +324,7 @@ pub fn run_fault_campaign(cfg: &ClockFaultConfig) -> CampaignReport {
 
 /// True when the fraud was caught: some seed's checker flagged a
 /// `clock_bound_breach`.
-pub fn fraud_caught(campaign: &CampaignReport) -> bool {
+pub(crate) fn fraud_caught(campaign: &CampaignReport) -> bool {
     campaign
         .outcomes
         .iter()
@@ -332,7 +332,7 @@ pub fn fraud_caught(campaign: &CampaignReport) -> bool {
 }
 
 /// Prints the sweep table and all three verdicts.
-pub fn print(
+pub(crate) fn print(
     cfg: &ClockFaultConfig,
     sweep: &[SweepPoint],
     degradation: &Degradation,
@@ -379,7 +379,7 @@ pub fn print(
 }
 
 /// Deterministic JSON payload for the artifact.
-pub fn to_json(
+pub(crate) fn to_json(
     cfg: &ClockFaultConfig,
     sweep: &[SweepPoint],
     degradation: &Degradation,
@@ -409,7 +409,7 @@ pub fn to_json(
 /// True when the run passes. Honest runs need the skew-ordered curve, a
 /// successful fence-and-recover, and a clean campaign; `--inject
 /// uncertainty-skip` runs need the checker to flag the breach.
-pub fn ok(
+pub(crate) fn ok(
     cfg: &ClockFaultConfig,
     sweep: &[SweepPoint],
     degradation: &Degradation,

@@ -49,7 +49,7 @@ impl Scale {
     }
 
     /// Measurement window of virtual time.
-    pub fn measure(&self) -> Duration {
+    pub(crate) fn measure(&self) -> Duration {
         match self {
             Scale::Quick => Duration::from_millis(1500),
             Scale::Full => Duration::from_secs(10),
@@ -139,7 +139,7 @@ impl Args {
     }
 
     /// Every value given for `flag`, in order.
-    pub fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+    pub(crate) fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
         self.own
             .iter()
             .filter(move |(f, _)| f == flag)
@@ -147,7 +147,7 @@ impl Args {
     }
 
     /// Every value given for `flag`, parsed; a malformed one exits 2.
-    pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Vec<T> {
+    pub(crate) fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Vec<T> {
         self.values(flag)
             .map(|v| {
                 v.parse().unwrap_or_else(|_| {
@@ -159,13 +159,13 @@ impl Args {
     }
 
     /// The last value given for `flag`, parsed, or `default`.
-    pub fn last_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+    pub(crate) fn last_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
         self.parsed(flag).pop().unwrap_or(default)
     }
 
     /// The server fraud `--inject` names, `Fraud::None` without one (chaos's
     /// `overload` is a plan, not a fraud); a value not in `known` exits 2.
-    pub fn fraud(&self, known: &[&str]) -> Fraud {
+    pub(crate) fn fraud(&self, known: &[&str]) -> Fraud {
         let mut fraud = Fraud::None;
         for what in self.values("--inject") {
             if !known.contains(&what) {
@@ -199,13 +199,13 @@ pub fn start_trace() {
 /// The observability bundle the experiment modules attach to every cluster
 /// they build on this thread. Tracing is disabled — recording costs nothing
 /// — unless [`start_trace`] ran first.
-pub fn run_obs() -> Obs {
+pub(crate) fn run_obs() -> Obs {
     TRACE_OBS.with(|slot| slot.borrow_mut().get_or_insert_with(Obs::new).clone())
 }
 
 /// Makes `jsonl` the trace [`dump_trace`] writes, for an experiment whose
 /// clusters trace into their own sinks (`repro chaos`: one per seed).
-pub fn pick_trace(jsonl: String) {
+pub(crate) fn pick_trace(jsonl: String) {
     TRACE_PICK.set(Some(jsonl));
 }
 
@@ -234,7 +234,7 @@ pub fn dump_trace(path: &Path) {
 /// Watermark maintenance for a bare store (the SEMEL client would drive
 /// this): every 10 ms, `set` the watermark 50 ms behind true time so
 /// superseded versions become collectible.
-pub fn trail_watermark(h: &SimHandle, set: impl Fn(Timestamp) + 'static) {
+pub(crate) fn trail_watermark(h: &SimHandle, set: impl Fn(Timestamp) + 'static) {
     let hh = h.clone();
     h.spawn(async move {
         loop {
@@ -245,7 +245,7 @@ pub fn trail_watermark(h: &SimHandle, set: impl Fn(Timestamp) + 'static) {
 }
 
 /// The clock-precision spectrum, best to worst, with table labels.
-pub fn clock_spectrum() -> [(Discipline, &'static str); 4] {
+pub(crate) fn clock_spectrum() -> [(Discipline, &'static str); 4] {
     [
         (Discipline::Perfect, "Perfect"),
         (Discipline::PtpHardware, "PTP-HW"),
@@ -256,7 +256,7 @@ pub fn clock_spectrum() -> [(Discipline, &'static str); 4] {
 
 /// The word a check prints next to its count: an honest run must come out
 /// `clean`, a run with a seeded `fraud` must not.
-pub fn verdict(fraud: Fraud, clean: bool) -> &'static str {
+pub(crate) fn verdict(fraud: Fraud, clean: bool) -> &'static str {
     match (fraud != Fraud::None, clean) {
         (false, true) => "ok",
         (false, false) => "FAILED",
@@ -277,13 +277,13 @@ pub struct Point<K> {
     /// The one number a sweep measures that `stats` cannot compute:
     /// Figure 6's mean of per-seed abort rates, Figure 9's fraction of
     /// read-only transactions validated locally. Zero in other sweeps.
-    pub extra: f64,
+    pub(crate) extra: f64,
 }
 
 impl<K> Point<K> {
     /// The point's artifact object: `fields` (its coordinates and rates,
     /// in order), then its abort-reason breakdown and latency percentiles.
-    pub fn to_json(&self, fields: Json) -> Json {
+    pub(crate) fn to_json(&self, fields: Json) -> Json {
         fields
             .field("abort_reasons", self.stats.abort_reasons_json())
             .field("latency_ns", self.stats.latency.summary_json())
@@ -293,7 +293,7 @@ impl<K> Point<K> {
 /// Measures every point of `grid` on the `perfkit` worker pool (each an
 /// independent simulation) and returns them in grid order; `measure`
 /// returns a point's counters and its [`Point::extra`].
-pub fn sweep<K: Send>(
+pub(crate) fn sweep<K: Send>(
     grid: Vec<K>,
     measure: impl Fn(&K) -> (FrozenTxnStats, f64) + Sync,
 ) -> Vec<Point<K>> {
@@ -305,13 +305,13 @@ pub fn sweep<K: Send>(
 
 /// Outcome of one Retwis-over-MILANA run.
 #[derive(Debug)]
-pub struct RunOutcome {
+pub(crate) struct RunOutcome {
     /// Aggregated workload counters (measurement window only).
-    pub stats: FrozenTxnStats,
+    pub(crate) stats: FrozenTxnStats,
     /// Read-only commits decided locally in the window.
-    pub local_validated: u64,
+    pub(crate) local_validated: u64,
     /// The cluster, for its servers' and clients' counters.
-    pub cluster: MilanaCluster,
+    pub(crate) cluster: MilanaCluster,
 }
 
 /// One closed-loop phase: `instances_per_client` Retwis instances on every
@@ -349,7 +349,7 @@ fn run_phase<S: TxnSystem>(
 /// Drives Retwis instances over any [`TxnSystem`] clients (MILANA's, or the
 /// Centiman comparison's) for `warmup + measure` virtual time; only the
 /// measurement window counts. `window_open` runs between the two phases.
-pub fn run_retwis<S: TxnSystem>(
+pub(crate) fn run_retwis<S: TxnSystem>(
     sim: &mut Sim,
     clients: &[S],
     wl: WorkloadConfig,
@@ -386,7 +386,7 @@ pub fn run_retwis<S: TxnSystem>(
 /// seeded `seed` and drives `instances_per_client` Retwis instances on
 /// every client for `warmup + measure` virtual time; only the measurement
 /// window counts.
-pub fn run_retwis_on_milana(
+pub(crate) fn run_retwis_on_milana(
     seed: u64,
     cluster_cfg: MilanaClusterConfig,
     wl: WorkloadConfig,

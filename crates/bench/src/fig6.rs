@@ -18,7 +18,7 @@ use obskit::Json;
 use timesync::ClockSpec;
 
 use crate::common::{run_retwis_on_milana, sweep, Args, Point, Scale};
-use crate::testbed::{self, backend_name};
+use crate::testbed;
 use crate::Outcome;
 
 /// Parameters for the sweep.
@@ -38,7 +38,7 @@ pub struct Fig6Config {
 
 impl Fig6Config {
     /// Derives from the global scale knob.
-    pub fn for_scale(scale: Scale) -> Fig6Config {
+    pub(crate) fn for_scale(scale: Scale) -> Fig6Config {
         match scale {
             Scale::Quick => Fig6Config {
                 client_counts: vec![4, 8, 12, 16, 20],
@@ -92,7 +92,7 @@ fn run_point(
 }
 
 /// `repro fig6`.
-pub fn repro(_: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Figure 6 at {scale:?} scale ...");
     let cfg = Fig6Config::for_scale(scale);
     let points = run(&cfg);
@@ -101,7 +101,7 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
 }
 
 /// A Figure 6 point: `(backend, α, clients)`.
-pub type At = (BackendKind, f64, u32);
+pub(crate) type At = (BackendKind, f64, u32);
 
 /// Runs the full sweep, averaging each point over three seeds (the no-wait
 /// retry policy makes single runs noisy on the single-version backend).
@@ -149,7 +149,7 @@ pub fn to_json(cfg: &Fig6Config, points: &[Point<At>]) -> Json {
                 let (kind, alpha, clients) = p.at;
                 p.to_json(
                     Json::obj()
-                        .field("ftl", Json::str(backend_name(kind)))
+                        .field("ftl", Json::str(kind.name()))
                         .field("alpha", Json::F64(alpha))
                         .field("clients", Json::U64(clients as u64))
                         .field("abort_rate", Json::F64(p.extra)),
@@ -159,7 +159,7 @@ pub fn to_json(cfg: &Fig6Config, points: &[Point<At>]) -> Json {
 }
 
 /// Prints the sweep as series over client counts: one row per (FTL, α).
-pub fn print(cfg: &Fig6Config, points: &[Point<At>]) {
+pub(crate) fn print(cfg: &Fig6Config, points: &[Point<At>]) {
     println!("Figure 6: abort rate (%) vs clients — SFTL vs MFTL, zero skew");
     print!("{:>14}", "series\\clients");
     for c in &cfg.client_counts {
@@ -168,7 +168,7 @@ pub fn print(cfg: &Fig6Config, points: &[Point<At>]) {
     println!();
     for row in points.chunks(cfg.client_counts.len()) {
         let (kind, alpha, _) = row[0].at;
-        print!("{:>10} a={alpha:<3}", backend_name(kind));
+        print!("{:>10} a={alpha:<3}", kind.name());
         for p in row {
             print!(" {:>7.2}", p.extra * 100.0);
         }

@@ -18,7 +18,7 @@ use obskit::Json;
 use timesync::Discipline;
 
 use crate::common::{run_retwis_on_milana, sweep, Args, Point, Scale};
-use crate::testbed::{self, backend_name};
+use crate::testbed;
 use crate::Outcome;
 
 /// Sweep parameters.
@@ -42,7 +42,7 @@ pub struct Fig7Config {
 
 impl Fig7Config {
     /// Derives from the global scale knob.
-    pub fn for_scale(scale: Scale) -> Fig7Config {
+    pub(crate) fn for_scale(scale: Scale) -> Fig7Config {
         let quick = Fig7Config {
             alphas: vec![0.5, 0.7, 0.9],
             backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
@@ -66,7 +66,7 @@ impl Fig7Config {
 }
 
 /// `repro fig7`.
-pub fn repro(_: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Figure 7 at {scale:?} scale ...");
     let cfg = Fig7Config::for_scale(scale);
     let points = run(&cfg);
@@ -75,7 +75,7 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
 }
 
 /// A Figure 7 point: `(clock discipline, its label, backend, α)`.
-pub type At = (Discipline, &'static str, BackendKind, f64);
+pub(crate) type At = (Discipline, &'static str, BackendKind, f64);
 
 /// Runs the full sweep on the `perfkit` worker pool (one sim per point,
 /// merged back in sweep order).
@@ -114,7 +114,7 @@ pub fn to_json(cfg: &Fig7Config, points: &[Point<At>]) -> Json {
         p.to_json(
             Json::obj()
                 .field("sync", Json::str(sync))
-                .field("backend", Json::str(backend_name(kind)))
+                .field("backend", Json::str(kind.name()))
                 .field("alpha", Json::F64(alpha))
                 .field("abort_rate", Json::F64(p.stats.abort_rate())),
         )
@@ -140,7 +140,7 @@ pub fn to_json(cfg: &Fig7Config, points: &[Point<At>]) -> Json {
         )
         .field(
             "backends",
-            Json::arr(cfg.backends.iter().map(|&k| Json::str(backend_name(k)))),
+            Json::arr(cfg.backends.iter().map(|&k| Json::str(k.name()))),
         )
         .field("points", Json::arr(point_docs))
         .field("by_clock", by_clock)
@@ -148,7 +148,7 @@ pub fn to_json(cfg: &Fig7Config, points: &[Point<At>]) -> Json {
 
 /// Prints series of abort rates over α (one row per clock and backend),
 /// plus the PTP-vs-NTP reduction.
-pub fn print(cfg: &Fig7Config, points: &[Point<At>]) {
+pub(crate) fn print(cfg: &Fig7Config, points: &[Point<At>]) {
     println!("Figure 7: abort rate (%) vs contention α — PTP vs NTP by backend");
     print!("{:>12}", "series\\alpha");
     for a in &cfg.alphas {
@@ -157,7 +157,7 @@ pub fn print(cfg: &Fig7Config, points: &[Point<At>]) {
     println!();
     for row in points.chunks(cfg.alphas.len()) {
         let (_, sync, kind, _) = row[0].at;
-        print!("{:>8}/{:<4}", sync, backend_name(kind));
+        print!("{:>8}/{:<4}", sync, kind.name());
         for p in row {
             print!(" {:>7.2}", p.stats.abort_rate() * 100.0);
         }
@@ -177,7 +177,7 @@ pub fn print(cfg: &Fig7Config, points: &[Point<At>]) {
         if ntp > 0.0 {
             println!(
                 "  {}: PTP reduces aborts by {:.0}% at alpha={max_alpha} (paper headline: up to 43%)",
-                backend_name(kind),
+                kind.name(),
                 (1.0 - ptp / ntp) * 100.0
             );
         }

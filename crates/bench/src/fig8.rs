@@ -14,7 +14,7 @@ use retwis::driver::WorkloadConfig;
 use retwis::mix::Mix;
 
 use crate::common::{run_retwis_on_milana, sweep, Args, Point, Scale};
-use crate::testbed::{self, backend_name};
+use crate::testbed;
 use crate::Outcome;
 
 /// Sweep parameters.
@@ -36,7 +36,7 @@ pub struct Fig8Config {
 
 impl Fig8Config {
     /// Derives from the global scale knob.
-    pub fn for_scale(scale: Scale) -> Fig8Config {
+    pub(crate) fn for_scale(scale: Scale) -> Fig8Config {
         let quick = Fig8Config {
             client_counts: vec![4, 8, 16, 32],
             backends: vec![BackendKind::Dram, BackendKind::Vftl, BackendKind::Mftl],
@@ -59,7 +59,7 @@ impl Fig8Config {
 }
 
 /// `repro fig8`.
-pub fn repro(_: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Figure 8 at {scale:?} scale ...");
     let cfg = Fig8Config::for_scale(scale);
     let points = run(&cfg);
@@ -68,7 +68,7 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
 }
 
 /// A Figure 8 point: `(backend, local validation on, clients)`.
-pub type At = (BackendKind, bool, u32);
+pub(crate) type At = (BackendKind, bool, u32);
 
 /// Runs the full sweep on the `perfkit` worker pool (one sim per point,
 /// merged back in sweep order).
@@ -111,7 +111,7 @@ pub fn to_json(cfg: &Fig8Config, points: &[Point<At>]) -> Json {
                 let (kind, lv, clients) = p.at;
                 p.to_json(
                     Json::obj()
-                        .field("backend", Json::str(backend_name(kind)))
+                        .field("backend", Json::str(kind.name()))
                         .field("lv", Json::Bool(lv))
                         .field("clients", Json::U64(clients as u64))
                         .field("throughput", Json::F64(p.stats.throughput(cfg.measure)))
@@ -122,7 +122,7 @@ pub fn to_json(cfg: &Fig8Config, points: &[Point<At>]) -> Json {
 }
 
 /// Prints every curve and the LV speedup headline.
-pub fn print(cfg: &Fig8Config, points: &[Point<At>]) {
+pub(crate) fn print(cfg: &Fig8Config, points: &[Point<At>]) {
     println!("Figure 8: latency vs throughput — 75% read-only Retwis, 3 shards x 3 replicas");
     println!(
         "{:>10} {:>4} {:>8} {:>12} {:>12}",
@@ -132,7 +132,7 @@ pub fn print(cfg: &Fig8Config, points: &[Point<At>]) {
         let (kind, lv, clients) = p.at;
         println!(
             "{:>10} {:>4} {:>8} {:>12.1} {:>12.1}",
-            backend_name(kind),
+            kind.name(),
             if lv { "on" } else { "off" },
             clients,
             p.stats.throughput(cfg.measure) / 1e3,
@@ -149,7 +149,7 @@ pub fn print(cfg: &Fig8Config, points: &[Point<At>]) {
             println!(
                 "  {}: LV gives +{:.0}% throughput, {:.0}% lower latency at {max_clients} clients \
                  (paper: +55% / -35%)",
-                backend_name(kind),
+                kind.name(),
                 (throughput(with) / throughput(without) - 1.0) * 100.0,
                 (1.0 - latency(with) / latency(without)) * 100.0,
             );

@@ -47,7 +47,7 @@ pub struct Fig9Config {
 
 impl Fig9Config {
     /// Derives from the global scale knob.
-    pub fn for_scale(scale: Scale) -> Fig9Config {
+    pub(crate) fn for_scale(scale: Scale) -> Fig9Config {
         let quick = Fig9Config {
             alphas: vec![0.4, 0.6, 0.8],
             client_vms: 5,
@@ -151,7 +151,7 @@ fn run_centiman_point(alpha: f64, cfg: &Fig9Config, seed: u64) -> (FrozenTxnStat
 }
 
 /// `repro fig9`.
-pub fn repro(_: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Figure 9 at {scale:?} scale ...");
     let cfg = Fig9Config::for_scale(scale);
     let points = run(&cfg);
@@ -160,7 +160,7 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
 }
 
 /// A Figure 9 point: `(system, α)`, the system "MILANA" or "Centiman".
-pub type At = (&'static str, f64);
+pub(crate) type At = (&'static str, f64);
 
 /// Runs the full comparison on the `perfkit` worker pool. Each (system,
 /// α) pair is one unit of work so the two systems' sims stay fully
@@ -220,7 +220,7 @@ pub fn to_json(cfg: &Fig9Config, points: &[Point<At>]) -> Json {
 }
 
 /// Prints throughput and local-validation series.
-pub fn print(cfg: &Fig9Config, points: &[Point<At>]) {
+pub(crate) fn print(cfg: &Fig9Config, points: &[Point<At>]) {
     println!("Figure 9: MILANA vs Centiman local validation — 3 MFTL shards, 75% read-only");
     println!(
         "{:>10} {:>6} {:>12} {:>10} {:>9}",

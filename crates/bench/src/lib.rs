@@ -59,7 +59,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// The outcome of an experiment that measures and checks nothing.
-    pub fn pass(data: Json) -> Outcome {
+    pub(crate) fn pass(data: Json) -> Outcome {
         Outcome { data, ok: true }
     }
 
@@ -68,7 +68,7 @@ impl Outcome {
     /// caught it, and the exit code inverts: a caught fraud exits 1 like any
     /// failed check (CI inverts it), while a blind checker — `missed` goes to
     /// stderr — exits 0 and CI flags the miss.
-    pub fn of_fraud_run(data: Json, passed: bool, fraud: Fraud, missed: &str) -> Outcome {
+    pub(crate) fn of_fraud_run(data: Json, passed: bool, fraud: Fraud, missed: &str) -> Outcome {
         let injected = fraud != Fraud::None;
         if injected && !passed {
             eprintln!("{missed}");
@@ -92,7 +92,7 @@ pub struct Experiment {
     /// `--threads` and `--trace`, each spelled with its value: `"--seed <S>"`.
     pub flags: &'static [&'static str],
     /// Whether `repro all` runs it.
-    pub in_all: bool,
+    pub(crate) in_all: bool,
     /// Computes, prints its table to stdout, and returns the payload.
     pub run: fn(&Args, Scale) -> Outcome,
 }

@@ -39,33 +39,33 @@ const SNAPSHOT_LAG: Duration = Duration::from_millis(3);
 
 /// One measured routing configuration.
 #[derive(Debug, Clone)]
-pub struct ReadScalePoint {
+pub(crate) struct ReadScalePoint {
     /// Route name (`primary-only` / `freshest` / `p2c`).
-    pub route: &'static str,
+    pub(crate) route: &'static str,
     /// Committed transactions per virtual second.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Mean transaction latency, µs.
-    pub latency_us: f64,
+    pub(crate) latency_us: f64,
     /// Reads served by shard primaries.
-    pub primary_reads: u64,
+    pub(crate) primary_reads: u64,
     /// Snapshot reads served by backup replicas.
-    pub replica_reads: u64,
+    pub(crate) replica_reads: u64,
     /// Backup probes declined (`TooStale`), each falling back to the
     /// primary.
-    pub too_stale: u64,
+    pub(crate) too_stale: u64,
     /// Reads served from client version caches.
-    pub cached_reads: u64,
+    pub(crate) cached_reads: u64,
     /// Read-only commits validated locally.
-    pub local_validated: u64,
+    pub(crate) local_validated: u64,
     /// Committed / aborted counts in the window.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Aborted attempts in the window.
-    pub aborts: u64,
+    pub(crate) aborts: u64,
 }
 
 impl ReadScalePoint {
     /// Fraction of served read RPCs answered by a primary.
-    pub fn primary_share(&self) -> f64 {
+    pub(crate) fn primary_share(&self) -> f64 {
         let total = self.primary_reads + self.replica_reads;
         if total == 0 {
             return 1.0;
@@ -75,7 +75,7 @@ impl ReadScalePoint {
 }
 
 /// Routing policies compared, the primary-only baseline first.
-pub const ROUTES: [(&str, ReadRoute); 3] = [
+pub(crate) const ROUTES: [(&str, ReadRoute); 3] = [
     ("primary-only", ReadRoute::PrimaryOnly),
     ("freshest", ReadRoute::Freshest),
     ("p2c", ReadRoute::PowerOfTwo),
@@ -96,7 +96,7 @@ pub struct ReadScaleConfig {
 
 impl ReadScaleConfig {
     /// Derives from the global scale knob.
-    pub fn for_scale(scale: Scale) -> ReadScaleConfig {
+    pub(crate) fn for_scale(scale: Scale) -> ReadScaleConfig {
         match scale {
             Scale::Quick => ReadScaleConfig {
                 keyspace: 4_000,
@@ -209,13 +209,13 @@ fn run_point(route: (&'static str, ReadRoute), cfg: &ReadScaleConfig, seed: u64)
 #[derive(Debug)]
 pub struct ReadScaleOutcome {
     /// One point per route, in config order.
-    pub points: Vec<ReadScalePoint>,
+    pub(crate) points: Vec<ReadScalePoint>,
     /// Chaos campaign with backup reads enabled.
-    pub campaign: CampaignReport,
+    pub(crate) campaign: CampaignReport,
 }
 
 /// `repro readscale`.
-pub fn repro(args: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let seed = args.last_or("--seed", 1u64);
     eprintln!("read scaling: seed {seed}, routes + backup-reads chaos campaign ...");
     let out = run(&ReadScaleConfig::for_scale(scale), seed);
@@ -241,21 +241,21 @@ pub fn run(cfg: &ReadScaleConfig, seed: u64) -> ReadScaleOutcome {
 
 /// Acceptance checks; see the module docs.
 #[derive(Debug, Clone, Copy)]
-pub struct ReadScaleChecks {
+pub(crate) struct ReadScaleChecks {
     /// Primary share of read RPCs under `p2c` (x1000, rounded).
-    pub p2c_primary_share_x1000: u64,
+    pub(crate) p2c_primary_share_x1000: u64,
     /// Goodput ratio `p2c` / `primary-only` (x100, rounded).
-    pub goodput_ratio_x100: u64,
+    pub(crate) goodput_ratio_x100: u64,
     /// `p2c` primary share below one half.
-    pub share_ok: bool,
+    pub(crate) share_ok: bool,
     /// `p2c` goodput at least matches the baseline.
-    pub goodput_ok: bool,
+    pub(crate) goodput_ok: bool,
     /// Campaign clean (no violations on any seed, replica reads seen).
-    pub campaign_ok: bool,
+    pub(crate) campaign_ok: bool,
 }
 
 /// Evaluates the acceptance checks over a finished run.
-pub fn checks(out: &ReadScaleOutcome) -> ReadScaleChecks {
+pub(crate) fn checks(out: &ReadScaleOutcome) -> ReadScaleChecks {
     let base = out
         .points
         .iter()
@@ -280,7 +280,7 @@ pub fn checks(out: &ReadScaleOutcome) -> ReadScaleChecks {
 }
 
 /// Prints the sweep table and the acceptance verdicts.
-pub fn print(out: &ReadScaleOutcome) {
+pub(crate) fn print(out: &ReadScaleOutcome) {
     println!(
         "read scaling: 85% read-only Retwis, zipf a={ALPHA}, {SHARDS} shards x {REPLICAS} replicas"
     );
@@ -373,7 +373,7 @@ pub fn to_json(out: &ReadScaleOutcome) -> Json {
 }
 
 /// True when every acceptance check passed.
-pub fn ok(out: &ReadScaleOutcome) -> bool {
+pub(crate) fn ok(out: &ReadScaleOutcome) -> bool {
     let c = checks(out);
     c.share_ok && c.goodput_ok && c.campaign_ok
 }

@@ -57,33 +57,33 @@ struct Windows {
 }
 
 /// The three-window measurement plus migration counters.
-pub struct RebalanceRun {
+pub(crate) struct RebalanceRun {
     /// Commits in the uniform window.
-    pub pre_commits: u64,
+    pub(crate) pre_commits: u64,
     /// Commits in the skewed window.
-    pub skew_commits: u64,
+    pub(crate) skew_commits: u64,
     /// Commits in the post-split window (skew still applied).
-    pub post_commits: u64,
+    pub(crate) post_commits: u64,
     /// Aborts in the uniform window.
-    pub pre_aborts: u64,
+    pub(crate) pre_aborts: u64,
     /// Aborts in the skewed window.
-    pub skew_aborts: u64,
+    pub(crate) skew_aborts: u64,
     /// Aborts in the post-split window.
-    pub post_aborts: u64,
+    pub(crate) post_aborts: u64,
     /// Records bulk-copied by the migration.
-    pub records_copied: u64,
+    pub(crate) records_copied: u64,
     /// Bytes bulk-copied by the migration.
-    pub bytes_copied: u64,
+    pub(crate) bytes_copied: u64,
     /// Delta catch-up rounds before cutover.
-    pub catchup_rounds: u32,
+    pub(crate) catchup_rounds: u32,
     /// Routing epoch after cutover.
-    pub final_epoch: u64,
+    pub(crate) final_epoch: u64,
     /// Shard-map installs observed cluster-wide.
-    pub map_installs: u64,
+    pub(crate) map_installs: u64,
     /// Records rehomed onto the new group.
-    pub records_moved: u64,
+    pub(crate) records_moved: u64,
     /// Prepares fenced for carrying a stale epoch.
-    pub stale_epoch_prepares: u64,
+    pub(crate) stale_epoch_prepares: u64,
 }
 
 fn nand() -> NandConfig {
@@ -100,7 +100,7 @@ fn nand() -> NandConfig {
 }
 
 /// `repro rebalance`.
-pub fn repro(args: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let seed = args.last_or("--seed", 1u64);
     eprintln!(
         "rebalance: seed {seed}, 4 clients, zipf s={}.{:02} hot {}% ...",
@@ -119,7 +119,7 @@ pub fn repro(args: &Args, scale: Scale) -> Outcome {
 
 /// Runs the three-window skew/split experiment once.
 #[allow(clippy::too_many_lines)]
-pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
+pub(crate) fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
     let keyspace: u64 = match scale {
         Scale::Quick => 2_048,
         Scale::Full => 4_096,
@@ -286,7 +286,7 @@ pub fn run_once(scale: Scale, seed: u64) -> RebalanceRun {
 /// Runs the fault campaign half of the experiment: crash + partition in
 /// every migration phase, audited for write conservation and
 /// single-owner-per-epoch.
-pub fn run_fault_campaign(scale: Scale, seed: u64) -> RebalanceCampaignReport {
+pub(crate) fn run_fault_campaign(scale: Scale, seed: u64) -> RebalanceCampaignReport {
     let campaign_seeds: Vec<u64> = match scale {
         Scale::Quick => vec![seed],
         Scale::Full => vec![seed, seed + 1],
@@ -299,12 +299,12 @@ pub fn run_fault_campaign(scale: Scale, seed: u64) -> RebalanceCampaignReport {
 }
 
 /// Post-split committed throughput as a percentage of pre-skew.
-pub fn recovery_pct(run: &RebalanceRun) -> u64 {
+pub(crate) fn recovery_pct(run: &RebalanceRun) -> u64 {
     run.post_commits * 100 / run.pre_commits.max(1)
 }
 
 /// Prints the windows table, migration counters, and verdicts.
-pub fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
+pub(crate) fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
     println!("{:>10} {:>9} {:>8}", "window", "commits", "aborts");
     println!(
         "{:>10} {:>9} {:>8}",
@@ -344,7 +344,7 @@ pub fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
 }
 
 /// Deterministic JSON payload for the artifact.
-pub fn to_json(run: &RebalanceRun, campaign: &RebalanceCampaignReport, seed: u64) -> Json {
+pub(crate) fn to_json(run: &RebalanceRun, campaign: &RebalanceCampaignReport, seed: u64) -> Json {
     let pct = recovery_pct(run);
     let window = |commits, aborts| {
         Json::obj()
@@ -391,6 +391,6 @@ pub fn to_json(run: &RebalanceRun, campaign: &RebalanceCampaignReport, seed: u64
 }
 
 /// True when every acceptance check passed.
-pub fn ok(run: &RebalanceRun, campaign: &RebalanceCampaignReport) -> bool {
+pub(crate) fn ok(run: &RebalanceRun, campaign: &RebalanceCampaignReport) -> bool {
     recovery_pct(run) >= 80 && campaign.offending_seeds().is_empty()
 }

@@ -110,7 +110,7 @@ impl Default for RecoverySpec {
 
 impl RecoverySpec {
     /// What `repro recovery` runs at the given scale, seed 1.
-    pub fn for_scale(scale: Scale) -> RecoverySpec {
+    pub(crate) fn for_scale(scale: Scale) -> RecoverySpec {
         let quick = RecoverySpec {
             seed: 1,
             ..RecoverySpec::default()
@@ -130,33 +130,33 @@ impl RecoverySpec {
 #[derive(Debug, Clone)]
 pub struct RecoveryTrial {
     /// The seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Preloaded store size (keys).
-    pub store_keys: u64,
+    pub(crate) store_keys: u64,
     /// Commits acknowledged across the whole trial.
-    pub acked: u64,
+    pub(crate) acked: u64,
     /// Commits acknowledged during the outage window.
-    pub outage_acked: u64,
+    pub(crate) outage_acked: u64,
     /// Mount-scan duration (`MountStart` → `MountDone`), nanoseconds of
     /// simulated time.
-    pub mount_ns: u64,
+    pub(crate) mount_ns: u64,
     /// Catch-up duration (`MountDone` → `Serving`), nanoseconds.
-    pub catchup_ns: u64,
+    pub(crate) catchup_ns: u64,
     /// Restart → `Serving`: mean time to recovery, nanoseconds.
-    pub mttr_ns: u64,
+    pub(crate) mttr_ns: u64,
     /// Torn pages the mount scan discarded.
-    pub torn_pages: u64,
+    pub(crate) torn_pages: u64,
     /// Keys the anti-entropy sweep applied.
-    pub catchup_keys: u64,
+    pub(crate) catchup_keys: u64,
     /// Acked writes whose last value is missing from the recovered
     /// replica's backend. Zero on every honest run; the durability fraud
     /// ([`Fraud::SkipDurability`]) must make this positive.
-    pub lost_writes: u64,
+    pub(crate) lost_writes: u64,
 }
 
 impl RecoveryTrial {
     /// True when every acknowledged write survived the cold restart.
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.lost_writes == 0
     }
 
@@ -177,7 +177,7 @@ impl RecoveryTrial {
 }
 
 /// `repro recovery`.
-pub fn repro(args: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let mut spec = RecoverySpec::for_scale(scale);
     spec.seed = args.last_or("--seed", spec.seed);
     spec.fraud = args.fraud(&["durability-skip"]);
@@ -430,7 +430,7 @@ pub fn run_recovery_trial(spec: &RecoverySpec) -> RecoveryTrial {
 /// Runs the MTTR sweep: one trial per store size, `spec` for everything
 /// else. Each trial is an independent sim, so the sweep fans out on the
 /// `perfkit` worker pool; trials come back in store-size order.
-pub fn run(spec: &RecoverySpec) -> Vec<RecoveryTrial> {
+pub(crate) fn run(spec: &RecoverySpec) -> Vec<RecoveryTrial> {
     perfkit::pool::run_ordered_auto(spec.store_sizes.clone(), |store_keys| {
         run_recovery_trial(&RecoverySpec {
             store_keys,
@@ -440,7 +440,7 @@ pub fn run(spec: &RecoverySpec) -> Vec<RecoveryTrial> {
 }
 
 /// Runs the power-fail fault-campaign leg.
-pub fn run_powerfail_campaign(spec: &RecoverySpec) -> CampaignReport {
+pub(crate) fn run_powerfail_campaign(spec: &RecoverySpec) -> CampaignReport {
     run_campaign(&CampaignConfig {
         seeds: vec![spec.seed],
         faults: spec.campaign_faults,
@@ -452,7 +452,7 @@ pub fn run_powerfail_campaign(spec: &RecoverySpec) -> CampaignReport {
 }
 
 /// Prints the sweep table and both verdicts.
-pub fn print(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignReport) {
+pub(crate) fn print(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignReport) {
     println!(
         "{:>10} {:>7} {:>12} {:>12} {:>12} {:>6} {:>9} {:>6}",
         "store_keys", "acked", "mount_us", "catchup_us", "mttr_us", "torn", "caught_up", "lost"
@@ -486,7 +486,11 @@ pub fn print(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignR
 }
 
 /// Deterministic JSON payload for the artifact.
-pub fn to_json(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignReport) -> Json {
+pub(crate) fn to_json(
+    spec: &RecoverySpec,
+    trials: &[RecoveryTrial],
+    campaign: &CampaignReport,
+) -> Json {
     let sweep = Json::arr(trials.iter().map(RecoveryTrial::to_json));
     Json::obj()
         .field("seed", Json::U64(spec.seed))
@@ -512,7 +516,7 @@ pub fn to_json(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &Campaig
 
 /// True when the run passes. On an honest run both legs must be clean; in
 /// `--inject durability-skip` mode both legs must *catch* the fraud.
-pub fn ok(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignReport) -> bool {
+pub(crate) fn ok(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignReport) -> bool {
     let sweep_clean = trials.iter().all(RecoveryTrial::clean);
     let campaign_clean = campaign.offending_seeds().is_empty();
     if spec.fraud != Fraud::None {

@@ -33,19 +33,19 @@ use crate::Outcome;
 #[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Get percentage of the op mix.
-    pub get_pct: u32,
+    pub(crate) get_pct: u32,
     /// "VFTL" or "MFTL".
-    pub ftl: &'static str,
+    pub(crate) ftl: &'static str,
     /// Throughput in kilo-requests per (virtual) second.
-    pub kiops: f64,
+    pub(crate) kiops: f64,
     /// Mean get latency, µs.
-    pub get_us: f64,
+    pub(crate) get_us: f64,
     /// Mean put latency, µs (NaN for 100 % gets).
-    pub put_us: f64,
+    pub(crate) put_us: f64,
 }
 
 /// The paper's Table 1 numbers, for side-by-side printing.
-pub const PAPER_TABLE1: &[(u32, f64, f64, f64, f64, f64, f64)] = &[
+pub(crate) const PAPER_TABLE1: &[(u32, f64, f64, f64, f64, f64, f64)] = &[
     // get%, VFTL kIOPS, MFTL kIOPS, VFTL get us, MFTL get us, VFTL put us, MFTL put us
     (100, 351.0, 456.0, 68.1, 59.9, f64::NAN, f64::NAN),
     (75, 295.0, 430.0, 363.1, 62.9, 568.5, 872.8),
@@ -72,7 +72,7 @@ pub struct Table1Config {
 
 impl Table1Config {
     /// Derives a config from the global scale knob.
-    pub fn for_scale(scale: Scale) -> Table1Config {
+    pub(crate) fn for_scale(scale: Scale) -> Table1Config {
         let quick = Table1Config {
             keys: 20_000,
             workers: 64,
@@ -95,7 +95,7 @@ impl Table1Config {
 
 /// The device a store run uses: `channels` wide, sized so `keys`
 /// 512-byte tuples fill `utilization` of it.
-pub fn device(channels: u32, keys: u64, utilization: f64) -> NandConfig {
+pub(crate) fn device(channels: u32, keys: u64, utilization: f64) -> NandConfig {
     NandConfig {
         channels,
         ..NandConfig::default()
@@ -105,7 +105,7 @@ pub fn device(channels: u32, keys: u64, utilization: f64) -> NandConfig {
 
 /// Bulk-loads keys `0..keys` into `store` at version 1 as 512-byte tuples
 /// (16 B key + 472 B value + 24 B header); returns the value payload.
-pub fn preload(store: &Backend, keys: u64) -> Value {
+pub(crate) fn preload(store: &Backend, keys: u64) -> Value {
     let payload = value(vec![0u8; 472]);
     store.reserve(keys as usize);
     for i in 0..keys {
@@ -121,15 +121,15 @@ pub fn preload(store: &Backend, keys: u64) -> Value {
 
 /// What one closed-loop store run measured in its window.
 #[derive(Debug)]
-pub struct StoreRun {
+pub(crate) struct StoreRun {
     /// Get latencies, ns.
-    pub gets: Histogram,
+    pub(crate) gets: Histogram,
     /// Latencies of the puts that succeeded, ns.
-    pub puts: Histogram,
+    pub(crate) puts: Histogram,
     /// Puts refused by capacity backpressure.
-    pub put_errors: u64,
+    pub(crate) put_errors: u64,
     /// Device pages programmed while the workers ran (GC included).
-    pub pages_written: u64,
+    pub(crate) pages_written: u64,
 }
 
 /// Preloads `store` (built on [`device`]`(cfg.channels, cfg.keys,
@@ -139,7 +139,7 @@ pub struct StoreRun {
 /// key, then `is_get` picks get or put. Only the window after the warm-up
 /// counts (a zero warm-up counts from the first operation); a failed get
 /// counts only if `failed_gets`.
-pub fn closed_loop(
+pub(crate) fn closed_loop(
     sim: &mut Sim,
     store: Backend,
     cfg: &Table1Config,
@@ -250,10 +250,7 @@ pub fn run_cell(
         move |rng| rng.gen_range(0..100u32) < get_pct,
         true,
     );
-    let ftl = match kind {
-        BackendKind::Vftl => "VFTL",
-        _ => "MFTL",
-    };
+    let ftl = kind.name();
     let note = (run.put_errors > 0).then(|| {
         format!(
             "  note: {} {}% {} puts hit capacity backpressure (excluded from stats)",
@@ -277,7 +274,7 @@ pub fn run_cell(
 }
 
 /// `repro table1`.
-pub fn repro(_: &Args, scale: Scale) -> Outcome {
+pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running Table 1 at {scale:?} scale (REPRO_SCALE=full for more) ...");
     let rows = run(&Table1Config::for_scale(scale));
     print(&rows);
@@ -286,7 +283,7 @@ pub fn repro(_: &Args, scale: Scale) -> Outcome {
 
 /// Runs the full table on the `perfkit` worker pool (one sim per cell,
 /// merged back — and backpressure notes printed — in sweep order).
-pub fn run(cfg: &Table1Config) -> Vec<Table1Row> {
+pub(crate) fn run(cfg: &Table1Config) -> Vec<Table1Row> {
     let mut items = Vec::new();
     for &get_pct in &[100u32, 75, 50, 25] {
         for kind in [BackendKind::Vftl, BackendKind::Mftl] {
@@ -324,7 +321,7 @@ pub fn to_json(rows: &[Table1Row]) -> Json {
 }
 
 /// Pretty-prints measured rows next to the paper's numbers.
-pub fn print(rows: &[Table1Row]) {
+pub(crate) fn print(rows: &[Table1Row]) {
     println!("Table 1: Single-SSD multi-version FTL performance (measured vs paper)");
     println!(
         "{:>5} {:>6} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10}",

@@ -18,7 +18,7 @@ use timesync::ClockSpec;
 
 /// The testbed SSD, sized for `tuples` 512-byte tuples per replica (the
 /// keys of one shard).
-pub fn nand(tuples: u64) -> NandConfig {
+pub(crate) fn nand(tuples: u64) -> NandConfig {
     NandConfig {
         channels: 8,
         queue_depth: 128,
@@ -28,7 +28,7 @@ pub fn nand(tuples: u64) -> NandConfig {
 }
 
 /// The testbed network: 150 ± 30 µs one way.
-pub fn net() -> LatencyConfig {
+pub(crate) fn net() -> LatencyConfig {
     LatencyConfig {
         one_way: Duration::from_micros(150),
         jitter_std: Duration::from_micros(30),
@@ -38,7 +38,7 @@ pub fn net() -> LatencyConfig {
 /// The testbed deployment: `clients` client VMs on `clock`-disciplined
 /// clocks against one 3-replica `backend` shard preloaded with `keyspace`
 /// keys, observed through [`crate::common::run_obs`].
-pub fn paper(
+pub(crate) fn paper(
     backend: BackendKind,
     clock: ClockSpec,
     clients: u32,
@@ -62,7 +62,7 @@ pub fn paper(
 /// The testbed grown to three shards (Figures 8 and 9): the keys split
 /// three ways, PTP-software clocks, read-only transactions validated
 /// client-locally (`lv`) or through 2PC like everything else.
-pub fn three_shards(
+pub(crate) fn three_shards(
     backend: BackendKind,
     clients: u32,
     keyspace: u64,
@@ -82,22 +82,12 @@ pub fn three_shards(
 /// The testbed workload: the Table 2 Retwis mix over `keyspace` keys at
 /// Zipf contention `alpha`, an aborted transaction retried with the same
 /// keys (up to 1000 times).
-pub fn retwis(keyspace: u64, alpha: f64) -> WorkloadConfig {
+pub(crate) fn retwis(keyspace: u64, alpha: f64) -> WorkloadConfig {
     WorkloadConfig {
         mix: Mix::retwis(),
         keyspace,
         zipf_alpha: alpha,
         value_size: 472,
         max_retries: 1000,
-    }
-}
-
-/// A backend's name in tables and artifacts.
-pub fn backend_name(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Dram => "DRAM",
-        BackendKind::Sftl => "SFTL",
-        BackendKind::Vftl => "VFTL",
-        BackendKind::Mftl => "MFTL",
     }
 }

@@ -122,9 +122,7 @@ fn epsilon_of(t: &Track) -> u64 {
 pub struct ClockHealth {
     cfg: ClockHealthConfig,
     tracks: BTreeMap<u32, Track>,
-    suspects: u64,
     fences: u64,
-    unfences: u64,
 }
 
 impl ClockHealth {
@@ -133,9 +131,7 @@ impl ClockHealth {
         ClockHealth {
             cfg,
             tracks: BTreeMap::new(),
-            suspects: 0,
             fences: 0,
-            unfences: 0,
         }
     }
 
@@ -195,7 +191,6 @@ impl ClockHealth {
                     t.fenced = false;
                     t.consecutive_clean = 0;
                     t.consecutive_suspect = 0;
-                    self.unfences += 1;
                     return ClockVerdict::Ok;
                 }
             } else {
@@ -208,7 +203,6 @@ impl ClockHealth {
             return ClockVerdict::Ok;
         }
         t.consecutive_suspect += 1;
-        self.suspects += 1;
         if t.consecutive_suspect >= FENCE_AFTER {
             t.fenced = true;
             t.consecutive_clean = 0;
@@ -256,7 +250,6 @@ impl ClockHealth {
             return ClockVerdict::Ok;
         }
         t.consecutive_suspect += 1;
-        self.suspects += 1;
         if t.consecutive_suspect >= FENCE_AFTER {
             t.fenced = true;
             t.consecutive_clean = 0;
@@ -269,11 +262,6 @@ impl ClockHealth {
         }
     }
 
-    /// Whether `client` is currently fenced.
-    pub fn is_fenced(&self, client: ClientId) -> bool {
-        self.tracks.get(&client.0).is_some_and(|t| t.fenced)
-    }
-
     /// The current uncertainty bound ε for `client` (the floor if the
     /// client has never been observed).
     pub fn epsilon_ns(&self, client: ClientId) -> u64 {
@@ -282,33 +270,9 @@ impl ClockHealth {
             .map_or(EPSILON_FLOOR_NS, epsilon_of)
     }
 
-    /// Total suspect verdicts issued (excluding fenced refusals).
-    pub fn suspect_count(&self) -> u64 {
-        self.suspects
-    }
-
     /// Total fence transitions.
     pub fn fence_count(&self) -> u64 {
         self.fences
-    }
-
-    /// Total unfence transitions (fenced clients that recovered).
-    pub fn unfence_count(&self) -> u64 {
-        self.unfences
-    }
-
-    /// Clients currently fenced, ascending by id.
-    pub fn fenced_clients(&self) -> Vec<ClientId> {
-        self.tracks
-            .iter()
-            .filter(|(_, t)| t.fenced)
-            .map(|(&c, _)| ClientId(c))
-            .collect()
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &ClockHealthConfig {
-        &self.cfg
     }
 }
 
@@ -335,8 +299,7 @@ mod tests {
             let v = h.observe(c, (1_000_000_000 + residual) as u64, 1_000_000_000);
             assert!(v.is_ok(), "sample {i}: {v:?}");
         }
-        assert_eq!(h.suspect_count(), 0);
-        assert!(!h.is_fenced(c));
+        assert_eq!(h.fence_count(), 0);
     }
 
     #[test]
@@ -384,9 +347,7 @@ mod tests {
         }
         assert_eq!(suspects, 3, "fence_after-1 suspects before the fence");
         assert_eq!(fenced_at, Some(3));
-        assert!(h.is_fenced(c));
         assert_eq!(h.fence_count(), 1);
-        assert_eq!(h.fenced_clients(), vec![c]);
 
         // The clock is repaired: after unfence_after clean observations the
         // client is re-admitted.
@@ -402,8 +363,7 @@ mod tests {
             }
         }
         assert!(readmitted.is_some(), "repaired clock must unfence");
-        assert!(!h.is_fenced(c));
-        assert_eq!(h.unfence_count(), 1);
+        assert!(h.observe(c, 999_850_000, 1_000_000_000).is_ok());
     }
 
     #[test]
@@ -450,8 +410,10 @@ mod tests {
             // The bad clock drifts 1ms further ahead per observation.
             let _ = h.observe(bad, 2_000_000_000 + i * 1_000_000, 2_000_000_000);
         }
-        assert!(h.is_fenced(bad));
-        assert!(!h.is_fenced(good));
+        assert_eq!(
+            h.observe(bad, 2_060_000_000, 2_000_000_000),
+            ClockVerdict::Fenced
+        );
         assert!(h.observe(good, 2_000_010_000, 2_000_000_000).is_ok());
     }
 
@@ -477,7 +439,7 @@ mod tests {
             }
         }
         assert!(!ever_ok_after_warmup, "a 25ms-slow clock was rated healthy");
-        assert!(h.is_fenced(c));
+        assert_eq!(h.fence_count(), 1);
     }
 
     #[test]
@@ -488,13 +450,12 @@ mod tests {
         for _ in 0..50 {
             assert!(h.observe_read(c, 900_000_000, 1_000_000_000).is_ok());
         }
-        assert_eq!(h.suspect_count(), 0);
         // A far-future ts_begin trips the ceiling immediately (no warmup)
         // and fences after `fence_after` consecutive breaches.
         for _ in 0..FENCE_AFTER {
             assert!(!h.observe_read(c, 1_050_000_000, 1_000_000_000).is_ok());
         }
-        assert!(h.is_fenced(c));
+        assert_eq!(h.fence_count(), 1);
         // Fenced, over-ceiling reads stay refused; in-ceiling reads pass so
         // a recovered client can reach the prepare path and earn its
         // unfence there.

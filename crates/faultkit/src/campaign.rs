@@ -116,25 +116,25 @@ pub struct SeedOutcome {
     /// Faults applied per class (class -> (attempted, ok)).
     pub fault_counts: BTreeMap<&'static str, (u64, u64)>,
     /// Promotions that failed and were retried by the finale.
-    pub promote_failures: u64,
+    pub(crate) promote_failures: u64,
     /// Messages dropped / duplicated / delay-spiked by injection.
-    pub net_dropped: u64,
+    pub(crate) net_dropped: u64,
     /// Messages duplicated by injection.
-    pub net_duplicated: u64,
+    pub(crate) net_duplicated: u64,
     /// Messages delay-spiked by injection.
-    pub net_delay_spiked: u64,
+    pub(crate) net_delay_spiked: u64,
     /// Requests refused by server admission gates (overload + deadline),
     /// summed over every replica.
     pub server_sheds: u64,
     /// Retry tokens spent by workload clients.
-    pub client_retries: u64,
+    pub(crate) client_retries: u64,
     /// Snapshot reads served by backup replicas (backup-reads mode).
     pub replica_reads: u64,
     /// Prepares refused as clock-suspect, summed over every replica.
-    pub clock_suspects: u64,
+    pub(crate) clock_suspects: u64,
     /// Clients currently fenced for clock misbehavior at run end (max
     /// over replicas — each primary tracks its own view).
-    pub clock_fences: u64,
+    pub(crate) clock_fences: u64,
     /// Trace-ring evictions (non-zero = visibility checks were skipped).
     pub trace_dropped: u64,
     /// True when the audit conserved every acknowledged increment.
@@ -230,7 +230,7 @@ async fn scan(w: &Worker, dwell: Option<Duration>) {
 }
 
 /// Runs one seed to completion and returns its outcome.
-pub fn run_seed(cfg: &CampaignConfig, seed: u64) -> SeedOutcome {
+pub(crate) fn run_seed(cfg: &CampaignConfig, seed: u64) -> SeedOutcome {
     run_seed_with_trace(cfg, seed).0
 }
 

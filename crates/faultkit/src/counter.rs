@@ -35,10 +35,10 @@ fn dec(v: &[u8]) -> Option<u64> {
 /// One seed's simulation: the cluster, its trace, and the workload's
 /// shared counters.
 pub(crate) struct CounterRun {
-    pub sim: Sim,
-    pub h: SimHandle,
-    pub obs: Obs,
-    pub cluster: Rc<RefCell<MilanaCluster>>,
+    pub(crate) sim: Sim,
+    pub(crate) h: SimHandle,
+    pub(crate) obs: Obs,
+    pub(crate) cluster: Rc<RefCell<MilanaCluster>>,
     keys: u64,
     acked: Rc<Cell<u64>>,
     stop: Rc<Cell<bool>>,
@@ -46,23 +46,23 @@ pub(crate) struct CounterRun {
 
 /// One workload client's view of the run, moved into its task.
 pub(crate) struct Worker {
-    pub c: TxnClient,
-    pub h: SimHandle,
-    pub keys: u64,
+    pub(crate) c: TxnClient,
+    pub(crate) h: SimHandle,
+    pub(crate) keys: u64,
     acked: Rc<Cell<u64>>,
     stop: Rc<Cell<bool>>,
 }
 
 impl Worker {
     /// True once [`CounterRun::audit`] told the workload to stop.
-    pub fn stopped(&self) -> bool {
+    pub(crate) fn stopped(&self) -> bool {
         self.stop.get()
     }
 
     /// One read-modify-write increment of a random counter, counted as
     /// acked when its commit is. Any abort (conflict, `StaleEpoch`, fence)
     /// is just an unacked attempt the caller's loop retries.
-    pub async fn increment(&self, rng: &mut StdRng) {
+    pub(crate) async fn increment(&self, rng: &mut StdRng) {
         let mut t = self.c.begin_with(TxnOpts::default());
         let k = Key::from(rng.gen_range(0..self.keys));
         let Some(n) = t.get(&k).await.ok().and_then(|v| dec(&v)) else {
@@ -80,22 +80,22 @@ impl Worker {
 /// What the audit transaction found.
 pub(crate) struct Audit {
     /// Commits acknowledged to workload clients.
-    pub acked: u64,
+    pub(crate) acked: u64,
     /// Final counter sum; `None` when the audit never committed.
-    pub total: Option<u64>,
+    pub(crate) total: Option<u64>,
     /// Unknown-outcome attempts reported by clients.
-    pub unknowns: u64,
+    pub(crate) unknowns: u64,
     /// Every acknowledged increment survived and nothing appeared out of
     /// thin air: `acked ≤ total ≤ acked + unknowns + clients` (CTP may
     /// commit unknown-outcome attempts; each client can have one
     /// transaction in flight at stop).
-    pub conserved: bool,
+    pub(crate) conserved: bool,
 }
 
 impl CounterRun {
     /// Boots a traced `shape` cluster on 512-block flash — `tune` adjusts
     /// its config first — and seeds counters `0..keys` to zero.
-    pub fn boot(
+    pub(crate) fn boot(
         seed: u64,
         shape: PlanShape,
         keys: u64,
@@ -143,7 +143,7 @@ impl CounterRun {
 
     /// One [`Worker`] per workload client, for the caller to spawn its
     /// loop on.
-    pub fn workers(&self) -> Vec<Worker> {
+    pub(crate) fn workers(&self) -> Vec<Worker> {
         let clients = self.cluster.borrow().clients.clone();
         clients
             .into_iter()
@@ -161,7 +161,7 @@ impl CounterRun {
     /// in-flight transactions, then reads every counter in one audit
     /// transaction, retried until it commits (the caller has left every
     /// shard with a serving primary).
-    pub fn audit(&mut self, settle: Duration) -> Audit {
+    pub(crate) fn audit(&mut self, settle: Duration) -> Audit {
         let (hh, stop) = (self.h.clone(), self.stop.clone());
         self.sim.block_on(async move {
             hh.sleep(settle).await;
@@ -206,7 +206,7 @@ impl CounterRun {
 
     /// Rebuilds the history from the trace and runs the checker over it,
     /// holding commits to `epsilon_ns` of clock uncertainty when given.
-    pub fn check(&self, epsilon_ns: Option<u64>) -> (History, Vec<ViolationSummary>) {
+    pub(crate) fn check(&self, epsilon_ns: Option<u64>) -> (History, Vec<ViolationSummary>) {
         let history = History::from_events(self.obs.tracer.events(), self.obs.tracer.dropped());
         let mut checker = Checker::new(&history);
         if let Some(eps) = epsilon_ns {

@@ -45,20 +45,20 @@ const PRELOAD_CLIENT: u64 = u32::MAX as u64;
 
 /// One observed read: which version of which key a transaction saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadObs {
+pub(crate) struct ReadObs {
     /// Trace time the read was observed (ns).
-    pub at: u64,
+    pub(crate) at: u64,
     /// Key id (`Key::trace_id`).
-    pub key: u64,
+    pub(crate) key: u64,
     /// Commit timestamp of the observed version.
-    pub ver_ts: u64,
+    pub(crate) ver_ts: u64,
     /// Writer client of the observed version.
-    pub ver_client: u64,
+    pub(crate) ver_client: u64,
 }
 
 /// How a transaction ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// Committed at `ts_commit` (acknowledged to the client at `at` ns).
     Committed {
         /// Commit timestamp (serialization point for read-write txns).
@@ -77,86 +77,86 @@ pub enum Outcome {
 
 /// One reconstructed transaction.
 #[derive(Debug, Clone)]
-pub struct TxnView {
+pub(crate) struct TxnView {
     /// Coordinating client.
-    pub client: u64,
+    pub(crate) client: u64,
     /// Begin timestamp (serialization point for read-only commits).
-    pub ts_begin: u64,
+    pub(crate) ts_begin: u64,
     /// Virtual time of `TxnBegin`.
-    pub begin_at: u64,
+    pub(crate) begin_at: u64,
     /// Virtual time of the last event attributed to this transaction.
-    pub end_at: u64,
+    pub(crate) end_at: u64,
     /// Reads in order.
-    pub reads: Vec<ReadObs>,
+    pub(crate) reads: Vec<ReadObs>,
     /// Keys written (declared before the prepare fan-out).
-    pub writes: Vec<u64>,
+    pub(crate) writes: Vec<u64>,
     /// Final outcome.
-    pub outcome: Outcome,
+    pub(crate) outcome: Outcome,
 }
 
 /// One shard-ownership claim or release, as traced by the servers during
 /// a live migration (`ShardOwned` / `ShardReleased` events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OwnershipEvent {
+pub(crate) struct OwnershipEvent {
     /// Trace time (ns).
-    pub at: u64,
+    pub(crate) at: u64,
     /// The shard the claim is about.
-    pub shard: u64,
+    pub(crate) shard: u64,
     /// Map epoch carried by the claim.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Claiming / releasing node id.
-    pub owner: u64,
+    pub(crate) owner: u64,
     /// `true` for a claim, `false` for a release.
-    pub owned: bool,
+    pub(crate) owned: bool,
 }
 
 /// One snapshot read a backup replica served, as traced by the server
 /// (`ReadServed` events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadServedObs {
+pub(crate) struct ReadServedObs {
     /// Trace time (ns).
-    pub at: u64,
+    pub(crate) at: u64,
     /// Serving replica's node id.
-    pub replica: u64,
+    pub(crate) replica: u64,
     /// The replica's applied watermark when it answered.
-    pub watermark: u64,
+    pub(crate) watermark: u64,
     /// The snapshot timestamp it answered for.
-    pub ts_begin: u64,
+    pub(crate) ts_begin: u64,
 }
 
 /// One recovery-lifecycle step a replica traced around a power failure
 /// and cold restart (`RecoveryStep` events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryObs {
+pub(crate) struct RecoveryObs {
     /// Trace time (ns).
-    pub at: u64,
+    pub(crate) at: u64,
     /// Recovering replica's node id.
-    pub node: u64,
+    pub(crate) node: u64,
     /// Shard the replica belongs to.
-    pub shard: u64,
+    pub(crate) shard: u64,
     /// The recovery phase entered.
-    pub phase: RecoveryPhase,
+    pub(crate) phase: RecoveryPhase,
     /// Phase-specific detail (torn pages, keys fetched, floor ns).
-    pub detail: u64,
+    pub(crate) detail: u64,
 }
 
 /// The reconstructed history plus the raw events it came from.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     /// Transactions in trace order.
-    pub txns: Vec<TxnView>,
+    pub(crate) txns: Vec<TxnView>,
     /// Shard-ownership claims in trace order (migrations only; empty for
     /// histories without resharding).
-    pub ownership: Vec<OwnershipEvent>,
+    pub(crate) ownership: Vec<OwnershipEvent>,
     /// Backup-served snapshot reads in trace order (read routing only;
     /// empty when every read went to a primary).
-    pub reads_served: Vec<ReadServedObs>,
+    pub(crate) reads_served: Vec<ReadServedObs>,
     /// Recovery steps in trace order (power-fail campaigns only; empty
     /// when no replica ever cold-restarted).
-    pub recovery: Vec<RecoveryObs>,
+    pub(crate) recovery: Vec<RecoveryObs>,
     /// Ring evictions reported by the tracer; non-zero means the history
     /// is a suffix and visibility checks are skipped.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     events: Vec<(u64, TraceEvent)>,
 }
 
@@ -320,7 +320,7 @@ impl History {
     }
 
     /// Number of committed transactions.
-    pub fn committed(&self) -> usize {
+    pub(crate) fn committed(&self) -> usize {
         self.txns
             .iter()
             .filter(|t| matches!(t.outcome, Outcome::Committed { .. }))
@@ -328,7 +328,7 @@ impl History {
     }
 
     /// Number of aborted transactions.
-    pub fn aborted(&self) -> usize {
+    pub(crate) fn aborted(&self) -> usize {
         self.txns
             .iter()
             .filter(|t| t.outcome == Outcome::Aborted)
@@ -336,7 +336,7 @@ impl History {
     }
 
     /// Number of unknown-outcome transactions.
-    pub fn unknown(&self) -> usize {
+    pub(crate) fn unknown(&self) -> usize {
         self.txns
             .iter()
             .filter(|t| t.outcome == Outcome::Unknown)
@@ -347,7 +347,7 @@ impl History {
     /// to the involved transactions' clients within their combined time
     /// window, as JSON lines. This is what a campaign prints next to the
     /// offending seed.
-    pub fn trace_slice(&self, txn_indices: &[usize]) -> String {
+    pub(crate) fn trace_slice(&self, txn_indices: &[usize]) -> String {
         let mut clients: Vec<u64> = Vec::new();
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for &i in txn_indices {
@@ -441,7 +441,7 @@ pub struct Violation {
     /// Human-readable account of what went wrong.
     pub description: String,
     /// Indices into [`History::txns`] of the transactions involved.
-    pub txns: Vec<usize>,
+    pub(crate) txns: Vec<usize>,
 }
 
 /// Identity of a committed write: `(ts_commit, writer client)` uniquely
@@ -469,7 +469,7 @@ impl<'a> Checker<'a> {
     /// `clockkit::ClockHealthConfig::promised_epsilon_ns`). Two
     /// real-time-ordered commits may then disagree with timestamp order by
     /// at most 2ε; anything larger is a [`ViolationClass::ClockBoundBreach`].
-    pub fn with_epsilon(mut self, epsilon_ns: u64) -> Checker<'a> {
+    pub(crate) fn with_epsilon(mut self, epsilon_ns: u64) -> Checker<'a> {
         self.epsilon_ns = Some(epsilon_ns);
         self
     }

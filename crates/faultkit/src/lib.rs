@@ -38,13 +38,8 @@ pub mod nemesis;
 pub mod plan;
 pub mod rebalance;
 
-pub use campaign::{
-    run_campaign, run_seed, run_seed_with_trace, CampaignConfig, CampaignReport, SeedOutcome,
-};
-pub use history::{Checker, History, OwnershipEvent, Violation, ViolationClass};
-pub use nemesis::{run_nemesis, NemesisReport};
-pub use plan::{Fault, FaultPlan, PlanKind, PlanShape, TimedFault};
-pub use rebalance::{
-    run_rebalance_campaign, run_rebalance_seed, RebalanceCampaignConfig, RebalanceCampaignReport,
-    RebalanceSeedOutcome,
-};
+pub use campaign::{run_campaign, run_seed_with_trace, CampaignConfig, CampaignReport};
+pub use history::{Checker, History};
+pub use nemesis::run_nemesis;
+pub use plan::{Fault, FaultPlan, PlanKind, TimedFault};
+pub use rebalance::{run_rebalance_campaign, RebalanceCampaignConfig, RebalanceCampaignReport};

@@ -20,7 +20,7 @@ use milana::PromoteError;
 use semel::shard::ShardId;
 use simkit::net::NodeId;
 use simkit::rpc::RpcClient;
-use simkit::{SimHandle, SimTime};
+use simkit::SimHandle;
 use timesync::Timestamp;
 
 use crate::plan::{Fault, FaultPlan};
@@ -37,24 +37,22 @@ const FLOOD_NODE: NodeId = NodeId(20_000);
 
 /// One fault as actually applied.
 #[derive(Debug, Clone)]
-pub struct AppliedFault {
-    /// Virtual time the fault fired.
-    pub at: SimTime,
+pub(crate) struct AppliedFault {
     /// Fault class (see [`Fault::class`]).
-    pub class: &'static str,
+    pub(crate) class: &'static str,
     /// False when the injection itself failed (e.g. the promotion after a
     /// crash found no live backup); the campaign records these per class.
-    pub ok: bool,
+    pub(crate) ok: bool,
 }
 
 /// What the nemesis did.
 #[derive(Debug, Clone, Default)]
 pub struct NemesisReport {
     /// Every fault in application order.
-    pub applied: Vec<AppliedFault>,
+    pub(crate) applied: Vec<AppliedFault>,
     /// Promotions that returned an error (recorded, then retried by the
     /// finale).
-    pub promote_failures: u64,
+    pub(crate) promote_failures: u64,
 }
 
 impl NemesisReport {
@@ -300,10 +298,9 @@ pub async fn run_nemesis(
     let flood_rpc = RpcClient::new(h, FLOOD_NODE, 7);
     for timed in &plan.faults {
         h.sleep(timed.after).await;
-        let at = h.now();
         let class = timed.fault.class();
         let ok = apply_one(h, cluster, &timed.fault, &flood_rpc, &mut report).await;
-        report.applied.push(AppliedFault { at, class, ok });
+        report.applied.push(AppliedFault { class, ok });
     }
     finale(h, cluster).await;
     report
@@ -313,7 +310,7 @@ pub async fn run_nemesis(
 /// faults, restarts every dead replica, and retries promotion until every
 /// shard has a live serving primary. Guarantees a subsequent audit
 /// transaction can complete.
-pub async fn finale(h: &SimHandle, cluster: &Rc<RefCell<MilanaCluster>>) {
+pub(crate) async fn finale(h: &SimHandle, cluster: &Rc<RefCell<MilanaCluster>>) {
     h.heal_partitions();
     h.clear_net_faults();
     {

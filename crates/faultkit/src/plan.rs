@@ -130,7 +130,7 @@ pub enum Fault {
 
 impl Fault {
     /// Stable class name for per-class outcome accounting.
-    pub fn class(&self) -> &'static str {
+    pub(crate) fn class(&self) -> &'static str {
         match self {
             Fault::CrashPrimary { .. } => "crash",
             Fault::PartitionPrimary { .. } => "partition_primary",
@@ -158,13 +158,13 @@ pub struct TimedFault {
 
 /// Cluster shape the generator needs to pick valid targets.
 #[derive(Debug, Clone, Copy)]
-pub struct PlanShape {
+pub(crate) struct PlanShape {
     /// Number of shards.
-    pub shards: u32,
+    pub(crate) shards: u32,
     /// Replicas per shard (crashes are only generated when `>= 3`).
-    pub replicas: u32,
+    pub(crate) replicas: u32,
     /// Number of clients.
-    pub clients: u32,
+    pub(crate) clients: u32,
 }
 
 /// Which fault classes a campaign's seeded plan draws from.
@@ -189,7 +189,7 @@ pub enum PlanKind {
 
 impl PlanKind {
     /// The plan of this kind for `(seed, n, shape)`.
-    pub fn generate(self, seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
+    pub(crate) fn generate(self, seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
         let generate = match self {
             PlanKind::Mixed => FaultPlan::random,
             PlanKind::Overload => FaultPlan::random_overload,
@@ -210,7 +210,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Generates a survivable random schedule of `n` faults from `seed`.
     /// The same `(seed, n, shape)` always yields the same plan.
-    pub fn random(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
+    pub(crate) fn random(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xfa_17_5c_4e_d0_1e_55_ed);
         let mut faults = Vec::with_capacity(n);
         for _ in 0..n {
@@ -272,7 +272,7 @@ impl FaultPlan {
 
     /// Generates a schedule of `n` pure [`Fault::Overload`] bursts from
     /// `seed` — the targeted campaign `repro chaos --inject overload` runs.
-    pub fn random_overload(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
+    pub(crate) fn random_overload(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x0f_f1_0a_d5_0f_f1_0a_d5);
         let faults = (0..n)
             .map(|_| TimedFault {
@@ -293,7 +293,7 @@ impl FaultPlan {
     /// attributable to time. Like power failures, the heavier clock faults
     /// are opt-in via this dedicated generator: [`FaultPlan::random`] keeps
     /// its exact per-seed schedules.
-    pub fn random_clockfault(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
+    pub(crate) fn random_clockfault(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xc1_0c_fa_17_c1_0c_fa_17);
         let faults = (0..n)
             .map(|_| {
@@ -330,7 +330,7 @@ impl FaultPlan {
     /// with the phase order itself randomized per seed. Requires
     /// `shape.replicas >= 3` for the crash/power-fail cycles to be
     /// survivable; smaller shapes degrade to partitions.
-    pub fn random_powerfail(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
+    pub(crate) fn random_powerfail(seed: u64, n: usize, shape: PlanShape) -> FaultPlan {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xc0_1d_b0_07_c0_1d_b0_07);
         let mut faults = Vec::with_capacity(n);
         for _ in 0..n {
@@ -358,16 +358,6 @@ impl FaultPlan {
         }
         FaultPlan { faults }
     }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +375,7 @@ mod tests {
         let a = FaultPlan::random(42, 50, SHAPE);
         let b = FaultPlan::random(42, 50, SHAPE);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 50);
+        assert_eq!(a.faults.len(), 50);
     }
 
     #[test]
@@ -417,7 +407,7 @@ mod tests {
         let a = FaultPlan::random_overload(11, 20, SHAPE);
         let b = FaultPlan::random_overload(11, 20, SHAPE);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 20);
+        assert_eq!(a.faults.len(), 20);
         assert!(a.faults.iter().all(|f| f.fault.class() == "overload"));
         for f in &a.faults {
             let Fault::Overload {
@@ -436,7 +426,7 @@ mod tests {
         let a = FaultPlan::random_powerfail(9, 40, SHAPE);
         let b = FaultPlan::random_powerfail(9, 40, SHAPE);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 40);
+        assert_eq!(a.faults.len(), 40);
         for class in ["power_fail", "crash", "partition_primary"] {
             assert!(
                 a.faults.iter().any(|f| f.fault.class() == class),
@@ -464,7 +454,7 @@ mod tests {
         let a = FaultPlan::random_clockfault(13, 60, SHAPE);
         let b = FaultPlan::random_clockfault(13, 60, SHAPE);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 60);
+        assert_eq!(a.faults.len(), 60);
         for f in &a.faults {
             assert!(
                 matches!(

@@ -60,37 +60,37 @@ impl Default for RebalanceCampaignConfig {
 #[derive(Debug, Clone)]
 pub struct RebalanceSeedOutcome {
     /// The seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Commits acknowledged to workload clients.
-    pub acked: u64,
+    pub(crate) acked: u64,
     /// Final counter sum read by the audit transaction.
-    pub audit_total: u64,
+    pub(crate) audit_total: u64,
     /// Unknown-outcome attempts reported by clients.
-    pub unknowns: u64,
+    pub(crate) unknowns: u64,
     /// Records the engine shipped over the copy plane.
-    pub records_copied: u64,
+    pub(crate) records_copied: u64,
     /// Bytes the engine shipped over the copy plane.
-    pub bytes_copied: u64,
+    pub(crate) bytes_copied: u64,
     /// Catch-up sweeps the engine ran.
-    pub catchup_rounds: u32,
+    pub(crate) catchup_rounds: u32,
     /// Map epoch after cutover.
-    pub final_epoch: u64,
+    pub(crate) final_epoch: u64,
     /// Prepares fenced with `StaleEpoch` across all servers.
-    pub stale_epoch_prepares: u64,
+    pub(crate) stale_epoch_prepares: u64,
     /// Faults the phase nemesis injected.
-    pub faults_injected: u64,
+    pub(crate) faults_injected: u64,
     /// Ownership claims/releases in the trace.
-    pub ownership_events: u64,
+    pub(crate) ownership_events: u64,
     /// True when the audit conserved every acknowledged increment.
-    pub conservation_ok: bool,
+    pub(crate) conservation_ok: bool,
     /// Checker violations (serializability, snapshot, dual ownership...).
-    pub violations: Vec<ViolationSummary>,
+    pub(crate) violations: Vec<ViolationSummary>,
 }
 
 impl RebalanceSeedOutcome {
     /// True when the seed conserved every acked write and the checker
     /// found nothing.
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.conservation_ok && self.violations.is_empty()
     }
 }
@@ -143,7 +143,7 @@ impl RebalanceCampaignReport {
 }
 
 /// Runs one migration seed to completion and returns its outcome.
-pub fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> RebalanceSeedOutcome {
+pub(crate) fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> RebalanceSeedOutcome {
     let capacity = if cfg.trace_capacity == 0 {
         1 << 19
     } else {

@@ -44,22 +44,21 @@ pub enum BackendKind {
     Mftl,
 }
 
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl BackendKind {
+    /// The backend's name in tables and artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
             BackendKind::Dram => "DRAM",
             BackendKind::Sftl => "SFTL",
             BackendKind::Vftl => "VFTL",
             BackendKind::Mftl => "MFTL",
-        };
-        write!(f, "{s}")
+        }
     }
 }
 
-impl BackendKind {
-    /// True if the backend can serve snapshot reads of old versions.
-    pub fn is_multi_version(self) -> bool {
-        !matches!(self, BackendKind::Sftl)
+impl std::fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -90,7 +89,7 @@ impl Backend {
     }
 
     /// This backend's kind.
-    pub fn kind(&self) -> BackendKind {
+    pub(crate) fn kind(&self) -> BackendKind {
         match self {
             Backend::Dram(_) => BackendKind::Dram,
             Backend::Sftl(_) => BackendKind::Sftl,
@@ -654,7 +653,7 @@ mod tests {
                 assert_eq!(b.latest_version(&k), b.versions(&k).first().copied());
                 assert_eq!(b.latest_version(&Key::from(2u64)), None, "{kind}");
                 let old = b.get_at(&k, Timestamp(15)).await;
-                if kind.is_multi_version() {
+                if kind != BackendKind::Sftl {
                     assert_eq!(old.unwrap().version, v(10), "{kind}");
                 } else {
                     assert_eq!(

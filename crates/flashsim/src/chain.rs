@@ -17,16 +17,16 @@ use timesync::{Timestamp, Version};
 
 /// One mapped version: its stamp and where (or what) it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Entry<L> {
+pub(crate) struct Entry<L> {
     /// The version stamp.
-    pub version: Version,
+    pub(crate) version: Version,
     /// The store's payload for this version.
-    pub loc: L,
+    pub(crate) loc: L,
 }
 
 /// One key's versions in descending version order, no stamp twice.
 #[derive(Debug, Clone)]
-pub struct Chain<L> {
+pub(crate) struct Chain<L> {
     /// The youngest version; `None` only for an empty chain.
     head: Option<Entry<L>>,
     /// The versions older than `head`, youngest first.
@@ -34,7 +34,7 @@ pub struct Chain<L> {
 }
 
 /// A chain's entries, youngest first.
-pub type Iter<'a, L> =
+pub(crate) type Iter<'a, L> =
     std::iter::Chain<std::option::Iter<'a, Entry<L>>, std::slice::Iter<'a, Entry<L>>>;
 
 impl<L> Default for Chain<L> {
@@ -50,7 +50,7 @@ impl<L> Chain<L> {
     /// Maps `version` at its sorted position. A stamp already present keeps
     /// its first mapping (replicated writes and mount scans are idempotent);
     /// returns whether the entry was inserted.
-    pub fn insert(&mut self, version: Version, loc: L) -> bool {
+    pub(crate) fn insert(&mut self, version: Version, loc: L) -> bool {
         let entry = Entry { version, loc };
         let Some(head) = &mut self.head else {
             self.head = Some(entry);
@@ -77,22 +77,22 @@ impl<L> Chain<L> {
     }
 
     /// The youngest version.
-    pub fn latest(&self) -> Option<&Entry<L>> {
+    pub(crate) fn latest(&self) -> Option<&Entry<L>> {
         self.head.as_ref()
     }
 
     /// The snapshot read rule: the youngest version with `ts <= at`.
-    pub fn visible_at(&self, at: Timestamp) -> Option<&Entry<L>> {
+    pub(crate) fn visible_at(&self, at: Timestamp) -> Option<&Entry<L>> {
         self.iter().find(|e| e.version.ts <= at)
     }
 
     /// The payload mapped for exactly `version`.
-    pub fn get(&self, version: Version) -> Option<&L> {
+    pub(crate) fn get(&self, version: Version) -> Option<&L> {
         self.iter().find(|e| e.version == version).map(|e| &e.loc)
     }
 
     /// Mutable access to the payload mapped for exactly `version`.
-    pub fn get_mut(&mut self, version: Version) -> Option<&mut L> {
+    pub(crate) fn get_mut(&mut self, version: Version) -> Option<&mut L> {
         self.head
             .iter_mut()
             .chain(&mut self.older)
@@ -101,7 +101,7 @@ impl<L> Chain<L> {
     }
 
     /// Unmaps `version` if it is still mapped to `loc`.
-    pub fn remove(&mut self, version: Version, loc: &L)
+    pub(crate) fn remove(&mut self, version: Version, loc: &L)
     where
         L: PartialEq,
     {
@@ -114,12 +114,12 @@ impl<L> Chain<L> {
     }
 
     /// The entries, youngest first.
-    pub fn iter(&self) -> Iter<'_, L> {
+    pub(crate) fn iter(&self) -> Iter<'_, L> {
         self.head.iter().chain(&self.older)
     }
 
     /// The mapped stamps, youngest first.
-    pub fn versions(&self) -> Vec<Version> {
+    pub(crate) fn versions(&self) -> Vec<Version> {
         self.iter().map(|e| e.version).collect()
     }
 
@@ -129,7 +129,7 @@ impl<L> Chain<L> {
     /// version always stays, so only the older tail is ever drained.
     /// Yields the dropped entries so the store can release what they
     /// occupied.
-    pub fn prune(&mut self, watermark: Timestamp) -> std::vec::Drain<'_, Entry<L>> {
+    pub(crate) fn prune(&mut self, watermark: Timestamp) -> std::vec::Drain<'_, Entry<L>> {
         let keep = match &self.head {
             Some(head) if head.version.ts > watermark => self
                 .older

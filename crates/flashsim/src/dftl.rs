@@ -32,7 +32,7 @@ use crate::types::{Key, StoreError, Value, VersionedValue};
 
 /// Translations per flash translation page (amortizes dirty evictions):
 /// 4 KB page / 16 B per (key-hash, location) entry.
-pub const ENTRIES_PER_TRANSLATION_PAGE: usize = 256;
+pub(crate) const ENTRIES_PER_TRANSLATION_PAGE: usize = 256;
 
 /// Mapping-cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,11 +111,6 @@ impl DemandMappedStore {
         }
     }
 
-    /// The wrapped store.
-    pub fn inner(&self) -> &UnifiedStore {
-        &self.inner
-    }
-
     /// Mapping-cache counters.
     pub fn stats(&self) -> DftlStats {
         self.state.borrow().stats
@@ -190,28 +185,6 @@ impl DemandMappedStore {
     pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
         self.charge(&key, true).await;
         self.inner.put(key, value, version).await
-    }
-
-    /// Records the durable write floor on the wrapped store.
-    pub fn note_floor(&self, ts: Timestamp) {
-        self.inner.note_floor(ts);
-    }
-
-    /// Injects a power failure: the wrapped store loses its volatile state
-    /// and the resident translation cache (plain DRAM) is emptied.
-    pub fn power_fail(&self) -> u64 {
-        let torn = self.inner.power_fail();
-        let mut st = self.state.borrow_mut();
-        st.resident.clear();
-        st.order.clear();
-        st.pending_dirty = 0;
-        torn
-    }
-
-    /// Mounts the wrapped store; the translation cache starts cold and
-    /// refills on demand.
-    pub async fn mount(&self) -> crate::backend::MountReport {
-        self.inner.mount().await
     }
 }
 

@@ -17,9 +17,9 @@ use crate::chain::Chain;
 use crate::types::{Key, StoreError, StoreStats, Value, VersionedValue};
 
 /// Per-read latency (≤100 ns for NVM per §1).
-pub const READ_LATENCY: Duration = Duration::from_nanos(100);
+pub(crate) const READ_LATENCY: Duration = Duration::from_nanos(100);
 /// Per-write latency.
-pub const WRITE_LATENCY: Duration = Duration::from_nanos(150);
+pub(crate) const WRITE_LATENCY: Duration = Duration::from_nanos(150);
 
 #[derive(Debug, Default)]
 struct DramInner {
@@ -40,7 +40,7 @@ pub struct DramStore {
 
 impl DramStore {
     /// Creates an empty store.
-    pub fn new(handle: SimHandle) -> DramStore {
+    pub(crate) fn new(handle: SimHandle) -> DramStore {
         DramStore {
             handle,
             inner: Rc::new(RefCell::new(DramInner::default())),
@@ -48,7 +48,7 @@ impl DramStore {
     }
 
     /// Store counters.
-    pub fn stats(&self) -> StoreStats {
+    pub(crate) fn stats(&self) -> StoreStats {
         self.inner.borrow().stats
     }
 
@@ -57,7 +57,12 @@ impl DramStore {
     /// # Errors
     ///
     /// [`StoreError::StaleWrite`] if `version` is not newer than the latest.
-    pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
+    pub(crate) async fn put(
+        &self,
+        key: Key,
+        value: Value,
+        version: Version,
+    ) -> Result<(), StoreError> {
         {
             let mut inner = self.inner.borrow_mut();
             if let Some(head) = inner.map.get(&key).and_then(Chain::latest) {
@@ -72,14 +77,14 @@ impl DramStore {
     }
 
     /// Applies a possibly out-of-order replicated write (idempotent).
-    pub async fn apply_unordered(&self, key: Key, value: Value, version: Version) {
+    pub(crate) async fn apply_unordered(&self, key: Key, value: Value, version: Version) {
         self.inner.borrow_mut().apply(key, value, version);
         self.handle.sleep(WRITE_LATENCY).await;
     }
 
     /// Applies a batch of unordered writes atomically (all visible at once),
     /// then charges one write latency.
-    pub async fn apply_batch_unordered(&self, items: Vec<(Key, Value, Version)>) {
+    pub(crate) async fn apply_batch_unordered(&self, items: Vec<(Key, Value, Version)>) {
         {
             let mut inner = self.inner.borrow_mut();
             for (key, value, version) in items {
@@ -94,7 +99,11 @@ impl DramStore {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] if no version is visible.
-    pub async fn get_at(&self, key: &Key, at: Timestamp) -> Result<VersionedValue, StoreError> {
+    pub(crate) async fn get_at(
+        &self,
+        key: &Key,
+        at: Timestamp,
+    ) -> Result<VersionedValue, StoreError> {
         let out = {
             let mut inner = self.inner.borrow_mut();
             let chain = inner.map.get(key).ok_or(StoreError::NotFound)?;
@@ -115,17 +124,17 @@ impl DramStore {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] if the key does not exist.
-    pub async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
+    pub(crate) async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
         self.get_at(key, Timestamp::MAX).await
     }
 
     /// Removes all versions of `key`.
-    pub fn delete(&self, key: &Key) {
+    pub(crate) fn delete(&self, key: &Key) {
         self.inner.borrow_mut().map.remove(key);
     }
 
     /// Raises the GC watermark (never moves backwards).
-    pub fn set_watermark(&self, ts: Timestamp) {
+    pub(crate) fn set_watermark(&self, ts: Timestamp) {
         let mut inner = self.inner.borrow_mut();
         if ts > inner.watermark {
             inner.watermark = ts;
@@ -133,25 +142,20 @@ impl DramStore {
     }
 
     /// All versions of `key`, youngest first.
-    pub fn versions(&self, key: &Key) -> Vec<Version> {
+    pub(crate) fn versions(&self, key: &Key) -> Vec<Version> {
         let inner = self.inner.borrow();
         inner.map.get(key).map(Chain::versions).unwrap_or_default()
     }
 
     /// The youngest version of `key`.
-    pub fn latest_version(&self, key: &Key) -> Option<Version> {
+    pub(crate) fn latest_version(&self, key: &Key) -> Option<Version> {
         let inner = self.inner.borrow();
         inner.map.get(key)?.latest().map(|e| e.version)
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.inner.borrow().map.len()
-    }
-
     /// All distinct keys, sorted by byte order (deterministic iteration
     /// for bulk copy / migration sweeps).
-    pub fn keys(&self) -> Vec<Key> {
+    pub(crate) fn keys(&self) -> Vec<Key> {
         let mut ks: Vec<Key> = self.inner.borrow().map.keys().cloned().collect();
         ks.sort();
         ks
@@ -159,7 +163,7 @@ impl DramStore {
 
     /// Records the durable write floor (battery-protected, so it survives
     /// power failures as-is). Floors never move backwards.
-    pub fn note_floor(&self, ts: Timestamp) {
+    pub(crate) fn note_floor(&self, ts: Timestamp) {
         let mut inner = self.inner.borrow_mut();
         if ts > inner.floor {
             inner.floor = ts;
@@ -168,13 +172,13 @@ impl DramStore {
 
     /// Power failure on battery-backed DRAM/NVM: contents survive intact
     /// (§5's premise for this backend). Nothing is torn.
-    pub fn power_fail(&self) -> u64 {
+    pub(crate) fn power_fail(&self) -> u64 {
         0
     }
 
     /// Mount after a power failure: the battery preserved everything, so
     /// this only reports what is already resident. Zero-time.
-    pub fn mount(&self) -> crate::backend::MountReport {
+    pub(crate) fn mount(&self) -> crate::backend::MountReport {
         let inner = self.inner.borrow();
         crate::backend::MountReport {
             pages_scanned: 0,
@@ -197,7 +201,7 @@ impl DramStore {
     }
 
     /// Zero-time bulk load.
-    pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
+    pub(crate) fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let mut inner = self.inner.borrow_mut();
         inner.map.entry(key).or_default().insert(version, value);
     }

@@ -61,7 +61,6 @@ pub mod vftl;
 
 pub use backend::{Backend, BackendKind, MountReport};
 pub use nand::{NandConfig, NandDevice, PhysLoc};
-pub use oob::{PageOob, ScannedPage};
 pub use types::{value, Key, StoreError, StoreStats, TupleRecord, Value, VersionedValue};
 
 /// A store's garbage-collection trigger levels, in its own allocation units
@@ -69,9 +68,9 @@ pub use types::{value, Key, StoreError, StoreStats, TupleRecord, Value, Versione
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GcLevels {
     /// Background GC starts when free units drop to this level.
-    pub low_water: usize,
+    pub(crate) low_water: usize,
     /// Units user writes never take: GC's own relocation headroom.
-    pub reserve: usize,
+    pub(crate) reserve: usize,
 }
 
 impl GcLevels {

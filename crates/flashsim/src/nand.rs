@@ -29,11 +29,11 @@ use simkit::time::SimTime;
 use simkit::SimHandle;
 
 /// Page read latency (§5).
-pub const READ_LATENCY: Duration = Duration::from_micros(50);
+pub(crate) const READ_LATENCY: Duration = Duration::from_micros(50);
 /// Page program latency (§5).
-pub const PROGRAM_LATENCY: Duration = Duration::from_micros(100);
+pub(crate) const PROGRAM_LATENCY: Duration = Duration::from_micros(100);
 /// Block erase latency (§5).
-pub const ERASE_LATENCY: Duration = Duration::from_millis(1);
+pub(crate) const ERASE_LATENCY: Duration = Duration::from_millis(1);
 
 /// Geometry of a simulated SSD; its timings are the §5 constants above.
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ impl Default for NandConfig {
 
 impl NandConfig {
     /// Total pages on the device.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.blocks as u64 * self.pages_per_block as u64
     }
 
@@ -152,9 +152,9 @@ pub struct NandStats {
     /// Blocks erased.
     pub block_erases: u64,
     /// Operations that needed an injected media-error recovery retry.
-    pub media_retries: u64,
+    pub(crate) media_retries: u64,
     /// Blocks retired as worn out instead of returning to the free pool.
-    pub retired_blocks: u64,
+    pub(crate) retired_blocks: u64,
     /// Pages whose in-flight program was torn by a power failure.
     pub torn_pages: u64,
 }
@@ -333,17 +333,11 @@ impl<P: Clone + 'static> NandDevice<P> {
         self.inner.borrow().stats
     }
 
-    /// Installs media faults applied to subsequent operations. A no-op
-    /// config uninstalls, same as [`NandDevice::clear_media_faults`]. All
-    /// randomness comes from the simulation RNG, so faulty runs stay
+    /// Installs media faults applied to subsequent operations; a no-op
+    /// config uninstalls them. All randomness comes from the simulation RNG, so faulty runs stay
     /// deterministic.
-    pub fn inject_media_faults(&self, cfg: MediaFaultConfig) {
+    pub(crate) fn inject_media_faults(&self, cfg: MediaFaultConfig) {
         self.inner.borrow_mut().faults = if cfg.is_noop() { None } else { Some(cfg) };
-    }
-
-    /// Removes any injected media faults.
-    pub fn clear_media_faults(&self) {
-        self.inner.borrow_mut().faults = None;
     }
 
     /// Extra device occupancy if a media-error recovery fires for an
@@ -363,7 +357,7 @@ impl<P: Clone + 'static> NandDevice<P> {
 
     /// Attaches a trace sink; subsequent operations emit
     /// [`obskit::TraceEvent::FlashOp`] events stamped with `node`.
-    pub fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
+    pub(crate) fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
         let mut inner = self.inner.borrow_mut();
         inner.tracer = tracer.clone();
         inner.node = node;
@@ -382,7 +376,7 @@ impl<P: Clone + 'static> NandDevice<P> {
 
     /// Records a [`obskit::TraceEvent::GcRun`] on behalf of the FTL layer
     /// driving garbage collection over this device.
-    pub fn trace_gc(&self, reclaimed: u64) {
+    pub(crate) fn trace_gc(&self, reclaimed: u64) {
         let inner = self.inner.borrow();
         inner.tracer.record(
             self.handle.now().as_nanos(),
@@ -432,7 +426,7 @@ impl<P: Clone + 'static> NandDevice<P> {
     /// # Errors
     ///
     /// Same as [`NandDevice::program`].
-    pub async fn program_with_oob(
+    pub(crate) async fn program_with_oob(
         &self,
         loc: PhysLoc,
         payload: P,
@@ -465,7 +459,7 @@ impl<P: Clone + 'static> NandDevice<P> {
     /// OOB checksum is corrupted, so [`NandDevice::mount_scan`] will report
     /// it torn and the FTL will discard it). Completed programs are durable.
     /// Returns the number of pages torn.
-    pub fn power_fail(&self) -> u64 {
+    pub(crate) fn power_fail(&self) -> u64 {
         let mut inner = self.inner.borrow_mut();
         let torn: Vec<PhysLoc> = inner.in_flight.iter().copied().collect();
         inner.in_flight.clear();
@@ -489,7 +483,7 @@ impl<P: Clone + 'static> NandDevice<P> {
     /// programmed page in (block, page) order; the FTL rebuilds its mapping
     /// table from these plus zero-time [`NandDevice::peek`]s of the
     /// payloads the scan just read.
-    pub async fn mount_scan(&self) -> Vec<ScannedPage> {
+    pub(crate) async fn mount_scan(&self) -> Vec<ScannedPage> {
         let mut out = Vec::new();
         {
             let inner = self.inner.borrow();
@@ -516,7 +510,7 @@ impl<P: Clone + 'static> NandDevice<P> {
     /// # Errors
     ///
     /// [`NandError::ReadUnwritten`] if the page was never programmed.
-    pub async fn read(&self, loc: PhysLoc) -> Result<P, NandError> {
+    pub(crate) async fn read(&self, loc: PhysLoc) -> Result<P, NandError> {
         self.check_range(loc)?;
         let payload = {
             let mut inner = self.inner.borrow_mut();
@@ -575,21 +569,11 @@ impl<P: Clone + 'static> NandDevice<P> {
 
     /// Zero-time read for recovery scans and tests (no device timing, no
     /// stats).
-    pub fn peek(&self, loc: PhysLoc) -> Option<P> {
+    pub(crate) fn peek(&self, loc: PhysLoc) -> Option<P> {
         self.check_range(loc).ok()?;
         self.inner.borrow().blocks[loc.block as usize]
             .page(loc.page)
             .cloned()
-    }
-
-    /// Zero-time program used for bulk-loading experiment datasets. Enforces
-    /// the same ordering contract as [`NandDevice::program`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NandDevice::program`].
-    pub fn install(&self, loc: PhysLoc, payload: P) -> Result<(), NandError> {
-        self.install_inner(loc, payload, None)
     }
 
     /// Zero-time program with OOB metadata — the bulk-load counterpart of
@@ -599,23 +583,14 @@ impl<P: Clone + 'static> NandDevice<P> {
     /// # Errors
     ///
     /// Same as [`NandDevice::program`].
-    pub fn install_with_oob(
+    pub(crate) fn install_with_oob(
         &self,
         loc: PhysLoc,
         payload: P,
         oob: PageOob,
     ) -> Result<(), NandError> {
-        self.install_inner(loc, payload, Some(oob))
-    }
-
-    fn install_inner(
-        &self,
-        loc: PhysLoc,
-        payload: P,
-        oob: Option<PageOob>,
-    ) -> Result<(), NandError> {
         self.check_range(loc)?;
-        self.inner.borrow_mut().blocks[loc.block as usize].push(loc, payload, oob)
+        self.inner.borrow_mut().blocks[loc.block as usize].push(loc, payload, Some(oob))
     }
 
     /// Makes this fresh device a copy of `from`'s bulk-loaded image: every
@@ -865,8 +840,8 @@ mod tests {
             dev.read(PhysLoc { block: b, page: 0 }).await.unwrap();
             assert_eq!(hh.now() - t1, Duration::from_micros(450));
             assert_eq!(dev.stats().media_retries, 1);
-            // Clearing faults restores nominal latency.
-            dev.clear_media_faults();
+            // A no-op config clears the faults and restores nominal latency.
+            dev.inject_media_faults(MediaFaultConfig::default());
             let t2 = hh.now();
             dev.read(PhysLoc { block: b, page: 0 }).await.unwrap();
             assert_eq!(hh.now() - t2, Duration::from_micros(50));
@@ -964,7 +939,9 @@ mod tests {
         let h = sim.handle();
         let dev: NandDevice<u32> = NandDevice::new(h.clone(), small_cfg());
         let b = dev.alloc_block().unwrap();
-        dev.install(PhysLoc { block: b, page: 0 }, 5).unwrap();
+        let loc = PhysLoc { block: b, page: 0 };
+        dev.install_with_oob(loc, 5, PageOob::new(0, 1, 0, 0))
+            .unwrap();
         assert_eq!(dev.peek(PhysLoc { block: b, page: 0 }), Some(5));
         assert_eq!(h.now(), SimTime::ZERO);
         assert_eq!(dev.stats().page_writes, 0);

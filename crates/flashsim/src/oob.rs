@@ -22,22 +22,22 @@
 
 /// Out-of-band metadata programmed atomically with a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageOob {
+pub(crate) struct PageOob {
     /// FTL-defined page identity (LBA for page-mapped FTLs).
-    pub key: u64,
+    pub(crate) key: u64,
     /// Newest version timestamp (ns) among records in the page.
-    pub version: u64,
+    pub(crate) version: u64,
     /// FTL mount epoch at program time.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Durable write-floor record (ns) at program time.
-    pub floor: u64,
+    pub(crate) floor: u64,
     /// Integrity checksum over the fields; mismatch marks the page torn.
     checksum: u64,
 }
 
 impl PageOob {
     /// Builds OOB metadata with a valid checksum.
-    pub fn new(key: u64, version: u64, epoch: u64, floor: u64) -> PageOob {
+    pub(crate) fn new(key: u64, version: u64, epoch: u64, floor: u64) -> PageOob {
         let mut oob = PageOob {
             key,
             version,
@@ -63,7 +63,7 @@ impl PageOob {
     /// True if the stored checksum does not match the fields — the page's
     /// program was torn by a power failure and its contents must be
     /// discarded at mount.
-    pub fn is_torn(&self) -> bool {
+    pub(crate) fn is_torn(&self) -> bool {
         self.checksum != self.expected_checksum()
     }
 
@@ -76,12 +76,12 @@ impl PageOob {
 
 /// One programmed page reported by [`crate::NandDevice::mount_scan`].
 #[derive(Debug, Clone, Copy)]
-pub struct ScannedPage {
+pub(crate) struct ScannedPage {
     /// Physical address of the page.
-    pub loc: crate::PhysLoc,
+    pub(crate) loc: crate::PhysLoc,
     /// Its OOB metadata; `None` for pages programmed without OOB (legacy
     /// raw programs), which mount treats the same as torn pages.
-    pub oob: Option<PageOob>,
+    pub(crate) oob: Option<PageOob>,
 }
 
 #[cfg(test)]

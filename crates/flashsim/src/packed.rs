@@ -289,12 +289,12 @@ impl<S: Space> PackedStore<S> {
 
     /// Attaches a trace sink to the device (flash-op and GC events stamped
     /// with `node`).
-    pub fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
+    pub(crate) fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
         self.device().attach_tracer(tracer, node);
     }
 
     /// Injects media faults into the underlying device (fault campaigns).
-    pub fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
+    pub(crate) fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
         self.device().inject_media_faults(cfg);
     }
 
@@ -323,7 +323,7 @@ impl<S: Space> PackedStore<S> {
     /// # Errors
     ///
     /// [`StoreError::CapacityExhausted`] if the device is full of live data.
-    pub async fn apply_unordered(
+    pub(crate) async fn apply_unordered(
         &self,
         key: Key,
         value: Value,
@@ -343,7 +343,7 @@ impl<S: Space> PackedStore<S> {
     /// # Errors
     ///
     /// [`StoreError::CapacityExhausted`] if the device fills.
-    pub async fn apply_batch_unordered(
+    pub(crate) async fn apply_batch_unordered(
         &self,
         items: Vec<(Key, Value, Version)>,
     ) -> Result<(), StoreError> {
@@ -584,7 +584,7 @@ impl<S: Space> PackedStore<S> {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] if the key does not exist.
-    pub async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
+    pub(crate) async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
         self.get_where(key, Timestamp::MAX).await
     }
 
@@ -641,7 +641,7 @@ impl<S: Space> PackedStore<S> {
     }
 
     /// Removes all versions of `key` (§3 API). Metadata-only in this model.
-    pub fn delete(&self, key: &Key) {
+    pub(crate) fn delete(&self, key: &Key) {
         if let Some(chain) = self.sh.inner.borrow_mut().map.remove(key) {
             for e in chain.iter() {
                 if let Loc::Stored { addr, .. } = e.loc {
@@ -660,11 +660,6 @@ impl<S: Space> PackedStore<S> {
         }
     }
 
-    /// Current watermark.
-    pub fn watermark(&self) -> Timestamp {
-        self.sh.inner.borrow().watermark
-    }
-
     /// All versions currently mapped for `key`, youngest first (test /
     /// recovery instrumentation).
     pub fn versions(&self, key: &Key) -> Vec<Version> {
@@ -673,19 +668,19 @@ impl<S: Space> PackedStore<S> {
     }
 
     /// The youngest version mapped for `key` (metadata only, no I/O).
-    pub fn latest_version(&self, key: &Key) -> Option<Version> {
+    pub(crate) fn latest_version(&self, key: &Key) -> Option<Version> {
         let inner = self.sh.inner.borrow();
         inner.map.get(key)?.latest().map(|e| e.version)
     }
 
     /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
+    pub(crate) fn key_count(&self) -> usize {
         self.sh.inner.borrow().map.len()
     }
 
     /// All distinct keys, sorted by byte order (deterministic iteration
     /// for bulk copy / migration sweeps).
-    pub fn keys(&self) -> Vec<Key> {
+    pub(crate) fn keys(&self) -> Vec<Key> {
         let mut ks: Vec<Key> = self.sh.inner.borrow().map.keys().cloned().collect();
         ks.sort();
         ks
@@ -703,7 +698,7 @@ impl<S: Space> PackedStore<S> {
     /// # Panics
     ///
     /// Panics if the space fills during the load.
-    pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
+    pub(crate) fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let rec = TupleRecord {
             key,
             version,
@@ -724,7 +719,7 @@ impl<S: Space> PackedStore<S> {
     }
 
     /// Flushes the bulk-load packer.
-    pub fn finish_load(&self) {
+    pub(crate) fn finish_load(&self) {
         if !self.sh.inner.borrow().load_buf.is_empty() {
             self.install_load_page();
         }
@@ -783,7 +778,7 @@ impl<S: Space> PackedStore<S> {
     /// now on carries `ts` in its OOB floor field, so a future
     /// [`PackedStore::mount`] recovers at least this floor. Floors never
     /// move backwards.
-    pub fn note_floor(&self, ts: Timestamp) {
+    pub(crate) fn note_floor(&self, ts: Timestamp) {
         self.sh.space.note_floor(ts);
     }
 
@@ -791,7 +786,7 @@ impl<S: Space> PackedStore<S> {
     /// and drops all RAM state (mapping table, packer queues, accounting) —
     /// the store is unusable until [`PackedStore::mount`]. Returns the
     /// number of torn pages.
-    pub fn power_fail(&self) -> u64 {
+    pub(crate) fn power_fail(&self) -> u64 {
         let torn = self.sh.space.power_fail();
         self.reset_volatile();
         torn
@@ -804,7 +799,7 @@ impl<S: Space> PackedStore<S> {
     /// leaves two identical copies; the first in scan order is mapped, the
     /// other stays unreferenced garbage for the next collection. Returns
     /// what the scan found, including the recovered durable floor.
-    pub async fn mount(&self) -> MountReport {
+    pub(crate) async fn mount(&self) -> MountReport {
         let _gc = self.sh.gc_lock.acquire().await;
         self.reset_volatile();
         let (mut report, units) = self.sh.space.mount_scan().await;

@@ -24,7 +24,7 @@ use crate::GcLevels;
 use timesync::Timestamp;
 
 /// Fraction of physical capacity hidden from the logical space.
-pub const OVERPROVISION: f64 = 0.10;
+pub(crate) const OVERPROVISION: f64 = 0.10;
 
 /// Counters describing FTL-level activity (on top of raw device counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -88,13 +88,13 @@ impl<P> Clone for PageFtl<P> {
 impl<P: Clone + 'static> PageFtl<P> {
     /// Creates an FTL over a fresh device and spawns its background GC task
     /// (owned by no node; it dies with the simulation).
-    pub fn new(handle: SimHandle, nand: NandConfig) -> PageFtl<P> {
+    pub(crate) fn new(handle: SimHandle, nand: NandConfig) -> PageFtl<P> {
         let dev = NandDevice::new(handle.clone(), nand);
         Self::over(handle, dev)
     }
 
     /// Creates an FTL over an existing device.
-    pub fn over(handle: SimHandle, dev: NandDevice<P>) -> PageFtl<P> {
+    pub(crate) fn over(handle: SimHandle, dev: NandDevice<P>) -> PageFtl<P> {
         let total = dev.config().total_pages();
         let logical_pages = ((total as f64) * (1.0 - OVERPROVISION)).floor() as u32;
         let blocks = dev.config().blocks as usize;
@@ -134,7 +134,7 @@ impl<P: Clone + 'static> PageFtl<P> {
     }
 
     /// Number of logical pages exposed (physical minus over-provisioning).
-    pub fn logical_pages(&self) -> u32 {
+    pub(crate) fn logical_pages(&self) -> u32 {
         self.logical_pages
     }
 
@@ -183,7 +183,7 @@ impl<P: Clone + 'static> PageFtl<P> {
     ///
     /// - [`StoreError::NotFound`] if `lba` is out of the logical range.
     /// - [`StoreError::CapacityExhausted`] if GC cannot free space.
-    pub async fn write(&self, lba: u32, payload: P) -> Result<(), StoreError> {
+    pub(crate) async fn write(&self, lba: u32, payload: P) -> Result<(), StoreError> {
         if lba >= self.logical_pages {
             return Err(StoreError::NotFound);
         }
@@ -236,7 +236,7 @@ impl<P: Clone + 'static> PageFtl<P> {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] if the LBA is unmapped.
-    pub async fn read(&self, lba: u32) -> Result<P, StoreError> {
+    pub(crate) async fn read(&self, lba: u32) -> Result<P, StoreError> {
         // GC may remap the LBA between lookup and device read; retry on a
         // fresh mapping. The device clones the payload synchronously, so a
         // successful read is never torn.
@@ -261,7 +261,7 @@ impl<P: Clone + 'static> PageFtl<P> {
 
     /// All currently mapped LBAs in ascending order (deterministic
     /// iteration for stacked-layer mount rebuilds).
-    pub fn mapped_lbas(&self) -> Vec<u32> {
+    pub(crate) fn mapped_lbas(&self) -> Vec<u32> {
         let mut ls: Vec<u32> = self.inner.borrow().map.keys().copied().collect();
         ls.sort_unstable();
         ls
@@ -270,13 +270,13 @@ impl<P: Clone + 'static> PageFtl<P> {
     /// Zero-time payload peek of a mapped LBA (stacked layers rebuild their
     /// key maps from these after [`PageFtl::mount`]; the mount scan already
     /// charged the read time).
-    pub fn peek_lba(&self, lba: u32) -> Option<P> {
+    pub(crate) fn peek_lba(&self, lba: u32) -> Option<P> {
         let loc = *self.inner.borrow().map.get(&lba)?;
         self.dev.peek(loc)
     }
 
     /// Unmaps `lba`, making its physical page garbage.
-    pub fn trim(&self, lba: u32) {
+    pub(crate) fn trim(&self, lba: u32) {
         let mut inner = self.inner.borrow_mut();
         if let Some(old) = inner.map.remove(&lba) {
             inner.rmap.remove(&old);
@@ -284,17 +284,12 @@ impl<P: Clone + 'static> PageFtl<P> {
         }
     }
 
-    /// True if `lba` is mapped.
-    pub fn is_mapped(&self, lba: u32) -> bool {
-        self.inner.borrow().map.contains_key(&lba)
-    }
-
     /// Zero-time write for bulk-loading datasets.
     ///
     /// # Panics
     ///
     /// Panics if the device runs out of space during the load.
-    pub fn install(&self, lba: u32, payload: P) {
+    pub(crate) fn install(&self, lba: u32, payload: P) {
         assert!(lba < self.logical_pages, "install outside logical range");
         let loc = self
             .alloc_slot(false)
@@ -332,7 +327,7 @@ impl<P: Clone + 'static> PageFtl<P> {
 
     /// Records the durable write floor; subsequent page programs stamp it
     /// into their OOB. Floors never move backwards.
-    pub fn note_floor(&self, ts: Timestamp) {
+    pub(crate) fn note_floor(&self, ts: Timestamp) {
         let mut inner = self.inner.borrow_mut();
         if ts.0 > inner.floor {
             inner.floor = ts.0;
@@ -341,7 +336,7 @@ impl<P: Clone + 'static> PageFtl<P> {
 
     /// Injects a power failure: tears in-flight programs on the device and
     /// drops the volatile mapping table. Returns the number of torn pages.
-    pub fn power_fail(&self) -> u64 {
+    pub(crate) fn power_fail(&self) -> u64 {
         let torn = self.dev.power_fail();
         let mut inner = self.inner.borrow_mut();
         inner.epoch += 1;
@@ -352,7 +347,7 @@ impl<P: Clone + 'static> PageFtl<P> {
     /// Deterministic mount scan: rebuilds the LBA mapping from per-page OOB
     /// (newest sequence stamp wins per LBA), discarding torn pages, and
     /// recovers the durable floor. `keys` in the report counts mapped LBAs.
-    pub async fn mount(&self) -> MountReport {
+    pub(crate) async fn mount(&self) -> MountReport {
         let _gc = self.gc_lock.acquire().await;
         {
             let mut inner = self.inner.borrow_mut();

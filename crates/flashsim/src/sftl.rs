@@ -39,7 +39,7 @@ pub struct SingleVersionStore {
 
 impl SingleVersionStore {
     /// Creates an SFTL store over a fresh device.
-    pub fn new(handle: SimHandle, nand: NandConfig) -> SingleVersionStore {
+    pub(crate) fn new(handle: SimHandle, nand: NandConfig) -> SingleVersionStore {
         let ftl = PageFtl::new(handle, nand);
         SingleVersionStore {
             ftl,
@@ -58,7 +58,7 @@ impl SingleVersionStore {
     }
 
     /// Store-level counters.
-    pub fn stats(&self) -> StoreStats {
+    pub(crate) fn stats(&self) -> StoreStats {
         let mut s = self.inner.borrow().stats;
         let d = self.device().stats();
         s.pages_written = d.page_writes;
@@ -69,12 +69,12 @@ impl SingleVersionStore {
 
     /// Attaches a trace sink to the underlying device (flash-op and GC
     /// events stamped with `node`).
-    pub fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
+    pub(crate) fn attach_tracer(&self, tracer: &obskit::Tracer, node: u64) {
         self.device().attach_tracer(tracer, node);
     }
 
     /// Injects media faults into the underlying device (fault campaigns).
-    pub fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
+    pub(crate) fn inject_media_faults(&self, cfg: crate::nand::MediaFaultConfig) {
         self.device().inject_media_faults(cfg);
     }
 
@@ -103,7 +103,12 @@ impl SingleVersionStore {
     /// - [`StoreError::StaleWrite`] if `version` is not newer than the
     ///   current version.
     /// - [`StoreError::CapacityExhausted`] when out of logical space.
-    pub async fn put(&self, key: Key, value: Value, version: Version) -> Result<(), StoreError> {
+    pub(crate) async fn put(
+        &self,
+        key: Key,
+        value: Value,
+        version: Version,
+    ) -> Result<(), StoreError> {
         {
             let inner = self.inner.borrow();
             if let Some(&(_, cur)) = inner.map.get(&key) {
@@ -143,7 +148,7 @@ impl SingleVersionStore {
     /// # Errors
     ///
     /// [`StoreError::CapacityExhausted`] when out of logical space.
-    pub async fn apply_unordered(
+    pub(crate) async fn apply_unordered(
         &self,
         key: Key,
         value: Value,
@@ -163,7 +168,7 @@ impl SingleVersionStore {
     /// # Errors
     ///
     /// [`StoreError::CapacityExhausted`] when out of logical space.
-    pub async fn apply_batch_unordered(
+    pub(crate) async fn apply_batch_unordered(
         &self,
         items: Vec<(Key, Value, Version)>,
     ) -> Result<(), StoreError> {
@@ -205,7 +210,11 @@ impl SingleVersionStore {
     /// - [`StoreError::NotFound`] for missing keys.
     /// - [`StoreError::SnapshotUnavailable`] if the key was overwritten
     ///   after `at` — the old version no longer exists on this backend.
-    pub async fn get_at(&self, key: &Key, at: Timestamp) -> Result<VersionedValue, StoreError> {
+    pub(crate) async fn get_at(
+        &self,
+        key: &Key,
+        at: Timestamp,
+    ) -> Result<VersionedValue, StoreError> {
         // An in-flight write may have announced its version in the map while
         // its page is still being programmed; retry briefly until the page
         // content matches the announced version.
@@ -248,12 +257,12 @@ impl SingleVersionStore {
     /// # Errors
     ///
     /// [`StoreError::NotFound`] for missing keys.
-    pub async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
+    pub(crate) async fn get_latest(&self, key: &Key) -> Result<VersionedValue, StoreError> {
         self.get_at(key, Timestamp::MAX).await
     }
 
     /// Removes `key`.
-    pub fn delete(&self, key: &Key) {
+    pub(crate) fn delete(&self, key: &Key) {
         let mut inner = self.inner.borrow_mut();
         if let Some((lba, _)) = inner.map.remove(key) {
             self.ftl.trim(lba);
@@ -262,13 +271,13 @@ impl SingleVersionStore {
     }
 
     /// The latest version of `key`, if present (metadata only, no I/O).
-    pub fn latest_version(&self, key: &Key) -> Option<Version> {
+    pub(crate) fn latest_version(&self, key: &Key) -> Option<Version> {
         self.inner.borrow().map.get(key).map(|&(_, v)| v)
     }
 
     /// Watermarks are meaningless for a single-version store; accepted for
     /// API uniformity.
-    pub fn set_watermark(&self, _ts: Timestamp) {}
+    pub(crate) fn set_watermark(&self, _ts: Timestamp) {}
 
     /// Sizes the key map for `keys` more keys.
     pub(crate) fn reserve(&self, keys: usize) {
@@ -280,7 +289,7 @@ impl SingleVersionStore {
     /// # Panics
     ///
     /// Panics if the logical space fills during the load.
-    pub fn bulk_load(&self, key: Key, value: Value, version: Version) {
+    pub(crate) fn bulk_load(&self, key: Key, value: Value, version: Version) {
         let (lba, _) = self.lba_for(&key).expect("bulk load overflow");
         let rec = Rc::new(TupleRecord {
             key: key.clone(),
@@ -302,27 +311,22 @@ impl SingleVersionStore {
         inner.free_lbas.clone_from(&src.free_lbas);
     }
 
-    /// Number of keys.
-    pub fn key_count(&self) -> usize {
-        self.inner.borrow().map.len()
-    }
-
     /// All distinct keys, sorted by byte order (deterministic iteration
     /// for bulk copy / migration sweeps).
-    pub fn keys(&self) -> Vec<Key> {
+    pub(crate) fn keys(&self) -> Vec<Key> {
         let mut ks: Vec<Key> = self.inner.borrow().map.keys().cloned().collect();
         ks.sort();
         ks
     }
 
     /// Records the durable write floor (stamped into subsequent page OOB).
-    pub fn note_floor(&self, ts: Timestamp) {
+    pub(crate) fn note_floor(&self, ts: Timestamp) {
         self.ftl.note_floor(ts);
     }
 
     /// Injects a power failure: tears in-flight programs and drops the
     /// volatile key map. Returns the number of torn pages.
-    pub fn power_fail(&self) -> u64 {
+    pub(crate) fn power_fail(&self) -> u64 {
         let torn = self.ftl.power_fail();
         let mut inner = self.inner.borrow_mut();
         inner.map.clear();
@@ -336,7 +340,7 @@ impl SingleVersionStore {
     /// two LBAs (an overwrite that changed LBA before the failure) keeps its
     /// newest version; the stale LBA is trimmed. Deletes are not durable:
     /// a key deleted since its last overwrite resurrects at mount.
-    pub async fn mount(&self) -> crate::backend::MountReport {
+    pub(crate) async fn mount(&self) -> crate::backend::MountReport {
         let mut report = self.ftl.mount().await;
         let mut inner = self.inner.borrow_mut();
         inner.map.clear();
@@ -459,7 +463,7 @@ mod tests {
             s.put(Key::from(2u64), value(&b"b"[..]), v(2))
                 .await
                 .unwrap();
-            assert_eq!(s.key_count(), 1);
+            assert_eq!(s.keys().len(), 1);
         });
     }
 
@@ -497,7 +501,7 @@ mod tests {
             });
             h.sleep(std::time::Duration::from_micros(10)).await;
             assert_eq!(s.power_fail(), 1);
-            assert_eq!(s.key_count(), 0);
+            assert_eq!(s.keys().len(), 0);
             let report = s.mount().await;
             assert_eq!(report.torn_pages, 1);
             assert_eq!(report.keys, 5);

@@ -11,11 +11,6 @@ use timesync::Version;
 pub struct Key(Rc<[u8]>);
 
 impl Key {
-    /// Creates a key from raw bytes.
-    pub fn new(bytes: impl Into<Rc<[u8]>>) -> Key {
-        Key(bytes.into())
-    }
-
     /// The key's bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
@@ -148,23 +143,23 @@ pub struct StoreStats {
 /// Per-tuple on-flash metadata overhead (version stamp, lengths, checksum) —
 /// the accounting constant that makes a 16-byte key + 472-byte value a
 /// 512-byte stored tuple, as in the paper's evaluation setup.
-pub const TUPLE_HEADER: usize = 24;
+pub(crate) const TUPLE_HEADER: usize = 24;
 
 /// One stored `(key, value, version)` tuple — the unit the packing logic
 /// fits into flash pages (§5: 512-byte tuples, up to 8 per 4 KB page).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TupleRecord {
     /// The key.
-    pub key: Key,
+    pub(crate) key: Key,
     /// The version stamp (recovered along with the data after failover).
-    pub version: Version,
+    pub(crate) version: Version,
     /// The payload.
-    pub value: Value,
+    pub(crate) value: Value,
 }
 
 impl TupleRecord {
     /// Bytes this tuple occupies on flash.
-    pub fn accounted_len(&self) -> usize {
+    pub(crate) fn accounted_len(&self) -> usize {
         self.key.len() + self.value.len() + TUPLE_HEADER
     }
 }
@@ -184,6 +179,6 @@ mod tests {
     fn keys_compare_by_bytes() {
         assert_eq!(Key::from(7u64), Key::from(7u64));
         assert_ne!(Key::from(7u64), Key::from(8u64));
-        assert_eq!(Key::from("abc"), Key::new(&b"abc"[..]));
+        assert_eq!(Key::from("abc").as_bytes(), b"abc");
     }
 }

@@ -35,7 +35,7 @@ use crate::types::StoreError;
 use crate::GcLevels;
 
 /// One logical segment's payload: packed tuples (a 4 KB page worth).
-pub type Segment = Page;
+pub(crate) type Segment = Page;
 
 /// Fraction of *logical* space the KV layer reserves for its own GC — the
 /// "10 % at a second level" of §5.1.

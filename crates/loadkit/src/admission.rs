@@ -21,7 +21,7 @@ use obskit::{Counter, Gauge, Obs, ShedReason, TraceEvent, Tracer};
 use crate::shed::Shed;
 
 /// Backoff hint embedded in every `Shed::Overloaded` reply.
-pub const RETRY_AFTER: Duration = Duration::from_millis(2);
+pub(crate) const RETRY_AFTER: Duration = Duration::from_millis(2);
 
 /// Tuning for one server's admission gate.
 #[derive(Debug, Clone)]
@@ -174,17 +174,6 @@ impl Admission {
     pub fn in_flight(&self) -> u64 {
         self.state.borrow().in_flight
     }
-
-    /// Highest in-flight cost ever admitted.
-    pub fn high_water(&self) -> u64 {
-        self.state.borrow().high_water
-    }
-
-    /// Total refusals (both reasons).
-    pub fn sheds(&self) -> u64 {
-        let s = self.state.borrow();
-        s.sheds_overload.get() + s.sheds_deadline.get()
-    }
 }
 
 /// Admitted capacity, released on drop.
@@ -223,7 +212,6 @@ mod tests {
         let p3 = a.try_admit(0, 1).unwrap();
         drop((p1, p2, p3));
         assert_eq!(a.in_flight(), 0);
-        assert_eq!(a.sheds(), 1);
     }
 
     #[test]
@@ -293,6 +281,5 @@ mod tests {
         }
         // Depth oscillates 0->1->0; only the first advance traces.
         assert_eq!(obs.tracer.count_of("queue_depth"), 1);
-        assert_eq!(a.high_water(), 1);
     }
 }

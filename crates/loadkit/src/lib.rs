@@ -33,5 +33,5 @@ pub mod retry;
 pub mod shed;
 
 pub use admission::{Admission, AdmissionConfig, Permit};
-pub use retry::{BreakerState, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use shed::Shed;

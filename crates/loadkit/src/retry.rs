@@ -29,29 +29,18 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Minimum backoff (the jitter draw's lower bound).
-pub const BACKOFF_BASE: Duration = Duration::from_micros(500);
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_micros(500);
 /// Maximum backoff (the jitter draw's cap).
-pub const BACKOFF_CAP: Duration = Duration::from_millis(25);
+pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(25);
 /// Retry tokens deposited per first attempt; retries spend one each.
 pub const BUDGET_RATIO: f64 = 0.2;
 /// Token-bucket ceiling (also the startup allowance).
 pub const BUDGET_BURST: f64 = 10.0;
 /// Consecutive sheds from one shard that trip its breaker.
-pub const BREAKER_THRESHOLD: u32 = 8;
+pub(crate) const BREAKER_THRESHOLD: u32 = 8;
 /// How long a tripped breaker stays open before half-opening.
 pub const BREAKER_COOLDOWN: Duration = Duration::from_millis(20);
 const COOLDOWN_NS: u64 = BREAKER_COOLDOWN.as_nanos() as u64;
-
-/// Observable state of one shard's circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow normally.
-    Closed,
-    /// Requests fail fast without touching the network.
-    Open,
-    /// One probe is in flight; its outcome decides open vs. closed.
-    HalfOpen,
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Breaker {
@@ -77,40 +66,18 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with detached (unregistered) metrics and no tracing.
-    pub fn new(rng: StdRng) -> RetryPolicy {
-        RetryPolicy::build(rng, &Obs::default(), u64::MAX, false)
-    }
-
     /// A policy reporting into `obs` under `loadkit.client<client>.*`.
     pub fn observed(rng: StdRng, obs: &Obs, client: u64) -> RetryPolicy {
-        RetryPolicy::build(rng, obs, client, true)
-    }
-
-    fn build(rng: StdRng, obs: &Obs, client: u64, register: bool) -> RetryPolicy {
-        let (retries, budget_exhausted, breaker_trips) = if register {
-            let p = format!("loadkit.client{client}");
-            (
-                obs.registry.counter(&format!("{p}.retries")),
-                obs.registry.counter(&format!("{p}.budget_exhausted")),
-                obs.registry.counter(&format!("{p}.breaker_trips")),
-            )
-        } else {
-            (
-                Counter::detached(),
-                Counter::detached(),
-                Counter::detached(),
-            )
-        };
+        let p = format!("loadkit.client{client}");
         RetryPolicy {
             prev_ns: Cell::new(BACKOFF_BASE.as_nanos() as u64),
             tokens: Cell::new(BUDGET_BURST),
             rng: RefCell::new(rng),
             breakers: RefCell::new(FastMap::default()),
             client,
-            retries,
-            budget_exhausted,
-            breaker_trips,
+            retries: obs.registry.counter(&format!("{p}.retries")),
+            budget_exhausted: obs.registry.counter(&format!("{p}.budget_exhausted")),
+            breaker_trips: obs.registry.counter(&format!("{p}.breaker_trips")),
             tracer: obs.tracer.clone(),
         }
     }
@@ -148,11 +115,6 @@ impl RetryPolicy {
         self.prev_ns.set(jitter);
         let delay = Duration::from_nanos(jitter).max(hint.unwrap_or(Duration::ZERO));
         Some(delay)
-    }
-
-    /// Retry tokens currently available (observability / tests).
-    pub fn budget_tokens(&self) -> f64 {
-        self.tokens.get()
     }
 
     /// True when requests to `shard` may be sent at `now_ns`. An open
@@ -222,21 +184,6 @@ impl RetryPolicy {
             .borrow_mut()
             .insert(shard, Breaker::Closed { consecutive: 0 });
     }
-
-    /// The observable state of `shard`'s breaker at `now_ns`.
-    pub fn breaker_state(&self, shard: u64, now_ns: u64) -> BreakerState {
-        match self.breakers.borrow().get(&shard) {
-            None | Some(Breaker::Closed { .. }) => BreakerState::Closed,
-            Some(Breaker::Open { until_ns }) => {
-                if now_ns >= *until_ns {
-                    BreakerState::HalfOpen
-                } else {
-                    BreakerState::Open
-                }
-            }
-            Some(Breaker::HalfOpen { .. }) => BreakerState::HalfOpen,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +192,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn policy() -> RetryPolicy {
-        RetryPolicy::new(StdRng::seed_from_u64(42))
+        RetryPolicy::observed(StdRng::seed_from_u64(42), &Obs::default(), 0)
     }
 
     /// Sheds from `shard` at `now_ns` until its breaker trips.
@@ -331,7 +278,10 @@ mod tests {
         for _ in 0..100 {
             p.on_attempt();
         }
-        assert_eq!(p.budget_tokens(), BUDGET_BURST);
+        for _ in 0..BUDGET_BURST as u32 {
+            assert!(p.try_retry(0, None).is_some());
+        }
+        assert!(p.try_retry(0, None).is_none());
     }
 
     #[test]
@@ -343,15 +293,15 @@ mod tests {
         }
         assert!(p.shard_allows(0, 0), "below threshold stays closed");
         p.record_shed(0, 0);
-        assert_eq!(p.breaker_state(0, 0), BreakerState::Open);
+        assert!(!p.shard_allows(0, 0), "tripped");
         assert!(!p.shard_allows(0, COOLDOWN_NS - 1));
         // Cooldown elapsed: exactly one probe allowed.
         assert!(p.shard_allows(0, COOLDOWN_NS));
         assert!(!p.shard_allows(0, COOLDOWN_NS + 1));
         // Probe succeeded -> closed again.
         p.record_ok(0);
-        assert_eq!(p.breaker_state(0, COOLDOWN_NS + 2), BreakerState::Closed);
         assert!(p.shard_allows(0, COOLDOWN_NS + 2));
+        assert!(p.shard_allows(0, COOLDOWN_NS + 2), "closed, not probing");
     }
 
     #[test]
@@ -360,7 +310,8 @@ mod tests {
         trip(&p, 5, 0);
         assert!(p.shard_allows(5, COOLDOWN_NS));
         p.record_shed(5, COOLDOWN_NS);
-        assert_eq!(p.breaker_state(5, COOLDOWN_NS), BreakerState::Open);
+        assert!(!p.shard_allows(5, 2 * COOLDOWN_NS - 1));
+        assert!(p.shard_allows(5, 2 * COOLDOWN_NS), "open for one cooldown");
     }
 
     #[test]

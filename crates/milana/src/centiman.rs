@@ -32,15 +32,13 @@ use simkit::rpc::{serve_incoming, Incoming, RpcClient};
 use simkit::SimHandle;
 use timesync::{ClientId, Timestamp, Version, WatermarkTracker};
 
-use crate::msg::{AbortReason, TxnError, TxnId};
+use crate::msg::{AbortReason, TxnError};
 
 /// Requests understood by a Centiman validator.
 #[derive(Debug, Clone)]
-pub enum ValidatorRequest {
+pub(crate) enum ValidatorRequest {
     /// Validate a transaction's reads and (optimistically apply) writes.
     Validate {
-        /// Transaction id.
-        txid: TxnId,
         /// Client-chosen commit timestamp.
         ts_commit: Timestamp,
         /// The latest timestamp at which the reads must still be current:
@@ -65,7 +63,7 @@ pub enum ValidatorRequest {
 /// Validator replies. Every reply piggybacks the validator's current
 /// watermark so clients keep their local-validation gate fresh.
 #[derive(Debug, Clone)]
-pub enum ValidatorResponse {
+pub(crate) enum ValidatorResponse {
     /// Validation verdict.
     Vote {
         /// True = no conflict.
@@ -126,19 +124,10 @@ impl Validator {
         v
     }
 
-    /// Attaches a trace sink; each validation verdict emits a
-    /// [`obskit::TraceEvent::PrepareVote`] stamped with `shard`.
-    pub fn attach_tracer(&self, tracer: &obskit::Tracer, shard: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.tracer = tracer.clone();
-        inner.trace_shard = shard;
-    }
-
     fn handle(&self, req: ValidatorRequest) -> ValidatorResponse {
         let mut inner = self.inner.borrow_mut();
         match req {
             ValidatorRequest::Validate {
-                txid: _,
                 ts_commit,
                 read_horizon,
                 reads,
@@ -214,9 +203,9 @@ impl Default for CentimanConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CentimanStats {
     /// Committed transactions.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Aborted transactions.
-    pub aborts: u64,
+    pub(crate) aborts: u64,
     /// Read-only transactions decided by the watermark rule (no RPC).
     pub local_validated: u64,
     /// Read-only transactions that had to validate remotely.
@@ -235,7 +224,6 @@ pub struct CentimanClient {
     watermark: Rc<Cell<Timestamp>>,
     decided: Rc<Cell<u64>>,
     last_decided_ts: Rc<Cell<Timestamp>>,
-    seq: Rc<Cell<u64>>,
     stats: Rc<RefCell<CentimanStats>>,
 }
 
@@ -248,7 +236,7 @@ impl std::fmt::Debug for CentimanClient {
 }
 
 /// Reply port for the Centiman client's validator RPCs.
-pub const CENTIMAN_RPC_PORT: u16 = 48;
+pub(crate) const CENTIMAN_RPC_PORT: u16 = 48;
 
 impl CentimanClient {
     /// Creates a client on `node`. `validators[i]` must be the validator of
@@ -271,7 +259,6 @@ impl CentimanClient {
             watermark: Rc::new(Cell::new(Timestamp::ZERO)),
             decided: Rc::new(Cell::new(0)),
             last_decided_ts: Rc::new(Cell::new(Timestamp::ZERO)),
-            seq: Rc::new(Cell::new(0)),
             stats: Rc::new(RefCell::new(CentimanStats::default())),
         }
     }
@@ -317,7 +304,7 @@ impl CentimanClient {
     /// Sends a progress report to every validator and refreshes the local
     /// watermark estimate (normally triggered every `report_every` decided
     /// transactions; public for tests and warm-up).
-    pub async fn disseminate(&self) {
+    pub(crate) async fn disseminate(&self) {
         let ts = self.last_decided_ts.get();
         for &v in self.validators.iter() {
             let r = self
@@ -442,10 +429,6 @@ impl CentTxn {
         }
         let ts_commit = self.c.storage.now();
         let read_horizon = if read_only { self.ts_begin } else { ts_commit };
-        let txid = TxnId {
-            client: self.c.storage.id(),
-            seq: self.c.seq.replace(self.c.seq.get() + 1),
-        };
         // Partition by shard and validate at each shard's validator.
         type ShardSets = FastMap<usize, (Vec<(Key, Version)>, Vec<Key>)>;
         let mut by_shard: ShardSets = FastMap::default();
@@ -481,7 +464,6 @@ impl CentTxn {
                 rpc.call::<ValidatorRequest, ValidatorResponse>(
                     to,
                     ValidatorRequest::Validate {
-                        txid,
                         ts_commit,
                         read_horizon,
                         reads,

@@ -42,7 +42,7 @@ pub enum ValidationMode {
 
 impl ValidationMode {
     /// Whether read-only transactions may commit client-locally.
-    pub fn is_local(self) -> bool {
+    pub(crate) fn is_local(self) -> bool {
         matches!(self, ValidationMode::Local)
     }
 }
@@ -128,14 +128,14 @@ pub enum TxnMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TxnOpts {
     /// Snapshot placement (see [`TxnMode`]).
-    pub mode: TxnMode,
+    pub(crate) mode: TxnMode,
     /// §4.3 cached mode: serve reads speculatively from the client-wide
     /// value cache. A transaction that took a speculative hit loses the
     /// prepared-flag information that powers local validation, so it
     /// validates remotely at commit even when read-only — as the paper
     /// prescribes: "any transaction marked as read-write in advance may
     /// read from its cache, but then must validate remotely."
-    pub cached: bool,
+    pub(crate) cached: bool,
 }
 
 impl TxnOpts {
@@ -211,18 +211,18 @@ impl std::fmt::Debug for TxnClient {
 }
 
 /// Reply port used by MILANA clients on their node.
-pub const TXN_CLIENT_RPC_PORT: u16 = 40;
+pub(crate) const TXN_CLIENT_RPC_PORT: u16 = 40;
 
 /// Capacity (entries) of the client-wide version cache feeding cached
 /// transactions ([`TxnOpts::cached`]).
-pub const CACHE_ENTRIES: usize = 4096;
+pub(crate) const CACHE_ENTRIES: usize = 4096;
 
 impl TxnClient {
     /// Creates the client and starts its watermark task. Draws one value
     /// from the simulation RNG (the clock seed). `map` pairs the shard map
     /// the client routes by with the master that refreshes it (`None`:
     /// the map is maintained externally).
-    pub fn new(
+    pub(crate) fn new(
         handle: &SimHandle,
         node: NodeId,
         id: ClientId,
@@ -366,7 +366,7 @@ impl TxnClient {
     /// The reported timestamp is the latest decided transaction's stamp,
     /// capped below every still-active transaction's `ts_begin` so servers
     /// retain the versions a long-running snapshot reader still needs.
-    pub fn broadcast_watermark(&self) {
+    pub(crate) fn broadcast_watermark(&self) {
         let ts = self.watermark_report();
         let floor = self.floor_report();
         let map = self.core.map.borrow();
@@ -399,7 +399,7 @@ impl TxnClient {
     }
 
     /// Reads the client's local (skewed, monotonic) clock.
-    pub fn now(&self) -> Timestamp {
+    pub(crate) fn now(&self) -> Timestamp {
         self.core.now()
     }
 
@@ -448,7 +448,6 @@ impl TxnClient {
             cache: FastMap::default(),
             use_client_cache,
             requires_remote: false,
-            cache_hits: 0,
             finished: false,
         }
     }
@@ -461,7 +460,7 @@ impl TxnClient {
 
     /// The timestamp this client may safely report for GC (§4.4): its
     /// latest decided stamp, but never at/above an active `ts_begin`.
-    pub fn watermark_report(&self) -> Timestamp {
+    pub(crate) fn watermark_report(&self) -> Timestamp {
         let decided = self.last_decided.get();
         match self.active.borrow().keys().next() {
             Some(&oldest_active) if oldest_active <= decided => {
@@ -477,7 +476,7 @@ impl TxnClient {
     /// drawn but still unresolved cap the report from below. Active
     /// *snapshots* do not hold it back — that is what lets the floor track
     /// wall time and certify backups for fresh reads.
-    pub fn floor_report(&self) -> Timestamp {
+    pub(crate) fn floor_report(&self) -> Timestamp {
         let now = self.now();
         match self.inflight_commits.borrow().iter().next() {
             Some(&oldest) if oldest <= now => Timestamp(oldest.0.saturating_sub(1)),
@@ -487,7 +486,7 @@ impl TxnClient {
 
     /// Fetches a fresh shard map from the master (if configured) and
     /// installs it when its epoch is newer than the local copy.
-    pub async fn refresh_map(&self) {
+    pub(crate) async fn refresh_map(&self) {
         let Some(master) = self.master else {
             return;
         };
@@ -587,8 +586,6 @@ pub struct Txn {
     /// reads, replica reads): the commit must validate remotely even if
     /// the transaction is read-only.
     requires_remote: bool,
-    /// Reads served from the client-wide cache (instrumentation).
-    cache_hits: u64,
     finished: bool,
 }
 
@@ -663,7 +660,6 @@ impl Txn {
                 }
                 self.c.trace_read(key, e.version, false);
                 self.cache.insert(key.clone(), e.value.clone());
-                self.cache_hits += 1;
                 self.c.stats.borrow_mut().cached_reads += 1;
                 return Ok(e.value);
             }
@@ -976,14 +972,6 @@ impl Txn {
         }
     }
 
-    /// Discards the transaction (§4.1 `abortTransaction`).
-    pub fn abort(mut self) {
-        self.finished = true;
-        self.c.deregister_active(self.ts_begin);
-        self.c.note_decided(self.ts_begin);
-        self.c.note_abort(obskit::AbortClass::UserRequested);
-    }
-
     /// Commits (§4.1 `commitTransaction`).
     ///
     /// Read-only transactions validate **locally** when enabled: commit iff
@@ -1216,10 +1204,5 @@ impl Txn {
             self.c.note_abort(reason.class());
             Err(TxnError::Aborted(reason))
         }
-    }
-
-    /// Reads served from the client-wide cache so far (cached mode).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
     }
 }

@@ -57,7 +57,7 @@ pub struct TxnRecord {
 
 impl TxnRecord {
     /// The writes as storage records stamped with the commit version.
-    pub fn stamped_writes(&self) -> Vec<(Key, Value, Version)> {
+    pub(crate) fn stamped_writes(&self) -> Vec<(Key, Value, Version)> {
         let version = Version::new(self.ts_commit, self.txid.client);
         self.writes
             .iter()
@@ -418,8 +418,6 @@ pub enum AbortReason {
     /// A participant could not be reached during 2PC; the coordinator
     /// resolved the uncertainty by aborting.
     ParticipantUnreachable,
-    /// The application called [`crate::client::Txn::abort`].
-    UserRequested,
     /// A participant shed the prepare under overload (or the client's retry
     /// budget / circuit breaker refused to keep trying). A shed prepare is
     /// a definite no-vote, so this abort is safe — no outcome uncertainty.
@@ -445,7 +443,6 @@ impl AbortReason {
             AbortReason::PreparedRead => obskit::AbortClass::PreparedRead,
             AbortReason::SnapshotUnavailable => obskit::AbortClass::SnapshotUnavailable,
             AbortReason::ParticipantUnreachable => obskit::AbortClass::ParticipantUnreachable,
-            AbortReason::UserRequested => obskit::AbortClass::UserRequested,
             AbortReason::Overloaded => obskit::AbortClass::Shed,
             AbortReason::StaleEpoch => obskit::AbortClass::StaleEpoch,
             AbortReason::ClockSuspect => obskit::AbortClass::ClockSuspect,
@@ -466,14 +463,6 @@ pub enum PromoteError {
     /// The chosen address is not a current backup in the shard map (it
     /// raced a concurrent promotion).
     NotABackup,
-}
-
-impl PromoteError {
-    /// The observability class a failed promotion maps onto: the
-    /// coordinator-side effect is an unreachable participant.
-    pub fn class(self) -> obskit::AbortClass {
-        obskit::AbortClass::ParticipantUnreachable
-    }
 }
 
 impl std::fmt::Display for PromoteError {

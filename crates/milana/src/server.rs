@@ -59,9 +59,9 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
 const FLOOR_AHEAD_MAX: usize = 64;
 /// A prepared transaction older than this triggers cooperative
 /// termination (its coordinator is presumed dead).
-pub const CTP_AFTER: Duration = Duration::from_millis(500);
+pub(crate) const CTP_AFTER: Duration = Duration::from_millis(500);
 /// Period of the primary's scan for transactions older than [`CTP_AFTER`].
-pub const CTP_SCAN_EVERY: Duration = Duration::from_millis(200);
+pub(crate) const CTP_SCAN_EVERY: Duration = Duration::from_millis(200);
 
 /// Server timing knobs.
 #[derive(Debug, Clone)]
@@ -143,10 +143,10 @@ impl Default for ServerTuning {
 }
 
 /// Admission cost of a snapshot read (`Get`/`GetAny`).
-pub const COST_GET: u64 = 1;
+pub(crate) const COST_GET: u64 = 1;
 /// Admission cost of a 2PC prepare: validation plus synchronous
 /// replication to a backup quorum, far heavier than a read.
-pub const COST_PREPARE: u64 = 4;
+pub(crate) const COST_PREPARE: u64 = 4;
 
 /// Static + initial-role configuration of one MILANA shard replica.
 #[derive(Debug, Clone)]
@@ -354,7 +354,7 @@ pub struct TxnServerStats {
     /// Committed record applies whose local storage write failed (a full
     /// device). The record stays unapplied, and a backup stops advancing
     /// its applied watermark until a catch-up sweep stores it.
-    pub apply_failures: u64,
+    pub(crate) apply_failures: u64,
 }
 
 /// One MILANA shard replica: the SEMEL [`ReplicaCore`] (storage, internal
@@ -402,7 +402,7 @@ impl TxnServer {
     ///
     /// `backend` and `table` model persistent memory: pass the same handles
     /// back in when respawning a replica after a crash.
-    pub fn spawn(
+    pub(crate) fn spawn(
         handle: &SimHandle,
         backend: Backend,
         table: Rc<RefCell<TxnTable>>,
@@ -596,11 +596,6 @@ impl TxnServer {
     /// Server counters.
     pub fn stats(&self) -> TxnServerStats {
         *self.stats.borrow()
-    }
-
-    /// This replica's configuration.
-    pub fn config(&self) -> &TxnServerConfig {
-        &self.cfg
     }
 
     /// True if this replica currently acts as primary.

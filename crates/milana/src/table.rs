@@ -22,12 +22,12 @@ use crate::msg::{TxnId, TxnRecord, TxnStatus};
 
 /// Per-key DRAM metadata.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct KeyMeta {
+pub(crate) struct KeyMeta {
     /// Largest read timestamp served for this key.
-    pub latest_read: Timestamp,
+    pub(crate) latest_read: Timestamp,
     /// The prepared transaction holding this key, if any, with its
     /// tentative commit timestamp.
-    pub prepared: Option<(TxnId, Timestamp)>,
+    pub(crate) prepared: Option<(TxnId, Timestamp)>,
 }
 
 /// Validation verdict with the conflict that caused an abort, for
@@ -82,7 +82,7 @@ impl TxnTable {
 
     /// Records a read at `ts`, returning whether a prepared version with
     /// timestamp `<= ts` exists (the flag piggybacked on gets, §4.3).
-    pub fn note_read(&mut self, key: &Key, ts: Timestamp) -> bool {
+    pub(crate) fn note_read(&mut self, key: &Key, ts: Timestamp) -> bool {
         let meta = self.keys.entry(key.clone()).or_default();
         if ts > meta.latest_read {
             meta.latest_read = ts;
@@ -141,7 +141,7 @@ impl TxnTable {
     /// # Panics
     ///
     /// Panics if the transaction is already in the table.
-    pub fn prepare_validated(&mut self, record: TxnRecord, reads: &[(Key, Version)]) {
+    pub(crate) fn prepare_validated(&mut self, record: TxnRecord, reads: &[(Key, Version)]) {
         for (key, _) in reads {
             self.note_read(key, record.ts_commit);
         }
@@ -195,16 +195,11 @@ impl TxnTable {
         self.records.get(&txid).map(|r| r.status)
     }
 
-    /// The record for `txid`, if present.
-    pub fn record(&self, txid: TxnId) -> Option<&TxnRecord> {
-        self.records.get(&txid)
-    }
-
     /// Inserts or overwrites a record, maintaining the key `prepared`
     /// markers (used by backups and by log installation). Backups need the
     /// markers live — not just rebuilt at recovery — because backup
     /// snapshot reads piggyback the same prepared flag as primary gets.
-    pub fn install(&mut self, record: TxnRecord) {
+    pub(crate) fn install(&mut self, record: TxnRecord) {
         match self.records.get_mut(&record.txid) {
             // Never regress a decided status back to Prepared.
             Some(existing) if existing.status != TxnStatus::Prepared => {}
@@ -239,7 +234,7 @@ impl TxnTable {
     /// Raises the applied watermark; lower values are ignored so the
     /// watermark never regresses (late or replayed floor records must not
     /// shrink the servable window).
-    pub fn advance_applied_watermark(&mut self, ts: Timestamp) {
+    pub(crate) fn advance_applied_watermark(&mut self, ts: Timestamp) {
         if ts > self.applied_wm {
             self.applied_wm = ts;
         }
@@ -249,19 +244,19 @@ impl TxnTable {
     /// replica's backend. Call only *after* the backend apply completes —
     /// a crash in between re-applies the record at recovery, which is
     /// idempotent.
-    pub fn mark_applied(&mut self, txid: TxnId) {
+    pub(crate) fn mark_applied(&mut self, txid: TxnId) {
         self.applied.insert(txid);
     }
 
     /// Whether `txid`'s writes are already in this replica's backend.
-    pub fn is_applied(&self, txid: TxnId) -> bool {
+    pub(crate) fn is_applied(&self, txid: TxnId) -> bool {
         self.applied.contains(&txid)
     }
 
     /// How many transactions writing a key `touches` accepts are not yet
     /// settled here: still prepared, or committed but not yet applied to
     /// this replica's backend. Counts in place, in no particular order.
-    pub fn unsettled_writing(&self, touches: impl Fn(&Key) -> bool) -> u64 {
+    pub(crate) fn unsettled_writing(&self, touches: impl Fn(&Key) -> bool) -> u64 {
         self.records
             .values()
             .filter(|r| match r.status {
@@ -289,7 +284,7 @@ impl TxnTable {
 
     /// Prepared transactions older than `than` (by commit stamp) — CTP
     /// candidates whose coordinator may have died (§4.5).
-    pub fn stuck_prepared(&self, than: Timestamp) -> Vec<TxnRecord> {
+    pub(crate) fn stuck_prepared(&self, than: Timestamp) -> Vec<TxnRecord> {
         self.records_where(|r| r.status == TxnStatus::Prepared && r.ts_commit < than)
     }
 
@@ -324,7 +319,7 @@ impl TxnTable {
 
     /// Rebuilds key `prepared` markers from the (merged) records — the
     /// final step of recovery before serving (§4.5).
-    pub fn rebuild_key_meta(&mut self) {
+    pub(crate) fn rebuild_key_meta(&mut self) {
         self.keys.clear();
         let prepared: Vec<(TxnId, Timestamp, Vec<Key>)> = self
             .records
@@ -606,7 +601,7 @@ mod tests {
             let ids: Vec<TxnId> = page.iter().map(|r| r.txid).collect();
             assert_eq!((ids, more), sliced(&t, after, limit));
             for r in &page {
-                assert_eq!(r.ts_commit, t.record(r.txid).unwrap().ts_commit);
+                assert_eq!(r.ts_commit, t.records[&r.txid].ts_commit);
             }
             for _ in 0..rng.gen_range(0..4) {
                 fresh(&mut t, &mut rng);

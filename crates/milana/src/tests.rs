@@ -597,7 +597,6 @@ fn cached_transactions_skip_the_server_on_warm_keys() {
         let mut t = c.begin_with(TxnOpts::cached());
         let _ = t.get(&k(1)).await.unwrap();
         let _ = t.get(&k(2)).await.unwrap();
-        assert_eq!(t.cache_hits(), 2);
         assert_eq!(hh.net_stats().sent, sent_before, "cached reads sent RPCs");
         // ...but the commit validates remotely even though it is read-only.
         let info = t.commit().await.unwrap();
@@ -628,16 +627,21 @@ fn stale_cache_aborts_then_recovers() {
         // The reader's cached transaction reads the stale version and must
         // fail remote validation...
         let mut t = reader.begin_with(TxnOpts::cached());
+        let sent = hh.net_stats().sent;
         let _ = t.get(&k(1)).await.unwrap();
-        assert_eq!(t.cache_hits(), 1);
+        assert_eq!(hh.net_stats().sent, sent, "a cache hit sends nothing");
         t.put(k(2), value(&b"dep"[..]));
         let err = t.commit().await.unwrap_err();
         assert_eq!(err, TxnError::Aborted(AbortReason::Validation));
         // ...which invalidates the stale entry, so the retry refetches and
         // succeeds.
         let mut t2 = reader.begin_with(TxnOpts::cached());
+        let sent = hh.net_stats().sent;
         let v1 = t2.get(&k(1)).await.unwrap();
-        assert_eq!(t2.cache_hits(), 0, "stale entry must have been dropped");
+        assert!(
+            hh.net_stats().sent > sent,
+            "stale entry must have been dropped"
+        );
         assert_eq!(&v1[..], b"fresh");
         t2.put(k(2), value(&b"dep"[..]));
         t2.commit().await.unwrap();
@@ -648,6 +652,7 @@ fn stale_cache_aborts_then_recovers() {
 fn own_commits_refresh_the_client_cache() {
     let mut sim = Sim::new(39);
     let h = sim.handle();
+    let hh = h.clone();
     let cluster = MilanaCluster::build(&h, base_cfg());
     sim.block_on(async move {
         let c = &cluster.clients[0];
@@ -657,9 +662,10 @@ fn own_commits_refresh_the_client_cache() {
         t.commit().await.unwrap();
         // The cached read now returns our own committed write, serverlessly.
         let mut t2 = c.begin_with(TxnOpts::cached());
+        let sent = hh.net_stats().sent;
         let v = t2.get(&k(5)).await.unwrap();
         assert_eq!(&v[..], b"mine");
-        assert_eq!(t2.cache_hits(), 1);
+        assert_eq!(hh.net_stats().sent, sent, "a cache hit sends nothing");
         t2.commit().await.unwrap();
     });
 }

@@ -99,17 +99,17 @@ pub struct AbortBreakdown {
 
 impl AbortBreakdown {
     /// An empty breakdown.
-    pub fn new() -> AbortBreakdown {
+    pub(crate) fn new() -> AbortBreakdown {
         AbortBreakdown::default()
     }
 
     /// Counts one abort of `class`.
-    pub fn record(&self, class: AbortClass) {
+    pub(crate) fn record(&self, class: AbortClass) {
         self.counts.borrow_mut()[class.index()] += 1;
     }
 
     /// Count for one class.
-    pub fn get(&self, class: AbortClass) -> u64 {
+    pub(crate) fn get(&self, class: AbortClass) -> u64 {
         self.counts.borrow()[class.index()]
     }
 
@@ -121,7 +121,7 @@ impl AbortBreakdown {
     /// A plain copy of the per-class counts, indexed like
     /// [`AbortClass::ALL`] (the `Send` snapshot worker threads hand back
     /// to the merge step).
-    pub fn snapshot(&self) -> [u64; AbortClass::ALL.len()] {
+    pub(crate) fn snapshot(&self) -> [u64; AbortClass::ALL.len()] {
         *self.counts.borrow()
     }
 

@@ -135,7 +135,7 @@ impl Histogram {
     }
 
     /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }

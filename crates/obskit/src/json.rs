@@ -114,7 +114,7 @@ impl Json {
     }
 
     /// Pretty serialization with two-space indentation (still byte-stable).
-    pub fn write_pretty(&self, out: &mut String, indent: usize) {
+    pub(crate) fn write_pretty(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         let pad_in = "  ".repeat(indent + 1);
         match self {

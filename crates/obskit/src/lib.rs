@@ -56,7 +56,6 @@ pub use abort::{AbortBreakdown, AbortClass};
 pub use hist::Histogram;
 pub use json::Json;
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
-pub use series::TimeSeries;
 pub use stats::{FrozenTxnStats, TxnStats};
 pub use trace::{
     FlashOpKind, FlushReason, MigrationPhase, RecoveryPhase, ShedReason, TraceEvent, Tracer,

@@ -57,7 +57,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.get()
     }
 }
@@ -68,7 +68,7 @@ pub struct HistogramHandle(Rc<RefCell<Histogram>>);
 
 impl HistogramHandle {
     /// A histogram not attached to any registry.
-    pub fn detached() -> HistogramHandle {
+    pub(crate) fn detached() -> HistogramHandle {
         HistogramHandle::default()
     }
 

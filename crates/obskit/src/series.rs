@@ -4,8 +4,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::json::Json;
-
 #[derive(Debug)]
 struct SeriesInner {
     window_ns: u64,
@@ -15,7 +13,7 @@ struct SeriesInner {
 /// Counts events into `window_ns`-wide buckets of virtual time. Cloning
 /// shares the series.
 #[derive(Debug, Clone)]
-pub struct TimeSeries {
+pub(crate) struct TimeSeries {
     inner: Rc<RefCell<SeriesInner>>,
 }
 
@@ -25,7 +23,7 @@ impl TimeSeries {
     /// # Panics
     ///
     /// Panics if `window_ns` is zero.
-    pub fn new(window_ns: u64) -> TimeSeries {
+    pub(crate) fn new(window_ns: u64) -> TimeSeries {
         assert!(window_ns > 0, "time series window must be positive");
         TimeSeries {
             inner: Rc::new(RefCell::new(SeriesInner {
@@ -36,7 +34,7 @@ impl TimeSeries {
     }
 
     /// Counts one event at virtual time `at_ns`.
-    pub fn record(&self, at_ns: u64) {
+    pub(crate) fn record(&self, at_ns: u64) {
         let mut s = self.inner.borrow_mut();
         let bucket = (at_ns / s.window_ns) as usize;
         if bucket >= s.counts.len() {
@@ -45,28 +43,14 @@ impl TimeSeries {
         s.counts[bucket] += 1;
     }
 
-    /// Total events recorded.
-    pub fn total(&self) -> u64 {
-        self.inner.borrow().counts.iter().sum()
-    }
-
     /// The window width in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
+    pub(crate) fn window_ns(&self) -> u64 {
         self.inner.borrow().window_ns
     }
 
     /// A plain copy of the per-window counts.
-    pub fn counts(&self) -> Vec<u64> {
+    pub(crate) fn counts(&self) -> Vec<u64> {
         self.inner.borrow().counts.clone()
-    }
-
-    /// Deterministic JSON: `{"window_ns": ..., "counts": [...]}` with one
-    /// entry per window from virtual time zero to the last event.
-    pub fn to_json(&self) -> Json {
-        let s = self.inner.borrow();
-        Json::obj()
-            .field("window_ns", Json::U64(s.window_ns))
-            .field("counts", Json::arr(s.counts.iter().map(|&c| Json::U64(c))))
     }
 }
 
@@ -81,11 +65,8 @@ mod tests {
         s.record(999);
         s.record(1_000);
         s.record(3_500);
-        assert_eq!(s.total(), 4);
-        assert_eq!(
-            s.to_json().to_string(),
-            r#"{"window_ns":1000,"counts":[2,1,0,1]}"#
-        );
+        assert_eq!(s.window_ns(), 1_000);
+        assert_eq!(s.counts(), vec![2, 1, 0, 1]);
     }
 
     #[test]
@@ -93,6 +74,6 @@ mod tests {
         let s = TimeSeries::new(10);
         let s2 = s.clone();
         s2.record(5);
-        assert_eq!(s.total(), 1);
+        assert_eq!(s.counts(), vec![1]);
     }
 }

@@ -12,7 +12,7 @@ use crate::registry::{Counter, HistogramHandle, Registry};
 use crate::series::TimeSeries;
 
 /// Default throughput window: 100 ms of virtual time.
-pub const DEFAULT_WINDOW_NS: u64 = 100_000_000;
+pub(crate) const DEFAULT_WINDOW_NS: u64 = 100_000_000;
 
 /// Shared workload counters. Cloning shares every underlying metric, so a
 /// fleet of driver instances can record into one bundle with no wrapper
@@ -38,7 +38,7 @@ pub struct TxnStats {
     /// Aborted attempts broken down by normalized reason.
     pub abort_reasons: AbortBreakdown,
     /// Commits per virtual-time window (throughput over time).
-    pub commit_series: TimeSeries,
+    pub(crate) commit_series: TimeSeries,
 }
 
 impl Default for TxnStats {
@@ -149,13 +149,13 @@ pub struct FrozenTxnStats {
     /// Aborted attempts.
     pub aborts: u64,
     /// Attempts that ended in transport timeouts / unknown outcomes.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Transactions abandoned after `max_retries`.
-    pub abandoned: u64,
+    pub(crate) abandoned: u64,
     /// Transactions the workload offered (open-loop arrivals).
-    pub arrivals: u64,
+    pub(crate) arrivals: u64,
     /// Transactions terminated by load shedding.
-    pub sheds: u64,
+    pub(crate) sheds: u64,
     /// Commit latency samples, nanoseconds.
     pub latency: Histogram,
     abort_counts: [u64; AbortClass::ALL.len()],
@@ -178,15 +178,6 @@ impl FrozenTxnStats {
     /// Committed transactions per virtual second over `elapsed`.
     pub fn throughput(&self, elapsed: Duration) -> f64 {
         self.commits as f64 / elapsed.as_secs_f64()
-    }
-
-    /// Count for one abort class.
-    pub fn abort_count(&self, class: AbortClass) -> u64 {
-        let idx = AbortClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("in ALL");
-        self.abort_counts[idx]
     }
 
     /// Adds another snapshot's counts and samples into this one (used to
@@ -221,9 +212,9 @@ impl FrozenTxnStats {
         doc
     }
 
-    /// The commit series as JSON — byte-identical to
-    /// [`TimeSeries::to_json`] for the same counts.
-    pub fn commit_series_json(&self) -> Json {
+    /// The commit series as JSON: `{"window_ns": ..., "counts": [...]}`
+    /// with one entry per window from virtual time zero to the last commit.
+    pub(crate) fn commit_series_json(&self) -> Json {
         Json::obj()
             .field("window_ns", Json::U64(self.series_window_ns))
             .field(
@@ -278,7 +269,7 @@ mod tests {
         assert_eq!(s.abort_reasons.get(AbortClass::Validation), 1);
         assert_eq!(s.abort_reasons.get(AbortClass::UnknownOutcome), 1);
         assert_eq!(s.abort_reasons.get(AbortClass::Abandoned), 1);
-        assert_eq!(s.commit_series.total(), 2);
+        assert_eq!(s.commit_series.counts(), vec![1, 1]);
         let rate = s.freeze().abort_rate();
         assert!((rate - 1.0 / 3.0).abs() < 1e-9, "{rate}");
     }
@@ -304,7 +295,8 @@ mod tests {
         assert_eq!(merged.commits, 2);
         assert_eq!(merged.aborts, 1);
         assert_eq!(merged.latency.count(), 2);
-        assert_eq!(merged.abort_count(AbortClass::PreparedRead), 1);
+        let reasons = merged.abort_reasons_json().to_string();
+        assert!(reasons.contains(r#""prepared_read":1"#), "{reasons}");
     }
 
     #[test]
@@ -324,15 +316,7 @@ mod tests {
             f.abort_reasons_json().to_string(),
             s.abort_reasons.to_json().to_string()
         );
-        assert_eq!(
-            f.commit_series_json().to_string(),
-            s.commit_series.to_json().to_string()
-        );
         assert_eq!(f.abort_rate(), 0.5);
-        assert_eq!(
-            f.abort_count(AbortClass::Validation),
-            s.abort_reasons.get(AbortClass::Validation)
-        );
         let doc = f.to_json().to_string();
         assert!(
             doc.starts_with(

@@ -27,7 +27,7 @@ pub enum FlashOpKind {
 
 impl FlashOpKind {
     /// Stable machine-readable name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FlashOpKind::Read => "read",
             FlashOpKind::Write => "write",
@@ -70,7 +70,7 @@ pub enum FlushReason {
 
 impl FlushReason {
     /// Stable machine-readable name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FlushReason::Size => "size",
             FlushReason::Deadline => "deadline",
@@ -97,7 +97,7 @@ pub enum MigrationPhase {
 
 impl MigrationPhase {
     /// Stable machine-readable name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MigrationPhase::Prepare => "prepare",
             MigrationPhase::Copy => "copy",
@@ -126,7 +126,7 @@ pub enum RecoveryPhase {
 
 impl RecoveryPhase {
     /// Stable machine-readable name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RecoveryPhase::PowerFail => "power_fail",
             RecoveryPhase::MountStart => "mount_start",
@@ -365,7 +365,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable event-type name (the `"ev"` JSON field).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TraceEvent::TxnBegin { .. } => "txn_begin",
             TraceEvent::TxnRead { .. } => "txn_read",
@@ -590,11 +590,6 @@ impl Tracer {
         }
     }
 
-    /// True when events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_some()
-    }
-
     /// Records `event` at virtual time `at_ns`. No-op when disabled.
     pub fn record(&self, at_ns: u64, event: TraceEvent) {
         let Some(ring) = &self.ring else { return };
@@ -677,7 +672,6 @@ mod tests {
                 reclaimed: 2,
             },
         );
-        assert!(!t.is_enabled());
         assert_eq!(t.len(), 0);
         assert_eq!(t.dump_jsonl(), "");
     }

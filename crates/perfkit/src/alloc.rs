@@ -20,7 +20,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`] wrapper that counts every allocation and reallocation.
-pub struct CountingAllocator;
+pub(crate) struct CountingAllocator;
 
 // SAFETY: defers entirely to `System`; the counters are lock-free atomics
 // and never allocate.
@@ -44,16 +44,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 /// A snapshot of the process-wide allocation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocCounts {
+pub(crate) struct AllocCounts {
     /// Allocations (plus reallocations) since process start.
-    pub allocations: u64,
+    pub(crate) allocations: u64,
     /// Bytes requested since process start.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl AllocCounts {
     /// Reads the current counters.
-    pub fn now() -> AllocCounts {
+    pub(crate) fn now() -> AllocCounts {
         AllocCounts {
             allocations: ALLOCATIONS.load(Ordering::Relaxed),
             bytes: BYTES.load(Ordering::Relaxed),

@@ -34,7 +34,7 @@ pub fn set_threads(n: usize) {
 }
 
 /// The configured worker count for this process.
-pub fn threads() -> usize {
+pub(crate) fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
@@ -47,7 +47,7 @@ pub fn threads() -> usize {
 ///
 /// A panic inside `f` propagates to the caller once the pool joins (the
 /// serial path panics in place), so a failed point still fails the suite.
-pub fn run_ordered<T, R>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
+pub(crate) fn run_ordered<T, R>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
 where
     T: Send,
     R: Send,

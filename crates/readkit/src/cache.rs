@@ -26,7 +26,7 @@ pub struct CacheEntry<V> {
     pub value: V,
     /// Highest `at` for which a server confirmed `version` is the newest
     /// version `≤ at`.
-    pub known_upper: Timestamp,
+    pub(crate) known_upper: Timestamp,
 }
 
 /// No node: the end of the recency list.

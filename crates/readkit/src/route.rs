@@ -26,26 +26,7 @@ pub enum ReadRoute {
     PowerOfTwo,
 }
 
-impl ReadRoute {
-    /// Stable name used in artifacts and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReadRoute::PrimaryOnly => "primary-only",
-            ReadRoute::Freshest => "freshest",
-            ReadRoute::PowerOfTwo => "p2c",
-        }
-    }
-
-    /// Parses the names accepted by `name`, plus a couple of aliases.
-    pub fn parse(s: &str) -> Option<ReadRoute> {
-        match s {
-            "primary-only" | "primary" => Some(ReadRoute::PrimaryOnly),
-            "freshest" => Some(ReadRoute::Freshest),
-            "p2c" | "power-of-two" => Some(ReadRoute::PowerOfTwo),
-            _ => None,
-        }
-    }
-}
+impl ReadRoute {}
 
 /// What the client last heard from one replica.
 #[derive(Debug, Clone, Copy)]

@@ -158,13 +158,13 @@ impl std::fmt::Debug for SemelClient {
 }
 
 /// Reply port used by SEMEL clients on their node.
-pub const CLIENT_RPC_PORT: u16 = 32;
+pub(crate) const CLIENT_RPC_PORT: u16 = 32;
 
 impl SemelClient {
     /// Creates the client and starts its watermark broadcast task; `obs`
     /// receives its clock-sync trace events. Draws two values from the
     /// simulation RNG: the clock seed, then the retry policy's.
-    pub fn new(
+    pub(crate) fn new(
         handle: &SimHandle,
         node: NodeId,
         id: ClientId,
@@ -196,7 +196,7 @@ impl SemelClient {
 
     /// Sends the current watermark report to every replica of every shard.
     /// Normally driven by the background task; exposed for tests.
-    pub fn broadcast_watermark(&self) {
+    pub(crate) fn broadcast_watermark(&self) {
         let ts = self.last_acked.get();
         let map = self.core.map.borrow();
         for (_, group) in map.iter() {
@@ -220,17 +220,6 @@ impl SemelClient {
     /// Reads the client's (skewed, monotonic) clock: `t_current`.
     pub fn now(&self) -> Timestamp {
         self.core.now()
-    }
-
-    /// The client's clock (for instrumentation).
-    pub fn clock(&self) -> &SyncedClock {
-        &self.core.clock
-    }
-
-    /// Timestamp of the client's last acknowledged operation (what the
-    /// watermark broadcast reports).
-    pub fn last_acked(&self) -> Timestamp {
-        self.last_acked.get()
     }
 
     fn record_ack(&self, ts: Timestamp) {

@@ -73,8 +73,6 @@ pub struct SemelCluster {
     /// All shard servers (for backend inspection / fault injection), indexed
     /// `[shard][replica]`, replica 0 = primary.
     pub servers: Vec<Vec<ShardServer>>,
-    /// The configuration the cluster was built with.
-    pub config: ClusterConfig,
 }
 
 /// Service port for shard servers (one shard per node in this harness).
@@ -82,7 +80,7 @@ pub const SERVER_PORT: u16 = 0;
 
 /// Node id of shard `s`, replica `r`, in a deployment with `replicas`
 /// replicas per shard.
-pub fn server_node(replicas: u32, s: u32, r: u32) -> NodeId {
+pub(crate) fn server_node(replicas: u32, s: u32, r: u32) -> NodeId {
     NodeId(s * replicas + r)
 }
 
@@ -240,7 +238,6 @@ impl SemelCluster {
             map,
             clients,
             servers,
-            config,
         }
     }
 

@@ -32,7 +32,7 @@ use crate::shard::{ShardId, ShardMap};
 
 /// Requests understood by the master.
 #[derive(Debug, Clone)]
-pub enum MasterRequest {
+pub(crate) enum MasterRequest {
     /// Fetch the current shard map (clients call this at startup and after
     /// repeated failures against a primary).
     FetchMap,
@@ -47,7 +47,7 @@ pub enum MasterRequest {
 
 /// Replies from the master.
 #[derive(Debug, Clone)]
-pub enum MasterResponse {
+pub(crate) enum MasterResponse {
     /// The current map (the epoch inside it orders configurations).
     MapIs(ShardMap),
     /// Heartbeat acknowledged; carries the current epoch so a deposed
@@ -92,9 +92,9 @@ impl Default for MasterConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MasterStats {
     /// Map fetches served.
-    pub fetches: u64,
+    pub(crate) fetches: u64,
     /// Heartbeats received.
-    pub heartbeats: u64,
+    pub(crate) heartbeats: u64,
     /// Failovers executed.
     pub failovers: u64,
 }
@@ -162,11 +162,6 @@ impl Master {
     /// Counters so far.
     pub fn stats(&self) -> MasterStats {
         self.state.borrow().stats
-    }
-
-    /// The master's service address.
-    pub fn addr(&self) -> Addr {
-        self.cfg.addr
     }
 
     /// Atomically edits the authoritative map through `f` (the rebalance
@@ -362,7 +357,7 @@ pub async fn send_heartbeat(
 
 /// Watermark reports also flow through client ids; re-exported here so the
 /// master module is self-contained for doc examples.
-pub type _ClientId = ClientId;
+pub(crate) type _ClientId = ClientId;
 
 #[cfg(test)]
 mod tests {

@@ -133,23 +133,7 @@ pub enum SemelError {
     Overloaded,
 }
 
-impl SemelError {
-    /// The system-neutral observability class for this error — the same
-    /// taxonomy MILANA's [`obskit::AbortClass`] breakdown uses, so mixed
-    /// SEMEL/MILANA harnesses can bucket failures uniformly (including
-    /// typed per-item rejections out of batched envelopes).
-    pub fn class(&self) -> obskit::AbortClass {
-        match self {
-            SemelError::Timeout => obskit::AbortClass::UnknownOutcome,
-            SemelError::Rejected(_) => obskit::AbortClass::Validation,
-            SemelError::NotFound => obskit::AbortClass::UserRequested,
-            SemelError::SnapshotUnavailable(_) => obskit::AbortClass::SnapshotUnavailable,
-            SemelError::Capacity => obskit::AbortClass::Abandoned,
-            SemelError::NoMajority => obskit::AbortClass::ParticipantUnreachable,
-            SemelError::Overloaded => obskit::AbortClass::Shed,
-        }
-    }
-}
+impl SemelError {}
 
 impl std::fmt::Display for SemelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -46,7 +46,7 @@ use crate::replicate::{replicate_then, replicate_traced};
 /// The future of a started request that may wait. It owns what it needs,
 /// a clone of the server included, so it can outlive the call that started
 /// it. `None` means *stay silent*.
-pub type Waiting<Resp> = Pin<Box<dyn Future<Output = Option<Resp>>>>;
+pub(crate) type Waiting<Resp> = Pin<Box<dyn Future<Output = Option<Resp>>>>;
 
 /// What [`Dispatch::start`] made of one request.
 pub enum Started<Resp> {
@@ -103,14 +103,14 @@ pub struct ReplicaCore {
     /// The storage backend (persistent handle).
     pub backend: Backend,
     /// This replica's service address.
-    pub addr: Addr,
+    pub(crate) addr: Addr,
     /// Internal endpoint (replication, recovery, migration) on `port + 1`.
     pub rpc: RpcClient,
     /// The admission gate, for handlers that admit per item or report its
     /// depth.
     pub admission: Admission,
     /// The observability bundle.
-    pub obs: obskit::Obs,
+    pub(crate) obs: obskit::Obs,
     history_window: Option<Duration>,
     /// Per-client GC watermark reports (§3.1).
     watermarks: RefCell<WatermarkTracker>,

@@ -33,7 +33,7 @@ use simkit::rpc::RpcClient;
 /// [`obskit::TraceEvent::ReplicaAck`] carrying the caller-supplied
 /// replication sequence number.
 #[allow(clippy::too_many_arguments)]
-pub fn replicate_then<Req, Resp>(
+pub(crate) fn replicate_then<Req, Resp>(
     rpc: &RpcClient,
     targets: Vec<Addr>,
     req: Req,
@@ -121,7 +121,7 @@ impl Tally {
 }
 
 /// [`replicate_then`] as a future, for a task that awaits the round.
-pub fn replicate_traced<Req, Resp>(
+pub(crate) fn replicate_traced<Req, Resp>(
     rpc: &RpcClient,
     targets: Vec<Addr>,
     req: Req,

@@ -77,10 +77,10 @@ pub struct ServerConfig {
 }
 
 /// Admission cost of a point read.
-pub const COST_GET: u64 = 1;
+pub(crate) const COST_GET: u64 = 1;
 /// Admission cost of a replicated write or delete (backend write + backup
 /// fan-out holds capacity longer than a read).
-pub const COST_PUT: u64 = 2;
+pub(crate) const COST_PUT: u64 = 2;
 
 /// One running shard replica: the [`ReplicaCore`] plus the ordered-mode
 /// ablation state. Cloning shares the server state.
@@ -123,7 +123,7 @@ impl ShardServer {
     /// Serves `cfg.addr` on its node through the shared dispatch and returns
     /// a handle to the server.
     /// The `backend` outlives node failures, modeling durable storage.
-    pub fn spawn(handle: &SimHandle, backend: Backend, cfg: ServerConfig) -> ShardServer {
+    pub(crate) fn spawn(handle: &SimHandle, backend: Backend, cfg: ServerConfig) -> ShardServer {
         let core = ReplicaCore::new(
             handle,
             backend,

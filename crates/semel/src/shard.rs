@@ -19,7 +19,7 @@ impl std::fmt::Display for ShardId {
 }
 
 /// FNV-1a — a small, dependency-free 64-bit hash for ring placement.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
@@ -77,12 +77,12 @@ impl SplitRule {
 /// records where the keys are headed so servers and the rebalance engine
 /// can compute the moving-key predicate without a second map.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Migrating {
+pub(crate) struct Migrating {
     /// Source shard (current owner of the moving keys).
-    pub from: ShardId,
+    pub(crate) from: ShardId,
     /// Destination shard (owner after cutover). Equal to `from` for a
     /// whole-shard move to a new replica group.
-    pub to: ShardId,
+    pub(crate) to: ShardId,
     /// The split rule installed at cutover (`None` for a whole-shard move).
     rule: Option<SplitRule>,
     /// The destination's replica group (appended for a split, substituted

@@ -89,11 +89,6 @@ pub enum RebalancePlan {
 /// What one executed plan did, for benches and assertions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RebalanceReport {
-    /// Plan id (engine-local, monotonically increasing).
-    pub plan: u64,
-    /// Destination shard id (the new shard for a split, the moved shard
-    /// for a move).
-    pub to: u64,
     /// Records shipped over the copy plane (all sweeps, all replicas
     /// counted once per record, not per replica).
     pub records_copied: u64,
@@ -108,7 +103,7 @@ pub struct RebalanceReport {
 
 /// Called at the start of every phase — fault campaigns hook this to aim
 /// crashes and partitions at specific protocol steps.
-pub type PhaseHook = Rc<dyn Fn(MigrationPhase)>;
+pub(crate) type PhaseHook = Rc<dyn Fn(MigrationPhase)>;
 
 /// A source replica the engine may bulk-read from: its service address and
 /// its storage handle (persistent memory survives the node, exactly like
@@ -142,7 +137,7 @@ impl std::fmt::Debug for RebalanceEngine {
 }
 
 /// Engine service port on its node (distinct from the master's port 4).
-pub const ENGINE_PORT: u16 = 48;
+pub(crate) const ENGINE_PORT: u16 = 48;
 
 impl RebalanceEngine {
     /// Creates an engine issuing RPCs from `node` (typically the master's
@@ -225,11 +220,7 @@ impl RebalanceEngine {
         )
         .await;
 
-        let mut report = RebalanceReport {
-            plan: plan_id,
-            to: to.0 as u64,
-            ..RebalanceReport::default()
-        };
+        let mut report = RebalanceReport::default();
 
         // Phase 2: Copy — full sweep of every moving version.
         self.phase(MigrationPhase::Copy);

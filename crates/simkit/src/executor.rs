@@ -615,7 +615,7 @@ impl SimHandle {
 
     /// Removes the callback `key` names, in O(1). Returns false if it
     /// already fired or was cancelled.
-    pub fn cancel(&self, key: TimerKey) -> bool {
+    pub(crate) fn cancel(&self, key: TimerKey) -> bool {
         let removed = {
             let mut inner = self.inner.borrow_mut();
             let removed = inner.timers.remove(key.0);
@@ -671,7 +671,7 @@ impl SimHandle {
     }
 
     /// Runs a closure against the simulation RNG.
-    pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
+    pub(crate) fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
         f(&mut self.inner.borrow_mut().rng)
     }
 
@@ -740,13 +740,13 @@ pub struct JoinHandle<T> {
 
 impl<T> JoinHandle<T> {
     /// True once the task has run to completion.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.state.borrow().finished
     }
 
     /// Takes the output if the task has completed and the value was not
     /// already consumed.
-    pub fn try_take(&self) -> Option<T> {
+    pub(crate) fn try_take(&self) -> Option<T> {
         self.state.borrow_mut().value.take()
     }
 }

@@ -63,15 +63,15 @@ impl std::fmt::Display for Addr {
 #[derive(Debug)]
 pub struct Packet {
     /// Sender endpoint.
-    pub from: Addr,
+    pub(crate) from: Addr,
     /// Type-erased payload; receivers downcast to the expected type.
     pub payload: Box<dyn Any>,
 }
 
 /// Latency of a message a node sends to itself (loopback).
-pub const LOCAL_LATENCY: Duration = Duration::from_micros(2);
+pub(crate) const LOCAL_LATENCY: Duration = Duration::from_micros(2);
 /// Hard lower bound on any sampled node-to-node latency.
-pub const LATENCY_FLOOR: Duration = Duration::from_micros(1);
+pub(crate) const LATENCY_FLOOR: Duration = Duration::from_micros(1);
 
 /// One-way latency model for message delivery.
 ///
@@ -269,14 +269,13 @@ impl SimHandle {
     /// delivery instant, in delivery order, instead of the packet waiting
     /// in a [`Mailbox`] for a task to be polled. The call happens outside
     /// the scheduler borrow, so the sink may `send`, `spawn_on`, wake
-    /// tasks, or drop timers. [`SimHandle::kill_node`] and
-    /// [`SimHandle::unbind`] drop the closure (and whatever it captured),
-    /// also outside that borrow.
+    /// tasks, or drop timers. [`SimHandle::kill_node`] drops the closure
+    /// (and whatever it captured), also outside that borrow.
     ///
     /// # Panics
     ///
     /// Panics if the address is already bound or its node is dead.
-    pub fn bind_sink(&self, addr: Addr, sink: impl FnMut(Packet) + 'static) {
+    pub(crate) fn bind_sink(&self, addr: Addr, sink: impl FnMut(Packet) + 'static) {
         self.bind_endpoint(addr, Endpoint::Sink(Rc::new(RefCell::new(sink))));
     }
 
@@ -285,12 +284,6 @@ impl SimHandle {
         assert!(!inner.net.is_dead(addr.node), "bind on dead node {addr}");
         let prev = inner.net.endpoints.insert(addr, endpoint);
         assert!(prev.is_none(), "address {addr} already bound");
-    }
-
-    /// Removes the binding for `addr`, if any. Queued packets are discarded.
-    pub fn unbind(&self, addr: Addr) {
-        let removed = self.inner.borrow_mut().net.endpoints.remove(&addr);
-        drop(removed); // outside the scheduler borrow: a sink may own a `Sleep`
     }
 
     /// Sends `msg` from `from` to `to` with simulated latency. Messages to or
@@ -469,11 +462,6 @@ impl SimHandle {
     /// Removes any installed message faults.
     pub fn clear_net_faults(&self) {
         self.inner.borrow_mut().net.faults = None;
-    }
-
-    /// The currently installed message faults, if any.
-    pub fn net_faults(&self) -> Option<NetFaultConfig> {
-        self.inner.borrow().net.faults.clone()
     }
 
     /// Snapshot of network counters.
@@ -756,20 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn unbind_drops_a_sink_and_frees_the_address() {
-        let sim = Sim::new(1);
-        let h = sim.handle();
-        let sleep = armed_sleep(&h);
-        h.bind_sink(a(1, 0), move |_pkt| {
-            let _owned = &sleep;
-        });
-        h.unbind(a(1, 0));
-        let stats = h.timer_stats();
-        assert_eq!((stats.cancelled, stats.pending), (1, 0));
-        let _mb = h.bind(a(1, 0));
-    }
-
-    #[test]
     #[should_panic(expected = "already bound")]
     fn double_bind_panics() {
         let sim = Sim::new(1);
@@ -845,8 +819,5 @@ mod tests {
             assert_eq!(hh.now() - t1, LOCAL_LATENCY);
         });
         assert_eq!(h.net_stats().delay_spiked, 1);
-        // clear_net_faults uninstalls.
-        h.clear_net_faults();
-        assert_eq!(h.net_faults(), None);
     }
 }

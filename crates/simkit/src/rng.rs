@@ -6,7 +6,7 @@
 use rand::Rng;
 
 /// Samples a standard normal variate via the Box–Muller transform.
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f64 {
     // Avoid ln(0): u1 in (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

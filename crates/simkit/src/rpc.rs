@@ -35,16 +35,11 @@ pub struct Deadline(SimTime);
 
 impl Deadline {
     /// The never-expires sentinel.
-    pub const NONE: Deadline = Deadline(SimTime::MAX);
+    pub(crate) const NONE: Deadline = Deadline(SimTime::MAX);
 
     /// A deadline `budget` after `now`.
-    pub fn after(now: SimTime, budget: Duration) -> Deadline {
+    pub(crate) fn after(now: SimTime, budget: Duration) -> Deadline {
         Deadline(now.saturating_add(budget))
-    }
-
-    /// The absolute expiry instant.
-    pub fn at(self) -> SimTime {
-        self.0
     }
 
     /// True when the deadline has passed at `now`.
@@ -54,7 +49,7 @@ impl Deadline {
 
     /// Budget left at `now`; `None` once expired. [`Deadline::NONE`]
     /// always reports the maximum budget.
-    pub fn remaining(self, now: SimTime) -> Option<Duration> {
+    pub(crate) fn remaining(self, now: SimTime) -> Option<Duration> {
         if self.expired(now) {
             None
         } else {
@@ -214,11 +209,6 @@ impl RpcClient {
         }
     }
 
-    /// The address replies are routed to.
-    pub fn reply_addr(&self) -> Addr {
-        self.reply_addr
-    }
-
     /// The simulation this client runs in.
     pub fn handle(&self) -> &SimHandle {
         &self.handle
@@ -254,7 +244,7 @@ impl RpcClient {
     ///
     /// [`RpcError::Timeout`] if no reply arrives in time (or the deadline
     /// was already expired).
-    pub async fn call_with_deadline<Req: Any + Clone, Resp: Any + Clone>(
+    pub(crate) async fn call_with_deadline<Req: Any + Clone, Resp: Any + Clone>(
         &self,
         to: Addr,
         req: Req,
@@ -448,11 +438,6 @@ impl Responder {
     /// on arity mismatch at the caller.
     pub fn reply_batch<Resp: Any + Clone>(self, items: Vec<Resp>) {
         self.reply(BatchReply { items });
-    }
-
-    /// True when the caller expects a reply.
-    pub fn expects_reply(&self) -> bool {
-        self.reply_to.is_some()
     }
 
     /// The deadline the caller stamped on this request
@@ -757,8 +742,9 @@ mod tests {
             let client = RpcClient::new(&hh, NodeId(1), 0);
             client.cast(Addr::new(NodeId(2), 0), Ping(7));
             let (Ping(v), _from, resp) = recv_request::<Ping>(&hh, &mb).await.unwrap();
-            assert!(!resp.expects_reply());
+            let sent = hh.net_stats().sent;
             resp.reply(Pong(0)); // must be a harmless no-op
+            assert_eq!(hh.net_stats().sent, sent);
             v
         });
         assert_eq!(got, 7);

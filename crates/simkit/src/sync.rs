@@ -198,13 +198,8 @@ pub mod mpsc {
         }
 
         /// Queued item count.
-        pub fn len(&self) -> usize {
+        pub(crate) fn len(&self) -> usize {
             self.inner.borrow().queue.len()
-        }
-
-        /// True when nothing is queued.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 

@@ -31,7 +31,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// The greatest representable instant.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from nanoseconds since the epoch.
     pub const fn from_nanos(ns: u64) -> SimTime {
@@ -68,13 +68,8 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Seconds since the epoch, as a float.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: Duration) -> SimTime {
+    pub(crate) fn saturating_add(self, d: Duration) -> SimTime {
         SimTime(self.0.saturating_add(d.as_nanos() as u64))
     }
 

@@ -63,7 +63,7 @@ impl Discipline {
     }
 
     /// Interval between offset re-draws.
-    pub fn sync_interval(&self) -> Duration {
+    pub(crate) fn sync_interval(&self) -> Duration {
         match self {
             Discipline::Custom { sync_interval, .. } => *sync_interval,
             _ => Duration::from_secs(2),
@@ -298,26 +298,23 @@ impl SyncedClock {
     }
 }
 
-/// Mean absolute pairwise offset difference across `clocks`, in nanoseconds.
-/// Instrumentation used by experiments to report achieved skew.
-pub fn mean_pairwise_skew_ns(clocks: &[&SyncedClock]) -> f64 {
-    if clocks.len() < 2 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    let mut pairs = 0u64;
-    for i in 0..clocks.len() {
-        for j in (i + 1)..clocks.len() {
-            total += (clocks[i].offset_ns() - clocks[j].offset_ns()).abs() as f64;
-            pairs += 1;
-        }
-    }
-    total / pairs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean absolute pairwise offset difference across `clocks`, in
+    /// nanoseconds: the achieved skew the calibration tests check.
+    fn mean_pairwise_skew_ns(clocks: &[&SyncedClock]) -> f64 {
+        let mut total = 0.0;
+        let mut pairs = 0u64;
+        for i in 0..clocks.len() {
+            for j in (i + 1)..clocks.len() {
+                total += (clocks[i].offset_ns() - clocks[j].offset_ns()).abs() as f64;
+                pairs += 1;
+            }
+        }
+        total / pairs as f64
+    }
 
     #[test]
     fn perfect_clock_reads_true_time() {
@@ -476,7 +473,10 @@ mod tests {
 
     #[test]
     fn from_spec_applies_drift() {
-        let spec = crate::ClockSpec::perfect().with_drift(500_000);
+        let spec = crate::ClockSpec {
+            drift_ns_per_s: 500_000,
+            ..crate::ClockSpec::perfect()
+        };
         let c = SyncedClock::from_spec(&spec, 3);
         assert_eq!(c.drift_ns_per_s(), 500_000);
         let honest = SyncedClock::from_spec(&crate::ClockSpec::perfect(), 3);

@@ -6,8 +6,6 @@
 //! the extension point for future fault models) so cluster configs carry a
 //! single clock description end to end.
 
-use std::time::Duration;
-
 use crate::clock::{Discipline, SyncedClock};
 
 /// A complete clock description: the sync discipline plus any baked-in
@@ -20,8 +18,11 @@ use crate::clock::{Discipline, SyncedClock};
 ///
 /// let spec = ClockSpec::ptp_software();
 /// assert_eq!(spec.discipline, Discipline::PtpSoftware);
-/// let faulty = ClockSpec::ntp().with_drift(1_000_000); // +1ms error per s
-/// assert_eq!(faulty.drift_ns_per_s, 1_000_000);
+/// let faulty = ClockSpec {
+///     drift_ns_per_s: 1_000_000, // +1ms error per s
+///     ..ClockSpec::ntp()
+/// };
+/// assert_eq!(faulty.discipline, Discipline::Ntp);
 /// let from_disc: ClockSpec = Discipline::Perfect.into();
 /// assert_eq!(from_disc, ClockSpec::perfect());
 /// ```
@@ -40,11 +41,6 @@ impl ClockSpec {
         Discipline::Perfect.into()
     }
 
-    /// PTP with NIC hardware timestamping (~150 ns pairwise skew).
-    pub fn ptp_hardware() -> ClockSpec {
-        Discipline::PtpHardware.into()
-    }
-
     /// PTP with software timestamping (~53 µs pairwise skew, §5.2).
     pub fn ptp_software() -> ClockSpec {
         Discipline::PtpSoftware.into()
@@ -55,29 +51,9 @@ impl ClockSpec {
         Discipline::Ntp.into()
     }
 
-    /// Custom Gaussian offset model.
-    pub fn custom(offset_std: Duration, sync_interval: Duration) -> ClockSpec {
-        Discipline::Custom {
-            offset_std,
-            sync_interval,
-        }
-        .into()
-    }
-
-    /// Returns the spec with a persistent oscillator drift rate.
-    pub fn with_drift(mut self, drift_ns_per_s: i64) -> ClockSpec {
-        self.drift_ns_per_s = drift_ns_per_s;
-        self
-    }
-
     /// Builds one clock from this spec with its own RNG stream.
     pub fn build(&self, seed: u64) -> SyncedClock {
         SyncedClock::from_spec(self, seed)
-    }
-
-    /// Expected mean pairwise skew for an honest clock under this spec.
-    pub fn expected_skew(&self) -> Duration {
-        self.discipline.expected_skew()
     }
 }
 
@@ -107,21 +83,14 @@ mod tests {
         assert_eq!(ClockSpec::perfect().discipline, Discipline::Perfect);
         assert_eq!(ClockSpec::ntp().discipline, Discipline::Ntp);
         assert_eq!(ClockSpec::default(), ClockSpec::ptp_software());
-        let c = ClockSpec::custom(Duration::from_micros(5), Duration::from_millis(50));
-        assert_eq!(c.discipline.sync_interval(), Duration::from_millis(50));
-    }
-
-    #[test]
-    fn with_drift_only_changes_drift() {
-        let spec = ClockSpec::ptp_hardware().with_drift(42);
-        assert_eq!(spec.discipline, Discipline::PtpHardware);
-        assert_eq!(spec.drift_ns_per_s, 42);
-        assert_eq!(ClockSpec::ptp_hardware().drift_ns_per_s, 0);
     }
 
     #[test]
     fn build_seeds_clock_with_spec() {
-        let spec = ClockSpec::perfect().with_drift(1_000);
+        let spec = ClockSpec {
+            drift_ns_per_s: 1_000,
+            ..ClockSpec::perfect()
+        };
         let clock = spec.build(7);
         assert_eq!(clock.drift_ns_per_s(), 1_000);
         assert_eq!(*clock.discipline(), Discipline::Perfect);

@@ -88,12 +88,6 @@ impl Version {
     pub const fn new(ts: Timestamp, client: ClientId) -> Version {
         Version { ts, client }
     }
-
-    /// The smallest version; sorts before any real write.
-    pub const MIN: Version = Version {
-        ts: Timestamp::ZERO,
-        client: ClientId(0),
-    };
 }
 
 impl fmt::Display for Version {
@@ -138,11 +132,5 @@ mod tests {
             Timestamp::from_sim(SimTime::from_micros(7)),
             Timestamp(7_000)
         );
-    }
-
-    #[test]
-    fn min_version_sorts_first() {
-        assert!(Version::MIN < Version::new(Timestamp(1), ClientId(0)));
-        assert!(Version::MIN <= Version::MIN);
     }
 }

@@ -41,17 +41,6 @@ impl WatermarkTracker {
         }
     }
 
-    /// Registers a client after construction (starts at [`Timestamp::ZERO`],
-    /// holding the watermark down until it reports).
-    pub fn register(&mut self, client: ClientId) {
-        self.latest.entry(client).or_insert(Timestamp::ZERO);
-    }
-
-    /// Removes a departed client so it no longer holds the watermark back.
-    pub fn deregister(&mut self, client: ClientId) {
-        self.latest.remove(&client);
-    }
-
     /// Records a progress report. Stale (out-of-order) reports are ignored.
     pub fn update(&mut self, client: ClientId, ts: Timestamp) {
         let e = self.latest.entry(client).or_insert(Timestamp::ZERO);
@@ -86,11 +75,6 @@ impl WatermarkTracker {
             .unwrap_or(Timestamp::MAX)
     }
 
-    /// Number of registered clients.
-    pub fn len(&self) -> usize {
-        self.latest.len()
-    }
-
     /// True when no clients are registered.
     pub fn is_empty(&self) -> bool {
         self.latest.is_empty()
@@ -123,14 +107,6 @@ mod tests {
         let mut w = WatermarkTracker::new([ClientId(0), ClientId(1)]);
         w.update(ClientId(0), Timestamp(99));
         assert_eq!(w.watermark(), Timestamp::ZERO);
-    }
-
-    #[test]
-    fn deregister_releases_watermark() {
-        let mut w = WatermarkTracker::new([ClientId(0), ClientId(1)]);
-        w.update(ClientId(0), Timestamp(99));
-        w.deregister(ClientId(1));
-        assert_eq!(w.watermark(), Timestamp(99));
     }
 
     #[test]
