@@ -18,7 +18,7 @@ use milana::cluster::{MilanaCluster, MASTER_NODE};
 use milana::msg::TxnRequest;
 use milana::PromoteError;
 use semel::shard::ShardId;
-use simkit::net::NodeId;
+use simkit::net::{NetFaultConfig, NodeId};
 use simkit::rpc::RpcClient;
 use simkit::SimHandle;
 use timesync::Timestamp;
@@ -161,7 +161,7 @@ async fn apply_one(
         Fault::NetDegrade { cfg, restore_after } => {
             h.set_net_faults(cfg.clone());
             h.sleep(*restore_after).await;
-            h.clear_net_faults();
+            h.set_net_faults(NetFaultConfig::default());
             true
         }
         Fault::ClockStep { client, delta_ns } => {
@@ -312,7 +312,7 @@ pub async fn run_nemesis(
 /// transaction can complete.
 pub(crate) async fn finale(h: &SimHandle, cluster: &Rc<RefCell<MilanaCluster>>) {
     h.heal_partitions();
-    h.clear_net_faults();
+    h.set_net_faults(NetFaultConfig::default());
     {
         let c = cluster.borrow();
         for slot in c.replicas.iter().flatten() {

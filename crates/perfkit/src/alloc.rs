@@ -20,7 +20,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`] wrapper that counts every allocation and reallocation.
-pub(crate) struct CountingAllocator;
+pub struct CountingAllocator;
 
 // SAFETY: defers entirely to `System`; the counters are lock-free atomics
 // and never allocate.
@@ -44,16 +44,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 /// A snapshot of the process-wide allocation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AllocCounts {
+pub struct AllocCounts {
     /// Allocations (plus reallocations) since process start.
-    pub(crate) allocations: u64,
+    pub allocations: u64,
     /// Bytes requested since process start.
-    pub(crate) bytes: u64,
+    pub bytes: u64,
 }
 
 impl AllocCounts {
     /// Reads the current counters.
-    pub(crate) fn now() -> AllocCounts {
+    pub fn now() -> AllocCounts {
         AllocCounts {
             allocations: ALLOCATIONS.load(Ordering::Relaxed),
             bytes: BYTES.load(Ordering::Relaxed),

@@ -26,8 +26,6 @@ pub enum ReadRoute {
     PowerOfTwo,
 }
 
-impl ReadRoute {}
-
 /// What the client last heard from one replica.
 #[derive(Debug, Clone, Copy)]
 struct ReplicaStat {

@@ -454,14 +454,9 @@ impl SimHandle {
 
     /// Installs probabilistic message faults (drop / duplicate / delay
     /// spike) applied to every subsequent non-loopback [`SimHandle::send`].
-    /// A no-op config uninstalls, same as [`SimHandle::clear_net_faults`].
+    /// A no-op config (such as `NetFaultConfig::default()`) uninstalls.
     pub fn set_net_faults(&self, cfg: NetFaultConfig) {
         self.inner.borrow_mut().net.faults = if cfg.is_noop() { None } else { Some(cfg) };
-    }
-
-    /// Removes any installed message faults.
-    pub fn clear_net_faults(&self) {
-        self.inner.borrow_mut().net.faults = None;
     }
 
     /// Snapshot of network counters.
@@ -817,6 +812,12 @@ mod tests {
             hh.send(a(1, 0), a(1, 1), 2u32);
             lo.recv().await.unwrap();
             assert_eq!(hh.now() - t1, LOCAL_LATENCY);
+            // A no-op config uninstalls: the next message is not spiked.
+            hh.set_net_faults(NetFaultConfig::default());
+            let t2 = hh.now();
+            hh.send(a(1, 0), a(2, 0), 3u32);
+            mb.recv().await.unwrap();
+            assert!(hh.now() - t2 < Duration::from_millis(1));
         });
         assert_eq!(h.net_stats().delay_spiked, 1);
     }

@@ -8,6 +8,11 @@
 //! `src/` and `tests/` — or a row in the table below that says why it
 //! stays `pub` (ROADMAP item 13(e), "Visibility that says who calls what").
 //! Anything else is `pub(crate)` or private, where the lint sees it.
+//!
+//! It is a word-match tripwire, not a call graph: a name that is a common
+//! word anywhere else (`len`, `is_ok`, `as_millis`, `new`) always counts as
+//! named outside its crate, so the scan cannot see such items. ROADMAP item
+//! 13(e) lists the known ones that stay `pub` with no caller outside.
 
 mod scan;
 
