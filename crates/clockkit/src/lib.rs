@@ -12,7 +12,8 @@
 //! discipline plus network jitter. [`ClockHealth`] keeps an EWMA of the
 //! residual and of its absolute deviation per client, derives an
 //! uncertainty bound ε = max(floor, k·deviation), and flags prepares whose
-//! residual leaves the window:
+//! residual runs more than ε ahead of that baseline or leaves the absolute
+//! envelope on either side:
 //!
 //! - a single excursion is a **suspect** — the server no-votes that prepare
 //!   ([`ClockVerdict::Suspect`], surfaced as `AbortReason::ClockSuspect`)
@@ -152,17 +153,16 @@ impl ClockHealth {
         let epsilon = epsilon_of(t);
         // Two checks: the relative one (EWMA window, tracks the client's
         // own noise) and an absolute envelope of ±`max_future_ns` around
-        // the server's clock. The envelope's past side matters as much as
-        // its future side: the EWMA alone can be laundered (warmup or
+        // the server's clock. The relative check judges the future side
+        // only: a residual below the baseline is a stamp that left late or
+        // was clamped forward past a backward step (`SyncedClock` never
+        // reissues a timestamp), and its width is queueing and network
+        // delay, not clock error. The envelope's past side matters as much
+        // as its future side: the EWMA alone can be laundered (warmup or
         // fenced-state updates inflate the deviation estimate until a
         // multi-ms offset sits "in window"), and the external-consistency
         // promise is only as good as the worst timestamp that can commit.
-        // Prepare residuals are fresh — `ts_commit` is minted just before
-        // the prepare is sent — so unlike `ts_begin` on the read path the
-        // past side only absorbs network delay, which the envelope must
-        // (and does, comfortably) cover.
-        let in_window =
-            dev.unsigned_abs() <= epsilon && residual.unsigned_abs() <= self.cfg.max_future_ns;
+        let in_window = dev <= epsilon as i64 && residual.unsigned_abs() <= self.cfg.max_future_ns;
         let warming = t.samples < WARMUP_SAMPLES;
 
         // EWMA update; suspect observations are *not* folded into the

@@ -88,11 +88,6 @@ struct ValidatorInner {
     /// Latest committed (or optimistically applied) write per key.
     writes: FastMap<Key, Timestamp>,
     watermarks: WatermarkTracker,
-    handle: SimHandle,
-    /// Trace sink for validation verdicts; disabled by default.
-    tracer: obskit::Tracer,
-    /// Shard id stamped on emitted trace events.
-    trace_shard: u64,
 }
 
 impl std::fmt::Debug for Validator {
@@ -110,9 +105,6 @@ impl Validator {
             inner: Rc::new(RefCell::new(ValidatorInner {
                 writes: FastMap::default(),
                 watermarks: WatermarkTracker::new(clients),
-                handle: handle.clone(),
-                tracer: obskit::Tracer::disabled(),
-                trace_shard: 0,
             })),
         };
         // Every request is answered at its delivery instant, with no task.
@@ -153,13 +145,6 @@ impl Validator {
                         }
                     }
                 }
-                inner.tracer.record(
-                    inner.handle.now().as_nanos(),
-                    obskit::TraceEvent::PrepareVote {
-                        shard: inner.trace_shard,
-                        ok,
-                    },
-                );
                 ValidatorResponse::Vote {
                     ok,
                     watermark: inner.watermarks.watermark(),

@@ -474,8 +474,9 @@ impl MilanaCluster {
         let backend = slot.server.backend().clone();
         // A restarted replica missed an unknown stretch of the floor
         // stream: its applied watermark (persisted in the table on a warm
-        // restart, zero on a cold one) stays frozen until a promotion's
-        // `InstallLog` or a cold catch-up splice re-syncs it.
+        // restart, zero on a cold one) stays frozen until its catch-up
+        // sweep splices it back in (`TxnServer::spawn` starts one either
+        // way) or a promotion's `InstallLog` re-syncs it.
         let mut cfg = replica_cfg(&self.config, shard, slot.addr);
         cfg.cold_start = cold_start;
         slot.server = TxnServer::spawn(&self.handle, backend, table, self.map.clone(), cfg);

@@ -465,6 +465,10 @@ impl TxnServer {
             server.core.handle.spawn_on(node, async move {
                 me.cold_start().await;
             });
+        } else if !server.cfg.is_primary && server.cfg.primary_node.is_none() {
+            // A warm restart: the backup missed an unknown stretch of the
+            // floor stream, so it pulls like one that lost an envelope.
+            server.pull();
         }
         server
     }

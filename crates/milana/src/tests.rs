@@ -902,6 +902,44 @@ fn install_log_catches_up_a_stale_backup() {
 }
 
 #[test]
+fn a_warm_restarted_backup_catches_its_watermark_up() {
+    // A warm restart loses the backup's place in the floor stream just as
+    // a lost envelope does, so it must pull the same way: without it the
+    // restarted backup's applied watermark stayed where the crash left it
+    // until the next promotion's `InstallLog`.
+    let mut sim = Sim::new(62);
+    let h = sim.handle();
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.clients = 1;
+    let gossip = Duration::from_millis(2);
+    cfg.tuning.gossip_every = Some(gossip);
+    let mut cluster = MilanaCluster::build(&h, cfg);
+    let sleep = |sim: &mut Sim, ms| {
+        let hh = h.clone();
+        sim.block_on(async move { hh.sleep(Duration::from_millis(ms)).await });
+    };
+    sleep(&mut sim, 20);
+    h.kill_node(cluster.replicas[0][2].addr.node);
+    sleep(&mut sim, 20);
+    cluster.restart_replica_warm(ShardId(0), 2);
+    sleep(&mut sim, 500);
+    let wm = |i: usize| {
+        cluster.replicas[0][i]
+            .server
+            .table()
+            .borrow()
+            .applied_watermark()
+    };
+    let peers = wm(0).max(wm(1));
+    assert!(
+        wm(2).as_nanos() + gossip.as_nanos() as u64 >= peers.as_nanos(),
+        "restarted backup at {:?}, its peers at {peers:?}",
+        wm(2)
+    );
+}
+
+#[test]
 fn backup_reads_serve_covered_snapshots() {
     // readkit end-to-end: with a read route configured, snapshot reads
     // whose `ts_begin` falls under a backup's applied watermark are served
@@ -1176,9 +1214,16 @@ fn batched_items_that_wait_overlap_and_reply_in_item_order() {
             ),
             "{replies:?}"
         );
-        // The envelope's task alone: both waiting prepares rode the
-        // replication batcher's deadline, a callback that flushed them.
-        assert_eq!(hh.spawns() - spawns, 1);
+        // The envelope's task and one flush task: on an idle plane the
+        // first waiting prepare's deadline is due at once, and its task
+        // drained both prepares the envelope had started.
+        assert_eq!(hh.spawns() - spawns, 2);
+        let reg = &cluster.config.tuning.obs.registry;
+        let flushes = reg.counter(&format!(
+            "batchkit.milana.repl.node{}.flush_deadline",
+            primary.node.0
+        ));
+        assert_eq!(flushes.get(), 1);
     });
 }
 

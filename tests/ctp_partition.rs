@@ -206,10 +206,10 @@ fn lost_votes_commit_consistently_after_heal() {
     }
 
     // Launch the commit, then isolate the client after the prepare
-    // envelopes flush (the coordinator plane holds them for up to
-    // `batch_deadline` = 100µs) but before the votes come back — the
-    // vote waits out the primary's own replication flush window, so it
-    // is sent no earlier than ~225µs in (dropped at submission).
+    // envelopes flush (on the idle coordinator plane they leave at once)
+    // but before the votes come back — each vote waits for the primary's
+    // replication round to a backup, so it is sent between 70µs and 80µs
+    // in (dropped at submission). Any instant from 10µs to 70µs works.
     let outcome = Rc::new(Cell::new(None));
     {
         let client = client.clone();
@@ -229,7 +229,7 @@ fn lost_votes_commit_consistently_after_heal() {
             outcome.set(Some(t.commit().await.is_ok()));
         });
         sim.block_on(async move {
-            hh.sleep(Duration::from_micros(160)).await;
+            hh.sleep(Duration::from_micros(40)).await;
             hh.partition(&[CLIENT0], &all_nodes);
             // Let the client time out and both shards settle.
             hh.sleep(Duration::from_millis(100)).await;

@@ -387,14 +387,14 @@ fn milana_auto_run() -> Golden {
 fn semel_inconsistent_replication_is_unchanged() {
     let got = semel_run(ReplicationMode::Inconsistent);
     let want = Golden {
-        now_ns: 468_979_397,
-        polls: 1_105,
+        now_ns: 464_879_397,
+        polls: 1_241,
         net: [503, 486, 17, 0, 0],
-        timers: [806, 581, 223, 2],
+        timers: [738, 513, 223, 2],
         registry: 0x64a3102546a65d00,
-        trace: 0xe746776ccbb0ddf7,
-        outcomes: 0x9662e9fb411fa33b,
-        stores: 0x1e0442dd469446d5,
+        trace: 0xf34ae40a1ee7122b,
+        outcomes: 0xde154c8ce32b1864,
+        stores: 0x16326a6234a02e35,
         servers: vec![],
     };
     assert_eq!(got, want);
@@ -421,21 +421,21 @@ fn semel_ordered_replication_is_unchanged() {
 fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
-        now_ns: 1_254_501_827,
-        polls: 5_992,
-        net: [7954, 7470, 484, 0, 0],
-        timers: [8692, 4989, 3685, 18],
-        registry: 0xe29cb88df785694b,
-        trace: 0x3bb1c57a771e24f7,
-        outcomes: 0x21156ef1651dd91b,
-        stores: 0x71d267850e47683f,
+        now_ns: 1_359_033_782,
+        polls: 6_606,
+        net: [8463, 7922, 541, 0, 0],
+        timers: [8823, 4900, 3905, 18],
+        registry: 0xadec2b376e113827,
+        trace: 0x3feb321a8097e78f,
+        outcomes: 0x67cb194f47047354,
+        stores: 0x289198ff8056d624,
         servers: vec![
-            [132, 84, 6, 80, 0, 0, 0, 0, 0, 0, 90],
-            [0, 0, 0, 0, 0, 0, 5, 18, 0, 0, 84],
+            [134, 88, 2, 82, 3, 0, 0, 0, 0, 0, 90],
+            [0, 0, 0, 0, 0, 0, 4, 17, 0, 0, 88],
             [0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 89],
-            [0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 93],
-            [62, 37, 2, 32, 0, 0, 11, 10, 0, 0, 106],
-            [0, 0, 0, 0, 0, 0, 8, 16, 0, 0, 104],
+            [0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 109],
+            [62, 39, 0, 37, 0, 0, 5, 9, 0, 0, 105],
+            [0, 0, 0, 0, 0, 0, 14, 17, 0, 0, 105],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -448,21 +448,21 @@ fn milana_harness_failover_is_unchanged() {
 fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
-        now_ns: 973_650_938,
-        polls: 2_871,
-        net: [4464, 4022, 442, 0, 0],
-        timers: [4928, 2931, 1970, 27],
-        registry: 0x771f03c7c756d469,
-        trace: 0x2d48e7b9d6676c73,
-        outcomes: 0xa09efb1848ab16c3,
-        stores: 0x3887a92f36df4ff3,
+        now_ns: 1_122_677_633,
+        polls: 3_198,
+        net: [5057, 4526, 531, 0, 0],
+        timers: [5460, 3215, 2219, 26],
+        registry: 0xdeac902dd230ad16,
+        trace: 0x68249747f11c624d,
+        outcomes: 0x084f37563394ccae,
+        stores: 0xd859fb0b28d9aecc,
         servers: vec![
-            [26, 21, 0, 20, 1, 0, 0, 0, 0, 0, 21],
-            [32, 0, 0, 0, 0, 0, 2, 3, 0, 0, 21],
-            [0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 21],
-            [76, 43, 13, 37, 0, 0, 0, 0, 0, 0, 56],
-            [0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 43],
-            [0, 0, 0, 0, 0, 0, 8, 9, 0, 0, 43],
+            [26, 16, 5, 14, 2, 0, 0, 0, 0, 0, 21],
+            [32, 0, 0, 0, 0, 0, 2, 3, 0, 0, 16],
+            [0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 16],
+            [76, 39, 17, 33, 1, 0, 0, 0, 0, 0, 56],
+            [0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 39],
+            [0, 0, 0, 0, 0, 0, 8, 9, 0, 0, 39],
         ],
     };
     assert_eq!(got, want);
