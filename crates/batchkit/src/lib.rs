@@ -6,15 +6,17 @@
 //! Prepare envelope per shard per transaction. `batchkit` is the shared
 //! coalescing plane: a [`Batcher`] accumulates homogeneous items and
 //! flushes them as one unit when either `batch_max` items are pending or
-//! the batch's deadline is reached — whichever comes first.
+//! `batch_deadline` has elapsed since the first pending item — whichever
+//! comes first.
 //!
-//! The window opens at a flush, not at an item. An item someone awaits
-//! ([`Batcher::submit`]) is due `batch_deadline` after the last flush, so
-//! on an idle plane it flushes at once, and under load it waits at most
-//! until the current window ends: still one deadline flush per window,
-//! with everything submitted meanwhile on board. A fire-and-forget item
-//! ([`Batcher::submit_nowait`]) is due `batch_deadline` after it arrived,
-//! and rides along with any earlier flush.
+//! The default deadline is zero: a batch flushes in a task queued when
+//! its first item arrives, so it carries what was submitted at that
+//! instant and no item waits for peers. A window of 100 µs held nearly
+//! every commit-path item alone for the whole window at the benchmark's
+//! loads (1.02 coordinator items, 1.09 replication records per
+//! envelope); a window opened at the last flush recovered most of that
+//! and a zero deadline all of it, with faster read-write commits on every
+//! workload. Experiments that study coalescing set a deadline.
 //!
 //! Everything is driven by `simkit` virtual timers, so batching is fully
 //! deterministic: the same seed produces the same flush boundaries, batch
@@ -34,9 +36,7 @@
 //!   the flush itself, with no task. A size or manual flush happens inside
 //!   a submitter's task, so it spawns one task for the flush, where the
 //!   callback would otherwise run ahead of tasks already ready; so does a
-//!   deadline that is already due when armed (an awaited item on an idle
-//!   plane), which drains at that task's poll and so takes along every
-//!   item submitted at the same instant before it.
+//!   deadline that is already due when armed.
 //! - Per-batch observability: a `batchkit.<name>.batch_size` histogram
 //!   plus `flush_size` / `flush_deadline` / `flush_manual` counters, and a
 //!   [`TraceEvent::BatchFlush`] event when tracing is on.
@@ -79,29 +79,29 @@ use obskit::trace::FlushReason;
 use obskit::{Obs, TraceEvent};
 use simkit::net::NodeId;
 use simkit::sync::oneshot;
-use simkit::{SimHandle, SimTime};
+use simkit::SimHandle;
 
-/// Knobs for one [`Batcher`]: flush at `batch_max` pending items or at the
-/// batch's deadline, whichever comes first.
+/// Knobs for one [`Batcher`]: flush at `batch_max` pending items or
+/// `batch_deadline` after the first pending item, whichever comes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush as soon as this many items are pending. `1` disables
     /// coalescing: every submit flushes immediately (the unbatched
     /// baseline, used by the regression tests).
     pub batch_max: usize,
-    /// The flush window. An awaited item is due this long after the last
-    /// flush (at once when that is past), a fire-and-forget item this long
-    /// after it arrived; the batch flushes at its earliest due item even if
-    /// it is not full. Bounds the latency an awaited item can pay for
-    /// waiting on peers, and the flush rate an idle-then-busy plane sees.
+    /// Flush this long after the first item of a batch arrived, even if
+    /// the batch is not full. Bounds the latency a batched item can pay
+    /// for waiting on peers; zero (the default) flushes at the instant the
+    /// first item arrived, with every item submitted at that instant.
     pub batch_deadline: Duration,
 }
 
 impl Default for BatchConfig {
+    /// Up to 8 items, no deadline wait (see the crate docs).
     fn default() -> BatchConfig {
         BatchConfig {
             batch_max: 8,
-            batch_deadline: Duration::from_micros(100),
+            batch_deadline: Duration::ZERO,
         }
     }
 }
@@ -150,10 +150,6 @@ struct Pending<T, R> {
     /// Bumped on every flush; the deadline timer only fires the epoch it
     /// was armed for, so a size flush cancels the pending timer logically.
     epoch: u64,
-    /// The instant this epoch's deadline is armed for, if one is.
-    due: Option<SimTime>,
-    /// The instant of the last flush: the current window opened there.
-    last_flush: Option<SimTime>,
 }
 
 struct Shared<T, R> {
@@ -224,8 +220,6 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
                 pending: RefCell::new(Pending {
                     items: Vec::new(),
                     epoch: 0,
-                    due: None,
-                    last_flush: None,
                 }),
                 batch_size: reg.histogram(&format!("batchkit.{name}.batch_size")),
                 flush_size: reg.counter(&format!("batchkit.{name}.flush_size")),
@@ -282,41 +276,26 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
     }
 
     fn push(&self, item: T, tx: Option<oneshot::Sender<R>>) {
-        let s = &self.shared;
-        let now = s.handle.now();
-        let (full, arm, epoch) = {
-            let mut p = s.pending.borrow_mut();
-            // An awaited item is due a window after the last flush, a
-            // fire-and-forget one a window after it arrived.
-            let due = if tx.is_some() {
-                p.last_flush
-                    .map_or(now, |last| now.max(last + s.cfg.batch_deadline))
-            } else {
-                now + s.cfg.batch_deadline
-            };
+        let (arm_timer, epoch) = {
+            let mut p = self.shared.pending.borrow_mut();
+            let was_empty = p.items.is_empty();
             p.items.push((item, tx));
-            let arm = p.due.is_none_or(|armed| due < armed);
-            if arm {
-                p.due = Some(due);
-            }
-            (
-                p.items.len() >= s.cfg.batch_max,
-                arm.then_some(due),
-                p.epoch,
-            )
+            (was_empty, p.epoch)
         };
-        if full {
+        let s = &self.shared;
+        if s.pending.borrow().items.len() >= s.cfg.batch_max {
             self.flush(FlushReason::Size);
-        } else if let Some(at) = arm {
+        } else if arm_timer {
             let me = self.clone();
             let fire = move || {
                 if me.shared.pending.borrow().epoch == epoch {
                     me.run_flush(FlushReason::Deadline);
                 }
             };
-            if at <= now {
+            if s.cfg.batch_deadline.is_zero() {
                 s.handle.spawn_on(s.node, async move { fire() });
             } else {
+                let at = s.handle.now() + s.cfg.batch_deadline;
                 s.handle.call_at(Some(s.node), at, fire);
             }
         }
@@ -350,8 +329,6 @@ impl<T: 'static, R: 'static> Batcher<T, R> {
                 return None;
             }
             p.epoch += 1;
-            p.due = None;
-            p.last_flush = Some(self.shared.handle.now());
             std::mem::take(&mut p.items)
         };
         let s = &self.shared;
@@ -379,6 +356,15 @@ mod tests {
     use super::*;
     use simkit::Sim;
 
+    /// A 100 µs window over up to 8 items: the knob pair the coalescing
+    /// experiments run.
+    fn window() -> BatchConfig {
+        BatchConfig {
+            batch_max: 8,
+            batch_deadline: Duration::from_micros(100),
+        }
+    }
+
     fn doubler(sim: &Sim, cfg: BatchConfig, obs: Obs) -> Batcher<u32, u32> {
         let h = sim.handle();
         Batcher::callback(&h, NodeId(0), "test", cfg, obs, |items: Vec<u32>, done| {
@@ -390,7 +376,7 @@ mod tests {
     fn size_flush_resolves_all_waiters_in_order() {
         let mut sim = Sim::new(1);
         let obs = Obs::new();
-        let b = doubler(&sim, BatchConfig::default(), obs.clone());
+        let b = doubler(&sim, window(), obs.clone());
         let got = sim.block_on(async move {
             let futs: Vec<_> = (0..8).map(|i| b.submit(i)).collect();
             let mut out = Vec::new();
@@ -408,11 +394,9 @@ mod tests {
     fn deadline_flush_fires_for_partial_batch() {
         let mut sim = Sim::new(2);
         let obs = Obs::new();
-        let b = doubler(&sim, BatchConfig::default(), obs.clone());
+        let b = doubler(&sim, window(), obs.clone());
         let h = sim.handle();
         let got = sim.block_on(async move {
-            // The first flush opens a window at 0.
-            assert_eq!(b.submit(1).await, Some(2));
             let start = h.now();
             let r = b.submit(21).await;
             (r, h.now() - start)
@@ -420,18 +404,16 @@ mod tests {
         assert_eq!(got.0, Some(42));
         assert!(
             got.1 >= Duration::from_micros(100),
-            "flushed before the window ended: {:?}",
+            "flushed before deadline: {:?}",
             got.1
         );
         let snap = obs.registry.snapshot().to_string();
         assert!(
-            snap.contains("\"batchkit.test.flush_deadline\":2"),
+            snap.contains("\"batchkit.test.flush_deadline\":1"),
             "{snap}"
         );
-        // `block_on` and the first item's due flush; the deadline callback
-        // ran the second flush with no task.
-        assert_eq!(sim.handle().spawns(), 2);
-        assert_eq!(sim.handle().timer_stats().fired, 1);
+        // `block_on`'s task alone: the deadline callback ran the flush.
+        assert_eq!(sim.handle().spawns(), 1);
     }
 
     #[test]
@@ -462,29 +444,22 @@ mod tests {
         let b = doubler(&sim, cfg, obs.clone());
         let h = sim.handle();
         sim.block_on(async move {
-            // On an idle plane the first item's deadline is due at once.
             let a = b.submit(1);
             let c = b.submit(2);
             assert_eq!(a.await, Some(2));
             assert_eq!(c.await, Some(4));
-            // Inside the window the first item's deadline is a callback.
-            let a = b.submit(3);
-            let c = b.submit(4);
-            assert_eq!(a.await, Some(6));
-            assert_eq!(c.await, Some(8));
             // Let the armed deadline timer (if any survived) fire.
             h.sleep(Duration::from_millis(1)).await;
         });
         let snap = obs.registry.snapshot().to_string();
-        assert!(snap.contains("\"batchkit.test.flush_size\":2"), "{snap}");
+        assert!(snap.contains("\"batchkit.test.flush_size\":1"), "{snap}");
         assert!(
-            snap.contains("\"batchkit.test.flush_deadline\":0"),
-            "stale deadline flushed an empty epoch: {snap}"
+            !snap.contains("flush_deadline\":1"),
+            "stale timer flushed an empty epoch: {snap}"
         );
-        // `block_on`, the due deadline's task and the two size flushes' own
-        // tasks; the due task and the callback the third item armed ran
-        // into an empty epoch and flushed nothing.
-        assert_eq!(sim.handle().spawns(), 4);
+        // `block_on` and the size flush's own task; the first item armed a
+        // callback, which fired into an empty epoch and flushed nothing.
+        assert_eq!(sim.handle().spawns(), 2);
         let t = sim.handle().timer_stats();
         assert_eq!((t.armed, t.fired, t.cancelled, t.pending), (2, 2, 0, 0));
     }
@@ -535,7 +510,7 @@ mod tests {
     fn manual_flush_drains_pending() {
         let mut sim = Sim::new(7);
         let obs = Obs::new();
-        let b = doubler(&sim, BatchConfig::default(), obs.clone());
+        let b = doubler(&sim, window(), obs.clone());
         let got = sim.block_on(async move {
             let f = b.submit(5);
             b.flush_now();
@@ -544,22 +519,18 @@ mod tests {
         assert_eq!(got, Some(10));
         let snap = obs.registry.snapshot().to_string();
         assert!(snap.contains("\"batchkit.test.flush_manual\":1"), "{snap}");
-        assert!(
-            snap.contains("\"batchkit.test.flush_deadline\":0"),
-            "{snap}"
-        );
-        // `block_on`, the manual flush's own task and the item's due
-        // deadline's task, which found the batch gone.
-        assert_eq!(sim.handle().spawns(), 3);
+        // `block_on` and the manual flush's own task.
+        assert_eq!(sim.handle().spawns(), 2);
     }
 
     #[test]
     fn a_due_deadline_flushes_at_its_task_s_place_in_the_ready_queue() {
         let mut sim = Sim::new(8);
         let h = sim.handle();
+        // The default deadline: zero.
         let cfg = BatchConfig {
             batch_max: 4,
-            batch_deadline: Duration::ZERO,
+            ..BatchConfig::default()
         };
         let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
@@ -588,7 +559,7 @@ mod tests {
     fn killing_the_node_cancels_its_pending_deadline() {
         let mut sim = Sim::new(9);
         let obs = Obs::new();
-        let b = doubler(&sim, BatchConfig::default(), obs.clone());
+        let b = doubler(&sim, window(), obs.clone());
         let h = sim.handle();
         b.submit_nowait(1);
         assert_eq!(h.timer_stats().pending, 1);
@@ -609,7 +580,7 @@ mod tests {
             &h,
             NodeId(0),
             "future",
-            BatchConfig::default(),
+            window(),
             Obs::new(),
             move |items: Vec<u32>| {
                 let hh = hh.clone();
@@ -621,84 +592,7 @@ mod tests {
         );
         let got = sim.block_on(async move { b.submit(11).await });
         assert_eq!(got, Some(11));
-        // `block_on`'s task, the due deadline's task that ran the flush and
-        // the one that awaited the flush's future.
-        assert_eq!(h.spawns(), 3);
-    }
-
-    /// Each flush's instant (µs) and items.
-    type FlushLog = Rc<RefCell<Vec<(u64, Vec<u32>)>>>;
-
-    /// A doubler that logs its flushes.
-    fn logged(sim: &Sim) -> (Batcher<u32, u32>, FlushLog) {
-        let h = sim.handle();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let l = log.clone();
-        let hh = h.clone();
-        let b = Batcher::callback(&h, NodeId(0), "log", BatchConfig::default(), Obs::new(), {
-            move |items: Vec<u32>, done| {
-                l.borrow_mut()
-                    .push((hh.now().as_nanos() / 1_000, items.clone()));
-                done.complete(items.into_iter().map(|x| x * 2).collect());
-            }
-        });
-        (b, log)
-    }
-
-    #[test]
-    fn an_awaited_item_on_an_idle_plane_flushes_at_its_own_instant() {
-        let mut sim = Sim::new(11);
-        let (b, log) = logged(&sim);
-        let h = sim.handle();
-        sim.block_on(async move {
-            assert_eq!(b.submit(1).await, Some(2));
-            // A whole window later the plane is idle again.
-            h.sleep(Duration::from_micros(150)).await;
-            assert_eq!(b.submit(2).await, Some(4));
-        });
-        assert_eq!(*log.borrow(), [(0, vec![1]), (150, vec![2])]);
-        // The sleep alone: neither deadline needed a timer.
-        assert_eq!(sim.handle().timer_stats().armed, 1);
-    }
-
-    #[test]
-    fn a_second_awaited_item_waits_only_until_the_window_ends() {
-        let mut sim = Sim::new(12);
-        let (b, log) = logged(&sim);
-        let h = sim.handle();
-        sim.block_on(async move {
-            assert_eq!(b.submit(1).await, Some(2));
-            h.sleep(Duration::from_micros(30)).await;
-            let x = b.submit(2);
-            h.sleep(Duration::from_micros(20)).await;
-            let y = b.submit(3);
-            (x.await, y.await)
-        });
-        // Both wait for the window opened at 0, not 100 µs from their own
-        // arrival, and share its one deadline flush.
-        assert_eq!(*log.borrow(), [(0, vec![1]), (100, vec![2, 3])]);
-    }
-
-    #[test]
-    fn a_nowait_item_waits_the_full_deadline_or_rides_along() {
-        let mut sim = Sim::new(13);
-        let (b, log) = logged(&sim);
-        let h = sim.handle();
-        sim.block_on(async move {
-            assert_eq!(b.submit(1).await, Some(2));
-            h.sleep(Duration::from_micros(50)).await;
-            // Due 100 µs after it arrived, not at the window's end.
-            b.submit_nowait(7);
-            h.sleep(Duration::from_micros(150)).await;
-            // Due at 300 µs; an awaited item due sooner takes it along.
-            b.submit_nowait(8);
-            h.sleep(Duration::from_micros(50)).await;
-            assert_eq!(b.submit(9).await, Some(18));
-            h.sleep(Duration::from_millis(1)).await;
-        });
-        assert_eq!(
-            *log.borrow(),
-            [(0, vec![1]), (150, vec![7]), (250, vec![8, 9])]
-        );
+        // `block_on`'s task and the one that awaited the flush.
+        assert_eq!(h.spawns(), 2);
     }
 }

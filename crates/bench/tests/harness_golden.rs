@@ -14,10 +14,10 @@
 //! every validated read, and a backup began parking reordered applied
 //! floors; the Retwis points carry both. The recovery trial did not move.
 //!
-//! The four Retwis points and the recovery trial were re-recorded when a
-//! batcher's flush window began opening at a flush rather than at an item:
-//! an awaited prepare on an idle coordinator or replication plane now
-//! leaves at once, so commit latency, and the timing of everything after
+//! The four Retwis points and the recovery trial were re-recorded when the
+//! default batch deadline became zero: a prepare on the coordinator or
+//! replication plane now leaves at its own instant instead of waiting out a
+//! 100 µs window, so commit latency, and the timing of everything after
 //! it, moved. The Table 1 cell has no batcher and did not move.
 
 use std::time::Duration;
@@ -54,7 +54,7 @@ fn fig6_point_bytes() {
     };
     check(
         fig6::to_json(&cfg, &fig6::run(&cfg)),
-        (903, 15084688752422624134),
+        (902, 4832318903784234167),
     );
 }
 
@@ -71,7 +71,7 @@ fn fig7_point_bytes() {
     };
     check(
         fig7::to_json(&cfg, &fig7::run(&cfg)),
-        (1726, 959553397812810543),
+        (1728, 14385128106557367681),
     );
 }
 
@@ -87,7 +87,7 @@ fn fig8_point_bytes() {
     };
     check(
         fig8::to_json(&cfg, &fig8::run(&cfg)),
-        (956, 16809084120389872459),
+        (968, 74061557062760326),
     );
 }
 
@@ -104,7 +104,7 @@ fn fig9_point_bytes() {
     };
     check(
         fig9::to_json(&cfg, &fig9::run(&cfg)),
-        (996, 3200936028523685227),
+        (984, 5285360648028953174),
     );
 }
 
@@ -134,6 +134,6 @@ fn recovery_trial_bytes() {
     };
     check(
         run_recovery_trial(&spec).to_json(),
-        (164, 13922016981427344952),
+        (164, 9282307545503410011),
     );
 }

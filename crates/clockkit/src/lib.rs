@@ -167,14 +167,18 @@ impl ClockHealth {
 
         // EWMA update; suspect observations are *not* folded into the
         // baseline (a runaway clock must not drag its own window along),
-        // but fenced clients do update so recovery can be recognized. The
+        // and neither are past-side ones beyond ε, which pass the verdict:
+        // a client whose stamps swing into the past would otherwise inflate
+        // its deviation estimate, and with it ε on the future side. Fenced
+        // clients do update so recovery can be recognized. The
         // baseline itself is confined to the promised window: without the
         // clamp a clock could launder an arbitrary offset into its own
         // baseline — by being broken during warmup, by feeding estimates
         // while fenced until "recovery", or by drifting slowly enough that
         // every step stays inside ε — and then commit timestamps that far
         // from true time while rated healthy.
-        if warming || in_window || t.fenced {
+        let typical = in_window && dev >= -(epsilon as i64);
+        if warming || typical || t.fenced {
             let bound = self.cfg.max_future_ns as i64;
             t.mean_ns = (t.mean_ns + (dev >> ALPHA_SHIFT)).clamp(-bound, bound);
             t.mad_ns += (dev.abs() - t.mad_ns) >> ALPHA_SHIFT;
@@ -300,6 +304,31 @@ mod tests {
             assert!(v.is_ok(), "sample {i}: {v:?}");
         }
         assert_eq!(h.fence_count(), 0);
+    }
+
+    /// Past-side excursions beyond ε pass, but do not widen ε: a run of
+    /// stamps 2 ms behind the baseline leaves the window as narrow as it
+    /// was, so a later 1 ms future-side excursion is still suspect.
+    #[test]
+    fn past_side_excursions_pass_without_widening_the_window() {
+        let mut h = ClockHealth::new(cfg());
+        let c = ClientId(7);
+        let arrival = 1_000_000_000i64;
+        for i in 0..50 {
+            let v = h.observe(c, (arrival - 150_000 + jitter(i)) as u64, arrival as u64);
+            assert!(v.is_ok());
+        }
+        let eps = h.epsilon_ns(c);
+        for i in 50..150 {
+            let v = h.observe(c, (arrival - 2_150_000 + jitter(i)) as u64, arrival as u64);
+            assert!(v.is_ok(), "past-side sample {i}: {v:?}");
+        }
+        assert_eq!(h.epsilon_ns(c), eps, "past-side residuals widened ε");
+        let v = h.observe(c, (arrival + 850_000) as u64, arrival as u64);
+        assert!(
+            matches!(v, ClockVerdict::Suspect { .. }),
+            "a 1 ms future-side excursion passed: {v:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! seed counters, run read-modify-write clients continuously, walk a
 //! random [`FaultPlan`], force-heal, then audit (every acknowledged
 //! increment survives, no phantom increments) and run the
-//! [`Checker`](crate::history::Checker) over the recorded trace.
+//! [`Checker`](crate::history::Checker) over the recorded trace. All along,
+//! a chain audit holds every serving backup to its applied watermark (see
+//! `CounterRun::watch_chains`), so an acked version a replica lost counts
+//! even if no reader ever reaches it.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -268,6 +271,7 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
     // for the gossiped floor to pass their `ts_begin` — the window in
     // which backups may (and must, correctly) serve their reads.
     let scan_dwell = cfg.backup_reads.then(|| Duration::from_millis(5));
+    run.watch_chains();
     for w in run.workers() {
         run.h.spawn(async move {
             let mut rng = w.h.fork_rng();
@@ -334,7 +338,8 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
         replica_reads += c.stats().replica_reads;
     }
 
-    let (history, violations) = run.check(cfg.clock_epsilon_ns);
+    let (history, mut violations) = run.check(cfg.clock_epsilon_ns);
+    violations.extend(run.replica_audit(&history));
     let outcome = SeedOutcome {
         seed,
         acked: audit.acked,
@@ -422,7 +427,7 @@ mod tests {
         // (`lost_acked_write`, `stale_backup_read`, conservation) must
         // hold, and the run must be byte-stable.
         let cfg = CampaignConfig {
-            seeds: vec![8],
+            seeds: vec![5],
             faults: 8,
             // Wide enough that not every key is rewritten within a
             // recovery window: a skipped catch-up would leave observable
@@ -457,13 +462,12 @@ mod tests {
         // the outage that retries don't redeliver) vanish from the
         // replica, and the checker must flag the loss. Same seed, shape,
         // and keyspace as `powerfail_campaign_is_clean_and_deterministic`
-        // — the only difference is the skipped recovery protocol. The seed
-        // must be one where a committed read reaches a missing version: at
-        // seed 5 every version a cold restart missed was overwritten
-        // through the primary before any reader came, so the history held
-        // no loss to flag.
+        // — the only difference is the skipped recovery protocol. A lost
+        // version need not be read to count: the chain audit
+        // (`CounterRun::watch_chains`) holds every backup's chains to its
+        // applied watermark while the workload runs.
         let cfg = CampaignConfig {
-            seeds: vec![8],
+            seeds: vec![5],
             faults: 8,
             keys: 16,
             backup_reads: true,

@@ -7,19 +7,21 @@
 //! fraud exemptions) stays at its call site.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use flashsim::{value, Key, NandConfig, Value};
 use milana::client::{TxnClient, TxnOpts};
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
-use obskit::{Json, Obs};
+use obskit::{Json, Obs, RecoveryPhase};
+use perfkit::FastMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use simkit::{Sim, SimHandle};
 
 use crate::campaign::ViolationSummary;
-use crate::history::{Checker, History};
+use crate::history::{Checker, History, Outcome, ViolationClass};
 use crate::plan::PlanShape;
 
 fn enc(n: u64) -> Value {
@@ -42,7 +44,13 @@ pub(crate) struct CounterRun {
     keys: u64,
     acked: Rc<Cell<u64>>,
     stop: Rc<Cell<bool>>,
+    /// What [`CounterRun::watch_chains`] saw, each gap with the instant it
+    /// was first seen.
+    gaps: Rc<RefCell<BTreeMap<Gap, u64>>>,
 }
+
+/// How often [`CounterRun::watch_chains`] samples the replicas' chains.
+const CHAIN_AUDIT_EVERY: Duration = Duration::from_micros(500);
 
 /// One workload client's view of the run, moved into its task.
 pub(crate) struct Worker {
@@ -138,6 +146,7 @@ impl CounterRun {
             keys,
             acked: Rc::new(Cell::new(0)),
             stop: Rc::new(Cell::new(false)),
+            gaps: Rc::default(),
         }
     }
 
@@ -223,6 +232,134 @@ impl CounterRun {
             .collect();
         (history, violations)
     }
+
+    /// Starts the chain audit: until the workload stops, every
+    /// [`CHAIN_AUDIT_EVERY`] each serving backup is held to its applied
+    /// watermark's promise — every version below the watermark is in its
+    /// chains, or still owed by a record in its table (prepared, so a read
+    /// is flagged and validated remotely, or committed with the apply in
+    /// flight). A version some other live replica of the shard holds below
+    /// that watermark, at least as young as the replica's oldest retained
+    /// version of the key (older ones a GC watermark may have pruned), and
+    /// neither held nor owed, is a gap. [`CounterRun::replica_audit`]
+    /// judges the gaps against the history once the trace is complete.
+    pub(crate) fn watch_chains(&self) {
+        let (h, cluster, stop, gaps) = (
+            self.h.clone(),
+            self.cluster.clone(),
+            self.stop.clone(),
+            self.gaps.clone(),
+        );
+        self.h.spawn(async move {
+            while !stop.get() {
+                h.sleep(CHAIN_AUDIT_EVERY).await;
+                let at = h.now().as_nanos();
+                let cluster = cluster.borrow();
+                let mut gaps = gaps.borrow_mut();
+                for (shard, slots) in cluster.replicas.iter().enumerate() {
+                    let live: Vec<_> = slots.iter().filter(|s| !h.is_dead(s.addr.node)).collect();
+                    let mut keys: Vec<Key> = live
+                        .iter()
+                        .flat_map(|s| s.server.backend().keys())
+                        .collect();
+                    keys.sort();
+                    keys.dedup();
+                    for r in &live {
+                        let server = &r.server;
+                        if server.is_primary() || !server.is_serving() {
+                            continue;
+                        }
+                        let table = server.table().borrow();
+                        let wm = table.applied_watermark().0;
+                        for key in &keys {
+                            let mine = server.backend().versions(key);
+                            let oldest = mine.last().map_or(0, |v| v.ts.0);
+                            for other in live.iter().filter(|o| o.addr != r.addr) {
+                                for v in other.server.backend().versions(key) {
+                                    if v.ts.0 < wm
+                                        && v.ts.0 >= oldest
+                                        && !mine.contains(&v)
+                                        && !table.owes(v)
+                                    {
+                                        let gap = Gap {
+                                            node: r.addr.node.0 as u64,
+                                            shard: shard as u64,
+                                            key: key.trace_id(),
+                                            ts: v.ts.0,
+                                            client: v.client.0 as u64,
+                                        };
+                                        gaps.entry(gap).or_insert(at);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// Judges the gaps [`CounterRun::watch_chains`] saw: a missing version
+    /// an acked commit wrote is a lost acked write whether or not a reader
+    /// ever reached it — [`ViolationClass::LostAckedWrite`] when the
+    /// replica had finished a cold restart before the gap was seen,
+    /// [`ViolationClass::ReplicationLostAck`] otherwise. One violation per
+    /// replica, naming the oldest missing version's writer.
+    pub(crate) fn replica_audit(&self, history: &History) -> Vec<ViolationSummary> {
+        let mut writers: FastMap<(u64, u64, u64), usize> = FastMap::default();
+        for (i, t) in history.txns.iter().enumerate() {
+            if let Outcome::Committed { ts_commit, .. } = t.outcome {
+                for &key in &t.writes {
+                    writers.insert((key, ts_commit, t.client), i);
+                }
+            }
+        }
+        // Node -> (shard, first instant seen, (ts, writer) of each lost ack).
+        let mut lost: BTreeMap<u64, (u64, u64, Vec<(u64, usize)>)> = BTreeMap::new();
+        for (g, &at) in self.gaps.borrow().iter() {
+            if let Some(&wi) = writers.get(&(g.key, g.ts, g.client)) {
+                let e = lost.entry(g.node).or_insert((g.shard, at, Vec::new()));
+                e.1 = e.1.min(at);
+                e.2.push((g.ts, wi));
+            }
+        }
+        lost.into_iter()
+            .map(|(node, (shard, at, versions))| {
+                let &(ts, wi) = versions.iter().min().expect("a gap per entry");
+                let cold_restarted = history
+                    .recovery
+                    .iter()
+                    .any(|rs| rs.node == node && rs.phase == RecoveryPhase::Serving && rs.at <= at);
+                let class = if cold_restarted {
+                    ViolationClass::LostAckedWrite
+                } else {
+                    ViolationClass::ReplicationLostAck
+                };
+                ViolationSummary {
+                    class: class.as_str(),
+                    description: format!(
+                        "replica node {node} (shard {shard}) lacked {} acked version(s) \
+                         below its applied watermark, the oldest at ts {ts} written by \
+                         txn #{wi} (client {})",
+                        versions.len(),
+                        history.txns[wi].client
+                    ),
+                    trace_slice: history.trace_slice(&[wi]),
+                }
+            })
+            .collect()
+    }
+}
+
+/// A version a serving backup lacked below its applied watermark although
+/// another live replica of its shard held it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Gap {
+    node: u64,
+    shard: u64,
+    key: u64,
+    ts: u64,
+    client: u64,
 }
 
 /// The `violations` array of one seed's JSON summary.

@@ -389,7 +389,9 @@ pub enum ViolationClass {
     /// A read observed a version with `ver_ts > ts_begin`.
     FutureRead,
     /// A read missed a newer committed version that was acknowledged to
-    /// its writer before the reader began — an acked commit was lost.
+    /// its writer before the reader began — an acked commit was lost. The
+    /// campaigns' chain audit reports the same class for a backup that
+    /// lacked an acked version below its applied watermark.
     ReplicationLostAck,
     /// A read observed a version no traced transaction produced.
     PhantomVersion,
@@ -406,6 +408,9 @@ pub enum ViolationClass {
     /// to [`ViolationClass::ReplicationLostAck`]; the cold restart
     /// preceding the reader pins the blame on the recovery path (a mount
     /// scan that resurrected stale state, or a catch-up that was skipped).
+    /// The campaigns' chain audit reports it, reader or not, for a
+    /// cold-restarted backup that lacked an acked version below its
+    /// applied watermark.
     LostAckedWrite,
     /// Two remotely-committed transactions have commit timestamps out of
     /// order with real time by more than the server's promised clock

@@ -265,13 +265,16 @@ pub enum TxnRequest {
     /// moved keys from local storage.
     MigrationGc,
     /// Cold-restarting replica, or a backup that lost part of its floor
-    /// stream → its shard's current primary: anti-entropy catch-up fetch. A cursored sweep of the primary's transaction table
-    /// in [`TxnId`] order; `cursor` is exclusive (`None` starts at the
-    /// beginning). Recovery-plane traffic: never batched into a
-    /// group-commit envelope and never shed by admission control.
+    /// stream → its shard's current primary: anti-entropy catch-up fetch. A
+    /// cursored sweep of the primary's transaction table in change order
+    /// (each record's stamp from its last insert or decision); `cursor` is
+    /// exclusive (`None` starts at the beginning) and only means something
+    /// to the primary that issued it. Recovery-plane traffic: never
+    /// batched into a group-commit envelope and never shed by admission
+    /// control.
     CatchUpFetch {
-        /// Resume after this transaction id (exclusive); `None` = start.
-        cursor: Option<TxnId>,
+        /// Resume after this change stamp (exclusive); `None` = start.
+        cursor: Option<u64>,
         /// Maximum records per reply page.
         limit: u64,
     },
@@ -364,10 +367,10 @@ pub enum TxnResponse {
     },
     /// One page of a [`TxnRequest::CatchUpFetch`] sweep.
     CatchUpRecords {
-        /// Table records in [`TxnId`] order, after the cursor.
+        /// Table records in change order, after the cursor.
         records: Vec<TxnRecord>,
         /// Cursor for the next page; `None` when the sweep is complete.
-        next: Option<TxnId>,
+        next: Option<u64>,
         /// The primary's floor-stream position (the `seq` its *next*
         /// `AppliedFloor` will carry) at reply time. On the final page the
         /// replica splices into the live stream here: lower seqs still in

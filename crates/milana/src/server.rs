@@ -467,7 +467,12 @@ impl TxnServer {
             });
         } else if !server.cfg.is_primary && server.cfg.primary_node.is_none() {
             // A warm restart: the backup missed an unknown stretch of the
-            // floor stream, so it pulls like one that lost an envelope.
+            // floor stream, so it pulls like one that lost an envelope. A
+            // migration destination's backup restarted before cutover finds
+            // no primary for its shard until the cutover maps it; its sweep
+            // waits for that (the engine always cuts over), and only needs
+            // post-cutover commits: the copy plane ships every earlier
+            // record to each destination replica until it acks.
             server.pull();
         }
         server
@@ -980,22 +985,17 @@ impl TxnServer {
     /// admission-gated (shedding it only prolongs the outage it is healing).
     /// Only a serving primary answers; a mid-promotion primary replies
     /// `NotReady` and the cold replica retries.
-    fn catch_up_page(&self, cursor: Option<TxnId>, limit: u64) -> TxnResponse {
+    fn catch_up_page(&self, cursor: Option<u64>, limit: u64) -> TxnResponse {
         {
             let st = self.state.borrow();
             if !st.is_primary || !st.serving {
                 return TxnResponse::NotReady;
             }
         }
-        let (records, more) = self
+        let (records, next) = self
             .table
             .borrow()
             .page_after(cursor, limit.clamp(1, 4096) as usize);
-        let next = if more {
-            records.last().map(|r| r.txid)
-        } else {
-            None
-        };
         // One borrow for (seq, floor) so the pair is consistent:
         // `floor_seq` is where the splice resumes the live stream, and
         // every outcome `floor` covers was flushed in an envelope strictly
@@ -1840,10 +1840,12 @@ impl TxnServer {
     /// writes this replica is missing (idempotent — the backend rejects
     /// duplicate versions). It runs after a cold restart, and whenever a
     /// backup's floor stream stops backing its chains (a lost envelope or a
-    /// failed store write, see [`TxnServer::pull`]). Commits decided
-    /// *during* the sweep arrive through the live replication stream, whose
-    /// floors wait in the untrusted window; the final page's `floor_seq`
-    /// splices the stream there: the window is rebased at that seq and
+    /// failed store write, see [`TxnServer::pull`]). The sweep walks the
+    /// table in change order, so its final page has seen every record
+    /// inserted or decided before that page was cut, whatever the live
+    /// stream lost meanwhile; later changes ride envelopes at or after the
+    /// final page's `floor_seq`. The stream is spliced there: the window
+    /// (where floors wait while untrusted) is rebased at that seq and
     /// drains the floors that arrived since. The fetched floor itself never
     /// advances the applied watermark, because envelopes below the splice
     /// point may still be in flight with outcomes that floor claims to
@@ -1854,7 +1856,10 @@ impl TxnServer {
         let keys_ctr = self.cfg.tuning.obs.registry.counter("catchup_keys");
         let limit = self.cfg.tuning.catchup_batch.max(1) as u64;
         let failures = self.stats.borrow().apply_failures;
-        let mut cursor: Option<TxnId> = None;
+        let mut cursor: Option<u64> = None;
+        // The primary whose table the cursor walks: another one restarts
+        // the sweep, its stamps being its own.
+        let mut swept: Option<Addr> = None;
         let mut fetched = 0u64;
         loop {
             if self.state.borrow().is_primary {
@@ -1866,6 +1871,9 @@ impl TxnServer {
                 .group_opt(self.cfg.shard)
                 .map(|g| g.primary)
                 .filter(|p| *p != self.cfg.addr && !self.core.handle.is_dead(p.node));
+            if primary.is_some() && primary != swept {
+                (cursor, swept) = (None, primary);
+            }
             let page = match primary {
                 Some(p) => {
                     let fetch = TxnRequest::CatchUpFetch { cursor, limit };
@@ -1885,7 +1893,8 @@ impl TxnServer {
                 }),
             ) = (primary, page)
             else {
-                // No reachable primary right now (mid-failover), or it is
+                // No reachable primary right now (mid-failover, or a
+                // migration destination before cutover), or it is
                 // mid-promotion (NotReady), deposed or unreachable: wait
                 // for the map to settle, re-resolve and retry.
                 self.core.handle.sleep(REPL_TIMEOUT).await;

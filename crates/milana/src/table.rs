@@ -72,6 +72,13 @@ pub struct TxnTable {
     /// construction, and stored with the records in persistent memory so
     /// it survives restarts instead of regressing.
     applied_wm: Timestamp,
+    /// Each record's change stamp: the value of `last_stamp` when it was
+    /// last inserted or changed status. A catch-up sweep pages in stamp
+    /// order, so a record that appears or is decided mid-sweep comes after
+    /// the cursor instead of behind it.
+    stamps: FastMap<TxnId, u64>,
+    /// The latest change stamp handed out.
+    last_stamp: u64,
 }
 
 impl TxnTable {
@@ -160,8 +167,16 @@ impl TxnTable {
             debug_assert!(meta.prepared.is_none(), "double prepare on {key}");
             meta.prepared = Some((record.txid, record.ts_commit));
         }
-        let prev = self.records.insert(record.txid, record);
+        let txid = record.txid;
+        let prev = self.records.insert(txid, record);
         assert!(prev.is_none(), "transaction prepared twice");
+        self.touch(txid);
+    }
+
+    /// Gives `txid` the next change stamp.
+    fn touch(&mut self, txid: TxnId) {
+        self.last_stamp += 1;
+        self.stamps.insert(txid, self.last_stamp);
     }
 
     /// Applies a commit/abort decision, releasing the write keys. Returns
@@ -187,6 +202,7 @@ impl TxnTable {
                 }
             }
         }
+        self.touch(txid);
         Some(record)
     }
 
@@ -221,7 +237,9 @@ impl TxnTable {
                         }
                     }
                 }
-                self.records.insert(record.txid, record);
+                let txid = record.txid;
+                self.records.insert(txid, record);
+                self.touch(txid);
             }
         }
     }
@@ -268,6 +286,22 @@ impl TxnTable {
             .count() as u64
     }
 
+    /// Whether this replica still owes `version`'s writes: the record that
+    /// wrote it is prepared here, or committed but not yet applied. A
+    /// version below the applied watermark that is neither in the chains
+    /// nor owed is lost. Scans every record: for audits, not the hot path.
+    pub fn owes(&self, version: Version) -> bool {
+        self.records.values().any(|r| {
+            r.txid.client == version.client
+                && r.ts_commit == version.ts
+                && match r.status {
+                    TxnStatus::Prepared => true,
+                    TxnStatus::Committed => !self.applied.contains(&r.txid),
+                    TxnStatus::Aborted => false,
+                }
+        })
+    }
+
     /// All records (for log transfer), in transaction-id order so message
     /// schedules stay deterministic.
     pub fn all_records(&self) -> Vec<TxnRecord> {
@@ -289,32 +323,44 @@ impl TxnTable {
     }
 
     /// One page of a catch-up sweep: the `limit` records with the smallest
-    /// ids above `after` (from the first id when `None`), in id order, and
-    /// whether any record lies beyond the page. One pass keeps the page's
-    /// ids in a heap of at most `limit`, and only the page is cloned, so a
-    /// page costs O(N) rather than a sorted copy of the whole table.
-    pub(crate) fn page_after(&self, after: Option<TxnId>, limit: usize) -> (Vec<TxnRecord>, bool) {
-        let mut page: BinaryHeap<TxnId> = BinaryHeap::with_capacity(limit.min(self.records.len()));
+    /// change stamps above `after` (from the first when `None`), in stamp
+    /// order, and the cursor for the next page (`None` when no record lies
+    /// beyond this one). Paging in change order, not id order, means a page
+    /// that ends the sweep has seen every record inserted or decided before
+    /// it, wherever its id falls. One pass keeps the page in a heap of at
+    /// most `limit`, and only the page is cloned, so a page costs O(N)
+    /// rather than a sorted copy of the whole table.
+    pub(crate) fn page_after(
+        &self,
+        after: Option<u64>,
+        limit: usize,
+    ) -> (Vec<TxnRecord>, Option<u64>) {
+        let mut page: BinaryHeap<(u64, TxnId)> =
+            BinaryHeap::with_capacity(limit.min(self.records.len()));
         let mut above = 0;
-        for &txid in self.records.keys() {
-            if after.is_some_and(|c| txid <= c) {
+        for (&txid, &stamp) in &self.stamps {
+            if after.is_some_and(|c| stamp <= c) {
                 continue;
             }
             above += 1;
             if page.len() < limit {
-                page.push(txid);
+                page.push((stamp, txid));
             } else if let Some(mut top) = page.peek_mut() {
-                if txid < *top {
-                    *top = txid;
+                if stamp < top.0 {
+                    *top = (stamp, txid);
                 }
             }
         }
+        let page = page.into_sorted_vec();
+        let next = page
+            .last()
+            .filter(|_| above > limit)
+            .map(|&(stamp, _)| stamp);
         let records = page
-            .into_sorted_vec()
             .iter()
-            .map(|id| self.records[id].clone())
+            .map(|(_, id)| self.records[id].clone())
             .collect();
-        (records, above > limit)
+        (records, next)
     }
 
     /// Rebuilds key `prepared` markers from the (merged) records — the
@@ -565,23 +611,22 @@ mod tests {
         assert_eq!(t.status(txid(1)), Some(TxnStatus::Committed));
     }
 
-    /// Every catch-up page equals the page the sweep used to cut: sort the
-    /// whole table, skip to the cursor, take `limit`. Cursors and limits are
-    /// random, ids arrive out of order, and records land on both sides of
-    /// the cursor between pages, as live commits do during a sweep.
+    /// Every catch-up page equals the slice of the whole table sorted by
+    /// change stamp, after the cursor, `limit` long. Cursors and limits are
+    /// random, ids arrive out of order, and records are inserted and
+    /// decided between pages, as live commits are during a sweep.
     #[test]
     fn catch_up_pages_equal_the_sorted_slice() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        fn sliced(t: &TxnTable, after: Option<TxnId>, limit: usize) -> (Vec<TxnId>, bool) {
-            let all = t.all_records();
-            let start = after.map_or(0, |c| all.partition_point(|r| r.txid <= c));
+        fn sliced(t: &TxnTable, after: Option<u64>, limit: usize) -> (Vec<TxnId>, Option<u64>) {
+            let mut all: Vec<(u64, TxnId)> = t.stamps.iter().map(|(&id, &s)| (s, id)).collect();
+            all.sort();
+            let start = after.map_or(0, |c| all.partition_point(|&(s, _)| s <= c));
             let end = start.saturating_add(limit).min(all.len());
-            (
-                all[start..end].iter().map(|r| r.txid).collect(),
-                end < all.len(),
-            )
+            let next = (end < all.len()).then(|| all[end - 1].0);
+            (all[start..end].iter().map(|&(_, id)| id).collect(), next)
         }
         let mut rng = StdRng::seed_from_u64(3);
         let mut t = TxnTable::default();
@@ -597,33 +642,68 @@ mod tests {
         let mut after = None;
         let mut limit = 1;
         for _ in 0..2_000 {
-            let (page, more) = t.page_after(after, limit);
+            let (page, next) = t.page_after(after, limit);
             let ids: Vec<TxnId> = page.iter().map(|r| r.txid).collect();
-            assert_eq!((ids, more), sliced(&t, after, limit));
+            assert_eq!((ids, next), sliced(&t, after, limit));
             for r in &page {
                 assert_eq!(r.ts_commit, t.records[&r.txid].ts_commit);
             }
             for _ in 0..rng.gen_range(0..4) {
                 fresh(&mut t, &mut rng);
             }
+            if let Some(r) = page.first() {
+                // A decision restamps its record past the cursor.
+                t.decide(r.txid, rng.gen());
+            }
             limit = rng.gen_range(1..24);
             after = match rng.gen_range(0..8) {
                 0 => None,
-                1 => Some(TxnId {
-                    client: ClientId(rng.gen_range(0..5)),
-                    seq: rng.gen_range(0..450),
-                }),
+                1 => Some(rng.gen_range(0..t.last_stamp + 2)),
                 // A sweep's last page: exactly `limit` records, or one more,
                 // lie above the cursor.
                 2 => {
-                    let all = t.all_records();
-                    let beyond = limit + rng.gen_range(0..2usize);
-                    all.len().checked_sub(beyond + 1).map(|i| all[i].txid)
+                    let beyond = (limit + rng.gen_range(0..2usize)) as u64;
+                    t.last_stamp.checked_sub(beyond)
                 }
-                _ if more => page.last().map(|r| r.txid),
-                _ => None,
+                _ => next,
             };
         }
         assert!(t.len() > 1_000, "table of {}", t.len());
+    }
+
+    /// A record inserted mid-sweep with an id below the cursor, and one
+    /// decided there, still reach the sweep: a page that ends it has seen
+    /// every change made before it.
+    #[test]
+    fn a_sweep_sees_records_that_change_behind_its_cursor() {
+        let mut t = TxnTable::new();
+        for seq in 10..14 {
+            t.install(record(seq, 100 + seq, &[seq]));
+        }
+        let (page, next) = t.page_after(None, 2);
+        assert_eq!(
+            page.iter().map(|r| r.txid).collect::<Vec<_>>(),
+            [txid(10), txid(11)]
+        );
+        // Live commits meanwhile: a new record with a smaller id, and a
+        // decision on one already swept.
+        t.install(record(1, 50, &[1]));
+        t.decide(txid(10), true);
+        let mut swept = Vec::new();
+        let mut cursor = next;
+        while cursor.is_some() {
+            let (page, next) = t.page_after(cursor, 2);
+            swept.extend(page.iter().map(|r| (r.txid, r.status)));
+            cursor = next;
+        }
+        assert_eq!(
+            swept,
+            [
+                (txid(12), TxnStatus::Prepared),
+                (txid(13), TxnStatus::Prepared),
+                (txid(1), TxnStatus::Prepared),
+                (txid(10), TxnStatus::Committed),
+            ]
+        );
     }
 }

@@ -1214,9 +1214,10 @@ fn batched_items_that_wait_overlap_and_reply_in_item_order() {
             ),
             "{replies:?}"
         );
-        // The envelope's task and one flush task: on an idle plane the
-        // first waiting prepare's deadline is due at once, and its task
-        // drained both prepares the envelope had started.
+        // The envelope's task and one flush task: the replication
+        // batcher's zero deadline is a task spawned at the first waiting
+        // prepare, and its poll drained both prepares the envelope had
+        // started.
         assert_eq!(hh.spawns() - spawns, 2);
         let reg = &cluster.config.tuning.obs.registry;
         let flushes = reg.counter(&format!(

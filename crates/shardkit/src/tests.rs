@@ -1,8 +1,13 @@
 //! End-to-end resharding tests on a simulated MILANA cluster.
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+use std::time::Duration;
+
 use flashsim::{value, Key, NandConfig};
 use milana::client::TxnOpts;
 use milana::cluster::{MilanaCluster, MilanaClusterConfig, MASTER_NODE};
+use obskit::MigrationPhase;
 use semel::shard::ShardId;
 use simkit::Sim;
 use timesync::ClockSpec;
@@ -259,4 +264,78 @@ fn auto_failover_clients_refetch_across_split() {
             assert_eq!(got, value(vec![n as u8 + 1; 8]));
         }
     });
+}
+
+/// A destination backup warm-restarted before cutover finds no primary for
+/// its shard until the cutover puts the shard in the map: its catch-up
+/// sweep waits for that, sweeps the destination primary's table, and
+/// splices back into that primary's floor stream. What was copied before
+/// cutover reaches it over the copy plane, which retries every destination
+/// replica until it acks.
+#[test]
+fn a_destination_backup_restarted_before_cutover_catches_up() {
+    let mut sim = Sim::new(905);
+    let h = sim.handle();
+    let gossip = Duration::from_millis(2);
+    let mut cfg = base_cfg();
+    cfg.tuning.gossip_every = Some(gossip);
+    cfg.client_cfg.watermark_interval = gossip;
+    let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cfg)));
+    let eng = engine_for(&cluster.borrow(), &h);
+    let from = ShardId(0);
+    let to = ShardId(cluster.borrow().map.borrow().len() as u32);
+    let dest = cluster.borrow_mut().provision_group(to);
+    let victim = dest.backups[0].node;
+    // Set once the victim is back: whether its shard was still unmapped.
+    let restarted_unmapped = Rc::new(Cell::new(None));
+    let (hh, cl, flag) = (h.clone(), cluster.clone(), restarted_unmapped.clone());
+    eng.set_phase_hook(Rc::new(move |phase| {
+        if phase != MigrationPhase::Prepare {
+            return;
+        }
+        hh.kill_node(victim);
+        let (hh2, cl2, flag2) = (hh.clone(), cl.clone(), flag.clone());
+        hh.spawn(async move {
+            hh2.sleep(Duration::from_millis(5)).await;
+            let mut c = cl2.borrow_mut();
+            flag2.set(Some(c.map.borrow().group_opt(to).is_none()));
+            c.restart_replica_warm(to, 1);
+        });
+    }));
+    let sources = sources_for(&cluster.borrow(), from);
+    let writer = cluster.borrow().clients[0].clone();
+    let hh = h.clone();
+    sim.block_on(async move {
+        let writes = hh.spawn(async move {
+            for round in 0..200u64 {
+                let mut t = writer.begin_with(TxnOpts::default());
+                let i = round % 40;
+                let _ = t.get(&k(i)).await;
+                t.put(k(i), value(round.to_le_bytes().to_vec()));
+                let _ = t.commit().await;
+            }
+        });
+        eng.run(RebalancePlan::Split { from }, dest, sources).await;
+        writes.await;
+        hh.sleep(Duration::from_millis(300)).await;
+    });
+    assert_eq!(restarted_unmapped.get(), Some(true), "not restarted before cutover");
+    let c = cluster.borrow();
+    let row = &c.replicas[to.0 as usize];
+    let wm = |i: usize| row[i].server.table().borrow().applied_watermark();
+    let peers = wm(0).max(wm(2));
+    assert!(peers > timesync::Timestamp::ZERO, "destination floors never moved");
+    assert!(
+        wm(1).as_nanos() + gossip.as_nanos() as u64 >= peers.as_nanos(),
+        "restarted destination backup at {:?}, its peers at {peers:?}",
+        wm(1)
+    );
+    let primary = row[0].server.backend();
+    for key in primary.keys() {
+        assert_eq!(
+            row[1].server.backend().latest_version(&key),
+            primary.latest_version(&key),
+            "restarted destination backup lags on {key}"
+        );
+    }
 }

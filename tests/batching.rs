@@ -116,9 +116,8 @@ fn partial_batch_delivery_never_acks_under_replicated_writes() {
 /// The extra commit latency batching may add is bounded by the flush
 /// deadlines on the commit path: one client-side coordinator-plane window
 /// plus one primary-side replication window. A huge `batch_max` with
-/// sequential (never-full) batches is the worst case — no flush is by
-/// size, so an item that arrives less than a deadline after its plane's
-/// last flush waits for the window to end.
+/// sequential (never-full) batches is the worst case — every flush waits
+/// out its whole deadline.
 #[test]
 fn flush_deadline_bounds_commit_latency() {
     const DEADLINE: Duration = Duration::from_micros(200);

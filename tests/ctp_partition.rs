@@ -206,10 +206,11 @@ fn lost_votes_commit_consistently_after_heal() {
     }
 
     // Launch the commit, then isolate the client after the prepare
-    // envelopes flush (on the idle coordinator plane they leave at once)
-    // but before the votes come back — each vote waits for the primary's
-    // replication round to a backup, so it is sent between 70µs and 80µs
-    // in (dropped at submission). Any instant from 10µs to 70µs works.
+    // envelopes flush (the coordinator plane's zero deadline sends them
+    // at once) but before the votes come back — each vote waits for the
+    // primary's replication round to a backup, so it is sent between 70µs
+    // and 80µs in (dropped at submission). Any instant from 5µs to 70µs
+    // works.
     let outcome = Rc::new(Cell::new(None));
     {
         let client = client.clone();

@@ -421,21 +421,21 @@ fn semel_ordered_replication_is_unchanged() {
 fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
-        now_ns: 1_359_033_782,
-        polls: 6_606,
-        net: [8463, 7922, 541, 0, 0],
-        timers: [8823, 4900, 3905, 18],
-        registry: 0xadec2b376e113827,
-        trace: 0x3feb321a8097e78f,
-        outcomes: 0x67cb194f47047354,
-        stores: 0x289198ff8056d624,
+        now_ns: 1_088_341_401,
+        polls: 9_146,
+        net: [7554, 7153, 399, 0, 0],
+        timers: [6248, 2691, 3537, 20],
+        registry: 0xe60d12db0080003c,
+        trace: 0x039392bc81dd75aa,
+        outcomes: 0x798ef575ebba88d1,
+        stores: 0xe0a3ea52721d3451,
         servers: vec![
-            [134, 88, 2, 82, 3, 0, 0, 0, 0, 0, 90],
-            [0, 0, 0, 0, 0, 0, 4, 17, 0, 0, 88],
-            [0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 89],
+            [132, 88, 2, 84, 1, 0, 0, 0, 0, 0, 90],
+            [0, 0, 0, 0, 0, 0, 4, 16, 0, 0, 88],
+            [0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 90],
             [0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 109],
-            [62, 39, 0, 37, 0, 0, 5, 9, 0, 0, 105],
-            [0, 0, 0, 0, 0, 0, 14, 17, 0, 0, 105],
+            [61, 38, 1, 36, 0, 0, 4, 9, 0, 0, 107],
+            [0, 0, 0, 0, 0, 0, 15, 16, 0, 0, 106],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -448,21 +448,21 @@ fn milana_harness_failover_is_unchanged() {
 fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
-        now_ns: 1_122_677_633,
-        polls: 3_198,
-        net: [5057, 4526, 531, 0, 0],
-        timers: [5460, 3215, 2219, 26],
-        registry: 0xdeac902dd230ad16,
-        trace: 0x68249747f11c624d,
-        outcomes: 0x084f37563394ccae,
-        stores: 0xd859fb0b28d9aecc,
+        now_ns: 1_074_926_741,
+        polls: 5_156,
+        net: [4881, 4380, 500, 0, 0],
+        timers: [4171, 1997, 2146, 28],
+        registry: 0x3bdd9cfbfd3a16f5,
+        trace: 0xc0d6af38338eec26,
+        outcomes: 0xfd97a04ef91fef94,
+        stores: 0x9a9f0939119616a9,
         servers: vec![
-            [26, 16, 5, 14, 2, 0, 0, 0, 0, 0, 21],
-            [32, 0, 0, 0, 0, 0, 2, 3, 0, 0, 16],
-            [0, 0, 0, 0, 0, 0, 4, 3, 0, 0, 16],
-            [76, 39, 17, 33, 1, 0, 0, 0, 0, 0, 56],
-            [0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 39],
-            [0, 0, 0, 0, 0, 0, 8, 9, 0, 0, 39],
+            [26, 15, 6, 15, 0, 0, 0, 0, 0, 0, 21],
+            [32, 0, 0, 0, 0, 0, 2, 3, 0, 0, 15],
+            [0, 0, 0, 0, 0, 0, 5, 3, 0, 0, 15],
+            [76, 38, 18, 31, 1, 0, 0, 0, 0, 0, 56],
+            [0, 0, 0, 0, 0, 0, 3, 9, 0, 0, 38],
+            [0, 0, 0, 0, 0, 0, 8, 9, 0, 0, 38],
         ],
     };
     assert_eq!(got, want);
