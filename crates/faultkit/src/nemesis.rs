@@ -21,7 +21,7 @@ use semel::shard::ShardId;
 use simkit::net::{NetFaultConfig, NodeId};
 use simkit::rpc::RpcClient;
 use simkit::SimHandle;
-use timesync::Timestamp;
+use timesync::ClientId;
 
 use crate::plan::{Fault, FaultPlan};
 
@@ -34,6 +34,9 @@ fn client_node(i: u32) -> NodeId {
 /// The overload flooder sends from its own node so partitions targeting
 /// cluster nodes never silence it by accident.
 const FLOOD_NODE: NodeId = NodeId(20_000);
+
+/// The client id the flood's reads carry: no cluster client has it.
+const FLOOD_CLIENT: ClientId = ClientId(FLOOD_NODE.0);
 
 /// One fault as actually applied.
 #[derive(Debug, Clone)]
@@ -208,24 +211,33 @@ async fn apply_one(
             burst_rps,
             restore_after,
         } => {
-            // Fire-and-forget GetAny casts: real admission cost and backend
-            // reads on the primary, but no replies to wait for and no
-            // transaction-metadata side effects (GetAny never notes reads).
-            // Sent as back-to-back per-millisecond bursts so the casts
-            // arrive clustered and actually spike the in-flight cost past
-            // the admission gate, instead of trickling through one at a
-            // time.
-            let primary = cluster.borrow().map.borrow().group(ShardId(*shard)).primary;
+            // Fire-and-forget `ReadAt` casts: real admission cost and
+            // backend reads on the primary, but no replies to wait for.
+            // Each reads at the primary's applied watermark, its write
+            // floor: the prepare fence keeps every future `ts_commit`
+            // above it, so the read mark it leaves can never fail a
+            // prepare. Sent as back-to-back per-millisecond bursts so the
+            // casts arrive clustered and actually spike the in-flight cost
+            // past the admission gate, instead of trickling through one at
+            // a time.
+            let (addr, primary) = {
+                let c = cluster.borrow();
+                let shard = ShardId(*shard);
+                let addr = c.map.borrow().group(shard).primary;
+                (addr, c.primary(shard).clone())
+            };
             let per_tick = (*burst_rps / 1_000).max(1);
             let until = h.now() + *restore_after;
             let mut i = 0u64;
             while h.now() < until {
+                let at = primary.table().borrow().applied_watermark();
                 for _ in 0..per_tick {
                     flood_rpc.cast(
-                        primary,
-                        TxnRequest::GetAny {
+                        addr,
+                        TxnRequest::ReadAt {
                             key: Key::from(i % 8),
-                            at: Timestamp::from_sim(h.now()),
+                            at,
+                            client: FLOOD_CLIENT,
                         },
                     );
                     i += 1;
@@ -343,5 +355,78 @@ pub(crate) async fn finale(h: &SimHandle, cluster: &Rc<RefCell<MilanaCluster>>) 
             let _ = promote.await;
             h.sleep(Duration::from_millis(20)).await;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use milana::cluster::MilanaClusterConfig;
+    use milana::msg::{TxnId, TxnResponse};
+    use simkit::Sim;
+    use timesync::Timestamp;
+
+    /// The flood sheds at the primary it targets, and the reads it gets
+    /// served leave their marks at the write floor: a prepare stamped just
+    /// above the floor on a flooded key still votes yes.
+    #[test]
+    fn the_overload_flood_sheds_and_fails_no_prepare_above_the_floor() {
+        let mut sim = Sim::new(3);
+        let h = sim.handle();
+        let obs = obskit::Obs::new();
+        let mut cfg = MilanaClusterConfig {
+            shards: 1,
+            replicas: 1,
+            clients: 0,
+            preload_keys: 16,
+            ..MilanaClusterConfig::default()
+        };
+        cfg.tuning.obs = obs.clone();
+        let cluster = Rc::new(RefCell::new(MilanaCluster::build(&h, cfg)));
+        let hh = h.clone();
+        sim.block_on(async move {
+            let (addr, primary, rpc) = {
+                let c = cluster.borrow();
+                let slot = &c.replicas[0][0];
+                (slot.addr, slot.server.clone(), c.master_rpc.clone())
+            };
+            // One client's write-floor promise, and nothing else moves it.
+            let client = ClientId(9);
+            let floor = Timestamp(1_000_000);
+            rpc.cast(addr, TxnRequest::FloorReport { client, ts: floor });
+            hh.sleep(Duration::from_millis(2)).await;
+            assert_eq!(primary.table().borrow().applied_watermark(), floor);
+
+            let flood = Fault::Overload {
+                shard: 0,
+                burst_rps: 1_000_000,
+                restore_after: Duration::from_millis(5),
+            };
+            let flood_rpc = RpcClient::new(&hh, FLOOD_NODE, 7);
+            let mut report = NemesisReport::default();
+            assert!(apply_one(&hh, &cluster, &flood, &flood_rpc, &mut report).await);
+            hh.sleep(Duration::from_millis(5)).await;
+            let node = addr.node.0;
+            let sheds = obs
+                .registry
+                .counter(&format!("loadkit.node{node}.sheds_overload"))
+                .get();
+            assert!(sheds > 0, "the flood never shed");
+            assert!(primary.stats().gets > 0, "the primary served no read");
+
+            let prepare = TxnRequest::Prepare {
+                txid: TxnId { client, seq: 1 },
+                ts_commit: Timestamp(floor.0 + 1),
+                reads: Vec::new().into(),
+                writes: vec![(Key::from(0), flashsim::value(&b"w"[..]))].into(),
+                participants: vec![ShardId(0)].into(),
+                epoch: 0,
+            };
+            let vote = rpc
+                .call::<TxnRequest, TxnResponse>(addr, prepare, Duration::from_millis(50))
+                .await
+                .unwrap();
+            assert!(matches!(vote, TxnResponse::Vote { ok: true }), "{vote:?}");
+        });
     }
 }

@@ -88,9 +88,10 @@ pub enum Fault {
     },
     /// Flood one shard's primary with synthetic no-op read load at
     /// `burst_rps` until `restore_after` elapses, driving its admission
-    /// gate into shedding. The flood is fire-and-forget (`GetAny` casts),
-    /// so it consumes admission capacity and backend reads without
-    /// touching any transaction metadata.
+    /// gate into shedding. The flood is fire-and-forget (`ReadAt` casts at
+    /// the primary's applied watermark, its write floor), so it consumes
+    /// admission capacity and backend reads while its read marks sit
+    /// below every future commit stamp and fail no prepare.
     Overload {
         /// Target shard.
         shard: u32,

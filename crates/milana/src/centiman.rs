@@ -378,7 +378,10 @@ impl CentTxn {
     ///
     /// # Errors
     ///
-    /// [`TxnError::Aborted`] on validation conflict.
+    /// - [`TxnError::Aborted`] on validation conflict;
+    /// - [`TxnError::Timeout`] when the validators decided commit but a
+    ///   write did not reach storage: the outcome is unknown, and the
+    ///   commit is not counted.
     pub async fn commit(mut self) -> Result<crate::client::CommitInfo, TxnError> {
         assert!(!self.finished, "commit on finished transaction");
         self.finished = true;
@@ -487,16 +490,30 @@ impl CentTxn {
         let mut puts = Vec::new();
         for (key, value) in self.writes.drain(..) {
             let storage = self.c.storage.clone();
-            puts.push(self.c.handle.spawn(async move {
-                let _ = storage.put_versioned(key, value, version).await;
-            }));
+            puts.push(
+                self.c
+                    .handle
+                    .spawn(async move { storage.put_versioned(key, value, version).await.is_ok() }),
+            );
         }
+        let mut stored = true;
         for p in puts {
-            p.await;
+            stored &= p.await;
+        }
+        let client = self.c.storage.id().0 as u64;
+        if !stored {
+            // The validators decided commit, but a write is missing from
+            // storage: the caller cannot know what a reader will see.
+            self.c.trace(obskit::TraceEvent::Abort {
+                client,
+                reason: obskit::AbortClass::UnknownOutcome,
+            });
+            self.c.note_decided(ts_commit).await;
+            return Err(TxnError::Timeout);
         }
         self.c.stats.borrow_mut().commits += 1;
         self.c.trace(obskit::TraceEvent::Commit {
-            client: self.c.storage.id().0 as u64,
+            client,
             ts_commit: ts_commit.0,
             local: false,
         });
@@ -586,6 +603,45 @@ mod tests {
             let mut t2 = c.begin();
             assert_eq!(&t2.get(&Key::from(1u64)).await.unwrap()[..], b"cent");
             t2.commit().await.unwrap();
+        });
+    }
+
+    #[test]
+    fn a_commit_whose_write_storage_refuses_is_not_counted() {
+        let mut sim = Sim::new(46);
+        let hh = sim.handle();
+        let (storage, clients) = boot(&sim, 1, 1, 50);
+        sim.block_on(async move {
+            // Keep the shard's device full: one live single-version tuple
+            // per page, which garbage collection can neither prune nor
+            // compact. Whatever it still reclaims is taken again within
+            // 100 µs.
+            async fn fill(store: &flashsim::Backend, next: &mut u64) {
+                let stamp = Version::new(Timestamp(1), ClientId(99));
+                while store
+                    .apply_batch_unordered(vec![(Key::from(*next), value(vec![7u8; 3_000]), stamp)])
+                    .await
+                    .is_ok()
+                {
+                    *next += 1;
+                }
+            }
+            let store = storage.servers[0][0].backend().clone();
+            let mut next = 1_000_000u64;
+            fill(&store, &mut next).await;
+            let h = hh.clone();
+            hh.spawn(async move {
+                loop {
+                    h.sleep(Duration::from_micros(100)).await;
+                    fill(&store, &mut next).await;
+                }
+            });
+            let c = &clients[0];
+            let mut t = c.begin();
+            let _ = t.get(&Key::from(1u64)).await.unwrap();
+            t.put(Key::from(1u64), value(&b"refused"[..]));
+            assert_eq!(t.commit().await.unwrap_err(), TxnError::Timeout);
+            assert_eq!(c.stats().commits, 0);
         });
     }
 

@@ -108,9 +108,9 @@ pub struct TxnClientStats {
     pub cached_reads: u64,
 }
 
-/// How a transaction opens its snapshot.
+/// How a transaction opens its snapshot ([`TxnClient::begin_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TxnMode {
+pub enum TxnOpts {
     /// `ts_begin` = the client clock now. The right mode for anything that
     /// might write: lagging a writer only widens its validation window.
     #[default]
@@ -123,36 +123,10 @@ pub enum TxnMode {
     Snapshot,
 }
 
-/// Typed options for [`TxnClient::begin_with`] — mode and cache
-/// participation as fields instead of three near-identical methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TxnOpts {
-    /// Snapshot placement (see [`TxnMode`]).
-    pub(crate) mode: TxnMode,
-    /// §4.3 cached mode: serve reads speculatively from the client-wide
-    /// value cache. A transaction that took a speculative hit loses the
-    /// prepared-flag information that powers local validation, so it
-    /// validates remotely at commit even when read-only — as the paper
-    /// prescribes: "any transaction marked as read-write in advance may
-    /// read from its cache, but then must validate remotely."
-    pub(crate) cached: bool,
-}
-
 impl TxnOpts {
     /// Bounded-staleness snapshot at [`TxnClientConfig::snapshot_lag`].
     pub fn snapshot() -> TxnOpts {
-        TxnOpts {
-            mode: TxnMode::Snapshot,
-            ..TxnOpts::default()
-        }
-    }
-
-    /// Cache-speculating read-write transaction (§4.3 future-work mode).
-    pub fn cached() -> TxnOpts {
-        TxnOpts {
-            cached: true,
-            ..TxnOpts::default()
-        }
+        TxnOpts::Snapshot
     }
 }
 
@@ -182,7 +156,7 @@ pub struct TxnClient {
     /// Inter-transaction value cache (§4.3 future work): the newest version
     /// this client has observed per key, with the snapshot window a server
     /// confirmed it for. Bounded LRU; versions are immutable so entries
-    /// only die by eviction, OCC refutation, or the GC floor.
+    /// only die by eviction or the GC floor.
     value_cache: Rc<RefCell<VersionCache<Key, Value>>>,
     /// Highest GC watermark observed on any replica reply. Monotone;
     /// advancing it invalidates cache entries whose confirmed windows fall
@@ -213,8 +187,7 @@ impl std::fmt::Debug for TxnClient {
 /// Reply port used by MILANA clients on their node.
 pub(crate) const TXN_CLIENT_RPC_PORT: u16 = 40;
 
-/// Capacity (entries) of the client-wide version cache feeding cached
-/// transactions ([`TxnOpts::cached`]).
+/// Capacity (entries) of the client-wide version cache.
 pub(crate) const CACHE_ENTRIES: usize = 4096;
 
 impl TxnClient {
@@ -413,24 +386,17 @@ impl TxnClient {
         *self.stats.borrow()
     }
 
-    /// Begins a transaction described by `opts` — the single entry point
-    /// the historical `begin` / `begin_snapshot` / `begin_cached` trio
-    /// collapsed into.
+    /// Begins a transaction whose snapshot opens as `opts` says.
     ///
     /// ```ignore
-    /// let txn = client.begin_with(TxnOpts::default());          // read-write
-    /// let ro  = client.begin_with(TxnOpts::snapshot());          // lagged snapshot
-    /// let spec = client.begin_with(TxnOpts::cached());           // cache-speculating
+    /// let txn = client.begin_with(TxnOpts::default());  // read-write
+    /// let ro = client.begin_with(TxnOpts::snapshot());  // lagged snapshot
     /// ```
     pub fn begin_with(&self, opts: TxnOpts) -> Txn {
-        let lag = match opts.mode {
-            TxnMode::ReadWrite => Duration::ZERO,
-            TxnMode::Snapshot => self.cfg.snapshot_lag,
+        let lag = match opts {
+            TxnOpts::ReadWrite => Duration::ZERO,
+            TxnOpts::Snapshot => self.cfg.snapshot_lag,
         };
-        self.begin_inner(opts.cached, lag)
-    }
-
-    fn begin_inner(&self, use_client_cache: bool, lag: Duration) -> Txn {
         let ts_begin = Timestamp(self.now().0.saturating_sub(lag.as_nanos() as u64));
         self.register_active(ts_begin);
         self.trace(TraceEvent::TxnBegin {
@@ -446,8 +412,6 @@ impl TxnClient {
             writes: Vec::new(),
             write_idx: FastMap::default(),
             cache: FastMap::default(),
-            use_client_cache,
-            requires_remote: false,
             finished: false,
         }
     }
@@ -579,13 +543,6 @@ pub struct Txn {
     writes: Vec<(Key, Value)>,
     write_idx: FastMap<Key, usize>,
     cache: FastMap<Key, Value>,
-    /// §4.3 cached mode: serve reads from the client-wide value cache and
-    /// validate remotely at commit.
-    use_client_cache: bool,
-    /// Set by reads that carry no local-validation information (cached
-    /// reads, replica reads): the commit must validate remotely even if
-    /// the transaction is read-only.
-    requires_remote: bool,
     finished: bool,
 }
 
@@ -597,6 +554,23 @@ pub struct CommitInfo {
     pub ts_commit: Option<Timestamp>,
     /// True if the decision was made by client-local validation.
     pub local: bool,
+}
+
+/// What one [`TxnRequest::ReadAt`] came to ([`Txn::read_at`]).
+enum Attempt {
+    /// Served: the value, a missing key, or a lost snapshot.
+    Served(Result<Value, TxnError>),
+    /// Refused for this snapshot: a clock-suspect `ts_begin`, or a reply
+    /// no read expects.
+    Refused(TxnError),
+    /// Shed by the replica's admission gate.
+    Shed(loadkit::Shed),
+    /// The key left the shard at a rebalance cutover.
+    Moved,
+    /// The replica is recovering or leaseless.
+    NotReady,
+    /// Not served now: the backup is too stale, or the call was lost.
+    Unavailable,
 }
 
 impl Drop for Txn {
@@ -617,7 +591,9 @@ impl Txn {
     }
 
     /// Reads `key` from the transaction's snapshot. Own writes win, then
-    /// cached reads, then the shard primary at `ts_begin`.
+    /// this transaction's earlier reads, then the client-wide version
+    /// cache, then a [`TxnRequest::ReadAt`] at `ts_begin`: first to a
+    /// backup the read route picks, if any, then to the shard primary.
     ///
     /// # Errors
     ///
@@ -635,34 +611,26 @@ impl Txn {
         if let Some(v) = self.cache.get(key) {
             return Ok(v.clone());
         }
-        // Client-wide version cache. A *windowed* hit (a server confirmed
-        // the version newest for some `at' ≥ ts_begin`) is sound as-is and
-        // keeps local-validation eligibility: no later prepare can install
-        // a version at or below the confirmed bound (the read that set the
-        // bound raised `ts_latestRead`, or rode below the GC watermark).
-        // Cached mode additionally takes *speculative* hits — the newest
-        // version the client knows, past its confirmed window — which OCC
-        // must re-validate remotely at commit.
-        {
-            let mut vc = self.c.value_cache.borrow_mut();
-            let hit = if self.use_client_cache {
-                vc.lookup_latest(key, self.ts_begin).cloned()
-            } else {
-                vc.lookup(key, self.ts_begin).cloned()
-            };
-            drop(vc);
-            if let Some(e) = hit {
-                // Cached reads still enter the read-set with their version
-                // stamp so commit-time validation covers them.
-                self.read_set.push((key.clone(), e.version));
-                if self.use_client_cache {
-                    self.requires_remote = true;
-                }
-                self.c.trace_read(key, e.version, false);
-                self.cache.insert(key.clone(), e.value.clone());
-                self.c.stats.borrow_mut().cached_reads += 1;
-                return Ok(e.value);
-            }
+        // Client-wide version cache. A hit means a server confirmed the
+        // version newest for some `at' ≥ ts_begin`, so it is sound as-is
+        // and keeps local-validation eligibility: no later prepare can
+        // install a version at or below the confirmed bound (the read that
+        // set the bound raised `ts_latestRead`, or rode below the GC
+        // watermark).
+        let hit = self
+            .c
+            .value_cache
+            .borrow_mut()
+            .lookup(key, self.ts_begin)
+            .cloned();
+        if let Some(e) = hit {
+            // Cached reads still enter the read-set with their version
+            // stamp so commit-time validation covers them.
+            self.read_set.push((key.clone(), e.version));
+            self.c.trace_read(key, e.version, false);
+            self.cache.insert(key.clone(), e.value.clone());
+            self.c.stats.borrow_mut().cached_reads += 1;
+            return Ok(e.value);
         }
         let core = Rc::clone(&self.c.core);
         core.policy.on_attempt();
@@ -677,8 +645,9 @@ impl Txn {
                 return Err(TxnError::Aborted(AbortReason::Overloaded));
             }
             // Read routing: on the first attempt, try a backup whose
-            // applied watermark covers the snapshot. Any miss (TooStale,
-            // timeout, migration fence) falls through to the primary.
+            // applied watermark covers the snapshot. A read the backup does
+            // not serve falls through to the primary, whose own reply
+            // drives the retry and refresh machinery.
             if attempt == 0 {
                 let now_ns = core.sim_ns();
                 let stale_after = 2 * self.c.cfg.watermark_interval.as_nanos() as u64;
@@ -691,44 +660,23 @@ impl Txn {
                     |n| core.handle.rand_range(0, n),
                 );
                 if let Some(replica) = picked {
-                    if let Some(done) = self.read_from_replica(shard, replica, key).await {
-                        return done;
+                    match self.read_at(shard, replica, key).await {
+                        Attempt::Served(done) => return done,
+                        // A cold-restarting backup's applied watermark
+                        // regressed to zero. Forget its cached watermark:
+                        // `observe` is monotone, so the old promise would
+                        // otherwise keep attracting routed reads that are
+                        // guaranteed to bounce until catch-up re-promises
+                        // the write floor.
+                        Attempt::NotReady => self.c.view.borrow_mut().forget(&replica),
+                        _ => {}
                     }
                 }
             }
-            let req = TxnRequest::Get {
-                key: key.clone(),
-                at: self.ts_begin,
-                client: core.id,
-            };
-            let r = core
-                .rpc
-                .call::<TxnRequest, TxnResponse>(primary, req, RPC_TIMEOUT)
-                .await;
-            match r {
-                Ok(TxnResponse::Value {
-                    version,
-                    value,
-                    prepared,
-                }) => {
-                    core.policy.record_ok(shard.0 as u64);
-                    return Ok(self.note_value(key, version, value, prepared));
-                }
-                Ok(TxnResponse::NotFound) => return Err(TxnError::KeyNotFound(key.clone())),
-                Ok(TxnResponse::SnapshotUnavailable(_)) => {
-                    // The version this snapshot needs is gone (single-version
-                    // backend); the transaction cannot serialize at ts_begin.
-                    self.snapshot_lost = true;
-                    return Err(TxnError::Aborted(AbortReason::SnapshotUnavailable));
-                }
-                Ok(TxnResponse::ClockSuspect) => {
-                    // The server judged our ts_begin too far past its own
-                    // clock to honor the read's snapshot promise. Retrying
-                    // with the same clock would be refused again — abort and
-                    // let the app-level retry mint a fresh timestamp.
-                    return Err(TxnError::Aborted(AbortReason::ClockSuspect));
-                }
-                Ok(TxnResponse::Shed(shed)) => {
+            match self.read_at(shard, primary, key).await {
+                Attempt::Served(done) => return done,
+                Attempt::Refused(err) => return Err(err),
+                Attempt::Shed(shed) => {
                     if core.on_shed(shard, &shed, may_retry).await {
                         continue;
                     }
@@ -736,7 +684,7 @@ impl Txn {
                 }
                 // The key was cut over to another shard: refetch the map
                 // immediately (no point retrying the old owner) and re-route.
-                Ok(TxnResponse::Moved { .. }) => {
+                Attempt::Moved => {
                     if may_retry {
                         self.c.refresh_map().await;
                         if core.backoff(None).await {
@@ -745,7 +693,7 @@ impl Txn {
                     }
                     return Err(TxnError::Timeout);
                 }
-                Ok(TxnResponse::NotReady) | Err(RpcError::Timeout) => {
+                Attempt::NotReady | Attempt::Unavailable => {
                     if may_retry {
                         // Every few failures, ask the master whether the
                         // shard map changed underneath us (failover).
@@ -758,10 +706,82 @@ impl Txn {
                     }
                     return Err(TxnError::Timeout);
                 }
-                Ok(_) => return Err(TxnError::Timeout),
             }
         }
         Err(TxnError::Timeout)
+    }
+
+    /// One [`TxnRequest::ReadAt`] of `key` at `ts_begin`, sent to `to`: the
+    /// shard primary, or a backup the read route picked. Every reply is
+    /// classified here, whoever answers it: a backup's routing metadata
+    /// feeds the replica view, and a served read is booked.
+    async fn read_at(&mut self, shard: ShardId, to: Addr, key: &Key) -> Attempt {
+        let req = TxnRequest::ReadAt {
+            key: key.clone(),
+            at: self.ts_begin,
+            client: self.c.id(),
+        };
+        let r = self
+            .c
+            .core
+            .rpc
+            .call::<TxnRequest, TxnResponse>(to, req, RPC_TIMEOUT)
+            .await;
+        let now_ns = self.c.core.sim_ns();
+        let (reply, from_backup) = match r {
+            Ok(TxnResponse::FromReplica {
+                reply,
+                watermark,
+                depth,
+            }) => {
+                self.c
+                    .view
+                    .borrow_mut()
+                    .observe(to, watermark, depth, now_ns);
+                self.c.observe_floor(watermark);
+                (*reply, true)
+            }
+            // The backup has not applied up to ts_begin yet: remember how
+            // far it has.
+            Ok(TxnResponse::TooStale { watermark }) => {
+                self.c.view.borrow_mut().observe(to, watermark, 0, now_ns);
+                self.c.observe_floor(watermark);
+                return Attempt::Unavailable;
+            }
+            Ok(reply) => (reply, false),
+            Err(RpcError::Timeout) => return Attempt::Unavailable,
+        };
+        let read = match reply {
+            TxnResponse::Value {
+                version,
+                value,
+                prepared,
+            } => Ok(self.note_value(key, version, value, prepared)),
+            TxnResponse::NotFound => Err(TxnError::KeyNotFound(key.clone())),
+            TxnResponse::SnapshotUnavailable(_) => {
+                // The version this snapshot needs is gone (single-version
+                // backend); the transaction cannot serialize at ts_begin.
+                self.snapshot_lost = true;
+                return Attempt::Served(Err(TxnError::Aborted(AbortReason::SnapshotUnavailable)));
+            }
+            // The server judged our ts_begin too far past its own clock to
+            // honor the read's snapshot promise. Retrying with the same
+            // clock would be refused again — abort and let the app-level
+            // retry mint a fresh timestamp.
+            TxnResponse::ClockSuspect => {
+                return Attempt::Refused(TxnError::Aborted(AbortReason::ClockSuspect))
+            }
+            TxnResponse::Shed(shed) => return Attempt::Shed(shed),
+            TxnResponse::Moved { .. } => return Attempt::Moved,
+            TxnResponse::NotReady => return Attempt::NotReady,
+            _ => return Attempt::Refused(TxnError::Timeout),
+        };
+        // The shard answered the read: its breaker closes.
+        self.c.core.policy.record_ok(shard.0 as u64);
+        if from_backup {
+            self.c.stats.borrow_mut().replica_reads += 1;
+        }
+        Attempt::Served(read)
     }
 
     /// Books a server-served snapshot read: read-set entry, prepared flag,
@@ -784,180 +804,6 @@ impl Txn {
             );
         }
         value
-    }
-
-    /// One routed read attempt against a backup replica. `Some(result)`
-    /// resolves the read (or aborts the snapshot); `None` means the backup
-    /// could not serve it — fall through to the primary.
-    async fn read_from_replica(
-        &mut self,
-        shard: ShardId,
-        replica: Addr,
-        key: &Key,
-    ) -> Option<Result<Value, TxnError>> {
-        let r = self
-            .c
-            .core
-            .rpc
-            .call::<TxnRequest, TxnResponse>(
-                replica,
-                TxnRequest::ReadAt {
-                    key: key.clone(),
-                    at: self.ts_begin,
-                    client: self.c.id(),
-                },
-                RPC_TIMEOUT,
-            )
-            .await;
-        let now_ns = self.c.core.sim_ns();
-        match r {
-            Ok(TxnResponse::FromReplica {
-                reply,
-                watermark,
-                depth,
-            }) => {
-                self.c
-                    .view
-                    .borrow_mut()
-                    .observe(replica, watermark, depth, now_ns);
-                self.c.observe_floor(watermark);
-                match *reply {
-                    TxnResponse::Value {
-                        version,
-                        value,
-                        prepared,
-                    } => {
-                        self.c.core.policy.record_ok(shard.0 as u64);
-                        self.c.stats.borrow_mut().replica_reads += 1;
-                        Some(Ok(self.note_value(key, version, value, prepared)))
-                    }
-                    TxnResponse::NotFound => {
-                        self.c.core.policy.record_ok(shard.0 as u64);
-                        self.c.stats.borrow_mut().replica_reads += 1;
-                        Some(Err(TxnError::KeyNotFound(key.clone())))
-                    }
-                    TxnResponse::SnapshotUnavailable(_) => {
-                        self.snapshot_lost = true;
-                        Some(Err(TxnError::Aborted(AbortReason::SnapshotUnavailable)))
-                    }
-                    _ => None,
-                }
-            }
-            // The backup has not applied up to ts_begin yet: remember how
-            // far it has, and let the primary serve this read.
-            Ok(TxnResponse::TooStale { watermark }) => {
-                self.c
-                    .view
-                    .borrow_mut()
-                    .observe(replica, watermark, 0, now_ns);
-                self.c.observe_floor(watermark);
-                None
-            }
-            // A promoted ex-backup answers like the primary it now is.
-            Ok(TxnResponse::Value {
-                version,
-                value,
-                prepared,
-            }) => {
-                self.c.core.policy.record_ok(shard.0 as u64);
-                Some(Ok(self.note_value(key, version, value, prepared)))
-            }
-            Ok(TxnResponse::NotFound) => Some(Err(TxnError::KeyNotFound(key.clone()))),
-            // An explicit refusal: the replica is cold-restarting and its
-            // applied watermark regressed to zero. Forget its cached
-            // (pre-restart) watermark — `observe` is monotone, so the old
-            // promise would otherwise keep attracting routed reads that
-            // are guaranteed to bounce until catch-up re-promises the
-            // write floor.
-            Ok(TxnResponse::NotReady) => {
-                self.c.view.borrow_mut().forget(&replica);
-                None
-            }
-            // Anything else — Moved (migration fence), Shed, a lost RPC —
-            // falls through to the primary, whose own reply drives the
-            // retry/refresh machinery.
-            _ => None,
-        }
-    }
-
-    /// Snapshot read served by **any replica** of the owning shard —
-    /// §4.6's load-spreading relaxation. Because the reply carries no
-    /// prepared-version information, the transaction loses local-validation
-    /// eligibility and will validate remotely at commit; use this only on
-    /// transactions that write (or validate remotely anyway).
-    ///
-    /// # Errors
-    ///
-    /// As [`Txn::get`].
-    pub async fn get_any(&mut self, key: &Key) -> Result<Value, TxnError> {
-        if self.finished {
-            return Err(TxnError::Finished);
-        }
-        if let Some(&i) = self.write_idx.get(key) {
-            return Ok(self.writes[i].1.clone());
-        }
-        if let Some(v) = self.cache.get(key) {
-            return Ok(v.clone());
-        }
-        let core = Rc::clone(&self.c.core);
-        core.policy.on_attempt();
-        for attempt in 0..=READ_RETRIES {
-            let may_retry = attempt < READ_RETRIES;
-            // Pick a random replica of the owning shard each attempt.
-            let (shard, replica) = core.route(key, |g| {
-                let all = g.all();
-                all[core.handle.rand_range(0, all.len() as u64) as usize]
-            });
-            if !core.wait_for_breaker(shard).await {
-                return Err(TxnError::Aborted(AbortReason::Overloaded));
-            }
-            let req = TxnRequest::GetAny {
-                key: key.clone(),
-                at: self.ts_begin,
-            };
-            let r = core
-                .rpc
-                .call::<TxnRequest, TxnResponse>(replica, req, RPC_TIMEOUT)
-                .await;
-            match r {
-                Ok(TxnResponse::Value { version, value, .. }) => {
-                    core.policy.record_ok(shard.0 as u64);
-                    self.read_set.push((key.clone(), version));
-                    self.requires_remote = true; // no LV info from replicas
-                    self.c.trace_read(key, version, false);
-                    self.cache.insert(key.clone(), value.clone());
-                    return Ok(value);
-                }
-                Ok(TxnResponse::NotFound) => return Err(TxnError::KeyNotFound(key.clone())),
-                Ok(TxnResponse::SnapshotUnavailable(_)) => {
-                    self.snapshot_lost = true;
-                    return Err(TxnError::Aborted(AbortReason::SnapshotUnavailable));
-                }
-                Ok(TxnResponse::Shed(shed)) => {
-                    if core.on_shed(shard, &shed, may_retry).await {
-                        continue;
-                    }
-                    return Err(TxnError::Aborted(AbortReason::Overloaded));
-                }
-                Ok(TxnResponse::Moved { .. }) => {
-                    if may_retry {
-                        self.c.refresh_map().await;
-                        if core.backoff(None).await {
-                            continue;
-                        }
-                    }
-                    return Err(TxnError::Timeout);
-                }
-                Ok(TxnResponse::NotReady) | Err(RpcError::Timeout) => {
-                    if may_retry && core.backoff(None).await {
-                        continue;
-                    }
-                    return Err(TxnError::Timeout);
-                }
-                Ok(_) => return Err(TxnError::Timeout),
-            }
-        }
-        Err(TxnError::Timeout)
     }
 
     /// Buffers a write; nothing reaches a server until commit (§4.1).
@@ -997,7 +843,7 @@ impl Txn {
             self.c.note_abort(obskit::AbortClass::SnapshotUnavailable);
             return Err(TxnError::Aborted(AbortReason::SnapshotUnavailable));
         }
-        if self.writes.is_empty() && self.c.cfg.validation.is_local() && !self.requires_remote {
+        if self.writes.is_empty() && self.c.cfg.validation.is_local() {
             // §4.3: every read already proved it came from a consistent
             // snapshot unless a prepared version was visible at ts_begin.
             self.c.note_decided(self.ts_begin);
@@ -1175,15 +1021,7 @@ impl Txn {
                     ts_commit,
                 );
             }
-        } else if self.use_client_cache {
-            // Validation failed: our cached reads may be stale. Drop them so
-            // the next attempt refetches fresh versions.
-            let mut vc = self.c.value_cache.borrow_mut();
-            for (key, _) in &self.read_set {
-                vc.remove(key);
-            }
-        }
-        if commit {
+            drop(vc);
             Ok(self.c.note_commit(ts_commit, false))
         } else {
             // Any real validation rejection takes precedence as the reason;

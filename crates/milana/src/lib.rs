@@ -56,7 +56,7 @@ pub mod table;
 #[cfg(test)]
 mod tests;
 
-pub use client::{CommitInfo, Txn, TxnClient, TxnClientConfig, TxnMode, TxnOpts, ValidationMode};
+pub use client::{CommitInfo, Txn, TxnClient, TxnClientConfig, TxnOpts, ValidationMode};
 pub use cluster::{MilanaCluster, MilanaClusterConfig};
 pub use msg::{AbortReason, PromoteError, TxnError, TxnId, TxnRequest, TxnResponse};
 pub use server::{Fraud, ServerTuning, TxnServer, TxnServerConfig};
@@ -66,9 +66,7 @@ pub use server::{Fraud, ServerTuning, TxnServer, TxnServerConfig};
 /// the clock profile used to configure client clocks — without reaching
 /// into simulator internals.
 pub mod prelude {
-    pub use crate::client::{
-        CommitInfo, Txn, TxnClient, TxnClientConfig, TxnMode, TxnOpts, ValidationMode,
-    };
+    pub use crate::client::{CommitInfo, Txn, TxnClient, TxnClientConfig, TxnOpts, ValidationMode};
     pub use crate::cluster::{MilanaCluster, MilanaClusterConfig};
     pub use crate::msg::{AbortReason, TxnError};
     pub use timesync::{ClockSpec, Discipline};

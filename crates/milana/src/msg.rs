@@ -82,32 +82,14 @@ pub enum TxnQueryStatus {
 /// Requests understood by a MILANA shard server.
 #[derive(Debug, Clone)]
 pub enum TxnRequest {
-    /// Transactional snapshot read at the transaction's begin timestamp;
-    /// the reply carries the prepared-version flag for local validation.
-    Get {
-        /// The key.
-        key: Key,
-        /// The reading transaction's `ts_begin`.
-        at: Timestamp,
-        /// The reading client, so the clock-health tracker can attribute
-        /// (and fence) far-future `ts_begin` values per client.
-        client: ClientId,
-    },
-    /// Snapshot read served by **any** replica (§4.6's relaxation for
-    /// read-write transactions). No prepared flag, no `ts_latestRead`
-    /// tracking: the reader must validate remotely at commit.
-    GetAny {
-        /// The key.
-        key: Key,
-        /// The reading transaction's `ts_begin`.
-        at: Timestamp,
-    },
-    /// Snapshot read addressed to a *specific* replica (readkit backup
-    /// reads). A backup answers from its own version chains when its
-    /// applied watermark covers `at`, piggybacking the prepared flag like
-    /// a primary get; otherwise it replies [`TxnResponse::TooStale`] and
-    /// the client falls back to the primary. A primary (or a backup that
-    /// was promoted since the client routed) serves it as a plain `Get`.
+    /// The one snapshot read: `key` at the reading transaction's
+    /// `ts_begin`, sent to the shard's primary or to a backup the client
+    /// routed it to. A primary answers with the value and the
+    /// prepared-version flag that powers client-local validation (§4.3). A
+    /// backup answers [`TxnResponse::FromReplica`] from its own version
+    /// chains when its applied watermark covers `at`, with the same flag;
+    /// otherwise [`TxnResponse::TooStale`], and the client falls back to
+    /// the primary.
     ReadAt {
         /// The key.
         key: Key,

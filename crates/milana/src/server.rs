@@ -142,7 +142,7 @@ impl Default for ServerTuning {
     }
 }
 
-/// Admission cost of a snapshot read (`Get`/`GetAny`).
+/// Admission cost of a snapshot read (`ReadAt`).
 pub(crate) const COST_GET: u64 = 1;
 /// Admission cost of a 2PC prepare: validation plus synchronous
 /// replication to a backup quorum, far heavier than a read.
@@ -652,11 +652,7 @@ impl TxnServer {
     /// [`ReplicaCore::dispatch`].
     fn on_envelope(&self, incoming: Incoming<TxnRequest>, from: Addr, resp: Responder) {
         match incoming {
-            Incoming::One(
-                req @ (TxnRequest::Get { .. }
-                | TxnRequest::GetAny { .. }
-                | TxnRequest::ReadAt { .. }),
-            ) => {
+            Incoming::One(req @ TxnRequest::ReadAt { .. }) => {
                 if let Some((permit, resp)) = self.core.admit(COST_GET, resp, TxnResponse::Shed) {
                     self.core.spawn(self.read_task(req, permit, resp));
                 }
@@ -684,9 +680,7 @@ impl Dispatch for TxnServer {
     /// A snapshot read or a prepare.
     fn admission_cost(req: &TxnRequest) -> Option<u64> {
         match req {
-            TxnRequest::Get { .. } | TxnRequest::GetAny { .. } | TxnRequest::ReadAt { .. } => {
-                Some(COST_GET)
-            }
+            TxnRequest::ReadAt { .. } => Some(COST_GET),
             TxnRequest::Prepare { .. } => Some(COST_PREPARE),
             _ => None,
         }
@@ -714,9 +708,7 @@ impl Dispatch for TxnServer {
         from: Addr,
     ) -> Started<TxnResponse> {
         Started::Answered(match req {
-            req @ (TxnRequest::Get { .. }
-            | TxnRequest::GetAny { .. }
-            | TxnRequest::ReadAt { .. }) => {
+            req @ TxnRequest::ReadAt { .. } => {
                 return Started::Waiting(Box::pin(self.read(req, permit, Some)))
             }
             // `None` = duplicate of an in-flight prepare: stay silent (the
@@ -1009,8 +1001,7 @@ impl TxnServer {
         }
     }
 
-    /// The future of an admitted snapshot read (`Get`, `GetAny` or
-    /// `ReadAt`): it hands the reply to `then` and holds its permit until
+    /// The future of an admitted snapshot read: it hands the reply to `then` and holds its permit until
     /// `then` returns. It captures what a read needs and no more, so the box
     /// of its task stays small.
     fn read<R>(
@@ -1021,12 +1012,10 @@ impl TxnServer {
     ) -> impl Future<Output = R> + 'static {
         let me = self.clone();
         async move {
-            let r = match req {
-                TxnRequest::Get { key, at, client } => me.handle_get(key, at, client).await,
-                TxnRequest::GetAny { key, at } => me.handle_get_any(key, at).await,
-                TxnRequest::ReadAt { key, at, client } => me.handle_read_at(key, at, client).await,
-                other => unreachable!("not a read: {other:?}"),
+            let TxnRequest::ReadAt { key, at, client } = req else {
+                unreachable!("not a read: {req:?}")
             };
+            let r = me.handle_read_at(key, at, client).await;
             let out = then(r);
             drop(permit);
             out
@@ -1139,31 +1128,10 @@ impl TxnServer {
             .spawn_on(self.cfg.addr.node, async move { me.catch_up().await });
     }
 
-    /// Serves a [`TxnRequest::GetAny`]. Any live replica may (backups too):
-    /// the reply carries no local-validation information, so the caller
-    /// must validate remotely (§4.6).
-    async fn handle_get_any(&self, key: Key, at: Timestamp) -> TxnResponse {
-        if !self.state.borrow().serving {
-            return TxnResponse::NotReady;
-        }
-        {
-            // Replica reads also forward after a cutover: serving a frozen
-            // (soon to be GC'd) copy would surface spurious NotFound once
-            // GC runs.
-            let map = self.map.borrow();
-            if self.moved_away(&map, std::iter::once(&key)) {
-                return TxnResponse::Moved { epoch: map.epoch() };
-            }
-        }
-        // `prepared: true` poisons local validation by design.
-        self.read_reply(&key, at, true).await
-    }
-
-    /// Serves a [`TxnRequest::ReadAt`] — a snapshot read addressed to this
-    /// specific replica. Primaries (including backups promoted since the
-    /// client routed) serve it as a plain get; backups answer from their
-    /// own chains when the applied watermark covers `at`, with the same
-    /// epoch fencing and prepared-flag piggybacking as the primary path.
+    /// Serves a [`TxnRequest::ReadAt`]. A primary serves it from its own
+    /// chains (`primary_read`); a backup answers from its own chains when
+    /// the applied watermark covers `at`, with the same prepared-flag
+    /// piggybacking as the primary path.
     async fn handle_read_at(&self, key: Key, at: Timestamp, client: ClientId) -> TxnResponse {
         let primary = {
             let st = self.state.borrow();
@@ -1172,16 +1140,18 @@ impl TxnServer {
             }
             st.is_primary
         };
-        if primary {
-            return self.handle_get(key, at, client).await;
-        }
         {
-            // Backups answer `Moved` exactly like primaries: serving a
-            // frozen pre-cutover copy would miss post-migration commits.
+            // Forwarding stub after a cutover: the flipped map routes this
+            // key elsewhere, so send the client back to the master instead
+            // of serving a frozen (soon to be GC'd) copy that would miss
+            // post-migration commits.
             let map = self.map.borrow();
             if self.moved_away(&map, std::iter::once(&key)) {
                 return TxnResponse::Moved { epoch: map.epoch() };
             }
+        }
+        if primary {
+            return self.primary_read(key, at, client).await;
         }
         let wm = self.table.borrow().applied_watermark();
         let depth = self.core.admission.in_flight();
@@ -1226,22 +1196,8 @@ impl TxnServer {
         }
     }
 
-    async fn handle_get(&self, key: Key, at: Timestamp, client: ClientId) -> TxnResponse {
-        {
-            let st = self.state.borrow();
-            if !st.serving || !st.is_primary {
-                return TxnResponse::NotReady;
-            }
-        }
-        {
-            // Forwarding stub after a cutover: the flipped map routes this
-            // key elsewhere, so send the client back to the master instead
-            // of serving a frozen (soon to be GC'd) copy.
-            let map = self.map.borrow();
-            if self.moved_away(&map, std::iter::once(&key)) {
-                return TxnResponse::Moved { epoch: map.epoch() };
-            }
-        }
+    /// A serving primary's half of [`TxnServer::handle_read_at`].
+    async fn primary_read(&self, key: Key, at: Timestamp, client: ClientId) -> TxnResponse {
         if !self.lease_valid_for(at) {
             return TxnResponse::NotReady;
         }

@@ -38,6 +38,7 @@ fn k(i: u64) -> Key {
 
 #[test]
 fn read_write_transaction_commits() {
+    assert_eq!(crate::client::CACHE_ENTRIES, 4096, "the old default");
     let mut sim = Sim::new(21);
     let h = sim.handle();
     let cluster = MilanaCluster::build(&h, base_cfg());
@@ -577,100 +578,6 @@ fn long_running_reader_survives_watermark_churn() {
 }
 
 #[test]
-fn cached_transactions_skip_the_server_on_warm_keys() {
-    // §4.3 future work: a transaction marked read-write in advance may read
-    // from the client cache, but must then validate remotely.
-    assert_eq!(crate::client::CACHE_ENTRIES, 4096, "the old default");
-    let mut sim = Sim::new(37);
-    let h = sim.handle();
-    let hh = h.clone();
-    let cluster = MilanaCluster::build(&h, base_cfg());
-    sim.block_on(async move {
-        let c = &cluster.clients[0];
-        // Warm the cache with a normal transaction.
-        let mut warm = c.begin_with(TxnOpts::default());
-        let _ = warm.get(&k(1)).await.unwrap();
-        let _ = warm.get(&k(2)).await.unwrap();
-        warm.commit().await.unwrap();
-        // A cached transaction now reads both keys without any messages.
-        let sent_before = hh.net_stats().sent;
-        let mut t = c.begin_with(TxnOpts::cached());
-        let _ = t.get(&k(1)).await.unwrap();
-        let _ = t.get(&k(2)).await.unwrap();
-        assert_eq!(hh.net_stats().sent, sent_before, "cached reads sent RPCs");
-        // ...but the commit validates remotely even though it is read-only.
-        let info = t.commit().await.unwrap();
-        assert!(!info.local, "cached transactions must validate remotely");
-        assert!(hh.net_stats().sent > sent_before);
-    });
-}
-
-#[test]
-fn stale_cache_aborts_then_recovers() {
-    let mut sim = Sim::new(38);
-    let h = sim.handle();
-    let hh = h.clone();
-    let cluster = MilanaCluster::build(&h, base_cfg());
-    sim.block_on(async move {
-        let reader = cluster.clients[0].clone();
-        let writer = cluster.clients[1].clone();
-        // Reader caches key 1.
-        let mut warm = reader.begin_with(TxnOpts::default());
-        let _ = warm.get(&k(1)).await.unwrap();
-        warm.commit().await.unwrap();
-        // Writer overwrites key 1 behind the reader's back.
-        let mut w = writer.begin_with(TxnOpts::default());
-        let _ = w.get(&k(1)).await.unwrap();
-        w.put(k(1), value(&b"fresh"[..]));
-        w.commit().await.unwrap();
-        hh.sleep(Duration::from_millis(5)).await;
-        // The reader's cached transaction reads the stale version and must
-        // fail remote validation...
-        let mut t = reader.begin_with(TxnOpts::cached());
-        let sent = hh.net_stats().sent;
-        let _ = t.get(&k(1)).await.unwrap();
-        assert_eq!(hh.net_stats().sent, sent, "a cache hit sends nothing");
-        t.put(k(2), value(&b"dep"[..]));
-        let err = t.commit().await.unwrap_err();
-        assert_eq!(err, TxnError::Aborted(AbortReason::Validation));
-        // ...which invalidates the stale entry, so the retry refetches and
-        // succeeds.
-        let mut t2 = reader.begin_with(TxnOpts::cached());
-        let sent = hh.net_stats().sent;
-        let v1 = t2.get(&k(1)).await.unwrap();
-        assert!(
-            hh.net_stats().sent > sent,
-            "stale entry must have been dropped"
-        );
-        assert_eq!(&v1[..], b"fresh");
-        t2.put(k(2), value(&b"dep"[..]));
-        t2.commit().await.unwrap();
-    });
-}
-
-#[test]
-fn own_commits_refresh_the_client_cache() {
-    let mut sim = Sim::new(39);
-    let h = sim.handle();
-    let hh = h.clone();
-    let cluster = MilanaCluster::build(&h, base_cfg());
-    sim.block_on(async move {
-        let c = &cluster.clients[0];
-        let mut t = c.begin_with(TxnOpts::default());
-        let _ = t.get(&k(5)).await.unwrap();
-        t.put(k(5), value(&b"mine"[..]));
-        t.commit().await.unwrap();
-        // The cached read now returns our own committed write, serverlessly.
-        let mut t2 = c.begin_with(TxnOpts::cached());
-        let sent = hh.net_stats().sent;
-        let v = t2.get(&k(5)).await.unwrap();
-        assert_eq!(&v[..], b"mine");
-        assert_eq!(hh.net_stats().sent, sent, "a cache hit sends nothing");
-        t2.commit().await.unwrap();
-    });
-}
-
-#[test]
 fn automatic_failover_without_harness_intervention() {
     // Auto mode: the master detects the dead primary via missed heartbeats,
     // promotes a backup (driving the full §4.5 recovery), and clients find
@@ -746,54 +653,6 @@ fn history_window_retains_old_versions_for_analytics() {
             "history pruned inside the window: {} versions",
             versions.len()
         );
-    });
-}
-
-#[test]
-fn replica_reads_spread_load_and_validate_remotely() {
-    // §4.6: read-write transactions may read from any replica, then
-    // validate at the primary before commit.
-    let mut sim = Sim::new(42);
-    let h = sim.handle();
-    let hh = h.clone();
-    let mut cfg = base_cfg();
-    cfg.shards = 1;
-    cfg.clients = 1;
-    let cluster = MilanaCluster::build(&h, cfg);
-    sim.block_on(async move {
-        let c = cluster.clients[0].clone();
-        // Many replica-read transactions: gets spread across all 3 replicas.
-        for i in 0..12u64 {
-            let mut t = c.begin_with(TxnOpts::default());
-            let _ = t.get_any(&k(i % 4)).await.unwrap();
-            t.put(k(i % 4), value(vec![i as u8; 8]));
-            loop {
-                match t.commit().await {
-                    Ok(info) => {
-                        assert!(!info.local, "replica reads force remote validation");
-                        break;
-                    }
-                    Err(TxnError::Aborted(_)) => {
-                        t = c.begin_with(TxnOpts::default());
-                        let _ = t.get_any(&k(i % 4)).await.unwrap();
-                        t.put(k(i % 4), value(vec![i as u8; 8]));
-                    }
-                    Err(e) => panic!("{e}"),
-                }
-            }
-            hh.sleep(Duration::from_millis(3)).await;
-        }
-        // The backups actually served some of those reads.
-        let backup_gets: u64 = cluster.replicas[0][1..]
-            .iter()
-            .map(|s| s.server.backend().stats().gets)
-            .sum();
-        assert!(backup_gets > 0, "no reads reached the backups");
-        // And even a read-ONLY transaction using get_any validates remotely.
-        let mut ro = c.begin_with(TxnOpts::default());
-        let _ = ro.get_any(&k(1)).await.unwrap();
-        let info = ro.commit().await.unwrap();
-        assert!(!info.local);
     });
 }
 
@@ -986,6 +845,37 @@ fn backup_reads_serve_covered_snapshots() {
             .map(|s| s.server.stats().replica_reads)
             .sum();
         assert!(served > 0, "server-side replica_reads stayed zero");
+    });
+}
+
+#[test]
+fn a_read_sent_to_a_backup_through_a_stale_map_is_served() {
+    // A map that names a backup as the primary, as a map from before a
+    // failover would, sends the read to that backup. Its applied watermark
+    // covers the snapshot, so it serves the read: the value comes back
+    // instead of a timeout.
+    let mut sim = Sim::new(62);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.clients = 2;
+    cfg.client_cfg.watermark_interval = Duration::from_millis(2);
+    cfg.tuning.gossip_every = Some(Duration::from_millis(2));
+    let cluster = MilanaCluster::build(&h, cfg);
+    sim.block_on(async move {
+        let c = &cluster.clients[0];
+        let mut t = c.begin_with(TxnOpts::default());
+        // The floor reports push the backup's watermark past `ts_begin`.
+        hh.sleep(Duration::from_millis(12)).await;
+        let backup = &cluster.replicas[0][1];
+        assert!(backup.server.table().borrow().applied_watermark() >= t.ts_begin());
+        assert!(cluster.map.borrow_mut().promote(ShardId(0), backup.addr));
+        let got = t.get(&k(1)).await.unwrap();
+        assert_eq!(got.len(), 472, "the preloaded value");
+        assert_eq!(c.stats().replica_reads, 1);
+        assert_eq!(backup.server.stats().replica_reads, 1);
+        t.commit().await.unwrap();
     });
 }
 

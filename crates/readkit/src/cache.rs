@@ -123,39 +123,19 @@ impl<K: Hash + Eq + Clone, V> VersionCache<K, V> {
         key
     }
 
-    /// Counts a lookup of `key` that hits when `fits` accepts its entry.
-    fn lookup_where(
-        &mut self,
-        key: &K,
-        fits: impl FnOnce(&CacheEntry<V>) -> bool,
-    ) -> Option<&CacheEntry<V>> {
-        let Some(n) = self
-            .index
-            .get(key)
-            .copied()
-            .filter(|&n| fits(self.entry(n)))
-        else {
+    /// Looks up `key` for a snapshot read at `at`; a hit requires
+    /// `version.ts ≤ at ≤ known_upper`.
+    pub fn lookup(&mut self, key: &K, at: Timestamp) -> Option<&CacheEntry<V>> {
+        let Some(n) = self.index.get(key).copied().filter(|&n| {
+            let e = self.entry(n);
+            e.version.ts <= at && at <= e.known_upper
+        }) else {
             self.misses += 1;
             return None;
         };
         self.hits += 1;
         self.touch(n);
         Some(self.entry(n))
-    }
-
-    /// Looks up `key` for a snapshot read at `at`; a hit requires
-    /// `version.ts ≤ at ≤ known_upper`.
-    pub fn lookup(&mut self, key: &K, at: Timestamp) -> Option<&CacheEntry<V>> {
-        self.lookup_where(key, |e| e.version.ts <= at && at <= e.known_upper)
-    }
-
-    /// Looks up the newest cached version of `key` with `version.ts ≤ at`,
-    /// ignoring the confirmed window — a *speculative* hit. The entry may
-    /// have been superseded by a version the client has not seen, so the
-    /// caller must validate the returned version remotely (OCC) before
-    /// trusting the read.
-    pub fn lookup_latest(&mut self, key: &K, at: Timestamp) -> Option<&CacheEntry<V>> {
-        self.lookup_where(key, |e| e.version.ts <= at)
     }
 
     /// Records that a server confirmed `version` of `key` is the newest
@@ -206,13 +186,6 @@ impl<K: Hash + Eq + Clone, V> VersionCache<K, V> {
         };
         self.push_back(n);
         self.index.insert(key, n);
-    }
-
-    /// Drops `key` (used when OCC validation proves the entry stale).
-    pub fn remove(&mut self, key: &K) {
-        if let Some(n) = self.index.remove(key) {
-            self.release(n);
-        }
     }
 
     /// Drops entries whose window lies entirely below `floor` — the
@@ -312,18 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_latest_ignores_the_window() {
-        let mut c = cache();
-        c.insert(1, ver(10), "a", Timestamp(20));
-        // Past the confirmed window: the exact lookup misses, the
-        // speculative one still returns the newest known version.
-        assert!(c.lookup(&1, Timestamp(100)).is_none());
-        assert_eq!(c.lookup_latest(&1, Timestamp(100)).unwrap().value, "a");
-        // But never a version from the snapshot's future.
-        assert!(c.lookup_latest(&1, Timestamp(5)).is_none());
-    }
-
-    #[test]
     fn zero_capacity_disables() {
         let mut c: VersionCache<u64, &'static str> = VersionCache::new(0);
         c.insert(1, ver(10), "a", Timestamp(20));
@@ -355,7 +316,8 @@ mod tests {
     }
 
     impl Model {
-        fn lookup(&mut self, key: u64, fits: impl Fn(&CacheEntry<u64>) -> bool) -> Option<u64> {
+        fn lookup(&mut self, key: u64, at: Timestamp) -> Option<u64> {
+            let fits = |e: &CacheEntry<u64>| e.version.ts <= at && at <= e.known_upper;
             match self.lru.iter().position(|(k, e)| *k == key && fits(e)) {
                 Some(i) => {
                     self.hits += 1;
@@ -433,19 +395,9 @@ mod tests {
                         c.insert(key, version, value, upper);
                         m.insert(key, version, value, upper);
                     }
-                    4..=5 => {
+                    4..=8 => {
                         let got = c.lookup(&key, at).map(|e| e.value);
-                        let want = m.lookup(key, |e| e.version.ts <= at && at <= e.known_upper);
-                        assert_eq!(got, want);
-                    }
-                    6..=7 => {
-                        let got = c.lookup_latest(&key, at).map(|e| e.value);
-                        let want = m.lookup(key, |e| e.version.ts <= at);
-                        assert_eq!(got, want);
-                    }
-                    8 => {
-                        c.remove(&key);
-                        m.lru.retain(|(k, _)| *k != key);
+                        assert_eq!(got, m.lookup(key, at));
                     }
                     _ => {
                         c.invalidate_below(at);

@@ -33,13 +33,6 @@ const SITES: &[(&str, &str, &str, &str)] = &[
          only thins that load",
     ),
     (
-        "milana/src/centiman.rs",
-        "commit",
-        "put_versioned",
-        "Centiman's commit counts a commit whose versioned puts failed, so \
-         Figure 9's baseline includes commits whose writes are missing",
-    ),
-    (
         "milana/src/server.rs",
         "start",
         "apply_batch_unordered",
