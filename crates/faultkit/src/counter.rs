@@ -314,22 +314,24 @@ impl CounterRun {
                 }
             }
         }
-        // Node -> (shard, first instant seen, (ts, writer) of each lost ack).
-        let mut lost: BTreeMap<u64, (u64, u64, Vec<(u64, usize)>)> = BTreeMap::new();
+        let mut lost: BTreeMap<u64, LostAcks> = BTreeMap::new();
         for (g, &at) in self.gaps.borrow().iter() {
             if let Some(&wi) = writers.get(&(g.key, g.ts, g.client)) {
-                let e = lost.entry(g.node).or_insert((g.shard, at, Vec::new()));
-                e.1 = e.1.min(at);
-                e.2.push((g.ts, wi));
+                let e = lost.entry(g.node).or_insert(LostAcks {
+                    shard: g.shard,
+                    at,
+                    versions: Vec::new(),
+                });
+                e.at = e.at.min(at);
+                e.versions.push((g.ts, wi));
             }
         }
         lost.into_iter()
-            .map(|(node, (shard, at, versions))| {
-                let &(ts, wi) = versions.iter().min().expect("a gap per entry");
-                let cold_restarted = history
-                    .recovery
-                    .iter()
-                    .any(|rs| rs.node == node && rs.phase == RecoveryPhase::Serving && rs.at <= at);
+            .map(|(node, acks)| {
+                let &(ts, wi) = acks.versions.iter().min().expect("a gap per entry");
+                let cold_restarted = history.recovery.iter().any(|rs| {
+                    rs.node == node && rs.phase == RecoveryPhase::Serving && rs.at <= acks.at
+                });
                 let class = if cold_restarted {
                     ViolationClass::LostAckedWrite
                 } else {
@@ -338,10 +340,11 @@ impl CounterRun {
                 ViolationSummary {
                     class: class.as_str(),
                     description: format!(
-                        "replica node {node} (shard {shard}) lacked {} acked version(s) \
+                        "replica node {node} (shard {}) lacked {} acked version(s) \
                          below its applied watermark, the oldest at ts {ts} written by \
                          txn #{wi} (client {})",
-                        versions.len(),
+                        acks.shard,
+                        acks.versions.len(),
                         history.txns[wi].client
                     ),
                     trace_slice: history.trace_slice(&[wi]),
@@ -349,6 +352,16 @@ impl CounterRun {
             })
             .collect()
     }
+}
+
+/// The acked versions one replica lacked, gathered per node by
+/// [`CounterRun::replica_audit`].
+struct LostAcks {
+    shard: u64,
+    /// The first instant a gap was seen.
+    at: u64,
+    /// `(ts, writer)` of each lost ack.
+    versions: Vec<(u64, usize)>,
 }
 
 /// A version a serving backup lacked below its applied watermark although

@@ -19,7 +19,7 @@ use semel::client::ClientCore;
 use semel::shard::{ShardId, ShardMap};
 use semel::RPC_TIMEOUT;
 use simkit::net::{Addr, NodeId};
-use simkit::rpc::RpcError;
+use simkit::rpc::{Batch, RpcError};
 use simkit::{SimHandle, SimTime};
 use timesync::{ClientId, ClockSpec, SyncedClock, Timestamp, Version};
 
@@ -57,7 +57,10 @@ pub struct TxnClientConfig {
     /// read-only transactions through 2PC, the "w/o LV" configuration of
     /// Figure 8.
     pub validation: ValidationMode,
-    /// Watermark broadcast period (§4.4).
+    /// Idle-report period (§4.4): a shard whose coordinator plane has not
+    /// flushed for this long gets the client's GC watermark and write
+    /// floor in one cast to its primary, which relays the watermark to
+    /// its backups.
     pub watermark_interval: Duration,
     /// Coordinator-plane coalescing: Prepares/Outcomes bound for the same
     /// shard primary ride one envelope per flush window, with the client's
@@ -171,9 +174,9 @@ pub struct TxnClient {
     planes: Rc<RefCell<FastMap<ShardId, Batcher<TxnRequest, TxnResponse>>>>,
     /// Last watermark piggybacked per shard, to skip redundant items.
     wm_sent: Rc<RefCell<FastMap<ShardId, Timestamp>>>,
-    /// When any plane last flushed. The periodic watermark broadcast stands
-    /// down while envelopes are flowing (piggybacking covers it).
-    last_flush: Rc<Cell<SimTime>>,
+    /// When each shard's plane last flushed. The idle tick stands down for
+    /// a shard while its envelopes are flowing (piggybacking covers it).
+    last_flush: Rc<RefCell<FastMap<ShardId, SimTime>>>,
 }
 
 impl std::fmt::Debug for TxnClient {
@@ -229,21 +232,19 @@ impl TxnClient {
             stats: Rc::new(RefCell::new(TxnClientStats::default())),
             planes: Rc::new(RefCell::new(FastMap::default())),
             wm_sent: Rc::new(RefCell::new(FastMap::default())),
-            last_flush: Rc::new(Cell::new(SimTime::ZERO)),
+            last_flush: Rc::new(RefCell::new(FastMap::default())),
             cfg: Rc::new(cfg),
             master,
             obs: obs.clone(),
         };
         let me = client.clone();
         let interval = client.cfg.watermark_interval;
-        client.core.every(interval, move || {
-            // Steady state: coordinator-plane envelopes piggyback the
-            // watermark (primaries relay it to their backups), so the
-            // standalone tick only covers idle periods.
-            if me.last_flush.get() + interval <= me.core.handle.now() {
-                me.broadcast_watermark();
-            }
-        });
+        // Steady state: coordinator-plane envelopes piggyback the reports
+        // (primaries relay the watermark to their backups), so the tick
+        // only covers shards this client has left idle.
+        client
+            .core
+            .every(interval, move || me.report_to_idle_primaries(interval));
         client
     }
 
@@ -301,7 +302,9 @@ impl TxnClient {
                 });
                 let strip = wire.len();
                 wire.extend(batch);
-                me.last_flush.set(me.core.handle.now());
+                me.last_flush
+                    .borrow_mut()
+                    .insert(shard, me.core.handle.now());
                 envelopes.inc();
                 items.add(n as u64);
                 let primary = me.core.map.borrow().group(shard).primary;
@@ -334,35 +337,41 @@ impl TxnClient {
         batcher
     }
 
-    /// Sends the watermark report to every replica of every shard (§4.4).
+    /// Reports this client's GC watermark and write floor (§4.4) to the
+    /// primary of every shard whose coordinator plane has not flushed
+    /// within `interval`: one `Batch [Watermark, FloorReport]` cast per
+    /// idle shard, nothing to a backup. Backups learn the watermark from
+    /// the primary's relay on its next replication flush (`FloorSync`
+    /// gossip included) and the floor from its in-order `AppliedFloor`
+    /// stream, which is what makes the floor a completeness claim.
     ///
-    /// The reported timestamp is the latest decided transaction's stamp,
+    /// The reported watermark is the latest decided transaction's stamp,
     /// capped below every still-active transaction's `ts_begin` so servers
     /// retain the versions a long-running snapshot reader still needs.
-    pub(crate) fn broadcast_watermark(&self) {
-        let ts = self.watermark_report();
-        let floor = self.floor_report();
-        let map = self.core.map.borrow();
-        for (_, group) in map.iter() {
-            for addr in group.all() {
-                self.core.rpc.cast(
-                    addr,
+    fn report_to_idle_primaries(&self, interval: Duration) {
+        let now = self.core.handle.now();
+        let last_flush = self.last_flush.borrow();
+        let mut items = None;
+        for (shard, group) in self.core.map.borrow().iter() {
+            if last_flush.get(&shard).is_some_and(|&t| t + interval > now) {
+                continue;
+            }
+            // Built at the first idle shard: a clock read traces and moves
+            // the clock's state, so a tick that sends nothing reads none.
+            let items = items.get_or_insert_with(|| {
+                vec![
                     TxnRequest::Watermark {
                         client: self.id(),
-                        ts,
+                        ts: self.watermark_report(),
                     },
-                );
-            }
-            // The write floor goes to the primary only: backups must learn
-            // it through the primary's in-order `AppliedFloor` stream, or
-            // it would not be a completeness claim.
-            self.core.rpc.cast(
-                group.primary,
-                TxnRequest::FloorReport {
-                    client: self.id(),
-                    ts: floor,
-                },
-            );
+                    TxnRequest::FloorReport {
+                        client: self.id(),
+                        ts: self.floor_report(),
+                    },
+                ]
+            });
+            let items = items.clone();
+            self.core.rpc.cast(group.primary, Batch { items });
         }
     }
 

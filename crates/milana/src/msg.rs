@@ -150,7 +150,8 @@ pub enum TxnRequest {
         /// True to commit, false to abort.
         commit: bool,
     },
-    /// Client watermark broadcast (§4.4): last *decided* transaction stamp.
+    /// Client watermark report (§4.4): last *decided* transaction stamp.
+    /// Clients send it to primaries, which relay it to their backups.
     Watermark {
         /// Reporting client.
         client: ClientId,

@@ -1034,8 +1034,8 @@ impl TxnServer {
 
     /// Merges one client watermark report, advances the backend GC floor,
     /// and (on primaries) queues the report for relay to the backups on the
-    /// next replication flush — the piggyback that replaces the standalone
-    /// per-replica watermark tick in the steady state.
+    /// next replication flush — the only path a client's watermark takes to
+    /// a backup.
     fn merge_watermark(&self, client: ClientId, ts: Timestamp) {
         let primary = {
             let mut st = self.state.borrow_mut();

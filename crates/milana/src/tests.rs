@@ -547,7 +547,7 @@ fn long_running_reader_survives_watermark_churn() {
         let mut long_txn = reader.begin_with(TxnOpts::default());
         let first = long_txn.get(&k(1)).await.unwrap();
         // While it dawdles, the writer overwrites keys 1 and 2 many times,
-        // with plenty of watermark broadcasts in between.
+        // with plenty of watermark reports in between.
         for round in 0..10u64 {
             for key in [1u64, 2] {
                 loop {
@@ -822,9 +822,10 @@ fn backup_reads_serve_covered_snapshots() {
             t.put(k(i), value(vec![i as u8; 8]));
             t.commit().await.unwrap();
         }
-        // Long-lived snapshots: while a transaction sleeps, the idle-tick
-        // floor reports push every replica's applied watermark past its
-        // `ts_begin`, so the later reads inside it route to backups.
+        // Long-lived snapshots: while a transaction sleeps, the idle
+        // tick's floor reports to the primary, streamed on by its gossip,
+        // push every replica's applied watermark past its `ts_begin`, so
+        // the later reads inside it route to backups.
         for _ in 0..8 {
             let mut t = c.begin_with(TxnOpts::default());
             hh.sleep(Duration::from_millis(12)).await;
@@ -966,6 +967,12 @@ fn cast_watermark_and_floor_reports_cost_no_task() {
                 if casts {
                     rpc.cast(addr, TxnRequest::Watermark { client, ts });
                     rpc.cast(addr, TxnRequest::FloorReport { client, ts });
+                    // The idle tick's form: both in one envelope.
+                    let items = vec![
+                        TxnRequest::Watermark { client, ts },
+                        TxnRequest::FloorReport { client, ts },
+                    ];
+                    rpc.cast(addr, simkit::rpc::Batch { items });
                 }
                 hh.sleep(Duration::from_millis(1)).await;
                 (hh.polls() - polls, hh.spawns() - spawns)
@@ -1361,4 +1368,135 @@ fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
         assert_eq!(primary.stats().apply_failures, 0);
         assert_eq!(other.stats().apply_failures, 0);
     });
+}
+
+#[test]
+fn a_shard_the_client_leaves_idle_still_hears_its_reports() {
+    // The idle tick is per shard: a client busy on shard 0 keeps reporting
+    // to shard 1, whose floor (and so its backups' applied watermark)
+    // would otherwise stay where the client's traffic to it stopped.
+    let mut sim = Sim::new(79);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cfg = base_cfg();
+    cfg.clients = 1;
+    let tick = Duration::from_millis(2);
+    cfg.client_cfg.watermark_interval = tick;
+    cfg.tuning.gossip_every = Some(tick);
+    let cluster = MilanaCluster::build(&h, cfg);
+    sim.block_on(async move {
+        let shard0: Vec<Key> = (0..200)
+            .map(k)
+            .filter(|key| cluster.map.borrow().shard_for(key) == ShardId(0))
+            .take(8)
+            .collect();
+        hh.sleep(Duration::from_millis(10)).await;
+        let c = &cluster.clients[0];
+        let end = hh.now() + Duration::from_millis(100);
+        let mut i = 0;
+        while hh.now() < end {
+            let key = shard0[i % shard0.len()].clone();
+            let mut t = c.begin_with(TxnOpts::default());
+            let _ = t.get(&key).await;
+            t.put(key, value(vec![i as u8; 16]));
+            let _ = t.commit().await;
+            i += 1;
+        }
+        let now = Timestamp::from_sim(hh.now());
+        for replica in &cluster.replicas[1] {
+            let wm = replica.server.table().borrow().applied_watermark();
+            assert!(
+                wm.as_nanos() + 2 * tick.as_nanos() as u64 >= now.as_nanos(),
+                "shard 1 replica at {wm:?}, now {now:?}, after {i} shard-0 commits"
+            );
+        }
+    });
+}
+
+/// Messages sent between `from` and `to` on a 3×3 cluster with `clients`
+/// idle clients, zero network jitter and the idle tick every `tick`.
+fn idle_traffic(clients: u32, tick: Duration, from: Duration, to: Duration) -> u64 {
+    let mut sim = Sim::new(80);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cfg = base_cfg();
+    cfg.shards = 3;
+    cfg.clients = clients;
+    cfg.net.jitter_std = Duration::ZERO;
+    cfg.client_cfg.watermark_interval = tick;
+    let _cluster = MilanaCluster::build(&h, cfg);
+    sim.block_on(async move {
+        hh.sleep(from).await;
+        let sent = hh.net_stats().sent;
+        hh.sleep(to - from).await;
+        hh.net_stats().sent - sent
+    })
+}
+
+#[test]
+fn the_idle_tick_sends_one_envelope_per_shard_and_nothing_to_a_backup() {
+    // Against a client-less twin, an idle client's ticks add exactly one
+    // envelope per shard primary each: a backup hears the client only
+    // through its primary's relay.
+    let tick = Duration::from_millis(2);
+    let (from, to) = (Duration::from_millis(9), Duration::from_millis(29));
+    let ticks = 10;
+    let extra = idle_traffic(1, tick, from, to) - idle_traffic(0, tick, from, to);
+    assert_eq!(extra, ticks * 3);
+}
+
+#[test]
+fn backups_prune_through_the_primarys_relay() {
+    // Client 1 commits nothing that travels: its watermark reaches the
+    // servers only through its idle tick to the primary, and a backup's
+    // only through the primary's relay. Until it arrives, the min over
+    // clients holds every replica's GC at zero.
+    for gossip in [Some(Duration::from_millis(1)), None] {
+        let mut sim = Sim::new(81);
+        let h = sim.handle();
+        let hh = h.clone();
+        let mut cfg = base_cfg();
+        cfg.shards = 1;
+        cfg.clients = 2;
+        let tick = Duration::from_millis(10);
+        cfg.client_cfg.watermark_interval = tick;
+        cfg.tuning.gossip_every = gossip;
+        let cluster = MilanaCluster::build(&h, cfg);
+        sim.block_on(async move {
+            let (writer, idle) = (&cluster.clients[0], &cluster.clients[1]);
+            let overwrite = |i: u8| async move {
+                let mut t = writer.begin_with(TxnOpts::default());
+                let _ = t.get(&k(1)).await.unwrap();
+                t.put(k(1), value(vec![i; 16]));
+                t.commit().await.unwrap();
+            };
+            for i in 0..6 {
+                overwrite(i).await;
+                hh.sleep(Duration::from_millis(1)).await;
+            }
+            // Decided locally with no message: a watermark above every
+            // overwrite, known only to this client.
+            idle.begin_with(TxnOpts::default()).commit().await.unwrap();
+            // Three ticks, then halfway to the next: with gossip, the last
+            // tick's relay has long gone out and nothing is pending for the
+            // overwrite below to carry, so the backups learnt the watermark
+            // from gossip; without it, the relay rides that overwrite's own
+            // replication flush.
+            let ticks = hh.now().as_nanos() / tick.as_nanos() as u64 + 3;
+            hh.sleep_until(simkit::SimTime::from_nanos(
+                ticks * tick.as_nanos() as u64 + tick.as_nanos() as u64 / 2,
+            ))
+            .await;
+            overwrite(6).await;
+            hh.sleep(Duration::from_millis(2)).await;
+            for (i, replica) in cluster.replicas[0].iter().enumerate() {
+                let versions = replica.server.backend().versions(&k(1));
+                assert_eq!(
+                    versions.len(),
+                    2,
+                    "replica {i} (gossip {gossip:?}) kept {versions:?}"
+                );
+            }
+        });
+    }
 }

@@ -319,12 +319,19 @@ fn a_destination_backup_restarted_before_cutover_catches_up() {
         writes.await;
         hh.sleep(Duration::from_millis(300)).await;
     });
-    assert_eq!(restarted_unmapped.get(), Some(true), "not restarted before cutover");
+    assert_eq!(
+        restarted_unmapped.get(),
+        Some(true),
+        "not restarted before cutover"
+    );
     let c = cluster.borrow();
     let row = &c.replicas[to.0 as usize];
     let wm = |i: usize| row[i].server.table().borrow().applied_watermark();
     let peers = wm(0).max(wm(2));
-    assert!(peers > timesync::Timestamp::ZERO, "destination floors never moved");
+    assert!(
+        peers > timesync::Timestamp::ZERO,
+        "destination floors never moved"
+    );
     assert!(
         wm(1).as_nanos() + gossip.as_nanos() as u64 >= peers.as_nanos(),
         "restarted destination backup at {:?}, its peers at {peers:?}",

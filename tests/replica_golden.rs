@@ -428,20 +428,20 @@ fn semel_ordered_replication_is_unchanged() {
 fn milana_harness_failover_is_unchanged() {
     let got = milana_harness_run();
     let want = Golden {
-        now_ns: 997_136_776,
-        polls: 8_756,
-        net: [7130, 6790, 338, 0, 0],
-        timers: [5838, 2453, 3367, 18],
-        registry: 0x34cc0d3fd0b6f321,
-        trace: 0x4c4c528a01fcf058,
-        outcomes: 0x244a95ee070dc8fe,
-        stores: 0x15c81c0502b13874,
+        now_ns: 997_357_817,
+        polls: 8_762,
+        net: [7083, 6747, 336, 0, 0],
+        timers: [5850, 2465, 3367, 18],
+        registry: 0x1b006b15c2237587,
+        trace: 0x23ce87bcbadc3029,
+        outcomes: 0xa76b27f2899c36d9,
+        stores: 0x25d8def7d290512e,
         servers: vec![
-            [146, 89, 1, 86, 0, 0, 0, 0, 0, 0, 90],
-            [0, 0, 0, 0, 0, 0, 4, 15, 0, 0, 89],
-            [0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 89],
+            [146, 88, 2, 85, 0, 0, 0, 0, 0, 0, 90],
+            [0, 0, 0, 0, 0, 0, 4, 15, 0, 0, 88],
+            [0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 88],
             [0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 109],
-            [72, 39, 0, 37, 1, 0, 3, 7, 0, 0, 109],
+            [72, 39, 0, 36, 1, 0, 3, 7, 0, 0, 109],
             [0, 0, 0, 0, 0, 0, 16, 16, 0, 0, 109],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -455,14 +455,14 @@ fn milana_harness_failover_is_unchanged() {
 fn milana_auto_failover_is_unchanged() {
     let got = milana_auto_run();
     let want = Golden {
-        now_ns: 969_151_237,
-        polls: 4_810,
-        net: [4478, 4038, 439, 0, 0],
-        timers: [3812, 1807, 1978, 27],
+        now_ns: 969_119_489,
+        polls: 4_811,
+        net: [4390, 3965, 424, 0, 0],
+        timers: [3813, 1807, 1978, 28],
         registry: 0xa5a9f336f3f0aadf,
-        trace: 0xaa0c5615259cc7ad,
-        outcomes: 0x4f9038cc6386abe1,
-        stores: 0x4ea970c432d82891,
+        trace: 0x584d01d5665812af,
+        outcomes: 0x8b703afd5a443534,
+        stores: 0xeea29eb1cf56ff8d,
         servers: vec![
             [29, 16, 5, 15, 1, 0, 0, 0, 0, 0, 21],
             [35, 0, 0, 0, 0, 0, 2, 3, 0, 0, 16],
