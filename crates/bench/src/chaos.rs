@@ -72,7 +72,7 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
             "seed {:>4}: acked {:>5}  committed {:>5}  aborted {:>5}  unknown {:>3}  \
              faults {:>3}  conservation {}  violations {}{}",
             o.seed,
-            o.acked,
+            o.audit.acked,
             o.committed,
             o.aborted,
             o.unknown,
@@ -104,7 +104,9 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
         if !o.conservation_ok {
             println!(
                 "  conservation violated: audit total {} vs acked {} (+{} unknown)",
-                o.audit_total, o.acked, o.unknowns
+                o.audit.total.unwrap_or(0),
+                o.audit.acked,
+                o.audit.unknowns
             );
         }
         for v in &o.violations {

@@ -32,7 +32,9 @@ use obskit::Json;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{clock_spectrum, run_retwis, run_retwis_on_milana, verdict, Args, Scale};
+use crate::common::{
+    campaign_verdict, clock_spectrum, run_retwis, run_retwis_on_milana, verdict, Args, Scale,
+};
 use crate::{testbed, Outcome};
 
 /// Paired runs averaged per sweep point.
@@ -371,10 +373,13 @@ pub(crate) fn print(
         "clock-fault campaign: {} fault(s), {} violation(s) ({})",
         cfg.campaign_faults,
         campaign.violation_count(),
-        match verdict(cfg.fraud, clean) {
-            "fraud caught" if !fraud_caught(campaign) => "FRAUD MISCLASSIFIED",
-            v => v,
-        }
+        campaign_verdict(
+            match verdict(cfg.fraud, clean) {
+                "fraud caught" if !fraud_caught(campaign) => "FRAUD MISCLASSIFIED",
+                v => v,
+            },
+            campaign.first_failure()
+        )
     );
 }
 

@@ -265,6 +265,16 @@ pub(crate) fn verdict(fraud: Fraud, clean: bool) -> &'static str {
     }
 }
 
+/// A campaign line's verdict word, followed by why the first seed that is
+/// not clean failed when the word is `FAILED` (`faultkit`'s
+/// `first_failure`).
+pub(crate) fn campaign_verdict(verdict: &str, cause: Option<String>) -> String {
+    match cause {
+        Some(cause) if verdict == "FAILED" => format!("FAILED, {cause}"),
+        _ => verdict.to_string(),
+    }
+}
+
 /// One measured point of a Retwis sweep (Figures 6-9, the clock-spectrum
 /// ablation): where it sits in the sweep and its measurement-window
 /// counters, from which its rates and means are computed.

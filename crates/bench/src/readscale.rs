@@ -25,7 +25,7 @@ use readkit::ReadRoute;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::{GetCount, Mix, TxnType};
 
-use crate::common::{run_obs, run_retwis_on_milana, Args, Scale};
+use crate::common::{campaign_verdict, run_obs, run_retwis_on_milana, Args, Scale};
 use crate::{testbed, Outcome};
 
 const SHARDS: u32 = 2;
@@ -321,11 +321,19 @@ pub(crate) fn print(out: &ReadScaleOutcome) {
             "FAILED, < 1x"
         }
     );
+    let cause = out.campaign.first_failure().or_else(|| {
+        let idle = out
+            .campaign
+            .outcomes
+            .iter()
+            .find(|o| o.replica_reads == 0)?;
+        Some(format!("seed {}: no backup reads", idle.seed))
+    });
     println!(
         "backup-reads chaos campaign: {} seed(s), {} violation(s) ({})",
         out.campaign.outcomes.len(),
         out.campaign.violation_count(),
-        if c.campaign_ok { "ok" } else { "FAILED" }
+        campaign_verdict(if c.campaign_ok { "ok" } else { "FAILED" }, cause)
     );
 }
 

@@ -37,7 +37,7 @@ use simkit::rng::Zipf;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{Args, Scale};
+use crate::common::{campaign_verdict, Args, Scale};
 use crate::Outcome;
 
 const SHARDS: u32 = 2;
@@ -335,11 +335,14 @@ pub(crate) fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
         "fault campaign: {} seed(s), {} violation(s) ({})",
         campaign.outcomes.len(),
         campaign.violation_count(),
-        if campaign.offending_seeds().is_empty() {
-            "ok"
-        } else {
-            "FAILED"
-        }
+        campaign_verdict(
+            if campaign.offending_seeds().is_empty() {
+                "ok"
+            } else {
+                "FAILED"
+            },
+            campaign.first_failure()
+        )
     );
 }
 

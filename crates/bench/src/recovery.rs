@@ -46,7 +46,7 @@ use semel::shard::ShardId;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{verdict, Args, Scale};
+use crate::common::{campaign_verdict, verdict, Args, Scale};
 use crate::Outcome;
 
 /// Preloaded value size in bytes.
@@ -481,7 +481,10 @@ pub(crate) fn print(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &Ca
         "power-fail campaign: {} fault(s), {} violation(s) ({})",
         spec.campaign_faults,
         campaign.violation_count(),
-        verdict(spec.fraud, campaign.offending_seeds().is_empty())
+        campaign_verdict(
+            verdict(spec.fraud, campaign.offending_seeds().is_empty()),
+            campaign.first_failure()
+        )
     );
 }
 

@@ -20,7 +20,7 @@ use milana::Fraud;
 use obskit::Json;
 use rand::Rng;
 
-use crate::counter::{report_json, violations_json, CounterRun, Worker};
+use crate::counter::{cause, report_json, violations_json, Audit, CounterRun, Worker};
 use crate::nemesis::run_nemesis;
 use crate::plan::{PlanKind, PlanShape};
 
@@ -104,12 +104,9 @@ pub struct ViolationSummary {
 pub struct SeedOutcome {
     /// The seed.
     pub seed: u64,
-    /// Commits acknowledged to workload clients.
-    pub acked: u64,
-    /// Final counter sum read by the audit transaction.
-    pub audit_total: u64,
-    /// Unknown-outcome attempts reported by clients.
-    pub unknowns: u64,
+    /// The audit transaction: acked commits, the counter sum it read, and
+    /// how many attempts it took.
+    pub audit: Audit,
     /// Committed / aborted / unknown transactions in the trace history.
     pub committed: u64,
     /// Aborted transactions in the trace history.
@@ -176,6 +173,14 @@ impl CampaignReport {
             .collect()
     }
 
+    /// Why the first seed that is not clean failed (see [`Audit`]'s
+    /// checks), or `None` when every seed is clean.
+    pub fn first_failure(&self) -> Option<String> {
+        self.outcomes
+            .iter()
+            .find_map(|o| cause(o.seed, &o.audit, o.conservation_ok, &o.violations))
+    }
+
     /// Deterministic JSON document (stable field order, no floats).
     pub fn to_json(&self) -> Json {
         let mut seeds = Vec::new();
@@ -192,9 +197,9 @@ impl CampaignReport {
             seeds.push(
                 Json::obj()
                     .field("seed", Json::U64(o.seed))
-                    .field("acked", Json::U64(o.acked))
-                    .field("audit_total", Json::U64(o.audit_total))
-                    .field("unknowns", Json::U64(o.unknowns))
+                    .field("acked", Json::U64(o.audit.acked))
+                    .field("audit_total", Json::U64(o.audit.total.unwrap_or(0)))
+                    .field("unknowns", Json::U64(o.audit.unknowns))
                     .field("committed", Json::U64(o.committed))
                     .field("aborted", Json::U64(o.aborted))
                     .field("unknown", Json::U64(o.unknown))
@@ -298,7 +303,7 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
     // updates, so conservation is only meaningful in correct mode (the
     // seeded bugs are the *checker's* to catch).
     let loses_updates = matches!(cfg.fraud, Fraud::SkipValidation | Fraud::SkipDurability);
-    let conservation_ok = audit.total.is_some() && (loses_updates || audit.conserved);
+    let conservation_ok = audit.total.is_some() && (loses_updates || audit.conserved());
 
     let mut fault_counts: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for f in &report.applied {
@@ -342,9 +347,7 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
     violations.extend(run.replica_audit(&history));
     let outcome = SeedOutcome {
         seed,
-        acked: audit.acked,
-        audit_total: audit.total.unwrap_or(0),
-        unknowns: audit.unknowns,
+        audit,
         committed: history.committed() as u64,
         aborted: history.aborted() as u64,
         unknown: history.unknown() as u64,
@@ -391,7 +394,7 @@ mod tests {
         assert_eq!(a.violation_count(), 0, "{:?}", a.outcomes[0].violations);
         let o = &a.outcomes[0];
         assert!(o.conservation_ok, "audit failed: {o:?}");
-        assert!(o.acked > 0, "workload made no progress");
+        assert!(o.audit.acked > 0, "workload made no progress");
         assert!(o.committed > 0, "trace recorded no commits");
     }
 
@@ -412,7 +415,7 @@ mod tests {
         assert_eq!(a.violation_count(), 0, "{:?}", a.outcomes[0].violations);
         let o = &a.outcomes[0];
         assert!(o.conservation_ok, "audit failed: {o:?}");
-        assert!(o.acked > 0, "workload made no progress");
+        assert!(o.audit.acked > 0, "workload made no progress");
         assert!(
             o.replica_reads > 0,
             "backup-reads campaign never exercised a replica read: {o:?}"
@@ -444,7 +447,7 @@ mod tests {
         assert_eq!(a.violation_count(), 0, "{:?}", a.outcomes[0].violations);
         let o = &a.outcomes[0];
         assert!(o.conservation_ok, "audit failed: {o:?}");
-        assert!(o.acked > 0, "workload made no progress");
+        assert!(o.audit.acked > 0, "workload made no progress");
         assert!(
             o.fault_counts.contains_key("power_fail"),
             "plan never power-failed a primary: {:?}",
@@ -523,7 +526,7 @@ mod tests {
         assert_eq!(a.violation_count(), 0, "{:?}", a.outcomes[0].violations);
         let o = &a.outcomes[0];
         assert!(o.conservation_ok, "audit failed: {o:?}");
-        assert!(o.acked > 0, "workload made no progress");
+        assert!(o.audit.acked > 0, "workload made no progress");
         assert!(
             o.clock_suspects > 0,
             "plan never tripped the clock-health fence: {o:?}"

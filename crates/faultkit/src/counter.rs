@@ -14,6 +14,7 @@ use std::time::Duration;
 use flashsim::{value, Key, NandConfig, Value};
 use milana::client::{TxnClient, TxnOpts};
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
+use milana::msg::TxnError;
 use obskit::{Json, Obs, RecoveryPhase};
 use perfkit::FastMap;
 use rand::rngs::StdRng;
@@ -86,18 +87,72 @@ impl Worker {
 }
 
 /// What the audit transaction found.
-pub(crate) struct Audit {
+#[derive(Debug, Clone)]
+pub struct Audit {
     /// Commits acknowledged to workload clients.
-    pub(crate) acked: u64,
+    pub acked: u64,
     /// Final counter sum; `None` when the audit never committed.
-    pub(crate) total: Option<u64>,
+    pub total: Option<u64>,
     /// Unknown-outcome attempts reported by clients.
-    pub(crate) unknowns: u64,
+    pub unknowns: u64,
+    /// Workload clients.
+    pub(crate) clients: u64,
+    /// Attempts the audit transaction made, the committing one included.
+    pub(crate) attempts: u64,
+    /// Why the last attempt failed, when the audit gave up: an abort
+    /// class such as `clock_suspect`, or `timeout`.
+    pub(crate) gave_up: Option<&'static str>,
+}
+
+impl Audit {
     /// Every acknowledged increment survived and nothing appeared out of
     /// thin air: `acked ≤ total ≤ acked + unknowns + clients` (CTP may
     /// commit unknown-outcome attempts; each client can have one
     /// transaction in flight at stop).
-    pub(crate) conserved: bool,
+    pub(crate) fn conserved(&self) -> bool {
+        self.total
+            .is_some_and(|t| t >= self.acked && t <= self.acked + self.unknowns + self.clients)
+    }
+}
+
+/// Why a seed is not clean, or `None` when it is, for a campaign line: the
+/// first check it failed, in the order the run makes them. The audit
+/// transaction that never committed, with its attempts and last failure;
+/// the conservation bound (`conserved` is the campaign's verdict on it),
+/// with both of its sides; the checker's violations.
+pub(crate) fn cause(
+    seed: u64,
+    audit: &Audit,
+    conserved: bool,
+    violations: &[ViolationSummary],
+) -> Option<String> {
+    let why = match (audit.total, violations.first()) {
+        (None, _) => format!(
+            "audit did not commit ({} attempts, last {})",
+            audit.attempts,
+            audit.gave_up.unwrap_or("unknown")
+        ),
+        (Some(total), _) if !conserved => format!(
+            "audit total {total} outside [acked {}, {} = acked + {} unknown + {} clients]",
+            audit.acked,
+            audit.acked + audit.unknowns + audit.clients,
+            audit.unknowns,
+            audit.clients
+        ),
+        (Some(_), Some(v)) => format!("{} violation(s), first {}", violations.len(), v.class),
+        (Some(_), None) => return None,
+    };
+    Some(format!("seed {seed}: {why}"))
+}
+
+/// What a failed audit attempt ran into.
+fn failure(e: &TxnError) -> &'static str {
+    match e {
+        TxnError::Aborted(reason) => reason.class().as_str(),
+        TxnError::KeyNotFound(_) => "key_not_found",
+        TxnError::Timeout => "timeout",
+        TxnError::Finished => "finished",
+    }
 }
 
 impl CounterRun {
@@ -179,37 +234,42 @@ impl CounterRun {
         });
 
         let clients = self.cluster.borrow().clients.clone();
-        let n_clients = clients.len() as u64;
         let (hh, keys, auditor) = (self.h.clone(), self.keys, clients[0].clone());
-        let total = self.sim.block_on(async move {
-            for _ in 0..500 {
+        let (total, attempts, gave_up) = self.sim.block_on(async move {
+            let mut last = None;
+            for attempt in 1..=500 {
                 let mut t = auditor.begin_with(TxnOpts::default());
                 let sum = async {
                     let mut sum = 0u64;
                     for k in 0..keys {
-                        sum += t.get(&Key::from(k)).await.ok().and_then(|v| dec(&v))?;
+                        let v = t.get(&Key::from(k)).await.map_err(|e| failure(&e))?;
+                        sum += dec(&v).ok_or("undecodable")?;
                     }
-                    Some(sum)
+                    Ok(sum)
                 }
                 .await;
-                if sum.is_some() && t.commit().await.is_ok() {
-                    return sum;
+                match sum {
+                    Ok(sum) => match t.commit().await {
+                        Ok(_) => return (Some(sum), attempt, None),
+                        Err(e) => last = Some(failure(&e)),
+                    },
+                    Err(e) => last = Some(e),
                 }
                 // A `PreparedRead` abort only clears once CTP resolves the
                 // stuck prepare (up to `CTP_AFTER` + a scan period away), so
                 // back off instead of burning attempts in a tight loop.
                 hh.sleep(Duration::from_millis(2)).await;
             }
-            None
+            (None, 500, last)
         });
 
-        let unknowns: u64 = clients.iter().map(|c| c.stats().unknown).sum();
-        let acked = self.acked.get();
         Audit {
-            acked,
+            acked: self.acked.get(),
             total,
-            unknowns,
-            conserved: total.is_some_and(|t| t >= acked && t <= acked + unknowns + n_clients),
+            unknowns: clients.iter().map(|c| c.stats().unknown).sum(),
+            clients: clients.len() as u64,
+            attempts,
+            gave_up,
         }
     }
 
@@ -389,4 +449,71 @@ pub(crate) fn report_json(seeds: Vec<Json>, violations_total: usize) -> Json {
     Json::obj()
         .field("seeds", Json::arr(seeds))
         .field("violations_total", Json::U64(violations_total as u64))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{cause, Audit};
+    use crate::campaign::ViolationSummary;
+
+    fn audit(total: Option<u64>) -> Audit {
+        Audit {
+            acked: 100,
+            total,
+            unknowns: 2,
+            clients: 3,
+            attempts: 1,
+            gave_up: None,
+        }
+    }
+
+    #[test]
+    fn a_clean_seed_has_no_cause() {
+        let a = audit(Some(101));
+        assert!(a.conserved());
+        assert_eq!(cause(4, &a, true, &[]), None);
+    }
+
+    #[test]
+    fn an_audit_that_never_committed_names_its_attempts_and_last_abort() {
+        let a = Audit {
+            attempts: 500,
+            gave_up: Some("clock_suspect"),
+            ..audit(None)
+        };
+        assert!(!a.conserved());
+        assert_eq!(
+            cause(2, &a, false, &[]).as_deref(),
+            Some("seed 2: audit did not commit (500 attempts, last clock_suspect)")
+        );
+    }
+
+    #[test]
+    fn a_broken_bound_names_both_of_its_sides() {
+        for total in [99, 106] {
+            let a = audit(Some(total));
+            assert!(!a.conserved(), "{total}");
+            assert_eq!(
+                cause(7, &a, a.conserved(), &[]),
+                Some(format!(
+                    "seed 7: audit total {total} outside \
+                     [acked 100, 105 = acked + 2 unknown + 3 clients]"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn a_violation_names_the_first_class_and_the_count() {
+        let v = |class| ViolationSummary {
+            class,
+            description: String::new(),
+            trace_slice: String::new(),
+        };
+        let found = [v("lost_acked_write"), v("stale_backup_read")];
+        assert_eq!(
+            cause(1, &audit(Some(100)), true, &found).as_deref(),
+            Some("seed 1: 2 violation(s), first lost_acked_write")
+        );
+    }
 }

@@ -23,7 +23,7 @@ use semel::shard::ShardId;
 use shardkit::{RebalanceEngine, RebalancePlan};
 
 use crate::campaign::ViolationSummary;
-use crate::counter::{report_json, violations_json, CounterRun};
+use crate::counter::{cause, report_json, violations_json, Audit, CounterRun};
 use crate::plan::PlanShape;
 
 /// Parameters for a migration fault campaign.
@@ -61,12 +61,9 @@ impl Default for RebalanceCampaignConfig {
 pub struct RebalanceSeedOutcome {
     /// The seed.
     pub(crate) seed: u64,
-    /// Commits acknowledged to workload clients.
-    pub(crate) acked: u64,
-    /// Final counter sum read by the audit transaction.
-    pub(crate) audit_total: u64,
-    /// Unknown-outcome attempts reported by clients.
-    pub(crate) unknowns: u64,
+    /// The audit transaction: acked commits, the counter sum it read, and
+    /// how many attempts it took.
+    pub(crate) audit: Audit,
     /// Records the engine shipped over the copy plane.
     pub(crate) records_copied: u64,
     /// Bytes the engine shipped over the copy plane.
@@ -117,6 +114,14 @@ impl RebalanceCampaignReport {
             .collect()
     }
 
+    /// Why the first seed that is not clean failed, or `None` when every
+    /// seed is clean.
+    pub fn first_failure(&self) -> Option<String> {
+        self.outcomes
+            .iter()
+            .find_map(|o| cause(o.seed, &o.audit, o.conservation_ok, &o.violations))
+    }
+
     /// Deterministic JSON document (stable field order, no floats).
     pub fn to_json(&self) -> Json {
         let mut seeds = Vec::new();
@@ -124,9 +129,9 @@ impl RebalanceCampaignReport {
             seeds.push(
                 Json::obj()
                     .field("seed", Json::U64(o.seed))
-                    .field("acked", Json::U64(o.acked))
-                    .field("audit_total", Json::U64(o.audit_total))
-                    .field("unknowns", Json::U64(o.unknowns))
+                    .field("acked", Json::U64(o.audit.acked))
+                    .field("audit_total", Json::U64(o.audit.total.unwrap_or(0)))
+                    .field("unknowns", Json::U64(o.audit.unknowns))
                     .field("records_copied", Json::U64(o.records_copied))
                     .field("bytes_copied", Json::U64(o.bytes_copied))
                     .field("catchup_rounds", Json::U64(o.catchup_rounds as u64))
@@ -264,9 +269,8 @@ pub(crate) fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> Re
 
     RebalanceSeedOutcome {
         seed,
-        acked: audit.acked,
-        audit_total: audit.total.unwrap_or(0),
-        unknowns: audit.unknowns,
+        conservation_ok: audit.conserved(),
+        audit,
         records_copied: report.records_copied,
         bytes_copied: report.bytes_copied,
         catchup_rounds: report.catchup_rounds,
@@ -274,7 +278,6 @@ pub(crate) fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> Re
         stale_epoch_prepares: obs.registry.counter("stale_epoch_prepares").get(),
         faults_injected: injected.get(),
         ownership_events: history.ownership.len() as u64,
-        conservation_ok: audit.conserved,
         violations,
     }
 }

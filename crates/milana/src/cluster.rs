@@ -18,7 +18,7 @@ use timesync::{ClientId, ClockSpec};
 
 use crate::client::{TxnClient, TxnClientConfig};
 use crate::msg::{PromoteError, TxnRequest, TxnResponse};
-use crate::server::{ServerTuning, TxnServer, TxnServerConfig};
+use crate::server::{ServerTuning, Start, TxnServer, TxnServerConfig};
 use crate::table::TxnTable;
 
 /// Deployment shape and substrate parameters.
@@ -117,18 +117,19 @@ const MASTER_ADDR: Addr = Addr {
     port: 4,
 };
 
-/// The config of a replica of `shard` at `addr` as a warm backup that
-/// trusts no floor stream yet; callers adjust it for any other role.
-fn replica_cfg(config: &MilanaClusterConfig, shard: ShardId, addr: Addr) -> TxnServerConfig {
+/// The config of a replica of `shard` at `addr` that starts as `start`.
+fn replica_cfg(
+    config: &MilanaClusterConfig,
+    shard: ShardId,
+    addr: Addr,
+    start: Start,
+) -> TxnServerConfig {
     TxnServerConfig {
         shard,
         addr,
-        backups: Vec::new(),
-        is_primary: false,
+        start,
         clients: (0..config.clients).map(ClientId).collect(),
-        primary_node: None,
         master: master_addr(config),
-        cold_start: false,
         tuning: config.tuning.clone(),
     }
 }
@@ -160,13 +161,16 @@ fn spawn_group(
                 addr.node,
             );
             let table = Rc::new(RefCell::new(TxnTable::new()));
-            let mut cfg = replica_cfg(config, shard, addr);
-            if addr == group.primary {
-                cfg.backups = group.backups.clone();
-                cfg.is_primary = true;
+            let start = if addr == group.primary {
+                Start::Primary {
+                    backups: group.backups.clone(),
+                }
             } else {
-                cfg.primary_node = Some(group.primary.node);
-            }
+                Start::Backup {
+                    primary: group.primary.node,
+                }
+            };
+            let cfg = replica_cfg(config, shard, addr, start);
             let server = TxnServer::spawn(handle, backend, table, map.clone(), cfg);
             ReplicaSlot { server, addr }
         })
@@ -405,7 +409,7 @@ impl MilanaCluster {
             .server
             .table()
             .clone();
-        self.restart(shard, replica_idx, table, false);
+        self.restart(shard, replica_idx, table, Start::Warm);
     }
 
     /// Power-fails a replica: kills its node *and* tears the storage
@@ -453,17 +457,17 @@ impl MilanaCluster {
             .borrow_mut()
             .remove(&(shard.0, replica_idx));
         let table = Rc::new(RefCell::new(TxnTable::new()));
-        self.restart(shard, replica_idx, table, true);
+        self.restart(shard, replica_idx, table, Start::Cold);
     }
 
     /// Revives the replica's (dead) node and respawns it as a backup on
-    /// its surviving storage backend and the given table.
+    /// its surviving storage backend and the given table, warm or cold.
     fn restart(
         &mut self,
         shard: ShardId,
         replica_idx: usize,
         table: Rc<RefCell<TxnTable>>,
-        cold_start: bool,
+        start: Start,
     ) {
         let slot = &mut self.replicas[shard.0 as usize][replica_idx];
         assert!(
@@ -477,8 +481,7 @@ impl MilanaCluster {
         // restart, zero on a cold one) stays frozen until its catch-up
         // sweep splices it back in (`TxnServer::spawn` starts one either
         // way) or a promotion's `InstallLog` re-syncs it.
-        let mut cfg = replica_cfg(&self.config, shard, slot.addr);
-        cfg.cold_start = cold_start;
+        let cfg = replica_cfg(&self.config, shard, slot.addr, start);
         slot.server = TxnServer::spawn(&self.handle, backend, table, self.map.clone(), cfg);
     }
 }

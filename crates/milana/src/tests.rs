@@ -1289,6 +1289,31 @@ fn a_backup_pulls_past_a_lost_floor_with_no_install_log() {
     });
 }
 
+/// Fills `store` with one live single-version tuple per page, which
+/// garbage collection can neither prune nor compact, and keeps it full:
+/// whatever GC still reclaims is taken again within 100 µs.
+async fn keep_full(h: &simkit::SimHandle, store: flashsim::Backend) {
+    async fn fill(store: &flashsim::Backend, next: &mut u64) {
+        let stamp = timesync::Version::new(Timestamp(1), ClientId(99));
+        while store
+            .apply_batch_unordered(vec![(k(*next), value(vec![7u8; 3_000]), stamp)])
+            .await
+            .is_ok()
+        {
+            *next += 1;
+        }
+    }
+    let mut next = 1_000_000u64;
+    fill(&store, &mut next).await;
+    let hh = h.clone();
+    h.spawn(async move {
+        loop {
+            hh.sleep(Duration::from_micros(100)).await;
+            fill(&store, &mut next).await;
+        }
+    });
+}
+
 #[test]
 fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
     let mut sim = Sim::new(75);
@@ -1304,30 +1329,9 @@ fn a_backup_that_cannot_store_a_commit_counts_the_lost_write() {
     cfg.client_cfg.watermark_interval = Duration::from_millis(2);
     let cluster = MilanaCluster::build(&h, cfg);
     sim.block_on(async move {
-        // Keep one backup's device full: one live single-version tuple per
-        // page, which garbage collection can neither prune nor compact.
-        // Whatever it still reclaims is taken again within 100 µs.
-        async fn fill(store: &flashsim::Backend, next: &mut u64) {
-            let stamp = timesync::Version::new(Timestamp(1), ClientId(99));
-            while store
-                .apply_batch_unordered(vec![(k(*next), value(vec![7u8; 3_000]), stamp)])
-                .await
-                .is_ok()
-            {
-                *next += 1;
-            }
-        }
+        // Keep one backup's device full.
         let backup = cluster.replicas[0][1].server.clone();
-        let store = backup.backend().clone();
-        let mut next = 1_000_000u64;
-        fill(&store, &mut next).await;
-        let hh2 = hh.clone();
-        hh.spawn(async move {
-            loop {
-                hh2.sleep(Duration::from_micros(100)).await;
-                fill(&store, &mut next).await;
-            }
-        });
+        keep_full(&hh, backup.backend().clone()).await;
         hh.sleep(Duration::from_millis(20)).await;
         let c = &cluster.clients[0];
         let commit = |key: u64| async move {
@@ -1499,4 +1503,79 @@ fn backups_prune_through_the_primarys_relay() {
             }
         });
     }
+}
+
+#[test]
+fn migrate_records_refused_by_a_full_store_answer_capacity() {
+    let mut sim = Sim::new(81);
+    let h = sim.handle();
+    let hh = h.clone();
+    let mut cfg = base_cfg();
+    cfg.shards = 1;
+    cfg.replicas = 1;
+    cfg.clients = 0;
+    cfg.nand = NandConfig {
+        blocks: 32,
+        pages_per_block: 8,
+        ..NandConfig::default()
+    };
+    let cluster = MilanaCluster::build(&h, cfg);
+    sim.block_on(async move {
+        let dest = &cluster.replicas[0][0];
+        let stamp = timesync::Version::new(Timestamp(2), ClientId(98));
+        let copy = |key: u64| TxnRequest::MigrateRecords {
+            records: vec![(k(key), value(&b"copied"[..]), stamp)],
+        };
+        let rpc = &cluster.master_rpc;
+        let call = |req| rpc.call::<TxnRequest, TxnResponse>(dest.addr, req, ENVELOPE_TIMEOUT);
+        let stored = call(copy(5_000)).await.unwrap();
+        assert!(matches!(stored, TxnResponse::Ack), "{stored:?}");
+        keep_full(&hh, dest.server.backend().clone()).await;
+        // The engine ships again on any reply but `Ack`.
+        let refused = call(copy(5_001)).await.unwrap();
+        assert!(matches!(refused, TxnResponse::Capacity), "{refused:?}");
+        assert_eq!(dest.server.backend().latest_version(&k(5_001)), None);
+    });
+}
+
+#[test]
+fn each_start_spawns_what_its_first_role_needs() {
+    use crate::server::{Start, TxnServer, TxnServerConfig};
+    use simkit::net::{Addr, NodeId};
+    let sim = Sim::new(82);
+    let h = sim.handle();
+    let tuning = crate::server::ServerTuning::default();
+    let spawn = |start: Start, node: u32| {
+        let node = NodeId(node);
+        let backend =
+            semel::cluster::new_backend(BackendKind::Mftl, &h, &nand(), &tuning.obs, node);
+        let table = std::rc::Rc::new(std::cell::RefCell::new(crate::table::TxnTable::new()));
+        let map = semel::cluster::layout(1, 3);
+        let map = std::rc::Rc::new(std::cell::RefCell::new(semel::shard::ShardMap::new(map)));
+        let cfg = TxnServerConfig {
+            shard: ShardId(0),
+            addr: Addr::new(node, crate::cluster::SERVER_PORT),
+            start,
+            clients: Vec::new(),
+            master: None,
+            tuning: tuning.clone(),
+        };
+        let before = h.spawns();
+        let server = TxnServer::spawn(&h, backend, table, map, cfg);
+        (h.spawns() - before, server)
+    };
+    let (base, backup) = spawn(Start::Backup { primary: NodeId(0) }, 100);
+    assert!(backup.is_serving() && !backup.is_primary());
+    // A primary starts its lease renewal and CTP scan (no master, no
+    // gossip here), a warm backup its pull, a cold one its mount.
+    let backups = vec![Addr::new(NodeId(102), crate::cluster::SERVER_PORT)];
+    let (tasks, primary) = spawn(Start::Primary { backups }, 101);
+    assert_eq!(tasks, base + 2);
+    assert!(primary.is_primary() && primary.is_serving());
+    let (tasks, warm) = spawn(Start::Warm, 102);
+    assert_eq!(tasks, base + 1);
+    assert!(warm.is_serving() && !warm.is_primary());
+    let (tasks, cold) = spawn(Start::Cold, 103);
+    assert_eq!(tasks, base + 1);
+    assert!(!cold.is_serving() && !cold.is_primary());
 }

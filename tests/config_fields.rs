@@ -30,7 +30,7 @@ const FIELDS: &[(&str, &str)] = &[
     ("milana::TxnClientConfig", "validation watermark_interval batch read_route snapshot_lag"),
     ("milana::MilanaClusterConfig", "shards replicas clients backend nand clock preload_keys value_size client_cfg tuning net auto_failover"),
     ("milana::ServerTuning", "history_window obs fraud admission batch gossip_every catchup_batch clock_health"),
-    ("milana::TxnServerConfig", "shard addr backups is_primary clients primary_node master cold_start tuning"),
+    ("milana::TxnServerConfig", "shard addr start clients master tuning"),
     ("retwis::WorkloadConfig", "mix keyspace zipf_alpha value_size max_retries"),
     ("semel::ClusterConfig", "shards replicas clients backend nand clock preload_keys value_size net replication batch obs"),
     ("semel::MasterConfig", "addr obs"),

@@ -19,6 +19,7 @@ const WRITES: &[&str] = &[
     "apply_unordered",
     "apply_batch_unordered",
     "apply_committed",
+    "apply_unapplied",
     "replicate",
     "replicate_record",
 ];
@@ -33,35 +34,28 @@ const SITES: &[(&str, &str, &str, &str)] = &[
          only thins that load",
     ),
     (
-        "milana/src/server.rs",
-        "start",
-        "apply_batch_unordered",
-        "MigrateRecords answers Ack even when the target store refused the \
-         copy, so a resharding can report records as moved that are not",
-    ),
-    (
-        "milana/src/server.rs",
+        "milana/src/server/commit.rs",
         "apply_outcome",
         "apply_committed",
         "the primary counts a failed apply only in apply_failures and still \
          counts the commit",
     ),
     (
-        "milana/src/server.rs",
+        "milana/src/server/commit.rs",
         "backup_apply_outcome",
         "apply_committed",
         "apply_committed already handles a backup's failure: it leaves the \
          record unapplied and pulls the catch-up sweep",
     ),
     (
-        "milana/src/server.rs",
+        "milana/src/server/recovery.rs",
         "recover_as_primary",
-        "apply_committed",
+        "apply_unapplied",
         "a new primary counts a failed replay only in apply_failures and \
          serves anyway",
     ),
     (
-        "milana/src/server.rs",
+        "milana/src/server/recovery.rs",
         "recover_as_primary",
         "replicate",
         "promotion step 5 ignores whether InstallLog reached f backups; the \
