@@ -3,10 +3,15 @@
 //! 1. **Replication ordering** (Contribution 1): SEMEL's inconsistent
 //!    replication vs conventional sequence-ordered replication, across
 //!    network jitter levels.
-//! 2. **Clock discipline spectrum**: Perfect → PTP-HW → PTP-SW → NTP abort
-//!    rates, extending Figure 7 to the full precision axis.
-//! 3. **Mapping-table residency** (§3.1 future work): how MFTL performance
+//! 2. **Mapping-table residency** (§3.1 future work): how MFTL performance
 //!    degrades when the mapping no longer fits in DRAM (DFTL-style paging).
+//! 3. **Packing window**: the latency/efficiency trade-off of the MFTL
+//!    packer's delay.
+//! 4. **Open loop**: latency vs offered load, with and without local
+//!    validation.
+//!
+//! The clock-precision axis (Perfect → PTP-HW → PTP-SW → NTP) is swept
+//! once, in [`crate::fig7`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,16 +30,14 @@ use simkit::rng::Zipf;
 use simkit::Sim;
 use timesync::{ClientId, Discipline, Version};
 
-use crate::common::{clock_spectrum, run_retwis_on_milana, sweep, Args, Scale};
+use crate::common::{Args, Scale};
 use crate::table1::{self, Table1Config};
 use crate::{testbed, Outcome};
 
-/// `repro ablations`: all five, a blank line between their tables.
+/// `repro ablations`: all four, a blank line between their tables.
 pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     eprintln!("running ablations at {scale:?} scale ...\n");
     let replication = run_replication(scale);
-    println!();
-    let clocks = run_clocks(scale);
     println!();
     let dftl = run_dftl(scale);
     println!();
@@ -44,7 +47,6 @@ pub(crate) fn repro(_: &Args, scale: Scale) -> Outcome {
     Outcome::pass(
         Json::obj()
             .field("replication", replication)
-            .field("clocks", clocks)
             .field("dftl", dftl)
             .field("packing", packing)
             .field("open_loop", open_loop),
@@ -182,67 +184,6 @@ pub(crate) fn run_replication(scale: Scale) -> Json {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Ablation 2: clock discipline spectrum
-// ---------------------------------------------------------------------------
-
-/// Runs and prints the clock-spectrum ablation (extends Figure 7);
-/// returns its JSON payload with the full abort-reason breakdown per
-/// discipline.
-pub(crate) fn run_clocks(scale: Scale) -> Json {
-    println!("Ablation: clock-discipline spectrum — MILANA abort rate (%), MFTL backend");
-    let alphas: Vec<f64> = match scale {
-        Scale::Quick => vec![0.5, 0.7, 0.9],
-        Scale::Full => vec![0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    };
-    print!("{:>12}", "clock\\alpha");
-    for a in &alphas {
-        print!(" {a:>7}");
-    }
-    println!();
-    let keyspace = 5_000u64;
-    let mut grid = Vec::new();
-    for (discipline, name) in clock_spectrum() {
-        for &alpha in &alphas {
-            grid.push((discipline.clone(), name, alpha));
-        }
-    }
-    // Every (discipline, α) cell is an independent sim: fan the grid out
-    // on the worker pool and print the table rows afterwards in order.
-    let points = sweep(grid, |(discipline, _, alpha)| {
-        let outcome = run_retwis_on_milana(
-            1_700 + (alpha * 100.0) as u64,
-            testbed::paper(BackendKind::Mftl, discipline.clone().into(), 5, keyspace),
-            testbed::retwis(keyspace, *alpha),
-            4,
-            (Duration::from_millis(200), scale.measure() / 2),
-        );
-        (outcome.stats, 0.0)
-    });
-    for row in points.chunks(alphas.len()) {
-        print!("{:>12}", row[0].at.1);
-        for p in row {
-            print!(" {:>7.2}", p.stats.abort_rate() * 100.0);
-        }
-        println!();
-    }
-    println!(
-        "(the knee: once skew drops below the request latency — PTP-SW and better — \
-         further precision stops mattering, exactly §3.3's argument; NTP sits far \
-         above the knee)"
-    );
-    let rows = points.iter().map(|p| {
-        let (_, name, alpha) = p.at;
-        p.to_json(
-            Json::obj()
-                .field("clock", Json::str(name))
-                .field("alpha", Json::F64(alpha))
-                .field("abort_rate", Json::F64(p.stats.abort_rate())),
-        )
-    });
-    Json::obj().field("rows", Json::arr(rows))
-}
-
 /// Prints each cell's table line, in sweep order; returns the JSON rows.
 fn print_lines(cells: Vec<(String, Json)>) -> Vec<Json> {
     cells
@@ -255,7 +196,7 @@ fn print_lines(cells: Vec<(String, Json)>) -> Vec<Json> {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation 3: DFTL-style demand-paged mapping
+// Ablation 2: DFTL-style demand-paged mapping
 // ---------------------------------------------------------------------------
 
 /// Runs and prints the mapping-residency ablation; returns its JSON
@@ -351,7 +292,7 @@ pub(crate) fn run_dftl(scale: Scale) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation 4: packing-window sweep
+// Ablation 3: packing-window sweep
 // ---------------------------------------------------------------------------
 
 /// Runs and prints the packing-window ablation: the paper's 1 ms packer
@@ -423,7 +364,7 @@ pub(crate) fn run_packing(scale: Scale) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation 5: open-loop latency vs offered load
+// Ablation 4: open-loop latency vs offered load
 // ---------------------------------------------------------------------------
 
 /// Runs and prints an open-loop (Poisson-arrival) latency curve: unlike the

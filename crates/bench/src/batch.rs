@@ -24,7 +24,7 @@ use milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use obskit::{Json, Obs};
 use simkit::Sim;
 
-use crate::common::{Args, Scale};
+use crate::common::{judged, Args, Scale};
 use crate::Outcome;
 
 const SHARDS: u32 = 2;
@@ -214,7 +214,7 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
         DEADLINE.as_micros()
     );
     let points = run(&BatchSweepConfig::for_scale(scale), seed);
-    print(&points);
+    print(&points, seed);
     Outcome {
         data: to_json(&points, seed),
         ok: ok(&points),
@@ -258,7 +258,7 @@ pub(crate) fn checks(points: &[BatchPoint]) -> BatchChecks {
 }
 
 /// Prints the sweep table and the acceptance verdicts.
-pub(crate) fn print(points: &[BatchPoint]) {
+pub(crate) fn print(points: &[BatchPoint], seed: u64) {
     println!(
         "{:>9} {:>8} {:>8} {:>7} {:>9} {:>9} {:>10} {:>9} {:>8} {:>8}",
         "batch_max",
@@ -287,22 +287,29 @@ pub(crate) fn print(points: &[BatchPoint]) {
             p.p99_us
         );
     }
-    let c = checks(points);
-    println!(
-        "replication-RPC reduction at batch_max=16: {:.2}x per commit ({})",
-        c.reduction,
-        if c.reduction_ok {
-            "ok, >= 2x"
-        } else {
-            "FAILED, < 2x"
-        }
-    );
-    println!(
-        "p99 commit latency at batch_max=16: {} us vs bound {} us ({})",
-        c.best_p99_us,
-        c.bound_us,
-        if c.latency_ok { "ok" } else { "FAILED" }
-    );
+    for line in verdict_lines(&checks(points), seed) {
+        println!("{line}");
+    }
+}
+
+/// The two acceptance checks' output lines.
+pub(crate) fn verdict_lines(c: &BatchChecks, seed: u64) -> [String; 2] {
+    let reduction = (!c.reduction_ok).then(|| format!("{:.2}x < 2x", c.reduction));
+    let latency =
+        (!c.latency_ok).then(|| format!("p99 {} us > bound {} us", c.best_p99_us, c.bound_us));
+    [
+        format!(
+            "replication-RPC reduction at batch_max=16: {:.2}x per commit ({})",
+            c.reduction,
+            judged(seed, reduction, "ok, >= 2x")
+        ),
+        format!(
+            "p99 commit latency at batch_max=16: {} us vs bound {} us ({})",
+            c.best_p99_us,
+            c.bound_us,
+            judged(seed, latency, "ok")
+        ),
+    ]
 }
 
 /// Deterministic JSON payload for the artifact.

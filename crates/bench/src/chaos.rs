@@ -103,10 +103,8 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
         println!("\noffending seed {}:", o.seed);
         if !o.conservation_ok {
             println!(
-                "  conservation violated: audit total {} vs acked {} (+{} unknown)",
-                o.audit.total.unwrap_or(0),
-                o.audit.acked,
-                o.audit.unknowns
+                "  conservation violated: {}",
+                o.failure().unwrap_or_default()
             );
         }
         for v in &o.violations {

@@ -1,18 +1,15 @@
-//! Clock-fault robustness reproduction (`repro clockfault`):
-//! abort rate across the clock-precision spectrum with health tracking on,
-//! a fence-and-recover degradation run, and a clock-fault campaign.
+//! Clock-fault robustness reproduction (`repro clockfault`): a
+//! fence-and-recover degradation run and a clock-fault campaign. Abort
+//! rate across the clock-precision spectrum is Figure 7's sweep
+//! ([`crate::fig7`]).
 //!
-//! Three legs on the same seed:
+//! Two legs on the same seed:
 //!
-//! 1. **Skew sweep** — abort rate vs clock discipline (Perfect → PTP-HW →
-//!    PTP-SW → NTP) with server-side clock-health tracking enabled,
-//!    averaged over [`SUB_SEEDS`] paired runs per discipline. The curve must
-//!    come out skew-ordered: worse sync, more aborts.
-//! 2. **Degradation run** — a clean run and a twin where one client's
+//! 1. **Degradation run** — a clean run and a twin where one client's
 //!    clock breaks badly (holdover + step + drift, so resyncs never repair
-//!    it). The cluster must fence the broken client and goodput must
-//!    recover to ≥ 80 % of the clean twin.
-//! 3. **Clock-fault campaign** — the `faultkit` nemesis drives clock
+//!    it). The cluster must fence the broken client, must fence nobody in
+//!    the clean twin, and goodput must recover to ≥ 80 % of the clean twin.
+//! 2. **Clock-fault campaign** — the `faultkit` nemesis drives clock
 //!    steps, persistent drift, and holdover jumps against a deliberately
 //!    tight uncertainty promise; the checker holds commits to the promised
 //!    ε and must find no `clock_bound_breach`.
@@ -32,17 +29,12 @@ use obskit::Json;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{
-    campaign_verdict, clock_spectrum, run_retwis, run_retwis_on_milana, verdict, Args, Scale,
-};
+use crate::common::{campaign_verdict, judged, run_retwis, verdict, Args, Scale};
 use crate::{testbed, Outcome};
-
-/// Paired runs averaged per sweep point.
-pub(crate) const SUB_SEEDS: u64 = 3;
 
 /// Knobs for one `repro clockfault` run.
 pub struct ClockFaultConfig {
-    /// Simulation seed (all three legs derive from it).
+    /// Simulation seed (both legs derive from it).
     pub seed: u64,
     /// Faults in the clock-fault campaign leg.
     pub campaign_faults: usize,
@@ -85,8 +77,7 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     cfg.seed = args.last_or("--seed", cfg.seed);
     cfg.fraud = args.fraud(&["uncertainty-skip"]);
     eprintln!(
-        "clockfault: 4 disciplines x {} sub-seed(s), {} campaign fault(s), seed {}{} ...",
-        SUB_SEEDS,
+        "clockfault: degradation run, {} campaign fault(s), seed {}{} ...",
         cfg.campaign_faults,
         cfg.seed,
         if cfg.fraud != Fraud::None {
@@ -95,44 +86,15 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
             ""
         }
     );
-    let sweep = run_sweep(&cfg);
     let degradation = run_degradation(&cfg);
     let campaign = run_fault_campaign(&cfg);
-    print(&cfg, &sweep, &degradation, &campaign);
+    print(&cfg, &degradation, &campaign);
     Outcome::of_fraud_run(
-        to_json(&cfg, &sweep, &degradation, &campaign),
-        ok(&cfg, &sweep, &degradation, &campaign),
+        to_json(&cfg, &degradation, &campaign),
+        ok(&cfg, &degradation, &campaign),
         cfg.fraud,
         "clock-bound checker missed the injected fraud",
     )
-}
-
-/// One point of the skew sweep: a discipline's average abort behaviour.
-#[derive(Debug, Clone)]
-pub(crate) struct SweepPoint {
-    /// Discipline label.
-    pub(crate) clock: &'static str,
-    /// Expected mean pairwise skew under this discipline (ns).
-    pub(crate) skew_ns: u64,
-    /// Abort rate averaged over the sub-seeds.
-    pub(crate) abort_rate: f64,
-    /// Commits summed over the sub-seeds.
-    pub(crate) commits: u64,
-    /// Clock-suspect refusals summed over the sub-seeds (honest clocks
-    /// should rarely trip the fence).
-    pub(crate) suspects: u64,
-}
-
-impl SweepPoint {
-    /// Deterministic JSON for the artifact.
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj()
-            .field("clock", Json::str(self.clock))
-            .field("skew_ns", Json::U64(self.skew_ns))
-            .field("abort_rate", Json::F64(self.abort_rate))
-            .field("commits", Json::U64(self.commits))
-            .field("clock_suspects", Json::U64(self.suspects))
-    }
 }
 
 /// Outcome of the fence-and-recover degradation leg.
@@ -164,10 +126,31 @@ impl Degradation {
             .field("clean_fences", Json::U64(self.clean_fences))
     }
 
-    /// The fence did its job: the broken client was cut off and the rest
-    /// of the cluster kept ≥ 80 % of clean goodput.
+    /// The fence did its job: the broken client was cut off, nobody was
+    /// fenced in the clean twin, and the rest of the cluster kept ≥ 80 %
+    /// of clean goodput.
     pub(crate) fn ok(&self) -> bool {
-        self.fences >= 1 && self.clean_fences == 0 && self.recovery_ratio >= 0.80
+        self.failure().is_none()
+    }
+
+    /// The first of [`Degradation::ok`]'s checks that fails, with both
+    /// sides, or `None` when all hold.
+    pub(crate) fn failure(&self) -> Option<String> {
+        if self.fences < 1 {
+            Some(format!("{} fence(s) in the broken run < 1", self.fences))
+        } else if self.clean_fences != 0 {
+            Some(format!(
+                "{} fence(s) in the clean twin != 0",
+                self.clean_fences
+            ))
+        } else if self.recovery_ratio < 0.80 {
+            Some(format!(
+                "recovered {:.1}% < 80%",
+                self.recovery_ratio * 100.0
+            ))
+        } else {
+            None
+        }
     }
 }
 
@@ -189,74 +172,6 @@ fn suspects_and_fences(cluster: &MilanaCluster) -> (u64, u64) {
         fences = fences.max(s.clock_fences);
     }
     (suspects, fences)
-}
-
-/// Runs the skew sweep: abort rate per discipline with health tracking on,
-/// [`SUB_SEEDS`] paired runs each.
-pub(crate) fn run_sweep(cfg: &ClockFaultConfig) -> Vec<SweepPoint> {
-    let mut items = Vec::new();
-    for (discipline, name) in clock_spectrum() {
-        for sub in 0..SUB_SEEDS {
-            items.push((discipline.clone(), name, sub));
-        }
-    }
-    // Each (discipline, sub-seed) pair is an independent sim, so the
-    // whole grid fans out on the worker pool; per-discipline sums fold
-    // back in sweep order below.
-    let runs = perfkit::pool::run_ordered_auto(items, |(discipline, name, sub)| {
-        // The same sim seed across disciplines pairs the comparison:
-        // identical arrivals and key choices, only the clocks differ.
-        // Moderate contention: saturated hot keys abort on conflicts
-        // regardless of clocks, which would bury the skew signal.
-        let outcome = run_retwis_on_milana(
-            cfg.seed * 1_000 + sub,
-            cluster_config(5, ClockSpec::from(discipline.clone())),
-            testbed::retwis(KEYSPACE, 0.7),
-            2,
-            (Duration::from_millis(200), cfg.measure),
-        );
-        let skew_ns = discipline.expected_skew().as_nanos() as u64;
-        (
-            name,
-            skew_ns,
-            outcome.stats.abort_rate(),
-            outcome.stats.commits,
-            suspects_and_fences(&outcome.cluster).0,
-        )
-    });
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for (name, skew_ns, rate, commits, suspects) in runs {
-        match points.last_mut() {
-            Some(p) if p.clock == name => {
-                p.abort_rate += rate;
-                p.commits += commits;
-                p.suspects += suspects;
-            }
-            _ => points.push(SweepPoint {
-                clock: name,
-                skew_ns,
-                abort_rate: rate,
-                commits,
-                suspects,
-            }),
-        }
-    }
-    for p in &mut points {
-        p.abort_rate /= SUB_SEEDS as f64;
-    }
-    points
-}
-
-/// The sweep curve is skew-ordered: abort rate never decreases as sync
-/// quality degrades, and NTP is strictly worse than Perfect.
-pub(crate) fn sweep_ordered(points: &[SweepPoint]) -> bool {
-    points
-        .windows(2)
-        .all(|w| w[0].abort_rate <= w[1].abort_rate)
-        && points
-            .last()
-            .zip(points.first())
-            .is_some_and(|(ntp, perfect)| ntp.abort_rate > perfect.abort_rate)
 }
 
 fn degradation_run(cfg: &ClockFaultConfig, break_client: bool) -> (f64, u64, u64) {
@@ -333,32 +248,9 @@ pub(crate) fn fraud_caught(campaign: &CampaignReport) -> bool {
         .any(|o| o.violations.iter().any(|v| v.class == "clock_bound_breach"))
 }
 
-/// Prints the sweep table and all three verdicts.
-pub(crate) fn print(
-    cfg: &ClockFaultConfig,
-    sweep: &[SweepPoint],
-    degradation: &Degradation,
-    campaign: &CampaignReport,
-) {
-    println!(
-        "{:>10} {:>12} {:>10} {:>9} {:>9}",
-        "clock", "skew_ns", "abort_pct", "commits", "suspects"
-    );
-    for p in sweep {
-        println!(
-            "{:>10} {:>12} {:>10.2} {:>9} {:>9}",
-            p.clock,
-            p.skew_ns,
-            p.abort_rate * 100.0,
-            p.commits,
-            p.suspects,
-        );
-    }
-    println!(
-        "skew ordering: {}",
-        if sweep_ordered(sweep) { "ok" } else { "FAILED" }
-    );
-    println!(
+/// The degradation leg's output line.
+pub(crate) fn degradation_line(seed: u64, degradation: &Degradation) -> String {
+    format!(
         "degradation: clean {:.0}/s, degraded {:.0}/s ({:.1}% recovered), \
          {} fence(s), {} suspect(s) ({})",
         degradation.clean_goodput,
@@ -366,8 +258,13 @@ pub(crate) fn print(
         degradation.recovery_ratio * 100.0,
         degradation.fences,
         degradation.suspects,
-        if degradation.ok() { "ok" } else { "FAILED" }
-    );
+        judged(seed, degradation.failure(), "ok")
+    )
+}
+
+/// Prints both legs' verdicts.
+pub(crate) fn print(cfg: &ClockFaultConfig, degradation: &Degradation, campaign: &CampaignReport) {
+    println!("{}", degradation_line(cfg.seed, degradation));
     let clean = campaign.offending_seeds().is_empty();
     println!(
         "clock-fault campaign: {} fault(s), {} violation(s) ({})",
@@ -386,7 +283,6 @@ pub(crate) fn print(
 /// Deterministic JSON payload for the artifact.
 pub(crate) fn to_json(
     cfg: &ClockFaultConfig,
-    sweep: &[SweepPoint],
     degradation: &Degradation,
     campaign: &CampaignReport,
 ) -> Json {
@@ -396,13 +292,11 @@ pub(crate) fn to_json(
             "inject_uncertainty_skip",
             Json::Bool(cfg.fraud != Fraud::None),
         )
-        .field("sweep", Json::arr(sweep.iter().map(SweepPoint::to_json)))
         .field("degradation", degradation.to_json())
         .field("campaign", campaign.to_json())
         .field(
             "checks",
             Json::obj()
-                .field("skew_ordered", Json::Bool(sweep_ordered(sweep)))
                 .field("degradation_ok", Json::Bool(degradation.ok()))
                 .field(
                     "campaign_clean",
@@ -411,18 +305,17 @@ pub(crate) fn to_json(
         )
 }
 
-/// True when the run passes. Honest runs need the skew-ordered curve, a
-/// successful fence-and-recover, and a clean campaign; `--inject
-/// uncertainty-skip` runs need the checker to flag the breach.
+/// True when the run passes. Honest runs need a successful
+/// fence-and-recover and a clean campaign; `--inject uncertainty-skip`
+/// runs need the checker to flag the breach.
 pub(crate) fn ok(
     cfg: &ClockFaultConfig,
-    sweep: &[SweepPoint],
     degradation: &Degradation,
     campaign: &CampaignReport,
 ) -> bool {
     if cfg.fraud != Fraud::None {
         fraud_caught(campaign)
     } else {
-        sweep_ordered(sweep) && degradation.ok() && campaign.offending_seeds().is_empty()
+        degradation.ok() && campaign.offending_seeds().is_empty()
     }
 }

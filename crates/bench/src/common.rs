@@ -265,9 +265,9 @@ pub(crate) fn verdict(fraud: Fraud, clean: bool) -> &'static str {
     }
 }
 
-/// A campaign line's verdict word, followed by why the first seed that is
-/// not clean failed when the word is `FAILED` (`faultkit`'s
-/// `first_failure`).
+/// A fraud-aware line's verdict word ([`verdict`]), followed by `cause`
+/// when the word is `FAILED`: why the first seed that is not clean failed
+/// (`faultkit`'s `first_failure`), or a check's two sides and its seed.
 pub(crate) fn campaign_verdict(verdict: &str, cause: Option<String>) -> String {
     match cause {
         Some(cause) if verdict == "FAILED" => format!("FAILED, {cause}"),
@@ -275,8 +275,17 @@ pub(crate) fn campaign_verdict(verdict: &str, cause: Option<String>) -> String {
     }
 }
 
-/// One measured point of a Retwis sweep (Figures 6-9, the clock-spectrum
-/// ablation): where it sits in the sweep and its measurement-window
+/// A predicate line's verdict: `ok` (the line's own passing text) when
+/// the check holds, else `FAILED, seed S: <failure>`, where `failure`
+/// names what failed and both sides of it.
+pub(crate) fn judged(seed: u64, failure: Option<String>, ok: &str) -> String {
+    match failure {
+        None => ok.to_string(),
+        Some(why) => format!("FAILED, seed {seed}: {why}"),
+    }
+}
+
+/// One measured point of a Retwis sweep (Figures 6-9): where it sits in the sweep and its measurement-window
 /// counters, from which its rates and means are computed.
 #[derive(Debug, Clone)]
 pub struct Point<K> {

@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | Table 1 (FTL throughput/latency) | [`table1`] | `repro table1` |
 //! | Figure 6 (aborts vs clients, SFTL/MFTL) | [`fig6`] | `repro fig6` |
-//! | Figure 7 (aborts vs α, PTP/NTP × backend) | [`fig7`] | `repro fig7` |
+//! | Figure 7 (aborts vs α, four clock disciplines × backend) | [`fig7`] | `repro fig7` |
 //! | Figure 8 (latency vs throughput, ±LV) | [`fig8`] | `repro fig8` |
 //! | Figure 9 (MILANA vs Centiman LV) | [`fig9`] | `repro fig9` |
 //! | Design-choice ablations | [`ablations`] | `repro ablations` |
@@ -15,7 +15,7 @@
 //! | Elastic resharding under load | [`rebalance`] | `repro rebalance` |
 //! | Read scaling (backup snapshot reads) | [`readscale`] | `repro readscale` |
 //! | Cold-restart recovery (mount scan + MTTR) | [`recovery`] | `repro recovery` |
-//! | Clock-fault robustness (skew, fencing, ε bound) | [`clockfault`] | `repro clockfault` |
+//! | Clock-fault robustness (fencing, ε bound) | [`clockfault`] | `repro clockfault` |
 //! | Randomized fault campaigns | [`chaos`] | `repro chaos` |
 //!
 //! `repro all` runs the first eleven in that order; `repro --list` prints
@@ -106,13 +106,13 @@ static TABLE: [Experiment; 13] = [
     Experiment { name: "fig6", flags: &[], in_all: true, run: fig6::repro,
         about: "Figure 6: abort rate vs clients, SFTL vs MFTL" },
     Experiment { name: "fig7", flags: &[], in_all: true, run: fig7::repro,
-        about: "Figure 7: abort rate vs contention, PTP vs NTP" },
+        about: "Figure 7: abort rate vs contention, Perfect/PTP-HW/PTP-SW/NTP, and the knee" },
     Experiment { name: "fig8", flags: &[], in_all: true, run: fig8::repro,
         about: "Figure 8: latency vs throughput, with and without local validation" },
     Experiment { name: "fig9", flags: &[], in_all: true, run: fig9::repro,
         about: "Figure 9: MILANA vs Centiman local validation" },
     Experiment { name: "ablations", flags: &[], in_all: true, run: ablations::repro,
-        about: "replication order, clock spectrum, DFTL paging, packing window, open loop" },
+        about: "replication order, DFTL paging, packing window, open loop" },
     Experiment { name: "batch", flags: SEED, in_all: true, run: batch::repro,
         about: "group-commit and RPC-coalescing sweep" },
     Experiment { name: "rebalance", flags: SEED, in_all: true, run: rebalance::repro,
@@ -124,7 +124,7 @@ static TABLE: [Experiment; 13] = [
         about: "cold-restart MTTR sweep and power-fail campaign" },
     Experiment { name: "clockfault", flags: &["--seed <S>", "--inject <uncertainty-skip>"],
         in_all: true, run: clockfault::repro,
-        about: "skew sweep, fence-and-recover run, clock-fault campaign" },
+        about: "fence-and-recover run, clock-fault campaign" },
     Experiment { name: "chaos", in_all: false, run: chaos::repro,
         flags: &["--seed <S>", "--seeds <N>", "--faults <M>", "--shards <K>",
             "--inject <validation-skip|overload>"],

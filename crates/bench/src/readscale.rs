@@ -25,7 +25,7 @@ use readkit::ReadRoute;
 use retwis::driver::WorkloadConfig;
 use retwis::mix::{GetCount, Mix, TxnType};
 
-use crate::common::{campaign_verdict, run_obs, run_retwis_on_milana, Args, Scale};
+use crate::common::{campaign_verdict, judged, run_obs, run_retwis_on_milana, Args, Scale};
 use crate::{testbed, Outcome};
 
 const SHARDS: u32 = 2;
@@ -219,7 +219,7 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     let seed = args.last_or("--seed", 1u64);
     eprintln!("read scaling: seed {seed}, routes + backup-reads chaos campaign ...");
     let out = run(&ReadScaleConfig::for_scale(scale), seed);
-    print(&out);
+    print(&out, seed);
     Outcome {
         data: to_json(&out),
         ok: ok(&out),
@@ -279,8 +279,32 @@ pub(crate) fn checks(out: &ReadScaleOutcome) -> ReadScaleChecks {
     }
 }
 
+/// The routing checks' output lines (the campaign's follows them).
+pub(crate) fn verdict_lines(c: &ReadScaleChecks, seed: u64) -> [String; 2] {
+    let share = c.p2c_primary_share_x1000 as f64 / 10.0;
+    let ratio = c.goodput_ratio_x100 as f64 / 100.0;
+    [
+        format!(
+            "p2c primary read share: {share:.1}% ({})",
+            judged(
+                seed,
+                (!c.share_ok).then(|| format!("{share:.1}% >= 50%")),
+                "ok, < 50%"
+            )
+        ),
+        format!(
+            "p2c goodput vs primary-only: {ratio:.2}x ({})",
+            judged(
+                seed,
+                (!c.goodput_ok).then(|| format!("{ratio:.2}x < 1x")),
+                "ok, >= 1x"
+            )
+        ),
+    ]
+}
+
 /// Prints the sweep table and the acceptance verdicts.
-pub(crate) fn print(out: &ReadScaleOutcome) {
+pub(crate) fn print(out: &ReadScaleOutcome, seed: u64) {
     println!(
         "read scaling: 85% read-only Retwis, zipf a={ALPHA}, {SHARDS} shards x {REPLICAS} replicas"
     );
@@ -303,24 +327,9 @@ pub(crate) fn print(out: &ReadScaleOutcome) {
         );
     }
     let c = checks(out);
-    println!(
-        "p2c primary read share: {:.1}% ({})",
-        c.p2c_primary_share_x1000 as f64 / 10.0,
-        if c.share_ok {
-            "ok, < 50%"
-        } else {
-            "FAILED, >= 50%"
-        }
-    );
-    println!(
-        "p2c goodput vs primary-only: {:.2}x ({})",
-        c.goodput_ratio_x100 as f64 / 100.0,
-        if c.goodput_ok {
-            "ok, >= 1x"
-        } else {
-            "FAILED, < 1x"
-        }
-    );
+    for line in verdict_lines(&c, seed) {
+        println!("{line}");
+    }
     let cause = out.campaign.first_failure().or_else(|| {
         let idle = out
             .campaign

@@ -37,7 +37,7 @@ use simkit::rng::Zipf;
 use simkit::Sim;
 use timesync::ClockSpec;
 
-use crate::common::{campaign_verdict, Args, Scale};
+use crate::common::{campaign_verdict, judged, Args, Scale};
 use crate::Outcome;
 
 const SHARDS: u32 = 2;
@@ -110,7 +110,7 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
     );
     let run = run_once(scale, seed);
     let campaign = run_fault_campaign(scale, seed);
-    print(&run, &campaign);
+    print(&run, &campaign, seed);
     Outcome {
         data: to_json(&run, &campaign, seed),
         ok: ok(&run, &campaign),
@@ -303,8 +303,18 @@ pub(crate) fn recovery_pct(run: &RebalanceRun) -> u64 {
     run.post_commits * 100 / run.pre_commits.max(1)
 }
 
+/// The post-split recovery check's output line, at `pct` % of pre-skew
+/// throughput.
+pub(crate) fn recovery_line(pct: u64, seed: u64) -> String {
+    let failure = (pct < 80).then(|| format!("recovered {pct}% < 80%"));
+    format!(
+        "post-split recovery: {pct}% of pre-skew committed throughput ({})",
+        judged(seed, failure, "ok, >= 80%")
+    )
+}
+
 /// Prints the windows table, migration counters, and verdicts.
-pub(crate) fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
+pub(crate) fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport, seed: u64) {
     println!("{:>10} {:>9} {:>8}", "window", "commits", "aborts");
     println!(
         "{:>10} {:>9} {:>8}",
@@ -322,15 +332,7 @@ pub(crate) fn print(run: &RebalanceRun, campaign: &RebalanceCampaignReport) {
         "split: {} records / {} bytes copied, {} catch-up rounds, epoch {}",
         run.records_copied, run.bytes_copied, run.catchup_rounds, run.final_epoch
     );
-    let pct = recovery_pct(run);
-    println!(
-        "post-split recovery: {pct}% of pre-skew committed throughput ({})",
-        if pct >= 80 {
-            "ok, >= 80%"
-        } else {
-            "FAILED, < 80%"
-        }
-    );
+    println!("{}", recovery_line(recovery_pct(run), seed));
     println!(
         "fault campaign: {} seed(s), {} violation(s) ({})",
         campaign.outcomes.len(),

@@ -451,6 +451,16 @@ pub(crate) fn run_powerfail_campaign(spec: &RecoverySpec) -> CampaignReport {
     })
 }
 
+/// The durability audit's output line: `lost` acked writes missing over
+/// `trials` trials.
+pub(crate) fn durability_line(spec: &RecoverySpec, trials: usize, lost: u64) -> String {
+    let cause = format!("seed {}: {lost} lost acked write(s) > 0", spec.seed);
+    format!(
+        "durability audit: {trials} trial(s), {lost} lost acked write(s) ({})",
+        campaign_verdict(verdict(spec.fraud, lost == 0), Some(cause))
+    )
+}
+
 /// Prints the sweep table and both verdicts.
 pub(crate) fn print(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &CampaignReport) {
     println!(
@@ -470,13 +480,8 @@ pub(crate) fn print(spec: &RecoverySpec, trials: &[RecoveryTrial], campaign: &Ca
             t.lost_writes,
         );
     }
-    let lost: u64 = trials.iter().map(|t| t.lost_writes).sum();
-    println!(
-        "durability audit: {} trial(s), {} lost acked write(s) ({})",
-        trials.len(),
-        lost,
-        verdict(spec.fraud, lost == 0)
-    );
+    let lost = trials.iter().map(|t| t.lost_writes).sum();
+    println!("{}", durability_line(spec, trials.len(), lost));
     println!(
         "power-fail campaign: {} fault(s), {} violation(s) ({})",
         spec.campaign_faults,

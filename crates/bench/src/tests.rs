@@ -1,13 +1,14 @@
-//! Crate-level tests: the experiment table and `repro all`, then the
+//! Crate-level tests: the experiment table and `repro all`, the
 //! cold-restart recovery trial ([`crate::recovery`]) end to end on a
-//! simulated MILANA cluster.
+//! simulated MILANA cluster, then every predicate line on a doctored
+//! outcome.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use flashsim::{value, Key};
+use flashsim::{value, BackendKind, Key};
 use milana::client::TxnOpts;
 use milana::cluster::MilanaCluster;
 use milana::msg::{TxnRequest, TxnResponse};
@@ -17,11 +18,13 @@ use semel::shard::ShardId;
 use simkit::Sim;
 use timesync::Timestamp;
 
-use crate::common::{Args, Scale};
+use crate::common::{clock_spectrum, Args, Point, Scale};
 use crate::recovery::{
     cluster_config, commit_increments, dec, enc, run_recovery_trial, RecoverySpec,
 };
-use crate::{experiments, run_all, Experiment, Outcome};
+use crate::{
+    batch, clockfault, experiments, fig7, readscale, rebalance, run_all, Experiment, Outcome,
+};
 
 #[test]
 fn all_nests_every_row_under_its_name_and_fails_with_any_row() {
@@ -571,4 +574,138 @@ fn recover_as_primary_races_prepares_during_cold_catchup() {
 fn enc_dec_roundtrip() {
     assert_eq!(dec(&enc(7)), 7);
     assert_eq!(dec(&value(vec![0u8; 4])), 0, "short values decode to zero");
+}
+
+// Each predicate line on a doctored outcome: a failing line names the
+// check, both sides and the seed; a passing line keeps its own text.
+
+/// One Figure 7 cell, MFTL at α 0.5, whose disciplines abort `per_mille`
+/// of their attempts, in `clock_spectrum` order.
+fn fig7_cell(per_mille: [u64; 4]) -> (fig7::Fig7Config, Vec<Point<fig7::At>>) {
+    let cfg = fig7::Fig7Config {
+        alphas: vec![0.5],
+        backends: vec![BackendKind::Mftl],
+        ..fig7::Fig7Config::for_scale(Scale::Quick)
+    };
+    let points = clock_spectrum()
+        .into_iter()
+        .zip(per_mille)
+        .map(|((discipline, sync), aborts)| {
+            let mut stats = obskit::TxnStats::new().freeze();
+            stats.aborts = aborts;
+            stats.commits = 1_000 - aborts;
+            Point {
+                at: (discipline, sync, BackendKind::Mftl, 0.5),
+                stats,
+                extra: 0.0,
+            }
+        })
+        .collect();
+    (cfg, points)
+}
+
+#[test]
+fn fig7_fails_when_ntp_is_not_above_the_precise_disciplines_by_their_spread() {
+    let (cfg, points) = fig7_cell([35, 35, 32, 200]);
+    assert!(fig7::judge(&cfg, &points).ok);
+    assert!(fig7::knee_line(fig7::knee_failure(&cfg, &points)).ends_with(": ok"));
+    let (cfg, points) = fig7_cell([35, 35, 32, 34]);
+    assert!(!fig7::judge(&cfg, &points).ok, "NTP below PTP-HW exits 1");
+    assert!(
+        fig7::knee_line(fig7::knee_failure(&cfg, &points)).ends_with(
+            ": FAILED, seed 750: MFTL alpha=0.5: NTP 3.40 <= max(Perfect, PTP-HW, PTP-SW) 3.50"
+        )
+    );
+    let (cfg, points) = fig7_cell([10, 30, 50, 60]);
+    assert!(
+        !fig7::judge(&cfg, &points).ok,
+        "a spread wider than the gap exits 1"
+    );
+    assert_eq!(
+        fig7::knee_failure(&cfg, &points).as_deref(),
+        Some("seed 750: MFTL alpha=0.5: precise spread 4.00 >= NTP gap 1.00 points")
+    );
+}
+
+#[test]
+fn batch_lines_name_the_failed_bound() {
+    let mut c = batch::BatchChecks {
+        reduction: 1.5,
+        bound_us: 400,
+        best_p99_us: 523,
+        reduction_ok: false,
+        latency_ok: false,
+    };
+    let [reduction, latency] = batch::verdict_lines(&c, 9);
+    assert!(
+        reduction.ends_with("(FAILED, seed 9: 1.50x < 2x)"),
+        "{reduction}"
+    );
+    assert!(
+        latency.ends_with("(FAILED, seed 9: p99 523 us > bound 400 us)"),
+        "{latency}"
+    );
+    (c.reduction_ok, c.latency_ok) = (true, true);
+    let [reduction, latency] = batch::verdict_lines(&c, 9);
+    assert!(reduction.ends_with("(ok, >= 2x)") && latency.ends_with("(ok)"));
+}
+
+#[test]
+fn readscale_lines_name_the_failed_bound() {
+    let mut c = readscale::ReadScaleChecks {
+        p2c_primary_share_x1000: 612,
+        goodput_ratio_x100: 87,
+        share_ok: false,
+        goodput_ok: false,
+        campaign_ok: true,
+    };
+    let [share, goodput] = readscale::verdict_lines(&c, 3);
+    assert!(share.ends_with("(FAILED, seed 3: 61.2% >= 50%)"), "{share}");
+    assert!(
+        goodput.ends_with("(FAILED, seed 3: 0.87x < 1x)"),
+        "{goodput}"
+    );
+    (c.share_ok, c.goodput_ok) = (true, true);
+    let [share, goodput] = readscale::verdict_lines(&c, 3);
+    assert!(share.ends_with("(ok, < 50%)") && goodput.ends_with("(ok, >= 1x)"));
+}
+
+#[test]
+fn rebalance_recovery_line_names_the_failed_bound() {
+    assert!(rebalance::recovery_line(72, 4).ends_with("(FAILED, seed 4: recovered 72% < 80%)"));
+    assert!(rebalance::recovery_line(95, 4).ends_with("(ok, >= 80%)"));
+}
+
+#[test]
+fn durability_line_names_the_lost_writes_unless_a_fraud_expects_them() {
+    let mut spec = RecoverySpec {
+        seed: 5,
+        ..RecoverySpec::default()
+    };
+    let line = |spec: &RecoverySpec, lost| crate::recovery::durability_line(spec, 3, lost);
+    assert!(line(&spec, 2).ends_with("(FAILED, seed 5: 2 lost acked write(s) > 0)"));
+    assert!(line(&spec, 0).ends_with("(ok)"));
+    spec.fraud = milana::Fraud::SkipDurability;
+    assert!(line(&spec, 2).ends_with("(fraud caught)"));
+    assert!(line(&spec, 0).ends_with("(FRAUD MISSED)"));
+}
+
+#[test]
+fn degradation_line_names_the_first_failed_check() {
+    let mut d = clockfault::Degradation {
+        clean_goodput: 1_000.0,
+        degraded_goodput: 720.0,
+        recovery_ratio: 0.72,
+        fences: 1,
+        suspects: 5,
+        clean_fences: 0,
+    };
+    let line = |d: &clockfault::Degradation| clockfault::degradation_line(2, d);
+    assert!(line(&d).ends_with("(FAILED, seed 2: recovered 72.0% < 80%)"));
+    d.clean_fences = 2;
+    assert!(line(&d).ends_with("(FAILED, seed 2: 2 fence(s) in the clean twin != 0)"));
+    d.fences = 0;
+    assert!(line(&d).ends_with("(FAILED, seed 2: 0 fence(s) in the broken run < 1)"));
+    (d.fences, d.clean_fences, d.recovery_ratio) = (1, 0, 0.9);
+    assert!(line(&d).ends_with("(ok)"));
 }

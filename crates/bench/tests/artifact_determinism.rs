@@ -45,7 +45,7 @@ fn fig7_artifact_reports_reasons_and_percentiles_per_clock() {
     let doc = fig7::to_json(&cfg, &points).to_string();
     for key in [
         r#""by_clock""#,
-        r#""PTP""#,
+        r#""PTP-SW""#,
         r#""NTP""#,
         r#""abort_reasons""#,
         r#""validation""#,
@@ -54,7 +54,7 @@ fn fig7_artifact_reports_reasons_and_percentiles_per_clock() {
     ] {
         assert!(doc.contains(key), "artifact is missing {key}: {doc}");
     }
-    // The tiny run still commits transactions under both disciplines.
+    // The tiny run still commits transactions under every discipline.
     for p in &points {
         let (_, sync, backend, _) = p.at;
         assert!(p.stats.commits > 0, "{sync}/{backend} committed nothing");

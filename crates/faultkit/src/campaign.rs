@@ -43,12 +43,6 @@ pub struct CampaignConfig {
     pub clients: u32,
     /// Contended counter keys.
     pub keys: u64,
-    /// Trace ring capacity (events). `0` auto-sizes from the fault count:
-    /// a 2-shard, 4-client workload produces roughly 3k trace events per
-    /// scheduled fault, and a ring that overflows truncates the history,
-    /// which disables every provenance-based check (see
-    /// [`crate::history`]). Auto-sizing keeps ~2.5x headroom over that.
-    pub trace_capacity: usize,
     /// Seeded-bug mode: every replica misbehaves this way, so the checker
     /// has a real bug to catch (see [`Fraud`]).
     pub fraud: Fraud,
@@ -78,7 +72,6 @@ impl Default for CampaignConfig {
             replicas: 3,
             clients: 4,
             keys: 8,
-            trace_capacity: 0,
             fraud: Fraud::None,
             plan: PlanKind::Mixed,
             clock_health: None,
@@ -149,6 +142,17 @@ impl SeedOutcome {
     pub fn clean(&self) -> bool {
         self.conservation_ok && self.violations.is_empty()
     }
+
+    /// Why the seed is not clean (see [`Audit`]'s checks), or `None` when
+    /// it is.
+    pub fn failure(&self) -> Option<String> {
+        cause(
+            self.seed,
+            &self.audit,
+            self.conservation_ok,
+            &self.violations,
+        )
+    }
 }
 
 /// A whole campaign's outcomes.
@@ -176,9 +180,7 @@ impl CampaignReport {
     /// Why the first seed that is not clean failed (see [`Audit`]'s
     /// checks), or `None` when every seed is clean.
     pub fn first_failure(&self) -> Option<String> {
-        self.outcomes
-            .iter()
-            .find_map(|o| cause(o.seed, &o.audit, o.conservation_ok, &o.violations))
+        self.outcomes.iter().find_map(SeedOutcome::failure)
     }
 
     /// Deterministic JSON document (stable field order, no floats).
@@ -245,11 +247,11 @@ pub(crate) fn run_seed(cfg: &CampaignConfig, seed: u64) -> SeedOutcome {
 /// Like [`run_seed`], but also returns the seed's full trace as JSONL
 /// (for `repro chaos --trace`).
 pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, String) {
-    let capacity = if cfg.trace_capacity == 0 {
-        cfg.faults.saturating_mul(8192).max(1 << 18)
-    } else {
-        cfg.trace_capacity
-    };
+    // A 2-shard, 4-client workload produces roughly 3k trace events per
+    // scheduled fault, and a ring that overflows truncates the history,
+    // which disables every provenance-based check (see `crate::history`):
+    // size it with ~2.5x headroom over that.
+    let capacity = cfg.faults.saturating_mul(8192).max(1 << 18);
     let shape = PlanShape {
         shards: cfg.shards,
         replicas: cfg.replicas,

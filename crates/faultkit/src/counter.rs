@@ -50,6 +50,9 @@ pub(crate) struct CounterRun {
     gaps: Rc<RefCell<BTreeMap<Gap, u64>>>,
 }
 
+/// The fewest attempts [`CounterRun::audit`] makes before it gives up.
+const AUDIT_ATTEMPTS: u64 = 500;
+
 /// How often [`CounterRun::watch_chains`] samples the replicas' chains.
 const CHAIN_AUDIT_EVERY: Duration = Duration::from_micros(500);
 
@@ -224,7 +227,8 @@ impl CounterRun {
     /// Lets the cluster settle for `settle`, stops the workload, drains
     /// in-flight transactions, then reads every counter in one audit
     /// transaction, retried until it commits (the caller has left every
-    /// shard with a serving primary).
+    /// shard with a serving primary) or has failed `AUDIT_ATTEMPTS` times
+    /// and for one resync interval of the auditor's clock.
     pub(crate) fn audit(&mut self, settle: Duration) -> Audit {
         let (hh, stop) = (self.h.clone(), self.stop.clone());
         self.sim.block_on(async move {
@@ -235,9 +239,15 @@ impl CounterRun {
 
         let clients = self.cluster.borrow().clients.clone();
         let (hh, keys, auditor) = (self.h.clone(), self.keys, clients[0].clone());
+        // A clock fault on the auditor's clock lasts until its next resync,
+        // and until then the servers' clock-health check may refuse its
+        // reads: retry for at least one resync interval from the first
+        // attempt, and at least `AUDIT_ATTEMPTS` times.
+        let deadline = hh.now() + auditor.clock().discipline().sync_interval();
         let (total, attempts, gave_up) = self.sim.block_on(async move {
-            let mut last = None;
-            for attempt in 1..=500 {
+            let mut attempt = 0;
+            loop {
+                attempt += 1;
                 let mut t = auditor.begin_with(TxnOpts::default());
                 let sum = async {
                     let mut sum = 0u64;
@@ -248,19 +258,21 @@ impl CounterRun {
                     Ok(sum)
                 }
                 .await;
-                match sum {
+                let last = match sum {
                     Ok(sum) => match t.commit().await {
                         Ok(_) => return (Some(sum), attempt, None),
-                        Err(e) => last = Some(failure(&e)),
+                        Err(e) => failure(&e),
                     },
-                    Err(e) => last = Some(e),
-                }
+                    Err(e) => e,
+                };
                 // A `PreparedRead` abort only clears once CTP resolves the
                 // stuck prepare (up to `CTP_AFTER` + a scan period away), so
                 // back off instead of burning attempts in a tight loop.
                 hh.sleep(Duration::from_millis(2)).await;
+                if attempt >= AUDIT_ATTEMPTS && hh.now() >= deadline {
+                    return (None, attempt, Some(last));
+                }
             }
-            (None, 500, last)
         });
 
         Audit {

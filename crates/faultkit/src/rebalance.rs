@@ -39,8 +39,6 @@ pub struct RebalanceCampaignConfig {
     pub keys: u64,
     /// Inject phase-targeted faults (`false` = clean control run).
     pub inject: bool,
-    /// Trace ring capacity (events); `0` picks a migration-sized default.
-    pub trace_capacity: usize,
 }
 
 impl Default for RebalanceCampaignConfig {
@@ -51,7 +49,6 @@ impl Default for RebalanceCampaignConfig {
             clients: 4,
             keys: 16,
             inject: true,
-            trace_capacity: 0,
         }
     }
 }
@@ -149,11 +146,8 @@ impl RebalanceCampaignReport {
 
 /// Runs one migration seed to completion and returns its outcome.
 pub(crate) fn run_rebalance_seed(cfg: &RebalanceCampaignConfig, seed: u64) -> RebalanceSeedOutcome {
-    let capacity = if cfg.trace_capacity == 0 {
-        1 << 19
-    } else {
-        cfg.trace_capacity
-    };
+    // A migration-sized trace ring.
+    let capacity = 1 << 19;
     let shape = PlanShape {
         shards: 2,
         replicas: cfg.replicas,

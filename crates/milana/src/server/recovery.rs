@@ -338,7 +338,7 @@ impl TxnServer {
 
     /// §4.5 failover: called on a backup when the master promotes it.
     pub(super) async fn recover_as_primary(&self, backups: Vec<Addr>) {
-        self.state.borrow_mut().role.promote(backups.clone());
+        let first = self.state.borrow_mut().role.promote(backups.clone());
         // 1. Merge transaction logs from a majority of replicas (our own
         //    table already holds everything replicated to us).
         for &b in &backups {
@@ -414,9 +414,13 @@ impl TxnServer {
         if wait_until > self.core.handle.now() {
             self.core.handle.sleep_until(wait_until).await;
         }
-        // 7. Open for business.
+        // 7. Open for business. Only the promotion that built the primary
+        //    state starts the primary loops: a master's retry finds them
+        //    running.
         self.state.borrow_mut().role.open();
-        self.spawn_primary_tasks();
+        if first {
+            self.spawn_primary_tasks();
+        }
     }
 
     /// Cold-restart recovery driver (spawned for [`super::Start::Cold`]):

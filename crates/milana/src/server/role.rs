@@ -148,15 +148,17 @@ impl Role {
     /// Starts a promotion replicating to `backups`, with a fresh floor
     /// stream: its `InstallLog` re-baselines every backup to expect it from
     /// seq 0. A replica already primary (a master retry) keeps its lease,
-    /// relay, migration and in-flight prepares.
-    pub(super) fn promote(&mut self, backups: Vec<Addr>) {
-        let mut p = match std::mem::replace(self, Role::Cold) {
-            Role::Promoting(p) | Role::Primary(p) => p,
-            Role::Cold | Role::Backup => PrimaryState::default(),
+    /// relay, migration and in-flight prepares. True when this promotion
+    /// built the primary state, so its primary loops are not running yet.
+    pub(super) fn promote(&mut self, backups: Vec<Addr>) -> bool {
+        let (mut p, first) = match std::mem::replace(self, Role::Cold) {
+            Role::Promoting(p) | Role::Primary(p) => (p, false),
+            Role::Cold | Role::Backup => (PrimaryState::default(), true),
         };
         p.backups = backups;
         p.floor_seq = 0;
         *self = Role::Promoting(p);
+        first
     }
 
     /// A promotion's last step: the primary opens for business (again,

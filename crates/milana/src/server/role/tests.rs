@@ -251,7 +251,7 @@ fn a_retried_promotion_resets_only_the_backups_and_the_stream() {
     p.replicating.insert(txid);
     let mut role = Role::Primary(p);
     let new = vec![Addr::new(B, 0)];
-    role.promote(new.clone());
+    assert!(!role.promote(new.clone()), "a retry builds nothing");
     let Role::Promoting(p) = &role else {
         panic!("a promotion starts Promoting")
     };
@@ -270,7 +270,7 @@ fn a_retried_promotion_resets_only_the_backups_and_the_stream() {
 #[test]
 fn a_first_promotion_builds_a_fresh_primary_state() {
     for mut role in [Role::Cold, Role::Backup] {
-        role.promote(vec![Addr::new(B, 0)]);
+        assert!(role.promote(vec![Addr::new(B, 0)]));
         let Role::Promoting(p) = &role else {
             panic!("a promotion starts Promoting")
         };

@@ -1186,6 +1186,55 @@ fn quiet_shard(h: &simkit::SimHandle) -> MilanaCluster {
     MilanaCluster::build(h, cfg)
 }
 
+/// Messages sent and tasks spawned over the next 600 ms.
+async fn traffic(h: &simkit::SimHandle) -> (u64, u64) {
+    let (sent, spawns) = (h.net_stats().sent, h.spawns());
+    h.sleep(Duration::from_millis(600)).await;
+    (h.net_stats().sent - sent, h.spawns() - spawns)
+}
+
+#[test]
+fn a_retried_promote_starts_no_second_set_of_primary_loops() {
+    let mut sim = Sim::new(80);
+    let h = sim.handle();
+    let hh = h.clone();
+    let cluster = quiet_shard(&h);
+    cluster.fail_primary(ShardId(0));
+    sim.block_on(async move {
+        cluster.promote_backup(ShardId(0)).await.unwrap();
+        let once = traffic(&hh).await;
+        let group = cluster.map.borrow().group(ShardId(0)).clone();
+        let rest: Vec<_> = group
+            .all()
+            .into_iter()
+            .filter(|&a| a != group.primary)
+            .collect();
+        for _ in 0..2 {
+            let reply = cluster
+                .master_rpc
+                .call::<TxnRequest, TxnResponse>(
+                    group.primary,
+                    TxnRequest::Promote {
+                        backups: rest.clone(),
+                    },
+                    Duration::from_secs(2),
+                )
+                .await;
+            assert!(matches!(reply, Ok(TxnResponse::PromoteOk)), "{reply:?}");
+        }
+        // Windows start at different phases of the loops' periods, so a
+        // count may move by one or two per loop (58 messages and 19 spawns,
+        // then 60 and 20); each second set of loops adds as many again
+        // (176 and 58 after two retries that each spawned one).
+        let after = traffic(&hh).await;
+        assert!(
+            after.0 <= once.0 * 3 / 2 && after.1 <= once.1 * 3 / 2,
+            "(messages, spawns) per 600 ms: {after:?} after two retried promotions, \
+             {once:?} after one"
+        );
+    });
+}
+
 #[test]
 fn a_backup_advances_its_watermark_over_two_swapped_floors() {
     let mut sim = Sim::new(77);

@@ -63,16 +63,11 @@ impl Discipline {
     }
 
     /// Interval between offset re-draws.
-    pub(crate) fn sync_interval(&self) -> Duration {
+    pub fn sync_interval(&self) -> Duration {
         match self {
             Discipline::Custom { sync_interval, .. } => *sync_interval,
             _ => Duration::from_secs(2),
         }
-    }
-
-    /// Expected mean pairwise skew across clients under this discipline.
-    pub fn expected_skew(&self) -> Duration {
-        Duration::from_nanos((self.offset_std_ns() * std::f64::consts::FRAC_2_SQRT_PI) as u64)
     }
 }
 
@@ -378,11 +373,14 @@ mod tests {
 
     #[test]
     fn disciplines_are_ordered_by_precision() {
-        let hw = Discipline::PtpHardware.expected_skew();
-        let sw = Discipline::PtpSoftware.expected_skew();
-        let ntp = Discipline::Ntp.expected_skew();
+        let [hw, sw, ntp] = [
+            Discipline::PtpHardware,
+            Discipline::PtpSoftware,
+            Discipline::Ntp,
+        ]
+        .map(|d| d.offset_std_ns());
         assert!(hw < sw && sw < ntp);
-        assert_eq!(Discipline::Perfect.expected_skew(), Duration::ZERO);
+        assert_eq!(Discipline::Perfect.offset_std_ns(), 0.0);
     }
 
     #[test]

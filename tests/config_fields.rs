@@ -21,8 +21,8 @@ const FIELDS: &[(&str, &str)] = &[
     ("bench::RecoverySpec", "seed store_sizes store_keys clients hot_keys warm_commits outage_commits catchup_batch mount_scan_rate campaign_faults fraud"),
     ("bench::Table1Config", "keys workers channels utilization warmup measure"),
     ("clockkit::ClockHealthConfig", "max_future_ns"),
-    ("faultkit::CampaignConfig", "seeds faults shards replicas clients keys trace_capacity fraud plan clock_health clock_epsilon_ns backup_reads"),
-    ("faultkit::RebalanceCampaignConfig", "seeds replicas clients keys inject trace_capacity"),
+    ("faultkit::CampaignConfig", "seeds faults shards replicas clients keys fraud plan clock_health clock_epsilon_ns backup_reads"),
+    ("faultkit::RebalanceCampaignConfig", "seeds replicas clients keys inject"),
     ("flashsim::NandConfig", "page_size pages_per_block blocks channels queue_depth mount_scan_rate"),
     ("flashsim::MediaFaultConfig", "read_error_prob program_error_prob recovery_latency retire_next_erases"),
     ("loadkit::AdmissionConfig", "capacity"),
