@@ -1,9 +1,9 @@
-//! Randomized fault campaigns with serializability checking
+//! Randomized fault campaigns checked against the read rule
 //! (`repro chaos`).
 //!
 //! Runs N seeds × M faults of a contended counter workload under the
 //! faultkit nemesis, audits conservation, and checks the recorded trace
-//! for serializability, snapshot-read, and replication violations. The
+//! for timestamp-order, snapshot-read, and replication violations. The
 //! same seed always reproduces the same campaign byte for byte.
 //!
 //! - `--seed S` runs exactly seed S (repeatable); otherwise seeds `0..N`
@@ -107,11 +107,15 @@ pub(crate) fn repro(args: &Args, scale: Scale) -> Outcome {
                 o.failure().unwrap_or_default()
             );
         }
+        // The checker slices only the first violation of each class: the
+        // others get one line each.
         for v in &o.violations {
             println!("  {}: {}", v.class, v.description);
-            println!("  minimal trace slice:");
-            for line in v.trace_slice.lines() {
-                println!("    {line}");
+            if !v.trace_slice.is_empty() {
+                println!("  minimal trace slice:");
+                for line in v.trace_slice.lines() {
+                    println!("    {line}");
+                }
             }
         }
     }

@@ -60,15 +60,6 @@ impl ClockFaultConfig {
             fraud: Fraud::None,
         }
     }
-
-    /// The campaign's clock-health tuning: a 1 ms future ceiling, tight
-    /// enough that the multi-millisecond steps and jumps the plan injects
-    /// are decidedly outside the promised window.
-    pub(crate) fn campaign_health() -> clockkit::ClockHealthConfig {
-        clockkit::ClockHealthConfig {
-            max_future_ns: 1_000_000,
-        }
-    }
 }
 
 /// `repro clockfault`.
@@ -226,14 +217,10 @@ pub(crate) fn run_degradation(cfg: &ClockFaultConfig) -> Degradation {
 /// Runs the clock-fault campaign leg: nemesis-driven steps, drift, and
 /// holdover jumps with the checker holding commits to the promised ε.
 pub(crate) fn run_fault_campaign(cfg: &ClockFaultConfig) -> CampaignReport {
-    let health = ClockFaultConfig::campaign_health();
-    let eps = health.promised_epsilon_ns();
     run_campaign(&CampaignConfig {
         seeds: vec![cfg.seed],
         faults: cfg.campaign_faults,
         plan: PlanKind::ClockFault,
-        clock_health: Some(health),
-        clock_epsilon_ns: Some(eps),
         fraud: cfg.fraud,
         ..CampaignConfig::default()
     })

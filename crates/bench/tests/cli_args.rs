@@ -364,7 +364,7 @@ fn failed_check_exits_1() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("serializability_cycle"), "{stdout}");
+    assert!(stdout.contains("ts_order_violation"), "{stdout}");
 }
 
 /// `repro all --json` nests, under each experiment's name, exactly the

@@ -1,6 +1,6 @@
 //! Randomized fault campaigns: N seeds × M faults of a contended counter
-//! workload under the nemesis, audited for conservation and checked for
-//! serializability, with byte-stable JSON summaries.
+//! workload under the nemesis, audited for conservation and checked
+//! against the read rule, with byte-stable JSON summaries.
 //!
 //! Each seed runs in its own simulation: boot a traced MILANA cluster,
 //! seed counters, run read-modify-write clients continuously, walk a
@@ -28,6 +28,17 @@ use crate::plan::{PlanKind, PlanShape};
 /// workload never sheds but nemesis overload bursts do.
 const ADMISSION_CAPACITY: u64 = 32;
 
+/// The clock-health fence a [`PlanKind::ClockFault`] campaign runs with:
+/// primaries estimate each client's timestamp-vs-arrival residual, refuse
+/// prepares outside a 1 ms future ceiling and fence persistent outliers.
+/// The ceiling is tight enough that the multi-millisecond steps and jumps
+/// the plan injects are decidedly out of bounds, and the checker holds
+/// commits to the ε it promises ([`Checker::with_epsilon`]). Other plans
+/// leave the fence and the clock-bound check off.
+const CLOCK_FAULT_HEALTH: clockkit::ClockHealthConfig = clockkit::ClockHealthConfig {
+    max_future_ns: 1_000_000,
+};
+
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -48,14 +59,6 @@ pub struct CampaignConfig {
     pub fraud: Fraud,
     /// Which fault classes the seeded plan draws from.
     pub plan: PlanKind,
-    /// Server-side clock-health tracking: primaries estimate each client's
-    /// timestamp-vs-arrival residual, refuse prepares outside the
-    /// uncertainty window, and fence persistent outliers. `None` leaves
-    /// the fence off (the historical behavior).
-    pub clock_health: Option<clockkit::ClockHealthConfig>,
-    /// Promised clock uncertainty handed to the checker
-    /// ([`Checker::with_epsilon`]); `None` skips the clock-bound check.
-    pub clock_epsilon_ns: Option<u64>,
     /// Backup snapshot reads: clients route reads power-of-two across
     /// backups and primaries gossip watermark floors, so the campaign
     /// exercises the `stale_backup_read` invariant under faults. Off by
@@ -74,8 +77,6 @@ impl Default for CampaignConfig {
             keys: 8,
             fraud: Fraud::None,
             plan: PlanKind::Mixed,
-            clock_health: None,
-            clock_epsilon_ns: None,
             backup_reads: false,
         }
     }
@@ -88,7 +89,9 @@ pub struct ViolationSummary {
     pub class: &'static str,
     /// Description (offending transactions inline).
     pub description: String,
-    /// The minimal trace slice around the involved transactions (JSONL).
+    /// The minimal trace slice around the involved transactions (JSONL);
+    /// empty for a checker violation whose class an earlier one already
+    /// sliced.
     pub trace_slice: String,
 }
 
@@ -257,10 +260,12 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
         replicas: cfg.replicas,
         clients: cfg.clients,
     };
+    let clock_health = (cfg.plan == PlanKind::ClockFault).then_some(CLOCK_FAULT_HEALTH);
+    let epsilon_ns = clock_health.as_ref().map(|h| h.promised_epsilon_ns());
     let mut run = CounterRun::boot(seed, shape, cfg.keys, capacity, |cluster_cfg| {
         let tuning = &mut cluster_cfg.tuning;
         tuning.fraud.set(cfg.fraud);
-        tuning.clock_health = cfg.clock_health.clone();
+        tuning.clock_health = clock_health;
         tuning.admission.capacity = ADMISSION_CAPACITY;
         if cfg.backup_reads {
             cluster_cfg.client_cfg.read_route = readkit::ReadRoute::PowerOfTwo;
@@ -345,7 +350,7 @@ pub fn run_seed_with_trace(cfg: &CampaignConfig, seed: u64) -> (SeedOutcome, Str
         replica_reads += c.stats().replica_reads;
     }
 
-    let (history, mut violations) = run.check(cfg.clock_epsilon_ns);
+    let (history, mut violations) = run.check(epsilon_ns);
     violations.extend(run.replica_audit(&history));
     let outcome = SeedOutcome {
         seed,
@@ -496,21 +501,13 @@ mod tests {
         assert!(!v.trace_slice.is_empty());
     }
 
-    /// Shared shape for the clock-fault twins: tight uncertainty window
-    /// (1 ms ceiling) so the ±multi-ms steps and jumps the plan injects
-    /// are decidedly out of bounds, with the checker holding the cluster
-    /// to exactly the ε the fence promises.
+    /// Shared shape for the clock-fault twins: the plan brings the fence
+    /// and the checker's ε with it (see `CLOCK_FAULT_HEALTH`).
     fn clockfault_cfg() -> CampaignConfig {
-        let health = clockkit::ClockHealthConfig {
-            max_future_ns: 1_000_000,
-        };
-        let eps = health.promised_epsilon_ns();
         CampaignConfig {
             seeds: vec![17],
             faults: 10,
             plan: PlanKind::ClockFault,
-            clock_health: Some(health),
-            clock_epsilon_ns: Some(eps),
             ..CampaignConfig::default()
         }
     }
@@ -565,7 +562,7 @@ mod tests {
     fn seeded_validation_bug_is_caught_by_the_checker() {
         // Disable Algorithm-1 validation on every primary and hammer one
         // key: lost updates become inevitable, and the checker must flag
-        // a serializability cycle.
+        // a read that missed the newest version below its stamp.
         let cfg = CampaignConfig {
             seeds: vec![3],
             faults: 0,
@@ -577,9 +574,7 @@ mod tests {
         let report = run_campaign(&cfg);
         let o = &report.outcomes[0];
         assert!(
-            o.violations
-                .iter()
-                .any(|v| v.class == "serializability_cycle"),
+            o.violations.iter().any(|v| v.class == "ts_order_violation"),
             "checker missed the seeded bug: {:?}",
             o.violations
         );
@@ -587,8 +582,8 @@ mod tests {
         let v = o
             .violations
             .iter()
-            .find(|v| v.class == "serializability_cycle")
-            .expect("cycle violation");
+            .find(|v| v.class == "ts_order_violation")
+            .expect("ts_order_violation");
         assert!(!v.trace_slice.is_empty());
     }
 }

@@ -287,19 +287,32 @@ impl CounterRun {
 
     /// Rebuilds the history from the trace and runs the checker over it,
     /// holding commits to `epsilon_ns` of clock uncertainty when given.
+    /// Only the first violation of each class carries a trace slice (each
+    /// slice scans the whole trace); the others leave it empty.
     pub(crate) fn check(&self, epsilon_ns: Option<u64>) -> (History, Vec<ViolationSummary>) {
         let history = History::from_events(self.obs.tracer.events(), self.obs.tracer.dropped());
         let mut checker = Checker::new(&history);
         if let Some(eps) = epsilon_ns {
             checker = checker.with_epsilon(eps);
         }
+        let mut sliced: Vec<ViolationClass> = Vec::new();
         let violations = checker
             .check()
             .into_iter()
-            .map(|v| ViolationSummary {
-                class: v.class.as_str(),
-                description: v.description,
-                trace_slice: history.trace_slice(&v.txns),
+            .map(|v| {
+                let first = !sliced.contains(&v.class);
+                if first {
+                    sliced.push(v.class);
+                }
+                ViolationSummary {
+                    class: v.class.as_str(),
+                    description: v.description,
+                    trace_slice: if first {
+                        history.trace_slice(&v.txns)
+                    } else {
+                        String::new()
+                    },
+                }
             })
             .collect();
         (history, violations)

@@ -5,15 +5,19 @@
 //! time, so its `TxnBegin` / `TxnRead` / `TxnWrite` / `Commit` / `Abort`
 //! events partition cleanly into transactions. [`Checker`] then verifies:
 //!
-//! - **Serializability**: the conflict graph over committed transactions
-//!   (WW edges between writers of a key in commit-timestamp order, WR
-//!   edges from a version's writer to its readers, RW anti-dependency
-//!   edges from a reader to the version's next overwriter) is acyclic.
-//! - **Snapshot reads**: every read observed a version with
-//!   `ver_ts <= ts_begin` (no reads from the future), and never an *older*
-//!   version of a key whose newer write was already acknowledged to its
-//!   writer before the reader began — the no-lost-ack replication
-//!   invariant, violated exactly when a failover drops an acked commit.
+//! - **The read rule** (multi-version timestamp ordering, Algorithm 1):
+//!   every read of a committed transaction — CTP-committed ones included,
+//!   at their adopted stamp — returned the newest committed version of its
+//!   key at or below the reader's commit stamp (`ts_begin` for a
+//!   client-local read-only commit), the reader's own write left out. A
+//!   miss is a lost ack when an acked reader missed a write acknowledged
+//!   before it began (a failover dropped it, or, after a cold restart
+//!   served, the power failure did), and a timestamp-order violation
+//!   otherwise. If every read is exact and none is from the future, the
+//!   commit stamps are a serial order of every committed transaction, so
+//!   no conflict cycle can hide behind a clean run.
+//! - **Future reads**: every committed read observed a version with
+//!   `ver_ts <= ts_begin`.
 //! - **Phantoms**: every observed version was produced by some traced
 //!   transaction (committed, or unknown-outcome and later decided commit
 //!   by cooperative termination).
@@ -21,13 +25,12 @@
 //! Unknown-outcome transactions (`Abort` with class `unknown_outcome`)
 //! declared their write sets via `TxnWrite` before the prepare fan-out; if
 //! any of their versions is observed by a later read, the transaction is
-//! treated as CTP-committed and joins the conflict graph. When the trace
-//! ring dropped events, every check that reasons about version provenance
-//! is skipped — phantoms, missed writes, *and* cycle detection: on a
-//! truncated history a read of a pre-truncation version has no traced
-//! writer, so it would be mis-attributed to a much later unknown-outcome
-//! transaction of the same client, fabricating backward conflict edges
-//! (and with them arbitrarily long false cycles). Only the per-reader
+//! treated as CTP-committed and its version joins the key's timeline. When
+//! the trace ring dropped events, every check that reasons about version
+//! provenance is skipped — phantoms and the read rule: on a truncated
+//! history a read of a pre-truncation version has no traced writer, so it
+//! would be mis-attributed to a much later unknown-outcome transaction of
+//! the same client, fabricating missed versions. Only the per-reader
 //! snapshot bound (`ver_ts <= ts_begin`) survives truncation, because it
 //! uses nothing but the reader's own events. Campaigns therefore size the
 //! trace ring to the fault schedule so real runs never drop.
@@ -383,9 +386,12 @@ impl History {
 /// What kind of invariant a violation breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationClass {
-    /// The conflict graph has a cycle: the committed history admits no
-    /// serial order.
-    Serializability,
+    /// A committed read missed the newest committed version of its key at
+    /// or below the reader's commit stamp (`ts_begin` for a local
+    /// read-only commit), and no lost ack explains the miss. Multi-version
+    /// timestamp ordering promises every read that version; without it
+    /// the commit stamps are not a serial order of the history.
+    TimestampOrder,
     /// A read observed a version with `ver_ts > ts_begin`.
     FutureRead,
     /// A read missed a newer committed version that was acknowledged to
@@ -426,7 +432,7 @@ impl ViolationClass {
     /// Stable machine-readable name.
     pub fn as_str(self) -> &'static str {
         match self {
-            ViolationClass::Serializability => "serializability_cycle",
+            ViolationClass::TimestampOrder => "ts_order_violation",
             ViolationClass::FutureRead => "future_read",
             ViolationClass::ReplicationLostAck => "replication_lost_ack",
             ViolationClass::PhantomVersion => "phantom_version",
@@ -453,7 +459,7 @@ pub struct Violation {
 /// names a version in MILANA.
 type VersionId = (u64, u64);
 
-/// Checks a [`History`] for serializability and replication invariants.
+/// Checks a [`History`] against the read rule and the replication invariants.
 #[derive(Debug)]
 pub struct Checker<'a> {
     history: &'a History,
@@ -542,34 +548,9 @@ impl<'a> Checker<'a> {
             }
         }
 
-        // -- Phantom versions ------------------------------------------
-        if h.dropped == 0 {
-            for (ri, reader) in h.txns.iter().enumerate() {
-                if !matches!(reader.outcome, Outcome::Committed { .. }) {
-                    continue;
-                }
-                for r in &reader.reads {
-                    if r.ver_ts == PRELOAD_TS && r.ver_client == PRELOAD_CLIENT {
-                        continue;
-                    }
-                    if !by_version.contains_key(&(r.ver_ts, r.ver_client)) {
-                        violations.push(Violation {
-                            class: ViolationClass::PhantomVersion,
-                            description: format!(
-                                "txn #{ri} (client {}) read key {} at version \
-                                 (ts {}, client {}) which no traced transaction wrote",
-                                reader.client, r.key, r.ver_ts, r.ver_client
-                            ),
-                            txns: vec![ri],
-                        });
-                    }
-                }
-            }
-        }
-
         // -- Per-key writer timelines ----------------------------------
         // writers[key] = [(ts_commit, writer client, txn idx)] sorted.
-        let mut writers: BTreeMap<u64, Vec<(u64, u64, usize)>> = BTreeMap::new();
+        let mut writers: FastMap<u64, Vec<(u64, u64, usize)>> = FastMap::default();
         for (&i, &ts) in &ts_of {
             for &k in &h.txns[i].writes {
                 writers
@@ -582,12 +563,34 @@ impl<'a> Checker<'a> {
             list.sort_unstable();
         }
 
-        // -- Snapshot-read checks --------------------------------------
+        // -- The read rule ---------------------------------------------
+        // Each committed read returned a version some traced transaction
+        // wrote, at or below its `ts_begin`, and that version is the newest
+        // committed one of its key at or below the reader's commit stamp
+        // (`ts_begin` for a local read-only commit), its own write left out.
+        // CTP-committed readers are held to it at their adopted stamp; only
+        // acked readers are owed the writes acked before they began.
         for (ri, reader) in h.txns.iter().enumerate() {
-            if !matches!(reader.outcome, Outcome::Committed { .. }) {
+            let Some(&ts_commit) = ts_of.get(&ri) else {
                 continue;
-            }
+            };
+            let acked = matches!(reader.outcome, Outcome::Committed { .. });
             for r in &reader.reads {
+                let read = (r.ver_ts, r.ver_client);
+                let phantom = h.dropped == 0
+                    && read != (PRELOAD_TS, PRELOAD_CLIENT)
+                    && !by_version.contains_key(&read);
+                if phantom {
+                    violations.push(Violation {
+                        class: ViolationClass::PhantomVersion,
+                        description: format!(
+                            "txn #{ri} (client {}) read key {} at version \
+                             (ts {}, client {}) which no traced transaction wrote",
+                            reader.client, r.key, r.ver_ts, r.ver_client
+                        ),
+                        txns: vec![ri],
+                    });
+                }
                 if r.ver_ts > reader.ts_begin {
                     violations.push(Violation {
                         class: ViolationClass::FutureRead,
@@ -600,62 +603,78 @@ impl<'a> Checker<'a> {
                     });
                     continue;
                 }
-                if h.dropped > 0 {
+                if h.dropped > 0 || phantom {
                     continue;
                 }
-                // The newest committed version at ts_begin that was already
-                // acknowledged before this reader began. Anything the
-                // reader observes older than that is a lost acked write.
-                let Some(list) = writers.get(&r.key) else {
+                let list = writers.get(&r.key).map_or(&[][..], Vec::as_slice);
+                let below = &list[..list.partition_point(|&(ts, _, _)| ts <= ts_commit)];
+                let Some(&(wts, wclient, wi)) = below.iter().rev().find(|&&(_, _, wi)| wi != ri)
+                else {
                     continue;
                 };
+                if (wts, wclient) == read {
+                    continue;
+                }
+                // A missed write acknowledged before an acked reader began is
+                // a lost ack: the newest such version at ts_begin is newer
+                // than what the reader observed.
                 let newest_acked = list
                     .iter()
                     .take_while(|&&(ts, _, _)| ts <= reader.ts_begin)
                     .filter(|&&(_, _, wi)| match h.txns[wi].outcome {
-                        Outcome::Committed { at, .. } => at < reader.begin_at,
+                        Outcome::Committed { at, .. } => acked && at < reader.begin_at,
                         // CTP-committed writes were never acked to their
                         // client; the reader owes them nothing.
                         _ => false,
                     })
                     .last();
-                if let Some(&(wts, wclient, wi)) = newest_acked {
-                    if wts > r.ver_ts {
-                        // A cold restart that finished (Serving) before the
-                        // read was observed pins the lost ack on the
-                        // recovery path: the acked write did not survive
-                        // the power failure. Without one, it is a plain
-                        // replication lost-ack (e.g. a failover dropped
-                        // the commit).
-                        let cold_restarted = h
-                            .recovery
-                            .iter()
-                            .any(|rs| rs.phase == RecoveryPhase::Serving && rs.at <= r.at);
-                        let class = if cold_restarted {
-                            ViolationClass::LostAckedWrite
+                let Some(&(ats, aclient, ai)) = newest_acked.filter(|&&(ts, _, _)| ts > r.ver_ts)
+                else {
+                    violations.push(Violation {
+                        class: ViolationClass::TimestampOrder,
+                        description: format!(
+                            "txn #{ri} (client {}) committed at ts {ts_commit} but read \
+                             key {} at version (ts {}, client {}); the newest committed \
+                             version at or below its stamp is txn #{wi}'s \
+                             (ts {wts}, client {wclient})",
+                            reader.client, r.key, r.ver_ts, r.ver_client
+                        ),
+                        txns: vec![ri, wi],
+                    });
+                    continue;
+                };
+                // A cold restart that finished (Serving) before the read was
+                // observed pins the lost ack on the recovery path: the acked
+                // write did not survive the power failure. Without one, it
+                // is a plain replication lost-ack (e.g. a failover dropped
+                // the commit).
+                let cold_restarted = h
+                    .recovery
+                    .iter()
+                    .any(|rs| rs.phase == RecoveryPhase::Serving && rs.at <= r.at);
+                let class = if cold_restarted {
+                    ViolationClass::LostAckedWrite
+                } else {
+                    ViolationClass::ReplicationLostAck
+                };
+                violations.push(Violation {
+                    class,
+                    description: format!(
+                        "txn #{ri} (client {}) read key {} at version ts {} \
+                         although txn #{ai} (client {aclient}) had its write \
+                         at ts {ats} acknowledged before the reader began{}",
+                        reader.client,
+                        r.key,
+                        r.ver_ts,
+                        if cold_restarted {
+                            " (a cold restart served before the read: the \
+                             acked write did not survive the power failure)"
                         } else {
-                            ViolationClass::ReplicationLostAck
-                        };
-                        violations.push(Violation {
-                            class,
-                            description: format!(
-                                "txn #{ri} (client {}) read key {} at version ts {} \
-                                 although txn #{wi} (client {wclient}) had its write \
-                                 at ts {wts} acknowledged before the reader began{}",
-                                reader.client,
-                                r.key,
-                                r.ver_ts,
-                                if cold_restarted {
-                                    " (a cold restart served before the read: the \
-                                     acked write did not survive the power failure)"
-                                } else {
-                                    ""
-                                }
-                            ),
-                            txns: vec![ri, wi],
-                        });
-                    }
-                }
+                            ""
+                        }
+                    ),
+                    txns: vec![ri, ai],
+                });
             }
         }
 
@@ -783,113 +802,8 @@ impl<'a> Checker<'a> {
             }
         }
 
-        // -- Conflict-graph cycle detection ----------------------------
-        // Nodes: committed (incl. CTP-committed) txns. Edges:
-        //   WW: consecutive writers of a key in version order.
-        //   WR: version writer -> its readers.
-        //   RW: reader -> the version's next overwriter.
-        // Unsound on a truncated history (see module docs): bail out and
-        // let the campaign surface the drop count instead.
-        if h.dropped > 0 {
-            return violations;
-        }
-        let mut edges: FastMap<usize, Vec<usize>> = FastMap::default();
-        let mut add_edge = |from: usize, to: usize| {
-            if from != to {
-                let list = edges.entry(from).or_default();
-                if !list.contains(&to) {
-                    list.push(to);
-                }
-            }
-        };
-        for list in writers.values() {
-            for pair in list.windows(2) {
-                add_edge(pair[0].2, pair[1].2);
-            }
-        }
-        for (ri, reader) in h.txns.iter().enumerate() {
-            if !ts_of.contains_key(&ri) {
-                continue;
-            }
-            for r in &reader.reads {
-                let vid: VersionId = (r.ver_ts, r.ver_client);
-                if let Some(&wi) = by_version.get(&vid) {
-                    add_edge(wi, ri);
-                }
-                if let Some(list) = writers.get(&r.key) {
-                    if let Some(&(_, _, ni)) = list
-                        .iter()
-                        .find(|&&(ts, c, _)| (ts, c) > (r.ver_ts, r.ver_client))
-                    {
-                        add_edge(ri, ni);
-                    }
-                }
-            }
-        }
-        if let Some(cycle) = find_cycle(&edges) {
-            let path = cycle
-                .iter()
-                .map(|&i| format!("#{i}(client {})", h.txns[i].client))
-                .collect::<Vec<_>>()
-                .join(" -> ");
-            violations.push(Violation {
-                class: ViolationClass::Serializability,
-                description: format!("conflict cycle: {path}"),
-                txns: cycle,
-            });
-        }
-
         violations
     }
-}
-
-/// Iterative DFS over `edges`; returns the first cycle found (as the list
-/// of nodes on it), or `None` when the graph is acyclic.
-fn find_cycle(edges: &FastMap<usize, Vec<usize>>) -> Option<Vec<usize>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color: FastMap<usize, Color> = FastMap::default();
-    let mut roots: Vec<usize> = edges.keys().copied().collect();
-    roots.sort_unstable();
-    for &root in &roots {
-        if *color.get(&root).unwrap_or(&Color::White) != Color::White {
-            continue;
-        }
-        // Stack of (node, next-edge-index); path = gray nodes on stack.
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        color.insert(root, Color::Gray);
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let succ = edges.get(&node).map(|l| l.as_slice()).unwrap_or(&[]);
-            if *next < succ.len() {
-                let target = succ[*next];
-                *next += 1;
-                match *color.get(&target).unwrap_or(&Color::White) {
-                    Color::White => {
-                        color.insert(target, Color::Gray);
-                        stack.push((target, 0));
-                    }
-                    Color::Gray => {
-                        // Found a back edge: the cycle is the stack suffix
-                        // from `target` onward.
-                        let start = stack
-                            .iter()
-                            .position(|&(n, _)| n == target)
-                            .expect("gray node on stack");
-                        return Some(stack[start..].iter().map(|&(n, _)| n).collect());
-                    }
-                    Color::Black => {}
-                }
-            } else {
-                color.insert(node, Color::Black);
-                stack.pop();
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1035,8 +949,9 @@ mod tests {
     #[test]
     fn lost_update_cycle_is_detected() {
         // Both txns read the preload version of k1, then both write it:
-        // WW orders t1 -> t2, but t2's read of the old version adds the
-        // anti-dependency t2 -> t1. Classic lost update, a 2-cycle.
+        // t2 commits at ts 21 yet read the preload, not t1's k1@20. The
+        // classic lost update (a 2-cycle in the conflict graph) is a read
+        // that missed the newest version below its stamp.
         let violations = check(vec![
             (1, begin(1, 10)),
             (2, read(1, 1, PRELOAD_TS, PRELOAD_CLIENT)),
@@ -1050,9 +965,64 @@ mod tests {
         assert!(
             violations
                 .iter()
-                .any(|v| v.class == ViolationClass::Serializability),
+                .any(|v| v.class == ViolationClass::TimestampOrder),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn a_snapshot_that_changes_after_it_was_served_is_flagged() {
+        // c1 commits locally at ts 100 having read the preload of k1; c2
+        // then commits k1 at ts 90, acked after c1 began. The history is
+        // acyclic and no ack was lost, but c1's snapshot changed after it
+        // was served: k1@90 is the newest version at or below its stamp.
+        let violations = check(vec![
+            (1, begin(2, 80)),
+            (2, begin(1, 100)),
+            (3, read(1, 1, PRELOAD_TS, PRELOAD_CLIENT)),
+            (
+                4,
+                TraceEvent::Commit {
+                    client: 1,
+                    ts_commit: 100,
+                    local: true,
+                },
+            ),
+            (5, write(2, 1)),
+            (6, commit(2, 90)),
+        ]);
+        let classes: Vec<_> = violations.iter().map(|v| v.class).collect();
+        assert_eq!(classes, [ViolationClass::TimestampOrder], "{violations:?}");
+    }
+
+    #[test]
+    fn a_ctp_committed_reader_that_missed_a_version_is_flagged() {
+        // A lost update across a coordinator timeout: c1 begins at 10 and
+        // reads the preload of k1, c2 reads it too and commits k1@15, then
+        // c1 writes k1 and times out. c3 later reads k1@(20, client 1), so
+        // cooperative termination committed c1 at ts 20 — yet c1 missed
+        // c2's k1@15, the newest version at or below its stamp.
+        let violations = check(vec![
+            (1, begin(1, 10)),
+            (2, read(1, 1, PRELOAD_TS, PRELOAD_CLIENT)),
+            (3, begin(2, 12)),
+            (4, read(2, 1, PRELOAD_TS, PRELOAD_CLIENT)),
+            (5, write(2, 1)),
+            (6, commit(2, 15)),
+            (7, write(1, 1)),
+            (
+                8,
+                TraceEvent::Abort {
+                    client: 1,
+                    reason: AbortClass::UnknownOutcome,
+                },
+            ),
+            (20, begin(3, 30)),
+            (21, read(3, 1, 20, 1)),
+            (22, commit(3, 30)),
+        ]);
+        let classes: Vec<_> = violations.iter().map(|v| v.class).collect();
+        assert_eq!(classes, [ViolationClass::TimestampOrder], "{violations:?}");
     }
 
     #[test]

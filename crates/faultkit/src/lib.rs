@@ -1,5 +1,5 @@
-//! Deterministic fault-injection campaigns and a serializability history
-//! checker for the MILANA stack.
+//! Deterministic fault-injection campaigns and a history checker for the
+//! MILANA stack.
 //!
 //! The crate has five layers:
 //!
@@ -13,9 +13,10 @@
 //!   against a running [`milana::MilanaCluster`], driving failover and
 //!   restarts, and records what it actually did.
 //! - [`history`]: rebuilds the committed transaction history from an
-//!   [`obskit::Tracer`] dump and checks serializability (conflict-graph
-//!   cycle detection), snapshot-read consistency, and the no-lost-ack
-//!   replication invariant.
+//!   [`obskit::Tracer`] dump and checks the read rule (every committed
+//!   read returned the newest committed version at or below its stamp,
+//!   so the stamps are a serial order), snapshot-read consistency, and the
+//!   no-lost-ack replication invariant.
 //! - [`campaign`]: runs N seeds × M faults of a counter workload under the
 //!   nemesis, audits conservation invariants, runs the checker, and emits
 //!   byte-stable JSON summaries (the engine of `repro chaos`).

@@ -179,7 +179,8 @@ pub enum PlanKind {
     /// the admission and retry plane specifically.
     Overload,
     /// [`FaultPlan::random_clockfault`]: only client clock faults, so
-    /// every abort is attributable to time.
+    /// every abort is attributable to time. A campaign of this kind runs
+    /// with the clock-health fence on and the clock-bound check.
     ClockFault,
     /// [`FaultPlan::random_powerfail`]: power failures (cold restarts with
     /// torn flash state) interleaved with warm crashes and partitions,

@@ -77,7 +77,7 @@ pub struct RebalanceSeedOutcome {
     pub(crate) ownership_events: u64,
     /// True when the audit conserved every acknowledged increment.
     pub(crate) conservation_ok: bool,
-    /// Checker violations (serializability, snapshot, dual ownership...).
+    /// Checker violations (read rule, snapshot, dual ownership...).
     pub(crate) violations: Vec<ViolationSummary>,
 }
 

@@ -92,7 +92,8 @@ pub enum Fraud {
     None,
     /// Primaries vote yes on every prepare without running Algorithm-1
     /// read validation (`--inject validation-skip`): lost updates slip
-    /// through and the checker must find the `serializability_cycle`.
+    /// through and the checker must find a `ts_order_violation`, a read
+    /// that missed the newest version below its stamp.
     SkipValidation,
     /// A cold restart trusts its mounted flash state as-is — no
     /// anti-entropy catch-up, and the stale durable floor is adopted as the

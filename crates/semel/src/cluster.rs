@@ -200,7 +200,6 @@ impl SemelCluster {
                         } else {
                             Vec::new()
                         },
-                        is_primary: r == 0,
                         clients: client_ids.clone(),
                         replication: config.replication,
                         batch: config.batch,

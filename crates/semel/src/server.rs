@@ -51,10 +51,9 @@ pub struct ServerConfig {
     pub shard: ShardId,
     /// This replica's service address (its mailbox).
     pub addr: Addr,
-    /// The shard's backup addresses (empty on backups themselves).
+    /// The shard's backup addresses (empty on backups themselves): a
+    /// replica with backups is the shard's primary and replicates to them.
     pub backups: Vec<Addr>,
-    /// True for the designated primary.
-    pub is_primary: bool,
     /// Clients whose watermark reports gate garbage collection.
     pub clients: Vec<ClientId>,
     /// Replication ordering discipline (ablation knob; SEMEL uses
@@ -114,7 +113,6 @@ impl std::fmt::Debug for ShardServer {
         f.debug_struct("ShardServer")
             .field("shard", &self.cfg.shard)
             .field("addr", &self.cfg.addr)
-            .field("primary", &self.cfg.is_primary)
             .finish()
     }
 }
@@ -137,8 +135,7 @@ impl ShardServer {
             None,
         );
         let cfg = Rc::new(cfg);
-        let repl_batch = (cfg.is_primary
-            && cfg.replication == ReplicationMode::Inconsistent
+        let repl_batch = (cfg.replication == ReplicationMode::Inconsistent
             && !cfg.backups.is_empty())
         .then(|| {
             let backups = cfg.backups.clone();
@@ -403,14 +400,13 @@ mod tests {
     const TIMEOUT: Duration = Duration::from_millis(50);
 
     fn test_server(handle: &SimHandle, clients: Vec<ClientId>) -> ShardServer {
-        spawn_with(handle, clients, ReplicationMode::Inconsistent, true)
+        spawn_with(handle, clients, ReplicationMode::Inconsistent)
     }
 
     fn spawn_with(
         handle: &SimHandle,
         clients: Vec<ClientId>,
         replication: ReplicationMode,
-        is_primary: bool,
     ) -> ShardServer {
         let backend = Backend::new(BackendKind::Mftl, handle, flashsim::NandConfig::default());
         let addr = Addr::new(NodeId(0), 0);
@@ -426,7 +422,6 @@ mod tests {
                 shard: ShardId(0),
                 addr,
                 backups: Vec::new(),
-                is_primary,
                 clients,
                 replication,
                 batch: BatchConfig::default(),
@@ -555,7 +550,7 @@ mod tests {
         let mut sim = Sim::new(9);
         let h = sim.handle();
         let hh = h.clone();
-        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered, false);
+        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered);
         let rpc = Rc::new(RpcClient::new(&h, NodeId(1), 0));
         sim.block_on(async move {
             let addr = server.config().addr;
@@ -590,7 +585,7 @@ mod tests {
         let mut sim = Sim::new(10);
         let h = sim.handle();
         let hh = h.clone();
-        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered, false);
+        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered);
         let rpc = RpcClient::new(&h, NodeId(1), 0);
         sim.block_on(async move {
             let addr = server.config().addr;
@@ -616,7 +611,7 @@ mod tests {
         let mut sim = Sim::new(11);
         let h = sim.handle();
         let hh = h.clone();
-        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered, false);
+        let server = spawn_with(&h, Vec::new(), ReplicationMode::Ordered);
         let rpc = Rc::new(RpcClient::new(&h, NodeId(1), 0));
         sim.block_on(async move {
             let addr = server.config().addr;

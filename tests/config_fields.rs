@@ -21,7 +21,7 @@ const FIELDS: &[(&str, &str)] = &[
     ("bench::RecoverySpec", "seed store_sizes store_keys clients hot_keys warm_commits outage_commits catchup_batch mount_scan_rate campaign_faults fraud"),
     ("bench::Table1Config", "keys workers channels utilization warmup measure"),
     ("clockkit::ClockHealthConfig", "max_future_ns"),
-    ("faultkit::CampaignConfig", "seeds faults shards replicas clients keys fraud plan clock_health clock_epsilon_ns backup_reads"),
+    ("faultkit::CampaignConfig", "seeds faults shards replicas clients keys fraud plan backup_reads"),
     ("faultkit::RebalanceCampaignConfig", "seeds replicas clients keys inject"),
     ("flashsim::NandConfig", "page_size pages_per_block blocks channels queue_depth mount_scan_rate"),
     ("flashsim::MediaFaultConfig", "read_error_prob program_error_prob recovery_latency retire_next_erases"),
@@ -34,7 +34,7 @@ const FIELDS: &[(&str, &str)] = &[
     ("retwis::WorkloadConfig", "mix keyspace zipf_alpha value_size max_retries"),
     ("semel::ClusterConfig", "shards replicas clients backend nand clock preload_keys value_size net replication batch obs"),
     ("semel::MasterConfig", "addr obs"),
-    ("semel::ServerConfig", "shard addr backups is_primary clients replication batch obs map"),
+    ("semel::ServerConfig", "shard addr backups clients replication batch obs map"),
     ("simkit::LatencyConfig", "one_way jitter_std"),
     ("simkit::NetFaultConfig", "drop_prob dup_prob delay_spike_prob delay_spike"),
     ("timesync::ClockSpec", "discipline drift_ns_per_s"),
