@@ -1,7 +1,8 @@
 //! Every verdict holds at every seed: each `repro` row that takes `--seed`
 //! and judges its run is run at seeds 1-8 (`repro <row> --seed s --threads
-//! 2`, quick scale), and the test prints a (row × seed) verdict table. CI
-//! runs each row at one seed; this is where the others run.
+//! 2`, quick scale), and the 100-fault chaos campaign at 2 shards and at 1
+//! over seeds 0-39; the test prints a (row × seed) verdict table. CI runs
+//! each row at one seed; this is where the others run.
 //!
 //! A red cell fails the test unless `KNOWN_RED` lists it with the cause a
 //! CHANGES.md `FOUND` line gives, and a listed cell that passes fails it
@@ -9,22 +10,27 @@
 //!
 //! `cargo test --release -p bench --test seed_sweep -- --ignored --nocapture`
 
+use std::ops::RangeInclusive;
 use std::process::Command;
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
-/// The rows with a predicate and a `--seed` flag.
-const ROWS: [&str; 6] = [
-    "batch",
-    "chaos",
-    "clockfault",
-    "readscale",
-    "rebalance",
-    "recovery",
+/// The rows with a predicate and a `--seed` flag: a label, the `repro`
+/// arguments before `--seed`, and the seeds the row runs at.
+const ROWS: [(&str, &[&str], RangeInclusive<u64>); 8] = [
+    ("batch", &["batch"], 1..=8),
+    ("chaos", &["chaos"], 1..=8),
+    ("clockfault", &["clockfault"], 1..=8),
+    ("readscale", &["readscale"], 1..=8),
+    ("rebalance", &["rebalance"], 1..=8),
+    ("recovery", &["recovery"], 1..=8),
+    ("chaos-f100", &["chaos", "--faults", "100"], 0..=39),
+    (
+        "chaos-f100-1",
+        &["chaos", "--faults", "100", "--shards", "1"],
+        0..=39,
+    ),
 ];
-
-/// The seeds every row runs at.
-const SEEDS: std::ops::RangeInclusive<u64> = 1..=8;
 
 /// `(row, seed, cause)`: a red cell whose cause a CHANGES.md `FOUND` line
 /// names.
@@ -32,9 +38,10 @@ const KNOWN_RED: &[(&str, u64, &str)] = &[];
 
 /// Runs one cell; `None` when it passes, else its `FAILED` lines (or its
 /// exit code when it printed none).
-fn run(row: &str, seed: u64) -> Option<String> {
+fn run(args: &[&str], seed: u64) -> Option<String> {
     let out = Command::new(REPRO)
-        .args([row, "--seed", &seed.to_string(), "--threads", "2"])
+        .args(args)
+        .args(["--seed", &seed.to_string(), "--threads", "2"])
         .env_remove("REPRO_SCALE")
         .output()
         .expect("spawn repro");
@@ -51,22 +58,22 @@ fn run(row: &str, seed: u64) -> Option<String> {
 }
 
 #[test]
-#[ignore = "runs six rows at eight seeds (minutes in release); CI's seed-sweep job runs it"]
+#[ignore = "runs eight rows at 8 or 40 seeds (minutes in release); CI's seed-sweep job runs it"]
 fn every_row_passes_at_every_seed() {
-    let mut table = format!("{:>10}", "row\\seed");
-    for seed in SEEDS {
-        table += &format!(" {seed:>3}");
-    }
+    // One line per row: its seed range, then `.` for a pass and `R` for a
+    // red cell, one per seed.
+    let mut table = String::new();
     let mut red = Vec::new();
-    for row in ROWS {
-        table += &format!("\n{row:>10}");
-        for seed in SEEDS {
-            let failure = run(row, seed);
-            table += if failure.is_some() { " RED" } else { "  ok" };
+    for (row, args, seeds) in ROWS {
+        table += &format!("{row:>12} {:>2}-{:<2} ", seeds.start(), seeds.end());
+        for seed in seeds {
+            let failure = run(args, seed);
+            table.push(if failure.is_some() { 'R' } else { '.' });
             if let Some(why) = failure {
                 red.push((row, seed, why));
             }
         }
+        table.push('\n');
     }
     println!("{table}");
     let unexplained: Vec<String> = red

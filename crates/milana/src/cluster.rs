@@ -328,7 +328,7 @@ impl MilanaCluster {
 
     /// Master failover (§4.5): promotes `shard`'s first *live* backup,
     /// updates the shard map (bumping its epoch), and waits for the new
-    /// primary to finish recovery (log merge, table push, lease wait).
+    /// primary to finish recovery (a majority's log sweep, lease wait).
     ///
     /// Returns a `'static` future so callers can drive it with
     /// `Sim::block_on` without borrowing the cluster.
@@ -336,9 +336,10 @@ impl MilanaCluster {
     /// # Errors
     ///
     /// [`PromoteError`] when no live backup exists, the candidate raced out
-    /// of the group, or the promotion RPC got no answer (the candidate may
-    /// have crashed mid-recovery). Fault-injection harnesses record these
-    /// and retry; steady-state failovers never hit them.
+    /// of the group, or the promotion did not finish (the candidate crashed
+    /// mid-recovery, was cold or already promoting, or reached no
+    /// majority's logs and is a backup again). Fault-injection harnesses
+    /// record these and retry; steady-state failovers never hit them.
     pub fn promote_backup(
         &self,
         shard: ShardId,
@@ -480,7 +481,7 @@ impl MilanaCluster {
         // stream: its applied watermark (persisted in the table on a warm
         // restart, zero on a cold one) stays frozen until its catch-up
         // sweep splices it back in (`TxnServer::spawn` starts one either
-        // way) or a promotion's `InstallLog` re-syncs it.
+        // way).
         let cfg = replica_cfg(&self.config, shard, slot.addr, start);
         slot.server = TxnServer::spawn(&self.handle, backend, table, self.map.clone(), cfg);
     }

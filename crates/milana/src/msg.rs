@@ -44,7 +44,7 @@ pub struct TxnRecord {
     /// The client-assigned commit timestamp (its writes' version stamp).
     pub ts_commit: Timestamp,
     /// The writes this shard must apply on commit. Shared, not owned:
-    /// a record is cloned at every replication, log-install, and catch-up
+    /// a record is cloned at every replication, log-sweep and catch-up
     /// hop, and the payload never mutates after prepare — one refcount
     /// bump instead of a fresh vector per hop.
     pub writes: Rc<[(Key, Value)]>,
@@ -105,8 +105,8 @@ pub enum TxnRequest {
     /// its applied watermark to `ts`; on a gap it keeps applying data but
     /// holds the watermark — a lost envelope may hold an outcome the floor
     /// claims to cover — and pulls the gap with a catch-up sweep once it
-    /// outlives the backup's window. `InstallLog` restarts the stream at
-    /// seq 0.
+    /// outlives the backup's window. A promotion restarts the stream at
+    /// seq 0, and each backup's catch-up sweep splices into it.
     AppliedFloor {
         /// Position of this envelope in the primary's flush stream.
         seq: u64,
@@ -170,7 +170,8 @@ pub enum TxnRequest {
         /// No future prepare from `client` carries a stamp at or below.
         ts: Timestamp,
     },
-    /// Primary → backup: replicate a prepare record.
+    /// Primary → backup: replicate a prepare record, or the same record
+    /// aborted when the prepare's own round failed.
     ReplPrepare(TxnRecord),
     /// Primary → backup: replicate an outcome.
     ReplOutcome {
@@ -184,20 +185,23 @@ pub enum TxnRequest {
         /// Transaction id.
         txid: TxnId,
     },
-    /// New primary → replicas: send me your transaction log (§4.5).
-    RequestLog,
-    /// New primary → backups: install the merged table.
-    InstallLog {
-        /// Merged records.
-        records: Vec<TxnRecord>,
+    /// Promoting replica → its peers: one page of your transaction log, in
+    /// change order like a [`TxnRequest::CatchUpFetch`] page (§4.5,
+    /// Algorithm 2). From the first page on, a backup follows the promoter:
+    /// it refuses the old primary's lease grants and replication, and
+    /// pulls from the new primary once it opens. A primary, serving or
+    /// promoting, answers `NotReady`: its log is not a backup's.
+    RequestLog {
+        /// Resume after this change stamp (exclusive); `None` = start.
+        cursor: Option<u64>,
+        /// Maximum records per reply page.
+        limit: u64,
     },
     /// Primary → backups: extend my read lease to `until` (§4.5).
     LeaseGrant {
         /// Requested lease expiry (true time).
         until: SimTime,
     },
-    /// New primary → backups: what is the longest lease you ever granted?
-    LeaseQuery,
     /// Master/harness → backup: take over as primary of your shard.
     Promote {
         /// The shard's remaining backups.
@@ -290,20 +294,23 @@ pub enum TxnResponse {
     Ack,
     /// Status answer for [`TxnRequest::QueryTxn`].
     Status(TxnQueryStatus),
-    /// This replica's transaction log.
+    /// One page of a [`TxnRequest::RequestLog`] sweep.
     Log {
-        /// Records, unordered.
+        /// Table records in change order, after the cursor.
         records: Vec<TxnRecord>,
+        /// Cursor for the next page; `None` when the sweep is complete.
+        next: Option<u64>,
+        /// The latest lease expiry this replica ever granted (ZERO if
+        /// none). Final once this replica refuses the old primary.
+        max_granted: SimTime,
     },
+    /// A power-failed replica's answer to a [`TxnRequest::RequestLog`]: its
+    /// log is gone, so it adds nothing to the promoter's merge.
+    LogLost,
     /// Lease granted until the carried instant.
     LeaseGranted {
         /// Expiry granted.
         until: SimTime,
-    },
-    /// The longest lease this backup ever granted.
-    LeaseInfo {
-        /// Maximum granted expiry (ZERO if none).
-        max_granted: SimTime,
     },
     /// Promotion finished; the server now acts as primary.
     PromoteOk,
@@ -443,8 +450,9 @@ impl AbortReason {
 pub enum PromoteError {
     /// Every backup of the shard is dead; nothing can be promoted.
     NoLiveBackup,
-    /// The chosen backup never answered the `Promote` RPC (it may have
-    /// crashed mid-recovery or been partitioned from the master).
+    /// The chosen backup did not finish its promotion: it never answered
+    /// (it may have crashed or been partitioned from the master), or it
+    /// refused (cold, already promoting, or no majority's logs answered).
     Unreachable,
     /// The chosen address is not a current backup in the shard map (it
     /// raced a concurrent promotion).

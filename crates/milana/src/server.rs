@@ -11,8 +11,8 @@
 //!   refuses, and a backup's window on the floor stream;
 //! - `commit`: prepare, vote, outcomes, the replication plane and applying
 //!   committed records;
-//! - `recovery`: the primary's lease and CTP tasks, log install, floor
-//!   acceptance, catch-up, cold start and promotion;
+//! - `recovery`: the primary's lease and CTP tasks, floor acceptance,
+//!   the paged log and catch-up sweeps, cold start and promotion;
 //! - `migration`: a source primary's migration state, the `Migration*`
 //!   requests, the bulk copy and dual-apply.
 
@@ -359,9 +359,9 @@ impl TxnServer {
 
 /// Every request, alone in its envelope or batched, goes through
 /// [`ReplicaCore::dispatch`] and one match, [`Dispatch::start`]. An arm
-/// that never waits answers on the spot. The five that may wait —
-/// `Prepare`, `ReplPrepare`, `MigrateRecords`, `InstallLog` and `Promote` —
-/// and a batched read return their own boxed future. An envelope holding
+/// that never waits answers on the spot. The four that may wait —
+/// `Prepare`, `ReplPrepare`, `MigrateRecords` and `Promote` — and a
+/// batched read return their own boxed future. An envelope holding
 /// one of those gets a task, whose first poll starts every item in item
 /// order; any other envelope is answered at its delivery instant, with no
 /// task. A single read keeps a small task of its own
@@ -382,15 +382,14 @@ impl Dispatch for TxnServer {
         }
     }
 
-    /// A read, a prepare, a replicated prepare, bulk-copy records, a log
-    /// install or a promotion.
+    /// A read, a prepare, a replicated prepare, bulk-copy records or a
+    /// promotion.
     fn may_wait(req: &TxnRequest) -> bool {
         Self::admission_cost(req).is_some()
             || matches!(
                 req,
                 TxnRequest::ReplPrepare(_)
                     | TxnRequest::MigrateRecords { .. }
-                    | TxnRequest::InstallLog { .. }
                     | TxnRequest::Promote { .. }
             )
     }
@@ -448,10 +447,11 @@ impl Dispatch for TxnServer {
             // An empty payload; its envelope carries the floor.
             TxnRequest::FloorSync => TxnResponse::Ack,
             TxnRequest::ReplPrepare(record) => {
-                return self.wait(move |me| async move {
-                    me.backup_install_prepare(record).await;
-                    Some(TxnResponse::Ack)
-                })
+                return self
+                    .wait(move |me| async move { Some(me.repl_prepare(record, from).await) })
+            }
+            TxnRequest::ReplOutcome { .. } if !self.state.borrow().follows(from.node) => {
+                TxnResponse::NotReady
             }
             TxnRequest::ReplOutcome { txid, commit } => {
                 let me = self.clone();
@@ -467,24 +467,10 @@ impl Dispatch for TxnServer {
                     None => TxnQueryStatus::Unknown,
                 })
             }
-            TxnRequest::RequestLog => TxnResponse::Log {
-                records: self.table.borrow().all_records(),
-            },
-            TxnRequest::InstallLog { records } => {
-                return self.wait(move |me| async move {
-                    me.install_log(records, from).await;
-                    Some(TxnResponse::Ack)
-                })
-            }
+            req @ TxnRequest::RequestLog { .. } => self.log_page(&req, from),
             TxnRequest::LeaseGrant { until } => self.grant_lease(until, from),
-            TxnRequest::LeaseQuery => TxnResponse::LeaseInfo {
-                max_granted: self.state.borrow().max_granted,
-            },
-            TxnRequest::Promote { backups } => {
-                return self.wait(move |me| async move {
-                    me.recover_as_primary(backups).await;
-                    Some(TxnResponse::PromoteOk)
-                })
+            req @ TxnRequest::Promote { .. } => {
+                return self.wait(move |me| async move { Some(me.recover_as_primary(req).await) })
             }
             TxnRequest::MigrationStart {
                 from,

@@ -9,9 +9,9 @@ use batchkit::Batcher;
 use flashsim::{Key, StoreError};
 use semel::replica::ReplicaCore;
 use semel::REPL_TIMEOUT;
+use simkit::net::Addr;
 use timesync::{ClientId, Timestamp, Version};
 
-use super::role::PrimaryState;
 use super::{Fraud, ServerState, TxnServer, TxnServerConfig};
 use crate::msg::{TxnId, TxnRecord, TxnRequest, TxnResponse, TxnStatus};
 
@@ -152,8 +152,7 @@ impl TxnServer {
         else {
             unreachable!("not a prepare: {req:?}")
         };
-        let in_flight = |p: &PrimaryState| p.replicating.contains(&txid);
-        if self.state.borrow().role.primary().is_some_and(in_flight) {
+        if self.state.borrow().role.replicating(txid) {
             return None;
         }
         // Retransmitted prepare: answer from the table.
@@ -252,18 +251,29 @@ impl TxnServer {
         // record's coverage is at least the batch quorum.
         let ok = self
             .repl_batch
-            .submit(TxnRequest::ReplPrepare(record))
+            .submit(TxnRequest::ReplPrepare(record.clone()))
             .await
             .unwrap_or(false);
+        if !ok {
+            // Could not make the prepare durable, yet a backup may hold it,
+            // and a promotion of that backup would commit it. So the abort
+            // is made durable before the no-vote: until then the record
+            // stays prepared and in `replicating`, where retransmits get
+            // silence and CTP leaves it alone. The abort travels as the
+            // record itself, so it lands in each acking backup's table
+            // (a bare outcome ahead of its prepare would wait outside it,
+            // where a promotion's log sweep does not look).
+            let aborted = TxnRequest::ReplPrepare(TxnRecord {
+                status: TxnStatus::Aborted,
+                ..record
+            });
+            while self.repl_batch.submit(aborted.clone()).await == Some(false) {}
+            self.table.borrow_mut().decide(txid, false);
+        }
         if let Some(p) = self.state.borrow_mut().role.primary_mut() {
             p.replicating.remove(&txid);
         }
-        if !ok {
-            // Could not make the prepare durable: release and vote abort.
-            self.table.borrow_mut().decide(txid, false);
-            return self.vote(false);
-        }
-        self.vote(true)
+        self.vote(ok)
     }
 
     /// Counts, traces and returns this primary's vote on a prepare.
@@ -322,6 +332,22 @@ impl TxnServer {
         // handle any backup that misses it), so nothing waits on the ack.
         self.repl_batch
             .submit_nowait(TxnRequest::ReplOutcome { txid, commit });
+    }
+
+    /// A backup's side of a [`TxnRequest::ReplPrepare`] from `from`: acked
+    /// only from the primary this replica follows, and only when the record
+    /// agrees with any decision it already holds. So a deposed primary's
+    /// round, its abort included, never counts as durable on a replica a
+    /// promotion swept, nor on one that holds the transaction decided the
+    /// other way.
+    pub(super) async fn repl_prepare(&self, record: TxnRecord, from: Addr) -> TxnResponse {
+        let held = self.table.borrow().status(record.txid);
+        let disagrees = held.is_some_and(|s| s != TxnStatus::Prepared && s != record.status);
+        if disagrees || !self.state.borrow().follows(from.node) {
+            return TxnResponse::NotReady;
+        }
+        self.backup_install_prepare(record).await;
+        TxnResponse::Ack
     }
 
     /// Backup side of a replicated prepare record: install it and settle

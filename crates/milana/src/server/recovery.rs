@@ -1,5 +1,5 @@
 //! Recovery (§4.5): a primary's lease and cooperative-termination tasks,
-//! promotion (Algorithm 2), a backup's side of it (`InstallLog`), the
+//! promotion (Algorithm 2) and a peer's side of its log sweep, the
 //! backup's floor stream and its catch-up sweep, and cold restart.
 //!
 //! ## Durability model
@@ -20,6 +20,7 @@ use simkit::net::Addr;
 use simkit::time::SimTime;
 use timesync::{ClientId, Timestamp};
 
+use super::role::Was;
 use super::{Fraud, Role, TxnServer, CTP_AFTER, CTP_SCAN_EVERY};
 use crate::msg::{TxnQueryStatus, TxnRecord, TxnRequest, TxnResponse, TxnStatus};
 
@@ -31,6 +32,11 @@ const LEASE_DURATION: Duration = Duration::from_millis(100);
 const LEASE_RENEW_EVERY: Duration = Duration::from_millis(30);
 /// Heartbeat period when a master is configured.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(40);
+/// How long a promotion's log sweep goes without a page before the
+/// promotion gives up: well under the two seconds the master and the
+/// harness wait on it, so a candidate is a backup again before the next
+/// one is promoted, and two never promote at once.
+const SWEEP_GIVE_UP: Duration = Duration::from_secs(1);
 
 impl TxnServer {
     pub(super) fn spawn_primary_tasks(&self) {
@@ -107,58 +113,64 @@ impl TxnServer {
             .is_some_and(|p| at < Timestamp::from_sim(p.lease_until))
     }
 
-    /// [`TxnRequest::LeaseGrant`] from `from`: granted unless another
-    /// primary holds this backup's grants.
+    /// [`TxnRequest::LeaseGrant`] from `from`: granted only to the primary
+    /// this replica follows (a promoting one has read the lease it waits
+    /// out, so it grants none).
     pub(super) fn grant_lease(&self, until: SimTime, from: Addr) -> TxnResponse {
         let mut st = self.state.borrow_mut();
-        let requester = Addr {
-            node: from.node,
-            port: self.cfg.addr.port,
-        };
-        if st.known_primary.is_some_and(|p| p != requester) {
+        if !st.follows(from.node) {
             TxnResponse::NotReady
         } else {
-            st.known_primary = Some(requester);
+            st.known_primary = Some(Addr {
+                node: from.node,
+                port: self.cfg.addr.port,
+            });
             st.max_granted = st.max_granted.max(until);
             TxnResponse::LeaseGranted { until }
         }
     }
 
-    /// A backup's side of a promotion's [`TxnRequest::InstallLog`] from
-    /// `from`: merge the log, apply the committed writes not yet applied
-    /// here, and adopt the sender as lease grantee and floor stream.
-    pub(super) async fn install_log(&self, records: Vec<TxnRecord>, from: Addr) {
-        {
-            let mut table = self.table.borrow_mut();
-            for r in &records {
-                table.install(r.clone());
-            }
-        }
-        let complete = self.apply_unapplied(&records).await;
+    /// A peer's side of a promotion's [`TxnRequest::RequestLog`] from
+    /// `from`: one page of its log in change order, with the latest lease
+    /// it ever granted. From the first page on, a backup follows the
+    /// promoter: it refuses the old primary's lease grants, so the lease it
+    /// reports is final, and its replication, and it stops trusting the
+    /// old floor stream. If it was trusting one, it pulls: the sweep waits
+    /// for the new primary to open and splices into its stream. A cold
+    /// replica follows the promoter too, but answers that its log is lost.
+    pub(super) fn log_page(&self, req: &TxnRequest, from: Addr) -> TxnResponse {
+        let &TxnRequest::RequestLog { cursor, limit } = req else {
+            unreachable!("not a log page: {req:?}")
+        };
         let mut st = self.state.borrow_mut();
+        if let Some(refused) = st.role.refuses(req) {
+            return refused;
+        }
         st.known_primary = Some(Addr {
             node: from.node,
             port: self.cfg.addr.port,
         });
-        // The merged log plus the committed-delta apply above make this
-        // replica complete up to the sender's merge point, healing any gap
-        // in the old floor stream. The new primary's stream starts at seq
-        // 0; adopt it, unless a store write failed.
-        let floor = complete.then(|| st.floor.rebase(from.node, 0)).flatten();
+        let pull = st.floor.trusted.take().is_some();
+        let (max_granted, lost) = (st.max_granted, matches!(st.role, Role::Cold));
         drop(st);
-        self.advance_floor(floor);
+        if lost {
+            return TxnResponse::LogLost;
+        }
+        if pull {
+            self.pull();
+        }
+        let (records, next) = self.page(cursor, limit);
+        TxnResponse::Log {
+            records,
+            next,
+            max_granted,
+        }
     }
 
-    /// Applies, in order, every committed record of `records` this replica
-    /// has not applied yet (idempotent). False if a store write failed.
-    async fn apply_unapplied(&self, records: &[TxnRecord]) -> bool {
-        let mut complete = true;
-        for r in records {
-            if r.status == TxnStatus::Committed && !self.table.borrow().is_applied(r.txid) {
-                complete &= self.apply_committed(r).await.is_ok();
-            }
-        }
-        complete
+    /// One change-ordered page of this replica's table, for either sweep.
+    fn page(&self, cursor: Option<u64>, limit: u64) -> (Vec<TxnRecord>, Option<u64>) {
+        let limit = limit.clamp(1, 4096) as usize;
+        self.table.borrow().page_after(cursor, limit)
     }
 
     /// One page of a replica's anti-entropy sweep, a
@@ -173,10 +185,7 @@ impl TxnServer {
         let &TxnRequest::CatchUpFetch { cursor, limit } = req else {
             unreachable!("not a catch-up page: {req:?}")
         };
-        let (records, next) = self
-            .table
-            .borrow()
-            .page_after(cursor, limit.clamp(1, 4096) as usize);
+        let (records, next) = self.page(cursor, limit);
         // One borrow for (seq, floor) so the pair is consistent:
         // `floor_seq` is where the splice resumes the live stream, and
         // every outcome `floor` covers was flushed in an envelope strictly
@@ -220,7 +229,7 @@ impl TxnServer {
     /// pulled.
     pub(super) fn accept_floor(&self, seq: u64, ts: Timestamp, from: Addr) {
         let mut st = self.state.borrow_mut();
-        if st.role.is_primary() {
+        if !st.follows(from.node) {
             return;
         }
         let w = &mut st.floor;
@@ -281,6 +290,9 @@ impl TxnServer {
             if record.participants.first() != Some(&self.cfg.shard) {
                 continue; // some other primary is the designated coordinator
             }
+            if self.state.borrow().role.replicating(record.txid) {
+                continue; // its prepare still decides it
+            }
             let Some(decision) = self.resolve_by_query(&record).await else {
                 continue; // a participant is unreachable; retry next scan
             };
@@ -336,30 +348,45 @@ impl TxnServer {
         Some(true)
     }
 
-    /// §4.5 failover: called on a backup when the master promotes it.
-    pub(super) async fn recover_as_primary(&self, backups: Vec<Addr>) {
-        let first = self.state.borrow_mut().role.promote(backups.clone());
-        // 1. Merge transaction logs from a majority of replicas (our own
-        //    table already holds everything replicated to us).
-        for &b in &backups {
-            if let Ok(TxnResponse::Log { records }) = self
-                .core
-                .rpc
-                .call::<TxnRequest, TxnResponse>(b, TxnRequest::RequestLog, REPL_TIMEOUT)
-                .await
-            {
-                let mut table = self.table.borrow_mut();
-                for r in records {
-                    table.install(r);
-                }
-            }
+    /// §4.5 failover, a [`TxnRequest::Promote`] from the master or the
+    /// harness: `PromoteOk` once the replica opens as primary, `NotReady`
+    /// when it is promoting already or reached no majority's logs and gave
+    /// up.
+    pub(super) async fn recover_as_primary(&self, req: TxnRequest) -> TxnResponse {
+        if let Some(refused) = self.state.borrow().role.refuses(&req) {
+            return refused;
         }
-        // 2. Resolve prepared transactions (Algorithm 2).
+        let TxnRequest::Promote { backups } = req else {
+            unreachable!("not a promotion: {req:?}")
+        };
+        let was = self.state.borrow_mut().role.promote(backups.clone());
+        // 1. Merge the transaction logs of a majority: our own table and
+        //    `f` of the `2f` peers' swept whole.
+        let Some(swept_granted) = self.merge_logs(&backups).await else {
+            // It ignored the floor stream and stopped any catch-up sweep
+            // while promoting, so a replica that is no primary again
+            // sweeps like one that lost an envelope, or a cold one.
+            let mut st = self.state.borrow_mut();
+            st.role.give_up(was);
+            st.floor.trusted = None;
+            drop(st);
+            match was {
+                Was::Cold => self.rejoin(),
+                Was::Backup => self.pull(),
+                Was::Primary => {}
+            }
+            return TxnResponse::NotReady;
+        };
+        // 2. Resolve prepared transactions (Algorithm 2), except those a
+        //    retried primary is still replicating: their prepare decides.
         let prepared = self
             .table
             .borrow()
             .records_where(|r| r.status == TxnStatus::Prepared);
         for record in prepared {
+            if self.state.borrow().role.replicating(record.txid) {
+                continue;
+            }
             let commit = if *record.participants == [self.cfg.shard] {
                 // Single-shard: a prepared single-participant transaction
                 // would have been committed by the coordinator.
@@ -382,44 +409,80 @@ impl TxnServer {
             let table = self.table.borrow();
             table.records_where(|r| r.status == TxnStatus::Committed && !table.is_applied(r.txid))
         };
-        let _ = self.apply_unapplied(&committed).await;
+        for r in &committed {
+            let _ = self.apply_committed(r).await;
+        }
         // 4. Rebuild volatile key metadata from the merged table.
         self.table.borrow_mut().rebuild_key_meta();
-        // 5. Push the merged table to the backups.
-        let records = self.table.borrow().all_records();
-        let _ = self
-            .core
-            .replicate(
-                backups.clone(),
-                TxnRequest::InstallLog { records },
-                REPL_TIMEOUT * 4,
-                |r: &TxnResponse| matches!(r, TxnResponse::Ack),
-            )
-            .await;
-        // 6. Wait out the old primary's read lease: ts_latestRead is gone,
+        // 5. Wait out the old primary's read lease: ts_latestRead is gone,
         //    and serving reads before the old lease expires could break
         //    serializability for already-committed read-only transactions.
-        let mut max_granted = self.state.borrow().max_granted;
-        for &b in &backups {
-            if let Ok(TxnResponse::LeaseInfo { max_granted: g }) = self
-                .core
-                .rpc
-                .call::<TxnRequest, TxnResponse>(b, TxnRequest::LeaseQuery, REPL_TIMEOUT)
-                .await
-            {
-                max_granted = max_granted.max(g);
-            }
-        }
+        //    Neither this replica nor a swept backup grants it more.
+        let max_granted = self.state.borrow().max_granted.max(swept_granted);
         let wait_until = max_granted + Duration::from_micros(1);
         if wait_until > self.core.handle.now() {
             self.core.handle.sleep_until(wait_until).await;
         }
-        // 7. Open for business. Only the promotion that built the primary
+        // 6. Open for business. Only the promotion that built the primary
         //    state starts the primary loops: a master's retry finds them
-        //    running.
+        //    running. The backups pull from the new primary: each swept
+        //    backup's catch-up sweep splices it into the new floor stream.
         self.state.borrow_mut().role.open();
-        if first {
+        if was != Was::Primary {
             self.spawn_primary_tasks();
+        }
+        TxnResponse::PromoteOk
+    }
+
+    /// Promotion step 1: sweeps each peer's log in pages of
+    /// `catchup_batch` records, one cursor per peer, and installs every
+    /// page, until `f` of the `2f` peers' sweeps are whole, or every peer
+    /// answered and those that did not sweep whole lost their logs to a
+    /// power failure (there is no other log to wait for). A peer that does
+    /// not answer, or is a primary, resumes at its cursor on the next
+    /// round. Returns the latest lease expiry any swept peer granted, or
+    /// `None` once [`SWEEP_GIVE_UP`] passed without a page.
+    async fn merge_logs(&self, peers: &[Addr]) -> Option<SimTime> {
+        let (rpc, limit) = (&self.core.rpc, self.cfg.tuning.catchup_batch.max(1) as u64);
+        // Each peer's sweep: its cursor, `None` once whole or lost.
+        let mut sweeps = vec![Some(None); peers.len()];
+        let (mut lost, mut max_granted) = (0, SimTime::ZERO);
+        let mut answered = self.core.handle.now();
+        loop {
+            for (&peer, sweep) in peers.iter().zip(&mut sweeps) {
+                while let Some(cursor) = *sweep {
+                    let req = TxnRequest::RequestLog { cursor, limit };
+                    let page = rpc.call::<TxnRequest, TxnResponse>(peer, req, REPL_TIMEOUT);
+                    match page.await {
+                        Ok(TxnResponse::Log {
+                            records,
+                            next,
+                            max_granted: g,
+                        }) => {
+                            let mut table = self.table.borrow_mut();
+                            for r in records {
+                                table.install(r);
+                            }
+                            max_granted = max_granted.max(g);
+                            *sweep = next.map(Some);
+                        }
+                        Ok(TxnResponse::LogLost) => {
+                            lost += 1;
+                            *sweep = None;
+                        }
+                        _ => break,
+                    }
+                    answered = self.core.handle.now();
+                }
+            }
+            let done = sweeps.iter().filter(|s| s.is_none()).count();
+            if done - lost >= peers.len() / 2 || done == peers.len() {
+                return Some(max_granted);
+            }
+            if self.core.handle.now().saturating_since(answered) >= SWEEP_GIVE_UP {
+                return None;
+            }
+            self.core.handle.sleep(REPL_TIMEOUT).await;
         }
     }
 
@@ -476,12 +539,26 @@ impl TxnServer {
             return;
         }
         self.catch_up().await;
+        self.serve_if_cold();
+    }
+
+    /// A cold replica whose promotion gave up: it resumes its catch-up
+    /// sweep, then serves.
+    fn rejoin(&self) {
+        let me = self.clone();
+        self.core.handle.spawn_on(self.cfg.addr.node, async move {
+            me.catch_up().await;
+            me.serve_if_cold();
+        });
+    }
+
+    /// The end of a cold replica's catch-up: it serves as a backup, unless
+    /// a promotion took it meanwhile (`recover_as_primary` merged the logs
+    /// majority-wide, superseding the sweep, and opens it itself).
+    fn serve_if_cold(&self) {
         let floor = {
             let mut st = self.state.borrow_mut();
-            if st.role.is_primary() {
-                // Promoted mid-recovery: `recover_as_primary` merged the
-                // logs majority-wide (superseding this sweep) and opens
-                // the replica itself.
+            if !matches!(st.role, Role::Cold) {
                 return;
             }
             st.role.serve_as_backup();
@@ -581,7 +658,7 @@ impl TxnServer {
             }
             st.floors.rehydrate(floor);
             self.core.backend.note_floor(floor);
-            // An `InstallLog` may have trusted a stream mid-sweep; keep it.
+            // Never move a stream something trusted mid-sweep.
             if healed && st.floor.trusted.is_none() {
                 let drained = st.floor.rebase(primary.node, floor_seq);
                 drop(st);

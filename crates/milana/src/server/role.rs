@@ -37,8 +37,7 @@ pub enum Start {
     },
     /// A backup restarted after a crash that kept its DRAM: it missed an
     /// unknown stretch of the floor stream, so it trusts no stream and
-    /// pulls with the catch-up sweep, whose splice (or the next
-    /// promotion's `InstallLog`) trusts it again.
+    /// pulls with the catch-up sweep, whose splice trusts it again.
     Warm,
     /// A replica back from a *power failure*: its DRAM, transaction table
     /// included, is gone and only flash survived. It answers `NotReady`
@@ -86,6 +85,17 @@ pub(super) enum Role {
     Primary(PrimaryState),
 }
 
+/// What a replica was when a promotion started.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Was {
+    /// Cold: its log is lost, and its catch-up sweep stopped.
+    Cold,
+    /// A backup.
+    Backup,
+    /// A primary, serving or promoting (a master retry).
+    Primary,
+}
+
 /// What only a primary holds. A promotion builds it.
 #[derive(Default)]
 pub(super) struct PrimaryState {
@@ -109,7 +119,8 @@ pub(super) struct PrimaryState {
     /// record is installed before replication completes, and an early
     /// `Vote{ok}` would acknowledge a prepare that may yet fail
     /// replication and abort — the coordinator could then commit a
-    /// transaction recorded on no backup, which a primary crash erases.
+    /// transaction recorded on no backup, which a primary crash erases. A
+    /// prepare whose round failed stays here until its abort is durable.
     pub(super) replicating: perfkit::FastSet<TxnId>,
 }
 
@@ -140,25 +151,34 @@ impl Role {
         }
     }
 
+    /// True while a primary's prepare of `txid` replicates its record or
+    /// its abort: that prepare alone decides the transaction.
+    pub(super) fn replicating(&self, txid: TxnId) -> bool {
+        self.primary()
+            .is_some_and(|p| p.replicating.contains(&txid))
+    }
+
     /// A source primary's migration state.
     pub(super) fn migration(&self) -> Option<&MigrationState> {
         self.primary()?.migration.as_ref()
     }
 
     /// Starts a promotion replicating to `backups`, with a fresh floor
-    /// stream: its `InstallLog` re-baselines every backup to expect it from
-    /// seq 0. A replica already primary (a master retry) keeps its lease,
-    /// relay, migration and in-flight prepares. True when this promotion
-    /// built the primary state, so its primary loops are not running yet.
-    pub(super) fn promote(&mut self, backups: Vec<Addr>) -> bool {
-        let (mut p, first) = match std::mem::replace(self, Role::Cold) {
-            Role::Promoting(p) | Role::Primary(p) => (p, false),
-            Role::Cold | Role::Backup => (PrimaryState::default(), true),
+    /// stream from seq 0: a backup the promotion sweeps pulls from the new
+    /// primary once it opens and splices in where its last catch-up page
+    /// says. A replica already primary (a master retry) keeps its lease,
+    /// relay, migration and in-flight prepares. Returns what the replica
+    /// was: only a primary's loops are running already.
+    pub(super) fn promote(&mut self, backups: Vec<Addr>) -> Was {
+        let (mut p, was) = match std::mem::replace(self, Role::Cold) {
+            Role::Promoting(p) | Role::Primary(p) => (p, Was::Primary),
+            Role::Cold => (PrimaryState::default(), Was::Cold),
+            Role::Backup => (PrimaryState::default(), Was::Backup),
         };
         p.backups = backups;
         p.floor_seq = 0;
         *self = Role::Promoting(p);
-        first
+        was
     }
 
     /// A promotion's last step: the primary opens for business (again,
@@ -168,6 +188,16 @@ impl Role {
             Role::Promoting(p) | Role::Primary(p) => Role::Primary(p),
             Role::Cold | Role::Backup => unreachable!("nothing demotes a promoting replica"),
         };
+    }
+
+    /// A promotion that reached no majority's logs gives up: the replica
+    /// is what it `was` again, and a primary it retried reopens.
+    pub(super) fn give_up(&mut self, was: Was) {
+        match was {
+            Was::Cold => *self = Role::Cold,
+            Was::Backup => *self = Role::Backup,
+            Was::Primary => self.open(),
+        }
     }
 
     /// A cold replica that has recovered serves as a backup.
@@ -181,15 +211,22 @@ impl Role {
     /// or `None` when it handles it. A snapshot read needs a serving
     /// replica; validation and the catch-up sweep's pages need a serving
     /// primary (a promoting one answers `NotReady`, and the client or the
-    /// sweeping replica retries). Every other request is answered in every
-    /// role: replication, leases, recovery and migration traffic are how a
-    /// replica gets to serve.
+    /// sweeping replica retries). A promotion's log pages come from
+    /// replicas that are not primaries: a primary's log is not a backup's,
+    /// and a peer promoting too must not count toward a majority (a cold
+    /// one answers that its log is lost). A promotion needs a replica not
+    /// promoting already. Every other request is answered in every role:
+    /// replication, leases, recovery and migration traffic are how a
+    /// replica gets to serve, and [`ServerState::follows`] fences a
+    /// deposed primary's.
     pub(super) fn refuses(&self, req: &TxnRequest) -> Option<TxnResponse> {
         let refused = match req {
             TxnRequest::ReadAt { .. } => !self.is_serving(),
             TxnRequest::Prepare { .. } | TxnRequest::CatchUpFetch { .. } => {
                 !matches!(self, Role::Primary(_))
             }
+            TxnRequest::RequestLog { .. } => self.is_primary(),
+            TxnRequest::Promote { .. } => matches!(self, Role::Promoting(_)),
             TxnRequest::AppliedFloor { .. }
             | TxnRequest::FloorSync
             | TxnRequest::Outcome { .. }
@@ -198,11 +235,7 @@ impl Role {
             | TxnRequest::ReplPrepare(_)
             | TxnRequest::ReplOutcome { .. }
             | TxnRequest::QueryTxn { .. }
-            | TxnRequest::RequestLog
-            | TxnRequest::InstallLog { .. }
             | TxnRequest::LeaseGrant { .. }
-            | TxnRequest::LeaseQuery
-            | TxnRequest::Promote { .. }
             | TxnRequest::MigrationStart { .. }
             | TxnRequest::MigrateRecords { .. }
             | TxnRequest::MigrationFence
@@ -226,7 +259,9 @@ pub(super) struct ServerState {
     pub(super) floors: WatermarkTracker,
     /// As backup: the latest lease expiry we ever granted.
     pub(super) max_granted: SimTime,
-    /// As backup: the primary we currently accept lease requests from.
+    /// As backup: the primary it follows, whose lease grants and
+    /// replication it takes (any sender's while `None`). Set by the first
+    /// lease grant and by a promoter's first log page.
     pub(super) known_primary: Option<Addr>,
     /// Outcomes that arrived before their prepare record (backup side).
     pub(super) pending_outcomes: perfkit::FastMap<TxnId, bool>,
@@ -239,6 +274,14 @@ pub(super) struct ServerState {
 }
 
 impl ServerState {
+    /// True when `node` may hold this replica's lease grants and replicate
+    /// to it: a primary follows no one, and a backup follows the primary
+    /// it last granted a lease or whose promotion swept it. So a primary
+    /// deposed by a promotion makes nothing durable on a swept backup.
+    pub(super) fn follows(&self, node: NodeId) -> bool {
+        !self.role.is_primary() && self.known_primary.is_none_or(|p| p.node == node)
+    }
+
     /// The write floor as it goes on the wire: an empty tracker reports
     /// MAX, which is sent as ZERO (a no-op floor) so `seq` stays contiguous.
     pub(super) fn sendable_floor(&self) -> Timestamp {
@@ -254,14 +297,15 @@ impl ServerState {
 /// A backup's window on its primary's `AppliedFloor` stream (DESIGN §14).
 /// A floor advances the applied watermark only once every earlier `seq`
 /// from the same sender has, so the watermark claims complete chains. One
-/// window serves the live floors, a promotion's `InstallLog` and the
-/// catch-up splice; a hole is either filled, or pulled by the catch-up
-/// sweep once it outlives [`FLOOR_AHEAD_MAX`] later floors.
+/// window serves the live floors and the catch-up splice, after a restart,
+/// a lost envelope or a promotion alike; a hole is either filled, or pulled
+/// by the catch-up sweep once it outlives [`FLOOR_AHEAD_MAX`] later floors.
 #[derive(Default)]
 pub(super) struct SeqWindow {
     /// The node whose stream advances the watermark. `None` while the
     /// stream does not back the local chains: after a restart, mid
-    /// catch-up sweep, after a lost envelope or a failed store write.
+    /// catch-up sweep, after a lost envelope or a failed store write, and
+    /// from a promoter's first log page until the sweep that follows.
     /// Floors from another node (a deposed primary still flushing) are
     /// ignored while a stream is trusted.
     pub(super) trusted: Option<NodeId>,

@@ -7,7 +7,7 @@ use simkit::time::SimTime;
 use timesync::{ClientId, Timestamp};
 
 use super::super::migration::MigrationState;
-use super::{PrimaryState, Role, SeqWindow, Start, FLOOR_AHEAD_MAX};
+use super::{PrimaryState, Role, SeqWindow, Start, Was, FLOOR_AHEAD_MAX};
 use crate::msg::{TxnId, TxnRecord, TxnRequest, TxnResponse, TxnStatus};
 
 const A: NodeId = NodeId(1);
@@ -109,17 +109,16 @@ fn every_request() -> Vec<TxnRequest> {
         TxnRequest::Outcome { txid, commit: true },
         TxnRequest::Watermark { client, ts },
         TxnRequest::FloorReport { client, ts },
-        TxnRequest::ReplPrepare(record.clone()),
+        TxnRequest::ReplPrepare(record),
         TxnRequest::ReplOutcome { txid, commit: true },
         TxnRequest::QueryTxn { txid },
-        TxnRequest::RequestLog,
-        TxnRequest::InstallLog {
-            records: vec![record],
+        TxnRequest::RequestLog {
+            cursor: None,
+            limit: 1,
         },
         TxnRequest::LeaseGrant {
             until: SimTime::ZERO,
         },
-        TxnRequest::LeaseQuery,
         TxnRequest::Promote {
             backups: vec![addr],
         },
@@ -160,8 +159,9 @@ fn variant(req: &TxnRequest) -> String {
 fn the_role_table_answers_every_request_in_every_role() {
     // (variant, what Cold, Backup, Promoting and Primary answer): `N` for
     // `NotReady`, `.` for handled. A read needs a serving replica, a
-    // prepare and a catch-up page a serving primary; nothing else is
-    // refused before it runs.
+    // prepare and a catch-up page a serving primary, a promotion's log
+    // page a replica that is no primary, and a promotion a replica not
+    // promoting already; nothing else is refused before it runs.
     const TABLE: &[(&str, &str)] = &[
         ("ReadAt", "N.N."),
         ("AppliedFloor", "...."),
@@ -173,11 +173,9 @@ fn the_role_table_answers_every_request_in_every_role() {
         ("ReplPrepare", "...."),
         ("ReplOutcome", "...."),
         ("QueryTxn", "...."),
-        ("RequestLog", "...."),
-        ("InstallLog", "...."),
+        ("RequestLog", "..NN"),
         ("LeaseGrant", "...."),
-        ("LeaseQuery", "...."),
-        ("Promote", "...."),
+        ("Promote", "..N."),
         ("MigrationStart", "...."),
         ("MigrateRecords", "...."),
         ("MigrationFence", "...."),
@@ -251,7 +249,11 @@ fn a_retried_promotion_resets_only_the_backups_and_the_stream() {
     p.replicating.insert(txid);
     let mut role = Role::Primary(p);
     let new = vec![Addr::new(B, 0)];
-    assert!(!role.promote(new.clone()), "a retry builds nothing");
+    assert_eq!(
+        role.promote(new.clone()),
+        Was::Primary,
+        "a retry builds nothing"
+    );
     let Role::Promoting(p) = &role else {
         panic!("a promotion starts Promoting")
     };
@@ -269,14 +271,33 @@ fn a_retried_promotion_resets_only_the_backups_and_the_stream() {
 
 #[test]
 fn a_first_promotion_builds_a_fresh_primary_state() {
-    for mut role in [Role::Cold, Role::Backup] {
-        assert!(role.promote(vec![Addr::new(B, 0)]));
+    for (mut role, was) in [(Role::Cold, Was::Cold), (Role::Backup, Was::Backup)] {
+        assert_eq!(role.promote(vec![Addr::new(B, 0)]), was);
         let Role::Promoting(p) = &role else {
             panic!("a promotion starts Promoting")
         };
         assert_eq!(p.lease_until, SimTime::ZERO);
         assert!(p.wm_relay.is_empty() && p.migration.is_none() && p.replicating.is_empty());
     }
+}
+
+#[test]
+fn a_promotion_that_gives_up_leaves_the_replica_what_it_was() {
+    for (mut role, was) in [(Role::Cold, Was::Cold), (Role::Backup, Was::Backup)] {
+        role.promote(vec![Addr::new(B, 0)]);
+        role.give_up(was);
+        assert_eq!(role.promote(Vec::new()), was);
+    }
+    let mut role = Role::Primary(PrimaryState {
+        lease_until: SimTime::from_millis(7),
+        ..PrimaryState::default()
+    });
+    role.promote(Vec::new());
+    role.give_up(Was::Primary);
+    let Role::Primary(p) = &role else {
+        panic!("a retried primary reopens")
+    };
+    assert_eq!(p.lease_until, SimTime::from_millis(7));
 }
 
 #[test]

@@ -62,9 +62,9 @@ pub struct TxnTable {
     keys: FastMap<Key, KeyMeta>,
     /// Committed transactions whose writes this replica has already made
     /// durable in its own backend. Lives in persistent memory with the
-    /// records, so recovery and log installation apply only the delta
-    /// instead of replaying the whole committed history (which grows
-    /// without bound and would make failover time scale with table size).
+    /// records, so recovery and catch-up apply only the delta instead of
+    /// replaying the whole committed history (which grows without bound
+    /// and would make failover time scale with table size).
     applied: FastSet<TxnId>,
     /// Applied watermark: the highest timestamp below which this replica's
     /// version chains are known complete, so a snapshot read at any
@@ -212,9 +212,10 @@ impl TxnTable {
     }
 
     /// Inserts or overwrites a record, maintaining the key `prepared`
-    /// markers (used by backups and by log installation). Backups need the
-    /// markers live — not just rebuilt at recovery — because backup
-    /// snapshot reads piggyback the same prepared flag as primary gets.
+    /// markers (used by backups and by the log and catch-up sweeps).
+    /// Backups need the markers live — not just rebuilt at recovery —
+    /// because backup snapshot reads piggyback the same prepared flag as
+    /// primary gets.
     pub(crate) fn install(&mut self, record: TxnRecord) {
         match self.records.get_mut(&record.txid) {
             // Never regress a decided status back to Prepared.
@@ -302,12 +303,6 @@ impl TxnTable {
         })
     }
 
-    /// All records (for log transfer), in transaction-id order so message
-    /// schedules stay deterministic.
-    pub fn all_records(&self) -> Vec<TxnRecord> {
-        self.records_where(|_| true)
-    }
-
     /// The records `keep` accepts, in transaction-id order. Only those are
     /// cloned.
     pub(crate) fn records_where(&self, keep: impl Fn(&TxnRecord) -> bool) -> Vec<TxnRecord> {
@@ -318,7 +313,7 @@ impl TxnTable {
 
     /// Prepared transactions older than `than` (by commit stamp) — CTP
     /// candidates whose coordinator may have died (§4.5).
-    pub(crate) fn stuck_prepared(&self, than: Timestamp) -> Vec<TxnRecord> {
+    pub fn stuck_prepared(&self, than: Timestamp) -> Vec<TxnRecord> {
         self.records_where(|r| r.status == TxnStatus::Prepared && r.ts_commit < than)
     }
 

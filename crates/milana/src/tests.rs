@@ -692,10 +692,10 @@ fn partitioned_old_primary_stops_serving_after_lease_expiry() {
 }
 
 #[test]
-fn install_log_catches_up_a_stale_backup() {
-    // After failover, the merged transaction table (and its committed
-    // writes) are pushed to backups — including one that was dead during
-    // the commits and restarted later.
+fn a_stale_backup_pulls_from_the_new_primary_after_a_promotion() {
+    // A backup that was dead during the commits and restarted just before
+    // a failover pulls what it missed from the new primary once that
+    // primary has merged the logs and opened.
     let mut sim = Sim::new(44);
     let h = sim.handle();
     let hh = h.clone();
@@ -739,8 +739,8 @@ fn install_log_catches_up_a_stale_backup() {
             hh2.sleep(Duration::from_millis(10)).await;
         }
     });
-    // Restart the lagging backup, then fail the primary over: the new
-    // primary's InstallLog must bring the stale backup's data forward.
+    // Restart the lagging backup, then fail the primary over: its
+    // catch-up sweep must bring its data forward from the new primary.
     cluster.restart_replica_warm(ShardId(0), 2);
     cluster.fail_primary(ShardId(0));
     sim.block_on(cluster.promote_backup(ShardId(0)))
@@ -765,7 +765,7 @@ fn a_warm_restarted_backup_catches_its_watermark_up() {
     // A warm restart loses the backup's place in the floor stream just as
     // a lost envelope does, so it must pull the same way: without it the
     // restarted backup's applied watermark stayed where the crash left it
-    // until the next promotion's `InstallLog`.
+    // until the next promotion re-synced it.
     let mut sim = Sim::new(62);
     let h = sim.handle();
     let mut cfg = base_cfg();
@@ -990,7 +990,6 @@ fn cast_watermark_and_floor_reports_cost_no_task() {
         let until = simkit::time::SimTime::from_millis(50);
         for req in [
             TxnRequest::LeaseGrant { until },
-            TxnRequest::LeaseQuery,
             TxnRequest::QueryTxn { txid },
         ] {
             let spawns = hh.spawns();
@@ -1145,11 +1144,13 @@ fn a_request_gets_the_same_reply_alone_or_batched() {
         let ts = Timestamp(1_000);
         let requests = [
             TxnRequest::QueryTxn { txid },
-            TxnRequest::LeaseQuery,
             TxnRequest::LeaseGrant {
                 until: simkit::time::SimTime::from_millis(50),
             },
-            TxnRequest::RequestLog,
+            TxnRequest::RequestLog {
+                cursor: None,
+                limit: 8,
+            },
             TxnRequest::MigrationDrain,
             TxnRequest::CatchUpFetch {
                 cursor: None,

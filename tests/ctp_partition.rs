@@ -19,7 +19,7 @@ use milana_repro::milana::msg::{TxnId, TxnStatus};
 use milana_repro::semel::shard::ShardId;
 use milana_repro::simkit::net::NodeId;
 use milana_repro::simkit::Sim;
-use milana_repro::timesync::ClockSpec;
+use milana_repro::timesync::{ClockSpec, Timestamp};
 
 fn enc(n: u64) -> milana_repro::flashsim::Value {
     value(Vec::from(n.to_be_bytes()))
@@ -76,9 +76,8 @@ fn cross_shard_keys(cluster: &MilanaCluster) -> (Key, Key) {
 fn stuck_txid(cluster: &MilanaCluster, shard: ShardId) -> TxnId {
     let table = cluster.primary(shard).table().borrow();
     let stuck: Vec<TxnId> = table
-        .all_records()
+        .stuck_prepared(Timestamp::MAX)
         .into_iter()
-        .filter(|r| r.status == TxnStatus::Prepared)
         .map(|r| r.txid)
         .collect();
     assert_eq!(stuck.len(), 1, "exactly one prepared txn on {shard:?}");

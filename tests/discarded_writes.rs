@@ -19,7 +19,6 @@ const WRITES: &[&str] = &[
     "apply_unordered",
     "apply_batch_unordered",
     "apply_committed",
-    "apply_unapplied",
     "replicate",
     "replicate_record",
 ];
@@ -50,16 +49,9 @@ const SITES: &[(&str, &str, &str, &str)] = &[
     (
         "milana/src/server/recovery.rs",
         "recover_as_primary",
-        "apply_unapplied",
+        "apply_committed",
         "a new primary counts a failed replay only in apply_failures and \
          serves anyway",
-    ),
-    (
-        "milana/src/server/recovery.rs",
-        "recover_as_primary",
-        "replicate",
-        "promotion step 5 ignores whether InstallLog reached f backups; the \
-         new primary serves anyway",
     ),
 ];
 
