@@ -16,7 +16,6 @@ use milana::client::{TxnClient, TxnOpts};
 use milana::cluster::{MilanaCluster, MilanaClusterConfig};
 use milana::msg::TxnError;
 use obskit::{Json, Obs, RecoveryPhase};
-use perfkit::FastMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use simkit::{Sim, SimHandle};
@@ -391,17 +390,13 @@ impl CounterRun {
     /// [`ViolationClass::ReplicationLostAck`] otherwise. One violation per
     /// replica, naming the oldest missing version's writer.
     pub(crate) fn replica_audit(&self, history: &History) -> Vec<ViolationSummary> {
-        let mut writers: FastMap<(u64, u64, u64), usize> = FastMap::default();
-        for (i, t) in history.txns.iter().enumerate() {
-            if let Outcome::Committed { ts_commit, .. } = t.outcome {
-                for &key in &t.writes {
-                    writers.insert((key, ts_commit, t.client), i);
-                }
-            }
-        }
         let mut lost: BTreeMap<u64, LostAcks> = BTreeMap::new();
         for (g, &at) in self.gaps.borrow().iter() {
-            if let Some(&wi) = writers.get(&(g.key, g.ts, g.client)) {
+            let acked = history
+                .producers
+                .get(&(g.key, g.ts, g.client))
+                .filter(|&&wi| matches!(history.txns[wi].outcome, Outcome::Committed { .. }));
+            if let Some(&wi) = acked {
                 let e = lost.entry(g.node).or_insert(LostAcks {
                     shard: g.shard,
                     at,

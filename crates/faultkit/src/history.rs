@@ -18,27 +18,29 @@
 //!   no conflict cycle can hide behind a clean run.
 //! - **Future reads**: every committed read observed a version with
 //!   `ver_ts <= ts_begin`.
-//! - **Phantoms**: every observed version was produced by some traced
-//!   transaction (committed, or unknown-outcome and later decided commit
-//!   by cooperative termination).
+//! - **Producers**: every observed version was declared by some traced
+//!   transaction's `TxnWrite` (else a phantom), and that transaction's
+//!   client was not told a definite abort (else an aborted write became
+//!   visible).
 //!
-//! Unknown-outcome transactions (`Abort` with class `unknown_outcome`)
-//! declared their write sets via `TxnWrite` before the prepare fan-out; if
-//! any of their versions is observed by a later read, the transaction is
-//! treated as CTP-committed and its version joins the key's timeline. When
-//! the trace ring dropped events, every check that reasons about version
-//! provenance is skipped — phantoms and the read rule: on a truncated
-//! history a read of a pre-truncation version has no traced writer, so it
-//! would be mis-attributed to a much later unknown-outcome transaction of
-//! the same client, fabricating missed versions. Only the per-reader
-//! snapshot bound (`ver_ts <= ts_begin`) survives truncation, because it
-//! uses nothing but the reader's own events. Campaigns therefore size the
-//! trace ring to the fault schedule so real runs never drop.
+//! Every transaction declares its write set and commit stamp via
+//! `TxnWrite` before the prepare fan-out, and `(ts_commit, client)` names
+//! the version each write installs, so [`History`] indexes the exact
+//! producer of every version, whatever its outcome, and resolves each
+//! read to the transaction it read from. An unknown-outcome
+//! transaction (`Abort` with class `unknown_outcome`) whose version a read
+//! observed was committed by cooperative termination: it joins the key's
+//! timeline at its declared stamp. An exact lookup cannot misattribute on
+//! a truncated trace (the ring drops a prefix, so a traced write keeps its
+//! whole transaction), but it does lack the writers of pre-truncation
+//! versions: when the ring dropped events, phantoms and the read rule are
+//! skipped, while the per-reader snapshot bound (`ver_ts <= ts_begin`) and
+//! aborted writes made visible are still checked. Campaigns size the trace
+//! ring to the fault schedule so real runs never drop.
 
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
-use perfkit::FastMap;
+use perfkit::{fast_map_with_capacity, FastMap};
 
 use obskit::{AbortClass, RecoveryPhase, TraceEvent};
 
@@ -57,6 +59,10 @@ pub(crate) struct ReadObs {
     pub(crate) ver_ts: u64,
     /// Writer client of the observed version.
     pub(crate) ver_client: u64,
+    /// Index into [`History::txns`] of the transaction whose `TxnWrite`
+    /// declared the observed version, whatever its outcome; `None` for the
+    /// preload and for a version no traced transaction declared.
+    pub(crate) from: Option<usize>,
 }
 
 /// How a transaction ended.
@@ -93,6 +99,8 @@ pub(crate) struct TxnView {
     pub(crate) reads: Vec<ReadObs>,
     /// Keys written (declared before the prepare fan-out).
     pub(crate) writes: Vec<u64>,
+    /// The commit stamp the writes were declared at (0 while none was).
+    pub(crate) ts_declared: u64,
     /// Final outcome.
     pub(crate) outcome: Outcome,
 }
@@ -158,10 +166,17 @@ pub struct History {
     /// when no replica ever cold-restarted).
     pub(crate) recovery: Vec<RecoveryObs>,
     /// Ring evictions reported by the tracer; non-zero means the history
-    /// is a suffix and visibility checks are skipped.
+    /// is a suffix, so phantoms and the read rule are skipped.
     pub(crate) dropped: u64,
+    /// The transaction whose `TxnWrite` declared each version, whatever
+    /// its outcome.
+    pub(crate) producers: FastMap<VersionId, usize>,
     events: Vec<(u64, TraceEvent)>,
 }
+
+/// Identity of a version: `(key, ts_commit, writer client)`; in MILANA
+/// `(ts_commit, client)` names the transaction that installs it.
+type VersionId = (u64, u64, u64);
 
 impl History {
     /// Rebuilds transactions from a tracer event dump (see
@@ -206,6 +221,7 @@ impl History {
                             end_at: at,
                             reads: Vec::new(),
                             writes: Vec::new(),
+                            ts_declared: 0,
                             outcome: Outcome::Aborted,
                         },
                     );
@@ -224,13 +240,19 @@ impl History {
                             key,
                             ver_ts,
                             ver_client,
+                            from: None,
                         });
                     }
                 }
-                TraceEvent::TxnWrite { client, key } => {
+                TraceEvent::TxnWrite {
+                    client,
+                    key,
+                    ts_commit,
+                } => {
                     if let Some(t) = open.get_mut(&client) {
                         t.end_at = at;
                         t.writes.push(key);
+                        t.ts_declared = ts_commit;
                     }
                 }
                 TraceEvent::Commit {
@@ -312,12 +334,22 @@ impl History {
             }
         }
         txns.sort_by_key(|t| (t.begin_at, t.client));
+        let mut producers = fast_map_with_capacity(txns.iter().map(|t| t.writes.len()).sum());
+        for (i, t) in txns.iter().enumerate() {
+            for &key in &t.writes {
+                producers.insert((key, t.ts_declared, t.client), i);
+            }
+        }
+        for r in txns.iter_mut().flat_map(|t| &mut t.reads) {
+            r.from = producers.get(&(r.key, r.ver_ts, r.ver_client)).copied();
+        }
         History {
             txns,
             ownership,
             reads_served,
             recovery,
             dropped,
+            producers,
             events,
         }
     }
@@ -399,8 +431,12 @@ pub enum ViolationClass {
     /// campaigns' chain audit reports the same class for a backup that
     /// lacked an acked version below its applied watermark.
     ReplicationLostAck,
-    /// A read observed a version no traced transaction produced.
+    /// A read observed a version no traced transaction declared.
     PhantomVersion,
+    /// A read observed a version whose producer's client was told a
+    /// definite abort: a write its transaction never committed, as far as
+    /// its client knows, became visible.
+    AbortedWriteVisible,
     /// Two nodes claimed ownership of the same shard at overlapping times
     /// — the epoch fence failed during a live migration.
     DualOwnership,
@@ -436,6 +472,7 @@ impl ViolationClass {
             ViolationClass::FutureRead => "future_read",
             ViolationClass::ReplicationLostAck => "replication_lost_ack",
             ViolationClass::PhantomVersion => "phantom_version",
+            ViolationClass::AbortedWriteVisible => "aborted_write_visible",
             ViolationClass::DualOwnership => "dual_ownership",
             ViolationClass::StaleBackupRead => "stale_backup_read",
             ViolationClass::LostAckedWrite => "lost_acked_write",
@@ -454,10 +491,6 @@ pub struct Violation {
     /// Indices into [`History::txns`] of the transactions involved.
     pub(crate) txns: Vec<usize>,
 }
-
-/// Identity of a committed write: `(ts_commit, writer client)` uniquely
-/// names a version in MILANA.
-type VersionId = (u64, u64);
 
 /// Checks a [`History`] against the read rule and the replication invariants.
 #[derive(Debug)]
@@ -491,67 +524,28 @@ impl<'a> Checker<'a> {
         let mut violations = Vec::new();
 
         // -- Resolve the committed set ---------------------------------
-        // Committed txns keep their traced ts_commit. Unknown-outcome
-        // txns whose version some read observed were CTP-committed: adopt
-        // the observed timestamp.
-        let mut ts_of: FastMap<usize, u64> = FastMap::default();
-        let mut by_version: FastMap<VersionId, usize> = FastMap::default();
-        for (i, t) in h.txns.iter().enumerate() {
-            if let Outcome::Committed { ts_commit, .. } = t.outcome {
-                ts_of.insert(i, ts_commit);
-                if !t.writes.is_empty() {
-                    by_version.insert((ts_commit, t.client), i);
-                }
-            }
-        }
-        // Promotion is only sound on a complete trace: with events dropped,
-        // a read of a pre-truncation version also has no traced writer and
-        // would be pinned on an unrelated unknown txn.
-        if h.dropped == 0 {
-            // Observed versions no committed txn produced.
-            let mut orphans: Vec<(u64, VersionId)> = Vec::new();
-            for t in &h.txns {
-                for r in &t.reads {
-                    let vid = (r.ver_ts, r.ver_client);
-                    if !by_version.contains_key(&vid)
-                        && vid != (PRELOAD_TS, PRELOAD_CLIENT)
-                        && !orphans.contains(&(r.key, vid))
-                    {
-                        orphans.push((r.key, vid));
-                    }
-                }
-            }
-            // Each orphan was CTP-committed by some unknown-outcome txn of
-            // its writer client. Client clocks are strictly monotonic and a
-            // commit timestamp is minted after the begin timestamp of the
-            // same txn but before the begin of the client's next one, so
-            // the producer is the client's unknown txn (writing that key)
-            // with the largest `ts_begin <= ver_ts`.
-            for (key, (ver_ts, ver_client)) in orphans {
-                let producer = h
-                    .txns
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| {
-                        t.outcome == Outcome::Unknown
-                            && t.client == ver_client
-                            && t.writes.contains(&key)
-                            && t.ts_begin <= ver_ts
-                    })
-                    .max_by_key(|(_, t)| t.ts_begin);
-                if let Some((i, _)) = producer {
-                    if let Entry::Vacant(slot) = ts_of.entry(i) {
-                        slot.insert(ver_ts);
-                        by_version.insert((ver_ts, ver_client), i);
-                    }
-                }
+        // Committed txns keep their traced ts_commit. An unknown-outcome
+        // txn whose version some read observed was CTP-committed at its
+        // declared stamp.
+        let mut ts_of: Vec<Option<u64>> = h
+            .txns
+            .iter()
+            .map(|t| match t.outcome {
+                Outcome::Committed { ts_commit, .. } => Some(ts_commit),
+                _ => None,
+            })
+            .collect();
+        for r in h.txns.iter().flat_map(|t| &t.reads) {
+            if let Some(p) = r.from.filter(|&p| h.txns[p].outcome == Outcome::Unknown) {
+                ts_of[p] = Some(r.ver_ts);
             }
         }
 
         // -- Per-key writer timelines ----------------------------------
         // writers[key] = [(ts_commit, writer client, txn idx)] sorted.
         let mut writers: FastMap<u64, Vec<(u64, u64, usize)>> = FastMap::default();
-        for (&i, &ts) in &ts_of {
+        for (i, ts) in ts_of.iter().enumerate() {
+            let Some(ts) = *ts else { continue };
             for &k in &h.txns[i].writes {
                 writers
                     .entry(k)
@@ -571,16 +565,33 @@ impl<'a> Checker<'a> {
         // CTP-committed readers are held to it at their adopted stamp; only
         // acked readers are owed the writes acked before they began.
         for (ri, reader) in h.txns.iter().enumerate() {
-            let Some(&ts_commit) = ts_of.get(&ri) else {
+            let Some(ts_commit) = ts_of[ri] else {
                 continue;
             };
             let acked = matches!(reader.outcome, Outcome::Committed { .. });
             for r in &reader.reads {
                 let read = (r.ver_ts, r.ver_client);
-                let phantom = h.dropped == 0
-                    && read != (PRELOAD_TS, PRELOAD_CLIENT)
-                    && !by_version.contains_key(&read);
-                if phantom {
+                let list = writers.get(&r.key).map_or(&[][..], Vec::as_slice);
+                // Every unknown-outcome producer a read observed was adopted
+                // above, so a producer left without a stamp is one whose
+                // client was told it aborted. A version no committed (or
+                // CTP-committed) write installed is reported once, and not
+                // judged again by the rule.
+                let committed = match r.from {
+                    Some(p) => ts_of[p].is_some(),
+                    None => read == (PRELOAD_TS, PRELOAD_CLIENT),
+                };
+                if let Some(p) = r.from.filter(|_| !committed) {
+                    violations.push(Violation {
+                        class: ViolationClass::AbortedWriteVisible,
+                        description: format!(
+                            "txn #{ri} (client {}) read key {} at version (ts {}, client {}) \
+                             which txn #{p} wrote, whose client was told it aborted",
+                            reader.client, r.key, r.ver_ts, r.ver_client
+                        ),
+                        txns: vec![ri, p],
+                    });
+                } else if !committed && h.dropped == 0 {
                     violations.push(Violation {
                         class: ViolationClass::PhantomVersion,
                         description: format!(
@@ -603,10 +614,9 @@ impl<'a> Checker<'a> {
                     });
                     continue;
                 }
-                if h.dropped > 0 || phantom {
+                if h.dropped > 0 || !committed {
                     continue;
                 }
-                let list = writers.get(&r.key).map_or(&[][..], Vec::as_slice);
                 let below = &list[..list.partition_point(|&(ts, _, _)| ts <= ts_commit)];
                 let Some(&(wts, wclient, wi)) = below.iter().rev().find(|&&(_, _, wi)| wi != ri)
                 else {
@@ -827,8 +837,16 @@ mod tests {
         }
     }
 
-    fn write(client: u64, key: u64) -> TraceEvent {
-        TraceEvent::TxnWrite { client, key }
+    fn write(client: u64, key: u64, ts_commit: u64) -> TraceEvent {
+        TraceEvent::TxnWrite {
+            client,
+            key,
+            ts_commit,
+        }
+    }
+
+    fn abort(client: u64, reason: AbortClass) -> TraceEvent {
+        TraceEvent::Abort { client, reason }
     }
 
     fn commit(client: u64, ts: u64) -> TraceEvent {
@@ -936,11 +954,11 @@ mod tests {
         let violations = check(vec![
             (1, begin(1, 10)),
             (2, read(1, 1, PRELOAD_TS, PRELOAD_CLIENT)),
-            (3, write(1, 1)),
+            (3, write(1, 1, 20)),
             (4, commit(1, 20)),
             (10, begin(2, 30)),
             (11, read(2, 1, 20, 1)),
-            (12, write(2, 1)),
+            (12, write(2, 1, 40)),
             (13, commit(2, 40)),
         ]);
         assert!(violations.is_empty(), "{violations:?}");
@@ -957,9 +975,9 @@ mod tests {
             (2, read(1, 1, PRELOAD_TS, PRELOAD_CLIENT)),
             (3, begin(2, 11)),
             (4, read(2, 1, PRELOAD_TS, PRELOAD_CLIENT)),
-            (5, write(1, 1)),
+            (5, write(1, 1, 20)),
             (6, commit(1, 20)),
-            (7, write(2, 1)),
+            (7, write(2, 1, 21)),
             (8, commit(2, 21)),
         ]);
         assert!(
@@ -988,7 +1006,7 @@ mod tests {
                     local: true,
                 },
             ),
-            (5, write(2, 1)),
+            (5, write(2, 1, 90)),
             (6, commit(2, 90)),
         ]);
         let classes: Vec<_> = violations.iter().map(|v| v.class).collect();
@@ -1007,16 +1025,10 @@ mod tests {
             (2, read(1, 1, PRELOAD_TS, PRELOAD_CLIENT)),
             (3, begin(2, 12)),
             (4, read(2, 1, PRELOAD_TS, PRELOAD_CLIENT)),
-            (5, write(2, 1)),
+            (5, write(2, 1, 15)),
             (6, commit(2, 15)),
-            (7, write(1, 1)),
-            (
-                8,
-                TraceEvent::Abort {
-                    client: 1,
-                    reason: AbortClass::UnknownOutcome,
-                },
-            ),
+            (7, write(1, 1, 20)),
+            (8, abort(1, AbortClass::UnknownOutcome)),
             (20, begin(3, 30)),
             (21, read(3, 1, 20, 1)),
             (22, commit(3, 30)),
@@ -1029,7 +1041,7 @@ mod tests {
     fn future_read_is_detected() {
         let violations = check(vec![
             (1, begin(1, 10)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 50)),
             (3, commit(1, 50)),
             (4, begin(2, 30)),
             (5, read(2, 1, 50, 1)), // 50 > ts_begin 30
@@ -1049,7 +1061,7 @@ mod tests {
         // time 10 with ts_begin 30 yet reads the preload version.
         let violations = check(vec![
             (1, begin(1, 10)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 20)),
             (4, commit(1, 20)),
             (10, begin(2, 30)),
             (11, read(2, 1, PRELOAD_TS, PRELOAD_CLIENT)),
@@ -1079,7 +1091,7 @@ mod tests {
         // began: the lost ack is the recovery path's fault.
         let violations = check(vec![
             (1, begin(1, 10)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 20)),
             (4, commit(1, 20)),
             (6, serving(5)),
             (10, begin(2, 30)),
@@ -1106,7 +1118,7 @@ mod tests {
         // cannot have caused the miss: plain replication lost-ack.
         let violations = check(vec![
             (1, begin(1, 10)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 20)),
             (4, commit(1, 20)),
             (10, begin(2, 30)),
             (11, read(2, 1, PRELOAD_TS, PRELOAD_CLIENT)),
@@ -1148,18 +1160,13 @@ mod tests {
 
     #[test]
     fn unknown_outcome_write_observed_by_reader_joins_history() {
-        // c1 reaches 2PC (declares writes) then times out; c2 later reads
-        // c1's version: CTP must have committed it. No violations.
+        // c1 reaches 2PC (declares k1 at ts 20) then times out; c2 later
+        // reads c1's version: CTP must have committed it at its declared
+        // stamp. No violations.
         let violations = check(vec![
             (1, begin(1, 10)),
-            (2, write(1, 1)),
-            (
-                3,
-                TraceEvent::Abort {
-                    client: 1,
-                    reason: AbortClass::UnknownOutcome,
-                },
-            ),
+            (2, write(1, 1, 20)),
+            (3, abort(1, AbortClass::UnknownOutcome)),
             (10, begin(2, 30)),
             (11, read(2, 1, 20, 1)),
             (12, commit(2, 31)),
@@ -1168,17 +1175,89 @@ mod tests {
     }
 
     #[test]
+    fn a_visible_aborted_write_names_its_exact_producer() {
+        // c3's first txn declares k1 at ts 20 and times out; its next one
+        // declares k1 at ts 40 and is told it aborted. c2 reads k1@(40, 3):
+        // its producer is the aborted txn, not the unknown-outcome one that
+        // began before it.
+        let events = vec![
+            (1, begin(3, 10)),
+            (2, write(3, 1, 20)),
+            (3, abort(3, AbortClass::UnknownOutcome)),
+            (4, begin(3, 30)),
+            (5, write(3, 1, 40)),
+            (6, abort(3, AbortClass::Validation)),
+            (10, begin(2, 50)),
+            (11, read(2, 1, 40, 3)),
+            (12, commit(2, 51)),
+        ];
+        let h = History::from_events(events, 0);
+        let violations = Checker::new(&h).check();
+        let classes: Vec<_> = violations.iter().map(|v| v.class).collect();
+        assert_eq!(
+            classes,
+            [ViolationClass::AbortedWriteVisible],
+            "{violations:?}"
+        );
+        let producer = h.txns.iter().position(|t| t.ts_begin == 30);
+        assert_eq!(
+            violations[0].txns[1..],
+            [producer.expect("the aborted txn")]
+        );
+    }
+
+    #[test]
+    fn a_read_of_an_aborted_write_is_reported_even_on_truncated_traces() {
+        let events = vec![
+            (1, begin(3, 10)),
+            (2, write(3, 1, 20)),
+            (3, abort(3, AbortClass::Validation)),
+            (10, begin(2, 30)),
+            (11, read(2, 1, 20, 3)),
+            (12, commit(2, 31)),
+        ];
+        for dropped in [0, 5] {
+            let h = History::from_events(events.clone(), dropped);
+            let violations = Checker::new(&h).check();
+            let classes: Vec<_> = violations.iter().map(|v| v.class).collect();
+            assert_eq!(
+                classes,
+                [ViolationClass::AbortedWriteVisible],
+                "{violations:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_version_no_write_declared_is_a_phantom() {
+        // c3's unknown-outcome txn declared k1 at ts 20 only: neither
+        // k1@(25, 3) nor k2@(20, 3) is a version it would install.
+        let violations = check(vec![
+            (1, begin(3, 10)),
+            (2, write(3, 1, 20)),
+            (3, abort(3, AbortClass::UnknownOutcome)),
+            (10, begin(2, 30)),
+            (11, read(2, 1, 25, 3)),
+            (12, read(2, 2, 20, 3)),
+            (13, commit(2, 31)),
+        ]);
+        let classes: Vec<_> = violations.iter().map(|v| v.class).collect();
+        assert_eq!(
+            classes,
+            [
+                ViolationClass::PhantomVersion,
+                ViolationClass::PhantomVersion
+            ],
+            "{violations:?}"
+        );
+    }
+
+    #[test]
     fn aborted_writes_never_enter_the_graph() {
         let events = vec![
             (1, begin(1, 10)),
-            (2, write(1, 1)),
-            (
-                3,
-                TraceEvent::Abort {
-                    client: 1,
-                    reason: AbortClass::Validation,
-                },
-            ),
+            (2, write(1, 1, 20)),
+            (3, abort(1, AbortClass::Validation)),
         ];
         let h = History::from_events(events, 0);
         assert_eq!(h.committed(), 0);
@@ -1212,10 +1291,10 @@ mod tests {
         // that far off should have been fenced, so flag it.
         let events = vec![
             (1, begin(1, 9_000_000)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 10_000_000)),
             (4, commit(1, 10_000_000)),
             (10, begin(2, 500)),
-            (11, write(2, 2)),
+            (11, write(2, 2, 1_000)),
             (12, commit(2, 1_000)),
         ];
         let h = History::from_events(events, 0);
@@ -1241,10 +1320,10 @@ mod tests {
     fn inversion_within_two_epsilon_passes() {
         let events = vec![
             (1, begin(1, 9_000_000)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 10_000_000)),
             (4, commit(1, 10_000_000)),
             (10, begin(2, 8_500_000)),
-            (11, write(2, 2)),
+            (11, write(2, 2, 8_600_000)),
             (12, commit(2, 8_600_000)), // behind by 1.4ms < 2ε = 2ms
         ];
         let h = History::from_events(events, 0);
@@ -1263,10 +1342,10 @@ mod tests {
         // timestamp inversion is legitimate.
         let events = vec![
             (1, begin(1, 9_000_000)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 10_000_000)),
             (3, begin(2, 500)),
             (4, commit(1, 10_000_000)),
-            (5, write(2, 2)),
+            (5, write(2, 2, 1_000)),
             (6, commit(2, 1_000)),
         ];
         let h = History::from_events(events, 0);
@@ -1283,7 +1362,7 @@ mod tests {
     fn local_commits_are_exempt_from_the_clock_bound() {
         let events = vec![
             (1, begin(1, 9_000_000)),
-            (2, write(1, 1)),
+            (2, write(1, 1, 10_000_000)),
             (4, commit(1, 10_000_000)),
             (10, begin(2, 500)),
             (
@@ -1307,7 +1386,7 @@ mod tests {
 
     #[test]
     fn interrupted_txn_with_writes_is_unknown() {
-        let events = vec![(1, begin(1, 10)), (2, write(1, 1)), (5, begin(1, 30))];
+        let events = vec![(1, begin(1, 10)), (2, write(1, 1, 20)), (5, begin(1, 30))];
         let h = History::from_events(events, 0);
         assert_eq!(h.unknown(), 1);
     }

@@ -907,12 +907,14 @@ impl Txn {
             client: self.c.id().0 as u64,
             participants: participants.len() as u64,
         });
-        // Declare the write set before the prepare fan-out so a history
-        // checker can recover it even when the outcome ends up unknown.
+        // Declare the write set and its stamp before the prepare fan-out so
+        // a history checker can name each version's producer even when the
+        // outcome ends up unknown.
         for (key, _) in &self.writes {
             self.c.trace(TraceEvent::TxnWrite {
                 client: self.c.id().0 as u64,
                 key: key.trace_id(),
+                ts_commit: ts_commit.0,
             });
         }
         // Phase 1: prepare in parallel at every participant primary

@@ -163,14 +163,17 @@ pub enum TraceEvent {
         /// Client id of the writer that installed the observed version.
         ver_client: u64,
     },
-    /// A buffered write declared just before 2PC prepare fan-out, so the
-    /// write set of an unknown-outcome transaction is still recoverable
-    /// from the trace.
+    /// A buffered write declared just before 2PC prepare fan-out, with the
+    /// commit stamp it is prepared at. `(ts_commit, client)` names the
+    /// version it would install, so a history checker finds the exact
+    /// producer of every version read, whatever the transaction's outcome.
     TxnWrite {
         /// Coordinating client id.
         client: u64,
         /// The key written.
         key: u64,
+        /// The transaction's commit stamp (client clock, ns).
+        ts_commit: u64,
     },
     /// A read-only transaction was decided by client-local validation.
     ValidateLocal {
@@ -412,9 +415,14 @@ impl TraceEvent {
                 .field("prepared", Json::Bool(prepared))
                 .field("ver_ts", Json::U64(ver_ts))
                 .field("ver_client", Json::U64(ver_client)),
-            TraceEvent::TxnWrite { client, key } => doc
+            TraceEvent::TxnWrite {
+                client,
+                key,
+                ts_commit,
+            } => doc
                 .field("client", Json::U64(client))
-                .field("key", Json::U64(key)),
+                .field("key", Json::U64(key))
+                .field("ts_commit", Json::U64(ts_commit)),
             TraceEvent::ValidateLocal { client, ok } => doc
                 .field("client", Json::U64(client))
                 .field("ok", Json::Bool(ok)),
@@ -736,7 +744,11 @@ mod tests {
                 ver_ts: 5,
                 ver_client: 2,
             },
-            TraceEvent::TxnWrite { client: 1, key: 3 },
+            TraceEvent::TxnWrite {
+                client: 1,
+                key: 3,
+                ts_commit: 9,
+            },
             TraceEvent::ValidateLocal {
                 client: 1,
                 ok: true,
@@ -871,5 +883,6 @@ mod tests {
             assert!(dump.contains(&format!(r#""ev":"{name}""#)), "{name}");
             assert_eq!(t.count_of(name), 1, "{name}");
         }
+        assert!(dump.contains(r#""ev":"txn_write","client":1,"key":3,"ts_commit":9}"#));
     }
 }

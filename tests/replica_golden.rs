@@ -49,6 +49,10 @@
 //! read that never refreshed its map, so after a failover it kept drawing
 //! the dead primary and waiting out the RPC timeout); they now read it
 //! like any other, and both runs end sooner with fewer messages.
+//!
+//! When each traced `TxnWrite` began carrying its commit stamp, only the
+//! `trace` of the two MILANA scripts was re-recorded: the JSON lines
+//! grew a field, and nothing else moved.
 
 use std::time::Duration;
 
@@ -433,7 +437,7 @@ fn milana_harness_failover_is_unchanged() {
         net: [7093, 6758, 334, 0, 0],
         timers: [5855, 2464, 3372, 19],
         registry: 0x34cc0d3fd0b6f321,
-        trace: 0x21cf63c87a99f85d,
+        trace: 0x5d2c2a47b6433b18,
         outcomes: 0xbcb2014e0eeb7f83,
         stores: 0xd36f717ff4249cb8,
         servers: vec![
@@ -460,7 +464,7 @@ fn milana_auto_failover_is_unchanged() {
         net: [4429, 3992, 436, 0, 0],
         timers: [3854, 1834, 1992, 28],
         registry: 0xa8c946163cb4f642,
-        trace: 0x354010c9824db5d6,
+        trace: 0x77f3ac7cc5a8e732,
         outcomes: 0x3bf185e3e19c7d65,
         stores: 0xa20bc62f2995ae07,
         servers: vec![
